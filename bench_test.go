@@ -194,7 +194,7 @@ func BenchmarkE8DetVsNondet(b *testing.B) {
 				} else {
 					net = snet.Split(box, "k")
 				}
-				out, _, err := snet.RunAll(context.Background(), net, mkInputs())
+				out, _, err := compile(b, net).RunAll(context.Background(), mkInputs())
 				if err != nil || len(out) != n {
 					b.Fatalf("out=%d err=%v", len(out), err)
 				}
@@ -224,7 +224,7 @@ func BenchmarkE9RuntimeMicro(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, _, err := snet.RunAll(context.Background(), mk(), inputs)
+				out, _, err := compile(b, mk()).RunAll(context.Background(), inputs)
 				if err != nil || len(out) != n {
 					b.Fatal("micro failed")
 				}
@@ -280,7 +280,7 @@ func BenchmarkE12LatencyBoundBox(b *testing.B) {
 	for _, W := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("W%d", W), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, _, err := snet.RunAll(context.Background(), mkNet(), inputs,
+				out, _, err := compile(b, mkNet()).RunAll(context.Background(), inputs,
 					snet.WithBoxWorkers(W))
 				if err != nil || len(out) != n {
 					b.Fatalf("out=%d err=%v", len(out), err)
@@ -298,7 +298,9 @@ func BenchmarkE12LatencyBoundBox(b *testing.B) {
 // BenchmarkE13DeepPipeline — the batched stream transport on a deep
 // pipeline of cheap stages: at B=1 every record pays one channel
 // synchronization per hop; frames amortize that B-fold on hot streams
-// while the adaptive flush keeps single-record latency flat.
+// while the adaptive flush keeps single-record latency flat.  The subject is
+// the transport, so the chain compiles WithFusion(false) — fused it is one
+// segment with no stream in it (E22 prices that).
 func BenchmarkE13DeepPipeline(b *testing.B) {
 	const n, depth = 2000, 32
 	mkNet := func() snet.Node {
@@ -315,8 +317,9 @@ func BenchmarkE13DeepPipeline(b *testing.B) {
 	for _, B := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("B%d", B), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, _, err := snet.RunAll(context.Background(), mkNet(), inputs,
-					snet.WithStreamBatch(B), snet.WithBoxWorkers(1))
+				out, _, err := compile(b, mkNet(), snet.WithFusion(false)).
+					RunAll(context.Background(), inputs,
+						snet.WithStreamBatch(B), snet.WithBoxWorkers(1))
 				if err != nil || len(out) != n {
 					b.Fatalf("out=%d err=%v", len(out), err)
 				}
@@ -466,6 +469,17 @@ func BenchmarkE19WebPipe(b *testing.B) {
 	})
 }
 
+// compile is this package's one route from a Node to something that runs:
+// the plan, or a failed test on type errors.
+func compile(tb testing.TB, net snet.Node, opts ...snet.CompileOption) *snet.Plan {
+	tb.Helper()
+	plan, err := snet.Compile(net, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
 // drainHandle shuts a persistent benchmark handle down gracefully: close the
 // input, drain the in-flight records, wait.  Cancel would strand pooled
 // records in stream buffers and skew the arena ledger for later tests in the
@@ -482,15 +496,16 @@ func drainHandle(h *snet.Handle) {
 // record received from the output is sent straight back in.  Taps forward
 // records untouched and frames recycle through the slab arena, so the
 // steady state is allocation-free — the record-plane target the slot-array
-// refactor set.
+// refactor set.  This is the stream-plane case: WithFusion(false) keeps the
+// 32 stream hops benchRecordPlaneFused collapses.
 func benchRecordPlanePipeline(b *testing.B) {
 	const depth, inflight = 32, 64
 	stages := make([]snet.Node, depth)
 	for i := range stages {
 		stages[i] = snet.Observe(fmt.Sprintf("tap%d", i), nil)
 	}
-	h := snet.Start(context.Background(), snet.Serial(stages...),
-		snet.WithBoxWorkers(1), snet.WithStreamBatch(8))
+	h := compile(b, snet.Serial(stages...), snet.WithFusion(false)).
+		Start(context.Background(), snet.WithBoxWorkers(1), snet.WithStreamBatch(8))
 	defer drainHandle(h)
 	for i := 0; i < inflight; i++ {
 		if err := h.Send(snet.NewRecord().SetTag("n", i)); err != nil {
@@ -533,16 +548,14 @@ func benchRecordPlanePipeline(b *testing.B) {
 // B=1: the fusion pass collapses all 32 taps into one single-goroutine
 // segment, so each op's record moves through the executor's swap buffers
 // instead of 32 stream hops — and must stay just as allocation-free as the
-// stream plane it bypasses.  (With SNET_FUSE=0 the plan runs un-fused; the
-// zero-alloc invariant holds either way.)
+// stream plane it bypasses.
 func benchRecordPlaneFused(b *testing.B) {
 	const depth, inflight = 32, 64
 	stages := make([]snet.Node, depth)
 	for i := range stages {
 		stages[i] = snet.Observe(fmt.Sprintf("tap%d", i), nil)
 	}
-	plan := snet.MustCompile(snet.Serial(stages...))
-	h := plan.Start(context.Background(),
+	h := compile(b, snet.Serial(stages...)).Start(context.Background(),
 		snet.WithBoxWorkers(1), snet.WithStreamBatch(1))
 	defer drainHandle(h)
 	for i := 0; i < inflight; i++ {
@@ -591,9 +604,8 @@ func benchRecordPlaneRouting(b *testing.B) {
 	}
 	sink := snet.NewBox("sink", snet.MustParseSignature("(a) -> (a)"),
 		func([]any, *snet.Emitter) error { return nil })
-	h := snet.Start(context.Background(),
-		snet.Serial(snet.Parallel(branches...), sink),
-		snet.WithBoxWorkers(1), snet.WithStreamBatch(8))
+	h := compile(b, snet.Serial(snet.Parallel(branches...), sink)).
+		Start(context.Background(), snet.WithBoxWorkers(1), snet.WithStreamBatch(8))
 	defer drainHandle(h)
 	inputs := make([]*snet.Record, population)
 	for i := range inputs {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-reps n] [-workers w] [-grain g] [-stream-batch B] [-only E3]
-//	            [-smoke] [-fuse=false] [-bench-out BENCH_9.json]
+//	            [-smoke] [-bench-out BENCH_10.json]
 //
 // The workload-suite experiments (E17 wavefront, E18 divide-and-conquer,
 // E19 HTTP request/response, E20 static liveness analysis, E21 record
@@ -36,13 +36,8 @@ func main() {
 		only     = flag.String("only", "", "run a single experiment (e.g. E3)")
 		smoke    = flag.Bool("smoke", false, "shrink the workload experiments (E17-E23) to CI-smoke sizes")
 		benchOut = flag.String("bench-out", "BENCH_10.json", "merge E17-E23 machine-readable results into this file (empty: don't write)")
-		fuse     = flag.Bool("fuse", true, "keep the compile-time fusion pass on (false sets SNET_FUSE=0 for every run)")
 	)
 	flag.Parse()
-	if !*fuse {
-		// Before any Compile: the runtime reads SNET_FUSE once, lazily.
-		os.Setenv("SNET_FUSE", "0")
-	}
 	bench.Reps = *reps
 	bench.Grain = *grain
 	bench.StreamBatch = *batch
@@ -93,8 +88,6 @@ func main() {
 			tables = []*bench.Table{bench.E14Fig1Batch()}
 		case "E15":
 			tables = []*bench.Table{bench.E15SessionMux()}
-		case "E16":
-			tables = []*bench.Table{bench.E16Routing()}
 		case "E17":
 			workload(bench.E17Wavefront)
 		case "E18":
@@ -110,7 +103,7 @@ func main() {
 		case "E23":
 			workload(bench.E23Verify)
 		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (E7 is covered by unit tests)\n", *only)
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (E7 is covered by unit tests, E16 by BenchmarkRouting)\n", *only)
 			os.Exit(2)
 		}
 	}

@@ -68,7 +68,6 @@ type config struct {
 	throttle      int                 // fig3 parallel-width throttle m
 	level         int                 // fig3 serial-replication exit level L
 	det           bool
-	fuse          bool // compile-time pipeline fusion (default on)
 	allowDeadlock bool // serve .snet nets the verifier flags as deadlock-positive
 	snetFile      string
 }
@@ -91,7 +90,6 @@ func newService(cfg config) (*service.Service, error) {
 		SessionMode: cfg.sessionMode,
 		IdleTimeout: cfg.idleTimeout,
 		Pool:        cfg.pool(),
-		NoFusion:    !cfg.fuse,
 	}
 	registerSudokuNets(svc, opts, cfg)
 	registerWorkloadNets(svc, opts)
@@ -171,7 +169,6 @@ func main() {
 	flag.IntVar(&cfg.throttle, "throttle", 4, "fig3: parallel-width throttle m in {<k>}->{<k>=<k>%m}")
 	flag.IntVar(&cfg.level, "level", 40, "fig3: serial-replication exit level L")
 	flag.BoolVar(&cfg.det, "det", false, "use deterministic combinator variants (|, *, !)")
-	flag.BoolVar(&cfg.fuse, "fuse", true, "fuse chains of lightweight stages into single-goroutine segments at compile time")
 	flag.BoolVar(&cfg.allowDeadlock, "allow-deadlock", false, "serve -snet nets the static verifier flags as deadlock-positive (refused by default)")
 	flag.StringVar(&cfg.snetFile, "snet", "", "also serve every net of this textual S-Net program (demo boxes)")
 	flag.Parse()

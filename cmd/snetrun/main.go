@@ -1,6 +1,7 @@
 // Command snetrun parses a textual S-Net program (the paper's notation),
-// type-checks it, and optionally runs it against a registry of built-in
-// demonstration boxes, feeding records given on the command line.
+// compiles it, and optionally runs the compiled plan — the same checked,
+// fused program -check, -lint and -verify analyse — against a registry of
+// built-in demonstration boxes, feeding records given on the command line.
 //
 // Usage:
 //
@@ -197,14 +198,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		name = prog.Nets[len(prog.Nets)-1].Name
 	}
-	net, err := lang.Build(prog, name, demoRegistry())
-	if err != nil {
-		return err
+	plan, cerr := lang.CompileNet(prog, name, demoRegistry())
+	if plan == nil {
+		return cerr
 	}
-	in, out, diags := snet.Check(net)
-	fmt.Fprintf(stdout, "\nnet %s : %v -> %v\n", name, in, out)
-	for _, d := range diags {
+	fmt.Fprintf(stdout, "\nnet %s : %v -> %v\n", name, plan.In(), plan.Out())
+	for _, te := range plan.TypeErrors() {
+		fmt.Fprintln(stdout, "  ", te)
+	}
+	for _, d := range plan.Warnings() {
 		fmt.Fprintln(stdout, "  ", d)
+	}
+	if cerr != nil {
+		return cerr
 	}
 	if !*doRun {
 		return nil
@@ -223,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *batch > 0 {
 		opts = append(opts, snet.WithStreamBatch(*batch))
 	}
-	results, stats, err := snet.RunAll(context.Background(), net, inputs, opts...)
+	results, stats, err := plan.RunAll(context.Background(), inputs, opts...)
 	if err != nil {
 		return err
 	}

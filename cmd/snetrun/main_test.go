@@ -88,6 +88,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{}, &stdout, &stderr); err == nil {
 		t.Error("expected usage error with no arguments")
 	}
+	// Run mode executes the compiled plan, so it refuses what -check rejects.
+	unreachable := writeProgram(t, `box inc (<n>) -> (<n>);
+box double (<n>,<m>) -> (<n>);
+net main connect inc .. (inc || double);
+`)
+	stdout.Reset()
+	if err := run([]string{"-run", "-record", "{<n>=1}", unreachable}, &stdout, &stderr); err == nil {
+		t.Error("expected run mode to refuse a net with an unreachable branch")
+	}
+	if out := stdout.String(); !strings.Contains(out, "unreachable-branch") || strings.Contains(out, "output records") {
+		t.Errorf("run mode should report the type error and not run:\n%s", out)
+	}
 }
 
 // -check on a clean program prints the inferred signatures and succeeds.

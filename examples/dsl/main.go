@@ -46,9 +46,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, out, diags := snet.Check(net)
-	fmt.Printf("inferred type: %v -> %v\n", in, out)
-	for _, d := range diags {
+	plan, err := snet.Compile(net)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("inferred type: %v -> %v\n", plan.In(), plan.Out())
+	for _, d := range plan.Warnings() {
 		fmt.Println("  ", d)
 	}
 

@@ -64,16 +64,18 @@ func main() {
 
 	// The Fig. 2 network, verbatim in structure:
 	// [{} -> {<k>=1}] .. ((placeOne !! <k>) ** {<done>})
-	net := snet.Serial(
+	// The leading filter consumes nothing, so the board reaches placeOne by
+	// flow inheritance alone; declaring the input type lets Compile see it.
+	plan := snet.MustCompile(snet.Serial(
 		snet.MustFilter("{} -> {<k>=1}"),
 		snet.NamedStar("search",
 			snet.NamedSplit("fan", placeOne, "k"),
 			snet.MustParsePattern("{<done>}")),
-	)
+	), snet.WithInputType(snet.RecType{snet.NewVariant(snet.Field("board"))}))
 
 	input := []*snet.Record{snet.NewRecord().SetField("board", board{n: *n})}
 	if *all {
-		out, stats, err := snet.RunAll(context.Background(), net, input)
+		out, stats, err := plan.RunAll(context.Background(), input)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +85,7 @@ func main() {
 			stats.Counter("box.placeOne.instances"))
 		return
 	}
-	rec, stats, err := snet.RunUntil(context.Background(), net, input,
+	rec, stats, err := plan.RunUntil(context.Background(), input,
 		func(r *snet.Record) bool { _, done := r.Tag("done"); return done })
 	if err != nil {
 		log.Fatal(err)

@@ -66,10 +66,10 @@ func main() {
 		snet.MustFilter("{<energy>} | <energy> >= 15815 -> {<energy>=<energy>, <hot>=1}"),
 		snet.MustFilter("{<energy>} | <energy> < 15815 -> {<energy>=<energy>}"),
 	)
-	net := snet.Serial(smoothBox(pool), smoothBox(pool), smoothBox(pool),
-		statsBox(pool), classify)
+	plan := snet.MustCompile(snet.Serial(smoothBox(pool), smoothBox(pool), smoothBox(pool),
+		statsBox(pool), classify))
 
-	h := snet.Start(context.Background(), net)
+	h := plan.Start(context.Background())
 	go func() {
 		for k := 0; k < 8; k++ {
 			frame := sac.Genarray(pool, []int{side, side}, 0.0,

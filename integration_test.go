@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,7 +105,7 @@ func TestPublicAPICoordination(t *testing.T) {
 		snet.NewRecord().SetTag("n", 1).SetTag("seq", 1),
 		snet.NewRecord().SetTag("n", 2).SetTag("seq", 2),
 	}
-	out, _, err := snet.RunAll(context.Background(), net, inputs, snet.WithTracer(tracer))
+	out, _, err := compile(t, net).RunAll(context.Background(), inputs, snet.WithTracer(tracer))
 	if err != nil || len(out) != 3 {
 		t.Fatalf("out=%d err=%v", len(out), err)
 	}
@@ -118,13 +119,18 @@ func TestPublicAPICoordination(t *testing.T) {
 	}
 }
 
-// The network checker is reachable and informative from the facade.
+// The compile phase's findings are reachable and informative from the facade.
 func TestPublicAPITypecheck(t *testing.T) {
 	a := snet.NewBox("a", snet.MustParseSignature("(x) -> (y)"),
 		func(args []any, out *snet.Emitter) error { return out.Out(1, args[0]) })
 	b := snet.NewBox("b", snet.MustParseSignature("(zz) -> (w)"),
 		func(args []any, out *snet.Emitter) error { return out.Out(1, args[0]) })
-	_, _, diags := snet.Check(snet.Serial(a, b))
+	plan, err := snet.Compile(snet.Serial(a, b))
+	var ce *snet.CompileError
+	if !errors.As(err, &ce) || ce.Errors[0].Code != snet.ErrCodeBoxReject {
+		t.Fatalf("expected a box-reject type error, got %v", err)
+	}
+	diags := plan.Warnings()
 	if len(diags) == 0 {
 		t.Fatal("expected a diagnostic")
 	}

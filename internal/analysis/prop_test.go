@@ -119,7 +119,7 @@ func soak(t *testing.T, seed int64, plan *core.Plan) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	h := plan.Start(ctx,
-		core.WithStreamBuffer(1), core.WithStreamBatch(1), core.WithBoxWorkers(1))
+		core.WithBuffer(1), core.WithStreamBatch(1), core.WithBoxWorkers(1))
 	done := make(chan int, 1)
 	go func() {
 		n := 0

@@ -359,7 +359,7 @@ func E8DetVsNondet() *Table {
 	for _, c := range cases {
 		runIt := func(det bool) time.Duration {
 			return Measure(3, func() {
-				out, _, err := core.RunAll(context.Background(), c.mk(det), inputs)
+				out, _, err := core.MustCompile(c.mk(det)).RunAll(context.Background(), inputs)
 				if err != nil || len(out) != n {
 					panic(fmt.Sprintf("%s det=%v: out=%d err=%v", c.name, det, len(out), err))
 				}
@@ -404,8 +404,9 @@ func E9RuntimeMicro() *Table {
 		{"1 box + flow inheritance (5 extra labels)", box(), wide},
 	}
 	for _, c := range cases {
+		plan := core.MustCompile(c.net)
 		tm := Measure(3, func() {
-			out, _, err := core.RunAll(context.Background(), c.net, c.inputs)
+			out, _, err := plan.RunAll(context.Background(), c.inputs)
 			if err != nil || len(out) != n {
 				panic("micro bench failed")
 			}
@@ -461,7 +462,9 @@ var streamBatchSweep = []int{1, 8, 64}
 // E13DeepPipeline measures the batched stream transport on deep pipelines —
 // the workload the frame refactor targets: every record used to pay one
 // channel synchronization per hop, so a D-stage pipeline cost O(D) syncs
-// per record; frames amortize that B-fold on hot streams.
+// per record; frames amortize that B-fold on hot streams.  The subject is
+// the transport, so the pipelines compile with WithFusion(false): fused, the
+// tap chain has no stream left to measure (E22 prices that).
 func E13DeepPipeline() *Table {
 	t := &Table{
 		ID:    "E13",
@@ -506,8 +509,9 @@ func E13DeepPipeline() *Table {
 		for _, b := range streamBatchSweep {
 			var stats *core.Stats
 			tm := Measure(3, func() {
-				out, s, err := core.RunAll(context.Background(), c.mk(), inputs(),
-					core.WithStreamBatch(b), core.WithBoxWorkers(1))
+				out, s, err := core.MustCompile(c.mk(), core.WithFusion(false)).
+					RunAll(context.Background(), inputs(),
+						core.WithStreamBatch(b), core.WithBoxWorkers(1))
 				if err != nil || len(out) != n {
 					panic(fmt.Sprintf("E13 %s B=%d: out=%d err=%v", c.name, b, len(out), err))
 				}
@@ -684,66 +688,6 @@ func E15SessionMux() *Table {
 	return t
 }
 
-// E16Routing measures the compile-then-run dispatch tables against the
-// per-record scoring loop they replaced, on wide parallel combinators —
-// the workload where best-match routing cost scales with the branch count.
-// The table path computes each record shape's decision once and memoizes
-// it (shared across every run of the plan); the scoring baseline
-// re-evaluates every branch's multivariant type per record.
-func E16Routing() *Table {
-	t := &Table{
-		ID:    "E16",
-		Title: "Routing: precomputed dispatch tables vs per-record scoring (wide Parallel nets)",
-		Claim: "best-match routing is decided by the record's type against the branches' inferred types (§4) — a property of the network, so a compile phase can precompute it (cf. the upfront graph analysis credited for CnC's edge, arXiv:1305.7167)",
-		Header: []string{"branches", "records", "mode", "median", "records/s",
-			"speedup vs scoring"},
-	}
-	const n = 5000
-	echoFn := func(args []any, out *core.Emitter) error { return out.Out(1, args...) }
-	for _, width := range []int{8, 16, 32} {
-		branches := make([]core.Node, width)
-		for i := range branches {
-			sig := fmt.Sprintf("(a,x%d) -> (a,x%d)", i, i)
-			branches[i] = core.NewBox(fmt.Sprintf("w%d", i), core.MustParseSignature(sig), echoFn)
-		}
-		net := core.Parallel(branches...)
-		inputs := func() []*core.Record {
-			recs := make([]*core.Record, n)
-			for i := range recs {
-				recs[i] = core.NewRecord().SetField("a", i).
-					SetField(fmt.Sprintf("x%d", i%width), i)
-			}
-			return recs
-		}
-		var base time.Duration
-		for _, mode := range []struct {
-			name string
-			opts []core.Option
-		}{
-			{"scoring", []core.Option{core.WithLegacyRouting()}},
-			{"table", nil},
-		} {
-			opts := append([]core.Option{core.WithBoxWorkers(1)}, mode.opts...)
-			tm := Measure(3, func() {
-				out, _, err := core.RunAll(context.Background(), net, inputs(), opts...)
-				if err != nil || len(out) != n {
-					panic(fmt.Sprintf("E16 width=%d mode=%s: out=%d err=%v",
-						width, mode.name, len(out), err))
-				}
-			})
-			if mode.name == "scoring" {
-				base = tm.Median()
-			}
-			t.AddRow(width, n, mode.name, tm.Median(),
-				fmt.Sprintf("%.0f", float64(n)/tm.Median().Seconds()),
-				Speedup(base, tm.Median()))
-		}
-	}
-	t.Notes = append(t.Notes,
-		"Every record here carries a distinct branch-selecting field, so the scoring baseline evaluates all `branches` multivariant types per record while the table path hashes the record's shape and reuses the memoized decision; BenchmarkRouting/dispatch isolates the routing decision itself (no network goroutines) and shows the per-decision gap directly.")
-	return t
-}
-
 // All runs every experiment table (E7 is covered by unit tests — the §2
 // semantics examples — and therefore has no timing table).
 func All(maxWorkers int) []*Table {
@@ -751,6 +695,6 @@ func All(maxWorkers int) []*Table {
 		E1Fig1(), E2Fig2(), E3Fig3(), E4Sequential(),
 		E5WithLoop(maxWorkers), E6BigBoards(),
 		E8DetVsNondet(), E9RuntimeMicro(), E10Hybrid(),
-		E13DeepPipeline(), E14Fig1Batch(), E15SessionMux(), E16Routing(),
+		E13DeepPipeline(), E14Fig1Batch(), E15SessionMux(),
 	}
 }

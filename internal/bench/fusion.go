@@ -113,10 +113,8 @@ func E22PipelineFusion() (*Table, []Result) {
 					if err != nil {
 						panic(fmt.Sprintf("E22 compile %s depth=%d: %v", shape.name, depth, err))
 					}
-					// SNET_FUSE=0 (or -fuse=false) turns the pass off even
-					// when asked for: report what actually ran.
 					mode := "unfused"
-					if len(plan.FusionGroups()) > 0 {
+					if fuse {
 						mode = "fused"
 					}
 					inputs := e22Inputs(n)

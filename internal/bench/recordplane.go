@@ -22,22 +22,26 @@ import (
 
 const e21Depth = 32
 
-func e21Pipeline() core.Node {
+// e21Pipeline is the deep tap chain.  Its subject is the record plane under
+// the frame transport, so it pins the stage-per-goroutine plan: fused, the
+// whole chain would be one segment with no stream in it (that is E22).
+func e21Pipeline() *core.Plan {
 	stages := make([]core.Node, e21Depth)
 	for i := range stages {
 		stages[i] = core.Observe(fmt.Sprintf("tap%d", i), nil)
 	}
-	return core.Serial(stages...)
+	return core.MustCompile(core.Serial(stages...), core.WithFusion(false))
 }
 
-func e21Routing(width int) (net core.Node, sunk core.Node) {
+func e21Routing(width int) (net, sunk *core.Plan) {
 	branches := make([]core.Node, width)
 	for i := range branches {
 		branches[i] = core.MustFilter(fmt.Sprintf("{a,x%d} -> {a,x%d}", i, i))
 	}
 	sink := core.NewBox("sink", core.MustParseSignature("(a) -> (a)"),
 		func([]any, *core.Emitter) error { return nil })
-	return core.Parallel(branches...), core.Serial(core.Parallel(branches...), sink)
+	return core.MustCompile(core.Parallel(branches...)),
+		core.MustCompile(core.Serial(core.Parallel(branches...), sink))
 }
 
 func e21PipelineInputs(n int) []*core.Record {
@@ -96,7 +100,7 @@ func e21Drain(h *core.Handle) {
 // e21PipelineSteady is the ping-pong loop of BenchmarkRecordPlane/pipeline:
 // a fixed in-flight population, each output record resent as the next input.
 func e21PipelineSteady(batch, ops int) float64 {
-	h := core.Start(context.Background(), e21Pipeline(),
+	h := e21Pipeline().Start(context.Background(),
 		core.WithBoxWorkers(1), core.WithStreamBatch(batch))
 	defer e21Drain(h)
 	const inflight = 64
@@ -127,7 +131,7 @@ func e21PipelineSteady(batch, ops int) float64 {
 // net, so pooled filter outputs are acquired and released inside the run.
 func e21RoutingSteady(width, batch, ops int) float64 {
 	_, net := e21Routing(width)
-	h := core.Start(context.Background(), net,
+	h := net.Start(context.Background(),
 		core.WithBoxWorkers(1), core.WithStreamBatch(batch))
 	defer e21Drain(h)
 	inputs := e21RoutingInputs(256, width)
@@ -180,8 +184,9 @@ func E21RecordPlane() (*Table, []Result) {
 	for _, bsz := range streamBatchSweep {
 		base := core.PoolStats().Live()
 		inputs := e21PipelineInputs(n)
+		plan := e21Pipeline()
 		tm := Measure(Reps, func() {
-			out, _, err := core.RunAll(context.Background(), e21Pipeline(), inputs,
+			out, _, err := plan.RunAll(context.Background(), inputs,
 				core.WithBoxWorkers(1), core.WithStreamBatch(bsz))
 			if err != nil || len(out) != n {
 				panic(fmt.Sprintf("E21 pipeline B=%d: out=%d err=%v", bsz, len(out), err))
@@ -207,7 +212,7 @@ func E21RecordPlane() (*Table, []Result) {
 		net, _ := e21Routing(width)
 		inputs := e21RoutingInputs(n, width)
 		tm := Measure(Reps, func() {
-			out, _, err := core.RunAll(context.Background(), net, inputs,
+			out, _, err := net.RunAll(context.Background(), inputs,
 				core.WithBoxWorkers(1), core.WithStreamBatch(8))
 			if err != nil || len(out) != n {
 				panic(fmt.Sprintf("E21 routing width=%d: out=%d err=%v", width, len(out), err))

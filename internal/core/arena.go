@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -32,13 +31,9 @@ import (
 // Accounting is global and monotonic: acquired = recycled + disowned + live.
 // The leak tests assert live returns to its baseline after a drained run, so
 // a pooled-but-unreleased record is a test failure, not a silent slow leak.
-// SNET_RECORD_POOL=0 disables recycling (acquire falls back to NewRecord)
-// without changing any semantics — the triage knob for suspected aliasing
-// bugs.
 
 var (
-	recordPoolOn = os.Getenv("SNET_RECORD_POOL") != "0"
-	recordPool   = sync.Pool{New: func() any { return new(Record) }}
+	recordPool = sync.Pool{New: func() any { return new(Record) }}
 
 	poolAcquired atomic.Int64
 	poolRecycled atomic.Int64
@@ -52,11 +47,6 @@ func AcquireRecord() *Record { return acquireRecord() }
 
 func acquireRecord() *Record {
 	poolAcquired.Add(1)
-	if !recordPoolOn {
-		r := NewRecord()
-		r.pooled = true
-		return r
-	}
 	r := recordPool.Get().(*Record)
 	r.shape = emptyShape
 	r.pooled = true
@@ -83,9 +73,7 @@ func releaseRecord(r *Record) {
 	}
 	r.fvals = r.fvals[:0]
 	r.tvals = r.tvals[:0]
-	if recordPoolOn {
-		recordPool.Put(r)
-	}
+	recordPool.Put(r)
 }
 
 // disownRecord hands a runtime-owned record to user code: it will not be
@@ -130,7 +118,7 @@ var frameSlabPool = sync.Pool{New: func() any { return new([frameSlabCap]item) }
 // acquireFrameSlab returns an empty []item with capacity >= n; capacity
 // frameSlabCap marks it recyclable.
 func acquireFrameSlab(n int) []item {
-	if n > frameSlabCap || !recordPoolOn {
+	if n > frameSlabCap {
 		return make([]item, 0, n)
 	}
 	p := frameSlabPool.Get().(*[frameSlabCap]item)
@@ -141,7 +129,7 @@ func acquireFrameSlab(n int) []item {
 // (over-sized batches) are ignored.  The slab is cleared first so it retains
 // no record pointers while pooled.
 func releaseFrameSlab(s []item) {
-	if cap(s) != frameSlabCap || !recordPoolOn {
+	if cap(s) != frameSlabCap {
 		return
 	}
 	s = s[:cap(s)]

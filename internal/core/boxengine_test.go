@@ -34,9 +34,11 @@ func gateBox(name string, need int) (Node, *atomic.Int32) {
 	return n, &inflight
 }
 
-func TestBoxEngineOverlapsInvocations(t *testing.T) {
+func TestBoxEngineOverlapsInvocations(t *testing.T) { bothPlans(t, testBoxEngineOverlapsInvocations) }
+
+func testBoxEngineOverlapsInvocations(t *testing.T, m execMode) {
 	box, _ := gateBox("olap", 3)
-	out, stats := runNet(t, box, seqInputs(6, func(i int, r *Record) { r.SetTag("n", i) }),
+	out, stats := m.runNet(t, box, seqInputs(6, func(i int, r *Record) { r.SetTag("n", i) }),
 		WithBoxWorkers(4))
 	if len(out) != 6 {
 		t.Fatalf("got %d records", len(out))
@@ -52,7 +54,9 @@ func TestBoxEngineOverlapsInvocations(t *testing.T) {
 	}
 }
 
-func TestBoxEnginePreservesOrder(t *testing.T) {
+func TestBoxEnginePreservesOrder(t *testing.T) { bothPlans(t, testBoxEnginePreservesOrder) }
+
+func testBoxEnginePreservesOrder(t *testing.T, m execMode) {
 	// Each input <seq> emits (seq,0)..(seq,2) after a seq-dependent delay;
 	// a concurrent engine that released invocations as they finish would
 	// interleave them.  The reorder stage must restore input order exactly.
@@ -68,7 +72,7 @@ func TestBoxEnginePreservesOrder(t *testing.T) {
 			return nil
 		})
 	const n = 30
-	out, _ := runNet(t, multi, seqInputs(n, nil), WithBoxWorkers(8))
+	out, _ := m.runNet(t, multi, seqInputs(n, nil), WithBoxWorkers(8))
 	if len(out) != 3*n {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -80,20 +84,24 @@ func TestBoxEnginePreservesOrder(t *testing.T) {
 	}
 }
 
-func TestBoxEngineMarkerBarrier(t *testing.T) {
+func TestBoxEngineMarkerBarrier(t *testing.T) { bothPlans(t, testBoxEngineMarkerBarrier) }
+
+func testBoxEngineMarkerBarrier(t *testing.T, m execMode) {
 	// A concurrent jittery box inside deterministic combinators: the sort
 	// markers crossing the box must still delimit exactly the records routed
 	// before them, or the det merge falls apart.
 	n := SplitDet(jitterBox("mb", 91), "k")
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("k", i%4) })
-	out, _ := runNet(t, n, inputs, WithBoxWorkers(8))
+	out, _ := m.runNet(t, n, inputs, WithBoxWorkers(8))
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestBoxEnginePanicIsolation(t *testing.T) {
+func TestBoxEnginePanicIsolation(t *testing.T) { bothPlans(t, testBoxEnginePanicIsolation) }
+
+func testBoxEnginePanicIsolation(t *testing.T, m execMode) {
 	var errs int32
 	out, stats := func() ([]*Record, *Stats) {
-		out, stats, err := RunAll(context.Background(), poisonBox("pc", 7),
+		out, stats, err := m.RunAll(context.Background(), poisonBox("pc", 7),
 			seqInputs(20, func(i int, r *Record) { r.SetTag("n", i) }),
 			WithBoxWorkers(4),
 			WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
@@ -110,9 +118,11 @@ func TestBoxEnginePanicIsolation(t *testing.T) {
 	}
 }
 
-func TestBoxEngineRejectsUnbindable(t *testing.T) {
+func TestBoxEngineRejectsUnbindable(t *testing.T) { bothPlans(t, testBoxEngineRejectsUnbindable) }
+
+func testBoxEngineRejectsUnbindable(t *testing.T, m execMode) {
 	var errs int32
-	out, stats, err := RunAll(context.Background(), incBox("rj", 1),
+	out, stats, err := m.RunAll(context.Background(), incBox("rj", 1),
 		[]*Record{recN(1), NewRecord().SetField("other", 1), recN(2)},
 		WithBoxWorkers(4),
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
@@ -126,6 +136,10 @@ func TestBoxEngineRejectsUnbindable(t *testing.T) {
 }
 
 func TestNewBoxConcurrentOverridesRunDefault(t *testing.T) {
+	bothPlans(t, testNewBoxConcurrentOverridesRunDefault)
+}
+
+func testNewBoxConcurrentOverridesRunDefault(t *testing.T, m execMode) {
 	// The run default is sequential, but the box pins its own width.
 	var inflight atomic.Int32
 	box := NewBoxConcurrent("own", MustParseSignature("(<n>) -> (<n>)"),
@@ -140,7 +154,7 @@ func TestNewBoxConcurrentOverridesRunDefault(t *testing.T) {
 			}
 			return out.Out(1, args[0].(int))
 		}, 4)
-	out, stats := runNet(t, box, seqInputs(4, func(i int, r *Record) { r.SetTag("n", i) }),
+	out, stats := m.runNet(t, box, seqInputs(4, func(i int, r *Record) { r.SetTag("n", i) }),
 		WithBoxWorkers(1))
 	if len(out) != 4 {
 		t.Fatalf("got %d records", len(out))
@@ -151,6 +165,10 @@ func TestNewBoxConcurrentOverridesRunDefault(t *testing.T) {
 }
 
 func TestNewBoxConcurrentPinsSequential(t *testing.T) {
+	bothPlans(t, testNewBoxConcurrentPinsSequential)
+}
+
+func testNewBoxConcurrentPinsSequential(t *testing.T, m execMode) {
 	// Width 1 pins the box to the sequential path even when the run default
 	// is wide: at no point may two invocations overlap.
 	var inflight, overlapped atomic.Int32
@@ -163,7 +181,7 @@ func TestNewBoxConcurrentPinsSequential(t *testing.T) {
 			inflight.Add(-1)
 			return out.Out(1, args[0].(int))
 		}, 1)
-	out, stats := runNet(t, box, seqInputs(10, func(i int, r *Record) { r.SetTag("n", i) }),
+	out, stats := m.runNet(t, box, seqInputs(10, func(i int, r *Record) { r.SetTag("n", i) }),
 		WithBoxWorkers(16))
 	if len(out) != 10 {
 		t.Fatalf("got %d records", len(out))
@@ -180,7 +198,9 @@ func TestNewBoxConcurrentPinsSequential(t *testing.T) {
 // counting them, and cancelled invocations must not count as completed
 // calls — "box.<name>.calls" and "box.<name>.emitted" describe what
 // actually reached the box's output stream.
-func TestEmitterStoppedStopsCounting(t *testing.T) {
+func TestEmitterStoppedStopsCounting(t *testing.T) { bothPlans(t, testEmitterStoppedStopsCounting) }
+
+func testEmitterStoppedStopsCounting(t *testing.T, m execMode) {
 	var sawStopped, emittedAfterStop, calls int32
 	blocker := NewBox("stop", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
@@ -204,7 +224,7 @@ func TestEmitterStoppedStopsCounting(t *testing.T) {
 				}
 			}
 		})
-	h := Start(context.Background(), blocker, WithBuffer(0))
+	h := m.Start(context.Background(), blocker, WithBuffer(0))
 	if err := h.Send(recN(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +233,18 @@ func TestEmitterStoppedStopsCounting(t *testing.T) {
 	h.Cancel()
 	h.Wait()
 	// Wait waits for the output adapter, not the node goroutine; the box
-	// settles its accounting just before exiting, so poll the (locked)
-	// stats until the cancelled invocation has been counted.
+	// settles its accounting just before exiting — and a concurrent engine
+	// counts the overtaken slot without waiting for the box function to
+	// notice — so poll until the invocation has both been counted and seen
+	// its emitter stop.
 	stats := h.Stats()
 	deadline := time.Now().Add(5 * time.Second)
-	for stats.Counter("box.stop.cancelled") == 0 && time.Now().Before(deadline) {
+	for (stats.Counter("box.stop.cancelled") == 0 || atomic.LoadInt32(&sawStopped) == 0) &&
+		time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if atomic.LoadInt32(&calls) != 1 || atomic.LoadInt32(&sawStopped) != 1 {
-		t.Fatalf("calls=%d sawStopped=%d", calls, sawStopped)
+	if c, s := atomic.LoadInt32(&calls), atomic.LoadInt32(&sawStopped); c != 1 || s != 1 {
+		t.Fatalf("calls=%d sawStopped=%d", c, s)
 	}
 	if atomic.LoadInt32(&emittedAfterStop) != 0 {
 		t.Fatal("Emitted() advanced after the emitter was stopped")
@@ -236,6 +259,10 @@ func TestEmitterStoppedStopsCounting(t *testing.T) {
 }
 
 func TestBoxEmittedCounterMatchesOutput(t *testing.T) {
+	bothPlans(t, testBoxEmittedCounterMatchesOutput)
+}
+
+func testBoxEmittedCounterMatchesOutput(t *testing.T, m execMode) {
 	fan := NewBox("cnt", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			for i := 0; i < args[0].(int); i++ {
@@ -246,7 +273,7 @@ func TestBoxEmittedCounterMatchesOutput(t *testing.T) {
 			return nil
 		})
 	for _, w := range []int{1, 4} {
-		out, stats := runNet(t, fan, []*Record{recN(2), recN(3), recN(4)}, WithBoxWorkers(w))
+		out, stats := m.runNet(t, fan, []*Record{recN(2), recN(3), recN(4)}, WithBoxWorkers(w))
 		if len(out) != 9 {
 			t.Fatalf("W=%d: got %d records", w, len(out))
 		}

@@ -8,7 +8,9 @@ import (
 
 // --- parallel composition ---
 
-func TestParallelBestMatchRouting(t *testing.T) {
+func TestParallelBestMatchRouting(t *testing.T) { bothPlans(t, testParallelBestMatchRouting) }
+
+func testParallelBestMatchRouting(t *testing.T, m execMode) {
 	a := NewBox("viaA", MustParseSignature("(a) -> (a,<viaA>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
 	b := NewBox("viaB", MustParseSignature("(a,b) -> (a,<viaB>)"),
@@ -16,7 +18,7 @@ func TestParallelBestMatchRouting(t *testing.T) {
 	n := Parallel(a, b)
 	r1 := NewRecord().SetField("a", 1)
 	r2 := NewRecord().SetField("a", 2).SetField("b", 2)
-	out, _ := runNet(t, n, []*Record{r1, r2})
+	out, _ := m.runNet(t, n, []*Record{r1, r2})
 	if len(out) != 2 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -34,6 +36,10 @@ func TestParallelBestMatchRouting(t *testing.T) {
 }
 
 func TestParallelTieBreakUsesBothBranches(t *testing.T) {
+	bothPlans(t, testParallelTieBreakUsesBothBranches)
+}
+
+func testParallelTieBreakUsesBothBranches(t *testing.T, m execMode) {
 	mk := func(tag string) Node {
 		return NewBox(tag, MustParseSignature("(a) -> (a,<"+tag+">)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
@@ -43,7 +49,7 @@ func TestParallelTieBreakUsesBothBranches(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		inputs = append(inputs, NewRecord().SetField("a", i))
 	}
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	var left, right int
 	for _, r := range out {
 		if _, ok := r.Tag("left"); ok {
@@ -61,12 +67,14 @@ func TestParallelTieBreakUsesBothBranches(t *testing.T) {
 	}
 }
 
-func TestParallelUnroutableDropped(t *testing.T) {
+func TestParallelUnroutableDropped(t *testing.T) { bothPlans(t, testParallelUnroutableDropped) }
+
+func testParallelUnroutableDropped(t *testing.T, m execMode) {
 	a := incBox("a", 1) // wants <n>
 	b := NewBox("b", MustParseSignature("(x) -> (x)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
 	var errs int32
-	out, stats := runNet(t, Parallel(a, b),
+	out, stats := m.runNet(t, Parallel(a, b),
 		[]*Record{NewRecord().SetField("zzz", 1)},
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if len(out) != 0 || errs != 1 {
@@ -77,13 +85,15 @@ func TestParallelUnroutableDropped(t *testing.T) {
 	}
 }
 
-func TestParallelThreeBranches(t *testing.T) {
+func TestParallelThreeBranches(t *testing.T) { bothPlans(t, testParallelThreeBranches) }
+
+func testParallelThreeBranches(t *testing.T, m execMode) {
 	mk := func(field string) Node {
 		return NewBox("b_"+field, MustParseSignature("("+field+") -> ("+field+",<hit>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
 	}
 	n := Parallel(mk("x"), mk("y"), mk("z"))
-	out, _ := runNet(t, n, []*Record{
+	out, _ := m.runNet(t, n, []*Record{
 		NewRecord().SetField("x", 1),
 		NewRecord().SetField("y", 1),
 		NewRecord().SetField("z", 1),
@@ -122,9 +132,11 @@ func decBox() Node {
 		})
 }
 
-func TestStarUnfoldsOnDemand(t *testing.T) {
+func TestStarUnfoldsOnDemand(t *testing.T) { bothPlans(t, testStarUnfoldsOnDemand) }
+
+func testStarUnfoldsOnDemand(t *testing.T, m execMode) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
-	out, stats := runNet(t, n, []*Record{recN(5)})
+	out, stats := m.runNet(t, n, []*Record{recN(5)})
 	if len(out) != 1 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -141,8 +153,12 @@ func TestStarUnfoldsOnDemand(t *testing.T) {
 }
 
 func TestStarImmediateExitCreatesNoReplica(t *testing.T) {
+	bothPlans(t, testStarImmediateExitCreatesNoReplica)
+}
+
+func testStarImmediateExitCreatesNoReplica(t *testing.T, m execMode) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
-	out, stats := runNet(t, n, []*Record{NewRecord().SetTag("n", 3).SetTag("done", 1)})
+	out, stats := m.runNet(t, n, []*Record{NewRecord().SetTag("n", 3).SetTag("done", 1)})
 	if len(out) != 1 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -151,9 +167,11 @@ func TestStarImmediateExitCreatesNoReplica(t *testing.T) {
 	}
 }
 
-func TestStarSharesChainAcrossRecords(t *testing.T) {
+func TestStarSharesChainAcrossRecords(t *testing.T) { bothPlans(t, testStarSharesChainAcrossRecords) }
+
+func testStarSharesChainAcrossRecords(t *testing.T, m execMode) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
-	out, stats := runNet(t, n, []*Record{recN(5), recN(5), recN(3)})
+	out, stats := m.runNet(t, n, []*Record{recN(5), recN(5), recN(3)})
 	if len(out) != 3 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -163,11 +181,13 @@ func TestStarSharesChainAcrossRecords(t *testing.T) {
 	}
 }
 
-func TestStarGuardedExit(t *testing.T) {
+func TestStarGuardedExit(t *testing.T) { bothPlans(t, testStarGuardedExit) }
+
+func testStarGuardedExit(t *testing.T, m execMode) {
 	// Exit once <n> drops below 3 — a guarded pattern like Fig. 3's
 	// {<level>} | <level> > 40.
 	n := NamedStar("loop", incBox("dec", -1), MustParsePattern("{<n>} | <n> < 3"))
-	out, stats := runNet(t, n, []*Record{recN(6)})
+	out, stats := m.runNet(t, n, []*Record{recN(6)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 2 {
 		t.Fatalf("out = %v", out)
 	}
@@ -176,11 +196,13 @@ func TestStarGuardedExit(t *testing.T) {
 	}
 }
 
-func TestStarDepthCapDropsRecords(t *testing.T) {
+func TestStarDepthCapDropsRecords(t *testing.T) { bothPlans(t, testStarDepthCapDropsRecords) }
+
+func testStarDepthCapDropsRecords(t *testing.T, m execMode) {
 	// A chain that never terminates: cap must stop the unfolding.
 	never := incBox("spin", 1)
 	var errs int32
-	out, stats := runNet(t, NamedStar("loop", never, MustParsePattern("{<done>}")),
+	out, stats := m.runNet(t, NamedStar("loop", never, MustParsePattern("{<done>}")),
 		[]*Record{recN(0)},
 		WithMaxStarDepth(10),
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
@@ -195,7 +217,9 @@ func TestStarDepthCapDropsRecords(t *testing.T) {
 	}
 }
 
-func TestStarMultiWayFanout(t *testing.T) {
+func TestStarMultiWayFanout(t *testing.T) { bothPlans(t, testStarMultiWayFanout) }
+
+func testStarMultiWayFanout(t *testing.T, m execMode) {
 	// Each stage forks into two children until <n> reaches 0 — the
 	// search-tree shape of the sudoku networks.  2^4 = 16 leaves.
 	fork := NewBox("fork", MustParseSignature("(<n>) -> (<n>) | (<n>,<done>)"),
@@ -209,7 +233,7 @@ func TestStarMultiWayFanout(t *testing.T) {
 			}
 			return out.Out(1, n-1)
 		})
-	out, stats := runNet(t, NamedStar("tree", fork, MustParsePattern("{<done>}")),
+	out, stats := m.runNet(t, NamedStar("tree", fork, MustParsePattern("{<done>}")),
 		[]*Record{recN(4)})
 	if len(out) != 16 {
 		t.Fatalf("got %d leaves, want 16", len(out))
@@ -252,13 +276,15 @@ func (n *instanceNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	}
 }
 
-func TestSplitSameTagSameReplica(t *testing.T) {
+func TestSplitSameTagSameReplica(t *testing.T) { bothPlans(t, testSplitSameTagSameReplica) }
+
+func testSplitSameTagSameReplica(t *testing.T, m execMode) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
 	var inputs []*Record
 	for i := 0; i < 30; i++ {
 		inputs = append(inputs, NewRecord().SetTag("k", i%3).SetTag("seq", i))
 	}
-	out, stats := runNet(t, n, inputs)
+	out, stats := m.runNet(t, n, inputs)
 	if len(out) != 30 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -284,13 +310,15 @@ func TestSplitSameTagSameReplica(t *testing.T) {
 	}
 }
 
-func TestSplitWidthCapFoldsTags(t *testing.T) {
+func TestSplitWidthCapFoldsTags(t *testing.T) { bothPlans(t, testSplitWidthCapFoldsTags) }
+
+func testSplitWidthCapFoldsTags(t *testing.T, m execMode) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
 	var inputs []*Record
 	for i := 0; i < 16; i++ {
 		inputs = append(inputs, NewRecord().SetTag("k", i))
 	}
-	out, stats := runNet(t, n, inputs, WithMaxSplitWidth(4))
+	out, stats := m.runNet(t, n, inputs, WithMaxSplitWidth(4))
 	if len(out) != 16 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -309,9 +337,11 @@ func TestSplitWidthCapFoldsTags(t *testing.T) {
 	}
 }
 
-func TestSplitNegativeTagValues(t *testing.T) {
+func TestSplitNegativeTagValues(t *testing.T) { bothPlans(t, testSplitNegativeTagValues) }
+
+func testSplitNegativeTagValues(t *testing.T, m execMode) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
-	out, _ := runNet(t, n, []*Record{
+	out, _ := m.runNet(t, n, []*Record{
 		NewRecord().SetTag("k", -1),
 		NewRecord().SetTag("k", -1),
 		NewRecord().SetTag("k", -5),
@@ -330,9 +360,11 @@ func TestSplitNegativeTagValues(t *testing.T) {
 	}
 }
 
-func TestSplitMissingTagReported(t *testing.T) {
+func TestSplitMissingTagReported(t *testing.T) { bothPlans(t, testSplitMissingTagReported) }
+
+func testSplitMissingTagReported(t *testing.T, m execMode) {
 	var errs int32
-	out, stats := runNet(t, NamedSplit("width", incBox("i", 0), "k"),
+	out, stats := m.runNet(t, NamedSplit("width", incBox("i", 0), "k"),
 		[]*Record{recN(1)},
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if len(out) != 0 || errs != 1 {
@@ -345,9 +377,11 @@ func TestSplitMissingTagReported(t *testing.T) {
 
 // --- synchrocell ---
 
-func TestSyncJoinsTwoPatterns(t *testing.T) {
+func TestSyncJoinsTwoPatterns(t *testing.T) { bothPlans(t, testSyncJoinsTwoPatterns) }
+
+func testSyncJoinsTwoPatterns(t *testing.T, m execMode) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
-	out, stats := runNet(t, n, []*Record{
+	out, stats := m.runNet(t, n, []*Record{
 		NewRecord().SetField("a", 1),
 		NewRecord().SetField("b", 2),
 		NewRecord().SetField("a", 99), // after firing: passes through
@@ -367,9 +401,11 @@ func TestSyncJoinsTwoPatterns(t *testing.T) {
 	}
 }
 
-func TestSyncEarlierPatternPrecedence(t *testing.T) {
+func TestSyncEarlierPatternPrecedence(t *testing.T) { bothPlans(t, testSyncEarlierPatternPrecedence) }
+
+func testSyncEarlierPatternPrecedence(t *testing.T, m execMode) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
-	out, _ := runNet(t, n, []*Record{
+	out, _ := m.runNet(t, n, []*Record{
 		NewRecord().SetField("a", "first").SetField("x", 1),
 		NewRecord().SetField("b", "second").SetField("a", "clash"),
 	})
@@ -384,17 +420,21 @@ func TestSyncEarlierPatternPrecedence(t *testing.T) {
 	}
 }
 
-func TestSyncNonMatchingPassesThrough(t *testing.T) {
+func TestSyncNonMatchingPassesThrough(t *testing.T) { bothPlans(t, testSyncNonMatchingPassesThrough) }
+
+func testSyncNonMatchingPassesThrough(t *testing.T, m execMode) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
-	out, _ := runNet(t, n, []*Record{NewRecord().SetField("c", 1)})
+	out, _ := m.runNet(t, n, []*Record{NewRecord().SetField("c", 1)})
 	if len(out) != 1 {
 		t.Fatal("non-matching record must pass through")
 	}
 }
 
-func TestSyncStarvationCounted(t *testing.T) {
+func TestSyncStarvationCounted(t *testing.T) { bothPlans(t, testSyncStarvationCounted) }
+
+func testSyncStarvationCounted(t *testing.T, m execMode) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
-	out, stats := runNet(t, n, []*Record{NewRecord().SetField("a", 1)})
+	out, stats := m.runNet(t, n, []*Record{NewRecord().SetField("a", 1)})
 	if len(out) != 0 {
 		t.Fatal("stored record must not be emitted unfired")
 	}
@@ -414,7 +454,9 @@ func TestSyncNeedsTwoPatterns(t *testing.T) {
 
 // --- nesting ---
 
-func TestNestedCombinators(t *testing.T) {
+func TestNestedCombinators(t *testing.T) { bothPlans(t, testNestedCombinators) }
+
+func testNestedCombinators(t *testing.T, m execMode) {
 	// (inc .. (dec ** {<done>})) !! <k>  — replicated pipelines with an
 	// inner replication, the Fig. 2 shape.
 	inner := Serial(incBox("plus", 3), NamedStar("loop", decBox(), MustParsePattern("{<done>}")))
@@ -423,7 +465,7 @@ func TestNestedCombinators(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		inputs = append(inputs, NewRecord().SetTag("n", i).SetTag("k", i%4))
 	}
-	out, stats := runNet(t, n, inputs)
+	out, stats := m.runNet(t, n, inputs)
 	if len(out) != 8 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -440,11 +482,13 @@ func TestNestedCombinators(t *testing.T) {
 	}
 }
 
-func TestParallelWithContextCancel(t *testing.T) {
+func TestParallelWithContextCancel(t *testing.T) { bothPlans(t, testParallelWithContextCancel) }
+
+func testParallelWithContextCancel(t *testing.T, m execMode) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := Parallel(incBox("a", 1), NewBox("b", MustParseSignature("(x) -> (x)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }))
-	h := Start(ctx, n)
+	h := m.Start(ctx, n)
 	for i := 0; i < 10; i++ {
 		_ = h.Send(recN(i))
 	}

@@ -99,24 +99,32 @@ func detParallelNet(det bool) (Node, []*Record) {
 }
 
 func TestDetParallelPreservesInputOrder(t *testing.T) {
+	bothPlans(t, testDetParallelPreservesInputOrder)
+}
+
+func testDetParallelPreservesInputOrder(t *testing.T, m execMode) {
 	n, inputs := detParallelNet(true)
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetParallelDeliversAll(t *testing.T) {
+func TestNondetParallelDeliversAll(t *testing.T) { bothPlans(t, testNondetParallelDeliversAll) }
+
+func testNondetParallelDeliversAll(t *testing.T, m execMode) {
 	n, inputs := detParallelNet(false)
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertMultiset(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetParallelCanReorder(t *testing.T) {
+func TestNondetParallelCanReorder(t *testing.T) { bothPlans(t, testNondetParallelCanReorder) }
+
+func testNondetParallelCanReorder(t *testing.T, m execMode) {
 	// Not a strict guarantee, but with a 2ms slow branch and an eager
 	// fast branch reordering should occur essentially always; retry a
 	// few times to keep flake probability negligible.
 	for attempt := 0; attempt < 5; attempt++ {
 		n, inputs := detParallelNet(false)
-		out, _ := runNet(t, n, inputs)
+		out, _ := m.runNet(t, n, inputs)
 		seqs := collectSeqs(t, out)
 		for i, s := range seqs {
 			if s != i {
@@ -127,17 +135,21 @@ func TestNondetParallelCanReorder(t *testing.T) {
 	t.Log("warning: nondeterministic merge never reordered; timing-dependent")
 }
 
-func TestDetSplitPreservesInputOrder(t *testing.T) {
+func TestDetSplitPreservesInputOrder(t *testing.T) { bothPlans(t, testDetSplitPreservesInputOrder) }
+
+func testDetSplitPreservesInputOrder(t *testing.T, m execMode) {
 	n := SplitDet(jitterBox("j", 17), "k")
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("k", i%4) })
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetSplitDeliversAll(t *testing.T) {
+func TestNondetSplitDeliversAll(t *testing.T) { bothPlans(t, testNondetSplitDeliversAll) }
+
+func testNondetSplitDeliversAll(t *testing.T, m execMode) {
 	n := Split(jitterBox("j", 23), "k")
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("k", i%4) })
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertMultiset(t, collectSeqs(t, out), detN)
 }
 
@@ -156,24 +168,30 @@ func varDecBox(salt int64) Node {
 		})
 }
 
-func TestDetStarPreservesInputOrder(t *testing.T) {
+func TestDetStarPreservesInputOrder(t *testing.T) { bothPlans(t, testDetStarPreservesInputOrder) }
+
+func testDetStarPreservesInputOrder(t *testing.T, m execMode) {
 	n := StarDet(varDecBox(5), MustParsePattern("{<done>}"))
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("n", (detN-i)%7) })
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetStarDeliversAll(t *testing.T) {
+func TestNondetStarDeliversAll(t *testing.T) { bothPlans(t, testNondetStarDeliversAll) }
+
+func testNondetStarDeliversAll(t *testing.T, m execMode) {
 	n := Star(varDecBox(7), MustParsePattern("{<done>}"))
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("n", i%7) })
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertMultiset(t, collectSeqs(t, out), detN)
 }
 
 // Nesting: a nondeterministic split inside a deterministic parallel — the
 // outer determinism must survive inner nondeterminism (sort-record barriers
 // pass through the inner merger).
-func TestDetOuterNondetInner(t *testing.T) {
+func TestDetOuterNondetInner(t *testing.T) { bothPlans(t, testDetOuterNondetInner) }
+
+func testDetOuterNondetInner(t *testing.T, m execMode) {
 	inner := Split(jitterBox("inner", 31), "k")
 	other := NewBox("noval", MustParseSignature("(none,<seq>) -> (<seq>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[1].(int)) })
@@ -185,24 +203,28 @@ func TestDetOuterNondetInner(t *testing.T) {
 			r.SetTag("k", i%4)
 		}
 	})
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
 // Nesting: deterministic star inside deterministic split.
-func TestDetStarInsideDetSplit(t *testing.T) {
+func TestDetStarInsideDetSplit(t *testing.T) { bothPlans(t, testDetStarInsideDetSplit) }
+
+func testDetStarInsideDetSplit(t *testing.T, m execMode) {
 	inner := StarDet(varDecBox(11), MustParsePattern("{<done>}"))
 	n := SplitDet(inner, "k")
 	inputs := seqInputs(detN, func(i int, r *Record) {
 		r.SetTag("k", i%3).SetTag("n", i%5)
 	})
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
 // A deterministic combinator fed from another deterministic combinator in
 // series: markers of the first must not confuse the second.
-func TestDetSeriesOfDetCombinators(t *testing.T) {
+func TestDetSeriesOfDetCombinators(t *testing.T) { bothPlans(t, testDetSeriesOfDetCombinators) }
+
+func testDetSeriesOfDetCombinators(t *testing.T, m execMode) {
 	first := ParallelDet(
 		NewBox("pa", MustParseSignature("(s,<seq>) -> (<seq>)"),
 			func(args []any, out *Emitter) error {
@@ -223,13 +245,15 @@ func TestDetSeriesOfDetCombinators(t *testing.T) {
 			r.SetField("f", 1)
 		}
 	})
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
 // A box that multiplies records: det combinators must keep each input's
 // outputs grouped and in generation order.
-func TestDetSplitWithMultiOutputBox(t *testing.T) {
+func TestDetSplitWithMultiOutputBox(t *testing.T) { bothPlans(t, testDetSplitWithMultiOutputBox) }
+
+func testDetSplitWithMultiOutputBox(t *testing.T, m execMode) {
 	multi := NewBox("multi", MustParseSignature("(<seq>) -> (<seq>,<part>)"),
 		func(args []any, out *Emitter) error {
 			seq := args[0].(int)
@@ -243,7 +267,7 @@ func TestDetSplitWithMultiOutputBox(t *testing.T) {
 		})
 	n := SplitDet(multi, "k")
 	inputs := seqInputs(20, func(i int, r *Record) { r.SetTag("k", i%4) })
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	if len(out) != 60 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -256,12 +280,14 @@ func TestDetSplitWithMultiOutputBox(t *testing.T) {
 	}
 }
 
-func TestDetRunsAreRepeatable(t *testing.T) {
+func TestDetRunsAreRepeatable(t *testing.T) { bothPlans(t, testDetRunsAreRepeatable) }
+
+func testDetRunsAreRepeatable(t *testing.T, m execMode) {
 	// Two runs of a deterministic network produce identical sequences.
 	run := func() []int {
 		n := SplitDet(jitterBox("rep", time.Now().UnixNano()%1000), "k")
 		inputs := seqInputs(25, func(i int, r *Record) { r.SetTag("k", i%5) })
-		out, _, err := RunAll(context.Background(), n, inputs)
+		out, _, err := m.RunAll(context.Background(), n, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

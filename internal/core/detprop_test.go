@@ -15,7 +15,9 @@ import (
 // concurrency width W, whatever the stream batch size B, and whatever
 // latencies the invocations exhibit.  The (W=1, B=1) run defines the
 // reference; every other (W, B) combination must reproduce it exactly —
-// in particular, sort markers must stay flush barriers at any B.
+// in particular, sort markers must stay flush barriers at any B — and so
+// must both execution plans: the un-fused (1,1) run is the reference, the
+// fused plan is swept over the same matrix.
 
 // renderStream flattens a record sequence into one comparable string.
 func renderStream(recs []*Record) string {
@@ -48,20 +50,22 @@ func runDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 	for _, w := range []int{1, 4, 16} {
 		for _, b := range []int{1, 8, 64} {
 			t.Run(fmt.Sprintf("W%d_B%d", w, b), func(t *testing.T) {
-				out, _, err := RunAll(context.Background(), mkNet(), inputs(),
-					WithBoxWorkers(w), WithStreamBatch(b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := renderStream(out)
-				if w == 1 && b == 1 {
-					want = got
-					return
-				}
-				if got != want {
-					t.Fatalf("W=%d B=%d output diverges from the (1,1) reference:\n--- want ---\n%s--- got ---\n%s",
-						w, b, want, got)
-				}
+				bothPlans(t, func(t *testing.T, m execMode) {
+					out, _, err := m.RunAll(context.Background(), mkNet(), inputs(),
+						WithBoxWorkers(w), WithStreamBatch(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := renderStream(out)
+					if w == 1 && b == 1 && m == unfused {
+						want = got
+						return
+					}
+					if got != want {
+						t.Fatalf("W=%d B=%d %v output diverges from the un-fused (1,1) reference:\n--- want ---\n%s--- got ---\n%s",
+							w, b, m, want, got)
+					}
+				})
 			})
 		}
 	}
@@ -158,6 +162,10 @@ func latencyBox2(name string, maxDelay time.Duration) Node {
 // without touching shared mutable state (the old parallelNode rotation
 // counter lived on the node and raced here under -race).
 func TestSharedNetworkConcurrentSessions(t *testing.T) {
+	bothPlans(t, testSharedNetworkConcurrentSessions)
+}
+
+func testSharedNetworkConcurrentSessions(t *testing.T, m execMode) {
 	// Two branches with identical input types force the tie-breaking
 	// rotation path on every record.
 	tieA := NewBox("tieA", MustParseSignature("(<seq>) -> (<seq>)"),
@@ -171,7 +179,7 @@ func TestSharedNetworkConcurrentSessions(t *testing.T) {
 	for s := 0; s < sessions; s++ {
 		go func(s int) {
 			inputs := seqInputs(25, func(i int, r *Record) { r.SetTag("n", (s+i)%3) })
-			out, _, err := RunAll(context.Background(), shared, inputs, WithBoxWorkers(4))
+			out, _, err := m.RunAll(context.Background(), shared, inputs, WithBoxWorkers(4))
 			if err == nil && len(out) != 25 {
 				err = fmt.Errorf("session %d: got %d records", s, len(out))
 			}

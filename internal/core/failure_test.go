@@ -21,11 +21,13 @@ func poisonBox(name string, bad int) Node {
 		})
 }
 
-func TestPanicInsideSplit(t *testing.T) {
+func TestPanicInsideSplit(t *testing.T) { bothPlans(t, testPanicInsideSplit) }
+
+func testPanicInsideSplit(t *testing.T, m execMode) {
 	var errs int32
 	n := NamedSplit("w", poisonBox("p", 7), "k")
 	inputs := seqInputs(20, func(i int, r *Record) { r.SetTag("n", i).SetTag("k", i%4) })
-	out, stats, err := RunAll(context.Background(), n, inputs,
+	out, stats, err := m.RunAll(context.Background(), n, inputs,
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +40,9 @@ func TestPanicInsideSplit(t *testing.T) {
 	}
 }
 
-func TestPanicInsideStarChain(t *testing.T) {
+func TestPanicInsideStarChain(t *testing.T) { bothPlans(t, testPanicInsideStarChain) }
+
+func testPanicInsideStarChain(t *testing.T, m execMode) {
 	// Poison triggers deep in the chain: records with n==2 die at the
 	// third stage; others complete.
 	bomb := NewBox("bomb", MustParseSignature("(<n>,<depth>) -> (<n>,<depth>) | (<n>,<done>)"),
@@ -55,7 +59,7 @@ func TestPanicInsideStarChain(t *testing.T) {
 	var errs int32
 	net := NamedStar("loop", bomb, MustParsePattern("{<done>}"))
 	inputs := seqInputs(5, func(i int, r *Record) { r.SetTag("n", i).SetTag("depth", 0) })
-	out, _, err := RunAll(context.Background(), net, inputs,
+	out, _, err := m.RunAll(context.Background(), net, inputs,
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if err != nil {
 		t.Fatal(err)
@@ -70,13 +74,15 @@ func TestPanicInsideStarChain(t *testing.T) {
 	}
 }
 
-func TestPanicInDeterministicNet(t *testing.T) {
+func TestPanicInDeterministicNet(t *testing.T) { bothPlans(t, testPanicInDeterministicNet) }
+
+func testPanicInDeterministicNet(t *testing.T, m execMode) {
 	// The det merger must not deadlock when a box drops a record: the
 	// sort markers still flow, so ordering recovers around the gap.
 	var errs int32
 	n := SplitDet(poisonBox("p", 5), "k")
 	inputs := seqInputs(12, func(i int, r *Record) { r.SetTag("n", i).SetTag("k", i%3) })
-	out, _, err := RunAll(context.Background(), n, inputs,
+	out, _, err := m.RunAll(context.Background(), n, inputs,
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +101,9 @@ func TestPanicInDeterministicNet(t *testing.T) {
 	}
 }
 
-func TestBoxErrorsDoNotStopStream(t *testing.T) {
+func TestBoxErrorsDoNotStopStream(t *testing.T) { bothPlans(t, testBoxErrorsDoNotStopStream) }
+
+func testBoxErrorsDoNotStopStream(t *testing.T, m execMode) {
 	flaky := NewBox("flaky", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			if args[0].(int)%2 == 0 {
@@ -104,7 +112,7 @@ func TestBoxErrorsDoNotStopStream(t *testing.T) {
 			return out.Out(1, args[0].(int))
 		})
 	var errs int32
-	out, _, err := RunAll(context.Background(), Serial(flaky, incBox("after", 1)),
+	out, _, err := m.RunAll(context.Background(), Serial(flaky, incBox("after", 1)),
 		[]*Record{recN(1), recN(2), recN(3), recN(4)},
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if err != nil {
@@ -117,7 +125,9 @@ func TestBoxErrorsDoNotStopStream(t *testing.T) {
 
 // The classic S-Net idiom: a synchrocell inside a serial replicator joins
 // pairs repeatedly — each star stage holds one join.
-func TestSyncInsideStarJoinsPairs(t *testing.T) {
+func TestSyncInsideStarJoinsPairs(t *testing.T) { bothPlans(t, testSyncInsideStarJoinsPairs) }
+
+func testSyncInsideStarJoinsPairs(t *testing.T, m execMode) {
 	cell := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	net := NamedStar("joiner", cell, MustParsePattern("{a, b}"))
 	inputs := []*Record{
@@ -126,7 +136,7 @@ func TestSyncInsideStarJoinsPairs(t *testing.T) {
 		NewRecord().SetField("a", 3),
 		NewRecord().SetField("b", 4),
 	}
-	out, _, err := RunAll(context.Background(), net, inputs)
+	out, _, err := m.RunAll(context.Background(), net, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,9 @@ func TestSyncInsideStarJoinsPairs(t *testing.T) {
 
 // Mixed routing with unroutable records inside a star: the errors surface
 // but the network completes.
-func TestUnroutableInsideStar(t *testing.T) {
+func TestUnroutableInsideStar(t *testing.T) { bothPlans(t, testUnroutableInsideStar) }
+
+func testUnroutableInsideStar(t *testing.T, m execMode) {
 	inner := Parallel(
 		NewBox("x", MustParseSignature("(x,<n>) -> (<n>,<done>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[1].(int), 1) }),
@@ -156,7 +168,7 @@ func TestUnroutableInsideStar(t *testing.T) {
 		NewRecord().SetField("zzz", 1).SetTag("n", 1), // unroutable
 		NewRecord().SetField("y", 1).SetTag("n", 2),
 	}
-	out, _, err := RunAll(context.Background(), net, inputs,
+	out, _, err := m.RunAll(context.Background(), net, inputs,
 		WithErrorHandler(func(error) { atomic.AddInt32(&errs, 1) }))
 	if err != nil {
 		t.Fatal(err)

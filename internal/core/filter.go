@@ -90,15 +90,6 @@ func (f *filterNode) program(sh *shape) *filterProg {
 	return p
 }
 
-// score makes filter guards participate in best-match routing: a guarded
-// filter only attracts records its guard admits.
-func (f *filterNode) score(rec *Record) int {
-	if !f.matches(rec) {
-		return -1
-	}
-	return len(f.spec.Pattern.Variant)
-}
-
 func (f *filterNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	in.autoFlush(out)
@@ -125,13 +116,7 @@ func (f *filterNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			}
 			continue
 		}
-		var outs []*Record
-		var err error
-		if prog := f.program(rec.shape); !prog.fallback {
-			outs, err = prog.apply(rec, outsBuf)
-		} else {
-			outs, err = f.spec.applyInto(rec, outsBuf, true)
-		}
+		outs, err := f.program(rec.shape).apply(rec, outsBuf)
 		if err != nil {
 			env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
 			env.stats.Add(f.kErrors, 1)

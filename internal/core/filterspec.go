@@ -73,79 +73,25 @@ func (f *FilterSpec) OutType() RecType {
 	return out
 }
 
-// Apply builds the output records for one matching input record.  It
-// returns an error when a tag expression cannot be evaluated.
-func (f *FilterSpec) Apply(rec *Record) ([]*Record, error) {
-	return f.applyInto(rec, nil, false)
-}
-
-// applyInto is Apply with the runtime's resource discipline: outputs go into
-// dst (reused across records by the filter node's run loop) and, when pooled
-// is set, output records come from the record arena.  On error every
-// already-built pooled output is returned to the arena.
-func (f *FilterSpec) applyInto(rec *Record, dst []*Record, pooled bool) ([]*Record, error) {
-	outs := dst[:0]
-	fail := func(err error) ([]*Record, error) {
-		if pooled {
-			for _, o := range outs {
-				releaseRecord(o)
-			}
-		}
-		return nil, err
-	}
-	for _, items := range f.Outputs {
-		var o *Record
-		if pooled {
-			o = acquireRecord()
-		} else {
-			o = NewRecord()
-		}
-		outs = append(outs, o)
-		for _, it := range items {
-			if it.IsTag {
-				switch {
-				case it.Expr != nil:
-					v, err := evalTagRec(it.Expr, rec)
-					if err != nil {
-						return fail(fmt.Errorf("filter %s: %w", f, err))
-					}
-					o.SetTag(it.Name, v)
-				default:
-					if v, ok := rec.Tag(it.Name); ok && f.Pattern.Variant.Has(Tag(it.Name)) {
-						o.SetTag(it.Name, v)
-					} else {
-						o.SetTag(it.Name, 0)
-					}
-				}
-				continue
-			}
-			v, ok := rec.Field(it.Src)
-			if !ok {
-				return fail(fmt.Errorf("filter %s: input record %s has no field %q", f, rec, it.Src))
-			}
-			o.SetField(it.Name, v)
-		}
-		inheritInto(o, rec, f.Pattern.Variant)
-	}
-	return outs, nil
-}
-
 // filterProg is a FilterSpec compiled against one input shape: a flat fill
-// program bound to slot indices on both sides.  Where applyInto re-resolves
-// every label per record (shape transitions, binary searches, the inheritance
-// scan), the program resolved them all once — per output record it acquires
-// an arena record, stamps the precomputed output shape, and runs a list of
-// slot-to-slot moves.  Every slot of the output shape is written by exactly
-// one fill, so records come out fully initialized with no clearing pass.
+// program bound to slot indices on both sides.  Every label is resolved once
+// (shape transitions, slot lookups, the inheritance scan) — per output record
+// the program acquires an arena record, stamps the precomputed output shape,
+// and runs a list of slot-to-slot moves.  Every slot of the output shape is
+// written by exactly one fill, so records come out fully initialized with no
+// clearing pass.
+//
+// The program is total: an item name given twice in one output resolves to
+// the later item at compile time, and a source field the input shape lacks
+// (only a programmatically built spec can name one outside its pattern)
+// compiles to a program whose apply is that error.
 type filterProg struct {
 	spec *FilterSpec
 	outs []outProg
-	// fallback marks shapes the program cannot serve exactly — a source
-	// field absent from the input shape (applyInto's error path owns the
-	// message) or duplicate item names whose later-wins/first-error ordering
-	// only the interpretive path reproduces.  The runtime then uses
-	// applyInto for this shape.
-	fallback bool
+	// missing names the first source field absent from the input shape; no
+	// record of this shape can be rewritten, so apply reports it and builds
+	// nothing.
+	missing string
 }
 
 // outProg builds one output record: the interned shape plus the fills.
@@ -165,8 +111,7 @@ type tagFill struct {
 	expr     TagExpr
 }
 
-// compileFilterProg binds spec to one input shape.  The result is exact for
-// the given shape or marked fallback; it never guesses.
+// compileFilterProg binds spec to one input shape.
 func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 	p := &filterProg{spec: spec}
 	for _, items := range spec.Outputs {
@@ -178,10 +123,6 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 		tagSrc := map[string]tagDef{}
 		for _, it := range items {
 			if it.IsTag {
-				if _, dup := tagSrc[it.Name]; dup {
-					p.fallback = true
-					return p
-				}
 				if it.Expr != nil {
 					tagSrc[it.Name] = tagDef{src: -1, expr: it.Expr}
 					continue
@@ -193,14 +134,9 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 				tagSrc[it.Name] = tagDef{src: slot}
 				continue
 			}
-			if _, dup := fieldSrc[it.Name]; dup {
-				p.fallback = true
-				return p
-			}
 			i, ok := src.fieldSlot(it.Src)
 			if !ok {
-				p.fallback = true
-				return p
+				return &filterProg{spec: spec, missing: it.Src}
 			}
 			fieldSrc[it.Name] = i
 		}
@@ -247,11 +183,15 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 	return p
 }
 
-// apply is the program's runtime: applyInto for the shape it was compiled
-// against, with outputs built slot-by-slot from the arena.  dst is reused
-// across records like applyInto's; on error every already-built output is
-// returned to the arena.
+// apply builds the output records for one matching input record of the shape
+// the program was compiled against, slot-by-slot from the arena.  dst is
+// reused across records by the caller's run loop; on error (a tag expression
+// that cannot be evaluated, a missing source field) every already-built
+// output is returned to the arena.
 func (p *filterProg) apply(rec *Record, dst []*Record) ([]*Record, error) {
+	if p.missing != "" {
+		return nil, fmt.Errorf("filter %s: input record %s has no field %q", p.spec, rec, p.missing)
+	}
 	outs := dst[:0]
 	for oi := range p.outs {
 		op := &p.outs[oi]

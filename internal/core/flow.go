@@ -251,7 +251,7 @@ func (c *compiler) flowFilter(n *filterNode, in []Variant) []Variant {
 // while the routing below is strictly per call — the second occurrence must
 // flow its variants downstream even if the first already saw them.
 func (c *compiler) flowParallel(n *parallelNode, in []Variant, path string, exact bool) ([]Variant, bool) {
-	t := n.routes()
+	t := n.table
 	sets, ok := c.parIn[n]
 	if !ok {
 		sets = make([]*varSet, len(n.branches))
@@ -318,7 +318,7 @@ func (c *compiler) finishParallel() {
 			if set.size() > 0 {
 				continue
 			}
-			t := n.routes()
+			t := n.table
 			c.typeError(!c.parInexact[n], ErrCodeUnreachable,
 				branchPrefix(c.parPath[n], i)+n.branches[i].name(), n.branches[i], nil,
 				"branch %d of %s (accepted type %v) is unreachable: no variant of the input type routes to it",

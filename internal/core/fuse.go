@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
-	"sync"
 )
 
 // Compile-time pipeline fusion.
@@ -32,15 +30,10 @@ import (
 // everywhere else, so the segment stays allocation-free in steady state
 // (TestRecordPlaneZeroAlloc covers a fused deep pipeline).
 //
-// The rewrite is purely an execution-plan concern: Plan.Root(), Topology,
-// Graph and the flow/analysis passes all keep seeing the un-fused blueprint,
-// with the fusion groups reported alongside (Topology.FusionGroups), while
-// Plan.Start and the service engines run Plan.ExecRoot().
-
-// envFuseOn reads the SNET_FUSE triage override once per process: setting
-// SNET_FUSE=0 disables fusion everywhere without recompiling, the
-// counterpart of WithFusion(false) for deployments.
-var envFuseOn = sync.OnceValue(func() bool { return os.Getenv("SNET_FUSE") != "0" })
+// The rewrite is purely an execution-plan concern: Topology, Graph and the
+// flow/analysis passes all keep seeing the un-fused blueprint, with the
+// fusion groups reported alongside (Topology.FusionGroups), while Plan.Start
+// runs the rewritten tree.
 
 // FusionGroup describes one fused segment of a compiled plan: the segment's
 // runtime name (its stats identity, "fused.<name>.*") and the names of the
@@ -72,15 +65,17 @@ func fusibleStage(n Node) bool {
 type fuser struct {
 	memo   map[Node]Node
 	groups []FusionGroup
+	keys   []string
 }
 
 // fuseTree rewrites the blueprint for execution, collapsing every maximal
 // run of >= 2 consecutive fusible stages on a serial spine into one
 // fusedNode.  It returns the rewritten root (root itself when nothing
-// fused) and the fusion groups for the topology report.
-func fuseTree(root Node) (Node, []FusionGroup) {
+// fused), the fusion groups for the topology report, and the segments'
+// per-record stat keys for Plan.Start to preregister.
+func fuseTree(root Node) (Node, []FusionGroup, []string) {
 	f := &fuser{memo: map[Node]Node{}}
-	return f.rewrite(root), f.groups
+	return f.rewrite(root), f.groups, f.keys
 }
 
 func (f *fuser) rewrite(n Node) Node {
@@ -92,10 +87,8 @@ func (f *fuser) rewrite(n Node) Node {
 	return m
 }
 
-// build rewrites one node.  Combinators are shallow-copied (fresh struct
-// literals — parallelNode carries a sync.Once and must not be value-copied)
-// only when a child actually changed, so an unfusible subtree keeps its
-// identity, including any compile-time routing tables already built on it.
+// build rewrites one node.  Combinators are rebuilt only when a child
+// actually changed, so an unfusible subtree keeps its identity.
 func (f *fuser) build(n Node) Node {
 	switch n := n.(type) {
 	case *serialNode:
@@ -122,12 +115,10 @@ func (f *fuser) build(n Node) Node {
 		if !changed {
 			return n
 		}
-		// Fresh tableOnce: the dispatch table is a pure function of the
-		// branch list and rebuilds lazily over the rewritten branches (their
+		// The dispatch table is rebuilt over the rewritten branches (their
 		// accepted types are identical by construction, fusedNode.sig being
 		// first-stage-in / last-stage-out).
-		return &parallelNode{label: n.label, det: n.det, branches: branches,
-			branchKeys: n.branchKeys, kUnroutable: n.kUnroutable}
+		return newParallel(n.label, n.det, branches)
 	case *starNode:
 		op := f.rewrite(n.operand)
 		if op == n.operand {
@@ -226,8 +217,8 @@ type fusedNode struct {
 	label  string
 	stages []Node
 	ops    []fusedOp
-	// Per-segment stat keys, preregistered as lock-free atomics before the
-	// run goes hot (see Stats.preregister).
+	// Per-segment stat keys, collected into Plan.fusedKeys at Compile and
+	// preregistered as lock-free atomics by Start (see Stats.preregister).
 	kRecords, kApplied string
 }
 
@@ -257,6 +248,7 @@ func (f *fuser) newFused(run []Node) *fusedNode {
 		}
 	}
 	f.groups = append(f.groups, FusionGroup{Name: label, Members: members})
+	f.keys = append(f.keys, n.kRecords, n.kApplied)
 	return n
 }
 
@@ -323,7 +315,7 @@ type fusedExec struct {
 	n         *fusedNode
 	cur, next []*Record
 	// scratch receives filter outputs before they are traced and appended
-	// to next (applyInto and filterProg.apply both rebuild their dst).
+	// to next (filterProg.apply rebuilds its dst).
 	scratch  []*Record
 	emitters []*Emitter
 	argsBuf  []any
@@ -387,13 +379,7 @@ func (x *fusedExec) process(rec *Record, out *streamWriter) bool {
 					x.next = append(x.next, r)
 					continue
 				}
-				var outs []*Record
-				var err error
-				if prog := f.program(r.shape); !prog.fallback {
-					outs, err = prog.apply(r, x.scratch)
-				} else {
-					outs, err = f.spec.applyInto(r, x.scratch, true)
-				}
+				outs, err := f.program(r.shape).apply(r, x.scratch)
 				if err != nil {
 					env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
 					env.stats.Add(f.kErrors, 1)
@@ -465,26 +451,4 @@ func (x *fusedExec) process(rec *Record, out *streamWriter) bool {
 	}
 	x.cur = x.cur[:0]
 	return true
-}
-
-// preregisterFusedStats walks an execution tree and installs the lock-free
-// atomic counters for every fused segment's per-record keys.  Start calls
-// it before any run goroutine launches; afterwards the Stats hot map is
-// read-only and its reads need no lock.
-func preregisterFusedStats(n Node, s *Stats) {
-	switch n := n.(type) {
-	case *fusedNode:
-		s.preregister(n.kRecords, n.kApplied)
-	case *serialNode:
-		preregisterFusedStats(n.a, s)
-		preregisterFusedStats(n.b, s)
-	case *parallelNode:
-		for _, b := range n.branches {
-			preregisterFusedStats(b, s)
-		}
-	case *starNode:
-		preregisterFusedStats(n.operand, s)
-	case *splitNode:
-		preregisterFusedStats(n.operand, s)
-	}
 }

@@ -42,9 +42,6 @@ func drainAll(h *Handle) []*Record {
 // tree is untouched, the execution tree is rewritten, and the topology
 // reports which stages fused.
 func TestFusionTopologyAndGroups(t *testing.T) {
-	if !envFuseOn() {
-		t.Skip("SNET_FUSE=0")
-	}
 	net := tapChain(32)
 	plan := MustCompile(net)
 	groups := plan.FusionGroups()
@@ -59,11 +56,11 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 			t.Fatalf("member %d: want %s, got %s", i, want, m)
 		}
 	}
-	if plan.ExecRoot() == plan.Root() {
-		t.Fatal("ExecRoot should be the rewritten tree")
+	if _, ok := plan.exec.(*fusedNode); !ok {
+		t.Fatalf("a fully fusible chain should compile to a single fusedNode, got %T", plan.exec)
 	}
-	if _, ok := plan.ExecRoot().(*fusedNode); !ok {
-		t.Fatalf("a fully fusible chain should compile to a single fusedNode, got %T", plan.ExecRoot())
+	if plan.Graph().Node != net {
+		t.Fatal("the graph must keep describing the blueprint")
 	}
 	raw, err := json.Marshal(plan.Topology())
 	if err != nil {
@@ -77,8 +74,8 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 	}
 
 	off := MustCompile(net, WithFusion(false))
-	if off.ExecRoot() != off.Root() {
-		t.Fatal("WithFusion(false): ExecRoot must be Root")
+	if off.exec != net {
+		t.Fatal("WithFusion(false): the plan must run the blueprint as it is")
 	}
 	if len(off.FusionGroups()) != 0 {
 		t.Fatal("WithFusion(false): no fusion groups expected")
@@ -89,9 +86,6 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 // the chain, single fusible stages between barriers stay un-fused, and a
 // default-width box never fuses.
 func TestFusionBarriers(t *testing.T) {
-	if !envFuseOn() {
-		t.Skip("SNET_FUSE=0")
-	}
 	wide := NewBox("wide", MustParseSignature("(<seq>) -> (<seq>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)) })
 	net := Serial(
@@ -123,7 +117,7 @@ func TestFusionBarriers(t *testing.T) {
 func TestFusionSharedSubtree(t *testing.T) {
 	chain := Serial(Observe("sh_a", nil), Observe("sh_b", nil))
 	net := Serial(Split(chain, "k"), Star(chain, MustParsePattern("{<done>}")))
-	fused, groups := fuseTree(net)
+	fused, groups, _ := fuseTree(net)
 	if len(groups) != 1 {
 		t.Fatalf("shared chain should fuse once, got %v", groups)
 	}
@@ -178,9 +172,6 @@ func TestFusedMixedChainOutputs(t *testing.T) {
 // TestFusedSegmentStats: the segment counts its own records/applications on
 // preregistered atomics and the constituent stages keep their counters.
 func TestFusedSegmentStats(t *testing.T) {
-	if !envFuseOn() {
-		t.Skip("SNET_FUSE=0")
-	}
 	net := Serial(
 		Observe("fs_tap", nil),
 		MustFilter("{<n>} -> {<n>, <m>=<n>+1}"),
@@ -241,9 +232,6 @@ func TestFusedSegmentStats(t *testing.T) {
 // TestFusedPipelineGoroutineBudget: a 32-stage fused pipeline runs on
 // O(barriers) goroutines, not O(stages).
 func TestFusedPipelineGoroutineBudget(t *testing.T) {
-	if !envFuseOn() {
-		t.Skip("SNET_FUSE=0")
-	}
 	measure := func(fuse bool) int {
 		plan := MustCompile(tapChain(32), WithFusion(fuse))
 		runtime.GC()
@@ -340,7 +328,7 @@ func TestFusedBoxFailureIsolation(t *testing.T) {
 		}, 1)
 	net := Serial(Observe("ff_tap", nil), faulty)
 	plan := MustCompile(net, WithInputType(RecType{NewVariant(Tag("seq"))}))
-	if envFuseOn() && len(plan.FusionGroups()) != 1 {
+	if len(plan.FusionGroups()) != 1 {
 		t.Fatal("chain should fuse")
 	}
 	var errCount int
@@ -407,7 +395,7 @@ func runFusedDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fuse && envFuseOn() && len(plan.FusionGroups()) == 0 {
+					if fuse && len(plan.FusionGroups()) == 0 {
 						t.Fatal("determinism net should contain fused segments")
 					}
 					out, _, err := plan.RunAll(context.Background(), inputs(),
@@ -520,79 +508,74 @@ func TestFusedStarOperand(t *testing.T) {
 }
 
 // TestFilterProgramEquivalence: the compiled slot program must agree with
-// the interpretive applyInto on every supported shape, including flow
-// inheritance, expression tags, zero-init tags and multi-output specs.
+// the interpreted specification (oracle_test.go) on every shape — flow
+// inheritance, expression tags, zero-init tags, multi-output specs, item
+// names given twice (the later item wins) and a source field the input shape
+// lacks (both report the same error).
 func TestFilterProgramEquivalence(t *testing.T) {
-	cases := []struct {
-		spec string
+	type testCase struct {
+		name string
+		spec *FilterSpec
 		rec  func() *Record
-	}{
-		{"{a,b} -> {a, z=b}", func() *Record {
+	}
+	parsed := func(src string, rec func() *Record) testCase {
+		return testCase{src, MustParseFilter(src), rec}
+	}
+	cases := []testCase{
+		parsed("{a,b} -> {a, z=b}", func() *Record {
 			return NewRecord().SetField("a", 1).SetField("b", 2)
-		}},
-		{"{a,<t>} -> {a,<t>}", func() *Record {
+		}),
+		parsed("{a,<t>} -> {a,<t>}", func() *Record {
 			return NewRecord().SetField("a", 1).SetTag("t", 7)
-		}},
-		{"{a} -> {a,<t>}", func() *Record {
+		}),
+		parsed("{a} -> {a,<t>}", func() *Record {
 			return NewRecord().SetField("a", 1).SetTag("t", 9) // <t> not consumed: zero-init wins
-		}},
-		{"{<n>} -> {<n>=<n>+1, <m>=<n>*2}", func() *Record {
+		}),
+		parsed("{<n>} -> {<n>=<n>+1, <m>=<n>*2}", func() *Record {
 			return NewRecord().SetTag("n", 21)
-		}},
-		{"{a,<n>} -> {a}; {<n>=<n>-1}", func() *Record {
+		}),
+		parsed("{a,<n>} -> {a}; {<n>=<n>-1}", func() *Record {
 			return NewRecord().SetField("a", "x").SetTag("n", 3).SetField("extra", 5).SetTag("u", 1)
-		}},
-		{"{x} -> ", func() *Record {
+		}),
+		parsed("{x} -> ", func() *Record {
 			return NewRecord().SetField("x", 0).SetTag("keep", 4)
+		}),
+		{"missing source field", MustParseFilter("{a} -> {z=a}"), func() *Record {
+			return NewRecord().SetTag("t", 1) // no field a
 		}},
+		{"duplicate tag item", &FilterSpec{
+			Pattern: Pattern{Variant: NewVariant(Tag("n"))},
+			Outputs: [][]FilterItem{{
+				{Name: "n", IsTag: true},
+				{Name: "n", IsTag: true, Expr: MustParseTagExpr("<n>+1")},
+			}},
+		}, func() *Record { return NewRecord().SetTag("n", 1).SetTag("u", 2) }},
+		{"duplicate field item", &FilterSpec{
+			Pattern: Pattern{Variant: NewVariant(Field("a"), Field("b"))},
+			Outputs: [][]FilterItem{{
+				{Name: "z", Src: "a"},
+				{Name: "z", Src: "b"},
+			}},
+		}, func() *Record { return NewRecord().SetField("a", 1).SetField("b", 2) }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.spec, func(t *testing.T) {
-			spec := MustParseFilter(tc.spec)
+		t.Run(tc.name, func(t *testing.T) {
 			rec := tc.rec()
-			prog := compileFilterProg(spec, rec.shape)
-			if prog.fallback {
-				t.Fatalf("program for %s fell back on shape %v", tc.spec, rec.ShapeKey())
-			}
-			want, err := spec.Apply(tc.rec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := prog.apply(rec, nil)
-			if err != nil {
-				t.Fatal(err)
+			want, wantErr := tc.spec.Apply(tc.rec())
+			got, gotErr := compileFilterProg(tc.spec, rec.shape).apply(rec, nil)
+			if wantErr != nil || gotErr != nil {
+				if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+					t.Fatalf("errors diverge: interpreter %v, program %v", wantErr, gotErr)
+				}
+				return
 			}
 			if renderStream(got) != renderStream(want) {
-				t.Fatalf("program output diverges:\n--- applyInto ---\n%s--- program ---\n%s",
+				t.Fatalf("program output diverges:\n--- interpreter ---\n%s--- program ---\n%s",
 					renderStream(want), renderStream(got))
 			}
 			for _, r := range got {
 				releaseRecord(r)
 			}
 		})
-	}
-}
-
-// TestFilterProgramFallback: shapes the program cannot serve exactly are
-// marked fallback instead of guessed.
-func TestFilterProgramFallback(t *testing.T) {
-	// Source field absent from the input shape: applyInto owns the error.
-	spec := MustParseFilter("{a} -> {z=a}")
-	rec := NewRecord().SetTag("t", 1) // no field a
-	if prog := compileFilterProg(spec, rec.shape); !prog.fallback {
-		t.Error("missing source field should force fallback")
-	}
-	// Duplicate item names: later-wins/first-error ordering is the
-	// interpreter's.
-	dup := &FilterSpec{
-		Pattern: Pattern{Variant: NewVariant(Tag("n"))},
-		Outputs: [][]FilterItem{{
-			{Name: "n", IsTag: true},
-			{Name: "n", IsTag: true, Expr: MustParseTagExpr("<n>+1")},
-		}},
-	}
-	rec2 := NewRecord().SetTag("n", 1)
-	if prog := compileFilterProg(dup, rec2.shape); !prog.fallback {
-		t.Error("duplicate output items should force fallback")
 	}
 }

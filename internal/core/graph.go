@@ -10,11 +10,12 @@ package core
 // unexported node types themselves.  internal/analysis consumes it together
 // with the Flow* accessors below.
 //
-// Both views are built from Plan.Root(), the un-fused blueprint — never
-// from the fusion-rewritten execution tree (fuse.go) — so analysis findings
-// and flow facts see through fusion groups: every constituent stage of a
-// fused segment keeps its own GraphNode, path and flow facts.  Which stages
-// are fused is reported separately (Topology.FusionGroups).
+// Compile builds the GraphNode tree in its one walk over the un-fused
+// blueprint — never over the fusion-rewritten execution tree (fuse.go) —
+// and renders Topology from it, so analysis findings and flow facts see
+// through fusion groups: every constituent stage of a fused segment keeps
+// its own GraphNode, path and flow facts.  Which stages are fused is
+// reported separately (Topology.FusionGroups).
 
 // GraphNode is one node of the compiled network's structured graph.  Paths
 // and kinds match Topology exactly, so flow facts recorded by the compile
@@ -99,60 +100,29 @@ func FusedSegmentHold(batch int) int64 {
 	return 2 * int64(batch)
 }
 
-// Graph returns the structured graph of the compiled network.  The tree is
-// rebuilt per call (it is cheap — pure traversal); callers that walk it
-// repeatedly should hold on to the result.
-func (p *Plan) Graph() *GraphNode { return buildGraph(p.root, "") }
+// Graph returns the structured graph of the compiled network: the tree the
+// compile walk built, shared by every caller — treat it as read-only.
+func (p *Plan) Graph() *GraphNode { return p.graph }
 
-func buildGraph(n Node, prefix string) *GraphNode {
-	path := prefix + n.name()
-	in, out := n.sig(nil)
-	g := &GraphNode{Name: n.name(), Path: path, Node: n, In: in, Out: out}
-	switch n := n.(type) {
-	case *boxNode:
-		g.Kind = "box"
-		g.BoxSig = n.boxSig
-		g.Workers = n.workers
-	case *filterNode:
-		g.Kind = "filter"
-		g.Filter = n.spec
-	case *identityNode:
-		g.Kind = "observe"
-	case *hideNode:
-		g.Kind = "hide"
-		g.HiddenTags = append([]string(nil), n.tags...)
-	case *syncNode:
-		g.Kind = "sync"
-		g.Patterns = append([]Pattern(nil), n.patterns...)
-	case *serialNode:
-		g.Kind = "serial"
-		g.Children = []*GraphNode{
-			buildGraph(n.a, path+"/"),
-			buildGraph(n.b, path+"/"),
-		}
-	case *parallelNode:
-		g.Kind = "parallel"
-		g.Det = n.det
-		for i, b := range n.branches {
-			g.Children = append(g.Children, buildGraph(b, branchPrefix(path, i)))
-		}
-	case *starNode:
-		g.Kind = "star"
-		g.Det = n.det
-		g.Feedback = true
-		exit := n.exit
-		g.Exit = &exit
-		g.Children = []*GraphNode{buildGraph(n.operand, path+"/operand/")}
-	case *splitNode:
-		g.Kind = "split"
-		g.Det = n.det
-		g.Tag = n.tag
-		g.Uncapped = n.uncapped
-		g.Children = []*GraphNode{buildGraph(n.operand, path+"/operand/")}
-	default:
-		g.Kind = "node"
+// renderTopology renders the structured graph into its serializable view.
+func renderTopology(g *GraphNode) *Topology {
+	t := &Topology{Kind: g.Kind, Name: g.Name, Path: g.Path, Det: g.Det,
+		In: renderType(g.In), Out: renderType(g.Out), Tag: g.Tag}
+	switch {
+	case g.BoxSig != nil:
+		t.Sig = g.BoxSig.String()
+	case g.Filter != nil:
+		t.Sig = g.Filter.String()
+	case g.Exit != nil:
+		t.Exit = g.Exit.String()
 	}
-	return g
+	for _, p := range g.Patterns {
+		t.Patterns = append(t.Patterns, p.String())
+	}
+	for _, c := range g.Children {
+		t.Children = append(t.Children, renderTopology(c))
+	}
+	return t
 }
 
 // FlowIn returns the union of variants the compile-time shape-flow pass saw

@@ -80,16 +80,3 @@ func (c *checker) checkStar(n *starNode, opOut RecType) {
 		"no operand output variant statically matches exit pattern %s; termination relies on flow inheritance or guards",
 		n.exit)
 }
-
-// Infer computes the network's type signature (input and output multivariant
-// types).
-func Infer(root Node) (in, out RecType) {
-	return root.sig(nil)
-}
-
-// Check infers the network's signature and returns all diagnostics.
-func Check(root Node) (in, out RecType, diags []Diagnostic) {
-	c := &checker{}
-	in, out = root.sig(c)
-	return in, out, c.diags
-}

@@ -7,7 +7,7 @@ import (
 
 func TestInferBoxSignature(t *testing.T) {
 	b := NewBox("foo", MustParseSignature("(a,<b>) -> (c) | (c,d,<e>)"), nopFn)
-	in, out := Infer(b)
+	in, out, _ := check(b)
 	if len(in) != 1 || !in[0].Equal(v(Field("a"), Tag("b"))) {
 		t.Fatalf("in = %v", in)
 	}
@@ -18,10 +18,17 @@ func TestInferBoxSignature(t *testing.T) {
 
 var nopFn = func(args []any, out *Emitter) error { return nil }
 
+// check compiles n and returns what the plan inferred: its input and output
+// types and the non-fatal findings.
+func check(n Node) (in, out RecType, diags []Diagnostic) {
+	p, _ := Compile(n)
+	return p.In(), p.Out(), p.Warnings()
+}
+
 func TestInferSerialComposition(t *testing.T) {
 	a := NewBox("a", MustParseSignature("(x) -> (y)"), nopFn)
 	b := NewBox("b", MustParseSignature("(y) -> (z)"), nopFn)
-	in, out, diags := Check(Serial(a, b))
+	in, out, diags := check(Serial(a, b))
 	if !in[0].Equal(v(Field("x"))) || !out[0].Equal(v(Field("z"))) {
 		t.Fatalf("in=%v out=%v", in, out)
 	}
@@ -35,7 +42,7 @@ func TestInferSerialComposition(t *testing.T) {
 func TestCheckSerialMismatchWarns(t *testing.T) {
 	a := NewBox("a", MustParseSignature("(x) -> (y)"), nopFn)
 	b := NewBox("b", MustParseSignature("(q) -> (z)"), nopFn)
-	_, _, diags := Check(Serial(a, b))
+	_, _, diags := check(Serial(a, b))
 	if len(diags) == 0 {
 		t.Fatal("expected a diagnostic for y -> (q)")
 	}
@@ -56,7 +63,7 @@ func TestCheckSerialMismatchWarns(t *testing.T) {
 func TestInferParallelUnion(t *testing.T) {
 	a := NewBox("a", MustParseSignature("(x) -> (u)"), nopFn)
 	b := NewBox("b", MustParseSignature("(y) -> (w)"), nopFn)
-	in, out := Infer(Parallel(a, b))
+	in, out, _ := check(Parallel(a, b))
 	if len(in) != 2 || len(out) != 2 {
 		t.Fatalf("in=%v out=%v", in, out)
 	}
@@ -65,7 +72,7 @@ func TestInferParallelUnion(t *testing.T) {
 func TestInferStar(t *testing.T) {
 	// dec's second variant carries <done>: exit statically reachable.
 	n := Star(decBox(), MustParsePattern("{<done>}"))
-	in, out, diags := Check(n)
+	in, out, diags := check(n)
 	if len(diags) != 0 {
 		t.Fatalf("diags = %v", diags)
 	}
@@ -80,7 +87,7 @@ func TestInferStar(t *testing.T) {
 
 func TestCheckStarUnreachableExitWarns(t *testing.T) {
 	n := Star(incBox("spin", 1), MustParsePattern("{<done>}"))
-	_, _, diags := Check(n)
+	_, _, diags := check(n)
 	if len(diags) != 1 || !diags[0].Warning {
 		t.Fatalf("diags = %v", diags)
 	}
@@ -88,7 +95,7 @@ func TestCheckStarUnreachableExitWarns(t *testing.T) {
 
 func TestInferSplitAddsIndexTag(t *testing.T) {
 	n := Split(incBox("i", 0), "k")
-	in, out := Infer(n)
+	in, out, _ := check(n)
 	if !in[0].Equal(v(Tag("n"), Tag("k"))) {
 		t.Fatalf("in = %v", in)
 	}
@@ -99,7 +106,7 @@ func TestInferSplitAddsIndexTag(t *testing.T) {
 
 func TestInferFilter(t *testing.T) {
 	n := MustFilter("{a,<c>} -> {a,<t>}")
-	in, out := Infer(n)
+	in, out, _ := check(n)
 	if !in[0].Equal(v(Field("a"), Tag("c"))) {
 		t.Fatalf("in = %v", in)
 	}
@@ -110,7 +117,7 @@ func TestInferFilter(t *testing.T) {
 
 func TestInferSync(t *testing.T) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b,<t>}"))
-	in, out := Infer(n)
+	in, out, _ := check(n)
 	if len(in) != 2 {
 		t.Fatalf("in = %v", in)
 	}

@@ -26,7 +26,9 @@ func randomRecord(fieldBits, tagBits uint8) *Record {
 
 // Property: a box consuming nothing of the excess labels passes all of them
 // through to every output variant that does not redefine them.
-func TestQuickBoxInheritanceProperty(t *testing.T) {
+func TestQuickBoxInheritanceProperty(t *testing.T) { bothPlans(t, testQuickBoxInheritanceProperty) }
+
+func testQuickBoxInheritanceProperty(t *testing.T, m execMode) {
 	box := NewBox("probe", MustParseSignature("(in) -> (out)"),
 		func(args []any, out *Emitter) error {
 			return out.Out(1, "result")
@@ -34,7 +36,7 @@ func TestQuickBoxInheritanceProperty(t *testing.T) {
 	f := func(fieldBits, tagBits uint8) bool {
 		rec := randomRecord(fieldBits, tagBits).SetField("in", "x")
 		want := rec.Copy()
-		out, _, err := RunAll(context.Background(), box, []*Record{rec})
+		out, _, err := m.RunAll(context.Background(), box, []*Record{rec})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -75,13 +77,17 @@ func TestQuickBoxInheritanceProperty(t *testing.T) {
 // Property: explicit output labels shadow inheritance — a record carrying
 // label "out" still gets the box's own "out" value.
 func TestQuickInheritanceNoOverwriteProperty(t *testing.T) {
+	bothPlans(t, testQuickInheritanceNoOverwriteProperty)
+}
+
+func testQuickInheritanceNoOverwriteProperty(t *testing.T, m execMode) {
 	box := NewBox("probe", MustParseSignature("(in) -> (out)"),
 		func(args []any, out *Emitter) error {
 			return out.Out(1, "fresh")
 		})
 	f := func(v uint8) bool {
 		rec := NewRecord().SetField("in", 1).SetField("out", int(v))
-		out, _, err := RunAll(context.Background(), box, []*Record{rec})
+		out, _, err := m.RunAll(context.Background(), box, []*Record{rec})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -95,12 +101,14 @@ func TestQuickInheritanceNoOverwriteProperty(t *testing.T) {
 
 // Property: the identity filter {} -> {} plus inheritance is the identity
 // on every record.
-func TestQuickEmptyFilterIsIdentity(t *testing.T) {
+func TestQuickEmptyFilterIsIdentity(t *testing.T) { bothPlans(t, testQuickEmptyFilterIsIdentity) }
+
+func testQuickEmptyFilterIsIdentity(t *testing.T, m execMode) {
 	filt := MustFilter("{} -> {}")
 	f := func(fieldBits, tagBits uint8) bool {
 		rec := randomRecord(fieldBits, tagBits)
 		want := rec.Copy()
-		out, _, err := RunAll(context.Background(), filt, []*Record{rec})
+		out, _, err := m.RunAll(context.Background(), filt, []*Record{rec})
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -124,15 +132,17 @@ func TestQuickEmptyFilterIsIdentity(t *testing.T) {
 
 // Property: two filters composed serially behave like their composition —
 // tag arithmetic chains associate.
-func TestQuickFilterComposition(t *testing.T) {
+func TestQuickFilterComposition(t *testing.T) { bothPlans(t, testQuickFilterComposition) }
+
+func testQuickFilterComposition(t *testing.T, m execMode) {
 	f1 := MustFilter("{<n>} -> {<n>=<n>*2}")
 	f2 := MustFilter("{<n>} -> {<n>=<n>+3}")
 	composed := MustFilter("{<n>} -> {<n>=<n>*2+3}")
 	f := func(nRaw int16) bool {
 		n := int(nRaw)
-		a, _, err1 := RunAll(context.Background(), Serial(f1, f2),
+		a, _, err1 := m.RunAll(context.Background(), Serial(f1, f2),
 			[]*Record{NewRecord().SetTag("n", n)})
-		b, _, err2 := RunAll(context.Background(), composed,
+		b, _, err2 := m.RunAll(context.Background(), composed,
 			[]*Record{NewRecord().SetTag("n", n)})
 		if err1 != nil || err2 != nil || len(a) != 1 || len(b) != 1 {
 			return false
@@ -148,7 +158,9 @@ func TestQuickFilterComposition(t *testing.T) {
 
 // Property: subtype routing — a record satisfying the more specific branch
 // never routes to the less specific one.
-func TestQuickBestMatchSpecificity(t *testing.T) {
+func TestQuickBestMatchSpecificity(t *testing.T) { bothPlans(t, testQuickBestMatchSpecificity) }
+
+func testQuickBestMatchSpecificity(t *testing.T, m execMode) {
 	f := func(extraBits uint8) bool {
 		general := NewBox("g", MustParseSignature("(a) -> (a,<viaG>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
@@ -160,7 +172,7 @@ func TestQuickBestMatchSpecificity(t *testing.T) {
 				rec.SetTag([]string{"x", "y", "z"}[i], i)
 			}
 		}
-		out, _, err := RunAll(context.Background(), Parallel(general, specific), []*Record{rec})
+		out, _, err := m.RunAll(context.Background(), Parallel(general, specific), []*Record{rec})
 		if err != nil || len(out) != 1 {
 			return false
 		}

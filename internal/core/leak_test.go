@@ -32,7 +32,9 @@ func waitForGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutine leak: %d > %d\n%s", runtime.NumGoroutine(), want, buf[:n])
 }
 
-func TestNoLeakAfterNormalDrain(t *testing.T) {
+func TestNoLeakAfterNormalDrain(t *testing.T) { bothPlans(t, testNoLeakAfterNormalDrain) }
+
+func testNoLeakAfterNormalDrain(t *testing.T, m execMode) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		n := Serial(
@@ -40,7 +42,7 @@ func TestNoLeakAfterNormalDrain(t *testing.T) {
 			NamedStar("loop", decBox(), MustParsePattern("{<done>}")),
 			MustFilter("{<done>} -> {<done>=<done>}"),
 		)
-		out, _, err := RunAll(context.Background(), n, []*Record{recN(4), recN(2)})
+		out, _, err := m.RunAll(context.Background(), n, []*Record{recN(4), recN(2)})
 		if err != nil || len(out) != 2 {
 			t.Fatalf("run %d: out=%d err=%v", i, len(out), err)
 		}
@@ -48,7 +50,9 @@ func TestNoLeakAfterNormalDrain(t *testing.T) {
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakAfterCancel(t *testing.T) {
+func TestNoLeakAfterCancel(t *testing.T) { bothPlans(t, testNoLeakAfterCancel) }
+
+func testNoLeakAfterCancel(t *testing.T, m execMode) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		slow := NewBox("lslow", MustParseSignature("(<n>) -> (<n>)"),
@@ -57,7 +61,7 @@ func TestNoLeakAfterCancel(t *testing.T) {
 				return out.Out(1, args[0].(int))
 			})
 		n := Split(Serial(slow, NamedStar("lloop", decBox(), MustParsePattern("{<done>}"))), "k")
-		h := Start(context.Background(), n)
+		h := m.Start(context.Background(), n)
 		for j := 0; j < 20; j++ {
 			_ = h.Send(NewRecord().SetTag("n", 10).SetTag("k", j%4))
 		}
@@ -67,14 +71,16 @@ func TestNoLeakAfterCancel(t *testing.T) {
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakDeterministicNets(t *testing.T) {
+func TestNoLeakDeterministicNets(t *testing.T) { bothPlans(t, testNoLeakDeterministicNets) }
+
+func testNoLeakDeterministicNets(t *testing.T, m execMode) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		n := SplitDet(StarDet(decBox(), MustParsePattern("{<done>}")), "k")
 		inputs := seqInputs(10, func(j int, r *Record) {
 			r.SetTag("k", j%3).SetTag("n", j%4)
 		})
-		out, _, err := RunAll(context.Background(), n, inputs)
+		out, _, err := m.RunAll(context.Background(), n, inputs)
 		if err != nil || len(out) != 10 {
 			t.Fatalf("run %d: out=%d err=%v", i, len(out), err)
 		}
@@ -113,31 +119,33 @@ func TestNoLeakMidStreamCancel(t *testing.T) {
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			base := goroutineCount()
-			for i := 0; i < 5; i++ {
-				h := Start(context.Background(), mk(), WithBuffer(1))
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for j := 0; j < 40; j++ {
-						if h.Send(NewRecord().SetTag("n", j).SetTag("k", j%4)) != nil {
-							return
+			bothPlans(t, func(t *testing.T, m execMode) {
+				base := goroutineCount()
+				for i := 0; i < 5; i++ {
+					h := m.Start(context.Background(), mk(), WithBuffer(1))
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						for j := 0; j < 40; j++ {
+							if h.Send(NewRecord().SetTag("n", j).SetTag("k", j%4)) != nil {
+								return
+							}
+						}
+					}()
+					// Consume a couple of results so the stream is genuinely
+					// mid-flight, then cancel with records queued everywhere.
+					for j := 0; j < 2; j++ {
+						select {
+						case <-h.Out():
+						case <-time.After(time.Second):
 						}
 					}
-				}()
-				// Consume a couple of results so the stream is genuinely
-				// mid-flight, then cancel with records queued everywhere.
-				for j := 0; j < 2; j++ {
-					select {
-					case <-h.Out():
-					case <-time.After(time.Second):
-					}
+					h.Cancel()
+					<-done
+					h.Wait()
 				}
-				h.Cancel()
-				<-done
-				h.Wait()
-			}
-			waitForGoroutines(t, base+3)
+				waitForGoroutines(t, base+3)
+			})
 		})
 	}
 }
@@ -176,12 +184,14 @@ func (n *earlyStopNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 // Tail-draining is accounted: a node that exits early hands its input to
 // streamReader.Discard, and the records thrown away show up under
 // "stream.discarded" — no anonymous goroutines silently eating streams.
-func TestDiscardedRecordsCounted(t *testing.T) {
+func TestDiscardedRecordsCounted(t *testing.T) { bothPlans(t, testDiscardedRecordsCounted) }
+
+func testDiscardedRecordsCounted(t *testing.T, m execMode) {
 	base := goroutineCount()
 	const total, kept = 12, 5
 	n := Serial(&earlyStopNode{limit: kept}, incBox("dc", 1))
 	inputs := seqInputs(total, func(i int, r *Record) { r.SetTag("n", i) })
-	out, stats, err := RunAll(context.Background(), n, inputs)
+	out, stats, err := m.RunAll(context.Background(), n, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,65 +223,69 @@ func TestNoLeakSplitReplicaChurn(t *testing.T) {
 	base := goroutineCount()
 	for _, mode := range []string{"close", "reap"} {
 		t.Run(mode, func(t *testing.T) {
-			opts := []Option{WithBuffer(4)}
-			if mode == "reap" {
-				opts = append(opts, WithReplicaIdleReap(20*time.Millisecond))
-			}
-			n := NamedSplit("churn",
-				Serial(incBox("ci", 1), NamedStar("cloop", decBox(), MustParsePattern("{<done>}"))),
-				"k")
-			h := Start(context.Background(), n, opts...)
-			go func() {
-				for r := range h.Out() {
-					_ = r
+			bothPlans(t, func(t *testing.T, m execMode) {
+				opts := []Option{WithBuffer(4)}
+				if mode == "reap" {
+					opts = append(opts, WithReplicaIdleReap(20*time.Millisecond))
 				}
-			}()
-			const keys = 40
-			for k := 0; k < keys; k++ {
-				if err := h.Send(NewRecord().SetTag("n", 3).SetTag("k", k)); err != nil {
-					t.Fatal(err)
-				}
-				if mode == "close" {
-					if err := h.Send(NewReplicaClose("k", k)); err != nil {
+				n := NamedSplit("churn",
+					Serial(incBox("ci", 1), NamedStar("cloop", decBox(), MustParsePattern("{<done>}"))),
+					"k")
+				h := m.Start(context.Background(), n, opts...)
+				go func() {
+					for r := range h.Out() {
+						_ = r
+					}
+				}()
+				const keys = 40
+				for k := 0; k < keys; k++ {
+					if err := h.Send(NewRecord().SetTag("n", 3).SetTag("k", k)); err != nil {
 						t.Fatal(err)
 					}
+					if mode == "close" {
+						if err := h.Send(NewReplicaClose("k", k)); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-			gauge := func() int64 { return h.Stats().Counter("split.churn.replicas") }
-			reclaimed := func() int64 {
-				return h.Stats().Counter("split.churn.closed") +
-					h.Stats().Counter("split.churn.reaped")
-			}
-			// Wait for all reclamations first — the gauge transiently reads
-			// 0 between churn pairs still queued in the boundary stream.
-			deadline := time.Now().Add(5 * time.Second)
-			for reclaimed() != keys && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if r := reclaimed(); r != keys {
-				t.Fatalf("reclaimed %d of %d replicas (%s mode)", r, keys, mode)
-			}
-			for gauge() != 0 && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if g := gauge(); g != 0 {
-				t.Fatalf("%d replicas still live after churn (%s mode)", g, mode)
-			}
-			// Replica goroutines must be gone while the run itself is live.
-			waitForGoroutines(t, base+16)
-			h.Close()
-			h.Wait()
+				gauge := func() int64 { return h.Stats().Counter("split.churn.replicas") }
+				reclaimed := func() int64 {
+					return h.Stats().Counter("split.churn.closed") +
+						h.Stats().Counter("split.churn.reaped")
+				}
+				// Wait for all reclamations first — the gauge transiently reads
+				// 0 between churn pairs still queued in the boundary stream.
+				deadline := time.Now().Add(5 * time.Second)
+				for reclaimed() != keys && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if r := reclaimed(); r != keys {
+					t.Fatalf("reclaimed %d of %d replicas (%s mode)", r, keys, mode)
+				}
+				for gauge() != 0 && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if g := gauge(); g != 0 {
+					t.Fatalf("%d replicas still live after churn (%s mode)", g, mode)
+				}
+				// Replica goroutines must be gone while the run itself is live.
+				waitForGoroutines(t, base+16)
+				h.Close()
+				h.Wait()
+			})
 		})
 	}
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakUnconsumedOutput(t *testing.T) {
+func TestNoLeakUnconsumedOutput(t *testing.T) { bothPlans(t, testNoLeakUnconsumedOutput) }
+
+func testNoLeakUnconsumedOutput(t *testing.T, m execMode) {
 	// Cancel with records still queued in the output adapter and a
 	// sender still blocked on backpressure; h.Out() is never read.
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
-		h := Start(context.Background(), incBox("u", 1), WithBuffer(2))
+		h := m.Start(context.Background(), incBox("u", 1), WithBuffer(2))
 		sendDone := make(chan struct{})
 		go func() {
 			defer close(sendDone)

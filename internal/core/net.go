@@ -36,15 +36,17 @@ const closedBit = int64(1) << 62
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("core: network input closed")
 
-// Start launches the network described by root.  The returned handle owns
-// one run; the same Node tree can be started many times.
-func Start(ctx context.Context, root Node, opts ...Option) *Handle {
+// Start instantiates one run of the compiled network; see Handle.  The
+// blueprint was checked, its routing tables built and its serial spines
+// fused at Compile time, so instantiation is pure runtime setup.  Start may
+// be called any number of times; every call is an independent run.
+func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	ctx, cancel := context.WithCancel(ctx)
 	env := &runEnv{
 		ctx:        ctx,
 		stats:      newStats(),
 		buf:        DefaultStreamBuffer,
-		batch:      envStreamBatch(),
+		batch:      DefaultStreamBatch,
 		maxDepth:   1 << 20,
 		maxWidth:   1 << 20,
 		boxWorkers: runtime.GOMAXPROCS(0),
@@ -55,7 +57,7 @@ func Start(ctx context.Context, root Node, opts ...Option) *Handle {
 	// Fused segments count every record on preregistered atomics; install
 	// them while the collector is still single-threaded (see
 	// Stats.preregister).
-	preregisterFusedStats(root, env.stats)
+	env.stats.preregister(p.fusedKeys)
 	// The boundary input stream is written through sendDirect only (one
 	// frame per record, safe for concurrent client senders); batching
 	// starts at the first internal hop.
@@ -68,7 +70,7 @@ func Start(ctx context.Context, root Node, opts ...Option) *Handle {
 		done:   make(chan struct{}),
 	}
 	netOutR, netOutW := newStream(env)
-	go root.run(env, inR, netOutW)
+	go p.exec.run(env, inR, netOutW)
 	go func() {
 		defer close(h.done)
 		defer close(h.outRec)
@@ -196,18 +198,20 @@ func (h *Handle) Cancel() { h.cancel() }
 // Wait blocks until the output stream has closed.
 func (h *Handle) Wait() { <-h.done }
 
+// feed sends all inputs and closes the input — the harnesses' producer side.
+func (h *Handle) feed(inputs []*Record) {
+	if _, err := h.SendBatch(context.Background(), inputs); err == nil {
+		h.Close()
+	}
+}
+
 // RunAll is a convenience harness: it starts the network, feeds all inputs,
 // closes the input and collects every output record.  It returns the
 // context's error if the run was cancelled.
-func RunAll(ctx context.Context, root Node, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
-	h := Start(ctx, root, opts...)
+func (p *Plan) RunAll(ctx context.Context, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
+	h := p.Start(ctx, opts...)
 	defer h.Cancel()
-	go func() {
-		if _, err := h.SendBatch(context.Background(), inputs); err != nil {
-			return
-		}
-		h.Close()
-	}()
+	go h.feed(inputs)
 	var out []*Record
 	for r := range h.Out() {
 		out = append(out, r)
@@ -221,15 +225,10 @@ func RunAll(ctx context.Context, root Node, inputs []*Record, opts ...Option) ([
 // record is returned) — the "first solution wins" harness for search
 // networks like the sudoku solvers.  If the network drains without stop
 // firing, RunUntil returns nil.
-func RunUntil(ctx context.Context, root Node, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	h := Start(ctx, root, opts...)
+func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
+	h := p.Start(ctx, opts...)
 	defer h.Cancel()
-	go func() {
-		if _, err := h.SendBatch(context.Background(), inputs); err != nil {
-			return
-		}
-		h.Close()
-	}()
+	go h.feed(inputs)
 	for r := range h.Out() {
 		if stop(r) {
 			h.Cancel()

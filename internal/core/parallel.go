@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // parallelNode is parallel composition: incoming records are routed to the
@@ -23,12 +22,10 @@ type parallelNode struct {
 	branchKeys  []string
 	kUnroutable string
 
-	// table is the node's compiled dispatch table — a pure function of the
-	// branch list (accepted types and guards), never of a run, so it is
-	// cached on the node and shared by every run: built eagerly by Compile,
-	// lazily on first use under the legacy Start path.
-	tableOnce sync.Once
-	table     *routeTable
+	// table is the node's dispatch table — a pure function of the branch
+	// list (accepted types and guards), never of a run, so it is built with
+	// the node and shared by every plan and run.
+	table *routeTable
 }
 
 // Parallel builds the nondeterministic parallel combinator (A||B); it
@@ -36,7 +33,7 @@ type parallelNode struct {
 // record's type against the branch input types; outputs merge as soon as
 // they are produced.
 func Parallel(branches ...Node) Node {
-	return newParallel(false, branches)
+	return newParallel(autoName("parallel"), false, branches)
 }
 
 // ParallelDet builds the deterministic parallel combinator (A|B): routing is
@@ -44,20 +41,20 @@ func Parallel(branches ...Node) Node {
 // (outputs of input n precede outputs of input n+1), and ties in match score
 // resolve to the leftmost branch.
 func ParallelDet(branches ...Node) Node {
-	return newParallel(true, branches)
+	return newParallel(autoName("parallel"), true, branches)
 }
 
-func newParallel(det bool, branches []Node) Node {
+func newParallel(label string, det bool, branches []Node) *parallelNode {
 	if len(branches) < 2 {
 		panic("core: parallel composition needs at least two branches")
 	}
-	label := autoName("parallel")
 	keys := make([]string, len(branches))
 	for i := range branches {
 		keys[i] = fmt.Sprintf("parallel.%s.branch%d", label, i)
 	}
 	return &parallelNode{label: label, det: det, branches: branches,
-		branchKeys: keys, kUnroutable: "parallel." + label + ".unroutable"}
+		branchKeys: keys, kUnroutable: "parallel." + label + ".unroutable",
+		table: buildRouteTable(det, branches)}
 }
 
 func (n *parallelNode) name() string { return n.label }
@@ -84,35 +81,12 @@ func (n *parallelNode) sig(c *checker) (RecType, RecType) {
 	return in, out
 }
 
-// recordScorer lets a node refine its routing score beyond its static input
-// type; filters use it so pattern guards participate in best-match routing.
-type recordScorer interface {
-	score(rec *Record) int
-}
-
-// routes returns the node's compiled dispatch table, building it on first
-// use.
-func (n *parallelNode) routes() *routeTable {
-	n.tableOnce.Do(func() { n.table = buildRouteTable(n.det, n.branches) })
-	return n.table
-}
-
 func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	f := newFanout(env, n.det, in)
 	ports := make([]*branchPort, len(n.branches))
 	for i, b := range n.branches {
 		ports[i] = f.addBranch(b)
-	}
-	// Precomputed shape-keyed dispatch is the default; WithLegacyRouting
-	// restores the per-record scoring loop (the E16/BenchmarkRouting
-	// baseline).
-	var table *routeTable
-	var scorers []func(*Record) int
-	if env.legacyRouting {
-		scorers = legacyScorers(n.branches)
-	} else {
-		table = n.routes()
 	}
 	mergeDone := make(chan struct{})
 	go func() {
@@ -134,18 +108,13 @@ func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			continue
 		}
 		rec := it.rec
-		var chosen int
-		if table != nil {
-			chosen = table.dispatch(rec, &rr)
-		} else {
-			chosen = legacyDispatch(scorers, rec, n.det, &rr)
-		}
+		chosen := n.table.dispatch(rec, &rr)
 		if chosen < 0 {
 			env.error(&NoRouteError{
 				Net:      n.label,
 				Record:   rec.String(),
 				Shape:    rec.Labels(),
-				Branches: n.routes().accept,
+				Branches: n.table.accept,
 			})
 			env.stats.Add(n.kUnroutable, 1)
 			releaseRecord(rec) // dropped, not forwarded

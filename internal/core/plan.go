@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -129,8 +128,8 @@ type CompileOption func(*compileCfg)
 
 // WithFusion enables or disables the pipeline-fusion pass (fuse.go).  It is
 // on by default; WithFusion(false) keeps the execution plan stage-per-
-// goroutine, which is the measured baseline of the E22 experiment and the
-// programmatic form of the SNET_FUSE=0 triage switch.
+// goroutine — the reference the fused plan is tested against and the
+// measured baseline of the E22 experiment.
 func WithFusion(on bool) CompileOption {
 	return func(c *compileCfg) { c.fuse = on }
 }
@@ -148,21 +147,22 @@ func WithInputType(t RecType) CompileOption {
 // use; Start may be called any number of times (each call is one run), and
 // all runs share the plan's routing tables.
 type Plan struct {
-	root     Node
-	execRoot Node // fusion-rewritten blueprint; == root when nothing fused
-	groups   []FusionGroup
-	in, out  RecType
-	warnings []Diagnostic
-	typeErrs []*TypeError
-	topo     *Topology
-	facts    *flowFacts
+	exec      Node // what Start runs: the blueprint with its serial spines fused
+	groups    []FusionGroup
+	fusedKeys []string // the fused segments' per-record stat keys (Start preregisters them)
+	in, out   RecType
+	warnings  []Diagnostic
+	typeErrs  []*TypeError
+	graph     *GraphNode // the un-fused blueprint, as walked by Compile
+	topo      *Topology
+	facts     *flowFacts
 }
 
-// Compile type-checks the network and precomputes its routing artifacts.
+// Compile type-checks the network and precomputes its execution artifacts.
 // On type errors it returns a non-nil *CompileError whose Errors list every
 // finding; the returned Plan is still usable (Start runs the network with
-// the defects intact), which is what the legacy Start shim relies on —
-// callers that care about static guarantees must check the error.
+// the defects intact) — callers that care about static guarantees must
+// check the error.
 func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	if root == nil {
 		panic("core: Compile: nil root")
@@ -173,12 +173,13 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	}
 	chk := &checker{}
 	in, out := root.sig(chk)
-	p := &Plan{root: root, execRoot: root, in: in, out: out, warnings: chk.diags}
+	p := &Plan{exec: root, in: in, out: out, warnings: chk.diags}
 
 	c := newCompiler()
-	p.topo = c.walk(root, "")
-	if cfg.fuse && envFuseOn() {
-		p.execRoot, p.groups = fuseTree(root)
+	p.graph = c.walk(root, "")
+	p.topo = renderTopology(p.graph)
+	if cfg.fuse {
+		p.exec, p.groups, p.fusedKeys = fuseTree(root)
 		p.topo.FusionGroups = p.groups
 	}
 	seed := cfg.input
@@ -204,16 +205,6 @@ func MustCompile(root Node, opts ...CompileOption) *Plan {
 	return p
 }
 
-// Root returns the compiled blueprint.
-func (p *Plan) Root() Node { return p.root }
-
-// ExecRoot returns the tree runs actually execute: the fusion-rewritten
-// blueprint (fuse.go), or Root when the plan compiled with fusion off or
-// nothing fused.  Engines that instantiate runs themselves (the shared-mode
-// session engine wraps the network under its own session split) must wrap
-// ExecRoot, not Root, to inherit the fused execution plan.
-func (p *Plan) ExecRoot() Node { return p.execRoot }
-
 // FusionGroups lists the fused segments of the execution plan in discovery
 // order — empty when fusion is off or nothing fused.
 func (p *Plan) FusionGroups() []FusionGroup { return p.groups }
@@ -225,8 +216,7 @@ func (p *Plan) In() RecType { return p.in }
 func (p *Plan) Out() RecType { return p.out }
 
 // Warnings returns the non-fatal findings: static mismatches that flow
-// inheritance may still satisfy, approximated analyses, and the legacy
-// checker's diagnostics.
+// inheritance may still satisfy and approximated analyses.
 func (p *Plan) Warnings() []Diagnostic { return p.warnings }
 
 // TypeErrors returns the definite findings (the same list a failing Compile
@@ -237,24 +227,7 @@ func (p *Plan) TypeErrors() []*TypeError { return p.typeErrs }
 func (p *Plan) Topology() *Topology { return p.topo }
 
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan %s : %v -> %v", p.root, p.in, p.out)
-}
-
-// Start instantiates one run of the compiled network; see Handle.  The
-// blueprint was checked and its routing tables built at Compile time, so
-// instantiation is pure runtime setup.
-func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
-	return Start(ctx, p.execRoot, opts...)
-}
-
-// RunAll is the Plan form of the RunAll harness.
-func (p *Plan) RunAll(ctx context.Context, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
-	return RunAll(ctx, p.execRoot, inputs, opts...)
-}
-
-// RunUntil is the Plan form of the RunUntil harness.
-func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	return RunUntil(ctx, p.execRoot, inputs, stop, opts...)
+	return fmt.Sprintf("plan %s : %v -> %v", p.graph.Node, p.in, p.out)
 }
 
 // maxCompileErrors caps the error list of one Compile.
@@ -429,53 +402,57 @@ func (c *compiler) checkReservedLabels(path string, n Node) {
 	}
 }
 
-// walk builds the topology, checks reserved labels, and eagerly builds the
-// routing tables.  prefix is the parent path including its trailing
-// separator; the node's path is prefix + name().
-func (c *compiler) walk(n Node, prefix string) *Topology {
+// walk is the one structural traversal of the blueprint: it checks reserved
+// labels, pre-interns every node's labels and shapes, and builds the
+// GraphNode tree that Plan.Graph returns and Topology is rendered from.
+// prefix is the parent path including its trailing separator; the node's
+// path is prefix + name().
+func (c *compiler) walk(n Node, prefix string) *GraphNode {
 	path := prefix + n.name()
 	in, out := n.sig(nil)
-	topo := &Topology{Name: n.name(), Path: path, In: renderType(in), Out: renderType(out)}
+	g := &GraphNode{Name: n.name(), Path: path, Node: n, In: in, Out: out}
 	c.checkReservedLabels(path, n)
 	internNode(n)
 	switch n := n.(type) {
 	case *boxNode:
-		topo.Kind = "box"
-		topo.Sig = n.boxSig.String()
+		g.Kind = "box"
+		g.BoxSig = n.boxSig
+		g.Workers = n.workers
 	case *filterNode:
-		topo.Kind = "filter"
-		topo.Sig = n.spec.String()
+		g.Kind = "filter"
+		g.Filter = n.spec
 	case *identityNode:
-		topo.Kind = "observe"
+		g.Kind = "observe"
 	case *hideNode:
-		topo.Kind = "hide"
+		g.Kind = "hide"
+		g.HiddenTags = append([]string(nil), n.tags...)
 	case *syncNode:
-		topo.Kind = "sync"
-		for _, p := range n.patterns {
-			topo.Patterns = append(topo.Patterns, p.String())
-		}
+		g.Kind = "sync"
+		g.Patterns = append([]Pattern(nil), n.patterns...)
 	case *serialNode:
-		topo.Kind = "serial"
-		topo.Children = []*Topology{c.walk(n.a, path+"/"), c.walk(n.b, path+"/")}
+		g.Kind = "serial"
+		g.Children = []*GraphNode{c.walk(n.a, path+"/"), c.walk(n.b, path+"/")}
 	case *parallelNode:
-		topo.Kind = "parallel"
-		topo.Det = n.det
-		n.routes() // build the dispatch table at compile time
+		g.Kind = "parallel"
+		g.Det = n.det
 		for i, b := range n.branches {
-			topo.Children = append(topo.Children, c.walk(b, fmt.Sprintf("%s/branch[%d]/", path, i)))
+			g.Children = append(g.Children, c.walk(b, branchPrefix(path, i)))
 		}
 	case *starNode:
-		topo.Kind = "star"
-		topo.Det = n.det
-		topo.Exit = n.exit.String()
-		topo.Children = []*Topology{c.walk(n.operand, path+"/operand/")}
+		g.Kind = "star"
+		g.Det = n.det
+		g.Feedback = true
+		exit := n.exit
+		g.Exit = &exit
+		g.Children = []*GraphNode{c.walk(n.operand, path+"/operand/")}
 	case *splitNode:
-		topo.Kind = "split"
-		topo.Det = n.det
-		topo.Tag = n.tag
-		topo.Children = []*Topology{c.walk(n.operand, path+"/operand/")}
+		g.Kind = "split"
+		g.Det = n.det
+		g.Tag = n.tag
+		g.Uncapped = n.uncapped
+		g.Children = []*GraphNode{c.walk(n.operand, path+"/operand/")}
 	default:
-		topo.Kind = "node"
+		g.Kind = "node"
 	}
-	return topo
+	return g
 }

@@ -44,8 +44,8 @@ func TestCompileRejectsUnreachableParallelBranch(t *testing.T) {
 	if te.Subject() == nil || te.Subject().name() != "r" {
 		t.Fatalf("subject = %v", te.Subject())
 	}
-	// The plan is still returned and still runs (the legacy-compatibility
-	// contract): records route to the live branch.
+	// The plan is still returned and still runs: records route to the live
+	// branch.
 	out, _, rerr := plan.RunAll(context.Background(),
 		[]*Record{NewRecord().SetField("n", 1)})
 	if rerr != nil || len(out) != 1 {

@@ -69,32 +69,34 @@ func TestDetPoolMatrix(t *testing.T) {
 	for _, w := range []int{1, 4, 16} {
 		for _, b := range []int{1, 8, 64} {
 			t.Run(fmt.Sprintf("W%d_B%d", w, b), func(t *testing.T) {
-				base := poolLiveSettled(t)
-				inner := Serial(
-					StarDet(varDecBox(int64(w*100+b)), MustParsePattern("{<done>}")),
-					MustFilter("{<seq>,<done>} -> {<seq>, <out>=<seq>+1}"),
-				)
-				n := SplitDet(inner, "k")
-				inputs := pooledSeqInputs(detN, func(i int, r *Record) {
-					r.SetTag("k", i%3).SetTag("n", i%5)
-				})
-				out, stats := runNet(t, n, inputs,
-					WithBoxWorkers(w), WithStreamBatch(b))
-				assertOrdered(t, collectSeqs(t, out), detN)
-				for i, r := range out {
-					if tagOf(t, r, "out") != i+1 {
-						t.Fatalf("record %d: filter output <out>=%d, want %d",
-							i, tagOf(t, r, "out"), i+1)
+				bothPlans(t, func(t *testing.T, m execMode) {
+					base := poolLiveSettled(t)
+					inner := Serial(
+						StarDet(varDecBox(int64(w*100+b)), MustParsePattern("{<done>}")),
+						MustFilter("{<seq>,<done>} -> {<seq>, <out>=<seq>+1}"),
+					)
+					n := SplitDet(inner, "k")
+					inputs := pooledSeqInputs(detN, func(i int, r *Record) {
+						r.SetTag("k", i%3).SetTag("n", i%5)
+					})
+					out, stats := m.runNet(t, n, inputs,
+						WithBoxWorkers(w), WithStreamBatch(b))
+					assertOrdered(t, collectSeqs(t, out), detN)
+					for i, r := range out {
+						if tagOf(t, r, "out") != i+1 {
+							t.Fatalf("record %d: filter output <out>=%d, want %d",
+								i, tagOf(t, r, "out"), i+1)
+						}
 					}
-				}
-				if d := stats.Counter("stream.discarded"); d != 0 {
-					t.Fatalf("drained run discarded %d records", d)
-				}
-				if stats.Counter(statStreamRecords) < int64(detN) {
-					t.Fatalf("transport counted %d records for %d inputs",
-						stats.Counter(statStreamRecords), detN)
-				}
-				waitPoolLive(t, base)
+					if d := stats.Counter("stream.discarded"); d != 0 {
+						t.Fatalf("drained run discarded %d records", d)
+					}
+					if stats.Counter(statStreamRecords) < int64(detN) {
+						t.Fatalf("transport counted %d records for %d inputs",
+							stats.Counter(statStreamRecords), detN)
+					}
+					waitPoolLive(t, base)
+				})
 			})
 		}
 	}
@@ -103,7 +105,9 @@ func TestDetPoolMatrix(t *testing.T) {
 // TestPoolAccountingNondet is the same arena invariant on the
 // nondeterministic variants (no sort-record machinery): every record still
 // has exactly one release point.
-func TestPoolAccountingNondet(t *testing.T) {
+func TestPoolAccountingNondet(t *testing.T) { bothPlans(t, testPoolAccountingNondet) }
+
+func testPoolAccountingNondet(t *testing.T, m execMode) {
 	base := poolLiveSettled(t)
 	n := Split(Serial(
 		Star(varDecBox(3), MustParsePattern("{<done>}")),
@@ -112,7 +116,7 @@ func TestPoolAccountingNondet(t *testing.T) {
 	inputs := pooledSeqInputs(detN, func(i int, r *Record) {
 		r.SetTag("k", i%4).SetTag("n", i%3)
 	})
-	out, _ := runNet(t, n, inputs, WithBoxWorkers(4), WithStreamBatch(8))
+	out, _ := m.runNet(t, n, inputs, WithBoxWorkers(4), WithStreamBatch(8))
 	assertMultiset(t, collectSeqs(t, out), detN)
 	waitPoolLive(t, base)
 }
@@ -120,7 +124,9 @@ func TestPoolAccountingNondet(t *testing.T) {
 // TestPoolAccountingSync covers the synchrocell paths: merged records are
 // rebuilt into a pooled output, stored partners are released on fire, and a
 // starved cell's stash is released at close.
-func TestPoolAccountingSync(t *testing.T) {
+func TestPoolAccountingSync(t *testing.T) { bothPlans(t, testPoolAccountingSync) }
+
+func testPoolAccountingSync(t *testing.T, m execMode) {
 	base := poolLiveSettled(t)
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	mk := func(label string, i int) *Record {
@@ -129,7 +135,7 @@ func TestPoolAccountingSync(t *testing.T) {
 	// One full match fires the cell; after firing it is an identity, so the
 	// remaining three records pass through untouched.
 	inputs := []*Record{mk("a", 0), mk("b", 0), mk("b", 1), mk("a", 1), mk("a", 2)}
-	out, _ := runNet(t, n, inputs)
+	out, _ := m.runNet(t, n, inputs)
 	if len(out) != 4 {
 		t.Fatalf("got %d records, want 1 merged + 3 passed through", len(out))
 	}
@@ -139,7 +145,7 @@ func TestPoolAccountingSync(t *testing.T) {
 	// through, and close releases the starved stash (counted, not emitted) —
 	// still fully accounted.
 	starved := NamedSync("stash", MustParsePattern("{a}"), MustParsePattern("{b}"))
-	out, stats := runNet(t, starved, []*Record{mk("a", 0), mk("a", 1)})
+	out, stats := m.runNet(t, starved, []*Record{mk("a", 0), mk("a", 1)})
 	if len(out) != 1 {
 		t.Fatalf("starved cell emitted %d records, want 1 passed through", len(out))
 	}
@@ -152,10 +158,12 @@ func TestPoolAccountingSync(t *testing.T) {
 // TestPoolDisownAtBoundary pins the boundary semantics: records read from
 // Handle.Out left the arena (disowned, GC-managed), so releasing them is a
 // no-op and holding them forever is not a leak.
-func TestPoolDisownAtBoundary(t *testing.T) {
+func TestPoolDisownAtBoundary(t *testing.T) { bothPlans(t, testPoolDisownAtBoundary) }
+
+func testPoolDisownAtBoundary(t *testing.T, m execMode) {
 	base := poolLiveSettled(t)
 	before := PoolStats()
-	out, _ := runNet(t, incBox("pd", 1), pooledSeqInputs(8, func(i int, r *Record) {
+	out, _ := m.runNet(t, incBox("pd", 1), pooledSeqInputs(8, func(i int, r *Record) {
 		r.SetTag("n", i)
 	}))
 	if len(out) != 8 {

@@ -22,8 +22,9 @@ import (
 // filter branches, plus a shape-keyed memo of dispatch decisions.
 // matchMemo is the single-pattern analogue used by serial replication exits
 // and filters.  Both are pure functions of the node (never of a run), so
-// they live on the node itself and are built once — eagerly by Compile,
-// lazily on first use under the legacy Start path.
+// they live on the node itself and are built once, with the node (filter
+// slot programs, which bind to input shapes, compile on first sight of each
+// shape).
 
 // maxMemoEntries caps every shape memo: networks see a handful of record
 // shapes in practice, but a pathological workload could synthesize fresh
@@ -251,51 +252,4 @@ func mergeAscending(a, b []int) []int {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// legacyScorers is the pre-table routing path: one closure per branch
-// rescoring every record.  It is kept as the baseline of BenchmarkRouting
-// and E16 (WithLegacyRouting), and as the semantics the table is tested
-// against.
-func legacyScorers(branches []Node) []func(*Record) int {
-	scorers := make([]func(*Record) int, len(branches))
-	for i, b := range branches {
-		if s, ok := b.(recordScorer); ok {
-			scorers[i] = s.score
-		} else {
-			t, _ := b.sig(nil)
-			scorers[i] = func(r *Record) int { return MatchScore(r, t) }
-		}
-	}
-	return scorers
-}
-
-// legacyDispatch is the per-record scoring loop the dispatch table
-// replaces; behaviour-identical by construction (see route_test.go).
-func legacyDispatch(scorers []func(*Record) int, rec *Record, det bool, rr *int) int {
-	best, count := -1, 0
-	for _, sc := range scorers {
-		if s := sc(rec); s > best {
-			best, count = s, 1
-		} else if s == best && s >= 0 {
-			count++
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	pick := 0
-	if !det && count > 1 {
-		pick = *rr % count
-		*rr++
-	}
-	for i, sc := range scorers {
-		if sc(rec) == best {
-			if pick == 0 {
-				return i
-			}
-			pick--
-		}
-	}
-	return -1
 }

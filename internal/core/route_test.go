@@ -127,6 +127,10 @@ func TestDispatchMemoizesPerShape(t *testing.T) {
 // A guarded branch's guard must be evaluated per record even when the shape
 // is memoized: records of one shape may route differently by tag value.
 func TestGuardedDispatchNotOverMemoized(t *testing.T) {
+	bothPlans(t, testGuardedDispatchNotOverMemoized)
+}
+
+func testGuardedDispatchNotOverMemoized(t *testing.T, m execMode) {
 	even := NewFilter(&FilterSpec{
 		Pattern: Pattern{Variant: NewVariant(Tag("n")), Guard: MustParseTagExpr("!(<n> % 2)")},
 		Outputs: [][]FilterItem{{{Name: "n", IsTag: true, Expr: MustParseTagExpr("<n>")},
@@ -142,7 +146,7 @@ func TestGuardedDispatchNotOverMemoized(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		inputs = append(inputs, NewRecord().SetTag("n", i))
 	}
-	out, _, err := RunAll(context.Background(), net, inputs)
+	out, _, err := m.RunAll(context.Background(), net, inputs)
 	if err != nil || len(out) != 10 {
 		t.Fatalf("out=%d err=%v", len(out), err)
 	}
@@ -155,10 +159,12 @@ func TestGuardedDispatchNotOverMemoized(t *testing.T) {
 	}
 }
 
-func TestNoRouteErrorTyped(t *testing.T) {
+func TestNoRouteErrorTyped(t *testing.T) { bothPlans(t, testNoRouteErrorTyped) }
+
+func testNoRouteErrorTyped(t *testing.T, m execMode) {
 	net := Parallel(routeBox("ab", Field("a"), Field("b")), routeBox("c", Field("c")))
 	var handled error
-	h := Start(context.Background(), net, WithErrorHandler(func(err error) { handled = err }))
+	h := m.Start(context.Background(), net, WithErrorHandler(func(err error) { handled = err }))
 	if err := h.Send(NewRecord().SetTag("zzz", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -190,25 +196,6 @@ func TestNoRouteErrorTyped(t *testing.T) {
 	}
 }
 
-// The table path and the legacy path must route identically end-to-end.
-func TestLegacyRoutingOptionEquivalent(t *testing.T) {
-	net := Parallel(routeBox("ab", Field("a"), Field("b")), routeBox("a", Field("a")))
-	inputs := []*Record{
-		NewRecord().SetField("a", 1).SetField("b", 2),
-		NewRecord().SetField("a", 3),
-	}
-	for _, opts := range [][]Option{nil, {WithLegacyRouting()}} {
-		out, stats, err := RunAll(context.Background(), net, inputs, opts...)
-		if err != nil || len(out) != 2 {
-			t.Fatalf("opts=%v: out=%d err=%v", opts, len(out), err)
-		}
-		if stats.Counter("parallel."+net.name()+".branch0") != 1 ||
-			stats.Counter("parallel."+net.name()+".branch1") != 1 {
-			t.Fatalf("opts=%v: routing counters wrong: %v", opts, stats.Snapshot())
-		}
-	}
-}
-
 // wideParallel builds a B-branch parallel net for the routing benchmarks:
 // every branch consumes a common field plus its own, so scoring must
 // consider every branch for every record.
@@ -224,15 +211,15 @@ func wideParallel(b int) (Node, []*Record) {
 	return Parallel(branches...), recs
 }
 
-// BenchmarkRouting compares the compiled shape-keyed dispatch table with
-// the per-record scoring loop it replaced, on wide parallel combinators —
-// the E16 microbenchmark.  "dispatch" measures routing decisions alone;
-// "net" runs the full combinator.
+// BenchmarkRouting compares the shape-keyed dispatch table with the
+// per-record scoring loop it replaced (oracle_test.go), on wide parallel
+// combinators — the E16 microbenchmark.  "dispatch" measures routing
+// decisions alone; "net" runs the full combinator through its plan.
 func BenchmarkRouting(b *testing.B) {
 	for _, width := range []int{8, 16, 32} {
 		net, recs := wideParallel(width)
 		pn := net.(*parallelNode)
-		table := pn.routes()
+		table := pn.table
 		scorers := legacyScorers(pn.branches)
 		b.Run(fmt.Sprintf("dispatch/table-%d", width), func(b *testing.B) {
 			rr := 0
@@ -253,18 +240,14 @@ func BenchmarkRouting(b *testing.B) {
 	}
 	for _, width := range []int{8, 16} {
 		net, recs := wideParallel(width)
-		for _, mode := range []struct {
-			name string
-			opts []Option
-		}{{"table", nil}, {"legacy", []Option{WithLegacyRouting()}}} {
-			b.Run(fmt.Sprintf("net/%s-%d", mode.name, width), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out, _, err := RunAll(context.Background(), net, recs, mode.opts...)
-					if err != nil || len(out) != len(recs) {
-						b.Fatalf("out=%d err=%v", len(out), err)
-					}
+		plan := MustCompile(net)
+		b.Run(fmt.Sprintf("net/table-%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, _, err := plan.RunAll(context.Background(), recs)
+				if err != nil || len(out) != len(recs) {
+					b.Fatalf("out=%d err=%v", len(out), err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

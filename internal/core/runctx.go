@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,18 +57,17 @@ func atomicMax(a *atomic.Int64, v int64) {
 }
 
 // preregister installs lock-free atomic counters for keys whose traffic is
-// known ahead of a run — Start calls it for every fused segment's per-record
+// known ahead of a run — Plan.Start calls it with the plan's fused-segment
 // keys before any run goroutine launches.  It must not be called once the
 // collector is in concurrent use: the hot map is immutable thereafter, which
 // is exactly what makes its reads fence-free.
-func (s *Stats) preregister(keys ...string) {
-	if s.hot == nil {
-		s.hot = make(map[string]*atomic.Int64, len(keys))
+func (s *Stats) preregister(keys []string) {
+	if len(keys) == 0 {
+		return // nothing fused: the nil map reads as empty
 	}
+	s.hot = make(map[string]*atomic.Int64, len(keys))
 	for _, k := range keys {
-		if _, ok := s.hot[k]; !ok {
-			s.hot[k] = new(atomic.Int64)
-		}
+		s.hot[k] = new(atomic.Int64)
 	}
 }
 
@@ -276,9 +273,6 @@ type runEnv struct {
 	// replicaIdle > 0 makes split nodes reap replicas that have received
 	// no record for that long (see WithReplicaIdleReap).
 	replicaIdle time.Duration
-	// legacyRouting disables the precomputed routing tables (see
-	// WithLegacyRouting).
-	legacyRouting bool
 
 	// firstErr records the first runtime error of the run (Handle.Err).
 	errMu    sync.Mutex
@@ -316,15 +310,15 @@ func (e *runEnv) trace(node, dir string, rec *Record) {
 type Option func(*runEnv)
 
 // DefaultStreamBuffer is the per-stream frame buffer capacity applied when
-// WithBuffer/WithStreamBuffer does not select one.  Together with the batch
+// WithBuffer does not select one.  Together with the batch
 // size B it bounds the in-flight items of every stream edge (see
 // StreamCapacity), which is what the static occupancy analysis sums into a
 // whole-plan memory high-water bound.
 const DefaultStreamBuffer = 32
 
-// WithBuffer sets the stream buffer capacity in frames (default
-// DefaultStreamBuffer; 0 selects fully synchronous handoff).
-// WithStreamBuffer is the same knob under its transport-layer name.
+// WithBuffer sets the per-stream buffer capacity in frames (default
+// DefaultStreamBuffer; 0 selects fully synchronous handoff).  Total
+// in-flight records per stream are bounded by roughly buffer × batch.
 func WithBuffer(n int) Option {
 	return func(e *runEnv) {
 		if n >= 0 {
@@ -333,27 +327,11 @@ func WithBuffer(n int) Option {
 	}
 }
 
-// WithStreamBuffer sets the per-stream buffer capacity in frames.  Total
-// in-flight records per stream are bounded by roughly buffer × batch.
-func WithStreamBuffer(n int) Option { return WithBuffer(n) }
-
-// DefaultStreamBatch is the stream batch size B applied when neither
-// WithStreamBatch nor the SNET_STREAM_BATCH environment variable selects
-// one.  Flushing is adaptive (see stream.go), so a larger B never delays a
-// record behind traffic that is not coming — it only lets hot streams
-// amortize channel synchronization B-fold.
+// DefaultStreamBatch is the stream batch size B applied when WithStreamBatch
+// does not select one.  Flushing is adaptive (see stream.go), so a larger B
+// never delays a record behind traffic that is not coming — it only lets hot
+// streams amortize channel synchronization B-fold.
 const DefaultStreamBatch = 8
-
-// envStreamBatch reads the SNET_STREAM_BATCH override once per process; it
-// lets deployments and CI sweep the batch size without recompiling.
-var envStreamBatch = sync.OnceValue(func() int {
-	if s := os.Getenv("SNET_STREAM_BATCH"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return DefaultStreamBatch
-})
 
 // WithStreamBatch sets the stream batch size B: the maximum number of items
 // (records and markers) a stream writer coalesces into one frame, i.e. one
@@ -366,15 +344,6 @@ func WithStreamBatch(n int) Option {
 			e.batch = n
 		}
 	}
-}
-
-// WithLegacyRouting makes the run's parallel combinators rescore every
-// record against every branch instead of consuming their precomputed
-// shape-keyed dispatch tables.  It exists as the measured baseline of
-// BenchmarkRouting / E16 and as a comparison oracle in tests; there is no
-// reason to set it in production.
-func WithLegacyRouting() Option {
-	return func(e *runEnv) { e.legacyRouting = true }
 }
 
 // WithTracer installs a stream observer.

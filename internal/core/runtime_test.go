@@ -28,17 +28,10 @@ func tagOf(t *testing.T, r *Record, name string) int {
 
 func recN(n int) *Record { return NewRecord().SetTag("n", n) }
 
-func runNet(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
-	t.Helper()
-	out, stats, err := RunAll(context.Background(), n, inputs, opts...)
-	if err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	return out, stats
-}
+func TestBoxBasic(t *testing.T) { bothPlans(t, testBoxBasic) }
 
-func TestBoxBasic(t *testing.T) {
-	out, stats := runNet(t, incBox("inc", 1), []*Record{recN(1), recN(2), recN(3)})
+func testBoxBasic(t *testing.T, m execMode) {
+	out, stats := m.runNet(t, incBox("inc", 1), []*Record{recN(1), recN(2), recN(3)})
 	if len(out) != 3 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -55,7 +48,9 @@ func TestBoxBasic(t *testing.T) {
 	}
 }
 
-func TestBoxMultipleOutputsPerInput(t *testing.T) {
+func TestBoxMultipleOutputsPerInput(t *testing.T) { bothPlans(t, testBoxMultipleOutputsPerInput) }
+
+func testBoxMultipleOutputsPerInput(t *testing.T, m execMode) {
 	fan := NewBox("fan", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			n := args[0].(int)
@@ -69,7 +64,7 @@ func TestBoxMultipleOutputsPerInput(t *testing.T) {
 			}
 			return nil
 		})
-	out, _ := runNet(t, fan, []*Record{recN(4)})
+	out, _ := m.runNet(t, fan, []*Record{recN(4)})
 	if len(out) != 4 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -77,7 +72,9 @@ func TestBoxMultipleOutputsPerInput(t *testing.T) {
 
 // Flow inheritance (§4): excess labels of the input are attached to outputs
 // unless already present.
-func TestBoxFlowInheritance(t *testing.T) {
+func TestBoxFlowInheritance(t *testing.T) { bothPlans(t, testBoxFlowInheritance) }
+
+func testBoxFlowInheritance(t *testing.T, m execMode) {
 	// box foo (a,<b>) -> (c) | (c,d,<e>), fed {a,<b>,d}: first variant
 	// gains d by inheritance, second variant keeps its own d.
 	foo := NewBox("foo", MustParseSignature("(a,<b>) -> (c) | (c,d,<e>)"),
@@ -88,7 +85,7 @@ func TestBoxFlowInheritance(t *testing.T) {
 			return out.Out(2, "c2", "ownD", 42)
 		})
 	in := NewRecord().SetField("a", "A").SetTag("b", 7).SetField("d", "inheritedD")
-	out, _ := runNet(t, foo, []*Record{in})
+	out, _ := m.runNet(t, foo, []*Record{in})
 	if len(out) != 2 {
 		t.Fatalf("got %d records", len(out))
 	}
@@ -119,9 +116,11 @@ func TestBoxFlowInheritance(t *testing.T) {
 	}
 }
 
-func TestBoxRejectsNonMatchingRecord(t *testing.T) {
+func TestBoxRejectsNonMatchingRecord(t *testing.T) { bothPlans(t, testBoxRejectsNonMatchingRecord) }
+
+func testBoxRejectsNonMatchingRecord(t *testing.T, m execMode) {
 	var errs []error
-	out, stats := runNet(t, incBox("inc", 1),
+	out, stats := m.runNet(t, incBox("inc", 1),
 		[]*Record{NewRecord().SetField("other", 1)},
 		WithErrorHandler(func(e error) { errs = append(errs, e) }))
 	if len(out) != 0 {
@@ -132,7 +131,9 @@ func TestBoxRejectsNonMatchingRecord(t *testing.T) {
 	}
 }
 
-func TestBoxPanicIsolation(t *testing.T) {
+func TestBoxPanicIsolation(t *testing.T) { bothPlans(t, testBoxPanicIsolation) }
+
+func testBoxPanicIsolation(t *testing.T, m execMode) {
 	bomb := NewBox("bomb", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			if args[0].(int) == 2 {
@@ -141,7 +142,7 @@ func TestBoxPanicIsolation(t *testing.T) {
 			return out.Out(1, args[0].(int))
 		})
 	var errs []error
-	out, stats := runNet(t, bomb, []*Record{recN(1), recN(2), recN(3)},
+	out, stats := m.runNet(t, bomb, []*Record{recN(1), recN(2), recN(3)},
 		WithErrorHandler(func(e error) { errs = append(errs, e) }))
 	if len(out) != 2 {
 		t.Fatalf("got %d records, want the two survivors", len(out))
@@ -151,18 +152,22 @@ func TestBoxPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestBoxErrorReturnReported(t *testing.T) {
+func TestBoxErrorReturnReported(t *testing.T) { bothPlans(t, testBoxErrorReturnReported) }
+
+func testBoxErrorReturnReported(t *testing.T, m execMode) {
 	bad := NewBox("bad", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return errors.New("nope") })
 	var errs []error
-	_, _ = runNet(t, bad, []*Record{recN(1)},
+	_, _ = m.runNet(t, bad, []*Record{recN(1)},
 		WithErrorHandler(func(e error) { errs = append(errs, e) }))
 	if len(errs) != 1 {
 		t.Fatal("box error not reported")
 	}
 }
 
-func TestEmitterValidation(t *testing.T) {
+func TestEmitterValidation(t *testing.T) { bothPlans(t, testEmitterValidation) }
+
+func testEmitterValidation(t *testing.T, m execMode) {
 	var gotErrs []error
 	box := NewBox("val", MustParseSignature("(<n>) -> (a,<t>)"),
 		func(args []any, out *Emitter) error {
@@ -177,7 +182,7 @@ func TestEmitterValidation(t *testing.T) {
 			}
 			return out.Out(1, "x", 5)
 		})
-	out, _ := runNet(t, box, []*Record{recN(0)},
+	out, _ := m.runNet(t, box, []*Record{recN(0)},
 		WithErrorHandler(func(e error) { gotErrs = append(gotErrs, e) }))
 	if len(out) != 1 {
 		t.Fatalf("got %d records", len(out))
@@ -187,9 +192,11 @@ func TestEmitterValidation(t *testing.T) {
 	}
 }
 
-func TestSerialPipeline(t *testing.T) {
+func TestSerialPipeline(t *testing.T) { bothPlans(t, testSerialPipeline) }
+
+func testSerialPipeline(t *testing.T, m execMode) {
 	n := Serial(incBox("a", 1), incBox("b", 10), incBox("c", 100))
-	out, _ := runNet(t, n, []*Record{recN(0)})
+	out, _ := m.runNet(t, n, []*Record{recN(0)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 111 {
 		t.Fatalf("pipeline result = %v", out)
 	}
@@ -204,9 +211,11 @@ func TestSerialNeedsOneNode(t *testing.T) {
 	Serial()
 }
 
-func TestFilterNode(t *testing.T) {
+func TestFilterNode(t *testing.T) { bothPlans(t, testFilterNode) }
+
+func testFilterNode(t *testing.T, m execMode) {
 	n := MustFilter("{<n>} -> {<n>=<n>*2}")
-	out, stats := runNet(t, n, []*Record{recN(3)})
+	out, stats := m.runNet(t, n, []*Record{recN(3)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 6 {
 		t.Fatalf("filter result = %v", out)
 	}
@@ -215,9 +224,11 @@ func TestFilterNode(t *testing.T) {
 	}
 }
 
-func TestFilterNoMatchForwards(t *testing.T) {
+func TestFilterNoMatchForwards(t *testing.T) { bothPlans(t, testFilterNoMatchForwards) }
+
+func testFilterNoMatchForwards(t *testing.T, m execMode) {
 	n := MustFilter("{<missing>} -> {<missing>}")
-	out, stats := runNet(t, n, []*Record{recN(1)})
+	out, stats := m.runNet(t, n, []*Record{recN(1)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 1 {
 		t.Fatal("non-matching record must pass through unchanged")
 	}
@@ -232,14 +243,16 @@ func TestFilterNoMatchForwards(t *testing.T) {
 	}
 }
 
-func TestObserveTap(t *testing.T) {
+func TestObserveTap(t *testing.T) { bothPlans(t, testObserveTap) }
+
+func testObserveTap(t *testing.T, m execMode) {
 	var seen []int
 	n := Serial(incBox("a", 1), Observe("tap", func(r *Record) {
 		if v, ok := r.Tag("n"); ok {
 			seen = append(seen, v)
 		}
 	}), incBox("b", 1))
-	out, _ := runNet(t, n, []*Record{recN(0)})
+	out, _ := m.runNet(t, n, []*Record{recN(0)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 2 {
 		t.Fatal("observe must be transparent")
 	}
@@ -248,21 +261,25 @@ func TestObserveTap(t *testing.T) {
 	}
 }
 
-func TestTracerSeesBoxEvents(t *testing.T) {
+func TestTracerSeesBoxEvents(t *testing.T) { bothPlans(t, testTracerSeesBoxEvents) }
+
+func testTracerSeesBoxEvents(t *testing.T, m execMode) {
 	var events []string
 	tr := TracerFunc(func(node, dir string, rec *Record) {
 		events = append(events, node+":"+dir)
 	})
 	// Single box, single record: trace callbacks happen on the box
 	// goroutine; no extra synchronisation needed after Wait.
-	_, _ = runNet(t, incBox("tb", 1), []*Record{recN(1)}, WithTracer(tr))
+	_, _ = m.runNet(t, incBox("tb", 1), []*Record{recN(1)}, WithTracer(tr))
 	if len(events) != 2 || events[0] != "tb:in" || events[1] != "tb:out" {
 		t.Fatalf("events = %v", events)
 	}
 }
 
-func TestHandleSendAfterClose(t *testing.T) {
-	h := Start(context.Background(), incBox("x", 1))
+func TestHandleSendAfterClose(t *testing.T) { bothPlans(t, testHandleSendAfterClose) }
+
+func testHandleSendAfterClose(t *testing.T, m execMode) {
+	h := m.Start(context.Background(), incBox("x", 1))
 	h.Close()
 	if err := h.Send(recN(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
@@ -270,13 +287,15 @@ func TestHandleSendAfterClose(t *testing.T) {
 	h.Wait()
 }
 
-func TestHandleCancelDrains(t *testing.T) {
+func TestHandleCancelDrains(t *testing.T) { bothPlans(t, testHandleCancelDrains) }
+
+func testHandleCancelDrains(t *testing.T, m execMode) {
 	slow := NewBox("slow", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			time.Sleep(5 * time.Millisecond)
 			return out.Out(1, args[0].(int))
 		})
-	h := Start(context.Background(), Serial(slow, slow))
+	h := m.Start(context.Background(), Serial(slow, slow))
 	for i := 0; i < 50; i++ {
 		if err := h.Send(recN(i)); err != nil {
 			break
@@ -297,10 +316,12 @@ func TestHandleCancelDrains(t *testing.T) {
 	}
 }
 
-func TestRunUntilFirstResultWins(t *testing.T) {
+func TestRunUntilFirstResultWins(t *testing.T) { bothPlans(t, testRunUntilFirstResultWins) }
+
+func testRunUntilFirstResultWins(t *testing.T, m execMode) {
 	n := incBox("inc", 1)
 	inputs := []*Record{recN(10), recN(20), recN(30)}
-	rec, _, err := RunUntil(context.Background(), n, inputs, func(r *Record) bool {
+	rec, _, err := m.RunUntil(context.Background(), n, inputs, func(r *Record) bool {
 		v, _ := r.Tag("n")
 		return v > 15
 	})
@@ -312,8 +333,10 @@ func TestRunUntilFirstResultWins(t *testing.T) {
 	}
 }
 
-func TestRunUntilNoMatchReturnsNil(t *testing.T) {
-	rec, _, err := RunUntil(context.Background(), incBox("inc", 1),
+func TestRunUntilNoMatchReturnsNil(t *testing.T) { bothPlans(t, testRunUntilNoMatchReturnsNil) }
+
+func testRunUntilNoMatchReturnsNil(t *testing.T, m execMode) {
+	rec, _, err := m.RunUntil(context.Background(), incBox("inc", 1),
 		[]*Record{recN(1)}, func(r *Record) bool { return false })
 	if rec != nil || err != nil {
 		t.Fatalf("rec=%v err=%v", rec, err)

@@ -29,9 +29,11 @@ func waitCounter(t *testing.T, get func() int64, want int64, what string) {
 // the addressed replica — the gauge decrements, records routed before the
 // close still reach the replica, and a later record with the same key gets
 // a fresh replica.
-func TestSplitReplicaCloseProtocol(t *testing.T) {
+func TestSplitReplicaCloseProtocol(t *testing.T) { bothPlans(t, testSplitReplicaCloseProtocol) }
+
+func testSplitReplicaCloseProtocol(t *testing.T, m execMode) {
 	n := NamedSplit("cp", incBox("cpinc", 1), "k")
-	h := Start(context.Background(), n)
+	h := m.Start(context.Background(), n)
 	send := func(r *Record) {
 		t.Helper()
 		if err := h.Send(r); err != nil {
@@ -83,9 +85,11 @@ func TestSplitReplicaCloseProtocol(t *testing.T) {
 // TestSplitReplicaCloseAck: the acknowledgement variant re-emits the close
 // record downstream strictly after the replica's last output — and
 // immediately when no replica exists.
-func TestSplitReplicaCloseAck(t *testing.T) {
+func TestSplitReplicaCloseAck(t *testing.T) { bothPlans(t, testSplitReplicaCloseAck) }
+
+func testSplitReplicaCloseAck(t *testing.T, m execMode) {
 	n := NamedSplit("ack", incBox("ackinc", 1), "k")
-	h := Start(context.Background(), n)
+	h := m.Start(context.Background(), n)
 	const burst = 5
 	for i := 0; i < burst; i++ {
 		if err := h.Send(NewRecord().SetTag("n", i).SetTag("k", 7)); err != nil {
@@ -131,10 +135,12 @@ func TestSplitReplicaCloseAck(t *testing.T) {
 
 // TestSplitDetCloseAck: the close protocol on the deterministic variant —
 // the ack still follows every buffered region of the retired replica.
-func TestSplitDetCloseAck(t *testing.T) {
+func TestSplitDetCloseAck(t *testing.T) { bothPlans(t, testSplitDetCloseAck) }
+
+func testSplitDetCloseAck(t *testing.T, m execMode) {
 	n := NamedSplitDet("dack", incBox("dackinc", 1), "k")
 	inputsDone := make(chan struct{})
-	h := Start(context.Background(), n)
+	h := m.Start(context.Background(), n)
 	go func() {
 		defer close(inputsDone)
 		for i := 0; i < 6; i++ {
@@ -174,11 +180,15 @@ func TestSplitDetCloseAck(t *testing.T) {
 // inner split crosses an outer split (whose index tag it lacks) instead of
 // being dropped as untagged.
 func TestSplitCloseForwardsThroughOtherSplits(t *testing.T) {
+	bothPlans(t, testSplitCloseForwardsThroughOtherSplits)
+}
+
+func testSplitCloseForwardsThroughOtherSplits(t *testing.T, m execMode) {
 	n := Serial(
 		NamedSplit("outer", incBox("oi", 1), "a"),
 		NamedSplit("inner", incBox("ii", 1), "b"),
 	)
-	h := Start(context.Background(), n)
+	h := m.Start(context.Background(), n)
 	if err := h.Send(NewRecord().SetTag("n", 1).SetTag("a", 0).SetTag("b", 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +219,12 @@ func TestSplitCloseForwardsThroughOtherSplits(t *testing.T) {
 // state and are retired only by the close protocol — WithReplicaIdleReap
 // must not sweep them.
 func TestSessionSplitExemptFromIdleReap(t *testing.T) {
+	bothPlans(t, testSessionSplitExemptFromIdleReap)
+}
+
+func testSessionSplitExemptFromIdleReap(t *testing.T, m execMode) {
 	n := SessionSplit("mux", incBox("mi", 1), "sid")
-	h := Start(context.Background(), n, WithReplicaIdleReap(20*time.Millisecond))
+	h := m.Start(context.Background(), n, WithReplicaIdleReap(20*time.Millisecond))
 	if err := h.Send(NewRecord().SetTag("n", 1).SetTag("sid", 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -233,9 +247,11 @@ func TestSessionSplitExemptFromIdleReap(t *testing.T) {
 // TestSplitReplicaIdleReap: replicas whose key goes quiet are reclaimed by
 // WithReplicaIdleReap — gauge back to 0 with the run still live — and a
 // returning key gets a fresh, working replica.
-func TestSplitReplicaIdleReap(t *testing.T) {
+func TestSplitReplicaIdleReap(t *testing.T) { bothPlans(t, testSplitReplicaIdleReap) }
+
+func testSplitReplicaIdleReap(t *testing.T, m execMode) {
 	n := NamedSplit("reap", incBox("reapinc", 1), "k")
-	h := Start(context.Background(), n, WithReplicaIdleReap(30*time.Millisecond))
+	h := m.Start(context.Background(), n, WithReplicaIdleReap(30*time.Millisecond))
 	for k := 0; k < 4; k++ {
 		if err := h.Send(NewRecord().SetTag("n", k).SetTag("k", k)); err != nil {
 			t.Fatal(err)
@@ -284,9 +300,11 @@ func TestReservedLabelsRejectedByParsers(t *testing.T) {
 }
 
 // TestHideTags: the tag-hiding node strips exactly the named tags.
-func TestHideTags(t *testing.T) {
+func TestHideTags(t *testing.T) { bothPlans(t, testHideTags) }
+
+func testHideTags(t *testing.T, m execMode) {
 	n := Serial(incBox("h", 1), HideTags("aux", "absent"))
-	out, _, err := RunAll(context.Background(),
+	out, _, err := m.RunAll(context.Background(),
 		n, []*Record{NewRecord().SetTag("n", 1).SetTag("aux", 9).SetTag("keep", 3)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("out=%d err=%v", len(out), err)

@@ -193,12 +193,13 @@ func TestStreamSendDirectConcurrent(t *testing.T) {
 }
 
 // End to end: the run-level frame counters must show amortization — a hot
-// pipeline at B=64 takes fewer frames per record than at B=1.
+// pipeline at B=64 takes fewer frames per record than at B=1.  The subject is
+// the frame transport, so the pipeline runs stage-per-goroutine.
 func TestStreamStatsShowAmortization(t *testing.T) {
 	pipeline := func(b int) (frames, records int64) {
 		n := Serial(incBox("s1", 1), incBox("s2", 1), incBox("s3", 1))
 		inputs := seqInputs(256, func(i int, r *Record) { r.SetTag("n", i) })
-		out, stats, err := RunAll(context.Background(), n, inputs,
+		out, stats, err := unfused.RunAll(context.Background(), n, inputs,
 			WithStreamBatch(b), WithBoxWorkers(1))
 		if err != nil || len(out) != 256 {
 			t.Fatalf("B=%d: out=%d err=%v", b, len(out), err)
@@ -226,7 +227,7 @@ func TestStreamRecordCounterExcludesMarkers(t *testing.T) {
 			r.SetTag("b", i)
 		}
 	})
-	out, stats, err := RunAll(context.Background(), n, inputs, WithStreamBatch(8))
+	out, stats, err := unfused.RunAll(context.Background(), n, inputs, WithStreamBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +242,9 @@ func TestStreamRecordCounterExcludesMarkers(t *testing.T) {
 func ExampleWithStreamBatch() {
 	inc := NewBox("inc", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)+1) })
-	out, _, _ := RunAll(context.Background(), inc,
+	out, _, _ := MustCompile(inc).RunAll(context.Background(),
 		[]*Record{NewRecord().SetTag("n", 41)},
-		WithStreamBatch(64), WithStreamBuffer(16))
+		WithStreamBatch(64), WithBuffer(16))
 	fmt.Println(out[0])
 	// Output: {<n>=42}
 }

@@ -11,26 +11,28 @@ import (
 func TestBufferSizeSweep(t *testing.T) {
 	for _, buf := range []int{0, 1, 4, 64} {
 		t.Run(fmt.Sprintf("buf%d", buf), func(t *testing.T) {
-			fork := NewBox("fork", MustParseSignature("(<n>) -> (<n>,<k>) | (<n>,<done>)"),
-				func(args []any, out *Emitter) error {
-					n := args[0].(int)
-					if n <= 0 {
-						return out.Out(2, 0, 1)
-					}
-					if err := out.Out(1, n-1, n%3); err != nil {
-						return err
-					}
-					return out.Out(1, n-1, (n+1)%3)
-				})
-			net := NamedStar("loop", NamedSplit("fan", fork, "k"), MustParsePattern("{<done>}"))
-			inputs := []*Record{recN(4).SetTag("k", 0), recN(3).SetTag("k", 1)}
-			out, _, err := RunAll(context.Background(), net, inputs, WithBuffer(buf))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out) != 16+8 {
-				t.Fatalf("got %d records, want 24", len(out))
-			}
+			bothPlans(t, func(t *testing.T, m execMode) {
+				fork := NewBox("fork", MustParseSignature("(<n>) -> (<n>,<k>) | (<n>,<done>)"),
+					func(args []any, out *Emitter) error {
+						n := args[0].(int)
+						if n <= 0 {
+							return out.Out(2, 0, 1)
+						}
+						if err := out.Out(1, n-1, n%3); err != nil {
+							return err
+						}
+						return out.Out(1, n-1, (n+1)%3)
+					})
+				net := NamedStar("loop", NamedSplit("fan", fork, "k"), MustParsePattern("{<done>}"))
+				inputs := []*Record{recN(4).SetTag("k", 0), recN(3).SetTag("k", 1)}
+				out, _, err := m.RunAll(context.Background(), net, inputs, WithBuffer(buf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) != 16+8 {
+					t.Fatalf("got %d records, want 24", len(out))
+				}
+			})
 		})
 	}
 }
@@ -39,22 +41,26 @@ func TestBufferSizeSweep(t *testing.T) {
 func TestBufferSizeSweepDeterministic(t *testing.T) {
 	for _, buf := range []int{0, 1, 16} {
 		t.Run(fmt.Sprintf("buf%d", buf), func(t *testing.T) {
-			net := SplitDet(StarDet(decBox(), MustParsePattern("{<done>}")), "k")
-			inputs := seqInputs(12, func(i int, r *Record) {
-				r.SetTag("k", i%3).SetTag("n", i%4)
+			bothPlans(t, func(t *testing.T, m execMode) {
+				net := SplitDet(StarDet(decBox(), MustParsePattern("{<done>}")), "k")
+				inputs := seqInputs(12, func(i int, r *Record) {
+					r.SetTag("k", i%3).SetTag("n", i%4)
+				})
+				out, _, err := m.RunAll(context.Background(), net, inputs, WithBuffer(buf))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertOrdered(t, collectSeqs(t, out), 12)
 			})
-			out, _, err := RunAll(context.Background(), net, inputs, WithBuffer(buf))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertOrdered(t, collectSeqs(t, out), 12)
 		})
 	}
 }
 
 // A record flood through a deep pipeline of replicated boxes — the shape of
 // the sudoku networks at scale.
-func TestStressDeepNesting(t *testing.T) {
+func TestStressDeepNesting(t *testing.T) { bothPlans(t, testStressDeepNesting) }
+
+func testStressDeepNesting(t *testing.T, m execMode) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -72,7 +78,7 @@ func TestStressDeepNesting(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = NewRecord().SetTag("n", i).SetTag("hops", 20+i%10).SetTag("k", i%8)
 	}
-	out, stats, err := RunAll(context.Background(), net, inputs)
+	out, stats, err := m.RunAll(context.Background(), net, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +100,14 @@ func TestStressDeepNesting(t *testing.T) {
 
 // Concurrent network instances sharing the same Node blueprint must not
 // interfere (Nodes are blueprints; all state is per-run).
-func TestSharedBlueprintConcurrentRuns(t *testing.T) {
+func TestSharedBlueprintConcurrentRuns(t *testing.T) { bothPlans(t, testSharedBlueprintConcurrentRuns) }
+
+func testSharedBlueprintConcurrentRuns(t *testing.T, m execMode) {
 	net := Serial(incBox("shared", 1), NamedStar("loop", decBox(), MustParsePattern("{<done>}")))
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			out, _, err := RunAll(context.Background(), net,
+			out, _, err := m.RunAll(context.Background(), net,
 				[]*Record{recN(3 + g%3), recN(2)})
 			if err == nil && len(out) != 2 {
 				err = fmt.Errorf("got %d records", len(out))
@@ -116,10 +124,12 @@ func TestSharedBlueprintConcurrentRuns(t *testing.T) {
 
 // Repeated starts of the same handle pattern: Start/Send/Cancel in a tight
 // loop must stay leak- and panic-free.
-func TestStartCancelChurn(t *testing.T) {
+func TestStartCancelChurn(t *testing.T) { bothPlans(t, testStartCancelChurn) }
+
+func testStartCancelChurn(t *testing.T, m execMode) {
 	net := NamedSplit("churn", incBox("c", 1), "k")
 	for i := 0; i < 50; i++ {
-		h := Start(context.Background(), net)
+		h := m.Start(context.Background(), net)
 		_ = h.Send(NewRecord().SetTag("n", i).SetTag("k", i%2))
 		if i%2 == 0 {
 			h.Close()
@@ -133,7 +143,9 @@ func TestStartCancelChurn(t *testing.T) {
 }
 
 // Empty input: the network must open and drain cleanly.
-func TestEmptyRun(t *testing.T) {
+func TestEmptyRun(t *testing.T) { bothPlans(t, testEmptyRun) }
+
+func testEmptyRun(t *testing.T, m execMode) {
 	for _, net := range []Node{
 		incBox("e", 1),
 		Parallel(incBox("a", 1), incBox("b", 2)),
@@ -141,7 +153,7 @@ func TestEmptyRun(t *testing.T) {
 		SplitDet(incBox("d", 1), "k"),
 		Sync(MustParsePattern("{a}"), MustParsePattern("{b}")),
 	} {
-		out, _, err := RunAll(context.Background(), net, nil)
+		out, _, err := m.RunAll(context.Background(), net, nil)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("%s: out=%d err=%v", net, len(out), err)
 		}

@@ -3,11 +3,46 @@ package lang
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// runAll is this package's one route from a built net to its outputs.  It
+// runs the net on both of its execution plans — the un-fused blueprint, the
+// reference, then the fused default — requires the same records from both,
+// and returns the default run's.
+func runAll(t *testing.T, net core.Node, inputs []*core.Record) ([]*core.Record, *core.Stats, error) {
+	t.Helper()
+	run := func(fuse bool) ([]*core.Record, *core.Stats, error) {
+		plan, _ := core.Compile(net, core.WithFusion(fuse)) // findings are other tests' subject
+		in := make([]*core.Record, len(inputs))
+		for i, r := range inputs {
+			in[i] = r.Copy()
+		}
+		return plan.RunAll(context.Background(), in)
+	}
+	render := func(recs []*core.Record) []string {
+		out := make([]string, len(recs))
+		for i, r := range recs {
+			out[i] = r.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	want, _, err := run(false)
+	if err != nil {
+		return want, nil, err
+	}
+	got, stats, err := run(true)
+	if err == nil && !reflect.DeepEqual(render(got), render(want)) {
+		t.Fatalf("fused plan diverges from the un-fused reference:\n%v\n%v", render(got), render(want))
+	}
+	return got, stats, err
+}
 
 func incFn(delta int) core.BoxFunc {
 	return func(args []any, out *core.Emitter) error {
@@ -36,7 +71,7 @@ func TestBuildAndRunPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := core.RunAll(context.Background(), net,
+	out, _, err := runAll(t, net,
 		[]*core.Record{core.NewRecord().SetTag("n", 0)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -54,7 +89,7 @@ func TestBuildStarLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := core.RunAll(context.Background(), net,
+	out, stats, err := runAll(t, net,
 		[]*core.Record{core.NewRecord().SetTag("n", 5)})
 	if err != nil || len(out) != 1 {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -79,7 +114,7 @@ func TestBuildSplitAndFilter(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		inputs = append(inputs, core.NewRecord().SetTag("n", i))
 	}
-	out, stats, err := core.RunAll(context.Background(), net, inputs)
+	out, stats, err := runAll(t, net, inputs)
 	if err != nil || len(out) != 9 {
 		t.Fatalf("out=%d err=%v", len(out), err)
 	}
@@ -97,7 +132,7 @@ func TestBuildNestedNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := core.RunAll(context.Background(), net,
+	out, _, err := runAll(t, net,
 		[]*core.Record{core.NewRecord().SetTag("n", 0)})
 	if err != nil || len(out) != 1 {
 		t.Fatal(err)
@@ -141,7 +176,7 @@ func TestBuildRegisteredNodeOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, _ := core.RunAll(context.Background(), net,
+	out, _, _ := runAll(t, net,
 		[]*core.Record{core.NewRecord().SetTag("n", 0)})
 	if v, _ := out[0].Tag("n"); v != 7 {
 		t.Fatalf("n = %d", v)
@@ -179,7 +214,7 @@ func TestBuildDeterministicVariants(t *testing.T) {
 		core.NewRecord().SetTag("n", 1).SetTag("seq", 1),
 		core.NewRecord().SetTag("n", 3).SetTag("seq", 2),
 	}
-	out, _, err := core.RunAll(context.Background(), net, inputs)
+	out, _, err := runAll(t, net, inputs)
 	if err != nil || len(out) != 3 {
 		t.Fatalf("out=%d err=%v", len(out), err)
 	}
@@ -195,7 +230,7 @@ func TestBuildSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := core.RunAll(context.Background(), net, []*core.Record{
+	out, _, err := runAll(t, net, []*core.Record{
 		core.NewRecord().SetField("a", 1),
 		core.NewRecord().SetField("b", 2),
 	})

@@ -114,12 +114,16 @@ func Fig3Net(cfg NetConfig) core.Node {
 	)
 }
 
-// SolveWithNet runs one puzzle through a solver network and returns the
-// first completed board (nil if the network drains without a solution —
-// unsolvable puzzle), together with the run's statistics.
+// SolveWithNet compiles a solver network, runs one puzzle through the plan
+// and returns the first completed board (nil if the network drains without a
+// solution — unsolvable puzzle), together with the run's statistics.
 func SolveWithNet(ctx context.Context, net core.Node, puzzle *Board, opts ...core.Option) (*Board, *core.Stats, error) {
+	plan, err := core.Compile(net)
+	if err != nil {
+		return nil, nil, err
+	}
 	input := core.NewRecord().SetField("board", puzzle)
-	rec, stats, err := core.RunUntil(ctx, net, []*core.Record{input}, func(r *core.Record) bool {
+	rec, stats, err := plan.RunUntil(ctx, []*core.Record{input}, func(r *core.Record) bool {
 		v, ok := r.Field("board")
 		if !ok {
 			return false

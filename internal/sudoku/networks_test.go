@@ -182,28 +182,30 @@ func TestNetworkInconsistentInput(t *testing.T) {
 	}
 }
 
-// The network's type signature is inferable and the serial composition of
-// the figure networks carries no hard errors.
+// The figure networks compile: their type signatures are inferable and the
+// compile phase has no definite finding against them.
 func TestNetworksTypecheck(t *testing.T) {
 	for name, net := range map[string]core.Node{
 		"fig1": Fig1Net(NetConfig{}),
 		"fig2": Fig2Net(NetConfig{}),
 		"fig3": Fig3Net(NetConfig{}),
 	} {
-		in, out, diags := core.Check(net)
-		if len(in) == 0 || len(out) == 0 {
+		plan, err := core.Compile(net)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(plan.In()) == 0 || len(plan.Out()) == 0 {
 			t.Fatalf("%s: empty signature", name)
 		}
-		for _, d := range diags {
+		for _, d := range plan.Warnings() {
 			if !d.Warning {
 				t.Fatalf("%s: type error: %v", name, d)
 			}
 		}
 	}
 	// Fig. 1's inferred input must accept a plain {board} record.
-	in, _ := core.Infer(Fig1Net(NetConfig{}))
 	rec := core.NewRecord().SetField("board", Easy())
-	if core.MatchScore(rec, in) < 0 {
+	if core.MatchScore(rec, core.MustCompile(Fig1Net(NetConfig{})).In()) < 0 {
 		t.Fatal("fig1 input type rejects {board}")
 	}
 }

@@ -143,8 +143,12 @@ func (s *SacBoxes) SolveHybrid(ctx context.Context, puzzle *Board, opts ...core.
 	if puzzle.SubSize() != 3 {
 		return nil, nil, fmt.Errorf("sudoku: the paper's SaC code is written for 9×9 boards")
 	}
+	plan, err := core.Compile(s.Fig1HybridNet())
+	if err != nil {
+		return nil, nil, err
+	}
 	input := core.NewRecord().SetField("board", BoardToValue(puzzle))
-	rec, stats, err := core.RunUntil(ctx, s.Fig1HybridNet(), []*core.Record{input},
+	rec, stats, err := plan.RunUntil(ctx, []*core.Record{input},
 		func(r *core.Record) bool {
 			_, done := r.Tag("done")
 			return done

@@ -8,39 +8,60 @@ import (
 	"repro/snet"
 )
 
-func TestWavefrontMatchesReference(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			seed := int64(7 * n)
-			out, stats, err := snet.RunAll(context.Background(), WavefrontNet(n, seed),
-				[]*snet.Record{WavefrontSeed()})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if len(out) != 1 {
-				t.Fatalf("want 1 output record, got %d: %v", len(out), out)
-			}
-			got := out[0].MustField("result").(int)
-			want := WavefrontReference(n, seed)
-			if got != want {
-				t.Fatalf("wavefront n=%d: got %d, want %d", n, got, want)
-			}
-			m := stats.Snapshot()
-			if fired, interior := m["sync.wave_join.fired"], int64((n-1)*(n-1)); fired != interior {
-				t.Errorf("sync.wave_join.fired = %d, want %d (one per interior cell)", fired, interior)
-			}
-			if starved := m["sync.wave_join.starved"]; starved != 0 {
-				t.Errorf("sync.wave_join.starved = %d, want 0", starved)
-			}
+// bothPlans runs body once per execution plan of a workload net: the
+// un-fused blueprint (the reference) and the fused default.  compile is this
+// package's one route from a Node to something that runs.
+func bothPlans(t *testing.T, body func(t *testing.T, compile func(snet.Node) *snet.Plan)) {
+	for _, fuse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fuse=%v", fuse), func(t *testing.T) {
+			body(t, func(net snet.Node) *snet.Plan {
+				plan, err := snet.Compile(net, snet.WithFusion(fuse))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return plan
+			})
 		})
 	}
 }
 
-func TestDivConqMatchesReference(t *testing.T) {
+func TestWavefrontMatchesReference(t *testing.T) {
+	for _, n := range []int{2, 3, 5, 8} {
+		n := n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+				seed := int64(7 * n)
+				out, stats, err := compile(WavefrontNet(n, seed)).RunAll(context.Background(),
+					[]*snet.Record{WavefrontSeed()})
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if len(out) != 1 {
+					t.Fatalf("want 1 output record, got %d: %v", len(out), out)
+				}
+				got := out[0].MustField("result").(int)
+				want := WavefrontReference(n, seed)
+				if got != want {
+					t.Fatalf("wavefront n=%d: got %d, want %d", n, got, want)
+				}
+				m := stats.Snapshot()
+				if fired, interior := m["sync.wave_join.fired"], int64((n-1)*(n-1)); fired != interior {
+					t.Errorf("sync.wave_join.fired = %d, want %d (one per interior cell)", fired, interior)
+				}
+				if starved := m["sync.wave_join.starved"]; starved != 0 {
+					t.Errorf("sync.wave_join.starved = %d, want 0", starved)
+				}
+			})
+		})
+	}
+}
+
+func TestDivConqMatchesReference(t *testing.T) { bothPlans(t, testDivConqMatchesReference) }
+
+func testDivConqMatchesReference(t *testing.T, compile func(snet.Node) *snet.Plan) {
 	const jobs, n, leaf = 3, 64, 8
 	seed := int64(42)
-	out, stats, err := snet.RunAll(context.Background(), DivConqNet(n, leaf),
+	out, stats, err := compile(DivConqNet(n, leaf)).RunAll(context.Background(),
 		DivConqJobs(jobs, n, seed),
 		snet.WithMaxSplitWidth(DivConqSplitWidth(jobs, n, leaf)))
 	if err != nil {
@@ -76,13 +97,15 @@ func TestDivConqMatchesReference(t *testing.T) {
 	}
 }
 
-func TestWebPipeMatchesReference(t *testing.T) {
+func TestWebPipeMatchesReference(t *testing.T) { bothPlans(t, testWebPipeMatchesReference) }
+
+func testWebPipeMatchesReference(t *testing.T, compile func(snet.Node) *snet.Plan) {
 	const c = 60
 	in := make([]*snet.Record, c)
 	for i := range in {
 		in[i] = WebPipeRequest(i)
 	}
-	out, _, err := snet.RunAll(context.Background(), WebPipeNet(), in)
+	out, _, err := compile(WebPipeNet()).RunAll(context.Background(), in)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

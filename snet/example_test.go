@@ -51,24 +51,6 @@ func ExampleCompile_typeError() {
 	// Output: unreachable-branch eatAC
 }
 
-// The pre-Plan quickstart keeps working unchanged: Start is a
-// compile-and-run shim (Compile with diagnostics discarded, then
-// Plan.Start).
-func ExampleStart() {
-	inc := snet.NewBox("inc", snet.MustParseSignature("(<n>) -> (<n>)"),
-		func(args []any, out *snet.Emitter) error {
-			return out.Out(1, args[0].(int)+1)
-		})
-	net := snet.Serial(inc, snet.MustFilter("{<n>} -> {<n>=<n>*2}"))
-	h := snet.Start(context.Background(), net)
-	h.Send(snet.NewRecord().SetTag("n", 20))
-	h.Close()
-	for r := range h.Out() {
-		fmt.Println(r)
-	}
-	// Output: {<n>=42}
-}
-
 // The smallest network: one box, one filter, serially composed.
 func Example() {
 	square := snet.NewBox("square",
@@ -79,7 +61,7 @@ func Example() {
 		})
 	net := snet.Serial(square, snet.MustFilter("{<sq>} -> {<result>=<sq>+1}"))
 
-	out, _, _ := snet.RunAll(context.Background(), net,
+	out, _, _ := snet.MustCompile(net).RunAll(context.Background(),
 		[]*snet.Record{snet.NewRecord().SetTag("n", 6)})
 	fmt.Println(out[0])
 	// Output: {<n>=6, <result>=37}
@@ -98,7 +80,7 @@ func ExampleStar() {
 			return out.Out(1, n-1)
 		})
 	net := snet.Star(dec, snet.MustParsePattern("{<done>}"))
-	out, stats, _ := snet.RunAll(context.Background(), net,
+	out, stats, _ := snet.MustCompile(net).RunAll(context.Background(),
 		[]*snet.Record{snet.NewRecord().SetTag("n", 3)})
 	fmt.Println(len(out), stats.SumPrefix("star.") > 0)
 	// Output: 1 true
@@ -113,7 +95,7 @@ func ExampleSplit() {
 	for i := 0; i < 6; i++ {
 		inputs = append(inputs, snet.NewRecord().SetTag("n", i).SetTag("k", i%2))
 	}
-	out, stats, _ := snet.RunAll(context.Background(), net, inputs)
+	out, stats, _ := snet.MustCompile(net).RunAll(context.Background(), inputs)
 	got := make([]int, 0, len(out))
 	for _, r := range out {
 		n, _ := r.Tag("n")
@@ -131,7 +113,7 @@ func ExampleNewBox_flowInheritance() {
 			return out.Out(1, "B")
 		})
 	in := snet.NewRecord().SetField("a", "A").SetTag("extra", 7)
-	out, _, _ := snet.RunAll(context.Background(), foo, []*snet.Record{in})
+	out, _, _ := snet.MustCompile(foo).RunAll(context.Background(), []*snet.Record{in})
 	fmt.Println(out[0])
 	// Output: {b=B, <extra>=7}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // A complete textual S-Net program: declare boxes, bind implementations,
-// build and run — the paper's Fig. 1 shape on a toy countdown.
+// compile and run — the paper's Fig. 1 shape on a toy countdown.
 func Example() {
 	src := `
 		// countdown: each stage decrements <n>; <done> exits the chain
@@ -24,11 +24,11 @@ func Example() {
 			}
 			return out.Out(1, n-1)
 		})
-	net, err := lang.BuildText(src, "countdown", reg)
+	plan, err := lang.CompileNet(lang.MustParse(src), "countdown", reg)
 	if err != nil {
 		panic(err)
 	}
-	out, _, _ := snet.RunAll(context.Background(), net,
+	out, _, _ := plan.RunAll(context.Background(),
 		[]*snet.Record{snet.NewRecord().SetTag("n", 3)})
 	_, done := out[0].Tag("done")
 	fmt.Println(len(out), done)

@@ -62,17 +62,17 @@ type engine struct {
 }
 
 // newEngine builds the warm instance for one network and starts its feeder
-// and demux loops.  The engine wraps the network's compiled plan, so shared
-// sessions dispatch through the same routing tables as isolated ones.
+// and demux loops.  The engine's blueprint is the network under the session
+// split, compiled once like any other network: every session replica then
+// unfolds the same fused, table-routed program an isolated session runs —
+// O(barriers) goroutines per session instead of O(stages).
 func newEngine(n *Network) (*engine, error) {
-	plan, err := n.Plan()
-	if err != nil {
+	if _, err := n.Plan(); err != nil {
 		return nil, err
 	}
-	// The session split wraps the *execution* tree: with fusion on, every
-	// session replica then unfolds the fused segments — O(barriers)
-	// goroutines per session instead of O(stages).
-	root := plan.ExecRoot()
+	// The network's own findings are already on record (PlanErr), and a plan
+	// with findings still runs.
+	mux, _ := snet.Compile(snet.SessionSplit(sessionMuxName, n.root, sessionTag))
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &engine{
 		net:        n,
@@ -84,8 +84,7 @@ func newEngine(n *Network) (*engine, error) {
 		demuxDone:  make(chan struct{}),
 		feederDone: make(chan struct{}),
 	}
-	e.handle = snet.Start(ctx, snet.SessionSplit(sessionMuxName, root, sessionTag),
-		n.opts.runOptions()...)
+	e.handle = mux.Start(ctx, n.opts.runOptions()...)
 	go e.demux()
 	go e.feeder()
 	return e, nil

@@ -4,8 +4,9 @@
 // in the spirit of the S-Net runtime evaluations of Zaichenkov et al.
 // (arXiv:1305.7167) and Poss et al. (arXiv:1306.2743).
 //
-// A Service holds named network definitions.  Each client session
-// instantiates its chosen network (snet.Start), streams records in with
+// A Service holds named network definitions, each compiled once into a
+// snet.Plan.  Each client session runs its chosen network's plan
+// (Plan.Start), streams records in with
 // backpressure from the bounded stream buffers, and drains results; the
 // service enforces a per-network session cap, aggregates per-network
 // throughput/latency counters, and guarantees leak-free shutdown by
@@ -40,8 +41,8 @@ import (
 type SessionMode int
 
 const (
-	// Isolated starts one private network instance per session (snet.Start
-	// on Open, cancel on Release) — full fault and performance isolation,
+	// Isolated starts one private run of the network's plan per session
+	// (Plan.Start on Open, cancel on Release) — full fault and performance isolation,
 	// at the price of instantiating the whole combinator graph per client.
 	// It is the default and the backward-compatible behaviour.
 	Isolated SessionMode = iota
@@ -124,12 +125,6 @@ type Options struct {
 	// protocol regardless; this knob additionally covers splits inside the
 	// user's network.
 	ReplicaIdleReap time.Duration
-	// NoFusion compiles the network with the pipeline-fusion pass off
-	// (snet.WithFusion(false)): every stage keeps its own goroutine and
-	// stream.  The zero value — fusion on — is right for production; the
-	// knob exists for triage and baseline measurement (snetd -fuse=false,
-	// SNET_FUSE=0).
-	NoFusion bool
 }
 
 // DefaultMaxSessions is the session cap applied when Options.MaxSessions is
@@ -197,10 +192,11 @@ func (o Options) maxSessions() int {
 	}
 }
 
-// Builder instantiates a network definition for one run.  It receives the
-// network's options so data-parallel pools and throttles can be wired in;
-// it must return a fresh Node tree (node trees are reusable, so returning a
-// shared tree is also correct — snet.Start never mutates it).
+// Builder produces a network definition's blueprint.  It receives the
+// network's options so data-parallel pools and throttles can be wired in.
+// The first blueprint it returns is compiled (Network.Plan) and every session
+// runs that plan; node trees are immutable, so returning a shared tree is
+// correct.
 type Builder func(opts Options) (snet.Node, error)
 
 // Network is one registered network definition plus its service-level
@@ -224,6 +220,7 @@ type Network struct {
 	// every session in both modes (nodes are stateless blueprints; the
 	// plan's routing tables are the shared artifact sessions amortize).
 	planMu   sync.Mutex
+	root     snet.Node // the builder's blueprint; immutable once planDone
 	plan     *snet.Plan
 	planErr  error // compile diagnostics of the cached plan (*snet.CompileError or nil)
 	planDone bool
@@ -246,8 +243,8 @@ func (n *Network) Plan() (*snet.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, cerr := snet.Compile(root, snet.WithFusion(!n.opts.NoFusion))
-	n.plan = plan
+	plan, cerr := snet.Compile(root)
+	n.root, n.plan = root, plan
 	n.planDone = true
 	if cerr != nil {
 		n.planErr = cerr

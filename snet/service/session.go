@@ -15,8 +15,8 @@ import (
 //
 //	Open → Send* → CloseInput → Recv* (until done) → Release
 //
-// In Isolated mode the backend is a private network instance (snet.Start
-// per session); in Shared mode it is one replica slot of the network's warm
+// In Isolated mode the backend is a private run of the network's plan
+// (Plan.Start per session); in Shared mode it is one replica slot of the network's warm
 // engine (see engine.go) and Open never instantiates a graph.
 //
 // Release is mandatory and idempotent.  Isolated: it cancels the run

@@ -14,11 +14,12 @@
 //
 // plus housekeeping Filters, Synchrocells and transparent Observe taps.
 //
-// The API is compile-then-run.  A Node tree is an immutable blueprint;
-// Compile type-checks it (bottom-up inference with record subtyping and
-// flow inheritance, §3–4 of the paper), precomputes the routing tables the
-// hot path dispatches through, and returns a Plan; Plan.Start instantiates
-// runs from the checked blueprint.  Quickstart:
+// The API is compile-then-run, and Compile → Plan.Start is the only way to
+// run a network.  A Node tree is an immutable blueprint; Compile type-checks
+// it (bottom-up inference with record subtyping and flow inheritance, §3–4 of
+// the paper), fuses chains of lightweight stages into single-goroutine
+// segments, and returns a Plan over the routing tables the hot path
+// dispatches through; Plan.Start instantiates runs.  Quickstart:
 //
 //	inc := snet.NewBox("inc", snet.MustParseSignature("(<n>) -> (<n>)"),
 //	    func(args []any, out *snet.Emitter) error {
@@ -31,21 +32,35 @@
 //	h.Close()
 //	for r := range h.Out() { fmt.Println(r) } // {<n>=42}
 //
-// Compile rejects — with node paths — defects that previously surfaced only
-// mid-stream: unreachable Parallel branches, record shapes no branch
-// accepts, box signature mismatches, records reaching a Split without its
-// index tag, reserved-label violations.  Plan.Topology exports the typed
-// graph as JSON.  The pre-Plan entry points remain as shims: Start(ctx,
-// node) is Compile with diagnostics discarded followed by Plan.Start.
+// Compile rejects — with node paths — defects that would otherwise surface
+// mid-stream: unreachable Parallel branches, record shapes no branch accepts,
+// box signature mismatches, records reaching a Split without its index tag,
+// reserved-label violations.
 //
-// See snet/lang for the textual network language of the paper.
+// API at a glance:
+//
+//	build    NewBox NewBoxConcurrent NewFilter FilterFrom MustFilter
+//	         Sync NamedSync Observe HideTags
+//	         Serial Parallel ParallelDet Star StarDet NamedStar NamedStarDet
+//	         Split SplitDet NamedSplit NamedSplitDet SessionSplit
+//	parse    ParseSignature ParsePattern ParseFilter ParseTagExpr (+ Must…)
+//	compile  Compile MustCompile           options: WithInputType WithFusion
+//	inspect  Plan.In Plan.Out Plan.Warnings Plan.TypeErrors
+//	         Plan.Topology Plan.FusionGroups
+//	run      Plan.Start → Handle          harnesses: Plan.RunAll Plan.RunUntil
+//	         options: WithBuffer WithStreamBatch WithBoxWorkers
+//	                  WithMaxStarDepth WithMaxSplitWidth WithReplicaIdleReap
+//	                  WithTracer WithErrorHandler
+//	handle   Send SendCtx SendBatch Close Out Wait Cancel Stats Err
+//	records  NewRecord AcquireRecord ReleaseRecord PoolStats DecodeFlat
+//	errors   ErrClosed ErrCancelled ErrNoRoute (*NoRouteError)
+//	         *CompileError of *TypeError (ErrCode… constants)
+//
+// See snet/lang for the textual network language of the paper, and
+// snet/service for serving compiled networks to concurrent sessions.
 package snet
 
-import (
-	"context"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Core data model.
 type (
@@ -119,8 +134,8 @@ type (
 // WithFusion toggles the compile-time pipeline-fusion pass (default on):
 // maximal chains of lightweight stages — filters, Observe taps, HideTags,
 // and boxes pinned to sequential invocation — collapse into single-goroutine
-// fused segments with no streams between stages.  SNET_FUSE=0 disables the
-// pass process-wide for triage.
+// fused segments with no streams between stages; WithFusion(false) keeps the
+// stage-per-goroutine plan the fused one is tested and measured against.
 var (
 	Compile       = core.Compile
 	MustCompile   = core.MustCompile
@@ -154,7 +169,7 @@ var (
 // record, and ReleaseRecord returns one whose contents are no longer needed
 // (using a record after release panics — ownership transfers completely).
 // PoolStats exposes the acquire/recycle/disown counters leak tests assert
-// on.  Setting SNET_RECORD_POOL=0 disables pooling process-wide.
+// on.
 type RecordPoolStats = core.RecordPoolStats
 
 var (
@@ -235,10 +250,8 @@ const ReservedTagPrefix = core.ReservedTagPrefix
 
 // Run options.
 var (
+	// WithBuffer sets the per-stream buffer capacity in frames.
 	WithBuffer = core.WithBuffer
-	// WithStreamBuffer sets the per-stream buffer capacity in frames
-	// (WithBuffer under its transport-layer name).
-	WithStreamBuffer = core.WithStreamBuffer
 	// WithStreamBatch sets the stream batch size B: how many records a hot
 	// stream coalesces into one channel synchronization.  Flushing is
 	// adaptive — markers, idle inputs and close always flush — so
@@ -258,12 +271,9 @@ var (
 	WithReplicaIdleReap = core.WithReplicaIdleReap
 )
 
-// Typing and analysis.
-var (
-	Infer      = core.Infer
-	Check      = core.Check
-	MatchScore = core.MatchScore
-)
+// MatchScore scores how well a record's label set matches a multivariant
+// type (the best-match measure of §4); -1 means no variant matches.
+var MatchScore = core.MatchScore
 
 // Errors.
 var ErrCancelled = core.ErrCancelled
@@ -272,24 +282,3 @@ var ErrClosed = core.ErrClosed
 // ErrNoRoute is the sentinel under every *NoRouteError — check it with
 // errors.Is on WithErrorHandler callbacks or Handle.Err.
 var ErrNoRoute = core.ErrNoRoute
-
-// Start launches a network; see Handle for the stream API.
-//
-// Start is the legacy compile-and-run shim: it behaves exactly like
-// Compile(root) with diagnostics discarded followed by Plan.Start (the
-// routing tables are shared node artifacts either way).  New code should
-// Compile once and hold the Plan — it surfaces type errors before anything
-// runs and exposes the typed topology.
-func Start(ctx context.Context, root Node, opts ...Option) *Handle {
-	return core.Start(ctx, root, opts...)
-}
-
-// RunAll feeds all inputs, closes the input, and collects every output.
-func RunAll(ctx context.Context, root Node, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
-	return core.RunAll(ctx, root, inputs, opts...)
-}
-
-// RunUntil feeds inputs and returns the first output satisfying stop.
-func RunUntil(ctx context.Context, root Node, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	return core.RunUntil(ctx, root, inputs, stop, opts...)
-}
