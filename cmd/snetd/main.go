@@ -58,7 +58,7 @@ import (
 type config struct {
 	workers       int                 // with-loop pool width inside the boxes
 	grain         int                 // with-loop minimum chunk size (0: sched default)
-	boxWorkers    int                 // concurrent invocations per box node (0: GOMAXPROCS)
+	boxWorkers    int                 // concurrent invocations per box node (0: the runtime chooses)
 	buffer        int                 // stream buffer capacity (frames) per network instance
 	streamBatch   int                 // stream batch size B (0: runtime default)
 	maxSessions   int                 // per-network concurrent session cap
@@ -160,7 +160,7 @@ func main() {
 	)
 	flag.IntVar(&cfg.workers, "workers", 1, "data-parallel with-loop workers per box ('SaC threads')")
 	flag.IntVar(&cfg.grain, "grain", 0, "with-loop minimum chunk size per worker (0: sched default)")
-	flag.IntVar(&cfg.boxWorkers, "box-workers", 0, "concurrent invocations per box node, order-preserving (0: GOMAXPROCS, 1: sequential)")
+	flag.IntVar(&cfg.boxWorkers, "box-workers", 0, "concurrent invocations per box node, order-preserving (0: auto — inline until a box's own service time exceeds the hand-off cost, then up to GOMAXPROCS; 1: sequential)")
 	flag.IntVar(&cfg.buffer, "buffer", 32, "stream buffer capacity (frames) per network instance")
 	flag.IntVar(&cfg.streamBatch, "stream-batch", 0, "records coalesced per stream synchronization, adaptive flush (0: runtime default, 1: unbatched)")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 0, "concurrent sessions per network (0: default 1024, <0: unlimited)")

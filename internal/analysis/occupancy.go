@@ -35,6 +35,10 @@ type Caps struct {
 	StreamBatch int `json:"streamBatch"`
 	// BoxWorkers is the assumed invocation width W for boxes that do not
 	// pin their own width (WithBoxWorkers); pinned boxes use their own.
+	// It also covers a run that gives no width at all: such a box holds 1
+	// record while it runs inline and at most BoxEngineHold(GOMAXPROCS)
+	// once the engine has grown it, so the verdict holds for every run on
+	// at most BoxWorkers processors — the same 2W−1 term either way.
 	BoxWorkers int `json:"boxWorkers"`
 	// SplitWidth is the assumed live replica count per indexed split —
 	// the fold width for capped splits, the assumed concurrent session

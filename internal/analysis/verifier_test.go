@@ -151,3 +151,36 @@ func TestReportDeadlockFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoWidthBoxBoundedAtCap pins what Caps.BoxWorkers promises for a box
+// nobody gave a width: the engine runs it inline, holding one record, or
+// grown to at most the cap, holding BoxEngineHold(cap) — so it is bounded
+// exactly like a box pinned at the cap, and a box pinned sequential sits
+// below it by the reorder stage's share.
+func TestAutoWidthBoxBoundedAtCap(t *testing.T) {
+	pipeline := func(workers int) core.Node {
+		box := func(name string) core.Node {
+			return core.NewBoxConcurrent(name, core.MustParseSignature("(<n>) -> (<n>)"),
+				func(args []any, out *core.Emitter) error { return out.Out(1, args[0].(int)) }, workers)
+		}
+		return core.Serial(box("first"), box("second"))
+	}
+	bound := func(workers int, caps analysis.Caps) int64 {
+		rep := analysis.AnalyzeWithCaps(core.MustCompile(pipeline(workers), core.WithFusion(false)), caps)
+		if rep.Bound == nil || !rep.Bound.Finite {
+			t.Fatalf("workers=%d: want a finite bound, got %v", workers, rep.Bound)
+		}
+		return rep.Bound.Total
+	}
+	for _, w := range []int{1, 4, 16} {
+		caps := analysis.DefaultCaps()
+		caps.BoxWorkers = w
+		auto, pinned, inline := bound(0, caps), bound(w, caps), bound(1, caps)
+		if auto != pinned {
+			t.Errorf("cap %d: auto-width bound %d, pinned-at-cap bound %d", w, auto, pinned)
+		}
+		if want := auto - 2*(core.BoxEngineHold(w)-core.BoxEngineHold(1)); inline != want {
+			t.Errorf("cap %d: pinned-sequential bound %d, want %d", w, inline, want)
+		}
+	}
+}

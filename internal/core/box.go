@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // BoxFunc is the computation wrapped by a box.  It receives the values bound
@@ -25,13 +26,12 @@ var ErrCancelled = errors.New("core: run cancelled")
 // interface function of §4.  It is valid only for the duration of the box
 // call it was passed to.
 type Emitter struct {
-	env      *runEnv
-	out      *streamWriter
-	box      *boxNode
-	src      *Record
-	consumed Variant
-	stopped  bool
-	emitted  int
+	env     *runEnv
+	out     *streamWriter
+	box     *boxNode
+	src     *Record
+	stopped bool
+	emitted int
 	// buf, when non-nil, puts the emitter in buffer mode: outputs are
 	// appended to the fused segment's stage buffer instead of crossing a
 	// stream (fuse.go).  The pointer targets per-run exec state, never a
@@ -73,7 +73,7 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 			rec.SetField(l.Name, vals[i])
 		}
 	}
-	inheritInto(rec, e.src, e.consumed)
+	inheritInto(rec, e.src, e.box.consumed)
 	if e.buf != nil {
 		// Fused path: the segment runs on one goroutine with no stream
 		// between stages, so no send is there to observe cancellation —
@@ -117,6 +117,17 @@ type boxNode struct {
 	fn      BoxFunc
 	workers int // fixed invocation width; 0 inherits the run's WithBoxWorkers
 	keys    boxStatKeys
+	// consumed is the signature's input variant: the labels an invocation
+	// binds, which flow inheritance therefore does not copy to its outputs.
+	consumed Variant
+	// The box engine's measurement of a box nobody gave a width
+	// (boxengine.go): slowRun counts its consecutive slow invocations across
+	// all instances, and escalated is the one-way verdict that it is worth
+	// running concurrently, which every instance follows from then on.  Like
+	// the route tables, this is learned state on an otherwise immutable
+	// blueprint.
+	slowRun   atomic.Int32
+	escalated atomic.Bool
 }
 
 // boxStatKeys are the node's stat-counter keys, concatenated once at
@@ -124,7 +135,7 @@ type boxNode struct {
 type boxStatKeys struct {
 	instances, concurrency, inflight    string
 	calls, emitted, cancelled, rejected string
-	panics                              string
+	panics, escalated                   string
 }
 
 func makeBoxStatKeys(label string) boxStatKeys {
@@ -132,23 +143,26 @@ func makeBoxStatKeys(label string) boxStatKeys {
 	return boxStatKeys{
 		instances: p + "instances", concurrency: p + "concurrency", inflight: p + "inflight",
 		calls: p + "calls", emitted: p + "emitted", cancelled: p + "cancelled",
-		rejected: p + "rejected", panics: p + "panics",
+		rejected: p + "rejected", panics: p + "panics", escalated: p + "escalated",
 	}
 }
 
 // NewBox declares a box with the given name, signature and function —
 // the S-Net `box name (in) -> (out) | ...` declaration.  Its concurrency
-// width is the run's default (WithBoxWorkers, GOMAXPROCS if unset).
+// width is the run's (WithBoxWorkers); with none given the engine chooses:
+// invocations run one at a time on the node's own goroutine until the box
+// function proves slow enough to repay concurrent invocation, then up to
+// GOMAXPROCS at a time (boxengine.go).
 func NewBox(name string, sig *BoxSignature, fn BoxFunc) Node {
 	return NewBoxConcurrent(name, sig, fn, 0)
 }
 
 // NewBoxConcurrent is NewBox with a fixed per-box concurrency width: the
-// node runs up to `workers` invocations of fn at a time regardless of the
-// run's WithBoxWorkers setting.  workers == 0 inherits the run default;
-// workers == 1 pins the box to strictly sequential invocation (for box
-// functions whose statelessness the author does not trust).  Output order
-// is preserved at any width (see boxengine.go).
+// node runs up to `workers` invocations of fn at a time, from its first
+// record on, regardless of the run's WithBoxWorkers setting.  workers == 0
+// is NewBox; workers == 1 pins the box to strictly sequential invocation
+// (for box functions whose statelessness the author does not trust).
+// Output order is preserved at any width (see boxengine.go).
 func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) Node {
 	if name == "" {
 		name = autoName("box")
@@ -163,7 +177,7 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 		workers = 0
 	}
 	return &boxNode{label: name, boxSig: sig, fn: fn, workers: workers,
-		keys: makeBoxStatKeys(name)}
+		keys: makeBoxStatKeys(name), consumed: NewVariant(sig.In...)}
 }
 
 func (b *boxNode) name() string   { return b.label }
@@ -171,77 +185,6 @@ func (b *boxNode) String() string { return "box " + b.label + " " + b.boxSig.Str
 
 func (b *boxNode) sig(*checker) (RecType, RecType) {
 	return b.boxSig.InType(), b.boxSig.OutType()
-}
-
-// width resolves the node's effective invocation width for one run.
-func (b *boxNode) width(env *runEnv) int {
-	w := b.workers
-	if w == 0 {
-		w = env.boxWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	if w := b.width(env); w > 1 {
-		b.runConcurrent(env, in, out, w)
-		return
-	}
-	defer out.close()
-	in.autoFlush(out)
-	env.stats.Add(b.keys.instances, 1)
-	env.stats.SetMax(b.keys.concurrency, 1)
-	consumed := NewVariant(b.boxSig.In...)
-	invoked := false
-	// One emitter and one argument buffer serve every invocation of this
-	// instance: box functions must not retain either after returning (the
-	// BoxFunc contract), so the loop resets rather than reallocates.
-	em := &Emitter{env: env, out: out, box: b, consumed: consumed}
-	argsBuf := make([]any, 0, len(b.boxSig.In))
-	for {
-		it, ok := in.recv()
-		if !ok {
-			return
-		}
-		if it.mk != nil {
-			if !out.send(it) {
-				in.Discard()
-				return
-			}
-			continue
-		}
-		rec := it.rec
-		env.trace(b.label, "in", rec)
-		args, ok := b.bindArgs(rec, argsBuf)
-		if !ok {
-			env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
-				b.label, rec, b.boxSig))
-			env.stats.Add(b.keys.rejected, 1)
-			releaseRecord(rec)
-			continue
-		}
-		if !invoked {
-			// The observed in-flight high-water mark is 1 by construction
-			// here; record it so the key exists at any width.
-			env.stats.SetMax(b.keys.inflight, 1)
-			invoked = true
-		}
-		em.src, em.stopped, em.emitted = rec, false, 0
-		b.invoke(env, args, em)
-		em.src = nil
-		// The invocation is over: the input record was consumed (its values
-		// were bound into args or flow-inherited into fresh outputs), so it
-		// returns to the arena before the next receive.
-		releaseRecord(rec)
-		b.account(env, em)
-		if em.stopped || ctxDone(env.ctx) {
-			in.Discard()
-			return
-		}
-	}
 }
 
 // account settles one finished invocation's counters.  Completed
@@ -277,25 +220,33 @@ func (b *boxNode) invoke(env *runEnv, args []any, em *Emitter) {
 	}
 }
 
-// bindArgs extracts the signature-ordered argument values from a record into
-// buf (reused across invocations on the sequential path; pass nil to
-// allocate).  Box functions must not retain the returned slice.
-func (b *boxNode) bindArgs(rec *Record, buf []any) ([]any, bool) {
+// bind starts an invocation on rec: it traces the record in and extracts
+// the signature-ordered argument values into buf (reused across invocations
+// where they run one at a time; pass nil to allocate).  Box functions must
+// not retain the returned slice.  A record that does not carry the
+// signature's labels is reported, counted under "box.<name>.rejected" and
+// released; bind then returns false.
+func (b *boxNode) bind(env *runEnv, rec *Record, buf []any) ([]any, bool) {
+	env.trace(b.label, "in", rec)
 	args := buf[:0]
 	for _, l := range b.boxSig.In {
+		var (
+			v  any
+			ok bool
+		)
 		if l.IsTag {
-			v, ok := rec.Tag(l.Name)
-			if !ok {
-				return nil, false
-			}
-			args = append(args, v)
+			v, ok = rec.Tag(l.Name)
 		} else {
-			v, ok := rec.Field(l.Name)
-			if !ok {
-				return nil, false
-			}
-			args = append(args, v)
+			v, ok = rec.Field(l.Name)
 		}
+		if !ok {
+			env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
+				b.label, rec, b.boxSig))
+			env.stats.Add(b.keys.rejected, 1)
+			releaseRecord(rec)
+			return nil, false
+		}
+		args = append(args, v)
 	}
 	return args, true
 }

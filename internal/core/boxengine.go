@@ -1,23 +1,31 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// This file is the concurrent box execution engine.  Box functions are
-// stateless by contract (§4: "it is the concern of the box implementation
-// to exploit concurrency internally, and of S-Net to exploit it between
-// boxes"), so one box node may run many invocations at a time.  What the
-// engine must preserve is the stream abstraction around that concurrency:
+// This file is the box execution engine: how one box node instance turns
+// its input stream into invocations of the box function.  It has two modes
+// and a one-way hand-over between them.
+//
+// Inline mode runs every invocation on the node's own goroutine, one at a
+// time, with one reused emitter and argument buffer, emitting straight into
+// the output stream: no goroutine hand-off, no allocation per record.
+//
+// Concurrent mode exists because box functions are stateless by contract
+// (§4: "it is the concern of the box implementation to exploit concurrency
+// internally, and of S-Net to exploit it between boxes"), so one box node
+// may run many invocations at a time.  What it must preserve is the stream
+// abstraction around that concurrency:
 //
 //   - Order: the output stream must be indistinguishable from sequential
 //     invocation.  Every accepted input is assigned a slot in a FIFO
 //     reorder queue; invocation i's emissions are released downstream
 //     strictly before invocation i+1's, whatever order the invocations
 //     finish in.  Deterministic combinators fed by the box therefore see
-//     exactly the W=1 interleaving.
+//     exactly the inline interleaving.
 //   - Marker barriers: a sort record ("marker") of the deterministic-merge
 //     protocol occupies its own slot in the reorder queue, so it is
 //     forwarded only after every invocation dispatched before it has
@@ -31,32 +39,175 @@ import (
 //     ballooning memory.  Closing the slot stream when the invocation
 //     returns flushes any batched tail, so a worker never parks between
 //     calls with emissions still pending.
+//
+// Which mode an instance runs in follows from its width.  A width somebody
+// chose — NewBoxConcurrent(…, n), WithBoxWorkers(n) — is obeyed from the
+// first record: 1 is inline for good, n > 1 is concurrent mode at width n.
+// With no width given the engine chooses: the instance starts inline, times
+// the box function, and hands over to concurrent mode at width GOMAXPROCS
+// once the function has shown it is slow enough to repay the hand-off.
+
+// The hand-over rule.  Concurrent mode costs each invocation a slot, an
+// emission stream and three goroutine hand-offs (dispatcher → worker →
+// releaser → consumer): measured on webpipe's sub-microsecond boxes,
+// (core.box.wn_us_per_op − core.box.w1_us_per_op) ÷ core.box.calls_per_op
+// = (10.0 − 2.7) ÷ 3 ≈ 2.5 µs per call.  At boxEscalateAfter that fixed
+// cost is about an eighth of the service time, which overlapping even two
+// invocations repays several times over; below it the fixed cost eats the
+// gain.
+//
+// One slow call proves nothing, and neither do three: a collector pause, a
+// GC assist or a descheduled thread lands inside a 0.1 µs box body like
+// anywhere else.  Streaming webpipe at GOMAXPROCS=2, 3–4% of the calls of
+// every box read over 20 µs, and runs of such calls thin out about
+// twentyfold per extra call — of 8 M records the longest run was 6 — so
+// the verdict takes boxEscalateRun slow calls in a row: never met by
+// noise, met by a box that really is slow within its first few records.
+// The run is counted on the node, across instances, so a slow box whose
+// instances each see only a handful of records (per-request networks,
+// replicas) still reaches it.
+const (
+	boxEscalateAfter = 20 * time.Microsecond
+	boxEscalateRun   = 16
+)
+
+// width resolves the instance's invocation width for one run, and whether
+// the engine chose it (auto) or the box or run pinned it.
+func (b *boxNode) width(env *runEnv) (w int, auto bool) {
+	switch {
+	case b.workers > 0:
+		return b.workers, false
+	case env.boxWorkers > 0:
+		return env.boxWorkers, false
+	}
+	return env.autoWidth, true
+}
+
+func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
+	defer out.close()
+	env.stats.Add(b.keys.instances, 1)
+	w, auto := b.width(env)
+	if w == 1 || auto && !b.escalated.Load() {
+		if !b.runInline(env, in, out, auto && w > 1) {
+			return
+		}
+	}
+	if auto {
+		env.stats.Add(b.keys.escalated, 1)
+	}
+	b.runConcurrent(env, in, out, w)
+}
+
+// runInline is the engine's inline mode.  With probe set it also measures
+// the box function, and returns true — having flushed out and detached it
+// from in's idle flush — when the instance should continue in concurrent
+// mode.  Everything emitted so far is then already downstream, so the
+// hand-over cannot reorder anything.  In every other case the instance is
+// finished when runInline returns.
+//
+// What is measured is the box's own service time: the wall time of the
+// invocation minus the time its emissions waited on a full output stream.
+// A cheap box behind a slow consumer spends its life blocked in Out;
+// counting that would hand every box of a backpressured pipeline to
+// concurrent mode, which shortens no wait and only adds the hand-offs.  For
+// the same reason an invocation that waited longer than it worked is no
+// evidence however long it worked: the consumer sets the pace then, and
+// what is left of the wall time is as much the cost of waking up cold as
+// the box's.
+func (b *boxNode) runInline(env *runEnv, in *streamReader, out *streamWriter, probe bool) bool {
+	in.autoFlush(out)
+	env.stats.SetMax(b.keys.concurrency, 1)
+	// One emitter and one argument buffer serve every invocation of this
+	// instance: box functions must not retain either after returning (the
+	// BoxFunc contract), so the loop resets rather than reallocates.
+	em := &Emitter{env: env, out: out, box: b}
+	argsBuf := make([]any, 0, len(b.boxSig.In))
+	invoked := false
+	var epoch time.Time // readings are time.Since(epoch): one monotonic clock read each
+	if probe {
+		epoch = time.Now()
+	}
+	for {
+		it, ok := in.recv()
+		if !ok {
+			return false
+		}
+		if it.mk != nil {
+			if !out.send(it) {
+				in.Discard()
+				return false
+			}
+			continue
+		}
+		rec := it.rec
+		args, ok := b.bind(env, rec, argsBuf)
+		if !ok {
+			continue
+		}
+		if !invoked {
+			// The observed in-flight high-water mark is 1 by construction
+			// here; record it so the key exists at any width.
+			env.stats.SetMax(b.keys.inflight, 1)
+			invoked = true
+		}
+		var began, waited time.Duration
+		if probe {
+			began, waited = time.Since(epoch), out.blocked
+		}
+		em.src, em.stopped, em.emitted = rec, false, 0
+		b.invoke(env, args, em)
+		em.src = nil
+		// The invocation is over: the input record was consumed (its values
+		// were bound into args or flow-inherited into fresh outputs), so it
+		// returns to the arena before the next receive.
+		releaseRecord(rec)
+		b.account(env, em)
+		if em.stopped || ctxDone(env.ctx) {
+			in.Discard()
+			return false
+		}
+		if !probe {
+			continue
+		}
+		waited = out.blocked - waited
+		if service := time.Since(epoch) - began - waited; service < boxEscalateAfter || service < waited {
+			if b.slowRun.Load() != 0 {
+				b.slowRun.Store(0)
+			}
+		} else if b.slowRun.Add(1) >= boxEscalateRun {
+			b.escalated.Store(true)
+		}
+		if !b.escalated.Load() {
+			continue
+		}
+		if !out.flush() {
+			in.Discard()
+			return false
+		}
+		// From here the releaser goroutine owns out; this goroutine keeps
+		// reading in and must no longer flush a writer it does not own.
+		in.onIdle = nil
+		return true
+	}
+}
 
 // boxSlot is one slot of the reorder queue: either a forwarded marker or
-// the emission stream of one invocation (closed when it returns).  The
-// worker publishes the invocation's emitter just before closing emit, so
-// the releaser — the only party that knows which emissions actually
-// reached the output stream — can settle the invocation's counters.
+// one invocation — its bound arguments, its emitter (em.src is the input
+// record, em.out the writing end of the slot's emission stream) and the
+// reading end the releaser drains.  The worker closes em.out when the box
+// function returns, which publishes em's final state to the releaser — the
+// only party that knows which emissions actually reached the output stream
+// and can therefore settle the invocation's counters.
 type boxSlot struct {
 	mk   *marker
 	emit *streamReader
-	em   *Emitter // set by the worker before the emit writer closes
+	em   Emitter
+	args []any
 }
 
-// boxCall is one dispatched invocation; emitW is the writing end of the
-// slot's emission stream, owned by the worker that picks the call up.
-type boxCall struct {
-	rec   *Record
-	args  []any
-	emitW *streamWriter
-	slot  *boxSlot
-}
-
+// runConcurrent is the engine's concurrent mode at the given width.
 func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter, width int) {
-	defer out.close()
-	env.stats.Add(b.keys.instances, 1)
 	env.stats.SetMax(b.keys.concurrency, int64(width))
-	consumed := NewVariant(b.boxSig.In...)
 
 	var (
 		inflight atomic.Int64 // invocations currently running
@@ -66,19 +217,17 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	// undispatched slots; width+1 keeps the dispatcher just ahead of the
 	// workers without unbounded marker pile-up.
 	slots := make(chan *boxSlot, width+1)
-	calls := make(chan *boxCall)
+	calls := make(chan *boxSlot)
 
 	worker := func() {
 		defer wg.Done()
-		for c := range calls {
+		for s := range calls {
 			env.stats.SetMax(b.keys.inflight, inflight.Add(1))
-			em := &Emitter{env: env, out: c.emitW, box: b, src: c.rec, consumed: consumed}
-			b.invoke(env, c.args, em)
+			b.invoke(env, s.args, &s.em)
 			inflight.Add(-1)
-			em.src = nil
-			releaseRecord(c.rec) // the invocation consumed its input
-			c.slot.em = em       // published by the close below
-			c.emitW.close()
+			releaseRecord(s.em.src) // the invocation consumed its input
+			s.em.src = nil
+			s.em.out.close()
 		}
 	}
 
@@ -89,7 +238,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	// an invocation counts under "calls"/"emitted" only for what its slot
 	// actually delivered downstream; slots overtaken by cancellation —
 	// including invocations still buffered or never dispatched — count
-	// under "cancelled", matching the sequential path's contract.
+	// under "cancelled", matching inline mode's contract.
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -127,7 +276,9 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 						aborted = true
 						break
 					}
-					completed = s.em != nil && !s.em.stopped
+					// The emission stream is closed and drained, so the
+					// worker is done with the slot.
+					completed = !s.em.stopped
 					break
 				}
 				if out.send(it) {
@@ -162,10 +313,10 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 		}
 	}
 	spawned := 0
-	dispatch := func(c *boxCall) bool {
+	dispatch := func(s *boxSlot) bool {
 		if spawned < width {
 			select {
-			case calls <- c: // an idle worker was already waiting
+			case calls <- s: // an idle worker was already waiting
 				return true
 			default:
 				spawned++
@@ -174,7 +325,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			}
 		}
 		select {
-		case calls <- c:
+		case calls <- s:
 			return true
 		case <-env.ctx.Done():
 			return false
@@ -192,23 +343,16 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			continue
 		}
 		rec := it.rec
-		env.trace(b.label, "in", rec)
-		args, ok := b.bindArgs(rec, nil)
+		args, ok := b.bind(env, rec, nil)
 		if !ok {
-			env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
-				b.label, rec, b.boxSig))
-			env.stats.Add(b.keys.rejected, 1)
-			releaseRecord(rec)
 			continue
 		}
 		emitR, emitW := newStream(env)
-		s := &boxSlot{emit: emitR}
-		if !enqueue(s) {
-			break
-		}
-		if !dispatch(&boxCall{rec: rec, args: args, emitW: emitW, slot: s}) {
-			// Cancelled between queueing the slot and handing the call to
-			// a worker; the releaser's recv is cancellation-aware, so the
+		s := &boxSlot{emit: emitR, args: args,
+			em: Emitter{env: env, out: emitW, box: b, src: rec}}
+		if !enqueue(s) || !dispatch(s) {
+			// Cancelled before a worker took the call.  If the slot was
+			// queued the releaser's recv is cancellation-aware, so the
 			// never-filled slot cannot wedge it.
 			releaseRecord(rec)
 			break

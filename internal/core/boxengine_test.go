@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -284,4 +285,205 @@ func testBoxEmittedCounterMatchesOutput(t *testing.T, m execMode) {
 			t.Fatalf("W=%d: calls = %d, want 3", w, got)
 		}
 	}
+}
+
+// A box nobody gave a width starts inline and hands over to concurrent mode
+// only once its own service time has repaid the hand-off boxEscalateRun
+// times in a row (boxengine.go).  The tests below run at GOMAXPROCS >= 2:
+// with one processor the automatic width is 1 and there is nothing to hand
+// over to.
+
+// atLeastProcs raises GOMAXPROCS to n for the rest of the test.
+func atLeastProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// slowCall is a box body well over boxEscalateAfter.
+const slowCall = 20 * boxEscalateAfter
+
+func TestBoxAutoWidthHandsOverMidStream(t *testing.T) {
+	bothPlans(t, testBoxAutoWidthHandsOverMidStream)
+}
+
+func testBoxAutoWidthHandsOverMidStream(t *testing.T, m execMode) {
+	atLeastProcs(t, 2)
+	// Cheap for the first half of the stream, sleeping for the second,
+	// inside a deterministic split whose sort markers cross the box after
+	// every record — before, during and after the hand-over.
+	const n, cheap = 120, 60
+	mk := func() Node {
+		jump := NewBox("jump", MustParseSignature("(<seq>) -> (<seq>,<part>)"),
+			func(args []any, out *Emitter) error {
+				seq := args[0].(int)
+				if seq >= cheap {
+					time.Sleep(slowCall)
+				}
+				for part := 0; part < 2; part++ {
+					if err := out.Out(1, seq, part); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		return SplitDet(jump, "k")
+	}
+	inputs := func() []*Record {
+		return seqInputs(n, func(i int, r *Record) { r.SetTag("k", i%2) })
+	}
+	want, _ := m.runNet(t, mk(), inputs(), WithBoxWorkers(1))
+	got, stats := m.runNet(t, mk(), inputs())
+	if renderStream(got) != renderStream(want) {
+		t.Fatalf("output differs from the W=1 sequence:\n--- want ---\n%s--- got ---\n%s",
+			renderStream(want), renderStream(got))
+	}
+	// Both replicas were inline while the box was cheap and handed over
+	// once it turned slow: each is one instance, counted once.
+	for key, want := range map[string]int64{
+		"box.jump.instances": 2, "box.jump.escalated": 2,
+		"box.jump.calls": n, "box.jump.emitted": 2 * n, "box.jump.cancelled": 0,
+	} {
+		if got := stats.Counter(key); got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+	}
+	if got, want := stats.Max("box.jump.concurrency"), int64(runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("concurrency = %d, want %d", got, want)
+	}
+}
+
+func TestBoxAutoWidthIgnoresBackpressure(t *testing.T) {
+	bothPlans(t, testBoxAutoWidthIgnoresBackpressure)
+}
+
+func testBoxAutoWidthIgnoresBackpressure(t *testing.T, m execMode) {
+	atLeastProcs(t, 2)
+	// A cheap box behind a consumer that takes slowCall per record: every
+	// Out blocks far longer than boxEscalateAfter, and none of that is the
+	// box's own service time.
+	const n = 4 * boxEscalateRun
+	base := goroutineCount()
+	h := m.Start(context.Background(), incBox("bp", 1), WithBuffer(0), WithStreamBatch(1))
+	go h.feed(seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) }))
+	peak := 0
+	for got := 0; got < n; got++ {
+		if _, ok := <-h.Out(); !ok {
+			t.Fatalf("output closed after %d of %d records", got, n)
+		}
+		time.Sleep(slowCall)
+		if g := runtime.NumGoroutine(); g > peak {
+			peak = g
+		}
+	}
+	h.Wait()
+	stats := h.Stats()
+	if esc, conc := stats.Counter("box.bp.escalated"), stats.Max("box.bp.concurrency"); esc != 0 || conc != 1 {
+		t.Fatalf("escalated = %d, concurrency = %d: backpressure was taken for service time", esc, conc)
+	}
+	// The run's own goroutines: feeder, box node, output adapter.  A
+	// releaser or a worker would be a fourth.
+	if peak > base+3 {
+		t.Fatalf("goroutines peaked at %d over a base of %d, want at most 3 more", peak, base)
+	}
+}
+
+func TestBoxAutoWidthVerdictIsRemembered(t *testing.T) {
+	bothPlans(t, testBoxAutoWidthVerdictIsRemembered)
+}
+
+func testBoxAutoWidthVerdictIsRemembered(t *testing.T, m execMode) {
+	atLeastProcs(t, 2)
+	// First run: the box sleeps, so the engine hands it over.  Second run
+	// of the same plan: every invocation waits until two are in flight,
+	// which only an instance concurrent from its first record can satisfy.
+	var rendezvous atomic.Bool
+	var inflight atomic.Int32
+	box := NewBox("mem", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error {
+			if !rendezvous.Load() {
+				time.Sleep(slowCall)
+				return out.Out(1, args[0].(int))
+			}
+			inflight.Add(1)
+			deadline := time.After(5 * time.Second)
+			for inflight.Load() < 2 {
+				select {
+				case <-deadline:
+					return errors.New("second run did not start concurrent")
+				case <-out.Done():
+					return ErrCancelled
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+			return out.Out(1, args[0].(int))
+		})
+	p := m.Compile(box)
+	inputs := func(n int) []*Record {
+		return seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) })
+	}
+	out, stats, err := p.RunAll(context.Background(), inputs(4*boxEscalateRun))
+	if err != nil || len(out) != 4*boxEscalateRun {
+		t.Fatalf("first run: %d records, err %v", len(out), err)
+	}
+	if esc, hw := stats.Counter("box.mem.escalated"), stats.Max("box.mem.inflight"); esc != 1 || hw < 2 {
+		t.Fatalf("first run: escalated = %d, inflight high-water = %d, want 1 and >= 2", esc, hw)
+	}
+	rendezvous.Store(true)
+	var errs atomic.Int32
+	out, stats, err = p.RunAll(context.Background(), inputs(2),
+		WithErrorHandler(func(error) { errs.Add(1) }))
+	if err != nil || len(out) != 2 || errs.Load() != 0 {
+		t.Fatalf("second run: %d records, %d box errors, err %v", len(out), errs.Load(), err)
+	}
+	if esc, inst := stats.Counter("box.mem.escalated"), stats.Counter("box.mem.instances"); esc != 1 || inst != 1 {
+		t.Fatalf("second run: escalated = %d, instances = %d, want 1 and 1", esc, inst)
+	}
+}
+
+func TestBoxAutoWidthCancelDuringHandOver(t *testing.T) {
+	bothPlans(t, testBoxAutoWidthCancelDuringHandOver)
+}
+
+func testBoxAutoWidthCancelDuringHandOver(t *testing.T, m execMode) {
+	atLeastProcs(t, 2)
+	base, live := goroutineCount(), poolLiveSettled(t)
+	// The hand-over follows slow call number boxEscalateRun.  Cancel from
+	// inside the calls around it, asynchronously, so the cancellation lands
+	// before, within and just after the switch.
+	for i := 0; i < 60; i++ {
+		var calls atomic.Int32
+		cancelAt := int32(boxEscalateRun - 1 + i%3)
+		cancel := make(chan func(), 1)
+		box := NewBox("hoc", MustParseSignature("(<n>) -> (<n>)"),
+			func(args []any, out *Emitter) error {
+				time.Sleep(2 * boxEscalateAfter)
+				if calls.Add(1) == cancelAt {
+					go (<-cancel)()
+				}
+				return out.Out(1, args[0].(int))
+			})
+		// Unbuffered, unbatched streams: a hard cancel drops whatever sits
+		// in a stream's buffer without a release, which would drown the
+		// ledger this test reads; with nothing buffered every record is in
+		// some component's hands when the cancellation lands.
+		h := m.Start(context.Background(), box, WithBuffer(0), WithStreamBatch(1))
+		cancel <- h.Cancel
+		go func() {
+			for j := 0; ; j++ {
+				r := AcquireRecord().SetTag("n", j)
+				if h.Send(r) != nil {
+					ReleaseRecord(r) // it never entered the network
+					return
+				}
+			}
+		}()
+		for range h.Out() {
+		}
+		h.Wait()
+	}
+	waitForGoroutines(t, base)
+	waitPoolLive(t, live)
 }

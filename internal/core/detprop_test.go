@@ -12,7 +12,8 @@ import (
 
 // Property-style determinism tests: for deterministic combinators the
 // rendered output stream must be byte-identical whatever the box
-// concurrency width W, whatever the stream batch size B, and whatever
+// concurrency width W (given, or left to the engine, which then switches
+// modes mid-stream), whatever the stream batch size B, and whatever
 // latencies the invocations exhibit.  The (W=1, B=1) run defines the
 // reference; every other (W, B) combination must reproduce it exactly —
 // in particular, sort markers must stay flush barriers at any B — and so
@@ -46,10 +47,15 @@ func latencyBox(name, field string, maxDelay time.Duration) Node {
 
 func runDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 	t.Helper()
+	atLeastProcs(t, 2) // so that the unset width can hand over mid-stream
 	var want string
-	for _, w := range []int{1, 4, 16} {
+	for _, w := range []int{1, 4, 16, 0} {
 		for _, b := range []int{1, 8, 64} {
-			t.Run(fmt.Sprintf("W%d_B%d", w, b), func(t *testing.T) {
+			name := fmt.Sprintf("W%d_B%d", w, b)
+			if w == 0 { // WithBoxWorkers(0) gives no width
+				name = fmt.Sprintf("Wunset_B%d", b)
+			}
+			t.Run(name, func(t *testing.T) {
 				bothPlans(t, func(t *testing.T, m execMode) {
 					out, _, err := m.RunAll(context.Background(), mkNet(), inputs(),
 						WithBoxWorkers(w), WithStreamBatch(b))

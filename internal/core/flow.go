@@ -191,7 +191,7 @@ func (c *compiler) flowNode(n Node, in []Variant, path string, exact bool) ([]Va
 // flowBox applies a box's signature and flow inheritance to each incoming
 // variant; shapes that cannot satisfy the signature are definite rejects.
 func (c *compiler) flowBox(n *boxNode, in []Variant, path string, exact bool) []Variant {
-	consumed := NewVariant(n.boxSig.In...)
+	consumed := n.consumed
 	out := newVarSet()
 	for _, v := range in {
 		if !consumed.SubsetOf(v) {

@@ -22,13 +22,15 @@ import (
 // A stage is fusible when its run loop is a pure record-at-a-time function
 // with no concurrency and no marker-sensitive state: filters, Observe taps,
 // HideTags, and boxes pinned to strictly sequential invocation (W == 1).
-// Everything else is a fusion barrier — concurrent boxes (reordering
-// engine), synchrocells (cross-record state), split/star (replication) and
-// parallel (routing) — and survives untouched; fusion only ever rewrites
-// the serial spine between barriers.  Records crossing a fused segment ride
-// the same copy-on-write shape-transition memos and slot programs as
-// everywhere else, so the segment stays allocation-free in steady state
-// (TestRecordPlaneZeroAlloc covers a fused deep pipeline).
+// Everything else is a fusion barrier — boxes of any other width, pinned
+// or left to the engine (an inline box may hand over to the reordering
+// engine at any record, which a segment cannot), synchrocells (cross-record
+// state), split/star (replication) and parallel (routing) — and survives
+// untouched; fusion only ever rewrites the serial spine between barriers.
+// Records crossing a fused segment ride the same copy-on-write
+// shape-transition memos and slot programs as everywhere else, so the
+// segment stays allocation-free in steady state (TestRecordPlaneZeroAlloc
+// covers a fused deep pipeline).
 //
 // The rewrite is purely an execution-plan concern: Topology, Graph and the
 // flow/analysis passes all keep seeing the un-fused blueprint, with the
@@ -45,9 +47,9 @@ type FusionGroup struct {
 
 // fusibleStage reports whether a node can join a fused segment: its run
 // behavior must be a sequential per-record function.  Boxes qualify only
-// when pinned to W == 1 (NewBoxConcurrent(..., 1)); a box inheriting the
-// run's WithBoxWorkers width (workers == 0) may run concurrently and is a
-// barrier.
+// when pinned to W == 1 (NewBoxConcurrent(..., 1)); a box without a width
+// of its own (workers == 0) runs at the run's WithBoxWorkers width or
+// starts inline and may go concurrent mid-stream, and is a barrier.
 func fusibleStage(n Node) bool {
 	switch n := n.(type) {
 	case *identityNode, *hideNode, *filterNode:
@@ -203,9 +205,6 @@ type fusedOp struct {
 	hide    *hideNode
 	filter  *filterNode
 	box     *boxNode
-	// consumed is the box's input variant, precomputed for flow inheritance
-	// (box ops only).
-	consumed Variant
 }
 
 // fusedNode executes a chain of fusible stages as one goroutine: per input
@@ -242,7 +241,7 @@ func (f *fuser) newFused(run []Node) *fusedNode {
 		case *filterNode:
 			n.ops[i] = fusedOp{kind: fuseOpFilter, filter: s}
 		case *boxNode:
-			n.ops[i] = fusedOp{kind: fuseOpBox, box: s, consumed: NewVariant(s.boxSig.In...)}
+			n.ops[i] = fusedOp{kind: fuseOpBox, box: s}
 		default:
 			panic("core: newFused: unfusible stage " + s.name())
 		}
@@ -326,7 +325,7 @@ func newFusedExec(env *runEnv, n *fusedNode) *fusedExec {
 	maxArgs := 0
 	for i := range n.ops {
 		if b := n.ops[i].box; b != nil {
-			x.emitters[i] = &Emitter{env: env, box: b, consumed: n.ops[i].consumed}
+			x.emitters[i] = &Emitter{env: env, box: b}
 			if len(b.boxSig.In) > maxArgs {
 				maxArgs = len(b.boxSig.In)
 			}
@@ -403,13 +402,8 @@ func (x *fusedExec) process(rec *Record, out *streamWriter) bool {
 			b := op.box
 			em := x.emitters[i]
 			for ci, r := range x.cur {
-				env.trace(b.label, "in", r)
-				args, ok := b.bindArgs(r, x.argsBuf)
+				args, ok := b.bind(env, r, x.argsBuf)
 				if !ok {
-					env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
-						b.label, r, b.boxSig))
-					env.stats.Add(b.keys.rejected, 1)
-					releaseRecord(r)
 					continue
 				}
 				em.src, em.stopped, em.emitted = r, false, 0

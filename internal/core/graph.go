@@ -41,10 +41,11 @@ type GraphNode struct {
 	HiddenTags []string      // hide only: tags deleted from passing records
 
 	// Workers is the box's pinned invocation width W (box only;
-	// NewBoxConcurrent).  0 means the box inherits the run's WithBoxWorkers
-	// width, so a capacity analysis must substitute its assumed run width.
-	// The box engine holds up to BoxEngineHold(W) records: W in flight plus
-	// the reorder stage's completed-but-unreleased slots.
+	// NewBoxConcurrent).  0 means the box takes the run's WithBoxWorkers
+	// width or, with none given, the width the engine grows it to, so a
+	// capacity analysis must substitute its assumed run width.  The box
+	// engine holds up to BoxEngineHold(W) records: W in flight plus the
+	// reorder stage's completed-but-unreleased slots (inline mode holds 1).
 	Workers int
 
 	// Feedback marks the node as owning the graph's only cyclic edge shape

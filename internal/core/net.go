@@ -43,13 +43,13 @@ var ErrClosed = errors.New("core: network input closed")
 func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	ctx, cancel := context.WithCancel(ctx)
 	env := &runEnv{
-		ctx:        ctx,
-		stats:      newStats(),
-		buf:        DefaultStreamBuffer,
-		batch:      DefaultStreamBatch,
-		maxDepth:   1 << 20,
-		maxWidth:   1 << 20,
-		boxWorkers: runtime.GOMAXPROCS(0),
+		ctx:       ctx,
+		stats:     newStats(),
+		buf:       DefaultStreamBuffer,
+		batch:     DefaultStreamBatch,
+		maxDepth:  1 << 20,
+		maxWidth:  1 << 20,
+		autoWidth: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(env)

@@ -269,7 +269,10 @@ type runEnv struct {
 	levelSeq   atomic.Int64 // deterministic-combinator level ids
 	maxDepth   int          // serial replication unfolding cap
 	maxWidth   int          // parallel replication width cap
-	boxWorkers int          // in-flight invocation cap per box node
+	boxWorkers int          // WithBoxWorkers: in-flight invocation cap per box node, 0 when not given
+	// autoWidth is the width a box nobody gave a width may grow to once
+	// the engine has measured it as worth it: GOMAXPROCS at Start.
+	autoWidth int
 	// replicaIdle > 0 makes split nodes reap replicas that have received
 	// no record for that long (see WithReplicaIdleReap).
 	replicaIdle time.Duration
@@ -369,11 +372,14 @@ func WithMaxStarDepth(n int) Option {
 	}
 }
 
-// WithBoxWorkers sets the run's default box concurrency width W: every box
-// node may run up to W invocations of its (stateless) box function at a
-// time, with output order preserved by the reorder stage of the box engine
-// (see boxengine.go).  The default is GOMAXPROCS; 1 restores strictly
-// sequential invocation.  NewBoxConcurrent overrides the width per box.
+// WithBoxWorkers sets the run's box concurrency width W: every box node
+// that does not pin its own (NewBoxConcurrent) runs up to W invocations of
+// its (stateless) box function at a time from its first record on, with
+// output order preserved by the reorder stage of the box engine (see
+// boxengine.go); 1 is strictly sequential invocation.  Without the option
+// the engine chooses per box: sequential on the node's own goroutine until
+// the box function's measured service time repays the hand-off to
+// concurrent invocation, then up to GOMAXPROCS at a time.
 func WithBoxWorkers(n int) Option {
 	return func(e *runEnv) {
 		if n > 0 {

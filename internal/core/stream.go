@@ -78,6 +78,8 @@ type streamWriter struct {
 	batch   int    // flush threshold B (>= 1)
 	pending []item // items accumulated since the last flush
 	closed  bool
+	// blocked is the total time ship has spent waiting on a full stream.
+	blocked time.Duration
 
 	// Transport counters, kept local (no locks on the hot path) and folded
 	// into the run's Stats by close: frames/records delivered and the
@@ -141,34 +143,48 @@ func (w *streamWriter) flush() bool {
 func (w *streamWriter) ship(f frame) bool {
 	select {
 	case w.ch <- f:
-		n := len(f.batch)
-		if n == 0 {
-			n = 1
+	default:
+		// The stream is full: what follows is a wait on the consumer, not
+		// work of the sender.  It is timed so the box engine can tell a
+		// slow box from a cheap one held up by backpressure (boxengine.go);
+		// the clock is read only on this path, which parks anyway.
+		t0 := time.Now()
+		select {
+		case w.ch <- f:
+			w.blocked += time.Since(t0)
+		case <-w.env.ctx.Done():
+			w.retract(f)
+			return false
 		}
-		if n > w.hwm {
-			w.hwm = n
-		}
-		w.frames++
-		return true
-	case <-w.env.ctx.Done():
-		// The frame never reached the channel: retract its records from the
-		// transport counters and return what the writer owned to the arena.
-		if f.batch == nil {
-			if f.single.rec != nil {
-				w.records--
-				releaseRecord(f.single.rec)
-			}
-		} else {
-			for _, it := range f.batch {
-				if it.rec != nil {
-					w.records--
-					releaseRecord(it.rec)
-				}
-			}
-			releaseFrameSlab(f.batch)
-		}
-		return false
 	}
+	n := len(f.batch)
+	if n == 0 {
+		n = 1
+	}
+	if n > w.hwm {
+		w.hwm = n
+	}
+	w.frames++
+	return true
+}
+
+// retract undoes the accounting of a frame that never reached the channel
+// and returns what the writer owned to the arena.
+func (w *streamWriter) retract(f frame) {
+	if f.batch == nil {
+		if f.single.rec != nil {
+			w.records--
+			releaseRecord(f.single.rec)
+		}
+		return
+	}
+	for _, it := range f.batch {
+		if it.rec != nil {
+			w.records--
+			releaseRecord(it.rec)
+		}
+	}
+	releaseFrameSlab(f.batch)
 }
 
 // sendDirect delivers one record immediately, bypassing the pending batch,

@@ -105,8 +105,10 @@ type Options struct {
 	// BoxWorkers is the per-box invocation concurrency width W of every
 	// instance (snet.WithBoxWorkers): each box node of a session's network
 	// may run up to W invocations of its stateless box function at a time,
-	// with output order preserved by the runtime's reorder stage.  0 keeps
-	// the runtime default (GOMAXPROCS); 1 forces sequential boxes.
+	// with output order preserved by the runtime's reorder stage, from the
+	// box's first record on; 1 forces sequential boxes.  0 leaves the
+	// choice to the runtime: a box runs inline until its own service time
+	// exceeds the hand-off cost, then up to GOMAXPROCS at a time.
 	BoxWorkers int
 	// MaxStarDepth and MaxSplitWidth bound replication unfolding per run
 	// (snet.WithMaxStarDepth / WithMaxSplitWidth).  0 keeps the runtime

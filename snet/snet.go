@@ -51,6 +51,10 @@
 //	         options: WithBuffer WithStreamBatch WithBoxWorkers
 //	                  WithMaxStarDepth WithMaxSplitWidth WithReplicaIdleReap
 //	                  WithTracer WithErrorHandler
+//	         box width: given (NewBoxConcurrent, WithBoxWorkers) it is
+//	         obeyed, 1 = sequential; not given, a box runs sequentially
+//	         until its own service time repays concurrent invocation,
+//	         then up to GOMAXPROCS at a time
 //	handle   Send SendCtx SendBatch Close Out Wait Cancel Stats Err
 //	records  NewRecord AcquireRecord ReleaseRecord PoolStats DecodeFlat
 //	errors   ErrClosed ErrCancelled ErrNoRoute (*NoRouteError)
@@ -198,9 +202,11 @@ var (
 
 // Node constructors.
 var (
+	// NewBox declares a box.  Its invocation width is the run's
+	// WithBoxWorkers; with none given the runtime chooses (see there).
 	NewBox = core.NewBox
-	// NewBoxConcurrent is NewBox with a fixed per-box concurrency width
-	// (0 inherits the run's WithBoxWorkers default, 1 pins sequential).
+	// NewBoxConcurrent is NewBox with a fixed per-box concurrency width,
+	// in force from the box's first record (0 is NewBox, 1 pins sequential).
 	NewBoxConcurrent = core.NewBoxConcurrent
 	NewFilter        = core.NewFilter
 	FilterFrom       = core.FilterFrom
@@ -260,8 +266,12 @@ var (
 	WithTracer       = core.WithTracer
 	WithErrorHandler = core.WithErrorHandler
 	// WithBoxWorkers sets the per-box invocation concurrency width W for
-	// the run (default GOMAXPROCS, 1 = sequential).  Output order is
-	// preserved at any width, so deterministic networks stay deterministic.
+	// the run, in force from every box's first record (1 = sequential).
+	// Without it the runtime chooses per box: sequential until the box's
+	// own measured service time exceeds the cost of handing invocations to
+	// other goroutines, then up to GOMAXPROCS at a time.  Output order is
+	// preserved at any width and across that switch, so deterministic
+	// networks stay deterministic.
 	WithBoxWorkers    = core.WithBoxWorkers
 	WithMaxStarDepth  = core.WithMaxStarDepth
 	WithMaxSplitWidth = core.WithMaxSplitWidth
