@@ -416,7 +416,7 @@ func BenchmarkE10InterpretedBoxes(b *testing.B) {
 // n×n dependency grid of synchrocell joins unfolded from one {start}
 // record, verified against the sequential DP reference each iteration.
 func BenchmarkE17Wavefront(b *testing.B) {
-	for _, n := range []int{8, 16} {
+	for _, n := range []int{8, 16, 64} { // 64 is the benchmark's wavefront_join size
 		seed := int64(61)
 		plan := snet.MustCompile(workloads.WavefrontNet(n, seed))
 		want := workloads.WavefrontReference(n, seed)

@@ -12,10 +12,11 @@ import (
 // explicit capacity assumptions.  Every blocking point of the runtime —
 // stream edges (buffer × batch frames plus the writer's pending batch and
 // the reader's in-hand item), box engines (W in flight plus reorder slots),
-// synchrocell stores, parallel merge slots, replication chains — contributes
-// a worst-case record count, and the sum is the whole-plan static memory
-// high-water bound: no schedule of a deadlock-free plan can hold more
-// records at once.
+// synchrocell stores, branch output writers (a pending batch each: a branch
+// has no output edge), the one merge queue of every parallel, star and split
+// site, replication chains — contributes a worst-case record count, and the
+// sum is the whole-plan static memory high-water bound: no schedule of a
+// deadlock-free plan can hold more records at once.
 //
 // The bound is computed over the UN-FUSED blueprint (Plan.Graph() always
 // returns the blueprint root).  Fusion replaces a chain of stream edges with
@@ -81,7 +82,8 @@ type ReplicaTerm struct {
 // Bound is the whole-plan static memory high-water bound, in records.
 type Bound struct {
 	// Fixed is the non-replicated part: every stream edge, box engine,
-	// synchrocell and merge slot outside any replication site.
+	// synchrocell, branch writer and merge queue outside any replication
+	// site.
 	Fixed int64 `json:"fixed"`
 	// Replicas are the replication sites' contributions.
 	Replicas []ReplicaTerm `json:"replicas,omitempty"`
@@ -125,6 +127,15 @@ func (b *bounder) edgeCap() int64 {
 	return core.StreamCapacity(b.caps.StreamBuffer, b.caps.StreamBatch)
 }
 
+// branchOut is the worst-case record count behind one branch's output: the
+// pending batch of its writer, which ships straight into the merge queue.
+func (b *bounder) branchOut() int64 { return core.BranchWriterHold(b.caps.StreamBatch) }
+
+// mergeQueue is the worst-case record count of one site's merge queue.
+func (b *bounder) mergeQueue() int64 {
+	return core.MergeQueueCapacity(b.caps.StreamBuffer, b.caps.StreamBatch)
+}
+
 // fixed attributes a hold to the non-replicated part of the bound when we
 // are outside every replication site, and returns it unchanged either way.
 func (b *bounder) fixed(n int64) int64 {
@@ -154,20 +165,24 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 	case "serial":
 		return b.node(g.Children[0]) + b.fixed(b.edgeCap()) + b.node(g.Children[1])
 	case "parallel":
-		// Dispatcher's record in hand, then per branch: an input edge, the
-		// branch subtree, an output edge, and the merge stage's slot.
-		occ := b.fixed(1)
+		// Dispatcher's record in hand and the site's one merge queue, then
+		// per branch: an input edge, the branch subtree and the pending
+		// batch of the branch's writer.
+		occ := b.fixed(1) + b.fixed(b.mergeQueue())
 		for _, ch := range g.Children {
-			occ += b.fixed(b.edgeCap()) + b.node(ch) + b.fixed(b.edgeCap()) + b.fixed(1)
+			occ += b.fixed(b.edgeCap()) + b.node(ch) + b.fixed(b.branchOut())
 		}
 		return occ
 	case "star":
-		// Entry edge, exit/merge edge and the merge's in-hand record are
-		// per-site; each lazily-unfolded stage holds one operand instance
-		// plus the chain port feeding the next stage.
-		occ := b.fixed(b.edgeCap()) + b.fixed(b.edgeCap()) + b.fixed(1)
+		// Entry edge, the dispatcher's record in hand, the exit writer's
+		// pending batch (the exit branch has no stream: the dispatcher
+		// writes into the merger) and the merge queue are per-site; each
+		// lazily-unfolded stage holds one operand instance, the chain port
+		// feeding the next stage and the pending batch of the chain
+		// branch's writer.
+		occ := b.fixed(b.edgeCap()) + b.fixed(1) + b.fixed(b.branchOut()) + b.fixed(b.mergeQueue())
 		b.replDepth++
-		per := b.node(g.Children[0]) + b.edgeCap()
+		per := b.node(g.Children[0]) + b.edgeCap() + b.branchOut()
 		b.replDepth--
 		units := int64(b.caps.StarDepth)
 		sub := per * units
@@ -179,12 +194,12 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		}
 		return occ + sub
 	case "split":
-		// Router's record in hand and the merged output slot are per-site;
-		// each live replica holds one operand instance plus its own input
-		// and output edges.
-		occ := b.fixed(1) + b.fixed(1)
+		// Router's record in hand and the merge queue are per-site; each
+		// live replica holds its input edge, one operand instance and the
+		// pending batch of its writer.
+		occ := b.fixed(1) + b.fixed(b.mergeQueue())
 		b.replDepth++
-		per := b.edgeCap() + b.node(g.Children[0]) + b.edgeCap()
+		per := b.edgeCap() + b.node(g.Children[0]) + b.branchOut()
 		b.replDepth--
 		units := int64(b.caps.SplitWidth)
 		sub := per * units
@@ -233,7 +248,7 @@ func (a *analyzer) computeBound(root *core.GraphNode) {
 		}
 		f.Trace = append(f.Trace, TraceStep{
 			Path: root.Path, Node: root.Name, subject: root.Node,
-			State: fmt.Sprintf("fixed plumbing holds up to %d records (%d stream edges at %d each, plus engines and merge slots)",
+			State: fmt.Sprintf("fixed plumbing holds up to %d records (%d stream edges at %d each, plus engines, branch writers and merge queues)",
 				a.bound.Fixed, a.edges, core.StreamCapacity(a.caps.StreamBuffer, a.caps.StreamBatch)),
 		})
 		terms := append([]ReplicaTerm(nil), a.bound.Replicas...)

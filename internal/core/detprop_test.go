@@ -149,6 +149,34 @@ func TestDetPropNestedCombinators(t *testing.T) {
 	runDetProp(t, mkNet, inputs)
 }
 
+// Det over nondet over split: the outer deterministic split's markers are
+// foreign to everything inside it — they are broadcast through the inner
+// nondeterministic parallel and on through the split replicas of one of its
+// branches, and come back up as the last item of whatever frame each branch
+// writer had pending, records ahead of them in the same batch at B > 1.
+// The inner combinators must stay order-transparent at every B.
+func TestDetPropDetOverNondetOverSplit(t *testing.T) {
+	const n = 48
+	mkNet := func() Node {
+		inner := Parallel(
+			Split(latencyBox("da", "a", 400*time.Microsecond), "k"),
+			latencyBox("db", "b", 150*time.Microsecond),
+		)
+		return SplitDet(inner, "g")
+	}
+	inputs := func() []*Record {
+		return seqInputs(n, func(i int, r *Record) {
+			if i%3 == 0 {
+				r.SetField("b", 1)
+			} else {
+				r.SetField("a", 1)
+			}
+			r.SetTag("k", i%4).SetTag("g", i%2)
+		})
+	}
+	runDetProp(t, mkNet, inputs)
+}
+
 // latencyBox2 is latencyBox over a bare (<seq>) signature.
 func latencyBox2(name string, maxDelay time.Duration) Node {
 	var mu sync.Mutex

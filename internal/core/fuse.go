@@ -128,15 +128,17 @@ func (f *fuser) build(n Node) Node {
 		}
 		// The exit memo is a pure function of the exit pattern and is shared
 		// across the unfold chain; the rewritten star keeps sharing it.
-		return &starNode{label: n.label, det: n.det, operand: op,
-			exit: n.exit, depth: n.depth, memo: n.memo}
+		star := *n
+		star.operand = op
+		return &star
 	case *splitNode:
 		op := f.rewrite(n.operand)
 		if op == n.operand {
 			return n
 		}
-		return &splitNode{label: n.label, det: n.det, operand: op,
-			tag: n.tag, uncapped: n.uncapped}
+		split := *n
+		split.operand = op
+		return &split
 	default:
 		// Leaves (boxes, filters, sync, observe, hide) are never rewritten
 		// in place — they only ever move into a fusedNode via fuseChain.

@@ -77,6 +77,31 @@ func StreamCapacity(buffer, batch int) int64 {
 	return int64(buffer)*int64(batch) + int64(batch) + 1
 }
 
+// BranchWriterHold returns the worst-case number of records held by the
+// output writer of one combinator branch.  A branch has no output stream:
+// its writer ships frames straight into the site's merge queue (merge.go),
+// so all it ever holds is its pending batch.
+func BranchWriterHold(batch int) int64 {
+	if batch < 1 {
+		batch = 1
+	}
+	return int64(batch)
+}
+
+// MergeQueueCapacity returns the worst-case number of records between the
+// branches of one parallel, star or split site and the site's output: the
+// one merge queue all its branches share — buffer+mergeQueueSlack frames of
+// up to `batch` items — plus the frame the merger is consuming.
+func MergeQueueCapacity(buffer, batch int) int64 {
+	if buffer < 0 {
+		buffer = 0
+	}
+	if batch < 1 {
+		batch = 1
+	}
+	return int64(buffer+mergeQueueSlack)*int64(batch) + int64(batch)
+}
+
 // BoxEngineHold returns the worst-case number of records held inside one
 // concurrent box node at width W: W invocations in flight plus up to W-1
 // completed results parked in the FIFO reorder stage awaiting the head.

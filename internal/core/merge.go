@@ -29,54 +29,75 @@ import "sort"
 // before it — reaches each branch without waiting for the batch to fill.
 // The liveness of the sort-record protocol is therefore independent of the
 // batch size B.
+//
+// Fan-in is direct.  A branch has no output stream: the streamWriter its
+// last node writes is bound to the fanout, so every frame it ships — a
+// single item or a batch, under the usual flush rules — lands on the one
+// merge queue (mux) tagged with the branch, and closing it is the branch's
+// evClosed.  The merger consumes whole frames; markers may sit anywhere in a
+// batch.  The identity exit branch of a star is such a writer in the
+// dispatcher's own hands: no stream, no goroutine.  The splitter's control
+// events travel on the same queue, which is why it is the one
+// multi-producer channel of the record plane besides the network boundary;
+// the merger never blocks on anything but its output.
 
 // branch event kinds flowing into the merger.
 const (
-	evRegister = iota // new branch: id + join mark
-	evItem            // record or marker arriving from a branch
+	evRegister = iota // new branch: b, with its join mark set
+	evFrame           // one frame of a branch's output
 	evClosed          // branch output closed
 	evMarker          // splitter announces a marker (identity + global number)
 	evDone            // splitter finished; no further branches or markers
 	evRetire          // splitter closed a branch's input (close protocol);
-	//                   it.rec, if non-nil, is the drain-acknowledgement
-	//                   sentinel to emit after the branch's last record
+	//                   the frame's record, if non-nil, is the
+	//                   drain-acknowledgement sentinel to emit after the
+	//                   branch's last record
 	evEmit // splitter hands one record straight to the output (the
 	//        close protocol's acknowledgement when no replica exists)
 )
 
 type branchEvent struct {
 	kind int
-	id   int
-	join int  // evRegister: markers broadcast before this branch existed
-	seq  int  // evMarker: global marker number
-	it   item // evItem payload; evMarker identity (it.mk)
+	b    *mergerBranch // evRegister, evFrame, evClosed, evRetire
+	seq  int           // evMarker: global marker number
+	fr   frame         // evFrame payload; as a single item: evMarker's identity, evRetire's and evEmit's record
 }
 
-// branchPort is the splitter's handle to one branch: the writing end of the
-// branch's input stream.
+// mergeQueueSlack is how many frames the merge queue holds beyond the run's
+// stream buffer, so the splitter's control events do not rendezvous with the
+// merger even at WithBuffer(0).  MergeQueueCapacity (graph.go) prices it.
+const mergeQueueSlack = 4
+
+// branchPort is the splitter's handle to one live branch.
 type branchPort struct {
-	id int
-	w  *streamWriter
+	// w is the writing end of the branch's input stream — for the identity
+	// exit of a star, which has no stream, the writer into the merger.
+	w    *streamWriter
+	b    *mergerBranch
+	slot int // index in fanout.ports and in the input reader's idle list
 }
 
 // fanout is the splitter half: it owns branch creation, routing and marker
 // broadcast.  All methods are called from the combinator's run goroutine
-// only; branch-input writers are registered with the combinator's input
-// reader so records buffered for a branch are flushed whenever the splitter
-// waits for more input.
+// only; the writers it routes into are registered with the combinator's
+// input reader so records buffered for a branch are flushed whenever the
+// splitter waits for more input.
 type fanout struct {
 	env       *runEnv
 	det       bool
 	level     int // own marker level (det only)
 	ownTicket uint64
-	mux       chan branchEvent
-	in        *streamReader // the combinator's input, for autoFlush wiring
-	branches  []*branchPort
-	markers   int // global marker count broadcast so far
+	mux       chan branchEvent // the merge queue: branch frames and splitter events
+	in        *streamReader    // the combinator's input, for autoFlush wiring
+	// ports lists the live branches; ports[i].w is in.onIdle[i] (nothing
+	// else registers with a combinator's input), so a retired replica leaves
+	// both lists at once.
+	ports   []*branchPort
+	markers int // global marker count broadcast so far
 }
 
 func newFanout(env *runEnv, det bool, in *streamReader) *fanout {
-	f := &fanout{env: env, det: det, in: in, mux: make(chan branchEvent, env.buf+4)}
+	f := &fanout{env: env, det: det, in: in, mux: make(chan branchEvent, env.buf+mergeQueueSlack)}
 	if det {
 		f.level = env.newLevel()
 	}
@@ -94,38 +115,21 @@ func (f *fanout) sendEv(e branchEvent) bool {
 }
 
 // addBranch registers a new branch running node n; a nil node is an identity
-// passthrough (used for the exit path of serial replication).  It returns
-// the port for routing.
+// passthrough (used for the exit path of serial replication), which the
+// dispatcher writes into the merger itself.  It returns the port for routing.
 func (f *fanout) addBranch(n Node) *branchPort {
-	inR, inW := newStream(f.env)
-	port := &branchPort{id: len(f.branches), w: inW}
-	f.branches = append(f.branches, port)
-	f.in.autoFlush(inW)
-	f.sendEv(branchEvent{kind: evRegister, id: port.id, join: f.markers})
-	var branchOut *streamReader
-	if n == nil {
-		branchOut = inR
-	} else {
-		outR, outW := newStream(f.env)
-		go n.run(f.env, inR, outW)
-		branchOut = outR
+	b := &mergerBranch{join: f.markers}
+	f.sendEv(branchEvent{kind: evRegister, b: b})
+	out := &streamWriter{env: f.env, fan: f, branch: b, batch: f.env.batch}
+	port := &branchPort{w: out, b: b, slot: len(f.ports)}
+	if n != nil {
+		var inR *streamReader
+		inR, port.w = newStream(f.env)
+		go n.run(f.env, inR, out)
 	}
-	go f.pump(port.id, branchOut)
+	f.ports = append(f.ports, port)
+	f.in.autoFlush(port.w)
 	return port
-}
-
-// pump forwards one branch's output into the merger mux.
-func (f *fanout) pump(id int, r *streamReader) {
-	for {
-		it, ok := r.recv()
-		if !ok {
-			break
-		}
-		if !f.sendEv(branchEvent{kind: evItem, id: id, it: it}) {
-			return
-		}
-	}
-	f.sendEv(branchEvent{kind: evClosed, id: id})
 }
 
 // route sends a data record into a branch; false on cancellation.
@@ -148,13 +152,10 @@ func (f *fanout) forwardMarker(mk *marker) bool { return f.broadcast(mk) }
 
 func (f *fanout) broadcast(mk *marker) bool {
 	f.markers++
-	if !f.sendEv(branchEvent{kind: evMarker, seq: f.markers, it: item{mk: mk}}) {
+	if !f.sendEv(branchEvent{kind: evMarker, seq: f.markers, fr: frame{single: item{mk: mk}}}) {
 		return false
 	}
-	for _, port := range f.branches {
-		if port == nil {
-			continue // retired by the close protocol
-		}
+	for _, port := range f.ports {
 		if !port.w.send(item{mk: mk}) {
 			return false
 		}
@@ -164,39 +165,45 @@ func (f *fanout) broadcast(mk *marker) bool {
 
 // retireBranch is the splitter half of the replica close protocol: the
 // branch's input stream is closed (the branch drains and its output merges
-// as usual, ending in the pump's evClosed) and, if sentinel is non-nil, the
-// merger emits sentinel strictly after the branch's last record.  The port
-// must not be routed to after retireBranch.
+// as usual, ending in its evClosed), the port leaves the splitter's tables
+// and, if sentinel is non-nil, the merger emits sentinel strictly after the
+// branch's last record.  The port must not be routed to after retireBranch.
 func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
 	port.w.close()
-	f.branches[port.id] = nil
-	return f.sendEv(branchEvent{kind: evRetire, id: port.id, it: item{rec: sentinel}})
+	last := len(f.ports) - 1
+	moved := f.ports[last]
+	moved.slot = port.slot
+	f.ports[port.slot], f.in.onIdle[port.slot] = moved, moved.w
+	f.ports[last], f.in.onIdle[last] = nil, nil
+	f.ports, f.in.onIdle = f.ports[:last], f.in.onIdle[:last]
+	return f.sendEv(branchEvent{kind: evRetire, b: port.b, fr: frame{single: item{rec: sentinel}}})
 }
 
 // emitDirect hands one record straight to the merged output — the close
 // protocol's acknowledgement path when no replica exists for the key.
 func (f *fanout) emitDirect(rec *Record) bool {
-	return f.sendEv(branchEvent{kind: evEmit, it: item{rec: rec}})
+	return f.sendEv(branchEvent{kind: evEmit, fr: frame{single: item{rec: rec}}})
 }
 
 // finish closes all branch inputs and tells the merger no more branches or
 // markers will appear.
 func (f *fanout) finish() {
-	for _, port := range f.branches {
-		if port == nil {
-			continue // retired by the close protocol
-		}
+	for _, port := range f.ports {
 		port.w.close()
 	}
 	f.sendEv(branchEvent{kind: evDone})
 }
 
-// mergerBranch is the merger-side view of one branch.
+// mergerBranch is the merger-side view of one branch.  The splitter creates
+// it (join is fixed then) and hands it over with evRegister; from there on
+// only the merger touches it — the branch's writer and the splitter's port
+// carry the pointer as a tag, nothing more.
 type mergerBranch struct {
 	join        int
 	closed      bool
+	settled     bool // closed, drained and acknowledged: nothing left to merge
 	markersSeen int
-	regions     map[int][]*Record // det: buffered data per region
+	regions     map[int][]*Record // buffered data per region; nil until needed
 	sentinel    *Record           // close protocol: emit after the last record
 }
 
@@ -204,226 +211,301 @@ type mergerBranch struct {
 // branch has delivered.
 func (b *mergerBranch) lastGlobalMarker() int { return b.join + b.markersSeen }
 
+// merger is the state of one mergeLoop.
+type merger struct {
+	f        *fanout
+	out      *streamWriter
+	ownLevel int
+	// branches are the registered branches in registration order — the
+	// fixed branch order of deterministic emission.  Settled ones are
+	// compacted away (register), so a long-lived site holds entries for its
+	// live branches only.  A branch whose evRegister lost the cancellation
+	// race in sendEv may still deliver events; the run is being abandoned,
+	// so it is merged without ever being listed.
+	branches     []*mergerBranch
+	dead         int             // settled entries still listed
+	markerIDs    map[int]*marker // announced, not yet emitted
+	totalMarkers int
+	emitted      int
+	done         bool
+}
+
 // mergeLoop is the merger half; the combinator runs it in a dedicated
 // goroutine, which owns the out writer until mergeLoop returns.  It writes
 // merged output to out and returns when the splitter is done and all
 // branches have closed (or on cancellation).  The caller closes out.
 func (f *fanout) mergeLoop(out *streamWriter, ownLevel int) {
-	var (
-		branches     []*mergerBranch
-		markerIDs    = map[int]*marker{}
-		totalMarkers int
-		emitted      int
-		done         bool
-	)
-	// nextEvent receives from the mux, flushing out's pending batch before
-	// blocking so merged records never wait on merger idleness.
-	nextEvent := func() (branchEvent, bool) {
-		select {
-		case e := <-f.mux:
-			return e, true
-		case <-f.env.ctx.Done():
-			return branchEvent{}, false
-		default:
-		}
-		if !out.flush() {
-			return branchEvent{}, false
-		}
-		select {
-		case e := <-f.mux:
-			return e, true
-		case <-f.env.ctx.Done():
-			return branchEvent{}, false
-		}
+	m := &merger{f: f, out: out, ownLevel: ownLevel}
+	if !m.run() {
+		m.abandon()
 	}
-	// A nil entry in branches is a branch whose evRegister lost the
-	// cancellation race in sendEv while later events survived; the run is
-	// being abandoned, so every walk below skips it.
-	allClosed := func() bool {
-		for _, b := range branches {
-			if b != nil && !b.closed {
-				return false
-			}
-		}
-		return true
+}
+
+// next receives from the merge queue, flushing out's pending batch before
+// blocking so merged records never wait on merger idleness.
+func (m *merger) next() (branchEvent, bool) {
+	select {
+	case e := <-m.f.mux:
+		return e, true
+	case <-m.f.env.ctx.Done():
+		return branchEvent{}, false
+	default:
 	}
-	regionComplete := func(next int) bool {
-		for _, b := range branches {
-			if b == nil || b.join >= next || b.closed {
-				continue
-			}
-			if b.lastGlobalMarker() < next {
-				return false
-			}
-		}
-		return true
+	if !m.out.flush() {
+		return branchEvent{}, false
 	}
-	// emitSentinel delivers a retired branch's drain acknowledgement once
-	// the branch has closed and none of its data remains buffered — the
-	// "strictly after the branch's last record" guarantee of the close
-	// protocol.  False on cancellation.
-	emitSentinel := func(b *mergerBranch) bool {
-		if b == nil || b.sentinel == nil || !b.closed || len(b.regions) != 0 {
-			return true
-		}
-		rec := b.sentinel
-		b.sentinel = nil
-		return out.sendRecord(rec)
+	select {
+	case e := <-m.f.mux:
+		return e, true
+	case <-m.f.env.ctx.Done():
+		return branchEvent{}, false
 	}
-	emitRegion := func(next int) bool {
-		for _, b := range branches {
-			if b == nil {
-				continue
-			}
-			for _, r := range b.regions[next] {
-				if !out.sendRecord(r) {
-					return false
-				}
-			}
-			delete(b.regions, next)
-			if !emitSentinel(b) {
-				return false
-			}
-		}
-		mk := markerIDs[next]
-		delete(markerIDs, next)
-		if mk != nil && mk.level != ownLevel {
-			if !out.send(item{mk: mk}) {
-				return false
-			}
-		}
-		return true
-	}
-	// tryAdvance emits all currently complete regions; false on cancel.
-	tryAdvance := func() bool {
-		for emitted < totalMarkers {
-			next := emitted + 1
-			if _, announced := markerIDs[next]; !announced {
-				return true // identity not yet known
-			}
-			if !regionComplete(next) {
-				return true
-			}
-			if !emitRegion(next) {
-				return false
-			}
-			emitted = next
-		}
-		return true
-	}
-	// flushTails emits data buffered after the last marker of each branch
-	// (or all data, in runs without any markers), in branch order, followed
-	// by any retired branch's drain acknowledgement.
-	flushTails := func() bool {
-		for _, b := range branches {
-			if b == nil {
-				continue
-			}
-			keys := make([]int, 0, len(b.regions))
-			for k := range b.regions {
-				keys = append(keys, k)
-			}
-			sort.Ints(keys)
-			for _, k := range keys {
-				for _, r := range b.regions[k] {
-					if !out.sendRecord(r) {
-						return false
-					}
-				}
-			}
-			b.regions = map[int][]*Record{}
-			if !emitSentinel(b) {
-				return false
-			}
-		}
-		return true
-	}
+}
+
+// run merges until the splitter is done and every branch has closed; false
+// means the run was cancelled first.
+func (m *merger) run() bool {
 	for {
-		e, ok := nextEvent()
+		e, ok := m.next()
 		if !ok {
-			return
+			return false
 		}
 		switch e.kind {
 		case evRegister:
-			for len(branches) <= e.id {
-				branches = append(branches, nil)
+			m.register(e.b)
+		case evFrame:
+			if !m.frame(e.b, e.fr) {
+				return false
 			}
-			branches[e.id] = &mergerBranch{join: e.join, regions: map[int][]*Record{}}
-		case evItem:
-			// During cancellation sendEv may drop an evRegister (its
-			// select races ctx.Done against the mux send) while a later
-			// evItem still gets through; the run is being abandoned, so
-			// drop such orphaned events.
-			if e.id >= len(branches) || branches[e.id] == nil {
-				break
-			}
-			b := branches[e.id]
-			if e.it.mk != nil {
-				b.markersSeen++
-				if !tryAdvance() {
-					return
-				}
-				break
-			}
-			region := b.lastGlobalMarker() + 1
-			// Nondeterministic merging forwards eagerly, but only within
-			// the currently open marker region — data from later regions
-			// must wait so that an enclosing deterministic combinator
-			// sees a correctly ordered marker/data interleaving.
-			// Deterministic merging always buffers, emitting whole
-			// regions in branch order.
-			if !f.det && region == emitted+1 {
-				if !out.send(e.it) {
-					return
-				}
-				break
-			}
-			b.regions[region] = append(b.regions[region], e.it.rec)
 		case evMarker:
-			totalMarkers = e.seq
-			markerIDs[e.seq] = e.it.mk
-			if !tryAdvance() {
-				return
+			if m.markerIDs == nil {
+				m.markerIDs = map[int]*marker{}
+			}
+			m.totalMarkers = e.seq
+			m.markerIDs[e.seq] = e.fr.single.mk
+			if !m.advance() {
+				return false
 			}
 		case evClosed:
-			if e.id >= len(branches) || branches[e.id] == nil {
-				break // see evItem: cancellation orphan
-			}
-			branches[e.id].closed = true
-			if !tryAdvance() {
-				return
-			}
-			if !emitSentinel(branches[e.id]) {
-				return
+			e.b.closed = true
+			if !m.advance() || !m.settle(e.b) {
+				return false
 			}
 		case evRetire:
 			// The splitter closed this branch's input.  Remember the drain
 			// acknowledgement (if requested); the branch's evClosed — or, in
 			// deterministic runs, the emission of its last buffered region —
-			// releases it.  evRetire and evClosed race through the mux from
-			// different goroutines, so check both orders.
-			if e.id >= len(branches) || branches[e.id] == nil {
-				break // see evItem: cancellation orphan
-			}
-			branches[e.id].sentinel = e.it.rec
-			if !emitSentinel(branches[e.id]) {
-				return
+			// releases it.  evRetire and evClosed race through the queue from
+			// different goroutines, so settle checks both orders.
+			e.b.sentinel = e.fr.single.rec
+			if !m.settle(e.b) {
+				return false
 			}
 		case evEmit:
-			if !out.send(e.it) {
-				return
+			if !m.out.send(e.fr.single) {
+				return false
 			}
 		case evDone:
-			done = true
+			m.done = true
 		}
-		if done && allClosed() {
-			if !tryAdvance() {
-				return
+		if m.done && m.allClosed() {
+			if !m.advance() {
+				return false
 			}
-			if emitted == totalMarkers {
-				flushTails()
-				return
+			if m.emitted == m.totalMarkers {
+				return m.flushTails()
 			}
+		}
+	}
+}
+
+// register lists a new branch, first dropping the settled ones once they
+// are the majority — amortised constant work per branch.
+func (m *merger) register(b *mergerBranch) {
+	if m.dead > len(m.branches)/2 {
+		live := m.branches[:0]
+		for _, x := range m.branches {
+			if !x.settled {
+				live = append(live, x)
+			}
+		}
+		clear(m.branches[len(live):])
+		m.branches, m.dead = live, 0
+	}
+	m.branches = append(m.branches, b)
+}
+
+// frame merges one frame of branch b's output and returns its slab to the
+// arena.  On cancellation the unread rest of the frame is released.
+func (m *merger) frame(b *mergerBranch, fr frame) bool {
+	if fr.batch == nil {
+		return m.item(b, fr.single)
+	}
+	ok := true
+	for i, it := range fr.batch {
+		if ok = m.item(b, it); !ok {
+			releaseItems(fr.batch[i+1:]...)
+			break
+		}
+	}
+	releaseFrameSlab(fr.batch)
+	return ok
+}
+
+func (m *merger) item(b *mergerBranch, it item) bool {
+	if it.mk != nil {
+		b.markersSeen++
+		return m.advance()
+	}
+	region := b.lastGlobalMarker() + 1
+	// Nondeterministic merging forwards eagerly, but only within the
+	// currently open marker region — data from later regions must wait so
+	// that an enclosing deterministic combinator sees a correctly ordered
+	// marker/data interleaving.  Deterministic merging always buffers,
+	// emitting whole regions in branch order.
+	if !m.f.det && region == m.emitted+1 {
+		return m.out.send(it)
+	}
+	if b.regions == nil {
+		b.regions = map[int][]*Record{}
+	}
+	b.regions[region] = append(b.regions[region], it.rec)
+	return true
+}
+
+func (m *merger) allClosed() bool {
+	for _, b := range m.branches {
+		if !b.closed {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *merger) regionComplete(next int) bool {
+	for _, b := range m.branches {
+		if b.join >= next || b.closed {
+			continue
+		}
+		if b.lastGlobalMarker() < next {
+			return false
+		}
+	}
+	return true
+}
+
+// sendAll emits recs in order; on cancellation the unsent rest is released
+// (the one in flight is the out writer's to retract).
+func (m *merger) sendAll(recs []*Record) bool {
+	for i, r := range recs {
+		if !m.out.sendRecord(r) {
+			for _, rest := range recs[i+1:] {
+				releaseRecord(rest)
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// settle delivers a retired branch's drain acknowledgement once the branch
+// has closed and none of its data remains buffered — the "strictly after the
+// branch's last record" guarantee of the close protocol — and marks the
+// branch as having nothing left to merge.  False on cancellation.
+func (m *merger) settle(b *mergerBranch) bool {
+	if !b.closed || len(b.regions) != 0 {
+		return true
+	}
+	if !b.settled {
+		b.settled = true
+		m.dead++
+	}
+	rec := b.sentinel
+	b.sentinel = nil
+	return rec == nil || m.out.sendRecord(rec)
+}
+
+func (m *merger) emitRegion(next int) bool {
+	for _, b := range m.branches {
+		if recs, ok := b.regions[next]; ok {
+			delete(b.regions, next)
+			if !m.sendAll(recs) {
+				return false
+			}
+		}
+		if !m.settle(b) {
+			return false
+		}
+	}
+	mk := m.markerIDs[next]
+	delete(m.markerIDs, next)
+	if mk != nil && mk.level != m.ownLevel {
+		return m.out.send(item{mk: mk})
+	}
+	return true
+}
+
+// advance emits all currently complete regions; false on cancellation.
+func (m *merger) advance() bool {
+	for m.emitted < m.totalMarkers {
+		next := m.emitted + 1
+		if _, announced := m.markerIDs[next]; !announced {
+			return true // identity not yet known
+		}
+		if !m.regionComplete(next) {
+			return true
+		}
+		if !m.emitRegion(next) {
+			return false
+		}
+		m.emitted = next
+	}
+	return true
+}
+
+// flushTails emits data buffered after the last marker of each branch (or
+// all data, in runs without any markers), in branch order, followed by any
+// retired branch's drain acknowledgement.
+func (m *merger) flushTails() bool {
+	for _, b := range m.branches {
+		keys := make([]int, 0, len(b.regions))
+		for k := range b.regions {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		for _, k := range keys {
+			recs := b.regions[k]
+			delete(b.regions, k)
+			if !m.sendAll(recs) {
+				return false
+			}
+		}
+		if !m.settle(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// abandon releases what a cancelled merge still holds — buffered regions,
+// pending acknowledgements and the frames queued for it — so the arena's
+// ledger returns to zero.  (A frame shipped after this is dropped with the
+// rest of the cancelled run.)
+func (m *merger) abandon() {
+	for _, b := range m.branches {
+		for _, recs := range b.regions {
+			for _, r := range recs {
+				releaseRecord(r)
+			}
+		}
+		releaseRecord(b.sentinel)
+	}
+	for {
+		select {
+		case e := <-m.f.mux:
+			e.fr.release()
+		default:
+			return
 		}
 	}
 }

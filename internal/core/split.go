@@ -23,30 +23,42 @@ type splitNode struct {
 	// folding — the session-multiplexing configuration, where distinct tag
 	// values must never share a replica (SessionSplit).
 	uncapped bool
+
+	// Stat keys, concatenated once at construction: replica accounting runs
+	// per replica (and per session on a shared engine) and must not build
+	// strings.
+	kReplicas, kWidth, kClosed, kReaped, kUntagged string
+}
+
+func newSplit(label string, det bool, operand Node, tag string, uncapped bool) *splitNode {
+	k := "split." + label
+	return &splitNode{label: label, det: det, operand: operand, tag: tag, uncapped: uncapped,
+		kReplicas: k + ".replicas", kWidth: k + ".width", kClosed: k + ".closed",
+		kReaped: k + ".reaped", kUntagged: k + ".untagged"}
 }
 
 // Split builds the nondeterministic parallel replicator, the paper's
 // A !! <tag>: outputs merge as soon as they are produced.
 func Split(operand Node, tag string) Node {
-	return &splitNode{label: autoName("split"), operand: operand, tag: tag}
+	return newSplit(autoName("split"), false, operand, tag, false)
 }
 
 // SplitDet builds the deterministic parallel replicator A ! <tag>: the
 // merged output preserves the causal order of the inputs.
 func SplitDet(operand Node, tag string) Node {
-	return &splitNode{label: autoName("split"), det: true, operand: operand, tag: tag}
+	return newSplit(autoName("split"), true, operand, tag, false)
 }
 
 // NamedSplit is Split with an explicit stats label, so experiments can read
 // "split.<name>.replicas" (used to verify the paper's ≤9-replica bound and
 // the %4 throttling of Fig. 3).
 func NamedSplit(name string, operand Node, tag string) Node {
-	return &splitNode{label: name, operand: operand, tag: tag}
+	return newSplit(name, false, operand, tag, false)
 }
 
 // NamedSplitDet is SplitDet with an explicit stats label.
 func NamedSplitDet(name string, operand Node, tag string) Node {
-	return &splitNode{label: name, det: true, operand: operand, tag: tag}
+	return newSplit(name, true, operand, tag, false)
 }
 
 // SessionSplit is NamedSplit exempted from the run's WithMaxSplitWidth
@@ -60,7 +72,7 @@ func NamedSplitDet(name string, operand Node, tag string) Node {
 // requests and are retired deterministically through the close protocol,
 // never by idle sweep.
 func SessionSplit(name string, operand Node, tag string) Node {
-	return &splitNode{label: name, operand: operand, tag: tag, uncapped: true}
+	return newSplit(name, false, operand, tag, true)
 }
 
 func (n *splitNode) name() string { return n.label }
@@ -125,7 +137,7 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	// the live-replica gauge.  sentinel (the acknowledgement record, if
 	// requested) is emitted by the merger after the replica's last record —
 	// or immediately when no replica exists.
-	retire := func(key int, sentinel *Record, reason string) bool {
+	retire := func(key int, sentinel *Record, kReason string) bool {
 		port := ports[key]
 		if port == nil {
 			if sentinel != nil {
@@ -137,15 +149,15 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 		if lastSeen != nil {
 			delete(lastSeen, key)
 		}
-		env.stats.Add("split."+n.label+".replicas", -1)
-		env.stats.Add("split."+n.label+"."+reason, 1)
+		env.stats.Add(n.kReplicas, -1)
+		env.stats.Add(kReason, 1)
 		return f.retireBranch(port, sentinel)
 	}
 	// sweep reaps every replica idle for at least reap.
 	sweep := func(now time.Time) bool {
 		for key, seen := range lastSeen {
 			if now.Sub(seen) >= reap {
-				if !retire(key, nil, "reaped") {
+				if !retire(key, nil, n.kReaped) {
 					return false
 				}
 			}
@@ -196,7 +208,7 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			} else {
 				releaseRecord(rec) // consumed by the split itself
 			}
-			if !retire(foldKey(v, n.uncapped, env.maxWidth), sentinel, "closed") {
+			if !retire(foldKey(v, n.uncapped, env.maxWidth), sentinel, n.kClosed) {
 				break
 			}
 			continue
@@ -204,15 +216,15 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 		if !ok {
 			env.error(fmt.Errorf("core: split %s: record %s lacks index tag <%s>",
 				n.label, rec, n.tag))
-			env.stats.Add("split."+n.label+".untagged", 1)
+			env.stats.Add(n.kUntagged, 1)
 			releaseRecord(rec) // dropped, not forwarded
 			continue
 		}
 		key := foldKey(v, n.uncapped, env.maxWidth)
 		port := ports[key]
 		if port == nil {
-			env.stats.Add("split."+n.label+".replicas", 1)
-			env.stats.SetMax("split."+n.label+".width", int64(len(ports)+1))
+			env.stats.Add(n.kReplicas, 1)
+			env.stats.SetMax(n.kWidth, int64(len(ports)+1))
 			port = f.addBranch(n.operand)
 			ports[key] = port
 		}

@@ -19,34 +19,43 @@ type starNode struct {
 	// lazily-unfolded stage of the chain shares the entry dispatcher's memo
 	// (the pattern is the same at every depth).
 	memo *matchMemo
+
+	// Stat keys and the label of an unfolded stage's operand..next pair,
+	// built once at construction and shared by every stage: unfolding runs
+	// per stage and must not build strings.
+	kReplicas, kDepth, kOverflow, stageLabel string
+}
+
+func newStar(label string, det bool, operand Node, exit Pattern) *starNode {
+	k := "star." + label
+	return &starNode{label: label, det: det, operand: operand, exit: exit,
+		memo:      newMatchMemo(exit.Variant),
+		kReplicas: k + ".replicas", kDepth: k + ".depth", kOverflow: k + ".overflow",
+		stageLabel: label + ".stage"}
 }
 
 // Star builds the nondeterministic serial replicator, the paper's
 // A ** (pattern): exits merge as soon as they are produced.
 func Star(operand Node, exit Pattern) Node {
-	return &starNode{label: autoName("star"), operand: operand, exit: exit,
-		memo: newMatchMemo(exit.Variant)}
+	return newStar(autoName("star"), false, operand, exit)
 }
 
 // StarDet builds the deterministic serial replicator A * (pattern): the
 // merged exit stream preserves the causal order of the inputs.
 func StarDet(operand Node, exit Pattern) Node {
-	return &starNode{label: autoName("star"), det: true, operand: operand, exit: exit,
-		memo: newMatchMemo(exit.Variant)}
+	return newStar(autoName("star"), true, operand, exit)
 }
 
 // NamedStar is Star with an explicit stats label, so experiments can read
 // "star.<name>.replicas" counters (used to verify the paper's unfolding
 // bounds: ≤ 81 stages for a 9×9 sudoku, Fig. 1).
 func NamedStar(name string, operand Node, exit Pattern) Node {
-	return &starNode{label: name, operand: operand, exit: exit,
-		memo: newMatchMemo(exit.Variant)}
+	return newStar(name, false, operand, exit)
 }
 
 // NamedStarDet is StarDet with an explicit stats label.
 func NamedStarDet(name string, operand Node, exit Pattern) Node {
-	return &starNode{label: name, det: true, operand: operand, exit: exit,
-		memo: newMatchMemo(exit.Variant)}
+	return newStar(name, true, operand, exit)
 }
 
 func (n *starNode) name() string { return n.label }
@@ -74,7 +83,7 @@ func (n *starNode) sig(c *checker) (RecType, RecType) {
 func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	f := newFanout(env, n.det, in)
-	exitPort := f.addBranch(nil) // branch 0: records leaving the chain here
+	exitPort := f.addBranch(nil) // branch 0: records leaving the chain here (no stream: see addBranch)
 	var chainPort *branchPort    // branch 1: operand .. star(depth+1), lazy
 	mergeDone := make(chan struct{})
 	go func() {
@@ -104,15 +113,15 @@ func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			if n.depth >= env.maxDepth {
 				env.error(fmt.Errorf("core: star %s: unfolding beyond depth %d; dropping %s",
 					n.label, env.maxDepth, rec))
-				env.stats.Add("star."+n.label+".overflow", 1)
+				env.stats.Add(n.kOverflow, 1)
 				releaseRecord(rec) // dropped, not forwarded
 				continue
 			}
-			env.stats.Add("star."+n.label+".replicas", 1)
-			env.stats.SetMax("star."+n.label+".depth", int64(n.depth+1))
-			next := &starNode{label: n.label, det: n.det, operand: n.operand,
-				exit: n.exit, depth: n.depth + 1, memo: n.memo}
-			chainPort = f.addBranch(&serialNode{label: autoName("serial"), a: n.operand, b: next})
+			env.stats.Add(n.kReplicas, 1)
+			env.stats.SetMax(n.kDepth, int64(n.depth+1))
+			next := *n
+			next.depth++
+			chainPort = f.addBranch(&serialNode{label: n.stageLabel, a: n.operand, b: &next})
 		}
 		if !f.route(chainPort, rec) || !f.afterRoute() {
 			break

@@ -34,6 +34,14 @@ import (
 // can accept records from many client goroutines).  autoFlush registrations
 // must respect this: only register writers owned by the goroutine that
 // reads the stream.
+//
+// A writer has one of two sinks.  An ordinary writer owns a frame channel
+// with one reader.  The output writer of a combinator branch has no channel
+// of its own: it is bound to the branch's merger (merge.go) and ship hands
+// each frame, tagged with the branch, straight to the merge queue; close is
+// the branch's evClosed.  Such a writer is single-goroutine like any other —
+// the merge queue it feeds is the one multi-producer channel of the record
+// plane besides the network boundary.
 
 // item is one element on a stream: either a data record or a control marker
 // ("sort record") of the deterministic-merge protocol.  Exactly one of rec
@@ -65,16 +73,28 @@ type frame struct {
 // buffer capacity and batch size.
 func newStream(env *runEnv) (*streamReader, *streamWriter) {
 	ch := make(chan frame, env.buf)
-	r := &streamReader{env: env, ch: ch}
-	w := &streamWriter{env: env, ch: ch, batch: env.batch}
-	return r, w
+	s := &struct {
+		r streamReader
+		w streamWriter
+	}{
+		r: streamReader{env: env, ch: ch},
+		w: streamWriter{env: env, ch: ch, batch: env.batch},
+	}
+	// Most readers' goroutines own exactly one writer: its idle-flush
+	// registration lands in the reader's own slot, not in a slice of its own.
+	s.r.onIdle = s.r.idle1[:0]
+	return &s.r, &s.w
 }
 
 // streamWriter is the producing end of a stream.  All methods except
 // sendDirect must be called from the single goroutine that owns the writer.
 type streamWriter struct {
-	env     *runEnv
-	ch      chan frame
+	env *runEnv
+	ch  chan frame // nil for a branch-output writer
+	// A branch-output writer ships into fan's merge queue on behalf of
+	// branch; both are nil for an ordinary stream.
+	fan     *fanout
+	branch  *mergerBranch
 	batch   int    // flush threshold B (>= 1)
 	pending []item // items accumulated since the last flush
 	closed  bool
@@ -137,25 +157,42 @@ func (w *streamWriter) flush() bool {
 	return w.ship(f)
 }
 
-// ship performs the channel handoff of one frame.  The transport counters
-// settle here, on delivery: a frame dropped by cancellation retracts its
-// records so "stream.records" reflects only what reached the channel.
-func (w *streamWriter) ship(f frame) bool {
+// handOff sends v on ch; false means the run was cancelled first.  A wait on
+// a full channel is a wait on the consumer, not work of the sender: it is
+// timed into *blocked so the box engine can tell a slow box from a cheap one
+// held up by backpressure (boxengine.go).  The clock is read only on that
+// path, which parks anyway.
+func handOff[T any](ctx context.Context, ch chan<- T, v T, blocked *time.Duration) bool {
 	select {
-	case w.ch <- f:
+	case ch <- v:
+		return true
 	default:
-		// The stream is full: what follows is a wait on the consumer, not
-		// work of the sender.  It is timed so the box engine can tell a
-		// slow box from a cheap one held up by backpressure (boxengine.go);
-		// the clock is read only on this path, which parks anyway.
-		t0 := time.Now()
-		select {
-		case w.ch <- f:
-			w.blocked += time.Since(t0)
-		case <-w.env.ctx.Done():
-			w.retract(f)
-			return false
-		}
+	}
+	t0 := time.Now()
+	select {
+	case ch <- v:
+		*blocked += time.Since(t0)
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// ship performs the channel handoff of one frame — to the stream's reader,
+// or to the merger a branch-output writer is bound to.  The transport
+// counters settle here, on delivery: a frame dropped by cancellation
+// retracts its records so "stream.records" reflects only what reached the
+// channel.
+func (w *streamWriter) ship(f frame) bool {
+	var ok bool
+	if w.fan != nil {
+		ok = handOff(w.env.ctx, w.fan.mux, branchEvent{kind: evFrame, b: w.branch, fr: f}, &w.blocked)
+	} else {
+		ok = handOff(w.env.ctx, w.ch, f, &w.blocked)
+	}
+	if !ok {
+		w.retract(f)
+		return false
 	}
 	n := len(f.batch)
 	if n == 0 {
@@ -171,20 +208,30 @@ func (w *streamWriter) ship(f frame) bool {
 // retract undoes the accounting of a frame that never reached the channel
 // and returns what the writer owned to the arena.
 func (w *streamWriter) retract(f frame) {
+	w.records -= f.release()
+}
+
+// release returns an undelivered frame — its data records and its slab — to
+// the arena and reports how many records that were.
+func (f frame) release() int64 {
 	if f.batch == nil {
-		if f.single.rec != nil {
-			w.records--
-			releaseRecord(f.single.rec)
-		}
-		return
+		return releaseItems(f.single)
 	}
-	for _, it := range f.batch {
+	n := releaseItems(f.batch...)
+	releaseFrameSlab(f.batch)
+	return n
+}
+
+// releaseItems releases the data records among items and counts them.
+func releaseItems(items ...item) int64 {
+	var n int64
+	for _, it := range items {
 		if it.rec != nil {
-			w.records--
+			n++
 			releaseRecord(it.rec)
 		}
 	}
-	releaseFrameSlab(f.batch)
+	return n
 }
 
 // sendDirect delivers one record immediately, bypassing the pending batch,
@@ -248,7 +295,8 @@ func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int
 	return sent, nil
 }
 
-// close flushes pending items, closes the channel, and folds the writer's
+// close flushes pending items, closes the channel — for a branch-output
+// writer: tells the merger the branch has closed — and folds the writer's
 // transport counters into the run's Stats.  Idempotent.
 func (w *streamWriter) close() {
 	if w.closed {
@@ -260,7 +308,11 @@ func (w *streamWriter) close() {
 		releaseFrameSlab(w.pending)
 		w.pending = nil
 	}
-	close(w.ch)
+	if w.fan != nil {
+		w.fan.sendEv(branchEvent{kind: evClosed, b: w.branch})
+	} else {
+		close(w.ch)
+	}
 	frames := w.frames + atomic.LoadInt64(&w.directFrames)
 	records := w.records + atomic.LoadInt64(&w.directRecords)
 	if frames > 0 {
@@ -282,6 +334,7 @@ type streamReader struct {
 	// onIdle holds the writers this reader's goroutine owns; recv flushes
 	// them before blocking, which is the adaptive policy's idle flush.
 	onIdle     []*streamWriter
+	idle1      [1]*streamWriter // onIdle's first backing array
 	discarding atomic.Bool
 }
 
@@ -384,67 +437,65 @@ func (r *streamReader) accept(f frame, ok bool) (item, bool) {
 // cancelled send or finished a dispatch loop — uses this one call so
 // upstream senders can never stay blocked on a stream nobody reads.  The
 // drainer returns on close or cancellation and counts the data records it
-// threw away under "stream.discarded".  Idempotent; the reader must not be
-// used after calling it.
+// threw away under "stream.discarded".  A stream that is already closed and
+// drained — every normal end of a dispatch loop — has nothing left to
+// consume, so nothing is detached.  Idempotent; the reader must not be used
+// after calling it.
 func (r *streamReader) Discard() {
 	if r.discarding.Swap(true) {
 		return
 	}
-	go func() {
-		var n int64
-		for r.pos < len(r.cur) {
-			if rec := r.cur[r.pos].rec; rec != nil {
-				n++
-				releaseRecord(rec)
-			}
-			r.pos++
-		}
-		r.finishFrame()
-		countFrame := func(f frame) {
-			if f.batch == nil {
-				if f.single.rec != nil {
-					n++
-					releaseRecord(f.single.rec)
-				}
+	// One non-blocking look at the channel first; a frame it picks up goes
+	// to the drainer, which counts it like any other.
+	var head frame
+	if r.pos >= len(r.cur) {
+		select {
+		case f, ok := <-r.ch:
+			if !ok {
+				r.finishFrame()
 				return
 			}
-			for _, it := range f.batch {
-				if it.rec != nil {
-					n++
-					releaseRecord(it.rec)
-				}
-			}
-			releaseFrameSlab(f.batch)
+			head = f
+		default:
 		}
-		defer func() {
-			if n > 0 {
-				r.env.stats.Add("stream.discarded", n)
-			}
-		}()
-		for {
-			// Prefer frames already delivered over the cancellation signal
-			// so the discard count is deterministic for everything that
-			// reached the stream before the early exit.
-			select {
-			case f, ok := <-r.ch:
-				if !ok {
-					return
-				}
-				countFrame(f)
-				continue
-			default:
-			}
-			select {
-			case f, ok := <-r.ch:
-				if !ok {
-					return
-				}
-				countFrame(f)
-			case <-r.env.ctx.Done():
-				return
-			}
+	}
+	go r.drain(head)
+}
+
+// drain is Discard's background consumer: the unread rest of the frame in
+// hand, then head, then whatever the stream still delivers.
+func (r *streamReader) drain(head frame) {
+	n := releaseItems(r.cur[r.pos:]...)
+	r.finishFrame()
+	n += head.release()
+	defer func() {
+		if n > 0 {
+			r.env.stats.Add("stream.discarded", n)
 		}
 	}()
+	for {
+		// Prefer frames already delivered over the cancellation signal
+		// so the discard count is deterministic for everything that
+		// reached the stream before the early exit.
+		select {
+		case f, ok := <-r.ch:
+			if !ok {
+				return
+			}
+			n += f.release()
+			continue
+		default:
+		}
+		select {
+		case f, ok := <-r.ch:
+			if !ok {
+				return
+			}
+			n += f.release()
+		case <-r.env.ctx.Done():
+			return
+		}
+	}
 }
 
 // ctxDone reports whether the run has been cancelled.

@@ -1,0 +1,130 @@
+package workloads
+
+import (
+	"context"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/snet"
+)
+
+// The verifier's occupancy bound (internal/analysis) is a claim about runs:
+// no schedule holds more records at once.  These tests watch real runs of
+// the two workloads whose shape the fan-in plumbing dominates and pin the
+// observation under the bound — a plumbing change that adds a buffer the
+// model does not know moves the wrong way here.
+
+// verifiedBound is the plan's static high-water bound under the default
+// capacity assumptions, which the runs below stay within (buffer 32, batch
+// 8, box width 4, at most 64 replicas per site).
+func verifiedBound(t *testing.T, p *snet.Plan) int64 {
+	t.Helper()
+	rep := analysis.Analyze(p)
+	if !rep.DeadlockFree() || rep.Bound == nil || !rep.Bound.Finite {
+		t.Fatalf("plan does not certify: %v", rep.Bound)
+	}
+	return rep.Bound.Total
+}
+
+// TestWavefrontInFlightWithinBound: the whole grid unfolds from one record,
+// so the records in flight are the runtime's own — all from the arena, whose
+// ledger is the observation.
+func TestWavefrontInFlightWithinBound(t *testing.T) {
+	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+		const n = 24 // 47 stages, at most 23 join replicas each
+		plan := compile(WavefrontNet(n, 5))
+		bound := verifiedBound(t, plan)
+		base := snet.PoolStats().Live()
+		var peak atomic.Int64
+		stop, sampled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if live := snet.PoolStats().Live() - base; live > peak.Load() {
+					peak.Store(live)
+				}
+				runtime.Gosched()
+			}
+		}()
+		out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}, snet.WithBoxWorkers(1))
+		close(stop)
+		<-sampled
+		if err != nil || len(out) != 1 || out[0].MustField("result").(int) != WavefrontReference(n, 5) {
+			t.Fatalf("run: %v %v", out, err)
+		}
+		if p := peak.Load(); p < 2 || p > bound {
+			t.Fatalf("observed %d records in flight, bound %d", p, bound)
+		}
+	})
+}
+
+// TestWebPipeInFlightWithinBound: every request yields one response, so
+// accepted minus delivered is the number of records inside the network.  The
+// sender never waits for a response; backpressure alone limits it.
+func TestWebPipeInFlightWithinBound(t *testing.T) {
+	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+		const requests = 20000
+		plan := compile(WebPipeNet())
+		bound := verifiedBound(t, plan)
+		h := plan.Start(context.Background(), snet.WithBoxWorkers(1))
+		defer h.Cancel()
+		var sent, peak atomic.Int64
+		var received int64
+		go func() {
+			for i := 0; i < requests; i++ {
+				if h.Send(WebPipeRequest(i)) != nil {
+					return
+				}
+				sent.Add(1)
+			}
+			h.Close()
+		}()
+		for range h.Out() {
+			if inside := sent.Load() - received; inside > peak.Load() {
+				peak.Store(inside)
+			}
+			received++
+			if received%64 == 0 {
+				time.Sleep(50 * time.Microsecond) // a reader slower than the network: it fills up
+			}
+		}
+		if received != requests {
+			t.Fatalf("%d of %d responses", received, requests)
+		}
+		if p := peak.Load(); p < 2 || p > bound {
+			t.Fatalf("observed %d records in flight, bound %d", p, bound)
+		}
+		t.Logf("peak %d in flight, bound %d", peak.Load(), bound)
+	})
+}
+
+// TestWavefrontGoroutinesReturnToBaseline: a 16×16 run unfolds 31 stages and
+// 225 join replicas; when RunAll returns, all of that is gone — a branch has
+// no relay goroutine that could outlive the merger it fed.
+func TestWavefrontGoroutinesReturnToBaseline(t *testing.T) {
+	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+		plan := compile(WavefrontNet(16, 3))
+		time.Sleep(10 * time.Millisecond)
+		base := runtime.NumGoroutine()
+		for i := 0; i < 3; i++ {
+			if out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}); err != nil || len(out) != 1 {
+				t.Fatalf("run %d: %v %v", i, out, err)
+			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("%d goroutines after the runs, %d before", g, base)
+		}
+	})
+}

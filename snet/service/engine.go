@@ -115,10 +115,14 @@ func (e *engine) open() (*sharedSession, error) {
 		sid = e.seq
 	}
 	cap := e.net.opts.queueCap()
+	// The feeder polls the ingress queues and sleeps until poked, and a
+	// sender pokes after its record is queued — so the queue must be able to
+	// take a record with the feeder asleep.  An unbuffered one (BufferSize
+	// 0) cannot: the sender would park unseen and never be woken.
 	b := &sharedSession{
 		eng:      e,
 		sid:      sid,
-		ingress:  make(chan *snet.Record, cap),
+		ingress:  make(chan *snet.Record, max(cap, 1)),
 		out:      make(chan *snet.Record, cap),
 		inClosed: make(chan struct{}),
 		released: make(chan struct{}),

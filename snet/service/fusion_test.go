@@ -69,9 +69,10 @@ func TestSharedFusedOpenWaveStaysFlat(t *testing.T) {
 // through 32 fusible stages cut into segments by fusion barriers (boxes of
 // the run's width): a session costs goroutines per barrier, not per stage —
 // the shared engine's capacity story at scale rests on this.  The budget is
-// absolute: 4 for a replica's fixed machinery and its first segment, 6 per
-// barrier (the box engine and the segment behind it) — measured 2 and 4 —
-// against the 32 and more a stage-per-goroutine replica needs.
+// absolute and is what a replica is made of: 1 for its first segment (its
+// output goes straight into the session split's merger, no relay), 2 per
+// barrier (the box, inline, and the segment behind it) — against the 32 and
+// more a stage-per-goroutine replica needs.
 func TestSharedFusedSessionGoroutineBudget(t *testing.T) {
 	const depth = 32
 	const live = 8
@@ -106,8 +107,8 @@ func TestSharedFusedSessionGoroutineBudget(t *testing.T) {
 			sess.Release()
 		}
 		svc.Shutdown()
-		if budget := live * (4 + 6*barriers); grew > budget {
-			t.Errorf("barriers=%d: %d live sessions grew %d goroutines, budget %d (4 + 6 per barrier each)",
+		if budget := live * (1 + 2*barriers); grew > budget {
+			t.Errorf("barriers=%d: %d live sessions grew %d goroutines, budget %d (1 + 2 per barrier each)",
 				barriers, live, grew, budget)
 		}
 	}

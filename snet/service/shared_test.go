@@ -373,6 +373,34 @@ func TestSharedShutdownNoLeaks(t *testing.T) {
 	}
 }
 
+// TestSharedSendWakesSleepingFeeder: a record sent on an engine whose feeder
+// has gone to sleep is picked up — at BufferSize 0 the ingress queue used to
+// be unbuffered, the sender parked on it without a poke and stayed there
+// (the hang behind TestSharedIdleSessionsReaped's 1-in-30 failures under
+// -race: two passes of the feeder between the test's two Opens).
+func TestSharedSendWakesSleepingFeeder(t *testing.T) {
+	svc := New()
+	svc.Register("inc", "", sharedOpts(Options{MaxSessions: 2}), incNet, nil)
+	defer svc.Shutdown()
+	sess, err := svc.Open("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the feeder finds nothing and sleeps
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := sess.Send(ctx, recN(1)); err != nil {
+		t.Fatalf("send with the feeder asleep: %v", err)
+	}
+	r, _, err := sess.Recv(ctx)
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if v, _ := r.Tag("n"); v != 2 {
+		t.Fatalf("got %v, want <n>=2", r)
+	}
+}
+
 // TestSharedIdleSessionsReaped: the service-level idle reaper releases
 // abandoned shared sessions, whose replicas are then reclaimed by the close
 // protocol — slots and replicas both come back.
@@ -394,17 +422,17 @@ func TestSharedIdleSessionsReaped(t *testing.T) {
 	if _, err := svc.Open("inc"); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("expected cap hit, got %v", err)
 	}
+	n, _ := svc.Network("inc")
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.SessionCount() > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	for n.svcStat.Counter("sessions.reaped") < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
-	if n := svc.SessionCount(); n != 0 {
-		t.Fatalf("%d sessions survived the reaper", n)
+	if r, c := n.svcStat.Counter("sessions.reaped"), svc.SessionCount(); r != 2 || c != 0 {
+		t.Fatalf("reaper released %d of 2 idle sessions, %d still registered", r, c)
 	}
 	if _, err := svc.Open("inc"); err != nil { // slots freed again
 		t.Fatalf("open after reap: %v", err)
 	}
-	n, _ := svc.Network("inc")
 	gauge := func() int64 {
 		return n.liveEngine().handle.Stats().Counter("split." + sessionMuxName + ".replicas")
 	}
