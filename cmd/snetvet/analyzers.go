@@ -138,8 +138,8 @@ var reservedlitAnalyzer = &analyzer{
 // goroutine.
 //
 // A return is considered safe when:
-//   - it is guarded by `if !ok` on a variable assigned from recv or
-//     recvTimeout (the stream is already closed and drained), or
+//   - it is guarded by `if !ok` on a variable assigned from recv (the
+//     stream is already closed and drained), or
 //   - an earlier statement in the same block calls reader.Discard() or
 //     hands the reader to another function (which then owns the contract),
 //     or
@@ -223,7 +223,7 @@ type discardWalker struct {
 	fset     *token.FileSet
 	rd       string // reader parameter name
 	fn       string
-	okvars   map[string]bool // variables assigned from rd.recv / rd.recvTimeout
+	okvars   map[string]bool // variables assigned from rd.recv
 	recvs    bool            // the body consumes from rd directly
 	deferred bool            // defer rd.Discard() seen
 	diags    []diagnostic
@@ -274,7 +274,7 @@ func (w *discardWalker) isRecvCall(e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	return w.isReaderCall(call, "recv") || w.isReaderCall(call, "recvTimeout")
+	return w.isReaderCall(call, "recv")
 }
 
 // stmts checks one statement list.  guarded reports whether the list is
@@ -335,7 +335,7 @@ func (w *discardWalker) stmts(list []ast.Stmt, guarded bool) {
 }
 
 // isOkGuard reports whether cond is `!ok` (possibly one arm of an `||`)
-// for a variable assigned from recv/recvTimeout.
+// for a variable assigned from recv.
 func (w *discardWalker) isOkGuard(cond ast.Expr) bool {
 	switch e := cond.(type) {
 	case *ast.UnaryExpr:

@@ -129,24 +129,26 @@ func TestRecordRetainFindsSeededViolations(t *testing.T) {
 	}
 }
 
-// TestFuseSafeFindsSeededViolations checks the fusion-safety analyzer: go
-// statements, channel plumbing and record retention inside fused-scope
-// functions are flagged; the executor's sanctioned idioms (cur/next swap,
-// Emitter src slot, buffer-pointer hand-off) and non-fused functions pass.
+// TestFuseSafeFindsSeededViolations checks the stage-loop analyzer: go
+// statements, channel plumbing and record retention inside step methods and
+// segment* methods are flagged; the stages' sanctioned idioms (the Emitter
+// src slot, keeping an output buffer's backing, handing every output on) and
+// functions outside the scope pass.
 func TestFuseSafeFindsSeededViolations(t *testing.T) {
 	code, _, stderr := runVet(t, "testdata/src/fusesafe")
 	if code != 2 {
 		t.Fatalf("want exit 2, got %d:\n%s", code, stderr)
 	}
 	lines := nonEmptyLines(stderr)
-	if len(lines) != 4 {
-		t.Fatalf("want 4 findings, got %d:\n%s", len(lines), stderr)
+	if len(lines) != 5 {
+		t.Fatalf("want 5 findings, got %d:\n%s", len(lines), stderr)
 	}
 	wants := []string{
 		"retained in field stash",
-		"go statement in process",
-		"retained in field stash",
-		"channel plumbing in process",
+		"go statement in feedBad",
+		"channel plumbing in feedBad",
+		"retained in field parked",
+		"retained in field last",
 	}
 	for i, l := range lines {
 		if !strings.Contains(l, wants[i]) {

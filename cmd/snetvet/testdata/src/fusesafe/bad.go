@@ -1,44 +1,67 @@
-// Seeded fusesafe violations: a fused executor regrowing per-stage
-// concurrency and stashing in-flight records outside the sanctioned
-// cur/next/src slots.
+// Seeded fusesafe violations: a stage loop regrowing per-stage concurrency
+// and steps parking in-flight records in fields that outlive them.
 package core
 
 type Record struct{ n int }
 
-type fusedBadExec struct {
-	cur, next []*Record
-	stash     *Record
-	feed      chan *Record
+type prog struct{}
+
+func (prog) apply(rec *Record, dst []*Record) ([]*Record, error) { return append(dst[:0], rec), nil }
+
+type segmentRun struct {
+	stash  *Record
+	parked []*Record
+	outs   []*Record
+	feed   chan *Record
+	em     struct{ src *Record }
 }
 
-func (x *fusedBadExec) process(rec *Record) {
+func (x *segmentRun) push(i int, rec *Record) bool { return rec != nil }
+
+// feedBad is in scope by receiver.
+func (x *segmentRun) feedBad(rec *Record) {
 	x.stash = rec // want: retained in field stash
 	go func() {   // want: go statement
 		x.feed <- rec
 	}()
-	for _, r := range x.cur {
-		x.stash = r                // want: retained in field stash
-		x.next = append(x.next, r) // ok: sanctioned buffer
-	}
 	hold := make(chan *Record, 1) // want: channel plumbing
 	_ = hold
 }
 
-func (x *fusedBadExec) swapOK(rec *Record) {
-	// The sanctioned idioms of the real executor must stay clean: the
-	// Emitter src slot, the buffer-pointer hand-off, the cur/next swap.
-	var em struct {
-		src *Record
-		buf *[]*Record
+type badStage struct{ last *Record }
+
+// step is in scope by name, whatever the receiver.
+func (s *badStage) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	outs, _ := prog{}.apply(rec, x.outs)
+	for _, o := range outs {
+		x.parked = append(x.parked, o) // want: retained in field parked
 	}
-	em.src, em.buf = rec, &x.next
-	x.cur = append(x.cur[:0], rec)
-	last := x.cur[len(x.cur)-1]
-	x.next = append(x.next, last)
-	x.cur, x.next = x.next, x.cur
-	em.src = nil
+	first := outs[0]
+	s.last = first // want: retained in field last
+	return nil, true
 }
 
-// plainPump is outside the fused scope: its channel is rawchan's business
-// (not an item/frame channel, so it is clean there too), not fusesafe's.
+type goodStage struct{}
+
+func (goodStage) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	// The sanctioned idioms of the real stages must stay clean: the Emitter
+	// src slot set and cleared around an invocation, the output backing kept
+	// without its records, every output handed on.
+	x.em.src = rec
+	outs, _ := prog{}.apply(rec, x.outs)
+	x.outs = outs[:0]
+	for _, o := range outs {
+		if !x.push(i+1, o) {
+			return nil, false
+		}
+	}
+	x.em.src = nil
+	return nil, true
+}
+
+// plainPump is outside the scope: its channel is rawchan's business (not an
+// item/frame channel, so it is clean there too), not fusesafe's.
 func plainPump() chan *Record { return make(chan *Record, 4) }
+
+// stepwise is a plain function, not a step method: out of scope.
+func stepwise(x *segmentRun, rec *Record) { x.stash = rec }

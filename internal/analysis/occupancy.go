@@ -18,12 +18,13 @@ import (
 // sum is the whole-plan static memory high-water bound: no schedule of a
 // deadlock-free plan can hold more records at once.
 //
-// The bound is computed over the UN-FUSED blueprint (Plan.Graph() always
-// returns the blueprint root).  Fusion replaces a chain of stream edges with
-// a single segment holding core.FusedSegmentHold(batch) records — strictly
-// less than the StreamCapacity sum of the edges it removed — so the
-// blueprint bound is sound for both execution plans and the verdict cannot
-// depend on whether fusion ran.
+// The bound prices every serial edge of the plan's tree as a stream, whether
+// or not the plan groups the stages on either side into one segment
+// (Plan.Graph() is the one tree there is; fusion does not change it).  A
+// segment hands records from stage to stage depth-first and parks nothing in
+// between: each stage holds what it holds when it runs alone, and the streams
+// between them are simply absent.  So the bound is sound for any grouping
+// and the verdict cannot depend on whether fusion ran.
 
 // Caps are the capacity assumptions an occupancy verdict holds under.  They
 // mirror the run options (WithBuffer, WithStreamBatch, WithBoxWorkers,

@@ -48,9 +48,11 @@ var verifierPrograms = []struct {
 // on whether pipeline fusion ran: for every program and every point of the
 // capacity matrix, compiling with fusion on and off yields byte-identical
 // rendered reports and identical bounds.  This holds by construction — the
-// analysis reads Plan.Graph(), the un-fused blueprint, and
-// core.FusedSegmentHold(batch) is strictly below the StreamCapacity sum of
-// the edges fusion removes — but the sweep pins it against regressions.
+// analysis reads Plan.Graph(), the one tree either plan runs, and a fused
+// segment holds no more than its stages hold on their own, without the
+// streams the analysis prices between them — but the sweep pins it against
+// regressions (internal/workloads' TestBurstBoxInFlightWithinBound watches a
+// run).
 func TestVerdictsFusionInvariant(t *testing.T) {
 	for _, prog := range verifierPrograms {
 		node := loadNet(t, prog.path)

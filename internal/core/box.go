@@ -27,16 +27,24 @@ var ErrCancelled = errors.New("core: run cancelled")
 // call it was passed to.
 type Emitter struct {
 	env     *runEnv
-	out     *streamWriter
 	box     *boxNode
 	src     *Record
 	stopped bool
 	emitted int
-	// buf, when non-nil, puts the emitter in buffer mode: outputs are
-	// appended to the fused segment's stage buffer instead of crossing a
-	// stream (fuse.go).  The pointer targets per-run exec state, never a
-	// stack variable, so emitting stays allocation-free.
-	buf *[]*Record
+	// Where the emissions go.  A box stepped as a stage (fuse.go) hands
+	// each one to the stage after it, x.push(next, ·) — for the last stage
+	// of a segment that is the segment's output stream.  An invocation of
+	// the concurrent engine is nobody's stage: x is nil and it writes out,
+	// its slot's emission stream (boxengine.go).
+	x    *segmentRun
+	next int
+	out  *streamWriter
+	// held is the latest emission of a stage's invocation, kept back until
+	// the next one or the end of the call: a call's last emission leaves
+	// with the step's return, in the segment's loop, not from inside the
+	// call — so a box that emits once per call nests nothing, and has let go
+	// of its input before its output moves on.
+	held *Record
 }
 
 // Out emits one record according to output variant number `variant`
@@ -74,22 +82,27 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		}
 	}
 	inheritInto(rec, e.src, e.box.consumed)
-	if e.buf != nil {
-		// Fused path: the segment runs on one goroutine with no stream
-		// between stages, so no send is there to observe cancellation —
-		// check it here so an emit-heavy box cannot outlive its run.
-		if ctxDone(e.env.ctx) {
-			releaseRecord(rec)
-			e.stopped = true
-			return ErrCancelled
-		}
+	// Pass the emission on; if that fails the run is gone, and rec with it.
+	delivered := false
+	switch {
+	case e.x == nil:
 		e.env.trace(e.box.label, "out", rec)
-		*e.buf = append(*e.buf, rec)
-		e.emitted++
-		return nil
+		delivered = e.out.sendRecord(rec)
+	case e.next < len(e.x.seg.stages) && ctxDone(e.env.ctx):
+		// The stages after this one may never send anything, and then no
+		// stream is there to observe cancellation: check it here so an
+		// emit-heavy box cannot outlive its run.
+		releaseRecord(rec)
+	default:
+		e.env.trace(e.box.label, "out", rec)
+		// The emission before this one moves on now, from inside the call;
+		// this one waits for the next, or for the end of the call
+		// (boxNode.step).
+		prev := e.held
+		e.held = rec
+		delivered = prev == nil || e.x.push(e.next, prev)
 	}
-	e.env.trace(e.box.label, "out", rec)
-	if !e.out.sendRecord(rec) {
+	if !delivered {
 		e.stopped = true
 		return ErrCancelled
 	}
@@ -128,6 +141,7 @@ type boxNode struct {
 	// blueprint.
 	slowRun   atomic.Int32
 	escalated atomic.Bool
+	lone      // the box on its own, invoked one call at a time, is a segment of one (fuse.go)
 }
 
 // boxStatKeys are the node's stat-counter keys, concatenated once at
@@ -176,8 +190,10 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 	if workers < 0 {
 		workers = 0
 	}
-	return &boxNode{label: name, boxSig: sig, fn: fn, workers: workers,
+	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: workers,
 		keys: makeBoxStatKeys(name), consumed: NewVariant(sig.In...)}
+	b.alone(b)
+	return b
 }
 
 func (b *boxNode) name() string   { return b.label }
@@ -187,13 +203,56 @@ func (b *boxNode) sig(*checker) (RecType, RecType) {
 	return b.boxSig.InType(), b.boxSig.OutType()
 }
 
+// open returns the emitter of stage i of x, on first use preparing the stage
+// to invoke the box: one emitter and one argument buffer serve every
+// invocation of this execution — box functions must not retain either after
+// returning (the BoxFunc contract), so step resets rather than reallocates.
+// The in-flight high-water mark is 1 by construction here, recorded so the
+// key exists at any width.
+func (b *boxNode) open(x *segmentRun, i int) *Emitter {
+	st := &x.state[i]
+	if st.em.box == nil {
+		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1}
+		st.args = make([]any, 0, len(b.boxSig.In))
+		x.env.stats.SetMax(b.keys.inflight, 1)
+	}
+	return &st.em
+}
+
+// step is one sequential invocation: bind the record's values, run the box
+// function — its emissions move on from inside the call, all but the last,
+// which step returns — and settle.  The invocation consumed its input (the
+// values were bound into args or flow-inherited into fresh outputs), so the
+// record returns to the arena before the next one is looked at.
+func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	env, em := x.env, b.open(x, i)
+	args, ok := b.bind(env, rec, x.state[i].args)
+	if !ok {
+		return nil, true
+	}
+	em.src, em.stopped, em.emitted = rec, false, 0
+	b.invoke(env, args, em)
+	last := em.held
+	em.src, em.held = nil, nil
+	releaseRecord(rec)
+	b.account(env, em)
+	x.applied++
+	if em.stopped {
+		releaseRecord(last) // never handed on, so still ours
+		return nil, false
+	}
+	return last, true
+}
+
 // account settles one finished invocation's counters.  Completed
 // invocations count under "box.<name>.calls" and their emissions under
 // "box.<name>.emitted"; invocations cut short by run cancellation count
 // under "box.<name>.cancelled" instead.  "Emitted" means accepted by the
 // box's output stream: under run cancellation up to B-1 emissions batched
 // in the writer's pending frame can still be dropped in flight (the
-// transport's own "stream.records" counter retracts those; see ship).
+// transport's own "stream.records" counter retracts those; see ship), and so
+// can the last emission of a call stepped in a segment, which moves on only
+// after the call is settled.
 func (b *boxNode) account(env *runEnv, em *Emitter) {
 	if em.emitted > 0 {
 		env.stats.Add(b.keys.emitted, int64(em.emitted))

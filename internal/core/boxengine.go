@@ -12,7 +12,10 @@ import (
 //
 // Inline mode runs every invocation on the node's own goroutine, one at a
 // time, with one reused emitter and argument buffer, emitting straight into
-// the output stream: no goroutine hand-off, no allocation per record.
+// the output stream: no goroutine hand-off, no allocation per record.  It is
+// the box as a stage, in a segment of one (fuse.go: boxNode.step is the
+// invocation, segment.run the loop); all the engine adds is the clock around
+// each step while it has not made up its mind, and the hand-over.
 //
 // Concurrent mode exists because box functions are stateless by contract
 // (§4: "it is the concern of the box implementation to exploit concurrency
@@ -84,13 +87,18 @@ func (b *boxNode) width(env *runEnv) (w int, auto bool) {
 }
 
 func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
-	env.stats.Add(b.keys.instances, 1)
 	w, auto := b.width(env)
-	if w == 1 || auto && !b.escalated.Load() {
-		if !b.runInline(env, in, out, auto && w > 1) {
+	if w == 1 {
+		b.solo.run(env, in, out) // inline for good: the segment of one
+		return
+	}
+	defer out.close()
+	if auto && !b.escalated.Load() {
+		if !b.runInline(env, in, out) {
 			return
 		}
+	} else {
+		env.stats.Add(b.keys.instances, 1)
 	}
 	if auto {
 		env.stats.Add(b.keys.escalated, 1)
@@ -98,12 +106,12 @@ func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	b.runConcurrent(env, in, out, w)
 }
 
-// runInline is the engine's inline mode.  With probe set it also measures
-// the box function, and returns true — having flushed out and detached it
-// from in's idle flush — when the instance should continue in concurrent
-// mode.  Everything emitted so far is then already downstream, so the
-// hand-over cannot reorder anything.  In every other case the instance is
-// finished when runInline returns.
+// runInline is inline mode under measurement: the segment of one with a
+// clock around every step.  It returns true — having flushed out and
+// detached it from in's idle flush — when the instance should continue in
+// concurrent mode.  Everything emitted so far is then already downstream, so
+// the hand-over cannot reorder anything.  In every other case the instance
+// is finished when runInline returns.
 //
 // What is measured is the box's own service time: the wall time of the
 // invocation minus the time its emissions waited on a full output stream.
@@ -114,60 +122,28 @@ func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 // evidence however long it worked: the consumer sets the pace then, and
 // what is left of the wall time is as much the cost of waking up cold as
 // the box's.
-func (b *boxNode) runInline(env *runEnv, in *streamReader, out *streamWriter, probe bool) bool {
-	in.autoFlush(out)
-	env.stats.SetMax(b.keys.concurrency, 1)
-	// One emitter and one argument buffer serve every invocation of this
-	// instance: box functions must not retain either after returning (the
-	// BoxFunc contract), so the loop resets rather than reallocates.
-	em := &Emitter{env: env, out: out, box: b}
-	argsBuf := make([]any, 0, len(b.boxSig.In))
-	invoked := false
-	var epoch time.Time // readings are time.Since(epoch): one monotonic clock read each
-	if probe {
-		epoch = time.Now()
-	}
+func (b *boxNode) runInline(env *runEnv, in *streamReader, out *streamWriter) bool {
+	x := b.solo.start(env, in, out)
+	epoch := time.Now() // readings are time.Since(epoch): one monotonic clock read each
 	for {
-		it, ok := in.recv()
+		rec, ok := x.recv(in)
 		if !ok {
-			return false
-		}
-		if it.mk != nil {
-			if !out.send(it) {
-				in.Discard()
-				return false
-			}
-			continue
-		}
-		rec := it.rec
-		args, ok := b.bind(env, rec, argsBuf)
-		if !ok {
-			continue
-		}
-		if !invoked {
-			// The observed in-flight high-water mark is 1 by construction
-			// here; record it so the key exists at any width.
-			env.stats.SetMax(b.keys.inflight, 1)
-			invoked = true
-		}
-		var began, waited time.Duration
-		if probe {
-			began, waited = time.Since(epoch), out.blocked
-		}
-		em.src, em.stopped, em.emitted = rec, false, 0
-		b.invoke(env, args, em)
-		em.src = nil
-		// The invocation is over: the input record was consumed (its values
-		// were bound into args or flow-inherited into fresh outputs), so it
-		// returns to the arena before the next receive.
-		releaseRecord(rec)
-		b.account(env, em)
-		if em.stopped || ctxDone(env.ctx) {
 			in.Discard()
 			return false
 		}
-		if !probe {
-			continue
+		// What the instance's first record sets up — an allocation and a
+		// trip through the stats lock, on a goroutine that has just woken up
+		// cold — is the instance's cost, not the box's: it is paid before
+		// the clock starts.  (Measured on the wavefront workload's 1 µs cell
+		// box, one record per instance: paid here, 1.2% of the calls read slow
+		// and in 1.2 M no run of slow calls reached 6; paid inside the clocked
+		// call, 2.3% did; paid before the receive, 1.6% did, but in runs — 70
+		// of them reached 6 and 3 reached 12.)
+		b.open(x, 0)
+		began, waited := time.Since(epoch), out.blocked
+		if !x.push(0, rec) || ctxDone(env.ctx) {
+			in.Discard()
+			return false
 		}
 		waited = out.blocked - waited
 		if service := time.Since(epoch) - began - waited; service < boxEscalateAfter || service < waited {

@@ -23,6 +23,7 @@ type filterNode struct {
 	// Stat keys, concatenated once so per-record accounting never builds a
 	// string.
 	kNomatch, kErrors, kApplied string
+	lone                        // run: the filter on its own is a segment of one (fuse.go)
 }
 
 // NewFilter wraps a filter specification as a node.  Records matching the
@@ -35,11 +36,13 @@ func NewFilter(spec *FilterSpec) Node {
 		panic("core: NewFilter: nil spec")
 	}
 	label := autoName("filter")
-	return &filterNode{label: label, spec: spec,
+	f := &filterNode{label: label, spec: spec,
 		memo:     newMatchMemo(spec.Pattern.Variant),
 		kNomatch: "filter." + label + ".nomatch",
 		kErrors:  "filter." + label + ".errors",
 		kApplied: "filter." + label + ".applied"}
+	f.alone(f)
+	return f
 }
 
 // FilterFrom parses a filter in the paper's notation and wraps it as a node.
@@ -90,57 +93,44 @@ func (f *filterNode) program(sh *shape) *filterProg {
 	return p
 }
 
-func (f *filterNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
-	in.autoFlush(out)
-	var outsBuf []*Record // reused across records; outputs leave via send
-	for {
-		it, ok := in.recv()
-		if !ok {
-			return
+// step applies the filter to one record.  A record the pattern does not
+// match moves on unchanged; one it matches is consumed — its labels are
+// rewritten or inherited into fresh outputs, never aliased — and returns to
+// the arena before its outputs move on.
+func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	env := x.env
+	env.trace(f.label, "in", rec)
+	if !f.matches(rec) {
+		env.stats.Add(f.kNomatch, 1)
+		return rec, true
+	}
+	st := &x.state[i]
+	outs, err := f.program(rec.shape).apply(rec, st.outs)
+	if err != nil {
+		env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
+		env.stats.Add(f.kErrors, 1)
+		releaseRecord(rec) // dropped, not forwarded
+		return nil, true
+	}
+	if outs != nil {
+		st.outs = outs[:0] // keep the backing, not the records
+	}
+	env.stats.Add(f.kApplied, 1)
+	x.applied++
+	releaseRecord(rec)
+	for k, o := range outs {
+		env.trace(f.label, "out", o)
+		if k == len(outs)-1 {
+			return o, true // the last one moves on in the segment's loop
 		}
-		if it.mk != nil {
-			if !out.send(it) {
-				in.Discard()
-				return
+		if !x.push(i+1, o) {
+			// The failed record was already reclaimed where it failed;
+			// outputs never handed on are ours.
+			for _, rest := range outs[k+1:] {
+				releaseRecord(rest)
 			}
-			continue
-		}
-		rec := it.rec
-		env.trace(f.label, "in", rec)
-		if !f.matches(rec) {
-			env.stats.Add(f.kNomatch, 1)
-			if !out.send(it) {
-				in.Discard()
-				return
-			}
-			continue
-		}
-		outs, err := f.program(rec.shape).apply(rec, outsBuf)
-		if err != nil {
-			env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
-			env.stats.Add(f.kErrors, 1)
-			releaseRecord(rec) // dropped, not forwarded
-			continue
-		}
-		if outs != nil {
-			outsBuf = outs
-		}
-		env.stats.Add(f.kApplied, 1)
-		// The input was consumed: its labels were rewritten or inherited into
-		// fresh outputs, never aliased, so it returns to the arena now.
-		releaseRecord(rec)
-		for i, o := range outs {
-			env.trace(f.label, "out", o)
-			if !out.sendRecord(o) {
-				// The failed record was already reclaimed by the transport's
-				// cancellation path; outputs never handed to it are ours.
-				for _, rest := range outs[i+1:] {
-					releaseRecord(rest)
-				}
-				in.Discard()
-				return
-			}
+			return nil, false
 		}
 	}
+	return nil, true
 }

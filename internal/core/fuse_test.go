@@ -38,9 +38,9 @@ func drainAll(h *Handle) []*Record {
 	return out
 }
 
-// TestFusionTopologyAndGroups pins the compile-side contract: the blueprint
-// tree is untouched, the execution tree is rewritten, and the topology
-// reports which stages fused.
+// TestFusionTopologyAndGroups pins the compile-side contract: there is one
+// tree, the blueprint's; fusion only decides how its spines are cut, and the
+// topology reports which stages share a segment.
 func TestFusionTopologyAndGroups(t *testing.T) {
 	net := tapChain(32)
 	plan := MustCompile(net)
@@ -56,11 +56,15 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 			t.Fatalf("member %d: want %s, got %s", i, want, m)
 		}
 	}
-	if _, ok := plan.exec.(*fusedNode); !ok {
-		t.Fatalf("a fully fusible chain should compile to a single fusedNode, got %T", plan.exec)
+	parts := plan.spines[net.(*serialNode)]
+	if len(parts) != 1 {
+		t.Fatalf("a fully fusible chain should be cut into one part, got %d", len(parts))
+	}
+	if seg, ok := parts[0].(*segment); !ok || len(seg.stages) != 32 {
+		t.Fatalf("the one part should be a segment of all 32 stages, got %T", parts[0])
 	}
 	if plan.Graph().Node != net {
-		t.Fatal("the graph must keep describing the blueprint")
+		t.Fatal("the plan's tree must be the blueprint itself")
 	}
 	raw, err := json.Marshal(plan.Topology())
 	if err != nil {
@@ -74,8 +78,14 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 	}
 
 	off := MustCompile(net, WithFusion(false))
-	if off.exec != net {
-		t.Fatal("WithFusion(false): the plan must run the blueprint as it is")
+	if off.Graph().Node != net {
+		t.Fatal("WithFusion(false): the plan's tree must be the blueprint itself")
+	}
+	stages := flattenSerial(net, nil)
+	for i, p := range off.spines[net.(*serialNode)] {
+		if p != runner(stages[i]) {
+			t.Fatalf("WithFusion(false): part %d should be stage %s itself, got %T", i, stages[i].name(), p)
+		}
 	}
 	if len(off.FusionGroups()) != 0 {
 		t.Fatal("WithFusion(false): no fusion groups expected")
@@ -112,20 +122,145 @@ func TestFusionBarriers(t *testing.T) {
 }
 
 // TestFusionSharedSubtree: a node instance appearing at several graph
-// positions must be rewritten once and stay shared (blueprints are
-// identity-sensitive — stats keys, routing tables).
+// positions is cut once — one group, one entry in the plan's spine table —
+// and stays the shared node it was (blueprints are identity-sensitive: stats
+// keys, routing tables).
 func TestFusionSharedSubtree(t *testing.T) {
 	chain := Serial(Observe("sh_a", nil), Observe("sh_b", nil))
 	net := Serial(Split(chain, "k"), Star(chain, MustParsePattern("{<done>}")))
-	fused, groups, _ := fuseTree(net)
+	spines, groups, _ := cutSpines(net, true)
 	if len(groups) != 1 {
 		t.Fatalf("shared chain should fuse once, got %v", groups)
 	}
-	s := fused.(*serialNode)
-	split := s.a.(*splitNode)
-	star := s.b.(*starNode)
-	if split.operand != star.operand {
-		t.Fatal("rewritten shared subtree lost its sharing")
+	if len(spines) != 2 {
+		t.Fatalf("want the outer spine and the shared chain in the table, got %d spines", len(spines))
+	}
+	if parts := spines[chain.(*serialNode)]; len(parts) != 1 {
+		t.Fatalf("shared chain should be one segment, got %d parts", len(parts))
+	}
+	s := net.(*serialNode)
+	if s.a.(*splitNode).operand != chain || s.b.(*starNode).operand != chain {
+		t.Fatal("grouping must not touch the tree")
+	}
+}
+
+// TestCutSpine is the grouping function on its own: with fusion on a spine
+// is cut into maximal runs of fusible stages, with fusion off into
+// singletons, and a barrier — a box of any width but a pinned 1, a
+// synchrocell, a combinator — is never inside a run.
+func TestCutSpine(t *testing.T) {
+	sig := MustParseSignature("(<seq>) -> (<seq>)")
+	pass := func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)) }
+	barriers := map[string]Node{
+		"auto box": NewBox("cs_auto", sig, pass),
+		"W=4 box":  NewBoxConcurrent("cs_w4", sig, pass, 4),
+		"sync":     Sync(MustParsePattern("{a}"), MustParsePattern("{b}")),
+		"parallel": Parallel(Observe("cs_pa", nil), Observe("cs_pb", nil)),
+		"star":     Star(Observe("cs_st", nil), MustParsePattern("{<done>}")),
+		"split":    Split(Observe("cs_sp", nil), "k"),
+		"serial":   Serial(Observe("cs_n1", nil), Observe("cs_n2", nil)), // cutSpine takes a flat spine
+	}
+	fusibles := []Node{
+		Observe("cs_tap", nil), HideTags("h"), MustFilter("{<seq>} -> {<seq>}"),
+		NewBoxConcurrent("cs_w1", sig, pass, 1),
+	}
+	lens := func(runs [][]Node) []int {
+		out := make([]int, len(runs))
+		for i, r := range runs {
+			out[i] = len(r)
+		}
+		return out
+	}
+	for name, barrier := range barriers {
+		stages := []Node{fusibles[0], fusibles[1], barrier, fusibles[2], barrier, barrier, fusibles[3], fusibles[0], fusibles[2]}
+		on := cutSpine(stages, true)
+		if got, want := fmt.Sprint(lens(on)), "[2 1 1 1 1 3]"; got != want {
+			t.Errorf("%s, fusion on: run lengths %s, want %s", name, got, want)
+		}
+		var flat []Node
+		for _, run := range on {
+			flat = append(flat, run...)
+			for _, n := range run {
+				if n == barrier && len(run) != 1 {
+					t.Errorf("%s inside a run of %d", name, len(run))
+				}
+			}
+		}
+		if fmt.Sprint(flat) != fmt.Sprint(stages) {
+			t.Errorf("%s: the runs do not concatenate to the spine", name)
+		}
+		off := cutSpine(stages, false)
+		if len(off) != len(stages) {
+			t.Fatalf("%s, fusion off: %d runs for %d stages", name, len(off), len(stages))
+		}
+		for i, run := range off {
+			if len(run) != 1 || run[0] != stages[i] {
+				t.Errorf("%s, fusion off: run %d is not stage %d alone", name, i, i)
+			}
+		}
+	}
+
+	// A chain that sits on two spines is cut the same way on both.
+	shared := Serial(Observe("cs_s1", nil), Observe("cs_s2", nil), Observe("cs_s3", nil))
+	net := Parallel(Serial(shared, NewBox("cs_b1", sig, pass)), Serial(NewBox("cs_b2", sig, pass), shared))
+	_, groups, _ := cutSpines(net, true)
+	if len(groups) != 2 {
+		t.Fatalf("want one group per spine, got %v", groups)
+	}
+	if a, b := fmt.Sprint(groups[0].Members), fmt.Sprint(groups[1].Members); a != b || a != "[cs_s1 cs_s2 cs_s3]" {
+		t.Fatalf("shared chain grouped differently on its two spines: %s vs %s", a, b)
+	}
+}
+
+// TestRoutesLearnOnTheBlueprint: a fused plan runs the blueprint's own
+// combinators, so the dispatch entries a run learns land on the route table
+// of the parallelNode the builder made — the one Plan.Graph() shows — and
+// not on a copy only the executor knows.
+func TestRoutesLearnOnTheBlueprint(t *testing.T) {
+	par := Parallel(
+		Serial(MustFilter("{<a>} -> {<a>=<a>+1}"), Observe("rl_ta", nil)),
+		Serial(MustFilter("{<b>} -> {<b>=<b>+1}"), Observe("rl_tb", nil)),
+	).(*parallelNode)
+	net := Serial(MustFilter("{<seq>} -> {<seq>}"), Observe("rl_in", nil), par,
+		MustFilter("{<seq>} -> {<seq>}"), Observe("rl_out", nil))
+	plan := MustCompile(net, WithInputType(RecType{
+		NewVariant(Tag("a"), Tag("seq")), NewVariant(Tag("b"), Tag("seq"))}))
+	if len(plan.FusionGroups()) != 4 {
+		t.Fatalf("want 4 fused segments (head, two branches, tail), got %v", plan.FusionGroups())
+	}
+	var seen *GraphNode
+	var find func(g *GraphNode)
+	find = func(g *GraphNode) {
+		if g.Kind == "parallel" {
+			seen = g
+		}
+		for _, c := range g.Children {
+			find(c)
+		}
+	}
+	find(plan.Graph())
+	if seen == nil || seen.Node != Node(par) {
+		t.Fatal("Plan.Graph() must show the builder's parallelNode")
+	}
+	if n := par.table.size.Load(); n != 0 {
+		t.Fatalf("route table already has %d entries before any run", n)
+	}
+	inputs := seqInputs(20, func(i int, r *Record) {
+		if i%2 == 0 {
+			r.SetTag("a", i)
+		} else {
+			r.SetTag("b", i)
+		}
+	})
+	out, stats, err := plan.RunAll(context.Background(), inputs)
+	if err != nil || len(out) != 20 {
+		t.Fatalf("run: %d records, %v", len(out), err)
+	}
+	if n := par.table.size.Load(); n != 2 {
+		t.Fatalf("the blueprint's route table learned %d shapes, want 2", n)
+	}
+	if a, b := stats.Counter(par.branchKeys[0]), stats.Counter(par.branchKeys[1]); a != 10 || b != 10 {
+		t.Fatalf("branch counters %d/%d, want 10/10", a, b)
 	}
 }
 
@@ -229,32 +364,30 @@ func TestFusedSegmentStats(t *testing.T) {
 	}
 }
 
-// TestFusedPipelineGoroutineBudget: a 32-stage fused pipeline runs on
-// O(barriers) goroutines, not O(stages).
+// TestFusedPipelineGoroutineBudget: what grouping buys is goroutines.  A
+// started plan costs its parts plus the boundary pump: a fully fusible chain
+// is one part whatever its depth, and WithFusion(false) makes every stage a
+// part.
 func TestFusedPipelineGoroutineBudget(t *testing.T) {
-	measure := func(fuse bool) int {
-		plan := MustCompile(tapChain(32), WithFusion(fuse))
-		runtime.GC()
-		base := runtime.NumGoroutine()
+	const depth = 32
+	measure := func(fuse bool, want int) {
+		t.Helper()
+		plan := MustCompile(tapChain(depth), WithFusion(fuse))
+		base := goroutineCount()
 		h := plan.Start(context.Background())
 		if err := h.Send(NewRecord().SetTag("seq", 1)); err != nil {
 			t.Fatal(err)
 		}
 		<-h.Out()
-		grown := runtime.NumGoroutine() - base
+		if grown := runtime.NumGoroutine() - base; grown != want {
+			t.Errorf("fuse=%v: a %d-stage pipeline runs on %d goroutines, want %d", fuse, depth, grown, want)
+		}
 		h.Close()
 		drainAll(h)
-		return grown
+		waitForGoroutines(t, base)
 	}
-	fused, unfused := measure(true), measure(false)
-	// Fused: one segment goroutine plus the boundary pump (and scheduler
-	// noise).  Unfused: 31 serial spawns + the same fixed costs.
-	if fused > 8 {
-		t.Errorf("fused 32-stage pipeline grew %d goroutines, want O(1)", fused)
-	}
-	if unfused < 25 {
-		t.Errorf("unfused baseline grew only %d goroutines — harness no longer measures what it should", unfused)
-	}
+	measure(true, 1+1)
+	measure(false, depth+1)
 }
 
 // TestFusedArenaClean: graceful drain and hard cancel both return every
@@ -309,6 +442,52 @@ func TestFusedArenaClean(t *testing.T) {
 	if g := runtime.NumGoroutine(); g > gbase+3 {
 		t.Fatalf("fused segment left goroutines behind after cancel: %d > %d", g, gbase+3)
 	}
+}
+
+// TestSegmentCancelMidBurst: a box in the middle of a segment that emits
+// until it is told to stop, into stages that never send anything — a
+// two-output filter, then a filter with no output at all — so no stream is
+// there to notice the cancellation.  The emitter notices; the call ends, and
+// what the segment held at that moment — the box's input, its held-back
+// latest emission, the filter's second output — is back in the arena.
+func TestSegmentCancelMidBurst(t *testing.T) {
+	emitted := make(chan int, 1)
+	forever := NewBoxConcurrent("scb_forever", MustParseSignature("(<n>) -> (<i>)"),
+		func(args []any, out *Emitter) error {
+			i := 0
+			for ; out.Out(1, i) == nil; i++ {
+			}
+			emitted <- i
+			return ErrCancelled
+		}, 1)
+	net := Serial(Observe("scb_tap", nil), forever,
+		MustFilter("{<i>} -> {<i>}; {<i>=<i>+1}"), MustFilter("{<i>} -> "))
+	plan := MustCompile(net, WithInputType(RecType{NewVariant(Tag("n"))}))
+	if g := plan.FusionGroups(); len(g) != 1 || len(g[0].Members) != 4 {
+		t.Fatalf("the chain should be one segment, got %v", g)
+	}
+	base := poolLiveSettled(t)
+	gbase := goroutineCount()
+	h := plan.Start(context.Background())
+	if err := h.Send(AcquireRecord().SetTag("n", 1)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // well into the burst
+	h.Cancel()
+	select {
+	case n := <-emitted:
+		if n == 0 {
+			t.Fatal("the box was stopped before it emitted anything")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the box outlived its run: nothing told its emitter about the cancellation")
+	}
+	h.Wait()
+	if got := h.Stats().Counter("box.scb_forever.cancelled"); got != 1 {
+		t.Errorf("cancelled invocations: want 1, got %d", got)
+	}
+	waitPoolLive(t, base)
+	waitForGoroutines(t, gbase)
 }
 
 // TestFusedBoxFailureIsolation: errors and panics inside a fused box drop

@@ -10,12 +10,11 @@ package core
 // unexported node types themselves.  internal/analysis consumes it together
 // with the Flow* accessors below.
 //
-// Compile builds the GraphNode tree in its one walk over the un-fused
-// blueprint — never over the fusion-rewritten execution tree (fuse.go) —
-// and renders Topology from it, so analysis findings and flow facts see
-// through fusion groups: every constituent stage of a fused segment keeps
-// its own GraphNode, path and flow facts.  Which stages are fused is
-// reported separately (Topology.FusionGroups).
+// Compile builds the GraphNode tree in its one walk over the blueprint, the
+// tree Start runs; Topology is rendered from it.  Fusion does not change the
+// tree, only which of its stages share a goroutine (fuse.go), so every stage
+// of a fused segment has its own GraphNode, path and flow facts.  Which
+// stages are fused is reported separately (Topology.FusionGroups).
 
 // GraphNode is one node of the compiled network's structured graph.  Paths
 // and kinds match Topology exactly, so flow facts recorded by the compile
@@ -62,6 +61,12 @@ type GraphNode struct {
 // the single source of truth shared by the transport layer and the
 // occupancy analysis (internal/analysis): if a buffer is added or resized
 // in the runtime, the bound formula changes here, in one place.
+//
+// There is no term for a fused segment.  A segment parks nothing between
+// its stages (fuse.go): each stage holds what it holds when it runs alone,
+// and the streams between them are simply not there.  The analysis prices
+// every edge of the tree as a stream, so its bound covers any grouping of
+// the stages, and verdicts cannot depend on whether fusion ran.
 
 // StreamCapacity returns the worst-case number of in-flight items on one
 // stream edge: `buffer` queued frames of up to `batch` items each, plus the
@@ -110,20 +115,6 @@ func BoxEngineHold(workers int) int64 {
 		workers = 1
 	}
 	return 2*int64(workers) - 1
-}
-
-// FusedSegmentHold returns the worst-case number of records buffered inside
-// one fused pipeline segment (fuse.go): the executor's cur/next buffers of
-// up to `batch` records each.  For any batch ≥ 1 this is strictly below the
-// StreamCapacity sum of the streams fusion removed, which is why the
-// occupancy analysis computes its bound over the un-fused blueprint — the
-// same bound is sound for both execution plans, and verdicts cannot depend
-// on whether fusion ran.
-func FusedSegmentHold(batch int) int64 {
-	if batch < 1 {
-		batch = 1
-	}
-	return 2 * int64(batch)
 }
 
 // Graph returns the structured graph of the compiled network: the tree the

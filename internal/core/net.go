@@ -37,9 +37,9 @@ const closedBit = int64(1) << 62
 var ErrClosed = errors.New("core: network input closed")
 
 // Start instantiates one run of the compiled network; see Handle.  The
-// blueprint was checked, its routing tables built and its serial spines
-// fused at Compile time, so instantiation is pure runtime setup.  Start may
-// be called any number of times; every call is an independent run.
+// blueprint was checked, its routing tables built and its serial spines cut
+// into segments at Compile time, so instantiation is pure runtime setup.
+// Start may be called any number of times; every call is an independent run.
 func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	ctx, cancel := context.WithCancel(ctx)
 	env := &runEnv{
@@ -50,6 +50,7 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 		maxDepth:  1 << 20,
 		maxWidth:  1 << 20,
 		autoWidth: runtime.GOMAXPROCS(0),
+		spines:    p.spines,
 	}
 	for _, o := range opts {
 		o(env)
@@ -70,7 +71,7 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 		done:   make(chan struct{}),
 	}
 	netOutR, netOutW := newStream(env)
-	go p.exec.run(env, inR, netOutW)
+	go p.graph.Node.run(env, inR, netOutW)
 	go func() {
 		defer close(h.done)
 		defer close(h.outRec)

@@ -20,7 +20,8 @@ type Node interface {
 	// results to out; it must close out before returning, must forward
 	// foreign control markers in FIFO position, and must hand in to
 	// in.Discard() on every early-exit path so upstream senders never
-	// block on a stream nobody reads.
+	// block on a stream nobody reads.  The sequential leaves have no loop
+	// of their own: their run is a segment of one stage (fuse.go).
 	run(env *runEnv, in *streamReader, out *streamWriter)
 	// sig returns the node's inferred type signature, collecting
 	// diagnostics into c (which may be nil).
@@ -39,6 +40,7 @@ func autoName(kind string) string {
 type identityNode struct {
 	label string
 	fn    func(*Record)
+	lone  // run: the tap on its own is a segment of one (fuse.go)
 }
 
 // Observe returns a transparent node that invokes fn for every record
@@ -48,31 +50,21 @@ func Observe(label string, fn func(*Record)) Node {
 	if label == "" {
 		label = autoName("observe")
 	}
-	return &identityNode{label: label, fn: fn}
+	n := &identityNode{label: label, fn: fn}
+	n.alone(n)
+	return n
 }
 
 func (n *identityNode) name() string   { return n.label }
 func (n *identityNode) String() string { return "observe(" + n.label + ")" }
 
-func (n *identityNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
-	in.autoFlush(out)
-	for {
-		it, ok := in.recv()
-		if !ok {
-			return
-		}
-		if it.rec != nil {
-			env.trace(n.label, "in", it.rec)
-			if n.fn != nil {
-				n.fn(it.rec)
-			}
-		}
-		if !out.send(it) {
-			in.Discard()
-			return
-		}
+func (n *identityNode) step(x *segmentRun, _ int, rec *Record) (*Record, bool) {
+	x.env.trace(n.label, "in", rec)
+	if n.fn != nil {
+		n.fn(rec)
 	}
+	x.applied++
+	return rec, true
 }
 
 func (n *identityNode) sig(*checker) (RecType, RecType) {
@@ -86,6 +78,7 @@ func (n *identityNode) sig(*checker) (RecType, RecType) {
 type hideNode struct {
 	label string
 	tags  []string
+	lone  // run: the node on its own is a segment of one (fuse.go)
 }
 
 // HideTags returns a transparent node that deletes the given tags from every
@@ -93,30 +86,20 @@ type hideNode struct {
 // after a session-multiplexing split, so downstream consumers never see the
 // reserved session tag.  Absent tags are ignored; markers pass through.
 func HideTags(tags ...string) Node {
-	return &hideNode{label: autoName("hide"), tags: tags}
+	n := &hideNode{label: autoName("hide"), tags: tags}
+	n.alone(n)
+	return n
 }
 
 func (n *hideNode) name() string   { return n.label }
 func (n *hideNode) String() string { return "hide(" + n.label + ")" }
 
-func (n *hideNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
-	in.autoFlush(out)
-	for {
-		it, ok := in.recv()
-		if !ok {
-			return
-		}
-		if it.rec != nil {
-			for _, tag := range n.tags {
-				it.rec.DeleteTag(tag)
-			}
-		}
-		if !out.send(it) {
-			in.Discard()
-			return
-		}
+func (n *hideNode) step(x *segmentRun, _ int, rec *Record) (*Record, bool) {
+	for _, tag := range n.tags {
+		rec.DeleteTag(tag)
 	}
+	x.applied++
+	return rec, true
 }
 
 func (n *hideNode) sig(*checker) (RecType, RecType) {

@@ -111,9 +111,9 @@ type Topology struct {
 	Exit     string      `json:"exit,omitempty"`
 	Patterns []string    `json:"patterns,omitempty"` // synchrocell patterns
 	Children []*Topology `json:"children,omitempty"`
-	// FusionGroups, on the root topology only, lists the fused segments of
-	// the execution plan: which stages run collapsed into one goroutine
-	// (fuse.go).  The tree itself always describes the un-fused blueprint.
+	// FusionGroups, on the root topology only, lists the plan's fused
+	// segments: which stages share one goroutine (fuse.go).  Grouping does
+	// not change the tree, which lists every stage.
 	FusionGroups []FusionGroup `json:"fusion_groups,omitempty"`
 }
 
@@ -126,10 +126,10 @@ type compileCfg struct {
 // CompileOption configures Compile.
 type CompileOption func(*compileCfg)
 
-// WithFusion enables or disables the pipeline-fusion pass (fuse.go).  It is
-// on by default; WithFusion(false) keeps the execution plan stage-per-
-// goroutine — the reference the fused plan is tested against and the
-// measured baseline of the E22 experiment.
+// WithFusion chooses how the plan groups the stages of its pipelines
+// (fuse.go).  On, the default, runs of lightweight stages share a goroutine;
+// WithFusion(false) gives every stage its own — the reference the fused plan
+// is tested against and the measured baseline of the E22 experiment.
 func WithFusion(on bool) CompileOption {
 	return func(c *compileCfg) { c.fuse = on }
 }
@@ -145,16 +145,17 @@ func WithInputType(t RecType) CompileOption {
 // Plan is a compiled network: the checked blueprint plus everything the
 // runtime precomputed from it.  A Plan is immutable and safe for concurrent
 // use; Start may be called any number of times (each call is one run), and
-// all runs share the plan's routing tables.
+// all runs share the plan's routing tables.  There is one tree: graph
+// describes the nodes Start runs, and the flow pass, the analyses and
+// Topology read the same.
 type Plan struct {
-	exec      Node // what Start runs: the blueprint with its serial spines fused
+	graph     *GraphNode               // the blueprint, as walked by Compile; graph.Node is its root
+	spines    map[*serialNode][]runner // every serial spine's cut into parts (fuse.go)
 	groups    []FusionGroup
 	fusedKeys []string // the fused segments' per-record stat keys (Start preregisters them)
 	in, out   RecType
 	warnings  []Diagnostic
 	typeErrs  []*TypeError
-	graph     *GraphNode // the un-fused blueprint, as walked by Compile
-	topo      *Topology
 	facts     *flowFacts
 }
 
@@ -173,15 +174,11 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	}
 	chk := &checker{}
 	in, out := root.sig(chk)
-	p := &Plan{exec: root, in: in, out: out, warnings: chk.diags}
+	p := &Plan{in: in, out: out, warnings: chk.diags}
 
 	c := newCompiler()
 	p.graph = c.walk(root, "")
-	p.topo = renderTopology(p.graph)
-	if cfg.fuse {
-		p.exec, p.groups, p.fusedKeys = fuseTree(root)
-		p.topo.FusionGroups = p.groups
-	}
+	p.spines, p.groups, p.fusedKeys = cutSpines(root, cfg.fuse)
 	seed := cfg.input
 	if seed == nil {
 		seed = in
@@ -205,8 +202,8 @@ func MustCompile(root Node, opts ...CompileOption) *Plan {
 	return p
 }
 
-// FusionGroups lists the fused segments of the execution plan in discovery
-// order — empty when fusion is off or nothing fused.
+// FusionGroups lists the plan's fused segments in discovery order — empty
+// when fusion is off or nothing fused.
 func (p *Plan) FusionGroups() []FusionGroup { return p.groups }
 
 // In returns the network's inferred input type.
@@ -223,8 +220,12 @@ func (p *Plan) Warnings() []Diagnostic { return p.warnings }
 // wraps in its CompileError) — empty for a cleanly compiled plan.
 func (p *Plan) TypeErrors() []*TypeError { return p.typeErrs }
 
-// Topology returns the serializable typed graph.
-func (p *Plan) Topology() *Topology { return p.topo }
+// Topology renders the serializable typed graph; the caller owns the result.
+func (p *Plan) Topology() *Topology {
+	t := renderTopology(p.graph)
+	t.FusionGroups = p.groups
+	return t
+}
 
 func (p *Plan) String() string {
 	return fmt.Sprintf("plan %s : %v -> %v", p.graph.Node, p.in, p.out)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Stats collects named counters and high-water marks from a running network.
@@ -273,9 +272,9 @@ type runEnv struct {
 	// autoWidth is the width a box nobody gave a width may grow to once
 	// the engine has measured it as worth it: GOMAXPROCS at Start.
 	autoWidth int
-	// replicaIdle > 0 makes split nodes reap replicas that have received
-	// no record for that long (see WithReplicaIdleReap).
-	replicaIdle time.Duration
+	// spines is the plan's grouping: for every serial spine of its tree the
+	// parts that run on a goroutine each (fuse.go).  Read-only.
+	spines map[*serialNode][]runner
 
 	// firstErr records the first runtime error of the run (Handle.Err).
 	errMu    sync.Mutex
@@ -395,29 +394,6 @@ func WithMaxSplitWidth(n int) Option {
 	return func(e *runEnv) {
 		if n > 0 {
 			e.maxWidth = n
-		}
-	}
-}
-
-// WithReplicaIdleReap makes every split node of the run reclaim replicas
-// that have received no record for at least d: the replica's input is
-// closed, it drains, its goroutines unwind, and the "split.<name>.replicas"
-// gauge is decremented ("split.<name>.reaped" counts the reclamations).  A
-// later record with the same tag value simply creates a fresh replica.
-//
-// Without reaping (the default, d = 0) a split's replica map only grows,
-// which under long-lived runs with a drifting key population — session
-// multiplexing above all — is a goroutine and memory leak.  Replicas can
-// also be retired individually, and deterministically, with the in-band
-// close protocol (NewReplicaClose / NewReplicaCloseAck); the reaper is the
-// belt-and-braces sweep for keys whose retirement no one announces.  Note
-// that per-key record order is not preserved across a reap boundary: a
-// record arriving while the reaped replica still drains starts a fresh
-// replica whose output merges concurrently.
-func WithReplicaIdleReap(d time.Duration) Option {
-	return func(e *runEnv) {
-		if d > 0 {
-			e.replicaIdle = d
 		}
 	}
 }

@@ -5,11 +5,11 @@ import "sync"
 // serialNode is the serial combinator A..B: the output stream of A feeds the
 // input stream of B; the pair operates as a pipeline (§4).
 //
-// This is the general form — one goroutine and one bounded stream per
-// stage.  Compile's fusion pass (fuse.go) collapses runs of lightweight
-// stages on a serial spine into single-goroutine fusedNodes, so in a
-// compiled plan the serialNodes that remain are the ones separating true
-// concurrency barriers.
+// Serial folds n stages into a left-leaning spine of serialNodes; the spine
+// runs flat, as one pipeline of parts with a goroutine and a bounded stream
+// each.  What the parts are is the plan's decision (fuse.go): every stage on
+// its own, or — with fusion on — runs of lightweight stages sharing one
+// goroutine between the true concurrency barriers.
 type serialNode struct {
 	label string
 	a, b  Node
@@ -44,18 +44,32 @@ func (s *serialNode) sig(c *checker) (RecType, RecType) {
 }
 
 func (s *serialNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	midR, midW := newStream(env)
+	parts := env.spines[s] // the plan's cut of the spine s is the root of
+	if parts == nil {
+		// Not a node of the plan's tree: a stage of a star's unfolding,
+		// operand .. next tap (star.go).
+		parts = []runner{s.a, s.b}
+	}
+	// Every part gets a goroutine and an output stream but the last, which
+	// runs here and writes out.  A part that stops early (cancellation)
+	// leaves its producer blocked sending, so each part's input is discarded
+	// once the part is done with it — Discard is idempotent, and does
+	// nothing on a stream that was read to its end.  Wait, so that run has
+	// no stragglers once it returns.
+	last := len(parts) - 1
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.a.run(env, in, midW)
-	}()
-	s.b.run(env, midR, out)
-	// If b stopped early (cancellation) a may still be blocked sending to
-	// mid; Discard is idempotent, so this is safe whether or not b already
-	// detached a drainer itself.  Wait so run has no stragglers once it
-	// returns.
-	midR.Discard()
+	wg.Add(last)
+	for _, p := range parts[:last] {
+		partIn := in
+		midR, midW := newStream(env)
+		go func() {
+			defer wg.Done()
+			p.run(env, partIn, midW)
+			partIn.Discard()
+		}()
+		in = midR
+	}
+	parts[last].run(env, in, out)
+	in.Discard()
 	wg.Wait()
 }

@@ -23,9 +23,7 @@ import (
 // shape.  Transitions are memoized per shape in a copy-on-write map, so
 // steady-state record construction (a box emitting the same output variant,
 // a filter rewriting the same input shape) never rebuilds layouts — it
-// follows pointers.  The canonical slot order also makes the flat layout a
-// deterministic serialization format (record_flat.go), which is what the
-// distributed backend's wire codec rides on.
+// follows pointers.
 //
 // Shapes never carry values: they are layouts.  The registry is bounded
 // (maxShapes); beyond the cap — only reachable by workloads synthesizing

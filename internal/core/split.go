@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // splitNode is parallel replication A!!<tag>: an indexed family of replicas
 // of A connected in parallel.  Every incoming record must carry the index
@@ -11,9 +8,8 @@ import (
 // value are guaranteed to reach the same replica (§4).  Replicas are created
 // on demand and reclaimed on demand: the in-band close protocol
 // (NewReplicaClose / NewReplicaCloseAck) retires one replica in FIFO
-// position with the data, and WithReplicaIdleReap sweeps replicas whose key
-// has gone quiet.  "split.<name>.replicas" is therefore a live gauge — it
-// counts replicas currently running, not replicas ever created.
+// position with the data.  "split.<name>.replicas" is therefore a live
+// gauge — it counts replicas currently running, not replicas ever created.
 type splitNode struct {
 	label   string
 	det     bool
@@ -27,14 +23,14 @@ type splitNode struct {
 	// Stat keys, concatenated once at construction: replica accounting runs
 	// per replica (and per session on a shared engine) and must not build
 	// strings.
-	kReplicas, kWidth, kClosed, kReaped, kUntagged string
+	kReplicas, kWidth, kClosed, kUntagged string
 }
 
 func newSplit(label string, det bool, operand Node, tag string, uncapped bool) *splitNode {
 	k := "split." + label
 	return &splitNode{label: label, det: det, operand: operand, tag: tag, uncapped: uncapped,
 		kReplicas: k + ".replicas", kWidth: k + ".width", kClosed: k + ".closed",
-		kReaped: k + ".reaped", kUntagged: k + ".untagged"}
+		kUntagged: k + ".untagged"}
 }
 
 // Split builds the nondeterministic parallel replicator, the paper's
@@ -67,10 +63,9 @@ func NamedSplitDet(name string, operand Node, tag string) Node {
 // the wrapped network per live session — where folding two sessions onto
 // one replica would mix their state and break the per-replica close
 // protocol.  The replica count is bounded by the caller (the service's
-// session cap), not by the run option.  SessionSplit is also exempt from
-// WithReplicaIdleReap: session replicas hold live client state between
-// requests and are retired deterministically through the close protocol,
-// never by idle sweep.
+// session cap), not by the run option.  Session replicas hold live client
+// state between requests and are retired deterministically through the close
+// protocol.
 func SessionSplit(name string, operand Node, tag string) Node {
 	return newSplit(name, false, operand, tag, true)
 }
@@ -116,71 +111,14 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	f := newFanout(env, n.det, in)
 	ports := map[int]*branchPort{}
-	reap := env.replicaIdle
-	if n.uncapped {
-		reap = 0 // session replicas are closed by protocol, never swept
-	}
-	var lastSeen map[int]time.Time
-	var nextSweep time.Time
-	if reap > 0 {
-		lastSeen = map[int]time.Time{}
-		nextSweep = time.Now().Add(reap)
-	}
 	mergeDone := make(chan struct{})
 	go func() {
 		f.mergeLoop(out, f.level)
 		close(mergeDone)
 	}()
 
-	// retire runs the splitter half of the close protocol for one key:
-	// close the replica's input, drop it from the routing table, decrement
-	// the live-replica gauge.  sentinel (the acknowledgement record, if
-	// requested) is emitted by the merger after the replica's last record —
-	// or immediately when no replica exists.
-	retire := func(key int, sentinel *Record, kReason string) bool {
-		port := ports[key]
-		if port == nil {
-			if sentinel != nil {
-				return f.emitDirect(sentinel)
-			}
-			return true
-		}
-		delete(ports, key)
-		if lastSeen != nil {
-			delete(lastSeen, key)
-		}
-		env.stats.Add(n.kReplicas, -1)
-		env.stats.Add(kReason, 1)
-		return f.retireBranch(port, sentinel)
-	}
-	// sweep reaps every replica idle for at least reap.
-	sweep := func(now time.Time) bool {
-		for key, seen := range lastSeen {
-			if now.Sub(seen) >= reap {
-				if !retire(key, nil, n.kReaped) {
-					return false
-				}
-			}
-		}
-		nextSweep = now.Add(reap)
-		return true
-	}
-
 	for {
-		var it item
-		var ok bool
-		if reap > 0 {
-			var timedOut bool
-			it, ok, timedOut = in.recvTimeout(reap)
-			if timedOut {
-				if !sweep(time.Now()) {
-					break
-				}
-				continue
-			}
-		} else {
-			it, ok = in.recv()
-		}
+		it, ok := in.recv()
 		if !ok {
 			break
 		}
@@ -202,13 +140,28 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 				}
 				continue
 			}
+			// The splitter half of the close protocol for one key: close the
+			// replica's input, drop it from the routing table, decrement the
+			// live-replica gauge.  The acknowledgement record, if requested,
+			// travels on as the drain barrier: the merger emits it after the
+			// replica's last record — or at once when no replica exists.
 			var sentinel *Record
 			if wantsCloseAck(rec) {
-				sentinel = rec // forwarded downstream as the drain barrier
+				sentinel = rec
 			} else {
 				releaseRecord(rec) // consumed by the split itself
 			}
-			if !retire(foldKey(v, n.uncapped, env.maxWidth), sentinel, n.kClosed) {
+			key := foldKey(v, n.uncapped, env.maxWidth)
+			alive := true
+			if port := ports[key]; port != nil {
+				delete(ports, key)
+				env.stats.Add(n.kReplicas, -1)
+				env.stats.Add(n.kClosed, 1)
+				alive = f.retireBranch(port, sentinel)
+			} else if sentinel != nil {
+				alive = f.emitDirect(sentinel)
+			}
+			if !alive {
 				break
 			}
 			continue
@@ -227,15 +180,6 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			env.stats.SetMax(n.kWidth, int64(len(ports)+1))
 			port = f.addBranch(n.operand)
 			ports[key] = port
-		}
-		if reap > 0 {
-			now := time.Now()
-			lastSeen[key] = now
-			// A stream busy enough never to idle out still reaps: sweep
-			// opportunistically once per reap interval.
-			if now.After(nextSweep) && !sweep(now) {
-				break
-			}
 		}
 		if !f.route(port, rec) || !f.afterRoute() {
 			break

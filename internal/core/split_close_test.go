@@ -215,67 +215,6 @@ func testSplitCloseForwardsThroughOtherSplits(t *testing.T, m execMode) {
 	h.Wait()
 }
 
-// TestSessionSplitExemptFromIdleReap: session replicas hold live client
-// state and are retired only by the close protocol — WithReplicaIdleReap
-// must not sweep them.
-func TestSessionSplitExemptFromIdleReap(t *testing.T) {
-	bothPlans(t, testSessionSplitExemptFromIdleReap)
-}
-
-func testSessionSplitExemptFromIdleReap(t *testing.T, m execMode) {
-	n := SessionSplit("mux", incBox("mi", 1), "sid")
-	h := m.Start(context.Background(), n, WithReplicaIdleReap(20*time.Millisecond))
-	if err := h.Send(NewRecord().SetTag("n", 1).SetTag("sid", 7)); err != nil {
-		t.Fatal(err)
-	}
-	<-h.Out()
-	time.Sleep(150 * time.Millisecond) // several reap intervals of silence
-	if g := replicaGauge(h.Stats(), "mux"); g != 1 {
-		t.Fatalf("idle session replica swept: gauge = %d", g)
-	}
-	// The close protocol still retires it.
-	if err := h.Send(NewReplicaClose("sid", 7)); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, func() int64 { return replicaGauge(h.Stats(), "mux") }, 0, "mux replicas after close")
-	h.Close()
-	for range h.Out() {
-	}
-	h.Wait()
-}
-
-// TestSplitReplicaIdleReap: replicas whose key goes quiet are reclaimed by
-// WithReplicaIdleReap — gauge back to 0 with the run still live — and a
-// returning key gets a fresh, working replica.
-func TestSplitReplicaIdleReap(t *testing.T) { bothPlans(t, testSplitReplicaIdleReap) }
-
-func testSplitReplicaIdleReap(t *testing.T, m execMode) {
-	n := NamedSplit("reap", incBox("reapinc", 1), "k")
-	h := m.Start(context.Background(), n, WithReplicaIdleReap(30*time.Millisecond))
-	for k := 0; k < 4; k++ {
-		if err := h.Send(NewRecord().SetTag("n", k).SetTag("k", k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		<-h.Out()
-	}
-	waitCounter(t, func() int64 { return replicaGauge(h.Stats(), "reap") }, 0, "replicas after idle")
-	waitCounter(t, func() int64 { return h.Stats().Counter("split.reap.reaped") }, 4, "reaped counter")
-	// The run is still live: a returning key works.
-	if err := h.Send(NewRecord().SetTag("n", 41).SetTag("k", 2)); err != nil {
-		t.Fatal(err)
-	}
-	r := <-h.Out()
-	if v, _ := r.Tag("n"); v != 42 {
-		t.Fatalf("post-reap record: %v", r)
-	}
-	h.Close()
-	for range h.Out() {
-	}
-	h.Wait()
-}
-
 // TestReservedLabelsRejectedByParsers: signatures, patterns and filters must
 // refuse labels in the runtime's reserved namespace.
 func TestReservedLabelsRejectedByParsers(t *testing.T) {

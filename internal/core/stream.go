@@ -316,9 +316,9 @@ func (w *streamWriter) close() {
 	frames := w.frames + atomic.LoadInt64(&w.directFrames)
 	records := w.records + atomic.LoadInt64(&w.directRecords)
 	if frames > 0 {
-		w.env.stats.Add("stream.frames", frames)
-		w.env.stats.Add("stream.records", records)
-		w.env.stats.SetMax("stream.frame.hwm", int64(w.hwm))
+		w.env.stats.Add(statStreamFrames, frames)
+		w.env.stats.Add(statStreamRecords, records)
+		w.env.stats.SetMax(statFrameHWM, int64(w.hwm))
 	}
 }
 
@@ -371,42 +371,6 @@ func (r *streamReader) recv() (item, bool) {
 		return r.accept(f, ok)
 	case <-r.env.ctx.Done():
 		return item{}, false
-	}
-}
-
-// recvTimeout is recv with an idle deadline: after d of input silence it
-// returns timedOut=true (and ok=false) so the caller can run periodic
-// housekeeping — the split combinator's replica idle reaper — without
-// owning a timer goroutine or violating the reader's single-goroutine
-// ownership rule.  Like recv, it flushes owned writers before blocking.
-func (r *streamReader) recvTimeout(d time.Duration) (it item, ok bool, timedOut bool) {
-	if r.pos < len(r.cur) {
-		it := r.cur[r.pos]
-		r.pos++
-		return it, true, false
-	}
-	r.finishFrame()
-	select {
-	case f, fok := <-r.ch:
-		it, ok = r.accept(f, fok)
-		return it, ok, false
-	default:
-	}
-	for _, w := range r.onIdle {
-		if !w.flush() {
-			return item{}, false, false
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case f, fok := <-r.ch:
-		it, ok = r.accept(f, fok)
-		return it, ok, false
-	case <-t.C:
-		return item{}, false, true
-	case <-r.env.ctx.Done():
-		return item{}, false, false
 	}
 }
 

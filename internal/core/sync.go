@@ -14,6 +14,9 @@ import "strings"
 type syncNode struct {
 	label    string
 	patterns []Pattern
+	// Stat keys, concatenated once: a replicated join (one cell per replica)
+	// fires or starves once per replica and must not build strings.
+	kFired, kStarved string
 }
 
 // Sync builds a synchrocell over the given patterns (at least two).
@@ -29,7 +32,8 @@ func NamedSync(name string, patterns ...Pattern) Node {
 	if len(patterns) < 2 {
 		panic("core: Sync needs at least two patterns")
 	}
-	return &syncNode{label: name, patterns: patterns}
+	return &syncNode{label: name, patterns: patterns,
+		kFired: "sync." + name + ".fired", kStarved: "sync." + name + ".starved"}
 }
 
 func (n *syncNode) name() string { return n.label }
@@ -107,7 +111,7 @@ func (n *syncNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 			releaseRecord(s)
 		}
 		env.trace(n.label, "out", merged)
-		env.stats.Add("sync."+n.label+".fired", 1)
+		env.stats.Add(n.kFired, 1)
 		fired = true
 		storage = nil
 		if !out.sendRecord(merged) {
@@ -119,7 +123,7 @@ func (n *syncNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	// users can detect starved synchrocells.
 	for _, s := range storage {
 		if s != nil {
-			env.stats.Add("sync."+n.label+".starved", 1)
+			env.stats.Add(n.kStarved, 1)
 			releaseRecord(s)
 		}
 	}

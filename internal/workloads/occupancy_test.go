@@ -106,6 +106,55 @@ func TestWebPipeInFlightWithinBound(t *testing.T) {
 	})
 }
 
+// TestBurstBoxInFlightWithinBound: a box pinned to one call at a time that
+// emits a whole burst per call, a tap after it, and a reader slower than
+// both.  Whether the two stages share a segment or not is the plan's
+// business; the bound the verifier certifies is computed without knowing, so
+// it has to hold either way — every emission must meet the reader's
+// backpressure one at a time, not be parked between the stages first.
+func TestBurstBoxInFlightWithinBound(t *testing.T) {
+	const burst = 20000
+	net := snet.Serial(
+		snet.NewBoxConcurrent("burst", snet.MustParseSignature("(<n>) -> (<i>)"),
+			func(args []any, out *snet.Emitter) error {
+				for i := 0; i < args[0].(int); i++ {
+					if err := out.Out(1, i); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, 1),
+		snet.Observe("burst_tap", nil))
+	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+		plan := compile(net)
+		bound := verifiedBound(t, plan)
+		base := snet.PoolStats().Live()
+		h := plan.Start(context.Background())
+		defer h.Cancel()
+		if err := h.Send(snet.AcquireRecord().SetTag("n", burst)); err != nil {
+			t.Fatal(err)
+		}
+		h.Close()
+		var peak int64
+		received := 0
+		for range h.Out() {
+			if live := snet.PoolStats().Live() - base; live > peak {
+				peak = live
+			}
+			if received++; received%64 == 0 {
+				time.Sleep(20 * time.Microsecond) // the reader sets the pace
+			}
+		}
+		if received != burst {
+			t.Fatalf("%d of %d records", received, burst)
+		}
+		if peak < 2 || peak > bound {
+			t.Fatalf("observed %d records in flight, bound %d", peak, bound)
+		}
+		t.Logf("peak %d in flight, bound %d", peak, bound)
+	})
+}
+
 // TestWavefrontGoroutinesReturnToBaseline: a 16×16 run unfolds 31 stages and
 // 225 join replicas; when RunAll returns, all of that is gone — a branch has
 // no relay goroutine that could outlive the merger it fed.

@@ -120,13 +120,6 @@ type Options struct {
 	// running network instance and a MaxSessions slot forever.  0 selects
 	// DefaultIdleTimeout; negative disables reaping.
 	IdleTimeout time.Duration
-	// ReplicaIdleReap > 0 enables the runtime's split replica idle reaper
-	// (snet.WithReplicaIdleReap) in every instance: split replicas whose
-	// key has gone quiet for this long are reclaimed.  The shared engine
-	// retires session replicas deterministically through the close
-	// protocol regardless; this knob additionally covers splits inside the
-	// user's network.
-	ReplicaIdleReap time.Duration
 }
 
 // DefaultMaxSessions is the session cap applied when Options.MaxSessions is
@@ -167,9 +160,6 @@ func (o Options) runOptions() []snet.Option {
 	}
 	if o.MaxSplitWidth > 0 {
 		opts = append(opts, snet.WithMaxSplitWidth(o.MaxSplitWidth))
-	}
-	if o.ReplicaIdleReap > 0 {
-		opts = append(opts, snet.WithReplicaIdleReap(o.ReplicaIdleReap))
 	}
 	return opts
 }

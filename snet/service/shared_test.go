@@ -300,45 +300,6 @@ func TestSharedSendAfterCloseAndReservedRejected(t *testing.T) {
 	}
 }
 
-// TestSharedReplicaIdleReapSpares SessionReplicas: Options.ReplicaIdleReap
-// targets splits inside the user's network; the engine's session-mux split
-// is exempt, so a session idle past the reap interval keeps its replica
-// (and its state) until the close protocol retires it.
-func TestSharedReplicaIdleReapSparesSessionReplicas(t *testing.T) {
-	svc := New()
-	svc.Register("inc", "", sharedOpts(Options{BufferSize: 4, ReplicaIdleReap: 20 * time.Millisecond}), incNet, nil)
-	defer svc.Shutdown()
-	sess, err := svc.Open("inc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Release()
-	ctx := context.Background()
-	if err := sess.Send(ctx, recN(1)); err != nil {
-		t.Fatal(err)
-	}
-	r, _, err := sess.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := r.Tag("n"); n != 2 {
-		t.Fatalf("first record: %v", r)
-	}
-	time.Sleep(150 * time.Millisecond) // several reap intervals of client silence
-	n, _ := svc.Network("inc")
-	if g := n.liveEngine().handle.Stats().Counter("split." + sessionMuxName + ".replicas"); g != 1 {
-		t.Fatalf("idle session's replica swept: gauge = %d", g)
-	}
-	if err := sess.Send(ctx, recN(10)); err != nil {
-		t.Fatalf("send after idle gap: %v", err)
-	}
-	sess.CloseInput()
-	recs, done, err := sess.Drain(ctx, 0)
-	if err != nil || !done || len(recs) != 1 {
-		t.Fatalf("drain after idle gap: %d records done=%v err=%v", len(recs), done, err)
-	}
-}
-
 // TestSharedShutdownNoLeaks: shutting the service down with shared sessions
 // mid-flight (undrained output, queued input) unwinds the warm engine and
 // every mux goroutine.

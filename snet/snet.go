@@ -49,14 +49,14 @@
 //	         Plan.Topology Plan.FusionGroups
 //	run      Plan.Start → Handle          harnesses: Plan.RunAll Plan.RunUntil
 //	         options: WithBuffer WithStreamBatch WithBoxWorkers
-//	                  WithMaxStarDepth WithMaxSplitWidth WithReplicaIdleReap
+//	                  WithMaxStarDepth WithMaxSplitWidth
 //	                  WithTracer WithErrorHandler
 //	         box width: given (NewBoxConcurrent, WithBoxWorkers) it is
 //	         obeyed, 1 = sequential; not given, a box runs sequentially
 //	         until its own service time repays concurrent invocation,
 //	         then up to GOMAXPROCS at a time
 //	handle   Send SendCtx SendBatch Close Out Wait Cancel Stats Err
-//	records  NewRecord AcquireRecord ReleaseRecord PoolStats DecodeFlat
+//	records  NewRecord AcquireRecord ReleaseRecord PoolStats
 //	errors   ErrClosed ErrCancelled ErrNoRoute (*NoRouteError)
 //	         *CompileError of *TypeError (ErrCode… constants)
 //
@@ -182,12 +182,6 @@ var (
 	PoolStats     = core.PoolStats
 )
 
-// DecodeFlat reads one record from its canonical flat wire form (the
-// slot-array layout serialized as-is; see Record.AppendFlat for the
-// encoder).  It returns the record and the remaining bytes, so concatenated
-// records decode as a stream.
-var DecodeFlat = core.DecodeFlat
-
 // Parsers for the textual micro-forms.
 var (
 	ParseSignature     = core.ParseSignature
@@ -275,10 +269,6 @@ var (
 	WithBoxWorkers    = core.WithBoxWorkers
 	WithMaxStarDepth  = core.WithMaxStarDepth
 	WithMaxSplitWidth = core.WithMaxSplitWidth
-	// WithReplicaIdleReap makes split nodes reclaim replicas idle for the
-	// given duration (goroutines unwound, the "split.<name>.replicas" gauge
-	// decremented) — the leak guard for long-lived runs with churning keys.
-	WithReplicaIdleReap = core.WithReplicaIdleReap
 )
 
 // MatchScore scores how well a record's label set matches a multivariant
