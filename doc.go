@@ -13,6 +13,7 @@
 //   - sac/lang     — the Core SaC interpreter
 //   - sudoku       — the case study
 //
-// See README.md for an overview, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for an overview, DESIGN.md for the system inventory, and
+// EXPERIMENTS.md for the index from each paper claim to the benchmark
+// metric or test that checks it.
 package repro

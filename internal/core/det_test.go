@@ -300,3 +300,29 @@ func testDetRunsAreRepeatable(t *testing.T, m execMode) {
 		}
 	}
 }
+
+// BenchmarkDetVsNondet prices the sort-record protocol (§4): the same record
+// flood through a nondeterministic and a deterministic split.
+func BenchmarkDetVsNondet(b *testing.B) {
+	const n = 500
+	inputs := make([]*Record, n)
+	for i := range inputs {
+		inputs[i] = NewRecord().SetTag("n", i).SetTag("k", i%4)
+	}
+	idFn := func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)) }
+	for _, det := range []bool{false, true} {
+		name, split := "nondet", Split
+		if det {
+			name, split = "det", SplitDet
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				box := NewBox("w", MustParseSignature("(<n>) -> (<n>)"), idFn)
+				out, _, err := MustCompile(split(box, "k")).RunAll(context.Background(), inputs)
+				if err != nil || len(out) != n {
+					b.Fatalf("out=%d err=%v", len(out), err)
+				}
+			}
+		})
+	}
+}

@@ -225,3 +225,26 @@ func TestNetworkUnsolvableDrains(t *testing.T) {
 		t.Fatal("unsolvable puzzle produced a solution")
 	}
 }
+
+// BenchmarkBigBoards solves a 16×16 board with the sequential solver and
+// with the Fig. 3 network: "parallelisation becomes essential for bigger
+// puzzles" (§3 footnote).
+func BenchmarkBigBoards(b *testing.B) {
+	puzzle, _ := Generate(sp, 4, 7, 150, false)
+	b.Run("seq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := SolveBoard(sp, puzzle); !ok {
+				b.Fatal("seq failed")
+			}
+		}
+	})
+	b.Run("fig3", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			net := Fig3Net(NetConfig{Pool: sp, Throttle: 4, ExitLevel: 200})
+			board, _, err := SolveWithNet(context.Background(), net, puzzle)
+			if err != nil || board == nil || !board.IsSolved() {
+				b.Fatalf("network solve failed: %v", err)
+			}
+		}
+	})
+}

@@ -18,6 +18,6 @@
 // constructors an snet/lang registry binds the corresponding .snet surface
 // program against (see examples/wavefront, examples/divconq,
 // examples/webpipe), an input generator, and a sequential reference the
-// tests and experiments check results against.  internal/bench runs them as
-// experiments E17–E19.
+// tests and the repository benchmark check results against.  The benchmark
+// runs wavefront and webpipe as its wavefront_join and webpipe_* workloads.
 package workloads

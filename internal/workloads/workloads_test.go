@@ -123,3 +123,18 @@ func testWebPipeMatchesReference(t *testing.T, compile func(snet.Node) *snet.Pla
 		}
 	}
 }
+
+// BenchmarkDivConq runs the divide-and-conquer workload: mergesort as star
+// unfolding over per-pair split replicas.
+func BenchmarkDivConq(b *testing.B) {
+	const jobs, n, leaf = 2, 512, 32
+	plan := snet.MustCompile(DivConqNet(n, leaf))
+	in := DivConqJobs(jobs, n, 23)
+	for i := 0; i < b.N; i++ {
+		out, _, err := plan.RunAll(context.Background(), in,
+			snet.WithMaxSplitWidth(DivConqSplitWidth(jobs, n, leaf)))
+		if err != nil || len(out) != jobs {
+			b.Fatalf("divconq: %d records err=%v", len(out), err)
+		}
+	}
+}
