@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -239,7 +240,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "\nstatistics:")
 	snap := stats.Snapshot()
-	for _, k := range stats.Keys() {
+	keys := make([]string, 0, len(snap))
+	for k := range snap {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		fmt.Fprintf(stdout, "  %-40s %d\n", k, snap[k])
 	}
 	return nil

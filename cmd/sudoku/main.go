@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/sac"
@@ -105,14 +106,13 @@ func main() {
 	if *stats && st != nil {
 		fmt.Println("network statistics:")
 		snap := st.Snapshot()
-		for _, k := range st.Keys() {
+		keys := make([]string, 0, len(snap))
+		for k := range snap {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			fmt.Printf("  %-45s %d\n", k, snap[k])
-		}
-		if w := st.Max("split.level_split.width"); w > 0 {
-			fmt.Printf("  %-45s %d\n", "split.level_split.width.max", w)
-		}
-		if d := st.Max("star.solve_loop.depth"); d > 0 {
-			fmt.Printf("  %-45s %d\n", "star.solve_loop.depth.max", d)
 		}
 	}
 }

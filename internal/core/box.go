@@ -235,7 +235,7 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	last := em.held
 	em.src, em.held = nil, nil
 	releaseRecord(rec)
-	b.account(env, em)
+	b.settle(env, &x.state[i].cells, em.emitted, !em.stopped)
 	x.applied++
 	if em.stopped {
 		releaseRecord(last) // never handed on, so still ours
@@ -244,24 +244,28 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	return last, true
 }
 
-// account settles one finished invocation's counters.  Completed
-// invocations count under "box.<name>.calls" and their emissions under
-// "box.<name>.emitted"; invocations cut short by run cancellation count
-// under "box.<name>.cancelled" instead.  "Emitted" means accepted by the
-// box's output stream: under run cancellation up to B-1 emissions batched
-// in the writer's pending frame can still be dropped in flight (the
-// transport's own "stream.records" counter retracts those; see ship), and so
-// can the last emission of a call stepped in a segment, which moves on only
-// after the call is settled.
-func (b *boxNode) account(env *runEnv, em *Emitter) {
-	if em.emitted > 0 {
-		env.stats.Add(b.keys.emitted, int64(em.emitted))
+// boxCells are the counters ticked per invocation, held (Stats.held) by who
+// settles them: the stage's state, or the concurrent engine's releaser.
+type boxCells struct{ calls, emitted *statCell }
+
+// settle counts one finished invocation.  Completed invocations count under
+// "box.<name>.calls" and their emissions under "box.<name>.emitted";
+// invocations cut short by run cancellation count under
+// "box.<name>.cancelled" instead.  "Emitted" means accepted by the box's
+// output stream: under run cancellation up to B-1 emissions batched in the
+// writer's pending frame can still be dropped in flight (the transport's own
+// "stream.records" counter retracts those; see ship), and so can the last
+// emission of a call stepped in a segment, which moves on only after the call
+// is settled.
+func (b *boxNode) settle(env *runEnv, c *boxCells, emitted int, completed bool) {
+	if emitted > 0 {
+		env.stats.held(&c.emitted, b.keys.emitted).Add(int64(emitted))
 	}
-	if em.stopped {
+	if completed {
+		env.stats.held(&c.calls, b.keys.calls).Add(1)
+	} else {
 		env.stats.Add(b.keys.cancelled, 1)
-		return
 	}
-	env.stats.Add(b.keys.calls, 1)
 }
 
 // invoke runs the box function with panic isolation: a panicking box loses

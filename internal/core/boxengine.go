@@ -186,8 +186,9 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	env.stats.SetMax(b.keys.concurrency, int64(width))
 
 	var (
-		inflight atomic.Int64 // invocations currently running
-		wg       sync.WaitGroup
+		inflight    atomic.Int64                         // invocations currently running
+		inflightMax = env.stats.maximum(b.keys.inflight) // its high-water mark: the cell, shared by the workers
+		wg          sync.WaitGroup
 	)
 	// Reorder queue capacity beyond the worker count only buys queued-but-
 	// undispatched slots; width+1 keeps the dispatcher just ahead of the
@@ -198,7 +199,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	worker := func() {
 		defer wg.Done()
 		for s := range calls {
-			env.stats.SetMax(b.keys.inflight, inflight.Add(1))
+			atomicMax(inflightMax, inflight.Add(1))
 			b.invoke(env, s.args, &s.em)
 			inflight.Add(-1)
 			releaseRecord(s.em.src) // the invocation consumed its input
@@ -210,11 +211,10 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	// The releaser walks the reorder queue in FIFO order, streaming each
 	// slot's emissions (or marker) to out.  Head-of-queue emissions stream
 	// through as their frames are flushed; later invocations buffer until
-	// they become the head.  It also settles the per-invocation counters:
-	// an invocation counts under "calls"/"emitted" only for what its slot
-	// actually delivered downstream; slots overtaken by cancellation —
-	// including invocations still buffered or never dispatched — count
-	// under "cancelled", matching inline mode's contract.
+	// they become the head.  It also settles the per-invocation counters
+	// (settle): an invocation counts for what its slot actually delivered
+	// downstream, and slots overtaken by cancellation — including invocations
+	// still buffered or never dispatched — count as cancelled.
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -232,6 +232,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			return s, ok
 		}
 		aborted := false
+		var cells boxCells
 		for {
 			s, ok := nextSlot()
 			if !ok {
@@ -266,14 +267,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			if aborted {
 				s.emit.Discard()
 			}
-			if delivered > 0 {
-				env.stats.Add(b.keys.emitted, int64(delivered))
-			}
-			if completed {
-				env.stats.Add(b.keys.calls, 1)
-			} else {
-				env.stats.Add(b.keys.cancelled, 1)
-			}
+			b.settle(env, &cells, delivered, completed)
 		}
 	}()
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // filterNode executes a FilterSpec as a network component.
 type filterNode struct {
@@ -16,14 +12,12 @@ type filterNode struct {
 	memo *matchMemo
 	// progs caches the spec compiled to a slot program per input shape
 	// (filterspec.go); like the match memo it is a pure function of the
-	// spec, shared by every run, and bounded by progCount so a pathological
-	// shape churn cannot grow it without limit.
-	progs     sync.Map // *shape -> *filterProg
-	progCount atomic.Int64
+	// spec, shared by every run.
+	progs shapeMemo[*filterProg]
 	// Stat keys, concatenated once so per-record accounting never builds a
 	// string.
-	kNomatch, kErrors, kApplied string
-	lone                        // run: the filter on its own is a segment of one (fuse.go)
+	kNomatch, kApplied string
+	lone               // run: the filter on its own is a segment of one (fuse.go)
 }
 
 // NewFilter wraps a filter specification as a node.  Records matching the
@@ -39,7 +33,6 @@ func NewFilter(spec *FilterSpec) Node {
 	f := &filterNode{label: label, spec: spec,
 		memo:     newMatchMemo(spec.Pattern.Variant),
 		kNomatch: "filter." + label + ".nomatch",
-		kErrors:  "filter." + label + ".errors",
 		kApplied: "filter." + label + ".applied"}
 	f.alone(f)
 	return f
@@ -77,20 +70,12 @@ func (f *filterNode) matches(rec *Record) bool {
 }
 
 // program returns the spec's slot program for the given input shape,
-// compiling and memoizing it on first sight (capped like the routing
-// memos; past the cap the program is still exact, just recompiled).
+// compiling and memoizing it on first sight.
 func (f *filterNode) program(sh *shape) *filterProg {
-	if p, ok := f.progs.Load(sh); ok {
-		return p.(*filterProg)
+	if p, ok := f.progs.load(sh); ok {
+		return p
 	}
-	p := compileFilterProg(f.spec, sh)
-	if f.progCount.Load() < maxMemoEntries {
-		if prev, loaded := f.progs.LoadOrStore(sh, p); loaded {
-			return prev.(*filterProg)
-		}
-		f.progCount.Add(1)
-	}
-	return p
+	return f.progs.store(sh, compileFilterProg(f.spec, sh))
 }
 
 // step applies the filter to one record.  A record the pattern does not
@@ -108,14 +93,14 @@ func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	outs, err := f.program(rec.shape).apply(rec, st.outs)
 	if err != nil {
 		env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
-		env.stats.Add(f.kErrors, 1)
+		env.stats.Add("filter."+f.label+".errors", 1)
 		releaseRecord(rec) // dropped, not forwarded
 		return nil, true
 	}
 	if outs != nil {
 		st.outs = outs[:0] // keep the backing, not the records
 	}
-	env.stats.Add(f.kApplied, 1)
+	env.stats.held(&st.applied, f.kApplied).Add(1)
 	x.applied++
 	releaseRecord(rec)
 	for k, o := range outs {

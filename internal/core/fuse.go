@@ -122,17 +122,15 @@ type spineCutter struct {
 	seen   map[Node]bool
 	spines map[*serialNode][]runner
 	groups []FusionGroup
-	keys   []string
 }
 
 // cutSpines computes a plan's grouping: for every spine root of the tree the
-// parts serialNode.run starts, the fusion groups for the topology report
-// (inner spines before the spine that contains them), and the segments'
-// per-record stat keys for Plan.Start to preregister.
-func cutSpines(root Node, fuse bool) (map[*serialNode][]runner, []FusionGroup, []string) {
+// parts serialNode.run starts, and the fusion groups for the topology report
+// (inner spines before the spine that contains them).
+func cutSpines(root Node, fuse bool) (map[*serialNode][]runner, []FusionGroup) {
 	c := &spineCutter{fuse: fuse, seen: map[Node]bool{}, spines: map[*serialNode][]runner{}}
 	c.visit(root)
-	return c.spines, c.groups, c.keys
+	return c.spines, c.groups
 }
 
 func (c *spineCutter) visit(n Node) {
@@ -173,8 +171,7 @@ func (c *spineCutter) visit(n Node) {
 type segment struct {
 	stages []stage
 	// A segment of several has a name and counts the records it takes in and
-	// the steps it applies, on keys Start preregisters as lock-free atomics
-	// (Stats.preregister).  A segment of one has neither: the stage's own
+	// the steps it applies.  A segment of one has neither: the stage's own
 	// counters say it all.
 	label              string
 	kRecords, kApplied string
@@ -202,7 +199,6 @@ func (c *spineCutter) newSegment(run []Node) *segment {
 		members[i] = n.name()
 	}
 	c.groups = append(c.groups, FusionGroup{Name: label, Members: members})
-	c.keys = append(c.keys, s.kRecords, s.kApplied)
 	return s
 }
 
@@ -214,17 +210,18 @@ func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	x := s.start(env, in, out)
 	named := s.label != ""
+	var records, applied *statCell // a named segment's cells, held from its first record on
 	for {
 		rec, ok := x.recv(in)
 		if !ok {
 			break
 		}
 		if named {
-			env.stats.Add(s.kRecords, 1)
+			env.stats.held(&records, s.kRecords).Add(1)
 		}
 		ok = x.push(0, rec)
 		if named && x.applied > 0 {
-			env.stats.Add(s.kApplied, x.applied)
+			env.stats.held(&applied, s.kApplied).Add(x.applied)
 			x.applied = 0
 		}
 		if !ok || ctxDone(env.ctx) {
@@ -246,14 +243,16 @@ type segmentRun struct {
 	applied int64         // steps applied to the current input record (a named segment counts them)
 }
 
-// stageState is what one stage keeps from record to record: buffers, never a
-// record.  The slots are per stage, not per segment, because steps nest: a
-// box in the middle of its emissions is still reading its arguments while a
-// box further down binds its own.
+// stageState is what one stage keeps from record to record: buffers and held
+// counter cells, never a record.  The slots are per stage, not per segment,
+// because steps nest: a box in the middle of its emissions is still reading
+// its arguments while a box further down binds its own.
 type stageState struct {
-	em   Emitter   // box: the emitter every invocation is handed
-	args []any     // box: the argument buffer
-	outs []*Record // filter: backing for the outputs of one application
+	em      Emitter   // box: the emitter every invocation is handed
+	args    []any     // box: the argument buffer
+	cells   boxCells  // box: "calls", "emitted"
+	outs    []*Record // filter: backing for the outputs of one application
+	applied *statCell // filter: "applied"
 }
 
 // start begins one execution of the segment: out is flushed whenever in runs

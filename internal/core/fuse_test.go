@@ -128,7 +128,7 @@ func TestFusionBarriers(t *testing.T) {
 func TestFusionSharedSubtree(t *testing.T) {
 	chain := Serial(Observe("sh_a", nil), Observe("sh_b", nil))
 	net := Serial(Split(chain, "k"), Star(chain, MustParsePattern("{<done>}")))
-	spines, groups, _ := cutSpines(net, true)
+	spines, groups := cutSpines(net, true)
 	if len(groups) != 1 {
 		t.Fatalf("shared chain should fuse once, got %v", groups)
 	}
@@ -203,7 +203,7 @@ func TestCutSpine(t *testing.T) {
 	// A chain that sits on two spines is cut the same way on both.
 	shared := Serial(Observe("cs_s1", nil), Observe("cs_s2", nil), Observe("cs_s3", nil))
 	net := Parallel(Serial(shared, NewBox("cs_b1", sig, pass)), Serial(NewBox("cs_b2", sig, pass), shared))
-	_, groups, _ := cutSpines(net, true)
+	_, groups := cutSpines(net, true)
 	if len(groups) != 2 {
 		t.Fatalf("want one group per spine, got %v", groups)
 	}
@@ -304,8 +304,8 @@ func TestFusedMixedChainOutputs(t *testing.T) {
 	}
 }
 
-// TestFusedSegmentStats: the segment counts its own records/applications on
-// preregistered atomics and the constituent stages keep their counters.
+// TestFusedSegmentStats: the segment counts its own records/applications
+// through held cells and the constituent stages keep their counters.
 func TestFusedSegmentStats(t *testing.T) {
 	net := Serial(
 		Observe("fs_tap", nil),
@@ -343,7 +343,7 @@ func TestFusedSegmentStats(t *testing.T) {
 	if got := stats.Counter("box.fs_box.instances"); got != 1 {
 		t.Errorf("box instances: want 1, got %d", got)
 	}
-	// The hot keys must appear in the map-shaped accessors like any other.
+	// Keys counted through held cells appear in the map-shaped accessors like any other.
 	snap := stats.Snapshot()
 	if snap["fused."+g+".records"] != n {
 		t.Errorf("snapshot is missing the fused segment counters: %v", snap)
@@ -360,7 +360,7 @@ func TestFusedSegmentStats(t *testing.T) {
 	agg := NewStats()
 	agg.Merge(stats)
 	if agg.Counter("fused."+g+".records") != n {
-		t.Error("Merge dropped the preregistered counters")
+		t.Error("Merge dropped the segment counters")
 	}
 }
 
@@ -483,11 +483,13 @@ func TestSegmentCancelMidBurst(t *testing.T) {
 		t.Fatal("the box outlived its run: nothing told its emitter about the cancellation")
 	}
 	h.Wait()
+	waitPoolLive(t, base)
+	waitForGoroutines(t, gbase)
+	// Wait returns when the output is closed, which a cancelled run does at
+	// once; the segment settles the call it was in before its goroutine ends.
 	if got := h.Stats().Counter("box.scb_forever.cancelled"); got != 1 {
 		t.Errorf("cancelled invocations: want 1, got %d", got)
 	}
-	waitPoolLive(t, base)
-	waitForGoroutines(t, gbase)
 }
 
 // TestFusedBoxFailureIsolation: errors and panics inside a fused box drop

@@ -72,9 +72,10 @@ const mergeQueueSlack = 4
 type branchPort struct {
 	// w is the writing end of the branch's input stream — for the identity
 	// exit of a star, which has no stream, the writer into the merger.
-	w    *streamWriter
-	b    *mergerBranch
-	slot int // index in fanout.ports and in the input reader's idle list
+	w      *streamWriter
+	b      *mergerBranch
+	slot   int       // index in fanout.ports and in the input reader's idle list
+	routed *statCell // parallel: the held cell of the branch's routing counter
 }
 
 // fanout is the splitter half: it owns branch creation, routing and marker

@@ -55,10 +55,6 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	for _, o := range opts {
 		o(env)
 	}
-	// Fused segments count every record on preregistered atomics; install
-	// them while the collector is still single-threaded (see
-	// Stats.preregister).
-	env.stats.preregister(p.fusedKeys)
 	// The boundary input stream is written through sendDirect only (one
 	// frame per record, safe for concurrent client senders); batching
 	// starts at the first internal hop.

@@ -16,11 +16,9 @@ type parallelNode struct {
 	det      bool
 	branches []Node
 
-	// Per-branch routing counters and the unroutable key, concatenated once
-	// at construction: dispatch accounting is per record and must not build
-	// strings.
-	branchKeys  []string
-	kUnroutable string
+	// Per-branch routing counter keys, concatenated once at construction:
+	// every instance looks its branches' cells up by them.
+	branchKeys []string
 
 	// table is the node's dispatch table — a pure function of the branch
 	// list (accepted types and guards), never of a run, so it is built with
@@ -53,8 +51,7 @@ func newParallel(label string, det bool, branches []Node) *parallelNode {
 		keys[i] = fmt.Sprintf("parallel.%s.branch%d", label, i)
 	}
 	return &parallelNode{label: label, det: det, branches: branches,
-		branchKeys: keys, kUnroutable: "parallel." + label + ".unroutable",
-		table: buildRouteTable(det, branches)}
+		branchKeys: keys, table: buildRouteTable(det, branches)}
 }
 
 func (n *parallelNode) name() string { return n.label }
@@ -116,11 +113,11 @@ func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 				Shape:    rec.Labels(),
 				Branches: n.table.accept,
 			})
-			env.stats.Add(n.kUnroutable, 1)
+			env.stats.Add("parallel."+n.label+".unroutable", 1)
 			releaseRecord(rec) // dropped, not forwarded
 			continue
 		}
-		env.stats.Add(n.branchKeys[chosen], 1)
+		env.stats.held(&ports[chosen].routed, n.branchKeys[chosen]).Add(1)
 		if !f.route(ports[chosen], rec) || !f.afterRoute() {
 			break
 		}

@@ -149,14 +149,13 @@ func WithInputType(t RecType) CompileOption {
 // describes the nodes Start runs, and the flow pass, the analyses and
 // Topology read the same.
 type Plan struct {
-	graph     *GraphNode               // the blueprint, as walked by Compile; graph.Node is its root
-	spines    map[*serialNode][]runner // every serial spine's cut into parts (fuse.go)
-	groups    []FusionGroup
-	fusedKeys []string // the fused segments' per-record stat keys (Start preregisters them)
-	in, out   RecType
-	warnings  []Diagnostic
-	typeErrs  []*TypeError
-	facts     *flowFacts
+	graph    *GraphNode               // the blueprint, as walked by Compile; graph.Node is its root
+	spines   map[*serialNode][]runner // every serial spine's cut into parts (fuse.go)
+	groups   []FusionGroup
+	in, out  RecType
+	warnings []Diagnostic
+	typeErrs []*TypeError
+	facts    *flowFacts
 }
 
 // Compile type-checks the network and precomputes its execution artifacts.
@@ -178,7 +177,7 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 
 	c := newCompiler()
 	p.graph = c.walk(root, "")
-	p.spines, p.groups, p.fusedKeys = cutSpines(root, cfg.fuse)
+	p.spines, p.groups = cutSpines(root, cfg.fuse)
 	seed := cfg.input
 	if seed == nil {
 		seed = in

@@ -32,6 +32,34 @@ import (
 // stored.
 const maxMemoEntries = 1 << 12
 
+// shapeMemo caches one V per record shape, up to maxMemoEntries of them.  It
+// keys on the record's interned shape pointer: one lock-free map probe, and —
+// unlike a string key — boxing the key allocates nothing.  Safe for
+// concurrent use: what it holds is a function of the node, shared by all runs.
+type shapeMemo[V any] struct {
+	m    sync.Map // *shape → V
+	size atomic.Int64
+}
+
+func (m *shapeMemo[V]) load(sh *shape) (V, bool) {
+	e, ok := m.m.Load(sh)
+	v, _ := e.(V) // the zero V when nothing is stored
+	return v, ok
+}
+
+// store memoizes v for sh and returns the value to use from now on: v, or
+// what another goroutine stored first.  Past the cap nothing is stored and v
+// is still right, just computed again next time.
+func (m *shapeMemo[V]) store(sh *shape, v V) V {
+	if m.size.Load() < maxMemoEntries {
+		if prev, loaded := m.m.LoadOrStore(sh, v); loaded {
+			return prev.(V)
+		}
+		m.size.Add(1)
+	}
+	return v
+}
+
 // ErrNoRoute is the sentinel under every routing failure of parallel
 // composition: a record whose type matches no branch.  The concrete error is
 // a *NoRouteError carrying the record's variant and the branch types.
@@ -62,27 +90,17 @@ func (e *NoRouteError) Unwrap() error { return ErrNoRoute }
 // for concurrent use; shared across runs.
 type matchMemo struct {
 	variant Variant
-	memo    sync.Map // *shape → bool
-	size    atomic.Int64
+	shapeMemo[bool]
 }
 
 func newMatchMemo(v Variant) *matchMemo { return &matchMemo{variant: v} }
 
 // satisfies reports whether rec carries every label of the memo's variant.
-// The memo keys on the record's interned shape pointer: one lock-free map
-// probe, and — unlike a string key — boxing the key allocates nothing.
 func (m *matchMemo) satisfies(rec *Record) bool {
-	key := rec.shape
-	if v, ok := m.memo.Load(key); ok {
-		return v.(bool)
+	if ok, known := m.load(rec.shape); known {
+		return ok
 	}
-	ok := recordSatisfies(rec, m.variant)
-	if m.size.Load() < maxMemoEntries {
-		if _, loaded := m.memo.LoadOrStore(key, ok); !loaded {
-			m.size.Add(1)
-		}
-	}
-	return ok
+	return m.store(rec.shape, recordSatisfies(rec, m.variant))
 }
 
 // matches is p.Matches(rec) with the variant check memoized; p must be the
@@ -121,8 +139,7 @@ type routeTable struct {
 	accept []RecType // per-branch accepted input type (diagnostics, NoRouteError)
 	static []RecType // statically scorable accepted type; nil for guarded branches
 	gb     []guardedBranch
-	memo   sync.Map // *shape → *dispatchEntry
-	size   atomic.Int64
+	shapeMemo[*dispatchEntry]
 }
 
 // buildRouteTable compiles the branch list of a parallel combinator.
@@ -150,18 +167,10 @@ func buildRouteTable(det bool, branches []Node) *routeTable {
 // entry returns (building and memoizing on demand) the dispatch entry for
 // the record's shape.
 func (t *routeTable) entry(rec *Record) *dispatchEntry {
-	key := rec.shape
-	if e, ok := t.memo.Load(key); ok {
-		return e.(*dispatchEntry)
+	if e, ok := t.load(rec.shape); ok {
+		return e
 	}
-	e := t.buildEntry(rec.Labels())
-	if t.size.Load() < maxMemoEntries {
-		if prev, loaded := t.memo.LoadOrStore(key, e); loaded {
-			return prev.(*dispatchEntry)
-		}
-		t.size.Add(1)
-	}
-	return e
+	return t.store(rec.shape, t.buildEntry(rec.Labels()))
 }
 
 // buildEntry scores one shape against every branch's static type.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -11,30 +12,24 @@ import (
 // Keys are structured as "<nodekind>.<nodename>.<metric>", e.g.
 // "box.solveOneLevel.calls", "star.solve_loop.replicas",
 // "split.width.replicas".  Stats are safe for concurrent use.
+//
+// A stat is an atomic cell, and the mutex guards only the two maps that name
+// the cells: Add and SetMax look the cell up, then do the atomic operation.  A
+// site that counts once per record keeps the pointer (held) and pays the
+// look-up once.  Reads never create a cell (DESIGN §4, "Counters").
 type Stats struct {
 	mu       sync.Mutex
-	counters map[string]int64
-	maxima   map[string]int64
-
-	// The transport-plane keys are preregistered as atomics: every stream
-	// writer folds its frame/record tallies in on close (and the boundary
-	// writer on every direct send), so these are the collector's hottest
-	// keys by far.  Routing them around the mutex keeps a run with
-	// thousands of short-lived streams (deep split/star unfoldings) off
-	// the map lock; Snapshot, Counter, Keys and friends fold them back in,
-	// so the external Stats shape is unchanged.
-	hotFrames  atomic.Int64 // "stream.frames"
-	hotRecords atomic.Int64 // "stream.records"
-	hotHWM     atomic.Int64 // "stream.frame.hwm" (a maximum, not a sum)
-
-	// hot holds additional preregistered atomic counters, keyed by stat
-	// name — per-fused-segment record counters above all.  The map is built
-	// by preregister before a run's goroutines launch and is read-only
-	// afterwards, so lookups are lock-free.
-	hot map[string]*atomic.Int64
+	counters map[string]*statCell
+	maxima   map[string]*statCell
+	// Cells are cut from free, which starts as the inline chunk: the couple
+	// of dozen keys of a typical run cost no allocation of their own.
+	free  []statCell
+	first [32]statCell
 }
 
-// The preregistered hot-counter keys.
+type statCell = atomic.Int64
+
+// The transport-plane keys (runEnv.foldStream).
 const (
 	statStreamFrames  = "stream.frames"
 	statStreamRecords = "stream.records"
@@ -42,11 +37,13 @@ const (
 )
 
 func newStats() *Stats {
-	return &Stats{counters: map[string]int64{}, maxima: map[string]int64{}}
+	s := &Stats{counters: map[string]*statCell{}, maxima: map[string]*statCell{}}
+	s.free = s.first[:]
+	return s
 }
 
 // atomicMax raises a to at least v.
-func atomicMax(a *atomic.Int64, v int64) {
+func atomicMax(a *statCell, v int64) {
 	for {
 		cur := a.Load()
 		if v <= cur || a.CompareAndSwap(cur, v) {
@@ -55,135 +52,92 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// preregister installs lock-free atomic counters for keys whose traffic is
-// known ahead of a run — Plan.Start calls it with the plan's fused-segment
-// keys before any run goroutine launches.  It must not be called once the
-// collector is in concurrent use: the hot map is immutable thereafter, which
-// is exactly what makes its reads fence-free.
-func (s *Stats) preregister(keys []string) {
-	if len(keys) == 0 {
-		return // nothing fused: the nil map reads as empty
-	}
-	s.hot = make(map[string]*atomic.Int64, len(keys))
-	for _, k := range keys {
-		s.hot[k] = new(atomic.Int64)
-	}
-}
-
 // NewStats returns an empty, usable Stats collector.  The runtime allocates
 // its own per-run collector in Start; NewStats exists for aggregators (such
 // as the session service) that fold many runs' statistics into one.
 func NewStats() *Stats { return newStats() }
 
+// cell returns the cell m (s.counters or s.maxima) names key, a new one at
+// the first mention.
+func (s *Stats) cell(m map[string]*statCell, key string) *statCell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := m[key]
+	if c == nil {
+		if len(s.free) == 0 {
+			s.free = make([]statCell, len(s.first))
+		}
+		c, s.free = &s.free[0], s.free[1:]
+		m[key] = c
+	}
+	return c
+}
+
+func (s *Stats) counter(key string) *statCell { return s.cell(s.counters, key) }
+func (s *Stats) maximum(key string) *statCell { return s.cell(s.maxima, key) }
+
+// held returns the counter cell *c, which belongs to one goroutine, looking
+// it up under key at the first count — not before, so a key nobody counted is
+// never reported.
+func (s *Stats) held(c **statCell, key string) *statCell {
+	if *c == nil {
+		*c = s.counter(key)
+	}
+	return *c
+}
+
 // Merge folds another collector's snapshot into s: counters are added,
 // maxima are maximised.  Both collectors remain usable.
 func (s *Stats) Merge(o *Stats) {
-	o.mu.Lock()
-	counters := make(map[string]int64, len(o.counters))
-	for k, v := range o.counters {
-		counters[k] = v
-	}
-	maxima := make(map[string]int64, len(o.maxima))
-	for k, v := range o.maxima {
-		maxima[k] = v
-	}
-	o.mu.Unlock()
-	s.hotFrames.Add(o.hotFrames.Load())
-	s.hotRecords.Add(o.hotRecords.Load())
-	atomicMax(&s.hotHWM, o.hotHWM.Load())
-	for k, c := range o.hot {
-		if v := c.Load(); v != 0 {
-			s.Add(k, v)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, v := range counters {
-		s.counters[k] += v
-	}
-	for k, v := range maxima {
-		if v > s.maxima[k] {
-			s.maxima[k] = v
+	for _, v := range o.values() { // o's lock is free again: never both at once
+		if v.max {
+			s.SetMax(v.key, v.val)
+		} else {
+			s.Add(v.key, v.val)
 		}
 	}
 }
 
 // Add increments a counter and returns the new value.
-func (s *Stats) Add(key string, delta int64) int64 {
-	switch key {
-	case statStreamFrames:
-		return s.hotFrames.Add(delta)
-	case statStreamRecords:
-		return s.hotRecords.Add(delta)
-	}
-	if c := s.hot[key]; c != nil {
-		return c.Add(delta)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters[key] += delta
-	return s.counters[key]
-}
+func (s *Stats) Add(key string, delta int64) int64 { return s.counter(key).Add(delta) }
 
 // SetMax records v as a high-water mark for key.
-func (s *Stats) SetMax(key string, v int64) {
-	if key == statFrameHWM {
-		atomicMax(&s.hotHWM, v)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v > s.maxima[key] {
-		s.maxima[key] = v
-	}
-}
+func (s *Stats) SetMax(key string, v int64) { atomicMax(s.maximum(key), v) }
 
 // Counter returns the current value of a counter.
-func (s *Stats) Counter(key string) int64 {
-	switch key {
-	case statStreamFrames:
-		return s.hotFrames.Load()
-	case statStreamRecords:
-		return s.hotRecords.Load()
-	}
-	if c := s.hot[key]; c != nil {
-		return c.Load()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[key]
-}
+func (s *Stats) Counter(key string) int64 { return s.read(s.counters, key) }
 
 // Max returns the recorded high-water mark for key.
-func (s *Stats) Max(key string) int64 {
-	if key == statFrameHWM {
-		return s.hotHWM.Load()
-	}
+func (s *Stats) Max(key string) int64 { return s.read(s.maxima, key) }
+
+// read is the value of the cell m names key, 0 if it names none.
+func (s *Stats) read(m map[string]*statCell, key string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxima[key]
+	if c := m[key]; c != nil {
+		return c.Load()
+	}
+	return 0
 }
 
-// hotKV is one nonzero hot counter, for the map-shaped accessors.
-type hotKV struct {
+type statValue struct {
 	key string
 	val int64
+	max bool // a high-water mark, rendered "<key>.max"
 }
 
-// hotSnapshot lists the nonzero hot counters (maxima excluded), so a run
-// that never touched the transport plane reports no transport keys, exactly
-// as before.
-func (s *Stats) hotSnapshot() []hotKV {
-	var out []hotKV
-	if v := s.hotFrames.Load(); v != 0 {
-		out = append(out, hotKV{statStreamFrames, v})
+// values lists what the collector reports: every counter, and every
+// high-water mark above zero (a mark nobody raised is no mark).
+func (s *Stats) values() []statValue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]statValue, 0, len(s.counters)+len(s.maxima))
+	for k, c := range s.counters {
+		out = append(out, statValue{key: k, val: c.Load()})
 	}
-	if v := s.hotRecords.Load(); v != 0 {
-		out = append(out, hotKV{statStreamRecords, v})
-	}
-	for k, c := range s.hot {
-		if v := c.Load(); v != 0 {
-			out = append(out, hotKV{k, v})
+	for k, c := range s.maxima {
+		if v := c.Load(); v > 0 {
+			out = append(out, statValue{key: k, val: v, max: true})
 		}
 	}
 	return out
@@ -191,52 +145,34 @@ func (s *Stats) hotSnapshot() []hotKV {
 
 // Snapshot returns all counters (maxima suffixed ".max") as a plain map.
 func (s *Stats) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters)+len(s.maxima)+3)
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	for k, v := range s.maxima {
-		out[k+".max"] = v
-	}
-	for _, kv := range s.hotSnapshot() {
-		out[kv.key] = kv.val
-	}
-	if v := s.hotHWM.Load(); v != 0 {
-		out[statFrameHWM+".max"] = v
+	vals := s.values()
+	out := make(map[string]int64, len(vals))
+	for _, v := range vals {
+		if v.max {
+			v.key += ".max"
+		}
+		out[v.key] = v.val
 	}
 	return out
 }
 
 // Keys returns the sorted counter keys (for deterministic reports).
 func (s *Stats) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.counters)+2)
-	for k := range s.counters {
-		keys = append(keys, k)
-	}
-	for _, kv := range s.hotSnapshot() {
-		keys = append(keys, kv.key)
+	var keys []string
+	for _, v := range s.values() {
+		if !v.max {
+			keys = append(keys, v.key)
+		}
 	}
 	sort.Strings(keys)
 	return keys
 }
 
 // SumPrefix sums all counters whose key starts with the given prefix.
-func (s *Stats) SumPrefix(prefix string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for k, v := range s.counters {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			total += v
-		}
-	}
-	for _, kv := range s.hotSnapshot() {
-		if k := kv.key; len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			total += kv.val
+func (s *Stats) SumPrefix(prefix string) (total int64) {
+	for _, v := range s.values() {
+		if !v.max && strings.HasPrefix(v.key, prefix) {
+			total += v.val
 		}
 	}
 	return total
@@ -279,6 +215,23 @@ type runEnv struct {
 	// firstErr records the first runtime error of the run (Handle.Err).
 	errMu    sync.Mutex
 	firstErr error
+
+	// The transport cells, held from the first fold on (foldStream).
+	streamOnce           sync.Once
+	frames, records, hwm *statCell
+}
+
+// foldStream adds a closing stream's tallies to the run's transport counters.
+// Streams close once per replica and, in the concurrent box engine, once per
+// invocation, so the run holds these cells as an instance holds its own.
+func (e *runEnv) foldStream(frames, records int64, hwm int) {
+	e.streamOnce.Do(func() {
+		e.frames, e.records = e.stats.counter(statStreamFrames), e.stats.counter(statStreamRecords)
+		e.hwm = e.stats.maximum(statFrameHWM)
+	})
+	e.frames.Add(frames)
+	e.records.Add(records)
+	atomicMax(e.hwm, int64(hwm))
 }
 
 // err returns the first runtime error reported so far.

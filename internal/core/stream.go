@@ -295,9 +295,9 @@ func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int
 	return sent, nil
 }
 
-// close flushes pending items, closes the channel — for a branch-output
-// writer: tells the merger the branch has closed — and folds the writer's
-// transport counters into the run's Stats.  Idempotent.
+// close flushes pending items, folds the writer's transport counters into the
+// run's Stats and closes the channel — for a branch-output writer: tells the
+// merger the branch has closed.  Idempotent.
 func (w *streamWriter) close() {
 	if w.closed {
 		return
@@ -308,17 +308,16 @@ func (w *streamWriter) close() {
 		releaseFrameSlab(w.pending)
 		w.pending = nil
 	}
+	// Fold first: a run that has drained has then counted all its streams.
+	frames := w.frames + atomic.LoadInt64(&w.directFrames)
+	records := w.records + atomic.LoadInt64(&w.directRecords)
+	if frames > 0 {
+		w.env.foldStream(frames, records, w.hwm)
+	}
 	if w.fan != nil {
 		w.fan.sendEv(branchEvent{kind: evClosed, b: w.branch})
 	} else {
 		close(w.ch)
-	}
-	frames := w.frames + atomic.LoadInt64(&w.directFrames)
-	records := w.records + atomic.LoadInt64(&w.directRecords)
-	if frames > 0 {
-		w.env.stats.Add(statStreamFrames, frames)
-		w.env.stats.Add(statStreamRecords, records)
-		w.env.stats.SetMax(statFrameHWM, int64(w.hwm))
 	}
 }
 

@@ -2,7 +2,13 @@ package service
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"os"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +92,91 @@ func TestDivConqCrossModeDeterminism(t *testing.T) {
 					wg.Wait()
 				})
 			}
+		}
+	}
+}
+
+var (
+	updateStatsGolden = flag.Bool("update", false, "rewrite testdata/stats_keys.golden from this run")
+	autoNumbered      = regexp.MustCompile(`#\d+`)
+	// Values that depend on scheduling, not on the input: how records happened
+	// to be batched into frames, how many invocations or sessions overlapped,
+	// how long something took.
+	volatileStat = regexp.MustCompile(`\.stream\.(frames|records)$|\.hwm\.max$|\.inflight\.max$|\.concurrency\.max$|_ns(\.max)?$`)
+)
+
+// TestStatsKeySetStable is the service half of internal/workloads' test of
+// the same name: what Service.Stats() — the body of /api/stats — reports
+// after one webpipe session of 100 records, in both session modes.  Every key
+// name and the value of every counter the input determines must match the
+// golden, which was taken before the collector's storage became one map of
+// atomic cells.
+func TestStatsKeySetStable(t *testing.T) {
+	var got []string
+	for _, mode := range []SessionMode{Isolated, Shared} {
+		svc := New()
+		svc.Register("webpipe", "", Options{SessionMode: mode}, func(Options) (snet.Node, error) {
+			return workloads.WebPipeNet(), nil
+		}, nil)
+		sess, err := svc.Open("webpipe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := make([]*snet.Record, 100)
+		for i := range in {
+			in[i] = workloads.WebPipeRequest(i)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		go func() {
+			if _, err := sess.SendBatch(ctx, in); err != nil {
+				t.Errorf("%s: send: %v", mode, err)
+			}
+			sess.CloseInput()
+		}()
+		recs, done, err := sess.Drain(ctx, 0)
+		cancel()
+		if err != nil || !done || len(recs) != len(in) {
+			t.Fatalf("%s: drained %d records, done=%v err=%v", mode, len(recs), done, err)
+		}
+		sess.Release()
+		for k, v := range svc.Stats() {
+			// box.<name>.escalated is present only when the engine judged the
+			// box slow: a measurement, not a property of the input.
+			if strings.HasSuffix(k, ".escalated") {
+				continue
+			}
+			val := strconv.FormatInt(v, 10)
+			if volatileStat.MatchString(k) {
+				val = "*"
+			}
+			got = append(got, fmt.Sprintf("%s %s %s", mode, autoNumbered.ReplaceAllString(k, "#N"), val))
+		}
+		svc.Shutdown()
+	}
+	sort.Strings(got)
+
+	const golden = "testdata/stats_keys.golden"
+	if *updateStatsGolden {
+		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		want[l]++
+	}
+	for _, l := range got {
+		if want[l]--; want[l] < 0 {
+			t.Errorf("not in %s: %s", golden, l)
+		}
+	}
+	for l, n := range want {
+		if n > 0 {
+			t.Errorf("no longer reported (x%d): %s", n, l)
 		}
 	}
 }
