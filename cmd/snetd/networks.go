@@ -160,31 +160,13 @@ func registerWorkloadNets(svc *service.Service, opts service.Options) {
 	lintNetwork("wavefront", workloads.WavefrontNet(64, 61))
 }
 
-// demoRegistry binds the same built-in demonstration boxes as cmd/snetrun.
+// demoRegistry binds the built-in demonstration boxes.
 func demoRegistry() *lang.Registry {
-	return lang.NewRegistry().
-		RegisterFunc("inc", func(args []any, out *snet.Emitter) error {
-			return out.Out(1, args[0].(int)+1)
-		}).
-		RegisterFunc("dec", func(args []any, out *snet.Emitter) error {
-			n := args[0].(int)
-			if n <= 0 {
-				return out.Out(2, 0, 1)
-			}
-			return out.Out(1, n-1)
-		}).
-		RegisterFunc("double", func(args []any, out *snet.Emitter) error {
-			return out.Out(1, args[0].(int)*2)
-		}).
-		RegisterFunc("split2", func(args []any, out *snet.Emitter) error {
-			if err := out.Out(1, args[0].(int)); err != nil {
-				return err
-			}
-			return out.Out(1, args[0].(int))
-		}).
-		RegisterFunc("echo", func(args []any, out *snet.Emitter) error {
-			return out.Out(1)
-		})
+	reg := lang.NewRegistry()
+	for name, fn := range workloads.DemoBoxes() {
+		reg.RegisterFunc(name, fn)
+	}
+	return reg
 }
 
 // registerLangNets parses a textual S-Net program and registers every net

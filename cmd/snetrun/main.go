@@ -56,34 +56,18 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/workloads"
 	"repro/snet"
 	"repro/snet/lang"
 )
 
+// demoRegistry binds the built-in demonstration boxes.
 func demoRegistry() *lang.Registry {
-	return lang.NewRegistry().
-		RegisterFunc("inc", func(args []any, out *snet.Emitter) error {
-			return out.Out(1, args[0].(int)+1)
-		}).
-		RegisterFunc("dec", func(args []any, out *snet.Emitter) error {
-			n := args[0].(int)
-			if n <= 0 {
-				return out.Out(2, 0, 1)
-			}
-			return out.Out(1, n-1)
-		}).
-		RegisterFunc("double", func(args []any, out *snet.Emitter) error {
-			return out.Out(1, args[0].(int)*2)
-		}).
-		RegisterFunc("split2", func(args []any, out *snet.Emitter) error {
-			if err := out.Out(1, args[0].(int)); err != nil {
-				return err
-			}
-			return out.Out(1, args[0].(int))
-		}).
-		RegisterFunc("echo", func(args []any, out *snet.Emitter) error {
-			return out.Out(1)
-		})
+	reg := lang.NewRegistry()
+	for name, fn := range workloads.DemoBoxes() {
+		reg.RegisterFunc(name, fn)
+	}
+	return reg
 }
 
 type recordFlags []string

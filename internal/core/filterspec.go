@@ -264,106 +264,88 @@ func inheritInto(dst, src *Record, consumed Variant) {
 //
 // An empty output list ("[{x} -> ]") is permitted and discards matching
 // records (useful for termination sinks).
-func ParseFilter(src string) (*FilterSpec, error) {
-	p, err := newParser(src)
+func ParseFilter(src string) (*FilterSpec, error) { return parseAll(src, (*Parser).Filter) }
+
+// MustParseFilter is ParseFilter panicking on error.
+func MustParseFilter(src string) *FilterSpec { return must(ParseFilter(src)) }
+
+// Filter parses a filter: a pattern, "->" and the ';'-separated output
+// specifiers, inside brackets if it opens with one.
+func (p *Parser) Filter() (*FilterSpec, error) {
+	bracketed := p.Accept(TokLBrack)
+	pat, err := p.Pattern()
 	if err != nil {
 		return nil, err
 	}
-	bracketed := p.accept(tokLBrack)
-	pat, err := p.parsePattern()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokArrow); err != nil {
+	if _, err := p.Expect(TokArrow); err != nil {
 		return nil, err
 	}
 	spec := &FilterSpec{Pattern: pat}
-	for p.at(tokLBrace) {
-		items, err := p.parseFilterOutput(pat)
+	for p.At(TokLBrace) {
+		items, err := p.filterOutput(pat)
 		if err != nil {
 			return nil, err
 		}
 		spec.Outputs = append(spec.Outputs, items)
-		if !p.accept(tokSemi) {
+		if !p.Accept(TokSemi) {
 			break
 		}
 	}
 	if bracketed {
-		if _, err := p.expect(tokRBrack); err != nil {
+		if _, err := p.Expect(TokRBrack); err != nil {
 			return nil, err
 		}
-	}
-	if err := p.eof(); err != nil {
-		return nil, err
 	}
 	return spec, nil
 }
 
-// MustParseFilter is ParseFilter panicking on error.
-func MustParseFilter(src string) *FilterSpec {
-	f, err := ParseFilter(src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-func (p *parser) parseFilterOutput(pat Pattern) ([]FilterItem, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
+func (p *Parser) filterOutput(pat Pattern) ([]FilterItem, error) {
+	if _, err := p.Expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	items := []FilterItem{}
-	if p.accept(tokRBrace) {
+	if p.Accept(TokRBrace) {
 		return items, nil
 	}
 	for {
-		// Output items name labels the filter synthesizes; like parseLabel,
-		// refuse the runtime's reserved namespace.
-		if k := p.peek().kind; (k == tokIdent || k == tokTagName) && IsReservedLabel(p.peek().text) {
-			return nil, p.errf("label %q lies in the reserved %q namespace",
-				p.peek().text, ReservedTagPrefix)
+		// Every item opens with the label it synthesizes — through Label, so
+		// the runtime's reserved namespace is refused here too.
+		l, err := p.Label()
+		if err != nil {
+			return nil, err
 		}
-		switch p.peek().kind {
-		case tokIdent:
-			name := p.take().text
-			if p.accept(tokAssign) {
-				src, err := p.expect(tokIdent)
-				if err != nil {
-					return nil, err
-				}
-				if !pat.Variant.Has(Field(src.text)) {
-					return nil, p.errf("field %q not in filter pattern", src.text)
-				}
-				items = append(items, FilterItem{Name: name, Src: src.text})
-			} else {
-				if !pat.Variant.Has(Field(name)) {
-					return nil, p.errf("field %q not in filter pattern", name)
-				}
-				items = append(items, FilterItem{Name: name, Src: name})
+		switch assigned := p.Accept(TokAssign); {
+		case l.IsTag && assigned:
+			e, err := p.TagExpr()
+			if err != nil {
+				return nil, err
 			}
-		case tokTagName:
-			name := p.take().text
-			if p.accept(tokAssign) {
-				e, err := p.parseTagExpr()
-				if err != nil {
-					return nil, err
+			for _, ref := range e.TagRefs(nil) {
+				if !pat.Variant.Has(Tag(ref)) {
+					return nil, p.Errf("tag <%s> used in expression but not in filter pattern", ref)
 				}
-				for _, ref := range e.TagRefs(nil) {
-					if !pat.Variant.Has(Tag(ref)) {
-						return nil, p.errf("tag <%s> used in expression but not in filter pattern", ref)
-					}
-				}
-				items = append(items, FilterItem{Name: name, IsTag: true, Expr: e})
-			} else {
-				items = append(items, FilterItem{Name: name, IsTag: true})
 			}
+			items = append(items, FilterItem{Name: l.Name, IsTag: true, Expr: e})
+		case l.IsTag:
+			items = append(items, FilterItem{Name: l.Name, IsTag: true})
 		default:
-			return nil, p.errf("expected filter item, found %v", p.peek().kind)
+			src := l.Name
+			if assigned {
+				t, err := p.Expect(TokIdent)
+				if err != nil {
+					return nil, err
+				}
+				src = t.Text
+			}
+			if !pat.Variant.Has(Field(src)) {
+				return nil, p.Errf("field %q not in filter pattern", src)
+			}
+			items = append(items, FilterItem{Name: l.Name, Src: src})
 		}
-		if p.accept(tokComma) {
+		if p.Accept(TokComma) {
 			continue
 		}
-		if _, err := p.expect(tokRBrace); err != nil {
+		if _, err := p.Expect(TokRBrace); err != nil {
 			return nil, err
 		}
 		return items, nil

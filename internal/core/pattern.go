@@ -36,38 +36,20 @@ func (p Pattern) String() string {
 
 // ParsePattern parses "{a, b, <c>}" optionally followed by a guard
 // introduced with '|' (the paper's notation) or the keyword "if".
-func ParsePattern(src string) (Pattern, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return Pattern{}, err
-	}
-	pat, err := p.parsePattern()
-	if err != nil {
-		return Pattern{}, err
-	}
-	if err := p.eof(); err != nil {
-		return Pattern{}, err
-	}
-	return pat, nil
-}
+func ParsePattern(src string) (Pattern, error) { return parseAll(src, (*Parser).Pattern) }
 
 // MustParsePattern is ParsePattern panicking on error.
-func MustParsePattern(src string) Pattern {
-	pat, err := ParsePattern(src)
-	if err != nil {
-		panic(err)
-	}
-	return pat
-}
+func MustParsePattern(src string) Pattern { return must(ParsePattern(src)) }
 
-func (p *parser) parsePattern() (Pattern, error) {
-	v, err := p.parseBracedVariant()
+// Pattern parses a braced variant and its optional guard.
+func (p *Parser) Pattern() (Pattern, error) {
+	v, err := p.Variant()
 	if err != nil {
 		return Pattern{}, err
 	}
 	pat := Pattern{Variant: v}
-	if p.accept(tokPipe) || (p.at(tokIdent) && p.peek().text == "if" && p.accept(tokIdent)) {
-		g, err := p.parseTagExpr()
+	if p.Accept(TokPipe) || (p.At(TokIdent) && p.Peek().Text == "if" && p.Accept(TokIdent)) {
+		g, err := p.TagExpr()
 		if err != nil {
 			return Pattern{}, err
 		}
@@ -76,47 +58,49 @@ func (p *parser) parsePattern() (Pattern, error) {
 	return pat, nil
 }
 
-// parseBracedVariant parses "{a, b, <c>}" into a label set.
-func (p *parser) parseBracedVariant() (Variant, error) {
-	if _, err := p.expect(tokLBrace); err != nil {
+// Variant parses "{a, b, <c>}" into a label set.
+func (p *Parser) Variant() (Variant, error) {
+	if _, err := p.Expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	v := Variant{}
-	if p.accept(tokRBrace) {
+	if p.Accept(TokRBrace) {
 		return v, nil
 	}
 	for {
-		l, err := p.parseLabel()
+		l, err := p.Label()
 		if err != nil {
 			return nil, err
 		}
 		v[l] = struct{}{}
-		if p.accept(tokComma) {
+		if p.Accept(TokComma) {
 			continue
 		}
-		if _, err := p.expect(tokRBrace); err != nil {
+		if _, err := p.Expect(TokRBrace); err != nil {
 			return nil, err
 		}
 		return v, nil
 	}
 }
 
-func (p *parser) parseLabel() (Label, error) {
+// Label parses a field name or a <tag>.
+func (p *Parser) Label() (Label, error) {
 	var l Label
-	switch p.peek().kind {
-	case tokIdent:
-		l = Field(p.take().text)
-	case tokTagName:
-		l = Tag(p.take().text)
+	switch t := p.Peek(); t.Kind {
+	case TokIdent:
+		l = Field(t.Text)
+	case TokTagName:
+		l = Tag(t.Text)
 	default:
-		return Label{}, p.errf("expected field or tag label, found %v", p.peek().kind)
+		return Label{}, p.Errf("expected field or tag label, found %v", t.Kind)
 	}
 	// Reserved-namespace enforcement: signatures, patterns and filters all
 	// parse labels through here, so no user network can consume, match or
 	// synthesize the runtime's control labels (session multiplexing and the
 	// replica close protocol depend on that).
 	if IsReservedLabel(l.Name) {
-		return Label{}, p.errf("label %s lies in the reserved %q namespace", l, ReservedTagPrefix)
+		return Label{}, p.Errf("label %s lies in the reserved %q namespace", l, ReservedTagPrefix)
 	}
+	p.Take()
 	return l, nil
 }

@@ -1,6 +1,9 @@
 package core
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // BoxSignature declares a box interface (§4 of the paper):
 //
@@ -46,89 +49,57 @@ func (s *BoxSignature) String() string {
 
 // ParseSignature parses the paper's box signature notation, e.g.
 // "(a,<b>) -> (c) | (c,d,<e>)".
-func ParseSignature(src string) (*BoxSignature, error) {
-	p, err := newParser(src)
+func ParseSignature(src string) (*BoxSignature, error) { return parseAll(src, (*Parser).Signature) }
+
+// MustParseSignature is ParseSignature panicking on error.
+func MustParseSignature(src string) *BoxSignature { return must(ParseSignature(src)) }
+
+// Signature parses an input tuple, "->" and the '|'-separated output tuples.
+func (p *Parser) Signature() (*BoxSignature, error) {
+	in, err := p.LabelTuple()
 	if err != nil {
 		return nil, err
 	}
-	in, err := p.parseLabelTuple()
-	if err != nil {
+	if _, err := p.Expect(TokArrow); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokArrow); err != nil {
-		return nil, err
-	}
-	var outs [][]Label
+	sig := &BoxSignature{In: in}
 	for {
-		o, err := p.parseLabelTuple()
+		o, err := p.LabelTuple()
 		if err != nil {
 			return nil, err
 		}
-		outs = append(outs, o)
-		if !p.accept(tokPipe) {
-			break
+		sig.Out = append(sig.Out, o)
+		if !p.Accept(TokPipe) {
+			return sig, nil
 		}
 	}
-	if err := p.eof(); err != nil {
-		return nil, err
-	}
-	sig := &BoxSignature{In: in, Out: outs}
-	if err := sig.validate(src); err != nil {
-		return nil, err
-	}
-	return sig, nil
 }
 
-// MustParseSignature is ParseSignature panicking on error.
-func MustParseSignature(src string) *BoxSignature {
-	s, err := ParseSignature(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func (s *BoxSignature) validate(src string) error {
-	dup := func(ls []Label) *Label {
-		seen := Variant{}
-		for _, l := range ls {
-			if seen.Has(l) {
-				return &l
-			}
-			seen[l] = struct{}{}
-		}
-		return nil
-	}
-	if l := dup(s.In); l != nil {
-		return &SyntaxError{Input: src, Msg: "duplicate input label " + l.String()}
-	}
-	for _, o := range s.Out {
-		if l := dup(o); l != nil {
-			return &SyntaxError{Input: src, Msg: "duplicate output label " + l.String()}
-		}
-	}
-	return nil
-}
-
-// parseLabelTuple parses "(a, <b>, c)"; the empty tuple "()" is allowed.
-func (p *parser) parseLabelTuple() ([]Label, error) {
-	if _, err := p.expect(tokLParen); err != nil {
+// LabelTuple parses "(a, <b>, c)"; the empty tuple "()" is allowed, a label
+// given twice is not (the tuple is a box's argument list).
+func (p *Parser) LabelTuple() ([]Label, error) {
+	if _, err := p.Expect(TokLParen); err != nil {
 		return nil, err
 	}
 	var out []Label
-	if p.accept(tokRParen) {
+	if p.Accept(TokRParen) {
 		return out, nil
 	}
 	for {
-		l, err := p.parseLabel()
+		at := p.Peek()
+		l, err := p.Label()
 		if err != nil {
 			return nil, err
 		}
+		if slices.Contains(out, l) {
+			return nil, p.errAt(at, "duplicate label %s", l)
+		}
 		out = append(out, l)
-		if p.accept(tokComma) {
+		if p.Accept(TokComma) {
 			continue
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if _, err := p.Expect(TokRParen); err != nil {
 			return nil, err
 		}
 		return out, nil

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// evalTags evaluates e the way the runtime does — evalTagRec over a record —
+// with the record's tags built from the map.
+func evalTags(e TagExpr, tags map[string]int) (int, error) {
+	r := NewRecord()
+	for k, v := range tags {
+		r.SetTag(k, v)
+	}
+	return evalTagRec(e, r)
+}
+
 func TestParseTagExprArithmetic(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -36,7 +46,7 @@ func TestParseTagExprArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
-		got, err := e.Eval(c.tags)
+		got, err := evalTags(e, c.tags)
 		if err != nil {
 			t.Fatalf("%q: eval: %v", c.src, err)
 		}
@@ -50,11 +60,11 @@ func TestTagExprShortCircuit(t *testing.T) {
 	// <missing> on the right of && must not be evaluated when the left
 	// side is false.
 	e := MustParseTagExpr("0 && <missing>")
-	if v, err := e.Eval(nil); err != nil || v != 0 {
+	if v, err := evalTags(e, nil); err != nil || v != 0 {
 		t.Fatalf("short-circuit && broken: %v %v", v, err)
 	}
 	e = MustParseTagExpr("1 || <missing>")
-	if v, err := e.Eval(nil); err != nil || v != 1 {
+	if v, err := evalTags(e, nil); err != nil || v != 1 {
 		t.Fatalf("short-circuit || broken: %v %v", v, err)
 	}
 }
@@ -77,7 +87,7 @@ func TestTagExprErrors(t *testing.T) {
 	}
 	for _, src := range []string{"1/0", "1%0", "<k>+1"} {
 		e := MustParseTagExpr(src)
-		if _, err := e.Eval(map[string]int{}); err == nil {
+		if _, err := evalTags(e, map[string]int{}); err == nil {
 			t.Fatalf("%q: want eval error", src)
 		}
 	}
@@ -117,8 +127,8 @@ func TestQuickTagExprRoundTrip(t *testing.T) {
 		src := exprs[int(pick)%len(exprs)]
 		e1 := MustParseTagExpr(src)
 		e2 := MustParseTagExpr(e1.String())
-		v1, err1 := e1.Eval(env)
-		v2, err2 := e2.Eval(env)
+		v1, err1 := evalTags(e1, env)
+		v2, err2 := evalTags(e2, env)
 		return err1 == nil && err2 == nil && v1 == v2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {

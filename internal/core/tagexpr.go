@@ -12,9 +12,13 @@ import (
 // integers, tag references <name>, unary - and !, binary + - * / %, the
 // comparisons == != < <= > >=, and && / ||.  Booleans are represented as 0/1
 // integers, matching the paper's treatment of tags as plain integers.
+//
+// An expression is a tree of this package's four node types, built by the
+// parser (ParseTagExpr, or the guard of a parsed pattern or filter) and
+// evaluated in one place: evalTagRec, over the tag slots of the record a
+// guard or filter is looking at.  The interface carries what callers outside
+// the evaluator need — the tags referenced and the rendering.
 type TagExpr interface {
-	// Eval computes the expression over the given tag environment.
-	Eval(tags map[string]int) (int, error)
 	// TagRefs appends the tag names referenced by the expression.
 	TagRefs(dst []string) []string
 	String() string
@@ -32,19 +36,11 @@ func (e *EvalError) Error() string {
 
 type intLit int
 
-func (e intLit) Eval(map[string]int) (int, error) { return int(e), nil }
-func (e intLit) TagRefs(dst []string) []string    { return dst }
-func (e intLit) String() string                   { return strconv.Itoa(int(e)) }
+func (e intLit) TagRefs(dst []string) []string { return dst }
+func (e intLit) String() string                { return strconv.Itoa(int(e)) }
 
 type tagRef string
 
-func (e tagRef) Eval(tags map[string]int) (int, error) {
-	v, ok := tags[string(e)]
-	if !ok {
-		return 0, &EvalError{Expr: e.String(), Msg: "tag not present in record"}
-	}
-	return v, nil
-}
 func (e tagRef) TagRefs(dst []string) []string { return append(dst, string(e)) }
 func (e tagRef) String() string                { return "<" + string(e) + ">" }
 
@@ -53,19 +49,6 @@ type unaryExpr struct {
 	x  TagExpr
 }
 
-func (e *unaryExpr) Eval(tags map[string]int) (int, error) {
-	v, err := e.x.Eval(tags)
-	if err != nil {
-		return 0, err
-	}
-	if e.op == '-' {
-		return -v, nil
-	}
-	if v == 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
 func (e *unaryExpr) TagRefs(dst []string) []string { return e.x.TagRefs(dst) }
 func (e *unaryExpr) String() string                { return string(e.op) + e.x.String() }
 
@@ -74,41 +57,8 @@ type binExpr struct {
 	x, y TagExpr
 }
 
-func (e *binExpr) Eval(tags map[string]int) (int, error) {
-	a, err := e.x.Eval(tags)
-	if err != nil {
-		return 0, err
-	}
-	// Short-circuit the logical operators.
-	switch e.op {
-	case "&&":
-		if a == 0 {
-			return 0, nil
-		}
-		b, err := e.y.Eval(tags)
-		if err != nil {
-			return 0, err
-		}
-		return btoi(b != 0), nil
-	case "||":
-		if a != 0 {
-			return 1, nil
-		}
-		b, err := e.y.Eval(tags)
-		if err != nil {
-			return 0, err
-		}
-		return btoi(b != 0), nil
-	}
-	b, err := e.y.Eval(tags)
-	if err != nil {
-		return 0, err
-	}
-	return e.apply(a, b)
-}
-
-// apply evaluates the non-short-circuit operators over computed operands; it
-// is shared by the map-environment Eval and the slot-resolved evalTagRec.
+// apply evaluates the operators that do not short-circuit over computed
+// operands.
 func (e *binExpr) apply(a, b int) (int, error) {
 	switch e.op {
 	case "+":
@@ -143,11 +93,9 @@ func (e *binExpr) apply(a, b int) (int, error) {
 	return 0, &EvalError{Expr: e.String(), Msg: "unknown operator " + e.op}
 }
 
-// evalTagRec evaluates a tag expression directly over a record's tag slots —
-// the runtime's fast path (guards, filter tag assignments).  Unlike Eval it
-// materializes no map: tag references resolve through the record's interned
-// shape.  Foreign TagExpr implementations fall back to Eval over a built
-// environment.
+// evalTagRec evaluates a tag expression over a record's tag slots — under
+// every guard and filter tag assignment, so it materializes nothing: tag
+// references resolve through the record's interned shape.
 func evalTagRec(e TagExpr, r *Record) (int, error) {
 	switch e := e.(type) {
 	case intLit:
@@ -197,18 +145,8 @@ func evalTagRec(e TagExpr, r *Record) (int, error) {
 		}
 		return e.apply(a, b)
 	default:
-		return e.Eval(r.tagMap())
+		return 0, &EvalError{Expr: e.String(), Msg: fmt.Sprintf("%T is not an expression this package built", e)}
 	}
-}
-
-// tagMap materializes the record's tags as a map — only the compatibility
-// fallback for TagExpr implementations outside this package.
-func (r *Record) tagMap() map[string]int {
-	m := make(map[string]int, len(r.tvals))
-	for i, k := range r.shape.tagNames {
-		m[k] = r.tvals[i]
-	}
-	return m
 }
 
 func (e *binExpr) TagRefs(dst []string) []string {
@@ -234,55 +172,24 @@ func btoi(b bool) int {
 	return 0
 }
 
-// TagLit returns a constant tag expression.
-func TagLit(n int) TagExpr { return intLit(n) }
-
-// TagVar returns a reference to the tag with the given name.
-func TagVar(name string) TagExpr { return tagRef(name) }
-
-// TagUnary returns a unary expression; op is '-' or '!'.
-func TagUnary(op byte, x TagExpr) TagExpr { return &unaryExpr{op: op, x: x} }
-
-// TagBinary returns a binary expression over one of the operators
-// + - * / % == != < <= > >= && ||.
-func TagBinary(op string, x, y TagExpr) TagExpr { return &binExpr{op: op, x: x, y: y} }
-
 // ParseTagExpr parses a tag expression from its textual form.
-func ParseTagExpr(src string) (TagExpr, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.parseTagExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.eof(); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
+func ParseTagExpr(src string) (TagExpr, error) { return parseAll(src, (*Parser).TagExpr) }
 
 // MustParseTagExpr is ParseTagExpr panicking on error, for literals in code.
-func MustParseTagExpr(src string) TagExpr {
-	e, err := ParseTagExpr(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
+func MustParseTagExpr(src string) TagExpr { return must(ParseTagExpr(src)) }
 
 // Precedence climbing: || < && < comparisons < additive < multiplicative <
 // unary < primary.
 
-func (p *parser) parseTagExpr() (TagExpr, error) { return p.parseOr() }
+// TagExpr parses a tag expression.
+func (p *Parser) TagExpr() (TagExpr, error) { return p.parseOr() }
 
-func (p *parser) parseOr() (TagExpr, error) {
+func (p *Parser) parseOr() (TagExpr, error) {
 	x, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tokOrOr) {
+	for p.Accept(TokOrOr) {
 		y, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -292,12 +199,12 @@ func (p *parser) parseOr() (TagExpr, error) {
 	return x, nil
 }
 
-func (p *parser) parseAnd() (TagExpr, error) {
+func (p *Parser) parseAnd() (TagExpr, error) {
 	x, err := p.parseCmp()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tokAndAnd) {
+	for p.Accept(TokAndAnd) {
 		y, err := p.parseCmp()
 		if err != nil {
 			return nil, err
@@ -307,21 +214,21 @@ func (p *parser) parseAnd() (TagExpr, error) {
 	return x, nil
 }
 
-var cmpOps = map[tokKind]string{
-	tokEq: "==", tokNeq: "!=", tokLt: "<", tokLe: "<=", tokGt: ">", tokGe: ">=",
+var cmpOps = map[TokKind]string{
+	TokEq: "==", TokNeq: "!=", TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
 }
 
-func (p *parser) parseCmp() (TagExpr, error) {
+func (p *Parser) parseCmp() (TagExpr, error) {
 	x, err := p.parseAdd()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := cmpOps[p.peek().kind]
+		op, ok := cmpOps[p.Peek().Kind]
 		if !ok {
 			return x, nil
 		}
-		p.take()
+		p.Take()
 		y, err := p.parseAdd()
 		if err != nil {
 			return nil, err
@@ -330,22 +237,22 @@ func (p *parser) parseCmp() (TagExpr, error) {
 	}
 }
 
-func (p *parser) parseAdd() (TagExpr, error) {
+func (p *Parser) parseAdd() (TagExpr, error) {
 	x, err := p.parseMul()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		var op string
-		switch p.peek().kind {
-		case tokPlus:
+		switch p.Peek().Kind {
+		case TokPlus:
 			op = "+"
-		case tokMinus:
+		case TokMinus:
 			op = "-"
 		default:
 			return x, nil
 		}
-		p.take()
+		p.Take()
 		y, err := p.parseMul()
 		if err != nil {
 			return nil, err
@@ -354,24 +261,24 @@ func (p *parser) parseAdd() (TagExpr, error) {
 	}
 }
 
-func (p *parser) parseMul() (TagExpr, error) {
+func (p *Parser) parseMul() (TagExpr, error) {
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		var op string
-		switch p.peek().kind {
-		case tokStar:
+		switch p.Peek().Kind {
+		case TokStar:
 			op = "*"
-		case tokSlash:
+		case TokSlash:
 			op = "/"
-		case tokPercent:
+		case TokPercent:
 			op = "%"
 		default:
 			return x, nil
 		}
-		p.take()
+		p.Take()
 		y, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -380,42 +287,46 @@ func (p *parser) parseMul() (TagExpr, error) {
 	}
 }
 
-func (p *parser) parseUnary() (TagExpr, error) {
-	switch p.peek().kind {
-	case tokMinus:
-		p.take()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: '-', x: x}, nil
-	case tokNot:
-		p.take()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: '!', x: x}, nil
+func (p *Parser) parseUnary() (TagExpr, error) {
+	t := p.Peek()
+	if t.Kind != TokMinus && t.Kind != TokNot && t.Kind != TokNotNot {
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	p.Take()
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	switch t.Kind {
+	case TokMinus:
+		return &unaryExpr{op: '-', x: x}, nil
+	case TokNotNot: // one token to the lexer, two negations here
+		x = &unaryExpr{op: '!', x: x}
+	}
+	return &unaryExpr{op: '!', x: x}, nil
 }
 
-func (p *parser) parsePrimary() (TagExpr, error) {
-	switch p.peek().kind {
-	case tokInt:
-		return intLit(atoi(p.take())), nil
-	case tokTagName:
-		return tagRef(p.take().text), nil
-	case tokLParen:
-		p.take()
-		x, err := p.parseTagExpr()
+func (p *Parser) parsePrimary() (TagExpr, error) {
+	switch p.Peek().Kind {
+	case TokInt:
+		n, err := strconv.Atoi(p.Peek().Text)
+		if err != nil {
+			return nil, p.Errf("integer %s out of range", p.Peek().Text)
+		}
+		p.Take()
+		return intLit(n), nil
+	case TokTagName:
+		return tagRef(p.Take().Text), nil
+	case TokLParen:
+		p.Take()
+		x, err := p.TagExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokRParen); err != nil {
+		if _, err := p.Expect(TokRParen); err != nil {
 			return nil, err
 		}
 		return x, nil
 	}
-	return nil, p.errf("expected integer, tag or '(', found %v", p.peek().kind)
+	return nil, p.Errf("expected integer, tag or '(', found %v", p.Peek().Kind)
 }

@@ -1,8 +1,6 @@
 package lang
 
 import (
-	"errors"
-
 	"repro/internal/analysis"
 	"repro/internal/core"
 )
@@ -21,20 +19,9 @@ func AnalyzeNet(prog *Program, netName string, reg *Registry, opts ...core.Compi
 // the front end of the deadlock & boundedness verifier: the report's bound,
 // verdict and counterexample traces are all decorated with .snet positions.
 func AnalyzeNetWithCaps(prog *Program, netName string, reg *Registry, caps analysis.Caps, opts ...core.CompileOption) (*core.Plan, *analysis.Report, error) {
-	b, err := BuildNet(prog, netName, reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, cerr := core.Compile(b.Node, opts...)
-	if cerr != nil {
-		var ce *core.CompileError
-		if errors.As(cerr, &ce) {
-			for _, te := range ce.Errors {
-				if pos, ok := b.Positions[te.Subject()]; ok {
-					te.Pos = pos.String()
-				}
-			}
-		}
+	b, plan, cerr := compileNet(prog, netName, reg, opts)
+	if b == nil { // the build failed: nothing to analyze
+		return nil, nil, cerr
 	}
 	rep := analysis.AnalyzeWithCaps(plan, caps)
 	for _, f := range rep.Findings {

@@ -99,22 +99,28 @@ func BuildText(src, netName string, reg *Registry) (core.Node, error) {
 // non-nil whenever the build succeeded, even if compilation found type
 // errors (mirroring core.Compile's contract).
 func CompileNet(prog *Program, netName string, reg *Registry, opts ...core.CompileOption) (*core.Plan, error) {
+	_, plan, err := compileNet(prog, netName, reg, opts)
+	return plan, err
+}
+
+// compileNet is the build-compile-decorate step under CompileNet and
+// AnalyzeNetWithCaps; the *Built carries the position index the analysis
+// decorates its own findings from.
+func compileNet(prog *Program, netName string, reg *Registry, opts []core.CompileOption) (*Built, *core.Plan, error) {
 	b, err := BuildNet(prog, netName, reg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plan, cerr := core.Compile(b.Node, opts...)
-	if cerr != nil {
-		var ce *core.CompileError
-		if errors.As(cerr, &ce) {
-			for _, te := range ce.Errors {
-				if pos, ok := b.Positions[te.Subject()]; ok {
-					te.Pos = pos.String()
-				}
+	var ce *core.CompileError
+	if errors.As(cerr, &ce) {
+		for _, te := range ce.Errors {
+			if pos, ok := b.Positions[te.Subject()]; ok {
+				te.Pos = pos.String()
 			}
 		}
 	}
-	return plan, cerr
+	return b, plan, cerr
 }
 
 // populate declares the program's boxes and nets into the scope, recording

@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // fuzzSeeds is the seed corpus for FuzzParse: the textual programs shipped
@@ -39,10 +41,21 @@ net m connect multi || multi;`,
 	`net x connect`,
 	`box (`,
 	"net u connect \x00\xff",
+	// where the Go API's strings and .snet text once parsed differently
+	// (TestOneGrammar): a Unicode label, !! in operand position, an
+	// overflowing literal, a label twice in one tuple, a comment in a guard
+	`box f (café) -> (<naïve>);`,
+	`{<k>} -> {<k>=!!<k>}`,
+	`[{<k>} -> {<k>=99999999999999999999}]`,
+	`box f (a,a) -> (b);`,
+	`net g connect x ** ({<l>} | <l> /* level */ > 40 // deep enough
+	);`,
 }
 
 // FuzzParse asserts the parser is total: any byte string either parses or
-// returns an error — it must never panic, hang, or index out of range.
+// returns an error — it must never panic, hang, or index out of range — and
+// that there is one grammar: a text core.ParseFilter accepts is accepted as a
+// filter expression of a program, and renders the same.
 // Run with: go test -fuzz=FuzzParse ./internal/lang
 func FuzzParse(f *testing.F) {
 	for _, seed := range fuzzSeeds {
@@ -56,6 +69,23 @@ func FuzzParse(f *testing.F) {
 		if err != nil && !strings.Contains(err.Error(), ":") {
 			// Errors must carry a source position ("line:col: ...").
 			t.Fatalf("parse error without position: %v", err)
+		}
+		spec, err := core.ParseFilter(src)
+		if err != nil {
+			return
+		}
+		// ParseFilter takes the brackets or leaves them; a program writes
+		// them.  The newline keeps a trailing line comment off the suffix.
+		text := "net n connect [ " + src + "\n];"
+		if p, _ := core.NewParser(src); p.At(core.TokLBrack) {
+			text = "net n connect " + src + "\n;"
+		}
+		prog, err = Parse(text)
+		if err != nil {
+			t.Fatalf("core.ParseFilter accepts %q, a program does not: %v", src, err)
+		}
+		if got := prog.Nets[0].Expr.String(); got != spec.String() {
+			t.Fatalf("filter %q renders %q alone, %q in a program", src, spec, got)
 		}
 	})
 }

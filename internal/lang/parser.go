@@ -1,41 +1,79 @@
+// Package lang implements the textual S-Net surface language of the paper:
+// box declarations with signatures, net definitions, and network expressions
+// over the eight combinators, filters, guarded patterns and synchrocells.
+//
+//	box computeOpts (board) -> (board, opts);
+//	box solveOneLevel (board, opts) -> (board, opts) | (board, <done>);
+//
+//	net fig1 connect computeOpts .. (solveOneLevel ** {<done>});
+//
+// Parse produces an AST; Build instantiates it into an internal/core network
+// against a registry binding box names to Go implementations (the role the
+// SaC compiler plays in the paper).
 package lang
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 )
+
+// Pos is a source position (1-based).
+type Pos struct {
+	Line, Col int
+}
+
+func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
+
+// Error is a parse or build failure with position information.
+type Error struct {
+	Pos Pos
+	Msg string
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("snet: %s: %s", e.Pos, e.Msg) }
 
 // Parse parses an S-Net program.
 //
 // Grammar (precedence from loosest to tightest: parallel, serial, postfix):
 //
 //	program  := (boxdecl | netdecl)*
-//	boxdecl  := "box" IDENT "(" labels ")" "->" tuple ("|" tuple)* ";"
+//	boxdecl  := "box" IDENT signature ";"
 //	netdecl  := "net" IDENT [ "{" program "}" ] "connect" expr ";"
 //	expr     := serial (("||" | "|") serial)*
 //	serial   := postfix (".." postfix)*
 //	postfix  := primary ( ("**"|"*") starpat | ("!!"|"!") TAG )*
-//	starpat  := pattern | "(" pattern [("|"|"if") guard] ")"
+//	starpat  := variant | "(" pattern ")"
 //	primary  := IDENT | "(" expr ")" | filter | synccell
-//	filter   := "[" pattern "->" outs "]"
 //	synccell := "[|" pattern ("," pattern)+ "|]"
-//	pattern  := "{" label* "}"
 //
-// Line comments (//) and block comments (/* */) are supported.
+// The tokens and the productions signature, variant, pattern (a variant with
+// an optional guard) and filter are core.Parser's — the grammar of the Go
+// API's strings (core.ParseSignature, ParsePattern, ParseFilter); this
+// parser adds only the declarations and the network expressions around them.
 func Parse(src string) (*Program, error) {
-	toks, err := lexAll(src)
+	prog, err := parse(src)
+	var se *core.SyntaxError
+	if errors.As(err, &se) {
+		line, col := se.LineCol()
+		return nil, &Error{Pos: Pos{line, col}, Msg: se.Msg}
+	}
+	return prog, err
+}
+
+func parse(src string) (*Program, error) {
+	cur, err := core.NewParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{cur}
 	prog, err := p.parseProgram(false)
 	if err != nil {
 		return nil, err
 	}
-	if !p.at(tEOF) {
-		return nil, p.errf("unexpected %v", p.peek().kind)
+	if !p.At(core.TokEOF) {
+		return nil, p.Errf("unexpected %v", p.Peek().Kind)
 	}
 	return prog, nil
 }
@@ -50,35 +88,13 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	toks []tok
-	i    int
+	*core.Parser
 }
 
-func (p *parser) peek() tok      { return p.toks[p.i] }
-func (p *parser) take() tok      { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) at(k kind) bool { return p.toks[p.i].kind == k }
+func posOf(t core.Token) Pos { return Pos{t.Line, t.Col} }
 
 func (p *parser) atKeyword(kw string) bool {
-	return p.at(tIdent) && p.peek().text == kw
-}
-
-func (p *parser) accept(k kind) bool {
-	if p.at(k) {
-		p.i++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(k kind) (tok, error) {
-	if !p.at(k) {
-		return tok{}, p.errf("expected %v, found %v", k, p.peek().kind)
-	}
-	return p.take(), nil
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return &Error{Pos: p.peek().pos, Msg: fmt.Sprintf(format, args...)}
+	return p.At(core.TokIdent) && p.Peek().Text == kw
 }
 
 func (p *parser) parseProgram(nested bool) (*Program, error) {
@@ -98,115 +114,56 @@ func (p *parser) parseProgram(nested bool) (*Program, error) {
 			}
 			prog.Nets = append(prog.Nets, nd)
 		default:
-			if nested || p.at(tEOF) || p.at(tRBrace) {
+			if nested || p.At(core.TokEOF) || p.At(core.TokRBrace) {
 				return prog, nil
 			}
-			return nil, p.errf("expected 'box' or 'net', found %v", p.peek().kind)
+			return nil, p.Errf("expected 'box' or 'net', found %v", p.Peek().Kind)
 		}
 	}
 }
 
 func (p *parser) parseBoxDecl() (*BoxDecl, error) {
-	pos := p.take().pos // "box"
-	name, err := p.expect(tIdent)
+	pos := posOf(p.Take()) // "box"
+	name, err := p.Expect(core.TokIdent)
 	if err != nil {
 		return nil, err
 	}
-	in, err := p.parseLabelTuple()
+	sig, err := p.Signature()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tArrow); err != nil {
-		return nil, err
-	}
-	var outs [][]core.Label
-	for {
-		o, err := p.parseLabelTuple()
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o)
-		if !p.accept(tPipe) {
-			break
-		}
-	}
-	p.accept(tSemi)
-	return &BoxDecl{Name: name.text, Sig: &core.BoxSignature{In: in, Out: outs}, Pos: pos}, nil
+	p.Accept(core.TokSemi)
+	return &BoxDecl{Name: name.Text, Sig: sig, Pos: pos}, nil
 }
 
 func (p *parser) parseNetDecl() (*NetDecl, error) {
-	pos := p.take().pos // "net"
-	name, err := p.expect(tIdent)
+	pos := posOf(p.Take()) // "net"
+	name, err := p.Expect(core.TokIdent)
 	if err != nil {
 		return nil, err
 	}
-	nd := &NetDecl{Name: name.text, Pos: pos}
-	if p.accept(tLBrace) {
+	nd := &NetDecl{Name: name.Text, Pos: pos}
+	if p.Accept(core.TokLBrace) {
 		body, err := p.parseProgram(true)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tRBrace); err != nil {
+		if _, err := p.Expect(core.TokRBrace); err != nil {
 			return nil, err
 		}
 		nd.Body = body
 	}
 	if !p.atKeyword("connect") {
-		return nil, p.errf("expected 'connect'")
+		return nil, p.Errf("expected 'connect'")
 	}
-	p.take()
+	p.Take()
 	expr, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	nd.Expr = expr
-	p.accept(tSemi)
+	p.Accept(core.TokSemi)
 	return nd, nil
-}
-
-func (p *parser) parseLabelTuple() ([]core.Label, error) {
-	if _, err := p.expect(tLParen); err != nil {
-		return nil, err
-	}
-	var out []core.Label
-	if p.accept(tRParen) {
-		return out, nil
-	}
-	for {
-		l, err := p.parseLabel()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-		if p.accept(tComma) {
-			continue
-		}
-		if _, err := p.expect(tRParen); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-func (p *parser) parseLabel() (core.Label, error) {
-	var l core.Label
-	at := p.peek().pos
-	switch p.peek().kind {
-	case tIdent:
-		l = core.Field(p.take().text)
-	case tTag:
-		l = core.Tag(p.take().text)
-	default:
-		return core.Label{}, p.errf("expected field or tag label, found %v", p.peek().kind)
-	}
-	// Mirror the core micro-parsers: the runtime's reserved namespace is not
-	// available to surface programs (session multiplexing and the replica
-	// close protocol depend on user code being unable to mention it).
-	if core.IsReservedLabel(l.Name) {
-		return core.Label{}, &Error{Pos: at, Msg: fmt.Sprintf(
-			"label %s lies in the reserved %q namespace", l, core.ReservedTagPrefix)}
-	}
-	return l, nil
 }
 
 // --- network expressions ---
@@ -216,23 +173,15 @@ func (p *parser) parseExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var det bool
-		switch {
-		case p.at(tPipe2):
-			det = false
-		case p.at(tPipe):
-			det = true
-		default:
-			return a, nil
-		}
-		pos := p.take().pos
+	for p.At(core.TokOrOr) || p.At(core.TokPipe) {
+		op := p.Take()
 		b, err := p.parseSerial()
 		if err != nil {
 			return nil, err
 		}
-		a = &ParExpr{A: a, B: b, Det: det, At: pos}
+		a = &ParExpr{A: a, B: b, Det: op.Kind == core.TokPipe, At: posOf(op)}
 	}
+	return a, nil
 }
 
 func (p *parser) parseSerial() (Expr, error) {
@@ -240,8 +189,8 @@ func (p *parser) parseSerial() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.at(tDots) {
-		pos := p.take().pos
+	for p.At(core.TokDots) {
+		pos := posOf(p.Take())
 		b, err := p.parsePostfix()
 		if err != nil {
 			return nil, err
@@ -258,22 +207,20 @@ func (p *parser) parsePostfix() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.at(tStar2) || p.at(tStar):
-			det := p.at(tStar)
-			pos := p.take().pos
+		case p.At(core.TokStarStar) || p.At(core.TokStar):
+			op := p.Take()
 			pat, err := p.parseStarOperand()
 			if err != nil {
 				return nil, err
 			}
-			a = &StarExpr{A: a, Exit: pat, Det: det, At: pos}
-		case p.at(tBang2) || p.at(tBang):
-			det := p.at(tBang)
-			pos := p.take().pos
-			tag, err := p.expect(tTag)
+			a = &StarExpr{A: a, Exit: pat, Det: op.Kind == core.TokStar, At: posOf(op)}
+		case p.At(core.TokNotNot) || p.At(core.TokNot):
+			op := p.Take()
+			tag, err := p.Expect(core.TokTagName)
 			if err != nil {
 				return nil, err
 			}
-			a = &SplitExpr{A: a, Tag: tag.text, Det: det, At: pos}
+			a = &SplitExpr{A: a, Tag: tag.Text, Det: op.Kind == core.TokNot, At: posOf(op)}
 		default:
 			return a, nil
 		}
@@ -281,338 +228,72 @@ func (p *parser) parsePostfix() (Expr, error) {
 }
 
 // parseStarOperand parses the exit pattern of a serial replicator: either a
-// bare pattern {<done>} or a parenthesised guarded pattern
-// ({<level>} | <level> > 40) as the paper writes it.
+// bare variant {<done>} or a parenthesised guarded pattern
+// ({<level>} | <level> > 40) as the paper writes it — bare, the guard's '|'
+// would read as the parallel combinator.
 func (p *parser) parseStarOperand() (core.Pattern, error) {
-	if p.accept(tLParen) {
-		pat, err := p.parseGuardedPattern()
+	if p.Accept(core.TokLParen) {
+		pat, err := p.Pattern()
 		if err != nil {
 			return core.Pattern{}, err
 		}
-		if _, err := p.expect(tRParen); err != nil {
+		if _, err := p.Expect(core.TokRParen); err != nil {
 			return core.Pattern{}, err
 		}
 		return pat, nil
 	}
-	v, err := p.parseBracedVariant()
+	v, err := p.Variant()
 	if err != nil {
 		return core.Pattern{}, err
 	}
 	return core.Pattern{Variant: v}, nil
 }
 
-func (p *parser) parseGuardedPattern() (core.Pattern, error) {
-	v, err := p.parseBracedVariant()
-	if err != nil {
-		return core.Pattern{}, err
-	}
-	pat := core.Pattern{Variant: v}
-	if p.accept(tPipe) || (p.atKeyword("if") && p.accept(tIdent)) {
-		g, err := p.parseTagExpr()
-		if err != nil {
-			return core.Pattern{}, err
-		}
-		pat.Guard = g
-	}
-	return pat, nil
-}
-
-func (p *parser) parseBracedVariant() (core.Variant, error) {
-	if _, err := p.expect(tLBrace); err != nil {
-		return nil, err
-	}
-	v := core.Variant{}
-	if p.accept(tRBrace) {
-		return v, nil
-	}
-	for {
-		l, err := p.parseLabel()
-		if err != nil {
-			return nil, err
-		}
-		v[l] = struct{}{}
-		if p.accept(tComma) {
-			continue
-		}
-		if _, err := p.expect(tRBrace); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
-
 func (p *parser) parsePrimary() (Expr, error) {
-	switch {
-	case p.at(tIdent):
-		t := p.take()
-		return &IdentExpr{Name: t.text, At: t.pos}, nil
-	case p.at(tLParen):
-		p.take()
+	switch t := p.Peek(); t.Kind {
+	case core.TokIdent:
+		p.Take()
+		return &IdentExpr{Name: t.Text, At: posOf(t)}, nil
+	case core.TokLParen:
+		p.Take()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tRParen); err != nil {
+		if _, err := p.Expect(core.TokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
-	case p.at(tSyncOpen):
+	case core.TokSyncOpen:
 		return p.parseSync()
-	case p.at(tLBrack):
-		return p.parseFilter()
+	case core.TokLBrack:
+		spec, err := p.Filter()
+		if err != nil {
+			return nil, err
+		}
+		return &FilterExpr{Spec: spec, At: posOf(t)}, nil
 	}
-	return nil, p.errf("expected box name, filter, synchrocell or '(', found %v", p.peek().kind)
+	return nil, p.Errf("expected box name, filter, synchrocell or '(', found %v", p.Peek().Kind)
 }
 
 func (p *parser) parseSync() (Expr, error) {
-	pos := p.take().pos // [|
+	pos := posOf(p.Take()) // [|
 	var pats []core.Pattern
 	for {
-		pat, err := p.parseGuardedPattern()
+		pat, err := p.Pattern()
 		if err != nil {
 			return nil, err
 		}
 		pats = append(pats, pat)
-		if p.accept(tComma) {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tSyncClose); err != nil {
-		return nil, err
-	}
-	if len(pats) < 2 {
-		return nil, p.errf("synchrocell needs at least two patterns")
-	}
-	return &SyncExpr{Patterns: pats, At: pos}, nil
-}
-
-func (p *parser) parseFilter() (Expr, error) {
-	pos := p.take().pos // [
-	pat, err := p.parseGuardedPattern()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tArrow); err != nil {
-		return nil, err
-	}
-	spec := &core.FilterSpec{Pattern: pat}
-	for p.at(tLBrace) {
-		items, err := p.parseFilterOutput(pat)
-		if err != nil {
-			return nil, err
-		}
-		spec.Outputs = append(spec.Outputs, items)
-		if !p.accept(tSemi) {
+		if !p.Accept(core.TokComma) {
 			break
 		}
 	}
-	if _, err := p.expect(tRBrack); err != nil {
+	if _, err := p.Expect(core.TokSyncClose); err != nil {
 		return nil, err
 	}
-	return &FilterExpr{Spec: spec, At: pos}, nil
-}
-
-func (p *parser) parseFilterOutput(pat core.Pattern) ([]core.FilterItem, error) {
-	if _, err := p.expect(tLBrace); err != nil {
-		return nil, err
+	if len(pats) < 2 {
+		return nil, p.Errf("synchrocell needs at least two patterns")
 	}
-	items := []core.FilterItem{}
-	if p.accept(tRBrace) {
-		return items, nil
-	}
-	for {
-		// Output items name labels the filter synthesizes; like parseLabel,
-		// refuse the runtime's reserved namespace.
-		if k := p.peek().kind; (k == tIdent || k == tTag) && core.IsReservedLabel(p.peek().text) {
-			return nil, p.errf("label %q lies in the reserved %q namespace",
-				p.peek().text, core.ReservedTagPrefix)
-		}
-		switch p.peek().kind {
-		case tIdent:
-			name := p.take().text
-			if p.accept(tAssign) {
-				src, err := p.expect(tIdent)
-				if err != nil {
-					return nil, err
-				}
-				if !pat.Variant.Has(core.Field(src.text)) {
-					return nil, p.errf("field %q not in filter pattern", src.text)
-				}
-				items = append(items, core.FilterItem{Name: name, Src: src.text})
-			} else {
-				if !pat.Variant.Has(core.Field(name)) {
-					return nil, p.errf("field %q not in filter pattern", name)
-				}
-				items = append(items, core.FilterItem{Name: name, Src: name})
-			}
-		case tTag:
-			name := p.take().text
-			if p.accept(tAssign) {
-				e, err := p.parseTagExpr()
-				if err != nil {
-					return nil, err
-				}
-				for _, ref := range e.TagRefs(nil) {
-					if !pat.Variant.Has(core.Tag(ref)) {
-						return nil, p.errf("tag <%s> used in expression but not in filter pattern", ref)
-					}
-				}
-				items = append(items, core.FilterItem{Name: name, IsTag: true, Expr: e})
-			} else {
-				items = append(items, core.FilterItem{Name: name, IsTag: true})
-			}
-		default:
-			return nil, p.errf("expected filter item, found %v", p.peek().kind)
-		}
-		if p.accept(tComma) {
-			continue
-		}
-		if _, err := p.expect(tRBrace); err != nil {
-			return nil, err
-		}
-		return items, nil
-	}
-}
-
-// --- tag expressions (same grammar as core.ParseTagExpr) ---
-
-func (p *parser) parseTagExpr() (core.TagExpr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (core.TagExpr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tPipe2) {
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = core.TagBinary("||", x, y)
-	}
-	return x, nil
-}
-
-func (p *parser) parseAnd() (core.TagExpr, error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tAnd2) {
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = core.TagBinary("&&", x, y)
-	}
-	return x, nil
-}
-
-var cmpOps = map[kind]string{
-	tEq: "==", tNeq: "!=", tLt: "<", tLe: "<=", tGt: ">", tGe: ">=",
-}
-
-func (p *parser) parseCmp() (core.TagExpr, error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op, ok := cmpOps[p.peek().kind]
-		if !ok {
-			return x, nil
-		}
-		p.take()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		x = core.TagBinary(op, x, y)
-	}
-}
-
-func (p *parser) parseAdd() (core.TagExpr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tPlus:
-			op = "+"
-		case tMinus:
-			op = "-"
-		default:
-			return x, nil
-		}
-		p.take()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = core.TagBinary(op, x, y)
-	}
-}
-
-func (p *parser) parseMul() (core.TagExpr, error) {
-	x, err := p.parseUnaryTag()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tStar:
-			op = "*"
-		case tSlash:
-			op = "/"
-		case tPercent:
-			op = "%"
-		default:
-			return x, nil
-		}
-		p.take()
-		y, err := p.parseUnaryTag()
-		if err != nil {
-			return nil, err
-		}
-		x = core.TagBinary(op, x, y)
-	}
-}
-
-func (p *parser) parseUnaryTag() (core.TagExpr, error) {
-	switch p.peek().kind {
-	case tMinus:
-		p.take()
-		x, err := p.parseUnaryTag()
-		if err != nil {
-			return nil, err
-		}
-		return core.TagUnary('-', x), nil
-	case tBang:
-		p.take()
-		x, err := p.parseUnaryTag()
-		if err != nil {
-			return nil, err
-		}
-		return core.TagUnary('!', x), nil
-	case tInt:
-		n, _ := strconv.Atoi(p.take().text)
-		return core.TagLit(n), nil
-	case tTag:
-		return core.TagVar(p.take().text), nil
-	case tLParen:
-		p.take()
-		x, err := p.parseTagExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tRParen); err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-	return nil, p.errf("expected integer, tag or '(' in tag expression, found %v", p.peek().kind)
+	return &SyncExpr{Patterns: pats, At: pos}, nil
 }

@@ -1,24 +1,43 @@
 package lang
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// lexAll drains the one lexer (core.NewParser) into its tokens, TokEOF last.
+func lexAll(src string) ([]core.Token, error) {
+	p, err := core.NewParser(src)
+	if err != nil {
+		return nil, err
+	}
+	var toks []core.Token
+	for {
+		toks = append(toks, p.Take())
+		if toks[len(toks)-1].Kind == core.TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexerTokens(t *testing.T) {
 	toks, err := lexAll("box net .. | || * ** ! !! <k> [| |] [ ] { } ( ) -> = == != <= >= && % 42 // c\n/* b */ x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []kind{}
+	kinds := []core.TokKind{}
 	for _, tk := range toks {
-		kinds = append(kinds, tk.kind)
+		kinds = append(kinds, tk.Kind)
 	}
-	want := []kind{tIdent, tIdent, tDots, tPipe, tPipe2, tStar, tStar2, tBang, tBang2,
-		tTag, tSyncOpen, tSyncClose, tLBrack, tRBrack, tLBrace, tRBrace, tLParen, tRParen,
-		tArrow, tAssign, tEq, tNeq, tLe, tGe, tAnd2, tPercent, tInt, tIdent, tEOF}
+	want := []core.TokKind{core.TokIdent, core.TokIdent, core.TokDots, core.TokPipe, core.TokOrOr,
+		core.TokStar, core.TokStarStar, core.TokNot, core.TokNotNot, core.TokTagName,
+		core.TokSyncOpen, core.TokSyncClose, core.TokLBrack, core.TokRBrack, core.TokLBrace,
+		core.TokRBrace, core.TokLParen, core.TokRParen, core.TokArrow, core.TokAssign, core.TokEq,
+		core.TokNeq, core.TokLe, core.TokGe, core.TokAndAnd, core.TokPercent, core.TokInt,
+		core.TokIdent, core.TokEOF}
 	if len(kinds) != len(want) {
 		t.Fatalf("got %d tokens, want %d: %v", len(kinds), len(want), kinds)
 	}
@@ -34,10 +53,10 @@ func TestLexerTagVsComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].kind != tTag || toks[0].text != "level" {
+	if toks[0].Kind != core.TokTagName || toks[0].Text != "level" {
 		t.Fatalf("tok0 = %v", toks[0])
 	}
-	if toks[1].kind != tGt || toks[4].kind != tTag || toks[5].kind != tLe {
+	if toks[1].Kind != core.TokGt || toks[4].Kind != core.TokTagName || toks[5].Kind != core.TokLe {
 		t.Fatalf("toks = %v", toks)
 	}
 }
@@ -51,12 +70,18 @@ func TestLexerErrors(t *testing.T) {
 }
 
 func TestLexerPositions(t *testing.T) {
-	toks, err := lexAll("box\n  foo")
+	toks, err := lexAll("box\n  foo // é\n/* é\né */ é <é> x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].pos.Line != 1 || toks[1].pos.Line != 2 || toks[1].pos.Col != 3 {
-		t.Fatalf("positions: %v %v", toks[0].pos, toks[1].pos)
+	var got []Pos
+	for _, tk := range toks {
+		got = append(got, posOf(tk))
+	}
+	// Columns count characters, not bytes, in code and in comments alike.
+	want := []Pos{{1, 1}, {2, 3}, {4, 6}, {4, 8}, {4, 12}, {4, 13}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("positions = %v, want %v", got, want)
 	}
 }
 

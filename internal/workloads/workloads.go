@@ -21,3 +21,36 @@
 // tests and the repository benchmark check results against.  The benchmark
 // runs wavefront and webpipe as its wavefront_join and webpipe_* workloads.
 package workloads
+
+import "repro/snet"
+
+// DemoBoxes returns the built-in demonstration boxes of cmd/snetrun and
+// cmd/snetd -snet keyed by their .snet declaration names — integer toys over
+// whatever labels the program's own box declaration gives them, so each is a
+// bare function, not a node (see cmd/snetd/testdata/countdown.snet).
+func DemoBoxes() map[string]snet.BoxFunc {
+	return map[string]snet.BoxFunc{
+		"inc": func(args []any, out *snet.Emitter) error {
+			return out.Out(1, args[0].(int)+1)
+		},
+		"dec": func(args []any, out *snet.Emitter) error {
+			n := args[0].(int)
+			if n <= 0 {
+				return out.Out(2, 0, 1)
+			}
+			return out.Out(1, n-1)
+		},
+		"double": func(args []any, out *snet.Emitter) error {
+			return out.Out(1, args[0].(int)*2)
+		},
+		"split2": func(args []any, out *snet.Emitter) error {
+			if err := out.Out(1, args[0].(int)); err != nil {
+				return err
+			}
+			return out.Out(1, args[0].(int))
+		},
+		"echo": func(args []any, out *snet.Emitter) error {
+			return out.Out(1)
+		},
+	}
+}

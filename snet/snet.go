@@ -44,6 +44,8 @@
 //	         Serial Parallel ParallelDet Star StarDet NamedStar NamedStarDet
 //	         Split SplitDet NamedSplit NamedSplitDet SessionSplit
 //	parse    ParseSignature ParsePattern ParseFilter ParseTagExpr (+ Must…)
+//	         the same grammar as .snet text (snet/lang): one lexer, one
+//	         set of productions
 //	compile  Compile MustCompile           options: WithInputType WithFusion
 //	inspect  Plan.In Plan.Out Plan.Warnings Plan.TypeErrors
 //	         Plan.Topology Plan.FusionGroups
@@ -182,7 +184,9 @@ var (
 	PoolStats     = core.PoolStats
 )
 
-// Parsers for the textual micro-forms.
+// Parsers for one production each of the S-Net grammar — the grammar of
+// .snet programs (snet/lang), read by the same lexer and productions, so
+// comments and Unicode identifiers are accepted here as they are there.
 var (
 	ParseSignature     = core.ParseSignature
 	MustParseSignature = core.MustParseSignature
