@@ -21,17 +21,22 @@ import (
 // mode.  Flow inheritance carries the reserved session tag through every
 // box untouched.
 //
-//	ingress: session → bounded queue → round-robin feeder → warm instance
+//	ingress: session → Handle.SendCtx/SendBatch on the warm instance (the
+//	         sender sets the session tag; blocked senders of every session
+//	         wait in arrival order on the instance's one input stream)
 //	egress:  warm instance → demux (routes by session tag, strips it)
 //	         → per-session bounded receive queue
 //
-// Teardown rides the split close protocol: CloseInput (or Release) makes
-// the feeder send NewReplicaCloseAck for the session id after the session's
-// queued records — FIFO — so the replica drains, its goroutines are
-// reclaimed (the "split.session_mux.replicas" gauge decrements), and the
-// acknowledgement record surfacing at the demux is the end-of-session
-// barrier that completes Recv with done.  Session ids are only reused after
-// that barrier, so a recycled id can never reach a draining replica.
+// Teardown rides the split close protocol: whoever closes a session's input
+// side — CloseInput (or Release) with no send in flight, otherwise the last
+// sender out — sends NewReplicaCloseAck for the session id.  Every send of
+// the session had returned by then, so the acknowledgement follows the
+// session's records on the input stream — FIFO — and the replica drains, its
+// goroutines are reclaimed (the "split.session_mux.replicas" gauge
+// decrements), and the acknowledgement record surfacing at the demux is the
+// end-of-session barrier that completes Recv with done.  Session ids are
+// only reused after that barrier, so a recycled id can never reach a
+// draining replica.
 
 // sessionTag is the reserved index tag of the session-multiplexing split.
 const sessionTag = snet.ReservedTagPrefix + "session"
@@ -46,26 +51,22 @@ type engine struct {
 	handle *snet.Handle
 	cancel context.CancelFunc
 	ctx    context.Context
-	notify chan struct{} // feeder wakeup (capacity 1)
-	down   chan struct{} // closed when the engine has wound down
 
 	mu       sync.Mutex
 	shut     bool
 	sessions map[int]*sharedSession // live ids, until the close barrier
-	ring     []*sharedSession       // feeder round-robin order
-	ringGen  uint64                 // bumped on every ring change
 	free     []int                  // ids past their close barrier, reusable
 	seq      int
 
-	demuxDone  chan struct{}
-	feederDone chan struct{}
+	demuxDone chan struct{}
 }
 
-// newEngine builds the warm instance for one network and starts its feeder
-// and demux loops.  The engine's blueprint is the network under the session
-// split, compiled once like any other network: every session replica then
-// unfolds the same fused, table-routed program an isolated session runs —
-// O(barriers) goroutines per session instead of O(stages).
+// newEngine builds the warm instance for one network and starts its demux
+// loop, the engine's one goroutine of its own.  The engine's blueprint is
+// the network under the session split, compiled once like any other network:
+// every session replica then unfolds the same fused, table-routed program an
+// isolated session runs — O(barriers) goroutines per session instead of
+// O(stages).
 func newEngine(n *Network) (*engine, error) {
 	if _, err := n.Plan(); err != nil {
 		return nil, err
@@ -75,31 +76,19 @@ func newEngine(n *Network) (*engine, error) {
 	mux, _ := snet.Compile(snet.SessionSplit(sessionMuxName, n.root, sessionTag))
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &engine{
-		net:        n,
-		cancel:     cancel,
-		ctx:        ctx,
-		notify:     make(chan struct{}, 1),
-		down:       make(chan struct{}),
-		sessions:   map[int]*sharedSession{},
-		demuxDone:  make(chan struct{}),
-		feederDone: make(chan struct{}),
+		net:       n,
+		cancel:    cancel,
+		ctx:       ctx,
+		sessions:  map[int]*sharedSession{},
+		demuxDone: make(chan struct{}),
 	}
 	e.handle = mux.Start(ctx, n.opts.runOptions()...)
 	go e.demux()
-	go e.feeder()
 	return e, nil
 }
 
-// poke wakes the feeder; lossy by design (capacity 1).
-func (e *engine) poke() {
-	select {
-	case e.notify <- struct{}{}:
-	default:
-	}
-}
-
-// open allocates a session slot on the warm engine: an id, two bounded
-// queues, a ring entry.  No network machinery is instantiated — the
+// open allocates a session slot on the warm engine: an id, a bounded
+// receive queue, a context.  No network machinery is instantiated — the
 // replica unfolds lazily on the session's first record.
 func (e *engine) open() (*sharedSession, error) {
 	e.mu.Lock()
@@ -114,52 +103,11 @@ func (e *engine) open() (*sharedSession, error) {
 		e.seq++
 		sid = e.seq
 	}
-	cap := e.net.opts.queueCap()
-	// The feeder polls the ingress queues and sleeps until poked, and a
-	// sender pokes after its record is queued — so the queue must be able to
-	// take a record with the feeder asleep.  An unbuffered one (BufferSize
-	// 0) cannot: the sender would park unseen and never be woken.
-	b := &sharedSession{
-		eng:      e,
-		sid:      sid,
-		ingress:  make(chan *snet.Record, max(cap, 1)),
-		out:      make(chan *snet.Record, cap),
-		inClosed: make(chan struct{}),
-		released: make(chan struct{}),
-	}
+	b := &sharedSession{eng: e, sid: sid, out: make(chan *snet.Record, e.net.opts.queueCap())}
+	b.ctx, b.cancel = context.WithCancel(context.Background())
 	e.sessions[sid] = b
-	e.ring = append(e.ring, b)
-	e.ringGen++
 	e.net.svcStat.SetMax("engine.sessions", int64(len(e.sessions)))
 	return b, nil
-}
-
-// ringSnapshot returns the feeder ring, reusing the previous snapshot while
-// the ring is unchanged (gen) so a busy steady-state feeder pass costs no
-// allocation and no time under the engine lock proportional to S.
-func (e *engine) ringSnapshot(prev []*sharedSession, prevGen uint64) ([]*sharedSession, uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ringGen == prevGen {
-		return prev, prevGen
-	}
-	out := make([]*sharedSession, len(e.ring))
-	copy(out, e.ring)
-	return out, e.ringGen
-}
-
-// dropFromRing removes a session from the feeder rotation (its close
-// acknowledgement has been sent; nothing more will be fed for it).
-func (e *engine) dropFromRing(b *sharedSession) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, s := range e.ring {
-		if s == b {
-			e.ring = append(e.ring[:i], e.ring[i+1:]...)
-			e.ringGen++
-			return
-		}
-	}
 }
 
 // unregister frees a session id once its close barrier has surfaced at the
@@ -180,67 +128,6 @@ func (e *engine) sessionCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.sessions)
-}
-
-// feeder is the ingress half of the mux: one goroutine round-robins over
-// the live sessions' queues, moving at most one record per session per pass
-// into the warm instance — ingress fairness, so a firehose session cannot
-// starve its neighbours at the shared boundary.  When a session's input has
-// finished (CloseInput, Release, or idle reap → Release), the feeder sends
-// the session's replica-close acknowledgement after its queued records and
-// retires it from the rotation.
-func (e *engine) feeder() {
-	defer close(e.feederDone)
-	bg := context.Background()
-	var ring []*sharedSession
-	var gen uint64
-	for {
-		moved := false
-		ring, gen = e.ringSnapshot(ring, gen)
-		for _, b := range ring {
-			if b.drop.Load() {
-				// Released: queued input is discarded, not fed.
-				for {
-					select {
-					case r := <-b.ingress:
-						snet.ReleaseRecord(r)
-						moved = true
-						continue
-					default:
-					}
-					break
-				}
-			}
-			select {
-			case r := <-b.ingress:
-				moved = true
-				if b.drop.Load() {
-					snet.ReleaseRecord(r)
-					continue
-				}
-				r.SetTag(sessionTag, b.sid)
-				if e.handle.SendCtx(bg, r) != nil {
-					return // engine cancelled
-				}
-			default:
-				if b.inputDone() && len(b.ingress) == 0 && !b.ackSent {
-					b.ackSent = true
-					moved = true
-					e.dropFromRing(b)
-					if e.handle.SendCtx(bg, snet.NewReplicaCloseAck(sessionTag, b.sid)) != nil {
-						return
-					}
-				}
-			}
-		}
-		if !moved {
-			select {
-			case <-e.notify:
-			case <-e.ctx.Done():
-				return
-			}
-		}
-	}
 }
 
 // demux is the egress half of the mux: it routes every output record of the
@@ -274,7 +161,7 @@ func (e *engine) demux() {
 		r.DeleteTag(sessionTag)
 		select {
 		case b.out <- r:
-		case <-b.released:
+		case <-b.ctx.Done():
 			stat.Add("engine.dropped", 1)
 		case <-e.ctx.Done():
 			// cancelled mid-route; the closed Out ends the loop next spin
@@ -285,15 +172,13 @@ func (e *engine) demux() {
 	e.mu.Lock()
 	remaining := e.sessions
 	e.sessions = map[int]*sharedSession{}
-	e.ring = nil
 	e.mu.Unlock()
 	for _, b := range remaining {
 		close(b.out)
 	}
-	close(e.down)
 }
 
-// shutdown cancels the warm instance and joins the mux loops.  Idempotent.
+// shutdown cancels the warm instance and joins the demux loop.  Idempotent.
 func (e *engine) shutdown() {
 	e.mu.Lock()
 	already := e.shut
@@ -304,7 +189,6 @@ func (e *engine) shutdown() {
 		e.handle.Wait()
 	}
 	<-e.demuxDone
-	<-e.feederDone
 }
 
 // engineClosedBit marks a shared session's input as closed in sendState
@@ -312,26 +196,24 @@ func (e *engine) shutdown() {
 const engineClosedBit = int64(1) << 62
 
 // sharedSession is the Shared-mode backend of one Session: a slot on the
-// network's warm engine.
+// network's warm engine.  Its records enter through the engine's handle
+// exactly as an isolated session's enter through its own.
 type sharedSession struct {
-	eng     *engine
-	sid     int
-	ingress chan *snet.Record
-	out     chan *snet.Record
+	eng *engine
+	sid int
+	out chan *snet.Record
+
+	// ctx ends with the session (release cancels it): a Recv, or a Send
+	// parked on backpressure, returns ErrCancelled, and the demux drops
+	// what the session's replica still emits.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// sendState guards the input side without blocking senders on a lock:
 	// low bits count in-flight sends, engineClosedBit marks CloseInput.
 	// The last sender out (or CloseInput itself, with none in flight)
-	// closes inClosed, after which the feeder knows the ingress queue is
-	// complete and may send the replica-close acknowledgement.
+	// closes the input side: it sends the replica-close acknowledgement.
 	sendState atomic.Int64
-	inClosed  chan struct{}
-	inOnce    sync.Once
-	released  chan struct{}
-	relOnce   sync.Once
-	drop      atomic.Bool // release: discard queued input
-
-	ackSent bool // feeder-owned: close acknowledgement dispatched
 }
 
 func (b *sharedSession) acquireSend() error {
@@ -348,51 +230,58 @@ func (b *sharedSession) acquireSend() error {
 
 func (b *sharedSession) releaseSend() {
 	if b.sendState.Add(-1) == engineClosedBit {
-		b.markInputDone()
+		b.sendCloseAck()
 	}
 }
 
-func (b *sharedSession) markInputDone() {
-	b.inOnce.Do(func() { close(b.inClosed) })
-	b.eng.poke()
-}
-
-func (b *sharedSession) inputDone() bool {
-	select {
-	case <-b.inClosed:
-		return true
-	default:
-		return false
-	}
+// sendCloseAck ends the session's input: every send of the session has
+// returned, so the acknowledgement follows its records on the engine's input
+// stream.  That stream may be full and CloseInput/Release never block, hence
+// a goroutine of its own; it ends with the engine's run at the latest.
+func (b *sharedSession) sendCloseAck() {
+	go func() {
+		// An error means the engine is gone, and the session's replica with it.
+		_ = b.eng.handle.SendCtx(context.Background(), snet.NewReplicaCloseAck(sessionTag, b.sid))
+	}()
 }
 
 func (b *sharedSession) send(ctx context.Context, r *snet.Record) error {
-	if err := b.acquireSend(); err != nil {
-		return err
-	}
-	defer b.releaseSend()
-	select {
-	case b.ingress <- r:
-		b.eng.poke()
-		return nil
-	case <-b.released:
-		return snet.ErrCancelled
-	case <-b.eng.down:
-		return snet.ErrCancelled
-	case <-b.eng.ctx.Done():
-		return snet.ErrCancelled
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, err := b.sendBatch(ctx, []*snet.Record{r})
+	return err
 }
 
 func (b *sharedSession) sendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	for i, r := range recs {
-		if err := b.send(ctx, r); err != nil {
-			return i, err
+	if err := b.acquireSend(); err != nil {
+		return 0, err
+	}
+	defer b.releaseSend()
+	// The handle waits under one context and a send must end with its
+	// session too: the session's context stands in for a caller's that can
+	// never end, and cuts short one that can.
+	if ctx.Done() == nil {
+		ctx = b.ctx
+	} else {
+		merged, cancel := context.WithCancel(ctx)
+		defer cancel()
+		defer context.AfterFunc(b.ctx, cancel)()
+		ctx = merged
+	}
+	for _, r := range recs {
+		r.SetTag(sessionTag, b.sid)
+	}
+	n, err := b.eng.handle.SendBatch(ctx, recs)
+	if err != nil {
+		// What the engine did not take goes back to the caller as it came,
+		// and the session's own end reads as a cancelled run does in
+		// Isolated mode, whichever context carried it.
+		for _, r := range recs[n:] {
+			r.DeleteTag(sessionTag)
+		}
+		if b.ctx.Err() != nil {
+			err = snet.ErrCancelled
 		}
 	}
-	return len(recs), nil
+	return n, err
 }
 
 func (b *sharedSession) closeInput() {
@@ -403,9 +292,8 @@ func (b *sharedSession) closeInput() {
 		}
 		if b.sendState.CompareAndSwap(s, s|engineClosedBit) {
 			if s == 0 {
-				b.markInputDone()
+				b.sendCloseAck() // no send in flight
 			}
-			b.eng.poke()
 			return
 		}
 	}
@@ -418,22 +306,20 @@ func (b *sharedSession) recv(ctx context.Context) (*snet.Record, bool, error) {
 			return nil, true, nil
 		}
 		return r, false, nil
-	case <-b.released:
+	case <-b.ctx.Done():
 		return nil, false, snet.ErrCancelled
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
 }
 
-// release retires the session: further sends fail, queued input is
-// discarded by the feeder, in-flight output is dropped at the demux, and
-// the replica is reclaimed by the warm engine through the close protocol —
-// asynchronously, in FIFO position behind the session's in-flight work.
+// release retires the session: further sends fail, parked ones return,
+// in-flight output is dropped at the demux, and the replica is reclaimed by
+// the warm engine through the close protocol — asynchronously, in FIFO
+// position behind the records the engine has accepted.
 func (b *sharedSession) release() {
-	b.drop.Store(true)
 	b.closeInput()
-	b.relOnce.Do(func() { close(b.released) })
-	b.eng.poke()
+	b.cancel()
 }
 
 func (b *sharedSession) handle() *snet.Handle  { return b.eng.handle }

@@ -165,6 +165,14 @@ func (s *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) *Sessi
 	return sess
 }
 
+// releaseRecords returns decoded records the network did not take to the
+// arena the codec drew them from.
+func releaseRecords(recs []*snet.Record) {
+	for _, r := range recs {
+		snet.ReleaseRecord(r)
+	}
+}
+
 func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessionFromPath(w, r)
 	if sess == nil {
@@ -183,9 +191,7 @@ func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 	for _, wire := range req.Records {
 		rec, err := codec.Decode(wire)
 		if err != nil {
-			for _, r := range recs {
-				snet.ReleaseRecord(r)
-			}
+			releaseRecords(recs)
 			writeJSON(w, http.StatusBadRequest,
 				map[string]any{"error": err.Error(), "accepted": 0})
 			return
@@ -195,6 +201,7 @@ func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 	// The whole request body enters the network as transport frames — one
 	// stream synchronization per StreamBatch records.
 	accepted, err := sess.SendBatch(r.Context(), recs)
+	releaseRecords(recs[accepted:])
 	if err != nil {
 		// report how many records entered the network so a retrying
 		// client knows where the batch stopped
@@ -323,9 +330,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	for _, wire := range req.Records {
 		rec, err := codec.Decode(wire)
 		if err != nil {
-			for _, r := range inputs {
-				snet.ReleaseRecord(r)
-			}
+			releaseRecords(inputs)
 			writeError(w, err)
 			return
 		}
@@ -340,16 +345,24 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	feedDone := make(chan feedResult, 1)
 	go func() {
 		accepted, err := sess.SendBatch(ctx, inputs)
-		if err != nil {
-			feedDone <- feedResult{accepted: accepted, err: err}
-			return
+		if err == nil {
+			sess.CloseInput()
+		} else if ctx.Err() == nil {
+			cancel() // not the request's deadline: nothing is left to drain for
 		}
-		sess.CloseInput()
-		feedDone <- feedResult{accepted: accepted}
+		feedDone <- feedResult{accepted: accepted, err: err}
 	}()
 	recs, done, err := sess.Drain(ctx, req.Max)
 	cancel() // unblock the feeder if the drain stopped at max or deadline
 	feed := <-feedDone
+	releaseRecords(inputs[feed.accepted:])
+	if feed.err != nil && !errors.Is(feed.err, context.DeadlineExceeded) && !errors.Is(feed.err, context.Canceled) {
+		// A record refused, the session released: the request ends with the
+		// feed's error, as POST .../records would answer it.
+		writeJSON(w, errStatus(feed.err),
+			map[string]any{"error": feed.err.Error(), "accepted": feed.accepted})
+		return
+	}
 	if err != nil && len(recs) == 0 && !errors.Is(err, context.DeadlineExceeded) {
 		writeError(w, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/snet"
 )
@@ -209,6 +210,19 @@ func TestHTTPErrorPaths(t *testing.T) {
 	if code := call(t, "POST", url+"/records", spoof, nil); code != http.StatusBadRequest {
 		t.Fatalf("reserved label: status %d", code)
 	}
+	// The one-shot endpoint answers the same record the same way and at once
+	// — not with a 200 after holding a session for its whole wait.
+	var refused struct {
+		Error    string `json:"error"`
+		Accepted int    `json:"accepted"`
+	}
+	start := time.Now()
+	if code := call(t, "POST", ts.URL+"/api/run", spoofedRun("inc"), &refused); code != http.StatusBadRequest || refused.Accepted != 0 {
+		t.Fatalf("run with a reserved label: status %d (%+v)", code, refused)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("run with a reserved label took %v", took)
+	}
 	// Bad ?wait and ?max on the results endpoint.
 	if code := call(t, "GET", url+"/results?wait=banana", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad wait: status %d", code)
@@ -243,6 +257,84 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	if !res.Done || len(res.Records) != 1 {
 		t.Fatalf("results after conflict: %+v", res)
+	}
+}
+
+// spoofedRun is a one-shot request body whose second record of three carries
+// a label of the reserved namespace.
+func spoofedRun(net string) map[string]any {
+	return map[string]any{"net": net, "records": []RecordJSON{
+		{Tags: map[string]int{"n": 1}},
+		{Tags: map[string]int{"n": 2, "__snet_session": 7}},
+		{Tags: map[string]int{"n": 3}},
+	}}
+}
+
+// TestHTTPRefusedRecordsReturnToArena: the codec draws a request's records
+// from the arena, and those the network did not take — the batch refused for
+// a reserved label, the tail cut off by the request's deadline — go back to
+// it: the ledger reads what it read before the request.
+func TestHTTPRefusedRecordsReturnToArena(t *testing.T) {
+	for _, mode := range []SessionMode{Isolated, Shared} {
+		t.Run(mode.String(), func(t *testing.T) {
+			svc := New()
+			gate := make(chan struct{})
+			svc.Register("inc", "", Options{SessionMode: mode, BufferSize: 4}, incNet, nil)
+			svc.Register("slow", "", Options{SessionMode: mode, BufferSize: 1, StreamBatch: 1}, gatedNet(gate), nil)
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			defer svc.Shutdown()
+
+			// Sample the ledger once earlier tests' runs have stopped moving it.
+			base := snet.PoolStats().Live()
+			for settled := false; !settled; {
+				time.Sleep(10 * time.Millisecond)
+				live := snet.PoolStats().Live()
+				base, settled = live, live == base
+			}
+			ledgerAtBase := func(after string) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for snet.PoolStats().Live() != base && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if s := snet.PoolStats(); s.Live() != base {
+					t.Fatalf("after %s: %d arena records live, want %d (%+v)", after, s.Live(), base, s)
+				}
+			}
+
+			if code := call(t, "POST", ts.URL+"/api/run", spoofedRun("inc"), nil); code != http.StatusBadRequest {
+				t.Fatalf("refused run: status %d", code)
+			}
+			ledgerAtBase("a refused /api/run")
+
+			var opened struct {
+				Session string `json:"session"`
+			}
+			if code := call(t, "POST", ts.URL+"/api/sessions", map[string]string{"net": "inc"}, &opened); code != http.StatusCreated {
+				t.Fatalf("open: status %d", code)
+			}
+			url := ts.URL + "/api/sessions/" + opened.Session
+			if code := call(t, "POST", url+"/records", spoofedRun("inc"), nil); code != http.StatusBadRequest {
+				t.Fatalf("refused records: status %d", code)
+			}
+			ledgerAtBase("a refused /records")
+
+			ten := make([]RecordJSON, 10)
+			for i := range ten {
+				ten[i] = RecordJSON{Tags: map[string]int{"n": i}}
+			}
+			var cut struct {
+				Accepted  int  `json:"accepted"`
+				InputDone bool `json:"inputDone"`
+			}
+			body := map[string]any{"net": "slow", "records": ten, "wait": "50ms"}
+			if code := call(t, "POST", ts.URL+"/api/run", body, &cut); code != http.StatusOK || cut.InputDone || cut.Accepted >= len(ten) {
+				t.Fatalf("run against a shut gate: status %d (%+v)", code, cut)
+			}
+			close(gate) // what the network did take moves on and out
+			ledgerAtBase("a partially accepted /api/run")
+		})
 	}
 }
 

@@ -110,10 +110,8 @@ type Options struct {
 	// choice to the runtime: a box runs inline until its own service time
 	// exceeds the hand-off cost, then up to GOMAXPROCS at a time.
 	BoxWorkers int
-	// MaxStarDepth and MaxSplitWidth bound replication unfolding per run
-	// (snet.WithMaxStarDepth / WithMaxSplitWidth).  0 keeps the runtime
-	// defaults.
-	MaxStarDepth  int
+	// MaxSplitWidth bounds parallel-replication unfolding per run
+	// (snet.WithMaxSplitWidth).  0 keeps the runtime default.
 	MaxSplitWidth int
 	// IdleTimeout releases sessions with no Send/Recv activity — the
 	// abandoned-client guard, without which a crashed client would pin a
@@ -155,17 +153,14 @@ func (o Options) runOptions() []snet.Option {
 	if o.BoxWorkers > 0 {
 		opts = append(opts, snet.WithBoxWorkers(o.BoxWorkers))
 	}
-	if o.MaxStarDepth > 0 {
-		opts = append(opts, snet.WithMaxStarDepth(o.MaxStarDepth))
-	}
 	if o.MaxSplitWidth > 0 {
 		opts = append(opts, snet.WithMaxSplitWidth(o.MaxSplitWidth))
 	}
 	return opts
 }
 
-// queueCap is the per-session ingress/egress queue capacity of the shared
-// engine, matching the instance's stream buffering.
+// queueCap is the per-session receive queue capacity of the shared engine,
+// matching the instance's stream buffering.
 func (o Options) queueCap() int {
 	if o.BufferSize >= 0 {
 		return o.BufferSize

@@ -17,7 +17,9 @@ import (
 //
 // In Isolated mode the backend is a private run of the network's plan
 // (Plan.Start per session); in Shared mode it is one replica slot of the network's warm
-// engine (see engine.go) and Open never instantiates a graph.
+// engine (see engine.go) and Open never instantiates a graph.  Records enter
+// the same way in both: Handle.SendCtx/SendBatch on the run — the session's
+// own, or the engine's with the session tag set.
 //
 // Release is mandatory and idempotent.  Isolated: it cancels the run
 // context, which unwinds every node goroutine of the instance.  Shared: it
@@ -238,12 +240,12 @@ func (s *Session) Send(ctx context.Context, r *snet.Record) error {
 	return nil
 }
 
-// SendBatch streams a burst of records into the session's network.  In
-// Isolated mode the burst enters as transport frames (one stream
-// synchronization per StreamBatch records); in Shared mode records are
-// interleaved with other sessions by the engine's round-robin feeder.  It
+// SendBatch streams a burst of records into the session's network as
+// transport frames (one stream synchronization per StreamBatch records).  It
 // returns how many records were accepted; on ctx expiry or release that can
-// be a prefix.
+// be a frame-aligned prefix, and a batch with a reserved label in it is
+// refused whole.  Of n, err: recs[:n] belong to the network, recs[n:] stay
+// the caller's (to retry, or to hand back with snet.ReleaseRecord).
 func (s *Session) SendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
 	s.enter()
 	defer s.exit()
@@ -307,8 +309,8 @@ func (s *Session) Drain(ctx context.Context, max int) (recs []*snet.Record, done
 // Release ends the session.  Isolated: the run context is cancelled
 // (dropping in-flight records) and the call returns once the instance's
 // goroutines have unwound.  Shared: the session's replica is retired
-// through the split close protocol — queued input is dropped, in-flight
-// output is discarded at the engine's demux, and the replica is reclaimed
+// through the split close protocol — what the engine has accepted runs on,
+// its output is discarded at the engine's demux, and the replica is reclaimed
 // by the warm engine asynchronously; the call returns promptly.  Idempotent
 // in both modes; every caller, including losers of a release race, returns
 // only after the session's teardown has been initiated and its slot freed.

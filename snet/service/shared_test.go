@@ -334,11 +334,10 @@ func TestSharedShutdownNoLeaks(t *testing.T) {
 	}
 }
 
-// TestSharedSendWakesSleepingFeeder: a record sent on an engine whose feeder
-// has gone to sleep is picked up — at BufferSize 0 the ingress queue used to
-// be unbuffered, the sender parked on it without a poke and stayed there
-// (the hang behind TestSharedIdleSessionsReaped's 1-in-30 failures under
-// -race: two passes of the feeder between the test's two Opens).
+// TestSharedSendWakesSleepingFeeder: a Send on an idle engine at BufferSize 0
+// — every stream synchronous, nothing anywhere to park a record in — goes
+// through.  (The name is the floor list's: the engine once had a feeder
+// goroutine that slept between records, and this send was the one it missed.)
 func TestSharedSendWakesSleepingFeeder(t *testing.T) {
 	svc := New()
 	svc.Register("inc", "", sharedOpts(Options{MaxSessions: 2}), incNet, nil)
@@ -347,7 +346,7 @@ func TestSharedSendWakesSleepingFeeder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // the feeder finds nothing and sleeps
+	time.Sleep(20 * time.Millisecond) // the engine goes idle
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := sess.Send(ctx, recN(1)); err != nil {
@@ -403,5 +402,148 @@ func TestSharedIdleSessionsReaped(t *testing.T) {
 	}
 	if g := gauge(); g > 1 {
 		t.Fatalf("reaped sessions left %d replicas live", g)
+	}
+}
+
+// TestSharedFirehoseDoesNotStarveNeighbour is the ingress-fairness property:
+// four goroutines sending flat out on one session do not keep a second
+// session's records out of the engine — blocked senders of every session
+// wait on the engine's one input stream in arrival order.
+func TestSharedFirehoseDoesNotStarveNeighbour(t *testing.T) {
+	svc := New()
+	svc.Register("inc", "", sharedOpts(Options{BufferSize: 2}), incNet, nil)
+	defer svc.Shutdown()
+	hose, err := svc.Open("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trickle, err := svc.Open("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for hose.Send(ctx, recN(0)) == nil {
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // the hose is drained, or its output would clog the demux
+		defer wg.Done()
+		for {
+			if _, done, err := hose.Recv(ctx); done || err != nil {
+				return
+			}
+		}
+	}()
+	var worst time.Duration
+	for i := 0; i < 200; i++ {
+		start := time.Now()
+		if err := trickle.Send(ctx, recN(i)); err != nil {
+			t.Fatalf("round trip %d: send: %v", i, err)
+		}
+		r, _, err := trickle.Recv(ctx)
+		if err != nil {
+			t.Fatalf("round trip %d: recv: %v", i, err)
+		}
+		if v, _ := r.Tag("n"); v != i+1 {
+			t.Fatalf("round trip %d: got %v", i, r)
+		}
+		worst = max(worst, time.Since(start))
+	}
+	hose.Release()
+	trickle.Release()
+	wg.Wait()
+	if worst > time.Second {
+		t.Fatalf("worst round trip beside a firehose session: %v", worst)
+	}
+}
+
+// TestSharedCloseOnFullEngineDoesNotBlock: CloseInput and Release return at
+// once although the engine's input stream is full (a gated network at
+// BufferSize 0), and every session's replica and id are still reclaimed once
+// the engine moves again — the close acknowledgements were not lost.
+func TestSharedCloseOnFullEngineDoesNotBlock(t *testing.T) {
+	base := goroutineCount()
+	svc := New()
+	gate := make(chan struct{})
+	svc.Register("slow", "", sharedOpts(Options{MaxSessions: -1}), gatedNet(gate), nil)
+	start := time.Now()
+	for i := 0; i < 64; i++ {
+		sess, err := svc.Open("slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_ = sess.Send(ctx, recN(i)) // all but the first few time out: the engine is full
+		cancel()
+		if i%2 == 0 {
+			sess.CloseInput()
+		}
+		sess.Release()
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("closing 64 sessions on a full engine took %v", took)
+	}
+	close(gate)
+	n, _ := svc.Network("slow")
+	eng := n.liveEngine()
+	gauge := func() int64 {
+		return eng.handle.Stats().Counter("split." + sessionMuxName + ".replicas")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for (eng.sessionCount() != 0 || gauge() != 0) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s, g := eng.sessionCount(), gauge(); s != 0 || g != 0 {
+		t.Fatalf("after the gate opened: %d session ids and %d replicas still live", s, g)
+	}
+	svc.Shutdown()
+	waitForGoroutines(t, base)
+}
+
+// BenchmarkSharedStream prices one record streamed through a Shared session
+// with idle sessions open beside it: a record's way into the engine must not
+// cost O(open sessions).
+func BenchmarkSharedStream(b *testing.B) {
+	for _, idle := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			svc := New()
+			svc.Register("inc", "", sharedOpts(Options{BufferSize: 32, MaxSessions: -1}), incNet, nil)
+			defer svc.Shutdown()
+			for i := 0; i < idle; i++ {
+				if _, err := svc.Open("inc"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sess, err := svc.Open("inc")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for i := 0; i < b.N; i++ {
+					if _, _, err := sess.Recv(ctx); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sess.Send(ctx, recN(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			<-drained
+		})
 	}
 }
