@@ -22,6 +22,7 @@ package array
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -61,8 +62,9 @@ func Size(shape []int) int {
 // The shape slice is copied.
 func New[T any](shape []int, fill T) *Array[T] {
 	a := &Array[T]{shape: cloneInts(shape), data: make([]T, Size(shape))}
-	var zero T
-	if any(fill) != any(zero) {
+	// make zeroed the data already.  T need not be comparable (a slice, a
+	// struct holding one), so "is fill the zero value" is asked of reflect.
+	if !reflect.ValueOf(&fill).Elem().IsZero() {
 		for i := range a.data {
 			a.data[i] = fill
 		}
@@ -95,10 +97,6 @@ func (a *Array[T]) Dim() int { return len(a.shape) }
 // Shape returns a copy of the shape vector (SaC's shape()).
 func (a *Array[T]) Shape() []int { return cloneInts(a.shape) }
 
-// shapeRef returns the internal shape without copying; callers must not
-// mutate it.
-func (a *Array[T]) shapeRef() []int { return a.shape }
-
 // Size returns the total number of elements.
 func (a *Array[T]) Size() int { return len(a.data) }
 
@@ -121,14 +119,17 @@ func (a *Array[T]) ScalarValue() T {
 }
 
 // Offset converts a full index vector to the row-major offset.
+//
+// The panic messages format a copy of iv: formatting iv itself would make it
+// escape, and every At(i, j) would heap-allocate its index vector.
 func (a *Array[T]) Offset(iv []int) int {
 	if len(iv) != len(a.shape) {
-		panic(shapeErrf("Offset", "index %v has rank %d, array has rank %d", iv, len(iv), len(a.shape)))
+		panic(shapeErrf("Offset", "index %v has rank %d, array has rank %d", cloneInts(iv), len(iv), len(a.shape)))
 	}
 	off := 0
 	for d, i := range iv {
 		if i < 0 || i >= a.shape[d] {
-			panic(shapeErrf("Offset", "index %v out of bounds for shape %v", iv, a.shape))
+			panic(shapeErrf("Offset", "index %v out of bounds for shape %v", cloneInts(iv), a.shape))
 		}
 		off = off*a.shape[d] + i
 	}
@@ -156,12 +157,12 @@ func (a *Array[T]) WithAt(v T, iv ...int) *Array[T] {
 // full-rank index yields a rank-0 (scalar) array.
 func (a *Array[T]) Sel(iv ...int) *Array[T] {
 	if len(iv) > len(a.shape) {
-		panic(shapeErrf("Sel", "index %v longer than rank %d", iv, len(a.shape)))
+		panic(shapeErrf("Sel", "index %v longer than rank %d", cloneInts(iv), len(a.shape)))
 	}
 	off := 0
 	for d, i := range iv {
 		if i < 0 || i >= a.shape[d] {
-			panic(shapeErrf("Sel", "index %v out of bounds for shape %v", iv, a.shape))
+			panic(shapeErrf("Sel", "index %v out of bounds for shape %v", cloneInts(iv), a.shape))
 		}
 		off = off*a.shape[d] + i
 	}

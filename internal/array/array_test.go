@@ -35,6 +35,29 @@ func TestNewFillAndAt(t *testing.T) {
 	}
 }
 
+// New must not compare elements with ==: a slice, or a struct holding one,
+// is a legal element type and panics when compared through an interface.
+func TestNewUncomparableElement(t *testing.T) {
+	a := New([]int{2}, []int{1})
+	if a.Size() != 2 || len(a.At(0)) != 1 || a.At(1)[0] != 1 {
+		t.Fatalf("slice elements: %v", a.Data())
+	}
+	if z := New([]int{2}, []int(nil)); z.At(1) != nil {
+		t.Fatalf("nil fill: %v", z.Data())
+	}
+	type cell struct {
+		n    int
+		opts []bool
+	}
+	b := New([]int{2, 2}, cell{n: 3, opts: []bool{true}})
+	if got := b.At(1, 1); got.n != 3 || len(got.opts) != 1 {
+		t.Fatalf("struct elements: %+v", b.Data())
+	}
+	if z := New([]int{2}, cell{}); z.At(0).opts != nil || z.At(0).n != 0 {
+		t.Fatalf("zero struct fill: %+v", z.Data())
+	}
+}
+
 func TestFromSliceRowMajor(t *testing.T) {
 	a := FromSlice([]int{2, 3}, []int{1, 2, 3, 4, 5, 6})
 	if a.At(0, 0) != 1 || a.At(0, 2) != 3 || a.At(1, 0) != 4 || a.At(1, 2) != 6 {

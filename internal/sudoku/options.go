@@ -66,42 +66,22 @@ func AddNumber(p *sched.Pool, b *Board, o *Options, i, j, k int) (*Board, *Optio
 	k0 := k - 1
 	is, js := (i/n)*n, (j/n)*n
 	falseBody := func([]int) bool { return false }
+	// A generator's bounds escape with its Body (the pool may hand the
+	// body to other goroutines), so the eight of them share one array:
+	// one allocation a call where eight literals are eight.
+	bd := [...][3]int{
+		{i, j, 0}, {i, j, N - 1},
+		{i, 0, k0}, {i, N - 1, k0},
+		{0, j, k0}, {N - 1, j, k0},
+		{is, js, k0}, {is + n - 1, js + n - 1, k0},
+	}
 	cube := array.Modarray(p, o.cube,
-		array.GenClosed([]int{i, j, 0}, []int{i, j, N - 1}, falseBody),
-		array.GenClosed([]int{i, 0, k0}, []int{i, N - 1, k0}, falseBody),
-		array.GenClosed([]int{0, j, k0}, []int{N - 1, j, k0}, falseBody),
-		array.GenClosed([]int{is, js, k0}, []int{is + n - 1, js + n - 1, k0}, falseBody),
+		array.GenClosed(bd[0][:], bd[1][:], falseBody),
+		array.GenClosed(bd[2][:], bd[3][:], falseBody),
+		array.GenClosed(bd[4][:], bd[5][:], falseBody),
+		array.GenClosed(bd[6][:], bd[7][:], falseBody),
 	)
 	return board, &Options{n: o.n, cube: cube}
-}
-
-// addNumberDirect is a hand-written loop equivalent of AddNumber used for
-// differential testing and as a fast path where the with-loop engine's
-// generality is not needed.
-func addNumberDirect(b *Board, o *Options, i, j, k int) (*Board, *Options) {
-	N := b.N()
-	n := b.n
-	board := b.With(i, j, k)
-	opts := o.Clone()
-	data := opts.cube.Data()
-	k0 := k - 1
-	at := func(x, y, z int) int { return (x*N+y)*N + z }
-	for z := 0; z < N; z++ {
-		data[at(i, j, z)] = false
-	}
-	for y := 0; y < N; y++ {
-		data[at(i, y, k0)] = false
-	}
-	for x := 0; x < N; x++ {
-		data[at(x, j, k0)] = false
-	}
-	is, js := (i/n)*n, (j/n)*n
-	for x := is; x < is+n; x++ {
-		for y := js; y < js+n; y++ {
-			data[at(x, y, k0)] = false
-		}
-	}
-	return board, opts
 }
 
 // ComputeOpts derives the option cube for a board by adding every given

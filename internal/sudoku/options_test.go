@@ -52,6 +52,35 @@ func TestAddNumberEliminations(t *testing.T) {
 	}
 }
 
+// addNumberDirect is AddNumber written as plain loops: the reference the
+// with-loop version is tested against, and nothing else — what the solver
+// runs is the with-loop.
+func addNumberDirect(b *Board, o *Options, i, j, k int) (*Board, *Options) {
+	N := b.N()
+	n := b.n
+	board := b.With(i, j, k)
+	opts := o.Clone()
+	data := opts.cube.Data()
+	k0 := k - 1
+	at := func(x, y, z int) int { return (x*N+y)*N + z }
+	for z := 0; z < N; z++ {
+		data[at(i, j, z)] = false
+	}
+	for y := 0; y < N; y++ {
+		data[at(i, y, k0)] = false
+	}
+	for x := 0; x < N; x++ {
+		data[at(x, j, k0)] = false
+	}
+	is, js := (i/n)*n, (j/n)*n
+	for x := is; x < is+n; x++ {
+		for y := js; y < js+n; y++ {
+			data[at(x, y, k0)] = false
+		}
+	}
+	return board, opts
+}
+
 // The with-loop implementation and the direct-loop implementation must
 // agree on arbitrary placements (differential test).
 func TestQuickAddNumberDifferential(t *testing.T) {
