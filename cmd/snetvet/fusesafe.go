@@ -24,10 +24,13 @@ import (
 //     inside the memory bound the verifier certifies.  A record assigned or
 //     appended to a struct field outlives the step, aliases an arena record
 //     across stage boundaries, and the arena will recycle it under the
-//     stash.  The one sanctioned slot a step writes is the Emitter's src,
-//     the input of the box invocation in progress (the Emitter itself keeps
-//     that invocation's latest emission in held); boxNode.step clears both
-//     before it returns.
+//     stash.  The sanctioned slots are two.  The Emitter's src is the input
+//     of the box invocation in progress (the Emitter itself keeps that
+//     invocation's latest emission in held); boxNode.step clears both before
+//     it returns.  A synchrocell's storage — an indexed slot of its stage
+//     state, not a field assignment — is what the stage is for: the first
+//     match of each pattern waits there for the others, priced by the
+//     verifier as the cell's hold and given back by segmentRun.end.
 //
 // The scope is syntactic: methods named step, and functions and methods of
 // segment* types (segment, segmentRun), in package core.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // BoxFunc is the computation wrapped by a box.  It receives the values bound
@@ -211,7 +212,7 @@ func (b *boxNode) sig(*checker) (RecType, RecType) {
 // key exists at any width.
 func (b *boxNode) open(x *segmentRun, i int) *Emitter {
 	st := &x.state[i]
-	if st.em.box == nil {
+	if st.em.x != x { // the first call, or the first after a hand-over (resume)
 		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1}
 		st.args = make([]any, 0, len(b.boxSig.In))
 		x.env.stats.SetMax(b.keys.inflight, 1)
@@ -231,7 +232,18 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 		return nil, true
 	}
 	em.src, em.stopped, em.emitted = rec, false, 0
+	// What the instance's first record sets up (open) — an allocation and a
+	// trip through the stats lock, on a goroutine that may have just woken up
+	// cold — is the instance's cost, not the box's: the clock starts after it.
+	clocked := b.measured(env)
+	var began, waited time.Duration
+	if clocked {
+		began, waited = time.Since(engineEpoch), x.out.blocked
+	}
 	b.invoke(env, args, em)
+	if clocked {
+		b.observe(time.Since(engineEpoch)-began, x.out.blocked-waited)
+	}
 	last := em.held
 	em.src, em.held = nil, nil
 	releaseRecord(rec)

@@ -86,32 +86,49 @@ func (b *boxNode) width(env *runEnv) (w int, auto bool) {
 	return env.autoWidth, true
 }
 
+// measured reports whether the engine times the box's calls in this run:
+// nobody gave it a width, and there is a wider one to move to.
+func (b *boxNode) measured(env *runEnv) bool {
+	w, auto := b.width(env)
+	return auto && w > 1
+}
+
 func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	w, auto := b.width(env)
-	if w == 1 {
-		b.solo.run(env, in, out) // inline for good: the segment of one
+	if w == 1 || auto {
+		b.solo.run(env, in, out) // the segment of one: inline for good, or under the engine
 		return
 	}
 	defer out.close()
-	if auto && !b.escalated.Load() {
-		if !b.runInline(env, in, out) {
-			return
-		}
-	} else {
-		env.stats.Add(b.keys.instances, 1)
-	}
-	if auto {
-		env.stats.Add(b.keys.escalated, 1)
-	}
+	env.stats.Add(b.keys.instances, 1)
 	b.runConcurrent(env, in, out, w)
 }
 
-// runInline is inline mode under measurement: the segment of one with a
-// clock around every step.  It returns true — having flushed out and
-// detached it from in's idle flush — when the instance should continue in
-// concurrent mode.  Everything emitted so far is then already downstream, so
-// the hand-over cannot reorder anything.  In every other case the instance
-// is finished when runInline returns.
+// engine runs x, an execution of the box alone, under measurement: inline —
+// the segment's loop, every step clocked (observe) — until the verdict, if it
+// comes, and in concurrent mode from there.  At the hand-over x's output is
+// flushed: everything emitted so far is then already downstream, so the
+// hand-over cannot reorder anything.
+func (b *boxNode) engine(x *segmentRun, in *streamReader) {
+	if !x.loop(in, &b.escalated) {
+		return
+	}
+	if !x.out.flush() {
+		in.Discard()
+		return
+	}
+	// From here the releaser goroutine owns out; this goroutine keeps
+	// reading in and must no longer flush a writer it does not own.
+	in.onIdle = nil
+	x.env.stats.Add(b.keys.escalated, 1)
+	b.runConcurrent(x.env, in, x.out, x.env.autoWidth)
+}
+
+// engineEpoch is what the engine's clock counts from: a reading is
+// time.Since(engineEpoch), one monotonic clock read.
+var engineEpoch = time.Now()
+
+// observe is the hand-over rule applied to one clocked call.
 //
 // What is measured is the box's own service time: the wall time of the
 // invocation minus the time its emissions waited on a full output stream.
@@ -122,48 +139,13 @@ func (b *boxNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 // evidence however long it worked: the consumer sets the pace then, and
 // what is left of the wall time is as much the cost of waking up cold as
 // the box's.
-func (b *boxNode) runInline(env *runEnv, in *streamReader, out *streamWriter) bool {
-	x := b.solo.start(env, in, out)
-	epoch := time.Now() // readings are time.Since(epoch): one monotonic clock read each
-	for {
-		rec, ok := x.recv(in)
-		if !ok {
-			in.Discard()
-			return false
+func (b *boxNode) observe(wall, waited time.Duration) {
+	if service := wall - waited; service < boxEscalateAfter || service < waited {
+		if b.slowRun.Load() != 0 {
+			b.slowRun.Store(0)
 		}
-		// What the instance's first record sets up — an allocation and a
-		// trip through the stats lock, on a goroutine that has just woken up
-		// cold — is the instance's cost, not the box's: it is paid before
-		// the clock starts.  (Measured on the wavefront workload's 1 µs cell
-		// box, one record per instance: paid here, 1.2% of the calls read slow
-		// and in 1.2 M no run of slow calls reached 6; paid inside the clocked
-		// call, 2.3% did; paid before the receive, 1.6% did, but in runs — 70
-		// of them reached 6 and 3 reached 12.)
-		b.open(x, 0)
-		began, waited := time.Since(epoch), out.blocked
-		if !x.push(0, rec) || ctxDone(env.ctx) {
-			in.Discard()
-			return false
-		}
-		waited = out.blocked - waited
-		if service := time.Since(epoch) - began - waited; service < boxEscalateAfter || service < waited {
-			if b.slowRun.Load() != 0 {
-				b.slowRun.Store(0)
-			}
-		} else if b.slowRun.Add(1) >= boxEscalateRun {
-			b.escalated.Store(true)
-		}
-		if !b.escalated.Load() {
-			continue
-		}
-		if !out.flush() {
-			in.Discard()
-			return false
-		}
-		// From here the releaser goroutine owns out; this goroutine keeps
-		// reading in and must no longer flush a writer it does not own.
-		in.onIdle = nil
-		return true
+	} else if b.slowRun.Add(1) >= boxEscalateRun {
+		b.escalated.Store(true)
 	}
 }
 

@@ -355,6 +355,65 @@ func testBoxAutoWidthHandsOverMidStream(t *testing.T, m execMode) {
 	}
 }
 
+// TestBoxAutoWidthHandsOverHalfFilledJoin: a stepped replica leaves its
+// dispatcher with its stage state.  Replica 1 of a deterministic split of
+// join..box has stored its {a} when the box — stepped for replica 0 until
+// then — turns slow; its {b} arrives after the verdict, so the replica is
+// handed over holding half a join, and the join must still fire.
+func TestBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T) {
+	bothPlans(t, testBoxAutoWidthHandsOverHalfFilledJoin)
+}
+
+func testBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T, m execMode) {
+	atLeastProcs(t, 2)
+	const cheap, slow, tail = 20, 2 * boxEscalateRun, 10
+	mk := func() Node {
+		sum := NewBox("hs_sum", MustParseSignature("(<k>,<seq>) -> (<k>,<seq>,<summed>)"),
+			func(args []any, out *Emitter) error {
+				if seq := args[1].(int); seq >= cheap {
+					time.Sleep(slowCall)
+				}
+				return out.Out(1, args[0].(int), args[1].(int), 1)
+			})
+		return NamedSplitDet("hs_split", Serial(
+			NamedSync("hs_join", MustParsePattern("{a}"), MustParsePattern("{b}")), sum), "k")
+	}
+	inputs := func() []*Record {
+		var recs []*Record
+		add := func(field string, k int) {
+			recs = append(recs, AcquireRecord().SetField(field, len(recs)).SetTag("k", k).SetTag("seq", len(recs)))
+		}
+		add("a", 1) // replica 1: half a join
+		add("a", 0)
+		add("b", 0)                  // replica 0 joins; from here on its cell is an identity
+		for len(recs) < cheap+slow { // cheap calls, then slow ones: the verdict
+			add("a", 0)
+		}
+		add("b", 1) // replica 1 leaves the dispatcher, then joins
+		for i := 0; i < tail; i++ {
+			add("a", i%2)
+		}
+		return recs
+	}
+	live := poolLiveSettled(t)
+	want, _ := m.runNet(t, mk(), inputs(), WithBoxWorkers(1))
+	got, stats := m.runNet(t, mk(), inputs())
+	if renderStream(got) != renderStream(want) {
+		t.Fatalf("output differs from the W=1 sequence:\n--- want ---\n%s--- got ---\n%s",
+			renderStream(want), renderStream(got))
+	}
+	for key, want := range map[string]int64{
+		"sync.hs_join.fired": 2, "sync.hs_join.starved": 0,
+		"box.hs_sum.instances": 2, "box.hs_sum.escalated": 2,
+		"box.hs_sum.calls": int64(len(want)), "box.hs_sum.cancelled": 0,
+	} {
+		if got := stats.Counter(key); got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+	}
+	waitPoolLive(t, live)
+}
+
 func TestBoxAutoWidthIgnoresBackpressure(t *testing.T) {
 	bothPlans(t, testBoxAutoWidthIgnoresBackpressure)
 }

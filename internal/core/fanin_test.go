@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,7 +34,9 @@ func liveNet(t *testing.T, m execMode, n Node, inputs []*Record, want int, opts 
 	return h
 }
 
-// TestFanInGoroutineBudget pins what a branch costs in goroutines: its
+// TestFanInGoroutineBudget pins what a branch costs in goroutines: a body of
+// stages nothing — it is stepped by its dispatcher — a branch nothing was
+// routed to nothing either, not even an instance, and any other branch its
 // operand's and nothing else.  (The relay that re-read every branch's output
 // stream into the merger was one more per branch.)
 func TestFanInGoroutineBudget(t *testing.T) { bothPlans(t, testFanInGoroutineBudget) }
@@ -46,54 +49,80 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 				func(args []any, out *Emitter) error { return out.Out(1, args[2].(int)) }),
 		)
 	}
+	echo := func(name, field string) Node {
+		return NewBox(name, MustParseSignature("("+field+") -> ("+field+")"),
+			func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
+	}
+	// budget runs n until want outputs have arrived and counts the goroutines
+	// of the live network over the base.
+	budget := func(t *testing.T, n Node, inputs []*Record, want, goroutines int, opts ...Option) *Stats {
+		t.Helper()
+		base := goroutineCount()
+		h := liveNet(t, m, n, inputs, want, opts...)
+		defer h.Cancel()
+		waitForGoroutines(t, base+goroutines)
+		if g := runtime.NumGoroutine(); g != base+goroutines {
+			t.Errorf("%d goroutines over the base, want exactly %d", g-base, goroutines)
+		}
+		h.Cancel()
+		h.Wait()
+		waitForGoroutines(t, base)
+		return h.Stats()
+	}
 	t.Run("split replica of sync..box", func(t *testing.T) {
 		const replicas = 8
-		base := goroutineCount()
 		var inputs []*Record
 		for k := 0; k < replicas; k++ {
 			inputs = append(inputs,
 				NewRecord().SetField("a", 1).SetTag("k", k),
 				NewRecord().SetField("b", 2).SetTag("k", k))
 		}
-		h := liveNet(t, m, NamedSplit("gb", join(), "k"), inputs, replicas, WithBoxWorkers(1))
-		defer h.Cancel()
-		if g := replicaGauge(h.Stats(), "gb"); g != replicas {
+		// The boundary, the dispatcher and the merger; a live replica is a
+		// struct in the dispatcher's hands.
+		stats := budget(t, NamedSplit("gb", join(), "k"), inputs, replicas, 3, WithBoxWorkers(1))
+		if g := replicaGauge(stats, "gb"); g != replicas {
 			t.Fatalf("live replicas = %d, want %d", g, replicas)
 		}
-		// The boundary, the dispatcher and the merger; a live replica is the
-		// synchrocell and the box: two goroutines.
-		waitForGoroutines(t, base+3+2*replicas)
-		h.Cancel()
-		h.Wait()
-		waitForGoroutines(t, base)
+	})
+	t.Run("split replica of sync..box, spawned", func(t *testing.T) {
+		const replicas = 8
+		var inputs []*Record
+		for k := 0; k < replicas; k++ {
+			inputs = append(inputs,
+				NewRecord().SetField("a", 1).SetTag("k", k),
+				NewRecord().SetField("b", 2).SetTag("k", k))
+		}
+		// A box of width 2 is no stage: the replica is the synchrocell and the
+		// box's dispatch loop, releaser and one worker.
+		budget(t, NamedSplit("gbw", join(), "k"), inputs, replicas, 3+4*replicas, WithBoxWorkers(2))
 	})
 	t.Run("parallel branch", func(t *testing.T) {
-		base := goroutineCount()
-		n := Parallel(
-			NewBox("gba", MustParseSignature("(a) -> (a)"),
-				func(args []any, out *Emitter) error { return out.Out(1, args[0]) }),
-			NewBox("gbb", MustParseSignature("(b) -> (b)"),
-				func(args []any, out *Emitter) error { return out.Out(1, args[0]) }),
-		)
 		inputs := []*Record{NewRecord().SetField("a", 1), NewRecord().SetField("b", 2)}
-		h := liveNet(t, m, n, inputs, 2, WithBoxWorkers(1))
-		defer h.Cancel()
-		// Boundary, dispatcher, merger, one box per branch.
-		waitForGoroutines(t, base+5)
+		// Boundary, dispatcher, merger: both boxes are stepped.
+		budget(t, Parallel(echo("gba", "a"), echo("gbb", "b")), inputs, 2, 3, WithBoxWorkers(1))
+	})
+	t.Run("parallel branch never routed to", func(t *testing.T) {
+		inputs := []*Record{NewRecord().SetField("a", 1)}
+		// The routed branch is a box of width 2 — its dispatch loop, releaser
+		// and one worker; the other does not exist.
+		stats := budget(t, Parallel(echo("gbr", "a"), echo("gbn", "b")), inputs, 1, 3+3, WithBoxWorkers(2))
+		if got := stats.Counter("box.gbr.instances"); got != 1 {
+			t.Errorf("box.gbr.instances = %d, want 1", got)
+		}
+		if _, counted := stats.Snapshot()["box.gbn.instances"]; counted {
+			t.Errorf("box.gbn.instances is reported for a branch no record reached")
+		}
 	})
 	t.Run("star stage", func(t *testing.T) {
 		const depth = 6
-		base := goroutineCount()
-		h := liveNet(t, m, NamedStar("gbs", decBox(), MustParsePattern("{<done>}")),
-			[]*Record{recN(depth - 1)}, 1, WithBoxWorkers(1))
-		defer h.Cancel()
-		if d := h.Stats().Counter("star.gbs.replicas"); d != depth {
-			t.Fatalf("unfolded stages = %d, want %d", d, depth)
-		}
 		// Boundary, the entry dispatcher and its merger; every unfolded
 		// stage adds its operand, the next dispatcher and that one's merger.
 		// The exit branch of a stage is the dispatcher's own writer.
-		waitForGoroutines(t, base+3+3*depth)
+		stats := budget(t, NamedStar("gbs", decBox(), MustParsePattern("{<done>}")),
+			[]*Record{recN(depth - 1)}, 1, 3+3*depth, WithBoxWorkers(1))
+		if d := stats.Counter("star.gbs.replicas"); d != depth {
+			t.Fatalf("unfolded stages = %d, want %d", d, depth)
+		}
 	})
 }
 
@@ -125,7 +154,7 @@ func newMergeHarness(buf, batch int, det bool) *mergeHarness {
 }
 
 // branchWriter registers a branch the test itself writes the output of.
-func (h *mergeHarness) branchWriter() *streamWriter { return h.f.addBranch(nil).w }
+func (h *mergeHarness) branchWriter() *streamWriter { return h.f.addBranch(nil, nil).w }
 
 func (h *mergeHarness) wait(t *testing.T) {
 	t.Helper()
@@ -273,7 +302,7 @@ func TestFanInRetiredReplicasLeaveTables(t *testing.T) {
 	}
 	var open []*branchPort
 	for s := 0; s < sessions; s++ {
-		port := h.f.addBranch(Observe("sess", nil))
+		port := h.f.addBranch(Observe("sess", nil), nil)
 		open = append(open, port)
 		if !h.f.route(port, recN(s)) || !port.w.flush() {
 			t.Fatal("route failed")

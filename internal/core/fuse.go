@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // Stages, segments, grouping.
 //
 // The serial combinator runs as a pipeline: one goroutine per part and one
@@ -11,41 +13,50 @@ package core
 // extra-functional execution decisions at compile time.  So the parts of a
 // pipeline are not its stages but *segments* of them.
 //
-// A stage is a sequential leaf — a filter, an Observe tap, HideTags, a box
-// invoked one call at a time — and all it has is a step: take one record,
-// hand on what it produces.  A segment is a run of stages on one goroutine:
-// it receives a record, steps it through stage 0, and every record a stage
-// produces goes straight into the next stage's step, depth-first, until the
-// last stage's records leave through the segment's output stream.  A step
-// hands on all it produces but the last from inside the step and returns the
-// last, so the common stage — one record in, one out — nests nothing: the
-// loop carries the record from stage to stage, and only fan-out recurses.
-// Nothing is parked between stages, so backpressure from the output stream
-// reaches a box in the middle of its emissions exactly as it would with a
-// stream after every stage.  A stage on its own is a segment of one: that is
-// the whole of filterNode.run, identityNode.run, hideNode.run and the box
-// engine's inline mode.
+// A stage is a sequential leaf — a filter, an Observe tap, HideTags, a
+// synchrocell, a box invoked one call at a time — and all it has is a step:
+// take one record, hand on what it produces.  A segment is a run of stages on
+// one goroutine: it receives a record, steps it through stage 0, and every
+// record a stage produces goes straight into the next stage's step,
+// depth-first, until the last stage's records leave through the segment's
+// output stream.  A step hands on all it produces but the last from inside the
+// step and returns the last, so the common stage — one record in, one out —
+// nests nothing: the loop carries the record from stage to stage, and only
+// fan-out recurses.  Nothing is parked between stages, so backpressure from
+// the output stream reaches a box in the middle of its emissions exactly as it
+// would with a stream after every stage.  A stage on its own is a segment of
+// one: that is the whole of filterNode.run, identityNode.run, hideNode.run,
+// syncNode.run and the box engine's inline mode.
 //
 // Grouping decides which stages share a goroutine, and is all that fusion
 // is: Compile flattens every serial spine of the tree and cuts it into parts
 // (cutSpine) — with fusion on, each maximal run of fusible stages is one
 // segment; with WithFusion(false) every stage is a part of its own.  Same
-// loop, different grouping.  Everything that is not a stage is a barrier and
-// a part of its own either way: boxes of any width but a pinned 1 (an inline
-// box may hand over to the reordering engine at any record, which a segment
-// cannot), synchrocells (cross-record state), split/star (replication) and
-// parallel (routing).  The tree is never rewritten: a plan is its one Node
-// tree plus, per spine, the parts to start (Plan.spines), and Graph, the
-// flow pass, internal/analysis and Start all read that tree.
+// loop, different grouping.  A part of its own either way is a box of any
+// width but a pinned 1 (wider it is no stage, and one nobody gave a width may
+// hand over to the reordering engine at any record, which a compiled segment
+// cannot follow), a synchrocell (a stage, but the one that keeps records
+// between steps, which the cut leaves alone) and what is no stage at all:
+// split/star (replication) and parallel (routing).  The tree is never
+// rewritten: a plan is its one Node tree plus, per spine, the parts to start
+// (Plan.spines), and Graph, the flow pass, internal/analysis and Start all
+// read that tree.
+//
+// Where a goroutine is at hand a segment needs none of its own: the
+// dispatcher of a split or parallel steps a replica or branch whose whole
+// body is stages with every record it routes there (stepped; merge.go).  A
+// box nobody gave a width counts there too, until the engine's verdict, which
+// is followed by a hand-over the compiled segment has not: resume.
 //
 // What a segment holds.  Between stages: nothing.  Inside a stage: what the
 // stage's step has in hand — the record being stepped, the outputs a
 // multi-output filter has built and not yet handed on, the input record a
-// box invocation is bound to and its latest emission — which is what the
-// same stage holds when it runs alone, and does not grow with what a box
-// emits per call.  The un-fused pipeline holds all of that plus a stream per
-// hop, which is why the occupancy analysis prices the blueprint's edges and
-// the bound covers either grouping.
+// box invocation is bound to and its latest emission — and what an unfired
+// synchrocell has stored, which is what the same stage holds when it runs
+// alone, and does not grow with what a box emits per call.  The un-fused
+// pipeline holds all of that plus a stream per hop, which is why the
+// occupancy analysis prices the blueprint's edges and the bound covers either
+// grouping.
 
 // FusionGroup describes one fused segment of a compiled plan: the segment's
 // runtime name (its stats identity, "fused.<name>.*") and the names of the
@@ -63,7 +74,8 @@ type stage interface {
 	// the last it has handed on itself, from inside the step
 	// (x.push(i+1, ·)).  ok is false when the run is gone: whatever the
 	// stage still held is back in the arena and the segment must stop.  A
-	// step keeps no record once it has returned it or handed it on.
+	// step keeps no record once it has returned it or handed it on — the
+	// synchrocell's excepted, whose stored records end gives back.
 	step(x *segmentRun, i int, rec *Record) (next *Record, ok bool)
 }
 
@@ -177,6 +189,37 @@ type segment struct {
 	kRecords, kApplied string
 }
 
+// stepped returns n as a segment a dispatcher can step (merge.go) if n
+// flattens to stages only, else nil.  Unlike in cutSpine a box nobody gave a
+// width is one: stepped as inline mode would, clock included, until the verdict.
+func stepped(env *runEnv, n Node) *segment {
+	nodes := flattenSerial(n, nil)
+	s := &segment{stages: make([]stage, len(nodes))}
+	for i, n := range nodes {
+		st, ok := n.(stage)
+		if b, isBox := n.(*boxNode); isBox {
+			w, auto := b.width(env)
+			ok = w == 1 || auto
+		}
+		if !ok {
+			return nil
+		}
+		s.stages[i] = st
+	}
+	return s
+}
+
+// escalated reports whether the engine has decided to run one of the
+// segment's boxes concurrently in this run, which a dispatcher cannot.
+func (s *segment) escalated(env *runEnv) bool {
+	for _, st := range s.stages {
+		if b, ok := st.(*boxNode); ok && b.escalated.Load() && b.measured(env) {
+			return true
+		}
+	}
+	return false
+}
+
 // lone is what makes a stage a node: embedded in a stage's node, it is the
 // segment of that one stage, and its run the node's run.
 type lone struct{ solo segment }
@@ -202,33 +245,51 @@ func (c *spineCutter) newSegment(run []Node) *segment {
 	return s
 }
 
-// run is the one receive loop of every sequential leaf.  The run's context is
-// looked at once per record here, because nothing else need: a stage that
-// emits nothing never meets a stream, and a receive that finds a frame
-// waiting does not look either.
 func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
+	s.begin(env, out).run(env, in, out)
+}
+
+// run is an execution on a goroutine of its own: out is flushed whenever in
+// runs dry.  A box nobody gave a width — always alone here — has its engine.
+func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
-	x := s.start(env, in, out)
+	x.out = out // a resumed part learns it here
+	in.autoFlush(out)
+	if b, ok := x.seg.stages[0].(*boxNode); ok && b.measured(env) {
+		b.engine(x, in)
+	} else {
+		x.loop(in, nil)
+	}
+}
+
+// loop is the one receive loop of every sequential leaf.  The execution ends
+// with it (end) unless leave — a box engine's verdict — says between records
+// to continue elsewhere: then it returns true.  The run's context is looked at
+// once per record here, because nothing else need: a stage that emits nothing
+// never meets a stream, and a receive that finds a frame waiting does not look.
+func (x *segmentRun) loop(in *streamReader, leave *atomic.Bool) bool {
+	s, env := x.seg, x.env
 	named := s.label != ""
 	var records, applied *statCell // a named segment's cells, held from its first record on
-	for {
+	for leave == nil || !leave.Load() {
 		rec, ok := x.recv(in)
-		if !ok {
-			break
-		}
-		if named {
-			env.stats.held(&records, s.kRecords).Add(1)
-		}
-		ok = x.push(0, rec)
-		if named && x.applied > 0 {
-			env.stats.held(&applied, s.kApplied).Add(x.applied)
-			x.applied = 0
+		if ok {
+			if named {
+				env.stats.held(&records, s.kRecords).Add(1)
+			}
+			ok = x.push(0, rec)
+			if named && x.applied > 0 {
+				env.stats.held(&applied, s.kApplied).Add(x.applied)
+				x.applied = 0
+			}
 		}
 		if !ok || ctxDone(env.ctx) {
-			break
+			x.end()
+			in.Discard() // nothing to detach from an input read to its end
+			return false
 		}
 	}
-	in.Discard() // nothing to detach from an input read to its end
+	return true
 }
 
 // segmentRun is one execution of a segment: the output stream and one state
@@ -244,21 +305,23 @@ type segmentRun struct {
 }
 
 // stageState is what one stage keeps from record to record: buffers and held
-// counter cells, never a record.  The slots are per stage, not per segment,
-// because steps nest: a box in the middle of its emissions is still reading
-// its arguments while a box further down binds its own.
+// counter cells — and, the synchrocell's alone, records.  The slots are per
+// stage, not per segment, because steps nest: a box in the middle of its
+// emissions is still reading its arguments while a box further down binds its
+// own.
 type stageState struct {
 	em      Emitter   // box: the emitter every invocation is handed
 	args    []any     // box: the argument buffer
 	cells   boxCells  // box: "calls", "emitted"
 	outs    []*Record // filter: backing for the outputs of one application
 	applied *statCell // filter: "applied"
+	storage []*Record // synchrocell: the first match of each pattern, until it fires
+	fired   bool      // synchrocell: it has, and is an identity from here on
 }
 
-// start begins one execution of the segment: out is flushed whenever in runs
-// dry, and every box stage counts as one sequential instance.
-func (s *segment) start(env *runEnv, in *streamReader, out *streamWriter) *segmentRun {
-	in.autoFlush(out)
+// begin begins one execution of the segment; every box stage counts as one
+// sequential instance.
+func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
 	x := &segmentRun{env: env, seg: s, out: out}
 	if len(s.stages) == 1 {
 		x.state = x.state1[:]
@@ -272,6 +335,21 @@ func (s *segment) start(env *runEnv, in *streamReader, out *streamWriter) *segme
 		}
 	}
 	return x
+}
+
+// end is the end-of-input hook, run on every path out of an execution: what
+// a synchrocell that never fired has stored is discarded, and counted so
+// tests and users can detect starved synchrocells.
+func (x *segmentRun) end() {
+	for i := range x.state {
+		for _, s := range x.state[i].storage {
+			if s != nil {
+				x.env.stats.Add(x.seg.stages[i].(*syncNode).kStarved, 1)
+				releaseRecord(s)
+			}
+		}
+		x.state[i].storage = nil
+	}
 }
 
 // recv returns the next data record of in.  Foreign markers cross the
@@ -308,4 +386,15 @@ func (x *segmentRun) push(i int, rec *Record) bool {
 		}
 	}
 	return x.out.sendRecord(rec)
+}
+
+// resume is the one-way hand-over of a stepped branch: x continues, reading
+// in, as the un-fused pipeline of its stages — each the execution it was,
+// state and all, on a goroutine of its own.
+func (x *segmentRun) resume(in *streamReader) {
+	parts := make([]runner, len(x.state))
+	for i := range parts {
+		parts[i] = &segmentRun{env: x.env, seg: &segment{stages: x.seg.stages[i : i+1]}, state: x.state[i : i+1]}
+	}
+	runParts(x.env, parts, in, x.out)
 }

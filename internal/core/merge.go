@@ -35,11 +35,17 @@ import "sort"
 // single item or a batch, under the usual flush rules — lands on the one
 // merge queue (mux) tagged with the branch, and closing it is the branch's
 // evClosed.  The merger consumes whole frames; markers may sit anywhere in a
-// batch.  The identity exit branch of a star is such a writer in the
-// dispatcher's own hands: no stream, no goroutine.  The splitter's control
-// events travel on the same queue, which is why it is the one
-// multi-producer channel of the record plane besides the network boundary;
-// the merger never blocks on anything but its output.
+// batch.  A branch whose body is a run of stages (fuse.go) — a split replica
+// of synchrocell and box, a parallel branch that is one box — has no input
+// stream and no goroutine either: it is a struct in the dispatcher's own
+// hands, which steps each routed record through the stages into that writer,
+// sends markers and the close straight to it, and flushes it when its own
+// input runs dry.  The identity exit of a star is the branch of no stages.  A
+// box the engine then finds worth running concurrently takes its branch out
+// of the dispatcher's hands, for good (route).  The splitter's control events
+// travel on the same queue, which is why it is the one multi-producer channel
+// of the record plane besides the network boundary; the merger never blocks
+// on anything but its output.
 
 // branch event kinds flowing into the merger.
 const (
@@ -70,9 +76,12 @@ const mergeQueueSlack = 4
 
 // branchPort is the splitter's handle to one live branch.
 type branchPort struct {
-	// w is the writing end of the branch's input stream — for the identity
-	// exit of a star, which has no stream, the writer into the merger.
-	w      *streamWriter
+	// w is the writing end of the branch's input stream — for a branch in the
+	// dispatcher's own hands, which has no stream, the writer into the merger.
+	w *streamWriter
+	// x is a stepped branch's execution, writing w; nil for a spawned branch
+	// and for the branch of no stages at all, the identity exit of a star.
+	x      *segmentRun
 	b      *mergerBranch
 	slot   int       // index in fanout.ports and in the input reader's idle list
 	routed *statCell // parallel: the held cell of the branch's routing counter
@@ -105,6 +114,36 @@ func newFanout(env *runEnv, det bool, in *streamReader) *fanout {
 	return f
 }
 
+// serve runs the site until both halves are done: the merger on a goroutine
+// of its own, which owns out meanwhile, and here the dispatch loop — every
+// data record goes to route, which reports false when the run is gone.
+func (f *fanout) serve(out *streamWriter, route func(*Record) bool) {
+	defer out.close()
+	mergeDone := make(chan struct{})
+	go func() {
+		defer close(mergeDone)
+		if m := (&merger{f: f, out: out, ownLevel: f.level}); !m.run() {
+			m.abandon()
+		}
+	}()
+	for {
+		it, ok := f.in.recv()
+		switch {
+		case !ok:
+		case it.mk != nil: // a foreign marker crosses every branch
+			ok = f.broadcast(it.mk)
+		default:
+			ok = route(it.rec)
+		}
+		if !ok {
+			break
+		}
+	}
+	f.in.Discard()
+	f.finish()
+	<-mergeDone
+}
+
 // sendEv delivers an event to the merger; false means the run is cancelled.
 func (f *fanout) sendEv(e branchEvent) bool {
 	select {
@@ -115,15 +154,18 @@ func (f *fanout) sendEv(e branchEvent) bool {
 	}
 }
 
-// addBranch registers a new branch running node n; a nil node is an identity
-// passthrough (used for the exit path of serial replication), which the
-// dispatcher writes into the merger itself.  It returns the port for routing.
-func (f *fanout) addBranch(n Node) *branchPort {
+// addBranch registers a new branch and returns the port for routing.  With a
+// body to step (stepped, fuse.go) the branch stays in the dispatcher's hands:
+// no input stream, no goroutine.  Otherwise it is n on goroutines of its own
+// — and with neither, the identity: the exit path of serial replication.
+func (f *fanout) addBranch(n Node, body *segment) *branchPort {
 	b := &mergerBranch{join: f.markers}
 	f.sendEv(branchEvent{kind: evRegister, b: b})
 	out := &streamWriter{env: f.env, fan: f, branch: b, batch: f.env.batch}
 	port := &branchPort{w: out, b: b, slot: len(f.ports)}
-	if n != nil {
+	if body != nil && !body.escalated(f.env) {
+		port.x = body.begin(f.env, out)
+	} else if n != nil {
 		var inR *streamReader
 		inR, port.w = newStream(f.env)
 		go n.run(f.env, inR, out)
@@ -133,13 +175,28 @@ func (f *fanout) addBranch(n Node) *branchPort {
 	return port
 }
 
-// route sends a data record into a branch; false on cancellation.
+// route sends a data record into a branch and, in deterministic mode, the
+// per-record sort marker after it; false on cancellation.  A stepped branch
+// with a box the engine has meanwhile found worth running concurrently first
+// leaves the dispatcher's hands (resume): it is a spawned branch now.
 func (f *fanout) route(port *branchPort, r *Record) bool {
-	return port.w.sendRecord(r)
-}
-
-// afterRoute emits the per-record sort marker in deterministic mode.
-func (f *fanout) afterRoute() bool {
+	if x := port.x; x != nil && x.seg.escalated(f.env) {
+		if !port.w.flush() {
+			releaseRecord(r)
+			return false
+		}
+		var inR *streamReader
+		inR, port.w = newStream(f.env)
+		port.x, f.in.onIdle[port.slot] = nil, port.w
+		go x.resume(inR)
+	}
+	if port.x != nil {
+		if !port.x.push(0, r) {
+			return false
+		}
+	} else if !port.w.sendRecord(r) {
+		return false
+	}
 	if !f.det {
 		return true
 	}
@@ -147,9 +204,14 @@ func (f *fanout) afterRoute() bool {
 	return f.broadcast(&marker{level: f.level, ticket: f.ownTicket})
 }
 
-// forwardMarker broadcasts a foreign marker from an enclosing deterministic
-// combinator through all branches.
-func (f *fanout) forwardMarker(mk *marker) bool { return f.broadcast(mk) }
+// close ends a branch's input: a stepped branch's stages give back what they
+// hold and its writer closes; a spawned one drains behind its closed stream.
+func (port *branchPort) close() {
+	if port.x != nil {
+		port.x.end()
+	}
+	port.w.close()
+}
 
 func (f *fanout) broadcast(mk *marker) bool {
 	f.markers++
@@ -170,7 +232,7 @@ func (f *fanout) broadcast(mk *marker) bool {
 // and, if sentinel is non-nil, the merger emits sentinel strictly after the
 // branch's last record.  The port must not be routed to after retireBranch.
 func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
-	port.w.close()
+	port.close()
 	last := len(f.ports) - 1
 	moved := f.ports[last]
 	moved.slot = port.slot
@@ -190,7 +252,7 @@ func (f *fanout) emitDirect(rec *Record) bool {
 // markers will appear.
 func (f *fanout) finish() {
 	for _, port := range f.ports {
-		port.w.close()
+		port.close()
 	}
 	f.sendEv(branchEvent{kind: evDone})
 }
@@ -212,7 +274,8 @@ type mergerBranch struct {
 // branch has delivered.
 func (b *mergerBranch) lastGlobalMarker() int { return b.join + b.markersSeen }
 
-// merger is the state of one mergeLoop.
+// merger is the merger half of one site: it writes merged output to out until
+// the splitter is done and all branches have closed, or the run is cancelled.
 type merger struct {
 	f        *fanout
 	out      *streamWriter
@@ -229,17 +292,6 @@ type merger struct {
 	totalMarkers int
 	emitted      int
 	done         bool
-}
-
-// mergeLoop is the merger half; the combinator runs it in a dedicated
-// goroutine, which owns the out writer until mergeLoop returns.  It writes
-// merged output to out and returns when the splitter is done and all
-// branches have closed (or on cancellation).  The caller closes out.
-func (f *fanout) mergeLoop(out *streamWriter, ownLevel int) {
-	m := &merger{f: f, out: out, ownLevel: ownLevel}
-	if !m.run() {
-		m.abandon()
-	}
 }
 
 // next receives from the merge queue, flushing out's pending batch before

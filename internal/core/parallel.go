@@ -16,9 +16,10 @@ type parallelNode struct {
 	det      bool
 	branches []Node
 
-	// Per-branch routing counter keys, concatenated once at construction:
-	// every instance looks its branches' cells up by them.
-	branchKeys []string
+	// The routing counters' keys, per branch and for dropped records, built
+	// once at construction: every instance looks its cells up by them.
+	branchKeys  []string
+	kUnroutable string
 
 	// table is the node's dispatch table — a pure function of the branch
 	// list (accepted types and guards), never of a run, so it is built with
@@ -51,7 +52,8 @@ func newParallel(label string, det bool, branches []Node) *parallelNode {
 		keys[i] = fmt.Sprintf("parallel.%s.branch%d", label, i)
 	}
 	return &parallelNode{label: label, det: det, branches: branches,
-		branchKeys: keys, table: buildRouteTable(det, branches)}
+		branchKeys: keys, kUnroutable: "parallel." + label + ".unroutable",
+		table: buildRouteTable(det, branches)}
 }
 
 func (n *parallelNode) name() string { return n.label }
@@ -79,32 +81,12 @@ func (n *parallelNode) sig(c *checker) (RecType, RecType) {
 }
 
 func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
 	f := newFanout(env, n.det, in)
-	ports := make([]*branchPort, len(n.branches))
-	for i, b := range n.branches {
-		ports[i] = f.addBranch(b)
-	}
-	mergeDone := make(chan struct{})
-	go func() {
-		f.mergeLoop(out, f.level)
-		close(mergeDone)
-	}()
+	ports := make([]*branchPort, len(n.branches)) // a branch exists from the first record routed to it
 	// Per-run rotation counter for nondeterministic tie-breaking: "one is
 	// selected non-deterministically" among equally-scored branches.
 	rr := 0
-	for {
-		it, ok := in.recv()
-		if !ok {
-			break
-		}
-		if it.mk != nil {
-			if !f.forwardMarker(it.mk) {
-				break
-			}
-			continue
-		}
-		rec := it.rec
+	f.serve(out, func(rec *Record) bool {
 		chosen := n.table.dispatch(rec, &rr)
 		if chosen < 0 {
 			env.error(&NoRouteError{
@@ -113,16 +95,16 @@ func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 				Shape:    rec.Labels(),
 				Branches: n.table.accept,
 			})
-			env.stats.Add("parallel."+n.label+".unroutable", 1)
+			env.stats.Add(n.kUnroutable, 1)
 			releaseRecord(rec) // dropped, not forwarded
-			continue
+			return true
 		}
-		env.stats.held(&ports[chosen].routed, n.branchKeys[chosen]).Add(1)
-		if !f.route(ports[chosen], rec) || !f.afterRoute() {
-			break
+		port := ports[chosen]
+		if port == nil {
+			port = f.addBranch(n.branches[chosen], stepped(env, n.branches[chosen]))
+			ports[chosen] = port
 		}
-	}
-	in.Discard()
-	f.finish()
-	<-mergeDone
+		env.stats.held(&port.routed, n.branchKeys[chosen]).Add(1)
+		return f.route(port, rec)
+	})
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -153,6 +155,48 @@ func testPoolAccountingSync(t *testing.T, m execMode) {
 		t.Fatalf("sync.stash.starved = %d, want 1", s)
 	}
 	waitPoolLive(t, base)
+}
+
+// TestSyncCancelledBehindFullOutput: a half-filled synchrocell is blocked
+// forwarding a record it does not store into a full output when the run is
+// cancelled.  The cell's end hook runs on that path like on any other: the
+// record it holds returns to the arena and counts as starved.  (The receive
+// loop the cell used to have returned from the failed send and leaked it.)
+func TestSyncCancelledBehindFullOutput(t *testing.T) {
+	bothPlans(t, testSyncCancelledBehindFullOutput)
+}
+
+func testSyncCancelledBehindFullOutput(t *testing.T, m execMode) {
+	base, live := goroutineCount(), poolLiveSettled(t)
+	cell := NamedSync("behind", MustParsePattern("{a}"), MustParsePattern("{b}"))
+	h := m.Start(context.Background(), cell, WithBuffer(0), WithStreamBatch(1))
+	if err := h.Send(AcquireRecord().SetField("a", 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody reads Out: the first {c} sits in the boundary adapter's hands,
+	// the second blocks the cell in its send, the third blocks the feeder.
+	var sent atomic.Int32
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		for {
+			r := AcquireRecord().SetField("c", 0)
+			if h.Send(r) != nil {
+				ReleaseRecord(r) // refused: still the sender's
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	waitCounter(t, func() int64 { return int64(sent.Load()) }, 2, "records accepted before the output filled up")
+	time.Sleep(5 * time.Millisecond) // let the cell park in its send
+	h.Cancel()
+	h.Wait()
+	<-fed
+	// A cancelled run's nodes unwind on their own time: wait for the cell's.
+	waitCounter(t, func() int64 { return h.Stats().Counter("sync.behind.starved") }, 1, "sync.behind.starved")
+	waitForGoroutines(t, base)
+	waitPoolLive(t, live)
 }
 
 // TestPoolDisownAtBoundary pins the boundary semantics: records read from

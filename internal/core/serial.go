@@ -50,6 +50,12 @@ func (s *serialNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 		// operand .. next tap (star.go).
 		parts = []runner{s.a, s.b}
 	}
+	runParts(env, parts, in, out)
+}
+
+// runParts runs parts as a pipeline from in to out and returns when all of it
+// has.
+func runParts(env *runEnv, parts []runner, in *streamReader, out *streamWriter) {
 	// Every part gets a goroutine and an output stream but the last, which
 	// runs here and writes out.  A part that stops early (cancellation)
 	// leaves its producer blocked sending, so each part's input is discarded

@@ -108,37 +108,22 @@ func foldKey(v int, uncapped bool, maxWidth int) int {
 }
 
 func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
 	f := newFanout(env, n.det, in)
 	ports := map[int]*branchPort{}
-	mergeDone := make(chan struct{})
-	go func() {
-		f.mergeLoop(out, f.level)
-		close(mergeDone)
-	}()
-
-	for {
-		it, ok := in.recv()
-		if !ok {
-			break
-		}
-		if it.mk != nil {
-			if !f.forwardMarker(it.mk) {
-				break
-			}
-			continue
-		}
-		rec := it.rec
+	// A replica is stepped where its body allows — session replicas excepted,
+	// which hold live client state between requests, each at its own pace.
+	var body *segment
+	if !n.uncapped {
+		body = stepped(env, n.operand)
+	}
+	f.serve(out, func(rec *Record) bool {
 		v, ok := rec.Tag(n.tag)
 		if IsReplicaClose(rec) {
 			// A close record lacking this split's index tag is addressed
 			// to some other split: forward it downstream (merge order, not
 			// FIFO with records still inside this split's replicas).
 			if !ok {
-				if !f.emitDirect(rec) {
-					break
-				}
-				continue
+				return f.emitDirect(rec)
 			}
 			// The splitter half of the close protocol for one key: close the
 			// replica's input, drop it from the routing table, decrement the
@@ -152,40 +137,29 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 				releaseRecord(rec) // consumed by the split itself
 			}
 			key := foldKey(v, n.uncapped, env.maxWidth)
-			alive := true
 			if port := ports[key]; port != nil {
 				delete(ports, key)
 				env.stats.Add(n.kReplicas, -1)
 				env.stats.Add(n.kClosed, 1)
-				alive = f.retireBranch(port, sentinel)
-			} else if sentinel != nil {
-				alive = f.emitDirect(sentinel)
+				return f.retireBranch(port, sentinel)
 			}
-			if !alive {
-				break
-			}
-			continue
+			return sentinel == nil || f.emitDirect(sentinel)
 		}
 		if !ok {
 			env.error(fmt.Errorf("core: split %s: record %s lacks index tag <%s>",
 				n.label, rec, n.tag))
 			env.stats.Add(n.kUntagged, 1)
 			releaseRecord(rec) // dropped, not forwarded
-			continue
+			return true
 		}
 		key := foldKey(v, n.uncapped, env.maxWidth)
 		port := ports[key]
 		if port == nil {
 			env.stats.Add(n.kReplicas, 1)
 			env.stats.SetMax(n.kWidth, int64(len(ports)+1))
-			port = f.addBranch(n.operand)
+			port = f.addBranch(n.operand, body)
 			ports[key] = port
 		}
-		if !f.route(port, rec) || !f.afterRoute() {
-			break
-		}
-	}
-	in.Discard()
-	f.finish()
-	<-mergeDone
+		return f.route(port, rec)
+	})
 }

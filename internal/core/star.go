@@ -81,33 +81,13 @@ func (n *starNode) sig(c *checker) (RecType, RecType) {
 }
 
 func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
 	f := newFanout(env, n.det, in)
-	exitPort := f.addBranch(nil) // branch 0: records leaving the chain here (no stream: see addBranch)
-	var chainPort *branchPort    // branch 1: operand .. star(depth+1), lazy
-	mergeDone := make(chan struct{})
-	go func() {
-		f.mergeLoop(out, f.level)
-		close(mergeDone)
-	}()
-	for {
-		it, ok := in.recv()
-		if !ok {
-			break
-		}
-		if it.mk != nil {
-			if !f.forwardMarker(it.mk) {
-				break
-			}
-			continue
-		}
-		rec := it.rec
+	exitPort := f.addBranch(nil, nil) // branch 0: records leaving the chain here (no stream: see addBranch)
+	var chainPort *branchPort         // branch 1: operand .. star(depth+1), lazy
+	f.serve(out, func(rec *Record) bool {
 		if n.memo.matches(n.exit, rec) {
 			env.trace(n.label, "exit", rec)
-			if !f.route(exitPort, rec) || !f.afterRoute() {
-				break
-			}
-			continue
+			return f.route(exitPort, rec)
 		}
 		if chainPort == nil {
 			if n.depth >= env.maxDepth {
@@ -115,19 +95,14 @@ func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 					n.label, env.maxDepth, rec))
 				env.stats.Add(n.kOverflow, 1)
 				releaseRecord(rec) // dropped, not forwarded
-				continue
+				return true
 			}
 			env.stats.Add(n.kReplicas, 1)
 			env.stats.SetMax(n.kDepth, int64(n.depth+1))
 			next := *n
 			next.depth++
-			chainPort = f.addBranch(&serialNode{label: n.stageLabel, a: n.operand, b: &next})
+			chainPort = f.addBranch(&serialNode{label: n.stageLabel, a: n.operand, b: &next}, nil)
 		}
-		if !f.route(chainPort, rec) || !f.afterRoute() {
-			break
-		}
-	}
-	in.Discard()
-	f.finish()
-	<-mergeDone
+		return f.route(chainPort, rec)
+	})
 }

@@ -17,6 +17,7 @@ type syncNode struct {
 	// Stat keys, concatenated once: a replicated join (one cell per replica)
 	// fires or starves once per replica and must not build strings.
 	kFired, kStarved string
+	lone             // run: the cell on its own is a segment of one (fuse.go)
 }
 
 // Sync builds a synchrocell over the given patterns (at least two).
@@ -32,8 +33,10 @@ func NamedSync(name string, patterns ...Pattern) Node {
 	if len(patterns) < 2 {
 		panic("core: Sync needs at least two patterns")
 	}
-	return &syncNode{label: name, patterns: patterns,
+	n := &syncNode{label: name, patterns: patterns,
 		kFired: "sync." + name + ".fired", kStarved: "sync." + name + ".starved"}
+	n.alone(n)
+	return n
 }
 
 func (n *syncNode) name() string { return n.label }
@@ -56,75 +59,42 @@ func (n *syncNode) sig(*checker) (RecType, RecType) {
 	return in, RecType{merged}
 }
 
-func (n *syncNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
-	in.autoFlush(out)
-	storage := make([]*Record, len(n.patterns))
-	fired := false
-	forward := func(it item) bool { return out.send(it) }
-	for {
-		it, ok := in.recv()
-		if !ok {
-			break
-		}
-		if it.mk != nil || fired {
-			if !forward(it) {
-				in.Discard()
-				return
-			}
-			continue
-		}
-		rec := it.rec
-		env.trace(n.label, "in", rec)
-		stored := false
-		for i, p := range n.patterns {
-			if storage[i] == nil && p.Matches(rec) {
-				storage[i] = rec
-				stored = true
-				break
-			}
-		}
-		if !stored {
-			if !forward(it) {
-				in.Discard()
-				return
-			}
-			continue
-		}
-		complete := true
-		for _, s := range storage {
-			if s == nil {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		// Merge: earlier patterns take precedence on label clashes.
-		merged := storage[0].copyInto(acquireRecord())
-		for _, s := range storage[1:] {
-			inheritInto(merged, s, merged.Labels())
-		}
-		// The stored records were consumed by the merge; return them.
-		for _, s := range storage {
-			releaseRecord(s)
-		}
-		env.trace(n.label, "out", merged)
-		env.stats.Add(n.kFired, 1)
-		fired = true
-		storage = nil
-		if !out.sendRecord(merged) {
-			in.Discard()
-			return
-		}
+// step is the synchrocell as a stage (fuse.go) — the one stage that keeps
+// records from step to step: the first match of each pattern sits in its
+// state until the last pattern fills, or the execution ends (segmentRun.end).
+func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	st := &x.state[i]
+	if st.fired {
+		return rec, true
 	}
-	// Unfired storage at stream end is discarded; count it so tests and
-	// users can detect starved synchrocells.
-	for _, s := range storage {
-		if s != nil {
-			env.stats.Add(n.kStarved, 1)
-			releaseRecord(s)
-		}
+	x.env.trace(n.label, "in", rec)
+	if st.storage == nil {
+		st.storage = make([]*Record, len(n.patterns))
 	}
+	stored, complete := false, true
+	for k, p := range n.patterns {
+		if !stored && st.storage[k] == nil && p.Matches(rec) {
+			st.storage[k], stored = rec, true
+		}
+		complete = complete && st.storage[k] != nil
+	}
+	if !stored {
+		return rec, true
+	}
+	if !complete {
+		return nil, true
+	}
+	// Merge: earlier patterns take precedence on label clashes.
+	merged := st.storage[0].copyInto(acquireRecord())
+	for _, s := range st.storage[1:] {
+		inheritInto(merged, s, merged.Labels())
+	}
+	// The stored records were consumed by the merge; return them.
+	for _, s := range st.storage {
+		releaseRecord(s)
+	}
+	x.env.trace(n.label, "out", merged)
+	x.env.stats.Add(n.kFired, 1)
+	st.fired, st.storage = true, nil
+	return merged, true
 }
