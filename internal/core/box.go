@@ -27,9 +27,12 @@ var ErrCancelled = errors.New("core: run cancelled")
 // interface function of §4.  It is valid only for the duration of the box
 // call it was passed to.
 type Emitter struct {
-	env     *runEnv
-	box     *boxNode
+	env *runEnv
+	box *boxNode
+	// src is the invocation's input record and prog the box's program for its
+	// shape: where each emitted value goes, and what src hands on.
 	src     *Record
+	prog    *boxProg
 	stopped bool
 	emitted int
 	// Where the emissions go.  A box stepped as a stage (fuse.go) hands
@@ -63,26 +66,31 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		return fmt.Errorf("core: box %s: snet_out variant %d out of range 1..%d",
 			e.box.label, variant, len(e.box.boxSig.Out))
 	}
-	labels := e.box.boxSig.Out[variant-1]
+	labels, op := e.box.boxSig.Out[variant-1], &e.prog.outs[variant-1]
 	if len(vals) != len(labels) {
 		return fmt.Errorf("core: box %s: snet_out variant %d needs %d values, got %d",
 			e.box.label, variant, len(labels), len(vals))
 	}
-	rec := acquireRecord()
+	rec := acquireShaped(op.shape)
 	for i, l := range labels {
-		if l.IsTag {
-			tv, ok := vals[i].(int)
-			if !ok {
-				releaseRecord(rec)
-				return fmt.Errorf("core: box %s: value for tag <%s> must be int, got %T",
-					e.box.label, l.Name, vals[i])
+		d := op.dst[i]
+		if !l.IsTag {
+			if d >= 0 {
+				rec.fvals[d] = vals[i]
 			}
-			rec.SetTag(l.Name, tv)
-		} else {
-			rec.SetField(l.Name, vals[i])
+			continue
+		}
+		tv, ok := vals[i].(int)
+		if !ok {
+			releaseRecord(rec)
+			return fmt.Errorf("core: box %s: value for tag <%s> must be int, got %T",
+				e.box.label, l.Name, vals[i])
+		}
+		if d >= 0 {
+			rec.tvals[d] = tv
 		}
 	}
-	inheritInto(rec, e.src, e.box.consumed)
+	op.run(rec, e.src) // flow inheritance
 	// Pass the emission on; if that fails the run is gone, and rec with it.
 	delivered := false
 	switch {
@@ -134,6 +142,10 @@ type boxNode struct {
 	// consumed is the signature's input variant: the labels an invocation
 	// binds, which flow inheritance therefore does not copy to its outputs.
 	consumed Variant
+	// progs caches the signature bound to each input shape (boxProg) — nil for
+	// a shape that lacks an input label.  A pure function of the signature,
+	// shared by every run.
+	progs shapeMemo[*boxProg]
 	// The box engine's measurement of a box nobody gave a width
 	// (boxengine.go): slowRun counts its consecutive slow invocations across
 	// all instances, and escalated is the one-way verdict that it is worth
@@ -204,6 +216,40 @@ func (b *boxNode) sig(*checker) (RecType, RecType) {
 	return b.boxSig.InType(), b.boxSig.OutType()
 }
 
+// boxProg is a box signature bound to one input shape (prog.go): the slot of
+// every argument, and per output variant the output record's layout.
+type boxProg struct {
+	args []int // per input label, its slot in the input shape
+	outs []boxOut
+}
+
+// boxOut builds one output variant: outProg's shape and inherited moves, and
+// per emitted value its slot in that shape (-1: a later value of the same
+// label overrides it).
+type boxOut struct {
+	outProg
+	dst []int
+}
+
+// program returns the box's program for the given input shape, compiling and
+// memoizing it on first sight; nil if the shape does not satisfy the signature.
+func (b *boxNode) program(sh *shape) *boxProg {
+	if p, ok := b.progs.load(sh); ok {
+		return p
+	}
+	p := &boxProg{args: make([]int, len(b.boxSig.In)), outs: make([]boxOut, len(b.boxSig.Out))}
+	for i, l := range b.boxSig.In {
+		var ok bool
+		if p.args[i], ok = sh.slot(l); !ok {
+			return b.progs.store(sh, nil)
+		}
+	}
+	for v, tuple := range b.boxSig.Out {
+		p.outs[v].outProg, p.outs[v].dst = layOut(sh, b.consumed, tuple)
+	}
+	return b.progs.store(sh, p)
+}
+
 // open returns the emitter of stage i of x, on first use preparing the stage
 // to invoke the box: one emitter and one argument buffer serve every
 // invocation of this execution — box functions must not retain either after
@@ -226,12 +272,15 @@ func (b *boxNode) open(x *segmentRun, i int) *Emitter {
 // values were bound into args or flow-inherited into fresh outputs), so the
 // record returns to the arena before the next one is looked at.
 func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
-	env, em := x.env, b.open(x, i)
-	args, ok := b.bind(env, rec, x.state[i].args)
+	env, em, st := x.env, b.open(x, i), &x.state[i]
+	if st.shape != rec.shape {
+		st.shape, st.box = rec.shape, b.program(rec.shape)
+	}
+	args, ok := b.bind(env, rec, st.box, st.args)
 	if !ok {
 		return nil, true
 	}
-	em.src, em.stopped, em.emitted = rec, false, 0
+	em.src, em.prog, em.stopped, em.emitted = rec, st.box, false, 0
 	// What the instance's first record sets up (open) — an allocation and a
 	// trip through the stats lock, on a goroutine that may have just woken up
 	// cold — is the instance's cost, not the box's: the clock starts after it.
@@ -247,7 +296,7 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	last := em.held
 	em.src, em.held = nil, nil
 	releaseRecord(rec)
-	b.settle(env, &x.state[i].cells, em.emitted, !em.stopped)
+	b.settle(env, &st.cells, em.emitted, !em.stopped)
 	x.applied++
 	if em.stopped {
 		releaseRecord(last) // never handed on, so still ours
@@ -295,33 +344,28 @@ func (b *boxNode) invoke(env *runEnv, args []any, em *Emitter) {
 	}
 }
 
-// bind starts an invocation on rec: it traces the record in and extracts
-// the signature-ordered argument values into buf (reused across invocations
-// where they run one at a time; pass nil to allocate).  Box functions must
-// not retain the returned slice.  A record that does not carry the
-// signature's labels is reported, counted under "box.<name>.rejected" and
-// released; bind then returns false.
-func (b *boxNode) bind(env *runEnv, rec *Record, buf []any) ([]any, bool) {
+// bind starts an invocation on rec, whose shape p was compiled for: it traces
+// the record in and reads the signature-ordered argument values from their
+// slots into buf (reused across invocations where they run one at a time; pass
+// nil to allocate).  Box functions must not retain the returned slice.  A
+// record that does not carry the signature's labels (p is nil) is reported,
+// counted under "box.<name>.rejected" and released; bind then returns false.
+func (b *boxNode) bind(env *runEnv, rec *Record, p *boxProg, buf []any) ([]any, bool) {
 	env.trace(b.label, "in", rec)
+	if p == nil {
+		env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
+			b.label, rec, b.boxSig))
+		env.stats.Add(b.keys.rejected, 1)
+		releaseRecord(rec)
+		return nil, false
+	}
 	args := buf[:0]
-	for _, l := range b.boxSig.In {
-		var (
-			v  any
-			ok bool
-		)
+	for i, l := range b.boxSig.In {
 		if l.IsTag {
-			v, ok = rec.Tag(l.Name)
+			args = append(args, rec.tvals[p.args[i]])
 		} else {
-			v, ok = rec.Field(l.Name)
+			args = append(args, rec.fvals[p.args[i]])
 		}
-		if !ok {
-			env.error(fmt.Errorf("core: box %s: input record %s does not match signature %s",
-				b.label, rec, b.boxSig))
-			env.stats.Add(b.keys.rejected, 1)
-			releaseRecord(rec)
-			return nil, false
-		}
-		args = append(args, v)
 	}
 	return args, true
 }

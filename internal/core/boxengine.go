@@ -265,6 +265,8 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 		}
 	}
 	spawned := 0
+	var last *shape // the latest record's, and the box's program for it
+	var prog *boxProg
 	dispatch := func(s *boxSlot) bool {
 		if spawned < width {
 			select {
@@ -295,13 +297,16 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			continue
 		}
 		rec := it.rec
-		args, ok := b.bind(env, rec, nil)
+		if last != rec.shape {
+			last, prog = rec.shape, b.program(rec.shape)
+		}
+		args, ok := b.bind(env, rec, prog, nil)
 		if !ok {
 			continue
 		}
 		emitR, emitW := newStream(env)
 		s := &boxSlot{emit: emitR, args: args,
-			em: Emitter{env: env, out: emitW, box: b, src: rec}}
+			em: Emitter{env: env, out: emitW, box: b, src: rec, prog: prog}}
 		if !enqueue(s) || !dispatch(s) {
 			// Cancelled before a worker took the call.  If the slot was
 			// queued the releaser's recv is cancellation-aware, so the

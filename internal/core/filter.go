@@ -6,18 +6,14 @@ import "fmt"
 type filterNode struct {
 	label string
 	spec  *FilterSpec
-	// memo caches the pattern's variant check per record shape — the
-	// filter's slice of the compile-then-run match tables.  A pure function
-	// of the spec, shared by every run.
-	memo *matchMemo
 	// progs caches the spec compiled to a slot program per input shape
-	// (filterspec.go); like the match memo it is a pure function of the
-	// spec, shared by every run.
+	// (filterspec.go) — nil for a shape the pattern's variant does not admit.
+	// A pure function of the spec, shared by every run.
 	progs shapeMemo[*filterProg]
 	// Stat keys, concatenated once so per-record accounting never builds a
 	// string.
-	kNomatch, kApplied string
-	lone               // run: the filter on its own is a segment of one (fuse.go)
+	kNomatch, kApplied, kErrors string
+	lone                        // run: the filter on its own is a segment of one (fuse.go)
 }
 
 // NewFilter wraps a filter specification as a node.  Records matching the
@@ -31,9 +27,9 @@ func NewFilter(spec *FilterSpec) Node {
 	}
 	label := autoName("filter")
 	f := &filterNode{label: label, spec: spec,
-		memo:     newMatchMemo(spec.Pattern.Variant),
 		kNomatch: "filter." + label + ".nomatch",
-		kApplied: "filter." + label + ".applied"}
+		kApplied: "filter." + label + ".applied",
+		kErrors:  "filter." + label + ".errors"}
 	f.alone(f)
 	return f
 }
@@ -63,14 +59,8 @@ func (f *filterNode) sig(*checker) (RecType, RecType) {
 	return RecType{f.spec.Pattern.Variant}, f.spec.OutType()
 }
 
-// matches is the filter's pattern test with the variant half memoized by
-// record shape.
-func (f *filterNode) matches(rec *Record) bool {
-	return f.memo.matches(f.spec.Pattern, rec)
-}
-
 // program returns the spec's slot program for the given input shape,
-// compiling and memoizing it on first sight.
+// compiling and memoizing it on first sight; nil if the shape cannot match.
 func (f *filterNode) program(sh *shape) *filterProg {
 	if p, ok := f.progs.load(sh); ok {
 		return p
@@ -83,17 +73,19 @@ func (f *filterNode) program(sh *shape) *filterProg {
 // rewritten or inherited into fresh outputs, never aliased — and returns to
 // the arena before its outputs move on.
 func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
-	env := x.env
+	env, st := x.env, &x.state[i]
 	env.trace(f.label, "in", rec)
-	if !f.matches(rec) {
+	if st.shape != rec.shape {
+		st.shape, st.filter = rec.shape, f.program(rec.shape)
+	}
+	if st.filter == nil || !f.spec.Pattern.guardOK(rec) {
 		env.stats.Add(f.kNomatch, 1)
 		return rec, true
 	}
-	st := &x.state[i]
-	outs, err := f.program(rec.shape).apply(rec, st.outs)
+	outs, err := st.filter.apply(rec, st.outs)
 	if err != nil {
 		env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
-		env.stats.Add("filter."+f.label+".errors", 1)
+		env.stats.Add(f.kErrors, 1)
 		releaseRecord(rec) // dropped, not forwarded
 		return nil, true
 	}

@@ -60,26 +60,29 @@ func (f *FilterSpec) String() string {
 	return "[" + f.Pattern.String() + " -> " + strings.Join(outs, "; ") + "]"
 }
 
-// OutType approximates the filter's output type from the specifiers.
-func (f *FilterSpec) OutType() RecType {
-	out := make(RecType, len(f.Outputs))
-	for i, items := range f.Outputs {
-		v := Variant{}
-		for _, it := range items {
-			v[Label{Name: it.Name, IsTag: it.IsTag}] = struct{}{}
-		}
-		out[i] = v
+// itemLabels lists the labels one output specifier produces, in item order.
+func itemLabels(items []FilterItem) []Label {
+	out := make([]Label, len(items))
+	for i, it := range items {
+		out[i] = Label{Name: it.Name, IsTag: it.IsTag}
 	}
 	return out
 }
 
-// filterProg is a FilterSpec compiled against one input shape: a flat fill
-// program bound to slot indices on both sides.  Every label is resolved once
-// (shape transitions, slot lookups, the inheritance scan) — per output record
-// the program acquires an arena record, stamps the precomputed output shape,
-// and runs a list of slot-to-slot moves.  Every slot of the output shape is
-// written by exactly one fill, so records come out fully initialized with no
-// clearing pass.
+// OutType approximates the filter's output type from the specifiers.
+func (f *FilterSpec) OutType() RecType {
+	out := make(RecType, len(f.Outputs))
+	for i, items := range f.Outputs {
+		out[i] = NewVariant(itemLabels(items)...)
+	}
+	return out
+}
+
+// filterProg is a FilterSpec compiled against one input shape (prog.go): per
+// output specifier the interned output shape, the moves from the input — items
+// that copy a pattern label and flow inheritance alike — and the tags the
+// filter computes.  A shape the pattern's variant does not admit has no
+// program (nil): the filter's static match verdict rides in its memo entry.
 //
 // The program is total: an item name given twice in one output resolves to
 // the later item at compile time, and a source field the input shape lacks
@@ -87,98 +90,62 @@ func (f *FilterSpec) OutType() RecType {
 // compiles to a program whose apply is that error.
 type filterProg struct {
 	spec *FilterSpec
-	outs []outProg
+	outs []filterOut
 	// missing names the first source field absent from the input shape; no
 	// record of this shape can be rewritten, so apply reports it and builds
 	// nothing.
 	missing string
 }
 
-// outProg builds one output record: the interned shape plus the fills.
-type outProg struct {
-	shape  *shape
-	fields []fieldFill
-	tags   []tagFill
+// filterOut builds one output record: outProg's moves, then the computed tags.
+type filterOut struct {
+	outProg
+	set []tagSet
 }
 
-// fieldFill copies input field slot src to output field slot dst.
-type fieldFill struct{ dst, src int }
-
-// tagFill writes output tag slot dst: from expr when non-nil, else copied
-// from input tag slot src, else (src < 0) initialized to zero.
-type tagFill struct {
-	dst, src int
-	expr     TagExpr
+// tagSet writes output tag slot dst: the value of expr over the input
+// record's tags, or zero for a nil expr (a tag the pattern does not bind).
+type tagSet struct {
+	dst  int
+	expr TagExpr
 }
 
-// compileFilterProg binds spec to one input shape.
+// compileFilterProg binds spec to one input shape; nil if records of that
+// shape do not match the pattern's variant.
 func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
-	p := &filterProg{spec: spec}
-	for _, items := range spec.Outputs {
-		fieldSrc := map[string]int{}
-		type tagDef struct {
-			src  int
-			expr TagExpr
-		}
-		tagSrc := map[string]tagDef{}
-		for _, it := range items {
-			if it.IsTag {
-				if it.Expr != nil {
-					tagSrc[it.Name] = tagDef{src: -1, expr: it.Expr}
-					continue
+	pat := spec.Pattern.Variant
+	if !pat.SubsetOf(src.variant) {
+		return nil
+	}
+	p := &filterProg{spec: spec, outs: make([]filterOut, len(spec.Outputs))}
+	for oi, items := range spec.Outputs {
+		out := &p.outs[oi]
+		var dst []int
+		out.outProg, dst = layOut(src, pat, itemLabels(items))
+		for i, it := range items {
+			if !it.IsTag {
+				from, ok := src.fieldSlot(it.Src)
+				if !ok {
+					return &filterProg{spec: spec, missing: it.Src}
 				}
-				slot := -1
-				if i, ok := src.tagSlot(it.Name); ok && spec.Pattern.Variant.Has(Tag(it.Name)) {
-					slot = i
+				if dst[i] >= 0 {
+					out.fields = append(out.fields, slotCopy{dst: dst[i], src: from})
 				}
-				tagSrc[it.Name] = tagDef{src: slot}
 				continue
 			}
-			i, ok := src.fieldSlot(it.Src)
-			if !ok {
-				return &filterProg{spec: spec, missing: it.Src}
+			if dst[i] < 0 {
+				continue // a later item of the same name wins
 			}
-			fieldSrc[it.Name] = i
-		}
-		// Flow inheritance, resolved statically: every label of the input
-		// shape that is neither consumed by the pattern nor explicitly
-		// produced is a plain copy (mirrors inheritInto over this shape).
-		for i, name := range src.fieldNames {
-			if spec.Pattern.Variant.Has(Field(name)) {
-				continue
-			}
-			if _, explicit := fieldSrc[name]; !explicit {
-				fieldSrc[name] = i
+			from, bound := src.tagSlot(it.Name)
+			switch {
+			case it.Expr != nil:
+				out.set = append(out.set, tagSet{dst: dst[i], expr: it.Expr})
+			case bound && pat.Has(Tag(it.Name)):
+				out.tags = append(out.tags, slotCopy{dst: dst[i], src: from})
+			default:
+				out.set = append(out.set, tagSet{dst: dst[i]})
 			}
 		}
-		for i, name := range src.tagNames {
-			if spec.Pattern.Variant.Has(Tag(name)) {
-				continue
-			}
-			if _, explicit := tagSrc[name]; !explicit {
-				tagSrc[name] = tagDef{src: i}
-			}
-		}
-		v := make(Variant, len(fieldSrc)+len(tagSrc))
-		for name := range fieldSrc {
-			v[Field(name)] = struct{}{}
-		}
-		for name := range tagSrc {
-			v[Tag(name)] = struct{}{}
-		}
-		osh := shapeForVariant(v)
-		op := outProg{shape: osh,
-			fields: make([]fieldFill, 0, len(fieldSrc)),
-			tags:   make([]tagFill, 0, len(tagSrc))}
-		for name, s := range fieldSrc {
-			d, _ := osh.fieldSlot(name)
-			op.fields = append(op.fields, fieldFill{dst: d, src: s})
-		}
-		for name, td := range tagSrc {
-			d, _ := osh.tagSlot(name)
-			op.tags = append(op.tags, tagFill{dst: d, src: td.src, expr: td.expr})
-		}
-		p.outs = append(p.outs, op)
 	}
 	return p
 }
@@ -195,66 +162,24 @@ func (p *filterProg) apply(rec *Record, dst []*Record) ([]*Record, error) {
 	outs := dst[:0]
 	for oi := range p.outs {
 		op := &p.outs[oi]
-		o := acquireRecord()
-		o.shape = op.shape
-		// Arena records keep their slot capacity across recycling, so after
-		// warmup these resizes are free; every slot is then written by
-		// exactly one fill below.
-		if nf := len(op.shape.fieldNames); cap(o.fvals) >= nf {
-			o.fvals = o.fvals[:nf]
-		} else {
-			o.fvals = make([]any, nf)
-		}
-		if nt := len(op.shape.tagNames); cap(o.tvals) >= nt {
-			o.tvals = o.tvals[:nt]
-		} else {
-			o.tvals = make([]int, nt)
-		}
+		o := acquireShaped(op.shape)
 		outs = append(outs, o)
-		for _, f := range op.fields {
-			o.fvals[f.dst] = rec.fvals[f.src]
-		}
-		for _, t := range op.tags {
-			switch {
-			case t.expr != nil:
-				v, err := evalTagRec(t.expr, rec)
-				if err != nil {
+		op.run(o, rec)
+		for _, t := range op.set {
+			v := 0
+			if t.expr != nil {
+				var err error
+				if v, err = evalTagRec(t.expr, rec); err != nil {
 					for _, b := range outs {
 						releaseRecord(b)
 					}
 					return nil, fmt.Errorf("filter %s: %w", p.spec, err)
 				}
-				o.tvals[t.dst] = v
-			case t.src >= 0:
-				o.tvals[t.dst] = rec.tvals[t.src]
-			default:
-				o.tvals[t.dst] = 0
 			}
+			o.tvals[t.dst] = v
 		}
 	}
 	return outs, nil
-}
-
-// inheritInto implements flow inheritance: every label of src that is not
-// consumed (not in the consumed variant) is copied to dst unless dst already
-// carries the label.
-func inheritInto(dst, src *Record, consumed Variant) {
-	for i, name := range src.shape.fieldNames {
-		if consumed.Has(Field(name)) {
-			continue
-		}
-		if _, ok := dst.shape.fieldSlot(name); !ok {
-			dst.SetField(name, src.fvals[i])
-		}
-	}
-	for i, name := range src.shape.tagNames {
-		if consumed.Has(Tag(name)) {
-			continue
-		}
-		if _, ok := dst.shape.tagSlot(name); !ok {
-			dst.SetTag(name, src.tvals[i])
-		}
-	}
 }
 
 // ParseFilter parses the paper's filter notation, with or without the

@@ -140,14 +140,7 @@ func (c *compiler) flowNode(n Node, in []Variant, path string, exact bool) ([]Va
 	case *hideNode:
 		out := newVarSet()
 		for _, v := range in {
-			w := make(Variant, len(v))
-			for l := range v {
-				w[l] = struct{}{}
-			}
-			for _, tag := range n.tags {
-				delete(w, Tag(tag))
-			}
-			out.add(w)
+			out.add(flowInherit(v, n.hidden))
 		}
 		return out.list, exact
 	case *syncNode:
@@ -201,13 +194,7 @@ func (c *compiler) flowBox(n *boxNode, in []Variant, path string, exact bool) []
 			continue
 		}
 		for _, tuple := range n.boxSig.Out {
-			o := NewVariant(tuple...)
-			for l := range v {
-				if !consumed.Has(l) {
-					o[l] = struct{}{} // flow inheritance
-				}
-			}
-			out.add(o)
+			out.add(flowInherit(v, consumed, tuple...))
 		}
 	}
 	return out.list
@@ -228,16 +215,7 @@ func (c *compiler) flowFilter(n *filterNode, in []Variant) []Variant {
 			out.add(v) // the guard may fail at runtime
 		}
 		for _, items := range n.spec.Outputs {
-			o := Variant{}
-			for _, it := range items {
-				o[Label{Name: it.Name, IsTag: it.IsTag}] = struct{}{}
-			}
-			for l := range v {
-				if !pat.Variant.Has(l) && !o.Has(l) {
-					o[l] = struct{}{} // flow inheritance
-				}
-			}
-			out.add(o)
+			out.add(flowInherit(v, pat.Variant, itemLabels(items)...))
 		}
 	}
 	return out.list

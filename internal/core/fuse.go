@@ -310,6 +310,13 @@ type segmentRun struct {
 // emissions is still reading its arguments while a box further down binds its
 // own.
 type stageState struct {
+	// shape is the layout of the stage's latest record and box, filter or hide
+	// its node's program for it: the one-entry front of the node's shape memo,
+	// so a stream of one shape finds its program by a pointer compare.
+	shape   *shape
+	box     *boxProg
+	filter  *filterProg
+	hide    *outProg
 	em      Emitter   // box: the emitter every invocation is handed
 	args    []any     // box: the argument buffer
 	cells   boxCells  // box: "calls", "emitted"

@@ -721,9 +721,10 @@ func TestFilterProgramEquivalence(t *testing.T) {
 		parsed("{x} -> ", func() *Record {
 			return NewRecord().SetField("x", 0).SetTag("keep", 4)
 		}),
-		{"missing source field", MustParseFilter("{a} -> {z=a}"), func() *Record {
-			return NewRecord().SetTag("t", 1) // no field a
-		}},
+		{"missing source field", &FilterSpec{ // a source outside the pattern: only a built spec can name one
+			Pattern: Pattern{Variant: NewVariant(Tag("t"))},
+			Outputs: [][]FilterItem{{{Name: "z", Src: "a"}}},
+		}, func() *Record { return NewRecord().SetTag("t", 1) }},
 		{"duplicate tag item", &FilterSpec{
 			Pattern: Pattern{Variant: NewVariant(Tag("n"))},
 			Outputs: [][]FilterItem{{

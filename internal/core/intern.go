@@ -28,11 +28,9 @@ import (
 // not the symbol table.
 type labelID int32
 
-// internState is one immutable snapshot of the symbol table.
-type internState struct {
-	byName map[string]labelID
-	names  []string
-}
+// internState is one immutable snapshot of the symbol table; a label's id is
+// the table's size when it entered.
+type internState struct{ byName map[string]labelID }
 
 var (
 	internMu   sync.Mutex
@@ -41,12 +39,6 @@ var (
 
 func init() {
 	internSnap.Store(&internState{byName: map[string]labelID{}})
-}
-
-// lookupLabel returns the id of an already-interned name.
-func lookupLabel(name string) (labelID, bool) {
-	id, ok := internSnap.Load().byName[name]
-	return id, ok
 }
 
 // internLabel returns the id for a name, interning it if new.
@@ -60,30 +52,14 @@ func internLabel(name string) labelID {
 	if id, ok := s.byName[name]; ok {
 		return id
 	}
-	next := &internState{
-		byName: make(map[string]labelID, len(s.byName)+1),
-		names:  make([]string, len(s.names), len(s.names)+1),
-	}
+	next := &internState{byName: make(map[string]labelID, len(s.byName)+1)}
 	for k, v := range s.byName {
 		next.byName[k] = v
 	}
-	copy(next.names, s.names)
-	id := labelID(len(next.names))
+	id := labelID(len(s.byName))
 	next.byName[name] = id
-	next.names = append(next.names, name)
 	internSnap.Store(next)
 	return id
-}
-
-// labelName returns the name behind an id.
-func labelName(id labelID) string {
-	return internSnap.Load().names[id]
-}
-
-// InternedLabels reports how many distinct label names the process has
-// interned — the size of the global symbol table (diagnostics and tests).
-func InternedLabels() int {
-	return len(internSnap.Load().names)
 }
 
 // internVariant pre-interns every label of a variant; Compile calls it for

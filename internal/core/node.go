@@ -76,8 +76,13 @@ func (n *identityNode) sig(*checker) (RecType, RecType) {
 // the tag-hiding component used to keep routing/multiplexing tags (session
 // ids above all) out of sub-networks or egress streams.
 type hideNode struct {
-	label string
-	tags  []string
+	label  string
+	tags   []string
+	hidden Variant // tags, as the labels flow inheritance does not carry on
+	// progs caches, per input shape, the record without the hidden tags: the
+	// rest of it handed on as by flow inheritance; nil for a shape that
+	// carries none of them.
+	progs shapeMemo[*outProg]
 	lone  // run: the node on its own is a segment of one (fuse.go)
 }
 
@@ -86,7 +91,10 @@ type hideNode struct {
 // after a session-multiplexing split, so downstream consumers never see the
 // reserved session tag.  Absent tags are ignored; markers pass through.
 func HideTags(tags ...string) Node {
-	n := &hideNode{label: autoName("hide"), tags: tags}
+	n := &hideNode{label: autoName("hide"), tags: tags, hidden: Variant{}}
+	for _, tag := range tags {
+		n.hidden[Tag(tag)] = struct{}{}
+	}
 	n.alone(n)
 	return n
 }
@@ -94,9 +102,27 @@ func HideTags(tags ...string) Node {
 func (n *hideNode) name() string   { return n.label }
 func (n *hideNode) String() string { return "hide(" + n.label + ")" }
 
-func (n *hideNode) step(x *segmentRun, _ int, rec *Record) (*Record, bool) {
-	for _, tag := range n.tags {
-		rec.DeleteTag(tag)
+func (n *hideNode) program(sh *shape) *outProg {
+	p, ok := n.progs.load(sh)
+	if !ok {
+		if op, _ := layOut(sh, n.hidden, nil); op.shape != sh {
+			p = &op
+		}
+		p = n.progs.store(sh, p)
+	}
+	return p
+}
+
+func (n *hideNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	st := &x.state[i]
+	if st.shape != rec.shape {
+		st.shape, st.hide = rec.shape, n.program(rec.shape)
+	}
+	if p := st.hide; p != nil {
+		o := acquireShaped(p.shape)
+		p.run(o, rec)
+		releaseRecord(rec)
+		rec = o
 	}
 	x.applied++
 	return rec, true

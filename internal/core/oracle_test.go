@@ -38,7 +38,7 @@ func (f *FilterSpec) Apply(rec *Record) ([]*Record, error) {
 			}
 			o.SetField(it.Name, v)
 		}
-		inheritInto(o, rec, f.Pattern.Variant)
+		inheritByName(o, rec, f.Pattern.Variant)
 	}
 	return outs, nil
 }
@@ -46,7 +46,7 @@ func (f *FilterSpec) Apply(rec *Record) ([]*Record, error) {
 // score is a filter branch's routing score under the scoring dispatcher: a
 // guarded filter only attracts records its guard admits.
 func (f *filterNode) score(rec *Record) int {
-	if !f.matches(rec) {
+	if !f.spec.Pattern.Matches(rec) {
 		return -1
 	}
 	return len(f.spec.Pattern.Variant)

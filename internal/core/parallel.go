@@ -83,11 +83,9 @@ func (n *parallelNode) sig(c *checker) (RecType, RecType) {
 func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	f := newFanout(env, n.det, in)
 	ports := make([]*branchPort, len(n.branches)) // a branch exists from the first record routed to it
-	// Per-run rotation counter for nondeterministic tie-breaking: "one is
-	// selected non-deterministically" among equally-scored branches.
-	rr := 0
+	var state routing                             // this instance's: the tie rotation and the latest shape's entry (route.go)
 	f.serve(out, func(rec *Record) bool {
-		chosen := n.table.dispatch(rec, &rr)
+		chosen := n.table.dispatch(rec, &state)
 		if chosen < 0 {
 			env.error(&NoRouteError{
 				Net:      n.label,

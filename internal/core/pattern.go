@@ -13,7 +13,7 @@ type Pattern struct {
 // evaluate to nonzero over the record's tags.  A guard that fails to
 // evaluate (e.g. references an absent tag) does not match.
 func (p Pattern) Matches(r *Record) bool {
-	return recordSatisfies(r, p.Variant) && p.guardOK(r)
+	return p.Variant.SubsetOf(r.shape.variant) && p.guardOK(r)
 }
 
 // guardOK evaluates the optional tag guard over the record's tags; a guard

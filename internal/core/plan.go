@@ -345,8 +345,6 @@ func internNode(n Node) {
 		}
 	case *starNode:
 		internShape(n.exit.Variant)
-	case *splitNode:
-		internLabel(n.tag)
 	case *syncNode:
 		for _, p := range n.patterns {
 			internShape(p.Variant)

@@ -11,9 +11,13 @@
 // deterministic single-symbol variants (|, *, !), housekeeping filters, and
 // (as an S-Net language extension beyond the paper) synchrocells.
 //
-// Streams are Go channels; every box, filter, splitter and merger is a
-// goroutine.  Nondeterministic merging is channel multiplexing;
-// deterministic variants implement a sort-record protocol (see merge.go).
+// Streams are bounded channels of frames (stream.go).  A run of sequential
+// stages — filters, taps, synchrocells, boxes invoked one call at a time — is
+// one goroutine's loop (fuse.go), and so is a combinator's dispatcher, which
+// also steps the branches that are such runs; a merger and a box found worth
+// invoking concurrently have goroutines of their own (merge.go, boxengine.go).
+// Records are addressed by slot: what a node builds is compiled per input
+// shape (prog.go), and the by-name methods below are the API of user code.
 package core
 
 import (
@@ -28,9 +32,9 @@ import (
 //
 // Internally a record is a pointer to an interned shape (the label set with
 // a canonical slot layout, see shape.go) plus two flat value arrays aligned
-// with the shape's slots.  Label lookups resolve to slot indices — no string
-// hashing, no per-record maps — and records of the same type share one
-// layout, which is what the routing tables key their memos on.
+// with the shape's slots.  Records of the same type share one layout, which
+// is what the routing tables and slot programs key their memos on; the
+// methods here find a slot by searching the layout's sorted names.
 type Record struct {
 	shape *shape
 	fvals []any // field values, aligned with shape.fields
@@ -134,11 +138,7 @@ func (r *Record) DeleteTag(name string) {
 
 // HasLabel reports whether the record carries the given label.
 func (r *Record) HasLabel(l Label) bool {
-	if l.IsTag {
-		_, ok := r.shape.tagSlot(l.Name)
-		return ok
-	}
-	_, ok := r.shape.fieldSlot(l.Name)
+	_, ok := r.shape.slot(l)
 	return ok
 }
 
@@ -176,16 +176,6 @@ func (r *Record) Copy() *Record {
 	}
 }
 
-// copyInto re-shapes dst — which must be empty (freshly acquired) — into a
-// copy of r, reusing dst's slot-array capacity.  It is the pool-aware spine
-// of Copy used by runtime-internal copies.
-func (r *Record) copyInto(dst *Record) *Record {
-	dst.shape = r.shape
-	dst.fvals = append(dst.fvals[:0], r.fvals...)
-	dst.tvals = append(dst.tvals[:0], r.tvals...)
-	return dst
-}
-
 // ShapeKey returns the canonical rendering of the record's label set —
 // sorted field names, '|', sorted tag names.  Two records have the same
 // ShapeKey iff they have the same type (Labels).  With interned shapes the
@@ -194,7 +184,7 @@ func (r *Record) copyInto(dst *Record) *Record {
 func (r *Record) ShapeKey() string { return r.shape.key }
 
 // shapeRef exposes the interned layout — the identity the per-shape memos
-// (routing, matching, filter programs) key on.
+// (routing, slot programs) key on.
 func (r *Record) shapeRef() *shape { return r.shape }
 
 // String renders the record as {field=value, ..., <tag>=n, ...} with sorted

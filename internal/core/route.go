@@ -19,12 +19,12 @@ import (
 //
 // routeTable is that artifact for one parallel combinator: per-branch
 // accepted types split into a statically scorable part and guard-bearing
-// filter branches, plus a shape-keyed memo of dispatch decisions.
-// matchMemo is the single-pattern analogue used by serial replication exits
-// and filters.  Both are pure functions of the node (never of a run), so
-// they live on the node itself and are built once, with the node (filter
-// slot programs, which bind to input shapes, compile on first sight of each
-// shape).
+// filter branches, plus a shape-keyed memo of dispatch decisions.  A star's
+// exit verdicts and the slot programs of boxes, filters and synchrocells
+// (prog.go) are memoized the same way.  All are pure functions of the node
+// (never of a run), so they live on the node itself, entries compiled on first
+// sight of each shape, and every dispatcher and stage fronts its memo with the
+// entry of the latest shape it saw.
 
 // maxMemoEntries caps every shape memo: networks see a handful of record
 // shapes in practice, but a pathological workload could synthesize fresh
@@ -85,30 +85,6 @@ func (e *NoRouteError) Error() string {
 
 func (e *NoRouteError) Unwrap() error { return ErrNoRoute }
 
-// matchMemo caches, per record shape, whether records of that shape carry
-// every label of one variant — the static half of Pattern matching.  Safe
-// for concurrent use; shared across runs.
-type matchMemo struct {
-	variant Variant
-	shapeMemo[bool]
-}
-
-func newMatchMemo(v Variant) *matchMemo { return &matchMemo{variant: v} }
-
-// satisfies reports whether rec carries every label of the memo's variant.
-func (m *matchMemo) satisfies(rec *Record) bool {
-	if ok, known := m.load(rec.shape); known {
-		return ok
-	}
-	return m.store(rec.shape, recordSatisfies(rec, m.variant))
-}
-
-// matches is p.Matches(rec) with the variant check memoized; p must be the
-// pattern the memo was built from.
-func (m *matchMemo) matches(p Pattern, rec *Record) bool {
-	return m.satisfies(rec) && p.guardOK(rec)
-}
-
 // guardedBranch is a parallel branch whose routing score depends on tag
 // values, not only on the record's shape: a filter with a tag guard.
 type guardedBranch struct {
@@ -164,13 +140,23 @@ func buildRouteTable(det bool, branches []Node) *routeTable {
 	return t
 }
 
-// entry returns (building and memoizing on demand) the dispatch entry for
-// the record's shape.
-func (t *routeTable) entry(rec *Record) *dispatchEntry {
-	if e, ok := t.load(rec.shape); ok {
+// entry returns (building and memoizing on demand) the dispatch entry for a
+// record shape.
+func (t *routeTable) entry(sh *shape) *dispatchEntry {
+	if e, ok := t.load(sh); ok {
 		return e
 	}
-	return t.store(rec.shape, t.buildEntry(rec.Labels()))
+	return t.store(sh, t.buildEntry(sh.variant))
+}
+
+// routing is one dispatcher's state of its table: the rotation counter of
+// nondeterministic ties — "one is selected non-deterministically" among
+// equally-scored branches — and the entry of the latest record's shape, so a
+// stream of one shape finds it by a pointer compare.
+type routing struct {
+	rr   int
+	last *shape
+	e    *dispatchEntry
 }
 
 // buildEntry scores one shape against every branch's static type.
@@ -207,10 +193,12 @@ func (t *routeTable) buildEntry(shape Variant) *dispatchEntry {
 
 // dispatch picks the branch for one record: the memoized static decision,
 // refined by evaluating the guards of shape-compatible guarded branches.
-// rr is the caller's per-run rotation counter for nondeterministic ties;
-// -1 means no branch accepts the record.
-func (t *routeTable) dispatch(rec *Record, rr *int) int {
-	e := t.entry(rec)
+// r is the calling dispatcher's state; -1 means no branch accepts the record.
+func (t *routeTable) dispatch(rec *Record, r *routing) int {
+	if r.last != rec.shape {
+		r.last, r.e = rec.shape, t.entry(rec.shape)
+	}
+	e := r.e
 	best, ties := e.best, e.ties
 	if len(e.cands) > 0 {
 		var extra []int
@@ -237,8 +225,8 @@ func (t *routeTable) dispatch(rec *Record, rr *int) int {
 		// Deterministic ties resolve to the leftmost branch.
 		return ties[0]
 	}
-	pick := ties[*rr%len(ties)]
-	*rr++
+	pick := ties[r.rr%len(ties)]
+	r.rr++
 	return pick
 }
 

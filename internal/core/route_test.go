@@ -40,9 +40,9 @@ func TestShapeKeyCaching(t *testing.T) {
 	// Flow inheritance mutates label maps directly; it must invalidate too.
 	dst := NewRecord().SetField("x", 1)
 	_ = dst.ShapeKey()
-	inheritInto(dst, r, nil)
+	inheritByName(dst, r, nil)
 	if got, want := dst.ShapeKey(), "b,x|t,u"; got != want {
-		t.Fatalf("ShapeKey after inheritInto = %q, want %q", got, want)
+		t.Fatalf("ShapeKey after inheritByName = %q, want %q", got, want)
 	}
 	if got, want := NewRecord().ShapeKey(), "|"; got != want {
 		t.Fatalf("empty ShapeKey = %q, want %q", got, want)
@@ -82,7 +82,8 @@ func TestDispatchMatchesLegacy(t *testing.T) {
 		}
 		table := buildRouteTable(det, branches)
 		scorers := legacyScorers(branches)
-		rrT, rrL := 0, 0
+		var rrT routing
+		rrL := 0
 		for rec := 0; rec < 50; rec++ {
 			r := NewRecord()
 			for _, l := range labels {
@@ -99,8 +100,8 @@ func TestDispatchMatchesLegacy(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d det=%v rec %s: table=%d legacy=%d", trial, det, r, got, want)
 			}
-			if rrT != rrL {
-				t.Fatalf("trial %d: rotation diverged: table=%d legacy=%d", trial, rrT, rrL)
+			if rrT.rr != rrL {
+				t.Fatalf("trial %d: rotation diverged: table=%d legacy=%d", trial, rrT.rr, rrL)
 			}
 		}
 	}
@@ -112,7 +113,7 @@ func TestDispatchMemoizesPerShape(t *testing.T) {
 		routeBox("ac", Field("a"), Field("c")),
 	}
 	table := buildRouteTable(false, branches)
-	rr := 0
+	var rr routing
 	for i := 0; i < 100; i++ {
 		r := NewRecord().SetField("a", i).SetField("b", i)
 		if got := table.dispatch(r, &rr); got != 0 {
@@ -222,7 +223,7 @@ func BenchmarkRouting(b *testing.B) {
 		table := pn.table
 		scorers := legacyScorers(pn.branches)
 		b.Run(fmt.Sprintf("dispatch/table-%d", width), func(b *testing.B) {
-			rr := 0
+			var rr routing
 			for i := 0; i < b.N; i++ {
 				if table.dispatch(recs[i%len(recs)], &rr) < 0 {
 					b.Fatal("no route")

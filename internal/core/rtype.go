@@ -153,22 +153,9 @@ func (x RecType) String() string {
 func MatchScore(rec *Record, t RecType) int {
 	best := -1
 	for _, v := range t {
-		if !recordSatisfies(rec, v) {
-			continue
-		}
-		if len(v) > best {
+		if len(v) > best && v.SubsetOf(rec.shape.variant) {
 			best = len(v)
 		}
 	}
 	return best
-}
-
-// recordSatisfies reports whether the record carries every label of v.
-func recordSatisfies(rec *Record, v Variant) bool {
-	for l := range v {
-		if !rec.HasLabel(l) {
-			return false
-		}
-	}
-	return true
 }

@@ -15,15 +15,14 @@ import (
 // ordered by field name, tag slots ordered by tag name.  Every record points
 // at exactly one shape; records with equal label sets share the same shape
 // object (shapes are interned in a global registry keyed by the canonical
-// ShapeKey), so the routing tables and pattern memos key their per-shape
-// decisions by shape *pointer* — one map probe, no string hashing, no
+// ShapeKey), so the routing tables and slot programs (prog.go) key their
+// per-shape decisions by shape *pointer* — no string hashing, no
 // canonicalization per record.
 //
-// Mutating a record's label set walks a shape *transition*: shape + label →
-// shape.  Transitions are memoized per shape in a copy-on-write map, so
-// steady-state record construction (a box emitting the same output variant,
-// a filter rewriting the same input shape) never rebuilds layouts — it
-// follows pointers.
+// Mutating a record's label set by name — user code building its inputs —
+// walks a shape *transition*: shape + label → shape and slot.  Transitions
+// are memoized per shape in a copy-on-write map, so building records of the
+// same type over and over never rebuilds layouts — it follows pointers.
 //
 // Shapes never carry values: they are layouts.  The registry is bounded
 // (maxShapes); beyond the cap — only reachable by workloads synthesizing
@@ -42,7 +41,7 @@ type shape struct {
 	reserved   bool      // carries a reserved "__snet_" label
 	registered bool      // lives in the global registry
 
-	trans atomic.Pointer[map[shapeTrans]*shape]
+	trans atomic.Pointer[map[shapeTrans]shapeStep]
 	mu    sync.Mutex // serializes transition/registry publication
 }
 
@@ -58,6 +57,13 @@ const (
 	transDelField
 	transDelTag
 )
+
+// shapeStep is a memoized transition: the target layout and the slot the
+// label occupies in it (additions) or vacated in the source (removals).
+type shapeStep struct {
+	to  *shape
+	pos int
+}
 
 // maxShapes bounds the global shape registry; maxShapeTrans bounds each
 // shape's memoized transition map.  Real networks see a handful of shapes;
@@ -160,10 +166,6 @@ func canonicalShape(fields []labelID, fieldNames []string, tags []labelID, tagNa
 	return s
 }
 
-// NumShapes reports the size of the global shape registry (tests,
-// diagnostics).
-func NumShapes() int { return int(shapeCount.Load()) }
-
 // fieldSlot returns the slot index of a field by name.
 func (s *shape) fieldSlot(name string) (int, bool) {
 	i := sort.SearchStrings(s.fieldNames, name)
@@ -182,18 +184,17 @@ func (s *shape) tagSlot(name string) (int, bool) {
 	return -1, false
 }
 
-// fieldSlotID / tagSlotID resolve a slot by interned id — the form the
-// compiled programs use (ids resolve once at compile, slots scan a handful
-// of ints per record).
-func (s *shape) fieldSlotID(id labelID) (int, bool) {
-	for i, f := range s.fields {
-		if f == id {
-			return i, true
-		}
+// slot returns the slot index of a label: a tag slot or a field slot.
+func (s *shape) slot(l Label) (int, bool) {
+	if l.IsTag {
+		return s.tagSlot(l.Name)
 	}
-	return -1, false
+	return s.fieldSlot(l.Name)
 }
 
+// tagSlotID resolves a tag's slot by interned id — the form tag expressions
+// and the split dispatcher use: the id resolves once, where the name is
+// parsed, and the slot is an integer scan of a handful of ids per record.
 func (s *shape) tagSlotID(id labelID) (int, bool) {
 	for i, t := range s.tags {
 		if t == id {
@@ -203,18 +204,17 @@ func (s *shape) tagSlotID(id labelID) (int, bool) {
 	return -1, false
 }
 
-// transition returns the layout after one add/remove, memoizing it on s.
-// For additions, pos is the slot the new label occupies in the target
-// layout; for removals, the slot it vacated in s.
+// transition returns the layout after one add/remove, memoizing it — and the
+// affected slot — on s.  For additions, pos is the slot the new label occupies
+// in the target layout; for removals, the slot it vacated in s.
 func (s *shape) transition(op uint8, name string) (next *shape, pos int) {
-	id := internLabel(name)
-	tk := shapeTrans{op: op, id: id}
+	tk := shapeTrans{op: op, id: internLabel(name)}
 	if m := s.trans.Load(); m != nil {
 		if t, ok := (*m)[tk]; ok {
-			return t, transPos(op, t, s, name)
+			return t.to, t.pos
 		}
 	}
-	next = s.buildTransition(op, id, name)
+	step := s.buildTransition(op, tk.id, name)
 	s.mu.Lock()
 	old := s.trans.Load()
 	var size int
@@ -222,55 +222,39 @@ func (s *shape) transition(op uint8, name string) (next *shape, pos int) {
 		size = len(*old)
 	}
 	if size < maxShapeTrans {
-		m := make(map[shapeTrans]*shape, size+1)
+		m := make(map[shapeTrans]shapeStep, size+1)
 		if old != nil {
 			for k, v := range *old {
 				m[k] = v
 			}
 		}
-		m[tk] = next
+		m[tk] = step
 		s.trans.Store(&m)
 	}
 	s.mu.Unlock()
-	return next, transPos(op, next, s, name)
+	return step.to, step.pos
 }
 
-// transPos recovers the affected slot index for a memoized transition.
-func transPos(op uint8, next, prev *shape, name string) int {
-	switch op {
-	case transAddField:
-		i, _ := next.fieldSlot(name)
-		return i
-	case transAddTag:
-		i, _ := next.tagSlot(name)
-		return i
-	case transDelField:
-		i, _ := prev.fieldSlot(name)
-		return i
-	default:
-		i, _ := prev.tagSlot(name)
-		return i
-	}
-}
-
-// buildTransition computes the target layout of one transition.
-func (s *shape) buildTransition(op uint8, id labelID, name string) *shape {
+// buildTransition computes the target layout of one transition and the slot
+// it affects.
+func (s *shape) buildTransition(op uint8, id labelID, name string) shapeStep {
 	clone := func(ids []labelID, names []string) ([]labelID, []string) {
 		return append([]labelID(nil), ids...), append([]string(nil), names...)
 	}
+	var pos int
 	insert := func(ids []labelID, names []string) ([]labelID, []string) {
-		i := sort.SearchStrings(names, name)
+		pos = sort.SearchStrings(names, name)
 		ids = append(ids, 0)
-		copy(ids[i+1:], ids[i:])
-		ids[i] = id
+		copy(ids[pos+1:], ids[pos:])
+		ids[pos] = id
 		names = append(names, "")
-		copy(names[i+1:], names[i:])
-		names[i] = name
+		copy(names[pos+1:], names[pos:])
+		names[pos] = name
 		return ids, names
 	}
-	remove := func(ids []labelID, names []string, i int) ([]labelID, []string) {
-		ids = append(ids[:i], ids[i+1:]...)
-		names = append(names[:i], names[i+1:]...)
+	remove := func(ids []labelID, names []string) ([]labelID, []string) {
+		ids = append(ids[:pos], ids[pos+1:]...)
+		names = append(names[:pos], names[pos+1:]...)
 		return ids, names
 	}
 	fields, fieldNames := clone(s.fields, s.fieldNames)
@@ -281,13 +265,13 @@ func (s *shape) buildTransition(op uint8, id labelID, name string) *shape {
 	case transAddTag:
 		tags, tagNames = insert(tags, tagNames)
 	case transDelField:
-		i, _ := s.fieldSlot(name)
-		fields, fieldNames = remove(fields, fieldNames, i)
+		pos, _ = s.fieldSlot(name)
+		fields, fieldNames = remove(fields, fieldNames)
 	case transDelTag:
-		i, _ := s.tagSlot(name)
-		tags, tagNames = remove(tags, tagNames, i)
+		pos, _ = s.tagSlot(name)
+		tags, tagNames = remove(tags, tagNames)
 	}
-	return canonicalShape(fields, fieldNames, tags, tagNames)
+	return shapeStep{to: canonicalShape(fields, fieldNames, tags, tagNames), pos: pos}
 }
 
 // shapeForVariant interns the layout carrying exactly the labels of v.
@@ -301,20 +285,4 @@ func shapeForVariant(v Variant) *shape {
 		}
 	}
 	return sh
-}
-
-// satisfiesIDs reports whether the shape carries every listed field and tag
-// id — the static half of pattern matching, resolved to ids at compile.
-func (s *shape) satisfiesIDs(fields, tags []labelID) bool {
-	for _, id := range fields {
-		if _, ok := s.fieldSlotID(id); !ok {
-			return false
-		}
-	}
-	for _, id := range tags {
-		if _, ok := s.tagSlotID(id); !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -15,6 +15,7 @@ type splitNode struct {
 	det     bool
 	operand Node
 	tag     string
+	tagID   labelID // tag, interned
 	// uncapped exempts this split from the run's WithMaxSplitWidth modulo
 	// folding — the session-multiplexing configuration, where distinct tag
 	// values must never share a replica (SessionSplit).
@@ -28,7 +29,7 @@ type splitNode struct {
 
 func newSplit(label string, det bool, operand Node, tag string, uncapped bool) *splitNode {
 	k := "split." + label
-	return &splitNode{label: label, det: det, operand: operand, tag: tag, uncapped: uncapped,
+	return &splitNode{label: label, det: det, operand: operand, tag: tag, tagID: internLabel(tag), uncapped: uncapped,
 		kReplicas: k + ".replicas", kWidth: k + ".width", kClosed: k + ".closed",
 		kUntagged: k + ".untagged"}
 }
@@ -116,9 +117,22 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	if !n.uncapped {
 		body = stepped(env, n.operand)
 	}
+	// What the latest record's shape says, resolved once per change of shape:
+	// the slot of the index tag (-1: none) and whether it is a close record's.
+	var last *shape
+	slot, closing := -1, false
 	f.serve(out, func(rec *Record) bool {
-		v, ok := rec.Tag(n.tag)
-		if IsReplicaClose(rec) {
+		if sh := rec.shape; sh != last {
+			// Only a shape with a reserved label can be a close record's: the
+			// name is searched for in those alone.
+			last, closing = sh, sh.reserved && IsReplicaClose(rec)
+			slot, _ = sh.tagSlotID(n.tagID)
+		}
+		v, ok := 0, slot >= 0
+		if ok {
+			v = rec.tvals[slot]
+		}
+		if closing {
 			// A close record lacking this split's index tag is addressed
 			// to some other split: forward it downstream (merge order, not
 			// FIFO with records still inside this split's replicas).

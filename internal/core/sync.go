@@ -17,7 +17,70 @@ type syncNode struct {
 	// Stat keys, concatenated once: a replicated join (one cell per replica)
 	// fires or starves once per replica and must not build strings.
 	kFired, kStarved string
-	lone             // run: the cell on its own is a segment of one (fuse.go)
+	// admits caches, per record shape, which patterns' variants the shape
+	// satisfies; merges finds the merge program of the shapes a firing has
+	// stored.  Both are pure functions of the patterns, shared by every run.
+	admits shapeMemo[[]bool]
+	merges mergeTrie
+	lone   // run: the cell on its own is a segment of one (fuse.go)
+}
+
+// mergeTrie maps the shapes of a firing's stored records, in pattern order, to
+// the merge program for them: one level per pattern, the program at the last.
+type mergeTrie struct {
+	next shapeMemo[*mergeTrie]
+	prog *mergeProg
+}
+
+// mergeProg builds the merger of stored records of known shapes (prog.go): the
+// union layout and, per stored record, the moves of the labels no earlier one
+// carries — earlier patterns take precedence on label clashes.
+type mergeProg struct {
+	shape *shape
+	from  []slotCopies
+}
+
+// admitted reports which patterns' variants records of shape sh satisfy.
+func (n *syncNode) admitted(sh *shape) []bool {
+	if a, ok := n.admits.load(sh); ok {
+		return a
+	}
+	a := make([]bool, len(n.patterns))
+	for k, p := range n.patterns {
+		a[k] = p.Variant.SubsetOf(sh.variant)
+	}
+	return n.admits.store(sh, a)
+}
+
+// program returns the merge program for the stored records' shapes, compiling
+// it and memoizing the path to it on first sight.
+func (n *syncNode) program(stored []*Record) *mergeProg {
+	t := &n.merges
+	for k, s := range stored {
+		next, ok := t.next.load(s.shape)
+		if !ok {
+			next = &mergeTrie{}
+			if k == len(stored)-1 {
+				next.prog = compileMerge(stored)
+			}
+			next = t.next.store(s.shape, next)
+		}
+		t = next
+	}
+	return t.prog
+}
+
+func compileMerge(stored []*Record) *mergeProg {
+	union, seen := Variant{}, Variant{}
+	for _, s := range stored {
+		union = union.Union(s.shape.variant)
+	}
+	p := &mergeProg{shape: shapeForVariant(union), from: make([]slotCopies, len(stored))}
+	for k, s := range stored {
+		p.from[k] = copiesInto(p.shape, s.shape, func(l Label) bool { return !seen.Has(l) })
+		seen = seen.Union(s.shape.variant)
+	}
+	return p
 }
 
 // Sync builds a synchrocell over the given patterns (at least two).
@@ -71,9 +134,9 @@ func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	if st.storage == nil {
 		st.storage = make([]*Record, len(n.patterns))
 	}
-	stored, complete := false, true
+	stored, complete, admits := false, true, n.admitted(rec.shape)
 	for k, p := range n.patterns {
-		if !stored && st.storage[k] == nil && p.Matches(rec) {
+		if !stored && st.storage[k] == nil && admits[k] && p.guardOK(rec) {
 			st.storage[k], stored = rec, true
 		}
 		complete = complete && st.storage[k] != nil
@@ -84,14 +147,11 @@ func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	if !complete {
 		return nil, true
 	}
-	// Merge: earlier patterns take precedence on label clashes.
-	merged := st.storage[0].copyInto(acquireRecord())
-	for _, s := range st.storage[1:] {
-		inheritInto(merged, s, merged.Labels())
-	}
-	// The stored records were consumed by the merge; return them.
-	for _, s := range st.storage {
-		releaseRecord(s)
+	p := n.program(st.storage)
+	merged := acquireShaped(p.shape)
+	for k, s := range st.storage {
+		p.from[k].run(merged, s)
+		releaseRecord(s) // consumed by the merge
 	}
 	x.env.trace(n.label, "out", merged)
 	x.env.stats.Add(n.kFired, 1)

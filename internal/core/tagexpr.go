@@ -39,10 +39,15 @@ type intLit int
 func (e intLit) TagRefs(dst []string) []string { return dst }
 func (e intLit) String() string                { return strconv.Itoa(int(e)) }
 
-type tagRef string
+// tagRef is a tag reference: the name and, interned where the expression is
+// parsed, the id its slot is found by — an integer scan of the record's shape.
+type tagRef struct {
+	name string
+	id   labelID
+}
 
-func (e tagRef) TagRefs(dst []string) []string { return append(dst, string(e)) }
-func (e tagRef) String() string                { return "<" + string(e) + ">" }
+func (e tagRef) TagRefs(dst []string) []string { return append(dst, e.name) }
+func (e tagRef) String() string                { return "<" + e.name + ">" }
 
 type unaryExpr struct {
 	op byte // '-' or '!'
@@ -94,14 +99,14 @@ func (e *binExpr) apply(a, b int) (int, error) {
 }
 
 // evalTagRec evaluates a tag expression over a record's tag slots — under
-// every guard and filter tag assignment, so it materializes nothing: tag
-// references resolve through the record's interned shape.
+// every guard and filter tag assignment, so it materializes nothing: a tag
+// reference finds its slot by interned id in the record's shape.
 func evalTagRec(e TagExpr, r *Record) (int, error) {
 	switch e := e.(type) {
 	case intLit:
 		return int(e), nil
 	case tagRef:
-		if i, ok := r.shape.tagSlot(string(e)); ok {
+		if i, ok := r.shape.tagSlotID(e.id); ok {
 			return r.tvals[i], nil
 		}
 		return 0, &EvalError{Expr: e.String(), Msg: "tag not present in record"}
@@ -316,7 +321,8 @@ func (p *Parser) parsePrimary() (TagExpr, error) {
 		p.Take()
 		return intLit(n), nil
 	case TokTagName:
-		return tagRef(p.Take().Text), nil
+		name := p.Take().Text
+		return tagRef{name: name, id: internLabel(name)}, nil
 	case TokLParen:
 		p.Take()
 		x, err := p.TagExpr()
