@@ -15,7 +15,11 @@
 //     elements.
 //
 // Arrays are values in the SaC sense: every operation returns a fresh array
-// and never aliases input storage (Clone-on-build).  Shape errors are
+// and never aliases input storage (Clone-on-build) — except a shape vector,
+// which is written only while it is built and copied on the way in (New,
+// FromSlice, Reshape) and out (Shape): an array derived from one of the same
+// shape points at the same vector, so a functional update allocates the
+// Array and its data, no more (shape_test.go).  Shape errors are
 // programmer errors and panic with a *ShapeError, mirroring the checks SaC
 // performs at compile time.
 package array
@@ -23,6 +27,7 @@ package array
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -105,9 +110,9 @@ func (a *Array[T]) Size() int { return len(a.data) }
 // encoders.
 func (a *Array[T]) Data() []T { return a.data }
 
-// Clone returns a deep copy.
+// Clone returns a copy with storage of its own.
 func (a *Array[T]) Clone() *Array[T] {
-	return &Array[T]{shape: cloneInts(a.shape), data: append([]T(nil), a.data...)}
+	return &Array[T]{shape: a.shape, data: append([]T(nil), a.data...)}
 }
 
 // ScalarValue returns the single element of a rank-0 array.
@@ -147,8 +152,9 @@ func (a *Array[T]) Set(v T, iv ...int) { a.data[a.Offset(iv)] = v }
 // WithAt returns a copy of a with the element at iv replaced by v — the
 // functional single-element update that `board[i,j] = k` denotes in SaC.
 func (a *Array[T]) WithAt(v T, iv ...int) *Array[T] {
+	off := a.Offset(iv) // an index out of range panics before anything is copied
 	b := a.Clone()
-	b.data[b.Offset(iv)] = v
+	b.data[off] = v
 	return b
 }
 
@@ -169,8 +175,7 @@ func (a *Array[T]) Sel(iv ...int) *Array[T] {
 	rest := a.shape[len(iv):]
 	sz := Size(rest)
 	off *= sz
-	out := &Array[T]{shape: cloneInts(rest), data: append([]T(nil), a.data[off:off+sz]...)}
-	return out
+	return &Array[T]{shape: rest, data: append([]T(nil), a.data[off:off+sz]...)}
 }
 
 // Reshape returns an array with the same data and a new shape of equal size.
@@ -184,15 +189,7 @@ func (a *Array[T]) Reshape(shape []int) *Array[T] {
 
 // Equal reports whether two arrays have identical shape and elements.
 func Equal[T comparable](a, b *Array[T]) bool {
-	if !sameInts(a.shape, b.shape) {
-		return false
-	}
-	for i := range a.data {
-		if a.data[i] != b.data[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.shape, b.shape) && slices.Equal(a.data, b.data)
 }
 
 // String renders the array; vectors and matrices get SaC-like bracketed
@@ -241,16 +238,4 @@ func cloneInts(s []int) []int {
 		return nil
 	}
 	return append([]int(nil), s...)
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

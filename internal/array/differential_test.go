@@ -127,9 +127,25 @@ func randomCase(rng *rand.Rand, rank int) wlCase {
 	return c
 }
 
+// thin squeezes extents of c's generators to one index, the innermost most
+// often: columns, planes and single cells, whose rows are one element long so
+// that every step of the walk is a carry.
+func thin(rng *rand.Rand, c wlCase) wlCase {
+	for gi := range c.gens {
+		g := &c.gens[gi]
+		for d := range g.Lower {
+			if d == len(g.Lower)-1 && rng.Intn(4) > 0 || rng.Intn(3) == 0 {
+				g.Upper[d] = g.Lower[d] + 1
+				g.ExclLower, g.IncUpper = false, false
+			}
+		}
+	}
+	return c
+}
+
 // differentialCases is the seeded corpus: a few written by hand for the
-// corners the issue names, ranks 1-5 at random, and rank 7, above any
-// fixed-size fast path.
+// corners the issues name, ranks 1-5 at random, rank 7, above any fixed-size
+// fast path, and ranks 1-5 again with thin generators.
 func differentialCases() []wlCase {
 	cases := []wlCase{
 		// a grid whose lower bound is clamped: the grid stays anchored at -3
@@ -146,6 +162,26 @@ func differentialCases() []wlCase {
 			{Lower: []int{0, 7, 4}, Upper: []int{8, 7, 4}, IncUpper: true},
 			{Lower: []int{3, 6, 4}, Upper: []int{5, 8, 4}, IncUpper: true},
 		}},
+		// a column and a plane clipped at both ends, then a grid over them:
+		// innermost extent 1, later generators win where they overlap
+		{shape: []int{6, 7}, gens: []Gen[int]{
+			{Lower: []int{-2, 3}, Upper: []int{9, 3}, IncUpper: true},
+			{Lower: []int{-2, -2}, Upper: []int{9, 9}, Step: []int{3, 2}, Width: []int{2, 1}},
+			{Lower: []int{4, -1}, Upper: []int{4, 12}, IncUpper: true},
+			{Lower: []int{-5, 6}, Upper: []int{20, 7}},
+		}},
+		{shape: []int{4, 5, 6}, gens: []Gen[int]{
+			{Lower: []int{-1, -1, 2}, Upper: []int{7, 7, 2}, IncUpper: true},
+			{Lower: []int{-3, 1, -3}, Upper: []int{4, 1, 9}, ExclLower: true, Step: []int{2, 1, 3}, Width: []int{1, 1, 2}},
+			{Lower: []int{2, -4, 2}, Upper: []int{3, 11, 3}},
+		}},
+		// past fixedRank: a single cell, a line along the outermost axis, a
+		// clipped grid across everything
+		{shape: []int{3, 2, 4, 3, 2}, gens: []Gen[int]{
+			{Lower: []int{-1, -1, -1, -1, -1}, Upper: []int{5, 5, 5, 5, 5}, Step: []int{2, 1, 3, 2, 1}, Width: []int{1, 1, 2, 1, 1}},
+			{Lower: []int{-2, 1, 3, 2, 1}, Upper: []int{8, 1, 3, 2, 1}, IncUpper: true},
+			{Lower: []int{2, 0, 1, 1, 0}, Upper: []int{2, 0, 1, 1, 0}, IncUpper: true},
+		}},
 	}
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 250; i++ {
@@ -154,6 +190,10 @@ func differentialCases() []wlCase {
 	for i := 0; i < 4; i++ {
 		cases = append(cases, randomCase(rng, 7))
 	}
+	rng = rand.New(rand.NewSource(23))
+	for i := 0; i < 150; i++ {
+		cases = append(cases, thin(rng, randomCase(rng, 1+i%5)))
+	}
 	return cases
 }
 
@@ -161,6 +201,7 @@ var differentialPools = []*sched.Pool{
 	sched.New(1),
 	sched.NewWithGrain(3, 1), // chunks of a few elements: they begin and end mid-row
 	sched.NewWithGrain(4, 7),
+	sched.NewWithGrain(4, 1), // a chunk an element where the span allows: every boundary mid-row
 }
 
 func TestWithLoopDifferential(t *testing.T) {
@@ -237,6 +278,35 @@ func TestWithLoopDifferential(t *testing.T) {
 			if got := Fold(p, aff{1, 0}, compose, folds...); got != wantFold {
 				t.Fatalf("fold differs from the reference\n%s\ngot  %v\nwant %v", where, got, wantFold)
 			}
+		}
+	}
+}
+
+// A fold's generators need not agree in rank — there is no result for them
+// to index — so whatever the engine keeps from one generator to the next has
+// to fit the next one.
+func TestFoldGeneratorsOfDifferentRank(t *testing.T) {
+	bounds := [][2][]int{
+		{{1, -2, 0}, {3, 2, 4}},
+		{{2}, {9}},
+		{{}, {}},
+		{{0, 1, 0, 2, 1}, {2, 2, 3, 3, 3}},
+		{{4, 4}, {4, 9}}, // empty
+		{{-1, 3}, {2, 5}},
+	}
+	folds := make([]Gen[aff], len(bounds))
+	want := aff{1, 0}
+	for gi, b := range bounds {
+		body := func(iv []int) aff {
+			h := mix(gi, iv)
+			return aff{h | 1, h >> 7}
+		}
+		folds[gi] = GenHalfOpen(b[0], b[1], body)
+		eachIndex(b[0], b[1], func(iv []int) { want = compose(want, body(iv)) })
+	}
+	for _, p := range differentialPools {
+		if got := Fold(p, aff{1, 0}, compose, folds...); got != want {
+			t.Fatalf("pool (%d, %d): fold %v, want %v", p.Width(), p.Grain(), got, want)
 		}
 	}
 }

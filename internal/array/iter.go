@@ -1,7 +1,7 @@
 package array
 
-// Index-space iteration helpers shared by the with-loop engine and callers
-// that walk rectangular index sets.
+// Index-space helpers for callers that walk a whole shape (Rotate, Reverse,
+// Where).  The with-loop engine has a walk of its own (withloop.go).
 
 // NextIndex advances iv through the row-major order of the given shape and
 // reports whether iv is still in bounds.  Start iteration with the all-zero

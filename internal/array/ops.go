@@ -2,6 +2,7 @@ package array
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -13,7 +14,7 @@ type Number interface {
 
 // Map applies f elementwise, producing a fresh array of the same shape.
 func Map[T, U any](p *sched.Pool, a *Array[T], f func(T) U) *Array[U] {
-	out := &Array[U]{shape: cloneInts(a.shape), data: make([]U, len(a.data))}
+	out := &Array[U]{shape: a.shape, data: make([]U, len(a.data))}
 	err := p.For(context.Background(), len(a.data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.data[i] = f(a.data[i])
@@ -25,10 +26,10 @@ func Map[T, U any](p *sched.Pool, a *Array[T], f func(T) U) *Array[U] {
 
 // Zip combines two same-shaped arrays elementwise.
 func Zip[T, U, V any](p *sched.Pool, a *Array[T], b *Array[U], f func(T, U) V) *Array[V] {
-	if !sameInts(a.shape, b.shape) {
+	if !slices.Equal(a.shape, b.shape) {
 		panic(shapeErrf("Zip", "shape mismatch %v vs %v", a.shape, b.shape))
 	}
-	out := &Array[V]{shape: cloneInts(a.shape), data: make([]V, len(a.data))}
+	out := &Array[V]{shape: a.shape, data: make([]V, len(a.data))}
 	err := p.For(context.Background(), len(a.data), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.data[i] = f(a.data[i], b.data[i])
@@ -93,23 +94,11 @@ func CountTrue(p *sched.Pool, a *Array[bool]) int {
 
 // All reports whether every element is true; true for empty arrays.
 func All(p *sched.Pool, a *Array[bool]) bool {
-	for _, v := range a.data { // short-circuit beats parallel dispatch here
-		if !v {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(a.data, false) // short-circuit beats parallel dispatch here
 }
 
 // Any reports whether at least one element is true; false for empty arrays.
-func Any(p *sched.Pool, a *Array[bool]) bool {
-	for _, v := range a.data {
-		if v {
-			return true
-		}
-	}
-	return false
-}
+func Any(p *sched.Pool, a *Array[bool]) bool { return slices.Contains(a.data, true) }
 
 // Eq compares two same-shaped arrays elementwise into a boolean array.
 func Eq[T comparable](p *sched.Pool, a, b *Array[T]) *Array[bool] {
@@ -122,7 +111,7 @@ func Concat[T any](a, b *Array[T]) *Array[T] {
 	if a.Dim() == 0 || b.Dim() == 0 {
 		panic(shapeErrf("Concat", "cannot concatenate scalars"))
 	}
-	if !sameInts(a.shape[1:], b.shape[1:]) {
+	if !slices.Equal(a.shape[1:], b.shape[1:]) {
 		panic(shapeErrf("Concat", "trailing shapes differ: %v vs %v", a.shape, b.shape))
 	}
 	shape := cloneInts(a.shape)

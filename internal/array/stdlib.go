@@ -70,7 +70,7 @@ func Rotate[T any](a *Array[T], axis, n int) *Array[T] {
 		return a.Clone()
 	}
 	shift := ((n % ext) + ext) % ext
-	out := &Array[T]{shape: cloneInts(a.shape), data: make([]T, len(a.data))}
+	out := &Array[T]{shape: a.shape, data: make([]T, len(a.data))}
 	src := make([]int, a.Dim())
 	dst := make([]int, a.Dim())
 	for lin := 0; lin < len(a.data); lin++ {
@@ -87,7 +87,7 @@ func Reverse[T any](a *Array[T], axis int) *Array[T] {
 	if axis < 0 || axis >= a.Dim() {
 		panic(shapeErrf("Reverse", "axis %d out of range for rank %d", axis, a.Dim()))
 	}
-	out := &Array[T]{shape: cloneInts(a.shape), data: make([]T, len(a.data))}
+	out := &Array[T]{shape: a.shape, data: make([]T, len(a.data))}
 	ext := a.shape[axis]
 	idx := make([]int, a.Dim())
 	for lin := 0; lin < len(a.data); lin++ {

@@ -26,7 +26,9 @@ type Gen[T any] struct {
 	// Body computes the element at iv.  It must be pure, and it must
 	// neither retain nor modify iv: the engine steps one index vector in
 	// place from element to element, so a Body that wrote to it would
-	// steer the walk.
+	// steer the walk — and one vector serves every generator of a with-loop
+	// that runs on the caller's goroutine, so a retained iv is not even a
+	// record of where its own generator ended.
 	Body func(iv []int) T
 }
 
@@ -65,47 +67,50 @@ func (g *Gen[T]) checkGrid(rank int) {
 // applied in order, so on overlap later generators win (§2 of the paper).
 // Each generator's index set is evaluated data-parallel on pool p; the Body
 // functions must therefore be pure (thread-safe).  The iv slice passed to
-// Body is reused between calls and must be neither retained nor modified
-// (see Gen.Body).
+// Body is reused between calls and between generators and must be neither
+// retained nor modified (see Gen.Body).
 func Genarray[T any](p *sched.Pool, shape []int, def T, gens ...Gen[T]) *Array[T] {
-	res := New(shape, def)
-	for i := range gens {
-		applyGen(p, res, &gens[i])
-	}
-	return res
+	return applyGens(p, New(shape, def), gens)
 }
 
 // Modarray evaluates a modarray-with-loop: a copy of src with the
 // generator-covered elements replaced (§2 of the paper).
 func Modarray[T any](p *sched.Pool, src *Array[T], gens ...Gen[T]) *Array[T] {
-	res := src.Clone()
-	for i := range gens {
-		applyGen(p, res, &gens[i])
-	}
-	return res
+	return applyGens(p, src.Clone(), gens)
 }
 
-// applyGen writes one generator into res.  Indices outside res's shape are
-// skipped (the generator is intersected with the result's index space).
-func applyGen[T any](p *sched.Pool, res *Array[T], g *Gen[T]) {
+// applyGens writes the generators into res, which nobody else holds yet, in
+// order.  Indices outside res's shape are skipped (a generator is intersected
+// with the result's index space).  The generators that run inline share one
+// index vector, made by the first of them.
+func applyGens[T any](p *sched.Pool, res *Array[T], gens []Gen[T]) *Array[T] {
 	rank := res.Dim()
-	if len(g.Lower) != rank {
-		panic(shapeErrf("withloop", "generator rank %d does not match result rank %d", len(g.Lower), rank))
+	var iv []int
+	for i := range gens {
+		g := &gens[i]
+		if len(g.Lower) != rank {
+			panic(shapeErrf("withloop", "generator rank %d does not match result rank %d", len(g.Lower), rank))
+		}
+		s := makeSpan(g, res.shape)
+		switch {
+		case s.total == 0: // empty generator
+		case rank == 0:
+			// Degenerate scalar generator covers the single element.
+			res.data[0] = g.Body(nil)
+		case runsInline(p, s.total):
+			if iv == nil {
+				iv = make([]int, rank)
+			}
+			writeRows(res, g, &s, iv, 0, s.total)
+		default:
+			pg, ps := g.detached(), s
+			rethrow(p.For(context.Background(), s.total, func(lin0, lin1 int) {
+				g, s := pg, ps
+				writeRows(res, &g, &s, make([]int, rank), lin0, lin1)
+			}))
+		}
 	}
-	s := makeSpan(g, res.shape)
-	switch {
-	case s.total == 0: // empty generator
-	case rank == 0:
-		// Degenerate scalar generator covers the single element.
-		res.data[0] = g.Body(nil)
-	case runsInline(p, s.total):
-		writeRows(res, *g, s, 0, s.total)
-	default:
-		pg := g.detached()
-		rethrow(p.For(context.Background(), s.total, func(lin0, lin1 int) {
-			writeRows(res, pg, s, lin0, lin1)
-		}))
-	}
+	return res
 }
 
 // Fold evaluates a fold-with-loop: the Body values of every generator index
@@ -115,6 +120,7 @@ func applyGen[T any](p *sched.Pool, res *Array[T], g *Gen[T]) {
 // operators still match the sequential fold.
 func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T {
 	acc := neutral
+	var iv []int // shared as in applyGens, but a fold's generators may differ in rank
 	for i := range gens {
 		g := &gens[i]
 		s := makeSpan(g, nil)
@@ -123,11 +129,16 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 		case s.rank == 0:
 			acc = op(acc, g.Body(nil))
 		case runsInline(p, s.total):
-			acc = op(acc, foldRows(*g, s, 0, s.total, neutral, op))
+			if len(iv) != s.rank {
+				iv = make([]int, s.rank)
+			}
+			acc = op(acc, foldRows(g, &s, iv, 0, s.total, neutral, op))
 		default:
-			pg := g.detached()
-			part, err := sched.Reduce(p, context.Background(), s.total, neutral,
-				func(lin0, lin1 int, a T) T { return foldRows(pg, s, lin0, lin1, a, op) }, op)
+			pg, ps := g.detached(), s
+			part, err := sched.Reduce(p, context.Background(), s.total, neutral, func(lin0, lin1 int, a T) T {
+				g, s := pg, ps
+				return foldRows(&g, &s, make([]int, s.rank), lin0, lin1, a, op)
+			}, op)
 			rethrow(err)
 			acc = op(acc, part)
 		}
@@ -138,11 +149,13 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 // How a with-loop runs.  A generator becomes a span: its index box as lower
 // bounds and extents, intersected with the result's index space when there
 // is one.  The span's row-major positions 0..total are what the pool cuts
-// into chunks.  A chunk turns its first position into an index vector once
-// (seed) and from there walks rows like an odometer: along a row the
-// innermost index and the result offset advance by one, and only at a row's
-// end does a carry run through the outer indices (row).  writeRows and
-// foldRows are the two loops over that walk.
+// into chunks.  A chunk turns its first position into an index vector and a
+// result offset once (start) and from there walks rows like an odometer:
+// along a row the innermost index and the offset advance by one, and at a
+// row's end a carry runs through the outer indices and moves the offset by
+// the stride of each dimension it touches (carry), so that a row of one
+// element — a column, a plane — costs a few adds.  writeRows and foldRows are
+// the two loops over that walk.
 
 // runsInline reports whether the pool would run a loop of n positions as one
 // chunk on the caller's goroutine — the condition Pool.For and sched.Reduce
@@ -211,8 +224,9 @@ func makeSpan[T any](g *Gen[T], shape []int) (s span) {
 // detached returns what a chunk needs of g in storage of its own.  The pool
 // hands the chunk closure to other goroutines, so whatever it captures
 // escapes; capturing g's own slices would put every caller's bound literals
-// on the heap even for the loops that run inline.  (The closure takes the
-// copy and the span by value: one allocation holds both.)
+// on the heap even for the loops that run inline.  The closure takes the
+// copy and a copy of the span by value, so one allocation holds both — as
+// long as nobody takes their addresses: a chunk points its kernel at copies.
 func (g *Gen[T]) detached() Gen[T] {
 	return Gen[T]{Lower: cloneInts(g.Lower), Step: cloneInts(g.Step), Width: cloneInts(g.Width), Body: g.Body}
 }
@@ -232,52 +246,55 @@ func (g *Gen[T]) gridHas(iv []int) bool {
 	return true
 }
 
-// walk is a chunk's place in a span.  The index vector is not part of it:
-// it escapes (see seed), and a walk that held it would drag the span's
-// bounds to the heap with it.
-type walk struct {
-	lo, ext []int
-	left    int // positions of the chunk not yet handed out as rows
+// start sets iv to the index of the span's position lin and returns its
+// row-major offset in an array of the given shape (nil for a fold, which has
+// no result to address).  These are a chunk's only divisions, none when it
+// starts at the span's origin as every inline generator does.
+func (s *span) start(iv []int, lin int, shape []int) (off int) {
+	lo, ext := s.bounds()
+	stride := 1
+	for d := s.rank - 1; d >= 0; d-- {
+		iv[d] = lo[d]
+		if lin != 0 {
+			iv[d] += lin % ext[d]
+			lin /= ext[d]
+		}
+		if shape != nil {
+			off += iv[d] * stride
+			stride *= shape[d]
+		}
+	}
+	return off
 }
 
-// seed starts the walk of the span's positions lin0..lin1 and returns the
-// index vector of lin0.  The vector is the one allocation of a chunk: Body
-// is a function value, so what it is handed escapes.
-func (s *span) seed(lin0, lin1 int) (w walk, iv []int) {
-	w.lo, w.ext = s.bounds()
-	w.left = lin1 - lin0
-	iv = make([]int, s.rank)
-	LinearToIndex(lin0, w.ext, iv)
-	for d := range iv {
-		iv[d] += w.lo[d]
-	}
-	return w, iv
-}
-
-// row returns the length of the next run of consecutive innermost indices,
-// 0 at the end of the chunk, with iv at the run's first index.  The caller
-// advances the innermost index by one per element; row carries it over at
-// the row's end.
-func (w *walk) row(iv []int) int {
-	if w.left == 0 {
-		return 0
-	}
-	last := len(iv) - 1
-	for d := last; d > 0 && iv[d] == w.lo[d]+w.ext[d]; d-- {
-		iv[d] = w.lo[d]
+// carry moves iv, whose innermost index may have run off its row's end, to
+// the span's next index and returns by how much that moves the offset in an
+// array of the given shape: a dimension that wraps goes back by its extent
+// and sends the one outside it forward by one, each in units of its stride.
+func (s *span) carry(iv, shape []int) (delta int) {
+	lo, ext := s.bounds()
+	stride := 1
+	for d := s.rank - 1; d > 0 && iv[d] == lo[d]+ext[d]; d-- {
+		iv[d] = lo[d]
 		iv[d-1]++
+		if shape != nil {
+			delta -= ext[d] * stride
+			stride *= shape[d]
+			delta += stride
+		}
 	}
-	n := min(w.lo[last]+w.ext[last]-iv[last], w.left)
-	w.left -= n
-	return n
+	return delta
 }
 
-// writeRows stores g's values at the span's positions lin0..lin1 into res.
-func writeRows[T any](res *Array[T], g Gen[T], s span, lin0, lin1 int) {
-	w, iv := s.seed(lin0, lin1)
+// writeRows stores g's values at the span's positions lin0..lin1 into res,
+// stepping iv, from which the caller reads nothing.
+func writeRows[T any](res *Array[T], g *Gen[T], s *span, iv []int, lin0, lin1 int) {
+	lo, ext := s.bounds()
 	last := s.rank - 1
-	for n := w.row(iv); n > 0; n = w.row(iv) {
-		off := IndexToLinear(iv, res.shape)
+	end := lo[last] + ext[last]
+	off := s.start(iv, lin0, res.shape)
+	for left := lin1 - lin0; left > 0; off += s.carry(iv, res.shape) {
+		n := min(end-iv[last], left)
 		row := res.data[off : off+n]
 		for k := range row {
 			if g.Step == nil || g.gridHas(iv) {
@@ -285,15 +302,20 @@ func writeRows[T any](res *Array[T], g Gen[T], s span, lin0, lin1 int) {
 			}
 			iv[last]++
 		}
+		left -= n
+		off += n
 	}
 }
 
 // foldRows folds g's values at the span's positions lin0..lin1 onto a.
-func foldRows[T any](g Gen[T], s span, lin0, lin1 int, a T, op func(a, b T) T) T {
-	w, iv := s.seed(lin0, lin1)
+func foldRows[T any](g *Gen[T], s *span, iv []int, lin0, lin1 int, a T, op func(a, b T) T) T {
+	lo, ext := s.bounds()
 	last := s.rank - 1
-	for n := w.row(iv); n > 0; n = w.row(iv) {
-		for ; n > 0; n-- {
+	end := lo[last] + ext[last]
+	s.start(iv, lin0, nil)
+	for left := lin1 - lin0; left > 0; s.carry(iv, nil) {
+		n := min(end-iv[last], left)
+		for left -= n; n > 0; n-- {
 			if g.Step == nil || g.gridHas(iv) {
 				a = op(a, g.Body(iv))
 			}

@@ -164,46 +164,24 @@ func (b *Board) FindFirst() (i, j int, ok bool) {
 // Valid reports whether the filled cells violate no sudoku rule: each row,
 // column and sub-board contains no duplicate number.
 func (b *Board) Valid() bool {
-	N := b.N()
-	seen := make([]bool, N+1)
-	reset := func() {
-		for i := range seen {
-			seen[i] = false
-		}
+	N, n := b.N(), b.n
+	cells := b.cells.Data()
+	var small [32]bool // boards up to 25x25 are checked without allocating
+	seen := small[:min(N+1, len(small))]
+	if len(seen) <= N {
+		seen = make([]bool, N+1)
 	}
-	for i := 0; i < N; i++ { // rows
-		reset()
-		for j := 0; j < N; j++ {
-			if v := b.Get(i, j); v != 0 {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-			}
-		}
-	}
-	for j := 0; j < N; j++ { // columns
-		reset()
-		for i := 0; i < N; i++ {
-			if v := b.Get(i, j); v != 0 {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-			}
-		}
-	}
-	for bi := 0; bi < b.n; bi++ { // sub-boards
-		for bj := 0; bj < b.n; bj++ {
-			reset()
-			for di := 0; di < b.n; di++ {
-				for dj := 0; dj < b.n; dj++ {
-					if v := b.Get(bi*b.n+di, bj*b.n+dj); v != 0 {
-						if seen[v] {
-							return false
-						}
-						seen[v] = true
+	for u := 0; u < N; u++ { // row u, column u, sub-board u
+		r0, c0 := u/n*n, u%n*n
+		for unit := 0; unit < 3; unit++ {
+			clear(seen)
+			for q := 0; q < N; q++ {
+				at := [3]int{u*N + q, q*N + u, (r0+q/n)*N + c0 + q%n}[unit]
+				if v := cells[at]; v != 0 {
+					if seen[v] {
+						return false
 					}
+					seen[v] = true
 				}
 			}
 		}

@@ -170,3 +170,20 @@ func TestNewBoardPanicsOnTinySubSize(t *testing.T) {
 	}()
 	NewBoard(1)
 }
+
+// Valid keeps its scratch on the stack up to a side of 31 and makes it past
+// that; both have to find the same duplicates.
+func TestValidBothSidesOfTheStackScratch(t *testing.T) {
+	for _, n := range []int{5, 6} {
+		b := GenerateSolved(n, int64(n))
+		if !b.Valid() {
+			t.Fatalf("n=%d: a generated solution reads invalid", n)
+		}
+		N := n * n
+		for _, c := range [][2]int{{0, N - 1}, {N - 1, 0}, {1, 1}} { // row 0, column 0, sub-board 0
+			if dup := b.With(c[0], c[1], b.Get(0, 0)); dup.Valid() {
+				t.Fatalf("n=%d: %d planted at %v beside the one at (0,0) reads valid", n, b.Get(0, 0), c)
+			}
+		}
+	}
+}

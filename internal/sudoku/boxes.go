@@ -32,7 +32,8 @@ func asOptions(v any) (*Options, error) {
 //
 //	box computeOpts {board} -> {board, opts}
 //
-// It derives the option cube by repeatedly calling addNumber (§3).
+// It derives the option cube as §3 does, by adding every given to an
+// all-true cube (ComputeOpts: the loop over addNumber as one with-loop).
 // Inconsistent boards (a given violates the rules) emit nothing and are
 // reported as a box error.
 func ComputeOptsBox(p *sched.Pool) core.Node {

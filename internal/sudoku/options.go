@@ -1,6 +1,8 @@
 package sudoku
 
 import (
+	"slices"
+
 	"repro/internal/array"
 	"repro/internal/sched"
 )
@@ -88,35 +90,49 @@ func AddNumber(p *sched.Pool, b *Board, o *Options, i, j, k int) (*Board, *Optio
 // number to a fresh all-true cube — the computeOpts box of Fig. 1.  The
 // boolean result is false when a given number was already impossible (the
 // puzzle is inconsistent).
+//
+// The paper writes it as a loop of addNumber calls.  Nobody but that loop
+// holds the cube it threads through them — the case in which SaC's reference
+// counting lets every addNumber update in place — so what a SaC compiler
+// makes of the loop is one pass of writes over one cube, and that is what
+// this is: a single modarray-with-loop over the all-true cube with the four
+// generators of every given, in the order the loop would run them.  A given
+// finds its option already gone exactly when an earlier given of the same
+// number shares its row, column or sub-board (the "this cell" generator of
+// another given never reaches it), which is what Valid reports of the board.
 func ComputeOpts(p *sched.Pool, b *Board) (*Options, bool) {
-	N := b.N()
-	opts := NewOptions(b.n)
-	consistent := true
-	cur := NewBoard(b.n)
-	for i := 0; i < N; i++ {
-		for j := 0; j < N; j++ {
-			k := b.Get(i, j)
-			if k == 0 {
-				continue
-			}
-			if !opts.Get(i, j, k) {
-				consistent = false
-			}
-			cur, opts = AddNumber(p, cur, opts, i, j, k)
+	N, n := b.N(), b.n
+	falseBody := func([]int) bool { return false }
+	givens := b.CountFilled()
+	bd := make([]int, 0, givens*4*2*3) // the bounds share one array, as in AddNumber
+	gens := make([]array.Gen[bool], 0, givens*4)
+	for at, k := range b.cells.Data() {
+		if k == 0 {
+			continue
+		}
+		i, j, k0 := at/N, at%N, k-1
+		is, js := (i/n)*n, (j/n)*n
+		bd = append(bd,
+			i, j, 0, i, j, N-1,
+			i, 0, k0, i, N-1, k0,
+			0, j, k0, N-1, j, k0,
+			is, js, k0, is+n-1, js+n-1, k0)
+		for c := bd[len(bd)-24:]; len(c) > 0; c = c[6:] {
+			gens = append(gens, array.GenClosed(c[0:3], c[3:6], falseBody))
 		}
 	}
-	return opts, consistent
+	cube := array.Modarray(p, NewOptions(n).cube, gens...)
+	return &Options{n: n, cube: cube}, b.Valid()
 }
 
 // IsStuck reports whether some empty cell has no options left (§3's
 // isStuck): the search cannot proceed from this board.
 func IsStuck(b *Board, o *Options) bool {
 	N := b.N()
-	for i := 0; i < N; i++ {
-		for j := 0; j < N; j++ {
-			if b.Get(i, j) == 0 && o.Count(i, j) == 0 {
-				return true
-			}
+	cube := o.cube.Data()
+	for at, v := range b.cells.Data() {
+		if v == 0 && !slices.Contains(cube[at*N:(at+1)*N], true) {
+			return true
 		}
 	}
 	return false

@@ -1,6 +1,7 @@
 package sudoku
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,77 @@ func TestComputeOptsConsistency(t *testing.T) {
 	bad := Easy().With(0, 8, 5)
 	if _, ok := ComputeOpts(sp, bad); ok {
 		t.Fatal("inconsistency undetected")
+	}
+}
+
+// computeOptsChained is ComputeOpts as the paper writes it, the reference
+// the single with-loop is tested against: addNumber for every given in
+// row-major order on a fresh cube, inconsistent when a given finds its own
+// option already gone.
+func computeOptsChained(p *sched.Pool, b *Board) (*Options, bool) {
+	N := b.N()
+	opts := NewOptions(b.n)
+	consistent := true
+	cur := NewBoard(b.n)
+	for i := 0; i < N; i++ {
+		for j := 0; j < N; j++ {
+			k := b.Get(i, j)
+			if k == 0 {
+				continue
+			}
+			if !opts.Get(i, j, k) {
+				consistent = false
+			}
+			cur, opts = AddNumber(p, cur, opts, i, j, k)
+		}
+	}
+	return opts, consistent
+}
+
+func TestComputeOptsMatchesChained(t *testing.T) {
+	// Every board on the sequential pool; every fifth also on one that cuts
+	// each generator into chunks of an element (a goroutine start a chunk is
+	// what the test's time goes to, under -race above all).
+	wide := sched.NewWithGrain(4, 1)
+	check := func(what string, b *Board, pools []*sched.Pool) {
+		t.Helper()
+		want, wantOK := computeOptsChained(sp, b)
+		for _, p := range pools {
+			got, gotOK := ComputeOpts(p, b)
+			if gotOK != wantOK || !got.Equal(want) {
+				t.Fatalf("%s, pool width %d: consistent %v, want %v; cubes equal %v\n%v",
+					what, p.Width(), gotOK, wantOK, got.Equal(want), b)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for seed := int64(0); seed < 200; seed++ {
+		n := 3
+		if seed%10 == 9 {
+			n = 2 + int(seed/10)%3 // 4x4, 9x9 and 16x16 boards
+		}
+		N := n * n
+		b := GenerateSolved(n, seed)
+		cells := b.cells.Data()
+		for holes := rng.Intn(N*N + 1); holes > 0; holes-- {
+			cells[rng.Intn(N*N)] = 0
+		}
+		pools := []*sched.Pool{sp}
+		if seed%5 == 4 {
+			pools = append(pools, wide)
+		}
+		check("generated board", b, pools)
+
+		// Plant a number a second time in its row, its column and its
+		// sub-board (off the row and the column), one at a time.
+		i, j := rng.Intn(N), rng.Intn(N)
+		v := 1 + rng.Intn(N)
+		i2, j2 := (i+1+rng.Intn(N-1))%N, (j+1+rng.Intn(N-1))%N
+		is, js := i/n*n, j/n*n
+		bi, bj := is+(i-is+1+rng.Intn(n-1))%n, js+(j-js+1+rng.Intn(n-1))%n
+		check("duplicate in a row", b.With(i, j, v).With(i, j2, v), pools)
+		check("duplicate in a column", b.With(i, j, v).With(i2, j, v), pools)
+		check("duplicate in a sub-board", b.With(i, j, v).With(bi, bj, v), pools)
 	}
 }
 

@@ -7,6 +7,11 @@
 //	    sac.GenHalfOpen([]int{1}, []int{4}, func(iv []int) int { return 42 }))
 //	// v == [0,42,42,42,0]
 //
+// A generator's body is handed the index vector the engine is stepping: it
+// must neither modify nor retain it.  One vector serves every generator of
+// a with-loop, so a retained one is overwritten by the next generator too;
+// a body that needs the index later copies it.
+//
 // See sac/lang for the interpreter that runs Core SaC source directly.
 package sac
 
