@@ -4,190 +4,66 @@ import (
 	"fmt"
 
 	"repro/internal/array"
+	"repro/internal/sched"
 )
+
+// builtinArity is the argument count of every builtin that has one; print
+// and snet_out take any number.
+var builtinArity = map[string]int{
+	"dim": 1, "shape": 1, "sel": 2, "toi": 1, "tod": 1, "tob": 1, "min": 2, "max": 2,
+	"take": 2, "drop": 2, "tile": 2, "rotate": 3, "reverse": 2, "transpose": 1,
+}
 
 // Builtins: the SaC primitives of §2 (dim, shape, sel) plus conversions
 // (toi, tod, tob), scalar min/max, print, and the snet_out interface
 // function of §4.  User definitions shadow builtins.
-func (ctx *evalCtx) evalBuiltin(call *CallExpr, e *env) ([]Value, error) {
-	args := make([]Value, len(call.Args))
-	for i, a := range call.Args {
-		v, err := ctx.eval(a, e)
+func (ctx *evalCtx) evalBuiltin(call *CallExpr, args []Value) ([]Value, error) {
+	if n, ok := builtinArity[call.Name]; ok && len(args) != n {
+		return nil, errf(call.At, "%s expects %d arguments, got %d", call.Name, n, len(args))
+	}
+	pool := ctx.itp.pool
+	one := func(v Value, err error) ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		return []Value{v}, nil
 	}
-	one := func(v Value) []Value { return []Value{v} }
-	need := func(n int) error {
-		if len(args) != n {
-			return errf(call.At, "%s expects %d arguments, got %d", call.Name, n, len(args))
+	// rearranged runs a structural builtin on x with its scalar int arguments.
+	rearranged := func(x Value, nums []Value) ([]Value, error) {
+		ns := make([]int, len(nums))
+		for i, a := range nums {
+			n, err := a.AsInt(call.At)
+			if err != nil {
+				return nil, err
+			}
+			ns[i] = n
 		}
-		return nil
+		return one(structural(pool, call.Name, x, call.At, ns...))
 	}
 	switch call.Name {
 	case "dim":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return one(IntScalar(args[0].Dim())), nil
+		return one(IntScalar(args[0].Dim()), nil)
 	case "shape":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return one(IntVector(args[0].Shape()...)), nil
+		return one(IntVector(args[0].Shape()...), nil)
 	case "sel":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		iv, err := args[0].AsIntVector(call.At)
 		if err != nil {
 			return nil, err
 		}
-		v, err := indexSelect(args[1], iv, call.At)
-		if err != nil {
-			return nil, err
+		return one(structural(pool, "", args[1], call.At, iv...))
+	case "toi", "tod", "tob":
+		f, ok := conversions[conversion{call.Name, args[0].Kind}]
+		if !ok {
+			return nil, errf(call.At, "%s: cannot convert %s", call.Name, args[0].Kind)
 		}
-		return one(v), nil
-	case "toi":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch args[0].Kind {
-		case KindInt:
-			return one(args[0]), nil
-		case KindBool:
-			return one(IntValue(array.Map(ctx.itp.pool, args[0].B, func(b bool) int {
-				if b {
-					return 1
-				}
-				return 0
-			}))), nil
-		default:
-			return one(IntValue(array.Map(ctx.itp.pool, args[0].D, func(d float64) int {
-				return int(d)
-			}))), nil
-		}
-	case "tod":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch args[0].Kind {
-		case KindDouble:
-			return one(args[0]), nil
-		case KindInt:
-			return one(DoubleValue(array.Map(ctx.itp.pool, args[0].I, func(i int) float64 {
-				return float64(i)
-			}))), nil
-		default:
-			return nil, errf(call.At, "tod: cannot convert bool")
-		}
-	case "tob":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch args[0].Kind {
-		case KindBool:
-			return one(args[0]), nil
-		case KindInt:
-			return one(BoolValue(array.Map(ctx.itp.pool, args[0].I, func(i int) bool {
-				return i != 0
-			}))), nil
-		default:
-			return nil, errf(call.At, "tob: cannot convert double")
-		}
+		return one(f(pool, args[0]), nil)
 	case "min", "max":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		v, err := evalBinop(ctx.itp.pool, call.Name, args[0], args[1], call.At)
-		if err != nil {
-			return nil, err
-		}
-		return one(v), nil
-	case "take", "drop", "tile":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		n, err := args[1].AsInt(call.At)
-		if err != nil {
-			return nil, err
-		}
-		v, err := structural1(call, args[0], n)
-		if err != nil {
-			return nil, err
-		}
-		return one(v), nil
-	case "rotate", "reverse":
-		// rotate(axis, n, array) / reverse(axis, array)
-		switch call.Name {
-		case "rotate":
-			if err := need(3); err != nil {
-				return nil, err
-			}
-			axis, err := args[0].AsInt(call.At)
-			if err != nil {
-				return nil, err
-			}
-			n, err := args[1].AsInt(call.At)
-			if err != nil {
-				return nil, err
-			}
-			v, err := applyKindwise(call, args[2], func(a Value) Value {
-				switch a.Kind {
-				case KindInt:
-					return IntValue(array.Rotate(a.I, axis, n))
-				case KindBool:
-					return BoolValue(array.Rotate(a.B, axis, n))
-				default:
-					return DoubleValue(array.Rotate(a.D, axis, n))
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			return one(v), nil
-		default:
-			if err := need(2); err != nil {
-				return nil, err
-			}
-			axis, err := args[0].AsInt(call.At)
-			if err != nil {
-				return nil, err
-			}
-			v, err := applyKindwise(call, args[1], func(a Value) Value {
-				switch a.Kind {
-				case KindInt:
-					return IntValue(array.Reverse(a.I, axis))
-				case KindBool:
-					return BoolValue(array.Reverse(a.B, axis))
-				default:
-					return DoubleValue(array.Reverse(a.D, axis))
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			return one(v), nil
-		}
-	case "transpose":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		v, err := applyKindwise(call, args[0], func(a Value) Value {
-			switch a.Kind {
-			case KindInt:
-				return IntValue(array.Transpose(ctx.itp.pool, a.I))
-			case KindBool:
-				return BoolValue(array.Transpose(ctx.itp.pool, a.B))
-			default:
-				return DoubleValue(array.Transpose(ctx.itp.pool, a.D))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return one(v), nil
+		return one(evalBinop(pool, call.Name, args[0], args[1], call.At))
+	case "take", "drop", "tile", "transpose": // f(array[, n])
+		return rearranged(args[0], args[1:])
+	case "rotate", "reverse": // rotate(axis, n, array), reverse(axis, array)
+		last := len(args) - 1
+		return rearranged(args[last], args[:last])
 	case "print":
 		for _, a := range args {
 			if ctx.itp.out != nil {
@@ -214,53 +90,34 @@ func (ctx *evalCtx) evalBuiltin(call *CallExpr, e *env) ([]Value, error) {
 	return nil, errf(call.At, "undefined function %q", call.Name)
 }
 
-// structural1 dispatches take/drop/tile over the value kinds, converting
-// shape panics into values the caller reports.
-func structural1(call *CallExpr, a Value, n int) (Value, error) {
-	return applyKindwise(call, a, func(a Value) Value {
-		switch call.Name {
-		case "take":
-			switch a.Kind {
-			case KindInt:
-				return IntValue(array.Take(a.I, n))
-			case KindBool:
-				return BoolValue(array.Take(a.B, n))
-			default:
-				return DoubleValue(array.Take(a.D, n))
-			}
-		case "drop":
-			switch a.Kind {
-			case KindInt:
-				return IntValue(array.Drop(a.I, n))
-			case KindBool:
-				return BoolValue(array.Drop(a.B, n))
-			default:
-				return DoubleValue(array.Drop(a.D, n))
-			}
-		default: // tile
-			switch a.Kind {
-			case KindInt:
-				return IntValue(array.Tile(a.I, n))
-			case KindBool:
-				return BoolValue(array.Tile(a.B, n))
-			default:
-				return DoubleValue(array.Tile(a.D, n))
-			}
-		}
-	})
+type conversion struct {
+	name string
+	from ValueKind
 }
 
-// applyKindwise runs a structural builtin, converting array shape panics
-// into SaC-level errors at the call site.
-func applyKindwise(call *CallExpr, a Value, f func(Value) Value) (out Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(*array.ShapeError); ok {
-				err = errf(call.At, "%s: %s", call.Name, se.Error())
-				return
+// conversions holds toi, tod and tob by name and source kind; a pair not
+// listed is refused.
+var conversions = map[conversion]func(*sched.Pool, Value) Value{
+	{"toi", KindInt}: unconverted,
+	{"toi", KindBool}: func(p *sched.Pool, v Value) Value {
+		return IntValue(array.Map(p, v.B, func(b bool) int {
+			if b {
+				return 1
 			}
-			panic(r)
-		}
-	}()
-	return f(a), nil
+			return 0
+		}))
+	},
+	{"toi", KindDouble}: func(p *sched.Pool, v Value) Value {
+		return IntValue(array.Map(p, v.D, func(d float64) int { return int(d) }))
+	},
+	{"tod", KindDouble}: unconverted,
+	{"tod", KindInt}: func(p *sched.Pool, v Value) Value {
+		return DoubleValue(array.Map(p, v.I, func(i int) float64 { return float64(i) }))
+	},
+	{"tob", KindBool}: unconverted,
+	{"tob", KindInt}: func(p *sched.Pool, v Value) Value {
+		return BoolValue(array.Map(p, v.I, func(i int) bool { return i != 0 }))
+	},
 }
+
+func unconverted(_ *sched.Pool, v Value) Value { return v }

@@ -109,13 +109,9 @@ func (ctx *evalCtx) execBlock(stmts []Stmt, e *env) (*[]Value, error) {
 func (ctx *evalCtx) execStmt(s Stmt, e *env) (*[]Value, error) {
 	switch s := s.(type) {
 	case *AssignStmt:
-		var vals []Value
-		for _, ex := range s.Exprs {
-			vs, err := ctx.evalMulti(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, vs...)
+		vals, err := ctx.evalAll(s.Exprs, e)
+		if err != nil {
+			return nil, err
 		}
 		if len(vals) != len(s.Targets) {
 			return nil, errf(s.At, "assignment of %d values to %d targets", len(vals), len(s.Targets))
@@ -133,22 +129,18 @@ func (ctx *evalCtx) execStmt(s Stmt, e *env) (*[]Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		val, err := ctx.eval(s.Value, e)
+		v, err := ctx.eval(s.Value, e)
 		if err != nil {
 			return nil, err
 		}
-		upd, err := indexUpdate(cur, iv, val, s.At)
+		upd, err := indexUpdate(cur, iv, v, s.At)
 		if err != nil {
 			return nil, err
 		}
 		e.set(s.Name, upd)
 		return nil, nil
 	case *IfStmt:
-		c, err := ctx.eval(s.Cond, e)
-		if err != nil {
-			return nil, err
-		}
-		b, err := c.AsBool(s.At)
+		b, err := ctx.evalCond(s.Cond, e, s.At)
 		if err != nil {
 			return nil, err
 		}
@@ -157,59 +149,18 @@ func (ctx *evalCtx) execStmt(s Stmt, e *env) (*[]Value, error) {
 		}
 		return ctx.execBlock(s.Else, e)
 	case *WhileStmt:
-		for {
-			c, err := ctx.eval(s.Cond, e)
-			if err != nil {
-				return nil, err
-			}
-			b, err := c.AsBool(s.At)
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				return nil, nil
-			}
-			ret, err := ctx.execBlock(s.Body, e)
-			if err != nil || ret != nil {
-				return ret, err
-			}
-		}
+		return ctx.execLoop(s.Cond, s.Body, nil, e, s.At)
 	case *ForStmt:
 		if s.Init != nil {
 			if _, err := ctx.execStmt(s.Init, e); err != nil {
 				return nil, err
 			}
 		}
-		for {
-			c, err := ctx.eval(s.Cond, e)
-			if err != nil {
-				return nil, err
-			}
-			b, err := c.AsBool(s.At)
-			if err != nil {
-				return nil, err
-			}
-			if !b {
-				return nil, nil
-			}
-			ret, err := ctx.execBlock(s.Body, e)
-			if err != nil || ret != nil {
-				return ret, err
-			}
-			if s.Post != nil {
-				if _, err := ctx.execStmt(s.Post, e); err != nil {
-					return nil, err
-				}
-			}
-		}
+		return ctx.execLoop(s.Cond, s.Body, s.Post, e, s.At)
 	case *ReturnStmt:
-		vals := make([]Value, 0, len(s.Exprs))
-		for _, ex := range s.Exprs {
-			vs, err := ctx.evalMulti(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, vs...)
+		vals, err := ctx.evalAll(s.Exprs, e)
+		if err != nil {
+			return nil, err
 		}
 		return &vals, nil
 	case *ExprStmt:
@@ -217,6 +168,49 @@ func (ctx *evalCtx) execStmt(s Stmt, e *env) (*[]Value, error) {
 		return nil, err
 	}
 	return nil, errf(s.pos(), "unknown statement %T", s)
+}
+
+// execLoop is while (cond) body and, with a post statement, the loop of a
+// for; a non-nil result is a return from inside the body.
+func (ctx *evalCtx) execLoop(cond Expr, body []Stmt, post Stmt, e *env, at Pos) (*[]Value, error) {
+	for {
+		b, err := ctx.evalCond(cond, e, at)
+		if err != nil || !b {
+			return nil, err
+		}
+		ret, err := ctx.execBlock(body, e)
+		if err != nil || ret != nil {
+			return ret, err
+		}
+		if post != nil {
+			if _, err := ctx.execStmt(post, e); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// evalCond evaluates the condition of the if, while or for statement at.
+func (ctx *evalCtx) evalCond(cond Expr, e *env, at Pos) (bool, error) {
+	c, err := ctx.eval(cond, e)
+	if err != nil {
+		return false, err
+	}
+	return c.AsBool(at)
+}
+
+// evalAll evaluates the right-hand sides of an assignment or the operands
+// of a return; a multi-value call contributes all its values.
+func (ctx *evalCtx) evalAll(exprs []Expr, e *env) ([]Value, error) {
+	vals := make([]Value, 0, len(exprs))
+	for _, ex := range exprs {
+		vs, err := ctx.evalMulti(ex, e)
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, vs...)
+	}
+	return vals, nil
 }
 
 // evalMulti evaluates an expression that may yield multiple values (a
@@ -265,7 +259,7 @@ func (ctx *evalCtx) eval(ex Expr, e *env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return indexSelect(x, iv, ex.At)
+		return structural(ctx.itp.pool, "", x, ex.At, iv...)
 	case *CallExpr:
 		vs, err := ctx.evalCall(ex, e)
 		if err != nil {
@@ -356,24 +350,21 @@ func (ctx *evalCtx) evalArrayLit(lit *ArrayLit, e *env) (Value, error) {
 	outShape := append([]int{len(vals)}, shape...)
 	switch kind {
 	case KindInt:
-		data := make([]int, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.I.Data()...)
-		}
-		return IntValue(array.FromSlice(outShape, data)), nil
+		return stack[int](vals, outShape), nil
 	case KindBool:
-		data := make([]bool, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.B.Data()...)
-		}
-		return BoolValue(array.FromSlice(outShape, data)), nil
+		return stack[bool](vals, outShape), nil
 	default:
-		data := make([]float64, 0, len(vals)*vals[0].Size())
-		for _, v := range vals {
-			data = append(data, v.D.Data()...)
-		}
-		return DoubleValue(array.FromSlice(outShape, data)), nil
+		return stack[float64](vals, outShape), nil
 	}
+}
+
+// stack lays same-shaped values of element type T end to end under shape.
+func stack[T elem](vals []Value, shape []int) Value {
+	data := make([]T, 0, len(vals)*vals[0].Size())
+	for _, v := range vals {
+		data = append(data, arr[T](v).Data()...)
+	}
+	return val(array.FromSlice(shape, data))
 }
 
 func sameShape(a, b []int) bool {
@@ -389,17 +380,17 @@ func sameShape(a, b []int) bool {
 }
 
 func (ctx *evalCtx) evalCall(call *CallExpr, e *env) ([]Value, error) {
+	args := make([]Value, len(call.Args))
+	for i, a := range call.Args {
+		v, err := ctx.eval(a, e)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
+	}
 	// User definitions shadow builtins.
 	if fd, ok := ctx.itp.prog.Funs[call.Name]; ok {
-		args := make([]Value, len(call.Args))
-		for i, a := range call.Args {
-			v, err := ctx.eval(a, e)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
 		return ctx.callFun(fd, args, call.At)
 	}
-	return ctx.evalBuiltin(call, e)
+	return ctx.evalBuiltin(call, args)
 }

@@ -88,6 +88,8 @@ type tok struct {
 	pos  Pos
 }
 
+func isDigit(r rune) bool { return '0' <= r && r <= '9' }
+
 func lexAll(src string) ([]tok, error) {
 	runes := []rune(src)
 	var toks []tok
@@ -159,16 +161,18 @@ func lexAll(src string) ([]tok, error) {
 			}
 			toks = append(toks, tok{kind: tIdent, text: b.String(), pos: pos})
 			continue
-		case unicode.IsDigit(r):
+		case isDigit(r):
+			// A number is ASCII digits: strconv reads nothing else, and any
+			// other digit is a character the language does not have.
 			var b strings.Builder
 			isDouble := false
-			for i < len(runes) && unicode.IsDigit(runes[i]) {
+			for isDigit(peekAt(0)) {
 				b.WriteRune(adv())
 			}
-			if i < len(runes) && runes[i] == '.' && i+1 < len(runes) && unicode.IsDigit(runes[i+1]) {
+			if peekAt(0) == '.' && isDigit(peekAt(1)) {
 				isDouble = true
 				b.WriteRune(adv())
-				for i < len(runes) && unicode.IsDigit(runes[i]) {
+				for isDigit(peekAt(0)) {
 					b.WriteRune(adv())
 				}
 			}

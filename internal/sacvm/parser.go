@@ -204,14 +204,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseFor()
 	case p.atKw("while"):
 		p.take()
-		if _, err := p.expect(tLParen); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
+		cond, err := p.parenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseBlock()
@@ -228,21 +222,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
-		if !p.accept(tRParen) {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				rs.Exprs = append(rs.Exprs, e)
-				if p.accept(tComma) {
-					continue
-				}
-				if _, err := p.expect(tRParen); err != nil {
-					return nil, err
-				}
-				break
-			}
+		var err error
+		if rs.Exprs, err = p.exprList(tRParen, true); err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(tSemi); err != nil {
 			return nil, err
@@ -269,20 +251,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 	if p.peekAt(1).kind == tLBrack {
 		name := p.take().text
 		p.take() // '['
-		var idx []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			idx = append(idx, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			break
+		idx, err := p.exprList(tRBrack, false)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(tAssign); err != nil {
 			return nil, err
@@ -309,19 +280,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(tAssign); err != nil {
 		return nil, err
 	}
-	var exprs []Expr
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, e)
-		if p.accept(tComma) {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tSemi); err != nil {
+	exprs, err := p.exprList(tSemi, false)
+	if err != nil {
 		return nil, err
 	}
 	return &AssignStmt{Targets: targets, Exprs: exprs, At: at}, nil
@@ -329,14 +289,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseIf() (Stmt, error) {
 	at := p.take().pos // "if"
-	if _, err := p.expect(tLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	cond, err := p.parenExpr()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tRParen); err != nil {
 		return nil, err
 	}
 	then, err := p.parseBlock()
@@ -428,80 +382,40 @@ func (p *parser) parseSimpleAssign() (Stmt, error) {
 
 // --- expressions ---
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tOr) {
-		at := p.take().pos
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinExpr{Op: "||", X: x, Y: y, At: at}
-	}
-	return x, nil
+// binaryLevels is the precedence table: the left-associative binary
+// operators, loosest level first.  ++ is the user-defined concatenation and
+// parses to a call.
+var binaryLevels = [...]map[kind]string{
+	{tOr: "||"},
+	{tAnd: "&&"},
+	{tEq: "==", tNeq: "!=", tLt: "<", tLe: "<=", tGt: ">", tGe: ">="},
+	{tPlus: "+", tMinus: "-", tPlusPlus: "++"},
+	{tStar: "*", tSlash: "/", tPercent: "%"},
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(tAnd) {
-		at := p.take().pos
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinExpr{Op: "&&", X: x, Y: y, At: at}
-	}
-	return x, nil
-}
+// additiveLevel is where a generator bound parses: at full precedence the
+// '<=' or '<' relating bound and loop variable would be swallowed.
+const additiveLevel = 3
 
-var cmpTok = map[kind]string{tEq: "==", tNeq: "!=", tLt: "<", tLe: "<=", tGt: ">", tGe: ">="}
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
 
-func (p *parser) parseCmp() (Expr, error) {
-	x, err := p.parseAdd()
+// parseBinary parses the operators of binaryLevels[level] over operands of
+// the next tighter level.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := cmpTok[p.peek().kind]
+		op, ok := binaryLevels[level][p.peek().kind]
 		if !ok {
 			return x, nil
 		}
 		at := p.take().pos
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinExpr{Op: op, X: x, Y: y, At: at}
-	}
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tPlus:
-			op = "+"
-		case tMinus:
-			op = "-"
-		case tPlusPlus:
-			op = "++"
-		default:
-			return x, nil
-		}
-		at := p.take().pos
-		y, err := p.parseMul()
+		y, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -513,50 +427,57 @@ func (p *parser) parseAdd() (Expr, error) {
 	}
 }
 
-func (p *parser) parseMul() (Expr, error) {
+// exprList parses expr (',' expr)* up to and including the closing token,
+// after the opening one; orNone admits the empty list.
+func (p *parser) exprList(closing kind, orNone bool) ([]Expr, error) {
+	if orNone && p.accept(closing) {
+		return nil, nil
+	}
+	var list []Expr
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if p.accept(tComma) {
+			continue
+		}
+		if _, err := p.expect(closing); err != nil {
+			return nil, err
+		}
+		return list, nil
+	}
+}
+
+// parenExpr parses '(' expr ')'.
+func (p *parser) parenExpr() (Expr, error) {
+	if _, err := p.expect(tLParen); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tRParen); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+var unaryOps = map[kind]byte{tMinus: '-', tNot: '!'}
+
+func (p *parser) parseUnary() (Expr, error) {
+	op, ok := unaryOps[p.peek().kind]
+	if !ok {
+		return p.parsePostfix()
+	}
+	at := p.take().pos
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		var op string
-		switch p.peek().kind {
-		case tStar:
-			op = "*"
-		case tSlash:
-			op = "/"
-		case tPercent:
-			op = "%"
-		default:
-			return x, nil
-		}
-		at := p.take().pos
-		y, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		x = &BinExpr{Op: op, X: x, Y: y, At: at}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	switch p.peek().kind {
-	case tMinus:
-		at := p.take().pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: '-', X: x, At: at}, nil
-	case tNot:
-		at := p.take().pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: '!', X: x, At: at}, nil
-	}
-	return p.parsePostfix()
+	return &UnaryExpr{Op: op, X: x, At: at}, nil
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
@@ -566,20 +487,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 	}
 	for p.at(tLBrack) {
 		at := p.take().pos
-		var idx []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			idx = append(idx, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			break
+		idx, err := p.exprList(tRBrack, false)
+		if err != nil {
+			return nil, err
 		}
 		x = &IndexExpr{X: x, Idx: idx, At: at}
 	}
@@ -590,10 +500,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 	at := p.peek().pos
 	switch {
 	case p.at(tInt):
-		n, _ := strconv.Atoi(p.take().text)
+		text := p.take().text
+		n, err := strconv.Atoi(text)
+		if err != nil {
+			return nil, errf(at, "integer literal %s out of range", text)
+		}
 		return &IntLit{V: n, At: at}, nil
 	case p.at(tDouble):
-		f, _ := strconv.ParseFloat(p.take().text, 64)
+		text := p.take().text
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, errf(at, "double literal %s out of range", text)
+		}
 		return &DoubleLit{V: f, At: at}, nil
 	case p.atKw("true"):
 		p.take()
@@ -605,58 +523,22 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return p.parseWith()
 	case p.at(tIdent):
 		name := p.take().text
-		if p.at(tLParen) {
-			p.take()
-			var args []Expr
-			if !p.accept(tRParen) {
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, e)
-					if p.accept(tComma) {
-						continue
-					}
-					if _, err := p.expect(tRParen); err != nil {
-						return nil, err
-					}
-					break
-				}
+		if p.accept(tLParen) {
+			args, err := p.exprList(tRParen, true)
+			if err != nil {
+				return nil, err
 			}
 			return &CallExpr{Name: name, Args: args, At: at}, nil
 		}
 		return &VarRef{Name: name, At: at}, nil
 	case p.at(tLParen):
-		p.take()
-		e, err := p.parseExpr()
+		return p.parenExpr()
+	case p.accept(tLBrack):
+		elems, err := p.exprList(tRBrack, true)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case p.at(tLBrack):
-		p.take()
-		lit := &ArrayLit{At: at}
-		if p.accept(tRBrack) {
-			return lit, nil
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			lit.Elems = append(lit.Elems, e)
-			if p.accept(tComma) {
-				continue
-			}
-			if _, err := p.expect(tRBrack); err != nil {
-				return nil, err
-			}
-			return lit, nil
-		}
+		return &ArrayLit{Elems: elems, At: at}, nil
 	}
 	return nil, errf(at, "expected expression, found %v", p.peek().kind)
 }
@@ -767,9 +649,7 @@ func (p *parser) parseGenerator() (GenSpec, error) {
 	if _, err := p.expect(tLParen); err != nil {
 		return GenSpec{}, err
 	}
-	// Bounds are additive expressions: parsing at full precedence would
-	// swallow the '<='/'<' relating bound and loop variable.
-	lower, err := p.parseAdd()
+	lower, err := p.parseBinary(additiveLevel)
 	if err != nil {
 		return GenSpec{}, err
 	}
@@ -795,7 +675,7 @@ func (p *parser) parseGenerator() (GenSpec, error) {
 	default:
 		return GenSpec{}, errf(p.peek().pos, "expected '<=' or '<' after generator variable")
 	}
-	upper, err := p.parseAdd()
+	upper, err := p.parseBinary(additiveLevel)
 	if err != nil {
 		return GenSpec{}, err
 	}

@@ -56,41 +56,54 @@ func DoubleScalar(v float64) Value { return DoubleValue(array.Scalar(v)) }
 // IntVector returns a rank-1 int value.
 func IntVector(vs ...int) Value { return IntValue(array.Vector(vs...)) }
 
-// Shape returns the value's shape vector.
-func (v Value) Shape() []int {
+// elem is the set of element types.  Value is the one place the element
+// type is a runtime value (Kind); below it every operation is written once
+// over a type parameter and reaches its array through arr and val.
+type elem interface{ int | bool | float64 }
+
+// anyArray is what Value's accessors need of the array, whatever its
+// element type.
+type anyArray interface {
+	Shape() []int
+	Dim() int
+	Size() int
+	String() string
+}
+
+// array returns the one array v holds.
+func (v Value) array() anyArray {
 	switch v.Kind {
 	case KindInt:
-		return v.I.Shape()
+		return v.I
 	case KindBool:
-		return v.B.Shape()
+		return v.B
 	default:
-		return v.D.Shape()
+		return v.D
 	}
 }
+
+// arr returns v's array; T must be the element type v.Kind names.
+func arr[T elem](v Value) *array.Array[T] { return v.array().(*array.Array[T]) }
+
+// val wraps an array of any element type.
+func val[T elem](a *array.Array[T]) Value {
+	switch a := any(a).(type) {
+	case *array.Array[int]:
+		return IntValue(a)
+	case *array.Array[bool]:
+		return BoolValue(a)
+	}
+	return DoubleValue(any(a).(*array.Array[float64]))
+}
+
+// Shape returns the value's shape vector.
+func (v Value) Shape() []int { return v.array().Shape() }
 
 // Dim returns the value's rank.
-func (v Value) Dim() int {
-	switch v.Kind {
-	case KindInt:
-		return v.I.Dim()
-	case KindBool:
-		return v.B.Dim()
-	default:
-		return v.D.Dim()
-	}
-}
+func (v Value) Dim() int { return v.array().Dim() }
 
 // Size returns the element count.
-func (v Value) Size() int {
-	switch v.Kind {
-	case KindInt:
-		return v.I.Size()
-	case KindBool:
-		return v.B.Size()
-	default:
-		return v.D.Size()
-	}
-}
+func (v Value) Size() int { return v.array().Size() }
 
 // IsScalar reports rank 0.
 func (v Value) IsScalar() bool { return v.Dim() == 0 }
@@ -147,13 +160,4 @@ func (v Value) Equal(w Value) bool {
 }
 
 // String renders the value like SaC output.
-func (v Value) String() string {
-	switch v.Kind {
-	case KindInt:
-		return v.I.String()
-	case KindBool:
-		return v.B.String()
-	default:
-		return v.D.String()
-	}
-}
+func (v Value) String() string { return v.array().String() }

@@ -7,8 +7,6 @@ import (
 // genBounds is one generator with evaluated bounds.
 type genBounds struct {
 	lo, hi []int
-	incLo  bool
-	incHi  bool
 	spec   *GenSpec
 }
 
@@ -31,115 +29,74 @@ func (ctx *evalCtx) evalWith(wl *WithLoop, e *env) (Value, error) {
 		if len(lo) != len(hi) {
 			return Value{}, errf(g.At, "generator bounds %v and %v differ in length", lo, hi)
 		}
-		gens[i] = genBounds{lo: lo, hi: hi, incLo: g.LowerIncl, incHi: g.UpperIncl, spec: g}
+		gens[i] = genBounds{lo: lo, hi: hi, spec: g}
 	}
+	// typed is the argument that fixes the element type: the default of a
+	// genarray, the source of a modarray, the neutral of a fold.
+	var (
+		shape []int
+		typed Value
+		err   error
+	)
 	switch wl.Kind {
 	case GenGenarray:
-		shapeV, err := ctx.eval(wl.A1, e)
-		if err != nil {
+		var shapeV Value
+		if shapeV, err = ctx.eval(wl.A1, e); err != nil {
 			return Value{}, err
 		}
-		shape, err := shapeV.AsIntVector(wl.A1.epos())
-		if err != nil {
+		if shape, err = shapeV.AsIntVector(wl.A1.epos()); err != nil {
 			return Value{}, err
 		}
-		def, err := ctx.eval(wl.A2, e)
-		if err != nil {
+		if typed, err = ctx.eval(wl.A2, e); err != nil {
 			return Value{}, err
 		}
-		if !def.IsScalar() {
+		if !typed.IsScalar() {
 			return Value{}, errf(wl.A2.epos(), "genarray default must be scalar (non-scalar defaults are outside this subset)")
 		}
-		switch def.Kind {
-		case KindInt:
-			return ctx.capture(wl, func() Value {
-				return IntValue(array.Genarray(ctx.itp.pool, shape, def.I.ScalarValue(), ctx.intGens(gens, e)...))
-			})
-		case KindBool:
-			return ctx.capture(wl, func() Value {
-				return BoolValue(array.Genarray(ctx.itp.pool, shape, def.B.ScalarValue(), ctx.boolGens(gens, e)...))
-			})
-		default:
-			return ctx.capture(wl, func() Value {
-				return DoubleValue(array.Genarray(ctx.itp.pool, shape, def.D.ScalarValue(), ctx.dblGens(gens, e)...))
-			})
-		}
-
-	case GenModarray:
-		src, err := ctx.eval(wl.A1, e)
-		if err != nil {
+	case GenModarray, GenFold:
+		if typed, err = ctx.eval(wl.A1, e); err != nil {
 			return Value{}, err
 		}
-		switch src.Kind {
-		case KindInt:
-			return ctx.capture(wl, func() Value {
-				return IntValue(array.Modarray(ctx.itp.pool, src.I, ctx.intGens(gens, e)...))
-			})
-		case KindBool:
-			return ctx.capture(wl, func() Value {
-				return BoolValue(array.Modarray(ctx.itp.pool, src.B, ctx.boolGens(gens, e)...))
-			})
-		default:
-			return ctx.capture(wl, func() Value {
-				return DoubleValue(array.Modarray(ctx.itp.pool, src.D, ctx.dblGens(gens, e)...))
-			})
-		}
-
-	case GenFold:
-		neutral, err := ctx.eval(wl.A1, e)
-		if err != nil {
-			return Value{}, err
-		}
-		if !neutral.IsScalar() {
+		if wl.Kind == GenFold && !typed.IsScalar() {
 			return Value{}, errf(wl.A1.epos(), "fold neutral must be scalar")
 		}
-		switch neutral.Kind {
-		case KindInt:
-			op := intFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on int", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return IntScalar(array.Fold(ctx.itp.pool, neutral.I.ScalarValue(), op, ctx.intGens(gens, e)...))
-			})
-		case KindBool:
-			op := boolFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on bool", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return BoolScalar(array.Fold(ctx.itp.pool, neutral.B.ScalarValue(), op, ctx.boolGens(gens, e)...))
-			})
-		default:
-			op := dblFoldOp(wl.Op)
-			if op == nil {
-				return Value{}, errf(wl.At, "fold operator %q not defined on double", wl.Op)
-			}
-			return ctx.capture(wl, func() Value {
-				return DoubleScalar(array.Fold(ctx.itp.pool, neutral.D.ScalarValue(), op, ctx.dblGens(gens, e)...))
-			})
-		}
+	default:
+		return Value{}, errf(wl.At, "unknown with-loop kind")
 	}
-	return Value{}, errf(wl.At, "unknown with-loop kind")
+	switch typed.Kind {
+	case KindInt:
+		return withLoop(ctx, wl, gens, e, shape, typed, intOps.arith[wl.Op])
+	case KindBool:
+		return withLoop(ctx, wl, gens, e, shape, typed, boolOps[wl.Op])
+	default:
+		return withLoop(ctx, wl, gens, e, shape, typed, doubleOps.arith[wl.Op])
+	}
 }
 
-// capture runs an array-engine invocation, converting body panics (eval
-// errors) and shape errors back into ordinary errors at the with-loop site.
-func (ctx *evalCtx) capture(wl *WithLoop, f func() Value) (out Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(*Error); ok {
-				err = e
-				return
-			}
-			if se, ok := r.(*array.ShapeError); ok {
-				err = errf(wl.At, "%s", se.Error())
-				return
-			}
-			panic(r)
-		}
-	}()
-	return f(), nil
+// withLoop runs a with-loop of element type T on the array engine.  Body
+// panics (eval errors) and shape errors come back as ordinary errors, the
+// latter at the with-loop.
+func withLoop[T elem](ctx *evalCtx, wl *WithLoop, bounds []genBounds, e *env, shape []int, typed Value, op func(T, T) T) (out Value, err error) {
+	if wl.Kind == GenFold && op == nil {
+		return Value{}, errf(wl.At, "fold operator %q not defined on %s", wl.Op, typed.Kind)
+	}
+	gens := make([]array.Gen[T], len(bounds))
+	kind := typed.Kind
+	for i, g := range bounds {
+		spec := g.spec
+		gens[i] = array.Gen[T]{Lower: g.lo, Upper: g.hi, ExclLower: !spec.LowerIncl, IncUpper: spec.UpperIncl,
+			Body: func(iv []int) T { return arr[T](ctx.bodyScalar(spec, e, iv, kind)).ScalarValue() }}
+	}
+	defer rescue(&err, wl.At, "")
+	pool, a := ctx.itp.pool, arr[T](typed)
+	switch wl.Kind {
+	case GenGenarray:
+		return val(array.Genarray(pool, shape, a.ScalarValue(), gens...)), nil
+	case GenModarray:
+		return val(array.Modarray(pool, a, gens...)), nil
+	default:
+		return val(array.Scalar(array.Fold(pool, a.ScalarValue(), op, gens...))), nil
+	}
 }
 
 // evalBoundVector evaluates a generator bound to an index vector; scalars
@@ -167,92 +124,4 @@ func (ctx *evalCtx) bodyScalar(g *GenSpec, e *env, iv []int, want ValueKind) Val
 		panic(errf(g.Body.epos(), "with-loop body must yield a %s scalar, got %s", want, v.TypeString()))
 	}
 	return v
-}
-
-func (ctx *evalCtx) intGens(gens []genBounds, e *env) []array.Gen[int] {
-	out := make([]array.Gen[int], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[int]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) int { return ctx.bodyScalar(spec, e, iv, KindInt).I.ScalarValue() }}
-	}
-	return out
-}
-
-func (ctx *evalCtx) boolGens(gens []genBounds, e *env) []array.Gen[bool] {
-	out := make([]array.Gen[bool], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[bool]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) bool { return ctx.bodyScalar(spec, e, iv, KindBool).B.ScalarValue() }}
-	}
-	return out
-}
-
-func (ctx *evalCtx) dblGens(gens []genBounds, e *env) []array.Gen[float64] {
-	out := make([]array.Gen[float64], len(gens))
-	for i, g := range gens {
-		spec := g.spec
-		out[i] = array.Gen[float64]{Lower: g.lo, Upper: g.hi, ExclLower: !g.incLo, IncUpper: g.incHi,
-			Body: func(iv []int) float64 { return ctx.bodyScalar(spec, e, iv, KindDouble).D.ScalarValue() }}
-	}
-	return out
-}
-
-func intFoldOp(op string) func(int, int) int {
-	switch op {
-	case "+":
-		return func(a, b int) int { return a + b }
-	case "*":
-		return func(a, b int) int { return a * b }
-	case "min":
-		return func(a, b int) int {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	case "max":
-		return func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		}
-	}
-	return nil
-}
-
-func boolFoldOp(op string) func(bool, bool) bool {
-	switch op {
-	case "&&":
-		return func(a, b bool) bool { return a && b }
-	case "||":
-		return func(a, b bool) bool { return a || b }
-	}
-	return nil
-}
-
-func dblFoldOp(op string) func(float64, float64) float64 {
-	switch op {
-	case "+":
-		return func(a, b float64) float64 { return a + b }
-	case "*":
-		return func(a, b float64) float64 { return a * b }
-	case "min":
-		return func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	case "max":
-		return func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		}
-	}
-	return nil
 }

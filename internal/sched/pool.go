@@ -63,22 +63,6 @@ func (p *Pool) Width() int { return p.width }
 // Grain reports the minimum chunk size of the pool.
 func (p *Pool) Grain() int { return p.grain }
 
-var defaultPool atomic.Pointer[Pool]
-
-func init() { defaultPool.Store(New(0)) }
-
-// Default returns the process-wide default pool (initially GOMAXPROCS wide).
-func Default() *Pool { return defaultPool.Load() }
-
-// SetDefault replaces the process-wide default pool and returns the previous
-// one.  It is used by benchmarks and tools to model a w-thread SaC runtime.
-func SetDefault(p *Pool) *Pool {
-	if p == nil {
-		panic("sched: SetDefault(nil)")
-	}
-	return defaultPool.Swap(p)
-}
-
 // PanicError wraps a panic value recovered from a parallel loop body so the
 // caller sees where it came from.
 type PanicError struct {

@@ -116,25 +116,6 @@ func TestWidthAndGrainAccessors(t *testing.T) {
 	}
 }
 
-func TestSetDefaultSwap(t *testing.T) {
-	orig := Default()
-	p := New(1)
-	prev := SetDefault(p)
-	if prev != orig {
-		t.Fatal("SetDefault did not return previous pool")
-	}
-	if Default() != p {
-		t.Fatal("Default not updated")
-	}
-	SetDefault(orig)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDefault(nil) must panic")
-		}
-	}()
-	SetDefault(nil)
-}
-
 func TestReduceSum(t *testing.T) {
 	for _, width := range []int{1, 2, 5} {
 		p := NewWithGrain(width, 16)

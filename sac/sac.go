@@ -37,8 +37,6 @@ type Gen[T any] = array.Gen[T]
 var (
 	NewPool          = sched.New
 	NewPoolWithGrain = sched.NewWithGrain
-	DefaultPool      = sched.Default
-	SetDefaultPool   = sched.SetDefault
 )
 
 // Construction.
