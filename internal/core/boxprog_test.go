@@ -221,8 +221,12 @@ func render(recs []*Record) []string {
 // every output variant, on the stepped path (W unset, W=1, alone and between
 // taps) and on the concurrent engine's (W=4): every emitted record equals the
 // one built label by label, rejections and Out's errors are the same strings,
-// the counters agree and nothing stays in the arena.
-func TestBoxProgramMatchesByName(t *testing.T) { bothPlans(t, testBoxProgramMatchesByName) }
+// the counters agree and nothing stays in the arena.  Then the same for tag
+// expressions wherever a running network evaluates one (tagprog_test.go).
+func TestBoxProgramMatchesByName(t *testing.T) {
+	bothPlans(t, testBoxProgramMatchesByName)
+	bothPlans(t, testTagExprsThroughNet)
+}
 
 func testBoxProgramMatchesByName(t *testing.T, m execMode) {
 	rng := rand.New(rand.NewSource(22))

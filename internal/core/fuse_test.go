@@ -692,7 +692,8 @@ func TestFusedStarOperand(t *testing.T) {
 // the interpreted specification (oracle_test.go) on every shape — flow
 // inheritance, expression tags, zero-init tags, multi-output specs, item
 // names given twice (the later item wins) and a source field the input shape
-// lacks (both report the same error).
+// lacks (both report the same error) — and, on seeded random tag expressions,
+// with the tree evaluator (tagprog_test.go).
 func TestFilterProgramEquivalence(t *testing.T) {
 	type testCase struct {
 		name string
@@ -760,4 +761,5 @@ func TestFilterProgramEquivalence(t *testing.T) {
 			}
 		})
 	}
+	t.Run("random tag expressions", testRandomTagExprs)
 }
