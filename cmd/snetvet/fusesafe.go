@@ -30,7 +30,12 @@ import (
 //     it returns.  A synchrocell's storage — an indexed slot of its stage
 //     state, not a field assignment — is what the stage is for: the first
 //     match of each pattern waits there for the others, priced by the
-//     verifier as the cell's hold and given back by segmentRun.end.
+//     verifier as the cell's hold and given back by segmentRun.end.  The
+//     arena front a goroutine releases and acquires through (arena.go) is no
+//     third: it is the arena's type, owned by the goroutine and not by a step
+//     or a segment, and what it keeps is a released record only — emptied,
+//     poisoned, nobody's; a segmentRun field that kept one would be flagged
+//     here, rightly, and gets no exemption.
 //
 // The scope is syntactic: methods named step, and functions and methods of
 // segment* types (segment, segmentRun), in package core.

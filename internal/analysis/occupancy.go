@@ -238,9 +238,9 @@ func (a *analyzer) computeBound(root *core.GraphNode) {
 
 	if a.caps.MemoryBudget > 0 && a.bound.Finite && a.bound.Total > a.caps.MemoryBudget {
 		f := &Finding{
-			Code:    CodeCapacityOverflow,
-			Path:    root.Path,
-			Node:    root.Name,
+			Code: CodeCapacityOverflow,
+			Path: root.Path,
+			Node: root.Name,
 			Msg: fmt.Sprintf(
 				"static memory high-water bound of %d records exceeds the budget of %d: the plan is admissible only with more memory or smaller caps (buffer %d, batch %d, %d replicas per site)",
 				a.bound.Total, a.caps.MemoryBudget, a.caps.StreamBuffer, a.caps.StreamBatch, a.caps.SplitWidth),

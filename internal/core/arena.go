@@ -43,15 +43,7 @@ var (
 // AcquireRecord returns an empty runtime-owned record from the arena.  It
 // must be balanced by ReleaseRecord (or by crossing the network boundary,
 // which disowns it); use NewRecord for caller-owned records.
-func AcquireRecord() *Record { return acquireRecord() }
-
-func acquireRecord() *Record {
-	poolAcquired.Add(1)
-	r := recordPool.Get().(*Record)
-	r.shape = emptyShape
-	r.pooled = true
-	return r
-}
+func AcquireRecord() *Record { return (*arenaFront)(nil).acquire(emptyShape) }
 
 // ReleaseRecord returns a runtime-owned record to the arena.  Caller-owned
 // records (NewRecord) and nil are ignored.  Releasing the same record twice
@@ -59,21 +51,94 @@ func acquireRecord() *Record {
 // ownership bugs the arena is designed to surface.
 func ReleaseRecord(r *Record) { releaseRecord(r) }
 
-func releaseRecord(r *Record) {
+func releaseRecord(r *Record) { (*arenaFront)(nil).releaseRecord(r) }
+
+// arenaFront is the arena as one goroutine sees it between two waits for
+// input.  A segment releases its input and acquires an output within one step,
+// on one goroutine: the front keeps the last record released — emptied and
+// poisoned like any other, so it holds released records only — and hands it
+// straight back, going to recordPool on a miss, and tallies in plain integers
+// what the ledger counts in atomics.  Its owner — a segment loop, or a
+// dispatcher, which lends it to the branches it steps (merge.go) — folds the
+// tallies into the ledger before every input frame it takes, hence wherever it
+// waits for input, and on its way out (drain): PoolStats is exact whenever the
+// goroutine waits and at its end, at most one input frame behind in between.
+// The nil front is the arena itself, counting in the ledger at once.
+type arenaFront struct {
+	spare              *Record
+	acquired, recycled int64 // not yet in the ledger
+}
+
+// acquire takes a record from the arena and gives it the layout sh, its slots
+// yet to be written.  Arena records keep their slot capacity across recycling,
+// so after warm-up the resizes are free.
+func (f *arenaFront) acquire(sh *shape) *Record {
+	var o *Record
+	if f == nil {
+		poolAcquired.Add(1)
+	} else {
+		f.acquired++
+		o, f.spare = f.spare, nil
+	}
+	if o == nil {
+		o = recordPool.Get().(*Record)
+		o.pooled = true
+	}
+	o.shape = sh
+	if nf := len(sh.fields); cap(o.fvals) >= nf {
+		o.fvals = o.fvals[:nf]
+	} else {
+		o.fvals = make([]any, nf)
+	}
+	if nt := len(sh.tags); cap(o.tvals) >= nt {
+		o.tvals = o.tvals[:nt]
+	} else {
+		o.tvals = make([]int, nt)
+	}
+	return o
+}
+
+// releaseRecord gives r back, emptied and poisoned (and so named for snetvet's
+// recordretain, which knows a release by this name).
+func (f *arenaFront) releaseRecord(r *Record) {
 	if r == nil || !r.pooled {
 		return
 	}
 	if r.shape == nil {
 		panic("core: record released twice")
 	}
-	poolRecycled.Add(1)
 	r.shape = nil // poison: any use after release faults immediately
-	for i := range r.fvals {
-		r.fvals[i] = nil
-	}
+	clear(r.fvals)
 	r.fvals = r.fvals[:0]
 	r.tvals = r.tvals[:0]
-	recordPool.Put(r)
+	if f == nil {
+		poolRecycled.Add(1)
+	} else {
+		f.recycled++
+		r, f.spare = f.spare, r // the one kept before goes on to the pool
+	}
+	if r != nil {
+		recordPool.Put(r)
+	}
+}
+
+// fold adds the tallies to the ledger.
+func (f *arenaFront) fold() {
+	if f.acquired != 0 || f.recycled != 0 {
+		poolAcquired.Add(f.acquired)
+		poolRecycled.Add(f.recycled)
+		f.acquired, f.recycled = 0, 0
+	}
+}
+
+// drain is fold where the goroutine is done with the front: the free slot goes
+// back to the pool.
+func (f *arenaFront) drain() {
+	f.fold()
+	if f.spare != nil {
+		recordPool.Put(f.spare)
+		f.spare = nil
+	}
 }
 
 // disownRecord hands a runtime-owned record to user code: it will not be

@@ -33,6 +33,7 @@ type Emitter struct {
 	// shape: where each emitted value goes, and what src hands on.
 	src     *Record
 	prog    *boxProg
+	front   *arenaFront // of the goroutine that steps the box; nil (the arena itself) on the concurrent engine
 	stopped bool
 	emitted int
 	// Where the emissions go.  A box stepped as a stage (fuse.go) hands
@@ -71,7 +72,7 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		return fmt.Errorf("core: box %s: snet_out variant %d needs %d values, got %d",
 			e.box.label, variant, len(labels), len(vals))
 	}
-	rec := acquireShaped(op.shape)
+	rec := e.front.acquire(op.shape)
 	for i, l := range labels {
 		d := op.dst[i]
 		if !l.IsTag {
@@ -82,7 +83,7 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		}
 		tv, ok := vals[i].(int)
 		if !ok {
-			releaseRecord(rec)
+			e.front.releaseRecord(rec)
 			return fmt.Errorf("core: box %s: value for tag <%s> must be int, got %T",
 				e.box.label, l.Name, vals[i])
 		}
@@ -101,7 +102,7 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		// The stages after this one may never send anything, and then no
 		// stream is there to observe cancellation: check it here so an
 		// emit-heavy box cannot outlive its run.
-		releaseRecord(rec)
+		e.front.releaseRecord(rec)
 	default:
 		e.env.trace(e.box.label, "out", rec)
 		// The emission before this one moves on now, from inside the call;
@@ -158,7 +159,15 @@ type boxNode struct {
 }
 
 // boxStatKeys are the node's stat-counter keys, concatenated once at
-// construction so the per-invocation accounting never builds a string.
+// construction so the per-invocation accounting never builds a string.  Who
+// runs the invocations tallies calls and emitted (boxNode.step, the concurrent
+// engine's releaser): a completed invocation counts under calls and its
+// emissions under emitted, one cut short by run cancellation under cancelled
+// instead.  "Emitted" means accepted by the box's output stream: under run
+// cancellation up to B-1 emissions batched in the writer's pending frame can
+// still be dropped in flight (the transport's own "stream.records" retracts
+// those; see ship), and so can the last emission of a stepped call, which
+// moves on only after the call is counted.
 type boxStatKeys struct {
 	instances, concurrency, inflight    string
 	calls, emitted, cancelled, rejected string
@@ -259,7 +268,7 @@ func (b *boxNode) program(sh *shape) *boxProg {
 func (b *boxNode) open(x *segmentRun, i int) *Emitter {
 	st := &x.state[i]
 	if st.em.x != x { // the first call, or the first after a hand-over (resume)
-		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1}
+		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1, front: x.front}
 		st.args = make([]any, 0, len(b.boxSig.In))
 		x.env.stats.SetMax(b.keys.inflight, 1)
 	}
@@ -295,38 +304,16 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	}
 	last := em.held
 	em.src, em.held = nil, nil
-	releaseRecord(rec)
-	b.settle(env, &st.cells, em.emitted, !em.stopped)
-	x.applied++
+	x.front.releaseRecord(rec)
+	st.emitted.n += int64(em.emitted)
+	x.applied.n++
 	if em.stopped {
-		releaseRecord(last) // never handed on, so still ours
+		env.stats.Add(b.keys.cancelled, 1) // at once: the run is gone
+		x.front.releaseRecord(last)        // never handed on, so still ours
 		return nil, false
 	}
+	st.calls.n++
 	return last, true
-}
-
-// boxCells are the counters ticked per invocation, held (Stats.held) by who
-// settles them: the stage's state, or the concurrent engine's releaser.
-type boxCells struct{ calls, emitted *statCell }
-
-// settle counts one finished invocation.  Completed invocations count under
-// "box.<name>.calls" and their emissions under "box.<name>.emitted";
-// invocations cut short by run cancellation count under
-// "box.<name>.cancelled" instead.  "Emitted" means accepted by the box's
-// output stream: under run cancellation up to B-1 emissions batched in the
-// writer's pending frame can still be dropped in flight (the transport's own
-// "stream.records" counter retracts those; see ship), and so can the last
-// emission of a call stepped in a segment, which moves on only after the call
-// is settled.
-func (b *boxNode) settle(env *runEnv, c *boxCells, emitted int, completed bool) {
-	if emitted > 0 {
-		env.stats.held(&c.emitted, b.keys.emitted).Add(int64(emitted))
-	}
-	if completed {
-		env.stats.held(&c.calls, b.keys.calls).Add(1)
-	} else {
-		env.stats.Add(b.keys.cancelled, 1)
-	}
 }
 
 // invoke runs the box function with panic isolation: a panicking box loses

@@ -113,6 +113,8 @@ func (b *boxNode) engine(x *segmentRun, in *streamReader) {
 	if !x.loop(in, &b.escalated) {
 		return
 	}
+	x.fold() // inline mode ends here: what it tallied, and its free slot
+	x.own.drain()
 	if !x.out.flush() {
 		in.Discard()
 		return
@@ -155,7 +157,7 @@ func (b *boxNode) observe(wall, waited time.Duration) {
 // reading end the releaser drains.  The worker closes em.out when the box
 // function returns, which publishes em's final state to the releaser — the
 // only party that knows which emissions actually reached the output stream
-// and can therefore settle the invocation's counters.
+// and can therefore count the invocation.
 type boxSlot struct {
 	mk   *marker
 	emit *streamReader
@@ -193,13 +195,19 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	// The releaser walks the reorder queue in FIFO order, streaming each
 	// slot's emissions (or marker) to out.  Head-of-queue emissions stream
 	// through as their frames are flushed; later invocations buffer until
-	// they become the head.  It also settles the per-invocation counters
-	// (settle): an invocation counts for what its slot actually delivered
-	// downstream, and slots overtaken by cancellation — including invocations
-	// still buffered or never dispatched — count as cancelled.
+	// they become the head.  It also counts the invocations (boxStatKeys): one
+	// counts for what its slot actually delivered downstream, and slots
+	// overtaken by cancellation — including invocations still buffered or
+	// never dispatched — count as cancelled.
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
+		var calls, emitted tally // folded wherever the releaser waits, and at its end
+		fold := func() {
+			calls.fold(env.stats, b.keys.calls)
+			emitted.fold(env.stats, b.keys.emitted)
+		}
+		defer fold()
 		// nextSlot dequeues the next reorder slot, flushing out's pending
 		// batch before blocking so released emissions never wait on an
 		// idle reorder queue.
@@ -210,11 +218,11 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			default:
 			}
 			out.flush() // cancellation is handled by the send loop below
+			fold()
 			s, ok := <-slots
 			return s, ok
 		}
 		aborted := false
-		var cells boxCells
 		for {
 			s, ok := nextSlot()
 			if !ok {
@@ -249,21 +257,18 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 			if aborted {
 				s.emit.Discard()
 			}
-			b.settle(env, &cells, delivered, completed)
+			if emitted.n += int64(delivered); completed {
+				calls.n++
+			} else {
+				env.stats.Add(b.keys.cancelled, 1)
+			}
 		}
 	}()
 
 	// Dispatch loop (the node's own goroutine).  Workers spawn lazily, one
 	// per observed need up to width, so a box that happens to see only
 	// sequential traffic costs a single extra goroutine.
-	enqueue := func(s *boxSlot) bool {
-		select {
-		case slots <- s:
-			return true
-		case <-env.ctx.Done():
-			return false
-		}
-	}
+	enqueue := func(s *boxSlot) bool { return handOff(env.ctx, slots, s, nil) }
 	spawned := 0
 	var last *shape // the latest record's, and the box's program for it
 	var prog *boxProg
@@ -278,12 +283,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 				go worker()
 			}
 		}
-		select {
-		case calls <- s:
-			return true
-		case <-env.ctx.Done():
-			return false
-		}
+		return handOff(env.ctx, calls, s, nil)
 	}
 	for {
 		it, ok := in.recv()

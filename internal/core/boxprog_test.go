@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // The by-name reference of record construction inside the runtime: what a box
@@ -357,34 +358,84 @@ func testSyncMergeMatchesByName(t *testing.T, m execMode) {
 	}
 }
 
-// TestRuntimeAddressesRecordsBySlot is the lint that keeps it so: outside
+// TestRuntimeAddressesRecordsBySlot is the lint that keeps it so.  Outside
 // record.go (the by-name API itself) and reserved.go (which builds and tests
 // the control records of the close protocol, by their reserved names) no
-// non-test file of the package calls a by-name accessor of a record.
+// non-test file of the package calls a by-name accessor of a record.  No
+// non-test file names the tree evaluator of tag expressions or the arena's
+// package-level acquires, which are gone (a tag expression is compiled per
+// shape, prog.go; the arena is entered through a front, arena.go).  And what a
+// goroutine does to a record between two input frames takes no atomic: a step,
+// and a method of a segment type other than the fold, neither releases through
+// the package-level releaseRecord nor adds to a held counter cell.
 func TestRuntimeAddressesRecordsBySlot(t *testing.T) {
 	byName := map[string]bool{"SetTag": true, "SetField": true, "Tag": true, "Field": true,
 		"DeleteTag": true, "DeleteField": true, "MustTag": true, "MustField": true}
+	gone := map[string]bool{"evalTagRec": true, "acquireRecord": true, "acquireShaped": true}
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		name := fi.Name()
-		return !strings.HasSuffix(name, "_test.go") && name != "record.go" && name != "reserved.go"
+		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// perRecord reports whether fn is a step, or a method of a segment type
+	// other than fold.
+	perRecord := func(fn *ast.FuncDecl) bool {
+		if fn.Recv == nil || fn.Name.Name == "fold" {
+			return false
+		}
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		id, ok := recv.(*ast.Ident)
+		return fn.Name.Name == "step" || ok && strings.HasPrefix(id.Name, "segment")
+	}
 	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
+		for name, file := range pkg.Files {
+			slotOnly := name != "record.go" && name != "reserved.go"
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && byName[sel.Sel.Name] {
-					t.Errorf("%s: .%s(…) looks a label up by name; the runtime addresses records by slot (prog.go)",
-						fset.Position(call.Pos()), sel.Sel.Name)
+				switch n := n.(type) {
+				case *ast.Ident:
+					if gone[n.Name] {
+						t.Errorf("%s: %s is back: it was deleted in favour of the slot program and the arena front",
+							fset.Position(n.Pos()), n.Name)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && byName[sel.Sel.Name] && slotOnly {
+						t.Errorf("%s: .%s(…) looks a label up by name; the runtime addresses records by slot (prog.go)",
+							fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				case *ast.FuncDecl:
+					if n.Body == nil || !perRecord(n) {
+						return true
+					}
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						call, ok := m.(*ast.CallExpr)
+						if !ok {
+							return true
+						}
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "releaseRecord" {
+							t.Errorf("%s: package-level releaseRecord in %s: a step releases through its goroutine's front (arena.go)",
+								fset.Position(call.Pos()), n.Name.Name)
+						}
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" {
+							if inner, ok := sel.X.(*ast.CallExpr); ok {
+								if held, ok := inner.Fun.(*ast.SelectorExpr); ok && held.Sel.Name == "held" {
+									t.Errorf("%s: atomic add on a held cell in %s: a step ticks a tally, folded once per input frame (runctx.go)",
+										fset.Position(call.Pos()), n.Name.Name)
+								}
+							}
+						}
+						return true
+					})
 				}
 				return true
 			})
 		}
+	}
+	if unsafe.Sizeof(binExpr{}.op) != 1 || unsafe.Sizeof(tagInstr{}.op) != 1 {
+		t.Errorf("a tag expression's operator is one byte (TokKind), in the tree and in the program")
 	}
 }

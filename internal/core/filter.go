@@ -44,13 +44,7 @@ func FilterFrom(src string) (Node, error) {
 }
 
 // MustFilter is FilterFrom panicking on error, for network literals.
-func MustFilter(src string) Node {
-	n, err := FilterFrom(src)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
+func MustFilter(src string) Node { return must(FilterFrom(src)) }
 
 func (f *filterNode) name() string   { return f.label }
 func (f *filterNode) String() string { return f.spec.String() }
@@ -78,23 +72,23 @@ func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	if st.shape != rec.shape {
 		st.shape, st.filter = rec.shape, f.program(rec.shape)
 	}
-	if st.filter == nil || !f.spec.Pattern.guardOK(rec) {
+	if st.filter == nil || !st.filter.guard.holds(rec) {
 		env.stats.Add(f.kNomatch, 1)
 		return rec, true
 	}
-	outs, err := st.filter.apply(rec, st.outs)
+	outs, err := st.filter.apply(x.front, rec, st.outs)
 	if err != nil {
 		env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
 		env.stats.Add(f.kErrors, 1)
-		releaseRecord(rec) // dropped, not forwarded
+		x.front.releaseRecord(rec) // dropped, not forwarded
 		return nil, true
 	}
 	if outs != nil {
 		st.outs = outs[:0] // keep the backing, not the records
 	}
-	env.stats.held(&st.applied, f.kApplied).Add(1)
-	x.applied++
-	releaseRecord(rec)
+	st.applied.n++
+	x.applied.n++
+	x.front.releaseRecord(rec)
 	for k, o := range outs {
 		env.trace(f.label, "out", o)
 		if k == len(outs)-1 {
@@ -104,7 +98,7 @@ func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 			// The failed record was already reclaimed where it failed;
 			// outputs never handed on are ours.
 			for _, rest := range outs[k+1:] {
-				releaseRecord(rest)
+				x.front.releaseRecord(rest)
 			}
 			return nil, false
 		}

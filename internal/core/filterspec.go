@@ -78,19 +78,20 @@ func (f *FilterSpec) OutType() RecType {
 	return out
 }
 
-// filterProg is a FilterSpec compiled against one input shape (prog.go): per
-// output specifier the interned output shape, the moves from the input — items
-// that copy a pattern label and flow inheritance alike — and the tags the
-// filter computes.  A shape the pattern's variant does not admit has no
-// program (nil): the filter's static match verdict rides in its memo entry.
+// filterProg is a FilterSpec compiled against one input shape (prog.go): the
+// pattern's guard, and per output specifier the interned output shape, the
+// moves from the input — items that copy a pattern label and flow inheritance
+// alike — and the tags the filter computes.  A shape the pattern's variant does
+// not admit has no program (nil): the static match verdict rides in its memo.
 //
 // The program is total: an item name given twice in one output resolves to
 // the later item at compile time, and a source field the input shape lacks
 // (only a programmatically built spec can name one outside its pattern)
 // compiles to a program whose apply is that error.
 type filterProg struct {
-	spec *FilterSpec
-	outs []filterOut
+	spec  *FilterSpec
+	guard *tagProg // nil: none
+	outs  []filterOut
 	// missing names the first source field absent from the input shape; no
 	// record of this shape can be rewritten, so apply reports it and builds
 	// nothing.
@@ -103,21 +104,21 @@ type filterOut struct {
 	set []tagSet
 }
 
-// tagSet writes output tag slot dst: the value of expr over the input
-// record's tags, or zero for a nil expr (a tag the pattern does not bind).
+// tagSet writes output tag slot dst: the value of prog over the input
+// record's tags, or zero without one (a tag the pattern does not bind).
 type tagSet struct {
 	dst  int
-	expr TagExpr
+	prog *tagProg
 }
 
 // compileFilterProg binds spec to one input shape; nil if records of that
 // shape do not match the pattern's variant.
 func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
-	pat := spec.Pattern.Variant
-	if !pat.SubsetOf(src.variant) {
+	pat, bound := spec.Pattern.Variant, spec.Pattern.bind(src)
+	if !bound.admits {
 		return nil
 	}
-	p := &filterProg{spec: spec, outs: make([]filterOut, len(spec.Outputs))}
+	p := &filterProg{spec: spec, guard: bound.guard, outs: make([]filterOut, len(spec.Outputs))}
 	for oi, items := range spec.Outputs {
 		out := &p.outs[oi]
 		var dst []int
@@ -126,7 +127,8 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 			if !it.IsTag {
 				from, ok := src.fieldSlot(it.Src)
 				if !ok {
-					return &filterProg{spec: spec, missing: it.Src}
+					p.outs, p.missing = nil, it.Src
+					return p
 				}
 				if dst[i] >= 0 {
 					out.fields = append(out.fields, slotCopy{dst: dst[i], src: from})
@@ -139,7 +141,7 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 			from, bound := src.tagSlot(it.Name)
 			switch {
 			case it.Expr != nil:
-				out.set = append(out.set, tagSet{dst: dst[i], expr: it.Expr})
+				out.set = append(out.set, tagSet{dst: dst[i], prog: compileTagExpr(it.Expr, src)})
 			case bound && pat.Has(Tag(it.Name)):
 				out.tags = append(out.tags, slotCopy{dst: dst[i], src: from})
 			default:
@@ -151,27 +153,27 @@ func compileFilterProg(spec *FilterSpec, src *shape) *filterProg {
 }
 
 // apply builds the output records for one matching input record of the shape
-// the program was compiled against, slot-by-slot from the arena.  dst is
+// the program was compiled against, slot-by-slot from the arena front f.  dst is
 // reused across records by the caller's run loop; on error (a tag expression
 // that cannot be evaluated, a missing source field) every already-built
 // output is returned to the arena.
-func (p *filterProg) apply(rec *Record, dst []*Record) ([]*Record, error) {
+func (p *filterProg) apply(f *arenaFront, rec *Record, dst []*Record) ([]*Record, error) {
 	if p.missing != "" {
 		return nil, fmt.Errorf("filter %s: input record %s has no field %q", p.spec, rec, p.missing)
 	}
 	outs := dst[:0]
 	for oi := range p.outs {
 		op := &p.outs[oi]
-		o := acquireShaped(op.shape)
+		o := f.acquire(op.shape)
 		outs = append(outs, o)
 		op.run(o, rec)
 		for _, t := range op.set {
 			v := 0
-			if t.expr != nil {
+			if t.prog != nil {
 				var err error
-				if v, err = evalTagRec(t.expr, rec); err != nil {
+				if v, err = t.prog.eval(rec.tvals); err != nil {
 					for _, b := range outs {
-						releaseRecord(b)
+						f.releaseRecord(b)
 					}
 					return nil, fmt.Errorf("filter %s: %w", p.spec, err)
 				}
@@ -225,29 +227,23 @@ func (p *Parser) Filter() (*FilterSpec, error) {
 }
 
 func (p *Parser) filterOutput(pat Pattern) ([]FilterItem, error) {
-	if _, err := p.Expect(TokLBrace); err != nil {
-		return nil, err
-	}
 	items := []FilterItem{}
-	if p.Accept(TokRBrace) {
-		return items, nil
-	}
-	for {
+	err := p.list(TokLBrace, TokRBrace, func() error {
 		// Every item opens with the label it synthesizes — through Label, so
 		// the runtime's reserved namespace is refused here too.
 		l, err := p.Label()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch assigned := p.Accept(TokAssign); {
 		case l.IsTag && assigned:
 			e, err := p.TagExpr()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, ref := range e.TagRefs(nil) {
 				if !pat.Variant.Has(Tag(ref)) {
-					return nil, p.Errf("tag <%s> used in expression but not in filter pattern", ref)
+					return p.Errf("tag <%s> used in expression but not in filter pattern", ref)
 				}
 			}
 			items = append(items, FilterItem{Name: l.Name, IsTag: true, Expr: e})
@@ -258,21 +254,19 @@ func (p *Parser) filterOutput(pat Pattern) ([]FilterItem, error) {
 			if assigned {
 				t, err := p.Expect(TokIdent)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				src = t.Text
 			}
 			if !pat.Variant.Has(Field(src)) {
-				return nil, p.Errf("field %q not in filter pattern", src)
+				return p.Errf("field %q not in filter pattern", src)
 			}
 			items = append(items, FilterItem{Name: l.Name, Src: src})
 		}
-		if p.Accept(TokComma) {
-			continue
-		}
-		if _, err := p.Expect(TokRBrace); err != nil {
-			return nil, err
-		}
-		return items, nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return items, nil
 }

@@ -254,6 +254,8 @@ func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
 func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
 	defer out.close()
 	x.out = out // a resumed part learns it here
+	x.front = &x.own
+	defer x.own.drain()
 	in.autoFlush(out)
 	if b, ok := x.seg.stages[0].(*boxNode); ok && b.measured(env) {
 		b.engine(x, in)
@@ -268,22 +270,13 @@ func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
 // once per record here, because nothing else need: a stage that emits nothing
 // never meets a stream, and a receive that finds a frame waiting does not look.
 func (x *segmentRun) loop(in *streamReader, leave *atomic.Bool) bool {
-	s, env := x.seg, x.env
-	named := s.label != ""
-	var records, applied *statCell // a named segment's cells, held from its first record on
 	for leave == nil || !leave.Load() {
 		rec, ok := x.recv(in)
 		if ok {
-			if named {
-				env.stats.held(&records, s.kRecords).Add(1)
-			}
+			x.records.n++
 			ok = x.push(0, rec)
-			if named && x.applied > 0 {
-				env.stats.held(&applied, s.kApplied).Add(x.applied)
-				x.applied = 0
-			}
 		}
-		if !ok || ctxDone(env.ctx) {
+		if !ok || ctxDone(x.env.ctx) {
 			x.end()
 			in.Discard() // nothing to detach from an input read to its end
 			return false
@@ -296,16 +289,24 @@ func (x *segmentRun) loop(in *streamReader, leave *atomic.Bool) bool {
 // slot per stage, reused from record to record so a warm segment allocates
 // nothing.
 type segmentRun struct {
-	env     *runEnv
-	seg     *segment
-	out     *streamWriter
-	state   []stageState
-	state1  [1]stageState // state's backing for a segment of one
-	applied int64         // steps applied to the current input record (a named segment counts them)
+	env    *runEnv
+	seg    *segment
+	out    *streamWriter
+	state  []stageState
+	state1 [1]stageState // state's backing for a segment of one
+	// front is the arena front of the goroutine the execution runs on: own on
+	// a goroutine of its own, the dispatcher's when stepped (merge.go), which
+	// chains the executions it has to fold through next.
+	front  *arenaFront
+	own    arenaFront
+	next   *segmentRun
+	listed bool
+	// A named segment counts the records it takes in and the steps applied.
+	records, applied tally
 }
 
-// stageState is what one stage keeps from record to record: buffers and held
-// counter cells — and, the synchrocell's alone, records.  The slots are per
+// stageState is what one stage keeps from record to record: buffers and
+// counters — and, the synchrocell's alone, records.  The slots are per
 // stage, not per segment, because steps nest: a box in the middle of its
 // emissions is still reading its arguments while a box further down binds its
 // own.
@@ -319,11 +320,11 @@ type stageState struct {
 	hide    *outProg
 	em      Emitter   // box: the emitter every invocation is handed
 	args    []any     // box: the argument buffer
-	cells   boxCells  // box: "calls", "emitted"
 	outs    []*Record // filter: backing for the outputs of one application
-	applied *statCell // filter: "applied"
 	storage []*Record // synchrocell: the first match of each pattern, until it fires
 	fired   bool      // synchrocell: it has, and is an identity from here on
+	// box: "calls", "emitted"; filter: "applied"
+	calls, emitted, applied tally
 }
 
 // begin begins one execution of the segment; every box stage counts as one
@@ -346,17 +347,39 @@ func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
 
 // end is the end-of-input hook, run on every path out of an execution: what
 // a synchrocell that never fired has stored is discarded, and counted so
-// tests and users can detect starved synchrocells.
+// tests and users can detect starved synchrocells; then the last fold.
 func (x *segmentRun) end() {
 	for i := range x.state {
 		for _, s := range x.state[i].storage {
 			if s != nil {
 				x.env.stats.Add(x.seg.stages[i].(*syncNode).kStarved, 1)
-				releaseRecord(s)
+				x.front.releaseRecord(s)
 			}
 		}
 		x.state[i].storage = nil
 	}
+	x.fold()
+}
+
+// fold brings the ledger and the stages' per-record counters up to date with
+// what the execution has done: before every input frame it takes — so before
+// every wait for one — and on every path out (end, a hand-over).
+func (x *segmentRun) fold() {
+	stats := x.env.stats
+	for i, st := range x.seg.stages {
+		switch s := &x.state[i]; n := st.(type) {
+		case *boxNode:
+			s.calls.fold(stats, n.keys.calls)
+			s.emitted.fold(stats, n.keys.emitted)
+		case *filterNode:
+			s.applied.fold(stats, n.kApplied)
+		}
+	}
+	if x.seg.label != "" {
+		x.records.fold(stats, x.seg.kRecords)
+		x.applied.fold(stats, x.seg.kApplied)
+	}
+	x.front.fold()
 }
 
 // recv returns the next data record of in.  Foreign markers cross the
@@ -365,6 +388,9 @@ func (x *segmentRun) end() {
 // of the input and when the run is gone; the caller then detaches from in.
 func (x *segmentRun) recv(in *streamReader) (*Record, bool) {
 	for {
+		if in.drained() {
+			x.fold()
+		}
 		it, ok := in.recv()
 		if !ok {
 			return nil, false
@@ -395,9 +421,9 @@ func (x *segmentRun) push(i int, rec *Record) bool {
 	return x.out.sendRecord(rec)
 }
 
-// resume is the one-way hand-over of a stepped branch: x continues, reading
-// in, as the un-fused pipeline of its stages — each the execution it was,
-// state and all, on a goroutine of its own.
+// resume is the one-way hand-over of a stepped branch, folded by the dispatcher
+// it leaves: x continues, reading in, as the un-fused pipeline of its stages —
+// each the execution it was, state and all, on a goroutine of its own.
 func (x *segmentRun) resume(in *streamReader) {
 	parts := make([]runner, len(x.state))
 	for i := range parts {

@@ -745,7 +745,7 @@ func TestFilterProgramEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := tc.rec()
 			want, wantErr := tc.spec.Apply(tc.rec())
-			got, gotErr := compileFilterProg(tc.spec, rec.shape).apply(rec, nil)
+			got, gotErr := compileFilterProg(tc.spec, rec.shape).apply(nil, rec, nil)
 			if wantErr != nil || gotErr != nil {
 				if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 					t.Fatalf("errors diverge: interpreter %v, program %v", wantErr, gotErr)

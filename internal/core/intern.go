@@ -61,12 +61,3 @@ func internLabel(name string) labelID {
 	internSnap.Store(next)
 	return id
 }
-
-// internVariant pre-interns every label of a variant; Compile calls it for
-// all signatures, patterns and filter outputs of a plan, so the plan's
-// whole label universe is id-resolved before the first record flows.
-func internVariant(v Variant) {
-	for l := range v {
-		internLabel(l.Name)
-	}
-}

@@ -14,8 +14,9 @@ import (
 // The arena's ledger and the per-record stage counters are exact where they
 // are read: after a drained run — at every (W, B), on both plans — their
 // deltas are the figures written down here from what each node acquires,
-// releases and counts per record, and Live() is back where it started, after a
-// box panic too.  A reader polls Handle.Stats() and PoolStats() all the while, for the
+// releases and counts per record, and Live() is back where it started; and so
+// is Live() after a cancel that lands in the middle of a frame and after a box
+// panic.  A reader polls Handle.Stats() and PoolStats() all the while, for the
 // race detector's sake.
 
 // ledgerCase is one network with its inputs and the figures of a drained run.
@@ -226,6 +227,56 @@ func TestLedgerExactAtQuiescence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatedChain is filter .. tap .. box .. filter with the box parking its third
+// call until gate closes: a place to cancel in the middle of a frame.
+func gatedChain(entered chan<- struct{}, gate <-chan struct{}) Node {
+	calls := 0
+	return Serial(
+		MustFilter("{<n>} -> {<n>=<n>+1}"),
+		Observe("lg_tap", nil),
+		NewBoxConcurrent("lg_gate", MustParseSignature("(<n>) -> (<n>)"), func(args []any, out *Emitter) error {
+			if calls++; calls == 3 {
+				close(entered)
+				<-gate
+			}
+			return out.Out(1, args[0].(int))
+		}, 1),
+		MustFilter("{<n>} -> {<n>=<n>*2}"),
+	)
+}
+
+// TestLedgerAfterCancelMidFrame: the run is cancelled while a box holds the
+// third record of an eight-record frame — on a goroutine of its own and, as a
+// split replica, in its dispatcher's hands.  Whatever was acquired and
+// released up to there is in the ledger once the run has unwound.
+func TestLedgerAfterCancelMidFrame(t *testing.T) {
+	bothPlans(t, func(t *testing.T, m execMode) {
+		for _, replica := range []bool{false, true} {
+			goroutines, live := goroutineCount(), poolLiveSettled(t)
+			entered, gate := make(chan struct{}), make(chan struct{})
+			net := gatedChain(entered, gate)
+			if replica {
+				net = Split(net, "k")
+			}
+			h := m.Start(context.Background(), net, WithStreamBatch(8))
+			stop := make(chan struct{})
+			polled := pollLedger(t, h, stop)
+			frame := pooledSeqInputs(8, func(i int, r *Record) { r.SetTag("n", i).SetTag("k", 0) })
+			if _, err := h.SendBatch(context.Background(), frame); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			h.Cancel()
+			close(gate)
+			h.Wait()
+			close(stop)
+			polled.Wait()
+			waitForGoroutines(t, goroutines)
+			waitPoolLive(t, live)
+		}
+	})
 }
 
 // TestLedgerAfterBoxPanic: a panicking call loses its record and nothing

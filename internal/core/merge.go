@@ -104,6 +104,10 @@ type fanout struct {
 	// both lists at once.
 	ports   []*branchPort
 	markers int // global marker count broadcast so far
+	// front is the dispatcher's arena front, lent to every branch it steps;
+	// stepped chains those stepped since the last fold (segmentRun.next).
+	front   arenaFront
+	stepped *segmentRun
 }
 
 func newFanout(env *runEnv, det bool, in *streamReader) *fanout {
@@ -127,6 +131,9 @@ func (f *fanout) serve(out *streamWriter, route func(*Record) bool) {
 		}
 	}()
 	for {
+		if f.in.drained() {
+			f.fold()
+		}
 		it, ok := f.in.recv()
 		switch {
 		case !ok:
@@ -141,18 +148,21 @@ func (f *fanout) serve(out *streamWriter, route func(*Record) bool) {
 	}
 	f.in.Discard()
 	f.finish()
+	f.front.drain()
 	<-mergeDone
 }
 
-// sendEv delivers an event to the merger; false means the run is cancelled.
-func (f *fanout) sendEv(e branchEvent) bool {
-	select {
-	case f.mux <- e:
-		return true
-	case <-f.env.ctx.Done():
-		return false
+// fold is the dispatcher's fold (arenaFront), before every input frame: the
+// branches it stepped since the last fold their counters and the front they share.
+func (f *fanout) fold() {
+	for x := f.stepped; x != nil; x = f.stepped {
+		x.fold()
+		f.stepped, x.next, x.listed = x.next, nil, false
 	}
 }
+
+// sendEv delivers an event to the merger; false means the run is cancelled.
+func (f *fanout) sendEv(e branchEvent) bool { return handOff(f.env.ctx, f.mux, e, nil) }
 
 // addBranch registers a new branch and returns the port for routing.  With a
 // body to step (stepped, fuse.go) the branch stays in the dispatcher's hands:
@@ -165,6 +175,7 @@ func (f *fanout) addBranch(n Node, body *segment) *branchPort {
 	port := &branchPort{w: out, b: b, slot: len(f.ports)}
 	if body != nil && !body.escalated(f.env) {
 		port.x = body.begin(f.env, out)
+		port.x.front = &f.front
 	} else if n != nil {
 		var inR *streamReader
 		inR, port.w = newStream(f.env)
@@ -185,13 +196,17 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 			releaseRecord(r)
 			return false
 		}
+		f.fold() // x's tallies are the next goroutine's from here
 		var inR *streamReader
 		inR, port.w = newStream(f.env)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
 		go x.resume(inR)
 	}
-	if port.x != nil {
-		if !port.x.push(0, r) {
+	if x := port.x; x != nil {
+		if !x.listed {
+			x.listed, x.next, f.stepped = true, f.stepped, x
+		}
+		if !x.push(0, r) {
 			return false
 		}
 	} else if !port.w.sendRecord(r) {

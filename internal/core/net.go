@@ -55,7 +55,7 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	for _, o := range opts {
 		o(env)
 	}
-	// The boundary input stream is written through sendDirect only (one
+	// The boundary input stream is written through sendBatchDirect only (one
 	// frame per record, safe for concurrent client senders); batching
 	// starts at the first internal hop.
 	inR, inW := newStream(env)
@@ -132,7 +132,8 @@ func (h *Handle) SendCtx(ctx context.Context, r *Record) error {
 		return err
 	}
 	defer h.releaseSend()
-	return h.in.sendDirect(ctx, item{rec: r})
+	_, err := h.in.sendBatchDirect(ctx, []*Record{r})
+	return err
 }
 
 // SendBatch injects a burst of records as ready-made frames of the run's

@@ -63,7 +63,7 @@ func (n *identityNode) step(x *segmentRun, _ int, rec *Record) (*Record, bool) {
 	if n.fn != nil {
 		n.fn(rec)
 	}
-	x.applied++
+	x.applied.n++
 	return rec, true
 }
 
@@ -119,12 +119,12 @@ func (n *hideNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 		st.shape, st.hide = rec.shape, n.program(rec.shape)
 	}
 	if p := st.hide; p != nil {
-		o := acquireShaped(p.shape)
+		o := x.front.acquire(p.shape)
 		p.run(o, rec)
-		releaseRecord(rec)
+		x.front.releaseRecord(rec)
 		rec = o
 	}
-	x.applied++
+	x.applied.n++
 	return rec, true
 }
 

@@ -12,19 +12,27 @@ type Pattern struct {
 // every label of the variant and, if a guard is present, the guard must
 // evaluate to nonzero over the record's tags.  A guard that fails to
 // evaluate (e.g. references an absent tag) does not match.
-func (p Pattern) Matches(r *Record) bool {
-	return p.Variant.SubsetOf(r.shape.variant) && p.guardOK(r)
+// Matches binds the pattern to the record's shape on every call; the runtime
+// keeps that binding per shape.
+func (p Pattern) Matches(r *Record) bool { return p.bind(r.shape).matches(r) }
+
+// boundPattern is a pattern seen from one record shape — the per-shape entry of
+// whoever matches records against it: whether the shape carries the variant's
+// labels and, if it does, the guard compiled against it (nil: no guard).
+type boundPattern struct {
+	admits bool
+	guard  *tagProg
 }
 
-// guardOK evaluates the optional tag guard over the record's tags; a guard
-// that fails to evaluate (e.g. references an absent tag) does not pass.
-func (p Pattern) guardOK(r *Record) bool {
-	if p.Guard == nil {
-		return true
+func (p Pattern) bind(sh *shape) boundPattern {
+	b := boundPattern{admits: p.Variant.SubsetOf(sh.variant)}
+	if b.admits && p.Guard != nil {
+		b.guard = compileTagExpr(p.Guard, sh)
 	}
-	v, err := evalTagRec(p.Guard, r)
-	return err == nil && v != 0
+	return b
 }
+
+func (b boundPattern) matches(r *Record) bool { return b.admits && b.guard.holds(r) }
 
 func (p Pattern) String() string {
 	s := p.Variant.String()
@@ -60,27 +68,16 @@ func (p *Parser) Pattern() (Pattern, error) {
 
 // Variant parses "{a, b, <c>}" into a label set.
 func (p *Parser) Variant() (Variant, error) {
-	if _, err := p.Expect(TokLBrace); err != nil {
+	v := Variant{}
+	err := p.list(TokLBrace, TokRBrace, func() error {
+		l, err := p.Label()
+		v[l] = struct{}{}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	v := Variant{}
-	if p.Accept(TokRBrace) {
-		return v, nil
-	}
-	for {
-		l, err := p.Label()
-		if err != nil {
-			return nil, err
-		}
-		v[l] = struct{}{}
-		if p.Accept(TokComma) {
-			continue
-		}
-		if _, err := p.Expect(TokRBrace); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
+	return v, nil
 }
 
 // Label parses a field name or a <tag>.

@@ -193,13 +193,7 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 }
 
 // MustCompile is Compile panicking on type errors.
-func MustCompile(root Node, opts ...CompileOption) *Plan {
-	p, err := Compile(root, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+func MustCompile(root Node, opts ...CompileOption) *Plan { return must(Compile(root, opts...)) }
 
 // FusionGroups lists the plan's fused segments in discovery order — empty
 // when fusion is off or nothing fused.
@@ -309,93 +303,36 @@ func renderType(t RecType) []string {
 	return out
 }
 
-// reservedIn reports the first reserved label of a variant, if any.
-func reservedIn(v Variant) (Label, bool) {
-	for _, l := range v.Labels() {
-		if IsReservedLabel(l.Name) {
-			return l, true
-		}
-	}
-	return Label{}, false
-}
-
-// internNode pre-interns every label a node can put on a record and
-// registers the shapes its declared variants induce, so the plan's whole
-// label universe is id-resolved and its canonical shapes exist before the
-// first record flows.  Records of these shapes then take only the lock-free
-// intern/shape read paths at runtime; out-of-plan dynamic shapes still
-// intern lazily on first sight.
-func internNode(n Node) {
-	internShape := func(v Variant) {
-		internVariant(v)
-		shapeForVariant(v)
-	}
+// declared visits the label sets a node's author wrote down, each with what it
+// is: Compile refuses reserved labels in them (the textual parsers already do;
+// this catches programmatically built nodes) and pre-interns their labels and
+// shapes, so the plan's whole label universe is id-resolved and its canonical
+// shapes exist before the first record flows — records of these shapes then
+// take only the lock-free intern/shape read paths at runtime; out-of-plan
+// dynamic shapes still intern lazily on first sight.
+func declared(n Node, visit func(what string, labels ...Label)) {
 	switch n := n.(type) {
 	case *boxNode:
-		internShape(NewVariant(n.boxSig.In...))
+		visit("box input", n.boxSig.In...)
 		for _, tuple := range n.boxSig.Out {
-			internShape(NewVariant(tuple...))
+			visit("box output", tuple...)
 		}
 	case *filterNode:
-		internShape(n.spec.Pattern.Variant)
+		visit("filter pattern", n.spec.Pattern.Variant.Labels()...)
 		for _, items := range n.spec.Outputs {
-			for _, it := range items {
-				internLabel(it.Name)
-			}
+			visit("filter output", itemLabels(items)...)
 		}
 	case *starNode:
-		internShape(n.exit.Variant)
-	case *syncNode:
-		for _, p := range n.patterns {
-			internShape(p.Variant)
-		}
-	}
-}
-
-// checkReservedLabels rejects reserved-namespace labels in user-declared
-// types.  The textual parsers already refuse them; this catches
-// programmatically built nodes.
-func (c *compiler) checkReservedLabels(path string, n Node) {
-	report := func(l Label, where string) {
-		c.typeError(true, ErrCodeReserved, path, n, nil,
-			"%s label %s lies in the runtime's reserved %q namespace", where, l, ReservedTagPrefix)
-	}
-	switch n := n.(type) {
-	case *boxNode:
-		if l, bad := reservedIn(NewVariant(n.boxSig.In...)); bad {
-			report(l, "box input")
-		}
-		for _, tuple := range n.boxSig.Out {
-			if l, bad := reservedIn(NewVariant(tuple...)); bad {
-				report(l, "box output")
-			}
-		}
-	case *filterNode:
-		if l, bad := reservedIn(n.spec.Pattern.Variant); bad {
-			report(l, "filter pattern")
-		}
-		for _, items := range n.spec.Outputs {
-			for _, it := range items {
-				if IsReservedLabel(it.Name) {
-					report(Label{Name: it.Name, IsTag: it.IsTag}, "filter output")
-				}
-			}
-		}
-	case *starNode:
-		if l, bad := reservedIn(n.exit.Variant); bad {
-			report(l, "star exit pattern")
-		}
+		visit("star exit pattern", n.exit.Variant.Labels()...)
 	case *splitNode:
 		// SessionSplit (uncapped) is the runtime's own session-multiplexing
 		// configuration; its reserved tag is intentional.
-		if !n.uncapped && IsReservedLabel(n.tag) {
-			report(Tag(n.tag), "split index")
+		if !n.uncapped {
+			visit("split index", Tag(n.tag))
 		}
 	case *syncNode:
 		for _, p := range n.patterns {
-			if l, bad := reservedIn(p.Variant); bad {
-				report(l, "synchrocell pattern")
-			}
+			visit("synchrocell pattern", p.Variant.Labels()...)
 		}
 	}
 }
@@ -409,8 +346,15 @@ func (c *compiler) walk(n Node, prefix string) *GraphNode {
 	path := prefix + n.name()
 	in, out := n.sig(nil)
 	g := &GraphNode{Name: n.name(), Path: path, Node: n, In: in, Out: out}
-	c.checkReservedLabels(path, n)
-	internNode(n)
+	declared(n, func(what string, labels ...Label) {
+		for _, l := range labels {
+			if IsReservedLabel(l.Name) {
+				c.typeError(true, ErrCodeReserved, path, n, nil,
+					"%s label %s lies in the runtime's reserved %q namespace", what, l, ReservedTagPrefix)
+			}
+		}
+		shapeForVariant(NewVariant(labels...)) // interns the labels on its way
+	})
 	switch n := n.(type) {
 	case *boxNode:
 		g.Kind = "box"

@@ -92,21 +92,169 @@ func layOut(src *shape, consumed Variant, explicit []Label) (op outProg, dst []i
 	return op, dst
 }
 
-// acquireShaped takes a record from the arena and gives it the layout sh, its
-// slots yet to be written.  Arena records keep their slot capacity across
-// recycling, so after warm-up the resizes are free.
-func acquireShaped(sh *shape) *Record {
-	o := acquireRecord()
-	o.shape = sh
-	if nf := len(sh.fields); cap(o.fvals) >= nf {
-		o.fvals = o.fvals[:nf]
-	} else {
-		o.fvals = make([]any, nf)
+// Tag programs: the tag expressions (tagexpr.go) a filter assigns and guards
+// test, compiled per input shape beside the moves — part of the slot program.
+
+// tagArg is an operand: a constant, a slot of the record's tag values or the
+// result of an earlier instruction.
+type tagArg struct {
+	kind uint8
+	v    int
+}
+
+const (
+	argConst = iota
+	argSlot
+	argTemp
+)
+
+func (a tagArg) get(tvals, temps []int) int {
+	switch a.kind {
+	case argSlot:
+		return tvals[a.v]
+	case argTemp:
+		return temps[a.v]
 	}
-	if nt := len(sh.tags); cap(o.tvals) >= nt {
-		o.tvals = o.tvals[:nt]
-	} else {
-		o.tvals = make([]int, nt)
+	return a.v
+}
+
+// tagInstr is one binary operator applied; its result is the temp of its own
+// index.  -a is 0 - a, !a is a == 0.  && and || come as two: the operator
+// itself after the left-hand side, which decides (b.v: where to, the != 0
+// closing the right-hand side) or falls through into the right-hand side — so
+// the side not taken raises no error.  opMissing stands for a tag the shape
+// lacks: an error if control gets there.
+type tagInstr struct {
+	op   TokKind
+	a, b tagArg
+	src  TagExpr // '/', '%', opMissing: what an EvalError quotes
+}
+
+const opMissing = TokAndAnd + 1
+
+// tagProg is a tag expression compiled against one shape: operands resolved to
+// slots, constant subexpressions folded, evaluated in one loop.
+type tagProg struct {
+	code []tagInstr
+	res  tagArg
+}
+
+func compileTagExpr(e TagExpr, sh *shape) *tagProg {
+	p := &tagProg{}
+	p.res = p.emit(e, sh)
+	return p
+}
+
+// emit appends the code of e, in evaluation order, and returns its value.
+func (p *tagProg) emit(e TagExpr, sh *shape) tagArg {
+	switch e := e.(type) {
+	case intLit:
+		return tagArg{argConst, int(e)}
+	case tagRef:
+		if i, ok := sh.tagSlotID(e.id); ok {
+			return tagArg{argSlot, i}
+		}
+		return p.push(tagInstr{op: opMissing, src: e})
+	case *unaryExpr:
+		if e.op == '-' {
+			return p.fold(tagInstr{op: TokMinus, b: p.emit(e.x, sh)})
+		}
+		return p.fold(tagInstr{op: TokEq, a: p.emit(e.x, sh)})
+	case *binExpr:
+		a := p.emit(e.x, sh)
+		if or := e.op == TokOrOr; !or && e.op != TokAndAnd {
+			return p.fold(tagInstr{op: e.op, a: a, b: p.emit(e.y, sh), src: e})
+		} else if a.kind != argConst {
+			at := p.push(tagInstr{op: e.op, a: a}).v
+			end := p.push(tagInstr{op: TokNeq, a: p.emit(e.y, sh)})
+			p.code[at].b = end
+			return end
+		} else if (a.v != 0) == or {
+			return tagArg{argConst, btoi(or)} // decided: the right-hand side is dead code
+		}
+		return p.fold(tagInstr{op: TokNeq, a: p.emit(e.y, sh)})
 	}
-	return o
+	panic("core: not a tag expression this package built: " + e.String())
+}
+
+func (p *tagProg) push(in tagInstr) tagArg {
+	p.code = append(p.code, in)
+	return tagArg{argTemp, len(p.code) - 1}
+}
+
+// fold is push, unless the operands are constants and the operator succeeds
+// on them: then its value is the constant.
+func (p *tagProg) fold(in tagInstr) tagArg {
+	if in.a.kind == argConst && in.b.kind == argConst {
+		one := tagProg{code: []tagInstr{in}, res: tagArg{argTemp, 0}}
+		if v, err := one.eval(nil); err == nil {
+			return tagArg{argConst, v}
+		}
+	}
+	return p.push(in)
+}
+
+func (in *tagInstr) fail(msg string) error { return &EvalError{Expr: in.src.String(), Msg: msg} }
+
+// eval runs the program over a record's tag values.
+func (p *tagProg) eval(tvals []int) (int, error) {
+	var few [8]int
+	temps := few[:]
+	if len(p.code) > len(few) {
+		temps = make([]int, len(p.code))
+	}
+	code := p.code
+	for pc := 0; pc < len(code); pc++ {
+		in := &code[pc]
+		a, b, v := in.a.get(tvals, temps), in.b.get(tvals, temps), 0
+		switch in.op {
+		case TokPlus:
+			v = a + b
+		case TokMinus:
+			v = a - b
+		case TokStar:
+			v = a * b
+		case TokSlash:
+			if b == 0 {
+				return 0, in.fail("division by zero")
+			}
+			v = a / b
+		case TokPercent:
+			if b == 0 {
+				return 0, in.fail("modulo by zero")
+			}
+			v = a % b
+		case TokEq:
+			v = btoi(a == b)
+		case TokNeq:
+			v = btoi(a != b)
+		case TokLt:
+			v = btoi(a < b)
+		case TokLe:
+			v = btoi(a <= b)
+		case TokGt:
+			v = btoi(a > b)
+		case TokGe:
+			v = btoi(a >= b)
+		case TokAndAnd, TokOrOr:
+			if v = btoi(in.op == TokOrOr); (a != 0) != (v != 0) {
+				continue // undecided: on into the right-hand side
+			}
+			pc = in.b.v
+		default: // opMissing
+			return 0, in.fail("tag not present in record")
+		}
+		temps[pc] = v
+	}
+	return p.res.get(tvals, temps), nil
+}
+
+// holds reports whether the program, a guard, passes over the record: it
+// evaluates, and to nonzero.  No guard at all (nil) holds.
+func (p *tagProg) holds(r *Record) bool {
+	if p == nil {
+		return true
+	}
+	v, err := p.eval(r.tvals)
+	return err == nil && v != 0
 }

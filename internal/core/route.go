@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -106,7 +107,7 @@ type dispatchEntry struct {
 type guardCand struct {
 	idx   int
 	score int
-	guard TagExpr
+	guard *tagProg // compiled against the entry's shape
 }
 
 // routeTable is the precomputed dispatch table of one parallel combinator.
@@ -146,7 +147,7 @@ func (t *routeTable) entry(sh *shape) *dispatchEntry {
 	if e, ok := t.load(sh); ok {
 		return e
 	}
-	return t.store(sh, t.buildEntry(sh.variant))
+	return t.store(sh, t.buildEntry(sh))
 }
 
 // routing is one dispatcher's state of its table: the rotation counter of
@@ -160,7 +161,8 @@ type routing struct {
 }
 
 // buildEntry scores one shape against every branch's static type.
-func (t *routeTable) buildEntry(shape Variant) *dispatchEntry {
+func (t *routeTable) buildEntry(sh *shape) *dispatchEntry {
+	shape := sh.variant
 	e := &dispatchEntry{best: -1}
 	for i, st := range t.static {
 		if st == nil {
@@ -183,9 +185,8 @@ func (t *routeTable) buildEntry(shape Variant) *dispatchEntry {
 		}
 	}
 	for _, g := range t.gb {
-		if g.pattern.Variant.SubsetOf(shape) {
-			e.cands = append(e.cands,
-				guardCand{idx: g.idx, score: len(g.pattern.Variant), guard: g.pattern.Guard})
+		if b := g.pattern.bind(sh); b.admits {
+			e.cands = append(e.cands, guardCand{idx: g.idx, score: len(g.pattern.Variant), guard: b.guard})
 		}
 	}
 	return e
@@ -206,7 +207,7 @@ func (t *routeTable) dispatch(rec *Record, r *routing) int {
 			if c.score < best {
 				continue // cannot win even if the guard passes
 			}
-			if !(Pattern{Guard: c.guard}).guardOK(rec) {
+			if !c.guard.holds(rec) {
 				continue
 			}
 			if c.score > best {
@@ -214,8 +215,9 @@ func (t *routeTable) dispatch(rec *Record, r *routing) int {
 			}
 			extra = append(extra, c.idx)
 		}
-		if len(extra) > 0 {
-			ties = mergeAscending(ties, extra)
+		if len(extra) > 0 { // guarded branches that tie with the static ones: one ascending list
+			ties = append(slices.Clone(ties), extra...)
+			slices.Sort(ties)
 		}
 	}
 	if best < 0 || len(ties) == 0 {
@@ -228,25 +230,4 @@ func (t *routeTable) dispatch(rec *Record, r *routing) int {
 	pick := ties[r.rr%len(ties)]
 	r.rr++
 	return pick
-}
-
-// mergeAscending merges two ascending index slices without duplicates.
-func mergeAscending(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

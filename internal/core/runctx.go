@@ -86,6 +86,21 @@ func (s *Stats) held(c **statCell, key string) *statCell {
 	return *c
 }
 
+// tally is a counter one goroutine ticks per record: the ticks since its owner
+// last folded (arenaFront) and the held cell they go to, which is exact
+// wherever the ledger is.
+type tally struct {
+	n    int64
+	cell *statCell
+}
+
+func (c *tally) fold(s *Stats, key string) {
+	if c.n != 0 {
+		s.held(&c.cell, key).Add(c.n)
+		c.n = 0
+	}
+}
+
 // Merge folds another collector's snapshot into s: counters are added,
 // maxima are maximised.  Both collectors remain usable.
 func (s *Stats) Merge(o *Stats) {

@@ -79,29 +79,18 @@ func (p *Parser) Signature() (*BoxSignature, error) {
 // LabelTuple parses "(a, <b>, c)"; the empty tuple "()" is allowed, a label
 // given twice is not (the tuple is a box's argument list).
 func (p *Parser) LabelTuple() ([]Label, error) {
-	if _, err := p.Expect(TokLParen); err != nil {
-		return nil, err
-	}
 	var out []Label
-	if p.Accept(TokRParen) {
-		return out, nil
-	}
-	for {
+	err := p.list(TokLParen, TokRParen, func() error {
 		at := p.Peek()
 		l, err := p.Label()
-		if err != nil {
-			return nil, err
-		}
-		if slices.Contains(out, l) {
-			return nil, p.errAt(at, "duplicate label %s", l)
+		if err == nil && slices.Contains(out, l) {
+			err = p.errAt(at, "duplicate label %s", l)
 		}
 		out = append(out, l)
-		if p.Accept(TokComma) {
-			continue
-		}
-		if _, err := p.Expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }

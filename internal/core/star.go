@@ -15,10 +15,10 @@ type starNode struct {
 	operand Node
 	exit    Pattern
 	depth   int // stage index; the entry dispatcher is depth 0
-	// exits caches per record shape whether it satisfies the exit pattern's
-	// variant; every lazily-unfolded stage of the chain shares the entry
-	// dispatcher's memo (the pattern is the same at every depth).
-	exits *shapeMemo[bool]
+	// exits caches the exit pattern bound to each record shape; every
+	// lazily-unfolded stage of the chain shares the entry dispatcher's memo
+	// (the pattern is the same at every depth).
+	exits *shapeMemo[boundPattern]
 
 	// Stat keys and the label of an unfolded stage's operand..next pair,
 	// built once at construction and shared by every stage: unfolding runs
@@ -29,7 +29,7 @@ type starNode struct {
 func newStar(label string, det bool, operand Node, exit Pattern) *starNode {
 	k := "star." + label
 	return &starNode{label: label, det: det, operand: operand, exit: exit,
-		exits:     new(shapeMemo[bool]),
+		exits:     new(shapeMemo[boundPattern]),
 		kReplicas: k + ".replicas", kDepth: k + ".depth", kOverflow: k + ".overflow",
 		stageLabel: label + ".stage"}
 }
@@ -84,17 +84,17 @@ func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	f := newFanout(env, n.det, in)
 	exitPort := f.addBranch(nil, nil) // branch 0: records leaving the chain here (no stream: see addBranch)
 	var chainPort *branchPort         // branch 1: operand .. star(depth+1), lazy
-	var last *shape                   // the latest record's, and whether it satisfies the exit's variant
-	var exits bool
+	var last *shape                   // the latest record's, and the exit pattern bound to it
+	var exit boundPattern
 	f.serve(out, func(rec *Record) bool {
 		if sh := rec.shape; sh != last {
 			var known bool
-			if exits, known = n.exits.load(sh); !known {
-				exits = n.exits.store(sh, n.exit.Variant.SubsetOf(sh.variant))
+			if exit, known = n.exits.load(sh); !known {
+				exit = n.exits.store(sh, n.exit.bind(sh))
 			}
 			last = sh
 		}
-		if exits && n.exit.guardOK(rec) {
+		if exit.matches(rec) {
 			env.trace(n.label, "exit", rec)
 			return f.route(exitPort, rec)
 		}

@@ -29,7 +29,7 @@ import (
 // unbatched streams.
 //
 // Ownership rule: a streamWriter is single-goroutine — only the goroutine
-// that writes a stream may send, flush or close it (sendDirect is the one
+// that writes a stream may send, flush or close it (sendBatchDirect is the one
 // exception: it bypasses the pending batch entirely so the network boundary
 // can accept records from many client goroutines).  autoFlush registrations
 // must respect this: only register writers owned by the goroutine that
@@ -87,7 +87,7 @@ func newStream(env *runEnv) (*streamReader, *streamWriter) {
 }
 
 // streamWriter is the producing end of a stream.  All methods except
-// sendDirect must be called from the single goroutine that owns the writer.
+// sendBatchDirect must be called from the single goroutine that owns the writer.
 type streamWriter struct {
 	env *runEnv
 	ch  chan frame // nil for a branch-output writer
@@ -104,7 +104,7 @@ type streamWriter struct {
 	// Transport counters, kept local (no locks on the hot path) and folded
 	// into the run's Stats by close: frames/records delivered and the
 	// per-stream frame-size high-water mark.  directRecords is atomic —
-	// sendDirect accepts concurrent boundary senders.
+	// sendBatchDirect accepts concurrent boundary senders.
 	frames        int64
 	records       int64
 	hwm           int
@@ -159,9 +159,9 @@ func (w *streamWriter) flush() bool {
 
 // handOff sends v on ch; false means the run was cancelled first.  A wait on
 // a full channel is a wait on the consumer, not work of the sender: it is
-// timed into *blocked so the box engine can tell a slow box from a cheap one
-// held up by backpressure (boxengine.go).  The clock is read only on that
-// path, which parks anyway.
+// timed into *blocked (if anyone asks) so the box engine can tell a slow box
+// from a cheap one held up by backpressure (boxengine.go).  The clock is read
+// only on that path, which parks anyway.
 func handOff[T any](ctx context.Context, ch chan<- T, v T, blocked *time.Duration) bool {
 	select {
 	case ch <- v:
@@ -171,7 +171,9 @@ func handOff[T any](ctx context.Context, ch chan<- T, v T, blocked *time.Duratio
 	t0 := time.Now()
 	select {
 	case ch <- v:
-		*blocked += time.Since(t0)
+		if blocked != nil {
+			*blocked += time.Since(t0)
+		}
 		return true
 	case <-ctx.Done():
 		return false
@@ -182,12 +184,16 @@ func handOff[T any](ctx context.Context, ch chan<- T, v T, blocked *time.Duratio
 // or to the merger a branch-output writer is bound to.  The transport
 // counters settle here, on delivery: a frame dropped by cancellation
 // retracts its records so "stream.records" reflects only what reached the
-// channel.
+// channel.  A cancelled run's frame is not offered at all: its reader may be
+// gone already, and a frame left in the buffer of a stream nobody reads is lost
+// to the ledger.
 func (w *streamWriter) ship(f frame) bool {
 	var ok bool
-	if w.fan != nil {
+	switch {
+	case ctxDone(w.env.ctx):
+	case w.fan != nil:
 		ok = handOff(w.env.ctx, w.fan.mux, branchEvent{kind: evFrame, b: w.branch, fr: f}, &w.blocked)
-	} else {
+	default:
 		ok = handOff(w.env.ctx, w.ch, f, &w.blocked)
 	}
 	if !ok {
@@ -234,30 +240,13 @@ func releaseItems(items ...item) int64 {
 	return n
 }
 
-// sendDirect delivers one record immediately, bypassing the pending batch,
-// honouring both the run context and an additional caller context.  It is
-// safe for concurrent use as long as no goroutine uses the batched send on
-// the same writer — the network boundary's contract (net.go).  The returned
-// error is nil, ErrCancelled (run cancelled) or the caller context's error.
-func (w *streamWriter) sendDirect(ctx context.Context, it item) error {
-	if it.rec != nil {
-		atomic.AddInt64(&w.directRecords, 1)
-	}
-	select {
-	case w.ch <- frame{single: it}:
-		atomic.AddInt64(&w.directFrames, 1)
-		return nil
-	case <-w.env.ctx.Done():
-		return ErrCancelled
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// sendBatchDirect ships a burst of records as frames of up to batch items,
-// bypassing the pending buffer (so, like sendDirect, it tolerates
-// concurrent callers).  It returns how many records were delivered — on
-// error that is a frame-aligned prefix of recs.
+// sendBatchDirect ships a burst of records — or one — immediately, as frames of
+// up to batch items, bypassing the pending buffer and honouring both the run
+// context and the caller's.  It is safe for concurrent use as long as no
+// goroutine uses the batched send on the same writer — the network boundary's
+// contract (net.go).  It returns how many records were delivered — on error a
+// frame-aligned prefix of recs — and nil, ErrCancelled (run cancelled) or the
+// caller context's error.
 func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int, error) {
 	b := w.batch
 	if b < 1 {
@@ -372,6 +361,10 @@ func (r *streamReader) recv() (item, bool) {
 		return item{}, false
 	}
 }
+
+// drained reports whether the frame in hand is read to its end: the next recv
+// takes a new one, or waits for it — where the goroutine folds (arenaFront).
+func (r *streamReader) drained() bool { return r.pos >= len(r.cur) }
 
 // finishFrame returns the consumed frame's slab to the arena.  Called only
 // once the frame is exhausted; the items were handed out by value, so the

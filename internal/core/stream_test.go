@@ -154,7 +154,7 @@ func TestStreamDiscardCountsRecords(t *testing.T) {
 	}
 }
 
-// sendDirect accepts concurrent senders (the network-boundary contract).
+// sendBatchDirect accepts concurrent senders (the network-boundary contract).
 func TestStreamSendDirectConcurrent(t *testing.T) {
 	env, cancel := newTestEnv(8, 8)
 	defer cancel()
@@ -166,8 +166,8 @@ func TestStreamSendDirectConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := w.sendDirect(context.Background(), itemN(i)); err != nil {
-					t.Errorf("sendDirect: %v", err)
+				if _, err := w.sendBatchDirect(context.Background(), []*Record{itemN(i).rec}); err != nil {
+					t.Errorf("sendBatchDirect: %v", err)
 					return
 				}
 			}

@@ -17,10 +17,10 @@ type syncNode struct {
 	// Stat keys, concatenated once: a replicated join (one cell per replica)
 	// fires or starves once per replica and must not build strings.
 	kFired, kStarved string
-	// admits caches, per record shape, which patterns' variants the shape
-	// satisfies; merges finds the merge program of the shapes a firing has
-	// stored.  Both are pure functions of the patterns, shared by every run.
-	admits shapeMemo[[]bool]
+	// admits caches the patterns bound to each record shape; merges finds the
+	// merge program of the shapes a firing has stored.  Both are pure functions
+	// of the patterns, shared by every run.
+	admits shapeMemo[[]boundPattern]
 	merges mergeTrie
 	lone   // run: the cell on its own is a segment of one (fuse.go)
 }
@@ -40,14 +40,14 @@ type mergeProg struct {
 	from  []slotCopies
 }
 
-// admitted reports which patterns' variants records of shape sh satisfy.
-func (n *syncNode) admitted(sh *shape) []bool {
+// admitted is the cell's patterns bound to records of shape sh.
+func (n *syncNode) admitted(sh *shape) []boundPattern {
 	if a, ok := n.admits.load(sh); ok {
 		return a
 	}
-	a := make([]bool, len(n.patterns))
+	a := make([]boundPattern, len(n.patterns))
 	for k, p := range n.patterns {
-		a[k] = p.Variant.SubsetOf(sh.variant)
+		a[k] = p.bind(sh)
 	}
 	return n.admits.store(sh, a)
 }
@@ -135,8 +135,8 @@ func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 		st.storage = make([]*Record, len(n.patterns))
 	}
 	stored, complete, admits := false, true, n.admitted(rec.shape)
-	for k, p := range n.patterns {
-		if !stored && st.storage[k] == nil && admits[k] && p.guardOK(rec) {
+	for k := range n.patterns {
+		if !stored && st.storage[k] == nil && admits[k].matches(rec) {
 			st.storage[k], stored = rec, true
 		}
 		complete = complete && st.storage[k] != nil
@@ -148,10 +148,10 @@ func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 		return nil, true
 	}
 	p := n.program(st.storage)
-	merged := acquireShaped(p.shape)
+	merged := x.front.acquire(p.shape)
 	for k, s := range st.storage {
 		p.from[k].run(merged, s)
-		releaseRecord(s) // consumed by the merge
+		x.front.releaseRecord(s) // consumed by the merge
 	}
 	x.env.trace(n.label, "out", merged)
 	x.env.stats.Add(n.kFired, 1)

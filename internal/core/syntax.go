@@ -23,8 +23,9 @@ import (
 // expression takes "!!" as two negations and "||" as logical or, a network
 // expression as the split and parallel combinators.
 
-// TokKind classifies a token.
-type TokKind int
+// TokKind classifies a token, in one byte: an operator's kind is also what a
+// tag expression and its compiled program carry (tagexpr.go).
+type TokKind uint8
 
 const (
 	TokEOF TokKind = iota
@@ -289,6 +290,24 @@ func (p *Parser) Errf(format string, args ...any) error {
 
 func (p *Parser) errAt(t Token, format string, args ...any) error {
 	return &SyntaxError{Input: p.src, Pos: t.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// list parses open, items separated by commas, close — or open close, the
+// empty list: the one list production, of variants, label tuples and filter
+// outputs.
+func (p *Parser) list(open, close TokKind, item func() error) error {
+	if _, err := p.Expect(open); err != nil || p.Accept(close) {
+		return err
+	}
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.Accept(TokComma) {
+			_, err := p.Expect(close)
+			return err
+		}
+	}
 }
 
 // parseAll runs one production over the whole of src.

@@ -14,10 +14,11 @@ import (
 // integers, matching the paper's treatment of tags as plain integers.
 //
 // An expression is a tree of this package's four node types, built by the
-// parser (ParseTagExpr, or the guard of a parsed pattern or filter) and
-// evaluated in one place: evalTagRec, over the tag slots of the record a
-// guard or filter is looking at.  The interface carries what callers outside
-// the evaluator need — the tags referenced and the rendering.
+// parser (ParseTagExpr, or the guard of a parsed pattern or filter).  Nothing
+// walks the tree per record: whoever evaluates one compiles it against the
+// shape of the records in front of it (compileTagExpr) and keeps the program
+// with that shape's other slot programs (prog.go).  The interface carries what
+// callers outside need — the tags referenced and the rendering.
 type TagExpr interface {
 	// TagRefs appends the tag names referenced by the expression.
 	TagRefs(dst []string) []string
@@ -40,7 +41,7 @@ func (e intLit) TagRefs(dst []string) []string { return dst }
 func (e intLit) String() string                { return strconv.Itoa(int(e)) }
 
 // tagRef is a tag reference: the name and, interned where the expression is
-// parsed, the id its slot is found by — an integer scan of the record's shape.
+// parsed, the id its slot is found by when the expression is compiled.
 type tagRef struct {
 	name string
 	id   labelID
@@ -57,101 +58,11 @@ type unaryExpr struct {
 func (e *unaryExpr) TagRefs(dst []string) []string { return e.x.TagRefs(dst) }
 func (e *unaryExpr) String() string                { return string(e.op) + e.x.String() }
 
+// An operator is one byte, the kind of its token, which the parser's precedence
+// table and the program's instructions share.
 type binExpr struct {
-	op   string
+	op   TokKind
 	x, y TagExpr
-}
-
-// apply evaluates the operators that do not short-circuit over computed
-// operands.
-func (e *binExpr) apply(a, b int) (int, error) {
-	switch e.op {
-	case "+":
-		return a + b, nil
-	case "-":
-		return a - b, nil
-	case "*":
-		return a * b, nil
-	case "/":
-		if b == 0 {
-			return 0, &EvalError{Expr: e.String(), Msg: "division by zero"}
-		}
-		return a / b, nil
-	case "%":
-		if b == 0 {
-			return 0, &EvalError{Expr: e.String(), Msg: "modulo by zero"}
-		}
-		return a % b, nil
-	case "==":
-		return btoi(a == b), nil
-	case "!=":
-		return btoi(a != b), nil
-	case "<":
-		return btoi(a < b), nil
-	case "<=":
-		return btoi(a <= b), nil
-	case ">":
-		return btoi(a > b), nil
-	case ">=":
-		return btoi(a >= b), nil
-	}
-	return 0, &EvalError{Expr: e.String(), Msg: "unknown operator " + e.op}
-}
-
-// evalTagRec evaluates a tag expression over a record's tag slots — under
-// every guard and filter tag assignment, so it materializes nothing: a tag
-// reference finds its slot by interned id in the record's shape.
-func evalTagRec(e TagExpr, r *Record) (int, error) {
-	switch e := e.(type) {
-	case intLit:
-		return int(e), nil
-	case tagRef:
-		if i, ok := r.shape.tagSlotID(e.id); ok {
-			return r.tvals[i], nil
-		}
-		return 0, &EvalError{Expr: e.String(), Msg: "tag not present in record"}
-	case *unaryExpr:
-		v, err := evalTagRec(e.x, r)
-		if err != nil {
-			return 0, err
-		}
-		if e.op == '-' {
-			return -v, nil
-		}
-		return btoi(v == 0), nil
-	case *binExpr:
-		a, err := evalTagRec(e.x, r)
-		if err != nil {
-			return 0, err
-		}
-		switch e.op {
-		case "&&":
-			if a == 0 {
-				return 0, nil
-			}
-			b, err := evalTagRec(e.y, r)
-			if err != nil {
-				return 0, err
-			}
-			return btoi(b != 0), nil
-		case "||":
-			if a != 0 {
-				return 1, nil
-			}
-			b, err := evalTagRec(e.y, r)
-			if err != nil {
-				return 0, err
-			}
-			return btoi(b != 0), nil
-		}
-		b, err := evalTagRec(e.y, r)
-		if err != nil {
-			return 0, err
-		}
-		return e.apply(a, b)
-	default:
-		return 0, &EvalError{Expr: e.String(), Msg: fmt.Sprintf("%T is not an expression this package built", e)}
-	}
 }
 
 func (e *binExpr) TagRefs(dst []string) []string {
@@ -163,7 +74,7 @@ func (e *binExpr) String() string {
 	b.WriteByte('(')
 	b.WriteString(e.x.String())
 	b.WriteByte(' ')
-	b.WriteString(e.op)
+	b.WriteString(tokNames[e.op])
 	b.WriteByte(' ')
 	b.WriteString(e.y.String())
 	b.WriteByte(')')
@@ -183,113 +94,32 @@ func ParseTagExpr(src string) (TagExpr, error) { return parseAll(src, (*Parser).
 // MustParseTagExpr is ParseTagExpr panicking on error, for literals in code.
 func MustParseTagExpr(src string) TagExpr { return must(ParseTagExpr(src)) }
 
-// Precedence climbing: || < && < comparisons < additive < multiplicative <
-// unary < primary.
+// tagPrec is the binding strength of the binary operators, by token kind, from
+// || up to the multiplicative ones (0: not a binary operator); unary operators
+// and primaries bind tighter still.
+var tagPrec = [TokAndAnd + 1]uint8{TokOrOr: 1, TokAndAnd: 2,
+	TokEq: 3, TokNeq: 3, TokLt: 3, TokLe: 3, TokGt: 3, TokGe: 3,
+	TokPlus: 4, TokMinus: 4, TokStar: 5, TokSlash: 5, TokPercent: 5}
 
 // TagExpr parses a tag expression.
-func (p *Parser) TagExpr() (TagExpr, error) { return p.parseOr() }
+func (p *Parser) TagExpr() (TagExpr, error) { return p.parseBinary(1) }
 
-func (p *Parser) parseOr() (TagExpr, error) {
-	x, err := p.parseAnd()
+// parseBinary parses a left-associative run of the operators of one strength
+// over operands of the next.
+func (p *Parser) parseBinary(level uint8) (TagExpr, error) {
+	if level > 5 {
+		return p.parseUnary()
+	}
+	x, err := p.parseBinary(level + 1)
+	for err == nil && tagPrec[p.Peek().Kind] == level {
+		e := &binExpr{op: p.Take().Kind, x: x}
+		e.y, err = p.parseBinary(level + 1)
+		x = e
+	}
 	if err != nil {
 		return nil, err
-	}
-	for p.Accept(TokOrOr) {
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: "||", x: x, y: y}
 	}
 	return x, nil
-}
-
-func (p *Parser) parseAnd() (TagExpr, error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.Accept(TokAndAnd) {
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: "&&", x: x, y: y}
-	}
-	return x, nil
-}
-
-var cmpOps = map[TokKind]string{
-	TokEq: "==", TokNeq: "!=", TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
-}
-
-func (p *Parser) parseCmp() (TagExpr, error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op, ok := cmpOps[p.Peek().Kind]
-		if !ok {
-			return x, nil
-		}
-		p.Take()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: op, x: x, y: y}
-	}
-}
-
-func (p *Parser) parseAdd() (TagExpr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.Peek().Kind {
-		case TokPlus:
-			op = "+"
-		case TokMinus:
-			op = "-"
-		default:
-			return x, nil
-		}
-		p.Take()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: op, x: x, y: y}
-	}
-}
-
-func (p *Parser) parseMul() (TagExpr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.Peek().Kind {
-		case TokStar:
-			op = "*"
-		case TokSlash:
-			op = "/"
-		case TokPercent:
-			op = "%"
-		default:
-			return x, nil
-		}
-		p.Take()
-		y, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{op: op, x: x, y: y}
-	}
 }
 
 func (p *Parser) parseUnary() (TagExpr, error) {
