@@ -1,7 +1,9 @@
-// Two gates no session here has a CI runner for, so tier-1 holds them: the
+// The gates no session here has a CI runner for, so tier-1 holds them: the
 // workflow file stays YAML where it broke before — a step name with ": " in it
 // must be quoted, or everything after the colon is a mapping and the file does
-// not parse — and every Go file outside testdata is gofmt-clean.
+// not parse — every Go file outside testdata is gofmt-clean, the budgeted
+// packages do not grow, and a path or name a PR deleted in favour of another
+// does not come back.
 package repro_test
 
 import (
@@ -50,9 +52,10 @@ func TestCIStepNamesAreOneLine(t *testing.T) {
 	}
 }
 
-// TestGoFilesAreFormatted: go/format leaves every .go file outside testdata
-// as it is (what gofmt -l checks).
-func TestGoFilesAreFormatted(t *testing.T) {
+// goFiles calls visit with every .go file of the repository outside testdata
+// and dot directories, slash-separated path and content.
+func goFiles(t *testing.T, visit func(path string, src []byte)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -70,15 +73,124 @@ func TestGoFilesAreFormatted(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(filepath.ToSlash(path), src)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoFilesAreFormatted: go/format leaves every .go file outside testdata
+// as it is (what gofmt -l checks).
+func TestGoFilesAreFormatted(t *testing.T) {
+	goFiles(t, func(path string, src []byte) {
 		formatted, err := format.Source(src)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 		} else if !bytes.Equal(src, formatted) {
 			t.Errorf("%s is not gofmt-clean", path)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSizeBudgets: the non-test lines of the budgeted packages only go down.
+// A PR that shrinks a package lowers its figure; one that has to raise a
+// figure says why in its CHANGES entry.
+func TestSizeBudgets(t *testing.T) {
+	budgets := []struct {
+		dir   string
+		lines int
+	}{
+		{"internal/core", 6914},
+		{"internal/analysis", 919},
+		{"internal/lang", 724},
+		{"snet/service", 1699},
+		{"internal/array", 933},
+		{"internal/sudoku", 1136},
+		{"internal/sacvm", 2447},
+		{"internal/sched", 221},
 	}
+	lines := map[string]int{}
+	goFiles(t, func(path string, src []byte) {
+		if !strings.HasSuffix(path, "_test.go") {
+			lines[filepath.ToSlash(filepath.Dir(path))] += bytes.Count(src, []byte("\n"))
+		}
+	})
+	for _, b := range budgets {
+		if got := lines[b.dir]; got == 0 {
+			t.Errorf("%s: no non-test Go files found; the budget row no longer matches the tree", b.dir)
+		} else if got > b.lines {
+			t.Errorf("%s: %d non-test lines, budget %d", b.dir, got, b.lines)
+		}
+	}
+}
+
+// TestDeletedNamesStayDeleted: one front door.  Every row is a path or a name
+// some PR deleted in favour of the one that stayed; a match means the second
+// way of doing the thing is back.  Patterns are matched line by line against
+// the .go files under dir ("" is the repository), test files included unless
+// the row says nonTest; this file, which has to spell the patterns, and any
+// path starting with except are left out.
+func TestDeletedNamesStayDeleted(t *testing.T) {
+	rows := []struct {
+		pattern string
+		dir     string
+		nonTest bool
+		except  string
+		why     string
+	}{
+		{`os\.(Getenv|LookupEnv)`, "", true, "benchmark/",
+			"non-test Go reads the environment: pass configuration through Compile/Start options"},
+		{`WithLegacyRouting|WithStreamBuffer|ExecRoot|NoFusion|envFuseOn|recordPoolOn`, "", false, "",
+			"Compile -> Plan.Start is the only way to run a network"},
+		{`fuseTree|rebuildSerial|fusedExec|Emitter\.buf|FusedSegmentHold|recvTimeout|WithReplicaIdleReap|DecodeFlat`, "", false, "",
+			"a plan has one Node tree, sequential leaves one run loop (segment.run), replicas retire by the close protocol"},
+		{`internal/bench|cmd/experiments|BENCH_[0-9]+\.json|MergeBenchFile`, "", false, "docs_test.go",
+			"go run ./benchmark is the only place a performance number is produced (docs_test.go holds the documents to the same)"},
+		{`preregister|hotSnapshot|hotKV|fusedKeys|hotFrames|hotRecords|hotHWM`, "", false, "",
+			"a stat is one atomic cell looked up by name (Stats.counter/maximum); per-record sites hold the pointer (Stats.held)"},
+		{`kindNames|parseUnaryTag|parseGuardedPattern|TagBinary|TagUnary|tagMap\(`, "", false, "",
+			"S-Net text has one lexer and one set of productions (core.Parser, embedded by internal/lang), a tag expression one evaluator (the program compiled per shape, prog.go; the tree walk is the tests' oracle)"},
+		{`func inheritInto|func transPos|func \(f \*filterNode\) matches|matchMemo`, "", false, "",
+			"inside internal/core a record is built and read by slot (prog.go); Record's by-name methods are the API of user code"},
+		{`acquireShaped|func acquireRecord|boxCells|func \(b \*boxNode\) settle|mergeAscending|cmpOps|func \(p \*Parser\) parse(Or|And|Cmp|Add|Mul)\(|func \(w \*streamWriter\) sendDirect`, "internal/core/", true, "",
+			"a stepped record meets the arena through its goroutine's front and ticks tallies folded once per input frame (arena.go), tag operators bind by one precedence table (tagPrec), the boundary sends through sendBatchDirect"},
+		{`ringSnapshot|dropFromRing|ringGen|feederDone|func \(e \*engine\) (feeder|poke)`, "", false, "",
+			"a Shared session sends through its engine's Handle"},
+		{`sched\.(Set)?Default\(|func (Set)?Default\(|defaultPool|(Set)?DefaultPool`, "", false, "",
+			"every with-loop runs on the *Pool its caller passes"},
+		{`func (int|dbl|bool)(Binop|FoldOp)|Gens\(gens|func (structural1|applyKindwise)|parse(Or|And|Cmp|Add|Mul)\(`, "internal/sacvm/", false, "",
+			"below Value the interpreter writes an operation once over a type parameter, the parser has one precedence table (binaryLevels) and one list production (exprList)"},
+		{`type checker struct|func \(c \*checker\)|sig\((c )?\*checker\)`, "internal/core/", false, "",
+			"a blueprint is typed once, by the shape-flow pass (flow.go); sig() infers signatures and collects nothing"},
+		{`flowFacts|parPath|func \(p \*Plan\) Flow(In|Out|Exact)|func branchPrefix`, "internal/core/", false, "",
+			"what the flow pass learned lives on the GraphNode it is about, and compiler.walk is the one place a path is built"},
+		{`func (findPath|ancestors|contains)\(|checkHide`, "internal/analysis/", false, "",
+			"the analysis reads GraphNode fields and follows Parent; it does not find nodes again by their paths"},
+		{`hideNode|\bHideTags\b|HiddenTags`, "", false, "",
+			"consuming a tag is a filter's job: [{<t>} -> {}]"},
+		{`func MatchScore`, "", true, "",
+			"routing scores live in the dispatch tables (route.go); the per-record scorer is the tests' oracle"},
+	}
+	res := make([]*regexp.Regexp, len(rows))
+	for i, r := range rows {
+		res[i] = regexp.MustCompile(r.pattern)
+	}
+	goFiles(t, func(path string, src []byte) {
+		if path == "gates_test.go" {
+			return
+		}
+		for i, r := range rows {
+			if !strings.HasPrefix(path, r.dir) || (r.nonTest && strings.HasSuffix(path, "_test.go")) ||
+				(r.except != "" && strings.HasPrefix(path, r.except)) {
+				continue
+			}
+			for n, line := range strings.Split(string(src), "\n") {
+				if res[i].MatchString(line) {
+					t.Errorf("%s:%d: a deleted path is back (%s): %s", path, n+1, r.why, strings.TrimSpace(line))
+				}
+			}
+		}
+	})
 }

@@ -149,15 +149,6 @@ func TestSessionSplitExempt(t *testing.T) {
 	wantFinding(t, r, analysis.CodeSyncStarvation, "/pair", "{r, <job>, <p>}")
 }
 
-func TestMarkerHazardHideReserved(t *testing.T) {
-	net := core.Serial(
-		box("g", "(a) -> (a)"),
-		core.HideTags("x", core.ReservedTagPrefix+"close"),
-	)
-	r := compileAndAnalyze(t, net)
-	wantFinding(t, r, analysis.CodeMarkerHazard, "hide", "reserved control tag")
-}
-
 func TestMarkerHazardNestedSessionSplit(t *testing.T) {
 	inner := core.SessionSplit("sess", box("g", "(a, <k>) -> (a, <k>)"), "k")
 	net := core.NamedSplit("outer", inner, "shard")

@@ -10,8 +10,8 @@ import (
 // Analyze runs every check over the compiled plan under the default
 // capacity assumptions and returns the findings, sorted by (Path, Code,
 // Msg).  The plan may have compile-time TypeErrors; the analysis still runs
-// (the flow facts exist either way) and suppresses findings the compile
-// pass already reported as errors at the same path.
+// (the tree carries its flow facts either way) and suppresses findings the
+// compile pass already reported as errors at the same path.
 func Analyze(p *core.Plan) *Report {
 	return AnalyzeWithCaps(p, DefaultCaps())
 }
@@ -21,25 +21,18 @@ func Analyze(p *core.Plan) *Report {
 // are guarantees about runs configured at or below the given caps.
 func AnalyzeWithCaps(p *core.Plan, caps Caps) *Report {
 	a := &analyzer{
-		plan:           p,
 		caps:           caps,
 		errPaths:       map[string]string{},
-		starving:       map[string]core.Variant{},
-		diverging:      map[string]*core.GraphNode{},
 		cycleProducers: map[*Finding][]*core.GraphNode{},
 	}
 	for _, te := range p.TypeErrors() {
 		a.errPaths[te.Path] = te.Code
 	}
 	g := p.Graph()
-	if in, ok := p.FlowIn(g.Path); ok && len(in) > 0 {
-		a.rootLive = true
-	}
-	a.walk(g, walkCtx{})
-	a.checkSplits(g)
-	a.checkDeadlocks(g)
+	a.walk(g, !reached(g)) // a root nothing reaches has no dead arms worth naming
+	a.checkDeadlocks()
 	a.computeBound(g)
-	a.attachTraces(g)
+	a.attachTraces()
 	a.findings = sortAndDedupe(a.findings)
 	return &Report{
 		Findings: a.findings,
@@ -73,8 +66,8 @@ func sortAndDedupe(findings []*Finding) []*Finding {
 	seen := map[key]bool{}
 	out := findings[:0]
 	for _, f := range findings {
-		k := key{f.Code, f.subject, fmt.Sprintf("%v", f.Variant), f.Msg}
-		if f.subject != nil && seen[k] {
+		k := key{f.Code, f.at.Node, fmt.Sprintf("%v", f.Variant), f.Msg}
+		if seen[k] {
 			continue
 		}
 		seen[k] = true
@@ -85,42 +78,22 @@ func sortAndDedupe(findings []*Finding) []*Finding {
 
 // analyzer is the state of one Analyze call.
 type analyzer struct {
-	plan     *core.Plan
 	caps     Caps
 	findings []*Finding
 	nodes    int
 	edges    int
 	bound    *Bound
-	rootLive bool
 	// errPaths maps node paths with compile-time TypeErrors to their code,
 	// to avoid re-reporting the same defect as a finding.
 	errPaths map[string]string
-	// starving maps each synchrocell path with an unfillable pattern to
-	// that pattern's variant — consumed by the unbounded-split check.
-	starving map[string]core.Variant
-	// diverging maps each star path whose exit flow is empty to its graph
-	// node — consumed by the occupancy pass (unbounded-occupancy).
-	diverging map[string]*core.GraphNode
 	// cycleProducers maps each deadlock-cycle finding to the producers that
 	// close its wait-for cycle — consumed by trace construction.
 	cycleProducers map[*Finding][]*core.GraphNode
 }
 
-// walkCtx is the ancestor context threaded down the graph walk.
-type walkCtx struct {
-	// deadReported marks that a dead-arm finding was already emitted for an
-	// ancestor; descendants of a dead subgraph are not re-reported.
-	deadReported bool
-	// enclosingSplit / enclosingStar hold the nearest replicating
-	// ancestors' paths ("" if none) — the marker-hazard context.
-	enclosingSplit string
-	enclosingStar  string
-	// parent is the graph parent ("" kind at the root).
-	parent *core.GraphNode
-}
-
+// emit reports a finding at g, as exact as the flow that reached g.
 func (a *analyzer) emit(g *core.GraphNode, code string, variant core.Variant, msg string) {
-	a.emitExact(g, code, variant, msg, a.plan.FlowExact(g.Path))
+	a.emitExact(g, code, variant, msg, !g.Inexact)
 }
 
 func (a *analyzer) emitExact(g *core.GraphNode, code string, variant core.Variant, msg string, exact bool) {
@@ -131,47 +104,42 @@ func (a *analyzer) emitExact(g *core.GraphNode, code string, variant core.Varian
 		Variant: variant,
 		Msg:     msg,
 		Exact:   exact,
-		subject: g.Node,
+		at:      g,
 	})
 }
 
-// reached reports whether the flow pass delivered at least one variant to
-// the node at path.
-func (a *analyzer) reached(path string) bool {
-	in, ok := a.plan.FlowIn(path)
-	return ok && len(in) > 0
+// reached reports whether the flow pass delivered at least one variant to g.
+func reached(g *core.GraphNode) bool { return g.Visited && len(g.FlowIn) > 0 }
+
+// enclosing returns g's nearest ancestor of the given kind, nil if none.
+func enclosing(g *core.GraphNode, kind string) *core.GraphNode {
+	for p := g.Parent; p != nil; p = p.Parent {
+		if p.Kind == kind {
+			return p
+		}
+	}
+	return nil
 }
 
-func (a *analyzer) walk(g *core.GraphNode, cx walkCtx) {
+// walk visits the tree; deadReported says a dead-arm finding was already
+// emitted for an ancestor — descendants of a dead subgraph are not re-reported.
+func (a *analyzer) walk(g *core.GraphNode, deadReported bool) {
 	a.nodes++
-	if a.rootLive && !a.reached(g.Path) && !cx.deadReported {
-		a.checkDeadArm(g, cx)
-		cx.deadReported = true
-	}
-	if a.reached(g.Path) {
+	if reached(g) {
 		switch g.Kind {
 		case "sync":
 			a.checkSync(g)
 		case "star":
 			a.checkStar(g)
 		}
+	} else if !deadReported {
+		a.checkDeadArm(g)
+		deadReported = true
 	}
-	switch g.Kind {
-	case "hide":
-		a.checkHide(g)
-	case "split":
-		a.checkSessionNesting(g, cx)
-	}
-
-	childCx := cx
-	childCx.parent = g
-	switch g.Kind {
-	case "split":
-		childCx.enclosingSplit = g.Path
-	case "star":
-		childCx.enclosingStar = g.Path
+	if g.Kind == "split" {
+		a.checkSessionNesting(g)
 	}
 	for _, ch := range g.Children {
-		a.walk(ch, childCx)
+		a.walk(ch, deadReported)
 	}
 }

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -27,12 +27,12 @@ import (
 // checkDeadlocks upgrades sync-starvation findings whose awaited variant
 // has a producer fed by the join's own output, and records the producer for
 // trace construction.
-func (a *analyzer) checkDeadlocks(root *core.GraphNode) {
+func (a *analyzer) checkDeadlocks() {
 	for _, f := range a.findings {
 		if f.Code != CodeSyncStarvation || f.Variant == nil {
 			continue
 		}
-		prods := downstreamProducers(root, f.Path, f.Variant)
+		prods := downstreamProducers(f.at, f.Variant)
 		if len(prods) == 0 {
 			continue
 		}
@@ -46,47 +46,31 @@ func (a *analyzer) checkDeadlocks(root *core.GraphNode) {
 }
 
 // downstreamProducers returns the leaf nodes whose declared output supplies
-// variant v and whose input is fed by the output of the node at fromPath:
-// nodes on the b-side of a serial combinator whose a-side contains
-// fromPath, and — through star feedback — any producer sharing a star
-// operand with fromPath.  The node at fromPath itself is excluded.
-func downstreamProducers(g *core.GraphNode, fromPath string, v core.Variant) []*core.GraphNode {
+// variant v and whose input is fed by the output of from, innermost first:
+// following Parent upwards, the b-side of every serial combinator from stands
+// on the a-side of, and — through star feedback — every producer sharing a
+// star operand with from.  from itself is excluded.
+func downstreamProducers(from *core.GraphNode, v core.Variant) []*core.GraphNode {
 	var out []*core.GraphNode
-	if !contains(g, fromPath) {
-		return nil
-	}
-	switch g.Kind {
-	case "serial":
-		if contains(g.Children[0], fromPath) {
-			out = append(out, downstreamProducers(g.Children[0], fromPath, v)...)
-			out = append(out, producersIn(g.Children[1], fromPath, v)...)
-		} else {
-			out = append(out, downstreamProducers(g.Children[1], fromPath, v)...)
-		}
-	case "star":
-		// Feedback: the operand's output re-enters the operand, so every
-		// producer in the loop is downstream of every node in it.
-		out = append(out, producersIn(g.Children[0], fromPath, v)...)
-	default:
-		for _, ch := range g.Children {
-			if contains(ch, fromPath) {
-				out = append(out, downstreamProducers(ch, fromPath, v)...)
-			}
+	for ch, g := from, from.Parent; g != nil; ch, g = g, g.Parent {
+		switch {
+		case g.Kind == "serial" && ch == g.Children[0]:
+			out = append(out, producersIn(g.Children[1], from, v)...)
+		case g.Kind == "star":
+			// Feedback: the operand's output re-enters the operand, so every
+			// producer in the loop is downstream of every node in it — those
+			// found so far among them.
+			out = producersIn(ch, from, v)
 		}
 	}
 	return out
 }
 
-// contains reports whether the subtree at g includes the node at path.
-func contains(g *core.GraphNode, path string) bool {
-	return g.Path == path || strings.HasPrefix(path, g.Path+"/")
-}
-
-// producersIn collects leaves of the subtree (excluding the node at
-// skipPath) whose declared output signature includes a variant supplying v.
-func producersIn(g *core.GraphNode, skipPath string, v core.Variant) []*core.GraphNode {
+// producersIn collects leaves of the subtree (excluding skip) whose declared
+// output signature includes a variant supplying v.
+func producersIn(g, skip *core.GraphNode, v core.Variant) []*core.GraphNode {
 	var out []*core.GraphNode
-	if g.Path != skipPath && len(g.Children) == 0 {
+	if g != skip && len(g.Children) == 0 {
 		for _, o := range g.Out {
 			if v.SubsetOf(o) {
 				out = append(out, g)
@@ -95,7 +79,7 @@ func producersIn(g *core.GraphNode, skipPath string, v core.Variant) []*core.Gra
 		}
 	}
 	for _, ch := range g.Children {
-		out = append(out, producersIn(ch, skipPath, v)...)
+		out = append(out, producersIn(ch, skip, v)...)
 	}
 	return out
 }
@@ -105,7 +89,7 @@ func producersIn(g *core.GraphNode, skipPath string, v core.Variant) []*core.Gra
 // defect, each annotated with its blocking fill state, then the defect's
 // held/awaited state — and for wait-for cycles, the producer that closes
 // the cycle.
-func (a *analyzer) attachTraces(root *core.GraphNode) {
+func (a *analyzer) attachTraces() {
 	edgeState := fmt.Sprintf("fills to %d items (%d frames × %d + %d pending + 1 in hand), then blocks its writer",
 		core.StreamCapacity(a.caps.StreamBuffer, a.caps.StreamBatch),
 		a.caps.StreamBuffer, a.caps.StreamBatch, a.caps.StreamBatch)
@@ -113,10 +97,11 @@ func (a *analyzer) attachTraces(root *core.GraphNode) {
 		if !deadlockCodes[f.Code] || len(f.Trace) > 0 {
 			continue
 		}
-		chain := ancestors(root, f.Path)
-		if chain == nil {
-			continue
+		var chain []*core.GraphNode // root … f.at
+		for g := f.at; g != nil; g = g.Parent {
+			chain = append(chain, g)
 		}
+		slices.Reverse(chain)
 		for i, g := range chain[:len(chain)-1] {
 			state := fmt.Sprintf("records enter %s %s", g.Kind, g.Name)
 			if i > 0 {

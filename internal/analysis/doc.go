@@ -2,9 +2,9 @@
 // Plans — the liveness/deadlock half of the claim that S-Net coordination is
 // statically checkable.  Where the compile-time shape-flow pass (core's
 // flow.go) reports *type* defects — shapes a box rejects, branches nothing
-// routes to — this pass reads the flow's per-path reachability facts
-// (Plan.FlowIn/FlowOut/FlowExact) together with the structured graph
-// (Plan.Graph) and reports *coordination* defects:
+// routes to — this pass reads the typed tree that pass annotated (Plan.Graph:
+// every GraphNode carries what the flow saw reach and leave it, and its
+// Parent) and reports *coordination* defects:
 //
 //	sync-starvation   a synchrocell join pattern the upstream flow can
 //	                  never supply: records matching the other patterns
@@ -21,9 +21,9 @@
 //	                  contain a starving join: replicas accumulate held
 //	                  records with no close or reap path retiring them.
 //	marker-hazard     subgraph shapes that can drop or reorder reserved
-//	                  "__snet_" control records: hiding reserved tags,
-//	                  or session splits nested inside replication where
-//	                  the close/ack barrier degrades to merge order.
+//	                  "__snet_" control records: session splits nested
+//	                  inside replication, where the close/ack barrier
+//	                  degrades to merge order.
 //
 // Soundness: findings are warnings, not errors.  The analysis is
 // closed-world over the plan's inferred (or declared) input type, and the

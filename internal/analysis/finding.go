@@ -93,12 +93,12 @@ type Finding struct {
 	// witness (dead arms, marker hazards).
 	Trace []TraceStep
 
-	subject core.Node
+	at *core.GraphNode // where in the plan's tree
 }
 
 // Subject returns the node the finding is about, for front ends that map
 // nodes back to source positions (cf. core.TypeError.Subject).
-func (f *Finding) Subject() core.Node { return f.subject }
+func (f *Finding) Subject() core.Node { return f.at.Node }
 
 func (f *Finding) String() string {
 	var b strings.Builder

@@ -7,8 +7,8 @@ import (
 )
 
 // The liveness checks: synchrocell starvation and star divergence.  Both
-// read the flow facts at the node's own path, so their verdicts are about
-// the closed-world input type the plan was compiled against.
+// read the flow facts on the node itself, so their verdicts are about the
+// closed-world input type the plan was compiled against.
 
 // checkSync classifies each join pattern of a reached synchrocell as
 // fillable (some reaching variant supplies it) or starving.  A mix of the
@@ -17,7 +17,7 @@ import (
 // All patterns starving means the cell never fires at all and degenerates
 // to an identity — reported as a dead arm instead.
 func (a *analyzer) checkSync(g *core.GraphNode) {
-	in, _ := a.plan.FlowIn(g.Path)
+	in := g.FlowIn
 	var fillable, starving []core.Pattern
 	for _, p := range g.Patterns {
 		supplied := false
@@ -43,30 +43,34 @@ func (a *analyzer) checkSync(g *core.GraphNode) {
 		return
 	}
 	for _, p := range starving {
-		a.starving[g.Path] = p.Variant
 		a.emit(g, CodeSyncStarvation, p.Variant, fmt.Sprintf(
 			"join pattern %s of synchrocell %s can never be filled: no variant of the upstream flow %v supplies it; records matching %s are stored and held forever — the join deadlocks",
 			p, g.Name, in, renderPatterns(fillable)))
 	}
+	a.checkSplits(g, starving[len(starving)-1].Variant)
 }
 
-// checkStar reports a reached star whose exit set is empty: the flow
+// diverges reports a reached star whose exit set is empty: the flow
 // fixpoint found no variant — neither an input nor anything the operand
 // produces — that satisfies the exit pattern, so records circulate (and the
 // chain unfolds) without bound.
+func diverges(g *core.GraphNode) bool {
+	return g.Kind == "star" && reached(g) && len(g.FlowOut) == 0
+}
+
+// checkStar reports a diverging star twice over: nothing leaves it, and what
+// enters it accumulates under any finite capacity assumption (the occupancy
+// pass marks the bound not finite by the same test).
 func (a *analyzer) checkStar(g *core.GraphNode) {
-	out, ok := a.plan.FlowOut(g.Path)
-	if !ok || len(out) > 0 {
+	if !diverges(g) {
 		return
 	}
-	exit := ""
-	if g.Exit != nil {
-		exit = g.Exit.String()
-	}
-	a.diverging[g.Path] = g
 	a.emit(g, CodeStarDivergence, nil, fmt.Sprintf(
 		"no record entering star %s can ever satisfy its exit pattern %s: the replication chain unfolds without bound and no record leaves",
-		g.Name, exit))
+		g.Name, g.Exit))
+	a.emit(g, CodeUnboundedOccupancy, nil, fmt.Sprintf(
+		"queue occupancy of star %s grows without bound: every entering record stays in the replication chain, so no finite buffer, batch or depth cap yields a memory high-water bound",
+		g.Name))
 }
 
 func renderPatterns(ps []core.Pattern) string {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -117,9 +116,17 @@ type bounder struct {
 	// attributed to Bound.Fixed only at depth zero (inside a site they are
 	// part of that site's PerUnit).
 	replDepth int
-	// diverging maps star paths whose exit flow is empty (recorded by
-	// checkStar) — the unbounded-occupancy sites.
-	diverging map[string]*core.GraphNode
+	// sites are the replication sites, in the order of bound.Replicas.
+	sites []*core.GraphNode
+}
+
+// site records one replication site's term.
+func (b *bounder) site(g *core.GraphNode, per, units int64) int64 {
+	b.sites = append(b.sites, g)
+	b.bound.Replicas = append(b.bound.Replicas, ReplicaTerm{
+		Path: g.Path, Kind: g.Kind, PerUnit: per, Units: units, Subtotal: per * units,
+	})
+	return per * units
 }
 
 // edgeCap is the worst-case record count of one stream edge under the caps.
@@ -185,15 +192,10 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		b.replDepth++
 		per := b.node(g.Children[0]) + b.edgeCap() + b.branchOut()
 		b.replDepth--
-		units := int64(b.caps.StarDepth)
-		sub := per * units
-		b.bound.Replicas = append(b.bound.Replicas, ReplicaTerm{
-			Path: g.Path, Kind: "star", PerUnit: per, Units: units, Subtotal: sub,
-		})
-		if b.diverging[g.Path] != nil {
+		if diverges(g) {
 			b.bound.Finite = false
 		}
-		return occ + sub
+		return occ + b.site(g, per, int64(b.caps.StarDepth))
 	case "split":
 		// Router's record in hand and the merge queue are per-site; each
 		// live replica holds its input edge, one operand instance and the
@@ -202,13 +204,8 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		b.replDepth++
 		per := b.edgeCap() + b.node(g.Children[0]) + b.branchOut()
 		b.replDepth--
-		units := int64(b.caps.SplitWidth)
-		sub := per * units
-		b.bound.Replicas = append(b.bound.Replicas, ReplicaTerm{
-			Path: g.Path, Kind: "split", PerUnit: per, Units: units, Subtotal: sub,
-		})
-		return occ + sub
-	default: // filter, observe, hide, node: one record in hand
+		return occ + b.site(g, per, int64(b.caps.SplitWidth))
+	default: // filter, observe, node: one record in hand
 		occ := b.fixed(1)
 		for _, ch := range g.Children {
 			occ += b.fixed(b.edgeCap()) + b.node(ch)
@@ -218,23 +215,15 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 }
 
 // computeBound runs the occupancy pass: it fills Report.Bound/Edges and
-// emits the occupancy findings (unbounded-occupancy for diverging stars,
-// capacity-overflow against a configured budget).
+// emits the capacity-overflow finding against a configured budget.
 func (a *analyzer) computeBound(root *core.GraphNode) {
-	b := &bounder{caps: a.caps, bound: &Bound{Finite: true}, diverging: a.diverging}
+	b := &bounder{caps: a.caps, bound: &Bound{Finite: true}}
 	occ := b.node(root)
 	// The network boundary: the input stream and the output record channel.
 	occ += b.fixed(b.edgeCap()) + b.fixed(b.edgeCap())
 	b.bound.Total = occ
 	a.bound = b.bound
 	a.edges = b.edges
-
-	for _, path := range sortedKeys(a.diverging) {
-		g := a.diverging[path]
-		a.emit(g, CodeUnboundedOccupancy, nil, fmt.Sprintf(
-			"queue occupancy of star %s grows without bound: every entering record stays in the replication chain, so no finite buffer, batch or depth cap yields a memory high-water bound",
-			g.Name))
-	}
 
 	if a.caps.MemoryBudget > 0 && a.bound.Finite && a.bound.Total > a.caps.MemoryBudget {
 		f := &Finding{
@@ -244,72 +233,32 @@ func (a *analyzer) computeBound(root *core.GraphNode) {
 			Msg: fmt.Sprintf(
 				"static memory high-water bound of %d records exceeds the budget of %d: the plan is admissible only with more memory or smaller caps (buffer %d, batch %d, %d replicas per site)",
 				a.bound.Total, a.caps.MemoryBudget, a.caps.StreamBuffer, a.caps.StreamBatch, a.caps.SplitWidth),
-			Exact:   true,
-			subject: root.Node,
+			Exact: true,
+			at:    root,
 		}
 		f.Trace = append(f.Trace, TraceStep{
 			Path: root.Path, Node: root.Name, subject: root.Node,
 			State: fmt.Sprintf("fixed plumbing holds up to %d records (%d stream edges at %d each, plus engines, branch writers and merge queues)",
 				a.bound.Fixed, a.edges, core.StreamCapacity(a.caps.StreamBuffer, a.caps.StreamBatch)),
 		})
-		terms := append([]ReplicaTerm(nil), a.bound.Replicas...)
-		sort.Slice(terms, func(i, j int) bool {
-			if terms[i].Subtotal != terms[j].Subtotal {
-				return terms[i].Subtotal > terms[j].Subtotal
+		// The three largest replication terms.
+		terms := a.bound.Replicas
+		order := make([]int, len(terms))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool {
+			x, y := terms[order[i]], terms[order[j]]
+			if x.Subtotal != y.Subtotal {
+				return x.Subtotal > y.Subtotal
 			}
-			return terms[i].Path < terms[j].Path
+			return x.Path < y.Path
 		})
-		for i, t := range terms {
-			if i == 3 {
-				break
-			}
-			g := findPath(root, t.Path)
-			step := TraceStep{Path: t.Path, State: fmt.Sprintf(
-				"%s contributes %d records: %d per replica × %d assumed replicas", t.Kind, t.Subtotal, t.PerUnit, t.Units)}
-			if g != nil {
-				step.Node = g.Name
-				step.subject = g.Node
-			}
-			f.Trace = append(f.Trace, step)
+		for _, i := range order[:min(3, len(order))] {
+			t, g := terms[i], b.sites[i]
+			f.Trace = append(f.Trace, TraceStep{Path: t.Path, Node: g.Name, subject: g.Node, State: fmt.Sprintf(
+				"%s contributes %d records: %d per replica × %d assumed replicas", t.Kind, t.Subtotal, t.PerUnit, t.Units)})
 		}
 		a.findings = append(a.findings, f)
 	}
-}
-
-// findPath locates the graph node at path (paths are unique in the tree).
-func findPath(g *core.GraphNode, path string) *core.GraphNode {
-	if g.Path == path {
-		return g
-	}
-	for _, ch := range g.Children {
-		if path == ch.Path || strings.HasPrefix(path, ch.Path+"/") {
-			return findPath(ch, path)
-		}
-	}
-	return nil
-}
-
-// ancestors returns the chain of graph nodes from the root to the node at
-// path, inclusive; nil if the path is not in the tree.
-func ancestors(g *core.GraphNode, path string) []*core.GraphNode {
-	if g.Path == path {
-		return []*core.GraphNode{g}
-	}
-	for _, ch := range g.Children {
-		if path == ch.Path || strings.HasPrefix(path, ch.Path+"/") {
-			if rest := ancestors(ch, path); rest != nil {
-				return append([]*core.GraphNode{g}, rest...)
-			}
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -55,11 +55,9 @@ func variantStrings(vs []core.Variant) []string {
 }
 
 // flowOf reads the flow facts of one graph node.
-func flowOf(p *core.Plan, g *core.GraphNode) refFlow {
-	in, visited := p.FlowIn(g.Path)
-	out, _ := p.FlowOut(g.Path)
-	return refFlow{Path: g.Path, Visited: visited, Exact: p.FlowExact(g.Path),
-		In: variantStrings(in), Out: variantStrings(out)}
+func flowOf(g *core.GraphNode) refFlow {
+	return refFlow{Path: g.Path, Visited: g.Visited, Exact: !g.Inexact,
+		In: variantStrings(g.FlowIn), Out: variantStrings(g.FlowOut)}
 }
 
 func reference(name string, p *core.Plan, rep *analysis.Report) refNet {
@@ -77,7 +75,7 @@ func reference(name string, p *core.Plan, rep *analysis.Report) refNet {
 	}
 	var walk func(g *core.GraphNode)
 	walk = func(g *core.GraphNode) {
-		n.Flow = append(n.Flow, flowOf(p, g))
+		n.Flow = append(n.Flow, flowOf(g))
 		for _, ch := range g.Children {
 			walk(ch)
 		}
@@ -178,7 +176,7 @@ func TestReferenceGolden(t *testing.T) {
 	built("defect/session-split-exempt", pairs(core.SessionSplit, pair))
 	built("defect/nested-session-split", core.NamedSplit("outer",
 		core.SessionSplit("sess", box("g", "(a, <k>) -> (a, <k>)"), "k"), "shard"))
-	// Two definite defects the bottom-up checker could only warn about.
+	// Two definite defects a bottom-up check of signatures could only warn about.
 	built("defect/serial-mismatch", core.Serial(box("a", "(x) -> (y)"), box("b", "(q) -> (z)")))
 	built("defect/star-exit-unreachable", core.Star(box("spin", "(<n>) -> (<n>)"), pat("{<done>}")))
 

@@ -2,46 +2,26 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 )
 
-// The replication checks: unbounded split growth and marker/close-barrier
-// hazards around the reserved "__snet_" control-record protocol.
+// The replication checks: unbounded split growth and the close-barrier
+// hazard of a session split under replication.
 
-// checkSplits is a second pass over the graph (after the walk has collected
-// starving synchrocells): a capped, reached split whose operand subtree
-// contains a starving join accumulates replicas without bound — each tag
-// value instantiates a replica whose join holds records forever, and with
-// the join never completing there is no quiescent point for idle reap or a
-// close record to retire the replica cleanly.  Session splits (uncapped)
-// are exempt: their lifecycle is owned by the session layer's close/ack
-// protocol, not by the data flow.
-func (a *analyzer) checkSplits(g *core.GraphNode) {
-	if g.Kind == "split" && !g.Uncapped && a.reached(g.Path) {
-		for path, variant := range a.starving {
-			if strings.HasPrefix(path, g.Path+"/") {
-				a.emit(g, CodeUnboundedSplit, variant, fmt.Sprintf(
-					"replicas of split %s (indexed by <%s>) grow without bound: the synchrocell at %s can never complete its join, so every tag value leaves a replica holding records forever with no close or reap path retiring it",
-					g.Name, g.Tag, path))
-			}
-		}
-	}
-	for _, ch := range g.Children {
-		a.checkSplits(ch)
-	}
-}
-
-// checkHide flags a hide node that deletes reserved control tags: replica
-// close/ack records and session tags crossing it are corrupted, which
-// silently breaks the close barrier of any split downstream.
-func (a *analyzer) checkHide(g *core.GraphNode) {
-	for _, t := range g.HiddenTags {
-		if core.IsReservedLabel(t) {
-			a.emit(g, CodeMarkerHazard, core.NewVariant(core.Tag(t)), fmt.Sprintf(
-				"hide deletes reserved control tag <%s>: replica close/ack and session records crossing this node are corrupted, breaking the close barrier of downstream replication",
-				t))
+// checkSplits follows a starving synchrocell up the tree: a capped, reached
+// split it stands under accumulates replicas without bound — each tag value
+// instantiates a replica whose join holds records forever, and with the join
+// never completing there is no quiescent point for idle reap or a close
+// record to retire the replica cleanly.  Session splits (uncapped) are
+// exempt: their lifecycle is owned by the session layer's close/ack protocol,
+// not by the data flow.
+func (a *analyzer) checkSplits(sync *core.GraphNode, awaited core.Variant) {
+	for g := sync.Parent; g != nil; g = g.Parent {
+		if g.Kind == "split" && !g.Uncapped && reached(g) {
+			a.emit(g, CodeUnboundedSplit, awaited, fmt.Sprintf(
+				"replicas of split %s (indexed by <%s>) grow without bound: the synchrocell at %s can never complete its join, so every tag value leaves a replica holding records forever with no close or reap path retiring it",
+				g.Name, g.Tag, sync.Path))
 		}
 	}
 }
@@ -53,20 +33,18 @@ func (a *analyzer) checkHide(g *core.GraphNode) {
 // its own replica map, so a close record retires at most the first stage's
 // replica.  The session layer relies on the barrier being exact and always
 // places its split at the root.
-func (a *analyzer) checkSessionNesting(g *core.GraphNode, cx walkCtx) {
+func (a *analyzer) checkSessionNesting(g *core.GraphNode) {
 	if !g.Uncapped {
 		return
 	}
-	enclosing := ""
-	switch {
-	case cx.enclosingSplit != "":
-		enclosing = "split at " + cx.enclosingSplit
-	case cx.enclosingStar != "":
-		enclosing = "star at " + cx.enclosingStar
-	default:
+	outer := enclosing(g, "split")
+	if outer == nil {
+		outer = enclosing(g, "star")
+	}
+	if outer == nil {
 		return
 	}
 	a.emit(g, CodeMarkerHazard, nil, fmt.Sprintf(
-		"session split %s is nested inside the %s: the replica close/ack barrier only orders control records within one enclosing replica, so session close records can be dropped or reordered against data",
-		g.Name, enclosing))
+		"session split %s is nested inside the %s at %s: the replica close/ack barrier only orders control records within one enclosing replica, so session close records can be dropped or reordered against data",
+		g.Name, outer.Kind, outer.Path))
 }

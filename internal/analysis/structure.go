@@ -12,37 +12,30 @@ import (
 // that are only approximately unreachable (downstream of a synchrocell,
 // where the compile pass can only warn), star chains every input variant
 // bypasses, and split operands behind a total index-tag rejection.
-func (a *analyzer) checkDeadArm(g *core.GraphNode, cx walkCtx) {
+func (a *analyzer) checkDeadArm(g *core.GraphNode) {
 	if a.errPaths[g.Path] == core.ErrCodeUnreachable {
 		return // already a definite compile error at this path
 	}
 	msg := fmt.Sprintf("%s is never reached by any variant of the closed-world input type", g.Name)
-	if cx.parent != nil {
-		switch cx.parent.Kind {
+	parent := g.Parent
+	if parent != nil {
+		switch parent.Kind {
 		case "parallel":
 			msg = fmt.Sprintf(
 				"parallel branch %s is dead: no variant of the closed-world input type routes to it",
 				g.Name)
 		case "star":
-			exit := ""
-			if cx.parent.Exit != nil {
-				exit = cx.parent.Exit.String()
-			}
 			msg = fmt.Sprintf(
 				"the replication chain of star %s is never entered: every input variant satisfies the exit pattern %s immediately",
-				cx.parent.Name, exit)
+				parent.Name, parent.Exit)
 		case "split":
 			msg = fmt.Sprintf(
 				"the operand of split %s is never reached: no variant carries its index tag <%s>",
-				cx.parent.Name, cx.parent.Tag)
+				parent.Name, parent.Tag)
 		}
 	}
 	// The dead node itself has no flow facts; exactness comes from the
 	// nearest visited node — its parent (dead arms are reported topmost, so
 	// the parent was reached or is the live root).
-	exact := true
-	if cx.parent != nil {
-		exact = a.plan.FlowExact(cx.parent.Path)
-	}
-	a.emitExact(g, CodeDeadArm, nil, msg, exact)
+	a.emitExact(g, CodeDeadArm, nil, msg, parent == nil || !parent.Inexact)
 }

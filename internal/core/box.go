@@ -221,7 +221,7 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 func (b *boxNode) name() string   { return b.label }
 func (b *boxNode) String() string { return "box " + b.label + " " + b.boxSig.String() }
 
-func (b *boxNode) sig(*checker) (RecType, RecType) {
+func (b *boxNode) sig() (RecType, RecType) {
 	return b.boxSig.InType(), b.boxSig.OutType()
 }
 

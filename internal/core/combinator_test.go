@@ -253,7 +253,7 @@ var instanceSeq atomic.Int64
 
 func (n *instanceNode) name() string   { return n.label }
 func (n *instanceNode) String() string { return "instance" }
-func (n *instanceNode) sig(*checker) (RecType, RecType) {
+func (n *instanceNode) sig() (RecType, RecType) {
 	any := RecType{Variant{}}
 	return any, any
 }

@@ -49,7 +49,7 @@ func MustFilter(src string) Node { return must(FilterFrom(src)) }
 func (f *filterNode) name() string   { return f.label }
 func (f *filterNode) String() string { return f.spec.String() }
 
-func (f *filterNode) sig(*checker) (RecType, RecType) {
+func (f *filterNode) sig() (RecType, RecType) {
 	return RecType{f.spec.Pattern.Variant}, f.spec.OutType()
 }
 

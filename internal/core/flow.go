@@ -1,16 +1,18 @@
 package core
 
-import "fmt"
-
-// Shape-flow analysis: the definite-error half of Compile.
+// Shape-flow analysis: the type analysis of Compile (§4: "type inference …
+// takes full account of subtyping and flow inheritance").
 //
 // The pass propagates a finite set of record shapes (variants) through the
-// combinator graph, starting from the network's inferred or declared input
-// type, mirroring what the runtime does to records: boxes consume their
-// signature and attach unconsumed labels by flow inheritance, filters
-// rewrite matching shapes, parallel composition routes each shape to the
-// branches that could win best-match dispatch, serial replication iterates
-// its operand to a fixpoint, parallel replication requires the index tag.
+// GraphNode tree the compile walk built, starting from the network's inferred
+// or declared input type, mirroring what the runtime does to records: boxes
+// consume their signature and attach unconsumed labels by flow inheritance,
+// filters rewrite matching shapes, parallel composition routes each shape to
+// the branches that could win best-match dispatch, serial replication
+// iterates its operand to a fixpoint, parallel replication requires the index
+// tag.  What it sees entering and leaving a node it unions into the node
+// itself (GraphNode.FlowIn/FlowOut/Visited/Inexact): a star operand is flowed
+// once per fixpoint round, and every round lands on the same node.
 //
 // Because shapes are propagated exactly, failures the pass discovers are
 // definite for records within the analysed input type: a shape rejected by
@@ -25,157 +27,91 @@ import "fmt"
 // is analysed approximately instead of looping forever.
 const maxFlowVariants = 128
 
-// varSet is an insertion-ordered set of variants keyed by their canonical
-// rendering.
-type varSet struct {
-	keys map[string]bool
-	list []Variant
-}
-
-func newVarSet() *varSet { return &varSet{keys: map[string]bool{}} }
-
-// add inserts v, reporting whether it was new.
-func (s *varSet) add(v Variant) bool {
-	k := v.String()
-	if s.keys[k] {
-		return false
+// A variant set is an insertion-ordered slice holding no two equal variants.
+func hasVariant(set []Variant, v Variant) bool {
+	for _, w := range set {
+		if w.Equal(v) {
+			return true
+		}
 	}
-	s.keys[k] = true
-	s.list = append(s.list, v)
-	return true
+	return false
 }
 
-func (s *varSet) size() int { return len(s.list) }
-
-// flowFacts is the shape-flow pass's per-path trace: for every node path the
-// pass visited, the union of variants that entered (in) and left (out) it
-// across all visits, and whether any visit had already lost exactness
-// (downstream of a synchrocell or after variant-set truncation).  A path
-// absent from in was never visited at all — its node is unreachable under
-// the analysed input type.
-type flowFacts struct {
-	in, out map[string]*varSet
-	inexact map[string]bool
-}
-
-func newFlowFacts() *flowFacts {
-	return &flowFacts{
-		in:      map[string]*varSet{},
-		out:     map[string]*varSet{},
-		inexact: map[string]bool{},
+func addVariant(set []Variant, v Variant) []Variant {
+	if hasVariant(set, v) {
+		return set
 	}
+	return append(set, v)
 }
 
-// record unions vs into the set at path, creating the (possibly empty)
-// entry so that "visited with zero variants" is distinguishable from "never
-// visited".
-func (f *flowFacts) record(m map[string]*varSet, path string, vs []Variant) {
-	s, ok := m[path]
-	if !ok {
-		s = newVarSet()
-		m[path] = s
-	}
+func addVariants(set, vs []Variant) []Variant {
 	for _, v := range vs {
-		s.add(v)
+		set = addVariant(set, v)
 	}
-}
-
-// variants returns the recorded variant list at path and whether the path
-// was visited.
-func (f *flowFacts) variants(m map[string]*varSet, path string) ([]Variant, bool) {
-	s, ok := m[path]
-	if !ok {
-		return nil, false
-	}
-	return s.list, true
+	return set
 }
 
 // flowRoot runs the shape-flow pass from the given input type and settles
 // the deferred parallel-branch reachability findings.
-func (c *compiler) flowRoot(root Node, input RecType) {
-	in := make([]Variant, 0, len(input))
-	seen := newVarSet()
-	for _, v := range input {
-		if seen.add(v) {
-			in = append(in, v)
-		}
-	}
-	c.flow(root, in, "", true)
+func (c *compiler) flowRoot(g *GraphNode, input RecType) {
+	c.flow(g, addVariants(nil, input), true)
 	c.finishParallel()
 }
 
-// flow propagates the input variants through n, returning the output
-// variants and whether the analysis is still exact.  prefix is the parent
-// path including its trailing separator (as in compiler.walk).
-//
-// Beyond computing outputs, flow records per-path reachability facts (the
-// union of variants seen entering and leaving each node across every visit,
-// plus whether any visit was approximate) into c.facts — the raw material of
-// the post-compile liveness analysis in internal/analysis.  A star operand
-// is flowed once per fixpoint iteration and shared sub-nets appear at
-// several paths, so the facts are keyed by path and accumulated as unions.
-func (c *compiler) flow(n Node, in []Variant, prefix string, exact bool) ([]Variant, bool) {
-	path := prefix + n.name()
-	c.facts.record(c.facts.in, path, in)
+// flow propagates the input variants through the node at g, returning the
+// output variants and whether the analysis is still exact, and leaves on g
+// what this visit saw.
+func (c *compiler) flow(g *GraphNode, in []Variant, exact bool) ([]Variant, bool) {
+	g.Visited = true
+	g.FlowIn = addVariants(g.FlowIn, in)
 	if !exact {
 		// Input-side exactness only: a node whose *own* output is
 		// approximate (a synchrocell) still received an exact input, and
 		// verdicts about what reaches the node should say so.
-		c.facts.inexact[path] = true
+		g.Inexact = true
 	}
-	out, e := c.flowNode(n, in, path, exact)
-	c.facts.record(c.facts.out, path, out)
+	out, e := c.flowNode(g, in, exact)
+	g.FlowOut = addVariants(g.FlowOut, out)
 	return out, e
 }
 
-// flowNode dispatches on the node kind; path is the node's own path.
-func (c *compiler) flowNode(n Node, in []Variant, path string, exact bool) ([]Variant, bool) {
-	switch n := n.(type) {
+// flowNode dispatches on the node kind.
+func (c *compiler) flowNode(g *GraphNode, in []Variant, exact bool) ([]Variant, bool) {
+	switch n := g.Node.(type) {
 	case *boxNode:
-		return c.flowBox(n, in, path, exact), exact
+		return c.flowBox(g, n, in, exact), exact
 	case *filterNode:
-		return c.flowFilter(n, in), exact
+		return flowFilter(n, in), exact
 	case *identityNode:
 		return in, exact
-	case *hideNode:
-		out := newVarSet()
-		for _, v := range in {
-			out.add(flowInherit(v, n.hidden))
-		}
-		return out.list, exact
 	case *syncNode:
 		// A synchrocell's merged output carries the union of its stored
 		// records' labels, which depend on runtime contents; approximate
 		// with the pattern union and pass-through, and drop exactness.
-		out := newVarSet()
-		for _, v := range in {
-			out.add(v)
-		}
 		merged := Variant{}
 		for _, p := range n.patterns {
 			merged = merged.Union(p.Variant)
 		}
-		out.add(merged)
-		return out.list, false
+		return addVariant(addVariants(nil, in), merged), false
 	case *serialNode:
-		mid, e := c.flow(n.a, in, path+"/", exact)
-		return c.flow(n.b, mid, path+"/", e)
+		mid, e := c.flow(g.Children[0], in, exact)
+		return c.flow(g.Children[1], mid, e)
 	case *parallelNode:
-		return c.flowParallel(n, in, path, exact)
+		return c.flowParallel(g, n, in, exact)
 	case *starNode:
-		return c.flowStar(n, in, path, exact)
+		return c.flowStar(g, n, in, exact)
 	case *splitNode:
 		passed := make([]Variant, 0, len(in))
 		for _, v := range in {
 			if !v.Has(Tag(n.tag)) {
-				c.typeError(exact, ErrCodeMissingTag, path, n, v,
+				c.typeError(exact, ErrCodeMissingTag, g.Path, n, v,
 					"records of variant %s reach split %s without its index tag <%s>",
 					v, n.label, n.tag)
 				continue
 			}
 			passed = append(passed, v)
 		}
-		return c.flow(n.operand, passed, path+"/operand/", exact)
+		return c.flow(g.Children[0], passed, exact)
 	}
 	// Unknown node kind: give up on exactness rather than guess.
 	return in, false
@@ -183,101 +119,94 @@ func (c *compiler) flowNode(n Node, in []Variant, path string, exact bool) ([]Va
 
 // flowBox applies a box's signature and flow inheritance to each incoming
 // variant; shapes that cannot satisfy the signature are definite rejects.
-func (c *compiler) flowBox(n *boxNode, in []Variant, path string, exact bool) []Variant {
+func (c *compiler) flowBox(g *GraphNode, n *boxNode, in []Variant, exact bool) []Variant {
 	consumed := n.consumed
-	out := newVarSet()
+	var out []Variant
 	for _, v := range in {
 		if !consumed.SubsetOf(v) {
-			c.typeError(exact, ErrCodeBoxReject, path, n, v,
+			c.typeError(exact, ErrCodeBoxReject, g.Path, n, v,
 				"records of variant %s reach box %s but do not satisfy its signature %s",
 				v, n.label, n.boxSig)
 			continue
 		}
 		for _, tuple := range n.boxSig.Out {
-			out.add(flowInherit(v, consumed, tuple...))
+			out = addVariant(out, flowInherit(v, consumed, tuple...))
 		}
 	}
-	return out.list
+	return out
 }
 
 // flowFilter rewrites matching variants through the filter's output
 // specifiers (with flow inheritance of unconsumed labels); non-matching
 // variants forward unchanged, and a guarded pattern may do either.
-func (c *compiler) flowFilter(n *filterNode, in []Variant) []Variant {
+func flowFilter(n *filterNode, in []Variant) []Variant {
 	pat := n.spec.Pattern
-	out := newVarSet()
+	var out []Variant
 	for _, v := range in {
 		if !pat.Variant.SubsetOf(v) {
-			out.add(v) // runtime forwards unmatched records unchanged
+			out = addVariant(out, v) // runtime forwards unmatched records unchanged
 			continue
 		}
 		if pat.Guard != nil {
-			out.add(v) // the guard may fail at runtime
+			out = addVariant(out, v) // the guard may fail at runtime
 		}
 		for _, items := range n.spec.Outputs {
-			out.add(flowInherit(v, pat.Variant, itemLabels(items)...))
+			out = addVariant(out, flowInherit(v, pat.Variant, itemLabels(items)...))
 		}
 	}
-	return out.list
+	return out
+}
+
+// parReach is what reaches one parallel node's branches over the whole flow.
+// A star operand is flowed iteratively and a node instance may stand at
+// several graph positions, so a branch is judged across all of them — keyed by
+// the node, not the position — and only once the flow is done (finishParallel).
+type parReach struct {
+	at      *GraphNode  // the first position flowed, where its findings are reported
+	in      [][]Variant // per branch, every variant ever routed to it
+	fed     bool        // some variant reached the combinator at all
+	inexact bool        // some visit came with an approximate variant set
 }
 
 // flowParallel routes each variant to every branch best-match dispatch
-// could select for it, accumulating per-branch reachability (settled later
-// in finishParallel) and recursing into each branch with the variants it
-// receives.  A node instance may appear at several graph positions (shared
-// sub-nets), so the reachability accumulator in c.parIn spans every call
-// while the routing below is strictly per call — the second occurrence must
-// flow its variants downstream even if the first already saw them.
-func (c *compiler) flowParallel(n *parallelNode, in []Variant, path string, exact bool) ([]Variant, bool) {
-	t := n.table
-	sets, ok := c.parIn[n]
-	if !ok {
-		sets = make([]*varSet, len(n.branches))
-		for i := range sets {
-			sets[i] = newVarSet()
-		}
-		c.parIn[n] = sets
-		c.parPath[n] = path
-		c.parOrder = append(c.parOrder, n)
+// could select for it and recurses into each branch with the variants it
+// receives.  The routing is strictly per call — the second occurrence of a
+// shared node must flow its variants downstream even if the first already saw
+// them — while reachability accumulates in the node's parReach.
+func (c *compiler) flowParallel(g *GraphNode, n *parallelNode, in []Variant, exact bool) ([]Variant, bool) {
+	r := c.par[n]
+	if r == nil {
+		r = &parReach{at: g, in: make([][]Variant, len(n.branches))}
+		c.par[n] = r
+		c.parOrder = append(c.parOrder, r)
 	}
-	if !exact {
-		c.parInexact[n] = true
-	}
-	perBranch := make([]*varSet, len(n.branches))
-	for i := range perBranch {
-		perBranch[i] = newVarSet()
-	}
+	r.inexact = r.inexact || !exact
+	perBranch := make([][]Variant, len(n.branches))
 	for _, v := range in {
-		c.parFed[n] = true
-		winners := possibleWinners(t, v, n.det)
+		r.fed = true
+		winners := possibleWinners(n.table, v, n.det)
 		if len(winners) == 0 {
-			c.typeError(exact, ErrCodeNoRoute, path, n, v,
+			c.typeError(exact, ErrCodeNoRoute, g.Path, n, v,
 				"records of variant %s match no branch of %s (branch types: %v)",
-				v, n.label, t.accept)
+				v, n.label, n.table.accept)
 			continue
 		}
 		for _, w := range winners {
-			sets[w].add(v)
-			perBranch[w].add(v)
+			r.in[w] = addVariant(r.in[w], v)
+			perBranch[w] = addVariant(perBranch[w], v)
 		}
 	}
-	out := newVarSet()
+	var out []Variant
 	stillExact := exact
-	for i, b := range n.branches {
-		if perBranch[i].size() == 0 {
+	for i, ch := range g.Children {
+		if len(perBranch[i]) == 0 {
 			continue
 		}
-		bo, e := c.flow(b, perBranch[i].list, branchPrefix(path, i), exact)
+		bo, e := c.flow(ch, perBranch[i], exact)
 		stillExact = stillExact && e
-		for _, v := range bo {
-			out.add(v)
-		}
+		out = addVariants(out, bo)
 	}
-	return out.list, stillExact
-}
-
-func branchPrefix(path string, i int) string {
-	return fmt.Sprintf("%s/branch[%d]/", path, i)
+	return out, stillExact
 }
 
 // finishParallel settles branch reachability after the whole network has
@@ -288,19 +217,19 @@ func branchPrefix(path string, i int) string {
 // been dropped, so the finding downgrades to a warning like every other
 // inexact one.
 func (c *compiler) finishParallel() {
-	for _, n := range c.parOrder {
-		if !c.parFed[n] {
+	for _, r := range c.parOrder {
+		if !r.fed {
 			continue // the combinator itself is unreached; reported upstream
 		}
-		for i, set := range c.parIn[n] {
-			if set.size() > 0 {
+		n := r.at.Node.(*parallelNode)
+		for i, reached := range r.in {
+			if len(reached) > 0 {
 				continue
 			}
-			t := n.table
-			c.typeError(!c.parInexact[n], ErrCodeUnreachable,
-				branchPrefix(c.parPath[n], i)+n.branches[i].name(), n.branches[i], nil,
+			branch := r.at.Children[i]
+			c.typeError(!r.inexact, ErrCodeUnreachable, branch.Path, branch.Node, nil,
 				"branch %d of %s (accepted type %v) is unreachable: no variant of the input type routes to it",
-				i, n.label, t.accept[i])
+				i, n.label, n.table.accept[i])
 		}
 	}
 }
@@ -362,18 +291,18 @@ func possibleWinners(t *routeTable, shape Variant, det bool) []int {
 // flowStar iterates the star's dispatcher to a fixpoint: variants matching
 // the exit pattern leave, the rest feed the operand, whose outputs re-enter
 // the dispatcher.
-func (c *compiler) flowStar(n *starNode, in []Variant, path string, exact bool) ([]Variant, bool) {
-	exits := newVarSet()
-	seen := newVarSet()
+func (c *compiler) flowStar(g *GraphNode, n *starNode, in []Variant, exact bool) ([]Variant, bool) {
+	var exits, seen []Variant
 	frontier := in
 	for len(frontier) > 0 {
 		var toOperand []Variant
 		for _, v := range frontier {
-			if !seen.add(v) {
+			if hasVariant(seen, v) {
 				continue
 			}
+			seen = append(seen, v)
 			if n.exit.Variant.SubsetOf(v) {
-				exits.add(v)
+				exits = addVariant(exits, v)
 				if n.exit.Guard == nil {
 					continue // definitely exits
 				}
@@ -384,15 +313,15 @@ func (c *compiler) flowStar(n *starNode, in []Variant, path string, exact bool) 
 		if len(toOperand) == 0 {
 			break
 		}
-		if seen.size() > maxFlowVariants {
-			c.warnf(path, "star %s: variant set exceeded %d during analysis; results are approximate",
+		if len(seen) > maxFlowVariants {
+			c.warnf(g.Path, "star %s: variant set exceeded %d during analysis; results are approximate",
 				n.label, maxFlowVariants)
 			exact = false
 			break
 		}
-		opOut, e := c.flow(n.operand, toOperand, path+"/operand/", exact)
+		opOut, e := c.flow(g.Children[0], toOperand, exact)
 		exact = e
 		frontier = opOut
 	}
-	return exits.list, exact
+	return exits, exact
 }

@@ -13,9 +13,9 @@ import "sync/atomic"
 // extra-functional execution decisions at compile time.  So the parts of a
 // pipeline are not its stages but *segments* of them.
 //
-// A stage is a sequential leaf — a filter, an Observe tap, HideTags, a
-// synchrocell, a box invoked one call at a time — and all it has is a step:
-// take one record, hand on what it produces.  A segment is a run of stages on
+// A stage is a sequential leaf — a filter, an Observe tap, a synchrocell, a
+// box invoked one call at a time — and all it has is a step: take one
+// record, hand on what it produces.  A segment is a run of stages on
 // one goroutine: it receives a record, steps it through stage 0, and every
 // record a stage produces goes straight into the next stage's step,
 // depth-first, until the last stage's records leave through the segment's
@@ -25,8 +25,8 @@ import "sync/atomic"
 // fan-out recurses.  Nothing is parked between stages, so backpressure from
 // the output stream reaches a box in the middle of its emissions exactly as it
 // would with a stream after every stage.  A stage on its own is a segment of
-// one: that is the whole of filterNode.run, identityNode.run, hideNode.run,
-// syncNode.run and the box engine's inline mode.
+// one: that is the whole of filterNode.run, identityNode.run, syncNode.run
+// and the box engine's inline mode.
 //
 // Grouping decides which stages share a goroutine, and is all that fusion
 // is: Compile flattens every serial spine of the tree and cuts it into parts
@@ -86,7 +86,7 @@ type stage interface {
 // and may go concurrent mid-stream, and is a barrier.
 func fusibleStage(n Node) bool {
 	switch n := n.(type) {
-	case *identityNode, *hideNode, *filterNode:
+	case *identityNode, *filterNode:
 		return true
 	case *boxNode:
 		return n.workers == 1
@@ -311,13 +311,12 @@ type segmentRun struct {
 // emissions is still reading its arguments while a box further down binds its
 // own.
 type stageState struct {
-	// shape is the layout of the stage's latest record and box, filter or hide
-	// its node's program for it: the one-entry front of the node's shape memo,
+	// shape is the layout of the stage's latest record and box or filter its
+	// node's program for it: the one-entry front of the node's shape memo,
 	// so a stream of one shape finds its program by a pointer compare.
 	shape   *shape
 	box     *boxProg
 	filter  *filterProg
-	hide    *outProg
 	em      Emitter   // box: the emitter every invocation is handed
 	args    []any     // box: the argument buffer
 	outs    []*Record // filter: backing for the outputs of one application

@@ -161,7 +161,7 @@ func TestCutSpine(t *testing.T) {
 		"serial":   Serial(Observe("cs_n1", nil), Observe("cs_n2", nil)), // cutSpine takes a flat spine
 	}
 	fusibles := []Node{
-		Observe("cs_tap", nil), HideTags("h"), MustFilter("{<seq>} -> {<seq>}"),
+		Observe("cs_tap", nil), MustFilter("{<h>} -> {}"), MustFilter("{<seq>} -> {<seq>}"),
 		NewBoxConcurrent("cs_w1", sig, pass, 1),
 	}
 	lens := func(runs [][]Node) []int {
@@ -279,7 +279,7 @@ func mixedFusibleNet() Node {
 		Observe("fm_tap", nil),
 		MustFilter("{<n>} -> {<n>, <m>=<n>*3}"),
 		double,
-		HideTags("m"),
+		MustFilter("{<m>} -> {}"),
 		MustFilter("{<twice>} -> {<twice>}; {<twice>=<twice>+1}"),
 	)
 }
@@ -612,7 +612,7 @@ func TestFusedDetPropPipeline(t *testing.T) {
 		chain := Serial(
 			MustFilter("{<seq>} -> {<seq>, <h>=<seq>*2}"),
 			seqBox("fd_sq", func(n int) int { return n }),
-			HideTags("h"),
+			MustFilter("{<h>} -> {}"),
 			Observe("fd_tap", nil),
 		)
 		return Serial(first, chain)

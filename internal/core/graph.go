@@ -1,26 +1,26 @@
 package core
 
-// The structured graph API of a compiled Plan.
+// The typed tree of a compiled Plan.
 //
-// Topology (plan.go) is the *serializable* view of the typed graph — strings
-// all the way down, built for JSON.  GraphNode is the *analyzable* view: the
-// same tree, but carrying the structured artifacts a static-analysis pass
-// needs (patterns as Pattern values, the underlying Node identity for
-// source-position mapping, split/star configuration) without exposing the
-// unexported node types themselves.  internal/analysis consumes it together
-// with the Flow* accessors below.
+// GraphNode is the one carrier of what Compile knows about a network: the
+// walk over the blueprint builds a node per position (path, kind, bottom-up
+// signature, the structured artifacts a static analysis needs — patterns as
+// Pattern values, the underlying Node identity for source-position mapping,
+// split/star configuration — without exposing the unexported node types), and
+// the flow pass (flow.go) writes into the same nodes what it saw reach and
+// leave them.  internal/analysis reads the fields and follows Parent; Topology
+// (plan.go), the serializable view — strings all the way down, built for JSON
+// — is rendered from it.
 //
-// Compile builds the GraphNode tree in its one walk over the blueprint, the
-// tree Start runs; Topology is rendered from it.  Fusion does not change the
-// tree, only which of its stages share a goroutine (fuse.go), so every stage
-// of a fused segment has its own GraphNode, path and flow facts.  Which
-// stages are fused is reported separately (Topology.FusionGroups).
+// Fusion does not change the tree, only which of its stages share a goroutine
+// (fuse.go), so every stage of a fused segment has its own GraphNode, path
+// and flow facts.  Which stages are fused is reported separately
+// (Topology.FusionGroups).
 
-// GraphNode is one node of the compiled network's structured graph.  Paths
-// and kinds match Topology exactly, so flow facts recorded by the compile
-// pass (FlowIn/FlowOut/FlowExact) can be looked up by Path.
+// GraphNode is one node of the compiled network's typed tree.  Paths and
+// kinds match Topology exactly.
 type GraphNode struct {
-	Kind string // box, filter, sync, observe, hide, serial, parallel, star, split, node
+	Kind string // box, filter, sync, observe, serial, parallel, star, split, node
 	Name string
 	Path string
 	Det  bool
@@ -31,13 +31,25 @@ type GraphNode struct {
 
 	In, Out RecType // accepted / produced variants (bottom-up signature)
 
-	BoxSig     *BoxSignature // box only
-	Filter     *FilterSpec   // filter only
-	Patterns   []Pattern     // sync only: the join patterns
-	Exit       *Pattern      // star only: the exit pattern
-	Tag        string        // split only: the index tag
-	Uncapped   bool          // split only: SessionSplit (width-fold exempt)
-	HiddenTags []string      // hide only: tags deleted from passing records
+	// What the shape-flow pass saw at this position, as unions over every
+	// visit (a star operand is visited once per fixpoint round).  Visited is
+	// false for a node the pass never entered: unreachable under the analysed
+	// input type.  A visited node with no FlowIn was entered only with an
+	// empty variant set (a split operand behind a total missing-tag
+	// rejection).  A star's FlowOut is its exit set.  Inexact says some visit
+	// delivered an approximate set *to* the node (downstream of a synchrocell,
+	// whose merged output depends on runtime contents, or after variant-set
+	// truncation): findings drawn from it should be presented as imprecise.
+	// A node never visited says nothing; ask its nearest visited ancestor.
+	FlowIn, FlowOut  []Variant
+	Visited, Inexact bool
+
+	BoxSig   *BoxSignature // box only
+	Filter   *FilterSpec   // filter only
+	Patterns []Pattern     // sync only: the join patterns
+	Exit     *Pattern      // star only: the exit pattern
+	Tag      string        // split only: the index tag
+	Uncapped bool          // split only: SessionSplit (width-fold exempt)
 
 	// Workers is the box's pinned invocation width W (box only;
 	// NewBoxConcurrent).  0 means the box takes the run's WithBoxWorkers
@@ -54,6 +66,7 @@ type GraphNode struct {
 	// All other edges of a compiled plan form a tree and cannot cycle.
 	Feedback bool
 
+	Parent   *GraphNode // nil at the root
 	Children []*GraphNode
 }
 
@@ -140,41 +153,4 @@ func renderTopology(g *GraphNode) *Topology {
 		t.Children = append(t.Children, renderTopology(c))
 	}
 	return t
-}
-
-// FlowIn returns the union of variants the compile-time shape-flow pass saw
-// entering the node at path, and whether the pass visited that path at all.
-// An unvisited path means the node is unreachable under the analysed input
-// type; a visited path with zero variants means it was entered only with an
-// empty variant set (e.g. a split operand behind a total missing-tag
-// rejection).
-func (p *Plan) FlowIn(path string) ([]Variant, bool) {
-	if p.facts == nil {
-		return nil, false
-	}
-	return p.facts.variants(p.facts.in, path)
-}
-
-// FlowOut is FlowIn for the variants leaving the node.  For a star node the
-// out set is the exit set: variants that satisfy the exit pattern and leave
-// the chain.
-func (p *Plan) FlowOut(path string) ([]Variant, bool) {
-	if p.facts == nil {
-		return nil, false
-	}
-	return p.facts.variants(p.facts.out, path)
-}
-
-// FlowExact reports whether every flow visit delivered an exact variant set
-// *to* path (input-side exactness).  Downstream of a synchrocell (whose
-// merged output depends on runtime contents) or after variant-set
-// truncation the recorded sets are approximate, and findings derived from
-// them should be presented as imprecise.  Unvisited paths report true;
-// callers reasoning about unreached nodes should consult the nearest
-// visited ancestor.
-func (p *Plan) FlowExact(path string) bool {
-	if p.facts == nil {
-		return false
-	}
-	return !p.facts.inexact[path]
 }

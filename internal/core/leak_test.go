@@ -157,7 +157,7 @@ type earlyStopNode struct{ limit int }
 
 func (n *earlyStopNode) name() string   { return "earlystop" }
 func (n *earlyStopNode) String() string { return "earlystop" }
-func (n *earlyStopNode) sig(*checker) (RecType, RecType) {
+func (n *earlyStopNode) sig() (RecType, RecType) {
 	any := RecType{Variant{}}
 	return any, any
 }

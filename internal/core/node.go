@@ -23,9 +23,10 @@ type Node interface {
 	// block on a stream nobody reads.  The sequential leaves have no loop
 	// of their own: their run is a segment of one stage (fuse.go).
 	run(env *runEnv, in *streamReader, out *streamWriter)
-	// sig returns the node's inferred type signature, collecting
-	// diagnostics into c (which may be nil).
-	sig(c *checker) (in, out RecType)
+	// sig returns the node's inferred type signature, bottom-up: what the
+	// node accepts and produces by its own declaration, before the flow pass
+	// (flow.go) says what reaches it.
+	sig() (in, out RecType)
 }
 
 // nodeSeq numbers anonymous nodes for stable stats keys.
@@ -67,68 +68,7 @@ func (n *identityNode) step(x *segmentRun, _ int, rec *Record) (*Record, bool) {
 	return rec, true
 }
 
-func (n *identityNode) sig(*checker) (RecType, RecType) {
-	any := RecType{Variant{}}
-	return any, any
-}
-
-// hideNode strips a fixed set of tags from every record passing through —
-// the tag-hiding component used to keep routing/multiplexing tags (session
-// ids above all) out of sub-networks or egress streams.
-type hideNode struct {
-	label  string
-	tags   []string
-	hidden Variant // tags, as the labels flow inheritance does not carry on
-	// progs caches, per input shape, the record without the hidden tags: the
-	// rest of it handed on as by flow inheritance; nil for a shape that
-	// carries none of them.
-	progs shapeMemo[*outProg]
-	lone  // run: the node on its own is a segment of one (fuse.go)
-}
-
-// HideTags returns a transparent node that deletes the given tags from every
-// record.  Compose it serially where a tag must not travel further — e.g.
-// after a session-multiplexing split, so downstream consumers never see the
-// reserved session tag.  Absent tags are ignored; markers pass through.
-func HideTags(tags ...string) Node {
-	n := &hideNode{label: autoName("hide"), tags: tags, hidden: Variant{}}
-	for _, tag := range tags {
-		n.hidden[Tag(tag)] = struct{}{}
-	}
-	n.alone(n)
-	return n
-}
-
-func (n *hideNode) name() string   { return n.label }
-func (n *hideNode) String() string { return "hide(" + n.label + ")" }
-
-func (n *hideNode) program(sh *shape) *outProg {
-	p, ok := n.progs.load(sh)
-	if !ok {
-		if op, _ := layOut(sh, n.hidden, nil); op.shape != sh {
-			p = &op
-		}
-		p = n.progs.store(sh, p)
-	}
-	return p
-}
-
-func (n *hideNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
-	st := &x.state[i]
-	if st.shape != rec.shape {
-		st.shape, st.hide = rec.shape, n.program(rec.shape)
-	}
-	if p := st.hide; p != nil {
-		o := x.front.acquire(p.shape)
-		p.run(o, rec)
-		x.front.releaseRecord(rec)
-		rec = o
-	}
-	x.applied.n++
-	return rec, true
-}
-
-func (n *hideNode) sig(*checker) (RecType, RecType) {
+func (n *identityNode) sig() (RecType, RecType) {
 	any := RecType{Variant{}}
 	return any, any
 }

@@ -124,6 +124,20 @@ func (f *filterNode) score(rec *Record) int {
 	return len(f.spec.Pattern.Variant)
 }
 
+// MatchScore scores how well a record's label set matches a multivariant
+// input type: the size of the largest variant that the record satisfies
+// (variant ⊆ record labels), or -1 if no variant matches — the paper's
+// "better match" rule as the scoring dispatcher applied it per record.
+func MatchScore(rec *Record, t RecType) int {
+	best := -1
+	for _, v := range t {
+		if len(v) > best && v.SubsetOf(rec.shape.variant) {
+			best = len(v)
+		}
+	}
+	return best
+}
+
 // legacyScorers is the pre-table routing path: one closure per branch
 // rescoring every record — the oracle of TestDispatchMatchesLegacy and the
 // baseline of BenchmarkRouting.
@@ -133,7 +147,7 @@ func legacyScorers(branches []Node) []func(*Record) int {
 		if f, ok := b.(*filterNode); ok {
 			scorers[i] = f.score
 		} else {
-			t, _ := b.sig(nil)
+			t, _ := b.sig()
 			scorers[i] = func(r *Record) int { return MatchScore(r, t) }
 		}
 	}

@@ -70,10 +70,10 @@ func (n *parallelNode) String() string {
 	return "(" + strings.Join(parts, op) + ")"
 }
 
-func (n *parallelNode) sig(c *checker) (RecType, RecType) {
+func (n *parallelNode) sig() (RecType, RecType) {
 	var in, out RecType
 	for _, b := range n.branches {
-		bi, bo := b.sig(c)
+		bi, bo := b.sig()
 		in = in.Union(bi)
 		out = out.Union(bo)
 	}

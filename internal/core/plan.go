@@ -8,23 +8,21 @@ import (
 // The compile half of the compile-then-run API.
 //
 // A Node tree is an immutable blueprint; Compile turns it into a checked,
-// inspectable Plan: bottom-up type inference over the combinator graph (§3–4
-// of the paper — box signatures seed the leaves, Serial checks
-// producer/consumer compatibility under flow inheritance, the branching
-// combinators compute per-branch accepted types), eager construction of the
-// routing tables the hot path consumes (route.go), a serializable topology
-// of the typed graph, and structured TypeErrors for defects that previously
-// surfaced only at runtime: unreachable parallel branches, record shapes no
+// inspectable Plan in two passes.  One walk over the blueprint (walk) builds
+// the typed tree — a GraphNode per position, with its path, its bottom-up
+// signature (§3–4 of the paper: box signatures seed the leaves, the
+// combinators compose them; the same signatures the routing tables of route.go
+// accept by) and its parent — checks reserved labels and pre-interns every
+// declared shape.  One shape-flow pass over that tree (flow.go) propagates the
+// network's inferred (or declared, WithInputType) input variants through it
+// and is the type analysis: it leaves on every node what reaches and leaves
+// it, and reports as structured TypeErrors the defects that would otherwise
+// surface only at runtime — unreachable parallel branches, record shapes no
 // branch accepts, box signature mismatches, records reaching a split without
-// its index tag, and reserved-label violations in programmatically built
-// networks.
-//
-// Definite errors come from a shape-flow pass (flow.go) that propagates the
-// network's inferred (or declared, WithInputType) input variants through the
-// graph.  The analysis is closed-world over that input type: records outside
-// it still route correctly at runtime (the dispatch tables compute decisions
-// for unforeseen shapes on demand), they are simply outside the static
-// contract.
+// its index tag.  The analysis is closed-world over that input type: records
+// outside it still route correctly at runtime (the dispatch tables compute
+// decisions for unforeseen shapes on demand), they are simply outside the
+// static contract.
 
 // TypeError codes.
 const (
@@ -100,7 +98,7 @@ func (e *CompileError) Unwrap() []error {
 // Topology is the serializable typed graph of a compiled network — the
 // inspectable artifact behind snetd's /api/networks and snetrun -check.
 type Topology struct {
-	Kind     string      `json:"kind"` // box, filter, sync, observe, hide, serial, parallel, star, split
+	Kind     string      `json:"kind"` // box, filter, sync, observe, serial, parallel, star, split
 	Name     string      `json:"name"`
 	Path     string      `json:"path"`
 	Det      bool        `json:"det,omitempty"`
@@ -134,8 +132,8 @@ func WithFusion(on bool) CompileOption {
 	return func(c *compileCfg) { c.fuse = on }
 }
 
-// WithInputType declares the network's input type, overriding bottom-up
-// inference as the seed of the shape-flow diagnostics: the compile contract
+// WithInputType declares the network's input type, overriding the inferred
+// one as the seed of the shape-flow diagnostics: the compile contract
 // narrows to exactly the declared variants, which typically sharpens
 // unreachable-branch and no-route findings.
 func WithInputType(t RecType) CompileOption {
@@ -152,10 +150,8 @@ type Plan struct {
 	graph    *GraphNode               // the blueprint, as walked by Compile; graph.Node is its root
 	spines   map[*serialNode][]runner // every serial spine's cut into parts (fuse.go)
 	groups   []FusionGroup
-	in, out  RecType
 	warnings []Diagnostic
 	typeErrs []*TypeError
-	facts    *flowFacts
 }
 
 // Compile type-checks the network and precomputes its execution artifacts.
@@ -171,21 +167,15 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	chk := &checker{}
-	in, out := root.sig(chk)
-	p := &Plan{in: in, out: out, warnings: chk.diags}
-
-	c := newCompiler()
-	p.graph = c.walk(root, "")
+	c := &compiler{errKeys: map[string]bool{}, par: map[*parallelNode]*parReach{}}
+	p := &Plan{graph: c.walk(root, nil, "")}
 	p.spines, p.groups = cutSpines(root, cfg.fuse)
 	seed := cfg.input
 	if seed == nil {
-		seed = in
+		seed = p.graph.In
 	}
-	c.flowRoot(root, seed)
-	p.warnings = append(p.warnings, c.warns...)
-	p.typeErrs = c.errs
-	p.facts = c.facts
+	c.flowRoot(p.graph, seed)
+	p.warnings, p.typeErrs = c.warns, c.errs
 	if len(c.errs) > 0 {
 		return p, &CompileError{Errors: c.errs}
 	}
@@ -200,13 +190,29 @@ func MustCompile(root Node, opts ...CompileOption) *Plan { return must(Compile(r
 func (p *Plan) FusionGroups() []FusionGroup { return p.groups }
 
 // In returns the network's inferred input type.
-func (p *Plan) In() RecType { return p.in }
+func (p *Plan) In() RecType { return p.graph.In }
 
 // Out returns the network's inferred output type.
-func (p *Plan) Out() RecType { return p.out }
+func (p *Plan) Out() RecType { return p.graph.Out }
 
-// Warnings returns the non-fatal findings: static mismatches that flow
-// inheritance may still satisfy and approximated analyses.
+// Diagnostic is one non-fatal finding of the compile phase.
+type Diagnostic struct {
+	Node    string // the node's path
+	Warning bool   // false = error
+	Msg     string
+}
+
+func (d Diagnostic) String() string {
+	kind := "error"
+	if d.Warning {
+		kind = "warning"
+	}
+	return fmt.Sprintf("%s: %s: %s", kind, d.Node, d.Msg)
+}
+
+// Warnings returns the non-fatal findings: what the flow pass found where its
+// variant sets had become approximate (downstream of a synchrocell, or after
+// truncation) and would have reported as a TypeError had they been exact.
 func (p *Plan) Warnings() []Diagnostic { return p.warnings }
 
 // TypeErrors returns the definite findings (the same list a failing Compile
@@ -221,44 +227,21 @@ func (p *Plan) Topology() *Topology {
 }
 
 func (p *Plan) String() string {
-	return fmt.Sprintf("plan %s : %v -> %v", p.graph.Node, p.in, p.out)
+	return fmt.Sprintf("plan %s : %v -> %v", p.graph.Node, p.In(), p.Out())
 }
 
 // maxCompileErrors caps the error list of one Compile.
 const maxCompileErrors = 64
 
-// compiler is the state of one Compile walk: collected findings plus the
-// per-parallel-branch reachability accumulators finalized by flowRoot.
+// compiler is the state of one Compile: collected findings plus the
+// parallel-branch reachability the flow accumulates per node and
+// finishParallel settles, in the order the flow first met each node.
 type compiler struct {
-	errs    []*TypeError
-	warns   []Diagnostic
-	errKeys map[string]bool
-
-	// Parallel-branch reachability accumulates across the whole flow (a
-	// star operand is flowed iteratively and a node instance may appear at
-	// several graph positions, so per-call judgement would misreport) and
-	// is settled in finishParallel.  parInexact marks nodes some call
-	// reached with an approximate variant set.
-	parOrder   []*parallelNode
-	parIn      map[*parallelNode][]*varSet
-	parPath    map[*parallelNode]string
-	parFed     map[*parallelNode]bool
-	parInexact map[*parallelNode]bool
-
-	// facts is the per-path reachability trace the flow pass leaves behind
-	// for internal/analysis (see flowFacts).
-	facts *flowFacts
-}
-
-func newCompiler() *compiler {
-	return &compiler{
-		errKeys:    map[string]bool{},
-		parIn:      map[*parallelNode][]*varSet{},
-		parPath:    map[*parallelNode]string{},
-		parFed:     map[*parallelNode]bool{},
-		parInexact: map[*parallelNode]bool{},
-		facts:      newFlowFacts(),
-	}
+	errs     []*TypeError
+	warns    []Diagnostic
+	errKeys  map[string]bool
+	par      map[*parallelNode]*parReach
+	parOrder []*parReach
 }
 
 // typeError records a definite finding (deduplicated); when the flow has
@@ -337,15 +320,15 @@ func declared(n Node, visit func(what string, labels ...Label)) {
 	}
 }
 
-// walk is the one structural traversal of the blueprint: it checks reserved
-// labels, pre-interns every node's labels and shapes, and builds the
-// GraphNode tree that Plan.Graph returns and Topology is rendered from.
-// prefix is the parent path including its trailing separator; the node's
-// path is prefix + name().
-func (c *compiler) walk(n Node, prefix string) *GraphNode {
+// walk is the one structural traversal of the blueprint and the one place a
+// path is built: it checks reserved labels, pre-interns every node's labels
+// and shapes, and builds the GraphNode tree the flow pass annotates, Plan.Graph
+// returns and Topology is rendered from.  prefix is the parent path including
+// its trailing separator; the node's path is prefix + name().
+func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 	path := prefix + n.name()
-	in, out := n.sig(nil)
-	g := &GraphNode{Name: n.name(), Path: path, Node: n, In: in, Out: out}
+	in, out := n.sig()
+	g := &GraphNode{Name: n.name(), Path: path, Node: n, Parent: parent, In: in, Out: out}
 	declared(n, func(what string, labels ...Label) {
 		for _, l := range labels {
 			if IsReservedLabel(l.Name) {
@@ -365,20 +348,17 @@ func (c *compiler) walk(n Node, prefix string) *GraphNode {
 		g.Filter = n.spec
 	case *identityNode:
 		g.Kind = "observe"
-	case *hideNode:
-		g.Kind = "hide"
-		g.HiddenTags = append([]string(nil), n.tags...)
 	case *syncNode:
 		g.Kind = "sync"
 		g.Patterns = append([]Pattern(nil), n.patterns...)
 	case *serialNode:
 		g.Kind = "serial"
-		g.Children = []*GraphNode{c.walk(n.a, path+"/"), c.walk(n.b, path+"/")}
+		g.Children = []*GraphNode{c.walk(n.a, g, path+"/"), c.walk(n.b, g, path+"/")}
 	case *parallelNode:
 		g.Kind = "parallel"
 		g.Det = n.det
 		for i, b := range n.branches {
-			g.Children = append(g.Children, c.walk(b, branchPrefix(path, i)))
+			g.Children = append(g.Children, c.walk(b, g, fmt.Sprintf("%s/branch[%d]/", path, i)))
 		}
 	case *starNode:
 		g.Kind = "star"
@@ -386,13 +366,13 @@ func (c *compiler) walk(n Node, prefix string) *GraphNode {
 		g.Feedback = true
 		exit := n.exit
 		g.Exit = &exit
-		g.Children = []*GraphNode{c.walk(n.operand, path+"/operand/")}
+		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
 	case *splitNode:
 		g.Kind = "split"
 		g.Det = n.det
 		g.Tag = n.tag
 		g.Uncapped = n.uncapped
-		g.Children = []*GraphNode{c.walk(n.operand, path+"/operand/")}
+		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
 	default:
 		g.Kind = "node"
 	}

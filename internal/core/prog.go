@@ -7,7 +7,7 @@ package core
 // the node and the shape of the record in front of it, the output's interned
 // shape, the slot of every produced value and the slots flow inheritance
 // carries over are known before a value is looked at.  Every node that builds
-// records — box, filter, synchrocell, HideTags — compiles that on first sight
+// records — box, filter, synchrocell — compiles that on first sight
 // of an input shape and memoizes it on the blueprint (shapeMemo), behind the
 // latest shape's entry in the instance's own state.  No label name is searched,
 // hashed or compared per record: Record's by-name methods (record.go) are the

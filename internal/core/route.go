@@ -134,7 +134,7 @@ func buildRouteTable(det bool, branches []Node) *routeTable {
 			t.accept[i] = RecType{f.spec.Pattern.Variant}
 			continue
 		}
-		in, _ := b.sig(nil)
+		in, _ := b.sig()
 		t.accept[i] = in
 		t.static[i] = in
 	}

@@ -144,18 +144,3 @@ func (x RecType) String() string {
 	}
 	return strings.Join(parts, " | ")
 }
-
-// MatchScore scores how well a record's label set matches a multivariant
-// input type: the size of the largest variant that the record satisfies
-// (variant ⊆ record labels), or -1 if no variant matches.  The parallel
-// combinator routes each record to the branch with the higher score — the
-// paper's "better match" rule; larger variants are more specific.
-func MatchScore(rec *Record, t RecType) int {
-	best := -1
-	for _, v := range t {
-		if len(v) > best && v.SubsetOf(rec.shape.variant) {
-			best = len(v)
-		}
-	}
-	return best
-}

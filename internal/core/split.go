@@ -81,8 +81,8 @@ func (n *splitNode) String() string {
 	return "(" + n.operand.String() + op + "<" + n.tag + ">)"
 }
 
-func (n *splitNode) sig(c *checker) (RecType, RecType) {
-	opIn, opOut := n.operand.sig(c)
+func (n *splitNode) sig() (RecType, RecType) {
+	opIn, opOut := n.operand.sig()
 	in := make(RecType, len(opIn))
 	for i, v := range opIn {
 		in[i] = v.Union(NewVariant(Tag(n.tag)))

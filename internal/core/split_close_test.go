@@ -238,11 +238,12 @@ func TestReservedLabelsRejectedByParsers(t *testing.T) {
 	}
 }
 
-// TestHideTags: the tag-hiding node strips exactly the named tags.
+// TestHideTags: hiding a tag is a filter that consumes it — the rest of the
+// record is inherited, and a record without the tag passes unchanged.
 func TestHideTags(t *testing.T) { bothPlans(t, testHideTags) }
 
 func testHideTags(t *testing.T, m execMode) {
-	n := Serial(incBox("h", 1), HideTags("aux", "absent"))
+	n := Serial(incBox("h", 1), MustFilter("{<aux>} -> {}"), MustFilter("{<absent>} -> {}"))
 	out, _, err := m.RunAll(context.Background(),
 		n, []*Record{NewRecord().SetTag("n", 1).SetTag("aux", 9).SetTag("keep", 3)})
 	if err != nil || len(out) != 1 {

@@ -68,11 +68,8 @@ func (n *starNode) String() string {
 	return "(" + n.operand.String() + op + n.exit.String() + ")"
 }
 
-func (n *starNode) sig(c *checker) (RecType, RecType) {
-	opIn, opOut := n.operand.sig(c)
-	if c != nil {
-		c.checkStar(n, opOut)
-	}
+func (n *starNode) sig() (RecType, RecType) {
+	opIn, _ := n.operand.sig()
 	in := opIn.Union(RecType{n.exit.Variant})
 	// Records leave when they match the exit pattern; their type is at
 	// least the pattern's variant.

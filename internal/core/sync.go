@@ -112,7 +112,7 @@ func (n *syncNode) String() string {
 	return "[| " + strings.Join(parts, ", ") + " |]"
 }
 
-func (n *syncNode) sig(*checker) (RecType, RecType) {
+func (n *syncNode) sig() (RecType, RecType) {
 	in := make(RecType, len(n.patterns))
 	merged := Variant{}
 	for i, p := range n.patterns {

@@ -204,8 +204,11 @@ func TestNetworksTypecheck(t *testing.T) {
 		}
 	}
 	// Fig. 1's inferred input must accept a plain {board} record.
-	rec := core.NewRecord().SetField("board", Easy())
-	if core.MatchScore(rec, core.MustCompile(Fig1Net(NetConfig{})).In()) < 0 {
+	board, accepts := core.NewVariant(core.Field("board")), false
+	for _, v := range core.MustCompile(Fig1Net(NetConfig{})).In() {
+		accepts = accepts || v.SubsetOf(board)
+	}
+	if !accepts {
 		t.Fatal("fig1 input type rejects {board}")
 	}
 }

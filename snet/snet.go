@@ -40,7 +40,7 @@
 // API at a glance:
 //
 //	build    NewBox NewBoxConcurrent NewFilter FilterFrom MustFilter
-//	         Sync NamedSync Observe HideTags
+//	         Sync NamedSync Observe
 //	         Serial Parallel ParallelDet Star StarDet NamedStar NamedStarDet
 //	         Split SplitDet NamedSplit NamedSplitDet SessionSplit
 //	parse    ParseSignature ParsePattern ParseFilter ParseTagExpr (+ Must…)
@@ -138,8 +138,8 @@ type (
 // type errors.  WithInputType declares the network's input type instead of
 // inferring it bottom-up.  The TypeError codes are the ErrCode constants.
 // WithFusion toggles the compile-time pipeline-fusion pass (default on):
-// maximal chains of lightweight stages — filters, Observe taps, HideTags,
-// and boxes pinned to sequential invocation — collapse into single-goroutine
+// maximal chains of lightweight stages — filters, Observe taps and boxes
+// pinned to sequential invocation — collapse into single-goroutine
 // fused segments with no streams between stages; WithFusion(false) keeps the
 // stage-per-goroutine plan the fused one is tested and measured against.
 var (
@@ -229,9 +229,6 @@ var (
 	// NamedSync is Sync with an explicit stats label
 	// ("sync.<name>.fired"/"sync.<name>.starved") and a stable topology name.
 	NamedSync = core.NamedSync
-	// HideTags is a transparent node deleting the given tags from every
-	// record — compose it serially where a routing tag must not travel on.
-	HideTags = core.HideTags
 )
 
 // Replica lifecycle: parallel replication (Split) creates replicas on
@@ -274,10 +271,6 @@ var (
 	WithMaxStarDepth  = core.WithMaxStarDepth
 	WithMaxSplitWidth = core.WithMaxSplitWidth
 )
-
-// MatchScore scores how well a record's label set matches a multivariant
-// type (the best-match measure of §4); -1 means no variant matches.
-var MatchScore = core.MatchScore
 
 // Errors.
 var ErrCancelled = core.ErrCancelled
