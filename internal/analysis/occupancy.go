@@ -12,8 +12,9 @@ import (
 // stream edges (buffer × batch frames plus the writer's pending batch and
 // the reader's in-hand item), box engines (W in flight plus reorder slots),
 // synchrocell stores, branch output writers (a pending batch each: a branch
-// has no output edge), the one merge queue of every parallel, star and split
-// site, replication chains — contributes a worst-case record count, and the
+// has no output edge), the one merge queue of every parallel and split site
+// and of every tap of a star, replication chains — contributes a worst-case
+// record count, and the
 // sum is the whole-plan static memory high-water bound: no schedule of a
 // deadlock-free plan can hold more records at once.
 //
@@ -182,15 +183,18 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		}
 		return occ
 	case "star":
-		// Entry edge, the dispatcher's record in hand, the exit writer's
-		// pending batch (the exit branch has no stream: the dispatcher
-		// writes into the merger) and the merge queue are per-site; each
-		// lazily-unfolded stage holds one operand instance, the chain port
-		// feeding the next stage and the pending batch of the chain
-		// branch's writer.
-		occ := b.fixed(b.edgeCap()) + b.fixed(1) + b.fixed(b.branchOut()) + b.fixed(b.mergeQueue())
+		// Every tap of the chain is a fanout of its own (star.go): the
+		// dispatcher's record in hand, the exit writer's pending batch (the
+		// exit branch has no stream: the dispatcher writes into the merger)
+		// and a merge queue.  The entry edge and the entry tap are per site;
+		// each lazily-unfolded stage starts a chain port, one operand
+		// instance, the stream from it on to the next tap, that tap, and the
+		// writer of the chain branch, which ships the stage's output into
+		// the merge queue of the tap before it.
+		tap := func() int64 { return b.fixed(1) + b.fixed(b.branchOut()) + b.fixed(b.mergeQueue()) }
+		occ := b.fixed(b.edgeCap()) + tap()
 		b.replDepth++
-		per := b.node(g.Children[0]) + b.edgeCap() + b.branchOut()
+		per := b.edgeCap() + b.node(g.Children[0]) + b.edgeCap() + tap() + b.branchOut()
 		b.replDepth--
 		if diverges(g) {
 			b.bound.Finite = false

@@ -107,9 +107,11 @@ func BranchWriterHold(batch int) int64 {
 }
 
 // MergeQueueCapacity returns the worst-case number of records between the
-// branches of one parallel, star or split site and the site's output: the
-// one merge queue all its branches share — buffer+mergeQueueSlack frames of
-// up to `batch` items — plus the frame the merger is consuming.
+// branches of one fanout and its output: the one merge queue all its
+// branches share — buffer+mergeQueueSlack frames of up to `batch` items —
+// plus the frame the merger is consuming.  A parallel or split site is one
+// fanout; a star is one per unfolded stage, every tap being a fanout of its
+// own with two branches, the exit and the rest of the chain (star.go).
 func MergeQueueCapacity(buffer, batch int) int64 {
 	if buffer < 0 {
 		buffer = 0

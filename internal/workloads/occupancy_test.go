@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -176,4 +177,100 @@ func TestWavefrontGoroutinesReturnToBaseline(t *testing.T) {
 			t.Fatalf("%d goroutines after the runs, %d before", g, base)
 		}
 	})
+}
+
+// TestBoundHoldsWhenOutputStalls: the bound is a claim about the worst
+// schedule, and the worst schedule is a consumer that never comes.  Each row
+// starts a plan, never reads its output, and feeds it until the network takes
+// no more; every record it accepted is then parked somewhere inside, and the
+// certificate for exactly what the row unfolds (W=1, its depth, its width) has
+// to cover them.  A row that stops feeding early only reads low, so the test
+// cannot fail for being slow.
+func TestBoundHoldsWhenOutputStalls(t *testing.T) {
+	pinned := func(name, sig string) snet.Node { // one call at a time, passes its arguments on
+		return snet.NewBoxConcurrent(name, snet.MustParseSignature(sig),
+			func(args []any, out *snet.Emitter) error { return out.Out(1, args...) }, 1)
+	}
+	inc := func() snet.Node {
+		return snet.NewBoxConcurrent("inc", snet.MustParseSignature("(<n>) -> (<n>)"),
+			func(args []any, out *snet.Emitter) error { return out.Out(1, args[0].(int)+1) }, 1)
+	}
+	star := func(operand snet.Node, exit string, depth int) snet.Node {
+		return snet.Star(operand, snet.MustParsePattern(fmt.Sprintf("%s | <n> >= %d", exit, depth)))
+	}
+	var chain []snet.Node
+	for i := 0; i < 8; i++ {
+		chain = append(chain, pinned(fmt.Sprintf("stall_c%d", i), "(<n>) -> (<n>)"))
+	}
+	abc := []string{"a", "b", "c"}
+	rows := []struct {
+		name         string
+		net          snet.Node
+		depth, width int                      // what the row unfolds; 1 where it has no such site
+		record       func(i int) *snet.Record // the i-th input
+	}{
+		{"serial-8-fused", snet.Serial(chain...), 1, 1,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetTag("n", i) }},
+		{"parallel-3", snet.Parallel(pinned("stall_a", "(a) -> (a)"), pinned("stall_b", "(b) -> (b)"), pinned("stall_c", "(c) -> (c)")), 1, 1,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetField(abc[i%3], i) }},
+		{"split-64-stepped", snet.Split(pinned("stall_s", "(<n>) -> (<n>)"), "k"), 1, 64,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetTag("n", i).SetTag("k", i%64) }},
+		{"split-64-spawned", snet.Split(snet.Parallel(pinned("stall_pa", "(a) -> (a)"), pinned("stall_pb", "(b) -> (b)")), "k"), 1, 64,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetField(abc[i/64%2], i).SetTag("k", i%64) }},
+		{"star-16", star(inc(), "{<n>}", 16), 16, 1,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetTag("n", 0) }},
+		{"star-64", star(inc(), "{<n>}", 64), 64, 1,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetTag("n", 0) }},
+		{"star-8-x-split-4", star(snet.Split(inc(), "k"), "{<n>, <k>}", 8), 8, 4,
+			func(i int) *snet.Record { return snet.AcquireRecord().SetTag("n", 0).SetTag("k", i%4) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			plan, err := snet.Compile(row.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps := analysis.DefaultCaps()
+			caps.BoxWorkers, caps.StarDepth, caps.SplitWidth = 1, row.depth, row.width
+			rep := analysis.AnalyzeWithCaps(plan, caps)
+			if !rep.DeadlockFree() || !rep.Bound.Finite {
+				t.Fatalf("plan does not certify: %v", rep.Bound)
+			}
+			h := plan.Start(context.Background(), snet.WithBoxWorkers(1),
+				snet.WithMaxStarDepth(row.depth), snet.WithMaxSplitWidth(row.width))
+			ctx, stop := context.WithCancel(context.Background())
+			var accepted atomic.Int64
+			fed := make(chan struct{})
+			go func() {
+				defer close(fed)
+				for i := 0; ; {
+					batch := make([]*snet.Record, 64)
+					for j := range batch {
+						batch[j] = row.record(i)
+						i++
+					}
+					n, err := h.SendBatch(ctx, batch)
+					accepted.Add(int64(n))
+					if err != nil {
+						return
+					}
+				}
+			}()
+			for last, since := int64(-1), time.Now(); time.Since(since) < 1500*time.Millisecond; time.Sleep(20 * time.Millisecond) {
+				if now := accepted.Load(); now != last {
+					last, since = now, time.Now()
+				}
+			}
+			stop()
+			<-fed
+			held := accepted.Load() // nothing was delivered: nobody reads h.Out()
+			h.Cancel()
+			h.Wait()
+			t.Logf("%s: %d records accepted and never delivered, bound %d", row.name, held, rep.Bound.Total)
+			if held > rep.Bound.Total {
+				t.Errorf("%d records held against a certified bound of %d", held, rep.Bound.Total)
+			}
+		})
+	}
 }
