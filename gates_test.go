@@ -102,8 +102,8 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6914},
-		{"internal/analysis", 919},
+		{"internal/core", 6916},
+		{"internal/analysis", 924},
 		{"internal/lang", 724},
 		{"snet/service", 1699},
 		{"internal/array", 933},

@@ -47,6 +47,7 @@ func (a *analyzer) checkSync(g *core.GraphNode) {
 			"join pattern %s of synchrocell %s can never be filled: no variant of the upstream flow %v supplies it; records matching %s are stored and held forever — the join deadlocks",
 			p, g.Name, in, renderPatterns(fillable)))
 	}
+	// One unbounded-split finding a cell, however many of its patterns starve.
 	a.checkSplits(g, starving[len(starving)-1].Variant)
 }
 

@@ -191,7 +191,7 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		// instance, the stream from it on to the next tap, that tap, and the
 		// writer of the chain branch, which ships the stage's output into
 		// the merge queue of the tap before it.
-		tap := func() int64 { return b.fixed(1) + b.fixed(b.branchOut()) + b.fixed(b.mergeQueue()) }
+		tap := func() int64 { return b.fixed(1 + b.branchOut() + b.mergeQueue()) }
 		occ := b.fixed(b.edgeCap()) + tap()
 		b.replDepth++
 		per := b.edgeCap() + b.node(g.Children[0]) + b.edgeCap() + tap() + b.branchOut()
