@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6872},
+		{"internal/core", 6904},
 		{"internal/analysis", 924},
 		{"internal/lang", 724},
 		{"snet/service", 1699},

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -205,6 +206,54 @@ func testDetOuterNondetInner(t *testing.T, m execMode) {
 	})
 	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
+}
+
+// Nesting: a nondeterministic star or split whose output is a branch of
+// another site, with a deterministic site around it — its input carries that
+// site's sort markers, so it merges them as every site does.  Every net's
+// output order is the input order: seq 0, 1, …, detN-1.
+func TestNondetInsideDet(t *testing.T) { bothPlans(t, testNondetInsideDet) }
+
+func testNondetInsideDet(t *testing.T, m execMode) {
+	done := MustParsePattern("{<done>}")
+	fast := func() Node {
+		return NewBox("nid_fast", MustParseSignature("(f,<seq>) -> (<seq>,<done>)"),
+			func(args []any, out *Emitter) error { return out.Out(1, args[1].(int), 1) })
+	}
+	// Every third record takes the fast branch; the rest count <n> down.
+	mark := func(i int, r *Record) {
+		if i%3 == 0 {
+			r.SetField("f", 1)
+		} else {
+			r.SetTag("n", i%5).SetTag("k", i%4)
+		}
+	}
+	nets := []struct {
+		name string
+		net  Node
+	}{
+		{"star in ParallelDet", ParallelDet(Star(varDecBox(13), done), fast())},
+		{"split in ParallelDet", ParallelDet(Serial(Observe("nid_tap", nil), Split(varDecBox(43), "k")), fast())},
+		{"split in StarDet", StarDet(Parallel(Split(varDecBox(17), "k"), fast()), done)},
+		{"star in StarDet", StarDet(Parallel(Star(varDecBox(19), done), fast()), done)},
+	}
+	want := make([]int, detN)
+	for i := range want {
+		want[i] = i
+	}
+	for _, n := range nets {
+		t.Run(n.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			out, _, err := m.RunAll(ctx, n.net, seqInputs(detN, mark))
+			if err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+			if got := collectSeqs(t, out); !slices.Equal(got, want) {
+				t.Fatalf("output order %v, want %v", got, want)
+			}
+		})
+	}
 }
 
 // Nesting: deterministic star inside deterministic split.

@@ -166,8 +166,18 @@ func (f *fanout) fold() {
 	}
 }
 
-// sendEv delivers an event to the merger; false means the run is cancelled.
-func (f *fanout) sendEv(e branchEvent) bool { return handOff(f.env.ctx, f.mux, e, nil) }
+// sendEv delivers an event to the merger; false means the run is cancelled,
+// and the record the event carried, if any, is back in the arena.
+func (f *fanout) sendEv(e branchEvent) bool {
+	if offer(f.env.ctx, f.mux, e, nil) {
+		return true
+	}
+	e.release()
+	return false
+}
+
+// release returns what an undelivered event carries to the arena.
+func (e branchEvent) release() int64 { return e.fr.release() }
 
 // addBranch registers a new branch and returns the port for routing.  With a
 // body to step (runEnv.body, fuse.go) that can begin as it is, the branch
@@ -520,8 +530,8 @@ func (m *merger) flushTails() bool { return m.emitRegion(math.MaxInt) }
 
 // abandon releases what a cancelled merge still holds — buffered regions,
 // pending acknowledgements and the frames queued for it — so the arena's
-// ledger returns to zero.  (A frame shipped after this is dropped with the
-// rest of the cancelled run.)
+// ledger returns to zero.  (What lands after this its writer takes back:
+// offer.)
 func (m *merger) abandon() {
 	for _, b := range m.branches {
 		for b.held.len() != 0 {
@@ -529,14 +539,7 @@ func (m *merger) abandon() {
 		}
 		releaseRecord(b.sentinel)
 	}
-	for {
-		select {
-		case e := <-m.f.mux:
-			e.fr.release()
-		default:
-			return
-		}
-	}
+	reclaim(m.f.mux)
 }
 
 // fifo is a queue over a slice it keeps: emptied, it starts over at the front

@@ -71,6 +71,7 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	go func() {
 		defer close(h.done)
 		defer close(h.outRec)
+		defer netOutR.Discard() // cancelled: what the network still delivers goes back to the arena
 		for {
 			it, ok := netOutR.recv()
 			if !ok {

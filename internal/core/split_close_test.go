@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -213,6 +214,147 @@ func testSplitCloseForwardsThroughOtherSplits(t *testing.T, m execMode) {
 	for range h.Out() {
 	}
 	h.Wait()
+}
+
+// nestedSplit is a split whose output is a branch of another site.
+type nestedSplit struct {
+	name string
+	net  Node
+}
+
+// nestedSplits puts the split name over body where its output is another
+// site's branch: the last node of a parallel branch, and that parallel as a
+// star stage, whose filter sends what leaves the split — records and
+// acknowledgements alike — out at the next tap.  Records carrying <k> take
+// the split's branch; the other one takes field x.
+func nestedSplits(name string, body Node) []nestedSplit {
+	par := func() Node {
+		other := NewBox(name+"_x", MustParseSignature("(x) -> (x)"),
+			func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
+		return Parallel(other, Serial(Observe(name+"_tap", nil), NamedSplit(name, body, "k")))
+	}
+	return []nestedSplit{
+		{"parallel branch", par()},
+		{"star stage", NamedStar(name+"_star", Serial(par(), MustFilter("{<k>} -> {<k>, <done>=1}")),
+			MustParsePattern("{<done>}"))},
+	}
+}
+
+// TestNestedSplitCloseAck: the close protocol at a split whose output is a
+// branch of another site, with replicas stepped (W=1), spawned (W=2) and as
+// the engine decides (W unset).  Each acknowledgement comes strictly after its
+// replica's last record — the last one lags — a close for a key with no
+// replica still acknowledges, and the gauge ends at zero.
+func TestNestedSplitCloseAck(t *testing.T) { bothPlans(t, testNestedSplitCloseAck) }
+
+func testNestedSplitCloseAck(t *testing.T, m execMode) {
+	const sessions, burst, absent = 24, 3, 999
+	slow := NewBox("nackslow", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error {
+			if args[0].(int) == burst-1 {
+				time.Sleep(200 * time.Microsecond) // the last record lags its close
+			}
+			return out.Out(1, args[0].(int))
+		})
+	body := Serial(slow, MustFilter("{<n>} -> {<n>=<n>+100}"))
+	for _, nest := range nestedSplits("nack", body) {
+		for _, w := range []int{0, 1, 2} {
+			for _, b := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/W%d/B%d", nest.name, w, b), func(t *testing.T) {
+					opts := []Option{WithStreamBatch(b)}
+					if w > 0 {
+						opts = append(opts, WithBoxWorkers(w))
+					}
+					h := m.Start(context.Background(), nest.net, opts...)
+					defer h.Cancel()
+					go func() {
+						for s := 0; s < sessions; s++ {
+							for i := 0; i < burst; i++ {
+								if h.Send(NewRecord().SetTag("n", i).SetTag("k", s)) != nil {
+									return
+								}
+							}
+							if h.Send(NewReplicaCloseAck("k", s)) != nil {
+								return
+							}
+						}
+						if h.Send(NewReplicaCloseAck("k", absent)) == nil {
+							h.Close()
+						}
+					}()
+					seen, acked := map[int]int{}, map[int]bool{}
+					for r := range h.Out() {
+						k := tagOf(t, r, "k")
+						if IsReplicaClose(r) {
+							if k != absent && seen[k] != burst {
+								t.Fatalf("key %d acknowledged after %d of %d records", k, seen[k], burst)
+							}
+							acked[k] = true
+							continue
+						}
+						if acked[k] {
+							t.Fatalf("key %d: record %v after its acknowledgement", k, r)
+						}
+						seen[k]++
+					}
+					h.Wait()
+					if len(acked) != sessions+1 || !acked[absent] {
+						t.Fatalf("%d of %d keys acknowledged (absent key: %v)", len(acked), sessions+1, acked[absent])
+					}
+					if g := replicaGauge(h.Stats(), "nack"); g != 0 {
+						t.Fatalf("replica gauge after all closes: %d", g)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNestedSplitCancelMidRetire: a run cancelled while the replicas of a
+// nested split drain behind their close records gives back every record it
+// held — the acknowledgements it had been handed too — and every goroutine.
+// The output is read to its end, so the cancellation meets replicas at work,
+// not a network parked behind a reader that stopped.
+func TestNestedSplitCancelMidRetire(t *testing.T) { bothPlans(t, testNestedSplitCancelMidRetire) }
+
+func testNestedSplitCancelMidRetire(t *testing.T, m execMode) {
+	const keys, burst = 8, 4
+	slow := NewBox("ncslow", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error {
+			time.Sleep(300 * time.Microsecond)
+			return out.Out(1, args[0].(int))
+		})
+	for _, nest := range nestedSplits("ncancel", slow) {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/W%d", nest.name, w), func(t *testing.T) {
+				base, live := goroutineCount(), poolLiveSettled(t)
+				h := m.Start(context.Background(), nest.net, WithBoxWorkers(w))
+				for k := 0; k < keys; k++ {
+					for i := 0; i < burst; i++ {
+						if err := h.Send(AcquireRecord().SetTag("n", i).SetTag("k", k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ack := AcquireRecord().SetTag(replicaCloseTag, 1).SetTag(replicaAckTag, 1).SetTag("k", k)
+					if err := h.Send(ack); err != nil {
+						t.Fatal(err)
+					}
+				}
+				drained := make(chan struct{})
+				go func() {
+					defer close(drained)
+					for range h.Out() {
+					}
+				}()
+				time.Sleep(time.Millisecond) // the replicas at work, their close records on the way
+				h.Cancel()
+				<-drained
+				h.Wait()
+				waitForGoroutines(t, base)
+				waitPoolLive(t, live)
+			})
+		}
+	}
 }
 
 // TestReservedLabelsRejectedByParsers: signatures, patterns and filters must

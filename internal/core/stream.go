@@ -178,21 +178,43 @@ func handOff[T any](ctx context.Context, ch chan<- T, v T, blocked *time.Duratio
 	}
 }
 
+// offer is handOff for the record plane's channels, whose readers may stop
+// listening once the run is gone: a cancelled run's v is not offered, and if
+// the run goes while v is on offer what is left on ch is taken back here, so
+// nothing stays in a buffer nobody reads.  False leaves v the caller's.
+func offer[T interface{ release() int64 }](ctx context.Context, ch chan T, v T, blocked *time.Duration) bool {
+	if ctxDone(ctx) || !handOff(ctx, ch, v, blocked) {
+		return false
+	}
+	if ctxDone(ctx) {
+		reclaim(ch)
+	}
+	return true
+}
+
+// reclaim releases what a cancelled run's channel still holds.
+func reclaim[T interface{ release() int64 }](ch chan T) {
+	for {
+		select {
+		case v := <-ch:
+			v.release()
+		default:
+			return
+		}
+	}
+}
+
 // ship performs the channel handoff of one frame — to the stream's reader,
 // or to the merger a branch-output writer is bound to.  The transport
 // counters settle here, on delivery: a frame dropped by cancellation
 // retracts its records so "stream.records" reflects only what reached the
-// channel.  A cancelled run's frame is not offered at all: its reader may be
-// gone already, and a frame left in the buffer of a stream nobody reads is lost
-// to the ledger.
+// channel.
 func (w *streamWriter) ship(f frame) bool {
 	var ok bool
-	switch {
-	case ctxDone(w.env.ctx):
-	case w.fan != nil:
-		ok = handOff(w.env.ctx, w.fan.mux, branchEvent{kind: evFrame, b: w.branch, fr: f}, &w.blocked)
-	default:
-		ok = handOff(w.env.ctx, w.ch, f, &w.blocked)
+	if w.fan != nil {
+		ok = offer(w.env.ctx, w.fan.mux, branchEvent{kind: evFrame, b: w.branch, fr: f}, &w.blocked)
+	} else {
+		ok = offer(w.env.ctx, w.ch, f, &w.blocked)
 	}
 	if !ok {
 		w.retract(f)
@@ -274,6 +296,9 @@ func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int
 		case <-ctx.Done():
 			releaseFrameSlab(f.batch)
 			return sent, ctx.Err()
+		}
+		if ctxDone(w.env.ctx) {
+			reclaim(w.ch) // as offer does
 		}
 		atomic.AddInt64(&w.directRecords, int64(n))
 		atomic.AddInt64(&w.directFrames, 1)
@@ -430,7 +455,8 @@ func (r *streamReader) drain(head frame) {
 	for {
 		// Prefer frames already delivered over the cancellation signal
 		// so the discard count is deterministic for everything that
-		// reached the stream before the early exit.
+		// reached the stream before the early exit — and look once more
+		// after the run went, as a frame offered before may still land.
 		select {
 		case f, ok := <-r.ch:
 			if !ok {
@@ -440,6 +466,9 @@ func (r *streamReader) drain(head frame) {
 			continue
 		default:
 		}
+		if ctxDone(r.env.ctx) {
+			return
+		}
 		select {
 		case f, ok := <-r.ch:
 			if !ok {
@@ -447,7 +476,6 @@ func (r *streamReader) drain(head frame) {
 			}
 			n += f.release()
 		case <-r.env.ctx.Done():
-			return
 		}
 	}
 }
