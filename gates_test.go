@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6904},
+		{"internal/core", 6931},
 		{"internal/analysis", 924},
 		{"internal/lang", 724},
 		{"snet/service", 1699},
@@ -215,6 +215,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"one rule groups stages: Compile cuts every position once (spineCutter.cut), a dispatcher steps a cut of one segment, and a segment whose box must run concurrently runs as its cut (segment.cut) — a box runs as every stage runs, a star's chain is a two-part pipeline"},
 		{`ticket|markerIDs|sendAll|regions +map|\.regions\b`, "internal/core/", false, "",
 			"a fanout broadcasts the one marker it owns, and the deterministic merge keeps FIFOs (announced markers, each branch's held records by region), not maps"},
+		{`levelSeq|newLevel|marker\{ *level|\.level\b`, "internal/core/", false, "",
+			"a merger tells its own marker by address (mk != &m.f.own): a marker carries no level and a run numbers none"},
 		{`\bFeedback\b|shapeRef`, "internal/core/", false, "",
 			"nothing read GraphNode.Feedback or called Record.shapeRef: a star GraphNode is the feedback edge, a record's shape is r.shape"},
 		{`func \((itp \*Interp\) HasFun|p \*Pool\) ForEach|o \*Options\) Cube)\(|func (Eq|AddScalar|MulScalar)\[`, "internal/", false, "",

@@ -12,19 +12,15 @@ import (
 // stream edges (buffer × batch frames plus the writer's pending batch and
 // the reader's in-hand item), box engines (inputs in flight, reorder slots),
 // synchrocell stores, branch output writers (a pending batch each: a branch
-// has no output edge), the one merge queue of every parallel and split site
-// and of every tap of a star, replication chains — contributes a worst-case
-// record count, and the
-// sum is the whole-plan static memory high-water bound: no schedule of a
+// has no output edge), the merge queue of every site that starts one,
+// replication chains — contributes a worst-case record count, and the sum is
+// the whole-plan static memory high-water bound: no schedule of a
 // deadlock-free plan can hold more records at once.
 //
-// The bound prices every serial edge of the plan's tree as a stream, whether
-// or not the plan groups the stages on either side into one segment
-// (Plan.Graph() is the one tree there is; fusion does not change it).  A
-// segment hands records from stage to stage depth-first and parks nothing in
-// between: each stage holds what it holds when it runs alone, and the streams
-// between them are simply absent.  So the bound is sound for any grouping
-// and the verdict cannot depend on whether fusion ran.
+// The bound prices every serial edge of the tree as a stream, whether or not
+// the plan groups the stages on either side into one segment: a segment parks
+// nothing between its stages, each holds what it holds alone, so the bound is
+// sound for any grouping and the verdict cannot depend on whether fusion ran.
 
 // Caps are the capacity assumptions an occupancy verdict holds under.  They
 // mirror the run options (WithBuffer, WithStreamBatch, WithBoxWorkers,
@@ -140,8 +136,21 @@ func (b *bounder) edgeCap() int64 {
 // pending batch of its writer, which ships straight into the merge queue.
 func (b *bounder) branchOut() int64 { return core.BranchWriterHold(b.caps.StreamBatch) }
 
-// mergeQueue is the worst-case record count of one site's merge queue.
-func (b *bounder) mergeQueue() int64 {
+// mergeQueue is the worst-case record count of g's merge queue, an unfolded
+// tap's if tap: none where g is direct (core.MergeQueueCapacity) — a tap or
+// the end of a parallel branch's or split operand's spine, below no det site.
+func (b *bounder) mergeQueue(g *core.GraphNode, tap bool) int64 {
+	end := g
+	for end.Parent != nil && end.Parent.Kind == "serial" && end.Parent.Children[1] == end {
+		end = end.Parent
+	}
+	direct := tap || end.Parent != nil && (end.Parent.Kind == "parallel" || end.Parent.Kind == "split")
+	for p := g; p != nil && direct; p = p.Parent {
+		direct = !p.Det
+	}
+	if direct {
+		return 0
+	}
 	return core.MergeQueueCapacity(b.caps.StreamBuffer, b.caps.StreamBatch)
 }
 
@@ -166,45 +175,35 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		return b.fixed(core.BoxEngineHold(w, b.caps.StreamBatch))
 	case "sync":
 		// One stored record per join pattern (the fire drains them all).
-		n := int64(len(g.Patterns))
-		if n < 1 {
-			n = 1
-		}
-		return b.fixed(n)
+		return b.fixed(max(int64(len(g.Patterns)), 1))
 	case "serial":
 		return b.node(g.Children[0]) + b.fixed(b.edgeCap()) + b.node(g.Children[1])
 	case "parallel":
-		// Dispatcher's record in hand and the site's one merge queue, then
-		// per branch: an input edge, the branch subtree and the pending
-		// batch of the branch's writer.
-		occ := b.fixed(1) + b.fixed(b.mergeQueue())
+		// The dispatcher's record in hand and the merge queue; per branch an
+		// input edge, the branch subtree and its writer's pending batch.
+		occ := b.fixed(1) + b.fixed(b.mergeQueue(g, false))
 		for _, ch := range g.Children {
 			occ += b.fixed(b.edgeCap()) + b.node(ch) + b.fixed(b.branchOut())
 		}
 		return occ
 	case "star":
-		// Every tap of the chain is a fanout of its own (star.go): the
-		// dispatcher's record in hand, the exit writer's pending batch (the
-		// exit branch has no stream: the dispatcher writes into the merger)
-		// and a merge queue.  The entry edge and the entry tap are per site;
-		// each lazily-unfolded stage starts a chain port, one operand
-		// instance, the stream from it on to the next tap, that tap, and the
-		// writer of the chain branch, which ships the stage's output into
-		// the merge queue of the tap before it.
-		tap := func() int64 { return b.fixed(1 + b.branchOut() + b.mergeQueue()) }
-		occ := b.fixed(b.edgeCap()) + tap()
+		// Every tap is a fanout (star.go): the dispatcher's record in hand, the
+		// exit writer's pending batch and its merge queue.  The entry edge and
+		// tap are per site; each unfolded stage starts one operand instance,
+		// the streams into and out of it, the next tap and the chain's writer.
+		tap := func(unfolded bool) int64 { return b.fixed(1 + b.branchOut() + b.mergeQueue(g, unfolded)) }
+		occ := b.fixed(b.edgeCap()) + tap(false)
 		b.replDepth++
-		per := b.edgeCap() + b.node(g.Children[0]) + b.edgeCap() + tap() + b.branchOut()
+		per := b.edgeCap() + b.node(g.Children[0]) + b.edgeCap() + tap(true) + b.branchOut()
 		b.replDepth--
 		if diverges(g) {
 			b.bound.Finite = false
 		}
 		return occ + b.site(g, per, int64(b.caps.StarDepth))
 	case "split":
-		// Router's record in hand and the merge queue are per-site; each
-		// live replica holds its input edge, one operand instance and the
-		// pending batch of its writer.
-		occ := b.fixed(1) + b.fixed(b.mergeQueue())
+		// Per site the router's record in hand and the merge queue; per live
+		// replica its input edge, one operand instance and its writer's batch.
+		occ := b.fixed(1) + b.fixed(b.mergeQueue(g, false))
 		b.replDepth++
 		per := b.edgeCap() + b.node(g.Children[0]) + b.branchOut()
 		b.replDepth--

@@ -123,14 +123,43 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 			t.Errorf("box.gbn.instances is reported for a branch no record reached")
 		}
 	})
+	t.Run("split ending a parallel branch", func(t *testing.T) {
+		const replicas = 4
+		var inputs []*Record
+		for k := 0; k < replicas; k++ {
+			inputs = append(inputs,
+				NewRecord().SetField("a", 1).SetTag("k", k),
+				NewRecord().SetField("b", 2).SetTag("k", k))
+		}
+		// Boundary, the parallel's dispatcher and merger, the branch's tap and
+		// the split's dispatcher: the split is direct, its replicas stepped
+		// into the parallel's merge queue — un-fused, each synchrocell and box
+		// on a goroutine of its own.  (With a merger of its own, one more.)
+		want := 5
+		if !m.fuse {
+			want += 2 * replicas
+		}
+		n := Parallel(echo("gbp", "x"), Serial(Observe("gbp_tap", nil), NamedSplit("gbps", join(), "k")))
+		budget(t, n, inputs, replicas, want, WithBoxWorkers(1))
+	})
 	t.Run("star stage", func(t *testing.T) {
 		const depth = 6
 		// Boundary, the entry dispatcher and its merger; every unfolded
-		// stage adds its operand, the next dispatcher and that one's merger.
-		// The exit branch of a stage is the dispatcher's own writer.
+		// stage adds its operand and the next dispatcher, which writes into
+		// the entry tap's merge queue.  The exit branch of a stage is the
+		// dispatcher's own output writer.
 		stats := budget(t, NamedStar("gbs", decBox(), MustParsePattern("{<done>}")),
-			[]*Record{recN(depth - 1)}, 1, 3+3*depth, WithBoxWorkers(1))
+			[]*Record{recN(depth - 1)}, 1, 3+2*depth, WithBoxWorkers(1))
 		if d := stats.Counter("star.gbs.replicas"); d != depth {
+			t.Fatalf("unfolded stages = %d, want %d", d, depth)
+		}
+	})
+	t.Run("deterministic star stage", func(t *testing.T) {
+		const depth = 6
+		// A deterministic site keeps its merger, and so does every tap of it.
+		stats := budget(t, NamedStarDet("gbsd", decBox(), MustParsePattern("{<done>}")),
+			[]*Record{recN(depth - 1)}, 1, 3+3*depth, WithBoxWorkers(1))
+		if d := stats.Counter("star.gbsd.replicas"); d != depth {
 			t.Fatalf("unfolded stages = %d, want %d", d, depth)
 		}
 	})
@@ -150,7 +179,7 @@ func newMergeHarness(buf, batch int, det bool) *mergeHarness {
 	env, cancel := newTestEnv(buf, batch)
 	in, _ := newStream(env, env.buf)
 	outR, outW := newStream(env, env.buf)
-	f := newFanout(env, det, in)
+	f := newFanout(env, det, in, outW)
 	h := &mergeHarness{cancel: cancel, f: f, out: outR,
 		m: &merger{f: f, out: outW}, done: make(chan struct{})}
 	go func() {
@@ -184,7 +213,7 @@ func TestMergeFrameMarkersAnywhere(t *testing.T) {
 	h := newMergeHarness(8, 8, true)
 	defer h.cancel()
 	b0, b1 := h.branchWriter(), h.branchWriter()
-	mk := item{mk: h.f.own}
+	mk := item{mk: &h.f.own}
 	for i := 1; i <= 3; i++ {
 		h.f.markers++
 		h.f.sendEv(branchEvent{kind: evMarker, fr: frame{single: mk}})

@@ -83,17 +83,17 @@ func StreamCapacity(buffer, batch int) int64 {
 }
 
 // BranchWriterHold returns the worst-case number of records held by the
-// output writer of one combinator branch.  A branch has no output stream:
-// its writer ships frames straight into the site's merge queue (merge.go),
-// so all it ever holds is its pending batch.
+// output writer of one combinator branch: its pending batch, which it ships
+// straight into a merge queue (merge.go) — its site's, or, at a direct site,
+// the queue the site's own output feeds.
 func BranchWriterHold(batch int) int64 { return int64(max(batch, 1)) }
 
-// MergeQueueCapacity returns the worst-case number of records between the
-// branches of one fanout and its output: the one merge queue all its
-// branches share — buffer+mergeQueueSlack frames of up to `batch` items —
-// plus the frame the merger is consuming.  A parallel or split site is one
-// fanout; a star is one per unfolded stage, every tap being a fanout of its
-// own with two branches, the exit and the rest of the chain (star.go).
+// MergeQueueCapacity returns the worst-case number of records in one merge
+// queue — buffer+mergeQueueSlack frames of up to `batch` items — plus the
+// frame its merger is consuming.  A site starts one unless it is direct
+// (merge.go): non-deterministic, below no deterministic site, and writing a
+// branch of another — an unfolded star tap, or a site that ends a parallel
+// branch or a split's operand.
 func MergeQueueCapacity(buffer, batch int) int64 {
 	b := int64(max(batch, 1))
 	return int64(max(buffer, 0)+mergeQueueSlack)*b + b

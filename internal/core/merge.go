@@ -1,51 +1,43 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// This file implements the shared splitter/merger machinery of the three
-// branching combinators (parallel composition, serial replication, parallel
-// replication).
+// The splitter/merger machinery of the three branching combinators: parallel
+// composition, serial and parallel replication.  The nondeterministic variants
+// (||, **, !!) merge branch outputs as records become available: "any record
+// produced proceeds as soon as possible" (§4).  The deterministic ones (|, *,
+// !) run the sort-record protocol: after every routed data record the splitter
+// broadcasts its marker to all live branches; branches are FIFO and forward
+// markers, so the k-th marker on each delimits the same input prefix; the
+// merger buffers each branch's output by marker-bounded region and emits
+// region t, in branch order, once every branch has delivered marker t or
+// closed.  A branch created lazily joins with the current marker count.
+// Markers of an enclosing deterministic site ("foreign") are broadcast and
+// merged the same way, so inner sites are order-transparent to outer ones.
+// Markers are flush barriers (stream.go): the protocol is live at any B.
 //
-// Nondeterministic variants (the paper's ||, **, !!) merge branch outputs as
-// soon as records become available: "any record produced proceeds as soon as
-// possible" (§4).
+// A branch has no output stream: its last node's writer ships every frame onto
+// the site's one merge queue (mux) tagged with the branch, and closing it is
+// the branch's evClosed; the merger consumes whole frames, markers anywhere in
+// them, and blocks on nothing but its output.  The splitter's control events
+// travel on the same queue, the one multi-producer channel of the record plane
+// besides the network boundary.  A branch the plan cuts into one segment
+// (fuse.go) has no input stream and no goroutine either: it is a struct in the
+// dispatcher's hands, which steps each routed record through the stages into
+// that writer and flushes it when its own input runs dry — until a box of it
+// must run concurrently: then the branch runs as its cut on goroutines of its
+// own, from the start or from its next record on (route).  The identity exit
+// of a star is the branch of no stages.
 //
-// Deterministic variants (|, *, !) implement a sort-record protocol.  The
-// splitter broadcasts a control marker to all live branches after every
-// routed data record.  Each branch preserves FIFO order and forwards
-// markers, so the k-th marker on every branch delimits the same input
-// prefix.  The merger buffers each branch's output into regions bounded by
-// markers and emits region t — in fixed branch order — once every branch
-// has delivered marker t (or closed).  Branches created lazily (replication
-// unfolds on demand) join with the current marker count; earlier regions
-// are vacuously empty for them.
-//
-// Markers originating from an enclosing deterministic combinator ("foreign"
-// markers) are broadcast and merged exactly the same way, which makes inner
-// combinators — deterministic or not — order-transparent to outer ones.
-//
-// Transport note: branch inputs are batched streams, but markers are flush
-// barriers (stream.go), so a broadcast marker — and every record routed
-// before it — reaches each branch without waiting for the batch to fill.
-// The liveness of the sort-record protocol is therefore independent of the
-// batch size B.
-//
-// Fan-in is direct.  A branch has no output stream: the streamWriter its
-// last node writes is bound to the fanout, so every frame it ships — a
-// single item or a batch, under the usual flush rules — lands on the one
-// merge queue (mux) tagged with the branch, and closing it is the branch's
-// evClosed.  The merger consumes whole frames; markers may sit anywhere in a
-// batch.  A branch the plan cuts into one segment (fuse.go) — a split replica
-// of synchrocell and box, a parallel branch that is one box — has no input
-// stream and no goroutine either: it is a struct in the dispatcher's own
-// hands, which steps each routed record through the stages into that writer,
-// sends markers and the close straight to it, and flushes it when its own
-// input runs dry.  The identity exit of a star is the branch of no stages.
-// Once a box of it must run concurrently the branch runs as its cut instead,
-// on goroutines of its own, from the start or, for good, from its next record
-// (route).  The splitter's control events travel on the same queue, which is
-// why it is the one multi-producer channel of the record plane besides the
-// network boundary; the merger never blocks on anything but its output.
+// One merger per fan-in tree.  A non-deterministic site whose output is a
+// branch writer of another, no deterministic site around it, is direct
+// (newFanout): no queue, no merger.  A branch in its hands writes its output;
+// one it spawns gets a writer onto the same queue as the same branch, which
+// the site counts before it closes its output (serve).  At the top, and below
+// a serial part, a site keeps its queue: the buffer a burst lands in.
 
 // branch event kinds flowing into the merger.
 const (
@@ -54,12 +46,8 @@ const (
 	evClosed          // branch output closed
 	evMarker          // splitter announces the next marker
 	evDone            // splitter finished; no further branches or markers
-	evRetire          // splitter closed a branch's input (close protocol);
-	//                   the frame's record, if non-nil, is the
-	//                   drain-acknowledgement sentinel to emit after the
-	//                   branch's last record
-	evEmit // splitter hands one record straight to the output (the
-	//        close protocol's acknowledgement when no replica exists)
+	evRetire          // branch input closed (close protocol); fr: its ack, if any
+	evEmit            // fr's record straight to the output: an ack with no replica
 )
 
 type branchEvent struct {
@@ -81,9 +69,10 @@ type branchPort struct {
 	// x is a stepped branch's execution, writing w; nil for a spawned branch
 	// and for the branch of no stages at all, the identity exit of a star.
 	x      *segmentRun
-	b      *mergerBranch
-	slot   int       // index in fanout.ports and in the input reader's idle list
-	routed *statCell // parallel: the held cell of the branch's routing counter
+	b      *mergerBranch // nil at a direct site
+	own    *streamWriter // direct: a spawned branch's writer (fanout.writer)
+	slot   int           // index in fanout.ports and in the input reader's idle list
+	routed *statCell     // parallel: the held cell of the branch's routing counter
 }
 
 // fanout is the splitter half: it owns branch creation, routing and marker
@@ -94,9 +83,13 @@ type branchPort struct {
 type fanout struct {
 	env *runEnv
 	det bool
-	own *marker          // det only: the marker broadcast after every routed record
-	mux chan branchEvent // the merge queue: branch frames and splitter events
+	own marker           // det only: &own is broadcast after every routed record
+	mux chan branchEvent // the merge queue: branch frames and splitter events; nil: direct
 	in  *streamReader    // the combinator's input, for autoFlush wiring
+	out *streamWriter    // the site's output
+	// writing counts who writes out or its queue besides the dispatcher: the
+	// merger, or the branch writers a direct site spawned (writer).
+	writing sync.WaitGroup
 	// ports lists the live branches; ports[i].w is in.onIdle[i] (nothing
 	// else registers with a combinator's input), so a retired replica leaves
 	// both lists at once.
@@ -112,26 +105,29 @@ type fanout struct {
 	records, applied *statCell
 }
 
-func newFanout(env *runEnv, det bool, in *streamReader) *fanout {
-	f := &fanout{env: env, det: det, in: in, mux: make(chan branchEvent, env.buf+mergeQueueSlack)}
-	if det {
-		f.own = &marker{level: env.newLevel()}
+// newFanout makes the site writing out: direct unless it is deterministic,
+// its input can carry sort markers, or out is no branch writer.
+func newFanout(env *runEnv, det bool, in *streamReader, out *streamWriter) *fanout {
+	f := &fanout{env: env, det: det, in: in, out: out}
+	if det || out.marked || out.fan == nil {
+		f.mux = make(chan branchEvent, env.buf+mergeQueueSlack)
 	}
 	return f
 }
 
-// serve runs the site until both halves are done: the merger on a goroutine
-// of its own, which owns out meanwhile, and here the dispatch loop — every
-// data record goes to route, which reports false when the run is gone.
-func (f *fanout) serve(out *streamWriter, route func(*Record) bool) {
-	defer out.close()
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		if m := (&merger{f: f, out: out}); !m.run() {
-			m.abandon()
-		}
-	}()
+// serve runs the site until both halves are done: the merger, if any, on a
+// goroutine of its own, which owns out meanwhile, and here the dispatch loop —
+// every data record goes to route, which reports false when the run is gone.
+func (f *fanout) serve(route func(*Record) bool) {
+	if f.mux != nil {
+		f.writing.Add(1)
+		go func() {
+			defer f.writing.Done()
+			if m := (&merger{f: f, out: f.out}); !m.run() {
+				m.abandon()
+			}
+		}()
+	}
 	for {
 		if f.in.drained() {
 			f.fold()
@@ -151,7 +147,8 @@ func (f *fanout) serve(out *streamWriter, route func(*Record) bool) {
 	f.in.Discard()
 	f.finish()
 	f.front.drain()
-	<-mergeDone
+	f.writing.Wait()
+	f.out.close()
 }
 
 // fold is the dispatcher's fold (arenaFront), before every input frame: the
@@ -185,17 +182,20 @@ func (e branchEvent) release() int64 { return e.fr.release() }
 // it is n on goroutines of its own — and with neither, the identity: the
 // exit path of serial replication.
 func (f *fanout) addBranch(n runner, body *segment) *branchPort {
-	b := &mergerBranch{join: f.markers}
-	f.sendEv(branchEvent{kind: evRegister, b: b})
-	out := &streamWriter{env: f.env, fan: f, branch: b, batch: f.env.batch}
-	port := &branchPort{w: out, b: b, slot: len(f.ports)}
+	port := &branchPort{w: f.out, slot: len(f.ports)}
+	if f.mux != nil {
+		port.b = &mergerBranch{join: f.markers}
+		f.sendEv(branchEvent{kind: evRegister, b: port.b})
+		port.w = &streamWriter{env: f.env, fan: f, branch: port.b, batch: f.env.batch, marked: f.det || f.out.marked}
+	}
 	if body != nil && !body.concurrent(f.env) {
-		port.x = body.begin(f.env, out)
+		port.x = body.begin(f.env, port.w)
 		port.x.front = &f.front
 		if body == f.fused {
 			port.x.records.cell, port.x.applied.cell = f.records, f.applied
 		}
 	} else if n != nil {
+		out := f.writer(port)
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
 		go n.run(f.env, inR, out)
@@ -203,6 +203,17 @@ func (f *fanout) addBranch(n runner, body *segment) *branchPort {
 	f.ports = append(f.ports, port)
 	f.in.autoFlush(port.w)
 	return port
+}
+
+// writer is the output writer of a branch leaving the dispatcher's hands: its
+// own, or at a direct site a new one onto out's queue as out's branch.
+func (f *fanout) writer(port *branchPort) *streamWriter {
+	if f.mux != nil {
+		return port.w
+	}
+	f.writing.Add(1)
+	port.own = &streamWriter{env: f.env, fan: f.out.fan, branch: f.out.branch, batch: f.env.batch, done: &f.writing}
+	return port.own
 }
 
 // route sends a data record into a branch and, in deterministic mode, the
@@ -216,6 +227,7 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 			return false
 		}
 		f.fold() // x's tallies are the next goroutine's from here
+		x.out = f.writer(port)
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
@@ -231,16 +243,18 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 	} else if !port.w.sendRecord(r) {
 		return false
 	}
-	return !f.det || f.broadcast(f.own)
+	return !f.det || f.broadcast(&f.own)
 }
 
 // close ends a branch's input: a stepped branch's stages give back what they
-// hold and its writer closes; a spawned one drains behind its closed stream.
-func (port *branchPort) close() {
+// hold and its writer, but for the site's own, closes; a spawned one drains.
+func (f *fanout) close(port *branchPort) {
 	if port.x != nil {
 		port.x.end()
 	}
-	port.w.close()
+	if port.w != f.out {
+		port.w.close()
+	}
 }
 
 func (f *fanout) broadcast(mk *marker) bool {
@@ -257,24 +271,35 @@ func (f *fanout) broadcast(mk *marker) bool {
 }
 
 // retireBranch is the splitter half of the replica close protocol: the
-// branch's input stream is closed (the branch drains and its output merges
-// as usual, ending in its evClosed), the port leaves the splitter's tables
-// and, if sentinel is non-nil, the merger emits sentinel strictly after the
-// branch's last record.  The port must not be routed to after retireBranch.
+// branch's input closes (it drains, its output merges as usual), the port
+// leaves the splitter's tables and sentinel, if non-nil, goes out strictly
+// after the branch's last record — from the merger or, at a direct site, from
+// the branch's writer: a spawned one's at its close, the site's after the
+// stages end.  The port must not be routed to after retireBranch.
 func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
-	port.close()
+	if port.own != nil {
+		port.own.handAck(sentinel)
+		sentinel = nil
+	}
+	f.close(port)
 	last := len(f.ports) - 1
 	moved := f.ports[last]
 	moved.slot = port.slot
 	f.ports[port.slot], f.in.onIdle[port.slot] = moved, moved.w
 	f.ports[last], f.in.onIdle[last] = nil, nil
 	f.ports, f.in.onIdle = f.ports[:last], f.in.onIdle[:last]
+	if f.mux == nil {
+		return sentinel == nil || f.emitDirect(sentinel)
+	}
 	return f.sendEv(branchEvent{kind: evRetire, b: port.b, fr: frame{single: item{rec: sentinel}}})
 }
 
 // emitDirect hands one record straight to the merged output — the close
 // protocol's acknowledgement path when no replica exists for the key.
 func (f *fanout) emitDirect(rec *Record) bool {
+	if f.mux == nil {
+		return f.out.sendRecord(rec) && f.out.flush()
+	}
 	return f.sendEv(branchEvent{kind: evEmit, fr: frame{single: item{rec: rec}}})
 }
 
@@ -282,9 +307,11 @@ func (f *fanout) emitDirect(rec *Record) bool {
 // markers will appear.
 func (f *fanout) finish() {
 	for _, port := range f.ports {
-		port.close()
+		f.close(port)
 	}
-	f.sendEv(branchEvent{kind: evDone})
+	if f.mux != nil {
+		f.sendEv(branchEvent{kind: evDone})
+	}
 }
 
 // mergerBranch is the merger-side view of one branch.  The splitter creates
@@ -375,11 +402,8 @@ func (m *merger) run() bool {
 				return false
 			}
 		case evRetire:
-			// The splitter closed this branch's input.  Remember the drain
-			// acknowledgement (if requested); the branch's evClosed — or, in
-			// deterministic runs, the emission of its last buffered region —
-			// releases it.  evRetire and evClosed race through the queue from
-			// different goroutines, so settle checks both orders.
+			// The branch settling — closed, its last region emitted — releases
+			// the ack; evRetire and evClosed race, so settle checks both orders.
 			e.b.sentinel = e.fr.single.rec
 			if !m.settle(e.b) {
 				return false
@@ -516,7 +540,7 @@ func (m *merger) advance() bool {
 			return false
 		}
 		m.emitted++
-		if mk := m.marks.pop(); mk != m.f.own && !m.out.send(item{mk: mk}) {
+		if mk := m.marks.pop(); mk != &m.f.own && !m.out.send(item{mk: mk}) {
 			return false
 		}
 	}

@@ -81,10 +81,10 @@ func (n *parallelNode) sig() (RecType, RecType) {
 }
 
 func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in)
+	f := newFanout(env, n.det, in, out)
 	ports := make([]*branchPort, len(n.branches)) // a branch exists from the first record routed to it
 	var state routing                             // this instance's: the tie rotation and the latest shape's entry (route.go)
-	f.serve(out, func(rec *Record) bool {
+	f.serve(func(rec *Record) bool {
 		chosen := n.table.dispatch(rec, &state)
 		if chosen < 0 {
 			env.error(&NoRouteError{

@@ -214,12 +214,11 @@ type runEnv struct {
 	stats      *Stats
 	tracer     Tracer
 	onError    func(error)
-	buf        int          // stream buffer capacity, in frames
-	batch      int          // stream batch size B (items per frame, >= 1)
-	levelSeq   atomic.Int64 // deterministic-combinator level ids
-	maxDepth   int          // serial replication unfolding cap
-	maxWidth   int          // parallel replication width cap
-	boxWorkers int          // WithBoxWorkers: in-flight invocation cap per box node, 0 when not given
+	buf        int // stream buffer capacity, in frames
+	batch      int // stream batch size B (items per frame, >= 1)
+	maxDepth   int // serial replication unfolding cap
+	maxWidth   int // parallel replication width cap
+	boxWorkers int // WithBoxWorkers: in-flight invocation cap per box node, 0 when not given
 	// autoWidth is the width a box nobody gave a width may grow to once
 	// the engine has measured it as worth it: GOMAXPROCS at Start.
 	autoWidth int
@@ -256,8 +255,6 @@ func (e *runEnv) err() error {
 	defer e.errMu.Unlock()
 	return e.firstErr
 }
-
-func (e *runEnv) newLevel() int { return int(e.levelSeq.Add(1)) }
 
 func (e *runEnv) error(err error) {
 	e.stats.Add("runtime.errors", 1)

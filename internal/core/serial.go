@@ -59,6 +59,7 @@ func runParts(env *runEnv, parts []runner, in *streamReader, out *streamWriter) 
 	for _, p := range parts[:last] {
 		partIn := in
 		midR, midW := newStream(env, env.buf)
+		midW.marked = out.marked // sort markers cross every part
 		go func() {
 			defer wg.Done()
 			p.run(env, partIn, midW)

@@ -109,7 +109,7 @@ func foldKey(v int, uncapped bool, maxWidth int) int {
 }
 
 func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in)
+	f := newFanout(env, n.det, in, out)
 	ports := map[int]*branchPort{}
 	// A replica is stepped where its cut allows — session replicas excepted,
 	// which hold live client state between requests, each at its own pace.
@@ -121,7 +121,7 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	// the slot of the index tag (-1: none) and whether it is a close record's.
 	var last *shape
 	slot, closing := -1, false
-	f.serve(out, func(rec *Record) bool {
+	f.serve(func(rec *Record) bool {
 		if sh := rec.shape; sh != last {
 			// Only a shape with a reserved label can be a close record's: the
 			// name is searched for in those alone.

@@ -84,12 +84,12 @@ func (n *starNode) sig() (RecType, RecType) {
 }
 
 func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in)
+	f := newFanout(env, n.det, in, out)
 	exitPort := f.addBranch(nil, nil) // branch 0: records leaving the chain here (no stream: see addBranch)
 	var chainPort *branchPort         // branch 1: operand .. star(depth+1), lazy
 	var last *shape                   // the latest record's, and the exit pattern bound to it
 	var exit boundPattern
-	f.serve(out, func(rec *Record) bool {
+	f.serve(func(rec *Record) bool {
 		if sh := rec.shape; sh != last {
 			var known bool
 			if exit, known = n.exits.load(sh); !known {

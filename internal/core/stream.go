@@ -2,46 +2,30 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the record plane's transport layer.  Nodes do not exchange
-// items over raw channels: they communicate through a streamReader /
-// streamWriter pair moving frames — batches of items — over one buffered
-// channel, so a hot stream costs one channel synchronization per frame
-// instead of one per record.  The batch size B (WithStreamBatch) bounds how
-// many items a writer may coalesce; flushing is adaptive so latency stays
-// flat when traffic is light:
+// The record plane's transport.  Nodes exchange frames — batches of up to B
+// items (WithStreamBatch) — through a streamReader / streamWriter pair over one
+// buffered channel: one channel synchronization per frame, not per record.
+// Flushing is adaptive, so latency stays flat when traffic is light: a writer
+// flushes when its batch is full; a node about to block on its input first
+// flushes the writers it owns (autoFlush), so a record never waits on traffic
+// that is not coming; a sort marker and close flush at once — holding back a
+// marker would stall every merger waiting on it.  Pending items leave in FIFO
+// position, so a merger sees a region's data before the marker that ends it.
 //
-//   - Batch-full flush: the pending batch reaches B → blocking flush.
-//   - Idle flush: a node about to block on its input reader first flushes
-//     the writers it owns (streamReader.autoFlush), so a record never waits
-//     on traffic that is not coming.
-//   - Barrier flush: a sort marker of the deterministic-merge protocol, and
-//     close, flush immediately.  Markers delimit merge regions; holding one
-//     back would stall every merger waiting on it, so the marker-barrier
-//     rule is what keeps the determinism protocol live at any B.
-//
-// Because pending items are flushed in FIFO position, a marker's barrier
-// flush also delivers every record buffered before it — mergers always see
-// a region's data before the marker that closes it, exactly as with
-// unbatched streams.
-//
-// Ownership rule: a streamWriter is single-goroutine — only the goroutine
-// that writes a stream may send, flush or close it (sendBatchDirect is the one
-// exception: it bypasses the pending batch entirely so the network boundary
-// can accept records from many client goroutines).  autoFlush registrations
-// must respect this: only register writers owned by the goroutine that
-// reads the stream.
-//
-// A writer has one of two sinks.  An ordinary writer owns a frame channel
-// with one reader.  The output writer of a combinator branch has no channel
-// of its own: it is bound to the branch's merger (merge.go) and ship hands
-// each frame, tagged with the branch, straight to the merge queue; close is
-// the branch's evClosed.  Such a writer is single-goroutine like any other —
-// the merge queue it feeds is the one multi-producer channel of the record
-// plane besides the network boundary.
+// A streamWriter is single-goroutine: only the goroutine that writes a stream
+// sends, flushes or closes it, and registers it with autoFlush only on the
+// reader it reads (sendBatchDirect, the network boundary's, is the exception).
+// A writer has one of two sinks: a frame channel with one reader, or — the
+// output writer of a combinator branch — a merge queue (merge.go), into which
+// ship hands each frame tagged with the branch; close is the branch's evClosed,
+// or, for a writer a direct site spawned, a count the site waits for.  The
+// merge queue is the one multi-producer channel of the record plane besides the
+// network boundary.
 
 // item is one element on a stream: either a data record or a control marker
 // ("sort record") of the deterministic-merge protocol.  Exactly one of rec
@@ -55,9 +39,10 @@ type item struct {
 // routed data record, broadcast to all live branches.  Mergers use the
 // per-branch arrival order of markers to reassemble the deterministic output
 // order (see merge.go).  Each combinator instance broadcasts one marker of its
-// own, its level the instance's number: a merger drops its own markers after
-// use and forwards foreign ones.
-type marker struct{ level int }
+// own, told apart by its address: a merger drops its own markers after use
+// and forwards foreign ones.  (Not zero-size: pointers to distinct zero-size
+// values may compare equal.)
+type marker struct{ _ byte }
 
 // frame is one transport unit: either a single inline item (the common case
 // under light load, and always at B=1 — no per-record allocation) or a batch
@@ -90,9 +75,13 @@ type streamWriter struct {
 	env *runEnv
 	ch  chan frame // nil for a branch-output writer
 	// A branch-output writer ships into fan's merge queue on behalf of
-	// branch; both are nil for an ordinary stream.
+	// branch; both are nil for an ordinary stream.  One a direct site spawned
+	// (fanout.writer) reports its close to done, after ack if it was handed one.
 	fan     *fanout
 	branch  *mergerBranch
+	done    *sync.WaitGroup
+	ack     atomic.Pointer[Record]
+	marked  bool   // the stream can carry sort markers: a deterministic site encloses it
 	batch   int    // flush threshold B (>= 1)
 	pending []item // items accumulated since the last flush
 	closed  bool
@@ -309,12 +298,15 @@ func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int
 
 // close flushes pending items, folds the writer's transport counters into the
 // run's Stats and closes the channel — for a branch-output writer: tells the
-// merger the branch has closed.  Idempotent.
+// merger, or the direct site, the branch has closed.  Idempotent.
 func (w *streamWriter) close() {
 	if w.closed {
 		return
 	}
 	w.closed = true
+	if ack := w.ack.Swap(&noAck); ack != nil {
+		w.sendRecord(ack)
+	}
 	w.flush()
 	if w.pending != nil && len(w.pending) == 0 {
 		releaseFrameSlab(w.pending)
@@ -326,10 +318,23 @@ func (w *streamWriter) close() {
 	if frames > 0 {
 		w.env.foldStream(frames, records, w.hwm)
 	}
-	if w.fan != nil {
+	switch {
+	case w.done != nil:
+		w.done.Done()
+	case w.fan != nil:
 		w.fan.sendEv(branchEvent{kind: evClosed, b: w.branch})
-	} else {
+	default:
 		close(w.ch)
+	}
+}
+
+var noAck Record // fills a closed writer's ack slot
+
+// handAck gives w the close acknowledgement to send after its last record.
+// A writer closed already — its run gone — takes none: ack goes back.
+func (w *streamWriter) handAck(ack *Record) {
+	if !w.ack.CompareAndSwap(nil, ack) {
+		releaseRecord(ack)
 	}
 }
 

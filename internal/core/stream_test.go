@@ -60,7 +60,7 @@ func TestStreamMarkerFlushesBarrier(t *testing.T) {
 	r, w := newStream(env, env.buf)
 	w.send(itemN(0))
 	w.send(itemN(1))
-	if !w.send(item{mk: &marker{level: 1}}) {
+	if !w.send(item{mk: new(marker)}) {
 		t.Fatal("marker send failed")
 	}
 	// Without closing or idling the writer, all three items must already
@@ -135,7 +135,7 @@ func TestStreamDiscardCountsRecords(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.send(itemN(i))
 	}
-	w.send(item{mk: &marker{level: 1}})
+	w.send(item{mk: new(marker)})
 	// Consume three, discard the rest.
 	for i := 0; i < 3; i++ {
 		if _, ok := r.recv(); !ok {
