@@ -142,7 +142,7 @@ func TestSizeBudgets(t *testing.T) {
 		lines int
 	}{
 		{"internal/core", 6931},
-		{"internal/analysis", 924},
+		{"internal/analysis", 930},
 		{"internal/lang", 724},
 		{"snet/service", 1699},
 		{"internal/array", 918},

@@ -17,10 +17,13 @@ import (
 // the whole-plan static memory high-water bound: no schedule of a
 // deadlock-free plan can hold more records at once.
 //
-// The bound prices every serial edge of the tree as a stream, whether or not
-// the plan groups the stages on either side into one segment: a segment parks
-// nothing between its stages, each holds what it holds alone, so the bound is
-// sound for any grouping and the verdict cannot depend on whether fusion ran.
+// The bound prices every serial edge of the plan's tree as a stream, whether
+// or not the plan groups the stages on either side into one segment
+// (Plan.Graph() is the one tree there is; fusion does not change it).  A
+// segment hands records from stage to stage depth-first and parks nothing in
+// between: each stage holds what it holds when it runs alone, and the streams
+// between them are simply absent.  So the bound is sound for any grouping
+// and the verdict cannot depend on whether fusion ran.
 
 // Caps are the capacity assumptions an occupancy verdict holds under.  They
 // mirror the run options (WithBuffer, WithStreamBatch, WithBoxWorkers,
@@ -175,7 +178,11 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 		return b.fixed(core.BoxEngineHold(w, b.caps.StreamBatch))
 	case "sync":
 		// One stored record per join pattern (the fire drains them all).
-		return b.fixed(max(int64(len(g.Patterns)), 1))
+		n := int64(len(g.Patterns))
+		if n < 1 {
+			n = 1
+		}
+		return b.fixed(n)
 	case "serial":
 		return b.node(g.Children[0]) + b.fixed(b.edgeCap()) + b.node(g.Children[1])
 	case "parallel":

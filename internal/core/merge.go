@@ -36,8 +36,8 @@ import (
 // branch writer of another, no deterministic site around it, is direct
 // (newFanout): no queue, no merger.  A branch in its hands writes its output;
 // one it spawns gets a writer onto the same queue as the same branch, which
-// the site counts before it closes its output (serve).  At the top, and below
-// a serial part, a site keeps its queue: the buffer a burst lands in.
+// the site counts before it closes its output (serve).  A site writing a plain
+// stream (the root, a part before another) keeps its queue, a burst's buffer.
 
 // branch event kinds flowing into the merger.
 const (
