@@ -56,6 +56,50 @@ func TestWavefrontMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWavefrontStageMatrix: the star ∘ parallel ∘ split(sync..box) net agrees
+// with the sequential reference, joins once per interior cell, unfolds one
+// stage per anti-diagonal and starts one replica per interior cell, at every
+// box width (unset: the engine decides) and batch size.
+func TestWavefrontStageMatrix(t *testing.T) { bothPlans(t, testWavefrontStageMatrix) }
+
+func testWavefrontStageMatrix(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	for _, n := range []int{2, 8, 16} {
+		for _, w := range []int{0, 1, 4} {
+			for _, b := range []int{1, 8, 64} {
+				t.Run(fmt.Sprintf("n=%d/W%d/B%d", n, w, b), func(t *testing.T) {
+					seed := int64(3*n + w + b)
+					opts := []snet.Option{snet.WithStreamBatch(b)}
+					if w > 0 {
+						opts = append(opts, snet.WithBoxWorkers(w))
+					}
+					out, stats, err := compile(WavefrontNet(n, seed)).RunAll(context.Background(),
+						[]*snet.Record{WavefrontSeed()}, opts...)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					if len(out) != 1 {
+						t.Fatalf("want 1 output record, got %d: %v", len(out), out)
+					}
+					if got, want := out[0].MustField("result").(int), WavefrontReference(n, seed); got != want {
+						t.Fatalf("result %d, want %d", got, want)
+					}
+					interior := int64((n - 1) * (n - 1))
+					for key, want := range map[string]int64{
+						"sync.wave_join.fired":      interior,
+						"sync.wave_join.starved":    0,
+						"star.wave_front.replicas":  int64(2*n - 1),
+						"split.wave_cells.replicas": interior,
+					} {
+						if got := stats.Counter(key); got != want {
+							t.Errorf("%s = %d, want %d", key, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestDivConqMatchesReference(t *testing.T) { bothPlans(t, testDivConqMatchesReference) }
 
 func testDivConqMatchesReference(t *testing.T, compile func(snet.Node) *snet.Plan) {
