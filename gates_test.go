@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6931},
+		{"internal/core", 6929},
 		{"internal/analysis", 930},
 		{"internal/lang", 724},
 		{"snet/service", 1699},
@@ -212,7 +212,9 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 		{`func MatchScore`, "", true, "",
 			"routing scores live in the dispatch tables (route.go); the per-record scorer is the tests' oracle"},
 		{`func stepped\(|func \(b \*boxNode\) (engine|run)\(|stageLabel|\[\]runner\{s\.a, s\.b\}`, "internal/core/", false, "",
-			"one rule groups stages: Compile cuts every position once (spineCutter.cut), a dispatcher steps a cut of one segment, and a segment whose box must run concurrently runs as its cut (segment.cut) — a box runs as every stage runs, a star's chain is a two-part pipeline"},
+			"one rule groups stages: Compile cuts every position once (spineCutter.cut), a dispatcher steps a cut of one segment, and a segment whose box must run concurrently runs as its cut (segment.cut) — a box runs as every stage runs"},
+		{`type chain\b|func newFanout|func isStage|func \(f \*fanout\) serve`, "internal/core/", false, "",
+			"one dispatcher per fan-out tree: a tap steps its operand (addBranch's rest, no chain pipeline), a site's routing is its dispatch, run as a part (fanout.run) or a stage (fanStage), and spineCutter.stage is the one grouping rule"},
 		{`ticket|markerIDs|sendAll|regions +map|\.regions\b`, "internal/core/", false, "",
 			"a fanout broadcasts the one marker it owns, and the deterministic merge keeps FIFOs (announced markers, each branch's held records by region), not maps"},
 		{`levelSeq|newLevel|marker\{ *level|\.level\b`, "internal/core/", false, "",

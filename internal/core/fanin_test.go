@@ -131,28 +131,56 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 				NewRecord().SetField("a", 1).SetTag("k", k),
 				NewRecord().SetField("b", 2).SetTag("k", k))
 		}
-		// Boundary, the parallel's dispatcher and merger, the branch's tap and
-		// the split's dispatcher: the split is direct, its replicas stepped
-		// into the parallel's merge queue — un-fused, each synchrocell and box
-		// on a goroutine of its own.  (With a merger of its own, one more.)
-		want := 5
+		// Boundary, the parallel's dispatcher and merger: the branch — the
+		// tap, the split and its replicas — is one segment the parallel
+		// steps.  Un-fused the tap and the split's dispatcher are goroutines,
+		// the split direct, its replicas writing the parallel's merge queue,
+		// and each synchrocell and box on a goroutine of its own.
+		want := 3
 		if !m.fuse {
-			want += 2 * replicas
+			want += 2 + 2*replicas
 		}
 		n := Parallel(echo("gbp", "x"), Serial(Observe("gbp_tap", nil), NamedSplit("gbps", join(), "k")))
 		budget(t, n, inputs, replicas, want, WithBoxWorkers(1))
 	})
-	t.Run("star stage", func(t *testing.T) {
+	// stage runs a star of the stage until it has unfolded depth stages and
+	// counts its goroutines: 3 and perStage a stage.
+	stage := func(t *testing.T, name string, stage Node, in *Record, perStage int) {
+		t.Helper()
 		const depth = 6
-		// Boundary, the entry dispatcher and its merger; every unfolded
-		// stage adds its operand and the next dispatcher, which writes into
-		// the entry tap's merge queue.  The exit branch of a stage is the
-		// dispatcher's own output writer.
-		stats := budget(t, NamedStar("gbs", decBox(), MustParsePattern("{<done>}")),
-			[]*Record{recN(depth - 1)}, 1, 3+2*depth, WithBoxWorkers(1))
-		if d := stats.Counter("star.gbs.replicas"); d != depth {
+		stats := budget(t, NamedStar(name, stage, MustParsePattern("{<done>}")),
+			[]*Record{in}, 1, 3+perStage*depth, WithBoxWorkers(1))
+		if d := stats.Counter("star." + name + ".replicas"); d != depth {
 			t.Fatalf("unfolded stages = %d, want %d", d, depth)
 		}
+	}
+	// unfused is what a stage costs besides the next tap without fusion.
+	unfused := func(n int) int {
+		if m.fuse {
+			return 0
+		}
+		return n
+	}
+	t.Run("star stage", func(t *testing.T) {
+		// Boundary, the entry dispatcher and its merger; every unfolded stage
+		// adds the next tap, which steps its operand and writes into the entry
+		// tap's merge queue — un-fused, the operand on a goroutine of its own.
+		// The exit branch of a stage is the tap's own output writer.
+		stage(t, "gbs", decBox(), recN(5), 1+unfused(1))
+	})
+	t.Run("wavefront stage", func(t *testing.T) {
+		// The next tap steps the parallel, the parallel the split, the split
+		// its replica — un-fused, the parallel's dispatcher and merger, the
+		// split's dispatcher and the replica are goroutines of their own.
+		n := Parallel(echo("gbw_x", "x"), NamedSplit("gbw", decBox(), "k"))
+		stage(t, "gbws", n, recN(5).SetTag("k", 0), 1+unfused(4))
+	})
+	t.Run("filter..split stage", func(t *testing.T) {
+		// Fig. 3's stage: the next tap steps the filter, the split and its
+		// replica — un-fused, the filter, the split's dispatcher and merger
+		// and the replica are goroutines of their own.
+		n := Serial(MustFilter("{<n>} -> {<n>, <k>=<n>%2}"), NamedSplit("gbf", decBox(), "k"))
+		stage(t, "gbfs", n, recN(5), 1+unfused(4))
 	})
 	t.Run("deterministic star stage", func(t *testing.T) {
 		const depth = 6
@@ -179,7 +207,7 @@ func newMergeHarness(buf, batch int, det bool) *mergeHarness {
 	env, cancel := newTestEnv(buf, batch)
 	in, _ := newStream(env, env.buf)
 	outR, outW := newStream(env, env.buf)
-	f := newFanout(env, det, in, outW)
+	f := &fanout{env: env, det: det, in: in, out: outW, mux: make(chan branchEvent, env.buf+mergeQueueSlack)}
 	h := &mergeHarness{cancel: cancel, f: f, out: outR,
 		m: &merger{f: f, out: outW}, done: make(chan struct{})}
 	go func() {

@@ -4,41 +4,20 @@ import "fmt"
 
 // Stages, segments, grouping.
 //
-// The serial combinator runs as a pipeline: one goroutine per part and one
-// bounded stream between neighbours (serial.go).  A deep pipeline of light
-// stages would pay a frame hop, a channel handoff and a scheduler wakeup per
-// stage per frame; the S-Net vs CnC evaluation (arXiv:1305.7167) attributes
-// most of S-Net's overhead gap to exactly this per-component communication
-// cost, and S+Net argues the coordination layer should own such
-// extra-functional execution decisions.  So the parts of a pipeline are not
-// its stages but *segments* of them.
-//
-// A stage — a filter, a tap, a synchrocell, a box not pinned wider than one
-// call at a time (isStage) — has a step: take one record, hand on what it
-// produces.  A segment is a run of stages on one goroutine: what a stage
-// produces goes straight into the next stage's step, depth-first, the last
-// one's into the output stream; a step hands on all it produces but the last,
-// which it returns, so only fan-out recurses.  Nothing is parked between
-// stages, so backpressure reaches a box mid-burst as it would with a stream
-// after every stage, and a segment holds what its stages hold alone: the
-// occupancy analysis, pricing every edge, covers any grouping.  A stage on
-// its own is a segment of one, and that is its node's run.
-//
-// Grouping is decided once, at Compile: every position of the tree that runs
-// as a pipeline — the root, each parallel branch, each operand — is flattened
-// and cut (spineCutter.cut): with fusion on each maximal run of stages is one
-// segment, with WithFusion(false) every node is a part of its own, and what
-// is no stage always is.  The tree is never rewritten: a plan is its Node tree
-// plus, per position, the parts to start (Plan.spines).  A dispatcher steps a
-// branch whose cut is one segment with every record it routes there
-// (merge.go); under WithFusion(false) that is none.
-//
-// One rule follows the run wherever a segment runs, on a goroutine of its own
-// or in a dispatcher's hands: once one of its boxes must run concurrently —
-// given a width above one, or nobody's and the engine's verdict is in
-// (boxengine.go) — the segment runs as its cut with those boxes as parts of
-// their own (segment.cut): from the start if it is so before the first
-// record, else from the next record on, state and all (resume).
+// A part per stage would pay a frame hop and a wakeup per stage per frame, the
+// per-component cost the S-Net vs CnC evaluation (arXiv:1305.7167) finds
+// S-Net's overhead in.  So parts are segments: runs of stages on one goroutine,
+// depth-first, parking nothing between stages.  A stage is a filter, a tap, a
+// synchrocell, a box not pinned wider than one call at a time — and, at a
+// position a dispatcher steps (a parallel branch, a capped split's operand, a
+// non-deterministic star's), a non-deterministic parallel or capped split
+// whose every branch is one segment (fanStage): one goroutine per fan-out
+// tree.  The root spine keeps its dispatchers, whose merge queues buffer a
+// burst.  Grouping is decided at Compile (spineCutter; WithFusion(false):
+// none).  Once a box of a segment must run concurrently (boxengine.go), the
+// segment runs as its cut — that box and each stage dispatcher above it parts
+// of their own (segment.cut) — from the start or from the next record on,
+// state and all (resume).
 
 // FusionGroup describes one fused segment of a compiled plan: the segment's
 // runtime name (its stats identity, "fused.<name>.*") and the names of the
@@ -52,26 +31,12 @@ type FusionGroup struct {
 type stage interface {
 	// step runs the stage on rec — stage i of x — and owns rec from there.
 	// It returns the last record it produced, which the loop carries to
-	// stage i+1, and nil if it produced none; whatever it produced before
-	// the last it has handed on itself, from inside the step
-	// (x.push(i+1, ·)).  ok is false when the run is gone: whatever the
-	// stage still held is back in the arena and the segment must stop.  A
-	// step keeps no record once it has returned it or handed it on — the
-	// synchrocell's excepted, whose stored records end gives back.
+	// stage i+1, or nil; what it produced before the last it has handed on
+	// itself (x.push(i+1, ·)).  ok is false when the run is gone: what the
+	// stage held is back in the arena.  A step keeps no record — the
+	// synchrocell's stored ones excepted, which end gives back.
 	step(x *segmentRun, i int, rec *Record) (next *Record, ok bool)
 	solo() *segment // the stage's segment of one
-}
-
-// isStage is the grouping rule: a filter, a tap, a synchrocell, or a box not
-// pinned wider than one call at a time.
-func isStage(n Node) bool {
-	switch n := n.(type) {
-	case *identityNode, *filterNode, *syncNode:
-		return true
-	case *boxNode:
-		return n.workers <= 1
-	}
-	return false
 }
 
 // flattenSerial appends the serial spine of n to dst in pipeline order.
@@ -93,19 +58,20 @@ type runner interface {
 type spineCutter struct {
 	fuse   bool
 	seen   map[Node]bool
-	spines map[Node][]runner
+	spines cuts
 	groups []FusionGroup
 }
 
 // cutSpines computes a plan's grouping: every position's parts, and the
 // fusion groups for the topology report, inner positions first.
-func cutSpines(root Node, fuse bool) (map[Node][]runner, []FusionGroup) {
-	c := &spineCutter{fuse: fuse, seen: map[Node]bool{}, spines: map[Node][]runner{}}
-	c.place(root)
+func cutSpines(root Node, fuse bool) (cuts, []FusionGroup) {
+	c := &spineCutter{fuse: fuse, seen: map[Node]bool{}, spines: cuts{}}
+	c.place(root, false)
 	return c.spines, c.groups
 }
 
-func (c *spineCutter) place(n Node) {
+// place cuts the position n heads, nested if a dispatcher steps it.
+func (c *spineCutter) place(n Node, nested bool) {
 	if c.seen[n] {
 		return
 	}
@@ -115,52 +81,107 @@ func (c *spineCutter) place(n Node) {
 		switch s := s.(type) {
 		case *parallelNode:
 			for _, b := range s.branches {
-				c.place(b)
+				c.place(b, true)
 			}
 		case *starNode:
-			c.place(s.operand)
+			c.place(s.operand, !s.det)
 		case *splitNode:
-			c.place(s.operand)
+			c.place(s.operand, !s.uncapped)
 		}
 	}
-	c.spines[n] = c.cut(nodes)
+	c.spines[n] = c.cut(nodes, nested)
 }
 
-// cut groups one flattened pipeline into its parts, and is the only caller of
-// the grouping rule: each maximal run of stages is a segment — a lone stage
-// its own segment of one, several a named one, a fusion group — and every
-// other node a part of its own, as is every node with fusion off.
-func (c *spineCutter) cut(nodes []Node) []runner {
+// cut groups one flattened pipeline into its parts: each maximal run of stages
+// a segment — of one, or a named one (a fusion group) — every other node a
+// part of its own.
+func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
+	stages := make([]stage, len(nodes))
+	for i := 0; c.fuse && i < len(nodes); i++ {
+		stages[i] = c.stage(nodes[i], nested)
+	}
 	parts := make([]runner, 0, len(nodes))
 	for i, j := 0, 1; i < len(nodes); i, j = j, j+1 {
-		for c.fuse && isStage(nodes[i]) && j < len(nodes) && isStage(nodes[j]) {
+		for stages[i] != nil && j < len(nodes) && stages[j] != nil {
 			j++
 		}
 		switch {
-		case !c.fuse || !isStage(nodes[i]):
+		case stages[i] == nil:
 			parts = append(parts, nodes[i])
 			continue
 		case j == i+1:
-			parts = append(parts, nodes[i].(stage).solo())
+			parts = append(parts, stages[i].solo())
 			continue
 		}
 		g := FusionGroup{Name: fmt.Sprintf("fused#%d", fusedSeq.Add(1))}
-		stages := make([]stage, 0, j-i)
 		for _, n := range nodes[i:j] {
-			stages = append(stages, n.(stage))
 			g.Members = append(g.Members, n.name())
 		}
-		s := segmentOf(stages)
+		s := segmentOf(stages[i:j])
 		s.label, s.kRecords, s.kApplied = g.Name, "fused."+g.Name+".records", "fused."+g.Name+".applied"
 		parts, c.groups = append(parts, &s), append(c.groups, g)
 	}
 	return parts
 }
 
-// body is the segment a dispatcher steps for branch n — n's cut, when that is
-// one segment — and nil when n runs on goroutines of its own.
-func (e *runEnv) body(n Node) *segment {
-	if parts := e.spines[n]; len(parts) == 1 {
+// stage is the grouping rule: n as a stage, or nil.
+func (c *spineCutter) stage(n Node, nested bool) stage {
+	var branches []Node
+	switch n := n.(type) {
+	case *identityNode, *filterNode, *syncNode:
+		return n.(stage)
+	case *boxNode:
+		if n.workers <= 1 {
+			return n
+		}
+	case *parallelNode:
+		if !n.det && nested {
+			branches = n.branches
+		}
+	case *splitNode:
+		if !n.det && !n.uncapped && nested {
+			branches = []Node{n.operand}
+		}
+	}
+	if branches == nil {
+		return nil
+	}
+	s := &fanStage{n: n.(site)}
+	s.seg.stages = []stage{s}
+	for _, b := range branches {
+		body := c.spines.body(b)
+		if body == nil {
+			return nil
+		}
+		s.seg.boxes = append(s.seg.boxes, body.boxes...) // its branches' (segmentOf)
+	}
+	return s
+}
+
+// fanStage is a dispatcher run as a stage, its site's fanout its state
+// (stageState.fan).  A split's close protocol runs in the step, so an
+// acknowledgement follows the replica's last record by construction.
+type fanStage struct {
+	n site
+	lone
+}
+
+func (s *fanStage) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
+	f := x.state[i].fan
+	if f == nil {
+		f = s.n.start(x.env)
+		x.state[i].fan = f
+	}
+	f.x, f.at = x, i+1
+	return nil, f.inst.dispatch(rec)
+}
+
+// cuts are every position's parts.  body is the segment a dispatcher steps
+// for branch n — n's cut, when that is one segment — or nil.
+type cuts map[Node][]runner
+
+func (c cuts) body(n Node) *segment {
+	if parts := c[n]; len(parts) == 1 {
 		s, _ := parts[0].(*segment)
 		return s
 	}
@@ -181,8 +202,13 @@ type segment struct {
 func segmentOf(stages []stage) segment {
 	s := segment{stages: stages}
 	for _, st := range stages {
-		if b, ok := st.(*boxNode); ok && b.workers != 1 {
-			s.boxes = append(s.boxes, b)
+		switch st := st.(type) {
+		case *boxNode:
+			if st.workers != 1 {
+				s.boxes = append(s.boxes, st)
+			}
+		case *fanStage:
+			s.boxes = append(s.boxes, st.seg.boxes...)
 		}
 	}
 	return s
@@ -200,10 +226,10 @@ func (s *segment) concurrent(env *runEnv) bool {
 }
 
 // cut is the hand-over rule: the pipeline s runs as once some of its boxes
-// must run concurrently.  Each such box is a part of its own, in concurrent
-// mode; each run of stages between them a segment — with x's state for them
-// when x has begun.  A box the cut starts counts as an instance, one the
-// engine's verdict put there as escalated.
+// must run concurrently — each such box a part in concurrent mode, each stage
+// dispatcher above one a site with its merger as x left it, each run of stages
+// between them a segment with x's state.  A box the cut starts counts as an
+// instance, one the engine's verdict put there as escalated.
 func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 	var parts []runner
 	between := func(i, j int) {
@@ -223,18 +249,32 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 	}
 	from := 0
 	for i, st := range s.stages {
-		b, ok := st.(*boxNode)
-		if !ok || !b.concurrent(env) {
+		var part runner
+		switch st := st.(type) {
+		case *boxNode:
+			if !st.concurrent(env) {
+				continue
+			}
+			if x == nil {
+				env.stats.Add(st.keys.instances, 1)
+			}
+			if _, auto := st.width(env); auto {
+				env.stats.Add(st.keys.escalated, 1)
+			}
+			part = wide{st}
+		case *fanStage:
+			if !st.seg.concurrent(env) {
+				continue
+			}
+			part = st.n
+			if x != nil && x.state[i].fan != nil {
+				part = x.state[i].fan
+			}
+		default:
 			continue
 		}
 		between(from, i)
-		if x == nil {
-			env.stats.Add(b.keys.instances, 1)
-		}
-		if _, auto := b.width(env); auto {
-			env.stats.Add(b.keys.escalated, 1)
-		}
-		parts, from = append(parts, wide{b}), i+1
+		parts, from = append(parts, part), i+1
 	}
 	between(from, len(s.stages))
 	return parts
@@ -264,7 +304,7 @@ func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
 		runParts(env, s.cut(env, nil), in, out)
 		return
 	}
-	s.begin(env, out).run(env, in, out)
+	s.begin(env, out, nil).run(env, in, out)
 }
 
 // run is an execution on a goroutine of its own: out is flushed whenever in
@@ -284,9 +324,8 @@ func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
 
 // loop is the one receive loop of every sequential leaf.  The execution ends
 // with it (end) unless, between records, one of its boxes must run
-// concurrently: then it returns true, folded.  The run's context is looked at
-// once per record here, because nothing else need: a stage that emits nothing
-// never meets a stream, and a receive that finds a frame waiting does not look.
+// concurrently: then it returns true, folded.  It looks at the run's context
+// once a record: a stage that emits nothing never meets a stream.
 func (x *segmentRun) loop(in *streamReader) bool {
 	for !x.seg.concurrent(x.env) {
 		rec, ok := x.recv(in)
@@ -303,41 +342,36 @@ func (x *segmentRun) loop(in *streamReader) bool {
 	return true
 }
 
-// resume is the hand-over, wherever x ran: x continues, reading in, as its
-// cut.
+// resume is the hand-over, wherever x ran: x continues, reading in, as its cut.
 func (x *segmentRun) resume(in *streamReader) {
 	runParts(x.env, x.seg.cut(x.env, x), in, x.out)
 }
 
 // segmentRun is one execution of a segment: the output stream and one state
-// slot per stage, reused from record to record so a warm segment allocates
-// nothing.
+// slot per stage, reused so a warm segment allocates nothing.  front is the
+// arena front of the goroutine it runs on: own, or its dispatcher's, which
+// chains those it has to fold through next.  A named segment counts the
+// records it takes in and the steps applied.
 type segmentRun struct {
-	env    *runEnv
-	seg    *segment
-	out    *streamWriter
-	state  []stageState
-	state1 [1]stageState // state's backing for a segment of one
-	// front is the arena front of the goroutine the execution runs on: own on
-	// a goroutine of its own, the dispatcher's when stepped (merge.go), which
-	// chains the executions it has to fold through next.
-	front  *arenaFront
-	own    arenaFront
-	next   *segmentRun
-	listed bool
-	// A named segment counts the records it takes in and the steps applied.
+	env              *runEnv
+	seg              *segment
+	out              *streamWriter
+	state            []stageState
+	state2           [2]stageState // state's backing for a segment of one or two
+	front            *arenaFront
+	own              arenaFront
+	next             *segmentRun
+	listed           bool
+	up               *fanout // the stage dispatcher stepping x: what leaves x goes on from it
 	records, applied tally
 }
 
-// stageState is what one stage keeps from record to record: buffers and
-// counters — and, the synchrocell's alone, records.  The slots are per
-// stage, not per segment, because steps nest: a box in the middle of its
-// emissions is still reading its arguments while a box further down binds its
-// own.
+// stageState is what one stage keeps from record to record: buffers,
+// counters, a synchrocell's records.  Steps nest — a box mid-emission still
+// reads its arguments while one further down binds its own — so a slot each.
 type stageState struct {
-	// shape is the layout of the stage's latest record and box or filter its
-	// node's program for it: the one-entry front of the node's shape memo,
-	// so a stream of one shape finds its program by a pointer compare.
+	// shape is the latest record's layout, box or filter the node's program
+	// for it: a stream of one shape finds its program by a pointer compare.
 	shape   *shape
 	box     *boxProg
 	filter  *filterProg
@@ -346,31 +380,45 @@ type stageState struct {
 	outs    []*Record // filter: backing for the outputs of one application
 	storage []*Record // synchrocell: the first match of each pattern, until it fires
 	fired   bool      // synchrocell: it has, and is an identity from here on
+	fan     *fanout   // fanStage: the site, from its first record
 	// box: "calls", "emitted"; filter: "applied"
 	calls, emitted, applied tally
 }
 
 // begin begins one execution of the segment; every box stage counts as one
-// sequential instance.
-func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
+// sequential instance.  After an execution t of the same segment the
+// counters' cells are t's: their keys were looked up then, the maxima set.
+func (s *segment) begin(env *runEnv, out *streamWriter, t *segmentRun) *segmentRun {
 	x := &segmentRun{env: env, seg: s, out: out}
-	if len(s.stages) == 1 {
-		x.state = x.state1[:]
+	if t != nil && t.seg != s {
+		t = nil
+	}
+	if n := len(s.stages); n <= len(x.state2) {
+		x.state = x.state2[:n]
 	} else {
-		x.state = make([]stageState, len(s.stages))
+		x.state = make([]stageState, n)
+	}
+	if t != nil {
+		x.records.cell, x.applied.cell = t.records.cell, t.applied.cell
+		for i := range x.state {
+			st, ts := &x.state[i], &t.state[i]
+			st.calls.cell, st.emitted.cell, st.applied.cell = ts.calls.cell, ts.emitted.cell, ts.applied.cell
+		}
 	}
 	for _, st := range s.stages {
 		if b, ok := st.(*boxNode); ok {
 			env.stats.Add(b.keys.instances, 1)
-			env.stats.SetMax(b.keys.concurrency, 1)
+			if t == nil {
+				env.stats.SetMax(b.keys.concurrency, 1)
+			}
 		}
 	}
 	return x
 }
 
-// end is the end-of-input hook, run on every path out of an execution: what
-// a synchrocell that never fired has stored is discarded, and counted so
-// tests and users can detect starved synchrocells; then the last fold.
+// end is the end-of-input hook, on every path out of an execution: what a
+// synchrocell that never fired has stored is discarded and counted (starved),
+// what a stage dispatcher holds ends with its branches; then the last fold.
 func (x *segmentRun) end() {
 	for i := range x.state {
 		for _, s := range x.state[i].storage {
@@ -380,13 +428,16 @@ func (x *segmentRun) end() {
 			}
 		}
 		x.state[i].storage = nil
+		if f := x.state[i].fan; f != nil {
+			f.finish()
+			f.front.drain()
+		}
 	}
 	x.fold()
 }
 
-// fold brings the ledger and the stages' per-record counters up to date with
-// what the execution has done: before every input frame it takes — so before
-// every wait for one — and on every path out (end, a hand-over).
+// fold brings the ledger and the per-record counters up to date: before every
+// input frame — so before every wait for one — and on every path out.
 func (x *segmentRun) fold() {
 	stats := x.env.stats
 	for i, st := range x.seg.stages {
@@ -396,6 +447,10 @@ func (x *segmentRun) fold() {
 			s.emitted.fold(stats, n.keys.emitted)
 		case *filterNode:
 			s.applied.fold(stats, n.kApplied)
+		case *fanStage:
+			if s.fan != nil {
+				s.fan.fold()
+			}
 		}
 	}
 	if x.seg.label != "" {
@@ -405,10 +460,9 @@ func (x *segmentRun) fold() {
 	x.front.fold()
 }
 
-// recv returns the next data record of in.  Foreign markers cross the
-// segment in FIFO position: every record before one has been stepped through
-// and handed to out before the marker is looked at.  ok is false at the end
-// of the input and when the run is gone; the caller then detaches from in.
+// recv returns the next data record of in; foreign markers cross the segment
+// in FIFO position.  ok is false at the end of the input and when the run is
+// gone; the caller then detaches from in.
 func (x *segmentRun) recv(in *streamReader) (*Record, bool) {
 	for {
 		if in.drained() {
@@ -434,19 +488,20 @@ func (x *segmentRun) take(rec *Record) bool {
 	return x.push(0, rec)
 }
 
-// push hands rec to stage i and on, depth-first: one-in-one-out stages
-// advance in this loop, a stage that fans out re-enters it once per record
-// it produces but the last, and what leaves the last stage goes to the
-// output stream — where a full stream blocks the sender, whichever stage
-// that is.  It reports false when the run is gone (cancellation): every
-// record the segment still owned is back in the arena, and the caller must
-// stop and detach from its input.
+// push hands rec to stage i and on, depth-first: a stage that fans out
+// re-enters it once per record it produces but the last, and what leaves the
+// last stage goes to the output — where a full stream blocks whichever stage
+// sent.  False when the run is gone: what the segment owned is back in the
+// arena, and the caller must stop and detach from its input.
 func (x *segmentRun) push(i int, rec *Record) bool {
 	for stages := x.seg.stages; i < len(stages); i++ {
 		var ok bool
 		if rec, ok = stages[i].step(x, i, rec); rec == nil {
 			return ok
 		}
+	}
+	if f := x.up; f != nil {
+		return f.x.push(f.at, rec)
 	}
 	return x.out.sendRecord(rec)
 }

@@ -186,14 +186,14 @@ func TestCutSpine(t *testing.T) {
 	}
 	for name, barrier := range barriers {
 		nodes := []Node{stages[0], stages[1], barrier, stages[2], barrier, barrier, stages[3], stages[4], stages[5], stages[0]}
-		on := (&spineCutter{fuse: true}).cut(nodes)
+		on := (&spineCutter{fuse: true}).cut(nodes, false)
 		if got, want := render(name, on, nodes), "[2 - 1 - - 4]"; got != want {
 			t.Errorf("%s, fusion on: parts %s, want %s", name, got, want)
 		}
 		if on[2] != runner(stages[2].(stage).solo()) {
 			t.Errorf("%s, fusion on: a lone stage should be its own segment of one", name)
 		}
-		off := (&spineCutter{fuse: false}).cut(nodes)
+		off := (&spineCutter{fuse: false}).cut(nodes, false)
 		for i, p := range off {
 			if p != runner(nodes[i]) {
 				t.Errorf("%s, fusion off: part %d is not node %d itself", name, i, i)

@@ -67,11 +67,10 @@ type GraphNode struct {
 // occupancy analysis (internal/analysis): if a buffer is added or resized
 // in the runtime, the bound formula changes here, in one place.
 //
-// There is no term for a fused segment.  A segment parks nothing between
-// its stages (fuse.go): each stage holds what it holds when it runs alone,
-// and the streams between them are simply not there.  The analysis prices
-// every edge of the tree as a stream, so its bound covers any grouping of
-// the stages, and verdicts cannot depend on whether fusion ran.
+// There is no term for a fused segment or a stage dispatcher (fuse.go), which
+// park nothing: the analysis prices every edge and site as a part of its own —
+// what WithFusion(false) and a hand-over run — so its bound covers any
+// grouping, and verdicts cannot depend on whether fusion ran.
 
 // StreamCapacity returns the worst-case number of in-flight items on one
 // stream edge: `buffer` queued frames of up to `batch` items each, plus the
@@ -91,9 +90,8 @@ func BranchWriterHold(batch int) int64 { return int64(max(batch, 1)) }
 // MergeQueueCapacity returns the worst-case number of records in one merge
 // queue — buffer+mergeQueueSlack frames of up to `batch` items — plus the
 // frame its merger is consuming.  A site starts one unless it is direct
-// (merge.go): non-deterministic, below no deterministic site, and writing a
-// branch of another — an unfolded star tap, or a site that ends a parallel
-// branch or a split's operand.
+// (merge.go) — non-deterministic, below no deterministic site, writing a
+// branch of another — or a stage (fuse.go).
 func MergeQueueCapacity(buffer, batch int) int64 {
 	b := int64(max(batch, 1))
 	return int64(max(buffer, 0)+mergeQueueSlack)*b + b

@@ -5,39 +5,23 @@ import (
 	"sync"
 )
 
-// The splitter/merger machinery of the three branching combinators: parallel
-// composition, serial and parallel replication.  The nondeterministic variants
-// (||, **, !!) merge branch outputs as records become available: "any record
-// produced proceeds as soon as possible" (§4).  The deterministic ones (|, *,
-// !) run the sort-record protocol: after every routed data record the splitter
-// broadcasts its marker to all live branches; branches are FIFO and forward
-// markers, so the k-th marker on each delimits the same input prefix; the
-// merger buffers each branch's output by marker-bounded region and emits
-// region t, in branch order, once every branch has delivered marker t or
-// closed.  A branch created lazily joins with the current marker count.
-// Markers of an enclosing deterministic site ("foreign") are broadcast and
-// merged the same way, so inner sites are order-transparent to outer ones.
-// Markers are flush barriers (stream.go): the protocol is live at any B.
+// The splitter/merger machinery of the branching combinators.  The
+// non-deterministic ones (||, **, !!) merge branch outputs as records become
+// available: "any record produced proceeds as soon as possible" (§4).  The
+// deterministic ones (|, *, !) run the sort-record protocol: after every routed
+// record the splitter broadcasts its marker to the live branches, which
+// forward markers in FIFO position, and the merger emits region t — what each
+// branch produced before its t-th marker — in branch order once every branch
+// has delivered marker t or closed.  A lazily created branch joins at the
+// current marker count; foreign markers are broadcast and merged the same
+// way, so inner sites are order-transparent to outer ones.
 //
-// A branch has no output stream: its last node's writer ships every frame onto
-// the site's one merge queue (mux) tagged with the branch, and closing it is
-// the branch's evClosed; the merger consumes whole frames, markers anywhere in
-// them, and blocks on nothing but its output.  The splitter's control events
-// travel on the same queue, the one multi-producer channel of the record plane
-// besides the network boundary.  A branch the plan cuts into one segment
-// (fuse.go) has no input stream and no goroutine either: it is a struct in the
-// dispatcher's hands, which steps each routed record through the stages into
-// that writer and flushes it when its own input runs dry — until a box of it
-// must run concurrently: then the branch runs as its cut on goroutines of its
-// own, from the start or from its next record on (route).  The identity exit
-// of a star is the branch of no stages.
-//
-// One merger per fan-in tree.  A non-deterministic site whose output is a
-// branch writer of another, no deterministic site around it, is direct
-// (newFanout): no queue, no merger.  A branch in its hands writes its output;
-// one it spawns gets a writer onto the same queue as the same branch, which
-// the site counts before it closes its output (serve).  A site writing a plain
-// stream (the root, a part before another) keeps its queue, a burst's buffer.
+// A branch's writer ships frames onto its site's merge queue, tagged.  A branch
+// whose cut is one segment is stepped, no stream or goroutine, until a box of
+// it must run concurrently (route).  One merger per fan-in tree: a
+// non-deterministic site writing a branch of another, below no deterministic
+// one, is direct (run).  One dispatcher per fan-out tree: a site a dispatcher
+// steps is a stage (fanStage, fuse.go) until it resumes as a part (run).
 
 // branch event kinds flowing into the merger.
 const (
@@ -56,110 +40,98 @@ type branchEvent struct {
 	fr   frame         // evFrame payload; as a single item: evMarker's identity, evRetire's and evEmit's record
 }
 
-// mergeQueueSlack is how many frames the merge queue holds beyond the run's
-// stream buffer, so the splitter's control events do not rendezvous with the
-// merger even at WithBuffer(0).  MergeQueueCapacity (graph.go) prices it.
+// mergeQueueSlack is how many frames the merge queue holds beyond the stream
+// buffer, so control events do not rendezvous with the merger at WithBuffer(0).
 const mergeQueueSlack = 4
 
 // branchPort is the splitter's handle to one live branch.
 type branchPort struct {
-	// w is the writing end of the branch's input stream — for a branch in the
-	// dispatcher's own hands, which has no stream, the writer into the merger.
-	w *streamWriter
-	// x is a stepped branch's execution, writing w; nil for a spawned branch
-	// and for the branch of no stages at all, the identity exit of a star.
-	x      *segmentRun
+	w      *streamWriter // the branch's input; stepped, the writer it writes (at a stage none)
+	x      *segmentRun   // a stepped branch's execution
 	b      *mergerBranch // nil at a direct site
 	own    *streamWriter // direct: a spawned branch's writer (fanout.writer)
 	slot   int           // index in fanout.ports and in the input reader's idle list
 	routed *statCell     // parallel: the held cell of the branch's routing counter
 }
 
-// fanout is the splitter half: it owns branch creation, routing and marker
-// broadcast.  All methods are called from the combinator's run goroutine
-// only; the writers it routes into are registered with the combinator's
-// input reader so records buffered for a branch are flushed whenever the
-// splitter waits for more input.
+// site is a node whose run is a fanout's: start makes an instance, embedding
+// the fanout, whose dispatch routes a record (false: the run is gone).
+type site interface {
+	Node
+	start(env *runEnv) *fanout
+}
+
+// fanout is the splitter half of one instance of a site: branch creation,
+// routing and marker broadcast, on the goroutine that steps the site.  Its
+// input reader flushes the writers it routes into whenever it waits.
 type fanout struct {
-	env *runEnv
-	det bool
-	own marker           // det only: &own is broadcast after every routed record
-	mux chan branchEvent // the merge queue: branch frames and splitter events; nil: direct
-	in  *streamReader    // the combinator's input, for autoFlush wiring
-	out *streamWriter    // the site's output
-	// writing counts who writes out or its queue besides the dispatcher: the
-	// merger, or the branch writers a direct site spawned (writer).
-	writing sync.WaitGroup
-	// ports lists the live branches; ports[i].w is in.onIdle[i] (nothing
-	// else registers with a combinator's input), so a retired replica leaves
-	// both lists at once.
-	ports   []*branchPort
-	markers int // global marker count broadcast so far
-	// front is the dispatcher's arena front, lent to every branch it steps;
-	// stepped chains those stepped since the last fold (segmentRun.next).
-	front   arenaFront
-	stepped *segmentRun
-	// fused is the named segment last folded here, records and applied its
-	// counter cells: the next execution of it begun here takes them.
-	fused            *segment
-	records, applied *statCell
+	env     *runEnv
+	det     bool
+	inst    interface{ dispatch(*Record) bool } // the instance embedding f
+	own     marker                              // det only: &own is broadcast after every routed record
+	mux     chan branchEvent                    // the merge queue: branch frames and splitter events; nil: direct
+	in      *streamReader
+	out     *streamWriter
+	x       *segmentRun // stepping the site as its stage at-1 (fanStage): no streams
+	at      int
+	writing sync.WaitGroup // who writes out or its queue but f: the merger, or the writers a direct site spawned
+	ports   []*branchPort  // the live branches, ports[i].w in.onIdle[i]
+	markers int            // global marker count broadcast so far
+	// front is the arena front lent to the branches f steps; stepped chains
+	// those stepped since the last fold, last the latest folded (segment.begin).
+	front         arenaFront
+	stepped, last *segmentRun
 }
 
-// newFanout makes the site writing out: direct unless it is deterministic,
-// its input can carry sort markers, or out is no branch writer.
-func newFanout(env *runEnv, det bool, in *streamReader, out *streamWriter) *fanout {
-	f := &fanout{env: env, det: det, in: in, out: out}
-	if det || out.marked || out.fan == nil {
-		f.mux = make(chan branchEvent, env.buf+mergeQueueSlack)
-	}
-	return f
-}
-
-// serve runs the site until both halves are done: the merger, if any, on a
-// goroutine of its own, which owns out meanwhile, and here the dispatch loop —
-// every data record goes to route, which reports false when the run is gone.
-func (f *fanout) serve(route func(*Record) bool) {
-	if f.mux != nil {
+// run runs the site until both halves are done: the merger, if any, owning
+// out on a goroutine of its own, and the dispatch loop.  The site is direct
+// unless it is deterministic, its input can carry markers, or out is no branch
+// writer.  A site a stage stepped resumes here (segment.cut).
+func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
+	f.x, f.in, f.out = nil, in, out
+	if f.det || out.marked || out.fan == nil {
+		f.mux = make(chan branchEvent, f.env.buf+mergeQueueSlack)
 		f.writing.Add(1)
 		go func() {
 			defer f.writing.Done()
-			if m := (&merger{f: f, out: f.out}); !m.run() {
+			if m := (&merger{f: f, out: out}); !m.run() {
 				m.abandon()
 			}
 		}()
 	}
+	for _, port := range f.ports {
+		port.w = f.output(port)
+		port.x.out, port.x.up = port.w, nil
+		in.autoFlush(port.w)
+	}
 	for {
-		if f.in.drained() {
+		if in.drained() {
 			f.fold()
 		}
-		it, ok := f.in.recv()
+		it, ok := in.recv()
 		switch {
 		case !ok:
 		case it.mk != nil: // a foreign marker crosses every branch
 			ok = f.broadcast(it.mk)
 		default:
-			ok = route(it.rec)
+			ok = f.inst.dispatch(it.rec)
 		}
 		if !ok {
 			break
 		}
 	}
-	f.in.Discard()
+	in.Discard()
 	f.finish()
 	f.front.drain()
 	f.writing.Wait()
-	f.out.close()
+	out.close()
 }
 
-// fold is the dispatcher's fold (arenaFront), before every input frame: the
-// branches it stepped since the last fold their counters and the front they share.
+// fold is the dispatcher's fold (arenaFront), before every input frame.
 func (f *fanout) fold() {
 	for x := f.stepped; x != nil; x = f.stepped {
 		x.fold()
-		if x.seg.label != "" {
-			f.fused, f.records, f.applied = x.seg, x.records.cell, x.applied.cell
-		}
-		f.stepped, x.next, x.listed = x.next, nil, false
+		f.stepped, f.last, x.next, x.listed = x.next, x, nil, false
 	}
 }
 
@@ -176,31 +148,46 @@ func (f *fanout) sendEv(e branchEvent) bool {
 // release returns what an undelivered event carries to the arena.
 func (e branchEvent) release() int64 { return e.fr.release() }
 
-// addBranch registers a new branch and returns the port for routing.  With a
-// body to step (runEnv.body, fuse.go) that can begin as it is, the branch
-// stays in the dispatcher's hands: no input stream, no goroutine.  Otherwise
-// it is n on goroutines of its own — and with neither, the identity: the
-// exit path of serial replication.
-func (f *fanout) addBranch(n runner, body *segment) *branchPort {
-	port := &branchPort{w: f.out, slot: len(f.ports)}
-	if f.mux != nil {
-		port.b = &mergerBranch{join: f.markers}
-		f.sendEv(branchEvent{kind: evRegister, b: port.b})
-		port.w = &streamWriter{env: f.env, fan: f, branch: port.b, batch: f.env.batch, marked: f.det || f.out.marked}
+// output is a new branch's writer: the site's own at a direct site, else a
+// writer into the merge queue as a branch of its own.
+func (f *fanout) output(port *branchPort) *streamWriter {
+	if f.mux == nil {
+		return f.out
 	}
+	port.b = &mergerBranch{join: f.markers}
+	f.sendEv(branchEvent{kind: evRegister, b: port.b})
+	return &streamWriter{env: f.env, fan: f, branch: port.b, batch: f.env.batch, marked: f.det || f.out.marked}
+}
+
+// addBranch registers a new branch and returns the port for routing.  A body
+// (runEnv.body) that can begin as it is — at a stage, any — is stepped, rest
+// running behind it on goroutines of their own; otherwise n and rest run there,
+// and with neither the branch is the identity, a star's exit.
+func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort {
+	port := &branchPort{slot: len(f.ports)}
+	f.ports = append(f.ports, port)
+	if f.x != nil {
+		port.x = body.begin(f.env, nil, f.last)
+		port.x.front, port.x.up = &f.front, f
+		return port
+	}
+	port.w = f.output(port)
 	if body != nil && !body.concurrent(f.env) {
-		port.x = body.begin(f.env, port.w)
-		port.x.front = &f.front
-		if body == f.fused {
-			port.x.records.cell, port.x.applied.cell = f.records, f.applied
+		out := port.w
+		if rest != nil {
+			var inR *streamReader
+			inR, out = newStream(f.env, f.env.buf)
+			go runParts(f.env, rest, inR, f.writer(port))
+			port.w = out
 		}
+		port.x = body.begin(f.env, out, f.last)
+		port.x.front = &f.front
 	} else if n != nil {
 		out := f.writer(port)
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
-		go n.run(f.env, inR, out)
+		go runParts(f.env, append([]runner{n}, rest...), inR, out)
 	}
-	f.ports = append(f.ports, port)
 	f.in.autoFlush(port.w)
 	return port
 }
@@ -217,17 +204,22 @@ func (f *fanout) writer(port *branchPort) *streamWriter {
 }
 
 // route sends a data record into a branch and, in deterministic mode, the
-// per-record sort marker after it; false on cancellation.  A stepped branch
-// with a box the engine has meanwhile found worth running concurrently first
-// leaves the dispatcher's hands (resume): it is a spawned branch now.
+// sort marker after it; false on cancellation.  A stepped branch with a box
+// that must now run concurrently first leaves the dispatcher's hands (resume)
+// — but at a stage, whose segment watches its boxes (segment.cut).
 func (f *fanout) route(port *branchPort, r *Record) bool {
-	if x := port.x; x != nil && x.seg.concurrent(f.env) {
+	if x := port.x; x != nil && f.x == nil && x.seg.concurrent(f.env) {
 		if !port.w.flush() {
 			releaseRecord(r)
 			return false
 		}
 		f.fold() // x's tallies are the next goroutine's from here
-		x.out = f.writer(port)
+		if f.last == x {
+			f.last = nil
+		}
+		if x.out.fan != nil { // not a stream to rest: x writes the site's output
+			x.out = f.writer(port)
+		}
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
@@ -236,6 +228,9 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 	if x := port.x; x != nil {
 		if !x.listed {
 			x.listed, x.next, f.stepped = true, f.stepped, x
+		}
+		if f.x != nil {
+			x.out = f.x.out // what the box engine's clock reads
 		}
 		if !x.take(r) {
 			return false
@@ -271,11 +266,9 @@ func (f *fanout) broadcast(mk *marker) bool {
 }
 
 // retireBranch is the splitter half of the replica close protocol: the
-// branch's input closes (it drains, its output merges as usual), the port
-// leaves the splitter's tables and sentinel, if non-nil, goes out strictly
-// after the branch's last record — from the merger or, at a direct site, from
-// the branch's writer: a spawned one's at its close, the site's after the
-// stages end.  The port must not be routed to after retireBranch.
+// branch's input closes, the port leaves the tables and sentinel, if any, goes
+// out strictly after the branch's last record — from the merger, a spawned
+// branch's writer at its close, or after the stepped stages end.
 func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
 	if port.own != nil {
 		port.own.handAck(sentinel)
@@ -285,9 +278,11 @@ func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
 	last := len(f.ports) - 1
 	moved := f.ports[last]
 	moved.slot = port.slot
-	f.ports[port.slot], f.in.onIdle[port.slot] = moved, moved.w
-	f.ports[last], f.in.onIdle[last] = nil, nil
-	f.ports, f.in.onIdle = f.ports[:last], f.in.onIdle[:last]
+	f.ports[port.slot], f.ports[last], f.ports = moved, nil, f.ports[:last]
+	if f.x == nil {
+		idle := f.in.onIdle
+		idle[port.slot], idle[last], f.in.onIdle = moved.w, nil, idle[:last]
+	}
 	if f.mux == nil {
 		return sentinel == nil || f.emitDirect(sentinel)
 	}
@@ -297,7 +292,10 @@ func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
 // emitDirect hands one record straight to the merged output — the close
 // protocol's acknowledgement path when no replica exists for the key.
 func (f *fanout) emitDirect(rec *Record) bool {
-	if f.mux == nil {
+	switch {
+	case f.x != nil:
+		return f.x.push(f.at, rec)
+	case f.mux == nil:
 		return f.out.sendRecord(rec) && f.out.flush()
 	}
 	return f.sendEv(branchEvent{kind: evEmit, fr: frame{single: item{rec: rec}}})
@@ -314,10 +312,8 @@ func (f *fanout) finish() {
 	}
 }
 
-// mergerBranch is the merger-side view of one branch.  The splitter creates
-// it (join is fixed then) and hands it over with evRegister; from there on
-// only the merger touches it — the branch's writer and the splitter's port
-// carry the pointer as a tag, nothing more.
+// mergerBranch is the merger-side view of one branch, the splitter's until
+// evRegister hands it over; writers and ports carry the pointer as a tag.
 type mergerBranch struct {
 	join        int
 	closed      bool
@@ -343,11 +339,9 @@ type merger struct {
 	f   *fanout
 	out *streamWriter
 	// branches are the registered branches in registration order — the
-	// fixed branch order of deterministic emission.  Settled ones are
-	// compacted away (register), so a long-lived site holds entries for its
-	// live branches only.  A branch whose evRegister lost the cancellation
-	// race in sendEv may still deliver events; the run is being abandoned,
-	// so it is merged without ever being listed.
+	// order of deterministic emission — settled ones compacted away
+	// (register).  A branch whose evRegister lost the cancellation race may
+	// still deliver events; the run is going, so it is merged unlisted.
 	branches []*mergerBranch
 	dead     int           // settled entries still listed
 	marks    fifo[*marker] // announced, not yet emitted: marker emitted+1 first

@@ -6,11 +6,9 @@ import (
 )
 
 // parallelNode is parallel composition: incoming records are routed to the
-// branch whose input type matches best; branch outputs are merged (§4).
-// Note the absence of run state: networks are blueprints shared by any
-// number of concurrent runs (service sessions), so even a humble rotation
-// counter must live in run, not on the node (it used to live here, which
-// was a data race between sessions; see TestSharedNetworkConcurrentSessions).
+// branch whose input type matches best; branch outputs are merged (§4).  Like
+// every node it is a blueprint shared by concurrent runs: the tie rotation
+// lives in the instance (TestSharedNetworkConcurrentSessions).
 type parallelNode struct {
 	label    string
 	det      bool
@@ -81,28 +79,42 @@ func (n *parallelNode) sig() (RecType, RecType) {
 }
 
 func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in, out)
-	ports := make([]*branchPort, len(n.branches)) // a branch exists from the first record routed to it
-	var state routing                             // this instance's: the tie rotation and the latest shape's entry (route.go)
-	f.serve(func(rec *Record) bool {
-		chosen := n.table.dispatch(rec, &state)
-		if chosen < 0 {
-			env.error(&NoRouteError{
-				Net:      n.label,
-				Record:   rec.String(),
-				Shape:    rec.Labels(),
-				Branches: n.table.accept,
-			})
-			env.stats.Add(n.kUnroutable, 1)
-			releaseRecord(rec) // dropped, not forwarded
-			return true
-		}
-		port := ports[chosen]
-		if port == nil {
-			port = f.addBranch(n.branches[chosen], env.body(n.branches[chosen]))
-			ports[chosen] = port
-		}
-		env.stats.held(&port.routed, n.branchKeys[chosen]).Add(1)
-		return f.route(port, rec)
-	})
+	n.start(env).run(env, in, out)
+}
+
+// parallelRun is one instance of a parallel: its fanout and routing state.
+type parallelRun struct {
+	fanout
+	n       *parallelNode
+	byIndex []*branchPort // a branch exists from the first record routed to it
+	state   routing       // the tie rotation and the latest shape's entry (route.go)
+}
+
+func (n *parallelNode) start(env *runEnv) *fanout {
+	r := &parallelRun{n: n, byIndex: make([]*branchPort, len(n.branches))}
+	r.fanout = fanout{env: env, det: n.det, inst: r}
+	return &r.fanout
+}
+
+func (r *parallelRun) dispatch(rec *Record) bool {
+	n, env := r.n, r.env
+	chosen := n.table.dispatch(rec, &r.state)
+	if chosen < 0 {
+		env.error(&NoRouteError{
+			Net:      n.label,
+			Record:   rec.String(),
+			Shape:    rec.Labels(),
+			Branches: n.table.accept,
+		})
+		env.stats.Add(n.kUnroutable, 1)
+		releaseRecord(rec) // dropped, not forwarded
+		return true
+	}
+	port := r.byIndex[chosen]
+	if port == nil {
+		port = r.addBranch(n.branches[chosen], env.spines.body(n.branches[chosen]))
+		r.byIndex[chosen] = port
+	}
+	env.stats.held(&port.routed, n.branchKeys[chosen]).Add(1)
+	return r.route(port, rec)
 }

@@ -147,8 +147,8 @@ func WithInputType(t RecType) CompileOption {
 // describes the nodes Start runs, and the flow pass, the analyses and
 // Topology read the same.
 type Plan struct {
-	graph    *GraphNode        // the blueprint, as walked by Compile; graph.Node is its root
-	spines   map[Node][]runner // every position's cut into parts (fuse.go)
+	graph    *GraphNode // the blueprint, as walked by Compile; graph.Node is its root
+	spines   cuts       // every position's cut into parts (fuse.go)
 	groups   []FusionGroup
 	warnings []Diagnostic
 	typeErrs []*TypeError

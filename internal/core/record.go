@@ -12,10 +12,10 @@
 // (as an S-Net language extension beyond the paper) synchrocells.
 //
 // Streams are bounded channels of frames (stream.go).  A run of sequential
-// stages — filters, taps, synchrocells, boxes invoked one call at a time — is
-// one goroutine's loop (fuse.go), and so is a combinator's dispatcher, which
-// also steps the branches that are such runs; a merger and a box found worth
-// invoking concurrently have goroutines of their own (merge.go, boxengine.go).
+// stages — filters, taps, synchrocells, boxes invoked one call at a time, a
+// dispatcher below another — is one goroutine's loop (fuse.go), and so is a
+// dispatcher, stepping the branches that are such runs; a merger and a box
+// found worth invoking concurrently have goroutines of their own.
 // Records are addressed by slot: what a node builds is compiled per input
 // shape (prog.go), and the by-name methods below are the API of user code.
 package core

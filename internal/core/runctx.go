@@ -225,7 +225,7 @@ type runEnv struct {
 	// spines is the plan's grouping: for every position of its tree that
 	// runs as a pipeline the parts that run on a goroutine each (fuse.go).
 	// Read-only.
-	spines map[Node][]runner
+	spines cuts
 
 	// firstErr records the first runtime error of the run (Handle.Err).
 	errMu    sync.Mutex

@@ -60,13 +60,10 @@ func NamedSplitDet(name string, operand Node, tag string) Node {
 
 // SessionSplit is NamedSplit exempted from the run's WithMaxSplitWidth
 // modulo folding: distinct tag values always get distinct replicas.  It is
-// the session-multiplexing combinator of the service layer — one replica of
-// the wrapped network per live session — where folding two sessions onto
-// one replica would mix their state and break the per-replica close
-// protocol.  The replica count is bounded by the caller (the service's
-// session cap), not by the run option.  Session replicas hold live client
-// state between requests and are retired deterministically through the close
-// protocol.
+// the service layer's session multiplexer — one replica per live session,
+// holding client state between requests, retired by the close protocol — so
+// folding would mix sessions; the caller (the service's session cap) bounds
+// the replica count.
 func SessionSplit(name string, operand Node, tag string) Node {
 	return newSplit(name, false, operand, tag, true)
 }
@@ -109,71 +106,81 @@ func foldKey(v int, uncapped bool, maxWidth int) int {
 }
 
 func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in, out)
-	ports := map[int]*branchPort{}
-	// A replica is stepped where its cut allows — session replicas excepted,
-	// which hold live client state between requests, each at its own pace.
-	var body *segment
+	n.start(env).run(env, in, out)
+}
+
+// splitRun is one instance of a split: its fanout, its replicas by key, the
+// body it steps them as (none for session replicas, which hold live client
+// state between requests, each at its own pace), and what the latest record's
+// shape says: the index tag's slot (-1: none), whether it is a close record's.
+type splitRun struct {
+	fanout
+	n       *splitNode
+	byKey   map[int]*branchPort
+	body    *segment
+	last    *shape
+	slot    int
+	closing bool
+}
+
+func (n *splitNode) start(env *runEnv) *fanout {
+	r := &splitRun{n: n, byKey: map[int]*branchPort{}, slot: -1}
 	if !n.uncapped {
-		body = env.body(n.operand)
+		r.body = env.spines.body(n.operand)
 	}
-	// What the latest record's shape says, resolved once per change of shape:
-	// the slot of the index tag (-1: none) and whether it is a close record's.
-	var last *shape
-	slot, closing := -1, false
-	f.serve(func(rec *Record) bool {
-		if sh := rec.shape; sh != last {
-			// Only a shape with a reserved label can be a close record's: the
-			// name is searched for in those alone.
-			last, closing = sh, sh.reserved && IsReplicaClose(rec)
-			slot, _ = sh.tagSlotID(n.tagID)
-		}
-		v, ok := 0, slot >= 0
-		if ok {
-			v = rec.tvals[slot]
-		}
-		if closing {
-			// A close record lacking this split's index tag is addressed
-			// to some other split: forward it downstream (merge order, not
-			// FIFO with records still inside this split's replicas).
-			if !ok {
-				return f.emitDirect(rec)
-			}
-			// The splitter half of the close protocol for one key: close the
-			// replica's input, drop it from the routing table, decrement the
-			// live-replica gauge.  The acknowledgement record, if requested,
-			// travels on as the drain barrier: the merger emits it after the
-			// replica's last record — or at once when no replica exists.
-			var sentinel *Record
-			if wantsCloseAck(rec) {
-				sentinel = rec
-			} else {
-				releaseRecord(rec) // consumed by the split itself
-			}
-			key := foldKey(v, n.uncapped, env.maxWidth)
-			if port := ports[key]; port != nil {
-				delete(ports, key)
-				env.stats.Add(n.kReplicas, -1)
-				env.stats.Add(n.kClosed, 1)
-				return f.retireBranch(port, sentinel)
-			}
-			return sentinel == nil || f.emitDirect(sentinel)
-		}
+	r.fanout = fanout{env: env, det: n.det, inst: r}
+	return &r.fanout
+}
+
+func (r *splitRun) dispatch(rec *Record) bool {
+	n, env := r.n, r.env
+	if sh := rec.shape; sh != r.last {
+		// Only a shape with a reserved label can be a close record's: the
+		// name is searched for in those alone.
+		r.last, r.closing = sh, sh.reserved && IsReplicaClose(rec)
+		r.slot, _ = sh.tagSlotID(n.tagID)
+	}
+	v, ok := 0, r.slot >= 0
+	if ok {
+		v = rec.tvals[r.slot]
+	}
+	key := foldKey(v, n.uncapped, env.maxWidth)
+	if r.closing {
+		// A close record lacking this split's index tag is some other
+		// split's: it goes on downstream, in merge order.
 		if !ok {
-			env.error(fmt.Errorf("core: split %s: record %s lacks index tag <%s>",
-				n.label, rec, n.tag))
-			env.stats.Add(n.kUntagged, 1)
-			releaseRecord(rec) // dropped, not forwarded
-			return true
+			return r.emitDirect(rec)
 		}
-		key := foldKey(v, n.uncapped, env.maxWidth)
-		port := ports[key]
-		if port == nil {
-			env.stats.Add(n.kReplicas, 1)
-			env.stats.SetMax(n.kWidth, int64(len(ports)+1))
-			port = f.addBranch(n.operand, body)
-			ports[key] = port
+		// The splitter half of the close protocol: the replica retires and
+		// the acknowledgement, if asked for, follows its last record — or
+		// goes at once when no replica exists.
+		var sentinel *Record
+		if wantsCloseAck(rec) {
+			sentinel = rec
+		} else {
+			releaseRecord(rec) // consumed by the split itself
 		}
-		return f.route(port, rec)
-	})
+		if port := r.byKey[key]; port != nil {
+			delete(r.byKey, key)
+			env.stats.Add(n.kReplicas, -1)
+			env.stats.Add(n.kClosed, 1)
+			return r.retireBranch(port, sentinel)
+		}
+		return sentinel == nil || r.emitDirect(sentinel)
+	}
+	if !ok {
+		env.error(fmt.Errorf("core: split %s: record %s lacks index tag <%s>",
+			n.label, rec, n.tag))
+		env.stats.Add(n.kUntagged, 1)
+		releaseRecord(rec) // dropped, not forwarded
+		return true
+	}
+	port := r.byKey[key]
+	if port == nil {
+		env.stats.Add(n.kReplicas, 1)
+		env.stats.SetMax(n.kWidth, int64(len(r.byKey)+1))
+		port = r.addBranch(n.operand, r.body)
+		r.byKey[key] = port
+	}
+	return r.route(port, rec)
 }

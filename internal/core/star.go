@@ -4,24 +4,19 @@ import "fmt"
 
 // starNode is serial replication A**(pattern): a demand-driven, conceptually
 // infinite chain A..A..A.. tapped before every replica; records matching the
-// exit pattern leave the chain and merge into the output stream (§4).
-//
-// Each starNode instance is one tap point (stage dispatcher).  The chain
-// unfolds lazily: the first record that does not exit instantiates the next
-// replica as serial(operand, star-at-depth+1).
+// exit pattern leave the chain and merge into the output stream (§4).  Each
+// instance is one tap, a site (merge.go) whose chain branch — the operand, then
+// the tap at depth+1 — unfolds at the first record that does not exit.  A
+// non-deterministic tap steps an operand that is one segment, writing one
+// stream to the next tap: an unfolded stage is one goroutine.
 type starNode struct {
 	label   string
 	det     bool
 	operand Node
 	exit    Pattern
-	depth   int // stage index; the entry dispatcher is depth 0
-	// exits caches the exit pattern bound to each record shape; every
-	// lazily-unfolded stage of the chain shares the entry dispatcher's memo
-	// (the pattern is the same at every depth).
-	exits *shapeMemo[boundPattern]
-
-	// Stat keys, built once at construction and shared by every stage:
-	// unfolding runs per stage and must not build strings.
+	depth   int                      // stage index; the entry dispatcher is depth 0
+	exits   *shapeMemo[boundPattern] // the exit pattern per record shape, shared by every depth
+	// Stat keys, built once and shared by every stage.
 	kReplicas, kDepth, kOverflow string
 }
 
@@ -30,14 +25,6 @@ func newStar(label string, det bool, operand Node, exit Pattern) *starNode {
 	return &starNode{label: label, det: det, operand: operand, exit: exit,
 		exits:     new(shapeMemo[boundPattern]),
 		kReplicas: k + ".replicas", kDepth: k + ".depth", kOverflow: k + ".overflow"}
-}
-
-// chain is a tap's branch into the rest of the star: the next tap, run behind
-// its operand as a pipeline of two parts.
-type chain starNode
-
-func (c *chain) run(env *runEnv, in *streamReader, out *streamWriter) {
-	runParts(env, []runner{c.operand, (*starNode)(c)}, in, out)
 }
 
 // Star builds the nondeterministic serial replicator, the paper's
@@ -84,37 +71,60 @@ func (n *starNode) sig() (RecType, RecType) {
 }
 
 func (n *starNode) run(env *runEnv, in *streamReader, out *streamWriter) {
-	f := newFanout(env, n.det, in, out)
-	exitPort := f.addBranch(nil, nil) // branch 0: records leaving the chain here (no stream: see addBranch)
-	var chainPort *branchPort         // branch 1: operand .. star(depth+1), lazy
-	var last *shape                   // the latest record's, and the exit pattern bound to it
-	var exit boundPattern
-	f.serve(func(rec *Record) bool {
-		if sh := rec.shape; sh != last {
-			var known bool
-			if exit, known = n.exits.load(sh); !known {
-				exit = n.exits.store(sh, n.exit.bind(sh))
-			}
-			last = sh
+	n.start(env).run(env, in, out)
+}
+
+// starRun is one tap: its fanout; its branches, the exit (0, from the first
+// record, no stream: see addBranch) and the chain into the tap at depth+1, next
+// (1, lazy); the exit pattern bound to the latest record's shape.
+type starRun struct {
+	fanout
+	n                   *starNode
+	exitPort, chainPort *branchPort
+	next                starNode
+	last                *shape
+	exit                boundPattern
+}
+
+func (n *starNode) start(env *runEnv) *fanout {
+	r := &starRun{n: n}
+	r.fanout = fanout{env: env, det: n.det, inst: r}
+	return &r.fanout
+}
+
+func (r *starRun) dispatch(rec *Record) bool {
+	n, env := r.n, r.env
+	if r.exitPort == nil {
+		r.exitPort = r.addBranch(nil, nil)
+	}
+	if sh := rec.shape; sh != r.last {
+		var known bool
+		if r.exit, known = n.exits.load(sh); !known {
+			r.exit = n.exits.store(sh, n.exit.bind(sh))
 		}
-		if exit.matches(rec) {
-			env.trace(n.label, "exit", rec)
-			return f.route(exitPort, rec)
+		r.last = sh
+	}
+	if r.exit.matches(rec) {
+		env.trace(n.label, "exit", rec)
+		return r.route(r.exitPort, rec)
+	}
+	if r.chainPort == nil {
+		if n.depth >= env.maxDepth {
+			env.error(fmt.Errorf("core: star %s: unfolding beyond depth %d; dropping %s",
+				n.label, env.maxDepth, rec))
+			env.stats.Add(n.kOverflow, 1)
+			releaseRecord(rec) // dropped, not forwarded
+			return true
 		}
-		if chainPort == nil {
-			if n.depth >= env.maxDepth {
-				env.error(fmt.Errorf("core: star %s: unfolding beyond depth %d; dropping %s",
-					n.label, env.maxDepth, rec))
-				env.stats.Add(n.kOverflow, 1)
-				releaseRecord(rec) // dropped, not forwarded
-				return true
-			}
-			env.stats.Add(n.kReplicas, 1)
-			env.stats.SetMax(n.kDepth, int64(n.depth+1))
-			next := chain(*n)
-			next.depth++
-			chainPort = f.addBranch(&next, nil)
+		env.stats.Add(n.kReplicas, 1)
+		env.stats.SetMax(n.kDepth, int64(n.depth+1))
+		r.next = *n
+		r.next.depth++
+		var body *segment // stepped by a non-deterministic tap
+		if !n.det {
+			body = env.spines.body(n.operand)
 		}
-		return f.route(chainPort, rec)
-	})
+		r.chainPort = r.addBranch(n.operand, body, &r.next)
+	}
+	return r.route(r.chainPort, rec)
 }
