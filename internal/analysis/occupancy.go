@@ -229,8 +229,8 @@ func (b *bounder) node(g *core.GraphNode) int64 {
 func (a *analyzer) computeBound(root *core.GraphNode) {
 	b := &bounder{caps: a.caps, bound: &Bound{Finite: true}}
 	occ := b.node(root)
-	// The boundary: the input stream, the output stream, Handle.Out's buffer.
-	occ += b.fixed(b.edgeCap()) + b.fixed(b.edgeCap()) + b.fixed(int64(max(b.caps.StreamBuffer, 0)))
+	// The network boundary: the input stream and the output record channel.
+	occ += b.fixed(b.edgeCap()) + b.fixed(b.edgeCap())
 	b.bound.Total = occ
 	a.bound = b.bound
 	a.edges = b.edges

@@ -5,15 +5,32 @@ import (
 	"sync/atomic"
 )
 
-// Arenas — the recycling half of the zero-allocation record plane (DESIGN
-// §11).  Records and the []item slabs of multi-item frames come from sync.Pool
-// arenas.  Exactly one component holds a record at a time, so every record
-// has one release point: runtime producers acquire, the component that
-// consumes a record without forwarding it releases it, and records crossing
-// the network boundary to user code are disowned — plain GC-managed records
-// from there.  Records built with NewRecord are caller-owned: releasing one is
-// a no-op.  The ledger acquired = recycled + disowned + live is asserted back
-// at its baseline after every drained run.
+// Arenas — the recycling half of the zero-allocation record plane.
+//
+// The stream transport owns two sync.Pool arenas: one for records, one for
+// the []item slabs that back multi-item frames.  The life cycle follows the
+// S-Net ownership discipline (exactly one component holds a record at a
+// time), which gives every record a well-defined release point:
+//
+//   - acquire: runtime-internal producers — box emitters, filter outputs,
+//     synchrocell merges, service ingress decoding — take records from the
+//     arena instead of the heap;
+//   - release: the component that consumes a record without forwarding it
+//     returns it — boxes after invoking the user function (box functions see
+//     bound argument values, never the record), filters after Apply,
+//     synchrocells after firing, drop paths, and streamReader.Discard /
+//     the service demux for records nobody will read;
+//   - disown: records that cross the network boundary to user code
+//     (Handle.Out, service egress) leave the arena's domain — they stay
+//     plain GC-managed records.
+//
+// Records built with NewRecord are caller-owned and never pooled: releasing
+// one is a no-op, so user code that holds on to its inputs (benchmark
+// harnesses reuse whole input slices) is unaffected.
+//
+// Accounting is global and monotonic: acquired = recycled + disowned + live.
+// The leak tests assert live returns to its baseline after a drained run, so
+// a pooled-but-unreleased record is a test failure, not a silent slow leak.
 
 var (
 	recordPool = sync.Pool{New: func() any { return new(Record) }}

@@ -36,10 +36,12 @@ type Emitter struct {
 	front   *arenaFront // of the goroutine that steps the box; nil (the arena itself) on the concurrent engine
 	stopped bool
 	emitted int
-	// Where the emissions go: a box stepped as a stage (fuse.go) hands each
-	// to the stage after it, x.push(next, ·); an invocation of the concurrent
-	// engine is nobody's stage, x nil, and writes out, its slot's emission
-	// stream (boxengine.go).
+	// Where the emissions go.  A box stepped as a stage (fuse.go) hands
+	// each one to the stage after it, x.push(next, ·) — for the last stage
+	// of a segment that is the segment's output stream, or the segment of
+	// the stage dispatcher stepping it.  An invocation of the concurrent
+	// engine is nobody's stage: x is nil and it writes out, its slot's
+	// emission stream (boxengine.go).
 	x    *segmentRun
 	next int
 	out  *streamWriter
@@ -158,12 +160,15 @@ type boxNode struct {
 }
 
 // boxStatKeys are the node's stat-counter keys, concatenated once at
-// construction.  Who runs the invocations (boxNode.step, the engine's
-// releaser) counts a completed one under calls and its emissions under
-// emitted, one cut short by cancellation under cancelled.  "Emitted" means
-// accepted by the output stream: on cancellation up to B-1 emissions pending
-// in the writer can still be dropped ("stream.records" retracts those: ship),
-// and so can a stepped call's last emission, which moves on after the count.
+// construction so the per-invocation accounting never builds a string.  Who
+// runs the invocations tallies calls and emitted (boxNode.step, the concurrent
+// engine's releaser): a completed invocation counts under calls and its
+// emissions under emitted, one cut short by run cancellation under cancelled
+// instead.  "Emitted" means accepted by the box's output stream: under run
+// cancellation up to B-1 emissions batched in the writer's pending frame can
+// still be dropped in flight (the transport's own "stream.records" retracts
+// those; see ship), and so can the last emission of a stepped call, which
+// moves on only after the call is counted.
 type boxStatKeys struct {
 	instances, concurrency, inflight    string
 	calls, emitted, cancelled, rejected string

@@ -6,22 +6,65 @@ import (
 	"time"
 )
 
-// The box execution engine (DESIGN §2, where the measurements behind its
-// constants are): how one box node instance turns its input into invocations
-// of the box function.  Inline mode is the box as a stage (fuse.go,
-// boxNode.step): one call at a time on its segment's goroutine.  Concurrent
-// mode is the box as a part of its own (segment.cut, wide): up to W calls at a
-// time — box functions are stateless (§4) — behind a FIFO reorder queue of
-// slots, so the output stream is the inline one, a marker takes a slot of its
-// own as a barrier, a panic loses only its call, and each slot's emissions
-// wait in a one-frame stream, bounding what the engine holds (BoxEngineHold).
+// This file is the box execution engine: how one box node instance turns
+// its input stream into invocations of the box function.  It has two modes
+// and a one-way hand-over between them.
 //
-// A width somebody chose is obeyed from the first record.  With none the box
-// starts inline, its calls timed, and moves to concurrent mode at width
-// GOMAXPROCS once boxEscalateRun calls in a row took boxEscalateAfter or more
-// of service time — there the mode's fixed cost, about 2.5 µs a call, is an
-// eighth of it, and runs that long are never noise.  The run is counted on the
-// node, across instances.
+// Inline mode is the box as a stage (fuse.go; boxNode.step is the
+// invocation): one call at a time on its segment's goroutine, with one reused
+// emitter and argument buffer, no hand-off and no allocation per record.
+// Concurrent mode is the box as a part of its own (segment.cut, wide), and
+// exists because box functions are stateless by contract (§4: "it is the
+// concern of the box implementation to exploit concurrency internally, and of
+// S-Net to exploit it between boxes"), so one box node may run many
+// invocations at a time.  What it must preserve is the stream abstraction
+// around that concurrency:
+//
+//   - Order: the output stream must be indistinguishable from sequential
+//     invocation.  Every accepted input is assigned a slot in a FIFO
+//     reorder queue; invocation i's emissions are released downstream
+//     strictly before invocation i+1's, whatever order the invocations
+//     finish in.  Deterministic combinators fed by the box therefore see
+//     exactly the inline interleaving.
+//   - Marker barriers: a sort record ("marker") of the deterministic-merge
+//     protocol occupies its own slot in the reorder queue, so it is
+//     forwarded only after every invocation dispatched before it has
+//     flushed, and before anything dispatched after it — in-flight
+//     invocations never leak emissions across a marker.
+//   - Panic isolation: an invocation that panics loses only its own
+//     record; its slot closes and the stream continues (invoke recovers).
+//   - Backpressure: each slot's emission buffer is an ordinary stream of
+//     one frame; a fast invocation far from the head of the queue blocks on
+//     it rather than ballooning memory, so what the engine holds is bounded
+//     by its width and the batch size alone (BoxEngineHold).  Closing the
+//     slot stream when the invocation returns flushes any batched tail, so a
+//     worker never parks between calls with emissions still pending.
+//
+// A width somebody chose — NewBoxConcurrent(…, n), WithBoxWorkers(n) — is
+// obeyed from the first record: 1 is inline for good, n > 1 concurrent mode
+// at width n.  With none the engine chooses: the box starts inline, its calls
+// timed, and once it has shown it is slow enough to repay the hand-off the
+// verdict moves it to concurrent mode at width GOMAXPROCS.
+
+// The hand-over rule.  Concurrent mode costs each invocation a slot, an
+// emission stream and three goroutine hand-offs (dispatcher → worker →
+// releaser → consumer): measured on webpipe's sub-microsecond boxes,
+// (core.box.wn_us_per_op − core.box.w1_us_per_op) ÷ core.box.calls_per_op
+// = (10.0 − 2.7) ÷ 3 ≈ 2.5 µs per call.  At boxEscalateAfter that fixed
+// cost is about an eighth of the service time, which overlapping even two
+// invocations repays several times over; below it the fixed cost eats the
+// gain.
+//
+// One slow call proves nothing, and neither do three: a collector pause, a
+// GC assist or a descheduled thread lands inside a 0.1 µs box body like
+// anywhere else.  Streaming webpipe at GOMAXPROCS=2, 3–4% of the calls of
+// every box read over 20 µs, and runs of such calls thin out about
+// twentyfold per extra call — of 8 M records the longest run was 6 — so
+// the verdict takes boxEscalateRun slow calls in a row: never met by
+// noise, met by a box that really is slow within its first few records.
+// The run is counted on the node, across instances, so a slow box whose
+// instances each see only a handful of records (per-request networks,
+// replicas) still reaches it.
 const (
 	boxEscalateAfter = 20 * time.Microsecond
 	boxEscalateRun   = 16
@@ -50,10 +93,17 @@ func (b *boxNode) concurrent(env *runEnv) bool {
 // time.Since(engineEpoch), one monotonic clock read.
 var engineEpoch = time.Now()
 
-// observe is the hand-over rule applied to one clocked call.  It measures the
-// box's own service time — wall time minus the time its emissions waited on a
-// full output stream, which concurrency would not shorten — and a call that
-// waited longer than it worked is no evidence: the consumer set its pace.
+// observe is the hand-over rule applied to one clocked call.
+//
+// What is measured is the box's own service time: the wall time of the
+// invocation minus the time its emissions waited on a full output stream.
+// A cheap box behind a slow consumer spends its life blocked in Out;
+// counting that would hand every box of a backpressured pipeline to
+// concurrent mode, which shortens no wait and only adds the hand-offs.  For
+// the same reason an invocation that waited longer than it worked is no
+// evidence however long it worked: the consumer sets the pace then, and
+// what is left of the wall time is as much the cost of waking up cold as
+// the box's.
 func (b *boxNode) observe(wall, waited time.Duration) {
 	if service := wall - waited; service < boxEscalateAfter || service < waited {
 		if b.slowRun.Load() != 0 {

@@ -31,10 +31,12 @@ type FusionGroup struct {
 type stage interface {
 	// step runs the stage on rec — stage i of x — and owns rec from there.
 	// It returns the last record it produced, which the loop carries to
-	// stage i+1, or nil; what it produced before the last it has handed on
-	// itself (x.push(i+1, ·)).  ok is false when the run is gone: what the
-	// stage held is back in the arena.  A step keeps no record — the
-	// synchrocell's stored ones excepted, which end gives back.
+	// stage i+1, and nil if it produced none; whatever it produced before
+	// the last it has handed on itself, from inside the step
+	// (x.push(i+1, ·)).  ok is false when the run is gone: whatever the
+	// stage still held is back in the arena and the segment must stop.  A
+	// step keeps no record once it has returned it or handed it on — the
+	// synchrocell's excepted, whose stored records end gives back.
 	step(x *segmentRun, i int, rec *Record) (next *Record, ok bool)
 	solo() *segment // the stage's segment of one
 }
@@ -92,9 +94,10 @@ func (c *spineCutter) place(n Node, nested bool) {
 	c.spines[n] = c.cut(nodes, nested)
 }
 
-// cut groups one flattened pipeline into its parts: each maximal run of stages
-// a segment — of one, or a named one (a fusion group) — every other node a
-// part of its own.
+// cut groups one flattened pipeline into its parts, and is the only caller of
+// the grouping rule: each maximal run of stages is a segment — a lone stage
+// its own segment of one, several a named one, a fusion group — and every
+// other node a part of its own, as is every node with fusion off.
 func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
 	stages := make([]stage, len(nodes))
 	for i := 0; c.fuse && i < len(nodes); i++ {
@@ -324,8 +327,9 @@ func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
 
 // loop is the one receive loop of every sequential leaf.  The execution ends
 // with it (end) unless, between records, one of its boxes must run
-// concurrently: then it returns true, folded.  It looks at the run's context
-// once a record: a stage that emits nothing never meets a stream.
+// concurrently: then it returns true, folded.  The run's context is looked at
+// once per record here, because nothing else need: a stage that emits nothing
+// never meets a stream, and a receive that finds a frame waiting does not look.
 func (x *segmentRun) loop(in *streamReader) bool {
 	for !x.seg.concurrent(x.env) {
 		rec, ok := x.recv(in)
@@ -342,36 +346,42 @@ func (x *segmentRun) loop(in *streamReader) bool {
 	return true
 }
 
-// resume is the hand-over, wherever x ran: x continues, reading in, as its cut.
+// resume is the hand-over, wherever x ran: x continues, reading in, as its
+// cut.
 func (x *segmentRun) resume(in *streamReader) {
 	runParts(x.env, x.seg.cut(x.env, x), in, x.out)
 }
 
 // segmentRun is one execution of a segment: the output stream and one state
-// slot per stage, reused so a warm segment allocates nothing.  front is the
-// arena front of the goroutine it runs on: own, or its dispatcher's, which
-// chains those it has to fold through next.  A named segment counts the
-// records it takes in and the steps applied.
+// slot per stage, reused from record to record so a warm segment allocates
+// nothing.
 type segmentRun struct {
-	env              *runEnv
-	seg              *segment
-	out              *streamWriter
-	state            []stageState
-	state2           [2]stageState // state's backing for a segment of one or two
-	front            *arenaFront
-	own              arenaFront
-	next             *segmentRun
-	listed           bool
-	up               *fanout // the stage dispatcher stepping x: what leaves x goes on from it
+	env    *runEnv
+	seg    *segment
+	out    *streamWriter
+	state  []stageState
+	state2 [2]stageState // state's backing for a segment of one or two
+	// front is the arena front of the goroutine the execution runs on: own on
+	// a goroutine of its own, the dispatcher's when stepped (merge.go), which
+	// chains the executions it has to fold through next.
+	front  *arenaFront
+	own    arenaFront
+	next   *segmentRun
+	listed bool
+	up     *fanout // the stage dispatcher stepping x: what leaves x goes on from it
+	// A named segment counts the records it takes in and the steps applied.
 	records, applied tally
 }
 
-// stageState is what one stage keeps from record to record: buffers,
-// counters, a synchrocell's records.  Steps nest — a box mid-emission still
-// reads its arguments while one further down binds its own — so a slot each.
+// stageState is what one stage keeps from record to record: buffers and
+// counters — and, the synchrocell's alone, records.  The slots are per
+// stage, not per segment, because steps nest: a box in the middle of its
+// emissions is still reading its arguments while a box further down binds its
+// own.
 type stageState struct {
-	// shape is the latest record's layout, box or filter the node's program
-	// for it: a stream of one shape finds its program by a pointer compare.
+	// shape is the layout of the stage's latest record and box or filter its
+	// node's program for it: the one-entry front of the node's shape memo,
+	// so a stream of one shape finds its program by a pointer compare.
 	shape   *shape
 	box     *boxProg
 	filter  *filterProg
@@ -416,9 +426,10 @@ func (s *segment) begin(env *runEnv, out *streamWriter, t *segmentRun) *segmentR
 	return x
 }
 
-// end is the end-of-input hook, on every path out of an execution: what a
-// synchrocell that never fired has stored is discarded and counted (starved),
-// what a stage dispatcher holds ends with its branches; then the last fold.
+// end is the end-of-input hook, run on every path out of an execution: what
+// a synchrocell that never fired has stored is discarded, and counted so
+// tests and users can detect starved synchrocells, and what a stage
+// dispatcher holds ends with its branches; then the last fold.
 func (x *segmentRun) end() {
 	for i := range x.state {
 		for _, s := range x.state[i].storage {
@@ -436,8 +447,9 @@ func (x *segmentRun) end() {
 	x.fold()
 }
 
-// fold brings the ledger and the per-record counters up to date: before every
-// input frame — so before every wait for one — and on every path out.
+// fold brings the ledger and the stages' per-record counters up to date with
+// what the execution has done: before every input frame it takes — so before
+// every wait for one — and on every path out (end, a hand-over).
 func (x *segmentRun) fold() {
 	stats := x.env.stats
 	for i, st := range x.seg.stages {
@@ -460,9 +472,10 @@ func (x *segmentRun) fold() {
 	x.front.fold()
 }
 
-// recv returns the next data record of in; foreign markers cross the segment
-// in FIFO position.  ok is false at the end of the input and when the run is
-// gone; the caller then detaches from in.
+// recv returns the next data record of in.  Foreign markers cross the
+// segment in FIFO position: every record before one has been stepped through
+// and handed to out before the marker is looked at.  ok is false at the end
+// of the input and when the run is gone; the caller then detaches from in.
 func (x *segmentRun) recv(in *streamReader) (*Record, bool) {
 	for {
 		if in.drained() {
@@ -488,11 +501,14 @@ func (x *segmentRun) take(rec *Record) bool {
 	return x.push(0, rec)
 }
 
-// push hands rec to stage i and on, depth-first: a stage that fans out
-// re-enters it once per record it produces but the last, and what leaves the
-// last stage goes to the output — where a full stream blocks whichever stage
-// sent.  False when the run is gone: what the segment owned is back in the
-// arena, and the caller must stop and detach from its input.
+// push hands rec to stage i and on, depth-first: one-in-one-out stages
+// advance in this loop, a stage that fans out re-enters it once per record
+// it produces but the last, and what leaves the last stage goes to the
+// output stream, or on down the segment of the stage dispatcher stepping x —
+// where a full stream blocks the sender, whichever stage that is.  It
+// reports false when the run is gone (cancellation): every record the
+// segment still owned is back in the arena, and the caller must stop and
+// detach from its input.
 func (x *segmentRun) push(i int, rec *Record) bool {
 	for stages := x.seg.stages; i < len(stages); i++ {
 		var ok bool

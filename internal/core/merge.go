@@ -40,14 +40,20 @@ type branchEvent struct {
 	fr   frame         // evFrame payload; as a single item: evMarker's identity, evRetire's and evEmit's record
 }
 
-// mergeQueueSlack is how many frames the merge queue holds beyond the stream
-// buffer, so control events do not rendezvous with the merger at WithBuffer(0).
+// mergeQueueSlack is how many frames the merge queue holds beyond the run's
+// stream buffer, so the splitter's control events do not rendezvous with the
+// merger even at WithBuffer(0).  MergeQueueCapacity (graph.go) prices it.
 const mergeQueueSlack = 4
 
 // branchPort is the splitter's handle to one live branch.
 type branchPort struct {
-	w      *streamWriter // the branch's input; stepped, the writer it writes (at a stage none)
-	x      *segmentRun   // a stepped branch's execution
+	// w is the writing end of the branch's input stream — for a branch in the
+	// dispatcher's own hands, which has no stream, the writer into the merger
+	// (none at a stage).
+	w *streamWriter
+	// x is a stepped branch's execution, writing w; nil for a spawned branch
+	// and for the branch of no stages at all, the identity exit of a star.
+	x      *segmentRun
 	b      *mergerBranch // nil at a direct site
 	own    *streamWriter // direct: a spawned branch's writer (fanout.writer)
 	slot   int           // index in fanout.ports and in the input reader's idle list
@@ -266,9 +272,11 @@ func (f *fanout) broadcast(mk *marker) bool {
 }
 
 // retireBranch is the splitter half of the replica close protocol: the
-// branch's input closes, the port leaves the tables and sentinel, if any, goes
-// out strictly after the branch's last record — from the merger, a spawned
-// branch's writer at its close, or after the stepped stages end.
+// branch's input closes (it drains, its output merges as usual), the port
+// leaves the splitter's tables and sentinel, if non-nil, goes out strictly
+// after the branch's last record — from the merger or, at a direct site, from
+// the branch's writer: a spawned one's at its close, the site's after the
+// stages end.  The port must not be routed to after retireBranch.
 func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
 	if port.own != nil {
 		port.own.handAck(sentinel)
@@ -312,8 +320,10 @@ func (f *fanout) finish() {
 	}
 }
 
-// mergerBranch is the merger-side view of one branch, the splitter's until
-// evRegister hands it over; writers and ports carry the pointer as a tag.
+// mergerBranch is the merger-side view of one branch.  The splitter creates
+// it (join is fixed then) and hands it over with evRegister; from there on
+// only the merger touches it — the branch's writer and the splitter's port
+// carry the pointer as a tag, nothing more.
 type mergerBranch struct {
 	join        int
 	closed      bool
@@ -339,9 +349,11 @@ type merger struct {
 	f   *fanout
 	out *streamWriter
 	// branches are the registered branches in registration order — the
-	// order of deterministic emission — settled ones compacted away
-	// (register).  A branch whose evRegister lost the cancellation race may
-	// still deliver events; the run is going, so it is merged unlisted.
+	// fixed branch order of deterministic emission.  Settled ones are
+	// compacted away (register), so a long-lived site holds entries for its
+	// live branches only.  A branch whose evRegister lost the cancellation
+	// race in sendEv may still deliver events; the run is being abandoned,
+	// so it is merged without ever being listed.
 	branches []*mergerBranch
 	dead     int           // settled entries still listed
 	marks    fifo[*marker] // announced, not yet emitted: marker emitted+1 first

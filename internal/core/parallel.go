@@ -6,9 +6,12 @@ import (
 )
 
 // parallelNode is parallel composition: incoming records are routed to the
-// branch whose input type matches best; branch outputs are merged (§4).  Like
-// every node it is a blueprint shared by concurrent runs: the tie rotation
-// lives in the instance (TestSharedNetworkConcurrentSessions).
+// branch whose input type matches best; branch outputs are merged (§4).
+// Note the absence of run state: networks are blueprints shared by any
+// number of concurrent runs (service sessions), so even a humble rotation
+// counter must live in the instance, not on the node (it used to live here,
+// which was a data race between sessions; see
+// TestSharedNetworkConcurrentSessions).
 type parallelNode struct {
 	label    string
 	det      bool

@@ -60,10 +60,13 @@ func NamedSplitDet(name string, operand Node, tag string) Node {
 
 // SessionSplit is NamedSplit exempted from the run's WithMaxSplitWidth
 // modulo folding: distinct tag values always get distinct replicas.  It is
-// the service layer's session multiplexer — one replica per live session,
-// holding client state between requests, retired by the close protocol — so
-// folding would mix sessions; the caller (the service's session cap) bounds
-// the replica count.
+// the session-multiplexing combinator of the service layer — one replica of
+// the wrapped network per live session — where folding two sessions onto
+// one replica would mix their state and break the per-replica close
+// protocol.  The replica count is bounded by the caller (the service's
+// session cap), not by the run option.  Session replicas hold live client
+// state between requests and are retired deterministically through the close
+// protocol.
 func SessionSplit(name string, operand Node, tag string) Node {
 	return newSplit(name, false, operand, tag, true)
 }
@@ -146,14 +149,17 @@ func (r *splitRun) dispatch(rec *Record) bool {
 	}
 	key := foldKey(v, n.uncapped, env.maxWidth)
 	if r.closing {
-		// A close record lacking this split's index tag is some other
-		// split's: it goes on downstream, in merge order.
+		// A close record lacking this split's index tag is addressed
+		// to some other split: forward it downstream (merge order, not
+		// FIFO with records still inside this split's replicas).
 		if !ok {
 			return r.emitDirect(rec)
 		}
-		// The splitter half of the close protocol: the replica retires and
-		// the acknowledgement, if asked for, follows its last record — or
-		// goes at once when no replica exists.
+		// The splitter half of the close protocol for one key: close the
+		// replica's input, drop it from the routing table, decrement the
+		// live-replica gauge.  The acknowledgement record, if requested,
+		// travels on as the drain barrier: the merger emits it after the
+		// replica's last record — or at once when no replica exists.
 		var sentinel *Record
 		if wantsCloseAck(rec) {
 			sentinel = rec

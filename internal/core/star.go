@@ -14,9 +14,14 @@ type starNode struct {
 	det     bool
 	operand Node
 	exit    Pattern
-	depth   int                      // stage index; the entry dispatcher is depth 0
-	exits   *shapeMemo[boundPattern] // the exit pattern per record shape, shared by every depth
-	// Stat keys, built once and shared by every stage.
+	depth   int // stage index; the entry dispatcher is depth 0
+	// exits caches the exit pattern bound to each record shape; every
+	// lazily-unfolded stage of the chain shares the entry dispatcher's memo
+	// (the pattern is the same at every depth).
+	exits *shapeMemo[boundPattern]
+
+	// Stat keys, built once at construction and shared by every stage:
+	// unfolding runs per stage and must not build strings.
 	kReplicas, kDepth, kOverflow string
 }
 

@@ -17,11 +17,15 @@ import (
 // marker would stall every merger waiting on it.  Pending items leave in FIFO
 // position, so a merger sees a region's data before the marker that ends it.
 //
-// A streamWriter is single-goroutine (sendBatchDirect, the network
-// boundary's, excepted).  Its sink is a frame channel with one reader or — a
-// combinator branch's output writer — a merge queue (merge.go), the one
-// multi-producer channel besides the boundary; close is then the branch's
-// evClosed, or for a writer a direct site spawned a count the site waits for.
+// A streamWriter is single-goroutine: only the goroutine that writes a stream
+// sends, flushes or closes it, and registers it with autoFlush only on the
+// reader it reads (sendBatchDirect, the network boundary's, is the exception).
+// A writer has one of two sinks: a frame channel with one reader, or — the
+// output writer of a combinator branch — a merge queue (merge.go), into which
+// ship hands each frame tagged with the branch; close is the branch's evClosed,
+// or, for a writer a direct site spawned, a count the site waits for.  The
+// merge queue is the one multi-producer channel of the record plane besides the
+// network boundary.
 
 // item is one element on a stream: either a data record or a control marker
 // ("sort record") of the deterministic-merge protocol.  Exactly one of rec
@@ -412,12 +416,15 @@ func (r *streamReader) accept(f frame, ok bool) (item, bool) {
 	return f.batch[0], true
 }
 
-// Discard detaches a background consumer for the rest of the stream: every
-// node that stops reading its input early calls it, so no sender stays
-// blocked on a stream nobody reads.  The drainer returns on close or
-// cancellation and counts the data records it threw away under
-// "stream.discarded"; a stream already closed and drained detaches nothing.
-// Idempotent; the reader must not be used after it.
+// Discard detaches a background consumer for the remainder of the stream.
+// Every node that stops consuming its input early — whether it hit a
+// cancelled send or finished a dispatch loop — uses this one call so
+// upstream senders can never stay blocked on a stream nobody reads.  The
+// drainer returns on close or cancellation and counts the data records it
+// threw away under "stream.discarded".  A stream that is already closed and
+// drained — every normal end of a dispatch loop — has nothing left to
+// consume, so nothing is detached.  Idempotent; the reader must not be used
+// after calling it.
 func (r *streamReader) Discard() {
 	if r.discarding.Swap(true) {
 		return

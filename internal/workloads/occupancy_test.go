@@ -32,38 +32,34 @@ func verifiedBound(t *testing.T, p *snet.Plan) int64 {
 
 // TestWavefrontInFlightWithinBound: the whole grid unfolds from one record,
 // so the records in flight are the runtime's own — all from the arena, whose
-// ledger is the observation.  A goroutine folds its tallies once per input
-// frame, so a run whose stages hand few records across goroutines can read no
-// record in flight at all; the peak is taken over up to five runs.
+// ledger is the observation.
 func TestWavefrontInFlightWithinBound(t *testing.T) {
 	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		const n = 24 // 47 stages, at most 23 join replicas each
 		plan := compile(WavefrontNet(n, 5))
 		bound := verifiedBound(t, plan)
+		base := snet.PoolStats().Live()
 		var peak atomic.Int64
-		for run := 0; run < 5 && peak.Load() < 2; run++ {
-			base := snet.PoolStats().Live()
-			stop, sampled := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(sampled)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if live := snet.PoolStats().Live() - base; live > peak.Load() {
-						peak.Store(live)
-					}
-					runtime.Gosched()
+		stop, sampled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-			out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}, snet.WithBoxWorkers(1))
-			close(stop)
-			<-sampled
-			if err != nil || len(out) != 1 || out[0].MustField("result").(int) != WavefrontReference(n, 5) {
-				t.Fatalf("run: %v %v", out, err)
+				if live := snet.PoolStats().Live() - base; live > peak.Load() {
+					peak.Store(live)
+				}
+				runtime.Gosched()
 			}
+		}()
+		out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}, snet.WithBoxWorkers(1))
+		close(stop)
+		<-sampled
+		if err != nil || len(out) != 1 || out[0].MustField("result").(int) != WavefrontReference(n, 5) {
+			t.Fatalf("run: %v %v", out, err)
 		}
 		if p := peak.Load(); p < 2 || p > bound {
 			t.Fatalf("observed %d records in flight, bound %d", p, bound)
