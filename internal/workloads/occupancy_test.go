@@ -32,7 +32,9 @@ func verifiedBound(t *testing.T, p *snet.Plan) int64 {
 
 // TestWavefrontInFlightWithinBound: the whole grid unfolds from one record,
 // so the records in flight are the runtime's own — all from the arena, whose
-// ledger is the observation.
+// ledger is the observation.  It is read by a goroutine of its own and, so
+// that a run shorter than a scheduling quantum is observed too, by the run
+// itself whenever a record enters a synchrocell.
 func TestWavefrontInFlightWithinBound(t *testing.T) {
 	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		const n = 24 // 47 stages, at most 23 join replicas each
@@ -40,6 +42,11 @@ func TestWavefrontInFlightWithinBound(t *testing.T) {
 		bound := verifiedBound(t, plan)
 		base := snet.PoolStats().Live()
 		var peak atomic.Int64
+		sample := func() {
+			if live := snet.PoolStats().Live() - base; live > peak.Load() {
+				peak.Store(live)
+			}
+		}
 		stop, sampled := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(sampled)
@@ -49,13 +56,16 @@ func TestWavefrontInFlightWithinBound(t *testing.T) {
 					return
 				default:
 				}
-				if live := snet.PoolStats().Live() - base; live > peak.Load() {
-					peak.Store(live)
-				}
+				sample()
 				runtime.Gosched()
 			}
 		}()
-		out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}, snet.WithBoxWorkers(1))
+		atJoin := snet.TracerFunc(func(node, dir string, _ *snet.Record) {
+			if node == "wave_join" && dir == "in" {
+				sample()
+			}
+		})
+		out, _, err := plan.RunAll(context.Background(), []*snet.Record{WavefrontSeed()}, snet.WithBoxWorkers(1), snet.WithTracer(atJoin))
 		close(stop)
 		<-sampled
 		if err != nil || len(out) != 1 || out[0].MustField("result").(int) != WavefrontReference(n, 5) {
