@@ -97,8 +97,8 @@ func TestDivConqCrossModeDeterminism(t *testing.T) {
 }
 
 var (
-	updateStatsGolden = flag.Bool("update", false, "rewrite testdata/stats_keys.golden from this run")
-	autoNumbered      = regexp.MustCompile(`#\d+`)
+	updateGoldens = flag.Bool("update", false, "rewrite testdata/stats_keys.golden and testdata/wire.golden from this run")
+	autoNumbered  = regexp.MustCompile(`#\d+`)
 	// Values that depend on scheduling, not on the input: how records happened
 	// to be batched into frames, how many invocations or sessions overlapped,
 	// how long something took.
@@ -156,7 +156,7 @@ func TestStatsKeySetStable(t *testing.T) {
 	sort.Strings(got)
 
 	const golden = "testdata/stats_keys.golden"
-	if *updateStatsGolden {
+	if *updateGoldens {
 		if err := os.WriteFile(golden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
