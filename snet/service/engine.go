@@ -21,7 +21,7 @@ import (
 // mode.  Flow inheritance carries the reserved session tag through every
 // box untouched.
 //
-//	ingress: session → Handle.SendCtx/SendBatch on the warm instance (the
+//	ingress: session → Handle.SendBatch on the warm instance (the
 //	         sender sets the session tag; blocked senders of every session
 //	         wait in arrival order on the instance's one input stream)
 //	egress:  warm instance → demux (routes by session tag, strips it)
@@ -82,7 +82,7 @@ func newEngine(n *Network) (*engine, error) {
 		sessions:  map[int]*sharedSession{},
 		demuxDone: make(chan struct{}),
 	}
-	e.handle = mux.Start(ctx, n.opts.runOptions()...)
+	e.handle = mux.Start(ctx, n.runOpts...)
 	go e.demux()
 	return e, nil
 }
@@ -103,7 +103,7 @@ func (e *engine) open() (*sharedSession, error) {
 		e.seq++
 		sid = e.seq
 	}
-	b := &sharedSession{eng: e, sid: sid, out: make(chan *snet.Record, e.net.opts.queueCap())}
+	b := &sharedSession{eng: e, sid: sid, out: make(chan *snet.Record, e.net.opts.streamBuffer())}
 	b.ctx, b.cancel = context.WithCancel(context.Background())
 	e.sessions[sid] = b
 	e.net.svcStat.SetMax("engine.sessions", int64(len(e.sessions)))
@@ -243,11 +243,6 @@ func (b *sharedSession) sendCloseAck() {
 		// An error means the engine is gone, and the session's replica with it.
 		_ = b.eng.handle.SendCtx(context.Background(), snet.NewReplicaCloseAck(sessionTag, b.sid))
 	}()
-}
-
-func (b *sharedSession) send(ctx context.Context, r *snet.Record) error {
-	_, err := b.sendBatch(ctx, []*snet.Record{r})
-	return err
 }
 
 func (b *sharedSession) sendBatch(ctx context.Context, recs []*snet.Record) (int, error) {

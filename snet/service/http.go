@@ -52,7 +52,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // errStatus maps service errors onto HTTP statuses: the session cap is
 // 429 (back off and retry), unknown names are 404, sending after close is a
-// 409 conflict with the session's own state, everything else 400.
+// 409 conflict with the session's own state, a body over maxBody is 413,
+// everything else 400.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrSessionLimit):
@@ -69,6 +70,8 @@ func errStatus(err error) int {
 		return http.StatusGone // session released / run cancelled
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusRequestTimeout
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}
@@ -141,19 +144,17 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Net string `json:"net"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	sess, err := s.Open(req.Net)
+	req, err := readBody(w, r, memNet, func() any { return new(openBody) })
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"session": sess.ID(), "net": req.Net})
+	sess, err := s.Open(req.net)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"session": sess.ID(), "net": req.net})
 }
 
 func (s *Service) sessionFromPath(w http.ResponseWriter, r *http.Request) *Session {
@@ -178,25 +179,16 @@ func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	var req struct {
-		Records []RecordJSON `json:"records"`
-		Close   bool         `json:"close"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
+	req, err := readBody(w, r, memRecords|memClose, func() any { return new(recordsBody) })
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	codec := sess.Network().Codec()
-	recs := make([]*snet.Record, 0, len(req.Records))
-	for _, wire := range req.Records {
-		rec, err := codec.Decode(wire)
-		if err != nil {
-			releaseRecords(recs)
-			writeJSON(w, http.StatusBadRequest,
-				map[string]any{"error": err.Error(), "accepted": 0})
-			return
-		}
-		recs = append(recs, rec)
+	recs, err := req.inputs(sess.Network().Codec())
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest,
+			map[string]any{"error": err.Error(), "accepted": 0})
+		return
 	}
 	// The whole request body enters the network as transport frames — one
 	// stream synchronization per StreamBatch records.
@@ -209,7 +201,7 @@ func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 			map[string]any{"error": err.Error(), "accepted": accepted})
 		return
 	}
-	if req.Close {
+	if req.close {
 		sess.CloseInput()
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted})
@@ -269,12 +261,17 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	codec := sess.Network().Codec()
-	out := make([]RecordJSON, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, codec.Encode(rec))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"records": out, "done": done})
+	writeRecords(w, strconv.AppendBool([]byte(`{"done":`), done), sess.Network().Codec(), recs)
+}
+
+// writeRecords replies 200 with the JSON object whose members before
+// "records" head holds, then the records' wire forms: the bytes json.Encoder
+// writes for the map of the same members.
+func writeRecords(w http.ResponseWriter, head []byte, codec Codec, recs []*snet.Record) {
+	b := append(appendRecords(append(head, `,"records":`...), codec, recs), '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func (s *Service) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -300,61 +297,39 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 // records / wait elapsed), release.  It is the request shape under the
 // service's per-network latency counters.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Net     string       `json:"net"`
-		Records []RecordJSON `json:"records"`
-		Max     int          `json:"max"`
-		Wait    string       `json:"wait"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	wait, err := parseWait(req.Wait)
+	req, err := readBody(w, r, memNet|memRecords|memMax|memWait, func() any { return new(runBody) })
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	wait, err := parseWait(req.wait)
 	start := time.Now()
-	sess, err := s.Open(req.Net)
+	var sess *Session
+	if err == nil {
+		sess, err = s.Open(req.net)
+	}
 	if err != nil {
+		releaseRecords(req.records)
 		writeError(w, err)
 		return
 	}
 	defer sess.Release()
-	codec := sess.Network().Codec()
+	n := sess.Network()
+	inputs, err := req.inputs(n.codec)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
 
-	inputs := make([]*snet.Record, 0, len(req.Records))
-	for _, wire := range req.Records {
-		rec, err := codec.Decode(wire)
-		if err != nil {
-			releaseRecords(inputs)
-			writeError(w, err)
-			return
-		}
-		inputs = append(inputs, rec)
-	}
-	// Feed concurrently so a network whose output must be consumed before
-	// all input fits in the buffers cannot deadlock the request.
-	type feedResult struct {
-		accepted int
-		err      error
-	}
-	feedDone := make(chan feedResult, 1)
-	go func() {
-		accepted, err := sess.SendBatch(ctx, inputs)
-		if err == nil {
-			sess.CloseInput()
-		} else if ctx.Err() == nil {
-			cancel() // not the request's deadline: nothing is left to drain for
-		}
-		feedDone <- feedResult{accepted: accepted, err: err}
-	}()
-	recs, done, err := sess.Drain(ctx, req.Max)
+	feed, rest := startFeed(ctx, cancel, sess, inputs)
+	recs, done, err := sess.Drain(ctx, req.max)
 	cancel() // unblock the feeder if the drain stopped at max or deadline
-	feed := <-feedDone
+	if rest != nil {
+		tail := <-rest
+		feed = feedResult{accepted: feed.accepted + tail.accepted, err: tail.err}
+	}
 	releaseRecords(inputs[feed.accepted:])
 	if feed.err != nil && !errors.Is(feed.err, context.DeadlineExceeded) && !errors.Is(feed.err, context.Canceled) {
 		// A record refused, the session released: the request ends with the
@@ -368,22 +343,58 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := time.Since(start)
-	n := sess.Network()
 	n.svcStat.Add("run.count", 1)
 	n.svcStat.Add("latency.run_ns", elapsed.Nanoseconds())
 	n.svcStat.SetMax("latency.run_ns", elapsed.Nanoseconds())
 
-	out := make([]RecordJSON, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, codec.Encode(rec))
-	}
 	// accepted/inputDone let the client see a partially fed run (the wait
-	// elapsed, or the drain hit max, before all input was delivered).
-	writeJSON(w, http.StatusOK, map[string]any{
-		"records":   out,
-		"done":      done,
-		"accepted":  feed.accepted,
-		"inputDone": feed.err == nil,
-		"ms":        float64(elapsed.Microseconds()) / 1000.0,
-	})
+	// elapsed, or the drain hit max, before all input was delivered).  The
+	// elapsed time is far from where encoding/json writes a float with an
+	// exponent.
+	head := strconv.AppendInt(append(make([]byte, 0, 512), `{"accepted":`...), int64(feed.accepted), 10)
+	head = strconv.AppendBool(append(head, `,"done":`...), done)
+	head = strconv.AppendBool(append(head, `,"inputDone":`...), feed.err == nil)
+	head = strconv.AppendFloat(append(head, `,"ms":`...), float64(elapsed.Microseconds())/1000.0, 'f', -1, 64)
+	writeRecords(w, head, n.codec, recs)
+}
+
+type feedResult struct {
+	accepted int
+	err      error
+}
+
+// startFeed sends a run's records and closes the session's input.  It sends
+// inline the prefix the session's boundary takes with no reader
+// (Network.inline), and starts a feeder only for a rest, so that a network
+// whose output must be drained before all its input fits cannot deadlock
+// the request: the feeder's result arrives on rest, nil with no feeder.  A
+// batch with a reserved label in it is refused whole, before any of it is
+// sent.
+func startFeed(ctx context.Context, cancel context.CancelFunc, sess *Session, inputs []*snet.Record) (head feedResult, rest chan feedResult) {
+	head.err = sess.admit(inputs)
+	if k := min(len(inputs), sess.net.inline); head.err == nil && k > 0 {
+		head.accepted, head.err = sess.sendAdmitted(ctx, inputs[:k])
+	}
+	if tail := inputs[head.accepted:]; head.err == nil && len(tail) > 0 {
+		rest = make(chan feedResult, 1)
+		go func() {
+			accepted, err := sess.sendAdmitted(ctx, tail)
+			endFeed(ctx, cancel, sess, err)
+			rest <- feedResult{accepted: accepted, err: err}
+		}()
+		return head, rest
+	}
+	endFeed(ctx, cancel, sess, head.err)
+	return head, nil
+}
+
+// endFeed closes the input after a whole feed; after a failed one it
+// cancels the run's context unless that failed it, as nothing is left to
+// drain for.
+func endFeed(ctx context.Context, cancel context.CancelFunc, sess *Session, err error) {
+	if err == nil {
+		sess.CloseInput()
+	} else if ctx.Err() == nil {
+		cancel()
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,23 +286,7 @@ func TestHTTPRefusedRecordsReturnToArena(t *testing.T) {
 			defer ts.Close()
 			defer svc.Shutdown()
 
-			// Sample the ledger once earlier tests' runs have stopped moving it.
-			base := snet.PoolStats().Live()
-			for settled := false; !settled; {
-				time.Sleep(10 * time.Millisecond)
-				live := snet.PoolStats().Live()
-				base, settled = live, live == base
-			}
-			ledgerAtBase := func(after string) {
-				t.Helper()
-				deadline := time.Now().Add(5 * time.Second)
-				for snet.PoolStats().Live() != base && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if s := snet.PoolStats(); s.Live() != base {
-					t.Fatalf("after %s: %d arena records live, want %d (%+v)", after, s.Live(), base, s)
-				}
-			}
+			ledgerAtBase := arenaLedger(t)
 
 			if code := call(t, "POST", ts.URL+"/api/run", spoofedRun("inc"), nil); code != http.StatusBadRequest {
 				t.Fatalf("refused run: status %d", code)
@@ -334,6 +319,98 @@ func TestHTTPRefusedRecordsReturnToArena(t *testing.T) {
 			}
 			close(gate) // what the network did take moves on and out
 			ledgerAtBase("a partially accepted /api/run")
+		})
+	}
+}
+
+// arenaLedger samples the arena ledger once earlier tests' runs have stopped
+// moving it, and returns a check that it is back there.
+func arenaLedger(t *testing.T) (atBase func(after string)) {
+	base := snet.PoolStats().Live()
+	for settled := false; !settled; {
+		time.Sleep(10 * time.Millisecond)
+		live := snet.PoolStats().Live()
+		base, settled = live, live == base
+	}
+	return func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for snet.PoolStats().Live() != base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if s := snet.PoolStats(); s.Live() != base {
+			t.Fatalf("after %s: %d arena records live, want %d (%+v)", after, s.Live(), base, s)
+		}
+	}
+}
+
+// TestHTTPOversizedRequest: a body over maxBody is refused with 413 before
+// a session opens, and what the reader built of it goes back to the arena.
+func TestHTTPOversizedRequest(t *testing.T) {
+	for _, mode := range []SessionMode{Isolated, Shared} {
+		t.Run(mode.String(), func(t *testing.T) {
+			svc := New()
+			svc.Register("inc", "", Options{SessionMode: mode}, incNet, nil)
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			defer svc.Shutdown()
+			ledgerAtBase := arenaLedger(t)
+			resp, err := http.Post(ts.URL+"/api/run", "application/json", strings.NewReader(oversizedRun("inc")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized /api/run: status %d, want 413", resp.StatusCode)
+			}
+			if n := svc.SessionCount(); n != 0 {
+				t.Fatalf("oversized /api/run left %d sessions", n)
+			}
+			ledgerAtBase("an oversized /api/run")
+		})
+	}
+}
+
+// TestHTTPRunFeedsPastTheBuffer: a one-shot run of more records than its
+// network holds without a reader — the inline prefix, then a feeder, or a
+// feeder alone where there is no inline prefix — is fed whole, drained whole,
+// and leaves the arena as it found it.
+func TestHTTPRunFeedsPastTheBuffer(t *testing.T) {
+	for _, opts := range []Options{
+		{BufferSize: 2, StreamBatch: 1},
+		{BufferSize: 0},
+		{SessionMode: Shared, BufferSize: 2, StreamBatch: 1},
+	} {
+		t.Run(fmt.Sprintf("%s/buffer=%d", opts.SessionMode, opts.BufferSize), func(t *testing.T) {
+			svc := New()
+			svc.Register("inc", "", opts, incNet, nil)
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			defer svc.Shutdown()
+			ledgerAtBase := arenaLedger(t)
+			in := make([]RecordJSON, 40)
+			for i := range in {
+				in[i] = RecordJSON{Tags: map[string]int{"n": i}}
+			}
+			var res struct {
+				Records   []RecordJSON `json:"records"`
+				Done      bool         `json:"done"`
+				Accepted  int          `json:"accepted"`
+				InputDone bool         `json:"inputDone"`
+			}
+			body := map[string]any{"net": "inc", "records": in, "wait": "10s"}
+			if code := call(t, "POST", ts.URL+"/api/run", body, &res); code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			if !res.Done || !res.InputDone || res.Accepted != len(in) || len(res.Records) != len(in) {
+				t.Fatalf("run: done=%v inputDone=%v accepted=%d, %d records", res.Done, res.InputDone, res.Accepted, len(res.Records))
+			}
+			for i, r := range res.Records {
+				if r.Tags["n"] != i+1 {
+					t.Fatalf("record %d: %+v", i, r)
+				}
+			}
+			ledgerAtBase("a run past the buffer")
 		})
 	}
 }

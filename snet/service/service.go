@@ -159,9 +159,9 @@ func (o Options) runOptions() []snet.Option {
 	return opts
 }
 
-// queueCap is the per-session receive queue capacity of the shared engine,
-// matching the instance's stream buffering.
-func (o Options) queueCap() int {
+// streamBuffer is the capacity in frames of an instance's streams, and of a
+// shared-engine session's receive queue.
+func (o Options) streamBuffer() int {
 	if o.BufferSize >= 0 {
 		return o.BufferSize
 	}
@@ -194,6 +194,12 @@ type Network struct {
 	build   Builder
 	codec   Codec
 	opts    Options
+	runOpts []snet.Option // opts as run options, for every Plan.Start
+	// inline is how many of a one-shot run's records its session takes with
+	// no reader (handleRun sends those inline): an isolated instance's input
+	// stream buffer, whose frames hold a record or more each.  A shared
+	// engine's input stream is every session's, so there it is 0.
+	inline  int
 	svcStat *snet.Stats // service counters: sessions, records, latency
 	runStat *snet.Stats // aggregated core runtime counters of finished runs
 
@@ -443,8 +449,12 @@ func (s *Service) Register(name, description string, opts Options, build Builder
 		build:   build,
 		codec:   codec,
 		opts:    opts,
+		runOpts: opts.runOptions(),
 		svcStat: snet.NewStats(),
 		runStat: snet.NewStats(),
+	}
+	if opts.SessionMode == Isolated {
+		n.inline = opts.streamBuffer()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,11 +19,11 @@ import (
 // In Isolated mode the backend is a private run of the network's plan
 // (Plan.Start per session); in Shared mode it is one replica slot of the network's warm
 // engine (see engine.go) and Open never instantiates a graph.  Records enter
-// the same way in both: Handle.SendCtx/SendBatch on the run — the session's
-// own, or the engine's with the session tag set.
+// the same way in both: Handle.SendBatch on the run — the session's own, or
+// the engine's with the session tag set.
 //
-// Release is mandatory and idempotent.  Isolated: it cancels the run
-// context, which unwinds every node goroutine of the instance.  Shared: it
+// Release is mandatory and idempotent.  Isolated: it cancels the run,
+// which unwinds every node goroutine of the instance.  Shared: it
 // retires the session's replica through the split close protocol — the
 // engine keeps running.  Send and Recv additionally honour the caller's
 // context, so a slow network exerts backpressure on the client without
@@ -50,7 +51,6 @@ type Session struct {
 // backend is the mode-specific half of a session: how records enter and
 // leave the network, and how the session's compute is torn down.
 type backend interface {
-	send(ctx context.Context, r *snet.Record) error
 	sendBatch(ctx context.Context, recs []*snet.Record) (int, error)
 	closeInput()
 	// recv delivers the next output record; done reports that the
@@ -74,12 +74,7 @@ type backend interface {
 // isolatedBackend is the classic one-instance-per-session mode: the session
 // owns a full network run.
 type isolatedBackend struct {
-	h      *snet.Handle
-	cancel context.CancelFunc
-}
-
-func (b *isolatedBackend) send(ctx context.Context, r *snet.Record) error {
-	return b.h.SendCtx(ctx, r)
+	h *snet.Handle
 }
 
 func (b *isolatedBackend) sendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
@@ -101,7 +96,7 @@ func (b *isolatedBackend) recv(ctx context.Context) (*snet.Record, bool, error) 
 }
 
 func (b *isolatedBackend) release() {
-	b.cancel()
+	b.h.Cancel()
 	b.h.Wait()
 }
 
@@ -145,7 +140,7 @@ func (s *Service) Open(netName string) (*Session, error) {
 	s.opening.Add(1) // under the lock, after the down check
 	defer s.opening.Done()
 	s.seq++
-	id := fmt.Sprintf("s%d", s.seq)
+	id := "s" + strconv.FormatUint(s.seq, 10)
 	s.mu.Unlock()
 
 	if err := n.acquire(); err != nil {
@@ -175,8 +170,7 @@ func (s *Service) Open(netName string) (*Session, error) {
 			n.svcStat.Add("sessions.build_errors", 1)
 			return nil, fmt.Errorf("%w: network %q: %v", ErrBuild, netName, err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		back = &isolatedBackend{h: plan.Start(ctx, n.opts.runOptions()...), cancel: cancel}
+		back = &isolatedBackend{h: plan.Start(context.Background(), n.runOpts...)}
 	}
 	sess := &Session{
 		id:     id,
@@ -217,45 +211,46 @@ func (s *Session) Counts() (sent, received int64) {
 	return s.sent, s.received
 }
 
-// Send streams one record into the session's network.  It blocks on
-// backpressure — stream buffers are bounded in both modes — until the
-// record is accepted, the caller's ctx is cancelled, or the session is
-// released.  Records carrying labels in the runtime's reserved namespace
-// are rejected (clients must not spoof session or replica control records).
+// Send streams one record into the session's network: SendBatch of one.
 func (s *Session) Send(ctx context.Context, r *snet.Record) error {
-	s.enter()
-	defer s.exit()
-	if r.HasReservedLabel() {
-		s.net.svcStat.Add("records.reserved_rejected", 1)
-		return fmt.Errorf("%w: record carries a reserved %q label",
-			ErrReservedLabel, snet.ReservedTagPrefix)
-	}
-	if err := s.back.send(ctx, r); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.sent++
-	s.mu.Unlock()
-	s.net.svcStat.Add("records.in", 1)
-	return nil
+	_, err := s.SendBatch(ctx, []*snet.Record{r})
+	return err
 }
 
 // SendBatch streams a burst of records into the session's network as
 // transport frames (one stream synchronization per StreamBatch records).  It
-// returns how many records were accepted; on ctx expiry or release that can
-// be a frame-aligned prefix, and a batch with a reserved label in it is
-// refused whole.  Of n, err: recs[:n] belong to the network, recs[n:] stay
-// the caller's (to retry, or to hand back with snet.ReleaseRecord).
+// blocks on backpressure — stream buffers are bounded in both modes — until
+// the records are accepted, the caller's ctx is cancelled, or the session is
+// released.  It returns how many records were accepted; on ctx expiry or
+// release that can be a frame-aligned prefix.  A batch with a label of the
+// runtime's reserved namespace in it is refused whole (clients must not
+// spoof session or replica control records).  Of n, err: recs[:n] belong to
+// the network, recs[n:] stay the caller's (to retry, or to hand back with
+// snet.ReleaseRecord).
 func (s *Session) SendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	s.enter()
-	defer s.exit()
+	if err := s.admit(recs); err != nil {
+		return 0, err
+	}
+	return s.sendAdmitted(ctx, recs)
+}
+
+// admit refuses a batch with a reserved label in it.
+func (s *Session) admit(recs []*snet.Record) error {
 	for _, r := range recs {
 		if r.HasReservedLabel() {
 			s.net.svcStat.Add("records.reserved_rejected", 1)
-			return 0, fmt.Errorf("%w: record carries a reserved %q label",
+			return fmt.Errorf("%w: record carries a reserved %q label",
 				ErrReservedLabel, snet.ReservedTagPrefix)
 		}
 	}
+	return nil
+}
+
+// sendAdmitted streams admitted records and counts those the network
+// accepted.
+func (s *Session) sendAdmitted(ctx context.Context, recs []*snet.Record) (int, error) {
+	s.enter()
+	defer s.exit()
 	accepted, err := s.back.sendBatch(ctx, recs)
 	if accepted > 0 {
 		s.mu.Lock()

@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +133,9 @@ func TestWireGolden(t *testing.T) {
 			h.ServeHTTP(rec, req)
 			reply := msField.ReplaceAllString(rec.Body.String(), `"ms":*`)
 			target = sessionID.ReplaceAllString(target, "/{id}/")
+			if len(body) > maxBody {
+				body = fmt.Sprintf("<%d bytes>", len(body))
+			}
 			fmt.Fprintf(&out, "%s %s %q\n  %d %q\n", method, target, body, rec.Code, reply)
 		}
 		fmt.Fprintf(&out, "== %s\n", mode)
@@ -163,6 +170,14 @@ func TestWireGolden(t *testing.T) {
 			}
 			sess.Release()
 		}
+		oversized := oversizedRun("echo")
+		do("POST", "/api/run", oversized)
+		sess, err := svc.Open("echo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		do("POST", "/api/sessions/"+sess.ID()+"/records", oversized)
+		sess.Release()
 		svc.Shutdown()
 	}
 
@@ -187,9 +202,134 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
+// oversizedRun is a well-formed /api/run body one byte longer than maxBody.
+func oversizedRun(net string) string {
+	head := `{"net":"` + net + `","records":[{"fields":{"pad":"`
+	tail := `"}}]}`
+	return head + strings.Repeat("x", maxBody+1-len(head)-len(tail)) + tail
+}
+
 func lineAt(lines [][]byte, i int) []byte {
 	if i < len(lines) {
 		return lines[i]
 	}
 	return nil
 }
+
+// FuzzWireDecode: on any body, the wire reader and encoding/json's Decoder
+// into the endpoint's body struct agree on accept or reject, and on every
+// member and record label they read.
+func FuzzWireDecode(f *testing.F) {
+	for _, body := range wireBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var run runBody
+		var recs recordsBody
+		var open openBody
+		for _, c := range []struct {
+			mask int
+			v    any
+		}{{memNet | memRecords | memMax | memWait, &run}, {memRecords | memClose, &recs}, {memNet, &open}} {
+			oerr := json.NewDecoder(bytes.NewReader(body)).Decode(c.v)
+			req, err := readBody(httptest.NewRecorder(), httptest.NewRequest("POST", "/", bytes.NewReader(body)), c.mask, func() any { return c.v })
+			if (err == nil) != (oerr == nil) {
+				t.Fatalf("mask %b: reader %v, encoding/json %v", c.mask, err, oerr)
+			}
+			if err != nil {
+				continue
+			}
+			var net, wait string
+			var max int
+			var close bool
+			var wire []RecordJSON
+			switch v := c.v.(type) {
+			case *runBody:
+				net, max, wait, wire = v.Net, v.Max, v.Wait, v.Records
+			case *recordsBody:
+				close, wire = v.Close, v.Records
+			case *openBody:
+				net = v.Net
+			}
+			if req.net != net || req.max != max || req.wait != wait || req.close != close || len(req.records) != len(wire) {
+				t.Fatalf("mask %b: reader read net=%q max=%d wait=%q close=%v and %d records, encoding/json %+v",
+					c.mask, req.net, req.max, req.wait, req.close, len(req.records), c.v)
+			}
+			for i, r := range req.records {
+				if got, want := labelsOf(GenericCodec{}.Encode(r)), labelsOf(wire[i]); got != want {
+					t.Fatalf("mask %b: record %d: reader %s, encoding/json %s", c.mask, i, got, want)
+				}
+			}
+			releaseRecords(req.records)
+		}
+	})
+}
+
+// labelsOf renders a wire record with nil and empty maps alike.
+func labelsOf(w RecordJSON) string {
+	if len(w.Tags) == 0 {
+		w.Tags = nil
+	}
+	if len(w.Fields) == 0 {
+		w.Fields = nil
+	}
+	b, _ := json.Marshal(w)
+	return string(b)
+}
+
+// TestWireWriterMatchesEncoder: over random records — HTML and control
+// characters, U+2028/2029, invalid UTF-8, field values that are not strings
+// — the /results reply the writer renders is the bytes json.Encoder writes
+// for the map it replaces, through GenericCodec and through a registered
+// codec.
+func TestWireWriterMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pieces := []string{"a", "Z", "0", " ", "<", ">", "&", `"`, `\`, "/", "\x00", "\x1f", "\n", "\t", "\x7f",
+		"\u2028", "\u2029", "\ufffd", "é", "😀", "\xff", "\xc3", "\xed\xa0\x80"}
+	str := func() string {
+		var b strings.Builder
+		for n := rng.IntN(6); n > 0; n-- {
+			b.WriteString(pieces[rng.IntN(len(pieces))])
+		}
+		return b.String()
+	}
+	values := []func() any{
+		func() any { return str() },
+		func() any { return rng.IntN(2000) - 1000 },
+		func() any { return rng.Float64() * 1e6 },
+		func() any { return nil },
+		func() any { return []int{1, 2} },
+		func() any { return struct{ A string }{str()} },
+	}
+	for i := 0; i < 2000; i++ {
+		recs := make([]*snet.Record, rng.IntN(4))
+		for j := range recs {
+			recs[j] = snet.NewRecord()
+			for n := rng.IntN(4); n > 0; n-- {
+				recs[j].SetTag(str(), rng.IntN(1<<40)-1<<39)
+			}
+			for n := rng.IntN(4); n > 0; n-- {
+				recs[j].SetField(str(), values[rng.IntN(len(values))]())
+			}
+		}
+		for _, codec := range []Codec{GenericCodec{}, reencoded{}} {
+			rec := httptest.NewRecorder()
+			done := i%2 == 0
+			writeRecords(rec, strconv.AppendBool([]byte(`{"done":`), done), codec, recs)
+			out := make([]RecordJSON, 0, len(recs))
+			for _, r := range recs {
+				out = append(out, codec.Encode(r))
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(map[string]any{"records": out, "done": done}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("%T:\n writer  %q\n encoder %q", codec, rec.Body.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+// reencoded is a registered codec: GenericCodec's, seen as any other.
+type reencoded struct{ GenericCodec }
