@@ -40,14 +40,7 @@ func TestFixedPuzzlesAreUnique(t *testing.T) {
 }
 
 func TestSolveUnsolvable(t *testing.T) {
-	// A board with an empty cell that admits no number: row 0 holds
-	// 1..8 in its other cells and the 9 sits lower in column 0, so cell
-	// (0,0) is empty with zero options — no rule is directly violated.
-	b := NewBoard(3)
-	for j := 1; j <= 8; j++ {
-		b = b.With(0, j, j)
-	}
-	b = b.With(5, 0, 9)
+	b := unsolvableBoard()
 	opts, ok := ComputeOpts(sp, b)
 	if !ok {
 		t.Fatal("board should be consistent (no direct violation)")
