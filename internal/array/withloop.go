@@ -70,20 +70,20 @@ func (g *Gen[T]) checkGrid(rank int) {
 // Body is reused between calls and between generators and must be neither
 // retained nor modified (see Gen.Body).
 func Genarray[T any](p *sched.Pool, shape []int, def T, gens ...Gen[T]) *Array[T] {
-	return applyGens(p, New(shape, def), gens)
+	return ModarrayOwned(p, New(shape, def), gens...)
 }
 
 // Modarray evaluates a modarray-with-loop: a copy of src with the
 // generator-covered elements replaced (§2 of the paper).
 func Modarray[T any](p *sched.Pool, src *Array[T], gens ...Gen[T]) *Array[T] {
-	return applyGens(p, src.Clone(), gens)
+	return ModarrayOwned(p, src.Clone(), gens...)
 }
 
-// applyGens writes the generators into res, which nobody else holds yet, in
-// order.  Indices outside res's shape are skipped (a generator is intersected
-// with the result's index space).  The generators that run inline share one
-// index vector, made by the first of them.
-func applyGens[T any](p *sched.Pool, res *Array[T], gens []Gen[T]) *Array[T] {
+// ModarrayOwned is Modarray writing the generators, in order, into res itself
+// — an array nobody but its caller holds, which SaC's reference counting lets
+// a modarray reuse — and returning it.  Indices outside res's shape are
+// skipped; the generators that run inline share one index vector.
+func ModarrayOwned[T any](p *sched.Pool, res *Array[T], gens ...Gen[T]) *Array[T] {
 	rank := res.Dim()
 	var iv []int
 	for i := range gens {
@@ -120,7 +120,7 @@ func applyGens[T any](p *sched.Pool, res *Array[T], gens []Gen[T]) *Array[T] {
 // operators still match the sequential fold.
 func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T {
 	acc := neutral
-	var iv []int // shared as in applyGens, but a fold's generators may differ in rank
+	var iv []int // shared as in ModarrayOwned, but a fold's generators may differ in rank
 	for i := range gens {
 		g := &gens[i]
 		s := makeSpan(g, nil)

@@ -24,8 +24,8 @@ import (
 
 // Pool bounds the parallel width of loop execution.  The zero value is not
 // usable; use New.  A Pool carries no goroutines of its own: each parallel
-// loop spawns at most Width short-lived workers, which keeps nested
-// parallelism deadlock-free (nested loops simply multiply width, and the Go
+// loop runs its caller as one worker and spawns at most Width-1 short-lived
+// others, which keeps nested parallelism deadlock-free (nested loops simply multiply width, and the Go
 // scheduler multiplexes them onto GOMAXPROCS threads).
 type Pool struct {
 	width int
@@ -83,13 +83,10 @@ func (p *Pool) chunking(n int) (chunk, nchunks int) {
 }
 
 // forChunks runs body(c) for every chunk index c in [0, nchunks) on up to
-// p.width workers pulling indices from a shared counter.  It is the common
-// engine under For and Reduce.
+// p.width workers pulling indices from a shared counter: the caller, and
+// goroutines for the others.  It is the common engine under For and Reduce.
 func (p *Pool) forChunks(ctx context.Context, nchunks int, body func(c int)) error {
-	workers := p.width
-	if workers > nchunks {
-		workers = nchunks
-	}
+	workers := min(p.width, nchunks)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -123,9 +120,10 @@ func (p *Pool) forChunks(ctx context.Context, nchunks int, body func(c int)) err
 		}
 	}
 	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	for i := 1; i < workers; i++ {
 		go runWorker()
 	}
+	runWorker()
 	wg.Wait()
 	if pe := panicked.Load(); pe != nil {
 		return pe

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -188,5 +190,39 @@ func TestQuickForSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForRunsCallerAsWorker: a width-2 For over its eight chunks starts at
+// most one goroutine, the caller being the other worker, and still propagates
+// a body panic and cancellation wherever the chunk ran.
+func TestForRunsCallerAsWorker(t *testing.T) {
+	p := NewWithGrain(2, 1)
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	most := 0
+	if err := p.For(context.Background(), 1000, func(lo, hi int) {
+		mu.Lock()
+		most = max(most, runtime.NumGoroutine())
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := most - base; got > 1 {
+		t.Fatalf("a width-2 For ran beside %d goroutines of its own, want at most 1", got)
+	}
+	var pe *PanicError
+	if err := p.For(context.Background(), 1000, func(lo, hi int) { panic("boom") }); !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("want the body's panic, got %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var calls atomic.Int64
+	err := p.For(ctx, 1000, func(lo, hi int) {
+		if calls.Add(1) == 3 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) || calls.Load() == 8 {
+		t.Fatalf("cancelled in the third chunk: err %v, %d of 8 chunks ran", err, calls.Load())
 	}
 }

@@ -11,21 +11,13 @@ import (
 // and option cube as opaque fields "board" and "opts"; the control tags are
 // <done> (Fig. 1/2), <k> (Fig. 2/3) and <level> (Fig. 3).
 
-// asBoard extracts a *Board box argument.
-func asBoard(v any) (*Board, error) {
-	b, ok := v.(*Board)
+// arg extracts a box argument, the record's field name, as a T.
+func arg[T any](v any, name string) (T, error) {
+	x, ok := v.(T)
 	if !ok {
-		return nil, fmt.Errorf("sudoku: field board holds %T, want *Board", v)
+		return x, fmt.Errorf("sudoku: field %s holds %T, want %T", name, v, x)
 	}
-	return b, nil
-}
-
-func asOptions(v any) (*Options, error) {
-	o, ok := v.(*Options)
-	if !ok {
-		return nil, fmt.Errorf("sudoku: field opts holds %T, want *Options", v)
-	}
-	return o, nil
+	return x, nil
 }
 
 // ComputeOptsBox is Fig. 1's initialisation box:
@@ -40,7 +32,7 @@ func ComputeOptsBox(p *sched.Pool) core.Node {
 	return core.NewBox("computeOpts",
 		core.MustParseSignature("(board) -> (board, opts)"),
 		func(args []any, out *core.Emitter) error {
-			b, err := asBoard(args[0])
+			b, err := arg[*Board](args[0], "board")
 			if err != nil {
 				return err
 			}
@@ -103,11 +95,11 @@ func SolveOneLevelBoxFig3(p *sched.Pool) core.Node {
 }
 
 func solveOneLevelBody(p *sched.Pool, args []any, emit func(SolveOneLevelOutput) error) error {
-	b, err := asBoard(args[0])
+	b, err := arg[*Board](args[0], "board")
 	if err != nil {
 		return err
 	}
-	o, err := asOptions(args[1])
+	o, err := arg[*Options](args[1], "opts")
 	if err != nil {
 		return err
 	}
@@ -125,11 +117,11 @@ func SolveBox(p *sched.Pool) core.Node {
 	return core.NewBox("solve",
 		core.MustParseSignature("(board, opts) -> (board, opts)"),
 		func(args []any, out *core.Emitter) error {
-			b, err := asBoard(args[0])
+			b, err := arg[*Board](args[0], "board")
 			if err != nil {
 				return err
 			}
-			o, err := asOptions(args[1])
+			o, err := arg[*Options](args[1], "opts")
 			if err != nil {
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 )
 
 func solveWith(t *testing.T, net core.Node, puzzle *Board, opts ...core.Option) (*Board, *core.Stats) {
@@ -250,4 +251,24 @@ func BenchmarkBigBoards(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestFig3WideMatchesSequentialSolver: with four box workers and every
+// with-loop on four pool workers, the search's in-place writes meet
+// concurrent boxes and pool goroutines, and Fig. 3 still finds what the
+// sequential solver finds.
+func TestFig3WideMatchesSequentialSolver(t *testing.T) {
+	p := sched.NewWithGrain(4, 1)
+	puzzles := []*Board{Easy(), Medium(), Hard()}
+	for seed := int64(1); seed <= 4; seed++ {
+		b, _ := Generate(sp, 3, seed, 50, true)
+		puzzles = append(puzzles, b)
+	}
+	for i, puzzle := range puzzles {
+		want, _ := SolveBoard(sp, puzzle)
+		got, _ := solveWith(t, Fig3Net(NetConfig{Pool: p}), puzzle, core.WithBoxWorkers(4))
+		if !got.Equal(want) {
+			t.Fatalf("puzzle %d: Fig. 3 at W=4 on a four-wide pool disagrees with the sequential solver", i)
+		}
+	}
 }

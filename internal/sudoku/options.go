@@ -59,9 +59,18 @@ func (o *Options) Equal(p *Options) bool { return o.n == p.n && array.Equal(o.cu
 //
 // The with-loop runs data-parallel on pool p.
 func AddNumber(p *sched.Pool, b *Board, o *Options, i, j, k int) (*Board, *Options) {
-	N := b.N()
-	n := b.n
-	board := b.With(i, j, k)
+	return addNumber(p, b, o, i, j, k, false)
+}
+
+// addNumber is AddNumber, and with owned set it is what SaC makes of it when
+// nobody but the caller holds b and o: board[i,j] = k and the with-loop write
+// into b and o themselves, which it returns.
+func addNumber(p *sched.Pool, b *Board, o *Options, i, j, k int, owned bool) (*Board, *Options) {
+	if !owned {
+		b, o = b.Clone(), o.Clone()
+	}
+	b.cells.Set(k, i, j)
+	N, n := b.N(), b.n
 	k0 := k - 1
 	is, js := (i/n)*n, (j/n)*n
 	falseBody := func([]int) bool { return false }
@@ -74,13 +83,13 @@ func AddNumber(p *sched.Pool, b *Board, o *Options, i, j, k int) (*Board, *Optio
 		{0, j, k0}, {N - 1, j, k0},
 		{is, js, k0}, {is + n - 1, js + n - 1, k0},
 	}
-	cube := array.Modarray(p, o.cube,
+	array.ModarrayOwned(p, o.cube,
 		array.GenClosed(bd[0][:], bd[1][:], falseBody),
 		array.GenClosed(bd[2][:], bd[3][:], falseBody),
 		array.GenClosed(bd[4][:], bd[5][:], falseBody),
 		array.GenClosed(bd[6][:], bd[7][:], falseBody),
 	)
-	return board, &Options{n: o.n, cube: cube}
+	return b, o
 }
 
 // ComputeOpts derives the option cube for a board by adding every given
@@ -118,8 +127,9 @@ func ComputeOpts(p *sched.Pool, b *Board) (*Options, bool) {
 			gens = append(gens, array.GenClosed(c[0:3], c[3:6], falseBody))
 		}
 	}
-	cube := array.Modarray(p, NewOptions(n).cube, gens...)
-	return &Options{n: n, cube: cube}, b.Valid()
+	opts := NewOptions(n) // nobody else holds it: written in place, not copied
+	array.ModarrayOwned(p, opts.cube, gens...)
+	return opts, b.Valid()
 }
 
 // IsStuck reports whether some empty cell has no options left (§3's

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/array"
 	"repro/internal/core"
 	"repro/internal/sacvm"
 	"repro/internal/sched"
@@ -49,21 +48,12 @@ func ValueToBoard(v sacvm.Value) (*Board, error) {
 	return &Board{n: n, cells: v.I.Clone()}, nil
 }
 
-// asValue extracts a sacvm.Value box argument.
-func asValue(v any, what string) (sacvm.Value, error) {
-	sv, ok := v.(sacvm.Value)
-	if !ok {
-		return sacvm.Value{}, fmt.Errorf("sudoku: field %s holds %T, want sacvm.Value", what, v)
-	}
-	return sv, nil
-}
-
 // ComputeOptsBox is the computeOpts box backed by interpreted SaC.
 func (s *SacBoxes) ComputeOptsBox() core.Node {
 	return core.NewBox("computeOpts",
 		core.MustParseSignature("(board) -> (board, opts)"),
 		func(args []any, out *core.Emitter) error {
-			bv, err := asValue(args[0], "board")
+			bv, err := arg[sacvm.Value](args[0], "board")
 			if err != nil {
 				return err
 			}
@@ -81,11 +71,11 @@ func (s *SacBoxes) SolveOneLevelBox() core.Node {
 	return core.NewBox("solveOneLevel",
 		core.MustParseSignature("(board, opts) -> (board, opts) | (board, <done>)"),
 		func(args []any, out *core.Emitter) error {
-			bv, err := asValue(args[0], "board")
+			bv, err := arg[sacvm.Value](args[0], "board")
 			if err != nil {
 				return err
 			}
-			ov, err := asValue(args[1], "opts")
+			ov, err := arg[sacvm.Value](args[1], "opts")
 			if err != nil {
 				return err
 			}
@@ -112,11 +102,11 @@ func (s *SacBoxes) SolveBox() core.Node {
 	return core.NewBox("solve",
 		core.MustParseSignature("(board, opts) -> (board, opts)"),
 		func(args []any, out *core.Emitter) error {
-			bv, err := asValue(args[0], "board")
+			bv, err := arg[sacvm.Value](args[0], "board")
 			if err != nil {
 				return err
 			}
-			ov, err := asValue(args[1], "opts")
+			ov, err := arg[sacvm.Value](args[1], "opts")
 			if err != nil {
 				return err
 			}
@@ -160,7 +150,7 @@ func (s *SacBoxes) SolveHybrid(ctx context.Context, puzzle *Board, opts ...core.
 	if !ok {
 		return nil, stats, fmt.Errorf("sudoku: result record lacks board")
 	}
-	sv, err := asValue(v, "board")
+	sv, err := arg[sacvm.Value](v, "board")
 	if err != nil {
 		return nil, stats, err
 	}
@@ -181,6 +171,3 @@ func ValueToOptions(v sacvm.Value) (*Options, error) {
 	n := intSqrt(v.Shape()[0])
 	return &Options{n: n, cube: v.B.Clone()}, nil
 }
-
-// Compile-time guard: sacvm values are built on the same array substrate.
-var _ = array.Equal[int]

@@ -5,8 +5,19 @@ import "repro/internal/sched"
 // Solve is the paper's §3 sequential solver with the findMinTrues heuristic:
 // depth-first search that places one number per level, backtracking through
 // the option cube.  It returns the first solution found (solved == true) or
-// the board where the search got stuck.
+// the board where the search got stuck, and writes neither argument.
 func Solve(p *sched.Pool, board *Board, opts *Options) (*Board, *Options, bool) {
+	return solve(p, board, opts, false)
+}
+
+// solve is Solve's recursion.  owned reports that the frame alone holds
+// (board, opts): never at the top, where the pair is the caller's or a
+// record's, always below, where the parent built the pair for this frame.
+// An owned frame places the last number open at (i, j) into the pair itself
+// (DESIGN §14): the loop then reads only memOpts.Get(i, j, k') past it, false
+// already and kept false by the "this cell" generator.  Every other
+// placement copies, so a branch point keeps the state it returns to.
+func solve(p *sched.Pool, board *Board, opts *Options, owned bool) (*Board, *Options, bool) {
 	if IsStuck(board, opts) || board.IsCompleted() {
 		return board, opts, board.IsCompleted()
 	}
@@ -14,12 +25,13 @@ func Solve(p *sched.Pool, board *Board, opts *Options) (*Board, *Options, bool) 
 	if !ok {
 		return board, opts, board.IsCompleted()
 	}
-	N := board.N()
+	N, open := board.N(), opts.Count(i, j)
 	memBoard, memOpts := board, opts
 	for k := 1; k <= N && !board.IsCompleted(); k++ {
 		if memOpts.Get(i, j, k) {
-			b2, o2 := AddNumber(p, memBoard, memOpts, i, j, k)
-			b3, o3, solved := Solve(p, b2, o2)
+			open--
+			b2, o2 := addNumber(p, memBoard, memOpts, i, j, k, owned && open == 0)
+			b3, o3, solved := solve(p, b2, o2, true)
 			if solved {
 				return b3, o3, true
 			}
@@ -42,7 +54,10 @@ func SolveBoard(p *sched.Pool, b *Board) (*Board, bool) {
 }
 
 // CountSolutions counts the puzzle's solutions, stopping once limit is
-// reached (limit 2 suffices for uniqueness checks).
+// reached (limit 2 suffices for uniqueness checks).  It writes no argument:
+// the search starts from a copy of b and ComputeOpts' fresh cube, so every
+// frame holds its pair alone and places its last open number in place, as
+// solve's owned frames do.
 func CountSolutions(p *sched.Pool, b *Board, limit int) int {
 	opts, consistent := ComputeOpts(p, b)
 	if !consistent {
@@ -51,10 +66,7 @@ func CountSolutions(p *sched.Pool, b *Board, limit int) int {
 	count := 0
 	var rec func(board *Board, opts *Options)
 	rec = func(board *Board, opts *Options) {
-		if count >= limit {
-			return
-		}
-		if IsStuck(board, opts) {
+		if count >= limit || IsStuck(board, opts) {
 			return
 		}
 		if board.IsCompleted() {
@@ -65,15 +77,15 @@ func CountSolutions(p *sched.Pool, b *Board, limit int) int {
 		if !ok {
 			return
 		}
-		N := board.N()
+		N, open := board.N(), opts.Count(i, j)
 		for k := 1; k <= N && count < limit; k++ {
 			if opts.Get(i, j, k) {
-				b2, o2 := AddNumber(p, board, opts, i, j, k)
-				rec(b2, o2)
+				open--
+				rec(addNumber(p, board, opts, i, j, k, open == 0))
 			}
 		}
 	}
-	rec(b, opts)
+	rec(b.Clone(), opts)
 	return count
 }
 
@@ -101,13 +113,12 @@ func SolveOneLevel(p *sched.Pool, board *Board, opts *Options, emit func(SolveOn
 		return nil
 	}
 	N := board.N()
-	memBoard, memOpts := board, opts
 	completed := false
 	for k := 1; k <= N && !completed; k++ {
-		if !memOpts.Get(i, j, k) {
+		if !opts.Get(i, j, k) {
 			continue
 		}
-		b2, o2 := AddNumber(p, memBoard, memOpts, i, j, k)
+		b2, o2 := AddNumber(p, board, opts, i, j, k)
 		outRec := SolveOneLevelOutput{
 			Board: b2, Opts: o2, K: k, Level: b2.CountFilled(),
 		}
