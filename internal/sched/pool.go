@@ -23,10 +23,10 @@ import (
 )
 
 // Pool bounds the parallel width of loop execution.  The zero value is not
-// usable; use New.  A Pool carries no goroutines of its own: each parallel
-// loop runs its caller as one worker and spawns at most Width-1 short-lived
-// others, which keeps nested parallelism deadlock-free (nested loops simply multiply width, and the Go
-// scheduler multiplexes them onto GOMAXPROCS threads).
+// usable; use New.  A Pool carries no goroutines of its own: a parallel loop
+// runs on its caller and at most Width-1 short-lived others, which keeps
+// nested parallelism deadlock-free (nested loops simply multiply width, and
+// the Go scheduler multiplexes them onto GOMAXPROCS threads).
 type Pool struct {
 	width int
 	// grain is the minimum chunk size handed to a worker.  Smaller ranges

@@ -62,9 +62,8 @@ func AddNumber(p *sched.Pool, b *Board, o *Options, i, j, k int) (*Board, *Optio
 	return addNumber(p, b, o, i, j, k, false)
 }
 
-// addNumber is AddNumber, and with owned set it is what SaC makes of it when
-// nobody but the caller holds b and o: board[i,j] = k and the with-loop write
-// into b and o themselves, which it returns.
+// addNumber is AddNumber; with owned, b and o are the caller's alone and are
+// written in place and returned, as SaC updates a modarray nobody else holds.
 func addNumber(p *sched.Pool, b *Board, o *Options, i, j, k int, owned bool) (*Board, *Options) {
 	if !owned {
 		b, o = b.Clone(), o.Clone()
