@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
@@ -105,12 +107,32 @@ var (
 	volatileStat = regexp.MustCompile(`\.stream\.(frames|records)$|\.hwm\.max$|\.inflight\.max$|\.concurrency\.max$|_ns(\.max)?$`)
 )
 
+// statLines renders a Stats() snapshot as "<section> <key> <value>" lines,
+// auto-numbered names normalised and scheduling-dependent values starred.
+func statLines(section string, stats map[string]int64) []string {
+	var lines []string
+	for k, v := range stats {
+		// box.<name>.escalated is present only when the engine judged the
+		// box slow: a measurement, not a property of the input.
+		if strings.HasSuffix(k, ".escalated") {
+			continue
+		}
+		val := strconv.FormatInt(v, 10)
+		if volatileStat.MatchString(k) {
+			val = "*"
+		}
+		lines = append(lines, fmt.Sprintf("%s %s %s", section, autoNumbered.ReplaceAllString(k, "#N"), val))
+	}
+	return lines
+}
+
 // TestStatsKeySetStable is the service half of internal/workloads' test of
 // the same name: what Service.Stats() — the body of /api/stats — reports
 // after one webpipe session of 100 records, in both session modes.  Every key
 // name and the value of every counter the input determines must match the
 // golden, which was taken before the collector's storage became one map of
-// atomic cells.
+// atomic cells.  So must what it reports after 100 one-record /api/run
+// requests to an Isolated network.
 func TestStatsKeySetStable(t *testing.T) {
 	var got []string
 	for _, mode := range []SessionMode{Isolated, Shared} {
@@ -139,20 +161,24 @@ func TestStatsKeySetStable(t *testing.T) {
 			t.Fatalf("%s: drained %d records, done=%v err=%v", mode, len(recs), done, err)
 		}
 		sess.Release()
-		for k, v := range svc.Stats() {
-			// box.<name>.escalated is present only when the engine judged the
-			// box slow: a measurement, not a property of the input.
-			if strings.HasSuffix(k, ".escalated") {
-				continue
-			}
-			val := strconv.FormatInt(v, 10)
-			if volatileStat.MatchString(k) {
-				val = "*"
-			}
-			got = append(got, fmt.Sprintf("%s %s %s", mode, autoNumbered.ReplaceAllString(k, "#N"), val))
-		}
+		got = append(got, statLines(mode.String(), svc.Stats())...)
 		svc.Shutdown()
 	}
+	// An isolated /api/run reports as one session of one record did.
+	svc := New()
+	svc.Register("webpipe", "", Options{}, func(Options) (snet.Node, error) {
+		return workloads.WebPipeNet(), nil
+	}, nil)
+	for i := 0; i < 100; i++ {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"net":"webpipe","records":[{"fields":{"url":%q},"tags":{"id":%d}}]}`, workloads.WebPipeURL(i), i)
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/run", strings.NewReader(body)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"resp":`) {
+			t.Fatalf("/api/run %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	got = append(got, statLines("isolated /api/run", svc.Stats())...)
+	svc.Shutdown()
 	sort.Strings(got)
 
 	const golden = "testdata/stats_keys.golden"
