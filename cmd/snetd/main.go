@@ -28,7 +28,7 @@
 //	POST /api/sessions/{id}/records     {"records":[{"fields":{"board":"..81 chars.."}}],"close":true}
 //	GET  /api/sessions/{id}/results     ?wait=10s
 //	DELETE /api/sessions/{id}
-//	POST /api/run                       one-shot open/feed/drain/release
+//	POST /api/run                       one-shot feed/drain: a run of the plan (Isolated), a session (Shared)
 //	GET  /api/networks | /api/stats | /api/healthz
 //
 // Example:

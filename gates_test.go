@@ -228,7 +228,11 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 		{`fmt\.Sprintf\("s%d"`, "snet/service/", true, "",
 			"a session id is built without fmt"},
 		{`^\s+send\(ctx context\.Context|\) send\(ctx`, "snet/service/", true, "",
-			"a session sends through SendBatch (admit, then sendAdmitted); a backend has one send method, sendBatch"},
+			"a session sends through SendBatch; a backend has one send method, sendBatch"},
+		{`\.inline\b|^\s+inline\s+int|startFeed|endFeed|feedResult`, "snet/service/", true, "",
+			"an Isolated /api/run is a run of the plan (Plan.RunUntil) and takes its inputs itself; a Shared one is fed by one goroutine"},
+		{`func \(h \*Handle\) feed\(`, "internal/core/", true, "",
+			"RunAll and RunUntil hand their run its inputs as a stream filled before it starts (Plan.RunUntil); a Handle is fed by its caller's Send, SendBatch and Close"},
 	}
 	res := make([]*regexp.Regexp, len(rows))
 	for i, r := range rows {

@@ -131,8 +131,7 @@ func (f *arenaFront) fold() {
 	}
 }
 
-// drain is fold where the goroutine is done with the front: the free slot goes
-// back to the pool.
+// drain is fold when the goroutine is done with the front: spare to the pool.
 func (f *arenaFront) drain() {
 	f.fold()
 	if f.spare != nil {

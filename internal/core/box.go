@@ -106,9 +106,8 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 		e.front.releaseRecord(rec)
 	default:
 		e.env.trace(e.box.label, "out", rec)
-		// The emission before this one moves on now, from inside the call;
-		// this one waits for the next, or for the end of the call
-		// (boxNode.step).
+		// The emission before this one moves on now, from inside the call; this
+		// one waits for the next, or for the end of the call (boxNode.step).
 		prev := e.held
 		e.held = rec
 		delivered = prev == nil || e.x.push(e.next, prev)
@@ -210,10 +209,7 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 	if fn == nil {
 		panic("core: NewBox: nil box function")
 	}
-	if workers < 0 {
-		workers = 0
-	}
-	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: workers,
+	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: max(workers, 0),
 		keys: makeBoxStatKeys(name), consumed: NewVariant(sig.In...)}
 	b.alone(b)
 	return b

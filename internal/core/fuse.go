@@ -13,11 +13,11 @@ import "fmt"
 // non-deterministic star's), a non-deterministic parallel or capped split
 // whose every branch is one segment (fanStage): one goroutine per fan-out
 // tree.  The root spine keeps its dispatchers, whose merge queues buffer a
-// burst.  Grouping is decided at Compile (spineCutter; WithFusion(false):
-// none).  Once a box of a segment must run concurrently (boxengine.go), the
-// segment runs as its cut — that box and each stage dispatcher above it parts
-// of their own (segment.cut) — from the start or from the next record on,
-// state and all (resume).
+// burst, but in a one-shot run (oneShot).  Grouping is decided at Compile
+// (spineCutter; WithFusion(false): none).  Once a box of a segment must run
+// concurrently (boxengine.go), the segment runs as its cut — that box and
+// each stage dispatcher above it parts of their own (segment.cut) — from the
+// start or from the next record on, state and all (resume).
 
 // FusionGroup describes one fused segment of a compiled plan: the segment's
 // runtime name (its stats identity, "fused.<name>.*") and the names of the
@@ -70,6 +70,32 @@ func cutSpines(root Node, fuse bool) (cuts, []FusionGroup) {
 	c := &spineCutter{fuse: fuse, seen: map[Node]bool{}, spines: cuts{}}
 	c.place(root, false)
 	return c.spines, c.groups
+}
+
+// oneShot is what a caller holding all its input and reading all its output
+// runs (RunUntil): the root cut with its spine sites as stages, as if a
+// dispatcher stepped it, when that is one segment — no merge queue buffers a
+// burst for a concurrent reader — else the root.  It adds no fusion group: a
+// root whose plain cut fuses a run of stages beside a site keeps its parts.
+func (c *spineCutter) oneShot(root Node) runner {
+	if s := c.spines.body(root); s != nil {
+		return s
+	}
+	var stages []stage
+	for _, p := range c.spines[root] {
+		s, _ := p.(*segment)
+		if n, ok := p.(Node); ok && c.fuse {
+			if st := c.stage(n, true); st != nil {
+				s = st.solo()
+			}
+		}
+		if s == nil || s.label != "" {
+			return root
+		}
+		stages = append(stages, s.stages...)
+	}
+	s := segmentOf(stages)
+	return &s
 }
 
 // place cuts the position n heads, nested if a dispatcher steps it.
@@ -231,8 +257,8 @@ func (s *segment) concurrent(env *runEnv) bool {
 // cut is the hand-over rule: the pipeline s runs as once some of its boxes
 // must run concurrently — each such box a part in concurrent mode, each stage
 // dispatcher above one a site with its merger as x left it, each run of stages
-// between them a segment with x's state.  A box the cut starts counts as an
-// instance, one the engine's verdict put there as escalated.
+// between them a segment with x's state.  A box the engine's verdict put
+// there counts as escalated.
 func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 	var parts []runner
 	between := func(i, j int) {
@@ -244,11 +270,7 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 			sub := segmentOf(s.stages[i:j])
 			seg = &sub
 		}
-		if x == nil {
-			parts = append(parts, seg)
-		} else {
-			parts = append(parts, &segmentRun{env: env, seg: seg, state: x.state[i:j]})
-		}
+		parts = append(parts, &segmentRun{env: env, seg: seg, state: x.state[i:j]})
 	}
 	from := 0
 	for i, st := range s.stages {
@@ -257,9 +279,6 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 		case *boxNode:
 			if !st.concurrent(env) {
 				continue
-			}
-			if x == nil {
-				env.stats.Add(st.keys.instances, 1)
 			}
 			if _, auto := st.width(env); auto {
 				env.stats.Add(st.keys.escalated, 1)
@@ -270,7 +289,7 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 				continue
 			}
 			part = st.n
-			if x != nil && x.state[i].fan != nil {
+			if x.state[i].fan != nil {
 				part = x.state[i].fan
 			}
 		default:
@@ -300,13 +319,8 @@ func (l *lone) solo() *segment { return &l.seg }
 
 func (l *lone) run(env *runEnv, in *streamReader, out *streamWriter) { l.seg.run(env, in, out) }
 
-// run is an execution of s on a goroutine of its own, as its cut from the
-// start when it has to be.
+// run is one execution of s on a goroutine of its own (segmentRun.run).
 func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
-	if s.concurrent(env) {
-		runParts(env, s.cut(env, nil), in, out)
-		return
-	}
 	s.begin(env, out, nil).run(env, in, out)
 }
 
@@ -346,8 +360,7 @@ func (x *segmentRun) loop(in *streamReader) bool {
 	return true
 }
 
-// resume is the hand-over, wherever x ran: x continues, reading in, as its
-// cut.
+// resume is the hand-over wherever x ran: x goes on, reading in, as its cut.
 func (x *segmentRun) resume(in *streamReader) {
 	runParts(x.env, x.seg.cut(x.env, x), in, x.out)
 }
@@ -374,10 +387,9 @@ type segmentRun struct {
 }
 
 // stageState is what one stage keeps from record to record: buffers and
-// counters — and, the synchrocell's alone, records.  The slots are per
-// stage, not per segment, because steps nest: a box in the middle of its
-// emissions is still reading its arguments while a box further down binds its
-// own.
+// counters — and, the synchrocell's alone, records.  The slots are per stage,
+// not per segment, because steps nest: a box in the middle of its emissions is
+// still reading its arguments while a box further down binds its own.
 type stageState struct {
 	// shape is the layout of the stage's latest record and box or filter its
 	// node's program for it: the one-entry front of the node's shape memo,
@@ -494,21 +506,19 @@ func (x *segmentRun) recv(in *streamReader) (*Record, bool) {
 	}
 }
 
-// take steps one input record through the segment; false when the run is
-// gone (push).
+// take steps one input record through the segment; false: the run is gone.
 func (x *segmentRun) take(rec *Record) bool {
 	x.records.n++
 	return x.push(0, rec)
 }
 
-// push hands rec to stage i and on, depth-first: one-in-one-out stages
-// advance in this loop, a stage that fans out re-enters it once per record
-// it produces but the last, and what leaves the last stage goes to the
-// output stream, or on down the segment of the stage dispatcher stepping x —
-// where a full stream blocks the sender, whichever stage that is.  It
-// reports false when the run is gone (cancellation): every record the
-// segment still owned is back in the arena, and the caller must stop and
-// detach from its input.
+// push hands rec to stage i and on, depth-first: one-in-one-out stages advance
+// in this loop, a stage that fans out re-enters it once per record it produces
+// but the last, and what leaves the last stage goes to the output stream, or
+// on down the segment of the stage dispatcher stepping x — where a full stream
+// blocks the sender, whichever stage that is.  It reports false when the run
+// is gone (cancellation): every record the segment still owned is back in the
+// arena, and the caller must stop and detach from its input.
 func (x *segmentRun) push(i int, rec *Record) bool {
 	for stages := x.seg.stages; i < len(stages); i++ {
 		var ok bool

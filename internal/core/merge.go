@@ -166,7 +166,7 @@ func (f *fanout) output(port *branchPort) *streamWriter {
 }
 
 // addBranch registers a new branch and returns the port for routing.  A body
-// (runEnv.body) that can begin as it is — at a stage, any — is stepped, rest
+// (cuts.body) that can begin as it is — at a stage, any — is stepped, rest
 // running behind it on goroutines of their own; otherwise n and rest run there,
 // and with neither the branch is the identity, a star's exit.
 func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort {
@@ -309,8 +309,7 @@ func (f *fanout) emitDirect(rec *Record) bool {
 	return f.sendEv(branchEvent{kind: evEmit, fr: frame{single: item{rec: rec}}})
 }
 
-// finish closes all branch inputs and tells the merger no more branches or
-// markers will appear.
+// finish closes every branch input and tells the merger nothing more comes.
 func (f *fanout) finish() {
 	for _, port := range f.ports {
 		f.close(port)
@@ -339,8 +338,7 @@ type heldRecord struct {
 	region int
 }
 
-// lastGlobalMarker returns the global number of the latest marker this
-// branch has delivered.
+// lastGlobalMarker is the global number of the branch's latest marker.
 func (b *mergerBranch) lastGlobalMarker() int { return b.join + b.markersSeen }
 
 // merger is the merger half of one site: it writes merged output to out until
@@ -559,9 +557,8 @@ func (m *merger) advance() bool {
 func (m *merger) flushTails() bool { return m.emitRegion(math.MaxInt) }
 
 // abandon releases what a cancelled merge still holds — buffered regions,
-// pending acknowledgements and the frames queued for it — so the arena's
-// ledger returns to zero.  (What lands after this its writer takes back:
-// offer.)
+// pending acknowledgements, the frames queued for it — so the arena's ledger
+// returns to zero.  What lands after this its writer takes back (offer).
 func (m *merger) abandon() {
 	for _, b := range m.branches {
 		for b.held.len() != 0 {

@@ -22,11 +22,10 @@ type Handle struct {
 	// sendState guards the input side without ever blocking a sender on a
 	// lock: the low bits count in-flight sends, closedBit marks Close.
 	// Senders enter by incrementing (refused once closedBit is set), so
-	// close(in) happens exactly once — by Close when no send is in flight,
-	// or by the last in-flight sender to leave.  This makes Send/Close
-	// safe from concurrent goroutines (the service layer's clients) while
-	// keeping both non-blocking apart from the send itself, which remains
-	// cancellable through the caller's context.
+	// close(in) happens exactly once — by Close when no send is in flight, or
+	// by the last in-flight sender to leave.  This makes Send/Close safe from
+	// concurrent goroutines (the service layer's clients) while keeping both
+	// non-blocking but for the send itself, cancellable through its context.
 	sendState atomic.Int64
 }
 
@@ -41,23 +40,9 @@ var ErrClosed = errors.New("core: network input closed")
 // into segments at Compile time, so instantiation is pure runtime setup.
 // Start may be called any number of times; every call is an independent run.
 func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
-	ctx, cancel := context.WithCancel(ctx)
-	env := &runEnv{
-		ctx:       ctx,
-		stats:     newStats(),
-		buf:       DefaultStreamBuffer,
-		batch:     DefaultStreamBatch,
-		maxDepth:  1 << 20,
-		maxWidth:  1 << 20,
-		autoWidth: runtime.GOMAXPROCS(0),
-		spines:    p.spines,
-	}
-	for _, o := range opts {
-		o(env)
-	}
-	// The boundary input stream is written through sendBatchDirect only (one
-	// frame per record, safe for concurrent client senders); batching
-	// starts at the first internal hop.
+	env, cancel := p.newRun(ctx, opts)
+	// The boundary input stream is written through sendBatchDirect only, safe
+	// for concurrent client senders; batching starts at the first internal hop.
 	inR, inW := newStream(env, env.buf)
 	h := &Handle{
 		env:    env,
@@ -72,20 +57,10 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 		defer close(h.done)
 		defer close(h.outRec)
 		defer netOutR.Discard() // cancelled: what the network still delivers goes back to the arena
-		for {
-			it, ok := netOutR.recv()
-			if !ok {
-				return
-			}
-			if it.mk != nil {
-				continue // markers are spent at the network boundary
-			}
-			// The record crosses into user code here: it leaves the arena's
-			// domain for good (the user owns it, the GC reclaims it).
-			disownRecord(it.rec)
+		for rec, ok := recvOutput(netOutR); ok; rec, ok = recvOutput(netOutR) {
 			select {
-			case h.outRec <- it.rec:
-			case <-ctx.Done():
+			case h.outRec <- rec:
+			case <-env.ctx.Done():
 				return
 			}
 		}
@@ -93,9 +68,39 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	return h
 }
 
-// Send injects a record into the network, blocking on backpressure.  It
-// fails with ErrClosed after Close and with ErrCancelled after the run is
-// cancelled.
+// newRun sets up one run of p: its environment, under a context of its own.
+func (p *Plan) newRun(ctx context.Context, opts []Option) (*runEnv, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(ctx)
+	env := &runEnv{
+		ctx:       ctx,
+		stats:     newStats(),
+		buf:       DefaultStreamBuffer,
+		batch:     DefaultStreamBatch,
+		maxDepth:  1 << 20,
+		maxWidth:  1 << 20,
+		autoWidth: runtime.GOMAXPROCS(0),
+		spines:    p.spines,
+	}
+	for _, o := range opts {
+		o(env)
+	}
+	return env, cancel
+}
+
+// recvOutput is the next record of a network's output stream, which leaves
+// the arena here for user code (disownRecord); markers are spent.
+func recvOutput(out *streamReader) (*Record, bool) {
+	for {
+		it, ok := out.recv()
+		if !ok || it.mk == nil {
+			disownRecord(it.rec)
+			return it.rec, ok
+		}
+	}
+}
+
+// Send injects a record into the network, blocking on backpressure.  It fails
+// with ErrClosed after Close and with ErrCancelled after the run is cancelled.
 func (h *Handle) Send(r *Record) error {
 	return h.SendCtx(context.Background(), r)
 }
@@ -129,22 +134,17 @@ func (h *Handle) releaseSend() {
 // the building block for serving one network to many independent clients,
 // each with its own deadline.
 func (h *Handle) SendCtx(ctx context.Context, r *Record) error {
-	if err := h.acquireSend(); err != nil {
-		return err
-	}
-	defer h.releaseSend()
-	_, err := h.in.sendBatchDirect(ctx, []*Record{r})
+	_, err := h.SendBatch(ctx, []*Record{r})
 	return err
 }
 
-// SendBatch injects a burst of records as ready-made frames of the run's
-// batch size — the boundary counterpart of the internal frame transport.
-// One SendBatch call costs ⌈len(recs)/B⌉ channel synchronizations instead
-// of len(recs); use it when records arrive together anyway (a file of
-// inputs, an HTTP request carrying a record array).  Like Send it blocks on
-// backpressure, honours ctx, and fails with ErrClosed after Close.  It
-// returns how many records entered the network — all of them unless err is
-// non-nil.
+// SendBatch injects a burst of records as ready-made frames of the run's batch
+// size — the boundary counterpart of the internal frame transport.  One
+// SendBatch call costs ⌈len(recs)/B⌉ channel synchronizations instead of
+// len(recs); use it when records arrive together anyway (a file of inputs, an
+// HTTP request carrying a record array).  Like Send it blocks on backpressure,
+// honours ctx, and fails with ErrClosed after Close.  It returns how many
+// records entered the network — all of them unless err is non-nil.
 func (h *Handle) SendBatch(ctx context.Context, recs []*Record) (int, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -183,12 +183,11 @@ func (h *Handle) Out() <-chan *Record { return h.outRec }
 func (h *Handle) Stats() *Stats { return h.env.stats }
 
 // Err returns the first runtime error the run has reported (an unroutable
-// record's *NoRouteError, a rejected box input, a panicking box, ...), or
-// nil.  Errors do not stop the network — the faulty record is dropped and
-// the stream continues — so Err complements WithErrorHandler as the
-// after-the-fact check: errors.Is(h.Err(), ErrNoRoute) distinguishes
-// routing failures.  It may be called at any time; after Wait it is the
-// run's final verdict.
+// record's *NoRouteError, a rejected box input, a panicking box, ...), or nil.
+// Errors do not stop the network — the faulty record is dropped and the stream
+// continues — so Err complements WithErrorHandler as the after-the-fact check:
+// errors.Is(h.Err(), ErrNoRoute) distinguishes routing failures.  It may be
+// called at any time; after Wait it is the run's final verdict.
 func (h *Handle) Err() error { return h.env.err() }
 
 // Cancel aborts the run.  Records in flight are dropped.
@@ -197,42 +196,55 @@ func (h *Handle) Cancel() { h.cancel() }
 // Wait blocks until the output stream has closed.
 func (h *Handle) Wait() { <-h.done }
 
-// feed sends all inputs and closes the input — the harnesses' producer side.
-func (h *Handle) feed(inputs []*Record) {
-	if _, err := h.SendBatch(context.Background(), inputs); err == nil {
-		h.Close()
-	}
-}
-
-// RunAll is a convenience harness: it starts the network, feeds all inputs,
-// closes the input and collects every output record.  It returns the
-// context's error if the run was cancelled.
+// RunAll is the one-shot harness: RunUntil collecting every output record.
+// It returns the context's error if the run was cancelled.
 func (p *Plan) RunAll(ctx context.Context, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
-	h := p.Start(ctx, opts...)
-	defer h.Cancel()
-	go h.feed(inputs)
 	var out []*Record
-	for r := range h.Out() {
+	_, stats, err := p.RunUntil(ctx, inputs, func(r *Record) bool {
 		out = append(out, r)
-	}
-	h.Wait()
-	return out, h.Stats(), ctx.Err()
+		return false
+	}, opts...)
+	return out, stats, err
 }
 
-// RunUntil starts the network, feeds inputs from the given slice, and
-// returns as soon as stop(record) reports true for an output record (that
-// record is returned) — the "first solution wins" harness for search
-// networks like the sudoku solvers.  If the network drains without stop
-// firing, RunUntil returns nil.
+// RunUntil runs the network over inputs and returns as soon as stop(record)
+// reports true for an output record (that record is returned) — the "first
+// solution wins" harness for search networks like the sudoku solvers.  If the
+// network drains without stop firing, RunUntil returns nil and the context's
+// error.  The run owns inputs, as Send would, and takes them in order; once
+// stop fires or the context is done the run is cut, and the inputs it had not
+// taken go back to the arena, counted as "input.untaken".  The run is one
+// goroutine running Plan.once (the root's one-shot cut, where it has one) and
+// writing the stream read here.  The inputs wait in a stream of their own, one
+// frame each, filled and closed before it starts, which the run reads but
+// never drains: whoever receives a frame owns its record, so once the caller
+// has emptied that stream at the cut, the run has taken exactly the rest.
 func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	h := p.Start(ctx, opts...)
-	defer h.Cancel()
-	go h.feed(inputs)
-	for r := range h.Out() {
-		if stop(r) {
-			h.Cancel()
-			return r, h.Stats(), nil
-		}
+	env, cancel := p.newRun(ctx, opts)
+	defer cancel()
+	inR, inW := newStream(env, len(inputs))
+	inR.discarding.Store(true) // what the run leaves there, the caller takes back
+	for _, r := range inputs {
+		inW.ch <- frame{single: item{rec: r}}
 	}
-	return nil, h.Stats(), ctx.Err()
+	close(inW.ch)
+	outR, outW := newStream(env, env.buf)
+	go p.once.run(env, inR, outW)
+	rec, ok := recvOutput(outR)
+	for ok && !stop(rec) {
+		rec, ok = recvOutput(outR)
+	}
+	cancel()
+	outR.Discard()
+	if n := reclaim(inW.ch); n > 0 {
+		key := "stream.discarded" // left by a root that stopped reading early
+		if ok || ctx.Err() != nil {
+			key = "input.untaken" // not taken when the run was cut
+		}
+		env.stats.Add(key, n)
+	}
+	if ok {
+		return rec, env.stats, nil
+	}
+	return nil, env.stats, ctx.Err()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -9,9 +10,7 @@ import (
 // branch whose input type matches best; branch outputs are merged (§4).
 // Note the absence of run state: networks are blueprints shared by any
 // number of concurrent runs (service sessions), so even a humble rotation
-// counter must live in the instance, not on the node (it used to live here,
-// which was a data race between sessions; see
-// TestSharedNetworkConcurrentSessions).
+// counter lives in the instance (TestSharedNetworkConcurrentSessions).
 type parallelNode struct {
 	label    string
 	det      bool
@@ -89,12 +88,14 @@ func (n *parallelNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 type parallelRun struct {
 	fanout
 	n       *parallelNode
-	byIndex []*branchPort // a branch exists from the first record routed to it
-	state   routing       // the tie rotation and the latest shape's entry (route.go)
+	byIndex []*branchPort  // a branch exists from the first record routed to it
+	index   [4]*branchPort // byIndex's backing for four branches or fewer
+	state   routing        // the tie rotation and the latest shape's entry (route.go)
 }
 
 func (n *parallelNode) start(env *runEnv) *fanout {
-	r := &parallelRun{n: n, byIndex: make([]*branchPort, len(n.branches))}
+	r := &parallelRun{n: n}
+	r.byIndex = slices.Grow(r.index[:0], len(n.branches))[:len(n.branches)]
 	r.fanout = fanout{env: env, det: n.det, inst: r}
 	return &r.fanout
 }

@@ -142,13 +142,13 @@ func WithInputType(t RecType) CompileOption {
 
 // Plan is a compiled network: the checked blueprint plus everything the
 // runtime precomputed from it.  A Plan is immutable and safe for concurrent
-// use; Start may be called any number of times (each call is one run), and
-// all runs share the plan's routing tables.  There is one tree: graph
-// describes the nodes Start runs, and the flow pass, the analyses and
-// Topology read the same.
+// use; every Start, RunAll and RunUntil is one run, and all runs share the
+// plan's routing tables.  There is one tree: graph describes the nodes runs
+// execute, and the flow pass, the analyses and Topology read the same.
 type Plan struct {
 	graph    *GraphNode // the blueprint, as walked by Compile; graph.Node is its root
 	spines   cuts       // every position's cut into parts (fuse.go)
+	once     runner     // what RunUntil runs: the root's one-shot cut, or the root
 	groups   []FusionGroup
 	warnings []Diagnostic
 	typeErrs []*TypeError
@@ -156,9 +156,8 @@ type Plan struct {
 
 // Compile type-checks the network and precomputes its execution artifacts.
 // On type errors it returns a non-nil *CompileError whose Errors list every
-// finding; the returned Plan is still usable (Start runs the network with
-// the defects intact) — callers that care about static guarantees must
-// check the error.
+// finding; the returned Plan still runs, defects intact — callers that care
+// about static guarantees must check the error.
 func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	if root == nil {
 		panic("core: Compile: nil root")
@@ -170,6 +169,7 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	c := &compiler{errKeys: map[string]bool{}, par: map[*parallelNode]*parReach{}}
 	p := &Plan{graph: c.walk(root, nil, "")}
 	p.spines, p.groups = cutSpines(root, cfg.fuse)
+	p.once = (&spineCutter{fuse: cfg.fuse, spines: p.spines}).oneShot(root)
 	seed := cfg.input
 	if seed == nil {
 		seed = p.graph.In

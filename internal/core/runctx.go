@@ -57,8 +57,7 @@ func atomicMax(a *statCell, v int64) {
 // as the session service) that fold many runs' statistics into one.
 func NewStats() *Stats { return newStats() }
 
-// cell returns the cell m (s.counters or s.maxima) names key, a new one at
-// the first mention.
+// cell returns m's cell (s.counters or s.maxima) for key, new at first use.
 func (s *Stats) cell(m map[string]*statCell, key string) *statCell {
 	s.mu.Lock()
 	defer s.mu.Unlock()

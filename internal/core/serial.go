@@ -44,8 +44,7 @@ func (s *serialNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	runParts(env, env.spines[s], in, out)
 }
 
-// runParts runs parts as a pipeline from in to out and returns when all of it
-// has.
+// runParts runs parts as a pipeline from in to out, returning when all have.
 func runParts(env *runEnv, parts []runner, in *streamReader, out *streamWriter) {
 	// Every part gets a goroutine and an output stream but the last, which
 	// runs here and writes out.  A part that stops early (cancellation)

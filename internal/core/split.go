@@ -93,10 +93,9 @@ func (n *splitNode) sig() (RecType, RecType) {
 	return in, opOut
 }
 
-// foldKey maps a tag value onto the replica key: folded into the run's
-// width cap by modulo (records with equal tag values still share a
-// replica), or taken verbatim for session splits — sessions must never
-// share a replica.
+// foldKey maps a tag value onto the replica key: folded into the run's width
+// cap by modulo (records with equal tag values still share a replica), or
+// taken verbatim for session splits — sessions must never share a replica.
 func foldKey(v int, uncapped bool, maxWidth int) int {
 	if uncapped {
 		return v

@@ -181,23 +181,25 @@ func offer[T interface{ release() int64 }](ctx context.Context, ch chan T, v T, 
 	return true
 }
 
-// reclaim releases what a cancelled run's channel still holds.
-func reclaim[T interface{ release() int64 }](ch chan T) {
+// reclaim releases, and counts, the records a cancelled run's channel holds.
+func reclaim[T interface{ release() int64 }](ch chan T) (n int64) {
 	for {
 		select {
-		case v := <-ch:
-			v.release()
+		case v, ok := <-ch:
+			if !ok {
+				return n
+			}
+			n += v.release()
 		default:
-			return
+			return n
 		}
 	}
 }
 
-// ship performs the channel handoff of one frame — to the stream's reader,
-// or to the merger a branch-output writer is bound to.  The transport
-// counters settle here, on delivery: a frame dropped by cancellation
-// retracts its records so "stream.records" reflects only what reached the
-// channel.
+// ship performs the channel handoff of one frame — to the stream's reader, or
+// to the merger a branch-output writer is bound to.  The transport counters
+// settle here, on delivery: a frame dropped by cancellation retracts its
+// records so "stream.records" reflects only what reached the channel.
 func (w *streamWriter) ship(f frame) bool {
 	var ok bool
 	if w.fan != nil {
@@ -209,13 +211,7 @@ func (w *streamWriter) ship(f frame) bool {
 		w.retract(f)
 		return false
 	}
-	n := len(f.batch)
-	if n == 0 {
-		n = 1
-	}
-	if n > w.hwm {
-		w.hwm = n
-	}
+	w.hwm = max(w.hwm, len(f.batch), 1)
 	w.frames++
 	return true
 }
@@ -257,16 +253,9 @@ func releaseItems(items ...item) int64 {
 // frame-aligned prefix of recs — and nil, ErrCancelled (run cancelled) or the
 // caller context's error.
 func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int, error) {
-	b := w.batch
-	if b < 1 {
-		b = 1
-	}
 	sent := 0
 	for sent < len(recs) {
-		n := b
-		if n > len(recs)-sent {
-			n = len(recs) - sent
-		}
+		n := min(w.batch, len(recs)-sent)
 		var f frame
 		if n == 1 {
 			f = frame{single: item{rec: recs[sent]}}
@@ -360,8 +349,7 @@ func (r *streamReader) autoFlush(ws ...*streamWriter) {
 	r.onIdle = append(r.onIdle, ws...)
 }
 
-// recv returns the next item; ok is false when the stream is closed and
-// drained or the run cancelled.
+// recv returns the next item, or false once closed and drained or cancelled.
 func (r *streamReader) recv() (item, bool) {
 	if r.pos < len(r.cur) {
 		it := r.cur[r.pos]

@@ -23,7 +23,7 @@ import (
 //	GET    /api/sessions/{id}/results    ?max=16&wait=5s → {"records":[...],"done":b}
 //	POST   /api/sessions/{id}/close      end-of-input
 //	DELETE /api/sessions/{id}            release the session
-//	POST   /api/run                      one-shot: open, feed, drain, release
+//	POST   /api/run                      one-shot: feed, drain (Isolated: a run, no session)
 //
 // Feeding blocks on the bounded stream buffers: a client that outruns its
 // network instance is throttled by its own HTTP request — S-Net
@@ -221,10 +221,7 @@ func parseWait(v string) (time.Duration, error) {
 			return 0, fmt.Errorf("bad wait: %w", err)
 		}
 	}
-	if wait > maxWait {
-		wait = maxWait
-	}
-	return wait, nil
+	return min(wait, maxWait), nil
 }
 
 // resultParams reads ?max= and ?wait= for a drain request.
@@ -292,10 +289,10 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"released": true})
 }
 
-// handleRun is the one-shot convenience: open a session, feed the given
-// records, close the input, drain until the network winds down (or max
-// records / wait elapsed), release.  It is the request shape under the
-// service's per-network latency counters.
+// handleRun is the one-shot convenience, counted under the service's
+// per-network latency counters: feed the records, drain until the network
+// winds down (or max records / wait elapsed).  On an Isolated network it is a
+// run of the plan (Plan.RunUntil) in a session slot, on a Shared one a session.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := readBody(w, r, memNet|memRecords|memMax|memWait, func() any { return new(runBody) })
 	if err != nil {
@@ -304,39 +301,90 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	wait, err := parseWait(req.wait)
 	start := time.Now()
+	var n *Network
 	var sess *Session
+	var plan *snet.Plan
+	var runStats *snet.Stats
 	if err == nil {
-		sess, err = s.Open(req.net)
+		n, err = s.Network(req.net)
+	}
+	if err == nil && n.opts.SessionMode == Shared {
+		if sess, err = s.Open(req.net); err == nil {
+			defer sess.Release()
+		}
+	} else if err == nil { // a slot, refused once the service is down as Open is
+		s.mu.Lock()
+		if err = ErrShutdown; !s.down {
+			err = n.acquire()
+		}
+		s.mu.Unlock()
+		if err == nil {
+			if plan, err = n.Plan(); err != nil {
+				err = n.buildFailed(err)
+			} else {
+				defer func() { n.release(start, runStats) }()
+			}
+		}
 	}
 	if err != nil {
 		releaseRecords(req.records)
 		writeError(w, err)
 		return
 	}
-	defer sess.Release()
-	n := sess.Network()
 	inputs, err := req.inputs(n.codec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := context.WithTimeout(s.runs, wait) // what Shutdown cancels
 	defer cancel()
-
-	feed, rest := startFeed(ctx, cancel, sess, inputs)
-	recs, done, err := sess.Drain(ctx, req.max)
-	cancel() // unblock the feeder if the drain stopped at max or deadline
-	if rest != nil {
-		tail := <-rest
-		feed = feedResult{accepted: feed.accepted + tail.accepted, err: tail.err}
+	defer context.AfterFunc(r.Context(), cancel)()
+	var recs []*snet.Record
+	var accepted int
+	var done bool
+	var feedErr error
+	if sess == nil {
+		if feedErr = n.admit(inputs); feedErr != nil {
+			releaseRecords(inputs)
+		} else {
+			var hit *snet.Record
+			hit, runStats, err = plan.RunUntil(ctx, inputs, func(rec *snet.Record) bool {
+				recs = append(recs, rec)
+				return len(recs) == req.max
+			}, n.runOpts...)
+			accepted, done = len(inputs)-int(runStats.Counter("input.untaken")), hit == nil && err == nil
+			if accepted > 0 {
+				n.svcStat.Add("records.in", int64(accepted))
+			}
+			if len(recs) > 0 {
+				n.svcStat.Add("records.out", int64(len(recs)))
+			}
+		}
+	} else {
+		fed := make(chan error, 1)
+		go func() {
+			_, err := sess.SendBatch(ctx, inputs)
+			if err == nil {
+				sess.CloseInput()
+			} else if ctx.Err() == nil {
+				cancel() // nothing is left to drain for
+			}
+			fed <- err
+		}()
+		recs, done, err = sess.Drain(ctx, req.max)
+		cancel() // unblock the feeder if the drain stopped at max or deadline
+		feedErr = <-fed
+		sent, _ := sess.Counts()
+		accepted = int(sent)
+		releaseRecords(inputs[accepted:])
 	}
-	releaseRecords(inputs[feed.accepted:])
-	if feed.err != nil && !errors.Is(feed.err, context.DeadlineExceeded) && !errors.Is(feed.err, context.Canceled) {
-		// A record refused, the session released: the request ends with the
-		// feed's error, as POST .../records would answer it.
-		writeJSON(w, errStatus(feed.err),
-			map[string]any{"error": feed.err.Error(), "accepted": feed.accepted})
+	if feedErr != nil && !errors.Is(feedErr, context.DeadlineExceeded) && !errors.Is(feedErr, context.Canceled) {
+		// A record refused, the session released: answered as POST .../records is.
+		writeJSON(w, errStatus(feedErr), map[string]any{"error": feedErr.Error(), "accepted": accepted})
 		return
+	}
+	if errors.Is(err, context.Canceled) {
+		err = context.Cause(ctx) // ErrShutdown, if Shutdown cut the run
 	}
 	if err != nil && len(recs) == 0 && !errors.Is(err, context.DeadlineExceeded) {
 		writeError(w, err)
@@ -347,54 +395,12 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	n.svcStat.Add("latency.run_ns", elapsed.Nanoseconds())
 	n.svcStat.SetMax("latency.run_ns", elapsed.Nanoseconds())
 
-	// accepted/inputDone let the client see a partially fed run (the wait
-	// elapsed, or the drain hit max, before all input was delivered).  The
-	// elapsed time is far from where encoding/json writes a float with an
-	// exponent.
-	head := strconv.AppendInt(append(make([]byte, 0, 512), `{"accepted":`...), int64(feed.accepted), 10)
+	// accepted/inputDone show a partially fed run (the wait elapsed, or max
+	// was reached, first).  The elapsed time is far from where encoding/json
+	// writes a float with an exponent.
+	head := strconv.AppendInt(append(make([]byte, 0, 512), `{"accepted":`...), int64(accepted), 10)
 	head = strconv.AppendBool(append(head, `,"done":`...), done)
-	head = strconv.AppendBool(append(head, `,"inputDone":`...), feed.err == nil)
+	head = strconv.AppendBool(append(head, `,"inputDone":`...), accepted == len(inputs))
 	head = strconv.AppendFloat(append(head, `,"ms":`...), float64(elapsed.Microseconds())/1000.0, 'f', -1, 64)
 	writeRecords(w, head, n.codec, recs)
-}
-
-type feedResult struct {
-	accepted int
-	err      error
-}
-
-// startFeed sends a run's records and closes the session's input.  It sends
-// inline the prefix the session's boundary takes with no reader
-// (Network.inline), and starts a feeder only for a rest, so that a network
-// whose output must be drained before all its input fits cannot deadlock
-// the request: the feeder's result arrives on rest, nil with no feeder.  A
-// batch with a reserved label in it is refused whole, before any of it is
-// sent.
-func startFeed(ctx context.Context, cancel context.CancelFunc, sess *Session, inputs []*snet.Record) (head feedResult, rest chan feedResult) {
-	head.err = sess.admit(inputs)
-	if k := min(len(inputs), sess.net.inline); head.err == nil && k > 0 {
-		head.accepted, head.err = sess.sendAdmitted(ctx, inputs[:k])
-	}
-	if tail := inputs[head.accepted:]; head.err == nil && len(tail) > 0 {
-		rest = make(chan feedResult, 1)
-		go func() {
-			accepted, err := sess.sendAdmitted(ctx, tail)
-			endFeed(ctx, cancel, sess, err)
-			rest <- feedResult{accepted: accepted, err: err}
-		}()
-		return head, rest
-	}
-	endFeed(ctx, cancel, sess, head.err)
-	return head, nil
-}
-
-// endFeed closes the input after a whole feed; after a failed one it
-// cancels the run's context unless that failed it, as nothing is left to
-// drain for.
-func endFeed(ctx context.Context, cancel context.CancelFunc, sess *Session, err error) {
-	if err == nil {
-		sess.CloseInput()
-	} else if ctx.Err() == nil {
-		cancel()
-	}
 }

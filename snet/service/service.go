@@ -195,13 +195,8 @@ type Network struct {
 	codec   Codec
 	opts    Options
 	runOpts []snet.Option // opts as run options, for every Plan.Start
-	// inline is how many of a one-shot run's records its session takes with
-	// no reader (handleRun sends those inline): an isolated instance's input
-	// stream buffer, whose frames hold a record or more each.  A shared
-	// engine's input stream is every session's, so there it is 0.
-	inline  int
-	svcStat *snet.Stats // service counters: sessions, records, latency
-	runStat *snet.Stats // aggregated core runtime counters of finished runs
+	svcStat *snet.Stats   // service counters: sessions, records, latency
+	runStat *snet.Stats   // aggregated core runtime counters of finished runs
 
 	mu     sync.Mutex
 	active int
@@ -247,6 +242,13 @@ func (n *Network) Plan() (*snet.Plan, error) {
 		n.svcStat.Add("compile.warnings", int64(w))
 	}
 	return plan, nil
+}
+
+// buildFailed gives back the slot of a session or run whose builder failed.
+func (n *Network) buildFailed(err error) error {
+	n.releaseSlot()
+	n.svcStat.Add("sessions.build_errors", 1)
+	return fmt.Errorf("%w: network %q: %v", ErrBuild, n.name, err)
 }
 
 // PlanErr returns the compile diagnostics of the cached plan: nil when the
@@ -332,17 +334,28 @@ func (n *Network) releaseSlot() {
 	n.svcStat.Add("sessions.closed", 1)
 }
 
-// release returns a session slot and folds the run's statistics in (shared
-// sessions have no per-run collector — the engine's live stats are
-// aggregated by Service.Stats instead).
-func (n *Network) release(s *Session) {
+// release returns the slot of a session or one-shot run held since opened,
+// folding in the run's own statistics (a shared session's are the engine's).
+func (n *Network) release(opened time.Time, rs *snet.Stats) {
 	n.releaseSlot()
-	lifetime := time.Since(s.opened)
+	lifetime := time.Since(opened)
 	n.svcStat.Add("latency.session_ns", lifetime.Nanoseconds())
 	n.svcStat.SetMax("latency.session_ns", lifetime.Nanoseconds())
-	if rs := s.back.runStats(); rs != nil {
+	if rs != nil {
 		n.runStat.Merge(rs)
 	}
+}
+
+// admit refuses a batch with a reserved label in it: no spoofed control records.
+func (n *Network) admit(recs []*snet.Record) error {
+	for _, r := range recs {
+		if r.HasReservedLabel() {
+			n.svcStat.Add("records.reserved_rejected", 1)
+			return fmt.Errorf("%w: record carries a reserved %q label",
+				ErrReservedLabel, snet.ReservedTagPrefix)
+		}
+	}
+	return nil
 }
 
 // Errors reported by the service layer.
@@ -373,18 +386,22 @@ type Service struct {
 	reapEvery  time.Duration // idle-session sweep interval
 	reaping    bool          // reaper goroutine running
 	stopReaper chan struct{}
-	opening    sync.WaitGroup // Opens in flight, so Shutdown can wait for stragglers
+	opening    sync.WaitGroup  // Opens in flight, so Shutdown can wait for stragglers
+	runs       context.Context // every /api/run's, cancelled by Shutdown (cause ErrShutdown)
+	stopRuns   context.CancelCauseFunc
 }
 
 // New returns an empty service.
 func New() *Service {
-	return &Service{
+	s := &Service{
 		nets:       map[string]*Network{},
 		sessions:   map[string]*Session{},
 		started:    time.Now(),
 		reapEvery:  30 * time.Second,
 		stopReaper: make(chan struct{}),
 	}
+	s.runs, s.stopRuns = context.WithCancelCause(context.Background())
+	return s
 }
 
 // startReaperLocked launches the idle-session sweeper on first use; the
@@ -452,9 +469,6 @@ func (s *Service) Register(name, description string, opts Options, build Builder
 		runOpts: opts.runOptions(),
 		svcStat: snet.NewStats(),
 		runStat: snet.NewStats(),
-	}
-	if opts.SessionMode == Isolated {
-		n.inline = opts.streamBuffer()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -564,12 +578,13 @@ func (s *Service) DrainSessions(ctx context.Context) bool {
 	}
 }
 
-// Shutdown cancels every live session, waits for their networks to wind
-// down, shuts down every warm shared engine, and refuses further Opens.
-// It is idempotent.
+// Shutdown cancels every live session and one-shot run, waits for the
+// sessions' networks to wind down, shuts down every warm shared engine, and
+// refuses further Opens and runs.  It is idempotent.
 func (s *Service) Shutdown() {
 	s.mu.Lock()
 	s.down = true
+	s.stopRuns(ErrShutdown)
 	if s.reaping {
 		s.reaping = false
 		close(s.stopReaper)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -150,9 +149,7 @@ func (s *Service) Open(netName string) (*Session, error) {
 	if n.opts.SessionMode == Shared {
 		eng, err := n.sharedEngine()
 		if err != nil {
-			n.releaseSlot()
-			n.svcStat.Add("sessions.build_errors", 1)
-			return nil, fmt.Errorf("%w: network %q: %v", ErrBuild, netName, err)
+			return nil, n.buildFailed(err)
 		}
 		sb, err := eng.open()
 		if err != nil {
@@ -166,9 +163,7 @@ func (s *Service) Open(netName string) (*Session, error) {
 		// same precomputed routing tables.
 		plan, err := n.Plan()
 		if err != nil {
-			n.releaseSlot()
-			n.svcStat.Add("sessions.build_errors", 1)
-			return nil, fmt.Errorf("%w: network %q: %v", ErrBuild, netName, err)
+			return nil, n.buildFailed(err)
 		}
 		back = &isolatedBackend{h: plan.Start(context.Background(), n.runOpts...)}
 	}
@@ -228,27 +223,9 @@ func (s *Session) Send(ctx context.Context, r *snet.Record) error {
 // the network, recs[n:] stay the caller's (to retry, or to hand back with
 // snet.ReleaseRecord).
 func (s *Session) SendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	if err := s.admit(recs); err != nil {
+	if err := s.net.admit(recs); err != nil {
 		return 0, err
 	}
-	return s.sendAdmitted(ctx, recs)
-}
-
-// admit refuses a batch with a reserved label in it.
-func (s *Session) admit(recs []*snet.Record) error {
-	for _, r := range recs {
-		if r.HasReservedLabel() {
-			s.net.svcStat.Add("records.reserved_rejected", 1)
-			return fmt.Errorf("%w: record carries a reserved %q label",
-				ErrReservedLabel, snet.ReservedTagPrefix)
-		}
-	}
-	return nil
-}
-
-// sendAdmitted streams admitted records and counts those the network
-// accepted.
-func (s *Session) sendAdmitted(ctx context.Context, recs []*snet.Record) (int, error) {
 	s.enter()
 	defer s.exit()
 	accepted, err := s.back.sendBatch(ctx, recs)
@@ -323,6 +300,6 @@ func (s *Session) Release() {
 	s.svc.mu.Lock()
 	delete(s.svc.sessions, s.id)
 	s.svc.mu.Unlock()
-	s.net.release(s)
+	s.net.release(s.opened, s.back.runStats())
 	close(s.done)
 }

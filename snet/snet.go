@@ -14,12 +14,13 @@
 //
 // plus housekeeping Filters, Synchrocells and transparent Observe taps.
 //
-// The API is compile-then-run, and Compile → Plan.Start is the only way to
-// run a network.  A Node tree is an immutable blueprint; Compile type-checks
+// The API is compile-then-run, and Compile → Plan is the only way to run a
+// network.  A Node tree is an immutable blueprint; Compile type-checks
 // it (bottom-up inference with record subtyping and flow inheritance, §3–4 of
 // the paper), fuses chains of stages into single-goroutine
 // segments, and returns a Plan over the routing tables the hot path
-// dispatches through; Plan.Start instantiates runs.  Quickstart:
+// dispatches through; Plan.Start, Plan.RunAll and Plan.RunUntil instantiate
+// runs.  Quickstart:
 //
 //	inc := snet.NewBox("inc", snet.MustParseSignature("(<n>) -> (<n>)"),
 //	    func(args []any, out *snet.Emitter) error {
@@ -49,7 +50,10 @@
 //	compile  Compile MustCompile           options: WithInputType WithFusion
 //	inspect  Plan.In Plan.Out Plan.Warnings Plan.TypeErrors
 //	         Plan.Topology Plan.FusionGroups
-//	run      Plan.Start → Handle          harnesses: Plan.RunAll Plan.RunUntil
+//	run      Plan.Start → Handle        a stream the caller feeds and reads
+//	         Plan.RunAll Plan.RunUntil  one-shot runs that take their inputs:
+//	                                    one goroutine where the root cuts to
+//	                                    one segment
 //	         options: WithBuffer WithStreamBatch WithBoxWorkers
 //	                  WithMaxStarDepth WithMaxSplitWidth
 //	                  WithTracer WithErrorHandler
