@@ -228,7 +228,7 @@ func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record
 		inW.ch <- frame{single: item{rec: r}}
 	}
 	close(inW.ch)
-	outR, outW := newStream(env, env.buf)
+	outR, outW := newStream(env, 0) // its reader is always waiting, but in stop
 	go p.once.run(env, inR, outW)
 	rec, ok := recvOutput(outR)
 	for ok && !stop(rec) {

@@ -37,7 +37,7 @@ const (
 )
 
 func newStats() *Stats {
-	s := &Stats{counters: map[string]*statCell{}, maxima: map[string]*statCell{}}
+	s := &Stats{counters: make(map[string]*statCell, 16), maxima: make(map[string]*statCell, 8)}
 	s.free = s.first[:]
 	return s
 }
