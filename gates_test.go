@@ -231,6 +231,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"a session sends through SendBatch; a backend has one send method, sendBatch"},
 		{`\.inline\b|^\s+inline\s+int|startFeed|endFeed|feedResult`, "snet/service/", true, "",
 			"an Isolated /api/run is a run of the plan (Plan.RunUntil) and takes its inputs itself; a Shared one is fed by one goroutine"},
+		{`t \*segmentRun\)|\bf\.last\b`, "internal/core/", false, "",
+			"a dispatcher steps every branch of one body through one execution (fanout.exec), bound to the branch's held state on each route; no execution hands its counter cells down to the next"},
 		{`func \(h \*Handle\) feed\(`, "internal/core/", true, "",
 			"RunAll and RunUntil hand their run its inputs as a stream filled before it starts (Plan.RunUntil); a Handle is fed by its caller's Send, SendBatch and Close"},
 	}

@@ -187,8 +187,8 @@ func (c *spineCutter) stage(n Node, nested bool) stage {
 	return s
 }
 
-// fanStage is a dispatcher run as a stage, its site's fanout its state
-// (stageState.fan).  A split's close protocol runs in the step, so an
+// fanStage is a dispatcher run as a stage, its site's fanout held state
+// (held.fan).  A split's close protocol runs in the step, so an
 // acknowledgement follows the replica's last record by construction.
 type fanStage struct {
 	n site
@@ -196,13 +196,12 @@ type fanStage struct {
 }
 
 func (s *fanStage) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
-	f := x.state[i].fan
-	if f == nil {
-		f = s.n.start(x.env)
-		x.state[i].fan = f
+	h := &x.held[i]
+	if h.fan == nil {
+		h.fan = s.n.start(x.env)
 	}
-	f.x, f.at = x, i+1
-	return nil, f.inst.dispatch(rec)
+	h.fan.x, h.fan.at, h.fan.chain = x, i+1, &x.stepped
+	return nil, h.fan.inst.dispatch(rec)
 }
 
 // cuts are every position's parts.  body is the segment a dispatcher steps
@@ -262,15 +261,10 @@ func (s *segment) concurrent(env *runEnv) bool {
 func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 	var parts []runner
 	between := func(i, j int) {
-		if i == j {
-			return
-		}
-		seg := s.stages[i].solo()
-		if j > i+1 {
+		if i < j {
 			sub := segmentOf(s.stages[i:j])
-			seg = &sub
+			parts = append(parts, &segmentRun{env: env, seg: &sub, state: x.state[i:j], held: x.held[i:j]})
 		}
-		parts = append(parts, &segmentRun{env: env, seg: seg, state: x.state[i:j]})
 	}
 	from := 0
 	for i, st := range s.stages {
@@ -289,8 +283,8 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 				continue
 			}
 			part = st.n
-			if x.state[i].fan != nil {
-				part = x.state[i].fan
+			if f := x.held[i].fan; f != nil {
+				part = f
 			}
 		default:
 			continue
@@ -321,7 +315,7 @@ func (l *lone) run(env *runEnv, in *streamReader, out *streamWriter) { l.seg.run
 
 // run is one execution of s on a goroutine of its own (segmentRun.run).
 func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
-	s.begin(env, out, nil).run(env, in, out)
+	s.begin(env, out).run(env, in, out)
 }
 
 // run is an execution on a goroutine of its own: out is flushed whenever in
@@ -367,93 +361,92 @@ func (x *segmentRun) resume(in *streamReader) {
 
 // segmentRun is one execution of a segment: the output stream and one state
 // slot per stage, reused from record to record so a warm segment allocates
-// nothing.
+// nothing.  A dispatcher steps all branches of one body through one (exec).
 type segmentRun struct {
 	env    *runEnv
 	seg    *segment
 	out    *streamWriter
 	state  []stageState
+	held   []held        // the held state of the branch x steps: its own, or one bound to it
 	state2 [2]stageState // state's backing for a segment of one or two
+	held4  [4]held       // held's, for up to four: a one-shot root's segment is often longer
 	// front is the arena front of the goroutine the execution runs on: own on
 	// a goroutine of its own, the dispatcher's when stepped (merge.go), which
-	// chains the executions it has to fold through next.
-	front  *arenaFront
-	own    arenaFront
-	next   *segmentRun
-	listed bool
-	up     *fanout // the stage dispatcher stepping x: what leaves x goes on from it
+	// chains the executions to fold through next, as x its stage dispatchers'.
+	front    *arenaFront
+	own      arenaFront
+	next     *segmentRun
+	listed   bool
+	stepped  *segmentRun
+	up       *fanout // the stage dispatcher stepping x: what leaves x goes on from it
+	branches int64   // begun on x since its last fold, each an instance of its boxes
 	// A named segment counts the records it takes in and the steps applied.
 	records, applied tally
 }
 
-// stageState is what one stage keeps from record to record: buffers and
-// counters — and, the synchrocell's alone, records.  The slots are per stage,
-// not per segment, because steps nest: a box in the middle of its emissions is
-// still reading its arguments while a box further down binds its own.
+// stageState is what one stage keeps from record to record in one execution:
+// buffers and counters.  The slots are per stage, not per segment, because
+// steps nest: a box in the middle of its emissions is still reading its
+// arguments while a box further down binds its own.
 type stageState struct {
 	// shape is the layout of the stage's latest record and box or filter its
 	// node's program for it: the one-entry front of the node's shape memo,
 	// so a stream of one shape finds its program by a pointer compare.
-	shape   *shape
-	box     *boxProg
-	filter  *filterProg
-	em      Emitter   // box: the emitter every invocation is handed
-	args    []any     // box: the argument buffer
-	outs    []*Record // filter: backing for the outputs of one application
-	storage []*Record // synchrocell: the first match of each pattern, until it fires
-	fired   bool      // synchrocell: it has, and is an identity from here on
-	fan     *fanout   // fanStage: the site, from its first record
-	// box: "calls", "emitted"; filter: "applied"
-	calls, emitted, applied tally
+	shape  *shape
+	box    *boxProg
+	filter *filterProg
+	em     Emitter   // box: the emitter every invocation is handed
+	args   []any     // box: the argument buffer
+	outs   []*Record // filter: backing for the outputs of one application
+	// box: "calls", "emitted", "instances"; filter: "applied"; synchrocell: "fired"
+	calls, emitted, applied, instances, fired tally
 }
 
-// begin begins one execution of the segment; every box stage counts as one
-// sequential instance.  After an execution t of the same segment the
-// counters' cells are t's: their keys were looked up then, the maxima set.
-func (s *segment) begin(env *runEnv, out *streamWriter, t *segmentRun) *segmentRun {
-	x := &segmentRun{env: env, seg: s, out: out}
-	if t != nil && t.seg != s {
-		t = nil
+// held is what one stage of one branch keeps between its records, whichever
+// execution steps them: a synchrocell's stored records, a stage dispatcher.
+type held struct {
+	storage []*Record  // synchrocell: the first match of each pattern, until it fires
+	two     [2]*Record // storage's backing for two patterns
+	fired   bool       // synchrocell: it has, and is an identity from here on
+	fan     *fanout    // fanStage: the site, from its first record
+}
+
+// slots is n slots: the first n of inline if they fit, else new ones.
+func slots[T any](inline []T, n int) []T {
+	if n <= len(inline) {
+		return inline[:n]
 	}
-	if n := len(s.stages); n <= len(x.state2) {
-		x.state = x.state2[:n]
-	} else {
-		x.state = make([]stageState, n)
-	}
-	if t != nil {
-		x.records.cell, x.applied.cell = t.records.cell, t.applied.cell
-		for i := range x.state {
-			st, ts := &x.state[i], &t.state[i]
-			st.calls.cell, st.emitted.cell, st.applied.cell = ts.calls.cell, ts.emitted.cell, ts.applied.cell
-		}
-	}
+	return make([]T, n)
+}
+
+// begin begins an execution of the segment, state its own, for one branch.
+func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
+	x := &segmentRun{env: env, seg: s, out: out, branches: 1}
+	x.state, x.held = slots(x.state2[:], len(s.stages)), slots(x.held4[:], len(s.stages))
 	for _, st := range s.stages {
 		if b, ok := st.(*boxNode); ok {
-			env.stats.Add(b.keys.instances, 1)
-			if t == nil {
-				env.stats.SetMax(b.keys.concurrency, 1)
-			}
+			env.stats.SetMax(b.keys.concurrency, 1)
 		}
 	}
 	return x
 }
 
-// end is the end-of-input hook, run on every path out of an execution: what
-// a synchrocell that never fired has stored is discarded, and counted so
-// tests and users can detect starved synchrocells, and what a stage
-// dispatcher holds ends with its branches; then the last fold.
+// end is the end-of-input hook, run on every path out of a branch: what a
+// synchrocell that never fired has stored is discarded, and counted so tests
+// and users can detect starved synchrocells, and what a stage dispatcher
+// holds ends with its branches; then the last fold.
 func (x *segmentRun) end() {
-	for i := range x.state {
-		for _, s := range x.state[i].storage {
+	for i := range x.held {
+		h := &x.held[i]
+		for _, s := range h.storage {
 			if s != nil {
 				x.env.stats.Add(x.seg.stages[i].(*syncNode).kStarved, 1)
 				x.front.releaseRecord(s)
 			}
 		}
-		x.state[i].storage = nil
-		if f := x.state[i].fan; f != nil {
-			f.finish()
-			f.front.drain()
+		h.storage = nil
+		if h.fan != nil {
+			h.fan.finish()
 		}
 	}
 	x.fold()
@@ -467,16 +460,18 @@ func (x *segmentRun) fold() {
 	for i, st := range x.seg.stages {
 		switch s := &x.state[i]; n := st.(type) {
 		case *boxNode:
+			s.instances.n += x.branches
 			s.calls.fold(stats, n.keys.calls)
 			s.emitted.fold(stats, n.keys.emitted)
+			s.instances.fold(stats, n.keys.instances)
 		case *filterNode:
 			s.applied.fold(stats, n.kApplied)
-		case *fanStage:
-			if s.fan != nil {
-				s.fan.fold()
-			}
+		case *syncNode:
+			s.fired.fold(stats, n.kFired)
 		}
 	}
+	x.branches = 0
+	foldChain(&x.stepped)
 	if x.seg.label != "" {
 		x.records.fold(stats, x.seg.kRecords)
 		x.applied.fold(stats, x.seg.kApplied)

@@ -51,9 +51,12 @@ type branchPort struct {
 	// dispatcher's own hands, which has no stream, the writer into the merger
 	// (none at a stage).
 	w *streamWriter
-	// x is a stepped branch's execution, writing w; nil for a spawned branch
-	// and for the branch of no stages at all, the identity exit of a star.
+	// x is the execution a stepped branch's records go through (exec), held
+	// what its stages keep; x is nil for a spawned branch and for the branch
+	// of no stages at all, the identity exit of a star.
 	x      *segmentRun
+	held   []held
+	held2  [2]held       // held's backing for a body of one or two stages
 	b      *mergerBranch // nil at a direct site
 	own    *streamWriter // direct: a spawned branch's writer (fanout.writer)
 	slot   int           // index in fanout.ports and in the input reader's idle list
@@ -80,13 +83,15 @@ type fanout struct {
 	out     *streamWriter
 	x       *segmentRun // stepping the site as its stage at-1 (fanStage): no streams
 	at      int
+	chain   **segmentRun   // where f chains the executions it steps: &stepped, or at a stage &x.stepped
 	writing sync.WaitGroup // who writes out or its queue but f: the merger, or the writers a direct site spawned
 	ports   []*branchPort  // the live branches, ports[i].w in.onIdle[i]
 	markers int            // global marker count broadcast so far
-	// front is the arena front lent to the branches f steps; stepped chains
-	// those stepped since the last fold, last the latest folded (segment.begin).
-	front         arenaFront
-	stepped, last *segmentRun
+	// front is the arena front lent to the executions f steps its branches
+	// through, one per body (exec); stepped chains those stepped since the
+	// last fold.
+	front   arenaFront
+	stepped *segmentRun
 }
 
 // run runs the site until both halves are done: the merger, if any, owning
@@ -94,7 +99,7 @@ type fanout struct {
 // unless it is deterministic, its input can carry markers, or out is no branch
 // writer.  A site a stage stepped resumes here (segment.cut).
 func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
-	f.x, f.in, f.out = nil, in, out
+	f.x, f.chain, f.in, f.out = nil, &f.stepped, in, out
 	if f.det || out.marked || out.fan == nil {
 		f.mux = make(chan branchEvent, f.env.buf+mergeQueueSlack)
 		f.writing.Add(1)
@@ -107,12 +112,11 @@ func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
 	}
 	for _, port := range f.ports {
 		port.w = f.output(port)
-		port.x.out, port.x.up = port.w, nil
 		in.autoFlush(port.w)
 	}
 	for {
 		if in.drained() {
-			f.fold()
+			foldChain(&f.stepped)
 		}
 		it, ok := in.recv()
 		switch {
@@ -128,16 +132,15 @@ func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
 	}
 	in.Discard()
 	f.finish()
-	f.front.drain()
 	f.writing.Wait()
 	out.close()
 }
 
-// fold is the dispatcher's fold (arenaFront), before every input frame.
-func (f *fanout) fold() {
-	for x := f.stepped; x != nil; x = f.stepped {
+// foldChain is a dispatcher's fold (arenaFront), before every input frame.
+func foldChain(head **segmentRun) {
+	for x := *head; x != nil; x = *head {
 		x.fold()
-		f.stepped, f.last, x.next, x.listed = x.next, x, nil, false
+		*head, x.next, x.listed = x.next, nil, false
 	}
 }
 
@@ -172,30 +175,36 @@ func (f *fanout) output(port *branchPort) *streamWriter {
 func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort {
 	port := &branchPort{slot: len(f.ports)}
 	f.ports = append(f.ports, port)
-	if f.x != nil {
-		port.x = body.begin(f.env, nil, f.last)
-		port.x.front, port.x.up = &f.front, f
-		return port
-	}
-	port.w = f.output(port)
-	if body != nil && !body.concurrent(f.env) {
-		out := port.w
-		if rest != nil {
-			var inR *streamReader
-			inR, out = newStream(f.env, f.env.buf)
-			go runParts(f.env, rest, inR, f.writer(port))
-			port.w = out
-		}
-		port.x = body.begin(f.env, out, f.last)
-		port.x.front = &f.front
+	if f.x != nil || body != nil && !body.concurrent(f.env) {
+		port.x, port.held = f.exec(body), slots(port.held2[:], len(body.stages))
 	} else if n != nil {
-		out := f.writer(port)
-		var inR *streamReader
-		inR, port.w = newStream(f.env, f.env.buf)
-		go runParts(f.env, append([]runner{n}, rest...), inR, out)
+		rest = append([]runner{n}, rest...)
 	}
-	f.in.autoFlush(port.w)
+	if f.x == nil {
+		port.w = f.output(port)
+		if rest != nil {
+			out := f.writer(port)
+			var inR *streamReader
+			inR, port.w = newStream(f.env, f.env.buf)
+			go runParts(f.env, rest, inR, out)
+		}
+		f.in.autoFlush(port.w)
+	}
 	return port
+}
+
+// exec is f's execution of body for one more branch: its latest stepped
+// port's (a port leaves it only once body must run concurrently), or a new one.
+func (f *fanout) exec(body *segment) *segmentRun {
+	for i := len(f.ports) - 1; i >= 0; i-- {
+		if x := f.ports[i].x; x != nil && x.seg == body {
+			x.branches++
+			return x
+		}
+	}
+	x := body.begin(f.env, nil)
+	x.front = &f.front
+	return x
 }
 
 // writer is the output writer of a branch leaving the dispatcher's hands: its
@@ -211,32 +220,34 @@ func (f *fanout) writer(port *branchPort) *streamWriter {
 
 // route sends a data record into a branch and, in deterministic mode, the
 // sort marker after it; false on cancellation.  A stepped branch with a box
-// that must now run concurrently first leaves the dispatcher's hands (resume)
-// — but at a stage, whose segment watches its boxes (segment.cut).
+// that must now run concurrently first leaves the dispatcher's hands on an
+// execution of its own (resume) — but at a stage, whose segment watches its
+// boxes (segment.cut); else its record goes through the body's execution.
 func (f *fanout) route(port *branchPort, r *Record) bool {
 	if x := port.x; x != nil && f.x == nil && x.seg.concurrent(f.env) {
 		if !port.w.flush() {
 			releaseRecord(r)
 			return false
 		}
-		f.fold() // x's tallies are the next goroutine's from here
-		if f.last == x {
-			f.last = nil
+		foldChain(&f.stepped) // the stage dispatchers port holds are the next goroutine's from here
+		out := port.w
+		if out.fan != nil { // not a stream to rest: the branch writes the site's output
+			out = f.writer(port)
 		}
-		if x.out.fan != nil { // not a stream to rest: x writes the site's output
-			x.out = f.writer(port)
-		}
+		own := x.seg.begin(f.env, out)
+		own.held, own.branches = port.held, 0 // the branch x stepped, counted there
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
-		go x.resume(inR)
+		go own.resume(inR)
 	}
 	if x := port.x; x != nil {
 		if !x.listed {
-			x.listed, x.next, f.stepped = true, f.stepped, x
+			x.listed, x.next, *f.chain = true, *f.chain, x
 		}
+		x.out, x.up, x.held = port.w, nil, port.held
 		if f.x != nil {
-			x.out = f.x.out // what the box engine's clock reads
+			x.out, x.up = f.x.out, f // what the box engine's clock reads; where what leaves x goes on
 		}
 		if !x.take(r) {
 			return false
@@ -250,8 +261,9 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 // close ends a branch's input: a stepped branch's stages give back what they
 // hold and its writer, but for the site's own, closes; a spawned one drains.
 func (f *fanout) close(port *branchPort) {
-	if port.x != nil {
-		port.x.end()
+	if x := port.x; x != nil {
+		x.held = port.held
+		x.end()
 	}
 	if port.w != f.out {
 		port.w.close()
@@ -314,6 +326,7 @@ func (f *fanout) finish() {
 	for _, port := range f.ports {
 		f.close(port)
 	}
+	f.front.drain()
 	if f.mux != nil {
 		f.sendEv(branchEvent{kind: evDone})
 	}

@@ -222,3 +222,69 @@ func TestPerRecordCountsTakeNoStatsLock(t *testing.T) {
 		t.Errorf("box.nl_w4.inflight high-water mark = %d, want 1..4", got)
 	}
 }
+
+// TestNewReplicasTakeNoStatsLock: once a split instance has made its first
+// replica, making another takes no run-wide lock either — the replica gauge
+// and width, the box's instances and the synchrocell's firings are cells and
+// tallies the instance holds.  The test goroutine holds the collector's mutex
+// while pairs for 200 new keys go into Split(Serial(Sync({a},{b}), box), "k"),
+// and every join must come out.
+func TestNewReplicasTakeNoStatsLock(t *testing.T) {
+	box := NewBox("nr_box", MustParseSignature("(<k>) -> (<k>)"),
+		func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
+	plan := MustCompile(NamedSplit("nr", Serial(
+		NamedSync("nr_join", MustParsePattern("{a}"), MustParsePattern("{b}")), box), "k"))
+	h := plan.Start(context.Background())
+	defer h.Cancel()
+	pass := func(from, to int) error {
+		errc := make(chan error, 1)
+		go func() {
+			for k := from; k < to; k++ {
+				for _, f := range []string{"a", "b"} {
+					if err := h.Send(NewRecord().SetField(f, k).SetTag("k", k)); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+			errc <- nil
+		}()
+		deadline := time.After(5 * time.Second)
+		for k := from; k < to; k++ {
+			select {
+			case <-h.Out():
+			case <-deadline:
+				return fmt.Errorf("%d of %d joins came out before the deadline", k-from, to-from)
+			}
+		}
+		return <-errc
+	}
+	const warm, locked = 8, 200
+	if err := pass(0, warm); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	st := h.Stats()
+	st.mu.Lock()
+	err := pass(warm, warm+locked)
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatalf("with the collector's lock held: %v", err)
+	}
+	h.Close()
+	for range h.Out() {
+	}
+	h.Wait()
+
+	const n = warm + locked
+	for key, want := range map[string]int64{
+		"split.nr.replicas": n, "sync.nr_join.fired": n, "sync.nr_join.starved": 0,
+		"box.nr_box.instances": n, "box.nr_box.calls": n,
+	} {
+		if got := st.Counter(key); got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+	}
+	if got := st.Max("split.nr.width"); got != n {
+		t.Errorf("split.nr.width.max = %d, want %d", got, n)
+	}
+}

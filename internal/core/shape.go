@@ -39,7 +39,6 @@ type shape struct {
 	key        string    // canonical ShapeKey: "f1,f2|t1,t2"
 	variant    Variant   // the label set; treat as immutable
 	reserved   bool      // carries a reserved "__snet_" label
-	registered bool      // lives in the global registry
 
 	trans atomic.Pointer[map[shapeTrans]shapeStep]
 	mu    sync.Mutex // serializes transition/registry publication
@@ -77,7 +76,7 @@ var (
 	shapeRegMu sync.Mutex
 	shapeReg   = map[string]*shape{} // ShapeKey → shape
 	shapeCount atomic.Int64
-	emptyShape = newShape(nil, nil, nil, nil, true)
+	emptyShape = newShape(nil, nil, nil, nil)
 )
 
 func init() {
@@ -86,11 +85,10 @@ func init() {
 }
 
 // newShape builds a layout from name-sorted label slices (which it adopts).
-func newShape(fields []labelID, fieldNames []string, tags []labelID, tagNames []string, registered bool) *shape {
+func newShape(fields []labelID, fieldNames []string, tags []labelID, tagNames []string) *shape {
 	s := &shape{
 		fields: fields, fieldNames: fieldNames,
 		tags: tags, tagNames: tagNames,
-		registered: registered,
 	}
 	var b strings.Builder
 	n := 1
@@ -157,9 +155,8 @@ func canonicalShape(fields []labelID, fieldNames []string, tags []labelID, tagNa
 	if s, ok := shapeReg[key]; ok {
 		return s
 	}
-	registered := shapeCount.Load() < maxShapes
-	s := newShape(fields, fieldNames, tags, tagNames, registered)
-	if registered {
+	s := newShape(fields, fieldNames, tags, tagNames)
+	if shapeCount.Load() < maxShapes {
 		shapeReg[key] = s
 		shapeCount.Add(1)
 	}

@@ -93,40 +93,28 @@ func (n *splitNode) sig() (RecType, RecType) {
 	return in, opOut
 }
 
-// foldKey maps a tag value onto the replica key: folded into the run's width
-// cap by modulo (records with equal tag values still share a replica), or
-// taken verbatim for session splits — sessions must never share a replica.
-func foldKey(v int, uncapped bool, maxWidth int) int {
-	if uncapped {
-		return v
-	}
-	key := v % maxWidth
-	if key < 0 {
-		key += maxWidth
-	}
-	return key
-}
-
 func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	n.start(env).run(env, in, out)
 }
 
-// splitRun is one instance of a split: its fanout, its replicas by key, the
-// body it steps them as (none for session replicas, which hold live client
-// state between requests, each at its own pace), and what the latest record's
-// shape says: the index tag's slot (-1: none), whether it is a close record's.
+// splitRun is one instance of a split: its fanout, its replicas by key and
+// their gauge and width, the body it steps them as (none for session replicas,
+// which hold live client state between requests, each at its own pace), and
+// what the latest record's shape says: the index tag's slot (-1: none),
+// whether it is a close record's.
 type splitRun struct {
 	fanout
-	n       *splitNode
-	byKey   map[int]*branchPort
-	body    *segment
-	last    *shape
-	slot    int
-	closing bool
+	n               *splitNode
+	byKey           map[int]*branchPort
+	body            *segment
+	replicas, width *statCell
+	last            *shape
+	slot            int
+	closing         bool
 }
 
 func (n *splitNode) start(env *runEnv) *fanout {
-	r := &splitRun{n: n, byKey: map[int]*branchPort{}, slot: -1}
+	r := &splitRun{n: n, byKey: map[int]*branchPort{}, slot: -1, width: env.stats.maximum(n.kWidth)}
 	if !n.uncapped {
 		r.body = env.spines.body(n.operand)
 	}
@@ -142,11 +130,18 @@ func (r *splitRun) dispatch(rec *Record) bool {
 		r.last, r.closing = sh, sh.reserved && IsReplicaClose(rec)
 		r.slot, _ = sh.tagSlotID(n.tagID)
 	}
-	v, ok := 0, r.slot >= 0
+	key, ok := 0, r.slot >= 0
 	if ok {
-		v = rec.tvals[r.slot]
+		key = rec.tvals[r.slot]
 	}
-	key := foldKey(v, n.uncapped, env.maxWidth)
+	// The replica key: the tag value folded into the run's width cap by modulo
+	// (equal values still share a replica), verbatim for session splits —
+	// sessions must never share a replica.
+	if !n.uncapped {
+		if key %= env.maxWidth; key < 0 {
+			key += env.maxWidth
+		}
+	}
 	if r.closing {
 		// A close record lacking this split's index tag is addressed
 		// to some other split: forward it downstream (merge order, not
@@ -167,7 +162,7 @@ func (r *splitRun) dispatch(rec *Record) bool {
 		}
 		if port := r.byKey[key]; port != nil {
 			delete(r.byKey, key)
-			env.stats.Add(n.kReplicas, -1)
+			r.replicas.Add(-1)
 			env.stats.Add(n.kClosed, 1)
 			return r.retireBranch(port, sentinel)
 		}
@@ -182,8 +177,8 @@ func (r *splitRun) dispatch(rec *Record) bool {
 	}
 	port := r.byKey[key]
 	if port == nil {
-		env.stats.Add(n.kReplicas, 1)
-		env.stats.SetMax(n.kWidth, int64(len(r.byKey)+1))
+		env.stats.held(&r.replicas, n.kReplicas).Add(1)
+		atomicMax(r.width, int64(len(r.byKey)+1))
 		port = r.addBranch(n.operand, r.body)
 		r.byKey[key] = port
 	}

@@ -123,23 +123,23 @@ func (n *syncNode) sig() (RecType, RecType) {
 }
 
 // step is the synchrocell as a stage (fuse.go) — the one stage that keeps
-// records from step to step: the first match of each pattern sits in its
-// state until the last pattern fills, or the execution ends (segmentRun.end).
+// records from step to step: the first match of each pattern is held until
+// the last pattern fills, or the branch ends (segmentRun.end).
 func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
-	st := &x.state[i]
-	if st.fired {
+	h := &x.held[i]
+	if h.fired {
 		return rec, true
 	}
 	x.env.trace(n.label, "in", rec)
-	if st.storage == nil {
-		st.storage = make([]*Record, len(n.patterns))
+	if h.storage == nil {
+		h.storage = slots(h.two[:], len(n.patterns))
 	}
 	stored, complete, admits := false, true, n.admitted(rec.shape)
 	for k := range n.patterns {
-		if !stored && st.storage[k] == nil && admits[k].matches(rec) {
-			st.storage[k], stored = rec, true
+		if !stored && h.storage[k] == nil && admits[k].matches(rec) {
+			h.storage[k], stored = rec, true
 		}
-		complete = complete && st.storage[k] != nil
+		complete = complete && h.storage[k] != nil
 	}
 	if !stored {
 		return rec, true
@@ -147,14 +147,14 @@ func (n *syncNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	if !complete {
 		return nil, true
 	}
-	p := n.program(st.storage)
+	p := n.program(h.storage)
 	merged := x.front.acquire(p.shape)
-	for k, s := range st.storage {
+	for k, s := range h.storage {
 		p.from[k].run(merged, s)
 		x.front.releaseRecord(s) // consumed by the merge
 	}
 	x.env.trace(n.label, "out", merged)
-	x.env.stats.Add(n.kFired, 1)
-	st.fired, st.storage = true, nil
+	x.state[i].fired.n++
+	*h = held{fired: true}
 	return merged, true
 }

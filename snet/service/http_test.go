@@ -372,9 +372,10 @@ func TestHTTPOversizedRequest(t *testing.T) {
 }
 
 // TestHTTPRunFeedsPastTheBuffer: a one-shot run of more records than its
-// network holds without a reader — the inline prefix, then a feeder, or a
-// feeder alone where there is no inline prefix — is fed whole, drained whole,
-// and leaves the arena as it found it.
+// network's streams hold without a reader — in Isolated mode a run of the plan
+// taking them from an input stream filled before it starts, in Shared mode a
+// session its engine feeds — takes every record, returns every output, and
+// leaves the arena as it found it.
 func TestHTTPRunFeedsPastTheBuffer(t *testing.T) {
 	for _, opts := range []Options{
 		{BufferSize: 2, StreamBatch: 1},
