@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 7050},
+		{"internal/core", 7049},
 		{"internal/analysis", 930},
 		{"internal/lang", 724},
 		{"snet/service", 2130},

@@ -58,8 +58,8 @@ func releaseRecord(r *Record) { (*arenaFront)(nil).releaseRecord(r) }
 // on one goroutine: the front keeps the last record released — emptied and
 // poisoned like any other, so it holds released records only — and hands it
 // straight back, going to recordPool on a miss, and tallies in plain integers
-// what the ledger counts in atomics.  Its owner — a segment loop, or a
-// dispatcher, which lends it to the branches it steps (merge.go) — folds the
+// what the ledger counts in atomics.  Its owner — an execution (fuse.go),
+// folded by its loop or by the dispatcher stepping it (merge.go) — folds the
 // tallies into the ledger before every input frame it takes, hence wherever it
 // waits for input, and on its way out (drain): PoolStats is exact whenever the
 // goroutine waits and at its end, at most one input frame behind in between.

@@ -33,7 +33,7 @@ type Emitter struct {
 	// shape: where each emitted value goes, and what src hands on.
 	src     *Record
 	prog    *boxProg
-	front   *arenaFront // of the goroutine that steps the box; nil (the arena itself) on the concurrent engine
+	front   *arenaFront // of the execution stepping the box; nil (the arena itself) on the concurrent engine
 	stopped bool
 	emitted int
 	// Where the emissions go.  A box stepped as a stage (fuse.go) hands
@@ -265,7 +265,7 @@ func (b *boxNode) program(sh *shape) *boxProg {
 func (b *boxNode) open(x *segmentRun, i int) *Emitter {
 	st := &x.state[i]
 	if st.em.x != x { // the first call, or the first after a hand-over (resume)
-		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1, front: x.front}
+		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1, front: &x.front}
 		st.args = make([]any, 0, len(b.boxSig.In))
 		x.env.stats.SetMax(b.keys.inflight, 1)
 	}

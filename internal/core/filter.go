@@ -76,7 +76,7 @@ func (f *filterNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 		env.stats.Add(f.kNomatch, 1)
 		return rec, true
 	}
-	outs, err := st.filter.apply(x.front, rec, st.outs)
+	outs, err := st.filter.apply(&x.front, rec, st.outs)
 	if err != nil {
 		env.error(fmt.Errorf("core: filter %s: %w", f.label, err))
 		env.stats.Add(f.kErrors, 1)

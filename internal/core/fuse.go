@@ -321,10 +321,10 @@ func (s *segment) run(env *runEnv, in *streamReader, out *streamWriter) {
 // run is an execution on a goroutine of its own: out is flushed whenever in
 // runs dry, and the execution continues as its cut (resume) when it must.
 func (x *segmentRun) run(env *runEnv, in *streamReader, out *streamWriter) {
-	x.out, x.front = out, &x.own
+	x.out = out
 	in.autoFlush(out)
 	handOver := x.loop(in)
-	x.own.drain()
+	x.front.drain()
 	if !handOver {
 		out.close()
 		return
@@ -370,11 +370,9 @@ type segmentRun struct {
 	held   []held        // the held state of the branch x steps: its own, or one bound to it
 	state2 [2]stageState // state's backing for a segment of one or two
 	held4  [4]held       // held's, for up to four: a one-shot root's segment is often longer
-	// front is the arena front of the goroutine the execution runs on: own on
-	// a goroutine of its own, the dispatcher's when stepped (merge.go), which
-	// chains the executions to fold through next, as x its stage dispatchers'.
-	front    *arenaFront
-	own      arenaFront
+	// front is the execution's arena front (arena.go).  A dispatcher chains
+	// the executions it has to fold through next, as x its stage dispatchers'.
+	front    arenaFront
 	next     *segmentRun
 	listed   bool
 	stepped  *segmentRun
@@ -434,7 +432,7 @@ func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
 // end is the end-of-input hook, run on every path out of a branch: what a
 // synchrocell that never fired has stored is discarded, and counted so tests
 // and users can detect starved synchrocells, and what a stage dispatcher
-// holds ends with its branches; then the last fold.
+// holds ends with its branches; then the last fold, the front drained.
 func (x *segmentRun) end() {
 	for i := range x.held {
 		h := &x.held[i]
@@ -450,6 +448,7 @@ func (x *segmentRun) end() {
 		}
 	}
 	x.fold()
+	x.front.drain()
 }
 
 // fold brings the ledger and the stages' per-record counters up to date with

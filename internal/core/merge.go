@@ -87,11 +87,7 @@ type fanout struct {
 	writing sync.WaitGroup // who writes out or its queue but f: the merger, or the writers a direct site spawned
 	ports   []*branchPort  // the live branches, ports[i].w in.onIdle[i]
 	markers int            // global marker count broadcast so far
-	// front is the arena front lent to the executions f steps its branches
-	// through, one per body (exec); stepped chains those stepped since the
-	// last fold.
-	front   arenaFront
-	stepped *segmentRun
+	stepped *segmentRun    // the executions f stepped its branches through since its last fold
 }
 
 // run runs the site until both halves are done: the merger, if any, owning
@@ -202,9 +198,7 @@ func (f *fanout) exec(body *segment) *segmentRun {
 			return x
 		}
 	}
-	x := body.begin(f.env, nil)
-	x.front = &f.front
-	return x
+	return body.begin(f.env, nil)
 }
 
 // writer is the output writer of a branch leaving the dispatcher's hands: its
@@ -326,7 +320,6 @@ func (f *fanout) finish() {
 	for _, port := range f.ports {
 		f.close(port)
 	}
-	f.front.drain()
 	if f.mux != nil {
 		f.sendEv(branchEvent{kind: evDone})
 	}

@@ -93,6 +93,20 @@ func (n *splitNode) sig() (RecType, RecType) {
 	return in, opOut
 }
 
+// foldKey maps a tag value onto the replica key: folded into the run's width
+// cap by modulo (records with equal tag values still share a replica), or
+// taken verbatim for session splits — sessions must never share a replica.
+func foldKey(v int, uncapped bool, maxWidth int) int {
+	if uncapped {
+		return v
+	}
+	key := v % maxWidth
+	if key < 0 {
+		key += maxWidth
+	}
+	return key
+}
+
 func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	n.start(env).run(env, in, out)
 }
@@ -130,18 +144,11 @@ func (r *splitRun) dispatch(rec *Record) bool {
 		r.last, r.closing = sh, sh.reserved && IsReplicaClose(rec)
 		r.slot, _ = sh.tagSlotID(n.tagID)
 	}
-	key, ok := 0, r.slot >= 0
+	v, ok := 0, r.slot >= 0
 	if ok {
-		key = rec.tvals[r.slot]
+		v = rec.tvals[r.slot]
 	}
-	// The replica key: the tag value folded into the run's width cap by modulo
-	// (equal values still share a replica), verbatim for session splits —
-	// sessions must never share a replica.
-	if !n.uncapped {
-		if key %= env.maxWidth; key < 0 {
-			key += env.maxWidth
-		}
-	}
+	key := foldKey(v, n.uncapped, env.maxWidth)
 	if r.closing {
 		// A close record lacking this split's index tag is addressed
 		// to some other split: forward it downstream (merge order, not
