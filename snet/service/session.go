@@ -71,20 +71,42 @@ type backend interface {
 }
 
 // isolatedBackend is the classic one-instance-per-session mode: the session
-// owns a full network run.
+// owns a full network run, started on its first use.
 type isolatedBackend struct {
-	h *snet.Handle
+	plan  *snet.Plan
+	opts  []snet.Option
+	start sync.Once
+	h     *snet.Handle // nil until first use, and for good once released unused
+}
+
+// run returns the session's run, starting it on first use; nil once the
+// session was released before its first use.
+func (b *isolatedBackend) run() *snet.Handle {
+	b.start.Do(func() { b.h = b.plan.Start(context.Background(), b.opts...) })
+	return b.h
 }
 
 func (b *isolatedBackend) sendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	return b.h.SendBatch(ctx, recs)
+	h := b.run()
+	if h == nil {
+		return 0, snet.ErrCancelled
+	}
+	return h.SendBatch(ctx, recs)
 }
 
-func (b *isolatedBackend) closeInput() { b.h.Close() }
+func (b *isolatedBackend) closeInput() {
+	if h := b.run(); h != nil {
+		h.Close()
+	}
+}
 
 func (b *isolatedBackend) recv(ctx context.Context) (*snet.Record, bool, error) {
+	h := b.run()
+	if h == nil {
+		return nil, true, nil
+	}
 	select {
-	case r, ok := <-b.h.Out():
+	case r, ok := <-h.Out():
 		if !ok {
 			return nil, true, nil
 		}
@@ -95,12 +117,21 @@ func (b *isolatedBackend) recv(ctx context.Context) (*snet.Record, bool, error) 
 }
 
 func (b *isolatedBackend) release() {
-	b.h.Cancel()
-	b.h.Wait()
+	b.start.Do(func() {}) // a session released unused starts nothing
+	if b.h != nil {
+		b.h.Cancel()
+		b.h.Wait()
+	}
 }
 
-func (b *isolatedBackend) handle() *snet.Handle  { return b.h }
-func (b *isolatedBackend) runStats() *snet.Stats { return b.h.Stats() }
+func (b *isolatedBackend) handle() *snet.Handle { return b.run() }
+
+func (b *isolatedBackend) runStats() *snet.Stats {
+	if b.h == nil {
+		return nil
+	}
+	return b.h.Stats()
+}
 
 // touch records client activity for the idle reaper.
 func (s *Session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
@@ -165,7 +196,7 @@ func (s *Service) Open(netName string) (*Session, error) {
 		if err != nil {
 			return nil, n.buildFailed(err)
 		}
-		back = &isolatedBackend{h: plan.Start(context.Background(), n.runOpts...)}
+		back = &isolatedBackend{plan: plan, opts: n.runOpts}
 	}
 	sess := &Session{
 		id:     id,

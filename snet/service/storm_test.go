@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,5 +104,64 @@ func TestSessionStorm(t *testing.T) {
 	}
 	svc.Shutdown()
 	atBase("the storm")
+	waitForGoroutines(t, base)
+}
+
+// TestIdleSessionStartsNoRun: a session starts its run on first use.  Opening
+// 200 webpipe sessions starts no goroutine; releasing half of them unused
+// starts none either and folds no run statistics; one record through each of
+// the others runs, and afterwards the arena ledger and the goroutine count
+// are back at baseline.
+func TestIdleSessionStartsNoRun(t *testing.T) {
+	const sessions = 200
+	atBase := arenaLedger(t)
+	svc := webpipeService(Options{})
+	defer svc.Shutdown()
+	warm, err := svc.Open("webpipe") // starts the idle reaper, which outlives the test's sessions
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Release()
+	base := goroutineCount()
+
+	open := make([]*Session, sessions)
+	for i := range open {
+		if open[i], err = svc.Open("webpipe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := goroutineCount(); n > base {
+		t.Fatalf("%d idle sessions hold %d goroutines", sessions, n-base)
+	}
+	for _, sess := range open[:sessions/2] {
+		sess.Release()
+	}
+	if n := goroutineCount(); n > base {
+		t.Fatalf("releasing unused sessions left %d goroutines", n-base)
+	}
+	for k, v := range svc.Stats() {
+		if strings.HasPrefix(k, "run.webpipe.") && v != 0 {
+			t.Errorf("unused sessions folded run statistics: %s = %d", k, v)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, sess := range open[sessions/2:] {
+		if err := sess.Send(ctx, workloads.WebPipeRequest(i)); err != nil {
+			t.Fatal(err)
+		}
+		sess.CloseInput()
+		recs, done, err := sess.Drain(ctx, 0)
+		if err != nil || !done || len(recs) != 1 {
+			t.Fatalf("session %s: drained %d records, done=%v err=%v", sess.ID(), len(recs), done, err)
+		}
+		snet.ReleaseRecord(recs[0])
+		sess.Release()
+	}
+	if got := svc.Stats()["run.webpipe.box.render.calls"]; got != sessions/2 {
+		t.Errorf("run.webpipe.box.render.calls = %d, want %d", got, sessions/2)
+	}
+	atBase("one record through each used session")
 	waitForGoroutines(t, base)
 }
