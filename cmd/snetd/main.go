@@ -8,15 +8,13 @@
 //
 //	snetd [-addr :8080] [-workers w] [-grain g] [-box-workers W]
 //	      [-buffer n] [-stream-batch B] [-max-sessions n]
-//	      [-session-mode isolated|shared] [-idle-timeout d]
+//	      [-idle-timeout d]
 //	      [-drain-timeout d] [-throttle m] [-level L]
 //	      [-det] [-snet file.snet]
 //	snetd -demo 50       # in-process load demo: 50 concurrent sessions
 //
-// Session modes: "isolated" (default) starts one network instance per
-// session; "shared" multiplexes every session of a network over one warm
-// instance via indexed replication over a reserved session tag, so opening
-// a session is a map insert (see snet/service and DESIGN.md §8).
+// Every session is a run of its network's plan of its own, started on the
+// session's first use (see snet/service and DESIGN.md §8).
 //
 // On SIGTERM/SIGINT snetd shuts down gracefully: new session opens are
 // refused immediately, live sessions get -drain-timeout to finish, then
@@ -28,7 +26,7 @@
 //	POST /api/sessions/{id}/records     {"records":[{"fields":{"board":"..81 chars.."}}],"close":true}
 //	GET  /api/sessions/{id}/results     ?wait=10s
 //	DELETE /api/sessions/{id}
-//	POST /api/run                       one-shot feed/drain: a run of the plan (Isolated), a session (Shared)
+//	POST /api/run                       one-shot feed/drain: a run of the plan
 //	GET  /api/networks | /api/stats | /api/healthz
 //
 // Example:
@@ -56,17 +54,16 @@ import (
 
 // config collects the deployment knobs shared by serve and demo mode.
 type config struct {
-	workers       int                 // with-loop pool width inside the boxes
-	grain         int                 // with-loop minimum chunk size (0: sched default)
-	boxWorkers    int                 // concurrent invocations per box node (0: the runtime chooses)
-	buffer        int                 // stream buffer capacity (frames) per network instance
-	streamBatch   int                 // stream batch size B (0: runtime default)
-	maxSessions   int                 // per-network concurrent session cap
-	sessionMode   service.SessionMode // isolated: instance per session; shared: warm engine
-	idleTimeout   time.Duration       // abandoned-session reaping threshold
-	drainTimeout  time.Duration       // graceful-shutdown session drain deadline
-	throttle      int                 // fig3 parallel-width throttle m
-	level         int                 // fig3 serial-replication exit level L
+	workers       int           // with-loop pool width inside the boxes
+	grain         int           // with-loop minimum chunk size (0: sched default)
+	boxWorkers    int           // concurrent invocations per box node (0: the runtime chooses)
+	buffer        int           // stream buffer capacity (frames) per network instance
+	streamBatch   int           // stream batch size B (0: runtime default)
+	maxSessions   int           // per-network concurrent session cap
+	idleTimeout   time.Duration // abandoned-session reaping threshold
+	drainTimeout  time.Duration // graceful-shutdown session drain deadline
+	throttle      int           // fig3 parallel-width throttle m
+	level         int           // fig3 serial-replication exit level L
 	det           bool
 	allowDeadlock bool // serve .snet nets the verifier flags as deadlock-positive
 	snetFile      string
@@ -87,7 +84,6 @@ func newService(cfg config) (*service.Service, error) {
 		StreamBatch: cfg.streamBatch,
 		BoxWorkers:  cfg.boxWorkers,
 		MaxSessions: cfg.maxSessions,
-		SessionMode: cfg.sessionMode,
 		IdleTimeout: cfg.idleTimeout,
 		Pool:        cfg.pool(),
 	}
@@ -117,7 +113,7 @@ func serve(svc *service.Service, addr string, stop <-chan os.Signal,
 	go func() {
 		fmt.Fprintf(out, "snetd: serving %d networks on %s\n", len(svc.Networks()), ln.Addr())
 		for _, n := range svc.Networks() {
-			fmt.Fprintf(out, "  %-12s [%s] %s\n", n.Name(), n.Options().SessionMode, n.Description())
+			fmt.Fprintf(out, "  %-12s %s\n", n.Name(), n.Description())
 		}
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			errc <- err
@@ -146,7 +142,7 @@ func serve(svc *service.Service, addr string, stop <-chan os.Signal,
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer shutCancel()
 	_ = srv.Shutdown(shutCtx) // stop the HTTP surface
-	svc.Shutdown()            // cancel stragglers, wind down instances and warm engines
+	svc.Shutdown()            // cancel stragglers, wind down their runs
 	fmt.Fprintln(out, "snetd: shut down")
 	return nil
 }
@@ -155,7 +151,6 @@ func main() {
 	var (
 		addr = flag.String("addr", ":8080", "listen address")
 		demo = flag.Int("demo", 0, "run an in-process demo with this many concurrent sessions, then exit")
-		mode = flag.String("session-mode", "isolated", "session mode: isolated (instance per session) or shared (one warm engine per network)")
 		cfg  config
 	)
 	flag.IntVar(&cfg.workers, "workers", 1, "data-parallel with-loop workers per box ('SaC threads')")
@@ -173,10 +168,6 @@ func main() {
 	flag.StringVar(&cfg.snetFile, "snet", "", "also serve every net of this textual S-Net program (demo boxes)")
 	flag.Parse()
 
-	var err error
-	if cfg.sessionMode, err = service.ParseSessionMode(*mode); err != nil {
-		fatal(err)
-	}
 	svc, err := newService(cfg)
 	if err != nil {
 		fatal(err)

@@ -36,28 +36,6 @@ func TestDemo50ConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestDemoSharedMode runs the demo scenario with every network in shared
-// session mode: concurrent HTTP clients churning sessions over one warm
-// engine per network, and the replica gauge back at zero afterwards.
-func TestDemoSharedMode(t *testing.T) {
-	n := 24
-	if testing.Short() {
-		n = 8
-	}
-	svc, err := newService(config{workers: 1, boxWorkers: 4, buffer: 8, throttle: 4, level: 40,
-		sessionMode: service.Shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := runDemo(svc, n, &out); err != nil {
-		t.Fatalf("shared demo: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "OK") {
-		t.Fatalf("demo output missing OK:\n%s", out.String())
-	}
-}
-
 // TestGracefulSigtermDrain is the shutdown smoke test: after SIGTERM the
 // daemon refuses new sessions immediately but keeps serving a live session
 // until it finishes, then exits cleanly.

@@ -14,7 +14,7 @@
 // language front end): box implementations are stubbed, so any program
 // type-checks without bindings, and definite defects — unreachable parallel
 // branches, unroutable record shapes, signature mismatches, missing split
-// tags, reserved labels — are reported with their .snet source positions.
+// tags — are reported with their .snet source positions.
 // The exit status is nonzero if any file has parse or type errors.
 //
 // -lint additionally runs the graph-level liveness analysis over every

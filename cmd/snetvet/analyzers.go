@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -43,7 +42,7 @@ type analyzer struct {
 	run  func(u *unit) []diagnostic
 }
 
-var analyzers = []*analyzer{rawchanAnalyzer, streamdiscardAnalyzer, blockingsendAnalyzer, reservedlitAnalyzer, recordretainAnalyzer, fusesafeAnalyzer}
+var analyzers = []*analyzer{rawchanAnalyzer, streamdiscardAnalyzer, blockingsendAnalyzer, recordretainAnalyzer, fusesafeAnalyzer}
 
 // ---------------------------------------------------------------- rawchan
 
@@ -79,48 +78,6 @@ var rawchanAnalyzer = &analyzer{
 							id.Name),
 					})
 				}
-				return true
-			})
-		}
-		return diags
-	},
-}
-
-// ------------------------------------------------------------ reservedlit
-
-// reservedlit keeps the "__snet_" control-record namespace in one place:
-// reserved.go defines the marker labels and IsReservedLabel; a literal
-// spelled anywhere else bypasses that single point of truth and silently
-// drifts when the namespace changes.
-var reservedlitAnalyzer = &analyzer{
-	name: "reservedlit",
-	doc:  "forbid \"__snet_\"-prefixed string literals outside internal/core/reserved.go",
-	run: func(u *unit) []diagnostic {
-		var diags []diagnostic
-		for _, f := range u.files {
-			name := u.filename(f)
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			if u.pkgName() == "core" && name == "reserved.go" {
-				continue
-			}
-			// Spelled in two parts so the analyzer does not flag itself.
-			reserved := "__" + "snet_"
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				s, err := strconv.Unquote(lit.Value)
-				if err != nil || !strings.HasPrefix(s, reserved) {
-					return true
-				}
-				diags = append(diags, diagnostic{
-					analyzer: "reservedlit",
-					pos:      u.fset.Position(lit.Pos()),
-					msg:      "\"__snet_\" literal outside reserved.go: use the core reserved-label constants",
-				})
 				return true
 			})
 		}

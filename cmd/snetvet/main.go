@@ -1,8 +1,7 @@
 // Command snetvet checks the repository's runtime invariants that the Go
 // compiler cannot see: raw item/frame channels outside stream.go, node run
 // loops that return without draining their reader or that discard a send
-// result (ignoring the reader hanging up), and "__snet_" reserved
-// literals spelled outside reserved.go.  The analyzers are purely
+// result (ignoring the reader hanging up).  The analyzers are purely
 // syntactic, so the tool is self-contained — no typechecking, no export
 // data, no dependencies beyond the standard library.
 //

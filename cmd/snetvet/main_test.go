@@ -90,19 +90,6 @@ func TestBlockingSendFindsSeededViolations(t *testing.T) {
 	}
 }
 
-// TestReservedLitFindsSeededViolations checks prefix literals are flagged
-// but mid-string prose mentions are not.
-func TestReservedLitFindsSeededViolations(t *testing.T) {
-	code, _, stderr := runVet(t, "testdata/src/reservedlit")
-	if code != 2 {
-		t.Fatalf("want exit 2, got %d:\n%s", code, stderr)
-	}
-	lines := nonEmptyLines(stderr)
-	if len(lines) != 2 {
-		t.Fatalf("want 2 findings, got %d:\n%s", len(lines), stderr)
-	}
-}
-
 // TestRecordRetainFindsSeededViolations checks the arena-discipline
 // analyzer: use-after-release, double release, mutate-after-emit and
 // release-after-route are flagged; reassignment and branch-local drop
@@ -160,7 +147,7 @@ func TestFuseSafeFindsSeededViolations(t *testing.T) {
 // TestJSONOutput checks the unitchecker-compatible JSON form: exit 0, all
 // findings keyed by unit then analyzer.
 func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runVet(t, "-json", "testdata/src/reservedlit")
+	code, stdout, _ := runVet(t, "-json", "testdata/src/rawchan")
 	if code != 0 {
 		t.Fatalf("json mode must exit 0, got %d", code)
 	}
@@ -168,9 +155,9 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, stdout)
 	}
-	unit := out["testdata/src/reservedlit"]
-	if len(unit["reservedlit"]) != 2 {
-		t.Fatalf("want 2 reservedlit diagnostics in JSON, got %+v", out)
+	unit := out["testdata/src/rawchan"]
+	if len(unit["rawchan"]) != 4 {
+		t.Fatalf("want 4 rawchan diagnostics in JSON, got %+v", out)
 	}
 }
 
@@ -180,13 +167,13 @@ func TestJSONOutput(t *testing.T) {
 func TestVetCfgProtocol(t *testing.T) {
 	dir := t.TempDir()
 	vetx := filepath.Join(dir, "out.vetx")
-	goFile, err := filepath.Abs("testdata/src/reservedlit/bad.go")
+	goFile, err := filepath.Abs("testdata/src/rawchan/bad.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeCfg := func(vetxOnly bool) string {
 		cfg := map[string]any{
-			"ImportPath": "example/reservedlit",
+			"ImportPath": "example/rawchan",
 			"GoFiles":    []string{goFile},
 			"VetxOnly":   vetxOnly,
 			"VetxOutput": vetx,
@@ -206,7 +193,7 @@ func TestVetCfgProtocol(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("want exit 2 on findings, got %d:\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "example/reservedlit") && !strings.Contains(stderr, "bad.go") {
+	if !strings.Contains(stderr, "example/rawchan") && !strings.Contains(stderr, "bad.go") {
 		t.Errorf("diagnostics missing position info:\n%s", stderr)
 	}
 	if _, err := os.Stat(vetx); err != nil {

@@ -99,7 +99,7 @@ func TestDocsCiteTheBenchmark(t *testing.T) {
 
 	// The check itself: right names pass, each kind of wrong name is caught.
 	good := "`ops_per_s` @ `webpipe_http`, `core.fuse.*`, `service.session.open_us`, " +
-		"`split.session_mux.replicas`, `snet.Compile`"
+		"`split.level.replicas`, `snet.Compile`"
 	if bad := checkCitations(good, names); len(bad) != 0 {
 		t.Errorf("valid citations rejected: %v", bad)
 	}

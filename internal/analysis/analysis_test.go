@@ -131,31 +131,6 @@ func TestUnboundedSplit(t *testing.T) {
 	wantFinding(t, r, analysis.CodeUnboundedSplit, "/pairs", "grow without bound")
 }
 
-func TestSessionSplitExempt(t *testing.T) {
-	// The same starving join under an uncapped session split is not an
-	// unbounded-split finding: the session layer owns replica lifecycle.
-	net := core.Serial(
-		box("feed", "(<job>) -> (l, <p>, <job>)"),
-		core.SessionSplit("sess",
-			core.NamedSync("pair", pat("{l, <p>, <job>}"), pat("{r, <p>, <job>}")),
-			"p"),
-	)
-	r := compileAndAnalyze(t, net)
-	for _, f := range r.Findings {
-		if f.Code == analysis.CodeUnboundedSplit {
-			t.Errorf("session split must be exempt from unbounded-split, got %v", f)
-		}
-	}
-	wantFinding(t, r, analysis.CodeSyncStarvation, "/pair", "{r, <job>, <p>}")
-}
-
-func TestMarkerHazardNestedSessionSplit(t *testing.T) {
-	inner := core.SessionSplit("sess", box("g", "(a, <k>) -> (a, <k>)"), "k")
-	net := core.NamedSplit("outer", inner, "shard")
-	r := compileAndAnalyze(t, net)
-	wantFinding(t, r, analysis.CodeMarkerHazard, "/sess", "nested inside")
-}
-
 func TestCleanWorkloads(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -111,16 +111,6 @@ func (a *analyzer) emitExact(g *core.GraphNode, code string, variant core.Varian
 // reached reports whether the flow pass delivered at least one variant to g.
 func reached(g *core.GraphNode) bool { return g.Visited && len(g.FlowIn) > 0 }
 
-// enclosing returns g's nearest ancestor of the given kind, nil if none.
-func enclosing(g *core.GraphNode, kind string) *core.GraphNode {
-	for p := g.Parent; p != nil; p = p.Parent {
-		if p.Kind == kind {
-			return p
-		}
-	}
-	return nil
-}
-
 // walk visits the tree; deadReported says a dead-arm finding was already
 // emitted for an ancestor — descendants of a dead subgraph are not re-reported.
 func (a *analyzer) walk(g *core.GraphNode, deadReported bool) {
@@ -135,9 +125,6 @@ func (a *analyzer) walk(g *core.GraphNode, deadReported bool) {
 	} else if !deadReported {
 		a.checkDeadArm(g)
 		deadReported = true
-	}
-	if g.Kind == "split" {
-		a.checkSessionNesting(g)
 	}
 	for _, ch := range g.Children {
 		a.walk(ch, deadReported)

@@ -20,10 +20,6 @@
 //	unbounded-split   an indexed parallel replication whose replicas each
 //	                  contain a starving join: replicas accumulate held
 //	                  records with no close or reap path retiring them.
-//	marker-hazard     subgraph shapes that can drop or reorder reserved
-//	                  "__snet_" control records: session splits nested
-//	                  inside replication, where the close/ack barrier
-//	                  degrades to merge order.
 //
 // Soundness: findings are warnings, not errors.  The analysis is
 // closed-world over the plan's inferred (or declared) input type, and the

@@ -22,9 +22,6 @@ const (
 	// CodeUnboundedSplit marks an indexed parallel replication whose
 	// replicas contain a starving join and have no retire path.
 	CodeUnboundedSplit = "unbounded-split"
-	// CodeMarkerHazard marks a subgraph that can drop or reorder reserved
-	// "__snet_" control records.
-	CodeMarkerHazard = "marker-hazard"
 	// CodeDeadlockCycle marks a wait-for cycle through the coordination
 	// structure: a synchrocell awaits a variant whose only producers lie
 	// downstream of the cell itself, so the records that could complete

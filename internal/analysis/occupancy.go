@@ -41,9 +41,8 @@ type Caps struct {
 	// once the engine has grown it, so the verdict holds for every run on
 	// at most BoxWorkers processors — the same term either way.
 	BoxWorkers int `json:"boxWorkers"`
-	// SplitWidth is the assumed live replica count per indexed split —
-	// the fold width for capped splits, the assumed concurrent session
-	// count for uncapped (session) splits.
+	// SplitWidth is the assumed live replica count per indexed split: the
+	// width its tag values fold into.
 	SplitWidth int `json:"splitWidth"`
 	// StarDepth is the assumed unfolded stage count per serial replication.
 	StarDepth int `json:"starDepth"`

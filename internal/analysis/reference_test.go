@@ -167,15 +167,9 @@ func TestReferenceGolden(t *testing.T) {
 		core.Parallel(
 			box("onMerged", "(a, b, <k>) -> (res)"),
 			box("onNever", "(nope) -> (res)"))))
-	pairs := func(split func(string, core.Node, string) core.Node, body core.Node) core.Node {
-		return core.Serial(box("feed", "(<job>) -> (l, <p>, <job>)"), split("pairs", body, "p"))
-	}
 	pair := core.NamedSync("pair", pat("{l, <p>, <job>}"), pat("{r, <p>, <job>}"))
-	built("defect/unbounded-split", pairs(core.NamedSplit,
-		core.Serial(pair, box("merge2", "(l, r, <p>, <job>) -> (out, <done>)"))))
-	built("defect/session-split-exempt", pairs(core.SessionSplit, pair))
-	built("defect/nested-session-split", core.NamedSplit("outer",
-		core.SessionSplit("sess", box("g", "(a, <k>) -> (a, <k>)"), "k"), "shard"))
+	built("defect/unbounded-split", core.Serial(box("feed", "(<job>) -> (l, <p>, <job>)"),
+		core.NamedSplit("pairs", core.Serial(pair, box("merge2", "(l, r, <p>, <job>) -> (out, <done>)")), "p")))
 	// Two definite defects a bottom-up check of signatures could only warn about.
 	built("defect/serial-mismatch", core.Serial(box("a", "(x) -> (y)"), box("b", "(q) -> (z)")))
 	built("defect/star-exit-unreachable", core.Star(box("spin", "(<n>) -> (<n>)"), pat("{<done>}")))

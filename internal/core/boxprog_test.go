@@ -359,9 +359,7 @@ func testSyncMergeMatchesByName(t *testing.T, m execMode) {
 }
 
 // TestRuntimeAddressesRecordsBySlot is the lint that keeps it so.  Outside
-// record.go (the by-name API itself) and reserved.go (which builds and tests
-// the control records of the close protocol, by their reserved names) no
-// non-test file of the package calls a by-name accessor of a record.  No
+// record.go (the by-name API itself) no non-test file of the package calls a by-name accessor of a record.  No
 // non-test file names the tree evaluator of tag expressions or the arena's
 // package-level acquires, which are gone (a tag expression is compiled per
 // shape, prog.go; the arena is entered through a front, arena.go).  And what a
@@ -394,7 +392,7 @@ func TestRuntimeAddressesRecordsBySlot(t *testing.T) {
 	}
 	for _, pkg := range pkgs {
 		for name, file := range pkg.Files {
-			slotOnly := name != "record.go" && name != "reserved.go"
+			slotOnly := name != "record.go"
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:

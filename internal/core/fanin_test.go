@@ -85,7 +85,7 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 			want += 2 * replicas
 		}
 		stats := budget(t, NamedSplit("gb", join(), "k"), inputs, replicas, want, WithBoxWorkers(1))
-		if g := replicaGauge(stats, "gb"); g != replicas {
+		if g := stats.Counter("split.gb.replicas"); g != replicas {
 			t.Fatalf("live replicas = %d, want %d", g, replicas)
 		}
 	})
@@ -344,131 +344,4 @@ func TestFanInCancelReleasesBufferedRegions(t *testing.T) {
 	h.out.Discard()
 	waitForGoroutines(t, base)
 	waitPoolLive(t, live)
-}
-
-// TestFanInRetiredReplicasLeaveTables: a long-lived site that opens and
-// closes replicas (a shared engine's SessionSplit) keeps entries for its
-// live replicas only — in the dispatcher's port table, in the input reader's
-// idle-flush list and in the merger's branch list.
-func TestFanInRetiredReplicasLeaveTables(t *testing.T) {
-	const sessions, liveAtOnce = 2000, 3
-	base := goroutineCount()
-	h := newMergeHarness(4, 8, false)
-	defer h.cancel()
-	recv := func() *Record {
-		t.Helper()
-		for {
-			it, ok := h.out.recv()
-			if !ok {
-				t.Fatal("output closed early")
-			}
-			if it.rec != nil {
-				return it.rec
-			}
-		}
-	}
-	var open []*branchPort
-	for s := 0; s < sessions; s++ {
-		port := h.f.addBranch(Observe("sess", nil), nil)
-		open = append(open, port)
-		if !h.f.route(port, recN(s)) || !port.w.flush() {
-			t.Fatal("route failed")
-		}
-		if got := tagOf(t, recv(), "n"); got != s {
-			t.Fatalf("session %d: got record %d", s, got)
-		}
-		if len(open) == liveAtOnce {
-			// Close the oldest; its acknowledgement follows its records.
-			if !h.f.retireBranch(open[0], NewReplicaCloseAck("sid", s)) {
-				t.Fatal("retire failed")
-			}
-			open = open[1:]
-			if ack := recv(); !IsReplicaClose(ack) || tagOf(t, ack, "sid") != s {
-				t.Fatalf("session %d: want its close acknowledgement, got %v", s, ack)
-			}
-		}
-		if len(h.f.ports) != len(open) || len(h.f.in.onIdle) != len(open) {
-			t.Fatalf("after %d sessions: %d ports, %d idle-flush writers, %d live replicas",
-				s+1, len(h.f.ports), len(h.f.in.onIdle), len(open))
-		}
-		for i, p := range h.f.ports {
-			if p.slot != i || h.f.in.onIdle[i] != p.w {
-				t.Fatalf("port table out of step with the idle-flush list at slot %d", i)
-			}
-		}
-	}
-	h.f.finish()
-	for {
-		if _, ok := h.out.recv(); !ok {
-			break
-		}
-	}
-	h.wait(t)
-	// The merger is done: its list is ours to read.  Settled branches are
-	// dropped once they outnumber the live ones.
-	if n := len(h.m.branches); n > 2*liveAtOnce+2 {
-		t.Fatalf("merger lists %d branches after %d sessions with %d live at once", n, sessions, liveAtOnce)
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestFanInSessionCloseAck: the acknowledgement of a SessionSplit close must
-// come strictly after the replica's last record.  That record and the
-// branch's evClosed always travel in different frames of the merge queue,
-// and evRetire races them from the dispatcher's side; a slow last record
-// makes evRetire overtake it.
-func TestFanInSessionCloseAck(t *testing.T) { bothPlans(t, testFanInSessionCloseAck) }
-
-func testFanInSessionCloseAck(t *testing.T, m execMode) {
-	for _, b := range []int{1, 8} {
-		t.Run(fmt.Sprintf("B%d", b), func(t *testing.T) {
-			const sessions, burst = 40, 3
-			slow := NewBox("ackslow", MustParseSignature("(<n>) -> (<n>)"),
-				func(args []any, out *Emitter) error {
-					if args[0].(int) == burst-1 {
-						time.Sleep(200 * time.Microsecond) // the last record lags its close
-					}
-					return out.Out(1, args[0].(int))
-				})
-			n := SessionSplit("ackmux", Serial(slow, MustFilter("{<n>} -> {<n>=<n>+100}")), "sid")
-			h := m.Start(context.Background(), n, WithStreamBatch(b), WithBoxWorkers(1))
-			defer h.Cancel()
-			go func() {
-				for s := 0; s < sessions; s++ {
-					for i := 0; i < burst; i++ {
-						if h.Send(NewRecord().SetTag("n", i).SetTag("sid", s)) != nil {
-							return
-						}
-					}
-					if h.Send(NewReplicaCloseAck("sid", s)) != nil {
-						return
-					}
-				}
-				h.Close()
-			}()
-			seen := map[int]int{}
-			acked := map[int]bool{}
-			for r := range h.Out() {
-				sid := tagOf(t, r, "sid")
-				if IsReplicaClose(r) {
-					if seen[sid] != burst {
-						t.Fatalf("session %d acknowledged after %d of %d records", sid, seen[sid], burst)
-					}
-					acked[sid] = true
-					continue
-				}
-				if acked[sid] {
-					t.Fatalf("session %d: record %v after its acknowledgement", sid, r)
-				}
-				seen[sid]++
-			}
-			h.Wait()
-			if len(acked) != sessions {
-				t.Fatalf("%d of %d sessions acknowledged", len(acked), sessions)
-			}
-			if g := replicaGauge(h.Stats(), "ackmux"); g != 0 {
-				t.Fatalf("replica gauge after all closes: %d", g)
-			}
-		})
-	}
 }

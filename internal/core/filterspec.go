@@ -229,8 +229,7 @@ func (p *Parser) Filter() (*FilterSpec, error) {
 func (p *Parser) filterOutput(pat Pattern) ([]FilterItem, error) {
 	items := []FilterItem{}
 	err := p.list(TokLBrace, TokRBrace, func() error {
-		// Every item opens with the label it synthesizes — through Label, so
-		// the runtime's reserved namespace is refused here too.
+		// Every item opens with the label it synthesizes.
 		l, err := p.Label()
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -174,5 +175,27 @@ func TestFilterApplyMissingFieldError(t *testing.T) {
 	// Pattern says field a, record only has tag <a>; Apply must error.
 	if _, err := f.Apply(NewRecord().SetTag("a", 1)); err == nil {
 		t.Fatal("want error for missing field")
+	}
+}
+
+// TestHideTags: hiding a tag is a filter that consumes it — the rest of the
+// record is inherited, and a record without the tag passes unchanged.
+func TestHideTags(t *testing.T) { bothPlans(t, testHideTags) }
+
+func testHideTags(t *testing.T, m execMode) {
+	n := Serial(incBox("h", 1), MustFilter("{<aux>} -> {}"), MustFilter("{<absent>} -> {}"))
+	out, _, err := m.RunAll(context.Background(),
+		n, []*Record{NewRecord().SetTag("n", 1).SetTag("aux", 9).SetTag("keep", 3)})
+	if err != nil || len(out) != 1 {
+		t.Fatalf("out=%d err=%v", len(out), err)
+	}
+	if _, ok := out[0].Tag("aux"); ok {
+		t.Fatalf("aux survived: %v", out[0])
+	}
+	if v, _ := out[0].Tag("keep"); v != 3 {
+		t.Fatalf("keep lost: %v", out[0])
+	}
+	if v, _ := out[0].Tag("n"); v != 2 {
+		t.Fatalf("n: %v", out[0])
 	}
 }

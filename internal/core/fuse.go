@@ -114,7 +114,7 @@ func (c *spineCutter) place(n Node, nested bool) {
 		case *starNode:
 			c.place(s.operand, !s.det)
 		case *splitNode:
-			c.place(s.operand, !s.uncapped)
+			c.place(s.operand, true)
 		}
 	}
 	c.spines[n] = c.cut(nodes, nested)
@@ -168,7 +168,7 @@ func (c *spineCutter) stage(n Node, nested bool) stage {
 			branches = n.branches
 		}
 	case *splitNode:
-		if !n.det && !n.uncapped && nested {
+		if !n.det && nested {
 			branches = []Node{n.operand}
 		}
 	}
@@ -188,8 +188,7 @@ func (c *spineCutter) stage(n Node, nested bool) stage {
 }
 
 // fanStage is a dispatcher run as a stage, its site's fanout held state
-// (held.fan).  A split's close protocol runs in the step, so an
-// acknowledgement follows the replica's last record by construction.
+// (held.fan).
 type fanStage struct {
 	n site
 	lone

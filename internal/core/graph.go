@@ -49,7 +49,6 @@ type GraphNode struct {
 	Patterns []Pattern     // sync only: the join patterns
 	Exit     *Pattern      // star only: the exit pattern
 	Tag      string        // split only: the index tag
-	Uncapped bool          // split only: SessionSplit (width-fold exempt)
 
 	// Workers is the box's pinned invocation width W (box only;
 	// NewBoxConcurrent).  0 means the box takes the run's WithBoxWorkers

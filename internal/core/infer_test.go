@@ -138,8 +138,8 @@ func TestInferSync(t *testing.T) {
 
 // TestInferTable is the table-driven sweep over every combinator: for each
 // network it checks the inferred input/output types and, through Compile,
-// the definite findings — including flow inheritance through boxes, tag
-// guards on star exit patterns, and reserved-label rejection.
+// the definite findings — including flow inheritance through boxes and tag
+// guards on star exit patterns.
 func TestInferTable(t *testing.T) {
 	echo := func(name, sig string) Node {
 		return NewBox(name, MustParseSignature(sig),
@@ -228,16 +228,6 @@ func TestInferTable(t *testing.T) {
 			},
 			wantIn:  RecType{NewVariant(Field("a")), NewVariant(Field("b"), Tag("t"))},
 			wantOut: RecType{NewVariant(Field("a"), Field("b"), Tag("t"))},
-		},
-		{
-			name: "reserved-label-compile",
-			net: func() Node {
-				return NewBox("evil", &BoxSignature{In: []Label{Field("__snet_x")},
-					Out: [][]Label{{Field("__snet_x")}}}, nopFn)
-			},
-			wantIn:   RecType{NewVariant(Field("__snet_x"))},
-			wantOut:  RecType{NewVariant(Field("__snet_x"))},
-			wantErrs: []string{ErrCodeReserved},
 		},
 	}
 	for _, tc := range cases {

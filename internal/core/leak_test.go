@@ -214,59 +214,6 @@ func testDiscardedRecordsCounted(t *testing.T, m execMode) {
 	waitForGoroutines(t, base+3)
 }
 
-// TestNoLeakSplitReplicaChurn is the standalone replica-leak regression: a
-// long-lived split run whose key population churns must not accumulate
-// replica goroutines.  Every replica is retired through the in-band close
-// protocol, and the live-replica gauge must read 0 while the run is still up
-// (the gauge only grew before this fix).
-func TestNoLeakSplitReplicaChurn(t *testing.T) {
-	base := goroutineCount()
-	t.Run("close", func(t *testing.T) {
-		bothPlans(t, func(t *testing.T, m execMode) {
-			n := NamedSplit("churn",
-				Serial(incBox("ci", 1), NamedStar("cloop", decBox(), MustParsePattern("{<done>}"))),
-				"k")
-			h := m.Start(context.Background(), n, WithBuffer(4))
-			go func() {
-				for r := range h.Out() {
-					_ = r
-				}
-			}()
-			const keys = 40
-			for k := 0; k < keys; k++ {
-				if err := h.Send(NewRecord().SetTag("n", 3).SetTag("k", k)); err != nil {
-					t.Fatal(err)
-				}
-				if err := h.Send(NewReplicaClose("k", k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			gauge := func() int64 { return h.Stats().Counter("split.churn.replicas") }
-			reclaimed := func() int64 { return h.Stats().Counter("split.churn.closed") }
-			// Wait for all reclamations first — the gauge transiently reads
-			// 0 between churn pairs still queued in the boundary stream.
-			deadline := time.Now().Add(5 * time.Second)
-			for reclaimed() != keys && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if r := reclaimed(); r != keys {
-				t.Fatalf("reclaimed %d of %d replicas", r, keys)
-			}
-			for gauge() != 0 && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if g := gauge(); g != 0 {
-				t.Fatalf("%d replicas still live after churn", g)
-			}
-			// Replica goroutines must be gone while the run itself is live.
-			waitForGoroutines(t, base+16)
-			h.Close()
-			h.Wait()
-		})
-	})
-	waitForGoroutines(t, base+3)
-}
-
 func TestNoLeakUnconsumedOutput(t *testing.T) { bothPlans(t, testNoLeakUnconsumedOutput) }
 
 func testNoLeakUnconsumedOutput(t *testing.T, m execMode) {

@@ -30,14 +30,12 @@ const (
 	evClosed          // branch output closed
 	evMarker          // splitter announces the next marker
 	evDone            // splitter finished; no further branches or markers
-	evRetire          // branch input closed (close protocol); fr: its ack, if any
-	evEmit            // fr's record straight to the output: an ack with no replica
 )
 
 type branchEvent struct {
 	kind int
-	b    *mergerBranch // evRegister, evFrame, evClosed, evRetire
-	fr   frame         // evFrame payload; as a single item: evMarker's identity, evRetire's and evEmit's record
+	b    *mergerBranch // evRegister, evFrame, evClosed
+	fr   frame         // evFrame payload; as a single item: evMarker's identity
 }
 
 // mergeQueueSlack is how many frames the merge queue holds beyond the run's
@@ -58,7 +56,6 @@ type branchPort struct {
 	held   []held
 	held2  [2]held       // held's backing for a body of one or two stages
 	b      *mergerBranch // nil at a direct site
-	own    *streamWriter // direct: a spawned branch's writer (fanout.writer)
 	slot   int           // index in fanout.ports and in the input reader's idle list
 	routed *statCell     // parallel: the held cell of the branch's routing counter
 }
@@ -208,8 +205,7 @@ func (f *fanout) writer(port *branchPort) *streamWriter {
 		return port.w
 	}
 	f.writing.Add(1)
-	port.own = &streamWriter{env: f.env, fan: f.out.fan, branch: f.out.branch, batch: f.env.batch, done: &f.writing}
-	return port.own
+	return &streamWriter{env: f.env, fan: f.out.fan, branch: f.out.branch, batch: f.env.batch, done: &f.writing}
 }
 
 // route sends a data record into a branch and, in deterministic mode, the
@@ -277,44 +273,6 @@ func (f *fanout) broadcast(mk *marker) bool {
 	return true
 }
 
-// retireBranch is the splitter half of the replica close protocol: the
-// branch's input closes (it drains, its output merges as usual), the port
-// leaves the splitter's tables and sentinel, if non-nil, goes out strictly
-// after the branch's last record — from the merger or, at a direct site, from
-// the branch's writer: a spawned one's at its close, the site's after the
-// stages end.  The port must not be routed to after retireBranch.
-func (f *fanout) retireBranch(port *branchPort, sentinel *Record) bool {
-	if port.own != nil {
-		port.own.handAck(sentinel)
-		sentinel = nil
-	}
-	f.close(port)
-	last := len(f.ports) - 1
-	moved := f.ports[last]
-	moved.slot = port.slot
-	f.ports[port.slot], f.ports[last], f.ports = moved, nil, f.ports[:last]
-	if f.x == nil {
-		idle := f.in.onIdle
-		idle[port.slot], idle[last], f.in.onIdle = moved.w, nil, idle[:last]
-	}
-	if f.mux == nil {
-		return sentinel == nil || f.emitDirect(sentinel)
-	}
-	return f.sendEv(branchEvent{kind: evRetire, b: port.b, fr: frame{single: item{rec: sentinel}}})
-}
-
-// emitDirect hands one record straight to the merged output — the close
-// protocol's acknowledgement path when no replica exists for the key.
-func (f *fanout) emitDirect(rec *Record) bool {
-	switch {
-	case f.x != nil:
-		return f.x.push(f.at, rec)
-	case f.mux == nil:
-		return f.out.sendRecord(rec) && f.out.flush()
-	}
-	return f.sendEv(branchEvent{kind: evEmit, fr: frame{single: item{rec: rec}}})
-}
-
 // finish closes every branch input and tells the merger nothing more comes.
 func (f *fanout) finish() {
 	for _, port := range f.ports {
@@ -332,10 +290,8 @@ func (f *fanout) finish() {
 type mergerBranch struct {
 	join        int
 	closed      bool
-	settled     bool // closed, drained and acknowledged: nothing left to merge
 	markersSeen int
 	held        fifo[heldRecord] // buffered data, in arrival order and so by region
-	sentinel    *Record          // close protocol: emit after the last record
 }
 
 // heldRecord is a buffered record and the marker region it belongs to.
@@ -353,13 +309,11 @@ type merger struct {
 	f   *fanout
 	out *streamWriter
 	// branches are the registered branches in registration order — the
-	// fixed branch order of deterministic emission.  Settled ones are
-	// compacted away (register), so a long-lived site holds entries for its
-	// live branches only.  A branch whose evRegister lost the cancellation
-	// race in sendEv may still deliver events; the run is being abandoned,
-	// so it is merged without ever being listed.
+	// fixed branch order of deterministic emission.  A branch whose
+	// evRegister lost the cancellation race in sendEv may still deliver
+	// events; the run is being abandoned, so it is merged without ever being
+	// listed.
 	branches []*mergerBranch
-	dead     int           // settled entries still listed
 	marks    fifo[*marker] // announced, not yet emitted: marker emitted+1 first
 	emitted  int
 	done     bool
@@ -396,7 +350,7 @@ func (m *merger) run() bool {
 		}
 		switch e.kind {
 		case evRegister:
-			m.register(e.b)
+			m.branches = append(m.branches, e.b)
 		case evFrame:
 			if !m.frame(e.b, e.fr) {
 				return false
@@ -408,18 +362,7 @@ func (m *merger) run() bool {
 			}
 		case evClosed:
 			e.b.closed = true
-			if !m.advance() || !m.settle(e.b) {
-				return false
-			}
-		case evRetire:
-			// The branch settling — closed, its last region emitted — releases
-			// the ack; evRetire and evClosed race, so settle checks both orders.
-			e.b.sentinel = e.fr.single.rec
-			if !m.settle(e.b) {
-				return false
-			}
-		case evEmit:
-			if !m.out.send(e.fr.single) {
+			if !m.advance() {
 				return false
 			}
 		case evDone:
@@ -434,22 +377,6 @@ func (m *merger) run() bool {
 			}
 		}
 	}
-}
-
-// register lists a new branch, first dropping the settled ones once they
-// are the majority — amortised constant work per branch.
-func (m *merger) register(b *mergerBranch) {
-	if m.dead > len(m.branches)/2 {
-		live := m.branches[:0]
-		for _, x := range m.branches {
-			if !x.settled {
-				live = append(live, x)
-			}
-		}
-		clear(m.branches[len(live):])
-		m.branches, m.dead = live, 0
-	}
-	m.branches = append(m.branches, b)
 }
 
 // frame merges one frame of branch b's output and returns its slab to the
@@ -508,25 +435,8 @@ func (m *merger) regionComplete(next int) bool {
 	return true
 }
 
-// settle delivers a retired branch's drain acknowledgement once the branch
-// has closed and none of its data remains buffered — the "strictly after the
-// branch's last record" guarantee of the close protocol — and marks the
-// branch as having nothing left to merge.  False on cancellation.
-func (m *merger) settle(b *mergerBranch) bool {
-	if !b.closed || b.held.len() != 0 {
-		return true
-	}
-	if !b.settled {
-		b.settled = true
-		m.dead++
-	}
-	rec := b.sentinel
-	b.sentinel = nil
-	return rec == nil || m.out.sendRecord(rec)
-}
-
 // emitRegion emits what the branches hold of the regions up to upTo, in
-// branch order, settling each branch.  On cancellation what is still held
+// branch order.  On cancellation what is still held
 // stays for abandon; the record in flight is the out writer's to retract.
 func (m *merger) emitRegion(upTo int) bool {
 	for _, b := range m.branches {
@@ -534,9 +444,6 @@ func (m *merger) emitRegion(upTo int) bool {
 			if !m.out.sendRecord(b.held.pop().rec) {
 				return false
 			}
-		}
-		if !m.settle(b) {
-			return false
 		}
 	}
 	return true
@@ -558,19 +465,17 @@ func (m *merger) advance() bool {
 }
 
 // flushTails emits data buffered after the last marker of each branch (or
-// all data, in runs without any markers), in branch order, followed by any
-// retired branch's drain acknowledgement.
+// all data, in runs without any markers), in branch order.
 func (m *merger) flushTails() bool { return m.emitRegion(math.MaxInt) }
 
 // abandon releases what a cancelled merge still holds — buffered regions,
-// pending acknowledgements, the frames queued for it — so the arena's ledger
+// the frames queued for it — so the arena's ledger
 // returns to zero.  What lands after this its writer takes back (offer).
 func (m *merger) abandon() {
 	for _, b := range m.branches {
 		for b.held.len() != 0 {
 			releaseRecord(b.held.pop().rec)
 		}
-		releaseRecord(b.sentinel)
 	}
 	reclaim(m.f.mux)
 }

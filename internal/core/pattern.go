@@ -91,13 +91,6 @@ func (p *Parser) Label() (Label, error) {
 	default:
 		return Label{}, p.Errf("expected field or tag label, found %v", t.Kind)
 	}
-	// Reserved-namespace enforcement: signatures, patterns and filters all
-	// parse labels through here, so no user network can consume, match or
-	// synthesize the runtime's control labels (session multiplexing and the
-	// replica close protocol depend on that).
-	if IsReservedLabel(l.Name) {
-		return Label{}, p.Errf("label %s lies in the reserved %q namespace", l, ReservedTagPrefix)
-	}
 	p.Take()
 	return l, nil
 }

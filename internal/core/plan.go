@@ -12,8 +12,7 @@ import (
 // the typed tree — a GraphNode per position, with its path, its bottom-up
 // signature (§3–4 of the paper: box signatures seed the leaves, the
 // combinators compose them; the same signatures the routing tables of route.go
-// accept by) and its parent — checks reserved labels and pre-interns every
-// declared shape.  One shape-flow pass over that tree (flow.go) propagates the
+// accept by) and its parent — and pre-interns every declared shape.  One shape-flow pass over that tree (flow.go) propagates the
 // network's inferred (or declared, WithInputType) input variants through it
 // and is the type analysis: it leaves on every node what reaches and leaves
 // it, and reports as structured TypeErrors the defects that would otherwise
@@ -38,9 +37,6 @@ const (
 	// ErrCodeMissingTag marks a variant that reaches parallel replication
 	// without the split's index tag.
 	ErrCodeMissingTag = "missing-index-tag"
-	// ErrCodeReserved marks a signature, pattern, filter or split tag using
-	// the runtime's reserved "__snet_" label namespace.
-	ErrCodeReserved = "reserved-label"
 )
 
 // TypeError is one definite finding of the compile phase.  Path locates the
@@ -286,56 +282,43 @@ func renderType(t RecType) []string {
 	return out
 }
 
-// declared visits the label sets a node's author wrote down, each with what it
-// is: Compile refuses reserved labels in them (the textual parsers already do;
-// this catches programmatically built nodes) and pre-interns their labels and
-// shapes, so the plan's whole label universe is id-resolved and its canonical
+// declared visits the label sets a node's author wrote down: Compile
+// pre-interns their labels and shapes, so the plan's whole label universe is id-resolved and its canonical
 // shapes exist before the first record flows — records of these shapes then
 // take only the lock-free intern/shape read paths at runtime; out-of-plan
 // dynamic shapes still intern lazily on first sight.
-func declared(n Node, visit func(what string, labels ...Label)) {
+func declared(n Node, visit func(labels ...Label)) {
 	switch n := n.(type) {
 	case *boxNode:
-		visit("box input", n.boxSig.In...)
+		visit(n.boxSig.In...)
 		for _, tuple := range n.boxSig.Out {
-			visit("box output", tuple...)
+			visit(tuple...)
 		}
 	case *filterNode:
-		visit("filter pattern", n.spec.Pattern.Variant.Labels()...)
+		visit(n.spec.Pattern.Variant.Labels()...)
 		for _, items := range n.spec.Outputs {
-			visit("filter output", itemLabels(items)...)
+			visit(itemLabels(items)...)
 		}
 	case *starNode:
-		visit("star exit pattern", n.exit.Variant.Labels()...)
+		visit(n.exit.Variant.Labels()...)
 	case *splitNode:
-		// SessionSplit (uncapped) is the runtime's own session-multiplexing
-		// configuration; its reserved tag is intentional.
-		if !n.uncapped {
-			visit("split index", Tag(n.tag))
-		}
+		visit(Tag(n.tag))
 	case *syncNode:
 		for _, p := range n.patterns {
-			visit("synchrocell pattern", p.Variant.Labels()...)
+			visit(p.Variant.Labels()...)
 		}
 	}
 }
 
 // walk is the one structural traversal of the blueprint and the one place a
-// path is built: it checks reserved labels, pre-interns every node's labels
-// and shapes, and builds the GraphNode tree the flow pass annotates, Plan.Graph
+// path is built: it pre-interns every node's labels and shapes, and builds the GraphNode tree the flow pass annotates, Plan.Graph
 // returns and Topology is rendered from.  prefix is the parent path including
 // its trailing separator; the node's path is prefix + name().
 func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 	path := prefix + n.name()
 	in, out := n.sig()
 	g := &GraphNode{Name: n.name(), Path: path, Node: n, Parent: parent, In: in, Out: out}
-	declared(n, func(what string, labels ...Label) {
-		for _, l := range labels {
-			if IsReservedLabel(l.Name) {
-				c.typeError(true, ErrCodeReserved, path, n, nil,
-					"%s label %s lies in the runtime's reserved %q namespace", what, l, ReservedTagPrefix)
-			}
-		}
+	declared(n, func(labels ...Label) {
 		shapeForVariant(NewVariant(labels...)) // interns the labels on its way
 	})
 	switch n := n.(type) {
@@ -370,7 +353,6 @@ func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 		g.Kind = "split"
 		g.Det = n.det
 		g.Tag = n.tag
-		g.Uncapped = n.uncapped
 		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
 	default:
 		g.Kind = "node"

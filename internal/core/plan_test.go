@@ -108,26 +108,6 @@ func TestCompileMissingSplitTag(t *testing.T) {
 	}
 }
 
-func TestCompileReservedLabelProgrammatic(t *testing.T) {
-	// The textual parsers refuse reserved labels; a programmatically built
-	// signature bypasses them and must be caught at compile time.
-	net := NewBox("evil", &BoxSignature{
-		In:  []Label{Tag("__snet_session")},
-		Out: [][]Label{{Tag("__snet_session")}},
-	}, nopFn)
-	_, err := Compile(net)
-	var te *TypeError
-	if !errors.As(err, &te) || te.Code != ErrCodeReserved {
-		t.Fatalf("err = %v, want reserved-label TypeError", err)
-	}
-	// The runtime's own SessionSplit is exempt: its reserved index tag is
-	// the mechanism, not a violation.
-	wrapped := SessionSplit("mux", routeBox("id", Field("a")), "__snet_session")
-	if _, err := Compile(wrapped); err != nil {
-		t.Fatalf("SessionSplit flagged: %v", err)
-	}
-}
-
 func TestCompileDetShadowedDuplicateBranch(t *testing.T) {
 	// Deterministic parallel resolves ties leftmost, so an exact duplicate
 	// of an earlier branch can never win; nondeterministic rotation keeps

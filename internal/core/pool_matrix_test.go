@@ -228,3 +228,16 @@ func testPoolDisownAtBoundary(t *testing.T, m execMode) {
 	}
 	waitPoolLive(t, base)
 }
+
+// waitCounter polls a counter until it reaches want or the deadline passes.
+func waitCounter(t *testing.T, get func() int64, want int64, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if get() == want {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("%s = %d, want %d", what, get(), want)
+}

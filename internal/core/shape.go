@@ -38,7 +38,6 @@ type shape struct {
 	tagNames   []string  // aligned with tags
 	key        string    // canonical ShapeKey: "f1,f2|t1,t2"
 	variant    Variant   // the label set; treat as immutable
-	reserved   bool      // carries a reserved "__snet_" label
 
 	trans atomic.Pointer[map[shapeTrans]shapeStep]
 	mu    sync.Mutex // serializes transition/registry publication
@@ -116,11 +115,9 @@ func newShape(fields []labelID, fieldNames []string, tags []labelID, tagNames []
 	s.variant = make(Variant, len(fields)+len(tags))
 	for _, k := range fieldNames {
 		s.variant[Field(k)] = struct{}{}
-		s.reserved = s.reserved || IsReservedLabel(k)
 	}
 	for _, k := range tagNames {
 		s.variant[Tag(k)] = struct{}{}
-		s.reserved = s.reserved || IsReservedLabel(k)
 	}
 	return s
 }

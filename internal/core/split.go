@@ -6,69 +6,48 @@ import "fmt"
 // of A connected in parallel.  Every incoming record must carry the index
 // tag; its value selects the replica, and any two records with the same tag
 // value are guaranteed to reach the same replica (§4).  Replicas are created
-// on demand and reclaimed on demand: the in-band close protocol
-// (NewReplicaClose / NewReplicaCloseAck) retires one replica in FIFO
-// position with the data.  "split.<name>.replicas" is therefore a live
-// gauge — it counts replicas currently running, not replicas ever created.
+// on demand and live until the run ends: "split.<name>.replicas" counts the
+// replicas a run created.
 type splitNode struct {
 	label   string
 	det     bool
 	operand Node
 	tag     string
 	tagID   labelID // tag, interned
-	// uncapped exempts this split from the run's WithMaxSplitWidth modulo
-	// folding — the session-multiplexing configuration, where distinct tag
-	// values must never share a replica (SessionSplit).
-	uncapped bool
 
 	// Stat keys, concatenated once at construction: replica accounting runs
-	// per replica (and per session on a shared engine) and must not build
-	// strings.
-	kReplicas, kWidth, kClosed, kUntagged string
+	// per replica and must not build strings.
+	kReplicas, kWidth, kUntagged string
 }
 
-func newSplit(label string, det bool, operand Node, tag string, uncapped bool) *splitNode {
+func newSplit(label string, det bool, operand Node, tag string) *splitNode {
 	k := "split." + label
-	return &splitNode{label: label, det: det, operand: operand, tag: tag, tagID: internLabel(tag), uncapped: uncapped,
-		kReplicas: k + ".replicas", kWidth: k + ".width", kClosed: k + ".closed",
-		kUntagged: k + ".untagged"}
+	return &splitNode{label: label, det: det, operand: operand, tag: tag, tagID: internLabel(tag),
+		kReplicas: k + ".replicas", kWidth: k + ".width", kUntagged: k + ".untagged"}
 }
 
 // Split builds the nondeterministic parallel replicator, the paper's
 // A !! <tag>: outputs merge as soon as they are produced.
 func Split(operand Node, tag string) Node {
-	return newSplit(autoName("split"), false, operand, tag, false)
+	return newSplit(autoName("split"), false, operand, tag)
 }
 
 // SplitDet builds the deterministic parallel replicator A ! <tag>: the
 // merged output preserves the causal order of the inputs.
 func SplitDet(operand Node, tag string) Node {
-	return newSplit(autoName("split"), true, operand, tag, false)
+	return newSplit(autoName("split"), true, operand, tag)
 }
 
 // NamedSplit is Split with an explicit stats label, so experiments can read
 // "split.<name>.replicas" (used to verify the paper's ≤9-replica bound and
 // the %4 throttling of Fig. 3).
 func NamedSplit(name string, operand Node, tag string) Node {
-	return newSplit(name, false, operand, tag, false)
+	return newSplit(name, false, operand, tag)
 }
 
 // NamedSplitDet is SplitDet with an explicit stats label.
 func NamedSplitDet(name string, operand Node, tag string) Node {
-	return newSplit(name, true, operand, tag, false)
-}
-
-// SessionSplit is NamedSplit exempted from the run's WithMaxSplitWidth
-// modulo folding: distinct tag values always get distinct replicas.  It is
-// the session-multiplexing combinator of the service layer — one replica of
-// the wrapped network per live session — where folding two sessions onto
-// one replica would mix their state and break the per-replica close
-// protocol.  The replica count is bounded by the caller (the service's
-// session cap), not by the run option.  Session replicas hold live client
-// state between requests and are retired deterministically through the close
-// protocol.
-func SessionSplit(name string, operand Node, tag string) Node {
-	return newSplit(name, false, operand, tag, true)
+	return newSplit(name, true, operand, tag)
 }
 
 func (n *splitNode) name() string { return n.label }
@@ -94,12 +73,8 @@ func (n *splitNode) sig() (RecType, RecType) {
 }
 
 // foldKey maps a tag value onto the replica key: folded into the run's width
-// cap by modulo (records with equal tag values still share a replica), or
-// taken verbatim for session splits — sessions must never share a replica.
-func foldKey(v int, uncapped bool, maxWidth int) int {
-	if uncapped {
-		return v
-	}
+// cap by modulo (records with equal tag values still share a replica).
+func foldKey(v, maxWidth int) int {
 	key := v % maxWidth
 	if key < 0 {
 		key += maxWidth
@@ -112,10 +87,8 @@ func (n *splitNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 }
 
 // splitRun is one instance of a split: its fanout, its replicas by key and
-// their gauge and width, the body it steps them as (none for session replicas,
-// which hold live client state between requests, each at its own pace), and
-// what the latest record's shape says: the index tag's slot (-1: none),
-// whether it is a close record's.
+// their count and width, the body it steps them as, and the index tag's slot
+// in the latest record's shape (-1: none).
 type splitRun struct {
 	fanout
 	n               *splitNode
@@ -124,14 +97,11 @@ type splitRun struct {
 	replicas, width *statCell
 	last            *shape
 	slot            int
-	closing         bool
 }
 
 func (n *splitNode) start(env *runEnv) *fanout {
-	r := &splitRun{n: n, byKey: map[int]*branchPort{}, slot: -1, width: env.stats.maximum(n.kWidth)}
-	if !n.uncapped {
-		r.body = env.spines.body(n.operand)
-	}
+	r := &splitRun{n: n, byKey: map[int]*branchPort{}, body: env.spines.body(n.operand), slot: -1,
+		width: env.stats.maximum(n.kWidth)}
 	r.fanout = fanout{env: env, det: n.det, inst: r}
 	return &r.fanout
 }
@@ -139,49 +109,17 @@ func (n *splitNode) start(env *runEnv) *fanout {
 func (r *splitRun) dispatch(rec *Record) bool {
 	n, env := r.n, r.env
 	if sh := rec.shape; sh != r.last {
-		// Only a shape with a reserved label can be a close record's: the
-		// name is searched for in those alone.
-		r.last, r.closing = sh, sh.reserved && IsReplicaClose(rec)
+		r.last = sh
 		r.slot, _ = sh.tagSlotID(n.tagID)
 	}
-	v, ok := 0, r.slot >= 0
-	if ok {
-		v = rec.tvals[r.slot]
-	}
-	key := foldKey(v, n.uncapped, env.maxWidth)
-	if r.closing {
-		// A close record lacking this split's index tag is addressed
-		// to some other split: forward it downstream (merge order, not
-		// FIFO with records still inside this split's replicas).
-		if !ok {
-			return r.emitDirect(rec)
-		}
-		// The splitter half of the close protocol for one key: close the
-		// replica's input, drop it from the routing table, decrement the
-		// live-replica gauge.  The acknowledgement record, if requested,
-		// travels on as the drain barrier: the merger emits it after the
-		// replica's last record — or at once when no replica exists.
-		var sentinel *Record
-		if wantsCloseAck(rec) {
-			sentinel = rec
-		} else {
-			releaseRecord(rec) // consumed by the split itself
-		}
-		if port := r.byKey[key]; port != nil {
-			delete(r.byKey, key)
-			r.replicas.Add(-1)
-			env.stats.Add(n.kClosed, 1)
-			return r.retireBranch(port, sentinel)
-		}
-		return sentinel == nil || r.emitDirect(sentinel)
-	}
-	if !ok {
+	if r.slot < 0 {
 		env.error(fmt.Errorf("core: split %s: record %s lacks index tag <%s>",
 			n.label, rec, n.tag))
 		env.stats.Add(n.kUntagged, 1)
 		releaseRecord(rec) // dropped, not forwarded
 		return true
 	}
+	key := foldKey(rec.tvals[r.slot], env.maxWidth)
 	port := r.byKey[key]
 	if port == nil {
 		env.stats.held(&r.replicas, n.kReplicas).Add(1)

@@ -7,17 +7,17 @@ import (
 	"time"
 )
 
-// Tests of a split nested in a parallel branch inside a star stage — the
-// wavefront's shape — whose replicas hold synchrocell state: the close
-// protocol, cancellation in the middle of a retire, and a hand-over while a
-// replica holds half a join.  They pin what the runtime promises whichever
-// goroutine steps the split.
+// Tests of a split nested in another site's branch — as inside a star stage,
+// the wavefront's shape, where its replicas hold synchrocell state:
+// cancellation in the middle of a stream, and a hand-over while a replica
+// holds half a join.  They pin what the runtime promises whichever goroutine
+// steps the split.
 
 // joinStage is a star whose stage is a parallel of a box on field x and,
 // behind a tap, a split over sync({a},{b})..box: per key the first {b} waits
 // for its {a}, every record after the join passes the cell, and the box
 // forwards <n>, slowly when slow says so.  A filter behind the parallel sends
-// what leaves it — records and acknowledgements alike — out at the next tap.
+// what leaves it out at the next tap.
 func joinStage(name string, slow func(n int) bool) Node {
 	other := NewBox(name+"_x", MustParseSignature("(x) -> (x)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
@@ -43,74 +43,10 @@ func joinBurst(k, burst int, rec func() *Record) []*Record {
 	return recs
 }
 
-// TestStarStageSplitCloseAck: at a split nested in a parallel branch inside a
-// star stage, each acknowledgement comes strictly after its replica's last
-// record — the last one lags — a close for a key with no replica still
-// acknowledges, every join fires once, and the gauge ends at zero.
-func TestStarStageSplitCloseAck(t *testing.T) { bothPlans(t, testStarStageSplitCloseAck) }
-
-func testStarStageSplitCloseAck(t *testing.T, m execMode) {
-	const keys, burst, absent = 16, 3, 999
-	for _, w := range []int{0, 1, 4} {
-		for _, b := range []int{1, 8} {
-			t.Run(fmt.Sprintf("W%d/B%d", w, b), func(t *testing.T) {
-				opts := []Option{WithStreamBatch(b)}
-				if w > 0 {
-					opts = append(opts, WithBoxWorkers(w))
-				}
-				h := m.Start(context.Background(), joinStage("sack", func(n int) bool { return n == burst-1 }), opts...)
-				defer h.Cancel()
-				go func() {
-					for k := 0; k < keys; k++ {
-						for _, r := range joinBurst(k, burst, NewRecord) {
-							if h.Send(r) != nil {
-								return
-							}
-						}
-						if h.Send(NewReplicaCloseAck("k", k)) != nil {
-							return
-						}
-					}
-					if h.Send(NewReplicaCloseAck("k", absent)) == nil {
-						h.Close()
-					}
-				}()
-				seen, acked := map[int]int{}, map[int]bool{}
-				for r := range h.Out() {
-					k := tagOf(t, r, "k")
-					if IsReplicaClose(r) {
-						if k != absent && seen[k] != burst {
-							t.Fatalf("key %d acknowledged after %d of %d records", k, seen[k], burst)
-						}
-						acked[k] = true
-						continue
-					}
-					if acked[k] {
-						t.Fatalf("key %d: record %v after its acknowledgement", k, r)
-					}
-					seen[k]++
-				}
-				h.Wait()
-				if len(acked) != keys+1 || !acked[absent] {
-					t.Fatalf("%d of %d keys acknowledged (absent key: %v)", len(acked), keys+1, acked[absent])
-				}
-				st := h.Stats()
-				if g := replicaGauge(st, "sack"); g != 0 {
-					t.Fatalf("replica gauge after all closes: %d", g)
-				}
-				if f, s := st.Counter("sync.sack_join.fired"), st.Counter("sync.sack_join.starved"); f != keys || s != 0 {
-					t.Fatalf("joins fired %d, starved %d; want %d and 0", f, s, keys)
-				}
-			})
-		}
-	}
-}
-
 // TestStarStageSplitCancelMidRetire: a run cancelled while the replicas of
-// that split drain behind their close records gives back every record it held
-// — stored halves of joins and the acknowledgements it had been handed — and
-// every goroutine.  The output is read to its end, so the cancellation meets
-// replicas at work.
+// that split work through their bursts gives back every record it held —
+// stored halves of joins too — and every goroutine.  The output is read to its
+// end, so the cancellation meets replicas at work.
 func TestStarStageSplitCancelMidRetire(t *testing.T) { bothPlans(t, testStarStageSplitCancelMidRetire) }
 
 func testStarStageSplitCancelMidRetire(t *testing.T, m execMode) {
@@ -128,10 +64,6 @@ func testStarStageSplitCancelMidRetire(t *testing.T, m execMode) {
 					if err := h.Send(r); err != nil {
 						t.Fatal(err)
 					}
-				}
-				ack := AcquireRecord().SetTag(replicaCloseTag, 1).SetTag(replicaAckTag, 1).SetTag("k", k)
-				if err := h.Send(ack); err != nil {
-					t.Fatal(err)
 				}
 				// Half a join that never completes: a stored record at the cancel.
 				if err := h.Send(AcquireRecord().SetField("b", 0).SetTag("k", keys+k)); err != nil {
@@ -239,4 +171,69 @@ func findBox(t *testing.T, n Node, name string) *boxNode {
 		t.Fatalf("no box %s", name)
 	}
 	return found
+}
+
+// nestedSplit is a split whose output is a branch of another site.
+type nestedSplit struct {
+	name string
+	net  Node
+}
+
+// nestedSplits puts the split name over body where its output is another
+// site's branch: the last node of a parallel branch, and that parallel as a
+// star stage, whose filter sends what leaves the split out at the next tap.  Records carrying <k> take
+// the split's branch; the other one takes field x.
+func nestedSplits(name string, body Node) []nestedSplit {
+	par := func() Node {
+		other := NewBox(name+"_x", MustParseSignature("(x) -> (x)"),
+			func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
+		return Parallel(other, Serial(Observe(name+"_tap", nil), NamedSplit(name, body, "k")))
+	}
+	return []nestedSplit{
+		{"parallel branch", par()},
+		{"star stage", NamedStar(name+"_star", Serial(par(), MustFilter("{<k>} -> {<k>, <done>=1}")),
+			MustParsePattern("{<done>}"))},
+	}
+}
+
+// TestNestedSplitCancelMidRetire: a run cancelled while the replicas of a
+// nested split work through their bursts gives back every record it held and
+// every goroutine.  The output is read to its end, so the cancellation meets
+// replicas at work, not a network parked behind a reader that stopped.
+func TestNestedSplitCancelMidRetire(t *testing.T) { bothPlans(t, testNestedSplitCancelMidRetire) }
+
+func testNestedSplitCancelMidRetire(t *testing.T, m execMode) {
+	const keys, burst = 8, 4
+	slow := NewBox("ncslow", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error {
+			time.Sleep(300 * time.Microsecond)
+			return out.Out(1, args[0].(int))
+		})
+	for _, nest := range nestedSplits("ncancel", slow) {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/W%d", nest.name, w), func(t *testing.T) {
+				base, live := goroutineCount(), poolLiveSettled(t)
+				h := m.Start(context.Background(), nest.net, WithBoxWorkers(w))
+				for k := 0; k < keys; k++ {
+					for i := 0; i < burst; i++ {
+						if err := h.Send(AcquireRecord().SetTag("n", i).SetTag("k", k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				drained := make(chan struct{})
+				go func() {
+					defer close(drained)
+					for range h.Out() {
+					}
+				}()
+				time.Sleep(time.Millisecond) // the replicas at work
+				h.Cancel()
+				<-drained
+				h.Wait()
+				waitForGoroutines(t, base)
+				waitPoolLive(t, live)
+			})
+		}
+	}
 }

@@ -76,11 +76,10 @@ type streamWriter struct {
 	ch  chan frame // nil for a branch-output writer
 	// A branch-output writer ships into fan's merge queue on behalf of
 	// branch; both are nil for an ordinary stream.  One a direct site spawned
-	// (fanout.writer) reports its close to done, after ack if it was handed one.
+	// (fanout.writer) reports its close to done.
 	fan     *fanout
 	branch  *mergerBranch
 	done    *sync.WaitGroup
-	ack     atomic.Pointer[Record]
 	marked  bool   // the stream can carry sort markers: a deterministic site encloses it
 	batch   int    // flush threshold B (>= 1)
 	pending []item // items accumulated since the last flush
@@ -293,9 +292,6 @@ func (w *streamWriter) close() {
 		return
 	}
 	w.closed = true
-	if ack := w.ack.Swap(&noAck); ack != nil {
-		w.sendRecord(ack)
-	}
 	w.flush()
 	if w.pending != nil && len(w.pending) == 0 {
 		releaseFrameSlab(w.pending)
@@ -314,16 +310,6 @@ func (w *streamWriter) close() {
 		w.fan.sendEv(branchEvent{kind: evClosed, b: w.branch})
 	default:
 		close(w.ch)
-	}
-}
-
-var noAck Record // fills a closed writer's ack slot
-
-// handAck gives w the close acknowledgement to send after its last record.
-// A writer closed already — its run gone — takes none: ack goes back.
-func (w *streamWriter) handAck(ack *Record) {
-	if !w.ack.CompareAndSwap(nil, ack) {
-		releaseRecord(ack)
 	}
 }
 

@@ -294,32 +294,6 @@ net main connect inc .. inc;
 	}
 }
 
-// Reserved labels are rejected by the surface parser with their position.
-func TestParseRejectsReservedLabels(t *testing.T) {
-	cases := []struct{ src, wantPos string }{
-		{"box a (x) -> (y);\nbox b (__snet_x) -> (y);", "2:8"},
-		{"box a (x) -> (<__snet_t>);", "1:15"},
-		{"net n connect [ {x} -> {<__snet_t>=1} ];", "1:25"},
-		{"net n connect a ** {<__snet_done>};", "1:21"},
-	}
-	for _, tc := range cases {
-		_, err := Parse(tc.src)
-		if err == nil {
-			t.Fatalf("Parse accepted %q", tc.src)
-		}
-		var perr *Error
-		if !errors.As(err, &perr) {
-			t.Fatalf("%q: err %T", tc.src, err)
-		}
-		if !strings.Contains(err.Error(), "reserved") {
-			t.Fatalf("%q: err %v not about reserved labels", tc.src, err)
-		}
-		if got := perr.Pos.String(); got != tc.wantPos {
-			t.Fatalf("%q: pos %s, want %s", tc.src, got, tc.wantPos)
-		}
-	}
-}
-
 // Regression: parse errors in multi-line programs keep exact line/column
 // positions past the first line.
 func TestParseErrorPositionsMultiLine(t *testing.T) {

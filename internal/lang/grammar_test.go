@@ -72,10 +72,6 @@ func TestOneGrammar(t *testing.T) {
 		{"pattern", "{<l>} | <l> > 99999999999999999999", false, 14, "integer 99999999999999999999 out of range"},
 		{"tagexpr", "9223372036854775807", true, 0, ""},
 		{"tagexpr", "9223372036854775808", false, 0, "out of range"},
-		{"pattern", "{__snet_x, a}", false, 1, "reserved"},                // (e) at the label, not after it
-		{"signature", "(a) -> (<__snet_t>)", false, 8, "reserved"},        //
-		{"filter", "[{x} -> {<__snet_t>=1}]", false, 9, "reserved"},       //
-		{"filter", "[{x} -> {__snet_y=x}]", false, 9, "reserved"},         //
 		{"filter", "[{a} /* why */ -> {a} // and a tail\n]", true, 0, ""}, // comments are white space everywhere
 		{"tagexpr", "<k> /* times */ * 2", true, 0, ""},
 		{"tagexpr", "<k> /* never closed", false, 4, "unterminated block comment"},

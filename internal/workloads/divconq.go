@@ -9,8 +9,7 @@ import (
 
 // The divide-and-conquer workload: recursive mergesort as a star-unfolded
 // split-solve-combine tree — the CnC comparison's recursive-decomposition
-// shape, and the stress case for split replica churn and the in-band replica
-// close protocol under deep recursion.
+// shape, and the stress case for split replica churn under deep recursion.
 //
 // Segments are addressed by heap numbering: the root is node 1, the children
 // of node t are 2t (left half) and 2t+1 (right half).  The divide box splits
@@ -172,7 +171,7 @@ func DivConqBoxes(n, leaf int) map[string]snet.Node {
 
 // DivConqNet builds the divide-and-conquer network with named star, split
 // and sync nodes: "star.dc_tree.replicas" counts the unfolding depth,
-// "split.dc_pairs.replicas"/".closed" the join replica churn, and
+// "split.dc_pairs.replicas" the join replica churn, and
 // "sync.dc_join.fired" the merges performed (n/leaf - 1 per job).
 func DivConqNet(n, leaf int) snet.Node {
 	b := DivConqBoxes(n, leaf)

@@ -23,7 +23,7 @@ import (
 //	GET    /api/sessions/{id}/results    ?max=16&wait=5s → {"records":[...],"done":b}
 //	POST   /api/sessions/{id}/close      end-of-input
 //	DELETE /api/sessions/{id}            release the session
-//	POST   /api/run                      one-shot: feed, drain (Isolated: a run, no session)
+//	POST   /api/run                      one-shot: feed, drain (a run, no session)
 //
 // Feeding blocks on the bounded stream buffers: a client that outruns its
 // network instance is throttled by its own HTTP request — S-Net
@@ -85,11 +85,9 @@ func (s *Service) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	type netInfo struct {
 		Name        string `json:"name"`
 		Description string `json:"description"`
-		SessionMode string `json:"sessionMode"`
 		BufferSize  int    `json:"bufferSize"`
 		MaxSessions int    `json:"maxSessions"`
 		Active      int    `json:"activeSessions"`
-		EngineWarm  bool   `json:"engineWarm,omitempty"`
 		// Compile-phase artifacts: the network's inferred type signature,
 		// its typed topology (snet.Plan.Topology), and the number of
 		// definite type errors the compile found (0 for a clean plan).
@@ -113,11 +111,9 @@ func (s *Service) handleNetworks(w http.ResponseWriter, r *http.Request) {
 		info := netInfo{
 			Name:        n.name,
 			Description: n.descr,
-			SessionMode: n.opts.SessionMode.String(),
 			BufferSize:  n.opts.BufferSize,
 			MaxSessions: n.opts.maxSessions(),
 			Active:      active,
-			EngineWarm:  n.liveEngine() != nil,
 		}
 		if plan, err := n.Plan(); err != nil {
 			info.BuildError = err.Error()
@@ -211,14 +207,19 @@ func (s *Service) handleRecords(w http.ResponseWriter, r *http.Request) {
 // handler (and, for /api/run, a session slot) indefinitely.
 const maxWait = 10 * time.Minute
 
-// parseWait reads a Go duration ("" selects the 30s default), capped at
-// maxWait.
+// parseWait reads a positive Go duration ("" selects the 30s default),
+// capped at maxWait.  A wait that has already expired is refused: with the
+// deadline and the network both ready, which of them a request heeds would be
+// random.
 func parseWait(v string) (time.Duration, error) {
 	wait := 30 * time.Second
 	if v != "" {
 		var err error
 		if wait, err = time.ParseDuration(v); err != nil {
 			return 0, fmt.Errorf("bad wait: %w", err)
+		}
+		if wait <= 0 {
+			return 0, fmt.Errorf("bad wait: %s is not positive", v)
 		}
 	}
 	return min(wait, maxWait), nil
@@ -291,8 +292,8 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 
 // handleRun is the one-shot convenience, counted under the service's
 // per-network latency counters: feed the records, drain until the network
-// winds down (or max records / wait elapsed).  On an Isolated network it is a
-// run of the plan (Plan.RunUntil) in a session slot, on a Shared one a session.
+// winds down (or max records / wait elapsed).  It is a run of the plan
+// (Plan.RunUntil) in a session slot, not a session.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := readBody(w, r, memNet|memRecords|memMax|memWait, func() any { return new(runBody) })
 	if err != nil {
@@ -302,17 +303,12 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	wait, err := parseWait(req.wait)
 	start := time.Now()
 	var n *Network
-	var sess *Session
 	var plan *snet.Plan
 	var runStats *snet.Stats
 	if err == nil {
 		n, err = s.Network(req.net)
 	}
-	if err == nil && n.opts.SessionMode == Shared {
-		if sess, err = s.Open(req.net); err == nil {
-			defer sess.Release()
-		}
-	} else if err == nil { // a slot, refused once the service is down as Open is
+	if err == nil { // a slot, refused once the service is down as Open is
 		s.mu.Lock()
 		if err = ErrShutdown; !s.down {
 			err = n.acquire()
@@ -340,48 +336,16 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer context.AfterFunc(r.Context(), cancel)()
 	var recs []*snet.Record
-	var accepted int
-	var done bool
-	var feedErr error
-	if sess == nil {
-		if feedErr = n.admit(inputs); feedErr != nil {
-			releaseRecords(inputs)
-		} else {
-			var hit *snet.Record
-			hit, runStats, err = plan.RunUntil(ctx, inputs, func(rec *snet.Record) bool {
-				recs = append(recs, rec)
-				return len(recs) == req.max
-			}, n.runOpts...)
-			accepted, done = len(inputs)-int(runStats.Counter("input.untaken")), hit == nil && err == nil
-			if accepted > 0 {
-				n.svcStat.Add("records.in", int64(accepted))
-			}
-			if len(recs) > 0 {
-				n.svcStat.Add("records.out", int64(len(recs)))
-			}
-		}
-	} else {
-		fed := make(chan error, 1)
-		go func() {
-			_, err := sess.SendBatch(ctx, inputs)
-			if err == nil {
-				sess.CloseInput()
-			} else if ctx.Err() == nil {
-				cancel() // nothing is left to drain for
-			}
-			fed <- err
-		}()
-		recs, done, err = sess.Drain(ctx, req.max)
-		cancel() // unblock the feeder if the drain stopped at max or deadline
-		feedErr = <-fed
-		sent, _ := sess.Counts()
-		accepted = int(sent)
-		releaseRecords(inputs[accepted:])
+	hit, runStats, err := plan.RunUntil(ctx, inputs, func(rec *snet.Record) bool {
+		recs = append(recs, rec)
+		return len(recs) == req.max
+	}, n.runOpts...)
+	accepted, done := len(inputs)-int(runStats.Counter("input.untaken")), hit == nil && err == nil
+	if accepted > 0 {
+		n.svcStat.Add("records.in", int64(accepted))
 	}
-	if feedErr != nil && !errors.Is(feedErr, context.DeadlineExceeded) && !errors.Is(feedErr, context.Canceled) {
-		// A record refused, the session released: answered as POST .../records is.
-		writeJSON(w, errStatus(feedErr), map[string]any{"error": feedErr.Error(), "accepted": accepted})
-		return
+	if len(recs) > 0 {
+		n.svcStat.Add("records.out", int64(len(recs)))
 	}
 	if errors.Is(err, context.Canceled) {
 		err = context.Cause(ctx) // ErrShutdown, if Shutdown cut the run

@@ -167,8 +167,7 @@ func TestHTTPSessionLimit(t *testing.T) {
 
 // TestHTTPErrorPaths covers the client-fault surface of the wire protocol:
 // unknown names, malformed bodies, malformed records, sends after
-// close-of-input (409 conflict), spoofed reserved labels, and bad query
-// parameters.
+// close-of-input (409 conflict), and bad query parameters.
 func TestHTTPErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -206,27 +205,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed record: status %d", resp.StatusCode)
 	}
-	// A record spoofing the reserved namespace is rejected, not fed.
-	spoof := map[string]any{"records": []RecordJSON{{Tags: map[string]int{"n": 1, "__snet_session": 9}}}}
-	if code := call(t, "POST", url+"/records", spoof, nil); code != http.StatusBadRequest {
-		t.Fatalf("reserved label: status %d", code)
-	}
-	// The one-shot endpoint answers the same record the same way and at once
-	// — not with a 200 after holding a session for its whole wait.
-	var refused struct {
-		Error    string `json:"error"`
-		Accepted int    `json:"accepted"`
-	}
-	start := time.Now()
-	if code := call(t, "POST", ts.URL+"/api/run", spoofedRun("inc"), &refused); code != http.StatusBadRequest || refused.Accepted != 0 {
-		t.Fatalf("run with a reserved label: status %d (%+v)", code, refused)
-	}
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("run with a reserved label took %v", took)
-	}
 	// Bad ?wait and ?max on the results endpoint.
-	if code := call(t, "GET", url+"/results?wait=banana", nil, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad wait: status %d", code)
+	// A wait that has already expired, on both endpoints that take one.
+	for _, wait := range []string{"banana", "0s", "-1s"} {
+		if code := call(t, "GET", url+"/results?wait="+wait, nil, nil); code != http.StatusBadRequest {
+			t.Fatalf("results with wait %s: status %d", wait, code)
+		}
+		run := map[string]any{"net": "inc", "records": []RecordJSON{{Tags: map[string]int{"n": 1}}}, "wait": wait}
+		if code := call(t, "POST", ts.URL+"/api/run", run, nil); code != http.StatusBadRequest {
+			t.Fatalf("run with wait %s: status %d", wait, code)
+		}
 	}
 	if code := call(t, "GET", url+"/results?max=banana", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad max: status %d", code)
@@ -261,66 +249,51 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-// spoofedRun is a one-shot request body whose second record of three carries
-// a label of the reserved namespace.
-func spoofedRun(net string) map[string]any {
-	return map[string]any{"net": net, "records": []RecordJSON{
-		{Tags: map[string]int{"n": 1}},
-		{Tags: map[string]int{"n": 2, "__snet_session": 7}},
-		{Tags: map[string]int{"n": 3}},
-	}}
-}
-
 // TestHTTPRefusedRecordsReturnToArena: the codec draws a request's records
-// from the arena, and those the network did not take — the batch refused for
-// a reserved label, the tail cut off by the request's deadline — go back to
-// it: the ledger reads what it read before the request.
+// from the arena, and those the network did not take — a batch sent after
+// close of input, the tail cut off by the request's deadline — go back to it:
+// the ledger reads what it read before the request.
 func TestHTTPRefusedRecordsReturnToArena(t *testing.T) {
-	for _, mode := range []SessionMode{Isolated, Shared} {
-		t.Run(mode.String(), func(t *testing.T) {
-			svc := New()
-			gate := make(chan struct{})
-			svc.Register("inc", "", Options{SessionMode: mode, BufferSize: 4}, incNet, nil)
-			svc.Register("slow", "", Options{SessionMode: mode, BufferSize: 1, StreamBatch: 1}, gatedNet(gate), nil)
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
-			defer svc.Shutdown()
+	svc := New()
+	gate := make(chan struct{})
+	svc.Register("inc", "", Options{BufferSize: 4}, incNet, nil)
+	svc.Register("slow", "", Options{BufferSize: 1, StreamBatch: 1}, gatedNet(gate), nil)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Shutdown()
 
-			ledgerAtBase := arenaLedger(t)
+	ledgerAtBase := arenaLedger(t)
 
-			if code := call(t, "POST", ts.URL+"/api/run", spoofedRun("inc"), nil); code != http.StatusBadRequest {
-				t.Fatalf("refused run: status %d", code)
-			}
-			ledgerAtBase("a refused /api/run")
-
-			var opened struct {
-				Session string `json:"session"`
-			}
-			if code := call(t, "POST", ts.URL+"/api/sessions", map[string]string{"net": "inc"}, &opened); code != http.StatusCreated {
-				t.Fatalf("open: status %d", code)
-			}
-			url := ts.URL + "/api/sessions/" + opened.Session
-			if code := call(t, "POST", url+"/records", spoofedRun("inc"), nil); code != http.StatusBadRequest {
-				t.Fatalf("refused records: status %d", code)
-			}
-			ledgerAtBase("a refused /records")
-
-			ten := make([]RecordJSON, 10)
-			for i := range ten {
-				ten[i] = RecordJSON{Tags: map[string]int{"n": i}}
-			}
-			var cut struct {
-				Accepted  int  `json:"accepted"`
-				InputDone bool `json:"inputDone"`
-			}
-			body := map[string]any{"net": "slow", "records": ten, "wait": "50ms"}
-			if code := call(t, "POST", ts.URL+"/api/run", body, &cut); code != http.StatusOK || cut.InputDone || cut.Accepted >= len(ten) {
-				t.Fatalf("run against a shut gate: status %d (%+v)", code, cut)
-			}
-			close(gate) // what the network did take moves on and out
-			ledgerAtBase("a partially accepted /api/run")
-		})
+	var opened struct {
+		Session string `json:"session"`
 	}
+	if code := call(t, "POST", ts.URL+"/api/sessions", map[string]string{"net": "inc"}, &opened); code != http.StatusCreated {
+		t.Fatalf("open: status %d", code)
+	}
+	url := ts.URL + "/api/sessions/" + opened.Session
+	if code := call(t, "POST", url+"/close", nil, nil); code != http.StatusOK {
+		t.Fatalf("close: status %d", code)
+	}
+	three := map[string]any{"records": []RecordJSON{{Tags: map[string]int{"n": 1}}, {Tags: map[string]int{"n": 2}}, {Tags: map[string]int{"n": 3}}}}
+	if code := call(t, "POST", url+"/records", three, nil); code != http.StatusConflict {
+		t.Fatalf("records after close: status %d", code)
+	}
+	ledgerAtBase("a refused /records")
+
+	ten := make([]RecordJSON, 10)
+	for i := range ten {
+		ten[i] = RecordJSON{Tags: map[string]int{"n": i}}
+	}
+	var cut struct {
+		Accepted  int  `json:"accepted"`
+		InputDone bool `json:"inputDone"`
+	}
+	body := map[string]any{"net": "slow", "records": ten, "wait": "50ms"}
+	if code := call(t, "POST", ts.URL+"/api/run", body, &cut); code != http.StatusOK || cut.InputDone || cut.Accepted >= len(ten) {
+		t.Fatalf("run against a shut gate: status %d (%+v)", code, cut)
+	}
+	close(gate) // what the network did take moves on and out
+	ledgerAtBase("a partially accepted /api/run")
 }
 
 // arenaLedger samples the arena ledger once earlier tests' runs have stopped
@@ -347,42 +320,36 @@ func arenaLedger(t *testing.T) (atBase func(after string)) {
 // TestHTTPOversizedRequest: a body over maxBody is refused with 413 before
 // a session opens, and what the reader built of it goes back to the arena.
 func TestHTTPOversizedRequest(t *testing.T) {
-	for _, mode := range []SessionMode{Isolated, Shared} {
-		t.Run(mode.String(), func(t *testing.T) {
-			svc := New()
-			svc.Register("inc", "", Options{SessionMode: mode}, incNet, nil)
-			ts := httptest.NewServer(svc.Handler())
-			defer ts.Close()
-			defer svc.Shutdown()
-			ledgerAtBase := arenaLedger(t)
-			resp, err := http.Post(ts.URL+"/api/run", "application/json", strings.NewReader(oversizedRun("inc")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusRequestEntityTooLarge {
-				t.Fatalf("oversized /api/run: status %d, want 413", resp.StatusCode)
-			}
-			if n := svc.SessionCount(); n != 0 {
-				t.Fatalf("oversized /api/run left %d sessions", n)
-			}
-			ledgerAtBase("an oversized /api/run")
-		})
+	svc := New()
+	svc.Register("inc", "", Options{}, incNet, nil)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	defer svc.Shutdown()
+	ledgerAtBase := arenaLedger(t)
+	resp, err := http.Post(ts.URL+"/api/run", "application/json", strings.NewReader(oversizedRun("inc")))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /api/run: status %d, want 413", resp.StatusCode)
+	}
+	if n := svc.SessionCount(); n != 0 {
+		t.Fatalf("oversized /api/run left %d sessions", n)
+	}
+	ledgerAtBase("an oversized /api/run")
 }
 
 // TestHTTPRunFeedsPastTheBuffer: a one-shot run of more records than its
-// network's streams hold without a reader — in Isolated mode a run of the plan
-// taking them from an input stream filled before it starts, in Shared mode a
-// session its engine feeds — takes every record, returns every output, and
-// leaves the arena as it found it.
+// network's streams hold without a reader — a run of the plan taking them from
+// an input stream filled before it starts — takes every record, returns every
+// output, and leaves the arena as it found it.
 func TestHTTPRunFeedsPastTheBuffer(t *testing.T) {
 	for _, opts := range []Options{
 		{BufferSize: 2, StreamBatch: 1},
 		{BufferSize: 0},
-		{SessionMode: Shared, BufferSize: 2, StreamBatch: 1},
 	} {
-		t.Run(fmt.Sprintf("%s/buffer=%d", opts.SessionMode, opts.BufferSize), func(t *testing.T) {
+		t.Run(fmt.Sprintf("buffer=%d", opts.BufferSize), func(t *testing.T) {
 			svc := New()
 			svc.Register("inc", "", opts, incNet, nil)
 			ts := httptest.NewServer(svc.Handler())
@@ -413,70 +380,6 @@ func TestHTTPRunFeedsPastTheBuffer(t *testing.T) {
 			}
 			ledgerAtBase("a run past the buffer")
 		})
-	}
-}
-
-// TestHTTPSharedMode drives the full wire protocol against a Shared-mode
-// network: session lifecycle, one-shot runs, and the engine surfacing in
-// /api/networks and /api/stats.
-func TestHTTPSharedMode(t *testing.T) {
-	svc := New()
-	svc.Register("inc", "warm increment", Options{BufferSize: 4, SessionMode: Shared}, incNet, nil)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Shutdown()
-
-	const clients = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			var res struct {
-				Records []RecordJSON `json:"records"`
-				Done    bool         `json:"done"`
-			}
-			body := map[string]any{
-				"net":     "inc",
-				"records": []RecordJSON{{Tags: map[string]int{"n": c}}},
-				"wait":    "10s",
-			}
-			if code := call(t, "POST", ts.URL+"/api/run", body, &res); code != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d", c, code)
-				return
-			}
-			if !res.Done || len(res.Records) != 1 || res.Records[0].Tags["n"] != c+1 {
-				errs <- fmt.Errorf("client %d: %+v", c, res)
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	var nets struct {
-		Networks []struct {
-			Name        string `json:"name"`
-			SessionMode string `json:"sessionMode"`
-			EngineWarm  bool   `json:"engineWarm"`
-		} `json:"networks"`
-	}
-	if code := call(t, "GET", ts.URL+"/api/networks", nil, &nets); code != http.StatusOK {
-		t.Fatalf("networks: status %d", code)
-	}
-	if len(nets.Networks) != 1 || nets.Networks[0].SessionMode != "shared" || !nets.Networks[0].EngineWarm {
-		t.Fatalf("networks: %+v", nets.Networks)
-	}
-	var stats map[string]int64
-	if code := call(t, "GET", ts.URL+"/api/stats", nil, &stats); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
-	}
-	if stats["net.inc.engine.warm"] != 1 || stats["run.inc.box.inc.calls"] != clients {
-		t.Fatalf("shared-engine stats missing: warm=%d calls=%d",
-			stats["net.inc.engine.warm"], stats["run.inc.box.inc.calls"])
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // A Service holds named network definitions, each compiled once into a
 // snet.Plan.  Each client session runs its chosen network's plan
-// (Plan.Start), streams records in with
+// (Plan.Start, on the session's first use), streams records in with
 // backpressure from the bounded stream buffers, and drains results; the
 // service enforces a per-network session cap, aggregates per-network
 // throughput/latency counters, and guarantees leak-free shutdown by
@@ -37,50 +37,24 @@ import (
 	"repro/snet"
 )
 
-// SessionMode selects how a network's sessions map onto runtime instances.
+// SessionMode is ignored: every session is a run of its own.  The field and
+// its two values stay declared only for the benchmark harness, which sets
+// them; ROADMAP item 7's benchmark change deletes them.
 type SessionMode int
 
+// Isolated and Shared are SessionMode's two values, both ignored.
 const (
-	// Isolated starts one private run of the network's plan per session
-	// (Plan.Start on Open, cancel on Release) — full fault and performance isolation,
-	// at the price of instantiating the whole combinator graph per client.
-	// It is the default and the backward-compatible behaviour.
 	Isolated SessionMode = iota
-	// Shared multiplexes every session of the network over one long-lived
-	// warm instance: the user's root is wrapped in indexed parallel
-	// replication over a reserved session tag (SessionSplit), so Open is a
-	// map insert, each session still gets a private lazily-unfolded
-	// replica of the network, and Release reclaims the replica through the
-	// split close protocol.  See engine.go.
 	Shared
 )
-
-func (m SessionMode) String() string {
-	if m == Shared {
-		return "shared"
-	}
-	return "isolated"
-}
-
-// ParseSessionMode reads "isolated" or "shared" (deployment flags).
-func ParseSessionMode(s string) (SessionMode, error) {
-	switch s {
-	case "", "isolated":
-		return Isolated, nil
-	case "shared":
-		return Shared, nil
-	}
-	return Isolated, fmt.Errorf("service: unknown session mode %q (want isolated or shared)", s)
-}
 
 // Options configures every run (session) of one registered network.
 // It is the per-network counterpart of the paper's per-experiment harness
 // flags: the bounded stream buffering and the data-parallel pool become
 // deployment configuration.
 type Options struct {
-	// SessionMode selects Isolated (default: one network instance per
-	// session) or Shared (one warm instance multiplexing all sessions via
-	// indexed replication).
+	// SessionMode is ignored: every session is a run of its own (see the
+	// SessionMode type).
 	SessionMode SessionMode
 	// BufferSize is the stream buffer capacity, in frames, of every
 	// stream in the network instance (snet.WithBuffer).  Values < 0
@@ -159,15 +133,6 @@ func (o Options) runOptions() []snet.Option {
 	return opts
 }
 
-// streamBuffer is the capacity in frames of an instance's streams, and of a
-// shared-engine session's receive queue.
-func (o Options) streamBuffer() int {
-	if o.BufferSize >= 0 {
-		return o.BufferSize
-	}
-	return 32
-}
-
 func (o Options) maxSessions() int {
 	switch {
 	case o.MaxSessions == 0:
@@ -201,11 +166,8 @@ type Network struct {
 	mu     sync.Mutex
 	active int
 
-	engMu sync.Mutex
-	eng   *engine // Shared mode: the warm instance, created on first Open
-
 	// The network's compiled plan: built once from the builder, shared by
-	// every session in both modes (nodes are stateless blueprints; the
+	// every session (nodes are stateless blueprints; the
 	// plan's routing tables are the shared artifact sessions amortize).
 	planMu   sync.Mutex
 	root     snet.Node // the builder's blueprint; immutable once planDone
@@ -276,29 +238,6 @@ func (n *Network) Verify() *analysis.Report {
 	return n.verify
 }
 
-// sharedEngine returns the network's warm engine, starting it on first use
-// — the one instantiation every Shared-mode session amortizes.
-func (n *Network) sharedEngine() (*engine, error) {
-	n.engMu.Lock()
-	defer n.engMu.Unlock()
-	if n.eng != nil {
-		return n.eng, nil
-	}
-	e, err := newEngine(n)
-	if err != nil {
-		return nil, err
-	}
-	n.eng = e
-	return e, nil
-}
-
-// liveEngine returns the warm engine if one has been started.
-func (n *Network) liveEngine() *engine {
-	n.engMu.Lock()
-	defer n.engMu.Unlock()
-	return n.eng
-}
-
 // Name returns the network's registered name.
 func (n *Network) Name() string { return n.name }
 
@@ -335,7 +274,7 @@ func (n *Network) releaseSlot() {
 }
 
 // release returns the slot of a session or one-shot run held since opened,
-// folding in the run's own statistics (a shared session's are the engine's).
+// folding in the run's own statistics, if it ran.
 func (n *Network) release(opened time.Time, rs *snet.Stats) {
 	n.releaseSlot()
 	lifetime := time.Since(opened)
@@ -344,18 +283,6 @@ func (n *Network) release(opened time.Time, rs *snet.Stats) {
 	if rs != nil {
 		n.runStat.Merge(rs)
 	}
-}
-
-// admit refuses a batch with a reserved label in it: no spoofed control records.
-func (n *Network) admit(recs []*snet.Record) error {
-	for _, r := range recs {
-		if r.HasReservedLabel() {
-			n.svcStat.Add("records.reserved_rejected", 1)
-			return fmt.Errorf("%w: record carries a reserved %q label",
-				ErrReservedLabel, snet.ReservedTagPrefix)
-		}
-	}
-	return nil
 }
 
 // Errors reported by the service layer.
@@ -367,10 +294,6 @@ var (
 	// ErrBuild marks a network builder failure — a server-side
 	// configuration fault, not a client error.
 	ErrBuild = errors.New("service: network build failed")
-	// ErrReservedLabel rejects client records carrying labels in the
-	// runtime's reserved namespace (session and replica control records
-	// must not be spoofable from outside).
-	ErrReservedLabel = errors.New("service: reserved label")
 )
 
 // Service is a registry of named networks and the live sessions running
@@ -525,9 +448,7 @@ func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
 
 // Stats returns a nested snapshot of every network's service counters
 // ("net.<name>.<metric>"), aggregated core runtime counters
-// ("run.<name>.<metric>": finished isolated runs, plus the live warm engine
-// of Shared-mode networks — its "split.session_mux.replicas" gauge is the
-// live session-replica count), and service-wide gauges.
+// ("run.<name>.<metric>", of finished runs), and service-wide gauges.
 func (s *Service) Stats() map[string]int64 {
 	out := map[string]int64{
 		"service.uptime_ns":       s.Uptime().Nanoseconds(),
@@ -539,13 +460,6 @@ func (s *Service) Stats() map[string]int64 {
 		}
 		for k, v := range n.runStat.Snapshot() {
 			out["run."+n.name+"."+k] = v
-		}
-		if e := n.liveEngine(); e != nil {
-			for k, v := range e.handle.Stats().Snapshot() {
-				out["run."+n.name+"."+k] += v
-			}
-			out["net."+n.name+".engine.warm"] = 1
-			out["net."+n.name+".engine.live"] = int64(e.sessionCount())
 		}
 	}
 	return out
@@ -579,8 +493,7 @@ func (s *Service) DrainSessions(ctx context.Context) bool {
 }
 
 // Shutdown cancels every live session and one-shot run, waits for the
-// sessions' networks to wind down, shuts down every warm shared engine, and
-// refuses further Opens and runs.  It is idempotent.
+// sessions' networks to wind down, and refuses further Opens and runs.  It is idempotent.
 func (s *Service) Shutdown() {
 	s.mu.Lock()
 	s.down = true
@@ -597,13 +510,8 @@ func (s *Service) Shutdown() {
 	for _, sess := range live {
 		sess.Release()
 	}
-	// An Open racing this Shutdown may have started its instance before we
+	// An Open racing this Shutdown may have claimed its slot before we
 	// snapshotted: it self-releases on its second down-check, and we wait
 	// for it here so the wind-down guarantee covers stragglers too.
 	s.opening.Wait()
-	for _, n := range s.Networks() {
-		if e := n.liveEngine(); e != nil {
-			e.shutdown()
-		}
-	}
 }

@@ -493,61 +493,58 @@ func TestReleaseIdempotent(t *testing.T) {
 }
 
 // TestReleaseUnblocksBlockedSend: a Send parked on backpressure returns when
-// its session is released, in both modes, whether or not the caller's
-// context can ever end.
+// its session is released, whether or not the caller's context can ever end.
 func TestReleaseUnblocksBlockedSend(t *testing.T) {
-	for _, mode := range []SessionMode{Isolated, Shared} {
-		for _, cancellable := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/cancellable=%v", mode, cancellable), func(t *testing.T) {
-				svc := New()
-				gate := make(chan struct{}) // never opened
-				svc.Register("slow", "", Options{SessionMode: mode, BufferSize: 1}, gatedNet(gate), nil)
-				defer svc.Shutdown()
-				sess, err := svc.Open("slow")
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx := context.Background()
-				if cancellable {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithCancel(ctx)
-					defer cancel()
-				}
-				failed := make(chan error, 1)
-				go func() {
-					for i := 0; ; i++ {
-						if err := sess.Send(ctx, recN(i)); err != nil {
-							failed <- err
-							return
-						}
+	for _, cancellable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cancellable=%v", cancellable), func(t *testing.T) {
+			svc := New()
+			gate := make(chan struct{}) // never opened
+			svc.Register("slow", "", Options{BufferSize: 1}, gatedNet(gate), nil)
+			defer svc.Shutdown()
+			sess, err := svc.Open("slow")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if cancellable {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+			}
+			failed := make(chan error, 1)
+			go func() {
+				for i := 0; ; i++ {
+					if err := sess.Send(ctx, recN(i)); err != nil {
+						failed <- err
+						return
 					}
-				}()
-				// The network holds a handful of records at most; the sender
-				// is parked once the accepted count stands still.
-				for last := int64(-1); ; {
-					time.Sleep(20 * time.Millisecond)
-					sent, _ := sess.Counts()
-					if sent > 0 && sent == last {
-						break
-					}
-					last = sent
 				}
-				sess.Release()
-				select {
-				case err := <-failed:
-					if !errors.Is(err, snet.ErrCancelled) && !errors.Is(err, snet.ErrClosed) {
-						t.Fatalf("parked send returned %v, want ErrCancelled or ErrClosed", err)
-					}
-				case <-time.After(2 * time.Second):
-					t.Fatal("send still parked 2 s after Release")
+			}()
+			// The network holds a handful of records at most; the sender
+			// is parked once the accepted count stands still.
+			for last := int64(-1); ; {
+				time.Sleep(20 * time.Millisecond)
+				sent, _ := sess.Counts()
+				if sent > 0 && sent == last {
+					break
 				}
-			})
-		}
+				last = sent
+			}
+			sess.Release()
+			select {
+			case err := <-failed:
+				if !errors.Is(err, snet.ErrCancelled) && !errors.Is(err, snet.ErrClosed) {
+					t.Fatalf("parked send returned %v, want ErrCancelled or ErrClosed", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("send still parked 2 s after Release")
+			}
+		})
 	}
 }
 
 // Every session of a network shares one compiled plan: the builder runs
-// once, and the plan (with its routing tables) is reused in Isolated mode.
+// once, and the plan (with its routing tables) is reused by every run.
 func TestSessionsShareCompiledPlan(t *testing.T) {
 	svc := New()
 	defer svc.Shutdown()

@@ -11,22 +11,16 @@ import (
 )
 
 // Session is one client's use of a registered network: lifecycle state plus
-// a mode-specific backend.  The lifecycle is
+// a private run of the network's plan.  The lifecycle is
 //
 //	Open → Send* → CloseInput → Recv* (until done) → Release
 //
-// In Isolated mode the backend is a private run of the network's plan
-// (Plan.Start per session); in Shared mode it is one replica slot of the network's warm
-// engine (see engine.go) and Open never instantiates a graph.  Records enter
-// the same way in both: Handle.SendBatch on the run — the session's own, or
-// the engine's with the session tag set.
-//
-// Release is mandatory and idempotent.  Isolated: it cancels the run,
-// which unwinds every node goroutine of the instance.  Shared: it
-// retires the session's replica through the split close protocol — the
-// engine keeps running.  Send and Recv additionally honour the caller's
-// context, so a slow network exerts backpressure on the client without
-// wedging it.
+// Open claims a slot and resolves the plan; the run starts on the session's
+// first SendBatch, CloseInput, Recv or Handle, so an idle session holds no
+// goroutine.  Release is mandatory and idempotent: it cancels the run, which
+// unwinds every node goroutine of the instance.  Send and Recv additionally
+// honour the caller's context, so a slow network exerts backpressure on the
+// client without wedging it.
 //
 // A Session is safe for concurrent use, including racing Send/CloseInput/
 // Release from independent HTTP requests.
@@ -34,8 +28,11 @@ type Session struct {
 	id     string
 	net    *Network
 	svc    *Service
-	back   backend
+	plan   *snet.Plan
 	opened time.Time
+
+	start sync.Once
+	h     *snet.Handle // the run: nil until first use, and for good once released unused
 
 	mu       sync.Mutex
 	released bool
@@ -47,90 +44,11 @@ type Session struct {
 	inflight   atomic.Int64 // Send/Recv calls currently blocked in this session
 }
 
-// backend is the mode-specific half of a session: how records enter and
-// leave the network, and how the session's compute is torn down.
-type backend interface {
-	sendBatch(ctx context.Context, recs []*snet.Record) (int, error)
-	closeInput()
-	// recv delivers the next output record; done reports that the
-	// session's output has drained (after closeInput) or the session is
-	// gone.
-	recv(ctx context.Context) (rec *snet.Record, done bool, err error)
-	// release tears the session's compute down.  Isolated backends block
-	// until the instance has wound down; shared backends retire the
-	// session's replica asynchronously (the engine reclaims it in FIFO
-	// position behind the session's in-flight work).
-	release()
-	// handle exposes the underlying run — the session's own instance, or
-	// the network's shared engine.
-	handle() *snet.Handle
-	// runStats returns per-run statistics to fold into the network on
-	// release, or nil when the backend's run outlives the session (shared
-	// mode aggregates live engine stats in Service.Stats instead).
-	runStats() *snet.Stats
-}
-
-// isolatedBackend is the classic one-instance-per-session mode: the session
-// owns a full network run, started on its first use.
-type isolatedBackend struct {
-	plan  *snet.Plan
-	opts  []snet.Option
-	start sync.Once
-	h     *snet.Handle // nil until first use, and for good once released unused
-}
-
 // run returns the session's run, starting it on first use; nil once the
 // session was released before its first use.
-func (b *isolatedBackend) run() *snet.Handle {
-	b.start.Do(func() { b.h = b.plan.Start(context.Background(), b.opts...) })
-	return b.h
-}
-
-func (b *isolatedBackend) sendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	h := b.run()
-	if h == nil {
-		return 0, snet.ErrCancelled
-	}
-	return h.SendBatch(ctx, recs)
-}
-
-func (b *isolatedBackend) closeInput() {
-	if h := b.run(); h != nil {
-		h.Close()
-	}
-}
-
-func (b *isolatedBackend) recv(ctx context.Context) (*snet.Record, bool, error) {
-	h := b.run()
-	if h == nil {
-		return nil, true, nil
-	}
-	select {
-	case r, ok := <-h.Out():
-		if !ok {
-			return nil, true, nil
-		}
-		return r, false, nil
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-}
-
-func (b *isolatedBackend) release() {
-	b.start.Do(func() {}) // a session released unused starts nothing
-	if b.h != nil {
-		b.h.Cancel()
-		b.h.Wait()
-	}
-}
-
-func (b *isolatedBackend) handle() *snet.Handle { return b.run() }
-
-func (b *isolatedBackend) runStats() *snet.Stats {
-	if b.h == nil {
-		return nil
-	}
-	return b.h.Stats()
+func (s *Session) run() *snet.Handle {
+	s.start.Do(func() { s.h = s.plan.Start(context.Background(), s.net.runOpts...) })
+	return s.h
 }
 
 // touch records client activity for the idle reaper.
@@ -152,11 +70,10 @@ func (s *Session) reapable(limit time.Duration) bool {
 	return time.Duration(time.Now().UnixNano()-s.lastActive.Load()) > limit
 }
 
-// Open starts a new session of the named network.  The session slot is
-// claimed against the network's MaxSessions cap first; then, depending on
-// the network's SessionMode, either a fresh instance is started (Isolated)
-// or a replica slot of the warm shared engine is allocated (Shared — a map
-// insert, no graph instantiation).
+// Open opens a new session of the named network: the session slot is claimed
+// against the network's MaxSessions cap, and the network's plan is resolved
+// (built and compiled on the network's first use), so a builder failure is
+// Open's.  The run itself starts on the session's first use.
 func (s *Service) Open(netName string) (*Session, error) {
 	n, err := s.Network(netName)
 	if err != nil {
@@ -176,33 +93,18 @@ func (s *Service) Open(netName string) (*Session, error) {
 	if err := n.acquire(); err != nil {
 		return nil, err
 	}
-	var back backend
-	if n.opts.SessionMode == Shared {
-		eng, err := n.sharedEngine()
-		if err != nil {
-			return nil, n.buildFailed(err)
-		}
-		sb, err := eng.open()
-		if err != nil {
-			n.releaseSlot()
-			return nil, err
-		}
-		back = sb
-	} else {
-		// Sessions share the network's compiled plan: the blueprint is built
-		// and type-checked once, and every instance dispatches through the
-		// same precomputed routing tables.
-		plan, err := n.Plan()
-		if err != nil {
-			return nil, n.buildFailed(err)
-		}
-		back = &isolatedBackend{plan: plan, opts: n.runOpts}
+	// Sessions share the network's compiled plan: the blueprint is built and
+	// type-checked once, and every run dispatches through the same
+	// precomputed routing tables.
+	plan, err := n.Plan()
+	if err != nil {
+		return nil, n.buildFailed(err)
 	}
 	sess := &Session{
 		id:     id,
 		net:    n,
 		svc:    s,
-		back:   back,
+		plan:   plan,
 		opened: time.Now(),
 		done:   make(chan struct{}),
 	}
@@ -225,10 +127,9 @@ func (s *Session) ID() string { return s.id }
 // Network returns the network definition this session runs.
 func (s *Session) Network() *Network { return s.net }
 
-// Handle exposes the underlying running network (for its Stats).  In Shared
-// mode this is the network's engine — shared by every session of the
-// network — so treat it as read-only.
-func (s *Session) Handle() *snet.Handle { return s.back.handle() }
+// Handle exposes the session's run (for its Stats), starting it if this is
+// the session's first use; nil once the session was released unused.
+func (s *Session) Handle() *snet.Handle { return s.run() }
 
 // Counts reports how many records have been accepted and delivered.
 func (s *Session) Counts() (sent, received int64) {
@@ -245,21 +146,20 @@ func (s *Session) Send(ctx context.Context, r *snet.Record) error {
 
 // SendBatch streams a burst of records into the session's network as
 // transport frames (one stream synchronization per StreamBatch records).  It
-// blocks on backpressure — stream buffers are bounded in both modes — until
-// the records are accepted, the caller's ctx is cancelled, or the session is
-// released.  It returns how many records were accepted; on ctx expiry or
-// release that can be a frame-aligned prefix.  A batch with a label of the
-// runtime's reserved namespace in it is refused whole (clients must not
-// spoof session or replica control records).  Of n, err: recs[:n] belong to
-// the network, recs[n:] stay the caller's (to retry, or to hand back with
+// blocks on backpressure — stream buffers are bounded — until the records are
+// accepted, the caller's ctx is cancelled, or the session is released.  It
+// returns how many records were accepted; on ctx expiry or release that can
+// be a frame-aligned prefix.  Of n, err: recs[:n] belong to the network,
+// recs[n:] stay the caller's (to retry, or to hand back with
 // snet.ReleaseRecord).
 func (s *Session) SendBatch(ctx context.Context, recs []*snet.Record) (int, error) {
-	if err := s.net.admit(recs); err != nil {
-		return 0, err
+	h := s.run()
+	if h == nil {
+		return 0, snet.ErrCancelled
 	}
 	s.enter()
 	defer s.exit()
-	accepted, err := s.back.sendBatch(ctx, recs)
+	accepted, err := h.SendBatch(ctx, recs)
 	if accepted > 0 {
 		s.mu.Lock()
 		s.sent += int64(accepted)
@@ -271,22 +171,35 @@ func (s *Session) SendBatch(ctx context.Context, recs []*snet.Record) (int, erro
 
 // CloseInput signals end-of-input: once in-flight records drain, the
 // session's output winds down and Recv reports done.  Idempotent.
-func (s *Session) CloseInput() { s.back.closeInput() }
+func (s *Session) CloseInput() {
+	if h := s.run(); h != nil {
+		h.Close()
+	}
+}
 
 // Recv delivers the next output record.  done reports that the session has
 // drained (after CloseInput) or was released; err is the caller's context
 // error on timeout/cancellation.
 func (s *Session) Recv(ctx context.Context) (rec *snet.Record, done bool, err error) {
+	h := s.run()
+	if h == nil {
+		return nil, true, nil
+	}
 	s.enter()
 	defer s.exit()
-	rec, done, err = s.back.recv(ctx)
-	if rec != nil {
+	select {
+	case r, ok := <-h.Out():
+		if !ok {
+			return nil, true, nil
+		}
 		s.mu.Lock()
 		s.received++
 		s.mu.Unlock()
 		s.net.svcStat.Add("records.out", 1)
+		return r, false, nil
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
 	}
-	return rec, done, err
 }
 
 // Drain collects up to max output records (max <= 0: unlimited), returning
@@ -309,14 +222,12 @@ func (s *Session) Drain(ctx context.Context, max int) (recs []*snet.Record, done
 	return recs, false, nil
 }
 
-// Release ends the session.  Isolated: the run context is cancelled
-// (dropping in-flight records) and the call returns once the instance's
-// goroutines have unwound.  Shared: the session's replica is retired
-// through the split close protocol — what the engine has accepted runs on,
-// its output is discarded at the engine's demux, and the replica is reclaimed
-// by the warm engine asynchronously; the call returns promptly.  Idempotent
-// in both modes; every caller, including losers of a release race, returns
-// only after the session's teardown has been initiated and its slot freed.
+// Release ends the session: the run context is cancelled (dropping
+// in-flight records) and the call returns once the run's goroutines have
+// unwound; a session released before its first use starts no run and folds
+// no run statistics.  Idempotent; every caller, including losers of a
+// release race, returns only after the session's teardown has completed and
+// its slot is freed.
 func (s *Session) Release() {
 	s.mu.Lock()
 	if s.released {
@@ -327,10 +238,16 @@ func (s *Session) Release() {
 	s.released = true
 	s.mu.Unlock()
 
-	s.back.release()
+	s.start.Do(func() {}) // no run starts after this
+	var rs *snet.Stats
+	if s.h != nil {
+		s.h.Cancel()
+		s.h.Wait()
+		rs = s.h.Stats()
+	}
 	s.svc.mu.Lock()
 	delete(s.svc.sessions, s.id)
 	s.svc.mu.Unlock()
-	s.net.release(s.opened, s.back.runStats())
+	s.net.release(s.opened, rs)
 	close(s.done)
 }

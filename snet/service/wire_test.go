@@ -97,10 +97,12 @@ var wireBodies = []string{
 	`{"net":"echo","wait":"banana","records":[{"tags":{"n":1}}]}`,
 	`{"net":"echo","wait":5,"records":[{"tags":{"n":1}}]}`,
 	`{"net":"echo","wait":"20m","records":[{"tags":{"n":1}}]}`,
+	`{"net":"echo","wait":"0s","records":[{"tags":{"n":1}}]}`,
+	`{"net":"echo","wait":"-1s","records":[{"tags":{"n":1}}]}`,
 	// close on /records
 	`{"records":[{"tags":{"n":1}}],"close":true}`,
 	`{"records":[{"tags":{"n":1}}],"Close":"yes"}`,
-	// refused records, unknown network
+	// a label spelt like a runtime name is a label like any other; unknown network
 	`{"net":"echo","records":[{"tags":{"n":1}},{"tags":{"__snet_session":1}}]}`,
 	`{"net":"nope","records":[{"tags":{"n":1}}]}`,
 }
@@ -109,7 +111,7 @@ var wireBodies = []string{
 // fed three records and closed, and of one fed nothing.
 var wireResultQueries = map[int][]string{
 	3: {"?max=1", "?max=banana", "?wait=banana", "?max=0&wait=10s", "?wait=10s"},
-	0: {"?wait=1ms", "?max=2&wait=1ms"},
+	0: {"?wait=1ms", "?max=2&wait=1ms", "?wait=0s", "?wait=-1s"},
 }
 
 var (
@@ -118,68 +120,66 @@ var (
 )
 
 // TestWireGolden pins what the record-carrying endpoints answer — status and
-// body, "ms" masked — to testdata/wire.golden, in both session modes.
+// body, "ms" masked — to testdata/wire.golden.
 func TestWireGolden(t *testing.T) {
 	var out bytes.Buffer
-	for _, mode := range []SessionMode{Isolated, Shared} {
-		svc := New()
-		svc.Register("echo", "", Options{SessionMode: mode, BufferSize: 4}, func(Options) (snet.Node, error) {
-			return snet.Observe("echo", nil), nil
-		}, nil)
-		h := svc.Handler()
-		do := func(method, target, body string) {
-			req := httptest.NewRequest(method, target, bytes.NewBufferString(body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			reply := msField.ReplaceAllString(rec.Body.String(), `"ms":*`)
-			target = sessionID.ReplaceAllString(target, "/{id}/")
-			if len(body) > maxBody {
-				body = fmt.Sprintf("<%d bytes>", len(body))
-			}
-			fmt.Fprintf(&out, "%s %s %q\n  %d %q\n", method, target, body, rec.Code, reply)
+	svc := New()
+	svc.Register("echo", "", Options{BufferSize: 4}, func(Options) (snet.Node, error) {
+		return snet.Observe("echo", nil), nil
+	}, nil)
+	h := svc.Handler()
+	do := func(method, target, body string) {
+		req := httptest.NewRequest(method, target, bytes.NewBufferString(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		reply := msField.ReplaceAllString(rec.Body.String(), `"ms":*`)
+		target = sessionID.ReplaceAllString(target, "/{id}/")
+		if len(body) > maxBody {
+			body = fmt.Sprintf("<%d bytes>", len(body))
 		}
-		fmt.Fprintf(&out, "== %s\n", mode)
-		for _, body := range wireBodies {
-			do("POST", "/api/run", body)
-		}
-		for _, body := range wireBodies {
-			sess, err := svc.Open("echo")
-			if err != nil {
-				t.Fatal(err)
-			}
-			do("POST", "/api/sessions/"+sess.ID()+"/records", body)
-			sess.CloseInput()
-			do("GET", "/api/sessions/"+sess.ID()+"/results?wait=10s", "")
-			sess.Release()
-		}
-		for _, fed := range []int{3, 0} {
-			sess, err := svc.Open("echo")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fed > 0 {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				if _, err := sess.SendBatch(ctx, []*snet.Record{recN(1), recN(2), recN(3)}); err != nil {
-					t.Fatal(err)
-				}
-				cancel()
-				sess.CloseInput()
-			}
-			for _, q := range wireResultQueries[fed] {
-				do("GET", "/api/sessions/"+sess.ID()+"/results"+q, "")
-			}
-			sess.Release()
-		}
-		oversized := oversizedRun("echo")
-		do("POST", "/api/run", oversized)
+		fmt.Fprintf(&out, "%s %s %q\n  %d %q\n", method, target, body, rec.Code, reply)
+	}
+	out.WriteString("== isolated\n")
+	for _, body := range wireBodies {
+		do("POST", "/api/run", body)
+	}
+	for _, body := range wireBodies {
 		sess, err := svc.Open("echo")
 		if err != nil {
 			t.Fatal(err)
 		}
-		do("POST", "/api/sessions/"+sess.ID()+"/records", oversized)
+		do("POST", "/api/sessions/"+sess.ID()+"/records", body)
+		sess.CloseInput()
+		do("GET", "/api/sessions/"+sess.ID()+"/results?wait=10s", "")
 		sess.Release()
-		svc.Shutdown()
 	}
+	for _, fed := range []int{3, 0} {
+		sess, err := svc.Open("echo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fed > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			if _, err := sess.SendBatch(ctx, []*snet.Record{recN(1), recN(2), recN(3)}); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			sess.CloseInput()
+		}
+		for _, q := range wireResultQueries[fed] {
+			do("GET", "/api/sessions/"+sess.ID()+"/results"+q, "")
+		}
+		sess.Release()
+	}
+	oversized := oversizedRun("echo")
+	do("POST", "/api/run", oversized)
+	sess, err := svc.Open("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	do("POST", "/api/sessions/"+sess.ID()+"/records", oversized)
+	sess.Release()
+	svc.Shutdown()
 
 	const golden = "testdata/wire.golden"
 	if *updateGoldens {

@@ -35,15 +35,14 @@
 //
 // Compile rejects — with node paths — defects that would otherwise surface
 // mid-stream: unreachable Parallel branches, record shapes no branch accepts,
-// box signature mismatches, records reaching a Split without its index tag,
-// reserved-label violations.
+// box signature mismatches, records reaching a Split without its index tag.
 //
 // API at a glance:
 //
 //	build    NewBox NewBoxConcurrent NewFilter FilterFrom MustFilter
 //	         Sync NamedSync Observe
 //	         Serial Parallel ParallelDet Star StarDet NamedStar NamedStarDet
-//	         Split SplitDet NamedSplit NamedSplitDet SessionSplit
+//	         Split SplitDet NamedSplit NamedSplitDet
 //	parse    ParseSignature ParsePattern ParseFilter ParseTagExpr (+ Must…)
 //	         the same grammar as .snet text (snet/lang): one lexer, one
 //	         set of productions
@@ -159,7 +158,6 @@ const (
 	ErrCodeNoRoute     = core.ErrCodeNoRoute
 	ErrCodeBoxReject   = core.ErrCodeBoxReject
 	ErrCodeMissingTag  = core.ErrCodeMissingTag
-	ErrCodeReserved    = core.ErrCodeReserved
 )
 
 // Record and label constructors.
@@ -225,33 +223,11 @@ var (
 	SplitDet         = core.SplitDet
 	NamedSplit       = core.NamedSplit
 	NamedSplitDet    = core.NamedSplitDet
-	// SessionSplit is NamedSplit exempt from WithMaxSplitWidth folding:
-	// distinct tag values always get distinct replicas — the
-	// session-multiplexing configuration of snet/service's shared mode.
-	SessionSplit = core.SessionSplit
-	Sync         = core.Sync
+	Sync             = core.Sync
 	// NamedSync is Sync with an explicit stats label
 	// ("sync.<name>.fired"/"sync.<name>.starved") and a stable topology name.
 	NamedSync = core.NamedSync
 )
-
-// Replica lifecycle: parallel replication (Split) creates replicas on
-// demand; these retire them again.  NewReplicaClose builds the in-band
-// control record that closes and reclaims the replica of one tag value in
-// FIFO position with the data; NewReplicaCloseAck additionally re-emits the
-// record downstream after the replica's last output — the end-of-replica
-// barrier the session service builds on.  IsReplicaClose recognizes both.
-// ReservedTagPrefix marks the label namespace these (and the session
-// machinery) live in; the textual parsers reject user labels inside it.
-var (
-	NewReplicaClose    = core.NewReplicaClose
-	NewReplicaCloseAck = core.NewReplicaCloseAck
-	IsReplicaClose     = core.IsReplicaClose
-	IsReservedLabel    = core.IsReservedLabel
-)
-
-// ReservedTagPrefix is the runtime-owned label namespace ("__snet_").
-const ReservedTagPrefix = core.ReservedTagPrefix
 
 // Run options.
 var (
