@@ -13,7 +13,7 @@
 //	      [-det] [-snet file.snet]
 //	snetd -demo 50       # in-process load demo: 50 concurrent sessions
 //
-// Every session is a run of its network's plan of its own, started on the
+// Every session is a private run of its network's plan, started on the
 // session's first use (see snet/service and DESIGN.md §8).
 //
 // On SIGTERM/SIGINT snetd shuts down gracefully: new session opens are

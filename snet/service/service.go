@@ -170,7 +170,6 @@ type Network struct {
 	// every session (nodes are stateless blueprints; the
 	// plan's routing tables are the shared artifact sessions amortize).
 	planMu   sync.Mutex
-	root     snet.Node // the builder's blueprint; immutable once planDone
 	plan     *snet.Plan
 	planErr  error // compile diagnostics of the cached plan (*snet.CompileError or nil)
 	planDone bool
@@ -194,7 +193,7 @@ func (n *Network) Plan() (*snet.Plan, error) {
 		return nil, err
 	}
 	plan, cerr := snet.Compile(root)
-	n.root, n.plan = root, plan
+	n.plan = plan
 	n.planDone = true
 	if cerr != nil {
 		n.planErr = cerr
