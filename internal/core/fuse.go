@@ -9,9 +9,9 @@ import "fmt"
 // S-Net's overhead in.  So parts are segments: runs of stages on one goroutine,
 // depth-first, parking nothing between stages.  A stage is a filter, a tap, a
 // synchrocell, a box not pinned wider than one call at a time — and, at a
-// position a dispatcher steps (a parallel branch, a capped split's operand, a
-// non-deterministic star's), a non-deterministic parallel or capped split
-// whose every branch is one segment (fanStage): one goroutine per fan-out
+// position a dispatcher steps (a parallel branch, a split's operand, a
+// non-deterministic star's), a non-deterministic parallel or split whose
+// every branch is one segment (fanStage): one goroutine per fan-out
 // tree.  The root spine keeps its dispatchers, whose merge queues buffer a
 // burst, but in a one-shot run (oneShot).  Grouping is decided at Compile
 // (spineCutter; WithFusion(false): none).  Once a box of a segment must run
