@@ -254,46 +254,49 @@ func TestHTTPErrorPaths(t *testing.T) {
 // close of input, the tail cut off by the request's deadline — go back to it:
 // the ledger reads what it read before the request.
 func TestHTTPRefusedRecordsReturnToArena(t *testing.T) {
-	svc := New()
-	gate := make(chan struct{})
-	svc.Register("inc", "", Options{BufferSize: 4}, incNet, nil)
-	svc.Register("slow", "", Options{BufferSize: 1, StreamBatch: 1}, gatedNet(gate), nil)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Shutdown()
+	// Every session is isolated: a run of its own.
+	t.Run("isolated", func(t *testing.T) {
+		svc := New()
+		gate := make(chan struct{})
+		svc.Register("inc", "", Options{BufferSize: 4}, incNet, nil)
+		svc.Register("slow", "", Options{BufferSize: 1, StreamBatch: 1}, gatedNet(gate), nil)
+		ts := httptest.NewServer(svc.Handler())
+		defer ts.Close()
+		defer svc.Shutdown()
 
-	ledgerAtBase := arenaLedger(t)
+		ledgerAtBase := arenaLedger(t)
 
-	var opened struct {
-		Session string `json:"session"`
-	}
-	if code := call(t, "POST", ts.URL+"/api/sessions", map[string]string{"net": "inc"}, &opened); code != http.StatusCreated {
-		t.Fatalf("open: status %d", code)
-	}
-	url := ts.URL + "/api/sessions/" + opened.Session
-	if code := call(t, "POST", url+"/close", nil, nil); code != http.StatusOK {
-		t.Fatalf("close: status %d", code)
-	}
-	three := map[string]any{"records": []RecordJSON{{Tags: map[string]int{"n": 1}}, {Tags: map[string]int{"n": 2}}, {Tags: map[string]int{"n": 3}}}}
-	if code := call(t, "POST", url+"/records", three, nil); code != http.StatusConflict {
-		t.Fatalf("records after close: status %d", code)
-	}
-	ledgerAtBase("a refused /records")
+		var opened struct {
+			Session string `json:"session"`
+		}
+		if code := call(t, "POST", ts.URL+"/api/sessions", map[string]string{"net": "inc"}, &opened); code != http.StatusCreated {
+			t.Fatalf("open: status %d", code)
+		}
+		url := ts.URL + "/api/sessions/" + opened.Session
+		if code := call(t, "POST", url+"/close", nil, nil); code != http.StatusOK {
+			t.Fatalf("close: status %d", code)
+		}
+		three := map[string]any{"records": []RecordJSON{{Tags: map[string]int{"n": 1}}, {Tags: map[string]int{"n": 2}}, {Tags: map[string]int{"n": 3}}}}
+		if code := call(t, "POST", url+"/records", three, nil); code != http.StatusConflict {
+			t.Fatalf("records after close: status %d", code)
+		}
+		ledgerAtBase("a refused /records")
 
-	ten := make([]RecordJSON, 10)
-	for i := range ten {
-		ten[i] = RecordJSON{Tags: map[string]int{"n": i}}
-	}
-	var cut struct {
-		Accepted  int  `json:"accepted"`
-		InputDone bool `json:"inputDone"`
-	}
-	body := map[string]any{"net": "slow", "records": ten, "wait": "50ms"}
-	if code := call(t, "POST", ts.URL+"/api/run", body, &cut); code != http.StatusOK || cut.InputDone || cut.Accepted >= len(ten) {
-		t.Fatalf("run against a shut gate: status %d (%+v)", code, cut)
-	}
-	close(gate) // what the network did take moves on and out
-	ledgerAtBase("a partially accepted /api/run")
+		ten := make([]RecordJSON, 10)
+		for i := range ten {
+			ten[i] = RecordJSON{Tags: map[string]int{"n": i}}
+		}
+		var cut struct {
+			Accepted  int  `json:"accepted"`
+			InputDone bool `json:"inputDone"`
+		}
+		body := map[string]any{"net": "slow", "records": ten, "wait": "50ms"}
+		if code := call(t, "POST", ts.URL+"/api/run", body, &cut); code != http.StatusOK || cut.InputDone || cut.Accepted >= len(ten) {
+			t.Fatalf("run against a shut gate: status %d (%+v)", code, cut)
+		}
+		close(gate) // what the network did take moves on and out
+		ledgerAtBase("a partially accepted /api/run")
+	})
 }
 
 // arenaLedger samples the arena ledger once earlier tests' runs have stopped
@@ -320,24 +323,27 @@ func arenaLedger(t *testing.T) (atBase func(after string)) {
 // TestHTTPOversizedRequest: a body over maxBody is refused with 413 before
 // a session opens, and what the reader built of it goes back to the arena.
 func TestHTTPOversizedRequest(t *testing.T) {
-	svc := New()
-	svc.Register("inc", "", Options{}, incNet, nil)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	defer svc.Shutdown()
-	ledgerAtBase := arenaLedger(t)
-	resp, err := http.Post(ts.URL+"/api/run", "application/json", strings.NewReader(oversizedRun("inc")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized /api/run: status %d, want 413", resp.StatusCode)
-	}
-	if n := svc.SessionCount(); n != 0 {
-		t.Fatalf("oversized /api/run left %d sessions", n)
-	}
-	ledgerAtBase("an oversized /api/run")
+	// Every session is isolated: a run of its own.
+	t.Run("isolated", func(t *testing.T) {
+		svc := New()
+		svc.Register("inc", "", Options{}, incNet, nil)
+		ts := httptest.NewServer(svc.Handler())
+		defer ts.Close()
+		defer svc.Shutdown()
+		ledgerAtBase := arenaLedger(t)
+		resp, err := http.Post(ts.URL+"/api/run", "application/json", strings.NewReader(oversizedRun("inc")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized /api/run: status %d, want 413", resp.StatusCode)
+		}
+		if n := svc.SessionCount(); n != 0 {
+			t.Fatalf("oversized /api/run left %d sessions", n)
+		}
+		ledgerAtBase("an oversized /api/run")
+	})
 }
 
 // TestHTTPRunFeedsPastTheBuffer: a one-shot run of more records than its
