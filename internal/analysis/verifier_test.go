@@ -44,47 +44,6 @@ var verifierPrograms = []struct {
 	{"overbudget", "testdata/overbudget.snet", true},
 }
 
-// TestVerdictsFusionInvariant proves the verifier's verdicts cannot depend
-// on whether pipeline fusion ran: for every program and every point of the
-// capacity matrix, compiling with fusion on and off yields byte-identical
-// rendered reports and identical bounds.  This holds by construction — the
-// analysis reads Plan.Graph(), the one tree either plan runs, and a fused
-// segment holds no more than its stages hold on their own, without the
-// streams the analysis prices between them — but the sweep pins it against
-// regressions (internal/workloads' TestBurstBoxInFlightWithinBound watches a
-// run).
-func TestVerdictsFusionInvariant(t *testing.T) {
-	for _, prog := range verifierPrograms {
-		node := loadNet(t, prog.path)
-		for _, w := range []int{1, 4, 16} {
-			for _, batch := range []int{1, 8, 64} {
-				caps := analysis.DefaultCaps()
-				caps.BoxWorkers = w
-				caps.StreamBatch = batch
-				var rendered [2]string
-				var bounds [2]*analysis.Bound
-				for i, fuse := range []bool{false, true} {
-					plan, err := core.Compile(node, core.WithFusion(fuse))
-					if err != nil {
-						t.Fatalf("%s: compile(fusion=%v): %v", prog.name, fuse, err)
-					}
-					rep := analysis.AnalyzeWithCaps(plan, caps)
-					rendered[i] = render(rep)
-					bounds[i] = rep.Bound
-				}
-				if rendered[0] != rendered[1] {
-					t.Errorf("%s (W=%d B=%d): verdicts differ with fusion on vs off\n--- off ---\n%s--- on ---\n%s",
-						prog.name, w, batch, rendered[0], rendered[1])
-				}
-				if bounds[0].Total != bounds[1].Total || bounds[0].Fixed != bounds[1].Fixed || bounds[0].Finite != bounds[1].Finite {
-					t.Errorf("%s (W=%d B=%d): bounds differ: %s vs %s",
-						prog.name, w, batch, bounds[0], bounds[1])
-				}
-			}
-		}
-	}
-}
-
 // TestWorkloadBoundsFinite proves every shipped workload program
 // deadlock-free with a finite memory high-water bound under default caps.
 func TestWorkloadBoundsFinite(t *testing.T) {
@@ -168,7 +127,7 @@ func TestAutoWidthBoxBoundedAtCap(t *testing.T) {
 		return core.Serial(box("first"), box("second"))
 	}
 	bound := func(workers int, caps analysis.Caps) int64 {
-		rep := analysis.AnalyzeWithCaps(core.MustCompile(pipeline(workers), core.WithFusion(false)), caps)
+		rep := analysis.AnalyzeWithCaps(core.MustCompile(pipeline(workers)), caps)
 		if rep.Bound == nil || !rep.Bound.Finite {
 			t.Fatalf("workers=%d: want a finite bound, got %v", workers, rep.Bound)
 		}

@@ -35,9 +35,9 @@ func gateBox(name string, need int) (Node, *atomic.Int32) {
 	return n, &inflight
 }
 
-func TestBoxEngineOverlapsInvocations(t *testing.T) { bothPlans(t, testBoxEngineOverlapsInvocations) }
+func TestBoxEngineOverlapsInvocations(t *testing.T) { eachCell(t, testBoxEngineOverlapsInvocations) }
 
-func testBoxEngineOverlapsInvocations(t *testing.T, m execMode) {
+func testBoxEngineOverlapsInvocations(t *testing.T, m cell) {
 	box, _ := gateBox("olap", 3)
 	out, stats := m.runNet(t, box, seqInputs(6, func(i int, r *Record) { r.SetTag("n", i) }),
 		WithBoxWorkers(4))
@@ -55,9 +55,9 @@ func testBoxEngineOverlapsInvocations(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxEnginePreservesOrder(t *testing.T) { bothPlans(t, testBoxEnginePreservesOrder) }
+func TestBoxEnginePreservesOrder(t *testing.T) { eachCell(t, testBoxEnginePreservesOrder) }
 
-func testBoxEnginePreservesOrder(t *testing.T, m execMode) {
+func testBoxEnginePreservesOrder(t *testing.T, m cell) {
 	// Each input <seq> emits (seq,0)..(seq,2) after a seq-dependent delay;
 	// a concurrent engine that released invocations as they finish would
 	// interleave them.  The reorder stage must restore input order exactly.
@@ -85,9 +85,9 @@ func testBoxEnginePreservesOrder(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxEngineMarkerBarrier(t *testing.T) { bothPlans(t, testBoxEngineMarkerBarrier) }
+func TestBoxEngineMarkerBarrier(t *testing.T) { eachCell(t, testBoxEngineMarkerBarrier) }
 
-func testBoxEngineMarkerBarrier(t *testing.T, m execMode) {
+func testBoxEngineMarkerBarrier(t *testing.T, m cell) {
 	// A concurrent jittery box inside deterministic combinators: the sort
 	// markers crossing the box must still delimit exactly the records routed
 	// before them, or the det merge falls apart.
@@ -97,9 +97,9 @@ func testBoxEngineMarkerBarrier(t *testing.T, m execMode) {
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestBoxEnginePanicIsolation(t *testing.T) { bothPlans(t, testBoxEnginePanicIsolation) }
+func TestBoxEnginePanicIsolation(t *testing.T) { eachCell(t, testBoxEnginePanicIsolation) }
 
-func testBoxEnginePanicIsolation(t *testing.T, m execMode) {
+func testBoxEnginePanicIsolation(t *testing.T, m cell) {
 	var errs int32
 	out, stats := func() ([]*Record, *Stats) {
 		out, stats, err := m.RunAll(context.Background(), poisonBox("pc", 7),
@@ -119,9 +119,9 @@ func testBoxEnginePanicIsolation(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxEngineRejectsUnbindable(t *testing.T) { bothPlans(t, testBoxEngineRejectsUnbindable) }
+func TestBoxEngineRejectsUnbindable(t *testing.T) { eachCell(t, testBoxEngineRejectsUnbindable) }
 
-func testBoxEngineRejectsUnbindable(t *testing.T, m execMode) {
+func testBoxEngineRejectsUnbindable(t *testing.T, m cell) {
 	var errs int32
 	out, stats, err := m.RunAll(context.Background(), incBox("rj", 1),
 		[]*Record{recN(1), NewRecord().SetField("other", 1), recN(2)},
@@ -137,10 +137,10 @@ func testBoxEngineRejectsUnbindable(t *testing.T, m execMode) {
 }
 
 func TestNewBoxConcurrentOverridesRunDefault(t *testing.T) {
-	bothPlans(t, testNewBoxConcurrentOverridesRunDefault)
+	eachCell(t, testNewBoxConcurrentOverridesRunDefault)
 }
 
-func testNewBoxConcurrentOverridesRunDefault(t *testing.T, m execMode) {
+func testNewBoxConcurrentOverridesRunDefault(t *testing.T, m cell) {
 	// The run default is sequential, but the box pins its own width.
 	var inflight atomic.Int32
 	box := NewBoxConcurrent("own", MustParseSignature("(<n>) -> (<n>)"),
@@ -166,10 +166,10 @@ func testNewBoxConcurrentOverridesRunDefault(t *testing.T, m execMode) {
 }
 
 func TestNewBoxConcurrentPinsSequential(t *testing.T) {
-	bothPlans(t, testNewBoxConcurrentPinsSequential)
+	eachCell(t, testNewBoxConcurrentPinsSequential)
 }
 
-func testNewBoxConcurrentPinsSequential(t *testing.T, m execMode) {
+func testNewBoxConcurrentPinsSequential(t *testing.T, m cell) {
 	// Width 1 pins the box to the sequential path even when the run default
 	// is wide: at no point may two invocations overlap.
 	var inflight, overlapped atomic.Int32
@@ -199,9 +199,9 @@ func testNewBoxConcurrentPinsSequential(t *testing.T, m execMode) {
 // counting them, and cancelled invocations must not count as completed
 // calls — "box.<name>.calls" and "box.<name>.emitted" describe what
 // actually reached the box's output stream.
-func TestEmitterStoppedStopsCounting(t *testing.T) { bothPlans(t, testEmitterStoppedStopsCounting) }
+func TestEmitterStoppedStopsCounting(t *testing.T) { eachCell(t, testEmitterStoppedStopsCounting) }
 
-func testEmitterStoppedStopsCounting(t *testing.T, m execMode) {
+func testEmitterStoppedStopsCounting(t *testing.T, _ cell) {
 	var sawStopped, emittedAfterStop, calls int32
 	blocker := NewBox("stop", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
@@ -225,7 +225,7 @@ func testEmitterStoppedStopsCounting(t *testing.T, m execMode) {
 				}
 			}
 		})
-	h := m.Start(context.Background(), blocker, WithBuffer(0))
+	h := compileNet(blocker).Start(context.Background(), WithBuffer(0))
 	if err := h.Send(recN(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,10 @@ func testEmitterStoppedStopsCounting(t *testing.T, m execMode) {
 }
 
 func TestBoxEmittedCounterMatchesOutput(t *testing.T) {
-	bothPlans(t, testBoxEmittedCounterMatchesOutput)
+	eachCell(t, testBoxEmittedCounterMatchesOutput)
 }
 
-func testBoxEmittedCounterMatchesOutput(t *testing.T, m execMode) {
+func testBoxEmittedCounterMatchesOutput(t *testing.T, m cell) {
 	fan := NewBox("cnt", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			for i := 0; i < args[0].(int); i++ {
@@ -306,10 +306,10 @@ func atLeastProcs(t *testing.T, n int) {
 const slowCall = 20 * boxEscalateAfter
 
 func TestBoxAutoWidthHandsOverMidStream(t *testing.T) {
-	bothPlans(t, testBoxAutoWidthHandsOverMidStream)
+	eachCell(t, testBoxAutoWidthHandsOverMidStream)
 }
 
-func testBoxAutoWidthHandsOverMidStream(t *testing.T, m execMode) {
+func testBoxAutoWidthHandsOverMidStream(t *testing.T, m cell) {
 	atLeastProcs(t, 2)
 	// Cheap for the first half of the stream, sleeping for the second,
 	// inside a deterministic split whose sort markers cross the box after
@@ -363,10 +363,10 @@ func testBoxAutoWidthHandsOverMidStream(t *testing.T, m execMode) {
 // nothing is stepped: each replica's box runs on a goroutine of its own, and
 // replica 1's may be through its six calls before replica 0's verdict.
 func TestBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T) {
-	bothPlans(t, testBoxAutoWidthHandsOverHalfFilledJoin)
+	eachCell(t, testBoxAutoWidthHandsOverHalfFilledJoin)
 }
 
-func testBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T, m execMode) {
+func testBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T, m cell) {
 	atLeastProcs(t, 2)
 	const cheap, slow, tail = 20, 2 * boxEscalateRun, 10
 	mk := func() Node {
@@ -412,24 +412,24 @@ func testBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T, m execMode) {
 			t.Errorf("%s = %d, want %d", key, got, want)
 		}
 	}
-	if got := stats.Counter("box.hs_sum.escalated"); got != 2 && (m.fuse || got != 1) {
+	if got := stats.Counter("box.hs_sum.escalated"); got != 2 {
 		t.Errorf("box.hs_sum.escalated = %d, want 2", got)
 	}
 	waitPoolLive(t, live)
 }
 
 func TestBoxAutoWidthIgnoresBackpressure(t *testing.T) {
-	bothPlans(t, testBoxAutoWidthIgnoresBackpressure)
+	eachCell(t, testBoxAutoWidthIgnoresBackpressure)
 }
 
-func testBoxAutoWidthIgnoresBackpressure(t *testing.T, m execMode) {
+func testBoxAutoWidthIgnoresBackpressure(t *testing.T, _ cell) {
 	atLeastProcs(t, 2)
 	// A cheap box behind a consumer that takes slowCall per record: every
 	// Out blocks far longer than boxEscalateAfter, and none of that is the
 	// box's own service time.
 	const n = 4 * boxEscalateRun
 	base := goroutineCount()
-	h := m.Start(context.Background(), incBox("bp", 1), WithBuffer(0), WithStreamBatch(1))
+	h := compileNet(incBox("bp", 1)).Start(context.Background(), WithBuffer(0), WithStreamBatch(1))
 	go h.feed(seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) }))
 	peak := 0
 	for got := 0; got < n; got++ {
@@ -454,10 +454,10 @@ func testBoxAutoWidthIgnoresBackpressure(t *testing.T, m execMode) {
 }
 
 func TestBoxAutoWidthVerdictIsRemembered(t *testing.T) {
-	bothPlans(t, testBoxAutoWidthVerdictIsRemembered)
+	eachCell(t, testBoxAutoWidthVerdictIsRemembered)
 }
 
-func testBoxAutoWidthVerdictIsRemembered(t *testing.T, m execMode) {
+func testBoxAutoWidthVerdictIsRemembered(t *testing.T, _ cell) {
 	atLeastProcs(t, 2)
 	// First run: the box sleeps, so the engine hands it over.  Second run
 	// of the same plan: every invocation waits until two are in flight,
@@ -483,7 +483,7 @@ func testBoxAutoWidthVerdictIsRemembered(t *testing.T, m execMode) {
 			}
 			return out.Out(1, args[0].(int))
 		})
-	p := m.Compile(box)
+	p := compileNet(box)
 	inputs := func(n int) []*Record {
 		return seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) })
 	}
@@ -507,10 +507,10 @@ func testBoxAutoWidthVerdictIsRemembered(t *testing.T, m execMode) {
 }
 
 func TestBoxAutoWidthCancelDuringHandOver(t *testing.T) {
-	bothPlans(t, testBoxAutoWidthCancelDuringHandOver)
+	eachCell(t, testBoxAutoWidthCancelDuringHandOver)
 }
 
-func testBoxAutoWidthCancelDuringHandOver(t *testing.T, m execMode) {
+func testBoxAutoWidthCancelDuringHandOver(t *testing.T, _ cell) {
 	atLeastProcs(t, 2)
 	base, live := goroutineCount(), poolLiveSettled(t)
 	// The hand-over follows slow call number boxEscalateRun.  Cancel from
@@ -532,7 +532,7 @@ func testBoxAutoWidthCancelDuringHandOver(t *testing.T, m execMode) {
 		// in a stream's buffer without a release, which would drown the
 		// ledger this test reads; with nothing buffered every record is in
 		// some component's hands when the cancellation lands.
-		h := m.Start(context.Background(), box, WithBuffer(0), WithStreamBatch(1))
+		h := compileNet(box).Start(context.Background(), WithBuffer(0), WithStreamBatch(1))
 		cancel <- h.Cancel
 		go func() {
 			for j := 0; ; j++ {

@@ -225,11 +225,11 @@ func render(recs []*Record) []string {
 // the counters agree and nothing stays in the arena.  Then the same for tag
 // expressions wherever a running network evaluates one (tagprog_test.go).
 func TestBoxProgramMatchesByName(t *testing.T) {
-	bothPlans(t, testBoxProgramMatchesByName)
-	bothPlans(t, testTagExprsThroughNet)
+	eachCell(t, testBoxProgramMatchesByName)
+	eachCell(t, testTagExprsThroughNet)
 }
 
-func testBoxProgramMatchesByName(t *testing.T, m execMode) {
+func testBoxProgramMatchesByName(t *testing.T, m cell) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 120; trial++ {
 		c := newProgCase(rng, trial)
@@ -237,7 +237,9 @@ func testBoxProgramMatchesByName(t *testing.T, m execMode) {
 			var probes, rejected []string
 			net := Serial(Observe("", nil), c.node(workers, &probes), Observe("", nil))
 			live := PoolStats().Live()
-			out, stats, err := m.RunAll(context.Background(), net, c.inputs(),
+			// The box writes down what it sees, so the reference, which applies it
+			// again, evaluates once the run's probes are read.
+			out, stats, err := compileNet(net).RunAll(context.Background(), c.inputs(),
 				WithErrorHandler(func(e error) { rejected = append(rejected, e.Error()) }))
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", c.sig, workers, err)
@@ -260,6 +262,9 @@ func testBoxProgramMatchesByName(t *testing.T, m execMode) {
 			}
 			if d := PoolStats().Live() - live; d != 0 {
 				t.Fatalf("box %s W=%d: %d arena records live after the run", c.sig, workers, d)
+			}
+			if m.ref {
+				evaluate(compileNet(net), c.inputs()).check(t, out)
 			}
 		}
 	}
@@ -285,7 +290,7 @@ func TestBoxProgramPastMemoCap(t *testing.T) {
 	}
 	box := NewBoxConcurrent("cap", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)+1) }, 1)
-	out, _ := fused.runNet(t, Serial(Observe("", nil), box), inputs)
+	out, _ := runNet(t, Serial(Observe("", nil), box), inputs)
 	if got := render(out); !slices.Equal(got, want) {
 		t.Fatalf("outputs differ past the memo cap (first: got %q, want %q)", got[0], want[0])
 	}
@@ -295,9 +300,9 @@ func TestBoxProgramPastMemoCap(t *testing.T) {
 // reference: random patterns over random records, the first match of each
 // pattern kept, the merger built from the first stored record on, earlier
 // patterns winning every clash.
-func TestSyncMergeMatchesByName(t *testing.T) { bothPlans(t, testSyncMergeMatchesByName) }
+func TestSyncMergeMatchesByName(t *testing.T) { eachCell(t, testSyncMergeMatchesByName) }
 
-func testSyncMergeMatchesByName(t *testing.T, m execMode) {
+func testSyncMergeMatchesByName(t *testing.T, m cell) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		patterns := make([]Pattern, 2+rng.Intn(2))

@@ -8,9 +8,9 @@ import (
 
 // --- parallel composition ---
 
-func TestParallelBestMatchRouting(t *testing.T) { bothPlans(t, testParallelBestMatchRouting) }
+func TestParallelBestMatchRouting(t *testing.T) { eachCell(t, testParallelBestMatchRouting) }
 
-func testParallelBestMatchRouting(t *testing.T, m execMode) {
+func testParallelBestMatchRouting(t *testing.T, m cell) {
 	a := NewBox("viaA", MustParseSignature("(a) -> (a,<viaA>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
 	b := NewBox("viaB", MustParseSignature("(a,b) -> (a,<viaB>)"),
@@ -36,10 +36,10 @@ func testParallelBestMatchRouting(t *testing.T, m execMode) {
 }
 
 func TestParallelTieBreakUsesBothBranches(t *testing.T) {
-	bothPlans(t, testParallelTieBreakUsesBothBranches)
+	eachCell(t, testParallelTieBreakUsesBothBranches)
 }
 
-func testParallelTieBreakUsesBothBranches(t *testing.T, m execMode) {
+func testParallelTieBreakUsesBothBranches(t *testing.T, m cell) {
 	mk := func(tag string) Node {
 		return NewBox(tag, MustParseSignature("(a) -> (a,<"+tag+">)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
@@ -67,9 +67,9 @@ func testParallelTieBreakUsesBothBranches(t *testing.T, m execMode) {
 	}
 }
 
-func TestParallelUnroutableDropped(t *testing.T) { bothPlans(t, testParallelUnroutableDropped) }
+func TestParallelUnroutableDropped(t *testing.T) { eachCell(t, testParallelUnroutableDropped) }
 
-func testParallelUnroutableDropped(t *testing.T, m execMode) {
+func testParallelUnroutableDropped(t *testing.T, m cell) {
 	a := incBox("a", 1) // wants <n>
 	b := NewBox("b", MustParseSignature("(x) -> (x)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) })
@@ -85,9 +85,9 @@ func testParallelUnroutableDropped(t *testing.T, m execMode) {
 	}
 }
 
-func TestParallelThreeBranches(t *testing.T) { bothPlans(t, testParallelThreeBranches) }
+func TestParallelThreeBranches(t *testing.T) { eachCell(t, testParallelThreeBranches) }
 
-func testParallelThreeBranches(t *testing.T, m execMode) {
+func testParallelThreeBranches(t *testing.T, m cell) {
 	mk := func(field string) Node {
 		return NewBox("b_"+field, MustParseSignature("("+field+") -> ("+field+",<hit>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })
@@ -132,9 +132,9 @@ func decBox() Node {
 		})
 }
 
-func TestStarUnfoldsOnDemand(t *testing.T) { bothPlans(t, testStarUnfoldsOnDemand) }
+func TestStarUnfoldsOnDemand(t *testing.T) { eachCell(t, testStarUnfoldsOnDemand) }
 
-func testStarUnfoldsOnDemand(t *testing.T, m execMode) {
+func testStarUnfoldsOnDemand(t *testing.T, m cell) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
 	out, stats := m.runNet(t, n, []*Record{recN(5)})
 	if len(out) != 1 {
@@ -153,10 +153,10 @@ func testStarUnfoldsOnDemand(t *testing.T, m execMode) {
 }
 
 func TestStarImmediateExitCreatesNoReplica(t *testing.T) {
-	bothPlans(t, testStarImmediateExitCreatesNoReplica)
+	eachCell(t, testStarImmediateExitCreatesNoReplica)
 }
 
-func testStarImmediateExitCreatesNoReplica(t *testing.T, m execMode) {
+func testStarImmediateExitCreatesNoReplica(t *testing.T, m cell) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
 	out, stats := m.runNet(t, n, []*Record{NewRecord().SetTag("n", 3).SetTag("done", 1)})
 	if len(out) != 1 {
@@ -167,9 +167,9 @@ func testStarImmediateExitCreatesNoReplica(t *testing.T, m execMode) {
 	}
 }
 
-func TestStarSharesChainAcrossRecords(t *testing.T) { bothPlans(t, testStarSharesChainAcrossRecords) }
+func TestStarSharesChainAcrossRecords(t *testing.T) { eachCell(t, testStarSharesChainAcrossRecords) }
 
-func testStarSharesChainAcrossRecords(t *testing.T, m execMode) {
+func testStarSharesChainAcrossRecords(t *testing.T, m cell) {
 	n := NamedStar("loop", decBox(), MustParsePattern("{<done>}"))
 	out, stats := m.runNet(t, n, []*Record{recN(5), recN(5), recN(3)})
 	if len(out) != 3 {
@@ -181,9 +181,9 @@ func testStarSharesChainAcrossRecords(t *testing.T, m execMode) {
 	}
 }
 
-func TestStarGuardedExit(t *testing.T) { bothPlans(t, testStarGuardedExit) }
+func TestStarGuardedExit(t *testing.T) { eachCell(t, testStarGuardedExit) }
 
-func testStarGuardedExit(t *testing.T, m execMode) {
+func testStarGuardedExit(t *testing.T, m cell) {
 	// Exit once <n> drops below 3 — a guarded pattern like Fig. 3's
 	// {<level>} | <level> > 40.
 	n := NamedStar("loop", incBox("dec", -1), MustParsePattern("{<n>} | <n> < 3"))
@@ -196,9 +196,9 @@ func testStarGuardedExit(t *testing.T, m execMode) {
 	}
 }
 
-func TestStarDepthCapDropsRecords(t *testing.T) { bothPlans(t, testStarDepthCapDropsRecords) }
+func TestStarDepthCapDropsRecords(t *testing.T) { eachCell(t, testStarDepthCapDropsRecords) }
 
-func testStarDepthCapDropsRecords(t *testing.T, m execMode) {
+func testStarDepthCapDropsRecords(t *testing.T, m cell) {
 	// A chain that never terminates: cap must stop the unfolding.
 	never := incBox("spin", 1)
 	var errs int32
@@ -217,9 +217,9 @@ func testStarDepthCapDropsRecords(t *testing.T, m execMode) {
 	}
 }
 
-func TestStarMultiWayFanout(t *testing.T) { bothPlans(t, testStarMultiWayFanout) }
+func TestStarMultiWayFanout(t *testing.T) { eachCell(t, testStarMultiWayFanout) }
 
-func testStarMultiWayFanout(t *testing.T, m execMode) {
+func testStarMultiWayFanout(t *testing.T, m cell) {
 	// Each stage forks into two children until <n> reaches 0 — the
 	// search-tree shape of the sudoku networks.  2^4 = 16 leaves.
 	fork := NewBox("fork", MustParseSignature("(<n>) -> (<n>) | (<n>,<done>)"),
@@ -276,9 +276,9 @@ func (n *instanceNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	}
 }
 
-func TestSplitSameTagSameReplica(t *testing.T) { bothPlans(t, testSplitSameTagSameReplica) }
+func TestSplitSameTagSameReplica(t *testing.T) { eachCell(t, testSplitSameTagSameReplica) }
 
-func testSplitSameTagSameReplica(t *testing.T, m execMode) {
+func testSplitSameTagSameReplica(t *testing.T, m cell) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
 	var inputs []*Record
 	for i := 0; i < 30; i++ {
@@ -310,9 +310,9 @@ func testSplitSameTagSameReplica(t *testing.T, m execMode) {
 	}
 }
 
-func TestSplitWidthCapFoldsTags(t *testing.T) { bothPlans(t, testSplitWidthCapFoldsTags) }
+func TestSplitWidthCapFoldsTags(t *testing.T) { eachCell(t, testSplitWidthCapFoldsTags) }
 
-func testSplitWidthCapFoldsTags(t *testing.T, m execMode) {
+func testSplitWidthCapFoldsTags(t *testing.T, m cell) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
 	var inputs []*Record
 	for i := 0; i < 16; i++ {
@@ -337,9 +337,9 @@ func testSplitWidthCapFoldsTags(t *testing.T, m execMode) {
 	}
 }
 
-func TestSplitNegativeTagValues(t *testing.T) { bothPlans(t, testSplitNegativeTagValues) }
+func TestSplitNegativeTagValues(t *testing.T) { eachCell(t, testSplitNegativeTagValues) }
 
-func testSplitNegativeTagValues(t *testing.T, m execMode) {
+func testSplitNegativeTagValues(t *testing.T, m cell) {
 	n := NamedSplit("width", &instanceNode{label: "inst"}, "k")
 	out, _ := m.runNet(t, n, []*Record{
 		NewRecord().SetTag("k", -1),
@@ -360,9 +360,9 @@ func testSplitNegativeTagValues(t *testing.T, m execMode) {
 	}
 }
 
-func TestSplitMissingTagReported(t *testing.T) { bothPlans(t, testSplitMissingTagReported) }
+func TestSplitMissingTagReported(t *testing.T) { eachCell(t, testSplitMissingTagReported) }
 
-func testSplitMissingTagReported(t *testing.T, m execMode) {
+func testSplitMissingTagReported(t *testing.T, m cell) {
 	var errs int32
 	out, stats := m.runNet(t, NamedSplit("width", incBox("i", 0), "k"),
 		[]*Record{recN(1)},
@@ -377,9 +377,9 @@ func testSplitMissingTagReported(t *testing.T, m execMode) {
 
 // --- synchrocell ---
 
-func TestSyncJoinsTwoPatterns(t *testing.T) { bothPlans(t, testSyncJoinsTwoPatterns) }
+func TestSyncJoinsTwoPatterns(t *testing.T) { eachCell(t, testSyncJoinsTwoPatterns) }
 
-func testSyncJoinsTwoPatterns(t *testing.T, m execMode) {
+func testSyncJoinsTwoPatterns(t *testing.T, m cell) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	out, stats := m.runNet(t, n, []*Record{
 		NewRecord().SetField("a", 1),
@@ -401,9 +401,9 @@ func testSyncJoinsTwoPatterns(t *testing.T, m execMode) {
 	}
 }
 
-func TestSyncEarlierPatternPrecedence(t *testing.T) { bothPlans(t, testSyncEarlierPatternPrecedence) }
+func TestSyncEarlierPatternPrecedence(t *testing.T) { eachCell(t, testSyncEarlierPatternPrecedence) }
 
-func testSyncEarlierPatternPrecedence(t *testing.T, m execMode) {
+func testSyncEarlierPatternPrecedence(t *testing.T, m cell) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	out, _ := m.runNet(t, n, []*Record{
 		NewRecord().SetField("a", "first").SetField("x", 1),
@@ -420,9 +420,9 @@ func testSyncEarlierPatternPrecedence(t *testing.T, m execMode) {
 	}
 }
 
-func TestSyncNonMatchingPassesThrough(t *testing.T) { bothPlans(t, testSyncNonMatchingPassesThrough) }
+func TestSyncNonMatchingPassesThrough(t *testing.T) { eachCell(t, testSyncNonMatchingPassesThrough) }
 
-func testSyncNonMatchingPassesThrough(t *testing.T, m execMode) {
+func testSyncNonMatchingPassesThrough(t *testing.T, m cell) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	out, _ := m.runNet(t, n, []*Record{NewRecord().SetField("c", 1)})
 	if len(out) != 1 {
@@ -430,9 +430,9 @@ func testSyncNonMatchingPassesThrough(t *testing.T, m execMode) {
 	}
 }
 
-func TestSyncStarvationCounted(t *testing.T) { bothPlans(t, testSyncStarvationCounted) }
+func TestSyncStarvationCounted(t *testing.T) { eachCell(t, testSyncStarvationCounted) }
 
-func testSyncStarvationCounted(t *testing.T, m execMode) {
+func testSyncStarvationCounted(t *testing.T, m cell) {
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	out, stats := m.runNet(t, n, []*Record{NewRecord().SetField("a", 1)})
 	if len(out) != 0 {
@@ -454,9 +454,9 @@ func TestSyncNeedsTwoPatterns(t *testing.T) {
 
 // --- nesting ---
 
-func TestNestedCombinators(t *testing.T) { bothPlans(t, testNestedCombinators) }
+func TestNestedCombinators(t *testing.T) { eachCell(t, testNestedCombinators) }
 
-func testNestedCombinators(t *testing.T, m execMode) {
+func testNestedCombinators(t *testing.T, m cell) {
 	// (inc .. (dec ** {<done>})) !! <k>  — replicated pipelines with an
 	// inner replication, the Fig. 2 shape.
 	inner := Serial(incBox("plus", 3), NamedStar("loop", decBox(), MustParsePattern("{<done>}")))
@@ -482,13 +482,13 @@ func testNestedCombinators(t *testing.T, m execMode) {
 	}
 }
 
-func TestParallelWithContextCancel(t *testing.T) { bothPlans(t, testParallelWithContextCancel) }
+func TestParallelWithContextCancel(t *testing.T) { eachCell(t, testParallelWithContextCancel) }
 
-func testParallelWithContextCancel(t *testing.T, m execMode) {
+func testParallelWithContextCancel(t *testing.T, _ cell) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := Parallel(incBox("a", 1), NewBox("b", MustParseSignature("(x) -> (x)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }))
-	h := m.Start(ctx, n)
+	h := compileNet(n).Start(ctx)
 	for i := 0; i < 10; i++ {
 		_ = h.Send(recN(i))
 	}

@@ -100,26 +100,26 @@ func detParallelNet(det bool) (Node, []*Record) {
 }
 
 func TestDetParallelPreservesInputOrder(t *testing.T) {
-	bothPlans(t, testDetParallelPreservesInputOrder)
+	eachCell(t, testDetParallelPreservesInputOrder)
 }
 
-func testDetParallelPreservesInputOrder(t *testing.T, m execMode) {
+func testDetParallelPreservesInputOrder(t *testing.T, m cell) {
 	n, inputs := detParallelNet(true)
 	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetParallelDeliversAll(t *testing.T) { bothPlans(t, testNondetParallelDeliversAll) }
+func TestNondetParallelDeliversAll(t *testing.T) { eachCell(t, testNondetParallelDeliversAll) }
 
-func testNondetParallelDeliversAll(t *testing.T, m execMode) {
+func testNondetParallelDeliversAll(t *testing.T, m cell) {
 	n, inputs := detParallelNet(false)
 	out, _ := m.runNet(t, n, inputs)
 	assertMultiset(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetParallelCanReorder(t *testing.T) { bothPlans(t, testNondetParallelCanReorder) }
+func TestNondetParallelCanReorder(t *testing.T) { eachCell(t, testNondetParallelCanReorder) }
 
-func testNondetParallelCanReorder(t *testing.T, m execMode) {
+func testNondetParallelCanReorder(t *testing.T, m cell) {
 	// Not a strict guarantee, but with a 2ms slow branch and an eager
 	// fast branch reordering should occur essentially always; retry a
 	// few times to keep flake probability negligible.
@@ -136,18 +136,18 @@ func testNondetParallelCanReorder(t *testing.T, m execMode) {
 	t.Log("warning: nondeterministic merge never reordered; timing-dependent")
 }
 
-func TestDetSplitPreservesInputOrder(t *testing.T) { bothPlans(t, testDetSplitPreservesInputOrder) }
+func TestDetSplitPreservesInputOrder(t *testing.T) { eachCell(t, testDetSplitPreservesInputOrder) }
 
-func testDetSplitPreservesInputOrder(t *testing.T, m execMode) {
+func testDetSplitPreservesInputOrder(t *testing.T, m cell) {
 	n := SplitDet(jitterBox("j", 17), "k")
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("k", i%4) })
 	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetSplitDeliversAll(t *testing.T) { bothPlans(t, testNondetSplitDeliversAll) }
+func TestNondetSplitDeliversAll(t *testing.T) { eachCell(t, testNondetSplitDeliversAll) }
 
-func testNondetSplitDeliversAll(t *testing.T, m execMode) {
+func testNondetSplitDeliversAll(t *testing.T, m cell) {
 	n := Split(jitterBox("j", 23), "k")
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("k", i%4) })
 	out, _ := m.runNet(t, n, inputs)
@@ -169,18 +169,18 @@ func varDecBox(salt int64) Node {
 		})
 }
 
-func TestDetStarPreservesInputOrder(t *testing.T) { bothPlans(t, testDetStarPreservesInputOrder) }
+func TestDetStarPreservesInputOrder(t *testing.T) { eachCell(t, testDetStarPreservesInputOrder) }
 
-func testDetStarPreservesInputOrder(t *testing.T, m execMode) {
+func testDetStarPreservesInputOrder(t *testing.T, m cell) {
 	n := StarDet(varDecBox(5), MustParsePattern("{<done>}"))
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("n", (detN-i)%7) })
 	out, _ := m.runNet(t, n, inputs)
 	assertOrdered(t, collectSeqs(t, out), detN)
 }
 
-func TestNondetStarDeliversAll(t *testing.T) { bothPlans(t, testNondetStarDeliversAll) }
+func TestNondetStarDeliversAll(t *testing.T) { eachCell(t, testNondetStarDeliversAll) }
 
-func testNondetStarDeliversAll(t *testing.T, m execMode) {
+func testNondetStarDeliversAll(t *testing.T, m cell) {
 	n := Star(varDecBox(7), MustParsePattern("{<done>}"))
 	inputs := seqInputs(detN, func(i int, r *Record) { r.SetTag("n", i%7) })
 	out, _ := m.runNet(t, n, inputs)
@@ -190,9 +190,9 @@ func testNondetStarDeliversAll(t *testing.T, m execMode) {
 // Nesting: a nondeterministic split inside a deterministic parallel — the
 // outer determinism must survive inner nondeterminism (sort-record barriers
 // pass through the inner merger).
-func TestDetOuterNondetInner(t *testing.T) { bothPlans(t, testDetOuterNondetInner) }
+func TestDetOuterNondetInner(t *testing.T) { eachCell(t, testDetOuterNondetInner) }
 
-func testDetOuterNondetInner(t *testing.T, m execMode) {
+func testDetOuterNondetInner(t *testing.T, m cell) {
 	inner := Split(jitterBox("inner", 31), "k")
 	other := NewBox("noval", MustParseSignature("(none,<seq>) -> (<seq>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[1].(int)) })
@@ -212,9 +212,9 @@ func testDetOuterNondetInner(t *testing.T, m execMode) {
 // another site, with a deterministic site around it — its input carries that
 // site's sort markers, so it merges them as every site does.  Every net's
 // output order is the input order: seq 0, 1, …, detN-1.
-func TestNondetInsideDet(t *testing.T) { bothPlans(t, testNondetInsideDet) }
+func TestNondetInsideDet(t *testing.T) { eachCell(t, testNondetInsideDet) }
 
-func testNondetInsideDet(t *testing.T, m execMode) {
+func testNondetInsideDet(t *testing.T, m cell) {
 	done := MustParsePattern("{<done>}")
 	fast := func() Node {
 		return NewBox("nid_fast", MustParseSignature("(f,<seq>) -> (<seq>,<done>)"),
@@ -257,9 +257,9 @@ func testNondetInsideDet(t *testing.T, m execMode) {
 }
 
 // Nesting: deterministic star inside deterministic split.
-func TestDetStarInsideDetSplit(t *testing.T) { bothPlans(t, testDetStarInsideDetSplit) }
+func TestDetStarInsideDetSplit(t *testing.T) { eachCell(t, testDetStarInsideDetSplit) }
 
-func testDetStarInsideDetSplit(t *testing.T, m execMode) {
+func testDetStarInsideDetSplit(t *testing.T, m cell) {
 	inner := StarDet(varDecBox(11), MustParsePattern("{<done>}"))
 	n := SplitDet(inner, "k")
 	inputs := seqInputs(detN, func(i int, r *Record) {
@@ -271,9 +271,9 @@ func testDetStarInsideDetSplit(t *testing.T, m execMode) {
 
 // A deterministic combinator fed from another deterministic combinator in
 // series: markers of the first must not confuse the second.
-func TestDetSeriesOfDetCombinators(t *testing.T) { bothPlans(t, testDetSeriesOfDetCombinators) }
+func TestDetSeriesOfDetCombinators(t *testing.T) { eachCell(t, testDetSeriesOfDetCombinators) }
 
-func testDetSeriesOfDetCombinators(t *testing.T, m execMode) {
+func testDetSeriesOfDetCombinators(t *testing.T, m cell) {
 	first := ParallelDet(
 		NewBox("pa", MustParseSignature("(s,<seq>) -> (<seq>)"),
 			func(args []any, out *Emitter) error {
@@ -300,9 +300,9 @@ func testDetSeriesOfDetCombinators(t *testing.T, m execMode) {
 
 // A box that multiplies records: det combinators must keep each input's
 // outputs grouped and in generation order.
-func TestDetSplitWithMultiOutputBox(t *testing.T) { bothPlans(t, testDetSplitWithMultiOutputBox) }
+func TestDetSplitWithMultiOutputBox(t *testing.T) { eachCell(t, testDetSplitWithMultiOutputBox) }
 
-func testDetSplitWithMultiOutputBox(t *testing.T, m execMode) {
+func testDetSplitWithMultiOutputBox(t *testing.T, m cell) {
 	multi := NewBox("multi", MustParseSignature("(<seq>) -> (<seq>,<part>)"),
 		func(args []any, out *Emitter) error {
 			seq := args[0].(int)
@@ -329,9 +329,9 @@ func testDetSplitWithMultiOutputBox(t *testing.T, m execMode) {
 	}
 }
 
-func TestDetRunsAreRepeatable(t *testing.T) { bothPlans(t, testDetRunsAreRepeatable) }
+func TestDetRunsAreRepeatable(t *testing.T) { eachCell(t, testDetRunsAreRepeatable) }
 
-func testDetRunsAreRepeatable(t *testing.T, m execMode) {
+func testDetRunsAreRepeatable(t *testing.T, m cell) {
 	// Two runs of a deterministic network produce identical sequences.
 	run := func() []int {
 		n := SplitDet(jitterBox("rep", time.Now().UnixNano()%1000), "k")

@@ -14,11 +14,9 @@ import (
 // rendered output stream must be byte-identical whatever the box
 // concurrency width W (given, or left to the engine, which then switches
 // modes mid-stream), whatever the stream batch size B, and whatever
-// latencies the invocations exhibit.  The (W=1, B=1) run defines the
-// reference; every other (W, B) combination must reproduce it exactly —
-// in particular, sort markers must stay flush barriers at any B — and so
-// must both execution plans: the un-fused (1,1) run is the reference, the
-// fused plan is swept over the same matrix.
+// latencies the invocations exhibit.  Every (W, B) combination must
+// reproduce the sequential evaluator's sequence (eval_test.go) exactly — in
+// particular, sort markers must stay flush barriers at any B.
 
 // renderStream flattens a record sequence into one comparable string.
 func renderStream(recs []*Record) string {
@@ -48,7 +46,7 @@ func latencyBox(name, field string, maxDelay time.Duration) Node {
 func runDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 	t.Helper()
 	atLeastProcs(t, 2) // so that the unset width can hand over mid-stream
-	var want string
+	want := renderStream(evaluate(compileNet(mkNet()), inputs()).out)
 	for _, w := range []int{1, 4, 16, 0} {
 		for _, b := range []int{1, 8, 64} {
 			name := fmt.Sprintf("W%d_B%d", w, b)
@@ -56,20 +54,16 @@ func runDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 				name = fmt.Sprintf("Wunset_B%d", b)
 			}
 			t.Run(name, func(t *testing.T) {
-				bothPlans(t, func(t *testing.T, m execMode) {
-					out, _, err := m.RunAll(context.Background(), mkNet(), inputs(),
+				// Both cells hold the run to the one evaluation above.
+				eachCell(t, func(t *testing.T, _ cell) {
+					out, _, err := compileNet(mkNet()).RunAll(context.Background(), inputs(),
 						WithBoxWorkers(w), WithStreamBatch(b))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := renderStream(out)
-					if w == 1 && b == 1 && m == unfused {
-						want = got
-						return
-					}
-					if got != want {
-						t.Fatalf("W=%d B=%d %v output diverges from the un-fused (1,1) reference:\n--- want ---\n%s--- got ---\n%s",
-							w, b, m, want, got)
+					if got := renderStream(out); got != want {
+						t.Fatalf("W=%d B=%d output diverges from the reference evaluator:\n--- want ---\n%s--- got ---\n%s",
+							w, b, want, got)
 					}
 				})
 			})
@@ -196,10 +190,10 @@ func latencyBox2(name string, maxDelay time.Duration) Node {
 // without touching shared mutable state (the old parallelNode rotation
 // counter lived on the node and raced here under -race).
 func TestSharedNetworkConcurrentSessions(t *testing.T) {
-	bothPlans(t, testSharedNetworkConcurrentSessions)
+	eachCell(t, testSharedNetworkConcurrentSessions)
 }
 
-func testSharedNetworkConcurrentSessions(t *testing.T, m execMode) {
+func testSharedNetworkConcurrentSessions(t *testing.T, m cell) {
 	// Two branches with identical input types force the tie-breaking
 	// rotation path on every record.
 	tieA := NewBox("tieA", MustParseSignature("(<seq>) -> (<seq>)"),

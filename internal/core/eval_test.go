@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -55,6 +54,9 @@ type evaluation struct {
 	// a non-deterministic merge feeds, and ties under `||`.
 	loose []string
 	errs  int
+	// opaque names a node the evaluator has no rule for (a test's own Node
+	// type); then nothing was evaluated.
+	opaque string
 }
 
 // evaluator is one evaluation's state: the run options it honours (the star
@@ -89,8 +91,11 @@ func evaluate(p *Plan, inputs []*Record, opts ...Option) *evaluation {
 	}
 	ev := &evaluator{maxDepth: caps.maxDepth, maxWidth: caps.maxWidth,
 		boxes: map[Node]*Plan{}, loose: map[string]bool{}}
+	res := &evaluation{ordered: deterministic(p.Graph()), opaque: opaque(p.Graph())}
+	if res.opaque != "" {
+		return res
+	}
 	root := ev.instance(p.Graph(), 0)
-	res := &evaluation{ordered: deterministic(p.Graph())}
 	schedLoose(p.Graph(), false, ev.loose)
 	for _, r := range inputs {
 		ev.feed(root, r, func(o *Record) { res.out = append(res.out, o) })
@@ -176,9 +181,20 @@ func (ev *evaluator) feed(n *evalNode, r *Record, emit func(*Record)) {
 		}
 	case "observe":
 		emit(r)
-	default:
-		panic("evaluate: no rule for a " + g.Kind)
 	}
+}
+
+// opaque returns the path of a node in g the evaluator has no rule for, or "".
+func opaque(g *GraphNode) string {
+	if g.Kind == "node" {
+		return g.Path
+	}
+	for _, c := range g.Children {
+		if p := opaque(c); p != "" {
+			return p
+		}
+	}
+	return ""
 }
 
 // route picks r's branch by best match, the leftmost of equals; -1 is no
@@ -249,7 +265,8 @@ func (ev *evaluator) join(n *evalNode, r *Record, emit func(*Record)) {
 }
 
 // apply invokes the box on r through a plan of the box alone, fed r cut down
-// to the box's input labels, and adds flow inheritance to what it emits.
+// to the box's input labels, and adds flow inheritance to plain copies of what
+// it emits, handing the run's records back to the arena.
 func (ev *evaluator) apply(g *GraphNode, r *Record) []*Record {
 	cut := NewRecord()
 	for _, l := range g.BoxSig.In {
@@ -268,12 +285,15 @@ func (ev *evaluator) apply(g *GraphNode, r *Record) []*Record {
 		p = MustCompile(g.Node)
 		ev.boxes[g.Node] = p
 	}
-	var mu sync.Mutex
+	// The run reports a failing call before it closes its output, which
+	// RunAll has drained when it returns.
 	outs, _, _ := p.RunAll(context.Background(), []*Record{cut}, WithBoxWorkers(1),
-		WithErrorHandler(func(error) { mu.Lock(); ev.errs++; mu.Unlock() }))
+		WithErrorHandler(func(error) { ev.errs++ }))
 	consumed := NewVariant(g.BoxSig.In...)
-	for _, o := range outs {
-		inheritByName(o, r, consumed)
+	for i, o := range outs {
+		outs[i] = o.Copy()
+		releaseRecord(o)
+		inheritByName(outs[i], r, consumed)
 	}
 	return outs
 }
@@ -398,6 +418,10 @@ func (e *evaluation) rendered(out []*Record) string {
 // depends on the schedule (loose) the same number of records, saying why.
 func (e *evaluation) check(t testing.TB, got []*Record) {
 	t.Helper()
+	if e.opaque != "" {
+		t.Logf("no rule for the node at %s: not compared with the reference", e.opaque)
+		return
+	}
 	if len(e.loose) > 0 {
 		t.Logf("the output depends on the schedule (%s): comparing its size only", strings.Join(e.loose, "; "))
 		if len(got) != len(e.out) {

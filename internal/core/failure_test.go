@@ -21,9 +21,9 @@ func poisonBox(name string, bad int) Node {
 		})
 }
 
-func TestPanicInsideSplit(t *testing.T) { bothPlans(t, testPanicInsideSplit) }
+func TestPanicInsideSplit(t *testing.T) { eachCell(t, testPanicInsideSplit) }
 
-func testPanicInsideSplit(t *testing.T, m execMode) {
+func testPanicInsideSplit(t *testing.T, m cell) {
 	var errs int32
 	n := NamedSplit("w", poisonBox("p", 7), "k")
 	inputs := seqInputs(20, func(i int, r *Record) { r.SetTag("n", i).SetTag("k", i%4) })
@@ -40,9 +40,9 @@ func testPanicInsideSplit(t *testing.T, m execMode) {
 	}
 }
 
-func TestPanicInsideStarChain(t *testing.T) { bothPlans(t, testPanicInsideStarChain) }
+func TestPanicInsideStarChain(t *testing.T) { eachCell(t, testPanicInsideStarChain) }
 
-func testPanicInsideStarChain(t *testing.T, m execMode) {
+func testPanicInsideStarChain(t *testing.T, m cell) {
 	// Poison triggers deep in the chain: records with n==2 die at the
 	// third stage; others complete.
 	bomb := NewBox("bomb", MustParseSignature("(<n>,<depth>) -> (<n>,<depth>) | (<n>,<done>)"),
@@ -74,9 +74,9 @@ func testPanicInsideStarChain(t *testing.T, m execMode) {
 	}
 }
 
-func TestPanicInDeterministicNet(t *testing.T) { bothPlans(t, testPanicInDeterministicNet) }
+func TestPanicInDeterministicNet(t *testing.T) { eachCell(t, testPanicInDeterministicNet) }
 
-func testPanicInDeterministicNet(t *testing.T, m execMode) {
+func testPanicInDeterministicNet(t *testing.T, m cell) {
 	// The det merger must not deadlock when a box drops a record: the
 	// sort markers still flow, so ordering recovers around the gap.
 	var errs int32
@@ -101,9 +101,9 @@ func testPanicInDeterministicNet(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxErrorsDoNotStopStream(t *testing.T) { bothPlans(t, testBoxErrorsDoNotStopStream) }
+func TestBoxErrorsDoNotStopStream(t *testing.T) { eachCell(t, testBoxErrorsDoNotStopStream) }
 
-func testBoxErrorsDoNotStopStream(t *testing.T, m execMode) {
+func testBoxErrorsDoNotStopStream(t *testing.T, m cell) {
 	flaky := NewBox("flaky", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			if args[0].(int)%2 == 0 {
@@ -125,9 +125,9 @@ func testBoxErrorsDoNotStopStream(t *testing.T, m execMode) {
 
 // The classic S-Net idiom: a synchrocell inside a serial replicator joins
 // pairs repeatedly — each star stage holds one join.
-func TestSyncInsideStarJoinsPairs(t *testing.T) { bothPlans(t, testSyncInsideStarJoinsPairs) }
+func TestSyncInsideStarJoinsPairs(t *testing.T) { eachCell(t, testSyncInsideStarJoinsPairs) }
 
-func testSyncInsideStarJoinsPairs(t *testing.T, m execMode) {
+func testSyncInsideStarJoinsPairs(t *testing.T, m cell) {
 	cell := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	net := NamedStar("joiner", cell, MustParsePattern("{a, b}"))
 	inputs := []*Record{
@@ -152,9 +152,9 @@ func testSyncInsideStarJoinsPairs(t *testing.T, m execMode) {
 
 // Mixed routing with unroutable records inside a star: the errors surface
 // but the network completes.
-func TestUnroutableInsideStar(t *testing.T) { bothPlans(t, testUnroutableInsideStar) }
+func TestUnroutableInsideStar(t *testing.T) { eachCell(t, testUnroutableInsideStar) }
 
-func testUnroutableInsideStar(t *testing.T, m execMode) {
+func testUnroutableInsideStar(t *testing.T, m cell) {
 	inner := Parallel(
 		NewBox("x", MustParseSignature("(x,<n>) -> (<n>,<done>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[1].(int), 1) }),

@@ -16,9 +16,9 @@ import (
 // liveNet starts n, feeds inputs and waits for want outputs, leaving the
 // network running (input open) so its steady-state goroutines can be
 // counted.
-func liveNet(t *testing.T, m execMode, n Node, inputs []*Record, want int, opts ...Option) *Handle {
+func liveNet(t *testing.T, n Node, inputs []*Record, want int, opts ...Option) *Handle {
 	t.Helper()
-	h := m.Start(context.Background(), n, opts...)
+	h := compileNet(n).Start(context.Background(), opts...)
 	for _, r := range inputs {
 		if err := h.Send(r); err != nil {
 			t.Fatal(err)
@@ -39,9 +39,9 @@ func liveNet(t *testing.T, m execMode, n Node, inputs []*Record, want int, opts 
 // a branch nothing was routed to nothing either, not even an instance, and
 // any other branch its operand's and nothing else.  (The relay that re-read
 // every branch's output stream into the merger was one more per branch.)
-func TestFanInGoroutineBudget(t *testing.T) { bothPlans(t, testFanInGoroutineBudget) }
+func TestFanInGoroutineBudget(t *testing.T) { eachCell(t, testFanInGoroutineBudget) }
 
-func testFanInGoroutineBudget(t *testing.T, m execMode) {
+func testFanInGoroutineBudget(t *testing.T, _ cell) {
 	join := func() Node {
 		return Serial(
 			Sync(MustParsePattern("{a}"), MustParsePattern("{b}")),
@@ -58,7 +58,7 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 	budget := func(t *testing.T, n Node, inputs []*Record, want, goroutines int, opts ...Option) *Stats {
 		t.Helper()
 		base := goroutineCount()
-		h := liveNet(t, m, n, inputs, want, opts...)
+		h := liveNet(t, n, inputs, want, opts...)
 		defer h.Cancel()
 		waitForGoroutines(t, base+goroutines)
 		if g := runtime.NumGoroutine(); g != base+goroutines {
@@ -78,13 +78,8 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 				NewRecord().SetField("b", 2).SetTag("k", k))
 		}
 		// The boundary, the dispatcher and the merger; a live replica is a
-		// struct in the dispatcher's hands — un-fused, where nothing is
-		// stepped, its synchrocell and its box on a goroutine each.
-		want := 3
-		if !m.fuse {
-			want += 2 * replicas
-		}
-		stats := budget(t, NamedSplit("gb", join(), "k"), inputs, replicas, want, WithBoxWorkers(1))
+		// struct in the dispatcher's hands.
+		stats := budget(t, NamedSplit("gb", join(), "k"), inputs, replicas, 3, WithBoxWorkers(1))
 		if g := stats.Counter("split.gb.replicas"); g != replicas {
 			t.Fatalf("live replicas = %d, want %d", g, replicas)
 		}
@@ -103,13 +98,8 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 	})
 	t.Run("parallel branch", func(t *testing.T) {
 		inputs := []*Record{NewRecord().SetField("a", 1), NewRecord().SetField("b", 2)}
-		// Boundary, dispatcher, merger: both boxes are stepped — un-fused each
-		// on a goroutine of its own.
-		want := 3
-		if !m.fuse {
-			want += 2
-		}
-		budget(t, Parallel(echo("gba", "a"), echo("gbb", "b")), inputs, 2, want, WithBoxWorkers(1))
+		// Boundary, dispatcher, merger: both boxes are stepped.
+		budget(t, Parallel(echo("gba", "a"), echo("gbb", "b")), inputs, 2, 3, WithBoxWorkers(1))
 	})
 	t.Run("parallel branch never routed to", func(t *testing.T) {
 		inputs := []*Record{NewRecord().SetField("a", 1)}
@@ -133,15 +123,9 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 		}
 		// Boundary, the parallel's dispatcher and merger: the branch — the
 		// tap, the split and its replicas — is one segment the parallel
-		// steps.  Un-fused the tap and the split's dispatcher are goroutines,
-		// the split direct, its replicas writing the parallel's merge queue,
-		// and each synchrocell and box on a goroutine of its own.
-		want := 3
-		if !m.fuse {
-			want += 2 + 2*replicas
-		}
+		// steps.
 		n := Parallel(echo("gbp", "x"), Serial(Observe("gbp_tap", nil), NamedSplit("gbps", join(), "k")))
-		budget(t, n, inputs, replicas, want, WithBoxWorkers(1))
+		budget(t, n, inputs, replicas, 3, WithBoxWorkers(1))
 	})
 	// stage runs a star of the stage until it has unfolded depth stages and
 	// counts its goroutines: 3 and perStage a stage.
@@ -154,33 +138,24 @@ func testFanInGoroutineBudget(t *testing.T, m execMode) {
 			t.Fatalf("unfolded stages = %d, want %d", d, depth)
 		}
 	}
-	// unfused is what a stage costs besides the next tap without fusion.
-	unfused := func(n int) int {
-		if m.fuse {
-			return 0
-		}
-		return n
-	}
 	t.Run("star stage", func(t *testing.T) {
 		// Boundary, the entry dispatcher and its merger; every unfolded stage
 		// adds the next tap, which steps its operand and writes into the entry
-		// tap's merge queue — un-fused, the operand on a goroutine of its own.
+		// tap's merge queue.
 		// The exit branch of a stage is the tap's own output writer.
-		stage(t, "gbs", decBox(), recN(5), 1+unfused(1))
+		stage(t, "gbs", decBox(), recN(5), 1)
 	})
 	t.Run("wavefront stage", func(t *testing.T) {
 		// The next tap steps the parallel, the parallel the split, the split
-		// its replica — un-fused, the parallel's dispatcher and merger, the
-		// split's dispatcher and the replica are goroutines of their own.
+		// its replica.
 		n := Parallel(echo("gbw_x", "x"), NamedSplit("gbw", decBox(), "k"))
-		stage(t, "gbws", n, recN(5).SetTag("k", 0), 1+unfused(4))
+		stage(t, "gbws", n, recN(5).SetTag("k", 0), 1)
 	})
 	t.Run("filter..split stage", func(t *testing.T) {
 		// Fig. 3's stage: the next tap steps the filter, the split and its
-		// replica — un-fused, the filter, the split's dispatcher and merger
-		// and the replica are goroutines of their own.
+		// replica.
 		n := Serial(MustFilter("{<n>} -> {<n>, <k>=<n>%2}"), NamedSplit("gbf", decBox(), "k"))
-		stage(t, "gbfs", n, recN(5), 1+unfused(4))
+		stage(t, "gbfs", n, recN(5), 1)
 	})
 	t.Run("deterministic star stage", func(t *testing.T) {
 		const depth = 6

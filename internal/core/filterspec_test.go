@@ -180,9 +180,9 @@ func TestFilterApplyMissingFieldError(t *testing.T) {
 
 // TestHideTags: hiding a tag is a filter that consumes it — the rest of the
 // record is inherited, and a record without the tag passes unchanged.
-func TestHideTags(t *testing.T) { bothPlans(t, testHideTags) }
+func TestHideTags(t *testing.T) { eachCell(t, testHideTags) }
 
-func testHideTags(t *testing.T, m execMode) {
+func testHideTags(t *testing.T, m cell) {
 	n := Serial(incBox("h", 1), MustFilter("{<aux>} -> {}"), MustFilter("{<absent>} -> {}"))
 	out, _, err := m.RunAll(context.Background(),
 		n, []*Record{NewRecord().SetTag("n", 1).SetTag("aux", 9).SetTag("keep", 3)})

@@ -14,10 +14,10 @@ import "fmt"
 // every branch is one segment (fanStage): one goroutine per fan-out
 // tree.  The root spine keeps its dispatchers, whose merge queues buffer a
 // burst, but in a one-shot run (oneShot).  Grouping is decided at Compile
-// (spineCutter; WithFusion(false): none).  Once a box of a segment must run
-// concurrently (boxengine.go), the segment runs as its cut — that box and
-// each stage dispatcher above it parts of their own (segment.cut) — from the
-// start or from the next record on, state and all (resume).
+// (spineCutter).  Once a box of a segment must run concurrently
+// (boxengine.go), the segment runs as its cut — that box and each stage
+// dispatcher above it parts of their own (segment.cut) — from the start or
+// from the next record on, state and all (resume).
 
 // FusionGroup describes one fused segment of a compiled plan: the segment's
 // runtime name (its stats identity, "fused.<name>.*") and the names of the
@@ -58,7 +58,6 @@ type runner interface {
 // positions too; its stages, flattened into other positions' spines, can sit
 // in several segments (TestSharedChainOnTwoSpines).
 type spineCutter struct {
-	fuse   bool
 	seen   map[Node]bool
 	spines cuts
 	groups []FusionGroup
@@ -66,8 +65,8 @@ type spineCutter struct {
 
 // cutSpines computes a plan's grouping: every position's parts, and the
 // fusion groups for the topology report, inner positions first.
-func cutSpines(root Node, fuse bool) (cuts, []FusionGroup) {
-	c := &spineCutter{fuse: fuse, seen: map[Node]bool{}, spines: cuts{}}
+func cutSpines(root Node) (cuts, []FusionGroup) {
+	c := &spineCutter{seen: map[Node]bool{}, spines: cuts{}}
 	c.place(root, false)
 	return c.spines, c.groups
 }
@@ -84,7 +83,7 @@ func (c *spineCutter) oneShot(root Node) runner {
 	var stages []stage
 	for _, p := range c.spines[root] {
 		s, _ := p.(*segment)
-		if n, ok := p.(Node); ok && c.fuse {
+		if n, ok := p.(Node); ok {
 			if st := c.stage(n, true); st != nil {
 				s = st.solo()
 			}
@@ -123,10 +122,10 @@ func (c *spineCutter) place(n Node, nested bool) {
 // cut groups one flattened pipeline into its parts, and is the only caller of
 // the grouping rule: each maximal run of stages is a segment — a lone stage
 // its own segment of one, several a named one, a fusion group — and every
-// other node a part of its own, as is every node with fusion off.
+// other node a part of its own.
 func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
 	stages := make([]stage, len(nodes))
-	for i := 0; c.fuse && i < len(nodes); i++ {
+	for i := range nodes {
 		stages[i] = c.stage(nodes[i], nested)
 	}
 	parts := make([]runner, 0, len(nodes))

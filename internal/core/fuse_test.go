@@ -76,20 +76,6 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 	if strings.Contains(string(raw), `"kind":"fused"`) {
 		t.Fatal("the topology tree must keep describing the un-fused blueprint")
 	}
-
-	off := MustCompile(net, WithFusion(false))
-	if off.Graph().Node != net {
-		t.Fatal("WithFusion(false): the plan's tree must be the blueprint itself")
-	}
-	stages := flattenSerial(net, nil)
-	for i, p := range off.spines[net.(*serialNode)] {
-		if p != runner(stages[i]) {
-			t.Fatalf("WithFusion(false): part %d should be stage %s itself, got %T", i, stages[i].name(), p)
-		}
-	}
-	if len(off.FusionGroups()) != 0 {
-		t.Fatal("WithFusion(false): no fusion groups expected")
-	}
 }
 
 // TestFusionBarriers checks the grouping rule end to end: what is no stage
@@ -127,7 +113,7 @@ func TestFusionBarriers(t *testing.T) {
 func TestFusionSharedSubtree(t *testing.T) {
 	chain := Serial(Observe("sh_a", nil), Observe("sh_b", nil))
 	net := Serial(Split(chain, "k"), Star(chain, MustParsePattern("{<done>}")))
-	spines, groups := cutSpines(net, true)
+	spines, groups := cutSpines(net)
 	if len(groups) != 1 {
 		t.Fatalf("shared chain should fuse once, got %v", groups)
 	}
@@ -143,11 +129,10 @@ func TestFusionSharedSubtree(t *testing.T) {
 	}
 }
 
-// TestCutSpine is the grouping rule on its own: with fusion on a flattened
-// pipeline is cut into maximal runs of stages, each a segment — a lone stage
-// its own segment of one — and with fusion off into its nodes; what is no
-// stage — a box pinned wider than one, a combinator — is a part of its own
-// either way.
+// TestCutSpine is the grouping rule on its own: a flattened pipeline is cut
+// into maximal runs of stages, each a segment — a lone stage its own segment
+// of one — and what is no stage — a box pinned wider than one, a combinator —
+// is a part of its own.
 func TestCutSpine(t *testing.T) {
 	sig := MustParseSignature("(<seq>) -> (<seq>)")
 	pass := func(args []any, out *Emitter) error { return out.Out(1, args[0].(int)) }
@@ -186,18 +171,12 @@ func TestCutSpine(t *testing.T) {
 	}
 	for name, barrier := range barriers {
 		nodes := []Node{stages[0], stages[1], barrier, stages[2], barrier, barrier, stages[3], stages[4], stages[5], stages[0]}
-		on := (&spineCutter{fuse: true}).cut(nodes, false)
-		if got, want := render(name, on, nodes), "[2 - 1 - - 4]"; got != want {
-			t.Errorf("%s, fusion on: parts %s, want %s", name, got, want)
+		parts := (&spineCutter{}).cut(nodes, false)
+		if got, want := render(name, parts, nodes), "[2 - 1 - - 4]"; got != want {
+			t.Errorf("%s: parts %s, want %s", name, got, want)
 		}
-		if on[2] != runner(stages[2].(stage).solo()) {
-			t.Errorf("%s, fusion on: a lone stage should be its own segment of one", name)
-		}
-		off := (&spineCutter{fuse: false}).cut(nodes, false)
-		for i, p := range off {
-			if p != runner(nodes[i]) {
-				t.Errorf("%s, fusion off: part %d is not node %d itself", name, i, i)
-			}
+		if parts[2] != runner(stages[2].(stage).solo()) {
+			t.Errorf("%s: a lone stage should be its own segment of one", name)
 		}
 	}
 
@@ -207,7 +186,7 @@ func TestCutSpine(t *testing.T) {
 	// stages' state apart (TestSharedChainOnTwoSpines runs such a net).
 	shared := Serial(Observe("cs_s1", nil), Observe("cs_s2", nil), Observe("cs_s3", nil))
 	net := Parallel(Serial(shared, NewBox("cs_b1", sig, pass)), Serial(NewBox("cs_b2", sig, pass), shared))
-	_, groups := cutSpines(net, true)
+	_, groups := cutSpines(net)
 	if got := fmt.Sprint(groups[0].Members, groups[1].Members); len(groups) != 2 || got != "[cs_s1 cs_s2 cs_s3 cs_b1] [cs_b2 cs_s1 cs_s2 cs_s3]" {
 		t.Fatalf("want the shared chain in one group per spine, got %v", groups)
 	}
@@ -215,31 +194,27 @@ func TestCutSpine(t *testing.T) {
 
 // TestSharedChainOnTwoSpines: a chain holding a synchrocell sits on both
 // branches of a deterministic parallel, flattened into each branch's spine.
-// Fused, each branch is one segment stepped by the dispatcher, so the chain's
-// stages are in two segments at once; un-fused, every stage of each branch is
-// a part of its own.  Either way the cell joins once per position — the state
-// is the execution's, never the node's — and the two plans agree record for
-// record and counter for counter.
+// Each branch is one segment stepped by the dispatcher, so the chain's stages
+// are in two segments at once.  The cell joins once per position — the state
+// is the execution's, never the node's — and the run agrees with the
+// reference evaluator record for record.
 func TestSharedChainOnTwoSpines(t *testing.T) {
-	run := func(m execMode) (string, string) {
+	mkNet := func() Node {
 		shared := Serial(NamedSync("sc_join", MustParsePattern("{a}"), MustParsePattern("{b}")),
 			MustFilter("{<seq>} -> {<seq>=<seq>*10}"))
-		net := ParallelDet(Serial(MustFilter("{l,<seq>} -> {l,<seq>}"), shared),
+		return ParallelDet(Serial(MustFilter("{l,<seq>} -> {l,<seq>}"), shared),
 			Serial(MustFilter("{r,<seq>} -> {r,<seq>}"), shared))
-		inputs := seqInputs(24, func(i int, r *Record) {
+	}
+	inputs := func() []*Record {
+		return seqInputs(24, func(i int, r *Record) {
 			r.SetField([]string{"l", "r"}[i%2], i).SetField([]string{"a", "b"}[i/2%2], i)
 		})
-		out, stats := m.runNet(t, net, inputs, WithStreamBatch(4))
-		if got := stats.Counter("sync.sc_join.fired"); got != 2 {
-			t.Errorf("%v: the cell fired %d times, want once per position", m, got)
-		}
-		return renderStream(out), fmt.Sprint(stats.SumPrefix("filter."), stats.Counter("sync.sc_join.fired"))
 	}
-	wantOut, wantCounts := run(unfused)
-	if gotOut, gotCounts := run(fused); gotOut != wantOut || gotCounts != wantCounts {
-		t.Fatalf("fused differs from un-fused:\n--- un-fused (%s) ---\n%s--- fused (%s) ---\n%s",
-			wantCounts, wantOut, gotCounts, gotOut)
+	_, stats := runNet(t, mkNet(), inputs(), WithStreamBatch(4))
+	if got := stats.Counter("sync.sc_join.fired"); got != 2 {
+		t.Errorf("the cell fired %d times, want once per position", got)
 	}
+	agreeWithReference(t, mkNet, inputs, "")
 }
 
 // TestRoutesLearnOnTheBlueprint: a fused plan runs the blueprint's own
@@ -314,24 +289,16 @@ func mixedFusibleNet() Node {
 	)
 }
 
-// TestFusedMixedChainOutputs compares the fused execution of a mixed chain
-// against the stage-per-goroutine baseline, record for record.
+// TestFusedMixedChainOutputs holds the fused execution of a mixed chain to
+// the reference evaluator, record for record.
 func TestFusedMixedChainOutputs(t *testing.T) {
 	inputs := func() []*Record {
 		return seqInputs(40, func(i int, r *Record) { r.SetTag("n", i) })
 	}
-	run := func(fuse bool) string {
-		plan := MustCompile(mixedFusibleNet(), WithFusion(fuse),
-			WithInputType(RecType{NewVariant(Tag("n"), Tag("seq"))}))
-		out, _, err := plan.RunAll(context.Background(), inputs(), WithBoxWorkers(1), WithStreamBatch(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderStream(out)
+	if g := compileNet(mixedFusibleNet()).FusionGroups(); len(g) != 1 || len(g[0].Members) != 5 {
+		t.Fatalf("the chain should be one segment, got %v", g)
 	}
-	if got, want := run(true), run(false); got != want {
-		t.Fatalf("fused output diverges:\n--- unfused ---\n%s--- fused ---\n%s", want, got)
-	}
+	agreeWithReference(t, mixedFusibleNet, inputs, "")
 }
 
 // TestFusedSegmentStats: the segment counts its own records/applications
@@ -396,13 +363,12 @@ func TestFusedSegmentStats(t *testing.T) {
 
 // TestFusedPipelineGoroutineBudget: what grouping buys is goroutines.  A
 // started plan costs its parts plus the boundary pump: a fully fusible chain
-// is one part whatever its depth, and WithFusion(false) makes every stage a
-// part.
+// is one part whatever its depth.
 func TestFusedPipelineGoroutineBudget(t *testing.T) {
 	const depth = 32
-	measure := func(fuse bool, want int) {
+	measure := func(want int) {
 		t.Helper()
-		plan := MustCompile(tapChain(depth), WithFusion(fuse))
+		plan := MustCompile(tapChain(depth))
 		base := goroutineCount()
 		h := plan.Start(context.Background())
 		if err := h.Send(NewRecord().SetTag("seq", 1)); err != nil {
@@ -410,14 +376,13 @@ func TestFusedPipelineGoroutineBudget(t *testing.T) {
 		}
 		<-h.Out()
 		if grown := runtime.NumGoroutine() - base; grown != want {
-			t.Errorf("fuse=%v: a %d-stage pipeline runs on %d goroutines, want %d", fuse, depth, grown, want)
+			t.Errorf("a %d-stage pipeline runs on %d goroutines, want %d", depth, grown, want)
 		}
 		h.Close()
 		drainAll(h)
 		waitForGoroutines(t, base)
 	}
-	measure(true, 1+1)
-	measure(false, depth+1)
+	measure(1 + 1)
 }
 
 // TestFusedArenaClean: graceful drain and hard cancel both return every
@@ -561,7 +526,8 @@ func TestFusedBoxFailureIsolation(t *testing.T) {
 
 // TestFusedGuardedRoutingPreserved: fusion must not disturb best-match
 // routing — bare guarded filters stay filterNodes (runs < 2 never fuse), and
-// a fused chain branch keeps the serial spine's signature.
+// a fused chain branch keeps the serial spine's signature: the run agrees
+// with the reference evaluator.
 func TestFusedGuardedRoutingPreserved(t *testing.T) {
 	mkNet := func() Node {
 		lo := MustFilter("{<n>} | <n> < 10 -> {<n>, <lo>}")
@@ -577,51 +543,35 @@ func TestFusedGuardedRoutingPreserved(t *testing.T) {
 	inputs := func() []*Record {
 		return seqInputs(30, func(i int, r *Record) { r.SetTag("n", i) })
 	}
-	run := func(fuse bool) string {
-		out, _, err := MustCompile(mkNet(), WithFusion(fuse)).
-			RunAll(context.Background(), inputs(), WithBoxWorkers(1), WithStreamBatch(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderStream(out)
-	}
-	if got, want := run(true), run(false); got != want {
-		t.Fatalf("fused routing diverges:\n--- unfused ---\n%s--- fused ---\n%s", want, got)
-	}
+	agreeWithReference(t, mkNet, inputs, "")
 }
 
-// runFusedDetProp is the detprop matrix (detprop_test.go) run in both
-// execution modes: the fused plan must reproduce the un-fused reference
-// byte-for-byte at every (W, B).
+// runFusedDetProp is the detprop matrix (detprop_test.go) over nets holding
+// fused segments: at every (W, B), W unset too, in both cells (run_test.go),
+// the run must reproduce the reference evaluator's sequence byte for byte,
+// evaluated once.
 func runFusedDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
 	t.Helper()
-	var want string
-	first := true
-	for _, fuse := range []bool{false, true} {
-		for _, w := range []int{1, 4, 16} {
+	if len(compileNet(mkNet()).FusionGroups()) == 0 {
+		t.Fatal("determinism net should contain fused segments")
+	}
+	want := renderStream(evaluate(compileNet(mkNet()), inputs()).out)
+	for _, ref := range []bool{true, false} {
+		for _, w := range []int{1, 4, 16, 0} {
 			for _, b := range []int{1, 8, 64} {
-				fuse, w, b := fuse, w, b
-				t.Run(fmt.Sprintf("fuse=%v_W%d_B%d", fuse, w, b), func(t *testing.T) {
-					plan, err := Compile(mkNet(), WithFusion(fuse))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fuse && len(plan.FusionGroups()) == 0 {
-						t.Fatal("determinism net should contain fused segments")
-					}
-					out, _, err := plan.RunAll(context.Background(), inputs(),
+				name := fmt.Sprintf("%v_W%d_B%d", cell{ref: ref}, w, b)
+				if w == 0 { // WithBoxWorkers(0) gives no width
+					name = fmt.Sprintf("%v_Wunset_B%d", cell{ref: ref}, b)
+				}
+				t.Run(name, func(t *testing.T) {
+					out, _, err := compileNet(mkNet()).RunAll(context.Background(), inputs(),
 						WithBoxWorkers(w), WithStreamBatch(b))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := renderStream(out)
-					if first {
-						want, first = got, false
-						return
-					}
-					if got != want {
-						t.Fatalf("fuse=%v W=%d B=%d diverges from reference:\n--- want ---\n%s--- got ---\n%s",
-							fuse, w, b, want, got)
+					if got := renderStream(out); got != want {
+						t.Fatalf("W=%d B=%d diverges from the reference:\n--- want ---\n%s--- got ---\n%s",
+							w, b, want, got)
 					}
 				})
 			}
@@ -688,7 +638,8 @@ func TestFusedDetPropNested(t *testing.T) {
 }
 
 // TestFusedStarOperand: star replication over a fused operand — every
-// unfolded replica executes the fused segment.
+// unfolded replica executes the fused segment, and the exits are the
+// reference evaluator's.
 func TestFusedStarOperand(t *testing.T) {
 	mkNet := func() Node {
 		dec := NewBoxConcurrent("fst_dec", MustParseSignature("(<n>) -> (<n>) | (<n>,<done>)"),
@@ -705,17 +656,7 @@ func TestFusedStarOperand(t *testing.T) {
 	inputs := func() []*Record {
 		return seqInputs(12, func(i int, r *Record) { r.SetTag("n", i%5) })
 	}
-	run := func(fuse bool) int {
-		out, _, err := MustCompile(mkNet(), WithFusion(fuse)).
-			RunAll(context.Background(), inputs(), WithBoxWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(out)
-	}
-	if got, want := run(true), run(false); got != want {
-		t.Fatalf("fused star output count %d != unfused %d", got, want)
-	}
+	agreeWithReference(t, mkNet, inputs, "")
 }
 
 // TestFilterProgramEquivalence: the compiled slot program must agree with

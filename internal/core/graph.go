@@ -68,8 +68,8 @@ type GraphNode struct {
 //
 // There is no term for a fused segment or a stage dispatcher (fuse.go), which
 // park nothing: the analysis prices every edge and site as a part of its own —
-// what WithFusion(false) and a hand-over run — so its bound covers any
-// grouping, and verdicts cannot depend on whether fusion ran.
+// what a segment runs as once a box of it must run concurrently
+// (segment.cut) — so its bound covers the plan's grouping and every cut of it.
 
 // StreamCapacity returns the worst-case number of in-flight items on one
 // stream edge: `buffer` queued frames of up to `batch` items each, plus the

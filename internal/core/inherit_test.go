@@ -26,9 +26,9 @@ func randomRecord(fieldBits, tagBits uint8) *Record {
 
 // Property: a box consuming nothing of the excess labels passes all of them
 // through to every output variant that does not redefine them.
-func TestQuickBoxInheritanceProperty(t *testing.T) { bothPlans(t, testQuickBoxInheritanceProperty) }
+func TestQuickBoxInheritanceProperty(t *testing.T) { eachCell(t, testQuickBoxInheritanceProperty) }
 
-func testQuickBoxInheritanceProperty(t *testing.T, m execMode) {
+func testQuickBoxInheritanceProperty(t *testing.T, m cell) {
 	box := NewBox("probe", MustParseSignature("(in) -> (out)"),
 		func(args []any, out *Emitter) error {
 			return out.Out(1, "result")
@@ -77,10 +77,10 @@ func testQuickBoxInheritanceProperty(t *testing.T, m execMode) {
 // Property: explicit output labels shadow inheritance — a record carrying
 // label "out" still gets the box's own "out" value.
 func TestQuickInheritanceNoOverwriteProperty(t *testing.T) {
-	bothPlans(t, testQuickInheritanceNoOverwriteProperty)
+	eachCell(t, testQuickInheritanceNoOverwriteProperty)
 }
 
-func testQuickInheritanceNoOverwriteProperty(t *testing.T, m execMode) {
+func testQuickInheritanceNoOverwriteProperty(t *testing.T, m cell) {
 	box := NewBox("probe", MustParseSignature("(in) -> (out)"),
 		func(args []any, out *Emitter) error {
 			return out.Out(1, "fresh")
@@ -101,9 +101,9 @@ func testQuickInheritanceNoOverwriteProperty(t *testing.T, m execMode) {
 
 // Property: the identity filter {} -> {} plus inheritance is the identity
 // on every record.
-func TestQuickEmptyFilterIsIdentity(t *testing.T) { bothPlans(t, testQuickEmptyFilterIsIdentity) }
+func TestQuickEmptyFilterIsIdentity(t *testing.T) { eachCell(t, testQuickEmptyFilterIsIdentity) }
 
-func testQuickEmptyFilterIsIdentity(t *testing.T, m execMode) {
+func testQuickEmptyFilterIsIdentity(t *testing.T, m cell) {
 	filt := MustFilter("{} -> {}")
 	f := func(fieldBits, tagBits uint8) bool {
 		rec := randomRecord(fieldBits, tagBits)
@@ -132,9 +132,9 @@ func testQuickEmptyFilterIsIdentity(t *testing.T, m execMode) {
 
 // Property: two filters composed serially behave like their composition —
 // tag arithmetic chains associate.
-func TestQuickFilterComposition(t *testing.T) { bothPlans(t, testQuickFilterComposition) }
+func TestQuickFilterComposition(t *testing.T) { eachCell(t, testQuickFilterComposition) }
 
-func testQuickFilterComposition(t *testing.T, m execMode) {
+func testQuickFilterComposition(t *testing.T, m cell) {
 	f1 := MustFilter("{<n>} -> {<n>=<n>*2}")
 	f2 := MustFilter("{<n>} -> {<n>=<n>+3}")
 	composed := MustFilter("{<n>} -> {<n>=<n>*2+3}")
@@ -158,9 +158,9 @@ func testQuickFilterComposition(t *testing.T, m execMode) {
 
 // Property: subtype routing — a record satisfying the more specific branch
 // never routes to the less specific one.
-func TestQuickBestMatchSpecificity(t *testing.T) { bothPlans(t, testQuickBestMatchSpecificity) }
+func TestQuickBestMatchSpecificity(t *testing.T) { eachCell(t, testQuickBestMatchSpecificity) }
 
-func testQuickBestMatchSpecificity(t *testing.T, m execMode) {
+func testQuickBestMatchSpecificity(t *testing.T, m cell) {
 	f := func(extraBits uint8) bool {
 		general := NewBox("g", MustParseSignature("(a) -> (a,<viaG>)"),
 			func(args []any, out *Emitter) error { return out.Out(1, args[0], 1) })

@@ -32,9 +32,9 @@ func waitForGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutine leak: %d > %d\n%s", runtime.NumGoroutine(), want, buf[:n])
 }
 
-func TestNoLeakAfterNormalDrain(t *testing.T) { bothPlans(t, testNoLeakAfterNormalDrain) }
+func TestNoLeakAfterNormalDrain(t *testing.T) { eachCell(t, testNoLeakAfterNormalDrain) }
 
-func testNoLeakAfterNormalDrain(t *testing.T, m execMode) {
+func testNoLeakAfterNormalDrain(t *testing.T, m cell) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		n := Serial(
@@ -50,9 +50,9 @@ func testNoLeakAfterNormalDrain(t *testing.T, m execMode) {
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakAfterCancel(t *testing.T) { bothPlans(t, testNoLeakAfterCancel) }
+func TestNoLeakAfterCancel(t *testing.T) { eachCell(t, testNoLeakAfterCancel) }
 
-func testNoLeakAfterCancel(t *testing.T, m execMode) {
+func testNoLeakAfterCancel(t *testing.T, _ cell) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		slow := NewBox("lslow", MustParseSignature("(<n>) -> (<n>)"),
@@ -61,7 +61,7 @@ func testNoLeakAfterCancel(t *testing.T, m execMode) {
 				return out.Out(1, args[0].(int))
 			})
 		n := Split(Serial(slow, NamedStar("lloop", decBox(), MustParsePattern("{<done>}"))), "k")
-		h := m.Start(context.Background(), n)
+		h := compileNet(n).Start(context.Background())
 		for j := 0; j < 20; j++ {
 			_ = h.Send(NewRecord().SetTag("n", 10).SetTag("k", j%4))
 		}
@@ -71,9 +71,9 @@ func testNoLeakAfterCancel(t *testing.T, m execMode) {
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakDeterministicNets(t *testing.T) { bothPlans(t, testNoLeakDeterministicNets) }
+func TestNoLeakDeterministicNets(t *testing.T) { eachCell(t, testNoLeakDeterministicNets) }
 
-func testNoLeakDeterministicNets(t *testing.T, m execMode) {
+func testNoLeakDeterministicNets(t *testing.T, m cell) {
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
 		n := SplitDet(StarDet(decBox(), MustParsePattern("{<done>}")), "k")
@@ -119,10 +119,10 @@ func TestNoLeakMidStreamCancel(t *testing.T) {
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			bothPlans(t, func(t *testing.T, m execMode) {
+			eachCell(t, func(t *testing.T, _ cell) {
 				base := goroutineCount()
 				for i := 0; i < 5; i++ {
-					h := m.Start(context.Background(), mk(), WithBuffer(1))
+					h := compileNet(mk()).Start(context.Background(), WithBuffer(1))
 					done := make(chan struct{})
 					go func() {
 						defer close(done)
@@ -184,9 +184,9 @@ func (n *earlyStopNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 // Tail-draining is accounted: a node that exits early hands its input to
 // streamReader.Discard, and the records thrown away show up under
 // "stream.discarded" — no anonymous goroutines silently eating streams.
-func TestDiscardedRecordsCounted(t *testing.T) { bothPlans(t, testDiscardedRecordsCounted) }
+func TestDiscardedRecordsCounted(t *testing.T) { eachCell(t, testDiscardedRecordsCounted) }
 
-func testDiscardedRecordsCounted(t *testing.T, m execMode) {
+func testDiscardedRecordsCounted(t *testing.T, m cell) {
 	base := goroutineCount()
 	const total, kept = 12, 5
 	n := Serial(&earlyStopNode{limit: kept}, incBox("dc", 1))
@@ -214,14 +214,14 @@ func testDiscardedRecordsCounted(t *testing.T, m execMode) {
 	waitForGoroutines(t, base+3)
 }
 
-func TestNoLeakUnconsumedOutput(t *testing.T) { bothPlans(t, testNoLeakUnconsumedOutput) }
+func TestNoLeakUnconsumedOutput(t *testing.T) { eachCell(t, testNoLeakUnconsumedOutput) }
 
-func testNoLeakUnconsumedOutput(t *testing.T, m execMode) {
+func testNoLeakUnconsumedOutput(t *testing.T, _ cell) {
 	// Cancel with records still queued in the output adapter and a
 	// sender still blocked on backpressure; h.Out() is never read.
 	base := goroutineCount()
 	for i := 0; i < 5; i++ {
-		h := m.Start(context.Background(), incBox("u", 1), WithBuffer(2))
+		h := compileNet(incBox("u", 1)).Start(context.Background(), WithBuffer(2))
 		sendDone := make(chan struct{})
 		go func() {
 			defer close(sendDone)

@@ -328,9 +328,9 @@ func pollLedger(t *testing.T, h *Handle, stop <-chan struct{}) *sync.WaitGroup {
 }
 
 // runLedger drains one run of net under a polling reader.
-func runLedger(t *testing.T, m execMode, net Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
+func runLedger(t *testing.T, net Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
 	t.Helper()
-	h := m.Start(context.Background(), net, opts...)
+	h := compileNet(net).Start(context.Background(), opts...)
 	stop := make(chan struct{})
 	polled := pollLedger(t, h, stop)
 	go h.feed(inputs)
@@ -350,10 +350,10 @@ func TestLedgerExactAtQuiescence(t *testing.T) {
 		for _, w := range []int{0, 1, 4} {
 			for _, b := range []int{1, 8, 64} {
 				t.Run(fmt.Sprintf("%s/W%d_B%d", c.name, w, b), func(t *testing.T) {
-					bothPlans(t, func(t *testing.T, m execMode) {
+					eachCell(t, func(t *testing.T, _ cell) {
 						poolLiveSettled(t)
 						before := PoolStats()
-						out, stats := runLedger(t, m, c.net(), c.inputs(), WithBoxWorkers(w), WithStreamBatch(b))
+						out, stats := runLedger(t, c.net(), c.inputs(), WithBoxWorkers(w), WithStreamBatch(b))
 						after := PoolStats()
 						acq, rec, dis := after.Acquired-before.Acquired, after.Recycled-before.Recycled, after.Disowned-before.Disowned
 						if acq != c.acquired || rec != c.recycled || dis != c.disowned {
@@ -365,7 +365,7 @@ func TestLedgerExactAtQuiescence(t *testing.T) {
 						}
 						want, got := maps.Clone(c.counters), stageCounters(stats)
 						switch {
-						case !m.fuse, w == 4 && c.unpinned:
+						case w == 4 && c.unpinned:
 						case w == 0 && c.escalates != "":
 							maps.DeleteFunc(got, func(k string, _ int64) bool { return strings.HasPrefix(k, "fused.") })
 						default:
@@ -412,7 +412,7 @@ func gatedChain(entered chan<- struct{}, gate <-chan struct{}) Node {
 // split replica, in its dispatcher's hands.  Whatever was acquired and
 // released up to there is in the ledger once the run has unwound.
 func TestLedgerAfterCancelMidFrame(t *testing.T) {
-	bothPlans(t, func(t *testing.T, m execMode) {
+	eachCell(t, func(t *testing.T, _ cell) {
 		for _, replica := range []bool{false, true} {
 			goroutines, live := goroutineCount(), poolLiveSettled(t)
 			entered, gate := make(chan struct{}), make(chan struct{})
@@ -420,7 +420,7 @@ func TestLedgerAfterCancelMidFrame(t *testing.T) {
 			if replica {
 				net = Split(net, "k")
 			}
-			h := m.Start(context.Background(), net, WithStreamBatch(8))
+			h := compileNet(net).Start(context.Background(), WithStreamBatch(8))
 			stop := make(chan struct{})
 			polled := pollLedger(t, h, stop)
 			frame := pooledSeqInputs(8, func(i int, r *Record) { r.SetTag("n", i).SetTag("k", 0) })
@@ -445,7 +445,7 @@ func TestLedgerAfterCancelMidFrame(t *testing.T) {
 func TestLedgerAfterBoxPanic(t *testing.T) {
 	const n, lost = ledgerN, (ledgerN + 6) / 7
 	for _, w := range []int{0, 1, 4} {
-		bothPlans(t, func(t *testing.T, m execMode) {
+		eachCell(t, func(t *testing.T, _ cell) {
 			poolLiveSettled(t)
 			net := Serial(
 				MustFilter("{<n>} -> {<n>=<n>+1}"),
@@ -459,7 +459,7 @@ func TestLedgerAfterBoxPanic(t *testing.T) {
 			)
 			before := PoolStats()
 			inputs := pooledSeqInputs(n, func(i int, r *Record) { r.SetTag("n", i) })
-			out, stats := runLedger(t, m, net, inputs, WithBoxWorkers(w), WithErrorHandler(func(error) {}))
+			out, stats := runLedger(t, net, inputs, WithBoxWorkers(w), WithErrorHandler(func(error) {}))
 			after := PoolStats()
 			acq, rec, dis := after.Acquired-before.Acquired, after.Recycled-before.Recycled, after.Disowned-before.Disowned
 			if len(out) != n-lost || acq != 2*n+2*(n-lost) || rec != 2*n+(n-lost) || dis != n-lost {
@@ -471,7 +471,7 @@ func TestLedgerAfterBoxPanic(t *testing.T) {
 			}
 			want := map[string]int64{"filter.filter#.applied": n + (n - lost), "box.lq_panic.instances": 1,
 				"box.lq_panic.calls": n, "box.lq_panic.emitted": n - lost, "box.lq_panic.panics": lost}
-			if m.fuse && w != 4 { // the three stages are one segment, and a call that panics is a step applied
+			if w != 4 { // the three stages are one segment, and a call that panics is a step applied
 				want["fused.fused#.records"], want["fused.fused#.applied"] = n, 3*n-lost
 			}
 			if got := stageCounters(stats); !maps.Equal(got, want) {

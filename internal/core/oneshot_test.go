@@ -27,7 +27,7 @@ func stuckBox(name string, entered chan<- struct{}, gate <-chan struct{}) Node {
 // while a box ignores the cancellation, and once that box returns, the run's
 // records and goroutines are gone.
 func TestOneShotReturnsOnCancel(t *testing.T) {
-	bothPlans(t, func(t *testing.T, m execMode) {
+	eachCell(t, func(t *testing.T, m cell) {
 		goroutines, live := goroutineCount(), poolLiveSettled(t)
 		entered, gate := make(chan struct{}), make(chan struct{})
 		net := Serial(MustFilter("{<seq>} -> {<seq>=<seq>+1}"), stuckBox("os_stuck", entered, gate))

@@ -112,20 +112,16 @@ type Topology struct {
 }
 
 // compileCfg collects CompileOptions.
-type compileCfg struct {
-	input RecType
-	fuse  bool
-}
+type compileCfg struct{ input RecType }
 
 // CompileOption configures Compile.
 type CompileOption func(*compileCfg)
 
-// WithFusion chooses how the plan groups the stages of its pipelines
-// (fuse.go).  On, the default, runs of stages share a goroutine;
-// WithFusion(false) gives every stage its own — the reference the fused plan
-// is tested against and the measured baseline of the E22 experiment.
-func WithFusion(on bool) CompileOption {
-	return func(c *compileCfg) { c.fuse = on }
+// WithFusion is ignored: a plan groups its stages one way (fuse.go), runs of
+// stages sharing a goroutine.  It stays declared for its last callers, and
+// ROADMAP item 7 deletes it.
+func WithFusion(bool) CompileOption {
+	return func(*compileCfg) {}
 }
 
 // WithInputType declares the network's input type, overriding the inferred
@@ -158,14 +154,14 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 	if root == nil {
 		panic("core: Compile: nil root")
 	}
-	cfg := compileCfg{fuse: true}
+	var cfg compileCfg
 	for _, o := range opts {
 		o(&cfg)
 	}
 	c := &compiler{errKeys: map[string]bool{}, par: map[*parallelNode]*parReach{}}
 	p := &Plan{graph: c.walk(root, nil, "")}
-	p.spines, p.groups = cutSpines(root, cfg.fuse)
-	p.once = (&spineCutter{fuse: cfg.fuse, spines: p.spines}).oneShot(root)
+	p.spines, p.groups = cutSpines(root)
+	p.once = (&spineCutter{spines: p.spines}).oneShot(root)
 	seed := cfg.input
 	if seed == nil {
 		seed = p.graph.In
@@ -182,7 +178,7 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 func MustCompile(root Node, opts ...CompileOption) *Plan { return must(Compile(root, opts...)) }
 
 // FusionGroups lists the plan's fused segments in discovery order — empty
-// when fusion is off or nothing fused.
+// when nothing fused.
 func (p *Plan) FusionGroups() []FusionGroup { return p.groups }
 
 // In returns the network's inferred input type.

@@ -71,7 +71,7 @@ func TestDetPoolMatrix(t *testing.T) {
 	for _, w := range []int{1, 4, 16} {
 		for _, b := range []int{1, 8, 64} {
 			t.Run(fmt.Sprintf("W%d_B%d", w, b), func(t *testing.T) {
-				bothPlans(t, func(t *testing.T, m execMode) {
+				eachCell(t, func(t *testing.T, m cell) {
 					base := poolLiveSettled(t)
 					inner := Serial(
 						StarDet(varDecBox(int64(w*100+b)), MustParsePattern("{<done>}")),
@@ -107,9 +107,9 @@ func TestDetPoolMatrix(t *testing.T) {
 // TestPoolAccountingNondet is the same arena invariant on the
 // nondeterministic variants (no sort-record machinery): every record still
 // has exactly one release point.
-func TestPoolAccountingNondet(t *testing.T) { bothPlans(t, testPoolAccountingNondet) }
+func TestPoolAccountingNondet(t *testing.T) { eachCell(t, testPoolAccountingNondet) }
 
-func testPoolAccountingNondet(t *testing.T, m execMode) {
+func testPoolAccountingNondet(t *testing.T, m cell) {
 	base := poolLiveSettled(t)
 	n := Split(Serial(
 		Star(varDecBox(3), MustParsePattern("{<done>}")),
@@ -126,9 +126,9 @@ func testPoolAccountingNondet(t *testing.T, m execMode) {
 // TestPoolAccountingSync covers the synchrocell paths: merged records are
 // rebuilt into a pooled output, stored partners are released on fire, and a
 // starved cell's stash is released at close.
-func TestPoolAccountingSync(t *testing.T) { bothPlans(t, testPoolAccountingSync) }
+func TestPoolAccountingSync(t *testing.T) { eachCell(t, testPoolAccountingSync) }
 
-func testPoolAccountingSync(t *testing.T, m execMode) {
+func testPoolAccountingSync(t *testing.T, m cell) {
 	base := poolLiveSettled(t)
 	n := Sync(MustParsePattern("{a}"), MustParsePattern("{b}"))
 	mk := func(label string, i int) *Record {
@@ -163,13 +163,13 @@ func testPoolAccountingSync(t *testing.T, m execMode) {
 // record it holds returns to the arena and counts as starved.  (The receive
 // loop the cell used to have returned from the failed send and leaked it.)
 func TestSyncCancelledBehindFullOutput(t *testing.T) {
-	bothPlans(t, testSyncCancelledBehindFullOutput)
+	eachCell(t, testSyncCancelledBehindFullOutput)
 }
 
-func testSyncCancelledBehindFullOutput(t *testing.T, m execMode) {
+func testSyncCancelledBehindFullOutput(t *testing.T, _ cell) {
 	base, live := goroutineCount(), poolLiveSettled(t)
 	cell := NamedSync("behind", MustParsePattern("{a}"), MustParsePattern("{b}"))
-	h := m.Start(context.Background(), cell, WithBuffer(0), WithStreamBatch(1))
+	h := compileNet(cell).Start(context.Background(), WithBuffer(0), WithStreamBatch(1))
 	if err := h.Send(AcquireRecord().SetField("a", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,9 @@ func testSyncCancelledBehindFullOutput(t *testing.T, m execMode) {
 // TestPoolDisownAtBoundary pins the boundary semantics: records read from
 // Handle.Out left the arena (disowned, GC-managed), so releasing them is a
 // no-op and holding them forever is not a leak.
-func TestPoolDisownAtBoundary(t *testing.T) { bothPlans(t, testPoolDisownAtBoundary) }
+func TestPoolDisownAtBoundary(t *testing.T) { eachCell(t, testPoolDisownAtBoundary) }
 
-func testPoolDisownAtBoundary(t *testing.T, m execMode) {
+func testPoolDisownAtBoundary(t *testing.T, m cell) {
 	base := poolLiveSettled(t)
 	before := PoolStats()
 	out, _ := m.runNet(t, incBox("pd", 1), pooledSeqInputs(8, func(i int, r *Record) {

@@ -131,10 +131,10 @@ func checkReplicaCounts(t *testing.T, st *Stats, keys, fired, starved, calls int
 }
 
 func TestSplitReplicasKeepTheirOwnState(t *testing.T) {
-	bothPlans(t, testSplitReplicasKeepTheirOwnState)
+	eachCell(t, testSplitReplicasKeepTheirOwnState)
 }
 
-func testSplitReplicasKeepTheirOwnState(t *testing.T, m execMode) {
+func testSplitReplicasKeepTheirOwnState(t *testing.T, _ cell) {
 	want, fired := replicaWant(replicaInputs)
 	keys := map[int]bool{}
 	for _, in := range replicaInputs {
@@ -149,7 +149,7 @@ func testSplitReplicasKeepTheirOwnState(t *testing.T, m execMode) {
 					opts = append(opts, WithBoxWorkers(w))
 				}
 				net, _ := replicaNet(pos)
-				h := m.Start(context.Background(), net, opts...)
+				h := compileNet(net).Start(context.Background(), opts...)
 				inputs := make([]*Record, len(replicaInputs))
 				for seq, in := range replicaInputs {
 					inputs[seq] = in.record(seq)
@@ -180,7 +180,7 @@ func testSplitReplicasKeepTheirOwnState(t *testing.T, m execMode) {
 			atLeastProcs(t, 2) // so that a box nobody gave a width has one to turn to
 			base, live := goroutineCount(), poolLiveSettled(t)
 			net, box := replicaNet(pos)
-			h := m.Start(context.Background(), net)
+			h := compileNet(net).Start(context.Background())
 			defer h.Cancel()
 			send := func(seq int, in replicaIn) {
 				t.Helper()

@@ -128,10 +128,10 @@ func TestDispatchMemoizesPerShape(t *testing.T) {
 // A guarded branch's guard must be evaluated per record even when the shape
 // is memoized: records of one shape may route differently by tag value.
 func TestGuardedDispatchNotOverMemoized(t *testing.T) {
-	bothPlans(t, testGuardedDispatchNotOverMemoized)
+	eachCell(t, testGuardedDispatchNotOverMemoized)
 }
 
-func testGuardedDispatchNotOverMemoized(t *testing.T, m execMode) {
+func testGuardedDispatchNotOverMemoized(t *testing.T, m cell) {
 	even := NewFilter(&FilterSpec{
 		Pattern: Pattern{Variant: NewVariant(Tag("n")), Guard: MustParseTagExpr("!(<n> % 2)")},
 		Outputs: [][]FilterItem{{{Name: "n", IsTag: true, Expr: MustParseTagExpr("<n>")},
@@ -160,12 +160,12 @@ func testGuardedDispatchNotOverMemoized(t *testing.T, m execMode) {
 	}
 }
 
-func TestNoRouteErrorTyped(t *testing.T) { bothPlans(t, testNoRouteErrorTyped) }
+func TestNoRouteErrorTyped(t *testing.T) { eachCell(t, testNoRouteErrorTyped) }
 
-func testNoRouteErrorTyped(t *testing.T, m execMode) {
+func testNoRouteErrorTyped(t *testing.T, _ cell) {
 	net := Parallel(routeBox("ab", Field("a"), Field("b")), routeBox("c", Field("c")))
 	var handled error
-	h := m.Start(context.Background(), net, WithErrorHandler(func(err error) { handled = err }))
+	h := compileNet(net).Start(context.Background(), WithErrorHandler(func(err error) { handled = err }))
 	if err := h.Send(NewRecord().SetTag("zzz", 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -6,57 +6,87 @@ import (
 	"testing"
 )
 
-// The tests' one route from a Node to a running network.  A network has two
-// execution plans: the un-fused blueprint — one goroutine and one stream per
-// stage, the reference the fusion pass is checked against — and the fused
-// default every production caller runs.  A test whose assertions are about
-// what a network computes takes an execMode and is run under both through
-// bothPlans; a test about the transport itself (goroutine, stream or frame
-// counts) names the plan it measures with unfused or fused.
+// The tests' one route from a Node to a running network: its plan.  A test
+// whose assertions are about what a network computes runs its body in two
+// cells through eachCell.  The cells keep the subtest names the tests had
+// when a network had two plans, so every test keeps its name: "fuse=true" runs
+// the plan; "fuse=false", the cell that ran the reference, runs the plan too
+// and holds every one-shot run the body makes through its cell (RunAll,
+// RunUntil, runNet) to the sequential evaluator (eval_test.go).  A body that
+// only starts handles (compileNet(n).Start) ignores its cell (_ cell) and
+// runs alike in both.
 
-// execMode selects the execution plan a test runs its networks on.
-type execMode struct{ fuse bool }
+// cell is one of a test's two cells; ref marks the one held to the evaluator.
+type cell struct {
+	t   testing.TB
+	ref bool
+}
 
-var (
-	unfused = execMode{fuse: false}
-	fused   = execMode{fuse: true}
-)
+func (c cell) String() string { return fmt.Sprintf("fuse=%v", !c.ref) }
 
-func (m execMode) String() string { return fmt.Sprintf("fuse=%v", m.fuse) }
-
-// bothPlans runs body once per execution plan, un-fused first.
-func bothPlans(t *testing.T, body func(t *testing.T, m execMode)) {
-	for _, m := range []execMode{unfused, fused} {
-		t.Run(m.String(), func(t *testing.T) { body(t, m) })
+// eachCell runs body in the reference cell, then in the plain one.
+func eachCell(t *testing.T, body func(t *testing.T, c cell)) {
+	for _, ref := range []bool{true, false} {
+		t.Run(cell{ref: ref}.String(), func(t *testing.T) { body(t, cell{t: t, ref: ref}) })
 	}
 }
 
-// Compile compiles a test network for the mode.  Type errors are tolerated:
-// several tests run defective networks on purpose, and a plan with findings
-// still runs.
-func (m execMode) Compile(root Node) *Plan {
-	p, _ := Compile(root, WithFusion(m.fuse))
+// compileNet compiles a test network.  Type errors are tolerated: several
+// tests run defective networks on purpose, and a plan with findings still
+// runs.
+func compileNet(root Node) *Plan {
+	p, _ := Compile(root)
 	return p
 }
 
-func (m execMode) Start(ctx context.Context, root Node, opts ...Option) *Handle {
-	return m.Compile(root).Start(ctx, opts...)
+func (c cell) RunAll(ctx context.Context, root Node, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
+	p, in := compileNet(root), c.keep(inputs)
+	out, stats, err := p.RunAll(ctx, inputs, opts...)
+	if c.ref && err == nil {
+		evaluate(p, in, opts...).check(c.t, out)
+	}
+	return out, stats, err
 }
 
-func (m execMode) RunAll(ctx context.Context, root Node, inputs []*Record, opts ...Option) ([]*Record, *Stats, error) {
-	return m.Compile(root).RunAll(ctx, inputs, opts...)
+// RunUntil holds the record the run stopped at, if any, to the evaluation:
+// it must be one of the records the reference emits.
+func (c cell) RunUntil(ctx context.Context, root Node, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
+	p, in := compileNet(root), c.keep(inputs)
+	rec, stats, err := p.RunUntil(ctx, inputs, stop, opts...)
+	if c.ref && err == nil && rec != nil {
+		want := evaluate(p, in, opts...)
+		found := false
+		for _, r := range want.out {
+			found = found || evalRender(r) == evalRender(rec)
+		}
+		if !found && len(want.loose) == 0 {
+			c.t.Errorf("the run stopped at %s, which the reference evaluator never emits", evalRender(rec))
+		}
+	}
+	return rec, stats, err
 }
 
-func (m execMode) RunUntil(ctx context.Context, root Node, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	return m.Compile(root).RunUntil(ctx, inputs, stop, opts...)
+// keep copies the inputs the reference cell evaluates after the run: the run
+// owns the records it is given and may recycle them.
+func (c cell) keep(inputs []*Record) []*Record {
+	if !c.ref {
+		return nil
+	}
+	return copyRecords(inputs)
 }
 
 // runNet is RunAll failing the test on a run error.
-func (m execMode) runNet(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
+func (c cell) runNet(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
 	t.Helper()
-	out, stats, err := m.RunAll(context.Background(), n, inputs, opts...)
+	out, stats, err := c.RunAll(context.Background(), n, inputs, opts...)
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	return out, stats
+}
+
+// runNet runs a test network's plan once, failing the test on a run error.
+func runNet(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
+	t.Helper()
+	return cell{t: t}.runNet(t, n, inputs, opts...)
 }

@@ -28,9 +28,9 @@ func tagOf(t *testing.T, r *Record, name string) int {
 
 func recN(n int) *Record { return NewRecord().SetTag("n", n) }
 
-func TestBoxBasic(t *testing.T) { bothPlans(t, testBoxBasic) }
+func TestBoxBasic(t *testing.T) { eachCell(t, testBoxBasic) }
 
-func testBoxBasic(t *testing.T, m execMode) {
+func testBoxBasic(t *testing.T, m cell) {
 	out, stats := m.runNet(t, incBox("inc", 1), []*Record{recN(1), recN(2), recN(3)})
 	if len(out) != 3 {
 		t.Fatalf("got %d records", len(out))
@@ -48,9 +48,9 @@ func testBoxBasic(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxMultipleOutputsPerInput(t *testing.T) { bothPlans(t, testBoxMultipleOutputsPerInput) }
+func TestBoxMultipleOutputsPerInput(t *testing.T) { eachCell(t, testBoxMultipleOutputsPerInput) }
 
-func testBoxMultipleOutputsPerInput(t *testing.T, m execMode) {
+func testBoxMultipleOutputsPerInput(t *testing.T, m cell) {
 	fan := NewBox("fan", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			n := args[0].(int)
@@ -72,9 +72,9 @@ func testBoxMultipleOutputsPerInput(t *testing.T, m execMode) {
 
 // Flow inheritance (§4): excess labels of the input are attached to outputs
 // unless already present.
-func TestBoxFlowInheritance(t *testing.T) { bothPlans(t, testBoxFlowInheritance) }
+func TestBoxFlowInheritance(t *testing.T) { eachCell(t, testBoxFlowInheritance) }
 
-func testBoxFlowInheritance(t *testing.T, m execMode) {
+func testBoxFlowInheritance(t *testing.T, m cell) {
 	// box foo (a,<b>) -> (c) | (c,d,<e>), fed {a,<b>,d}: first variant
 	// gains d by inheritance, second variant keeps its own d.
 	foo := NewBox("foo", MustParseSignature("(a,<b>) -> (c) | (c,d,<e>)"),
@@ -116,9 +116,9 @@ func testBoxFlowInheritance(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxRejectsNonMatchingRecord(t *testing.T) { bothPlans(t, testBoxRejectsNonMatchingRecord) }
+func TestBoxRejectsNonMatchingRecord(t *testing.T) { eachCell(t, testBoxRejectsNonMatchingRecord) }
 
-func testBoxRejectsNonMatchingRecord(t *testing.T, m execMode) {
+func testBoxRejectsNonMatchingRecord(t *testing.T, m cell) {
 	var errs []error
 	out, stats := m.runNet(t, incBox("inc", 1),
 		[]*Record{NewRecord().SetField("other", 1)},
@@ -131,9 +131,9 @@ func testBoxRejectsNonMatchingRecord(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxPanicIsolation(t *testing.T) { bothPlans(t, testBoxPanicIsolation) }
+func TestBoxPanicIsolation(t *testing.T) { eachCell(t, testBoxPanicIsolation) }
 
-func testBoxPanicIsolation(t *testing.T, m execMode) {
+func testBoxPanicIsolation(t *testing.T, m cell) {
 	bomb := NewBox("bomb", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			if args[0].(int) == 2 {
@@ -152,9 +152,9 @@ func testBoxPanicIsolation(t *testing.T, m execMode) {
 	}
 }
 
-func TestBoxErrorReturnReported(t *testing.T) { bothPlans(t, testBoxErrorReturnReported) }
+func TestBoxErrorReturnReported(t *testing.T) { eachCell(t, testBoxErrorReturnReported) }
 
-func testBoxErrorReturnReported(t *testing.T, m execMode) {
+func testBoxErrorReturnReported(t *testing.T, m cell) {
 	bad := NewBox("bad", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return errors.New("nope") })
 	var errs []error
@@ -165,9 +165,9 @@ func testBoxErrorReturnReported(t *testing.T, m execMode) {
 	}
 }
 
-func TestEmitterValidation(t *testing.T) { bothPlans(t, testEmitterValidation) }
+func TestEmitterValidation(t *testing.T) { eachCell(t, testEmitterValidation) }
 
-func testEmitterValidation(t *testing.T, m execMode) {
+func testEmitterValidation(t *testing.T, m cell) {
 	var gotErrs []error
 	box := NewBox("val", MustParseSignature("(<n>) -> (a,<t>)"),
 		func(args []any, out *Emitter) error {
@@ -192,9 +192,9 @@ func testEmitterValidation(t *testing.T, m execMode) {
 	}
 }
 
-func TestSerialPipeline(t *testing.T) { bothPlans(t, testSerialPipeline) }
+func TestSerialPipeline(t *testing.T) { eachCell(t, testSerialPipeline) }
 
-func testSerialPipeline(t *testing.T, m execMode) {
+func testSerialPipeline(t *testing.T, m cell) {
 	n := Serial(incBox("a", 1), incBox("b", 10), incBox("c", 100))
 	out, _ := m.runNet(t, n, []*Record{recN(0)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 111 {
@@ -211,9 +211,9 @@ func TestSerialNeedsOneNode(t *testing.T) {
 	Serial()
 }
 
-func TestFilterNode(t *testing.T) { bothPlans(t, testFilterNode) }
+func TestFilterNode(t *testing.T) { eachCell(t, testFilterNode) }
 
-func testFilterNode(t *testing.T, m execMode) {
+func testFilterNode(t *testing.T, m cell) {
 	n := MustFilter("{<n>} -> {<n>=<n>*2}")
 	out, stats := m.runNet(t, n, []*Record{recN(3)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 6 {
@@ -224,9 +224,9 @@ func testFilterNode(t *testing.T, m execMode) {
 	}
 }
 
-func TestFilterNoMatchForwards(t *testing.T) { bothPlans(t, testFilterNoMatchForwards) }
+func TestFilterNoMatchForwards(t *testing.T) { eachCell(t, testFilterNoMatchForwards) }
 
-func testFilterNoMatchForwards(t *testing.T, m execMode) {
+func testFilterNoMatchForwards(t *testing.T, m cell) {
 	n := MustFilter("{<missing>} -> {<missing>}")
 	out, stats := m.runNet(t, n, []*Record{recN(1)})
 	if len(out) != 1 || tagOf(t, out[0], "n") != 1 {
@@ -243,9 +243,9 @@ func testFilterNoMatchForwards(t *testing.T, m execMode) {
 	}
 }
 
-func TestObserveTap(t *testing.T) { bothPlans(t, testObserveTap) }
+func TestObserveTap(t *testing.T) { eachCell(t, testObserveTap) }
 
-func testObserveTap(t *testing.T, m execMode) {
+func testObserveTap(t *testing.T, m cell) {
 	var seen []int
 	n := Serial(incBox("a", 1), Observe("tap", func(r *Record) {
 		if v, ok := r.Tag("n"); ok {
@@ -261,9 +261,9 @@ func testObserveTap(t *testing.T, m execMode) {
 	}
 }
 
-func TestTracerSeesBoxEvents(t *testing.T) { bothPlans(t, testTracerSeesBoxEvents) }
+func TestTracerSeesBoxEvents(t *testing.T) { eachCell(t, testTracerSeesBoxEvents) }
 
-func testTracerSeesBoxEvents(t *testing.T, m execMode) {
+func testTracerSeesBoxEvents(t *testing.T, m cell) {
 	var events []string
 	tr := TracerFunc(func(node, dir string, rec *Record) {
 		events = append(events, node+":"+dir)
@@ -276,10 +276,10 @@ func testTracerSeesBoxEvents(t *testing.T, m execMode) {
 	}
 }
 
-func TestHandleSendAfterClose(t *testing.T) { bothPlans(t, testHandleSendAfterClose) }
+func TestHandleSendAfterClose(t *testing.T) { eachCell(t, testHandleSendAfterClose) }
 
-func testHandleSendAfterClose(t *testing.T, m execMode) {
-	h := m.Start(context.Background(), incBox("x", 1))
+func testHandleSendAfterClose(t *testing.T, _ cell) {
+	h := compileNet(incBox("x", 1)).Start(context.Background())
 	h.Close()
 	if err := h.Send(recN(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
@@ -287,15 +287,15 @@ func testHandleSendAfterClose(t *testing.T, m execMode) {
 	h.Wait()
 }
 
-func TestHandleCancelDrains(t *testing.T) { bothPlans(t, testHandleCancelDrains) }
+func TestHandleCancelDrains(t *testing.T) { eachCell(t, testHandleCancelDrains) }
 
-func testHandleCancelDrains(t *testing.T, m execMode) {
+func testHandleCancelDrains(t *testing.T, _ cell) {
 	slow := NewBox("slow", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
 			time.Sleep(5 * time.Millisecond)
 			return out.Out(1, args[0].(int))
 		})
-	h := m.Start(context.Background(), Serial(slow, slow))
+	h := compileNet(Serial(slow, slow)).Start(context.Background())
 	for i := 0; i < 50; i++ {
 		if err := h.Send(recN(i)); err != nil {
 			break
@@ -316,9 +316,9 @@ func testHandleCancelDrains(t *testing.T, m execMode) {
 	}
 }
 
-func TestRunUntilFirstResultWins(t *testing.T) { bothPlans(t, testRunUntilFirstResultWins) }
+func TestRunUntilFirstResultWins(t *testing.T) { eachCell(t, testRunUntilFirstResultWins) }
 
-func testRunUntilFirstResultWins(t *testing.T, m execMode) {
+func testRunUntilFirstResultWins(t *testing.T, m cell) {
 	n := incBox("inc", 1)
 	inputs := []*Record{recN(10), recN(20), recN(30)}
 	rec, _, err := m.RunUntil(context.Background(), n, inputs, func(r *Record) bool {
@@ -333,9 +333,9 @@ func testRunUntilFirstResultWins(t *testing.T, m execMode) {
 	}
 }
 
-func TestRunUntilNoMatchReturnsNil(t *testing.T) { bothPlans(t, testRunUntilNoMatchReturnsNil) }
+func TestRunUntilNoMatchReturnsNil(t *testing.T) { eachCell(t, testRunUntilNoMatchReturnsNil) }
 
-func testRunUntilNoMatchReturnsNil(t *testing.T, m execMode) {
+func testRunUntilNoMatchReturnsNil(t *testing.T, m cell) {
 	rec, _, err := m.RunUntil(context.Background(), incBox("inc", 1),
 		[]*Record{recN(1)}, func(r *Record) bool { return false })
 	if rec != nil || err != nil {

@@ -47,9 +47,9 @@ func joinBurst(k, burst int, rec func() *Record) []*Record {
 // that split work through their bursts gives back every record it held —
 // stored halves of joins too — and every goroutine.  The output is read to its
 // end, so the cancellation meets replicas at work.
-func TestStarStageSplitCancelMidRetire(t *testing.T) { bothPlans(t, testStarStageSplitCancelMidRetire) }
+func TestStarStageSplitCancelMidRetire(t *testing.T) { eachCell(t, testStarStageSplitCancelMidRetire) }
 
-func testStarStageSplitCancelMidRetire(t *testing.T, m execMode) {
+func testStarStageSplitCancelMidRetire(t *testing.T, _ cell) {
 	const keys, burst = 8, 4
 	for _, w := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
@@ -58,7 +58,7 @@ func testStarStageSplitCancelMidRetire(t *testing.T, m execMode) {
 			if w > 0 {
 				opts = append(opts, WithBoxWorkers(w))
 			}
-			h := m.Start(context.Background(), joinStage("scancel", func(int) bool { return true }), opts...)
+			h := compileNet(joinStage("scancel", func(int) bool { return true })).Start(context.Background(), opts...)
 			for k := 0; k < keys; k++ {
 				for _, r := range joinBurst(k, burst, AcquireRecord) {
 					if err := h.Send(r); err != nil {
@@ -90,14 +90,14 @@ func testStarStageSplitCancelMidRetire(t *testing.T, m execMode) {
 // concurrent mid-run while the replica's synchrocell holds half a join.  The
 // replica leaves the hands that stepped it with the stored half, and the join
 // fires exactly once when its other half arrives.
-func TestStarStageHandOverHalfJoin(t *testing.T) { bothPlans(t, testStarStageHandOverHalfJoin) }
+func TestStarStageHandOverHalfJoin(t *testing.T) { eachCell(t, testStarStageHandOverHalfJoin) }
 
-func testStarStageHandOverHalfJoin(t *testing.T, m execMode) {
+func testStarStageHandOverHalfJoin(t *testing.T, _ cell) {
 	atLeastProcs(t, 2) // so that a box nobody gave a width has one to turn to
 	net := joinStage("hjoin", func(int) bool { return false })
 	fwd := findBox(t, net, "hjoin_fwd")
 	live := poolLiveSettled(t)
-	h := m.Start(context.Background(), net)
+	h := compileNet(net).Start(context.Background())
 	defer h.Cancel()
 	send := func(r *Record) {
 		t.Helper()
@@ -136,7 +136,7 @@ func testStarStageHandOverHalfJoin(t *testing.T, m execMode) {
 	if f, s := st.Counter("sync.hjoin_join.fired"), st.Counter("sync.hjoin_join.starved"); f != 2 || s != 0 {
 		t.Fatalf("joins fired %d, starved %d; want 2 and 0", f, s)
 	}
-	if m.fuse && st.Counter("box.hjoin_fwd.escalated") == 0 {
+	if st.Counter("box.hjoin_fwd.escalated") == 0 {
 		t.Errorf("the box never ran concurrently: nothing was handed over")
 	}
 	waitPoolLive(t, live)
@@ -200,9 +200,9 @@ func nestedSplits(name string, body Node) []nestedSplit {
 // nested split work through their bursts gives back every record it held and
 // every goroutine.  The output is read to its end, so the cancellation meets
 // replicas at work, not a network parked behind a reader that stopped.
-func TestNestedSplitCancelMidRetire(t *testing.T) { bothPlans(t, testNestedSplitCancelMidRetire) }
+func TestNestedSplitCancelMidRetire(t *testing.T) { eachCell(t, testNestedSplitCancelMidRetire) }
 
-func testNestedSplitCancelMidRetire(t *testing.T, m execMode) {
+func testNestedSplitCancelMidRetire(t *testing.T, _ cell) {
 	const keys, burst = 8, 4
 	slow := NewBox("ncslow", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error {
@@ -213,7 +213,7 @@ func testNestedSplitCancelMidRetire(t *testing.T, m execMode) {
 		for _, w := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/W%d", nest.name, w), func(t *testing.T) {
 				base, live := goroutineCount(), poolLiveSettled(t)
-				h := m.Start(context.Background(), nest.net, WithBoxWorkers(w))
+				h := compileNet(nest.net).Start(context.Background(), WithBoxWorkers(w))
 				for k := 0; k < keys; k++ {
 					for i := 0; i < burst; i++ {
 						if err := h.Send(AcquireRecord().SetTag("n", i).SetTag("k", k)); err != nil {

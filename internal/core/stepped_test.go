@@ -103,9 +103,9 @@ func steppedCounts(stats *Stats) string {
 	return strings.Join(lines, "\n")
 }
 
-func TestSteppedBranchesMatchSpawned(t *testing.T) { bothPlans(t, testSteppedBranchesMatchSpawned) }
+func TestSteppedBranchesMatchSpawned(t *testing.T) { eachCell(t, testSteppedBranchesMatchSpawned) }
 
-func testSteppedBranchesMatchSpawned(t *testing.T, m execMode) {
+func testSteppedBranchesMatchSpawned(t *testing.T, m cell) {
 	const n = 48
 	type site struct {
 		name string

@@ -192,17 +192,45 @@ func TestStreamSendDirectConcurrent(t *testing.T) {
 	}
 }
 
+// startedRun sends inputs through a started handle of n's plan and drains
+// it.  A started root keeps its spine sites' dispatchers and merge queues, so
+// a pipeline of sites is a pipeline of stream hops.
+func startedRun(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
+	t.Helper()
+	h := compileNet(n).Start(context.Background(), opts...)
+	go func() {
+		for _, r := range inputs {
+			if h.Send(r) != nil {
+				return
+			}
+		}
+		h.Close()
+	}()
+	out := drainAll(h)
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out, h.Stats()
+}
+
+// hopSite is a site of the root spine every record crosses: a parallel that
+// routes all of them to inner, beside a branch no record matches.
+func hopSite(inner Node) Node {
+	return Parallel(inner, MustFilter("{<never>} -> {<never>}"))
+}
+
 // End to end: the run-level frame counters must show amortization — a hot
 // pipeline at B=64 takes fewer frames per record than at B=1.  The subject is
-// the frame transport, so the pipeline runs stage-per-goroutine.
+// the frame transport, so the pipeline is three root-spine sites, each a
+// stream hop.
 func TestStreamStatsShowAmortization(t *testing.T) {
+	const n = 256
 	pipeline := func(b int) (frames, records int64) {
-		n := Serial(incBox("s1", 1), incBox("s2", 1), incBox("s3", 1))
-		inputs := seqInputs(256, func(i int, r *Record) { r.SetTag("n", i) })
-		out, stats, err := unfused.RunAll(context.Background(), n, inputs,
-			WithStreamBatch(b), WithBoxWorkers(1))
-		if err != nil || len(out) != 256 {
-			t.Fatalf("B=%d: out=%d err=%v", b, len(out), err)
+		net := Serial(hopSite(incBox("s1", 1)), hopSite(incBox("s2", 1)), hopSite(incBox("s3", 1)))
+		inputs := seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) })
+		out, stats := startedRun(t, net, inputs, WithStreamBatch(b), WithBoxWorkers(1))
+		if len(out) != n {
+			t.Fatalf("B=%d: out=%d", b, len(out))
 		}
 		return stats.Counter("stream.frames"), stats.Counter("stream.records")
 	}
@@ -211,31 +239,43 @@ func TestStreamStatsShowAmortization(t *testing.T) {
 	if r1 != r64 {
 		t.Fatalf("record counts differ: %d vs %d", r1, r64)
 	}
+	if r1 < 3*n {
+		t.Fatalf("%d records crossed streams, want at least %d: one hop per site", r1, 3*n)
+	}
 	if f64 >= f1 {
 		t.Fatalf("B=64 should use fewer frames than B=1: %d vs %d", f64, f1)
 	}
 	t.Logf("B=1: %d frames / %d records; B=64: %d frames", f1, r1, f64)
 }
 
-// Markers must not be double-counted as records anywhere in the det plane.
+// Markers must not be double-counted as records anywhere in the det plane: a
+// deterministic site between two root-spine sites broadcasts a sort marker
+// per record, and the streams it crosses count the same records as the same
+// net with a non-deterministic site, which sends none.
 func TestStreamRecordCounterExcludesMarkers(t *testing.T) {
-	n := ParallelDet(incBox("ma", 1), MustFilter("{<b>} -> {<b>=<b>}"))
-	inputs := seqInputs(20, func(i int, r *Record) {
-		if i%2 == 0 {
-			r.SetTag("n", i)
-		} else {
-			r.SetTag("b", i)
+	const n = 20
+	records := func(par func(...Node) Node) int64 {
+		net := Serial(hopSite(Observe("", nil)),
+			par(incBox("ma", 1), MustFilter("{<b>} -> {<b>=<b>}")), hopSite(Observe("", nil)))
+		inputs := seqInputs(n, func(i int, r *Record) {
+			if i%2 == 0 {
+				r.SetTag("n", i)
+			} else {
+				r.SetTag("b", i)
+			}
+		})
+		out, stats := startedRun(t, net, inputs, WithStreamBatch(8))
+		if len(out) != n {
+			t.Fatalf("got %d records", len(out))
 		}
-	})
-	out, stats, err := unfused.RunAll(context.Background(), n, inputs, WithStreamBatch(8))
-	if err != nil {
-		t.Fatal(err)
+		if fr := stats.Counter("stream.frames"); fr == 0 {
+			t.Fatal("no frames counted")
+		}
+		return stats.Counter("stream.records")
 	}
-	if len(out) != 20 {
-		t.Fatalf("got %d records", len(out))
-	}
-	if fr := stats.Counter("stream.frames"); fr == 0 {
-		t.Fatal("no frames counted")
+	det, nondet := records(ParallelDet), records(Parallel)
+	if det != nondet || det < 2*n {
+		t.Fatalf("stream.records: %d with sort markers, %d without; want equal and at least %d", det, nondet, 2*n)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 func TestBufferSizeSweep(t *testing.T) {
 	for _, buf := range []int{0, 1, 4, 64} {
 		t.Run(fmt.Sprintf("buf%d", buf), func(t *testing.T) {
-			bothPlans(t, func(t *testing.T, m execMode) {
+			eachCell(t, func(t *testing.T, m cell) {
 				fork := NewBox("fork", MustParseSignature("(<n>) -> (<n>,<k>) | (<n>,<done>)"),
 					func(args []any, out *Emitter) error {
 						n := args[0].(int)
@@ -41,7 +41,7 @@ func TestBufferSizeSweep(t *testing.T) {
 func TestBufferSizeSweepDeterministic(t *testing.T) {
 	for _, buf := range []int{0, 1, 16} {
 		t.Run(fmt.Sprintf("buf%d", buf), func(t *testing.T) {
-			bothPlans(t, func(t *testing.T, m execMode) {
+			eachCell(t, func(t *testing.T, m cell) {
 				net := SplitDet(StarDet(decBox(), MustParsePattern("{<done>}")), "k")
 				inputs := seqInputs(12, func(i int, r *Record) {
 					r.SetTag("k", i%3).SetTag("n", i%4)
@@ -58,9 +58,9 @@ func TestBufferSizeSweepDeterministic(t *testing.T) {
 
 // A record flood through a deep pipeline of replicated boxes — the shape of
 // the sudoku networks at scale.
-func TestStressDeepNesting(t *testing.T) { bothPlans(t, testStressDeepNesting) }
+func TestStressDeepNesting(t *testing.T) { eachCell(t, testStressDeepNesting) }
 
-func testStressDeepNesting(t *testing.T, m execMode) {
+func testStressDeepNesting(t *testing.T, m cell) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -100,9 +100,9 @@ func testStressDeepNesting(t *testing.T, m execMode) {
 
 // Concurrent network instances sharing the same Node blueprint must not
 // interfere (Nodes are blueprints; all state is per-run).
-func TestSharedBlueprintConcurrentRuns(t *testing.T) { bothPlans(t, testSharedBlueprintConcurrentRuns) }
+func TestSharedBlueprintConcurrentRuns(t *testing.T) { eachCell(t, testSharedBlueprintConcurrentRuns) }
 
-func testSharedBlueprintConcurrentRuns(t *testing.T, m execMode) {
+func testSharedBlueprintConcurrentRuns(t *testing.T, m cell) {
 	net := Serial(incBox("shared", 1), NamedStar("loop", decBox(), MustParsePattern("{<done>}")))
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -124,12 +124,12 @@ func testSharedBlueprintConcurrentRuns(t *testing.T, m execMode) {
 
 // Repeated starts of the same handle pattern: Start/Send/Cancel in a tight
 // loop must stay leak- and panic-free.
-func TestStartCancelChurn(t *testing.T) { bothPlans(t, testStartCancelChurn) }
+func TestStartCancelChurn(t *testing.T) { eachCell(t, testStartCancelChurn) }
 
-func testStartCancelChurn(t *testing.T, m execMode) {
+func testStartCancelChurn(t *testing.T, _ cell) {
 	net := NamedSplit("churn", incBox("c", 1), "k")
 	for i := 0; i < 50; i++ {
-		h := m.Start(context.Background(), net)
+		h := compileNet(net).Start(context.Background())
 		_ = h.Send(NewRecord().SetTag("n", i).SetTag("k", i%2))
 		if i%2 == 0 {
 			h.Close()
@@ -143,9 +143,9 @@ func testStartCancelChurn(t *testing.T, m execMode) {
 }
 
 // Empty input: the network must open and drain cleanly.
-func TestEmptyRun(t *testing.T) { bothPlans(t, testEmptyRun) }
+func TestEmptyRun(t *testing.T) { eachCell(t, testEmptyRun) }
 
-func testEmptyRun(t *testing.T, m execMode) {
+func testEmptyRun(t *testing.T, m cell) {
 	for _, net := range []Node{
 		incBox("e", 1),
 		Parallel(incBox("a", 1), incBox("b", 2)),

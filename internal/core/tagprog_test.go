@@ -228,7 +228,7 @@ const tagExprParseDigest = 0x622797abe45597b3
 // filter's assignment, the guard of a filter that is a parallel branch (the
 // route table), a synchrocell pattern's guard, a star's exit — on both plans,
 // against records built label by label from what the tree evaluator says.
-func testTagExprsThroughNet(t *testing.T, m execMode) {
+func testTagExprsThroughNet(t *testing.T, m cell) {
 	rng := rand.New(rand.NewSource(28))
 	for trial := 0; trial < 160; trial++ {
 		depth := 1 + trial%5
@@ -240,7 +240,7 @@ func testTagExprsThroughNet(t *testing.T, m execMode) {
 		set := NewFilter(assignSpec(assign))
 		hit := NewFilter(&FilterSpec{Pattern: Pattern{Variant: Variant{}, Guard: guard},
 			Outputs: [][]FilterItem{{{Name: "hit", IsTag: true, Expr: intLit(1)}}}})
-		syncName := fmt.Sprintf("tp%d_%v", trial, m.fuse)
+		syncName := fmt.Sprintf("tp%d_%v", trial, m.ref)
 		exitPat := Pattern{Variant: NewVariant(Tag("n")), Guard: exit}
 		cellPat := Pattern{Variant: NewVariant(Tag("hit")), Guard: cell}
 		net := Serial(
@@ -306,7 +306,7 @@ func TestTagExprGuardSharedAcrossRuns(t *testing.T) {
 		MustFilter("{<a>} | <a> % 3 == 1 && 12 / <a> > 1 -> {<a>, <hit>=<a>*2}"),
 		MustFilter("{<a>} -> {<a>, <hit>=0-1}"),
 	)
-	plan := fused.Compile(net)
+	plan := compileNet(net)
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {

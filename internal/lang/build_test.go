@@ -3,45 +3,18 @@ package lang
 import (
 	"context"
 	"errors"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// runAll is this package's one route from a built net to its outputs.  It
-// runs the net on both of its execution plans — the un-fused blueprint, the
-// reference, then the fused default — requires the same records from both,
-// and returns the default run's.
+// runAll is this package's one route from a built net to its outputs: the
+// net's plan, run once over inputs.
 func runAll(t *testing.T, net core.Node, inputs []*core.Record) ([]*core.Record, *core.Stats, error) {
 	t.Helper()
-	run := func(fuse bool) ([]*core.Record, *core.Stats, error) {
-		plan, _ := core.Compile(net, core.WithFusion(fuse)) // findings are other tests' subject
-		in := make([]*core.Record, len(inputs))
-		for i, r := range inputs {
-			in[i] = r.Copy()
-		}
-		return plan.RunAll(context.Background(), in)
-	}
-	render := func(recs []*core.Record) []string {
-		out := make([]string, len(recs))
-		for i, r := range recs {
-			out[i] = r.String()
-		}
-		sort.Strings(out)
-		return out
-	}
-	want, _, err := run(false)
-	if err != nil {
-		return want, nil, err
-	}
-	got, stats, err := run(true)
-	if err == nil && !reflect.DeepEqual(render(got), render(want)) {
-		t.Fatalf("fused plan diverges from the un-fused reference:\n%v\n%v", render(got), render(want))
-	}
-	return got, stats, err
+	plan, _ := core.Compile(net) // findings are other tests' subject
+	return plan.RunAll(context.Background(), inputs)
 }
 
 func incFn(delta int) core.BoxFunc {

@@ -36,7 +36,7 @@ func verifiedBound(t *testing.T, p *snet.Plan) int64 {
 // that a run shorter than a scheduling quantum is observed too, by the run
 // itself whenever a record enters a synchrocell.
 func TestWavefrontInFlightWithinBound(t *testing.T) {
-	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		const n = 24 // 47 stages, at most 23 join replicas each
 		plan := compile(WavefrontNet(n, 5))
 		bound := verifiedBound(t, plan)
@@ -81,7 +81,7 @@ func TestWavefrontInFlightWithinBound(t *testing.T) {
 // accepted minus delivered is the number of records inside the network.  The
 // sender never waits for a response; backpressure alone limits it.
 func TestWebPipeInFlightWithinBound(t *testing.T) {
-	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		const requests = 20000
 		plan := compile(WebPipeNet())
 		bound := verifiedBound(t, plan)
@@ -141,7 +141,7 @@ func TestBurstBoxInFlightWithinBound(t *testing.T) {
 				return nil
 			}, 1),
 		snet.Observe("burst_tap", nil))
-	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		plan := compile(net)
 		bound := verifiedBound(t, plan)
 		emitted.Store(0)
@@ -175,7 +175,7 @@ func TestBurstBoxInFlightWithinBound(t *testing.T) {
 // 225 join replicas; when RunAll returns, all of that is gone — a branch has
 // no relay goroutine that could outlive the merger it fed.
 func TestWavefrontGoroutinesReturnToBaseline(t *testing.T) {
-	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 		plan := compile(WavefrontNet(16, 3))
 		time.Sleep(10 * time.Millisecond)
 		base := runtime.NumGoroutine()

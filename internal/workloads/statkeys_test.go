@@ -70,9 +70,13 @@ func checkStatsGolden(t *testing.T, got []string) {
 
 // TestStatsKeySetStable pins what a run reports — every key name, the ".max"
 // rendering of high-water marks and the value of every counter the input
-// determines — for three plan shapes in both fusion settings.  The golden was
-// taken before the collector's storage became one map of atomic cells;
-// /api/stats consumers and the benchmark's per-layer probes read these names.
+// determines — for three plan shapes, in both cells (workloads_test.go).  The
+// golden was taken before the collector's storage became one map of atomic
+// cells; /api/stats consumers and the benchmark's per-layer probes read these
+// names.  The runs give every box one invocation at a time: a box the engine
+// is left to size may escalate before its first record under a slow schedule
+// (-race), and then the segment holding it never runs as one — which keys
+// exist would be a scheduling measurement, like .escalated, which is left out.
 func TestStatsKeySetStable(t *testing.T) {
 	chain := make([]snet.Node, 16)
 	for i := range chain {
@@ -107,16 +111,15 @@ func TestStatsKeySetStable(t *testing.T) {
 			return in
 		}},
 	}
-	var got []string
-	bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+	eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+		var got []string
 		for _, c := range cases {
-			_, stats, err := compile(c.net).RunAll(context.Background(), c.in())
+			_, stats, err := compile(c.net).RunAll(context.Background(), c.in(), snet.WithBoxWorkers(1))
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			_, fuse, _ := strings.Cut(t.Name(), "/")
-			got = append(got, statLines(c.name+"/"+fuse, stats.Snapshot())...)
+			got = append(got, statLines(c.name, stats.Snapshot())...)
 		}
+		checkStatsGolden(t, got)
 	})
-	checkStatsGolden(t, got)
 }

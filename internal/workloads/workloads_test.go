@@ -8,14 +8,16 @@ import (
 	"repro/snet"
 )
 
-// bothPlans runs body once per execution plan of a workload net: the
-// un-fused blueprint (the reference) and the fused default.  compile is this
-// package's one route from a Node to something that runs.
-func bothPlans(t *testing.T, body func(t *testing.T, compile func(snet.Node) *snet.Plan)) {
-	for _, fuse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fuse=%v", fuse), func(t *testing.T) {
+// eachCell runs body in two cells, the subtests "fuse=false" and "fuse=true"
+// the tests had when a workload net had two plans, so every test keeps its
+// name; both run the net's one plan.  What that plan computes is held to the
+// sequential reference evaluator by internal/core's TestReferenceAgreement.
+// compile is this package's one route from a Node to something that runs.
+func eachCell(t *testing.T, body func(t *testing.T, compile func(snet.Node) *snet.Plan)) {
+	for _, name := range []string{"fuse=false", "fuse=true"} {
+		t.Run(name, func(t *testing.T) {
 			body(t, func(net snet.Node) *snet.Plan {
-				plan, err := snet.Compile(net, snet.WithFusion(fuse))
+				plan, err := snet.Compile(net)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -29,7 +31,7 @@ func TestWavefrontMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			bothPlans(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
+			eachCell(t, func(t *testing.T, compile func(snet.Node) *snet.Plan) {
 				seed := int64(7 * n)
 				out, stats, err := compile(WavefrontNet(n, seed)).RunAll(context.Background(),
 					[]*snet.Record{WavefrontSeed()})
@@ -60,7 +62,7 @@ func TestWavefrontMatchesReference(t *testing.T) {
 // with the sequential reference, joins once per interior cell, unfolds one
 // stage per anti-diagonal and starts one replica per interior cell, at every
 // box width (unset: the engine decides) and batch size.
-func TestWavefrontStageMatrix(t *testing.T) { bothPlans(t, testWavefrontStageMatrix) }
+func TestWavefrontStageMatrix(t *testing.T) { eachCell(t, testWavefrontStageMatrix) }
 
 func testWavefrontStageMatrix(t *testing.T, compile func(snet.Node) *snet.Plan) {
 	for _, n := range []int{2, 8, 16} {
@@ -100,7 +102,7 @@ func testWavefrontStageMatrix(t *testing.T, compile func(snet.Node) *snet.Plan) 
 	}
 }
 
-func TestDivConqMatchesReference(t *testing.T) { bothPlans(t, testDivConqMatchesReference) }
+func TestDivConqMatchesReference(t *testing.T) { eachCell(t, testDivConqMatchesReference) }
 
 func testDivConqMatchesReference(t *testing.T, compile func(snet.Node) *snet.Plan) {
 	const jobs, n, leaf = 3, 64, 8
@@ -141,7 +143,7 @@ func testDivConqMatchesReference(t *testing.T, compile func(snet.Node) *snet.Pla
 	}
 }
 
-func TestWebPipeMatchesReference(t *testing.T) { bothPlans(t, testWebPipeMatchesReference) }
+func TestWebPipeMatchesReference(t *testing.T) { eachCell(t, testWebPipeMatchesReference) }
 
 func testWebPipeMatchesReference(t *testing.T, compile func(snet.Node) *snet.Plan) {
 	const c = 60

@@ -36,24 +36,24 @@ func drainHandle(h *snet.Handle) {
 	h.Wait()
 }
 
-// benchRecordPlaneTaps streams records through a 32-deep tap pipeline over
-// one persistent handle, ping-ponging a fixed in-flight population: the
-// record received from the output is sent straight back in.  Taps forward
-// records untouched and frames recycle through the slab arena, so the steady
-// state is allocation-free.  Un-fused at B=8 is the stream plane: every
-// record crosses 32 stream hops.  Fused at B=1 the 32 taps are one
-// single-goroutine segment, which must stay just as allocation-free as the
-// stream plane it bypasses.
-func benchRecordPlaneTaps(fused bool, batch int) func(*testing.B) {
+// benchRecordPlaneTaps streams records through a 32-deep pipeline of
+// stage(i) over one persistent handle, ping-ponging a fixed in-flight
+// population: the record received from the output is sent straight back in.
+// Taps forward records untouched and frames recycle through the slab arena,
+// so the steady state is allocation-free.  Bare taps at B=1 are one
+// single-goroutine segment; taps inside root-spine sites at B=8 are the
+// stream plane, every site a part of its own with streams between them, and
+// must stay just as allocation-free.  hops is set to the stream records the
+// run counted per record sent.
+func benchRecordPlaneTaps(stage func(i int) snet.Node, batch int, hops *float64) func(*testing.B) {
 	return func(b *testing.B) {
 		const depth, inflight = 32, 64
 		stages := make([]snet.Node, depth)
 		for i := range stages {
-			stages[i] = snet.Observe(fmt.Sprintf("tap%d", i), nil)
+			stages[i] = stage(i)
 		}
-		h := compile(b, snet.Serial(stages...), snet.WithFusion(fused)).
+		h := compile(b, snet.Serial(stages...)).
 			Start(context.Background(), snet.WithBoxWorkers(1), snet.WithStreamBatch(batch))
-		defer drainHandle(h)
 		for i := 0; i < inflight; i++ {
 			if err := h.Send(snet.NewRecord().SetTag("n", i)); err != nil {
 				b.Fatal(err)
@@ -81,6 +81,8 @@ func benchRecordPlaneTaps(fused bool, batch int) func(*testing.B) {
 		b.ResetTimer()
 		lap(b.N)
 		b.StopTimer()
+		drainHandle(h)
+		*hops = float64(h.Stats().Counter("stream.records")) / float64(3*inflight+b.N)
 	}
 }
 
@@ -148,12 +150,15 @@ func TestRecordPlaneZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping; run without -race")
 	}
+	tap := func(i int) snet.Node { return snet.Observe(fmt.Sprintf("tap%d", i), nil) }
+	site := func(i int) snet.Node { return snet.Parallel(tap(i), snet.MustFilter("{<never>} -> {<never>}")) }
+	var pipelineHops, fusedHops float64
 	for _, c := range []struct {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"pipeline", benchRecordPlaneTaps(false, 8)},
-		{"fused", benchRecordPlaneTaps(true, 1)},
+		{"pipeline", benchRecordPlaneTaps(site, 8, &pipelineHops)},
+		{"fused", benchRecordPlaneTaps(tap, 1, &fusedHops)},
 		{"routing", benchRecordPlaneRouting(false)},
 		{"routing-det", benchRecordPlaneRouting(true)},
 	} {
@@ -162,4 +167,10 @@ func TestRecordPlaneZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %d allocs/op (%d B/op), want 0", c.name, a, res.AllocedBytesPerOp())
 		}
 	}
+	// The pipeline row measures the stream plane only while every record
+	// crosses a stream per site.
+	if pipelineHops < 32 {
+		t.Errorf("pipeline: %.1f stream records per record sent, want at least 32", pipelineHops)
+	}
+	t.Logf("stream records per record sent: pipeline %.1f, fused %.1f", pipelineHops, fusedHops)
 }

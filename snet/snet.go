@@ -140,11 +140,10 @@ type (
 // Compile type-checks a network and returns its Plan; MustCompile panics on
 // type errors.  WithInputType declares the network's input type instead of
 // inferring it bottom-up.  The TypeError codes are the ErrCode constants.
-// WithFusion toggles the compile-time pipeline-fusion pass (default on):
-// maximal chains of stages — filters, Observe taps, synchrocells and boxes
-// not pinned wider than one call at a time — collapse into single-goroutine
-// fused segments with no streams between stages; WithFusion(false) keeps the
-// stage-per-goroutine plan the fused one is tested and measured against.
+// A plan groups its stages one way: maximal chains of stages — filters,
+// Observe taps, synchrocells and boxes not pinned wider than one call at a
+// time — run as single-goroutine fused segments with no streams between
+// stages.  WithFusion ignores its argument; ROADMAP item 7 deletes it.
 var (
 	Compile       = core.Compile
 	MustCompile   = core.MustCompile
