@@ -359,9 +359,7 @@ func testBoxAutoWidthHandsOverMidStream(t *testing.T, m cell) {
 // dispatcher with its stage state.  Replica 1 of a deterministic split of
 // join..box has stored its {a} when the box — stepped for replica 0 until
 // then — turns slow; its {b} arrives after the verdict, so the replica is
-// handed over holding half a join, and the join must still fire.  Un-fused
-// nothing is stepped: each replica's box runs on a goroutine of its own, and
-// replica 1's may be through its six calls before replica 0's verdict.
+// handed over holding half a join, and the join must still fire.
 func TestBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T) {
 	eachCell(t, testBoxAutoWidthHandsOverHalfFilledJoin)
 }

@@ -74,7 +74,7 @@ func TestFusionTopologyAndGroups(t *testing.T) {
 		t.Fatal("topology JSON should list fusion groups")
 	}
 	if strings.Contains(string(raw), `"kind":"fused"`) {
-		t.Fatal("the topology tree must keep describing the un-fused blueprint")
+		t.Fatal("the topology tree must keep describing the blueprint, stage by stage")
 	}
 }
 
@@ -407,9 +407,8 @@ func TestFusedArenaClean(t *testing.T) {
 
 	// Hard cancel mid-stream: the drainer pulls ~40 records and yanks the
 	// context while the segment is still processing.  Records dropped in
-	// cancelled frames leave the arena without a release (same as the
-	// stage-per-goroutine runtime), so the invariant here is prompt
-	// unwinding, not pool-live parity.
+	// cancelled frames leave the arena without a release, so the invariant
+	// here is prompt unwinding, not pool-live parity.
 	gbase := runtime.NumGoroutine()
 	h := plan.Start(context.Background(), WithStreamBatch(8))
 	drained := make(chan struct{})

@@ -16,7 +16,7 @@ import (
 )
 
 // The arena's ledger and the per-record stage counters are exact where they
-// are read: after a drained run — at every (W, B), on both plans — their
+// are read: after a drained run — at every (W, B), in both cells — their
 // deltas are the figures written down here from what each node acquires,
 // releases and counts per record, and Live() is back where it started; and so
 // is Live() after a cancel that lands in the middle of a frame and after a box

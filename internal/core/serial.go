@@ -7,9 +7,8 @@ import "sync"
 //
 // Serial folds n stages into a left-leaning spine of serialNodes; the spine
 // runs flat, as one pipeline of parts with a goroutine and a bounded stream
-// each.  What the parts are is the plan's decision (fuse.go): every stage on
-// its own, or — with fusion on — runs of stages sharing one goroutine between
-// the nodes that are no stage.
+// each.  What the parts are is the plan's decision (fuse.go): runs of stages
+// sharing one goroutine, and the nodes between them that are no stage.
 type serialNode struct {
 	label string
 	a, b  Node

@@ -226,7 +226,7 @@ const tagExprParseDigest = 0x622797abe45597b3
 // testTagExprsThroughNet is TestBoxProgramMatchesByName's tag-expression
 // half: random expressions where a running network evaluates them — a
 // filter's assignment, the guard of a filter that is a parallel branch (the
-// route table), a synchrocell pattern's guard, a star's exit — on both plans,
+// route table), a synchrocell pattern's guard, a star's exit — in both cells,
 // against records built label by label from what the tree evaluator says.
 func testTagExprsThroughNet(t *testing.T, m cell) {
 	rng := rand.New(rand.NewSource(28))
