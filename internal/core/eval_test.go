@@ -389,13 +389,6 @@ func renderValue(v reflect.Value) string {
 			parts[i] = renderValue(v.Index(i))
 		}
 		return "[" + strings.Join(parts, " ") + "]"
-	case reflect.Map:
-		parts := make([]string, 0, v.Len())
-		for it := v.MapRange(); it.Next(); {
-			parts = append(parts, renderValue(it.Key())+":"+renderValue(it.Value()))
-		}
-		sort.Strings(parts)
-		return "map[" + strings.Join(parts, " ") + "]"
 	}
 	return fmt.Sprint(v)
 }
@@ -435,33 +428,13 @@ func (e *evaluation) check(t testing.TB, got []*Record) {
 	}
 }
 
-// copyRecords gives the evaluator inputs of its own: a run owns the records it
-// is given and may recycle them.
-func copyRecords(in []*Record) []*Record {
-	out := make([]*Record, len(in))
-	for i, r := range in {
-		out[i] = r.Copy()
-	}
-	return out
-}
-
-// referenceCells are the (W, B) cells a net is held to the evaluator at: the
-// box width left to the engine, one, and four, by batch sizes 1, 8 and 64.
-var referenceCells = func() (cells []struct{ w, b int }) {
-	for _, w := range []int{0, 1, 4} {
-		for _, b := range []int{1, 8, 64} {
-			cells = append(cells, struct{ w, b int }{w, b})
-		}
-	}
-	return cells
-}()
-
 // agreeWithReference compiles a fresh mkNet() per cell, runs it over inputs()
-// with opts at every referenceCells cell and holds each run to the evaluation
-// of a net and inputs of its own.  A non-empty orderFree says why the net's
-// output does not depend on the schedule although the evaluator cannot tell
-// (a synchrocell that receives one record per pattern, whatever their
-// order): then the whole multiset is compared.
+// with opts at box widths unset, 1 and 4 by batch sizes 1, 8 and 64, and
+// holds each run to the evaluation of a net and inputs of its own.  A
+// non-empty orderFree says why the net's output does not depend on the
+// schedule although the evaluator cannot tell (a synchrocell that receives
+// one record per pattern, whatever their order): then the whole multiset is
+// compared.
 func agreeWithReference(t *testing.T, mkNet func() Node, inputs func() []*Record, orderFree string, opts ...Option) {
 	t.Helper()
 	ref, _ := Compile(mkNet())
@@ -470,20 +443,22 @@ func agreeWithReference(t *testing.T, mkNet func() Node, inputs func() []*Record
 		t.Logf("%s: %s; comparing the whole multiset", strings.Join(want.loose, "; "), orderFree)
 		want.loose = nil
 	}
-	for _, c := range referenceCells {
-		name := fmt.Sprintf("W%d_B%d", c.w, c.b)
-		if c.w == 0 {
-			name = fmt.Sprintf("Wunset_B%d", c.b)
-		}
-		t.Run(name, func(t *testing.T) {
-			p, _ := Compile(mkNet())
-			out, _, err := p.RunAll(context.Background(), inputs(),
-				append(slices.Clone(opts), WithBoxWorkers(c.w), WithStreamBatch(c.b))...)
-			if err != nil {
-				t.Fatal(err)
+	for _, w := range []int{0, 1, 4} { // 0: the width left to the engine
+		for _, b := range []int{1, 8, 64} {
+			name := fmt.Sprintf("W%d_B%d", w, b)
+			if w == 0 {
+				name = fmt.Sprintf("Wunset_B%d", b)
 			}
-			want.check(t, out)
-		})
+			t.Run(name, func(t *testing.T) {
+				p, _ := Compile(mkNet())
+				out, _, err := p.RunAll(context.Background(), inputs(),
+					append(slices.Clone(opts), WithBoxWorkers(w), WithStreamBatch(b))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.check(t, out)
+			})
+		}
 	}
 }
 

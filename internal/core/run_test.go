@@ -72,7 +72,11 @@ func (c cell) keep(inputs []*Record) []*Record {
 	if !c.ref {
 		return nil
 	}
-	return copyRecords(inputs)
+	in := make([]*Record, len(inputs))
+	for i, r := range inputs {
+		in[i] = r.Copy()
+	}
+	return in
 }
 
 // runNet is RunAll failing the test on a run error.
