@@ -192,43 +192,24 @@ func TestStreamSendDirectConcurrent(t *testing.T) {
 	}
 }
 
-// startedRun sends inputs through a started handle of n's plan and drains
-// it.  A started root keeps its spine sites' dispatchers and merge queues, so
-// a pipeline of sites is a pipeline of stream hops.
-func startedRun(t *testing.T, n Node, inputs []*Record, opts ...Option) ([]*Record, *Stats) {
-	t.Helper()
-	h := compileNet(n).Start(context.Background(), opts...)
-	go func() {
-		for _, r := range inputs {
-			if h.Send(r) != nil {
-				return
-			}
-		}
-		h.Close()
-	}()
-	out := drainAll(h)
-	if err := h.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out, h.Stats()
-}
-
 // hopSite is a site of the root spine every record crosses: a parallel that
-// routes all of them to inner, beside a branch no record matches.
+// routes all of them to inner, beside a branch no record matches.  A started
+// run (run_test.go) keeps its dispatcher and merge queue, so a pipeline of
+// sites is a pipeline of stream hops.
 func hopSite(inner Node) Node {
 	return Parallel(inner, MustFilter("{<never>} -> {<never>}"))
 }
 
 // End to end: the run-level frame counters must show amortization — a hot
 // pipeline at B=64 takes fewer frames per record than at B=1.  The subject is
-// the frame transport, so the pipeline is three root-spine sites, each a
-// stream hop.
+// the frame transport, so the pipeline is three root-spine sites in a started
+// run, each a stream hop.
 func TestStreamStatsShowAmortization(t *testing.T) {
 	const n = 256
 	pipeline := func(b int) (frames, records int64) {
 		net := Serial(hopSite(incBox("s1", 1)), hopSite(incBox("s2", 1)), hopSite(incBox("s3", 1)))
 		inputs := seqInputs(n, func(i int, r *Record) { r.SetTag("n", i) })
-		out, stats := startedRun(t, net, inputs, WithStreamBatch(b), WithBoxWorkers(1))
+		out, stats := cell{t: t, ref: true}.runNet(t, net, inputs, WithStreamBatch(b), WithBoxWorkers(1))
 		if len(out) != n {
 			t.Fatalf("B=%d: out=%d", b, len(out))
 		}
@@ -264,7 +245,7 @@ func TestStreamRecordCounterExcludesMarkers(t *testing.T) {
 				r.SetTag("b", i)
 			}
 		})
-		out, stats := startedRun(t, net, inputs, WithStreamBatch(8))
+		out, stats := cell{t: t, ref: true}.runNet(t, net, inputs, WithStreamBatch(8))
 		if len(out) != n {
 			t.Fatalf("got %d records", len(out))
 		}
