@@ -14,25 +14,39 @@ import (
 	"repro/sudoku"
 )
 
-// TestDemo50ConcurrentSessions is the service acceptance scenario: 50
-// concurrent HTTP sessions solving sudoku records through the shared
-// networks (each running the concurrent box engine at W=4), verified
-// solutions, and non-zero /stats counters.
+// TestDemo50ConcurrentSessions is the service acceptance scenario: concurrent
+// HTTP sessions solving sudoku records through the shared networks, verified
+// solutions, and non-zero /stats counters.  The first row is the acceptance
+// configuration, 50 sessions with every box at W=4; the other two are
+// `snetd -demo 32 -stream-batch 8` with and without `-box-workers 4`, which the
+// race-enabled test run checks as well.
 func TestDemo50ConcurrentSessions(t *testing.T) {
-	n := 50
-	if testing.Short() {
-		n = 12
-	}
-	svc, err := newService(config{workers: 1, boxWorkers: 4, buffer: 8, throttle: 4, level: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := runDemo(svc, n, &out); err != nil {
-		t.Fatalf("demo: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "OK") {
-		t.Fatalf("demo output missing OK:\n%s", out.String())
+	for _, tc := range []struct {
+		name string
+		n    int
+		cfg  config
+	}{
+		{"W=4", 50, config{workers: 1, boxWorkers: 4, buffer: 8, throttle: 4, level: 40}},
+		{"W=4,B=8", 32, config{workers: 1, boxWorkers: 4, buffer: 32, streamBatch: 8, throttle: 4, level: 40}},
+		{"B=8", 32, config{workers: 1, buffer: 32, streamBatch: 8, throttle: 4, level: 40}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			if testing.Short() {
+				n = 12
+			}
+			svc, err := newService(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := runDemo(svc, n, &out); err != nil {
+				t.Fatalf("demo: %v\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), "OK") {
+				t.Fatalf("demo output missing OK:\n%s", out.String())
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // The documents cite performance numbers by the name the repository benchmark
 // gives them.  This test holds them to it: every metric and workload named in
 // EXPERIMENTS.md and README.md is declared in BENCHMARK.json, and no document
-// points at the measurement system `go run ./benchmark` replaced.
+// points at the measurement system `go run ./benchmark` replaced, or at the vet
+// tool the tier-1 invariant tests replaced.
 package repro_test
 
 import (
@@ -55,8 +56,8 @@ var (
 	citedAt = regexp.MustCompile("`([a-z0-9_.*]+)` @ `([a-z0-9_*]+)`")
 	// a backticked lower-case dotted word: `core.plan.us_per_op`, `core.fuse.*`
 	citedDotted = regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_]+)*\\.(?:[a-z0-9_]+|\\*))`")
-	// the deleted measurement system
-	retired = regexp.MustCompile(`cmd/experiments|internal/bench|BENCH_[0-9]+\.json`)
+	// the deleted measurement system, and the deleted vet tool
+	retired = regexp.MustCompile(`cmd/experiments|internal/bench|BENCH_[0-9]+\.json|cmd/snetvet|-vettool`)
 )
 
 // known reports whether name is a declared name, or a `prefix.*` / `prefix_*`
@@ -129,7 +130,7 @@ func TestDocsCiteTheBenchmark(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			if m := retired.FindString(line); m != "" {
-				t.Errorf("%s:%d mentions %s: `go run ./benchmark` is the only measurement system", doc, i+1, m)
+				t.Errorf("%s:%d mentions %s: `go run ./benchmark` is the only measurement system, invariants_test.go the only check of the runtime's invariants", doc, i+1, m)
 			}
 		}
 	}

@@ -239,6 +239,10 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"one session mode: a session is a run of its own, started on its first use; a split's replicas live until their run ends, and no label belongs to the runtime"},
 		{`bothPlans|execMode|\bunfused\b|([^c] |[.(,\t])WithFusion\(`, "", false, "benchmark/",
 			"a plan groups its stages one way (spineCutter): WithFusion is declared and ignored, and the reference a run is held to is the sequential evaluator (internal/core/eval_test.go)"},
+		{`\bchan\s*(<-\s*)?(item|frame)\b`, "internal/core/", false, "internal/core/stream",
+			"a node speaks the record plane through streamReader/streamWriter; the frame channel, with its flush, marker and drain discipline, is stream.go's"},
+		{`cmd/snetvet|vettool|runVetCfg|printVersion|vetConfig`, "", false, "docs_test.go",
+			"the runtime's invariants are tier-1 tests (invariants_test.go); nothing speaks the go vet -vettool protocol (docs_test.go holds the documents to the same)"},
 	}
 	res := make([]*regexp.Regexp, len(rows))
 	for i, r := range rows {

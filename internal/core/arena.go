@@ -98,8 +98,8 @@ func (f *arenaFront) acquire(sh *shape) *Record {
 	return o
 }
 
-// releaseRecord gives r back, emptied and poisoned (and so named for snetvet's
-// recordretain, which knows a release by this name).
+// releaseRecord gives r back, emptied and poisoned (and so named for the
+// recordretain invariant test, which knows a release by this name).
 func (f *arenaFront) releaseRecord(r *Record) {
 	if r == nil || !r.pooled {
 		return

@@ -59,8 +59,8 @@ func (goodStage) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	return nil, true
 }
 
-// plainPump is outside the scope: its channel is rawchan's business (not an
-// item/frame channel, so it is clean there too), not fusesafe's.
+// plainPump is outside the scope: a plain function, not a step method or a
+// method of a segment* type, may build channels.
 func plainPump() chan *Record { return make(chan *Record, 4) }
 
 // stepwise is a plain function, not a step method: out of scope.

@@ -6,10 +6,10 @@ type item struct{ rec *int }
 type streamReader struct{}
 type streamWriter struct{}
 
-func (*streamReader) recv() (item, bool)  { return item{}, false }
-func (*streamReader) Discard()            {}
-func (*streamWriter) send(item) bool      { return false }
-func (*streamWriter) close()              {}
+func (*streamReader) recv() (item, bool)   { return item{}, false }
+func (*streamReader) Discard()             {}
+func (*streamWriter) send(item) bool       { return false }
+func (*streamWriter) close()               {}
 func handoff(*streamReader, *streamWriter) {}
 
 // leakyRun returns mid-loop without Discard: the violation.
@@ -54,4 +54,22 @@ func deferredRun(in *streamReader, out *streamWriter) {
 // another stage, which then owns the drain obligation: no finding.
 func wiringRun(in *streamReader, out *streamWriter) {
 	handoff(in, out)
+}
+
+// dispatchRun is fanout.run's shape: ok is reassigned from the send after
+// recv, so `!ok` no longer means the stream is drained — a refused send
+// returns with upstream senders still blocked: the second violation.
+func dispatchRun(in *streamReader, out *streamWriter) {
+	defer out.close()
+	for {
+		it, ok := in.recv()
+		switch {
+		case !ok:
+		default:
+			ok = out.send(it)
+		}
+		if !ok {
+			return // want: return without in.Discard()
+		}
+	}
 }
