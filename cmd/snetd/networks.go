@@ -14,27 +14,16 @@ import (
 	"repro/sudoku"
 )
 
-// lintOut receives the registration-time static-analysis findings.  The
-// daemon keeps serving with findings present — they are coordination
-// hazards (sync starvation, dead arms, unbounded replication), not the
-// definite type errors that refuse startup — but they belong in the log
-// before the first session opens, not in a debugging session afterwards.
+// lintOut receives the registration-time verdicts.  The daemon keeps
+// serving with findings present — they are coordination hazards (dead arms,
+// unbounded replication), not the definite type errors that refuse startup —
+// but they belong in the log before the first session opens, not in a
+// debugging session afterwards.
 var lintOut io.Writer = os.Stderr
 
-// lintNetwork compiles one network blueprint and logs its verifier verdict
-// and every liveness finding.  Compile errors are ignored here: the
-// Go-built networks are trusted to type-check (their tests compile them),
-// and the lang path reports compile errors through its own refuse-startup
-// check.
-func lintNetwork(name string, node snet.Node) {
-	plan, _ := snet.Compile(node)
-	if plan == nil {
-		return
-	}
-	logVerdict(name, analysis.Analyze(plan))
-}
-
-// logVerdict logs the deadlock & boundedness verdict, then the findings.
+// logVerdict logs a network's deadlock & boundedness verdict, then every
+// finding as analysis.Finding renders it.  A nil report (a builder that
+// failed) logs nothing.
 func logVerdict(name string, rep *analysis.Report) {
 	if rep == nil {
 		return
@@ -44,13 +33,6 @@ func logVerdict(name string, rep *analysis.Report) {
 			name, rep.Bound)
 	} else {
 		fmt.Fprintf(lintOut, "snetd: net %s: DEADLOCK-POSITIVE\n", name)
-	}
-	logFindings(name, rep)
-}
-
-func logFindings(name string, rep *analysis.Report) {
-	if rep == nil {
-		return
 	}
 	for _, f := range rep.Findings {
 		fmt.Fprintf(lintOut, "snetd: net %s: %v\n", name, f)
@@ -125,10 +107,7 @@ func registerSudokuNets(svc *service.Service, opts service.Options, cfg config) 
 		}
 	}
 	reg := func(name, desc string, build service.Builder) {
-		svc.Register(name, desc, opts, build, boardCodec{})
-		if node, err := build(opts); err == nil {
-			lintNetwork(name, node)
-		}
+		logVerdict(name, svc.Register(name, desc, opts, build, boardCodec{}).Verify())
 	}
 	reg("fig1", "Fig. 1: computeOpts .. (solveOneLevel ** {<done>})",
 		mk(sudoku.Fig1Net))
@@ -146,18 +125,16 @@ func registerSudokuNets(svc *service.Service, opts service.Options, cfg config) 
 // divide-and-conquer workload stays example-only: its segments are []int
 // fields with no wire form.
 func registerWorkloadNets(svc *service.Service, opts service.Options) {
-	svc.Register("webpipe",
+	logVerdict("webpipe", svc.Register("webpipe",
 		"request/response workload: classify .. (api || page || asset) .. render (E19)",
 		opts, func(service.Options) (snet.Node, error) {
 			return workloads.WebPipeNet(), nil
-		}, nil)
-	lintNetwork("webpipe", workloads.WebPipeNet())
-	svc.Register("wavefront",
+		}, nil).Verify())
+	logVerdict("wavefront", svc.Register("wavefront",
 		"wavefront workload: 64×64 dependency grid of synchrocell joins (E17)",
 		opts, func(service.Options) (snet.Node, error) {
 			return workloads.WavefrontNet(64, 61), nil
-		}, nil)
-	lintNetwork("wavefront", workloads.WavefrontNet(64, 61))
+		}, nil).Verify())
 }
 
 // demoRegistry binds the built-in demonstration boxes.
@@ -193,16 +170,13 @@ func registerLangNets(svc *service.Service, opts service.Options, path string, a
 		if _, err := svc.Network(name); err == nil {
 			return fmt.Errorf("net %q in %s collides with an already registered network", name, path)
 		}
-		// Compile now: unbound boxes and definite type errors (unreachable
-		// branches, unroutable shapes, missing split tags) refuse startup
-		// with their .snet source positions, instead of surfacing as
-		// runtime routing failures mid-session.  The liveness analysis
-		// runs over the same compiled plan and its findings — coordination
-		// hazards, not definite errors — are logged rather than fatal.
-		// The service compiles the builder's output once more on first
-		// Open and caches the plan; nodes are stateless blueprints, so
-		// every session shares it.
-		_, rep, err := lang.AnalyzeNet(prog, name, reg)
+		// Compile and verify now: unbound boxes and definite type errors
+		// (unreachable branches, unroutable shapes, missing split tags)
+		// refuse startup with their .snet source positions, instead of
+		// surfacing as runtime routing failures mid-session, and the
+		// findings carry those positions too — which the service's own
+		// compile on first Open, cached for every session, cannot give.
+		_, rep, err := lang.AnalyzeNetWithCaps(prog, name, reg, analysis.DefaultCaps())
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

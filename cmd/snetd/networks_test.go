@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/snet"
 )
 
 // starvingNet is a program whose synchrocell has one pattern ({ghost}) that
@@ -31,6 +35,9 @@ func captureLint(t *testing.T) *bytes.Buffer {
 // the three sudoku figures and the two workload nets — registers without a
 // single liveness finding: the log carries one verified-deadlock-free
 // verdict line (with its finite memory bound) per network and nothing else.
+// It also pins that each network is compiled and analysed once: the report
+// logged at startup is the one Network.Verify returns after a session has
+// opened and /api/networks has been read, over the same cached plan.
 func TestBuiltinNetworksLintClean(t *testing.T) {
 	buf := captureLint(t)
 	svc, err := newService(config{workers: 1, throttle: 4, level: 40})
@@ -50,6 +57,45 @@ func TestBuiltinNetworksLintClean(t *testing.T) {
 	}
 	if verdicts != 5 {
 		t.Errorf("want 5 verdict lines (fig1-3, webpipe, wavefront), got %d:\n%s", verdicts, buf.String())
+	}
+
+	names := []string{"fig1", "fig2", "fig3", "webpipe", "wavefront"} // registration order
+	type cached struct {
+		plan *snet.Plan
+		rep  *analysis.Report
+	}
+	atStartup := map[string]cached{}
+	for _, name := range names {
+		n, err := svc.Network(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _ := n.Plan()
+		atStartup[name] = cached{plan, n.Verify()}
+		sess, err := svc.Open(name)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		sess.Release()
+	}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/networks", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/api/networks: %d %s", rec.Code, rec.Body)
+	}
+	logged := buf.String()
+	buf.Reset()
+	for _, name := range names {
+		n, _ := svc.Network(name)
+		plan, _ := n.Plan()
+		rep := n.Verify()
+		if plan != atStartup[name].plan || rep != atStartup[name].rep {
+			t.Errorf("%s: the plan or report was computed again after startup", name)
+		}
+		logVerdict(name, rep)
+	}
+	if buf.String() != logged {
+		t.Errorf("the startup log is not the served reports:\n%s\nvs\n%s", logged, buf.String())
 	}
 }
 

@@ -140,7 +140,8 @@ net main connect
 	}
 }
 
-// -check accepts several files at once (the CI smoke step shape).
+// -check accepts several files at once (the CI smoke step shape), and every
+// program the repository ships is deadlock-free with a finite bound.
 func TestCheckMultipleFiles(t *testing.T) {
 	a := writeProgram(t, countdown)
 	b := writeProgram(t, "box double (<n>) -> (<n>);\nnet twice connect double .. double;\n")
@@ -151,25 +152,43 @@ func TestCheckMultipleFiles(t *testing.T) {
 	if got := strings.Count(stdout.String(), "net "); got != 2 {
 		t.Fatalf("expected 2 net reports, got %d:\n%s", got, stdout.String())
 	}
+	shipped, err := filepath.Glob("../../examples/*/*.snet")
+	if err != nil || len(shipped) != 4 {
+		t.Fatalf("want the 4 example programs, got %v (%v)", shipped, err)
+	}
+	shipped = append(shipped, "../snetd/testdata/countdown.snet")
+	stdout.Reset()
+	if err := run(append([]string{"-check"}, shipped...), &stdout, &stderr); err != nil {
+		t.Fatalf("run -check over the shipped programs: %v (out: %s)", err, stdout.String())
+	}
+	if got := strings.Count(stdout.String(), ": deadlock-free; memory bound "); got != 5 {
+		t.Fatalf("want 5 deadlock-free headlines with a finite bound, got %d:\n%s", got, stdout.String())
+	}
 }
 
 // -check -net over several files succeeds when the named net exists in any
-// of them, and fails when it exists in none.
+// of them, and fails when it exists in none — in text and in -json.
 func TestCheckNamedNetAcrossFiles(t *testing.T) {
 	a := writeProgram(t, countdown)
 	b := writeProgram(t, "box double (<n>) -> (<n>);\nnet twice connect double .. double;\n")
-	var stdout, stderr strings.Builder
-	if err := run([]string{"-check", "-net", "countdown", a, b}, &stdout, &stderr); err != nil {
-		t.Fatalf("run -check -net: %v (out: %s)", err, stdout.String())
-	}
-	stdout.Reset()
-	if err := run([]string{"-check", "-net", "nosuch", a, b}, &stdout, &stderr); err == nil {
-		t.Fatalf("run -check -net nosuch succeeded (out: %s)", stdout.String())
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-check", "-net", "countdown", a, b}, true},
+		{[]string{"-check", "-json", "-net", "countdown", a, b}, true},
+		{[]string{"-check", "-net", "nosuch", a, b}, false},
+		{[]string{"-check", "-json", "-net", "nosuch", a, b}, false},
+	} {
+		var stdout, stderr strings.Builder
+		if err := run(tc.args, &stdout, &stderr); (err == nil) != tc.ok {
+			t.Errorf("%v: err = %v, want ok %v (out: %s)", tc.args, err, tc.ok, stdout.String())
+		}
 	}
 }
 
 // deadlocked is a program whose synchrocell's second join pattern can never
-// be filled — a lint finding, not a type error.
+// be filled — a deadlock-positive verdict, not a type error.
 const deadlocked = `
 box gen (<seed>) -> (a, <k>);
 box useBoth (a, b, <k>) -> (done);
@@ -177,59 +196,70 @@ net deadsync connect gen .. [| {a, <k>}, {b, <k>} |] .. useBoth;
 `
 
 // TestCheckReportsAllFilesAfterError pins the multi-file contract: an
-// unreadable (or broken) early file must not stop -check from reporting the
-// later ones — all files are reported, then the run exits nonzero.
+// unreadable (or broken, or net-less) early file must not stop -check from
+// reporting the later ones — all files are reported, then the run exits
+// nonzero, in text and in -json.
 func TestCheckReportsAllFilesAfterError(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no_such.snet")
+	boxOnly := writeProgram(t, "box double (<n>) -> (<n>);\n")
 	good := writeProgram(t, countdown)
-	var stdout, stderr strings.Builder
-	err := run([]string{"-check", missing, good}, &stdout, &stderr)
-	if err == nil {
-		t.Fatal("want nonzero result for the unreadable file")
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "no_such.snet") {
-		t.Errorf("missing file not reported:\n%s", out)
-	}
-	if !strings.Contains(out, "net countdown") {
-		t.Errorf("later file was not checked after the early error:\n%s", out)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-check", missing, good}, []string{"no_such.snet", "net countdown"}},
+		{[]string{"-check", "-json", missing, good}, []string{"no_such.snet", `"net": "countdown"`}},
+		{[]string{"-check", boxOnly, good}, []string{"no net definitions", "net countdown"}},
+		{[]string{"-check", "-json", boxOnly, good}, []string{`"error": "no net definitions"`, `"net": "countdown"`}},
+	} {
+		var stdout, stderr strings.Builder
+		if err := run(tc.args, &stdout, &stderr); err == nil {
+			t.Errorf("%v: want nonzero result for the bad file", tc.args)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stdout.String(), want) {
+				t.Errorf("%v: output misses %q:\n%s", tc.args, want, stdout.String())
+			}
+		}
 	}
 }
 
+// deadArm is a program whose only finding is a dead parallel arm: the
+// analysis reports it, and a dead arm is neither a deadlock nor a type
+// error, so -check prints it and succeeds.
+const deadArm = `
+box gen (<s>) -> (a, <k>) | (b, <k>);
+box join2 (a, b, <k>) -> (res);
+box onRes (res) -> (out);
+box onNever (nope) -> (out);
+net deadarm connect gen .. [| {a, <k>}, {b, <k>} |] .. join2 .. (onRes || onNever);
+`
+
 func TestCheckLintWarnsWithoutFailing(t *testing.T) {
-	path := writeProgram(t, deadlocked)
+	path := writeProgram(t, deadArm)
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-check", "-lint", path}, &stdout, &stderr); err != nil {
-		t.Fatalf("-lint (warn mode) must not fail the run: %v\n%s", err, stdout.String())
+	if err := run([]string{"-check", path}, &stdout, &stderr); err != nil {
+		t.Fatalf("a dead arm must not fail the run: %v\n%s", err, stdout.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "[sync-starvation]") {
-		t.Errorf("missing sync-starvation finding:\n%s", out)
-	}
-	if !strings.Contains(out, "{b, <k>}") {
-		t.Errorf("finding does not name the starving pattern:\n%s", out)
+	for _, want := range []string{": deadlock-free;", "lint [dead-arm] at ", "parallel branch onNever is dead"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output misses %q:\n%s", want, out)
+		}
 	}
 }
 
 func TestCheckLintStrictFails(t *testing.T) {
 	path := writeProgram(t, deadlocked)
 	var stdout, stderr strings.Builder
-	err := run([]string{"-check", "-lint=strict", path}, &stdout, &stderr)
+	err := run([]string{"-check", path}, &stdout, &stderr)
 	if err == nil {
-		t.Fatalf("-lint=strict must fail on findings:\n%s", stdout.String())
+		t.Fatalf("a deadlock-positive net must fail -check:\n%s", stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "[sync-starvation]") {
-		t.Errorf("missing finding before the failure:\n%s", stdout.String())
-	}
-}
-
-func TestLintImpliesCheck(t *testing.T) {
-	path := writeProgram(t, countdown)
-	var stdout, stderr strings.Builder
-	if err := run([]string{"-lint", path}, &stdout, &stderr); err != nil {
-		t.Fatalf("-lint alone should enter check mode: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "net countdown") {
-		t.Errorf("check output missing:\n%s", stdout.String())
+	out := stdout.String()
+	for _, want := range []string{"DEADLOCK-POSITIVE", "[sync-starvation]", "{b, <k>}"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output misses %q before the failure:\n%s", want, out)
+		}
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/snet/lang"
 )
 
 // cyclic seeds a wait-for cycle: the only producer of the "b" half of
@@ -19,7 +22,7 @@ net deadcycle connect gen .. [| {a, <k>}, {b, <k>} |] .. toB;
 func TestVerifyCleanProgram(t *testing.T) {
 	path := writeProgram(t, countdown)
 	var stdout, stderr strings.Builder
-	if err := run([]string{"-verify", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-check", path}, &stdout, &stderr); err != nil {
 		t.Fatalf("verify: %v\n%s", err, stdout.String())
 	}
 	out := stdout.String()
@@ -33,9 +36,9 @@ func TestVerifyCleanProgram(t *testing.T) {
 func TestVerifyDeadlockFailsWithTrace(t *testing.T) {
 	path := writeProgram(t, cyclic)
 	var stdout, stderr strings.Builder
-	err := run([]string{"-verify", path}, &stdout, &stderr)
+	err := run([]string{"-check", path}, &stdout, &stderr)
 	if err == nil {
-		t.Fatalf("deadlock-positive program must fail -verify:\n%s", stdout.String())
+		t.Fatalf("deadlock-positive program must fail -check:\n%s", stdout.String())
 	}
 	out := stdout.String()
 	for _, want := range []string{
@@ -48,12 +51,23 @@ func TestVerifyDeadlockFailsWithTrace(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	// Every finding, trace included, prints as analysis.Finding renders it.
+	prog := lang.MustParse(cyclic)
+	reg := demoRegistry()
+	stubBoxes(prog, reg)
+	_, rep, _ := lang.AnalyzeNetWithCaps(prog, "deadcycle", reg, analysis.DefaultCaps())
+	counterPat := regexp.MustCompile(`#\d+`)
+	for _, f := range rep.Findings {
+		if want := counterPat.ReplaceAllString(path+": "+f.String()+"\n", "#n"); !strings.Contains(counterPat.ReplaceAllString(out, "#n"), want) {
+			t.Errorf("output misses the finding as Finding.String renders it:\n%s\nin:\n%s", want, out)
+		}
+	}
 }
 
 func TestVerifyBudgetOverflow(t *testing.T) {
 	path := writeProgram(t, countdown)
 	var stdout, stderr strings.Builder
-	err := run([]string{"-verify", "-budget", "10", path}, &stdout, &stderr)
+	err := run([]string{"-check", "-budget", "10", path}, &stdout, &stderr)
 	if err == nil {
 		t.Fatalf("a 10-record budget must overflow:\n%s", stdout.String())
 	}
@@ -62,7 +76,7 @@ func TestVerifyBudgetOverflow(t *testing.T) {
 	}
 	// The same program passes with a generous budget.
 	stdout.Reset()
-	if err := run([]string{"-verify", "-budget", "100000000", path}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-check", "-budget", "100000000", path}, &stdout, &stderr); err != nil {
 		t.Fatalf("generous budget must pass: %v\n%s", err, stdout.String())
 	}
 }
@@ -74,7 +88,7 @@ func TestVerifyJSONSchema(t *testing.T) {
 	clean := writeProgram(t, countdown)
 	bad := writeProgram(t, cyclic)
 	var stdout, stderr strings.Builder
-	err := run([]string{"-verify", "-json", clean, bad}, &stdout, &stderr)
+	err := run([]string{"-check", "-json", clean, bad}, &stdout, &stderr)
 	if err == nil {
 		t.Fatal("mixed input with a deadlock must exit nonzero")
 	}
@@ -126,7 +140,7 @@ func TestVerifyByteIdenticalAcrossRuns(t *testing.T) {
 	var first string
 	for i := 0; i < 3; i++ {
 		var stdout, stderr strings.Builder
-		_ = run([]string{"-verify", "-json", path}, &stdout, &stderr)
+		_ = run([]string{"-check", "-json", path}, &stdout, &stderr)
 		got := counterPat.ReplaceAllString(stdout.String(), "#n")
 		if i == 0 {
 			first = got

@@ -56,8 +56,9 @@ var (
 	citedAt = regexp.MustCompile("`([a-z0-9_.*]+)` @ `([a-z0-9_*]+)`")
 	// a backticked lower-case dotted word: `core.plan.us_per_op`, `core.fuse.*`
 	citedDotted = regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_]+)*\\.(?:[a-z0-9_]+|\\*))`")
-	// the deleted measurement system, and the deleted vet tool
-	retired = regexp.MustCompile(`cmd/experiments|internal/bench|BENCH_[0-9]+\.json|cmd/snetvet|-vettool`)
+	// the deleted measurement system, the deleted vet tool, and the deleted
+	// static modes beside snetrun -check
+	retired = regexp.MustCompile(`cmd/experiments|internal/bench|BENCH_[0-9]+\.json|cmd/snetvet|-vettool|-lint=strict|snetrun -verify|-check -lint`)
 )
 
 // known reports whether name is a declared name, or a `prefix.*` / `prefix_*`
@@ -130,7 +131,7 @@ func TestDocsCiteTheBenchmark(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			if m := retired.FindString(line); m != "" {
-				t.Errorf("%s:%d mentions %s: `go run ./benchmark` is the only measurement system, invariants_test.go the only check of the runtime's invariants", doc, i+1, m)
+				t.Errorf("%s:%d mentions %s: `go run ./benchmark` is the only measurement system, invariants_test.go the only check of the runtime's invariants, `snetrun -check` the only static check of a program", doc, i+1, m)
 			}
 		}
 	}

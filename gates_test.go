@@ -143,7 +143,7 @@ func TestSizeBudgets(t *testing.T) {
 	}{
 		{"internal/core", 6758},
 		{"internal/analysis", 882},
-		{"internal/lang", 724},
+		{"internal/lang", 716},
 		{"snet/service", 1626},
 		{"internal/array", 918},
 		{"internal/sudoku", 1133},
@@ -243,6 +243,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"a node speaks the record plane through streamReader/streamWriter; the frame channel, with its flush, marker and drain discipline, is stream.go's"},
 		{`cmd/snetvet|vettool|runVetCfg|printVersion|vetConfig`, "", false, "docs_test.go",
 			"the runtime's invariants are tier-1 tests (invariants_test.go); nothing speaks the go vet -vettool protocol (docs_test.go holds the documents to the same)"},
+		{`lintMode|lintStrict|\bAnalyzeNet\b|lintNetwork|logFindings|renderVerify|\brunVerify\b`, "", false, "",
+			"a .snet program has one static check, snetrun -check (runCheck over lang.AnalyzeNetWithCaps), with one rendering of a finding (Finding.String); snetd logs the report its service caches (Network.Verify)"},
 	}
 	res := make([]*regexp.Regexp, len(rows))
 	for i, r := range rows {

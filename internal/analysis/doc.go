@@ -25,6 +25,6 @@
 // closed-world over the plan's inferred (or declared) input type, and the
 // underlying variant sets are approximate downstream of synchrocells and
 // after truncation — Finding.Exact records whether the supporting flow was
-// exact.  The pass never blocks Compile; surface tools (snetrun -check
-// -lint, snetd registration logging) decide how loudly to report.
+// exact.  The pass never blocks Compile; snetrun -check and snetd
+// registration refuse a deadlock-positive net and print the rest.
 package analysis

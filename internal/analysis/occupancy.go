@@ -18,17 +18,17 @@ import (
 // deadlock-free plan can hold more records at once.
 //
 // The bound prices every serial edge of the plan's tree as a stream, whether
-// or not the plan groups the stages on either side into one segment
-// (Plan.Graph() is the one tree there is; fusion does not change it).  A
-// segment hands records from stage to stage depth-first and parks nothing in
-// between: each stage holds what it holds when it runs alone, and the streams
-// between them are simply absent.  So the bound is sound for any grouping
-// and the verdict cannot depend on whether fusion ran.
+// or not Compile's one grouping (spineCutter) puts the stages on either side
+// into one segment; Plan.Graph() is the one tree there is.  A segment hands
+// records from stage to stage depth-first and parks nothing in between: each
+// stage holds what it holds when it runs alone, and the streams between them
+// are simply absent.  So the bound is sound for the grouping every plan
+// gets, where a grouped edge is counted but never filled.
 
 // Caps are the capacity assumptions an occupancy verdict holds under.  They
 // mirror the run options (WithBuffer, WithStreamBatch, WithBoxWorkers,
-// WithMaxWidth, WithMaxDepth): the verdict is a guarantee about any run
-// configured at or below these values.
+// WithMaxSplitWidth, WithMaxStarDepth): the verdict is a guarantee about any
+// run configured at or below these values.
 type Caps struct {
 	// StreamBuffer is the per-stream frame buffer (WithBuffer).
 	StreamBuffer int `json:"streamBuffer"`

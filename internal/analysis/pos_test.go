@@ -31,8 +31,8 @@ func TestFindingPositionsRoundTrip(t *testing.T) {
 			reg := stubRegistry(prog)
 			netName := prog.Nets[0].Name
 
-			// The decorated path: AnalyzeNet fills Finding.Pos.
-			_, rep, _ := lang.AnalyzeNet(prog, netName, reg)
+			// The decorated path: AnalyzeNetWithCaps fills Finding.Pos.
+			_, rep, _ := lang.AnalyzeNetWithCaps(prog, netName, reg, analysis.DefaultCaps())
 			if rep.Empty() {
 				t.Fatal("fixture produced no findings")
 			}

@@ -446,10 +446,14 @@ func TestFusedArenaClean(t *testing.T) {
 // latest emission, the filter's second output — is back in the arena.
 func TestSegmentCancelMidBurst(t *testing.T) {
 	emitted := make(chan int, 1)
+	bursting := make(chan struct{})
 	forever := NewBoxConcurrent("scb_forever", MustParseSignature("(<n>) -> (<i>)"),
 		func(args []any, out *Emitter) error {
 			i := 0
 			for ; out.Out(1, i) == nil; i++ {
+				if i == 0 {
+					close(bursting)
+				}
 			}
 			emitted <- i
 			return ErrCancelled
@@ -466,7 +470,7 @@ func TestSegmentCancelMidBurst(t *testing.T) {
 	if err := h.Send(AcquireRecord().SetTag("n", 1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // well into the burst
+	<-bursting // the first emission is out: cancel inside the burst
 	h.Cancel()
 	select {
 	case n := <-emitted:

@@ -119,7 +119,7 @@ type CompileOption func(*compileCfg)
 
 // WithFusion is ignored: a plan groups its stages one way (fuse.go), runs of
 // stages sharing a goroutine.  It stays declared for its last callers, and
-// ROADMAP item 7 deletes it.
+// ROADMAP item 5(2) deletes it.
 func WithFusion(bool) CompileOption {
 	return func(*compileCfg) {}
 }

@@ -98,20 +98,20 @@ func BuildText(src, netName string, reg *Registry) (core.Node, error) {
 // every TypeError back to its .snet source position.  The returned plan is
 // non-nil whenever the build succeeded, even if compilation found type
 // errors (mirroring core.Compile's contract).
-func CompileNet(prog *Program, netName string, reg *Registry, opts ...core.CompileOption) (*core.Plan, error) {
-	_, plan, err := compileNet(prog, netName, reg, opts)
+func CompileNet(prog *Program, netName string, reg *Registry) (*core.Plan, error) {
+	_, plan, err := compileNet(prog, netName, reg)
 	return plan, err
 }
 
 // compileNet is the build-compile-decorate step under CompileNet and
 // AnalyzeNetWithCaps; the *Built carries the position index the analysis
 // decorates its own findings from.
-func compileNet(prog *Program, netName string, reg *Registry, opts []core.CompileOption) (*Built, *core.Plan, error) {
+func compileNet(prog *Program, netName string, reg *Registry) (*Built, *core.Plan, error) {
 	b, err := BuildNet(prog, netName, reg)
 	if err != nil {
 		return nil, nil, err
 	}
-	plan, cerr := core.Compile(b.Node, opts...)
+	plan, cerr := core.Compile(b.Node)
 	var ce *core.CompileError
 	if errors.As(cerr, &ce) {
 		for _, te := range ce.Errors {

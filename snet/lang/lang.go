@@ -55,19 +55,13 @@ var (
 	// BuildText parses and builds in one step.
 	BuildText = internal.BuildText
 	// CompileNet builds a named net and compiles it (snet.Compile),
-	// decorating every TypeError with its .snet source position — the
-	// static-diagnostics path of snetrun -check and snetd startup.
+	// decorating every TypeError with its .snet source position.
 	CompileNet = internal.CompileNet
-	// AnalyzeNet is CompileNet followed by the graph-level static analysis
-	// (internal/analysis): the returned report's Findings — sync
-	// starvation, dead arms, star divergence, unbounded splits, marker
-	// hazards — carry node paths and .snet source positions.  The lint
-	// path of snetrun -check -lint and snetd registration logging.
-	AnalyzeNet = internal.AnalyzeNet
-	// AnalyzeNetWithCaps is AnalyzeNet under explicit capacity assumptions
-	// (analysis.Caps) — the deadlock & boundedness verifier behind
-	// snetrun -verify: the report carries the whole-plan memory high-water
-	// bound, the deadlock verdict and counterexample traces decorated with
-	// .snet source positions.
+	// AnalyzeNetWithCaps is CompileNet followed by the deadlock &
+	// boundedness verifier under explicit capacity assumptions
+	// (analysis.Caps) — the front end of snetrun -check and snetd
+	// registration: the report carries the whole-plan memory high-water
+	// bound, the deadlock verdict and findings with counterexample traces,
+	// decorated with .snet source positions.
 	AnalyzeNetWithCaps = internal.AnalyzeNetWithCaps
 )

@@ -39,7 +39,7 @@ import (
 
 // SessionMode is ignored: every session is a run of its own.  The field and
 // its two values stay declared only for the benchmark harness, which sets
-// them; ROADMAP item 7's benchmark change deletes them.
+// them; ROADMAP item 5(2)'s benchmark change deletes them.
 type SessionMode int
 
 // Isolated and Shared are SessionMode's two values, both ignored.

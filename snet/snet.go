@@ -143,7 +143,7 @@ type (
 // A plan groups its stages one way: maximal chains of stages — filters,
 // Observe taps, synchrocells and boxes not pinned wider than one call at a
 // time — run as single-goroutine fused segments with no streams between
-// stages.  WithFusion ignores its argument; ROADMAP item 7 deletes it.
+// stages.  WithFusion ignores its argument; ROADMAP item 5(2) deletes it.
 var (
 	Compile       = core.Compile
 	MustCompile   = core.MustCompile
