@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -33,7 +34,7 @@ import (
 // a pooled-but-unreleased record is a test failure, not a silent slow leak.
 
 var (
-	recordPool = sync.Pool{New: func() any { return new(Record) }}
+	recordPool = sync.Pool{New: func() any { return new(Record).inline() }}
 
 	poolAcquired atomic.Int64
 	poolRecycled atomic.Int64
@@ -70,8 +71,8 @@ type arenaFront struct {
 }
 
 // acquire takes a record from the arena and gives it the layout sh, its slots
-// yet to be written.  Arena records keep their slot capacity across recycling,
-// so after warm-up the resizes are free.
+// yet to be written: inline (Record.fbuf) where they fit.  Arena records keep
+// their slot capacity across recycling, so after warm-up the resizes are free.
 func (f *arenaFront) acquire(sh *shape) *Record {
 	var o *Record
 	if f == nil {
@@ -85,16 +86,8 @@ func (f *arenaFront) acquire(sh *shape) *Record {
 		o.pooled = true
 	}
 	o.shape = sh
-	if nf := len(sh.fields); cap(o.fvals) >= nf {
-		o.fvals = o.fvals[:nf]
-	} else {
-		o.fvals = make([]any, nf)
-	}
-	if nt := len(sh.tags); cap(o.tvals) >= nt {
-		o.tvals = o.tvals[:nt]
-	} else {
-		o.tvals = make([]int, nt)
-	}
+	o.fvals = slices.Grow(o.fvals[:0], len(sh.fields))[:len(sh.fields)]
+	o.tvals = slices.Grow(o.tvals[:0], len(sh.tags))[:len(sh.tags)]
 	return o
 }
 
@@ -197,8 +190,6 @@ func releaseFrameSlab(s []item) {
 		return
 	}
 	s = s[:cap(s)]
-	for i := range s {
-		s[i] = item{}
-	}
+	clear(s)
 	frameSlabPool.Put((*[frameSlabCap]item)(s))
 }

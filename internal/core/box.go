@@ -174,15 +174,6 @@ type boxStatKeys struct {
 	panics, escalated                   string
 }
 
-func makeBoxStatKeys(label string) boxStatKeys {
-	p := "box." + label + "."
-	return boxStatKeys{
-		instances: p + "instances", concurrency: p + "concurrency", inflight: p + "inflight",
-		calls: p + "calls", emitted: p + "emitted", cancelled: p + "cancelled",
-		rejected: p + "rejected", panics: p + "panics", escalated: p + "escalated",
-	}
-}
-
 // NewBox declares a box with the given name, signature and function —
 // the S-Net `box name (in) -> (out) | ...` declaration.  Its concurrency
 // width is the run's (WithBoxWorkers); with none given the engine chooses:
@@ -209,8 +200,13 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 	if fn == nil {
 		panic("core: NewBox: nil box function")
 	}
-	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: max(workers, 0),
-		keys: makeBoxStatKeys(name), consumed: NewVariant(sig.In...)}
+	p := "box." + name + "."
+	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: max(workers, 0), consumed: NewVariant(sig.In...),
+		keys: boxStatKeys{
+			instances: p + "instances", concurrency: p + "concurrency", inflight: p + "inflight",
+			calls: p + "calls", emitted: p + "emitted", cancelled: p + "cancelled",
+			rejected: p + "rejected", panics: p + "panics", escalated: p + "escalated",
+		}}
 	b.alone(b)
 	return b
 }
@@ -291,9 +287,11 @@ func (b *boxNode) step(x *segmentRun, i int, rec *Record) (*Record, bool) {
 	// trip through the stats lock, on a goroutine that may have just woken up
 	// cold — is the instance's cost, not the box's: the clock starts after it.
 	// The clock runs where nobody gave the box a width and there is a wider
-	// one to move to.
+	// one to move to, on the instance's first call and every boxClockPeriod-th
+	// after it, and on every call while the node counts a slow run (observe).
 	w, auto := b.width(env)
-	clocked := auto && w > 1
+	clocked := auto && w > 1 && (st.began%boxClockPeriod == 0 || b.slowRun.Load() != 0)
+	st.began++
 	var began, waited time.Duration
 	if clocked {
 		began, waited = time.Since(engineEpoch), x.out.blocked

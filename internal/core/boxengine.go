@@ -65,9 +65,18 @@ import (
 // The run is counted on the node, across instances, so a slow box whose
 // instances each see only a handful of records (per-request networks,
 // replicas) still reaches it.
+//
+// The clock is sampled, because two clock reads cost a sub-microsecond box
+// about as much as its body: an instance times its first call and every
+// boxClockPeriod-th after it, and every call while the node's run of slow
+// calls is under way.  A box slow from its first call is handed over at call
+// boxEscalateRun as if every call were timed; one that turns slow later is
+// seen at most boxClockPeriod calls later.  A per-request network's instances
+// are fresh, so a one-record request's calls are all first calls, all timed.
 const (
 	boxEscalateAfter = 20 * time.Microsecond
 	boxEscalateRun   = 16
+	boxClockPeriod   = 16
 )
 
 // width resolves the instance's invocation width for one run, and whether

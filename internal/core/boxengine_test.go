@@ -416,6 +416,73 @@ func testBoxAutoWidthHandsOverHalfFilledJoin(t *testing.T, m cell) {
 	waitPoolLive(t, live)
 }
 
+// The engine's clock is sampled (boxClockPeriod), and the contract it keeps
+// is the one of a clock read on every call: a box slow from its first call is
+// handed over after call boxEscalateRun, one that turns slow later at most
+// boxClockPeriod calls after that.  The box spins rather than sleeps, so its
+// calls are slow by their own work, and counts the calls it starts before the
+// verdict is in: the calls run inline, one at a time, before the hand-over.
+
+// callsBeforeVerdict runs n records through a box cheap for its first cheap
+// calls and slow from then on, and reports how many calls began before the
+// verdict; the run's output must be the W=1 sequence's, the box escalated once.
+func callsBeforeVerdict(t *testing.T, m cell, name string, cheap, n int) int {
+	t.Helper()
+	atLeastProcs(t, 2)
+	var before atomic.Int32
+	mk := func() *boxNode {
+		var b *boxNode
+		b = NewBox(name, MustParseSignature("(<seq>) -> (<seq>)"),
+			func(args []any, out *Emitter) error {
+				if !b.escalated.Load() {
+					before.Add(1)
+				}
+				if args[0].(int) >= cheap {
+					for t0 := time.Now(); time.Since(t0) < slowCall; {
+					}
+				}
+				return out.Out(1, args[0].(int))
+			}).(*boxNode)
+		return b
+	}
+	want, _ := m.runNet(t, mk(), seqInputs(n, nil), WithBoxWorkers(1))
+	before.Store(0)
+	got, stats := m.runNet(t, mk(), seqInputs(n, nil))
+	if renderStream(got) != renderStream(want) {
+		t.Fatalf("output differs from the W=1 sequence:\n--- want ---\n%s--- got ---\n%s",
+			renderStream(want), renderStream(got))
+	}
+	if esc := stats.Counter("box." + name + ".escalated"); esc != 1 {
+		t.Fatalf("box.%s.escalated = %d, want 1", name, esc)
+	}
+	return int(before.Load())
+}
+
+func TestBoxAutoWidthSlowFromTheFirstCall(t *testing.T) {
+	eachCell(t, testBoxAutoWidthSlowFromTheFirstCall)
+}
+
+func testBoxAutoWidthSlowFromTheFirstCall(t *testing.T, m cell) {
+	if got := callsBeforeVerdict(t, m, "first", 0, 3*boxEscalateRun); got != boxEscalateRun {
+		t.Fatalf("handed over after call %d, want exactly %d", got, boxEscalateRun)
+	}
+}
+
+func TestBoxAutoWidthTurnsSlowLater(t *testing.T) {
+	eachCell(t, testBoxAutoWidthTurnsSlowLater)
+}
+
+func testBoxAutoWidthTurnsSlowLater(t *testing.T, m cell) {
+	// The promise is spelled out, not boxClockPeriod: a longer period must
+	// fail here.  The cheap calls end off the sampling grid, so the first
+	// slow call is not clocked.
+	const late, cheap = 16, 20
+	bound := cheap + late + boxEscalateRun
+	if got := callsBeforeVerdict(t, m, "later", cheap, bound+boxEscalateRun); got > bound {
+		t.Fatalf("handed over after call %d, want by call %d", got, bound)
+	}
+}
+
 func TestBoxAutoWidthIgnoresBackpressure(t *testing.T) {
 	eachCell(t, testBoxAutoWidthIgnoresBackpressure)
 }

@@ -394,6 +394,7 @@ type stageState struct {
 	em     Emitter   // box: the emitter every invocation is handed
 	args   []any     // box: the argument buffer
 	outs   []*Record // filter: backing for the outputs of one application
+	began  uint32    // box: calls begun, never folded: the clock's period (boxNode.step)
 	// box: "calls", "emitted", "instances"; filter: "applied"; synchrocell: "fired"
 	calls, emitted, applied, instances, fired tally
 }

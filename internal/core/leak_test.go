@@ -217,9 +217,10 @@ func testDiscardedRecordsCounted(t *testing.T, m cell) {
 func TestNoLeakUnconsumedOutput(t *testing.T) { eachCell(t, testNoLeakUnconsumedOutput) }
 
 func testNoLeakUnconsumedOutput(t *testing.T, _ cell) {
-	// Cancel with records still queued in the output adapter and a
-	// sender still blocked on backpressure; h.Out() is never read.
-	base := goroutineCount()
+	// Cancel with Out full, the output adapter blocked on it — its slow
+	// path, past the one-channel send — and a sender still blocked on
+	// backpressure; h.Out() is never read.
+	base, live := goroutineCount(), poolLiveSettled(t)
 	for i := 0; i < 5; i++ {
 		h := compileNet(incBox("u", 1)).Start(context.Background(), WithBuffer(2))
 		sendDone := make(chan struct{})
@@ -231,10 +232,15 @@ func testNoLeakUnconsumedOutput(t *testing.T, _ cell) {
 				}
 			}
 		}()
-		time.Sleep(time.Millisecond)
+		for deadline := time.Now().Add(5 * time.Second); len(h.Out()) < cap(h.Out()); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("Out holds %d of %d records after 5s", len(h.Out()), cap(h.Out()))
+			}
+		}
 		h.Cancel()
 		<-sendDone
 		h.Wait()
 	}
 	waitForGoroutines(t, base+3)
+	waitPoolLive(t, live)
 }

@@ -58,9 +58,7 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 		defer close(h.outRec)
 		defer netOutR.Discard() // cancelled: what the network still delivers goes back to the arena
 		for rec, ok := recvOutput(netOutR); ok; rec, ok = recvOutput(netOutR) {
-			select {
-			case h.outRec <- rec:
-			case <-env.ctx.Done():
+			if !handOff(env.ctx, h.outRec, rec, nil) { // one channel while Out has room
 				return
 			}
 		}

@@ -34,11 +34,15 @@ import (
 // a canonical slot layout, see shape.go) plus two flat value arrays aligned
 // with the shape's slots.  Records of the same type share one layout, which
 // is what the routing tables and slot programs key their memos on; the
-// methods here find a slot by searching the layout's sorted names.
+// methods here find a slot by searching the layout's sorted names.  The
+// arrays start out in the record itself, fbuf and tbuf, so a record of up to
+// two fields and four tags is one allocation; a larger one spills to the heap.
 type Record struct {
 	shape *shape
 	fvals []any // field values, aligned with shape.fields
 	tvals []int // tag values, aligned with shape.tags
+	fbuf  [2]any
+	tbuf  [4]int
 	// pooled marks records acquired from the transport's record arena
 	// (arena.go): only those return to the pool on release.  Records built
 	// with NewRecord stay caller-owned — callers routinely keep and reuse
@@ -47,8 +51,12 @@ type Record struct {
 }
 
 // NewRecord returns an empty record.
-func NewRecord() *Record {
-	return &Record{shape: emptyShape}
+func NewRecord() *Record { return (&Record{shape: emptyShape}).inline() }
+
+// inline points r's value arrays at its own inline slots, emptied.
+func (r *Record) inline() *Record {
+	r.fvals, r.tvals = r.fbuf[:0], r.tbuf[:0]
+	return r
 }
 
 // SetField associates a field label with a value and returns the record for
@@ -169,11 +177,9 @@ func (r *Record) Labels() Variant {
 // Copy returns a shallow copy: field values are shared (they are opaque to
 // S-Net and treated as immutable by convention), the slot arrays are fresh.
 func (r *Record) Copy() *Record {
-	return &Record{
-		shape: r.shape,
-		fvals: append([]any(nil), r.fvals...),
-		tvals: append([]int(nil), r.tvals...),
-	}
+	c := (&Record{shape: r.shape}).inline()
+	c.fvals, c.tvals = append(c.fvals, r.fvals...), append(c.tvals, r.tvals...)
+	return c
 }
 
 // ShapeKey returns the canonical rendering of the record's label set —

@@ -206,8 +206,8 @@ func (w *streamWriter) ship(f frame) bool {
 	} else {
 		ok = offer(w.env.ctx, w.ch, f, &w.blocked)
 	}
-	if !ok {
-		w.retract(f)
+	if !ok { // undo the accounting of a frame that never reached the channel
+		w.records -= f.release()
 		return false
 	}
 	w.hwm = max(w.hwm, len(f.batch), 1)
@@ -215,21 +215,11 @@ func (w *streamWriter) ship(f frame) bool {
 	return true
 }
 
-// retract undoes the accounting of a frame that never reached the channel
-// and returns what the writer owned to the arena.
-func (w *streamWriter) retract(f frame) {
-	w.records -= f.release()
-}
-
 // release returns an undelivered frame — its data records and its slab — to
 // the arena and reports how many records that were.
 func (f frame) release() int64 {
-	if f.batch == nil {
-		return releaseItems(f.single)
-	}
-	n := releaseItems(f.batch...)
-	releaseFrameSlab(f.batch)
-	return n
+	defer releaseFrameSlab(f.batch) // a no-op for a single
+	return releaseItems(f.single) + releaseItems(f.batch...)
 }
 
 // releaseItems releases the data records among items and counts them.
