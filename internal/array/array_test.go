@@ -178,24 +178,20 @@ func TestStringForms(t *testing.T) {
 
 func TestIndexIterationHelpers(t *testing.T) {
 	shape := []int{2, 3}
-	iv := make([]int, 2)
 	seen := 0
-	for {
-		if IndexToLinear(iv, shape) != seen {
-			t.Fatalf("IndexToLinear(%v) = %d, want %d", iv, IndexToLinear(iv, shape), seen)
+	for i := 0; i < shape[0]; i++ {
+		for j := 0; j < shape[1]; j++ {
+			iv := []int{i, j}
+			if IndexToLinear(iv, shape) != seen {
+				t.Fatalf("IndexToLinear(%v) = %d, want %d", iv, IndexToLinear(iv, shape), seen)
+			}
+			back := make([]int, 2)
+			LinearToIndex(seen, shape, back)
+			if back[0] != i || back[1] != j {
+				t.Fatalf("LinearToIndex(%d) = %v, want %v", seen, back, iv)
+			}
+			seen++
 		}
-		back := make([]int, 2)
-		LinearToIndex(seen, shape, back)
-		if back[0] != iv[0] || back[1] != iv[1] {
-			t.Fatalf("LinearToIndex(%d) = %v, want %v", seen, back, iv)
-		}
-		seen++
-		if !NextIndex(iv, shape) {
-			break
-		}
-	}
-	if seen != 6 {
-		t.Fatalf("iterated %d indices, want 6", seen)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // addNumber9 is the paper's addNumber (§3) as the engine sees it: four
-// closed rank-3 generators writing false into a 9x9x9 cube — one row of
-// nine, then twenty-seven rows of one.
+// closed rank-3 generators writing false into a 9x9x9 cube — six rows, each
+// along its generator's innermost moving axis: nine along k, nine along j,
+// nine along i, then three of three along j.
 func addNumber9(i, j, k0 int) []Gen[bool] {
 	no := func([]int) bool { return false }
 	is, js := i/3*3, j/3*3
@@ -23,7 +24,7 @@ func addNumber9(i, j, k0 int) []Gen[bool] {
 
 // BenchmarkWithLoop prices the engine on the three loop shapes the
 // repository's workloads run: long dense rows written (a 5-point clamped
-// stencil), long dense rows folded (a sum of squares), and many short rows
+// stencil), long dense rows folded (a sum of squares), and short strided rows
 // (addNumber).  What a with-loop costs inside a network is measured by
 // `go run ./benchmark` (array.*, stencil_boxes, sudoku_search); no document
 // quotes a number from here.

@@ -119,13 +119,9 @@ func Iota(n int) *Array[int] {
 // Where returns the index vectors (row-major order) of all true elements.
 func Where(a *Array[bool]) [][]int {
 	var out [][]int
-	if len(a.data) == 0 {
-		return out
-	}
-	rank := a.Dim()
-	for lin := 0; lin < len(a.data); lin++ {
-		if a.data[lin] {
-			iv := make([]int, rank)
+	for lin, v := range a.data {
+		if v {
+			iv := make([]int, a.Dim())
 			LinearToIndex(lin, a.shape, iv)
 			out = append(out, iv)
 		}

@@ -150,12 +150,12 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 // bounds and extents, intersected with the result's index space when there
 // is one.  The span's row-major positions 0..total are what the pool cuts
 // into chunks.  A chunk turns its first position into an index vector and a
-// result offset once (start) and from there walks rows like an odometer:
-// along a row the innermost index and the offset advance by one, and at a
-// row's end a carry runs through the outer indices and moves the offset by
-// the stride of each dimension it touches (carry), so that a row of one
-// element — a column, a plane — costs a few adds.  writeRows and foldRows are
-// the two loops over that walk.
+// result offset once (start) and from there walks rows like an odometer.  A
+// row runs along the span's axis, the innermost dimension of extent above
+// one, so a column is one row: the axis index advances by one and the offset
+// by the axis's stride, and at a row's end a carry runs through the outer
+// indices and moves the offset by the stride of each dimension it touches
+// (carry).  writeRows and foldRows are the two loops over that walk.
 
 // runsInline reports whether the pool would run a loop of n positions as one
 // chunk on the caller's goroutine — the condition Pool.For and sched.Reduce
@@ -172,6 +172,8 @@ const fixedRank = 4
 // span is the index box one generator walks.
 type span struct {
 	rank, total int // total is 0 for an empty box
+	axis        int // the innermost dimension whose extent is above one, else 0
+	stride      int // the axis's stride in the result; 1 for a fold
 	fixed       [2 * fixedRank]int
 	spill       []int // holds the bounds instead of fixed when rank > fixedRank
 }
@@ -217,7 +219,12 @@ func makeSpan[T any](g *Gen[T], shape []int) (s span) {
 		lo[d], ext[d] = l, h-l
 		total *= h - l
 	}
-	s.total = total
+	s.total, s.axis, s.stride = total, s.rank-1, 1
+	for ; s.axis > 0 && ext[s.axis] == 1; s.axis-- {
+		if shape != nil {
+			s.stride *= shape[s.axis]
+		}
+	}
 	return s
 }
 
@@ -267,14 +274,14 @@ func (s *span) start(iv []int, lin int, shape []int) (off int) {
 	return off
 }
 
-// carry moves iv, whose innermost index may have run off its row's end, to
-// the span's next index and returns by how much that moves the offset in an
+// carry moves iv, whose axis index may have run off its row's end, to the
+// span's next index and returns by how much that moves the offset in an
 // array of the given shape: a dimension that wraps goes back by its extent
 // and sends the one outside it forward by one, each in units of its stride.
 func (s *span) carry(iv, shape []int) (delta int) {
 	lo, ext := s.bounds()
-	stride := 1
-	for d := s.rank - 1; d > 0 && iv[d] == lo[d]+ext[d]; d-- {
+	stride := s.stride
+	for d := s.axis; d > 0 && iv[d] == lo[d]+ext[d]; d-- {
 		iv[d] = lo[d]
 		iv[d-1]++
 		if shape != nil {
@@ -287,39 +294,37 @@ func (s *span) carry(iv, shape []int) (delta int) {
 }
 
 // writeRows stores g's values at the span's positions lin0..lin1 into res,
-// stepping iv, from which the caller reads nothing.
+// stepping iv, from which the caller reads nothing.  Along a row the offset
+// moves by the axis's stride.
 func writeRows[T any](res *Array[T], g *Gen[T], s *span, iv []int, lin0, lin1 int) {
 	lo, ext := s.bounds()
-	last := s.rank - 1
-	end := lo[last] + ext[last]
+	ax := s.axis
+	end := lo[ax] + ext[ax]
 	off := s.start(iv, lin0, res.shape)
 	for left := lin1 - lin0; left > 0; off += s.carry(iv, res.shape) {
-		n := min(end-iv[last], left)
-		row := res.data[off : off+n]
-		for k := range row {
+		n := min(end-iv[ax], left)
+		for left -= n; n > 0; n, off = n-1, off+s.stride {
 			if g.Step == nil || g.gridHas(iv) {
-				row[k] = g.Body(iv)
+				res.data[off] = g.Body(iv)
 			}
-			iv[last]++
+			iv[ax]++
 		}
-		left -= n
-		off += n
 	}
 }
 
 // foldRows folds g's values at the span's positions lin0..lin1 onto a.
 func foldRows[T any](g *Gen[T], s *span, iv []int, lin0, lin1 int, a T, op func(a, b T) T) T {
 	lo, ext := s.bounds()
-	last := s.rank - 1
-	end := lo[last] + ext[last]
+	ax := s.axis
+	end := lo[ax] + ext[ax]
 	s.start(iv, lin0, nil)
 	for left := lin1 - lin0; left > 0; s.carry(iv, nil) {
-		n := min(end-iv[last], left)
+		n := min(end-iv[ax], left)
 		for left -= n; n > 0; n-- {
 			if g.Step == nil || g.gridHas(iv) {
 				a = op(a, g.Body(iv))
 			}
-			iv[last]++
+			iv[ax]++
 		}
 	}
 	return a

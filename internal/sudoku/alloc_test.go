@@ -34,10 +34,10 @@ func TestSudokuAllocGates(t *testing.T) {
 		{"AddNumber", 8, func() { var nb *Board; nb, keep = AddNumber(sp, b, o, 0, 2, 4); sink += nb.Get(0, 2) }},
 		// [8, as AddNumber] the bounds, the index vector
 		{"addNumber, owned", 2, func() { _, keep = addNumber(sp, ob, oo, 0, 2, 4, true) }},
-		// [13 a given: 400 and 1 063, then 10 with a copy of the cube] the
-		// all-true cube (four: its shape as written and as kept, the Array,
-		// the data), the bounds, the generator list, the index vector, the
-		// Options
+		// [13 a given: 400 and 1 063, then 10 with a copy of the cube, then
+		// 8 with four generators a given] the unit masks, the body, the
+		// bounds (the shape as written), the cube (three: the shape as kept,
+		// the Array, the data), the index vector, the Options
 		{"ComputeOpts, 30 givens", 8, func() { keep, _ = ComputeOpts(sp, b) }},
 		{"ComputeOpts, 81 givens", 8, func() { keep, _ = ComputeOpts(sp, full) }},
 		// [418, AddNumber at each of the 51 placements] ComputeOpts, the top

@@ -96,39 +96,36 @@ func addNumber(p *sched.Pool, b *Board, o *Options, i, j, k int, owned bool) (*B
 // boolean result is false when a given number was already impossible (the
 // puzzle is inconsistent).
 //
-// The paper writes it as a loop of addNumber calls.  Nobody but that loop
-// holds the cube it threads through them — the case in which SaC's reference
-// counting lets every addNumber update in place — so what a SaC compiler
-// makes of the loop is one pass of writes over one cube, and that is what
-// this is: a single modarray-with-loop over the all-true cube with the four
-// generators of every given, in the order the loop would run them.  A given
-// finds its option already gone exactly when an earlier given of the same
-// number shares its row, column or sub-board (the "this cell" generator of
-// another given never reaches it), which is what Valid reports of the board.
+// The paper writes it as a loop of addNumber calls on an all-true cube.  What
+// that loop leaves is false exactly where the cell is given or its number is
+// given in the cell's row, column or sub-board, so this builds the cube as a
+// single genarray-with-loop whose one generator is true everywhere else; one
+// pass over the givens marks the three units.  A given finds its option
+// already gone exactly when an earlier given of the same number shares its
+// row, column or sub-board (addNumber's "this cell" generator of another
+// given never reaches it), which is what Valid reports of the board.
 func ComputeOpts(p *sched.Pool, b *Board) (*Options, bool) {
 	N, n := b.N(), b.n
-	falseBody := func([]int) bool { return false }
-	givens := b.CountFilled()
-	bd := make([]int, 0, givens*4*2*3) // the bounds share one array, as in AddNumber
-	gens := make([]array.Gen[bool], 0, givens*4)
-	for at, k := range b.cells.Data() {
-		if k == 0 {
+	cells := b.cells.Data()
+	// used[u*N*N + x*N + k0]: number k0+1 is given in unit x of kind u (a row,
+	// a column, a sub-board).  A value outside 1..N marks nothing.
+	used := make([]bool, 3*N*N)
+	for at, v := range cells {
+		if v < 1 || v > N {
 			continue
 		}
-		i, j, k0 := at/N, at%N, k-1
-		is, js := (i/n)*n, (j/n)*n
-		bd = append(bd,
-			i, j, 0, i, j, N-1,
-			i, 0, k0, i, N-1, k0,
-			0, j, k0, N-1, j, k0,
-			is, js, k0, is+n-1, js+n-1, k0)
-		for c := bd[len(bd)-24:]; len(c) > 0; c = c[6:] {
-			gens = append(gens, array.GenClosed(c[0:3], c[3:6], falseBody))
-		}
+		i, j, k0 := at/N, at%N, v-1
+		used[i*N+k0] = true
+		used[(N+j)*N+k0] = true
+		used[(2*N+i/n*n+j/n)*N+k0] = true
 	}
-	opts := NewOptions(n) // nobody else holds it: written in place, not copied
-	array.ModarrayOwned(p, opts.cube, gens...)
-	return opts, b.Valid()
+	open := func(iv []int) bool {
+		i, j, k0 := iv[0], iv[1], iv[2]
+		return cells[i*N+j] == 0 && !used[i*N+k0] && !used[(N+j)*N+k0] && !used[(2*N+i/n*n+j/n)*N+k0]
+	}
+	bd := [...][3]int{{0, 0, 0}, {N, N, N}} // the bounds share one array, as in AddNumber
+	cube := array.Genarray(p, bd[1][:], false, array.GenHalfOpen(bd[0][:], bd[1][:], open))
+	return &Options{n: n, cube: cube}, b.Valid()
 }
 
 // IsStuck reports whether some empty cell has no options left (§3's
@@ -147,20 +144,21 @@ func IsStuck(b *Board, o *Options) bool {
 // FindMinTrues selects the position with the minimum positive number of
 // options left (§3/§5's findMinTrues): positions with zero options are
 // filled cells (or stuck cells, which isStuck rules out beforehand).
-// ok is false when no position has any option left.
+// ok is false when no position has any option left.  A cell's count stops
+// at the best so far: a cell that reaches it cannot be chosen.
 func FindMinTrues(o *Options) (i, j int, ok bool) {
 	N := o.n * o.n
-	best := N + 1
-	bi, bj := -1, -1
-	for x := 0; x < N; x++ {
-		for y := 0; y < N; y++ {
-			c := o.Count(x, y)
-			if c > 0 && c < best {
-				best, bi, bj = c, x, y
-				if c == 1 {
-					return bi, bj, true
-				}
+	data := o.cube.Data()
+	best, bi, bj := N+1, -1, -1
+	for at := 0; at < N*N && best > 1; at++ {
+		c := 0
+		for k := at * N; k < (at+1)*N && c < best; k++ {
+			if data[k] {
+				c++
 			}
+		}
+		if c > 0 && c < best {
+			best, bi, bj = c, at/N, at%N
 		}
 	}
 	return bi, bj, bi >= 0

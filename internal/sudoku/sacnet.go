@@ -45,6 +45,11 @@ func ValueToBoard(v sacvm.Value) (*Board, error) {
 	if n*n != sh[0] || sh[0] != sh[1] {
 		return nil, fmt.Errorf("sudoku: board shape %v is not n²×n²", sh)
 	}
+	for at, x := range v.I.Data() {
+		if x < 0 || x > sh[0] {
+			return nil, fmt.Errorf("sudoku: cell (%d,%d) value %d out of range", at/sh[0], at%sh[0], x)
+		}
+	}
 	return &Board{n: n, cells: v.I.Clone()}, nil
 }
 

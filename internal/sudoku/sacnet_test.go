@@ -2,6 +2,8 @@ package sudoku
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sacvm"
@@ -158,5 +160,13 @@ func TestValueConversionErrors(t *testing.T) {
 	}
 	if _, err := ValueToBoard(sacvm.IntValue(Easy().Cells().Reshape([]int{3, 27}))); err == nil {
 		t.Fatal("non-square board accepted")
+	}
+	for _, v := range []int{12, -1} { // a board holding either panics in Valid
+		cells := Easy().Cells().Clone()
+		cells.Set(v, 4, 5)
+		want := fmt.Sprintf("cell (4,5) value %d out of range", v)
+		if _, err := ValueToBoard(sacvm.IntValue(cells)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("cell value %d on a 9x9 board: err %v, want one saying %q", v, err, want)
+		}
 	}
 }

@@ -113,21 +113,16 @@ func SolveOneLevel(p *sched.Pool, board *Board, opts *Options, emit func(SolveOn
 		return nil
 	}
 	N := board.N()
-	memBoard, memOpts := board, opts
 	completed := false
 	for k := 1; k <= N && !completed; k++ {
-		if !memOpts.Get(i, j, k) {
+		if !opts.Get(i, j, k) {
 			continue
 		}
-		b2, o2 := AddNumber(p, memBoard, memOpts, i, j, k)
-		outRec := SolveOneLevelOutput{
-			Board: b2, Opts: o2, K: k, Level: b2.CountFilled(),
-		}
-		if b2.IsCompleted() {
-			outRec.Done = true
-			completed = true
-		}
-		if err := emit(outRec); err != nil {
+		b2, o2 := AddNumber(p, board, opts, i, j, k)
+		completed = b2.IsCompleted()
+		if err := emit(SolveOneLevelOutput{
+			Board: b2, Opts: o2, Done: completed, K: k, Level: b2.CountFilled(),
+		}); err != nil {
 			return err
 		}
 	}
