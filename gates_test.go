@@ -209,8 +209,10 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"the analysis reads GraphNode fields and follows Parent; it does not find nodes again by their paths"},
 		{`hideNode|\bHideTags\b|HiddenTags`, "", false, "",
 			"consuming a tag is a filter's job: [{<t>} -> {}]"},
-		{`func MatchScore`, "", true, "",
-			"routing scores live in the dispatch tables (route.go); the per-record scorer is the tests' oracle"},
+		{`func MatchScore`, "", false, "",
+			"routing scores live in the dispatch tables (route.go); the tests' routing oracle is the evaluator's route (internal/core/eval_test.go)"},
+		{`legacyScorers|legacyDispatch|runDetProp|runFusedDetProp|type planGen`, "", false, "",
+			"runs are held to the evaluator by one harness (agreeMatrix), and random nets come from one generator (netGen, internal/core/randnet), which TestRandomNets and the internal/analysis prop tests share"},
 		{`func stepped\(|func \(b \*boxNode\) (engine|run)\(|stageLabel|\[\]runner\{s\.a, s\.b\}`, "internal/core/", false, "",
 			"one rule groups stages: Compile cuts every position once (spineCutter.cut), a dispatcher steps a cut of one segment, and a segment whose box must run concurrently runs as its cut (segment.cut) — a box runs as every stage runs"},
 		{`type chain\b|func newFanout|func isStage|func \(f \*fanout\) serve`, "internal/core/", false, "",

@@ -28,47 +28,45 @@ func renderStream(recs []*Record) string {
 	return sb.String()
 }
 
-// latencyBox forwards <seq> (tagged with a branch witness) after a truly
-// random sleep, so invocation completion order is unrelated to input order.
-func latencyBox(name, field string, maxDelay time.Duration) Node {
+// latencyBox forwards <seq>, the last of its inputs in, tagged with a
+// branch witness after a truly random sleep, so invocation completion order
+// is unrelated to input order.
+func latencyBox(name, in string, maxDelay time.Duration) Node {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
-	return NewBox(name, MustParseSignature("("+field+",<seq>) -> (<seq>,<via_"+name+">)"),
+	return NewBox(name, MustParseSignature("("+in+") -> (<seq>,<via_"+name+">)"),
 		func(args []any, out *Emitter) error {
 			mu.Lock()
 			d := time.Duration(rng.Int63n(int64(maxDelay)))
 			mu.Unlock()
 			time.Sleep(d)
-			return out.Out(1, args[1].(int), 1)
+			return out.Out(1, args[len(args)-1].(int), 1)
 		})
 }
 
-func runDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
+// abInputs is n <seq> records, field a on the even ones and b on the odd.
+func abInputs(n int) func() []*Record {
+	return func() []*Record {
+		return seqInputs(n, func(i int, r *Record) { r.SetField([]string{"a", "b"}[i%2], i) })
+	}
+}
+
+// detMatrix holds mkNet() over inputs() to the evaluator's sequence at box
+// widths 1, 4, 16 and unset by batch sizes 1, 8 and 64 in both cells
+// (agreeMatrix).  A fused net (fuse_test.go) must hold fused segments, and its
+// matrix names its cells flat.
+func detMatrix(t *testing.T, fused bool, mkNet func() Node, inputs func() []*Record) {
 	t.Helper()
 	atLeastProcs(t, 2) // so that the unset width can hand over mid-stream
-	want := renderStream(evaluate(compileNet(mkNet()), inputs()).out)
-	for _, w := range []int{1, 4, 16, 0} {
-		for _, b := range []int{1, 8, 64} {
-			name := fmt.Sprintf("W%d_B%d", w, b)
-			if w == 0 { // WithBoxWorkers(0) gives no width
-				name = fmt.Sprintf("Wunset_B%d", b)
-			}
-			t.Run(name, func(t *testing.T) {
-				// Both cells hold the run to the one evaluation above.
-				eachCell(t, func(t *testing.T, _ cell) {
-					out, _, err := compileNet(mkNet()).RunAll(context.Background(), inputs(),
-						WithBoxWorkers(w), WithStreamBatch(b))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderStream(out); got != want {
-						t.Fatalf("W=%d B=%d output diverges from the reference evaluator:\n--- want ---\n%s--- got ---\n%s",
-							w, b, want, got)
-					}
-				})
-			})
-		}
+	if fused && len(compileNet(mkNet()).FusionGroups()) == 0 {
+		t.Fatal("determinism net should contain fused segments")
 	}
+	want := evaluate(compileNet(mkNet()), inputs())
+	// Every net of these fixes its output order, a non-deterministic
+	// combinator inside a deterministic one that emits one record per input
+	// included.
+	want.ordered = true
+	agreeMatrix(t, []int{1, 4, 16, 0}, fused, want, mkNet, inputs)
 }
 
 // A|B: deterministic parallel composition of two jittery boxes.
@@ -76,20 +74,11 @@ func TestDetPropParallelPipeline(t *testing.T) {
 	const n = 60
 	mkNet := func() Node {
 		return ParallelDet(
-			latencyBox("pa", "a", 800*time.Microsecond),
-			latencyBox("pb", "b", 300*time.Microsecond),
+			latencyBox("pa", "a,<seq>", 800*time.Microsecond),
+			latencyBox("pb", "b,<seq>", 300*time.Microsecond),
 		)
 	}
-	inputs := func() []*Record {
-		return seqInputs(n, func(i int, r *Record) {
-			if i%2 == 0 {
-				r.SetField("a", 1)
-			} else {
-				r.SetField("b", 1)
-			}
-		})
-	}
-	runDetProp(t, mkNet, inputs)
+	detMatrix(t, false, mkNet, abInputs(n))
 }
 
 // A*(p): deterministic serial replication around a jittery multi-exit box.
@@ -115,7 +104,7 @@ func TestDetPropStarPipeline(t *testing.T) {
 	inputs := func() []*Record {
 		return seqInputs(n, func(i int, r *Record) { r.SetTag("n", i%6) })
 	}
-	runDetProp(t, mkNet, inputs)
+	detMatrix(t, false, mkNet, inputs)
 }
 
 // Nested: a deterministic split of a concurrent box, fed from a
@@ -124,23 +113,14 @@ func TestDetPropNestedCombinators(t *testing.T) {
 	const n = 36
 	mkNet := func() Node {
 		first := ParallelDet(
-			latencyBox("na", "a", 400*time.Microsecond),
-			latencyBox("nb", "b", 150*time.Microsecond),
+			latencyBox("na", "a,<seq>", 400*time.Microsecond),
+			latencyBox("nb", "b,<seq>", 150*time.Microsecond),
 		)
 		addK := MustFilter("{<seq>} -> {<seq>, <k>=<seq>%3}")
-		second := SplitDet(latencyBox2("ns", 600*time.Microsecond), "k")
+		second := SplitDet(latencyBox("ns", "<seq>", 600*time.Microsecond), "k")
 		return Serial(first, addK, second)
 	}
-	inputs := func() []*Record {
-		return seqInputs(n, func(i int, r *Record) {
-			if i%2 == 0 {
-				r.SetField("a", 1)
-			} else {
-				r.SetField("b", 1)
-			}
-		})
-	}
-	runDetProp(t, mkNet, inputs)
+	detMatrix(t, false, mkNet, abInputs(n))
 }
 
 // Det over nondet over split: the outer deterministic split's markers are
@@ -153,8 +133,8 @@ func TestDetPropDetOverNondetOverSplit(t *testing.T) {
 	const n = 48
 	mkNet := func() Node {
 		inner := Parallel(
-			Split(latencyBox("da", "a", 400*time.Microsecond), "k"),
-			latencyBox("db", "b", 150*time.Microsecond),
+			Split(latencyBox("da", "a,<seq>", 400*time.Microsecond), "k"),
+			latencyBox("db", "b,<seq>", 150*time.Microsecond),
 		)
 		return SplitDet(inner, "g")
 	}
@@ -168,21 +148,7 @@ func TestDetPropDetOverNondetOverSplit(t *testing.T) {
 			r.SetTag("k", i%4).SetTag("g", i%2)
 		})
 	}
-	runDetProp(t, mkNet, inputs)
-}
-
-// latencyBox2 is latencyBox over a bare (<seq>) signature.
-func latencyBox2(name string, maxDelay time.Duration) Node {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(int64(len(name)) * 104729))
-	return NewBox(name, MustParseSignature("(<seq>) -> (<seq>,<hop_"+name+">)"),
-		func(args []any, out *Emitter) error {
-			mu.Lock()
-			d := time.Duration(rng.Int63n(int64(maxDelay)))
-			mu.Unlock()
-			time.Sleep(d)
-			return out.Out(1, args[0].(int), 1)
-		})
+	detMatrix(t, false, mkNet, inputs)
 }
 
 // Regression for the shared-node-state race: node trees are blueprints, so

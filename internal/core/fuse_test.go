@@ -549,39 +549,6 @@ func TestFusedGuardedRoutingPreserved(t *testing.T) {
 	agreeWithReference(t, mkNet, inputs, "")
 }
 
-// runFusedDetProp is the detprop matrix (detprop_test.go) over nets holding
-// fused segments: at every (W, B), W unset too, in both cells (run_test.go),
-// the run must reproduce the reference evaluator's sequence byte for byte,
-// evaluated once.
-func runFusedDetProp(t *testing.T, mkNet func() Node, inputs func() []*Record) {
-	t.Helper()
-	if len(compileNet(mkNet()).FusionGroups()) == 0 {
-		t.Fatal("determinism net should contain fused segments")
-	}
-	want := renderStream(evaluate(compileNet(mkNet()), inputs()).out)
-	for _, ref := range []bool{true, false} {
-		for _, w := range []int{1, 4, 16, 0} {
-			for _, b := range []int{1, 8, 64} {
-				name := fmt.Sprintf("%v_W%d_B%d", cell{ref: ref}, w, b)
-				if w == 0 { // WithBoxWorkers(0) gives no width
-					name = fmt.Sprintf("%v_Wunset_B%d", cell{ref: ref}, b)
-				}
-				t.Run(name, func(t *testing.T) {
-					out, _, err := compileNet(mkNet()).RunAll(context.Background(), inputs(),
-						WithBoxWorkers(w), WithStreamBatch(b))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderStream(out); got != want {
-						t.Fatalf("W=%d B=%d diverges from the reference:\n--- want ---\n%s--- got ---\n%s",
-							w, b, want, got)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestFusedDetPropPipeline: a fused chain downstream of a deterministic
 // parallel — sort markers must cross the segment in FIFO position at any
 // (W, B) in either mode.
@@ -589,8 +556,8 @@ func TestFusedDetPropPipeline(t *testing.T) {
 	const n = 36
 	mkNet := func() Node {
 		first := ParallelDet(
-			latencyBox("fda", "a", 400*time.Microsecond),
-			latencyBox("fdb", "b", 150*time.Microsecond),
+			latencyBox("fda", "a,<seq>", 400*time.Microsecond),
+			latencyBox("fdb", "b,<seq>", 150*time.Microsecond),
 		)
 		chain := Serial(
 			MustFilter("{<seq>} -> {<seq>, <h>=<seq>*2}"),
@@ -600,16 +567,7 @@ func TestFusedDetPropPipeline(t *testing.T) {
 		)
 		return Serial(first, chain)
 	}
-	inputs := func() []*Record {
-		return seqInputs(n, func(i int, r *Record) {
-			if i%2 == 0 {
-				r.SetField("a", i)
-			} else {
-				r.SetField("b", i)
-			}
-		})
-	}
-	runFusedDetProp(t, mkNet, inputs)
+	detMatrix(t, true, mkNet, abInputs(n))
 }
 
 // TestFusedDetPropNested: the nested-combinator detprop net with a fusible
@@ -618,26 +576,17 @@ func TestFusedDetPropNested(t *testing.T) {
 	const n = 24
 	mkNet := func() Node {
 		first := ParallelDet(
-			latencyBox("fna", "a", 300*time.Microsecond),
-			latencyBox("fnb", "b", 120*time.Microsecond),
+			latencyBox("fna", "a,<seq>", 300*time.Microsecond),
+			latencyBox("fnb", "b,<seq>", 120*time.Microsecond),
 		)
 		chain := Serial(
 			MustFilter("{<seq>} -> {<seq>, <k>=<seq>%3}"),
 			Observe("fn_tap", nil),
 		)
-		second := SplitDet(latencyBox2("fns", 500*time.Microsecond), "k")
+		second := SplitDet(latencyBox("fns", "<seq>", 500*time.Microsecond), "k")
 		return Serial(first, chain, second)
 	}
-	inputs := func() []*Record {
-		return seqInputs(n, func(i int, r *Record) {
-			if i%2 == 0 {
-				r.SetField("a", i)
-			} else {
-				r.SetField("b", i)
-			}
-		})
-	}
-	runFusedDetProp(t, mkNet, inputs)
+	detMatrix(t, true, mkNet, abInputs(n))
 }
 
 // TestFusedStarOperand: star replication over a fused operand — every

@@ -3,8 +3,9 @@ package core
 import "fmt"
 
 // Reference implementations the compiled artifacts are tested against.  They
-// are what the runtime executed before routing and filters were compiled to
-// tables and slot programs; no production code reaches them.
+// are what the runtime executed before filters and tag expressions were
+// compiled to slot programs; no production code reaches them.  Routing is
+// held to the evaluator's route (eval_test.go).
 
 // evalTagRec is the tree evaluator of tag expressions, as the runtime walked it
 // per record before expressions were compiled per shape (tagexpr.go): the
@@ -113,72 +114,4 @@ func (f *FilterSpec) Apply(rec *Record) ([]*Record, error) {
 		inheritByName(o, rec, f.Pattern.Variant)
 	}
 	return outs, nil
-}
-
-// score is a filter branch's routing score under the scoring dispatcher: a
-// guarded filter only attracts records its guard admits.
-func (f *filterNode) score(rec *Record) int {
-	if !f.spec.Pattern.Matches(rec) {
-		return -1
-	}
-	return len(f.spec.Pattern.Variant)
-}
-
-// MatchScore scores how well a record's label set matches a multivariant
-// input type: the size of the largest variant that the record satisfies
-// (variant ⊆ record labels), or -1 if no variant matches — the paper's
-// "better match" rule as the scoring dispatcher applied it per record.
-func MatchScore(rec *Record, t RecType) int {
-	best := -1
-	for _, v := range t {
-		if len(v) > best && v.SubsetOf(rec.shape.variant) {
-			best = len(v)
-		}
-	}
-	return best
-}
-
-// legacyScorers is the pre-table routing path: one closure per branch
-// rescoring every record — the oracle of TestDispatchMatchesLegacy and the
-// baseline of BenchmarkRouting.
-func legacyScorers(branches []Node) []func(*Record) int {
-	scorers := make([]func(*Record) int, len(branches))
-	for i, b := range branches {
-		if f, ok := b.(*filterNode); ok {
-			scorers[i] = f.score
-		} else {
-			t, _ := b.sig()
-			scorers[i] = func(r *Record) int { return MatchScore(r, t) }
-		}
-	}
-	return scorers
-}
-
-// legacyDispatch is the per-record scoring loop the dispatch table replaced.
-func legacyDispatch(scorers []func(*Record) int, rec *Record, det bool, rr *int) int {
-	best, count := -1, 0
-	for _, sc := range scorers {
-		if s := sc(rec); s > best {
-			best, count = s, 1
-		} else if s == best && s >= 0 {
-			count++
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	pick := 0
-	if !det && count > 1 {
-		pick = *rr % count
-		*rr++
-	}
-	for i, sc := range scorers {
-		if sc(rec) == best {
-			if pick == 0 {
-				return i
-			}
-			pick--
-		}
-	}
-	return -1
 }

@@ -50,9 +50,10 @@ func TestShapeKeyCaching(t *testing.T) {
 }
 
 // TestDispatchMatchesLegacy drives the compiled dispatch table and the
-// per-record scoring loop over randomized branch sets and records, in both
-// det and nondet modes, asserting decision-for-decision equality (including
-// the rotation sequence over ties).
+// evaluator's route (eval_test.go) over randomized branch sets and records:
+// under | the table picks the branch the evaluator picks, under || one of the
+// best-scoring branches (how || rotates over them is
+// TestParallelTieBreakUsesBothBranches's).
 func TestDispatchMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []Label{Field("a"), Field("b"), Field("c"), Tag("t"), Tag("u")}
@@ -65,6 +66,7 @@ func TestDispatchMatchesLegacy(t *testing.T) {
 		}
 		return v
 	}
+	ev := &evaluator{loose: map[string]bool{}}
 	for trial := 0; trial < 200; trial++ {
 		det := trial%2 == 0
 		nb := 2 + rng.Intn(5)
@@ -80,10 +82,13 @@ func TestDispatchMatchesLegacy(t *testing.T) {
 			}
 			branches[i] = routeBox(fmt.Sprintf("b%d", i), randVariant().Labels()...)
 		}
-		table := buildRouteTable(det, branches)
-		scorers := legacyScorers(branches)
-		var rrT routing
-		rrL := 0
+		par := Parallel
+		if det {
+			par = ParallelDet
+		}
+		net := par(branches...)
+		table, g := net.(*parallelNode).table, compileNet(net).Graph()
+		var rr routing
 		for rec := 0; rec < 50; rec++ {
 			r := NewRecord()
 			for _, l := range labels {
@@ -95,13 +100,10 @@ func TestDispatchMatchesLegacy(t *testing.T) {
 					}
 				}
 			}
-			got := table.dispatch(r, &rrT)
-			want := legacyDispatch(scorers, r, det, &rrL)
-			if got != want {
-				t.Fatalf("trial %d det=%v rec %s: table=%d legacy=%d", trial, det, r, got, want)
-			}
-			if rrT.rr != rrL {
-				t.Fatalf("trial %d: rotation diverged: table=%d legacy=%d", trial, rrT.rr, rrL)
+			got, want := table.dispatch(r, &rr), ev.route(g, r)
+			if got != want && (det || want < 0 || got < 0 ||
+				branchScore(g.Children[got], r, r.Labels()) != branchScore(g.Children[want], r, r.Labels())) {
+				t.Fatalf("trial %d det=%v rec %s: table=%d evaluator=%d", trial, det, r, got, want)
 			}
 		}
 	}
@@ -212,16 +214,15 @@ func wideParallel(b int) (Node, []*Record) {
 	return Parallel(branches...), recs
 }
 
-// BenchmarkRouting compares the shape-keyed dispatch table with the
-// per-record scoring loop it replaced (oracle_test.go), on wide parallel
-// combinators — the E16 microbenchmark.  "dispatch" measures routing
-// decisions alone; "net" runs the full combinator through its plan.
+// BenchmarkRouting compares the shape-keyed dispatch table with scoring
+// every record against every branch, as the evaluator's route does
+// (eval_test.go), on wide parallel combinators — the E16 microbenchmark.
+// "dispatch" measures routing decisions alone; "net" runs the full
+// combinator through its plan.
 func BenchmarkRouting(b *testing.B) {
 	for _, width := range []int{8, 16, 32} {
 		net, recs := wideParallel(width)
-		pn := net.(*parallelNode)
-		table := pn.table
-		scorers := legacyScorers(pn.branches)
+		table, g := net.(*parallelNode).table, compileNet(net).Graph()
 		b.Run(fmt.Sprintf("dispatch/table-%d", width), func(b *testing.B) {
 			var rr routing
 			for i := 0; i < b.N; i++ {
@@ -230,10 +231,10 @@ func BenchmarkRouting(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("dispatch/legacy-%d", width), func(b *testing.B) {
-			rr := 0
+		b.Run(fmt.Sprintf("dispatch/evaluator-%d", width), func(b *testing.B) {
+			ev := &evaluator{loose: map[string]bool{}}
 			for i := 0; i < b.N; i++ {
-				if legacyDispatch(scorers, recs[i%len(recs)], false, &rr) < 0 {
+				if ev.route(g, recs[i%len(recs)]) < 0 {
 					b.Fatal("no route")
 				}
 			}

@@ -77,31 +77,6 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-func TestMatchScore(t *testing.T) {
-	rec := NewRecord().SetField("board", 1).SetField("opts", 2).SetTag("k", 0)
-	// Branch 1 wants {board}; branch 2 wants {board, opts}.
-	t1 := RecType{v(Field("board"))}
-	t2 := RecType{v(Field("board"), Field("opts"))}
-	if MatchScore(rec, t1) != 1 {
-		t.Fatalf("score t1 = %d", MatchScore(rec, t1))
-	}
-	if MatchScore(rec, t2) != 2 {
-		t.Fatalf("score t2 = %d", MatchScore(rec, t2))
-	}
-	if MatchScore(rec, RecType{v(Field("missing"))}) != -1 {
-		t.Fatal("non-match must score -1")
-	}
-	// Multivariant: best matching variant counts.
-	t3 := RecType{v(Field("missing")), v(Field("board"), Tag("k"))}
-	if MatchScore(rec, t3) != 2 {
-		t.Fatalf("score t3 = %d", MatchScore(rec, t3))
-	}
-	// Empty variant matches everything with score 0.
-	if MatchScore(rec, RecType{v()}) != 0 {
-		t.Fatal("empty variant score")
-	}
-}
-
 func genVariant(raw []uint8) Variant {
 	names := []string{"a", "b", "c", "d"}
 	out := Variant{}
@@ -133,34 +108,6 @@ func TestQuickSubtypingLaws(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: MatchScore is monotone — adding labels to a record never
-// decreases its score against a fixed type.
-func TestQuickMatchScoreMonotone(t *testing.T) {
-	f := func(rt, rrec []uint8, extra uint8) bool {
-		typ := RecType{genVariant(rt)}
-		rec := NewRecord()
-		for l := range genVariant(rrec) {
-			if l.IsTag {
-				rec.SetTag(l.Name, 1)
-			} else {
-				rec.SetField(l.Name, 1)
-			}
-		}
-		before := MatchScore(rec, typ)
-		for l := range genVariant([]uint8{extra}) {
-			if l.IsTag {
-				rec.SetTag(l.Name, 1)
-			} else {
-				rec.SetField(l.Name, 1)
-			}
-		}
-		return MatchScore(rec, typ) >= before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
