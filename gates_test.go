@@ -247,6 +247,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"the runtime's invariants are tier-1 tests (invariants_test.go); nothing speaks the go vet -vettool protocol (docs_test.go holds the documents to the same)"},
 		{`lintMode|lintStrict|\bAnalyzeNet\b|lintNetwork|logFindings|renderVerify|\brunVerify\b`, "", false, "",
 			"a .snet program has one static check, snetrun -check (runCheck over lang.AnalyzeNetWithCaps), with one rendering of a finding (Finding.String); snetd logs the report its service caches (Network.Verify)"},
+		{`^\s*go\s+\S`, "internal/core/", true, "internal/core/worker.go",
+			"every goroutine of a run is one of its workers (runEnv.spawn, worker.go), so a box worker, a merger, a part or a drainer whose work is done goes back to the run for the next"},
 		{`\bNextIndex\b`, "", false, "",
 			"the with-loop engine walks an index space itself (span.start, span.carry); the shape walks of Rotate, Reverse and Where convert offsets (LinearToIndex)"},
 	}

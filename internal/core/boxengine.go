@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -138,7 +137,8 @@ type boxSlot struct {
 }
 
 // runConcurrent is the engine's concurrent mode, at the box's width in the
-// run.  The releaser owns out from the first record on.
+// run.  The releaser owns out from the first record on and closes it, so the
+// dispatcher and the workers go back to the run as their inputs end.
 func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter) {
 	width, _ := b.width(env)
 	env.stats.SetMax(b.keys.concurrency, int64(width))
@@ -146,7 +146,6 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	var (
 		inflight    atomic.Int64                         // invocations currently running
 		inflightMax = env.stats.maximum(b.keys.inflight) // its high-water mark: the cell, shared by the workers
-		wg          sync.WaitGroup
 	)
 	// Reorder queue capacity beyond the worker count only buys queued-but-
 	// undispatched slots; width+1 keeps the dispatcher just ahead of the
@@ -155,7 +154,6 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	calls := make(chan *boxSlot)
 
 	worker := func() {
-		defer wg.Done()
 		for s := range calls {
 			atomicMax(inflightMax, inflight.Add(1))
 			b.invoke(env, s.args, &s.em)
@@ -173,9 +171,8 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	// counts for what its slot actually delivered downstream, and slots
 	// overtaken by cancellation — including invocations still buffered or
 	// never dispatched — count as cancelled.
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
+	env.spawn(func() {
+		defer out.close()
 		var calls, emitted tally // folded wherever the releaser waits, and at its end
 		fold := func() {
 			calls.fold(env.stats, b.keys.calls)
@@ -237,7 +234,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 				env.stats.Add(b.keys.cancelled, 1)
 			}
 		}
-	}()
+	})
 
 	// Dispatch loop (the node's own goroutine).  Workers spawn lazily, one
 	// per observed need up to width, so a box that happens to see only
@@ -253,8 +250,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 				return true
 			default:
 				spawned++
-				wg.Add(1)
-				go worker()
+				env.spawn(worker)
 			}
 		}
 		return handOff(env.ctx, calls, s, nil)
@@ -291,7 +287,5 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	}
 	in.Discard()
 	close(calls)
-	wg.Wait()
 	close(slots)
-	<-released
 }

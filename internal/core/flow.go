@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Shape-flow analysis: the type analysis of Compile (§4: "type inference …
 // takes full account of subtyping and flow inheritance").
 //
@@ -28,17 +30,8 @@ package core
 const maxFlowVariants = 128
 
 // A variant set is an insertion-ordered slice holding no two equal variants.
-func hasVariant(set []Variant, v Variant) bool {
-	for _, w := range set {
-		if w.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
 func addVariant(set []Variant, v Variant) []Variant {
-	if hasVariant(set, v) {
+	if slices.ContainsFunc(set, v.Equal) {
 		return set
 	}
 	return append(set, v)
@@ -297,7 +290,7 @@ func (c *compiler) flowStar(g *GraphNode, n *starNode, in []Variant, exact bool)
 	for len(frontier) > 0 {
 		var toOperand []Variant
 		for _, v := range frontier {
-			if hasVariant(seen, v) {
+			if slices.ContainsFunc(seen, v.Equal) {
 				continue
 			}
 			seen = append(seen, v)

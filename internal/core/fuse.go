@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stages, segments, grouping.
 //
@@ -243,12 +246,7 @@ func segmentOf(stages []stage) segment {
 // concurrent reports whether one of the segment's boxes must run
 // concurrently in this run: then the segment runs as its cut.
 func (s *segment) concurrent(env *runEnv) bool {
-	for _, b := range s.boxes {
-		if b.concurrent(env) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.boxes, func(b *boxNode) bool { return b.concurrent(env) })
 }
 
 // cut is the hand-over rule: the pipeline s runs as once some of its boxes
@@ -298,7 +296,6 @@ func (s *segment) cut(env *runEnv, x *segmentRun) []runner {
 type wide struct{ b *boxNode }
 
 func (w wide) run(env *runEnv, in *streamReader, out *streamWriter) {
-	defer out.close()
 	w.b.runConcurrent(env, in, out)
 }
 

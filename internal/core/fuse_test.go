@@ -247,7 +247,7 @@ func TestRoutesLearnOnTheBlueprint(t *testing.T) {
 	if seen == nil || seen.Node != Node(par) {
 		t.Fatal("Plan.Graph() must show the builder's parallelNode")
 	}
-	if n := par.table.size.Load(); n != 0 {
+	if n := memoLen(&par.table.shapeMemo); n != 0 {
 		t.Fatalf("route table already has %d entries before any run", n)
 	}
 	inputs := seqInputs(20, func(i int, r *Record) {
@@ -261,7 +261,7 @@ func TestRoutesLearnOnTheBlueprint(t *testing.T) {
 	if err != nil || len(out) != 20 {
 		t.Fatalf("run: %d records, %v", len(out), err)
 	}
-	if n := par.table.size.Load(); n != 2 {
+	if n := memoLen(&par.table.shapeMemo); n != 2 {
 		t.Fatalf("the blueprint's route table learned %d shapes, want 2", n)
 	}
 	if a, b := stats.Counter(par.branchKeys[0]), stats.Counter(par.branchKeys[1]); a != 10 || b != 10 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -53,9 +54,7 @@ func internLabel(name string) labelID {
 		return id
 	}
 	next := &internState{byName: make(map[string]labelID, len(s.byName)+1)}
-	for k, v := range s.byName {
-		next.byName[k] = v
-	}
+	maps.Copy(next.byName, s.byName)
 	id := labelID(len(s.byName))
 	next.byName[name] = id
 	internSnap.Store(next)

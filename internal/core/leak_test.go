@@ -150,6 +150,34 @@ func TestNoLeakMidStreamCancel(t *testing.T) {
 	}
 }
 
+// TestRunWorkersEndWithTheRun: the workers of a run, parked or busy, end with
+// it — a started run's once its output has closed, here by Close with no
+// Cancel, a one-shot run's at its end and at the cut stop makes — so the
+// goroutines are back at their base after each.
+func TestRunWorkersEndWithTheRun(t *testing.T) { eachCell(t, testRunWorkersEndWithTheRun) }
+
+func testRunWorkersEndWithTheRun(t *testing.T, m cell) {
+	net := func() Node { return Split(NamedStar("we_loop", decBox(), MustParsePattern("{<done>}")), "k") }
+	inputs := func() []*Record {
+		return seqInputs(12, func(i int, r *Record) { r.SetTag("n", 2+i%5).SetTag("k", i%4) })
+	}
+	base := goroutineCount()
+	h := compileNet(net()).Start(context.Background())
+	h.feed(inputs())
+	if out := drainAll(h); len(out) != 12 {
+		t.Fatalf("started run: %d records, want 12", len(out))
+	}
+	waitForGoroutines(t, base)
+	if out, _, err := m.RunAll(context.Background(), net(), inputs()); err != nil || len(out) != 12 {
+		t.Fatalf("RunAll: %d records, %v", len(out), err)
+	}
+	waitForGoroutines(t, base)
+	if rec, _, err := m.RunUntil(context.Background(), net(), inputs(), func(*Record) bool { return true }); err != nil || rec == nil {
+		t.Fatalf("RunUntil: %v, %v", rec, err)
+	}
+	waitForGoroutines(t, base)
+}
+
 // earlyStopNode forwards the first `limit` records, then stops consuming —
 // the deterministic early-exit case for the Discard accounting: everything
 // the upstream delivers after the limit must be drained and counted.

@@ -2,7 +2,8 @@ package core
 
 import (
 	"math"
-	"sync"
+	"slices"
+	"sync/atomic"
 )
 
 // The splitter/merger machinery of the branching combinators.  The
@@ -37,6 +38,9 @@ type branchEvent struct {
 	b    *mergerBranch // evRegister, evFrame, evClosed
 	fr   frame         // evFrame payload; as a single item: evMarker's identity
 }
+
+// maxPortSlab caps a split's port slabs (fanout.port), 176 bytes a port.
+const maxPortSlab = 16
 
 // mergeQueueSlack is how many frames the merge queue holds beyond the run's
 // stream buffer, so the splitter's control events do not rendezvous with the
@@ -80,28 +84,31 @@ type fanout struct {
 	out     *streamWriter
 	x       *segmentRun // stepping the site as its stage at-1 (fanStage): no streams
 	at      int
-	chain   **segmentRun   // where f chains the executions it steps: &stepped, or at a stage &x.stepped
-	writing sync.WaitGroup // who writes out or its queue but f: the merger, or the writers a direct site spawned
-	ports   []*branchPort  // the live branches, ports[i].w in.onIdle[i]
-	markers int            // global marker count broadcast so far
-	stepped *segmentRun    // the executions f stepped its branches through since its last fold
+	chain   **segmentRun  // where f chains the executions it steps: &stepped, or at a stage &x.stepped
+	writers atomic.Int32  // who still writes out or its queue: f, its merger, the writers a direct site spawned
+	ports   []*branchPort // the live branches, ports[i].w in.onIdle[i]
+	slab    []branchPort  // what port cuts the next ports from
+	markers int           // global marker count broadcast so far
+	stepped *segmentRun   // the executions f stepped its branches through since its last fold
 }
 
-// run runs the site until both halves are done: the merger, if any, owning
-// out on a goroutine of its own, and the dispatch loop.  The site is direct
-// unless it is deterministic, its input can carry markers, or out is no branch
-// writer.  A site a stage stepped resumes here (segment.cut).
+// run runs the dispatch loop of the site until its input ends, the merger,
+// if any, owning out on a worker of its own.  The last of f's writers to leave
+// closes out, so the loop's worker goes back to the run with the input.  The
+// site is direct unless it is deterministic, its input can carry markers, or
+// out is no branch writer.  A site a stage stepped resumes here (segment.cut).
 func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
 	f.x, f.chain, f.in, f.out = nil, &f.stepped, in, out
+	f.writers.Add(1)
 	if f.det || out.marked || out.fan == nil {
 		f.mux = make(chan branchEvent, f.env.buf+mergeQueueSlack)
-		f.writing.Add(1)
-		go func() {
-			defer f.writing.Done()
+		f.writers.Add(1)
+		f.env.spawn(func() {
 			if m := (&merger{f: f, out: out}); !m.run() {
 				m.abandon()
 			}
-		}()
+			f.leave()
+		})
 	}
 	for _, port := range f.ports {
 		port.w = f.output(port)
@@ -125,8 +132,14 @@ func (f *fanout) run(_ *runEnv, in *streamReader, out *streamWriter) {
 	}
 	in.Discard()
 	f.finish()
-	f.writing.Wait()
-	out.close()
+	f.leave()
+}
+
+// leave is one of f's writers done; the last closes out.
+func (f *fanout) leave() {
+	if f.writers.Add(-1) == 0 {
+		f.out.close()
+	}
 }
 
 // foldChain is a dispatcher's fold (arenaFront), before every input frame.
@@ -166,8 +179,7 @@ func (f *fanout) output(port *branchPort) *streamWriter {
 // running behind it on goroutines of their own; otherwise n and rest run there,
 // and with neither the branch is the identity, a star's exit.
 func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort {
-	port := &branchPort{slot: len(f.ports)}
-	f.ports = append(f.ports, port)
+	port := f.port()
 	if f.x != nil || body != nil && !body.concurrent(f.env) {
 		port.x, port.held = f.exec(body), slots(port.held2[:], len(body.stages))
 	} else if n != nil {
@@ -179,10 +191,24 @@ func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort 
 			out := f.writer(port)
 			var inR *streamReader
 			inR, port.w = newStream(f.env, f.env.buf)
-			go runParts(f.env, rest, inR, out)
+			f.env.spawn(func() { runParts(f.env, rest, inR, out) })
 		}
 		f.in.autoFlush(port.w)
 	}
+	return port
+}
+
+// port cuts a new branch's port from f's slab.  A parallel's start sizes the
+// slab for its branches and a star's for its two; a split's slabs double, each
+// new one as long as the ports f has, up to maxPortSlab, so a replica costs no
+// allocation of its own and a slab no more than maxPortSlab-1 unused ports.
+func (f *fanout) port() *branchPort {
+	if len(f.slab) == 0 {
+		f.slab = make([]branchPort, min(max(len(f.ports), 1), maxPortSlab))
+	}
+	port := &f.slab[0]
+	f.slab, port.slot = f.slab[1:], len(f.ports)
+	f.ports = append(f.ports, port)
 	return port
 }
 
@@ -204,8 +230,8 @@ func (f *fanout) writer(port *branchPort) *streamWriter {
 	if f.mux != nil {
 		return port.w
 	}
-	f.writing.Add(1)
-	return &streamWriter{env: f.env, fan: f.out.fan, branch: f.out.branch, batch: f.env.batch, done: &f.writing}
+	f.writers.Add(1)
+	return &streamWriter{env: f.env, fan: f.out.fan, branch: f.out.branch, batch: f.env.batch, done: f}
 }
 
 // route sends a data record into a branch and, in deterministic mode, the
@@ -229,7 +255,7 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 		var inR *streamReader
 		inR, port.w = newStream(f.env, f.env.buf)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
-		go own.resume(inR)
+		f.env.spawn(func() { own.resume(inR) })
 	}
 	if x := port.x; x != nil {
 		if !x.listed {
@@ -415,20 +441,12 @@ func (m *merger) item(b *mergerBranch, it item) bool {
 }
 
 func (m *merger) allClosed() bool {
-	for _, b := range m.branches {
-		if !b.closed {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(m.branches, func(b *mergerBranch) bool { return !b.closed })
 }
 
 func (m *merger) regionComplete(next int) bool {
 	for _, b := range m.branches {
-		if b.join >= next || b.closed {
-			continue
-		}
-		if b.lastGlobalMarker() < next {
+		if b.join < next && !b.closed && b.lastGlobalMarker() < next {
 			return false
 		}
 	}

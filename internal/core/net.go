@@ -52,17 +52,18 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 		done:   make(chan struct{}),
 	}
 	netOutR, netOutW := newStream(env, env.buf)
-	go p.graph.Node.run(env, inR, netOutW)
-	go func() {
+	env.spawn(func() { p.graph.Node.run(env, inR, netOutW) })
+	env.spawn(func() {
 		defer close(h.done)
 		defer close(h.outRec)
+		defer env.end()         // the run's workers end with its output
 		defer netOutR.Discard() // cancelled: what the network still delivers goes back to the arena
 		for rec, ok := recvOutput(netOutR); ok; rec, ok = recvOutput(netOutR) {
 			if !handOff(env.ctx, h.outRec, rec, nil) { // one channel while Out has room
 				return
 			}
 		}
-	}()
+	})
 	return h
 }
 
@@ -227,12 +228,13 @@ func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record
 	}
 	close(inW.ch)
 	outR, outW := newStream(env, 0) // its reader is always waiting, but in stop
-	go p.once.run(env, inR, outW)
+	env.spawn(func() { p.once.run(env, inR, outW) })
 	rec, ok := recvOutput(outR)
 	for ok && !stop(rec) {
 		rec, ok = recvOutput(outR)
 	}
 	cancel()
+	env.end()
 	outR.Discard()
 	if n := reclaim(inW.ch); n > 0 {
 		key := "stream.discarded" // left by a root that stopped reading early

@@ -17,8 +17,9 @@ type Node interface {
 	// name returns the node's stats/trace identity.
 	name() string
 	// run consumes in until it closes or the run is cancelled, writing
-	// results to out; it must close out before returning, must forward
-	// foreign control markers in FIFO position, and must hand in to
+	// results to out; it must close out before returning or leave that to
+	// out's last writer (fanout.leave, the box engine's releaser), must
+	// forward foreign control markers in FIFO position, and must hand in to
 	// in.Discard() on every early-exit path so upstream senders never
 	// block on a stream nobody reads.  The sequential leaves have no loop
 	// of their own: their run is a segment of one stage (fuse.go).

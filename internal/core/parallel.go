@@ -96,7 +96,7 @@ type parallelRun struct {
 func (n *parallelNode) start(env *runEnv) *fanout {
 	r := &parallelRun{n: n}
 	r.byIndex = slices.Grow(r.index[:0], len(n.branches))[:len(n.branches)]
-	r.fanout = fanout{env: env, det: n.det, inst: r}
+	r.fanout = fanout{env: env, det: n.det, inst: r, slab: make([]branchPort, len(n.branches))}
 	return &r.fanout
 }
 

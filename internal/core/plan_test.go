@@ -224,7 +224,7 @@ func TestPlanStartSharesTables(t *testing.T) {
 			t.Fatalf("run %d: out=%d err=%v", i, len(out), err)
 		}
 	}
-	if n := pn.table.size.Load(); n != 1 {
+	if n := memoLen(&pn.table.shapeMemo); n != 1 {
 		t.Fatalf("memo entries after 3 runs of one shape = %d, want 1", n)
 	}
 }

@@ -194,12 +194,10 @@ func (r *Record) ShapeKey() string { return r.shape.key }
 func (r *Record) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
+	sep := ""
 	for i, k := range r.shape.fieldNames {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
+		b.WriteString(sep)
+		sep = ", "
 		switch v := r.fvals[i].(type) {
 		case int, int64, float64, bool, string:
 			fmt.Fprintf(&b, "%s=%v", k, v)
@@ -208,10 +206,8 @@ func (r *Record) String() string {
 		}
 	}
 	for i, k := range r.shape.tagNames {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
+		b.WriteString(sep)
+		sep = ", "
 		fmt.Fprintf(&b, "<%s>=%d", k, r.tvals[i])
 	}
 	b.WriteByte('}')

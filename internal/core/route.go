@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,36 +28,52 @@ import (
 // sight of each shape, and every dispatcher and stage fronts its memo with the
 // entry of the latest shape it saw.
 
-// maxMemoEntries caps every shape memo: networks see a handful of record
-// shapes in practice, but a pathological workload could synthesize fresh
-// labels per record; beyond the cap decisions are computed without being
-// stored.
-const maxMemoEntries = 1 << 12
+// maxMemoEntries caps every memo: networks see a handful of record shapes in
+// practice (no memo of the workload or sudoku nets' tests holds more than 16),
+// but a pathological workload could synthesize fresh labels per record;
+// beyond the cap decisions are computed without being stored.  A store copies
+// the memo, so the cap also bounds what filling one costs.
+const maxMemoEntries = 1 << 8
 
-// shapeMemo caches one V per record shape, up to maxMemoEntries of them.  It
-// keys on the record's interned shape pointer: one lock-free map probe, and —
-// unlike a string key — boxing the key allocates nothing.  Safe for
-// concurrent use: what it holds is a function of the node, shared by all runs.
-type shapeMemo[V any] struct {
-	m    sync.Map // *shape → V
-	size atomic.Int64
+// memo caches one V per key, up to maxMemoEntries of them, in a typed map that
+// is copied on write and published whole: a load is one atomic read and one
+// map probe, with no lock and no interface to hash or unbox.  Safe for
+// concurrent use; a key is written once.  A shape's transitions (shape.go) are
+// one; a shapeMemo keys on the record's interned shape pointer.
+type memo[K comparable, V any] struct {
+	m  atomic.Pointer[map[K]V]
+	mu sync.Mutex // serializes stores
 }
 
-func (m *shapeMemo[V]) load(sh *shape) (V, bool) {
-	e, ok := m.m.Load(sh)
-	v, _ := e.(V) // the zero V when nothing is stored
+// shapeMemo is what a node learns per record shape: a pure function of the
+// node, shared by all runs.
+type shapeMemo[V any] = memo[*shape, V]
+
+func (m *memo[K, V]) load(k K) (v V, ok bool) {
+	if p := m.m.Load(); p != nil {
+		v, ok = (*p)[k]
+	}
 	return v, ok
 }
 
-// store memoizes v for sh and returns the value to use from now on: v, or
+// store memoizes v for k and returns the value to use from now on: v, or
 // what another goroutine stored first.  Past the cap nothing is stored and v
 // is still right, just computed again next time.
-func (m *shapeMemo[V]) store(sh *shape, v V) V {
-	if m.size.Load() < maxMemoEntries {
-		if prev, loaded := m.m.LoadOrStore(sh, v); loaded {
-			return prev.(V)
-		}
-		m.size.Add(1)
+func (m *memo[K, V]) store(k K, v V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var old map[K]V
+	if p := m.m.Load(); p != nil {
+		old = *p
+	}
+	if prev, ok := old[k]; ok {
+		return prev
+	}
+	if len(old) < maxMemoEntries {
+		next := make(map[K]V, len(old)+1)
+		maps.Copy(next, old)
+		next[k] = v
+		m.m.Store(&next)
 	}
 	return v
 }

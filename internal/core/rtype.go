@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,9 +49,6 @@ func (v Variant) Has(l Label) bool {
 
 // SubsetOf reports whether every label of v appears in w.
 func (v Variant) SubsetOf(w Variant) bool {
-	if len(v) > len(w) {
-		return false
-	}
 	for l := range v {
 		if !w.Has(l) {
 			return false
@@ -64,12 +63,8 @@ func (v Variant) SubtypeOf(w Variant) bool { return w.SubsetOf(v) }
 // Union returns the union of two variants.
 func (v Variant) Union(w Variant) Variant {
 	out := make(Variant, len(v)+len(w))
-	for l := range v {
-		out[l] = struct{}{}
-	}
-	for l := range w {
-		out[l] = struct{}{}
-	}
+	maps.Copy(out, v)
+	maps.Copy(out, w)
 	return out
 }
 
@@ -93,16 +88,11 @@ func (v Variant) Labels() []Label {
 }
 
 func (v Variant) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range v.Labels() {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(l.String())
+	parts := make([]string, 0, len(v))
+	for _, l := range v.Labels() {
+		parts = append(parts, l.String())
 	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // RecType is a multivariant record type: a disjunction of variants.
@@ -112,14 +102,7 @@ type RecType []Variant
 // of x is a subtype of some variant of y.
 func (x RecType) SubtypeOf(y RecType) bool {
 	for _, v := range x {
-		ok := false
-		for _, w := range y {
-			if v.SubtypeOf(w) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.ContainsFunc(y, v.SubtypeOf) {
 			return false
 		}
 	}
@@ -127,12 +110,7 @@ func (x RecType) SubtypeOf(y RecType) bool {
 }
 
 // Union concatenates two multivariant types.
-func (x RecType) Union(y RecType) RecType {
-	out := make(RecType, 0, len(x)+len(y))
-	out = append(out, x...)
-	out = append(out, y...)
-	return out
-}
+func (x RecType) Union(y RecType) RecType { return slices.Concat(x, y) }
 
 func (x RecType) String() string {
 	if len(x) == 0 {

@@ -233,6 +233,8 @@ type runEnv struct {
 	// The transport cells, held from the first fold on (foldStream).
 	streamOnce           sync.Once
 	frames, records, hwm *statCell
+
+	workers workers // every goroutine of the run (spawn, worker.go)
 }
 
 // foldStream adds a closing stream's tallies to the run's transport counters.

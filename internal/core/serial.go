@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // serialNode is the serial combinator A..B: the output stream of A feeds the
 // input stream of B; the pair operates as a pipeline (§4).
 //
@@ -43,29 +41,21 @@ func (s *serialNode) run(env *runEnv, in *streamReader, out *streamWriter) {
 	runParts(env, env.spines[s], in, out)
 }
 
-// runParts runs parts as a pipeline from in to out, returning when all have.
+// runParts runs parts as a pipeline from in to out, returning when the last
+// has: each part closes its own output, so none waits for another.
 func runParts(env *runEnv, parts []runner, in *streamReader, out *streamWriter) {
-	// Every part gets a goroutine and an output stream but the last, which
-	// runs here and writes out.  A part that stops early (cancellation)
-	// leaves its producer blocked sending, so each part's input is discarded
-	// once the part is done with it — Discard is idempotent, and does
-	// nothing on a stream that was read to its end.  Wait, so that run has
-	// no stragglers once it returns.
+	// Every part gets a worker and an output stream but the last, which runs
+	// here and writes out.  A part that stops early (cancellation) leaves its
+	// producer blocked sending, so it discards its input itself (Node.run):
+	// only the part knows when it is done with it, for a segment that hands
+	// over passes it on to the first part of its cut (segmentRun.resume).
 	last := len(parts) - 1
-	var wg sync.WaitGroup
-	wg.Add(last)
 	for _, p := range parts[:last] {
 		partIn := in
 		midR, midW := newStream(env, env.buf)
 		midW.marked = out.marked // sort markers cross every part
-		go func() {
-			defer wg.Done()
-			p.run(env, partIn, midW)
-			partIn.Discard()
-		}()
+		env.spawn(func() { p.run(env, partIn, midW) })
 		in = midR
 	}
 	parts[last].run(env, in, out)
-	in.Discard()
-	wg.Wait()
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,8 +39,7 @@ type shape struct {
 	key        string    // canonical ShapeKey: "f1,f2|t1,t2"
 	variant    Variant   // the label set; treat as immutable
 
-	trans atomic.Pointer[map[shapeTrans]shapeStep]
-	mu    sync.Mutex // serializes transition/registry publication
+	trans memo[shapeTrans, shapeStep]
 }
 
 // shapeTrans is one layout transition: add/remove one field/tag label.
@@ -63,13 +62,10 @@ type shapeStep struct {
 	pos int
 }
 
-// maxShapes bounds the global shape registry; maxShapeTrans bounds each
-// shape's memoized transition map.  Real networks see a handful of shapes;
-// the caps only matter to adversarial label-synthesizing workloads.
-const (
-	maxShapes     = 1 << 16
-	maxShapeTrans = 1 << 8
-)
+// maxShapes bounds the global shape registry, as maxMemoEntries bounds each
+// shape's memoized transitions.  Real networks see a handful of shapes; the
+// caps only matter to adversarial label-synthesizing workloads.
+const maxShapes = 1 << 16
 
 var (
 	shapeRegMu sync.Mutex
@@ -88,31 +84,9 @@ func newShape(fields []labelID, fieldNames []string, tags []labelID, tagNames []
 	s := &shape{
 		fields: fields, fieldNames: fieldNames,
 		tags: tags, tagNames: tagNames,
+		key:     strings.Join(fieldNames, ",") + "|" + strings.Join(tagNames, ","),
+		variant: make(Variant, len(fields)+len(tags)),
 	}
-	var b strings.Builder
-	n := 1
-	for _, k := range fieldNames {
-		n += len(k) + 1
-	}
-	for _, k := range tagNames {
-		n += len(k) + 1
-	}
-	b.Grow(n)
-	for i, k := range fieldNames {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-	}
-	b.WriteByte('|')
-	for i, k := range tagNames {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-	}
-	s.key = b.String()
-	s.variant = make(Variant, len(fields)+len(tags))
 	for _, k := range fieldNames {
 		s.variant[Field(k)] = struct{}{}
 	}
@@ -128,19 +102,15 @@ func newShape(fields []labelID, fieldNames []string, tags []labelID, tagNames []
 // distinct layouts onto one registry entry — the fuzzer found exactly that,
 // a {""} field shape colliding with the empty shape.
 func shapeRegKey(fieldNames, tagNames []string) string {
-	var b strings.Builder
+	var b []byte
 	for _, k := range fieldNames {
-		b.WriteString(strconv.Itoa(len(k)))
-		b.WriteByte(':')
-		b.WriteString(k)
+		b = append(append(strconv.AppendInt(b, int64(len(k)), 10), ':'), k...)
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for _, k := range tagNames {
-		b.WriteString(strconv.Itoa(len(k)))
-		b.WriteByte(':')
-		b.WriteString(k)
+		b = append(append(strconv.AppendInt(b, int64(len(k)), 10), ':'), k...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // canonicalShape interns the layout for the given name-sorted label slices,
@@ -161,18 +131,14 @@ func canonicalShape(fields []labelID, fieldNames []string, tags []labelID, tagNa
 }
 
 // fieldSlot returns the slot index of a field by name.
-func (s *shape) fieldSlot(name string) (int, bool) {
-	i := sort.SearchStrings(s.fieldNames, name)
-	if i < len(s.fieldNames) && s.fieldNames[i] == name {
-		return i, true
-	}
-	return -1, false
-}
+func (s *shape) fieldSlot(name string) (int, bool) { return slotOf(s.fieldNames, name) }
 
 // tagSlot returns the slot index of a tag by name.
-func (s *shape) tagSlot(name string) (int, bool) {
-	i := sort.SearchStrings(s.tagNames, name)
-	if i < len(s.tagNames) && s.tagNames[i] == name {
+func (s *shape) tagSlot(name string) (int, bool) { return slotOf(s.tagNames, name) }
+
+// slotOf is the slot of name among the sorted names, -1 if it has none.
+func slotOf(names []string, name string) (int, bool) {
+	if i, ok := slices.BinarySearch(names, name); ok {
 		return i, true
 	}
 	return -1, false
@@ -190,12 +156,8 @@ func (s *shape) slot(l Label) (int, bool) {
 // and the split dispatcher use: the id resolves once, where the name is
 // parsed, and the slot is an integer scan of a handful of ids per record.
 func (s *shape) tagSlotID(id labelID) (int, bool) {
-	for i, t := range s.tags {
-		if t == id {
-			return i, true
-		}
-	}
-	return -1, false
+	i := slices.Index(s.tags, id)
+	return i, i >= 0
 }
 
 // transition returns the layout after one add/remove, memoizing it — and the
@@ -203,67 +165,32 @@ func (s *shape) tagSlotID(id labelID) (int, bool) {
 // in the target layout; for removals, the slot it vacated in s.
 func (s *shape) transition(op uint8, name string) (next *shape, pos int) {
 	tk := shapeTrans{op: op, id: internLabel(name)}
-	if m := s.trans.Load(); m != nil {
-		if t, ok := (*m)[tk]; ok {
-			return t.to, t.pos
-		}
+	t, ok := s.trans.load(tk)
+	if !ok {
+		t = s.trans.store(tk, s.buildTransition(op, tk.id, name))
 	}
-	step := s.buildTransition(op, tk.id, name)
-	s.mu.Lock()
-	old := s.trans.Load()
-	var size int
-	if old != nil {
-		size = len(*old)
-	}
-	if size < maxShapeTrans {
-		m := make(map[shapeTrans]shapeStep, size+1)
-		if old != nil {
-			for k, v := range *old {
-				m[k] = v
-			}
-		}
-		m[tk] = step
-		s.trans.Store(&m)
-	}
-	s.mu.Unlock()
-	return step.to, step.pos
+	return t.to, t.pos
 }
 
 // buildTransition computes the target layout of one transition and the slot
 // it affects.
 func (s *shape) buildTransition(op uint8, id labelID, name string) shapeStep {
-	clone := func(ids []labelID, names []string) ([]labelID, []string) {
-		return append([]labelID(nil), ids...), append([]string(nil), names...)
-	}
+	fields, fieldNames := slices.Clone(s.fields), slices.Clone(s.fieldNames)
+	tags, tagNames := slices.Clone(s.tags), slices.Clone(s.tagNames)
 	var pos int
-	insert := func(ids []labelID, names []string) ([]labelID, []string) {
-		pos = sort.SearchStrings(names, name)
-		ids = append(ids, 0)
-		copy(ids[pos+1:], ids[pos:])
-		ids[pos] = id
-		names = append(names, "")
-		copy(names[pos+1:], names[pos:])
-		names[pos] = name
-		return ids, names
-	}
-	remove := func(ids []labelID, names []string) ([]labelID, []string) {
-		ids = append(ids[:pos], ids[pos+1:]...)
-		names = append(names[:pos], names[pos+1:]...)
-		return ids, names
-	}
-	fields, fieldNames := clone(s.fields, s.fieldNames)
-	tags, tagNames := clone(s.tags, s.tagNames)
 	switch op {
 	case transAddField:
-		fields, fieldNames = insert(fields, fieldNames)
+		pos, _ = slices.BinarySearch(fieldNames, name)
+		fields, fieldNames = slices.Insert(fields, pos, id), slices.Insert(fieldNames, pos, name)
 	case transAddTag:
-		tags, tagNames = insert(tags, tagNames)
+		pos, _ = slices.BinarySearch(tagNames, name)
+		tags, tagNames = slices.Insert(tags, pos, id), slices.Insert(tagNames, pos, name)
 	case transDelField:
 		pos, _ = s.fieldSlot(name)
-		fields, fieldNames = remove(fields, fieldNames)
+		fields, fieldNames = slices.Delete(fields, pos, pos+1), slices.Delete(fieldNames, pos, pos+1)
 	case transDelTag:
 		pos, _ = s.tagSlot(name)
-		tags, tagNames = remove(tags, tagNames)
+		tags, tagNames = slices.Delete(tags, pos, pos+1), slices.Delete(tagNames, pos, pos+1)
 	}
 	return shapeStep{to: canonicalShape(fields, fieldNames, tags, tagNames), pos: pos}
 }

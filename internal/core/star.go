@@ -86,6 +86,7 @@ type starRun struct {
 	fanout
 	n                   *starNode
 	exitPort, chainPort *branchPort
+	ports               [2]branchPort // the slab they are cut from
 	next                starNode
 	last                *shape
 	exit                boundPattern
@@ -93,7 +94,7 @@ type starRun struct {
 
 func (n *starNode) start(env *runEnv) *fanout {
 	r := &starRun{n: n}
-	r.fanout = fanout{env: env, det: n.det, inst: r}
+	r.fanout = fanout{env: env, det: n.det, inst: r, slab: r.ports[:]}
 	return &r.fanout
 }
 

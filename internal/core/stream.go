@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -18,14 +17,15 @@ import (
 // position, so a merger sees a region's data before the marker that ends it.
 //
 // A streamWriter is single-goroutine: only the goroutine that writes a stream
-// sends, flushes or closes it, and registers it with autoFlush only on the
+// sends, flushes or closes it — but a site's out, which the last of its
+// writers closes (fanout.leave) — and registers it with autoFlush only on the
 // reader it reads (sendBatchDirect, the network boundary's, is the exception).
 // A writer has one of two sinks: a frame channel with one reader, or — the
 // output writer of a combinator branch — a merge queue (merge.go), into which
 // ship hands each frame tagged with the branch; close is the branch's evClosed,
-// or, for a writer a direct site spawned, a count the site waits for.  The
-// merge queue is the one multi-producer channel of the record plane besides the
-// network boundary.
+// or, for a writer a direct site spawned, one writer fewer of the site's out.
+// The merge queue is the one multi-producer channel of the record plane
+// besides the network boundary.
 
 // item is one element on a stream: either a data record or a control marker
 // ("sort record") of the deterministic-merge protocol.  Exactly one of rec
@@ -79,7 +79,7 @@ type streamWriter struct {
 	// (fanout.writer) reports its close to done.
 	fan     *fanout
 	branch  *mergerBranch
-	done    *sync.WaitGroup
+	done    *fanout
 	marked  bool   // the stream can carry sort markers: a deterministic site encloses it
 	batch   int    // flush threshold B (>= 1)
 	pending []item // items accumulated since the last flush
@@ -295,7 +295,7 @@ func (w *streamWriter) close() {
 	}
 	switch {
 	case w.done != nil:
-		w.done.Done()
+		w.done.leave()
 	case w.fan != nil:
 		w.fan.sendEv(branchEvent{kind: evClosed, b: w.branch})
 	default:
@@ -407,7 +407,7 @@ func (r *streamReader) Discard() {
 		default:
 		}
 	}
-	go r.drain(head)
+	r.env.spawn(func() { r.drain(head) })
 }
 
 // drain is Discard's background consumer: the unread rest of the frame in

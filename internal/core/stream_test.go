@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// newTestEnv builds a standalone runEnv for transport-level tests.
+// newTestEnv builds a standalone runEnv for transport-level tests.  Its
+// cancel ends the run's workers too, as a one-shot run's cut does.
 func newTestEnv(buf, batch int) (*runEnv, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &runEnv{ctx: ctx, stats: newStats(), buf: buf, batch: batch}, cancel
+	env := &runEnv{ctx: ctx, stats: newStats(), buf: buf, batch: batch}
+	return env, func() { cancel(); env.end() }
 }
 
 func itemN(n int) item { return item{rec: NewRecord().SetTag("n", n)} }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // TagExpr is an integer expression over tag values, used on the right-hand
@@ -70,15 +69,7 @@ func (e *binExpr) TagRefs(dst []string) []string {
 }
 
 func (e *binExpr) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteString(e.x.String())
-	b.WriteByte(' ')
-	b.WriteString(tokNames[e.op])
-	b.WriteByte(' ')
-	b.WriteString(e.y.String())
-	b.WriteByte(')')
-	return b.String()
+	return "(" + e.x.String() + " " + tokNames[e.op] + " " + e.y.String() + ")"
 }
 
 func btoi(b bool) int {

@@ -11,6 +11,7 @@ package sudoku
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/array"
@@ -210,24 +211,22 @@ func (b *Board) Extends(puzzle *Board) bool {
 // String renders the board with sub-board rules.
 func (b *Board) String() string {
 	N := b.N()
-	var sb strings.Builder
+	out, rule := make([]byte, 0, (N+b.n)*(3*N+b.n)), strings.Repeat("-", 3*N+b.n-1)
 	for i := 0; i < N; i++ {
 		if i > 0 && i%b.n == 0 {
-			sb.WriteString(strings.Repeat("-", 3*N+b.n-1))
-			sb.WriteByte('\n')
+			out = append(append(out, rule...), '\n')
 		}
 		for j := 0; j < N; j++ {
 			if j > 0 && j%b.n == 0 {
-				sb.WriteByte('|')
+				out = append(out, '|')
 			}
-			v := b.Get(i, j)
-			if v == 0 {
-				sb.WriteString("  .")
-			} else {
-				fmt.Fprintf(&sb, "%3d", v)
+			s := "." // a cell is three wide, right-aligned: what %3d prints
+			if v := b.Get(i, j); v != 0 {
+				s = strconv.Itoa(v)
 			}
+			out = append(append(out, "   "[min(len(s), 3):]...), s...)
 		}
-		sb.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	return sb.String()
+	return string(out)
 }

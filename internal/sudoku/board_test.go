@@ -1,6 +1,7 @@
 package sudoku
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -147,6 +148,43 @@ func TestBoardString(t *testing.T) {
 	s := Easy().String()
 	if !strings.Contains(s, "5") || !strings.Contains(s, ".") || !strings.Contains(s, "|") {
 		t.Fatalf("rendering: %q", s)
+	}
+}
+
+// TestBoardStringMatchesFprintf holds Board.String to the formatter it
+// replaced, one fmt.Fprintf("%3d") per cell, byte for byte: on the shipped
+// puzzles, on a 16×16 board and on cell values of two digits.
+func TestBoardStringMatchesFprintf(t *testing.T) {
+	fprintf := func(b *Board) string {
+		N := b.N()
+		var sb strings.Builder
+		for i := 0; i < N; i++ {
+			if i > 0 && i%b.n == 0 {
+				sb.WriteString(strings.Repeat("-", 3*N+b.n-1))
+				sb.WriteByte('\n')
+			}
+			for j := 0; j < N; j++ {
+				if j > 0 && j%b.n == 0 {
+					sb.WriteByte('|')
+				}
+				if v := b.Get(i, j); v == 0 {
+					sb.WriteString("  .")
+				} else {
+					fmt.Fprintf(&sb, "%3d", v)
+				}
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	big := NewBoard(4)
+	for k := 0; k < 16; k++ {
+		big = big.With(k, (k*5)%16, k+1)
+	}
+	for name, b := range map[string]*Board{"easy": Easy(), "hard": Hard(), "16x16": big, "solved": EasySolution()} {
+		if got, want := b.String(), fprintf(b); got != want {
+			t.Errorf("%s: Board.String differs from the Fprintf rendering:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }
 
