@@ -37,3 +37,35 @@ func TestWavefrontAllocGates(t *testing.T) {
 		t.Logf("%.2f allocations a cell", got)
 	}
 }
+
+// TestOneShotAllocs pins what one warm one-record RunAll of the webpipe net
+// allocates: the run's instantiation — its environment, its stats, its root
+// segment and parallel, its boundary streams — and the record's own way
+// through the boxes.  The limit is the figure reached plus one.
+func TestOneShotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	const max = 43
+	plan, err := snet.Compile(WebPipeNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	run := func() {
+		i++
+		out, _, err := plan.RunAll(context.Background(), []*snet.Record{WebPipeRequest(i)})
+		want, status := WebPipeReference(WebPipeURL(i))
+		if err != nil || len(out) != 1 || out[0].MustField("resp").(string) != want || out[0].MustTag("status") != status {
+			t.Fatalf("webpipe run %d: %v, %v", i, out, err)
+		}
+	}
+	for range 6 {
+		run() // warm: every URL's shapes interned, route tables filled, arenas stocked
+	}
+	if got := testing.AllocsPerRun(50, run); got > max {
+		t.Errorf("%.1f allocations a run, want at most %v", got, max)
+	} else {
+		t.Logf("%.2f allocations a run", got)
+	}
+}
