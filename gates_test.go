@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6751},
+		{"internal/core", 6734},
 		{"internal/analysis", 882},
 		{"internal/lang", 716},
 		{"snet/service", 1626},
@@ -188,7 +188,7 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 		{`internal/bench|cmd/experiments|BENCH_[0-9]+\.json|MergeBenchFile`, "", false, "docs_test.go",
 			"go run ./benchmark is the only place a performance number is produced (docs_test.go holds the documents to the same)"},
 		{`preregister|hotSnapshot|hotKV|fusedKeys|hotFrames|hotRecords|hotHWM`, "", false, "",
-			"a stat is one atomic cell looked up by name (Stats.counter/maximum); per-record sites hold the pointer (Stats.held)"},
+			"a stat is a cell at its index in the plan's key table (Stats), and no key is special: a site that counts per record holds its cell (Stats.held)"},
 		{`kindNames|parseUnaryTag|parseGuardedPattern|TagBinary|TagUnary|tagMap\(`, "", false, "",
 			"S-Net text has one lexer and one set of productions (core.Parser, embedded by internal/lang), a tag expression one evaluator (the program compiled per shape, prog.go; the tree walk is the tests' oracle)"},
 		{`func inheritInto|func transPos|func \(f \*filterNode\) matches|matchMemo`, "", false, "",
@@ -249,6 +249,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"a .snet program has one static check, snetrun -check (runCheck over lang.AnalyzeNetWithCaps), with one rendering of a finding (Finding.String); snetd logs the report its service caches (Network.Verify)"},
 		{`^\s*go\s+\S`, "internal/core/", true, "internal/core/worker.go",
 			"every goroutine of a run is one of its workers (runEnv.spawn, worker.go), so a box worker, a merger, a part or a drainer whose work is done goes back to the run for the next"},
+		{`streamOnce|statValue|func \(s \*Stats\) values|(counters|maxima) +map\[string\]\*statCell|free +\[\]statCell|foldStream`, "internal/core/", false, "",
+			"a run's stats are its plan's key table and one slab of cells (Stats): no maps and chunk allocator per collector, no transport cells behind a sync.Once, no snapshot slice for Merge"},
 		{`\bNextIndex\b`, "", false, "",
 			"the with-loop engine walks an index space itself (span.start, span.carry); the shape walks of Rotate, Reverse and Where convert offsets (LinearToIndex)"},
 	}

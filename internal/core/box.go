@@ -98,7 +98,7 @@ func (e *Emitter) Out(variant int, vals ...any) error {
 	switch {
 	case e.x == nil:
 		e.env.trace(e.box.label, "out", rec)
-		delivered = e.out.sendRecord(rec)
+		delivered = e.out.send(item{rec: rec})
 	case (e.next < len(e.x.seg.stages) || e.x.up != nil) && ctxDone(e.env.ctx):
 		// The stages after this one may never send anything, and then no
 		// stream is there to observe cancellation: check it here so an
@@ -262,7 +262,7 @@ func (b *boxNode) open(x *segmentRun, i int) *Emitter {
 	st := &x.state[i]
 	if st.em.x != x { // the first call, or the first after a hand-over (resume)
 		st.em = Emitter{env: x.env, box: b, x: x, next: i + 1, front: &x.front}
-		st.args = make([]any, 0, len(b.boxSig.In))
+		st.args = slots(st.argv[:], len(b.boxSig.In))[:0]
 		x.env.stats.SetMax(b.keys.inflight, 1)
 	}
 	return &st.em

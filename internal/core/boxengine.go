@@ -144,8 +144,8 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 	env.stats.SetMax(b.keys.concurrency, int64(width))
 
 	var (
-		inflight    atomic.Int64                         // invocations currently running
-		inflightMax = env.stats.maximum(b.keys.inflight) // its high-water mark: the cell, shared by the workers
+		inflight    atomic.Int64                                        // invocations currently running
+		inflightMax = env.stats.cell(statKey{b.keys.inflight, maxKind}) // its high-water mark: the cell, shared by the workers
 	)
 	// Reorder queue capacity beyond the worker count only buys queued-but-
 	// undispatched slots; width+1 keeps the dispatcher just ahead of the
@@ -274,7 +274,7 @@ func (b *boxNode) runConcurrent(env *runEnv, in *streamReader, out *streamWriter
 		if !ok {
 			continue
 		}
-		emitR, emitW := newStream(env, 1)
+		emitR, emitW := new(stream).open(env, 1)
 		s := &boxSlot{emit: emitR, args: args,
 			em: Emitter{env: env, out: emitW, box: b, src: rec, prog: prog}}
 		if !enqueue(s) || !dispatch(s) {

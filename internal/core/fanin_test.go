@@ -180,8 +180,8 @@ type mergeHarness struct {
 
 func newMergeHarness(buf, batch int, det bool) *mergeHarness {
 	env, cancel := newTestEnv(buf, batch)
-	in, _ := newStream(env, env.buf)
-	outR, outW := newStream(env, env.buf)
+	in, _ := new(stream).open(env, env.buf)
+	outR, outW := new(stream).open(env, env.buf)
 	f := &fanout{env: env, det: det, in: in, out: outW, mux: make(chan branchEvent, env.buf+mergeQueueSlack)}
 	h := &mergeHarness{cancel: cancel, f: f, out: outR,
 		m: &merger{f: f, out: outW}, done: make(chan struct{})}

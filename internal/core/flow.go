@@ -81,11 +81,8 @@ func (c *compiler) flowNode(g *GraphNode, in []Variant, exact bool) ([]Variant, 
 		// A synchrocell's merged output carries the union of its stored
 		// records' labels, which depend on runtime contents; approximate
 		// with the pattern union and pass-through, and drop exactness.
-		merged := Variant{}
-		for _, p := range n.patterns {
-			merged = merged.Union(p.Variant)
-		}
-		return addVariant(addVariants(nil, in), merged), false
+		_, merged := n.sig()
+		return addVariants(addVariants(nil, in), merged), false
 	case *serialNode:
 		mid, e := c.flow(g.Children[0], in, exact)
 		return c.flow(g.Children[1], mid, e)
@@ -232,52 +229,20 @@ func (c *compiler) finishParallel() {
 // guarded branches' guards (and, for nondeterministic combinators, of tie
 // rotation).
 func possibleWinners(t *routeTable, shape Variant, det bool) []int {
-	n := len(t.accept)
-	score := make([]int, n)
-	guarded := make([]bool, n)
-	for i := range score {
-		score[i] = -1
+	// The shape's dispatch entry (route.go): its static ties win, the leftmost
+	// alone if det, and a guarded branch no static one outscores — nor, if
+	// det, ties from the left.
+	e := t.buildEntry(shapeForVariant(shape))
+	winners := slices.Clone(e.ties)
+	if det && len(winners) > 1 {
+		winners = winners[:1]
 	}
-	for i, st := range t.static {
-		if st == nil {
-			continue
-		}
-		for _, w := range st {
-			if len(w) > score[i] && w.SubsetOf(shape) {
-				score[i] = len(w)
-			}
+	for _, c := range e.cands {
+		if c.score > e.best || c.score == e.best && !(det && e.ties[0] < c.idx) {
+			winners = append(winners, c.idx)
 		}
 	}
-	for _, g := range t.gb {
-		guarded[g.idx] = true
-		if g.pattern.Variant.SubsetOf(shape) {
-			score[g.idx] = len(g.pattern.Variant)
-		}
-	}
-	var winners []int
-	for b := 0; b < n; b++ {
-		if score[b] < 0 {
-			continue
-		}
-		ok := true
-		for j := 0; j < n && ok; j++ {
-			if j == b || guarded[j] {
-				continue // a guarded competitor may be off
-			}
-			if det && j < b {
-				// Deterministic ties resolve leftmost: an earlier branch
-				// scoring at least as high always wins.
-				if score[j] >= score[b] {
-					ok = false
-				}
-			} else if score[j] > score[b] {
-				ok = false
-			}
-		}
-		if ok {
-			winners = append(winners, b)
-		}
-	}
+	slices.Sort(winners)
 	return winners
 }
 

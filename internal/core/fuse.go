@@ -127,10 +127,7 @@ func (c *spineCutter) place(n Node, nested bool) {
 // its own segment of one, several a named one, a fusion group — and every
 // other node a part of its own.
 func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
-	stages := make([]stage, len(nodes))
-	for i := range nodes {
-		stages[i] = c.stage(nodes[i], nested)
-	}
+	stages := mapped(nodes, func(n Node) stage { return c.stage(n, nested) })
 	parts := make([]runner, 0, len(nodes))
 	for i, j := 0, 1; i < len(nodes); i, j = j, j+1 {
 		for stages[i] != nil && j < len(nodes) && stages[j] != nil {
@@ -390,6 +387,7 @@ type stageState struct {
 	filter *filterProg
 	em     Emitter   // box: the emitter every invocation is handed
 	args   []any     // box: the argument buffer
+	argv   [4]any    // args' backing for up to four arguments
 	outs   []*Record // filter: backing for the outputs of one application
 	began  uint32    // box: calls begun, never folded: the clock's period (boxNode.step)
 	// box: "calls", "emitted", "instances"; filter: "applied"; synchrocell: "fired"
@@ -415,8 +413,14 @@ func slots[T any](inline []T, n int) []T {
 
 // begin begins an execution of the segment, state its own, for one branch.
 func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
-	x := &segmentRun{env: env, seg: s, out: out, branches: 1}
-	x.state, x.held = slots(x.state2[:], len(s.stages)), slots(x.held4[:], len(s.stages))
+	x := new(segmentRun)
+	return s.beginIn(x, x.state2[:], x.held4[:], env, out)
+}
+
+// beginIn is begin in x, its slots cut from state and held if they fit.
+func (s *segment) beginIn(x *segmentRun, state []stageState, held []held, env *runEnv, out *streamWriter) *segmentRun {
+	x.env, x.seg, x.out, x.branches = env, s, out, 1
+	x.state, x.held = slots(state, len(s.stages)), slots(held, len(s.stages))
 	for _, st := range s.stages {
 		if b, ok := st.(*boxNode); ok {
 			env.stats.SetMax(b.keys.concurrency, 1)
@@ -519,5 +523,5 @@ func (x *segmentRun) push(i int, rec *Record) bool {
 	if f := x.up; f != nil {
 		return f.x.push(f.at, rec)
 	}
-	return x.out.sendRecord(rec)
+	return x.out.send(item{rec: rec})
 }

@@ -190,7 +190,7 @@ func (f *fanout) addBranch(n runner, body *segment, rest ...runner) *branchPort 
 		if rest != nil {
 			out := f.writer(port)
 			var inR *streamReader
-			inR, port.w = newStream(f.env, f.env.buf)
+			inR, port.w = new(stream).open(f.env, f.env.buf)
 			f.env.spawn(func() { runParts(f.env, rest, inR, out) })
 		}
 		f.in.autoFlush(port.w)
@@ -253,7 +253,7 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 		own := x.seg.begin(f.env, out)
 		own.held, own.branches = port.held, 0 // the branch x stepped, counted there
 		var inR *streamReader
-		inR, port.w = newStream(f.env, f.env.buf)
+		inR, port.w = new(stream).open(f.env, f.env.buf)
 		port.x, f.in.onIdle[port.slot] = nil, port.w
 		f.env.spawn(func() { own.resume(inR) })
 	}
@@ -268,7 +268,7 @@ func (f *fanout) route(port *branchPort, r *Record) bool {
 		if !x.take(r) {
 			return false
 		}
-	} else if !port.w.sendRecord(r) {
+	} else if !port.w.send(item{rec: r}) {
 		return false
 	}
 	return !f.det || f.broadcast(&f.own)
@@ -459,7 +459,7 @@ func (m *merger) regionComplete(next int) bool {
 func (m *merger) emitRegion(upTo int) bool {
 	for _, b := range m.branches {
 		for b.held.len() != 0 && b.held.front().region <= upTo {
-			if !m.out.sendRecord(b.held.pop().rec) {
+			if !m.out.send(item{rec: b.held.pop().rec}) {
 				return false
 			}
 		}

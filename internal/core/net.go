@@ -40,18 +40,14 @@ var ErrClosed = errors.New("core: network input closed")
 // into segments at Compile time, so instantiation is pure runtime setup.
 // Start may be called any number of times; every call is an independent run.
 func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
-	env, cancel := p.newRun(ctx, opts)
+	b, cancel := p.newRun(ctx, opts)
+	env, h := &b.env, &b.handle
 	// The boundary input stream is written through sendBatchDirect only, safe
 	// for concurrent client senders; batching starts at the first internal hop.
-	inR, inW := newStream(env, env.buf)
-	h := &Handle{
-		env:    env,
-		cancel: cancel,
-		in:     inW,
-		outRec: make(chan *Record, env.buf),
-		done:   make(chan struct{}),
-	}
-	netOutR, netOutW := newStream(env, env.buf)
+	inR, inW := b.in.open(env, env.buf)
+	h.env, h.cancel, h.in = env, cancel, inW
+	h.outRec, h.done = make(chan *Record, env.buf), make(chan struct{})
+	netOutR, netOutW := b.out.open(env, env.buf)
 	env.spawn(func() { p.graph.Node.run(env, inR, netOutW) })
 	env.spawn(func() {
 		defer close(h.done)
@@ -67,23 +63,45 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	return h
 }
 
-// newRun sets up one run of p: its environment, under a context of its own.
-func (p *Plan) newRun(ctx context.Context, opts []Option) (*runEnv, context.CancelFunc) {
+// runBlock is a run's fixed state, cut from one allocation: its environment,
+// collector and handle, its boundary streams' reader/writer pairs (their
+// channels apart), the execution of the one-shot root segment with its slots,
+// and the instance of its first parallel with its ports.  A plan whose key
+// table (Compile) or root segment is larger than the room here takes those
+// slots apart.  Nothing in it outlives its run.
+type runBlock struct {
+	env     runEnv
+	stats   Stats
+	handle  Handle
+	in, out stream
+	root    segmentRun
+	state   [4]stageState
+	held    [4]held
+	par     parallelRun
+	parUsed atomic.Bool // par is taken (parallelNode.start)
+	ports   [4]branchPort
+	cells   [64]statCell
+}
+
+// newRun sets up one run of p: its block, under a context of its own.
+func (p *Plan) newRun(ctx context.Context, opts []Option) (*runBlock, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(ctx)
-	env := &runEnv{
+	b := new(runBlock)
+	b.env = runEnv{
 		ctx:       ctx,
-		stats:     newStats(),
+		stats:     b.stats.init(&p.keys, b.cells[:]),
 		buf:       DefaultStreamBuffer,
 		batch:     DefaultStreamBatch,
 		maxDepth:  1 << 20,
 		maxWidth:  1 << 20,
 		autoWidth: runtime.GOMAXPROCS(0),
 		spines:    p.spines,
+		blk:       b,
 	}
 	for _, o := range opts {
-		o(env)
+		o(&b.env)
 	}
-	return env, cancel
+	return b, cancel
 }
 
 // recvOutput is the next record of a network's output stream, which leaves
@@ -219,16 +237,21 @@ func (p *Plan) RunAll(ctx context.Context, inputs []*Record, opts ...Option) ([]
 // never drains: whoever receives a frame owns its record, so once the caller
 // has emptied that stream at the cut, the run has taken exactly the rest.
 func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record) bool, opts ...Option) (*Record, *Stats, error) {
-	env, cancel := p.newRun(ctx, opts)
+	b, cancel := p.newRun(ctx, opts)
 	defer cancel()
-	inR, inW := newStream(env, len(inputs))
+	env := &b.env
+	inR, inW := b.in.open(env, len(inputs))
 	inR.discarding.Store(true) // what the run leaves there, the caller takes back
 	for _, r := range inputs {
 		inW.ch <- frame{single: item{rec: r}}
 	}
 	close(inW.ch)
-	outR, outW := newStream(env, 0) // its reader is always waiting, but in stop
-	env.spawn(func() { p.once.run(env, inR, outW) })
+	outR, outW := b.out.open(env, 0) // its reader is always waiting, but in stop
+	once := p.once
+	if s, ok := once.(*segment); ok {
+		once = s.beginIn(&b.root, b.state[:], b.held[:], env, outW)
+	}
+	env.spawn(func() { once.run(env, inR, outW) })
 	rec, ok := recvOutput(outR)
 	for ok && !stop(rec) {
 		rec, ok = recvOutput(outR)
@@ -237,11 +260,11 @@ func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record
 	env.end()
 	outR.Discard()
 	if n := reclaim(inW.ch); n > 0 {
-		key := "stream.discarded" // left by a root that stopped reading early
+		key := statDiscarded // left by a root that stopped reading early
 		if ok || ctx.Err() != nil {
-			key = "input.untaken" // not taken when the run was cut
+			key = statUntaken // not taken when the run was cut
 		}
-		env.stats.Add(key, n)
+		env.stats.at(key).Add(n)
 	}
 	if ok {
 		return rec, env.stats, nil

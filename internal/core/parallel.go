@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // parallelNode is parallel composition: incoming records are routed to the
@@ -63,11 +62,7 @@ func (n *parallelNode) String() string {
 	if n.det {
 		op = " | "
 	}
-	parts := make([]string, len(n.branches))
-	for i, b := range n.branches {
-		parts[i] = b.String()
-	}
-	return "(" + strings.Join(parts, op) + ")"
+	return "(" + join(n.branches, op) + ")"
 }
 
 func (n *parallelNode) sig() (RecType, RecType) {
@@ -90,13 +85,23 @@ type parallelRun struct {
 	n       *parallelNode
 	byIndex []*branchPort  // a branch exists from the first record routed to it
 	index   [4]*branchPort // byIndex's backing for four branches or fewer
+	live    [4]*branchPort // fanout.ports' backing, likewise
 	state   routing        // the tie rotation and the latest shape's entry (route.go)
 }
 
+// start is an instance of n: the run block's, at the run's first start of a
+// parallel whose ports fit there (the root's, in a one-shot run).
 func (n *parallelNode) start(env *runEnv) *fanout {
-	r := &parallelRun{n: n}
+	var r *parallelRun
+	var slab []branchPort
+	if b := env.blk; b != nil && len(n.branches) <= len(b.ports) && b.parUsed.CompareAndSwap(false, true) {
+		r, slab = &b.par, b.ports[:]
+	} else {
+		r = new(parallelRun)
+	}
+	r.n = n
 	r.byIndex = slices.Grow(r.index[:0], len(n.branches))[:len(n.branches)]
-	r.fanout = fanout{env: env, det: n.det, inst: r, slab: make([]branchPort, len(n.branches))}
+	r.fanout = fanout{env: env, det: n.det, inst: r, slab: slots(slab, len(n.branches)), ports: r.live[:0]}
 	return &r.fanout
 }
 

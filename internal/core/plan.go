@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -84,11 +85,7 @@ func (e *CompileError) Error() string {
 
 // Unwrap exposes the individual TypeErrors to errors.Is/As.
 func (e *CompileError) Unwrap() []error {
-	out := make([]error, len(e.Errors))
-	for i, te := range e.Errors {
-		out[i] = te
-	}
-	return out
+	return mapped(e.Errors, func(te *TypeError) error { return te })
 }
 
 // Topology is the serializable typed graph of a compiled network — the
@@ -144,6 +141,7 @@ type Plan struct {
 	groups   []FusionGroup
 	warnings []Diagnostic
 	typeErrs []*TypeError
+	keys     statTable // every stat key its runs count under, run-wide ones first (Stats)
 }
 
 // Compile type-checks the network and precomputes its execution artifacts.
@@ -159,15 +157,21 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 		o(&cfg)
 	}
 	c := &compiler{errKeys: map[string]bool{}, par: map[*parallelNode]*parReach{}}
+	for _, k := range runKeys.keys {
+		c.keys.add(k)
+	}
 	p := &Plan{graph: c.walk(root, nil, "")}
 	p.spines, p.groups = cutSpines(root)
+	for _, g := range p.groups {
+		c.stat(counterKind, "fused."+g.Name+".records", "fused."+g.Name+".applied")
+	}
 	p.once = (&spineCutter{spines: p.spines}).oneShot(root)
 	seed := cfg.input
 	if seed == nil {
 		seed = p.graph.In
 	}
 	c.flowRoot(p.graph, seed)
-	p.warnings, p.typeErrs = c.warns, c.errs
+	p.warnings, p.typeErrs, p.keys = c.warns, c.errs, c.keys
 	if len(c.errs) > 0 {
 		return p, &CompileError{Errors: c.errs}
 	}
@@ -234,6 +238,14 @@ type compiler struct {
 	errKeys  map[string]bool
 	par      map[*parallelNode]*parReach
 	parOrder []*parReach
+	keys     statTable
+}
+
+// stat lists keys of one kind in the plan's table.
+func (c *compiler) stat(max bool, keys ...string) {
+	for _, k := range keys {
+		c.keys.add(statKey{k, max})
+	}
 }
 
 // typeError records a definite finding (deduplicated); when the flow has
@@ -269,67 +281,40 @@ func (c *compiler) warnf(path, format string, args ...any) {
 	c.warns = append(c.warns, Diagnostic{Node: path, Warning: true, Msg: msg})
 }
 
-// renderType renders a RecType as per-variant strings for the topology.
-func renderType(t RecType) []string {
-	out := make([]string, len(t))
-	for i, v := range t {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// declared visits the label sets a node's author wrote down: Compile
-// pre-interns their labels and shapes, so the plan's whole label universe is id-resolved and its canonical
-// shapes exist before the first record flows — records of these shapes then
-// take only the lock-free intern/shape read paths at runtime; out-of-plan
-// dynamic shapes still intern lazily on first sight.
-func declared(n Node, visit func(labels ...Label)) {
-	switch n := n.(type) {
-	case *boxNode:
-		visit(n.boxSig.In...)
-		for _, tuple := range n.boxSig.Out {
-			visit(tuple...)
-		}
-	case *filterNode:
-		visit(n.spec.Pattern.Variant.Labels()...)
-		for _, items := range n.spec.Outputs {
-			visit(itemLabels(items)...)
-		}
-	case *starNode:
-		visit(n.exit.Variant.Labels()...)
-	case *splitNode:
-		visit(Tag(n.tag))
-	case *syncNode:
-		for _, p := range n.patterns {
-			visit(p.Variant.Labels()...)
-		}
-	}
-}
-
 // walk is the one structural traversal of the blueprint and the one place a
 // path is built: it pre-interns every node's labels and shapes, and builds the GraphNode tree the flow pass annotates, Plan.Graph
 // returns and Topology is rendered from.  prefix is the parent path including
-// its trailing separator; the node's path is prefix + name().
+// its trailing separator; the node's path is prefix + name().  The shapes are
+// those of the node's signature, which lists the label sets its author wrote
+// down: so the plan's whole label universe is id-resolved and its canonical
+// shapes exist before the first record flows — records of these shapes then
+// take only the lock-free intern/shape read paths at runtime; out-of-plan
+// dynamic shapes still intern lazily on first sight.
 func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 	path := prefix + n.name()
 	in, out := n.sig()
 	g := &GraphNode{Name: n.name(), Path: path, Node: n, Parent: parent, In: in, Out: out}
-	declared(n, func(labels ...Label) {
-		shapeForVariant(NewVariant(labels...)) // interns the labels on its way
-	})
+	for _, v := range slices.Concat(in, out) {
+		shapeForVariant(v) // interns the labels on its way
+	}
 	switch n := n.(type) {
 	case *boxNode:
 		g.Kind = "box"
 		g.BoxSig = n.boxSig
 		g.Workers = n.workers
+		k := &n.keys
+		c.stat(counterKind, k.instances, k.calls, k.emitted, k.cancelled, k.rejected, k.panics, k.escalated)
+		c.stat(maxKind, k.concurrency, k.inflight)
 	case *filterNode:
 		g.Kind = "filter"
 		g.Filter = n.spec
+		c.stat(counterKind, n.kNomatch, n.kApplied, n.kErrors)
 	case *identityNode:
 		g.Kind = "observe"
 	case *syncNode:
 		g.Kind = "sync"
 		g.Patterns = append([]Pattern(nil), n.patterns...)
+		c.stat(counterKind, n.kFired, n.kStarved)
 	case *serialNode:
 		g.Kind = "serial"
 		g.Children = []*GraphNode{c.walk(n.a, g, path+"/"), c.walk(n.b, g, path+"/")}
@@ -339,17 +324,23 @@ func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 		for i, b := range n.branches {
 			g.Children = append(g.Children, c.walk(b, g, fmt.Sprintf("%s/branch[%d]/", path, i)))
 		}
+		c.stat(counterKind, n.branchKeys...)
+		c.stat(counterKind, n.kUnroutable)
 	case *starNode:
 		g.Kind = "star"
 		g.Det = n.det
 		exit := n.exit
 		g.Exit = &exit
 		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
+		c.stat(counterKind, n.kReplicas, n.kOverflow)
+		c.stat(maxKind, n.kDepth)
 	case *splitNode:
 		g.Kind = "split"
 		g.Det = n.det
 		g.Tag = n.tag
 		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
+		c.stat(counterKind, n.kReplicas, n.kUntagged)
+		c.stat(maxKind, n.kWidth)
 	default:
 		g.Kind = "node"
 	}

@@ -93,9 +93,9 @@ func TestDetPoolMatrix(t *testing.T) {
 					if d := stats.Counter("stream.discarded"); d != 0 {
 						t.Fatalf("drained run discarded %d records", d)
 					}
-					if stats.Counter(statStreamRecords) < int64(detN) {
+					if stats.Counter("stream.records") < int64(detN) {
 						t.Fatalf("transport counted %d records for %d inputs",
-							stats.Counter(statStreamRecords), detN)
+							stats.Counter("stream.records"), detN)
 					}
 					waitPoolLive(t, base)
 				})

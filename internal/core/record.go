@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 )
 
@@ -167,11 +168,7 @@ func (r *Record) NumLabels() int {
 
 // Labels returns the record's type: the set of all its labels.
 func (r *Record) Labels() Variant {
-	v := make(Variant, r.NumLabels())
-	for l := range r.shape.variant {
-		v[l] = struct{}{}
-	}
-	return v
+	return maps.Clone(r.shape.variant)
 }
 
 // Copy returns a shallow copy: field values are shared (they are opaque to

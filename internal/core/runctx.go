@@ -13,32 +13,69 @@ import (
 // "box.solveOneLevel.calls", "star.solve_loop.replicas",
 // "split.width.replicas".  Stats are safe for concurrent use.
 //
-// A stat is an atomic cell, and the mutex guards only the two maps that name
-// the cells: Add and SetMax look the cell up, then do the atomic operation.  A
-// site that counts once per record keeps the pointer (held) and pays the
-// look-up once.  Reads never create a cell (DESIGN §4, "Counters").
+// A stat is an atomic cell at a dense index.  The index space starts with a
+// key table shared read-only — a run's is its plan's (Compile), NewStats' the
+// run-wide keys — where a look-up takes no lock and inserts nothing; a key it
+// does not list extends the collector's own table, under the mutex.  A
+// counter is reported once looked up, a high-water mark once above zero, so
+// reads never add a key (DESIGN §4, "Counters").
 type Stats struct {
-	mu       sync.Mutex
-	counters map[string]*statCell
-	maxima   map[string]*statCell
-	// Cells are cut from free, which starts as the inline chunk: the couple
-	// of dozen keys of a typical run cost no allocation of their own.
-	free  []statCell
-	first [32]statCell
+	keys  *statTable
+	cells []statCell // keys' cells, then their looked-up bits, a word per 64
+	mu    sync.Mutex // guards more
+	more  statTable
 }
 
 type statCell = atomic.Int64
 
-// The transport-plane keys (runEnv.foldStream).
+// statKey names a counter or, max, a high-water mark (rendered "<name>.max").
+type statKey struct {
+	name string
+	max  bool
+}
+
+const counterKind, maxKind = false, true
+
+// statTable indexes keys densely, in the order they were added.  An
+// extension holds its cells, one allocation each: a site may hold one.
+type statTable struct {
+	index map[statKey]int
+	keys  []statKey
+	cells []*statCell
+}
+
+func (t *statTable) add(k statKey) int {
+	i, ok := t.index[k]
+	if !ok {
+		if t.index == nil {
+			t.index = map[statKey]int{}
+		}
+		i, t.index[k], t.keys = len(t.keys), len(t.keys), append(t.keys, k)
+	}
+	return i
+}
+
+// The run-wide keys, at these indices in every table (runKeys).
 const (
-	statStreamFrames  = "stream.frames"
-	statStreamRecords = "stream.records"
-	statFrameHWM      = "stream.frame.hwm"
+	statErrors = iota
+	statDiscarded
+	statUntaken
+	statFrames
+	statRecords
+	statFrameHWM
 )
 
-func newStats() *Stats {
-	s := &Stats{counters: make(map[string]*statCell, 16), maxima: make(map[string]*statCell, 8)}
-	s.free = s.first[:]
+var runKeys = func() (t statTable) {
+	for _, k := range [...]string{"runtime.errors", "stream.discarded", "input.untaken",
+		"stream.frames", "stream.records", "stream.frame.hwm"} {
+		t.add(statKey{k, k == "stream.frame.hwm"}) // the one mark
+	}
+	return t
+}()
+
+// init makes s a collector over keys, its cells cut from cells if they fit.
+func (s *Stats) init(keys *statTable, cells []statCell) *Stats {
+	s.keys, s.cells = keys, slots(cells, len(keys.keys)+(len(keys.keys)+63)/64)
 	return s
 }
 
@@ -55,32 +92,36 @@ func atomicMax(a *statCell, v int64) {
 // NewStats returns an empty, usable Stats collector.  The runtime allocates
 // its own per-run collector in Start; NewStats exists for aggregators (such
 // as the session service) that fold many runs' statistics into one.
-func NewStats() *Stats { return newStats() }
+func NewStats() *Stats { return new(Stats).init(&runKeys, nil) }
 
-// cell returns m's cell (s.counters or s.maxima) for key, new at first use.
-func (s *Stats) cell(m map[string]*statCell, key string) *statCell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := m[key]
-	if c == nil {
-		if len(s.free) == 0 {
-			s.free = make([]statCell, len(s.first))
-		}
-		c, s.free = &s.free[0], s.free[1:]
-		m[key] = c
+// at is the table's cell i, marked looked up.
+func (s *Stats) at(i int) *statCell {
+	if w, bit := &s.cells[len(s.keys.keys)+i/64], int64(1)<<(i%64); w.Load()&bit == 0 {
+		w.Or(bit)
 	}
-	return c
+	return &s.cells[i]
 }
 
-func (s *Stats) counter(key string) *statCell { return s.cell(s.counters, key) }
-func (s *Stats) maximum(key string) *statCell { return s.cell(s.maxima, key) }
+// cell returns k's cell, made at first use if the table does not list k.
+func (s *Stats) cell(k statKey) *statCell {
+	if i, ok := s.keys.index[k]; ok {
+		return s.at(i)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := s.more.add(k); i < len(s.more.cells) {
+		return s.more.cells[i]
+	}
+	s.more.cells = append(s.more.cells, new(statCell))
+	return s.more.cells[len(s.more.cells)-1]
+}
 
 // held returns the counter cell *c, which belongs to one goroutine, looking
 // it up under key at the first count — not before, so a key nobody counted is
 // never reported.
 func (s *Stats) held(c **statCell, key string) *statCell {
 	if *c == nil {
-		*c = s.counter(key)
+		*c = s.cell(statKey{name: key})
 	}
 	return *c
 }
@@ -100,95 +141,102 @@ func (c *tally) fold(s *Stats, key string) {
 	}
 }
 
-// Merge folds another collector's snapshot into s: counters are added,
-// maxima are maximised.  Both collectors remain usable.
+// Merge folds another collector's values into s: counters are added,
+// maxima are maximised.  Both collectors remain usable.  Over one table the
+// fold goes index by index.
 func (s *Stats) Merge(o *Stats) {
-	for _, v := range o.values() { // o's lock is free again: never both at once
-		if v.max {
-			s.SetMax(v.key, v.val)
+	o.each(func(i int, k statKey, v int64) {
+		var c *statCell
+		if s.keys == o.keys && i < len(s.keys.keys) {
+			c = s.at(i)
 		} else {
-			s.Add(v.key, v.val)
+			c = s.cell(k)
 		}
-	}
+		if k.max {
+			atomicMax(c, v)
+		} else {
+			c.Add(v)
+		}
+	})
 }
 
 // Add increments a counter and returns the new value.
-func (s *Stats) Add(key string, delta int64) int64 { return s.counter(key).Add(delta) }
+func (s *Stats) Add(key string, delta int64) int64 { return s.cell(statKey{name: key}).Add(delta) }
 
 // SetMax records v as a high-water mark for key.
-func (s *Stats) SetMax(key string, v int64) { atomicMax(s.maximum(key), v) }
+func (s *Stats) SetMax(key string, v int64) { atomicMax(s.cell(statKey{key, maxKind}), v) }
 
 // Counter returns the current value of a counter.
-func (s *Stats) Counter(key string) int64 { return s.read(s.counters, key) }
+func (s *Stats) Counter(key string) int64 { return s.read(statKey{name: key}) }
 
 // Max returns the recorded high-water mark for key.
-func (s *Stats) Max(key string) int64 { return s.read(s.maxima, key) }
+func (s *Stats) Max(key string) int64 { return s.read(statKey{key, maxKind}) }
 
-// read is the value of the cell m names key, 0 if it names none.
-func (s *Stats) read(m map[string]*statCell, key string) int64 {
+// read is the value of k's cell, 0 if it has none.
+func (s *Stats) read(k statKey) int64 {
+	if i, ok := s.keys.index[k]; ok {
+		return s.cells[i].Load()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c := m[key]; c != nil {
-		return c.Load()
+	if i, ok := s.more.index[k]; ok {
+		return s.more.cells[i].Load()
 	}
 	return 0
 }
 
-type statValue struct {
-	key string
-	val int64
-	max bool // a high-water mark, rendered "<key>.max"
-}
-
-// values lists what the collector reports: every counter, and every
-// high-water mark above zero (a mark nobody raised is no mark).
-func (s *Stats) values() []statValue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]statValue, 0, len(s.counters)+len(s.maxima))
-	for k, c := range s.counters {
-		out = append(out, statValue{key: k, val: c.Load()})
-	}
-	for k, c := range s.maxima {
-		if v := c.Load(); v > 0 {
-			out = append(out, statValue{key: k, val: v, max: true})
+// each visits what the collector reports — every counter looked up, and
+// every high-water mark above zero (a mark nobody raised is no mark) — by
+// index.  No lock is held while f runs: more is only appended to, so what of
+// it was seen under the lock stays as it was.
+func (s *Stats) each(f func(i int, k statKey, v int64)) {
+	n := len(s.keys.keys)
+	for i, k := range s.keys.keys {
+		if v := s.cells[i].Load(); k.max && v > 0 || !k.max && s.cells[n+i/64].Load()&(1<<(i%64)) != 0 {
+			f(i, k, v)
 		}
 	}
-	return out
+	s.mu.Lock()
+	more, cells := s.more.keys, s.more.cells
+	s.mu.Unlock()
+	for i, k := range more {
+		if v := cells[i].Load(); !k.max || v > 0 {
+			f(n+i, k, v)
+		}
+	}
 }
 
 // Snapshot returns all counters (maxima suffixed ".max") as a plain map.
 func (s *Stats) Snapshot() map[string]int64 {
-	vals := s.values()
-	out := make(map[string]int64, len(vals))
-	for _, v := range vals {
-		if v.max {
-			v.key += ".max"
+	out := map[string]int64{}
+	s.each(func(_ int, k statKey, v int64) {
+		if k.max {
+			k.name += ".max"
 		}
-		out[v.key] = v.val
-	}
+		out[k.name] = v
+	})
 	return out
 }
 
 // Keys returns the sorted counter keys (for deterministic reports).
 func (s *Stats) Keys() []string {
 	var keys []string
-	for _, v := range s.values() {
-		if !v.max {
-			keys = append(keys, v.key)
+	s.each(func(_ int, k statKey, _ int64) {
+		if !k.max {
+			keys = append(keys, k.name)
 		}
-	}
+	})
 	sort.Strings(keys)
 	return keys
 }
 
 // SumPrefix sums all counters whose key starts with the given prefix.
 func (s *Stats) SumPrefix(prefix string) (total int64) {
-	for _, v := range s.values() {
-		if !v.max && strings.HasPrefix(v.key, prefix) {
-			total += v.val
+	s.each(func(_ int, k statKey, v int64) {
+		if !k.max && strings.HasPrefix(k.name, prefix) {
+			total += v
 		}
-	}
+	})
 	return total
 }
 
@@ -230,24 +278,10 @@ type runEnv struct {
 	errMu    sync.Mutex
 	firstErr error
 
-	// The transport cells, held from the first fold on (foldStream).
-	streamOnce           sync.Once
-	frames, records, hwm *statCell
-
 	workers workers // every goroutine of the run (spawn, worker.go)
-}
-
-// foldStream adds a closing stream's tallies to the run's transport counters.
-// Streams close once per replica and, in the concurrent box engine, once per
-// invocation, so the run holds these cells as an instance holds its own.
-func (e *runEnv) foldStream(frames, records int64, hwm int) {
-	e.streamOnce.Do(func() {
-		e.frames, e.records = e.stats.counter(statStreamFrames), e.stats.counter(statStreamRecords)
-		e.hwm = e.stats.maximum(statFrameHWM)
-	})
-	e.frames.Add(frames)
-	e.records.Add(records)
-	atomicMax(e.hwm, int64(hwm))
+	// blk is the block the run's fixed state is cut from (newRun): nil for a
+	// bare transport test's.
+	blk *runBlock
 }
 
 // err returns the first runtime error reported so far.
@@ -258,7 +292,7 @@ func (e *runEnv) err() error {
 }
 
 func (e *runEnv) error(err error) {
-	e.stats.Add("runtime.errors", 1)
+	e.stats.at(statErrors).Add(1)
 	e.errMu.Lock()
 	if e.firstErr == nil {
 		e.firstErr = err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -286,5 +287,127 @@ func TestNewReplicasTakeNoStatsLock(t *testing.T) {
 	}
 	if got := st.Max("split.nr.width"); got != n {
 		t.Errorf("split.nr.width.max = %d, want %d", got, n)
+	}
+}
+
+// statsOver is a collector over plan's key table, as a run of it has.
+func statsOver(plan *Plan) *Stats { return new(Stats).init(&plan.keys, nil) }
+
+// TestStatsMergeAllocatesNothing: folding a run's collector into another —
+// one over the same plan table, index by index, or an aggregator of
+// NewStats, key by key — allocates nothing once the keys exist.
+func TestStatsMergeAllocatesNothing(t *testing.T) {
+	plan := MustCompile(Serial(NewBox("mg_box", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }), MustFilter("{<n>} -> {<n>=<n>+1}")))
+	run := statsOver(plan)
+	run.Add("box.mg_box.calls", 3)
+	run.SetMax("box.mg_box.inflight", 1)
+	run.Add("stream.frames", 2)
+	run.Add("not.in.the.table", 1)
+	same, agg := statsOver(plan), NewStats()
+	same.Merge(run)
+	agg.Merge(run)
+	if n := testing.AllocsPerRun(100, func() { same.Merge(run) }); n != 0 {
+		t.Errorf("Merge over one table: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { agg.Merge(run) }); n != 0 {
+		t.Errorf("Merge into an aggregator: %v allocs", n)
+	}
+	// AllocsPerRun(100, f) calls f 101 times.
+	for _, s := range []*Stats{same, agg} {
+		if got := s.Counter("box.mg_box.calls"); got != 3*102 {
+			t.Errorf("calls = %d, want %d", got, 3*102)
+		}
+		if got := s.Counter("not.in.the.table"); got != 102 {
+			t.Errorf("extension key = %d, want 102", got)
+		}
+		if got, want := s.Snapshot(), run.Snapshot(); len(got) != len(want) {
+			t.Errorf("merged keys %v, want those of %v", got, want)
+		}
+	}
+}
+
+// TestStatsTableConcurrentExact is TestStatsConcurrentExact over a plan's key
+// table: writers by name and through held cells, on table keys and on keys
+// the table does not list, against readers that snapshot, list, sum and merge
+// into a collector over the same table and into an aggregator.  Every total
+// is exact afterwards, and both merge targets agree with a final merge.
+func TestStatsTableConcurrentExact(t *testing.T) {
+	const writers, rounds = 8, 2000
+	plan := MustCompile(Serial(NewBox("ct_box", MustParseSignature("(<n>) -> (<n>)"),
+		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }), MustFilter("{<n>} -> {<n>=<n>+1}")))
+	s, same, agg := statsOver(plan), statsOver(plan), NewStats()
+	keys := []string{"box.ct_box.calls", "box.ct_box.emitted", "runtime.errors", "ext.a", "ext.b"}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := s.Snapshot()
+			for _, k := range s.Keys() {
+				if snap[k] < 0 {
+					t.Errorf("counter %s went negative: %d", k, snap[k])
+				}
+			}
+			if got := s.SumPrefix("ext."); got < 0 || got > 2*writers*rounds {
+				t.Errorf("SumPrefix out of range: %d", got)
+			}
+			same.Merge(s)
+			agg.Merge(s)
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var held *atomic.Int64
+			for i := 0; i < rounds; i++ {
+				s.Add(keys[(w+i)%len(keys)], 1)
+				s.held(&held, keys[w%len(keys)]).Add(1)
+				s.SetMax("box.ct_box.inflight", int64(w*rounds+i))
+				s.SetMax("ext.hw", int64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	var total int64
+	for _, k := range keys {
+		total += s.Counter(k)
+	}
+	if total != 2*writers*rounds {
+		t.Errorf("total = %d, want %d", total, 2*writers*rounds)
+	}
+	if got := s.Max("box.ct_box.inflight"); got != writers*rounds-1 {
+		t.Errorf("table high-water mark = %d, want %d", got, writers*rounds-1)
+	}
+	if got := s.Max("ext.hw"); got != rounds-1 {
+		t.Errorf("extension high-water mark = %d, want %d", got, rounds-1)
+	}
+	if got, want := s.Keys(), slices.Sorted(slices.Values(keys)); !reflect.DeepEqual(got, want) {
+		t.Errorf("Keys() = %v, want %v", got, want)
+	}
+	// A merge after the writers is exact: both targets got each key's total
+	// on top of what they had folded while the writers ran.
+	before := [2]map[string]int64{same.Snapshot(), agg.Snapshot()}
+	same.Merge(s)
+	agg.Merge(s)
+	for i, m := range []*Stats{same, agg} {
+		for _, k := range keys {
+			if got, want := m.Counter(k), before[i][k]+s.Counter(k); got != want {
+				t.Errorf("target %d: %s = %d, want %d", i, k, got, want)
+			}
+		}
+		if got := m.Max("box.ct_box.inflight"); got != writers*rounds-1 {
+			t.Errorf("target %d: high-water mark = %d, want %d", i, got, writers*rounds-1)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func runParts(env *runEnv, parts []runner, in *streamReader, out *streamWriter) 
 	last := len(parts) - 1
 	for _, p := range parts[:last] {
 		partIn := in
-		midR, midW := newStream(env, env.buf)
+		midR, midW := new(stream).open(env, env.buf)
 		midW.marked = out.marked // sort markers cross every part
 		env.spawn(func() { p.run(env, partIn, midW) })
 		in = midR

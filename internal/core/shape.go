@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Shapes — the compile-time-interned record layouts behind the slot-array
@@ -70,13 +69,11 @@ const maxShapes = 1 << 16
 var (
 	shapeRegMu sync.Mutex
 	shapeReg   = map[string]*shape{} // ShapeKey → shape
-	shapeCount atomic.Int64
 	emptyShape = newShape(nil, nil, nil, nil)
 )
 
 func init() {
 	shapeReg[shapeRegKey(nil, nil)] = emptyShape
-	shapeCount.Store(1)
 }
 
 // newShape builds a layout from name-sorted label slices (which it adopts).
@@ -123,9 +120,8 @@ func canonicalShape(fields []labelID, fieldNames []string, tags []labelID, tagNa
 		return s
 	}
 	s := newShape(fields, fieldNames, tags, tagNames)
-	if shapeCount.Load() < maxShapes {
+	if len(shapeReg) < maxShapes {
 		shapeReg[key] = s
-		shapeCount.Add(1)
 	}
 	return s
 }

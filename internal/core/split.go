@@ -101,7 +101,7 @@ type splitRun struct {
 
 func (n *splitNode) start(env *runEnv) *fanout {
 	r := &splitRun{n: n, byKey: map[int]*branchPort{}, body: env.spines.body(n.operand), slot: -1,
-		width: env.stats.maximum(n.kWidth)}
+		width: env.stats.cell(statKey{n.kWidth, maxKind})}
 	r.fanout = fanout{env: env, det: n.det, inst: r}
 	return &r.fanout
 }

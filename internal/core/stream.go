@@ -52,17 +52,19 @@ type frame struct {
 	batch  []item // nil: the payload is single
 }
 
-// newStream creates one connected reader/writer pair buffering frames frames
-// of the run's batch size (env.buf but for a box call's emissions).
-func newStream(env *runEnv, frames int) (*streamReader, *streamWriter) {
+// stream is a reader/writer pair, allocated as one (a run's boundary pairs
+// in its block).
+type stream struct {
+	r streamReader
+	w streamWriter
+}
+
+// open connects s over a new channel of frames frames of the run's batch size
+// (env.buf but for a box call's emissions).
+func (s *stream) open(env *runEnv, frames int) (*streamReader, *streamWriter) {
 	ch := make(chan frame, frames)
-	s := &struct {
-		r streamReader
-		w streamWriter
-	}{
-		r: streamReader{env: env, ch: ch},
-		w: streamWriter{env: env, ch: ch, batch: env.batch},
-	}
+	s.r.env, s.r.ch = env, ch
+	s.w.env, s.w.ch, s.w.batch = env, ch, env.batch
 	// Most readers' goroutines own exactly one writer: its idle-flush
 	// registration lands in the reader's own slot, not in a slice of its own.
 	s.r.onIdle = s.r.idle1[:0]
@@ -116,11 +118,6 @@ func (w *streamWriter) send(it item) bool {
 		return w.flush()
 	}
 	return true
-}
-
-// sendRecord is send for data records.
-func (w *streamWriter) sendRecord(r *Record) bool {
-	return w.send(item{rec: r})
 }
 
 // flush delivers the pending batch downstream (blocking); it is a no-op
@@ -290,8 +287,10 @@ func (w *streamWriter) close() {
 	// Fold first: a run that has drained has then counted all its streams.
 	frames := w.frames + atomic.LoadInt64(&w.directFrames)
 	records := w.records + atomic.LoadInt64(&w.directRecords)
-	if frames > 0 {
-		w.env.foldStream(frames, records, w.hwm)
+	if s := w.env.stats; frames > 0 {
+		s.at(statFrames).Add(frames)
+		s.at(statRecords).Add(records)
+		atomicMax(s.at(statFrameHWM), int64(w.hwm))
 	}
 	switch {
 	case w.done != nil:
@@ -418,7 +417,7 @@ func (r *streamReader) drain(head frame) {
 	n += head.release()
 	defer func() {
 		if n > 0 {
-			r.env.stats.Add("stream.discarded", n)
+			r.env.stats.at(statDiscarded).Add(n)
 		}
 	}()
 	for {

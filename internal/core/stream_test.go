@@ -12,7 +12,7 @@ import (
 // cancel ends the run's workers too, as a one-shot run's cut does.
 func newTestEnv(buf, batch int) (*runEnv, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(context.Background())
-	env := &runEnv{ctx: ctx, stats: newStats(), buf: buf, batch: batch}
+	env := &runEnv{ctx: ctx, stats: NewStats(), buf: buf, batch: batch}
 	return env, func() { cancel(); env.end() }
 }
 
@@ -23,7 +23,7 @@ func itemN(n int) item { return item{rec: NewRecord().SetTag("n", n)} }
 func TestStreamBatchingAmortizesFrames(t *testing.T) {
 	env, cancel := newTestEnv(32, 8)
 	defer cancel()
-	r, w := newStream(env, env.buf)
+	r, w := new(stream).open(env, env.buf)
 	for i := 0; i < 64; i++ {
 		if !w.send(itemN(i)) {
 			t.Fatal("send failed")
@@ -59,7 +59,7 @@ func TestStreamBatchingAmortizesFrames(t *testing.T) {
 func TestStreamMarkerFlushesBarrier(t *testing.T) {
 	env, cancel := newTestEnv(32, 64)
 	defer cancel()
-	r, w := newStream(env, env.buf)
+	r, w := new(stream).open(env, env.buf)
 	w.send(itemN(0))
 	w.send(itemN(1))
 	if !w.send(item{mk: new(marker)}) {
@@ -94,8 +94,8 @@ func TestStreamMarkerFlushesBarrier(t *testing.T) {
 func TestStreamIdleFlushKeepsLatencyFlat(t *testing.T) {
 	env, cancel := newTestEnv(32, 64)
 	defer cancel()
-	upR, upW := newStream(env, env.buf)     // the node's input
-	downR, downW := newStream(env, env.buf) // the node's output
+	upR, upW := new(stream).open(env, env.buf)     // the node's input
+	downR, downW := new(stream).open(env, env.buf) // the node's output
 	go func() {
 		upR.autoFlush(downW)
 		for {
@@ -133,7 +133,7 @@ func TestStreamIdleFlushKeepsLatencyFlat(t *testing.T) {
 func TestStreamDiscardCountsRecords(t *testing.T) {
 	env, cancel := newTestEnv(32, 4)
 	defer cancel()
-	r, w := newStream(env, env.buf)
+	r, w := new(stream).open(env, env.buf)
 	for i := 0; i < 10; i++ {
 		w.send(itemN(i))
 	}
@@ -160,7 +160,7 @@ func TestStreamDiscardCountsRecords(t *testing.T) {
 func TestStreamSendDirectConcurrent(t *testing.T) {
 	env, cancel := newTestEnv(8, 8)
 	defer cancel()
-	r, w := newStream(env, env.buf)
+	r, w := new(stream).open(env, env.buf)
 	const senders, per = 8, 50
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {

@@ -1,7 +1,5 @@
 package core
 
-import "strings"
-
 // syncNode is an S-Net synchrocell [| {p1}, {p2}, ... |] — part of the
 // S-Net language (Grelck/Scholz/Shafarenko, IFL'06) though not exercised by
 // the paper's sudoku networks; provided as the language's join primitive.
@@ -105,11 +103,7 @@ func NamedSync(name string, patterns ...Pattern) Node {
 func (n *syncNode) name() string { return n.label }
 
 func (n *syncNode) String() string {
-	parts := make([]string, len(n.patterns))
-	for i, p := range n.patterns {
-		parts[i] = p.String()
-	}
-	return "[| " + strings.Join(parts, ", ") + " |]"
+	return "[| " + join(n.patterns, ", ") + " |]"
 }
 
 func (n *syncNode) sig() (RecType, RecType) {
