@@ -140,6 +140,7 @@ type boxNode struct {
 	fn      BoxFunc
 	workers int // fixed invocation width; 0 inherits the run's WithBoxWorkers
 	keys    boxStatKeys
+	statKeys
 	// consumed is the signature's input variant: the labels an invocation
 	// binds, which flow inheritance therefore does not copy to its outputs.
 	consumed Variant
@@ -200,13 +201,12 @@ func NewBoxConcurrent(name string, sig *BoxSignature, fn BoxFunc, workers int) N
 	if fn == nil {
 		panic("core: NewBox: nil box function")
 	}
-	p := "box." + name + "."
-	b := &boxNode{label: name, boxSig: sig, fn: fn, workers: max(workers, 0), consumed: NewVariant(sig.In...),
-		keys: boxStatKeys{
-			instances: p + "instances", concurrency: p + "concurrency", inflight: p + "inflight",
-			calls: p + "calls", emitted: p + "emitted", cancelled: p + "cancelled",
-			rejected: p + "rejected", panics: p + "panics", escalated: p + "escalated",
-		}}
+	b, p := &boxNode{label: name, boxSig: sig, fn: fn, workers: max(workers, 0), consumed: NewVariant(sig.In...)}, "box."+name+"."
+	b.keys = boxStatKeys{
+		instances: b.counter(p + "instances"), concurrency: b.mark(p + "concurrency"), inflight: b.mark(p + "inflight"),
+		calls: b.counter(p + "calls"), emitted: b.counter(p + "emitted"), cancelled: b.counter(p + "cancelled"),
+		rejected: b.counter(p + "rejected"), panics: b.counter(p + "panics"), escalated: b.counter(p + "escalated"),
+	}
 	b.alone(b)
 	return b
 }

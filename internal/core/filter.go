@@ -13,7 +13,8 @@ type filterNode struct {
 	// Stat keys, concatenated once so per-record accounting never builds a
 	// string.
 	kNomatch, kApplied, kErrors string
-	lone                        // run: the filter on its own is a segment of one (fuse.go)
+	statKeys
+	lone // run: the filter on its own is a segment of one (fuse.go)
 }
 
 // NewFilter wraps a filter specification as a node.  Records matching the
@@ -26,10 +27,8 @@ func NewFilter(spec *FilterSpec) Node {
 		panic("core: NewFilter: nil spec")
 	}
 	label := autoName("filter")
-	f := &filterNode{label: label, spec: spec,
-		kNomatch: "filter." + label + ".nomatch",
-		kApplied: "filter." + label + ".applied",
-		kErrors:  "filter." + label + ".errors"}
+	f, k := &filterNode{label: label, spec: spec}, "filter."+label
+	f.kNomatch, f.kApplied, f.kErrors = f.counter(k+".nomatch"), f.counter(k+".applied"), f.counter(k+".errors")
 	f.alone(f)
 	return f
 }

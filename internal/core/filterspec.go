@@ -49,18 +49,33 @@ type FilterSpec struct {
 }
 
 func (f *FilterSpec) String() string {
-	outs := mapped(f.Outputs, func(o []FilterItem) string { return "{" + join(o, ",") + "}" })
+	outs := make([]string, len(f.Outputs))
+	for i, o := range f.Outputs {
+		parts := make([]string, len(o))
+		for j, it := range o {
+			parts[j] = it.String()
+		}
+		outs[i] = "{" + strings.Join(parts, ",") + "}"
+	}
 	return "[" + f.Pattern.String() + " -> " + strings.Join(outs, "; ") + "]"
 }
 
 // itemLabels lists the labels one output specifier produces, in item order.
 func itemLabels(items []FilterItem) []Label {
-	return mapped(items, func(it FilterItem) Label { return Label{Name: it.Name, IsTag: it.IsTag} })
+	out := make([]Label, len(items))
+	for i, it := range items {
+		out[i] = Label{Name: it.Name, IsTag: it.IsTag}
+	}
+	return out
 }
 
 // OutType approximates the filter's output type from the specifiers.
 func (f *FilterSpec) OutType() RecType {
-	return mapped(f.Outputs, func(items []FilterItem) Variant { return NewVariant(itemLabels(items)...) })
+	out := make(RecType, len(f.Outputs))
+	for i, items := range f.Outputs {
+		out[i] = NewVariant(itemLabels(items)...)
+	}
+	return out
 }
 
 // filterProg is a FilterSpec compiled against one input shape (prog.go): the
@@ -249,5 +264,8 @@ func (p *Parser) filterOutput(pat Pattern) ([]FilterItem, error) {
 		}
 		return nil
 	})
-	return items, err // the caller reads items only without err
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
 }

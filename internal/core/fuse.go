@@ -61,17 +61,19 @@ type runner interface {
 // positions too; its stages, flattened into other positions' spines, can sit
 // in several segments (TestSharedChainOnTwoSpines).
 type spineCutter struct {
-	seen   map[Node]bool
-	spines cuts
-	groups []FusionGroup
+	seen     map[Node]bool
+	spines   cuts
+	groups   []FusionGroup
+	statKeys // the fused segments'
 }
 
-// cutSpines computes a plan's grouping: every position's parts, and the
-// fusion groups for the topology report, inner positions first.
-func cutSpines(root Node) (cuts, []FusionGroup) {
+// cutSpines computes a plan's grouping: every position's parts, the fusion
+// groups for the topology report, inner positions first, and the keys their
+// segments count under.
+func cutSpines(root Node) *spineCutter {
 	c := &spineCutter{seen: map[Node]bool{}, spines: cuts{}}
 	c.place(root, false)
-	return c.spines, c.groups
+	return c
 }
 
 // oneShot is what a caller holding all its input and reading all its output
@@ -127,7 +129,10 @@ func (c *spineCutter) place(n Node, nested bool) {
 // its own segment of one, several a named one, a fusion group — and every
 // other node a part of its own.
 func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
-	stages := mapped(nodes, func(n Node) stage { return c.stage(n, nested) })
+	stages := make([]stage, len(nodes))
+	for i := range nodes {
+		stages[i] = c.stage(nodes[i], nested)
+	}
 	parts := make([]runner, 0, len(nodes))
 	for i, j := 0, 1; i < len(nodes); i, j = j, j+1 {
 		for stages[i] != nil && j < len(nodes) && stages[j] != nil {
@@ -146,7 +151,7 @@ func (c *spineCutter) cut(nodes []Node, nested bool) []runner {
 			g.Members = append(g.Members, n.name())
 		}
 		s := segmentOf(stages[i:j])
-		s.label, s.kRecords, s.kApplied = g.Name, "fused."+g.Name+".records", "fused."+g.Name+".applied"
+		s.label, s.kRecords, s.kApplied = g.Name, c.counter("fused."+g.Name+".records"), c.counter("fused."+g.Name+".applied")
 		parts, c.groups = append(parts, &s), append(c.groups, g)
 	}
 	return parts
@@ -414,13 +419,13 @@ func slots[T any](inline []T, n int) []T {
 // begin begins an execution of the segment, state its own, for one branch.
 func (s *segment) begin(env *runEnv, out *streamWriter) *segmentRun {
 	x := new(segmentRun)
-	return s.beginIn(x, x.state2[:], x.held4[:], env, out)
+	return s.beginIn(x, x.state2[:], env, out)
 }
 
-// beginIn is begin in x, its slots cut from state and held if they fit.
-func (s *segment) beginIn(x *segmentRun, state []stageState, held []held, env *runEnv, out *streamWriter) *segmentRun {
+// beginIn is begin in x, its stage slots cut from state if they fit.
+func (s *segment) beginIn(x *segmentRun, state []stageState, env *runEnv, out *streamWriter) *segmentRun {
 	x.env, x.seg, x.out, x.branches = env, s, out, 1
-	x.state, x.held = slots(state, len(s.stages)), slots(held, len(s.stages))
+	x.state, x.held = slots(state, len(s.stages)), slots(x.held4[:], len(s.stages))
 	for _, st := range s.stages {
 		if b, ok := st.(*boxNode); ok {
 			env.stats.SetMax(b.keys.concurrency, 1)

@@ -113,7 +113,8 @@ func TestFusionBarriers(t *testing.T) {
 func TestFusionSharedSubtree(t *testing.T) {
 	chain := Serial(Observe("sh_a", nil), Observe("sh_b", nil))
 	net := Serial(Split(chain, "k"), Star(chain, MustParsePattern("{<done>}")))
-	spines, groups := cutSpines(net)
+	cut := cutSpines(net)
+	spines, groups := cut.spines, cut.groups
 	if len(groups) != 1 {
 		t.Fatalf("shared chain should fuse once, got %v", groups)
 	}
@@ -186,7 +187,7 @@ func TestCutSpine(t *testing.T) {
 	// stages' state apart (TestSharedChainOnTwoSpines runs such a net).
 	shared := Serial(Observe("cs_s1", nil), Observe("cs_s2", nil), Observe("cs_s3", nil))
 	net := Parallel(Serial(shared, NewBox("cs_b1", sig, pass)), Serial(NewBox("cs_b2", sig, pass), shared))
-	_, groups := cutSpines(net)
+	groups := cutSpines(net).groups
 	if got := fmt.Sprint(groups[0].Members, groups[1].Members); len(groups) != 2 || got != "[cs_s1 cs_s2 cs_s3 cs_b1] [cs_b2 cs_s1 cs_s2 cs_s3]" {
 		t.Fatalf("want the shared chain in one group per spine, got %v", groups)
 	}

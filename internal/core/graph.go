@@ -118,7 +118,7 @@ func (p *Plan) Graph() *GraphNode { return p.graph }
 // renderTopology renders the structured graph into its serializable view.
 func renderTopology(g *GraphNode) *Topology {
 	t := &Topology{Kind: g.Kind, Name: g.Name, Path: g.Path, Det: g.Det,
-		In: strs(g.In), Out: strs(g.Out), Tag: g.Tag}
+		In: renderType(g.In), Out: renderType(g.Out), Tag: g.Tag}
 	switch {
 	case g.BoxSig != nil:
 		t.Sig = g.BoxSig.String()
@@ -127,7 +127,9 @@ func renderTopology(g *GraphNode) *Topology {
 	case g.Exit != nil:
 		t.Exit = g.Exit.String()
 	}
-	t.Patterns = strs(g.Patterns)
+	for _, p := range g.Patterns {
+		t.Patterns = append(t.Patterns, p.String())
+	}
 	for _, c := range g.Children {
 		t.Children = append(t.Children, renderTopology(c))
 	}

@@ -63,24 +63,21 @@ func (p *Plan) Start(ctx context.Context, opts ...Option) *Handle {
 	return h
 }
 
-// runBlock is a run's fixed state, cut from one allocation: its environment,
-// collector and handle, its boundary streams' reader/writer pairs (their
-// channels apart), the execution of the one-shot root segment with its slots,
-// and the instance of its first parallel with its ports.  A plan whose key
-// table (Compile) or root segment is larger than the room here takes those
-// slots apart.  Nothing in it outlives its run.
+// runBlock is a run's fixed state, cut from one allocation: its environment
+// and handle, its boundary streams' reader/writer pairs (their channels
+// apart), the execution of the one-shot root segment with its slots, and the
+// instance of its first parallel with its ports.  A plan whose root segment
+// is larger than the room here takes those slots apart.  Nothing in it
+// outlives its run; its collector is apart, an allocation a caller may keep.
 type runBlock struct {
 	env     runEnv
-	stats   Stats
 	handle  Handle
 	in, out stream
 	root    segmentRun
 	state   [4]stageState
-	held    [4]held
 	par     parallelRun
 	parUsed atomic.Bool // par is taken (parallelNode.start)
 	ports   [4]branchPort
-	cells   [64]statCell
 }
 
 // newRun sets up one run of p: its block, under a context of its own.
@@ -89,7 +86,7 @@ func (p *Plan) newRun(ctx context.Context, opts []Option) (*runBlock, context.Ca
 	b := new(runBlock)
 	b.env = runEnv{
 		ctx:       ctx,
-		stats:     b.stats.init(&p.keys, b.cells[:]),
+		stats:     new(Stats).init(&p.keys),
 		buf:       DefaultStreamBuffer,
 		batch:     DefaultStreamBatch,
 		maxDepth:  1 << 20,
@@ -249,7 +246,7 @@ func (p *Plan) RunUntil(ctx context.Context, inputs []*Record, stop func(*Record
 	outR, outW := b.out.open(env, 0) // its reader is always waiting, but in stop
 	once := p.once
 	if s, ok := once.(*segment); ok {
-		once = s.beginIn(&b.root, b.state[:], b.held[:], env, outW)
+		once = s.beginIn(&b.root, b.state[:], env, outW)
 	}
 	env.spawn(func() { once.run(env, inR, outW) })
 	rec, ok := recvOutput(outR)

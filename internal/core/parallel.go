@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // parallelNode is parallel composition: incoming records are routed to the
@@ -19,6 +20,7 @@ type parallelNode struct {
 	// once at construction: every instance looks its cells up by them.
 	branchKeys  []string
 	kUnroutable string
+	statKeys
 
 	// table is the node's dispatch table — a pure function of the branch
 	// list (accepted types and guards), never of a run, so it is built with
@@ -46,13 +48,12 @@ func newParallel(label string, det bool, branches []Node) *parallelNode {
 	if len(branches) < 2 {
 		panic("core: parallel composition needs at least two branches")
 	}
-	keys := make([]string, len(branches))
+	n := &parallelNode{label: label, det: det, branches: branches, table: buildRouteTable(det, branches)}
 	for i := range branches {
-		keys[i] = fmt.Sprintf("parallel.%s.branch%d", label, i)
+		n.branchKeys = append(n.branchKeys, n.counter(fmt.Sprintf("parallel.%s.branch%d", label, i)))
 	}
-	return &parallelNode{label: label, det: det, branches: branches,
-		branchKeys: keys, kUnroutable: "parallel." + label + ".unroutable",
-		table: buildRouteTable(det, branches)}
+	n.kUnroutable = n.counter("parallel." + label + ".unroutable")
+	return n
 }
 
 func (n *parallelNode) name() string { return n.label }
@@ -62,7 +63,11 @@ func (n *parallelNode) String() string {
 	if n.det {
 		op = " | "
 	}
-	return "(" + join(n.branches, op) + ")"
+	parts := make([]string, len(n.branches))
+	for i, b := range n.branches {
+		parts[i] = b.String()
+	}
+	return "(" + strings.Join(parts, op) + ")"
 }
 
 func (n *parallelNode) sig() (RecType, RecType) {

@@ -85,7 +85,11 @@ func (e *CompileError) Error() string {
 
 // Unwrap exposes the individual TypeErrors to errors.Is/As.
 func (e *CompileError) Unwrap() []error {
-	return mapped(e.Errors, func(te *TypeError) error { return te })
+	out := make([]error, len(e.Errors))
+	for i, te := range e.Errors {
+		out[i] = te
+	}
+	return out
 }
 
 // Topology is the serializable typed graph of a compiled network — the
@@ -161,10 +165,9 @@ func Compile(root Node, opts ...CompileOption) (*Plan, error) {
 		c.keys.add(k)
 	}
 	p := &Plan{graph: c.walk(root, nil, "")}
-	p.spines, p.groups = cutSpines(root)
-	for _, g := range p.groups {
-		c.stat(counterKind, "fused."+g.Name+".records", "fused."+g.Name+".applied")
-	}
+	cut := cutSpines(root)
+	p.spines, p.groups = cut.spines, cut.groups
+	c.stat(cut)
 	p.once = (&spineCutter{spines: p.spines}).oneShot(root)
 	seed := cfg.input
 	if seed == nil {
@@ -241,10 +244,12 @@ type compiler struct {
 	keys     statTable
 }
 
-// stat lists keys of one kind in the plan's table.
-func (c *compiler) stat(max bool, keys ...string) {
-	for _, k := range keys {
-		c.keys.add(statKey{k, max})
+// stat lists in the plan's table the keys n counts under, if any.
+func (c *compiler) stat(n any) {
+	if n, ok := n.(interface{ keyList() statKeys }); ok {
+		for _, k := range n.keyList() {
+			c.keys.add(k)
+		}
 	}
 }
 
@@ -281,6 +286,15 @@ func (c *compiler) warnf(path, format string, args ...any) {
 	c.warns = append(c.warns, Diagnostic{Node: path, Warning: true, Msg: msg})
 }
 
+// renderType renders a RecType as per-variant strings for the topology.
+func renderType(t RecType) []string {
+	out := make([]string, len(t))
+	for i, v := range t {
+		out[i] = v.String()
+	}
+	return out
+}
+
 // walk is the one structural traversal of the blueprint and the one place a
 // path is built: it pre-interns every node's labels and shapes, and builds the GraphNode tree the flow pass annotates, Plan.Graph
 // returns and Topology is rendered from.  prefix is the parent path including
@@ -294,6 +308,7 @@ func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 	path := prefix + n.name()
 	in, out := n.sig()
 	g := &GraphNode{Name: n.name(), Path: path, Node: n, Parent: parent, In: in, Out: out}
+	c.stat(n)
 	for _, v := range slices.Concat(in, out) {
 		shapeForVariant(v) // interns the labels on its way
 	}
@@ -302,19 +317,14 @@ func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 		g.Kind = "box"
 		g.BoxSig = n.boxSig
 		g.Workers = n.workers
-		k := &n.keys
-		c.stat(counterKind, k.instances, k.calls, k.emitted, k.cancelled, k.rejected, k.panics, k.escalated)
-		c.stat(maxKind, k.concurrency, k.inflight)
 	case *filterNode:
 		g.Kind = "filter"
 		g.Filter = n.spec
-		c.stat(counterKind, n.kNomatch, n.kApplied, n.kErrors)
 	case *identityNode:
 		g.Kind = "observe"
 	case *syncNode:
 		g.Kind = "sync"
 		g.Patterns = append([]Pattern(nil), n.patterns...)
-		c.stat(counterKind, n.kFired, n.kStarved)
 	case *serialNode:
 		g.Kind = "serial"
 		g.Children = []*GraphNode{c.walk(n.a, g, path+"/"), c.walk(n.b, g, path+"/")}
@@ -324,23 +334,17 @@ func (c *compiler) walk(n Node, parent *GraphNode, prefix string) *GraphNode {
 		for i, b := range n.branches {
 			g.Children = append(g.Children, c.walk(b, g, fmt.Sprintf("%s/branch[%d]/", path, i)))
 		}
-		c.stat(counterKind, n.branchKeys...)
-		c.stat(counterKind, n.kUnroutable)
 	case *starNode:
 		g.Kind = "star"
 		g.Det = n.det
 		exit := n.exit
 		g.Exit = &exit
 		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
-		c.stat(counterKind, n.kReplicas, n.kOverflow)
-		c.stat(maxKind, n.kDepth)
 	case *splitNode:
 		g.Kind = "split"
 		g.Det = n.det
 		g.Tag = n.tag
 		g.Children = []*GraphNode{c.walk(n.operand, g, path+"/operand/")}
-		c.stat(counterKind, n.kReplicas, n.kUntagged)
-		c.stat(maxKind, n.kWidth)
 	default:
 		g.Kind = "node"
 	}

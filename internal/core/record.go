@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"strings"
 )
 
@@ -168,7 +167,11 @@ func (r *Record) NumLabels() int {
 
 // Labels returns the record's type: the set of all its labels.
 func (r *Record) Labels() Variant {
-	return maps.Clone(r.shape.variant)
+	v := make(Variant, r.NumLabels())
+	for l := range r.shape.variant {
+		v[l] = struct{}{}
+	}
+	return v
 }
 
 // Copy returns a shallow copy: field values are shared (they are opaque to

@@ -74,7 +74,10 @@ func (v Variant) Equal(w Variant) bool { return v.SubsetOf(w) && w.SubsetOf(v) }
 // Labels returns the sorted labels (fields first, then tags, each sorted by
 // name) for deterministic rendering.
 func (v Variant) Labels() []Label {
-	out := slices.Collect(maps.Keys(v))
+	out := make([]Label, 0, len(v))
+	for l := range v {
+		out = append(out, l)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IsTag != out[j].IsTag {
 			return !out[i].IsTag
@@ -85,7 +88,11 @@ func (v Variant) Labels() []Label {
 }
 
 func (v Variant) String() string {
-	return "{" + join(v.Labels(), ", ") + "}"
+	parts := make([]string, 0, len(v))
+	for _, l := range v.Labels() {
+		parts = append(parts, l.String())
+	}
+	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // RecType is a multivariant record type: a disjunction of variants.
@@ -109,23 +116,5 @@ func (x RecType) String() string {
 	if len(x) == 0 {
 		return "{}"
 	}
-	return join(x, " | ")
-}
-
-// mapped is f of each of xs, in order.
-func mapped[T, U any](xs []T, f func(T) U) []U {
-	out := make([]U, len(xs))
-	for i, x := range xs {
-		out[i] = f(x)
-	}
-	return out
-}
-
-// strs renders xs one by one, and join with sep between them.
-func strs[T interface{ String() string }](xs []T) []string {
-	return mapped(xs, func(x T) string { return x.String() })
-}
-
-func join[T interface{ String() string }](xs []T, sep string) string {
-	return strings.Join(strs(xs), sep)
+	return strings.Join(renderType(x), " | ")
 }

@@ -24,6 +24,7 @@ type Stats struct {
 	cells []statCell // keys' cells, then their looked-up bits, a word per 64
 	mu    sync.Mutex // guards more
 	more  statTable
+	first [64]statCell // cells' backing for a table of up to 63 keys
 }
 
 type statCell = atomic.Int64
@@ -34,7 +35,7 @@ type statKey struct {
 	max  bool
 }
 
-const counterKind, maxKind = false, true
+const maxKind = true
 
 // statTable indexes keys densely, in the order they were added.  An
 // extension holds its cells, one allocation each: a site may hold one.
@@ -55,6 +56,18 @@ func (t *statTable) add(k statKey) int {
 	return i
 }
 
+// statKeys are the stat keys a node or a spine's fused segments count
+// under, listed where they are named (counter, mark): Compile puts the list of
+// every node it walks in the plan's table.
+type statKeys []statKey
+
+// counter lists name as a counter and returns it; mark, as a high-water mark.
+func (l *statKeys) counter(name string) string { *l = append(*l, statKey{name: name}); return name }
+func (l *statKeys) mark(name string) string    { *l = append(*l, statKey{name, maxKind}); return name }
+
+// keyList is what l lists.  A node that counts embeds its statKeys.
+func (l statKeys) keyList() statKeys { return l }
+
 // The run-wide keys, at these indices in every table (runKeys).
 const (
 	statErrors = iota
@@ -73,9 +86,9 @@ var runKeys = func() (t statTable) {
 	return t
 }()
 
-// init makes s a collector over keys, its cells cut from cells if they fit.
-func (s *Stats) init(keys *statTable, cells []statCell) *Stats {
-	s.keys, s.cells = keys, slots(cells, len(keys.keys)+(len(keys.keys)+63)/64)
+// init makes s a collector over keys.
+func (s *Stats) init(keys *statTable) *Stats {
+	s.keys, s.cells = keys, slots(s.first[:], len(keys.keys)+(len(keys.keys)+63)/64)
 	return s
 }
 
@@ -92,7 +105,7 @@ func atomicMax(a *statCell, v int64) {
 // NewStats returns an empty, usable Stats collector.  The runtime allocates
 // its own per-run collector in Start; NewStats exists for aggregators (such
 // as the session service) that fold many runs' statistics into one.
-func NewStats() *Stats { return new(Stats).init(&runKeys, nil) }
+func NewStats() *Stats { return new(Stats).init(&runKeys) }
 
 // at is the table's cell i, marked looked up.
 func (s *Stats) at(i int) *statCell {
@@ -142,17 +155,10 @@ func (c *tally) fold(s *Stats, key string) {
 }
 
 // Merge folds another collector's values into s: counters are added,
-// maxima are maximised.  Both collectors remain usable.  Over one table the
-// fold goes index by index.
+// maxima are maximised.  Both collectors remain usable.
 func (s *Stats) Merge(o *Stats) {
-	o.each(func(i int, k statKey, v int64) {
-		var c *statCell
-		if s.keys == o.keys && i < len(s.keys.keys) {
-			c = s.at(i)
-		} else {
-			c = s.cell(k)
-		}
-		if k.max {
+	o.each(func(k statKey, v int64) {
+		if c := s.cell(k); k.max {
 			atomicMax(c, v)
 		} else {
 			c.Add(v)
@@ -185,15 +191,15 @@ func (s *Stats) read(k statKey) int64 {
 	return 0
 }
 
-// each visits what the collector reports — every counter looked up, and
-// every high-water mark above zero (a mark nobody raised is no mark) — by
-// index.  No lock is held while f runs: more is only appended to, so what of
-// it was seen under the lock stays as it was.
-func (s *Stats) each(f func(i int, k statKey, v int64)) {
+// each visits what the collector reports: every counter looked up, and
+// every high-water mark above zero (a mark nobody raised is no mark).  No
+// lock is held while f runs: more is only appended to, so what of it was seen
+// under the lock stays as it was.
+func (s *Stats) each(f func(k statKey, v int64)) {
 	n := len(s.keys.keys)
 	for i, k := range s.keys.keys {
 		if v := s.cells[i].Load(); k.max && v > 0 || !k.max && s.cells[n+i/64].Load()&(1<<(i%64)) != 0 {
-			f(i, k, v)
+			f(k, v)
 		}
 	}
 	s.mu.Lock()
@@ -201,7 +207,7 @@ func (s *Stats) each(f func(i int, k statKey, v int64)) {
 	s.mu.Unlock()
 	for i, k := range more {
 		if v := cells[i].Load(); !k.max || v > 0 {
-			f(n+i, k, v)
+			f(k, v)
 		}
 	}
 }
@@ -209,7 +215,7 @@ func (s *Stats) each(f func(i int, k statKey, v int64)) {
 // Snapshot returns all counters (maxima suffixed ".max") as a plain map.
 func (s *Stats) Snapshot() map[string]int64 {
 	out := map[string]int64{}
-	s.each(func(_ int, k statKey, v int64) {
+	s.each(func(k statKey, v int64) {
 		if k.max {
 			k.name += ".max"
 		}
@@ -221,7 +227,7 @@ func (s *Stats) Snapshot() map[string]int64 {
 // Keys returns the sorted counter keys (for deterministic reports).
 func (s *Stats) Keys() []string {
 	var keys []string
-	s.each(func(_ int, k statKey, _ int64) {
+	s.each(func(k statKey, _ int64) {
 		if !k.max {
 			keys = append(keys, k.name)
 		}
@@ -232,7 +238,7 @@ func (s *Stats) Keys() []string {
 
 // SumPrefix sums all counters whose key starts with the given prefix.
 func (s *Stats) SumPrefix(prefix string) (total int64) {
-	s.each(func(_ int, k statKey, v int64) {
+	s.each(func(k statKey, v int64) {
 		if !k.max && strings.HasPrefix(k.name, prefix) {
 			total += v
 		}

@@ -291,11 +291,10 @@ func TestNewReplicasTakeNoStatsLock(t *testing.T) {
 }
 
 // statsOver is a collector over plan's key table, as a run of it has.
-func statsOver(plan *Plan) *Stats { return new(Stats).init(&plan.keys, nil) }
+func statsOver(plan *Plan) *Stats { return new(Stats).init(&plan.keys) }
 
-// TestStatsMergeAllocatesNothing: folding a run's collector into another —
-// one over the same plan table, index by index, or an aggregator of
-// NewStats, key by key — allocates nothing once the keys exist.
+// TestStatsMergeAllocatesNothing: folding a run's collector into an
+// aggregator of NewStats allocates nothing once the keys exist.
 func TestStatsMergeAllocatesNothing(t *testing.T) {
 	plan := MustCompile(Serial(NewBox("mg_box", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }), MustFilter("{<n>} -> {<n>=<n>+1}")))
@@ -304,39 +303,33 @@ func TestStatsMergeAllocatesNothing(t *testing.T) {
 	run.SetMax("box.mg_box.inflight", 1)
 	run.Add("stream.frames", 2)
 	run.Add("not.in.the.table", 1)
-	same, agg := statsOver(plan), NewStats()
-	same.Merge(run)
+	agg := NewStats()
 	agg.Merge(run)
-	if n := testing.AllocsPerRun(100, func() { same.Merge(run) }); n != 0 {
-		t.Errorf("Merge over one table: %v allocs", n)
-	}
 	if n := testing.AllocsPerRun(100, func() { agg.Merge(run) }); n != 0 {
 		t.Errorf("Merge into an aggregator: %v allocs", n)
 	}
 	// AllocsPerRun(100, f) calls f 101 times.
-	for _, s := range []*Stats{same, agg} {
-		if got := s.Counter("box.mg_box.calls"); got != 3*102 {
-			t.Errorf("calls = %d, want %d", got, 3*102)
-		}
-		if got := s.Counter("not.in.the.table"); got != 102 {
-			t.Errorf("extension key = %d, want 102", got)
-		}
-		if got, want := s.Snapshot(), run.Snapshot(); len(got) != len(want) {
-			t.Errorf("merged keys %v, want those of %v", got, want)
-		}
+	if got := agg.Counter("box.mg_box.calls"); got != 3*102 {
+		t.Errorf("calls = %d, want %d", got, 3*102)
+	}
+	if got := agg.Counter("not.in.the.table"); got != 102 {
+		t.Errorf("extension key = %d, want 102", got)
+	}
+	if got, want := agg.Snapshot(), run.Snapshot(); len(got) != len(want) {
+		t.Errorf("merged keys %v, want those of %v", got, want)
 	}
 }
 
 // TestStatsTableConcurrentExact is TestStatsConcurrentExact over a plan's key
 // table: writers by name and through held cells, on table keys and on keys
-// the table does not list, against readers that snapshot, list, sum and merge
-// into a collector over the same table and into an aggregator.  Every total
-// is exact afterwards, and both merge targets agree with a final merge.
+// the table does not list, against a reader that snapshots, lists, sums and
+// merges into an aggregator.  Every total is exact afterwards, and the
+// aggregator agrees with a final merge.
 func TestStatsTableConcurrentExact(t *testing.T) {
 	const writers, rounds = 8, 2000
 	plan := MustCompile(Serial(NewBox("ct_box", MustParseSignature("(<n>) -> (<n>)"),
 		func(args []any, out *Emitter) error { return out.Out(1, args[0]) }), MustFilter("{<n>} -> {<n>=<n>+1}")))
-	s, same, agg := statsOver(plan), statsOver(plan), NewStats()
+	s, agg := statsOver(plan), NewStats()
 	keys := []string{"box.ct_box.calls", "box.ct_box.emitted", "runtime.errors", "ext.a", "ext.b"}
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -358,7 +351,6 @@ func TestStatsTableConcurrentExact(t *testing.T) {
 			if got := s.SumPrefix("ext."); got < 0 || got > 2*writers*rounds {
 				t.Errorf("SumPrefix out of range: %d", got)
 			}
-			same.Merge(s)
 			agg.Merge(s)
 		}
 	}()
@@ -395,19 +387,39 @@ func TestStatsTableConcurrentExact(t *testing.T) {
 	if got, want := s.Keys(), slices.Sorted(slices.Values(keys)); !reflect.DeepEqual(got, want) {
 		t.Errorf("Keys() = %v, want %v", got, want)
 	}
-	// A merge after the writers is exact: both targets got each key's total
-	// on top of what they had folded while the writers ran.
-	before := [2]map[string]int64{same.Snapshot(), agg.Snapshot()}
-	same.Merge(s)
+	// A merge after the writers is exact: the aggregator got each key's total
+	// on top of what it had folded while the writers ran.
+	before := agg.Snapshot()
 	agg.Merge(s)
-	for i, m := range []*Stats{same, agg} {
-		for _, k := range keys {
-			if got, want := m.Counter(k), before[i][k]+s.Counter(k); got != want {
-				t.Errorf("target %d: %s = %d, want %d", i, k, got, want)
-			}
+	for _, k := range keys {
+		if got, want := agg.Counter(k), before[k]+s.Counter(k); got != want {
+			t.Errorf("%s = %d, want %d", k, got, want)
 		}
-		if got := m.Max("box.ct_box.inflight"); got != writers*rounds-1 {
-			t.Errorf("target %d: high-water mark = %d, want %d", i, got, writers*rounds-1)
+	}
+	if got := agg.Max("box.ct_box.inflight"); got != writers*rounds-1 {
+		t.Errorf("high-water mark = %d, want %d", got, writers*rounds-1)
+	}
+}
+
+// TestRunsCountOnlyPlanKeys: every key a run of the ledger's nets counts
+// under, one-shot and started, at W unset and 4, is in its plan's table
+// (Compile): a node names its keys where it lists them (statKeys), so none
+// goes to the collector's extension.
+func TestRunsCountOnlyPlanKeys(t *testing.T) {
+	for _, c := range ledgerCases() {
+		for _, w := range []int{0, 4} {
+			_, oneShot, err := compileNet(c.net()).RunAll(context.Background(), c.inputs(), WithBoxWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, started := runLedger(t, c.net(), c.inputs(), WithBoxWorkers(w))
+			for _, s := range []*Stats{oneShot, started} {
+				s.mu.Lock()
+				if len(s.more.keys) != 0 {
+					t.Errorf("%s/W%d: keys outside the plan's table: %v", c.name, w, s.more.keys)
+				}
+				s.mu.Unlock()
+			}
 		}
 	}
 }

@@ -24,15 +24,27 @@ func (s *BoxSignature) InType() RecType { return RecType{NewVariant(s.In...)} }
 
 // OutType returns the multivariant output type of the signature.
 func (s *BoxSignature) OutType() RecType {
-	return mapped(s.Out, func(vs []Label) Variant { return NewVariant(vs...) })
+	out := make(RecType, len(s.Out))
+	for i, vs := range s.Out {
+		out[i] = NewVariant(vs...)
+	}
+	return out
 }
 
 func labelTuple(ls []Label) string {
-	return "(" + join(ls, ",") + ")"
+	parts := make([]string, len(ls))
+	for i, l := range ls {
+		parts[i] = l.String()
+	}
+	return "(" + strings.Join(parts, ",") + ")"
 }
 
 func (s *BoxSignature) String() string {
-	return labelTuple(s.In) + " -> " + strings.Join(mapped(s.Out, labelTuple), " | ")
+	outs := make([]string, len(s.Out))
+	for i, o := range s.Out {
+		outs[i] = labelTuple(o)
+	}
+	return labelTuple(s.In) + " -> " + strings.Join(outs, " | ")
 }
 
 // ParseSignature parses the paper's box signature notation, e.g.

@@ -18,12 +18,13 @@ type splitNode struct {
 	// Stat keys, concatenated once at construction: replica accounting runs
 	// per replica and must not build strings.
 	kReplicas, kWidth, kUntagged string
+	statKeys
 }
 
 func newSplit(label string, det bool, operand Node, tag string) *splitNode {
-	k := "split." + label
-	return &splitNode{label: label, det: det, operand: operand, tag: tag, tagID: internLabel(tag),
-		kReplicas: k + ".replicas", kWidth: k + ".width", kUntagged: k + ".untagged"}
+	n, k := &splitNode{label: label, det: det, operand: operand, tag: tag, tagID: internLabel(tag)}, "split."+label
+	n.kReplicas, n.kWidth, n.kUntagged = n.counter(k+".replicas"), n.mark(k+".width"), n.counter(k+".untagged")
+	return n
 }
 
 // Split builds the nondeterministic parallel replicator, the paper's

@@ -23,13 +23,13 @@ type starNode struct {
 	// Stat keys, built once at construction and shared by every stage:
 	// unfolding runs per stage and must not build strings.
 	kReplicas, kDepth, kOverflow string
+	statKeys
 }
 
 func newStar(label string, det bool, operand Node, exit Pattern) *starNode {
-	k := "star." + label
-	return &starNode{label: label, det: det, operand: operand, exit: exit,
-		exits:     new(shapeMemo[boundPattern]),
-		kReplicas: k + ".replicas", kDepth: k + ".depth", kOverflow: k + ".overflow"}
+	n, k := &starNode{label: label, det: det, operand: operand, exit: exit, exits: new(shapeMemo[boundPattern])}, "star."+label
+	n.kReplicas, n.kDepth, n.kOverflow = n.counter(k+".replicas"), n.mark(k+".depth"), n.counter(k+".overflow")
+	return n
 }
 
 // Star builds the nondeterministic serial replicator, the paper's

@@ -91,13 +91,11 @@ type streamWriter struct {
 
 	// Transport counters, kept local (no locks on the hot path) and folded
 	// into the run's Stats by close: frames/records delivered and the
-	// per-stream frame-size high-water mark.  directRecords is atomic —
-	// sendBatchDirect accepts concurrent boundary senders.
-	frames        int64
-	records       int64
-	hwm           int
-	directRecords int64
-	directFrames  int64
+	// per-stream frame-size high-water mark.  sendBatchDirect, which
+	// concurrent boundary senders share, counts into the run's cells at once.
+	frames  int64
+	records int64
+	hwm     int
 }
 
 // send appends one item to the stream, flushing per the adaptive policy.
@@ -264,8 +262,8 @@ func (w *streamWriter) sendBatchDirect(ctx context.Context, recs []*Record) (int
 		if ctxDone(w.env.ctx) {
 			reclaim(w.ch) // as offer does
 		}
-		atomic.AddInt64(&w.directRecords, int64(n))
-		atomic.AddInt64(&w.directFrames, 1)
+		w.env.stats.at(statRecords).Add(int64(n))
+		w.env.stats.at(statFrames).Add(1)
 		sent += n
 	}
 	return sent, nil
@@ -285,11 +283,9 @@ func (w *streamWriter) close() {
 		w.pending = nil
 	}
 	// Fold first: a run that has drained has then counted all its streams.
-	frames := w.frames + atomic.LoadInt64(&w.directFrames)
-	records := w.records + atomic.LoadInt64(&w.directRecords)
-	if s := w.env.stats; frames > 0 {
-		s.at(statFrames).Add(frames)
-		s.at(statRecords).Add(records)
+	if s := w.env.stats; w.frames > 0 {
+		s.at(statFrames).Add(w.frames)
+		s.at(statRecords).Add(w.records)
 		atomicMax(s.at(statFrameHWM), int64(w.hwm))
 	}
 	switch {

@@ -1,5 +1,7 @@
 package core
 
+import "strings"
+
 // syncNode is an S-Net synchrocell [| {p1}, {p2}, ... |] — part of the
 // S-Net language (Grelck/Scholz/Shafarenko, IFL'06) though not exercised by
 // the paper's sudoku networks; provided as the language's join primitive.
@@ -15,6 +17,7 @@ type syncNode struct {
 	// Stat keys, concatenated once: a replicated join (one cell per replica)
 	// fires or starves once per replica and must not build strings.
 	kFired, kStarved string
+	statKeys
 	// admits caches the patterns bound to each record shape; merges finds the
 	// merge program of the shapes a firing has stored.  Both are pure functions
 	// of the patterns, shared by every run.
@@ -94,8 +97,8 @@ func NamedSync(name string, patterns ...Pattern) Node {
 	if len(patterns) < 2 {
 		panic("core: Sync needs at least two patterns")
 	}
-	n := &syncNode{label: name, patterns: patterns,
-		kFired: "sync." + name + ".fired", kStarved: "sync." + name + ".starved"}
+	n := &syncNode{label: name, patterns: patterns}
+	n.kFired, n.kStarved = n.counter("sync."+name+".fired"), n.counter("sync."+name+".starved")
 	n.alone(n)
 	return n
 }
@@ -103,7 +106,11 @@ func NamedSync(name string, patterns ...Pattern) Node {
 func (n *syncNode) name() string { return n.label }
 
 func (n *syncNode) String() string {
-	return "[| " + join(n.patterns, ", ") + " |]"
+	parts := make([]string, len(n.patterns))
+	for i, p := range n.patterns {
+		parts[i] = p.String()
+	}
+	return "[| " + strings.Join(parts, ", ") + " |]"
 }
 
 func (n *syncNode) sig() (RecType, RecType) {
