@@ -141,7 +141,7 @@ func TestSizeBudgets(t *testing.T) {
 		dir   string
 		lines int
 	}{
-		{"internal/core", 6778},
+		{"internal/core", 6779},
 		{"internal/analysis", 882},
 		{"internal/lang", 716},
 		{"snet/service", 1626},

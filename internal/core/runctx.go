@@ -40,18 +40,19 @@ const maxKind = true
 // statTable indexes keys densely, in the order they were added.  An
 // extension holds its cells, one allocation each: a site may hold one.
 type statTable struct {
-	index map[statKey]int
+	index [2]map[string]int // counters', marks' (btoi(max)), by name: the map's string fast path
 	keys  []statKey
 	cells []*statCell
 }
 
 func (t *statTable) add(k statKey) int {
-	i, ok := t.index[k]
+	m := &t.index[btoi(k.max)]
+	i, ok := (*m)[k.name]
 	if !ok {
-		if t.index == nil {
-			t.index = map[statKey]int{}
+		if *m == nil {
+			*m = map[string]int{}
 		}
-		i, t.index[k], t.keys = len(t.keys), len(t.keys), append(t.keys, k)
+		i, (*m)[k.name], t.keys = len(t.keys), len(t.keys), append(t.keys, k)
 	}
 	return i
 }
@@ -117,7 +118,7 @@ func (s *Stats) at(i int) *statCell {
 
 // cell returns k's cell, made at first use if the table does not list k.
 func (s *Stats) cell(k statKey) *statCell {
-	if i, ok := s.keys.index[k]; ok {
+	if i, ok := s.keys.index[btoi(k.max)][k.name]; ok {
 		return s.at(i)
 	}
 	s.mu.Lock()
@@ -180,12 +181,12 @@ func (s *Stats) Max(key string) int64 { return s.read(statKey{key, maxKind}) }
 
 // read is the value of k's cell, 0 if it has none.
 func (s *Stats) read(k statKey) int64 {
-	if i, ok := s.keys.index[k]; ok {
+	if i, ok := s.keys.index[btoi(k.max)][k.name]; ok {
 		return s.cells[i].Load()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.more.index[k]; ok {
+	if i, ok := s.more.index[btoi(k.max)][k.name]; ok {
 		return s.more.cells[i].Load()
 	}
 	return 0
