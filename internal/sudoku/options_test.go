@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sched"
 )
@@ -253,5 +254,185 @@ func TestFindMinTruesExhausted(t *testing.T) {
 	}
 	if _, _, ok := FindMinTrues(o); ok {
 		t.Fatal("exhausted options must report not-ok")
+	}
+}
+
+// countDirect, isStuckDirect, isCompletedDirect and findMinTruesDirect are
+// Count, §3's isStuck and isCompleted and §3/§5's findMinTrues as plain loops
+// over the bools: the references the word-counting queries and the search's
+// per-frame choice are held to, and nothing else.
+func countDirect(o *Options, i, j int) int {
+	c := 0
+	for k := 1; k <= o.n*o.n; k++ {
+		if o.Get(i, j, k) {
+			c++
+		}
+	}
+	return c
+}
+
+func isStuckDirect(b *Board, o *Options) bool {
+	for at, v := range b.cells.Data() {
+		if v == 0 && countDirect(o, at/b.N(), at%b.N()) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func isCompletedDirect(b *Board) bool {
+	for _, v := range b.cells.Data() {
+		if v == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// findMinTruesDirect: the first position in row-major order with the fewest
+// options among those with any; ok is false when none has one.
+func findMinTruesDirect(o *Options) (i, j int, ok bool) {
+	N := o.n * o.n
+	best, bi, bj := N+1, -1, -1
+	for at := 0; at < N*N; at++ {
+		if c := countDirect(o, at/N, at%N); c > 0 && c < best {
+			best, bi, bj = c, at/N, at%N
+		}
+	}
+	return bi, bj, bi >= 0
+}
+
+// TestOptionQueriesMatchPlainLoops: Count, IsStuck and FindMinTrues answer
+// what the plain loops answer on any pair — cubes of every density, filled
+// cells that keep options, empty cells that have none — at sides 4, 9 and 16.
+func TestOptionQueriesMatchPlainLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for round := 0; round < 600; round++ {
+		n := 2 + round%3
+		N := n * n
+		b, o := NewBoard(n), NewOptions(n)
+		cells, cube := b.cells.Data(), o.cube.Data()
+		filled, open := rng.Float64(), rng.Float64()
+		for at := range cells {
+			if rng.Float64() < filled {
+				cells[at] = 1 + rng.Intn(N)
+			}
+		}
+		for x := range cube {
+			cube[x] = rng.Float64() < open
+		}
+		if round%4 == 0 { // a few cells at one option or none
+			for c := rng.Intn(N); c >= 0; c-- {
+				at := rng.Intn(N * N)
+				clear(cube[at*N : (at+1)*N])
+				if c%2 == 0 {
+					cube[at*N+rng.Intn(N)] = true
+				}
+			}
+		}
+		for at := 0; at < N*N; at++ {
+			if got, want := o.Count(at/N, at%N), countDirect(o, at/N, at%N); got != want {
+				t.Fatalf("round %d: Count(%d, %d) = %d, want %d", round, at/N, at%N, got, want)
+			}
+		}
+		if got, want := IsStuck(b, o), isStuckDirect(b, o); got != want {
+			t.Fatalf("round %d: IsStuck = %v, want %v\n%v", round, got, want, b)
+		}
+		gi, gj, gok := FindMinTrues(o)
+		if wi, wj, wok := findMinTruesDirect(o); gi != wi || gj != wj || gok != wok {
+			t.Fatalf("round %d: FindMinTrues = (%d, %d, %v), want (%d, %d, %v)", round, gi, gj, gok, wi, wj, wok)
+		}
+	}
+}
+
+// searchStates calls visit with the pairs a search meets: Generate puzzles at
+// sides 4, 9 and 16, their ComputeOpts cubes, then random placements of an
+// open number at a random open cell — a copying AddNumber or one into a pair
+// the walk alone holds, as solve's frames do — until the board is stuck or
+// complete.  Random numbers go wrong, so stuck states are among them.
+func searchStates(visit func(b *Board, o *Options)) {
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(1); seed <= 120; seed++ {
+		n := 3
+		if seed%6 == 0 {
+			n = 2 + int(seed/6)%3
+		}
+		N := n * n
+		b, _ := Generate(sp, n, seed, rng.Intn(N*N+1), false)
+		o, _ := ComputeOpts(sp, b)
+		for owned := false; ; owned = !owned {
+			visit(b, o)
+			var open [][3]int
+			for at := 0; at < N*N; at++ {
+				for k := 1; k <= N && b.Get(at/N, at%N) == 0; k++ {
+					if o.Get(at/N, at%N, k) {
+						open = append(open, [3]int{at / N, at % N, k})
+					}
+				}
+			}
+			if len(open) == 0 || IsStuck(b, o) {
+				break
+			}
+			c := open[rng.Intn(len(open))]
+			b, o = addNumber(sp, b, o, c[0], c[1], c[2], owned)
+		}
+	}
+}
+
+// TestSearchFrameChoiceMatchesPlainLoops: on every pair a search meets, the
+// questions a frame of solve, SolveOneLevel and CountSolutions asks — stuck,
+// completed, and which cell next — get the plain loops' answers.
+func TestSearchFrameChoiceMatchesPlainLoops(t *testing.T) {
+	var states, stucks int
+	searchStates(func(b *Board, o *Options) {
+		stuck, done := isStuckDirect(b, o), isCompletedDirect(b)
+		states++
+		if stuck {
+			stucks++
+		}
+		if IsStuck(b, o) != stuck || b.IsCompleted() != done {
+			t.Fatalf("IsStuck %v, IsCompleted %v; want %v, %v\n%v", IsStuck(b, o), b.IsCompleted(), stuck, done, b)
+		}
+		if stuck || done {
+			return
+		}
+		wi, wj, _ := findMinTruesDirect(o)
+		if i, j, ok := FindMinTrues(o); !ok || i != wi || j != wj {
+			t.Fatalf("FindMinTrues = (%d, %d, %v), want (%d, %d)\n%v", i, j, ok, wi, wj, b)
+		}
+	})
+	if states < 1000 || stucks < 20 {
+		t.Fatalf("%d search states, %d stuck; the walk no longer goes deep", states, stucks)
+	}
+}
+
+// TestSearchStatesKeepNoOptionAtFilledCells: ComputeOpts leaves no option at
+// a given, and AddNumber none at the cell it fills or at any filled before.
+func TestSearchStatesKeepNoOptionAtFilledCells(t *testing.T) {
+	searchStates(func(b *Board, o *Options) {
+		N := b.N()
+		for at, v := range b.cells.Data() {
+			if v != 0 && countDirect(o, at/N, at%N) != 0 {
+				t.Fatalf("filled cell (%d, %d) keeps %d options\n%v", at/N, at%N, countDirect(o, at/N, at%N), b)
+			}
+		}
+	})
+}
+
+// TestBoolIsOneByte pins the layout a word view of the option cube relies
+// on: a bool is one byte, 0 when false and 1 when true, however it was made.
+func TestBoolIsOneByte(t *testing.T) {
+	if s := unsafe.Sizeof(true); s != 1 {
+		t.Fatalf("a bool is %d bytes", s)
+	}
+	x, y := rand.Intn(2), rand.Intn(2)
+	for _, v := range []bool{false, true, x == y, x != y, !(x == y), x < 2 && y < 2} {
+		want := byte(0)
+		if v {
+			want = 1
+		}
+		if got := *(*byte)(unsafe.Pointer(&v)); got != want {
+			t.Fatalf("%v is stored as %d", v, got)
+		}
 	}
 }
