@@ -9,6 +9,8 @@ package repro_test
 import (
 	"bytes"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -146,7 +148,7 @@ func TestSizeBudgets(t *testing.T) {
 		{"internal/lang", 716},
 		{"snet/service", 1626},
 		{"internal/array", 905},
-		{"internal/sudoku", 1131},
+		{"internal/sudoku", 1130},
 		{"internal/sacvm", 2441},
 		{"internal/sched", 210},
 	}
@@ -163,6 +165,27 @@ func TestSizeBudgets(t *testing.T) {
 			t.Errorf("%s: %d non-test lines, budget %d", b.dir, got, b.lines)
 		}
 	}
+}
+
+// TestUnsafeStaysInOptions: the one non-test file that imports unsafe is
+// internal/sudoku/options.go, whose byte view of the option cube counts a
+// cell's options eight a word (TestBoolIsOneByte pins the layout it reads).
+func TestUnsafeStaysInOptions(t *testing.T) {
+	goFiles(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") || path == "internal/sudoku/options.go" {
+			return
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ImportsOnly)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			return
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"unsafe"` {
+				t.Errorf("%s imports unsafe; only internal/sudoku/options.go may", path)
+			}
+		}
+	})
 }
 
 // TestDeletedNamesStayDeleted: one front door.  Every row is a path or a name
@@ -251,6 +274,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"every goroutine of a run is one of its workers (runEnv.spawn, worker.go), so a box worker, a merger, a part or a drainer whose work is done goes back to the run for the next"},
 		{`streamOnce|statValue|func \(s \*Stats\) values|(counters|maxima) +map\[string\]\*statCell|free +\[\]statCell|foldStream|directRecords|directFrames`, "internal/core/", false, "",
 			"a run's stats are its plan's key table and one slab of cells (Stats): no maps and chunk allocator per collector, no transport cells behind a sync.Once, no snapshot slice for Merge, no boundary counters folded at close (sendBatchDirect counts into the cells)"},
+		{`FindFirst\(`, "", false, "",
+			"nothing but its own test called Board.FindFirst: a search frame picks its cell in one pass over the empty cells (survey)"},
 		{`\bNextIndex\b`, "", false, "",
 			"the with-loop engine walks an index space itself (span.start, span.carry); the shape walks of Rotate, Reverse and Where convert offsets (LinearToIndex)"},
 	}

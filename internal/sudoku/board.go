@@ -77,11 +77,7 @@ func Parse(s string) (*Board, error) {
 		return nil, fmt.Errorf("sudoku: got %d cells, want 81", len(cells))
 	}
 	b := NewBoard(3)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 9; j++ {
-			b.cells.Set(cells[i*9+j], i, j)
-		}
-	}
+	copy(b.cells.Data(), cells)
 	return b, nil
 }
 
@@ -148,18 +144,6 @@ func (b *Board) CountFilled() int {
 		}
 	}
 	return c
-}
-
-// FindFirst returns the first empty position in row-major order (§3's
-// findFirst); ok is false when the board is complete.
-func (b *Board) FindFirst() (i, j int, ok bool) {
-	N := b.N()
-	for idx, v := range b.cells.Data() {
-		if v == 0 {
-			return idx / N, idx % N, true
-		}
-	}
-	return 0, 0, false
 }
 
 // Valid reports whether the filled cells violate no sudoku rule: each row,

@@ -101,16 +101,6 @@ func TestCompletedAndCounts(t *testing.T) {
 	}
 }
 
-func TestFindFirst(t *testing.T) {
-	i, j, ok := Easy().FindFirst()
-	if !ok || i != 0 || j != 2 {
-		t.Fatalf("FindFirst = %d,%d,%v", i, j, ok)
-	}
-	if _, _, ok := EasySolution().FindFirst(); ok {
-		t.Fatal("complete board has no empty cell")
-	}
-}
-
 func TestValidDetectsViolations(t *testing.T) {
 	if !Easy().Valid() || !EasySolution().Valid() {
 		t.Fatal("valid boards reported invalid")

@@ -1,7 +1,9 @@
 package sudoku
 
 import (
-	"slices"
+	"encoding/binary"
+	"math/bits"
+	"unsafe"
 
 	"repro/internal/array"
 	"repro/internal/sched"
@@ -28,15 +30,26 @@ func (o *Options) Get(i, j, k int) bool { return o.cube.At(i, j, k-1) }
 // Count returns the number of options left at (i, j).
 func (o *Options) Count(i, j int) int {
 	N := o.n * o.n
+	return countAt(o.bytes(), (i*N+j)*N, N)
+}
+
+// bytes views the cube as bytes, one a bool: 0 or 1 under gc, which
+// TestBoolIsOneByte pins.  It is the package's one use of unsafe.
+func (o *Options) bytes() []byte {
 	data := o.cube.Data()
-	base := (i*N + j) * N
-	c := 0
-	for _, v := range data[base : base+N] {
-		if v {
-			c++
-		}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data))
+}
+
+// countAt counts the options in c[at:at+N], eight a word.
+func countAt(c []byte, at, N int) int {
+	n, end := 0, at+N
+	for ; at+8 <= end; at += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(c[at:]))
 	}
-	return c
+	for _, v := range c[at:end] {
+		n += int(v)
+	}
+	return n
 }
 
 // Clone returns a deep copy.
@@ -131,35 +144,43 @@ func ComputeOpts(p *sched.Pool, b *Board) (*Options, bool) {
 // IsStuck reports whether some empty cell has no options left (§3's
 // isStuck): the search cannot proceed from this board.
 func IsStuck(b *Board, o *Options) bool {
-	N := b.N()
-	cube := o.cube.Data()
+	_, _, stuck, _ := survey(b, o)
+	return stuck
+}
+
+// survey asks a search frame's three questions in one pass over the empty
+// cells: stuck, some empty cell has no option left (isStuck); done, there is
+// none (isCompleted); otherwise (i, j) is the first empty cell in row-major
+// order with the fewest options.  That is findMinTrues' choice wherever no
+// filled cell keeps an option, which ComputeOpts and AddNumber establish and
+// keep; on any other pair survey still picks an empty cell.
+func survey(b *Board, o *Options) (i, j int, stuck, done bool) {
+	N, c := b.N(), o.bytes()
+	best := N + 1
 	for at, v := range b.cells.Data() {
-		if v == 0 && !slices.Contains(cube[at*N:(at+1)*N], true) {
-			return true
+		if v != 0 {
+			continue
+		}
+		if n := countAt(c, at*N, N); n == 0 {
+			return 0, 0, true, false
+		} else if n < best {
+			best, i, j = n, at/N, at%N
 		}
 	}
-	return false
+	return i, j, false, best > N
 }
 
 // FindMinTrues selects the position with the minimum positive number of
 // options left (§3/§5's findMinTrues): positions with zero options are
 // filled cells (or stuck cells, which isStuck rules out beforehand).
-// ok is false when no position has any option left.  A cell's count stops
-// at the best so far: a cell that reaches it cannot be chosen.
+// ok is false when no position has any option left.
 func FindMinTrues(o *Options) (i, j int, ok bool) {
-	N := o.n * o.n
-	data := o.cube.Data()
-	best, bi, bj := N+1, -1, -1
+	N, c := o.n*o.n, o.bytes()
+	best, i, j := N+1, -1, -1
 	for at := 0; at < N*N && best > 1; at++ {
-		c := 0
-		for k := at * N; k < (at+1)*N && c < best; k++ {
-			if data[k] {
-				c++
-			}
-		}
-		if c > 0 && c < best {
-			best, bi, bj = c, at/N, at%N
+		if n := countAt(c, at*N, N); n > 0 && n < best {
+			best, i, j = n, at/N, at%N
 		}
 	}
-	return bi, bj, bi >= 0
+	return i, j, i >= 0
 }

@@ -304,7 +304,8 @@ func findMinTruesDirect(o *Options) (i, j int, ok bool) {
 
 // TestOptionQueriesMatchPlainLoops: Count, IsStuck and FindMinTrues answer
 // what the plain loops answer on any pair — cubes of every density, filled
-// cells that keep options, empty cells that have none — at sides 4, 9 and 16.
+// cells that keep options, empty cells that have none — at sides 4, 9 and 16,
+// and survey answers them for the empty cells.
 func TestOptionQueriesMatchPlainLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for round := 0; round < 600; round++ {
@@ -341,6 +342,18 @@ func TestOptionQueriesMatchPlainLoops(t *testing.T) {
 		gi, gj, gok := FindMinTrues(o)
 		if wi, wj, wok := findMinTruesDirect(o); gi != wi || gj != wj || gok != wok {
 			t.Fatalf("round %d: FindMinTrues = (%d, %d, %v), want (%d, %d, %v)", round, gi, gj, gok, wi, wj, wok)
+		}
+		// survey reads the empty cells only: on a pair whose filled cells
+		// keep options it picks the first empty cell with the fewest.
+		best, wi, wj := N+1, 0, 0
+		for at := 0; at < N*N; at++ {
+			if c := countDirect(o, at/N, at%N); cells[at] == 0 && c < best {
+				best, wi, wj = c, at/N, at%N
+			}
+		}
+		si, sj, stuck, done := survey(b, o)
+		if stuck != isStuckDirect(b, o) || done != isCompletedDirect(b) || (!stuck && !done && (si != wi || sj != wj)) {
+			t.Fatalf("round %d: survey = (%d, %d, %v, %v), want (%d, %d, %v, %v)", round, si, sj, stuck, done, wi, wj, isStuckDirect(b, o), isCompletedDirect(b))
 		}
 	}
 }
@@ -381,7 +394,9 @@ func searchStates(visit func(b *Board, o *Options)) {
 
 // TestSearchFrameChoiceMatchesPlainLoops: on every pair a search meets, the
 // questions a frame of solve, SolveOneLevel and CountSolutions asks — stuck,
-// completed, and which cell next — get the plain loops' answers.
+// completed, and which cell next — get the plain loops' answers, from
+// IsStuck, IsCompleted and FindMinTrues one by one and from survey in its
+// one pass.
 func TestSearchFrameChoiceMatchesPlainLoops(t *testing.T) {
 	var states, stucks int
 	searchStates(func(b *Board, o *Options) {
@@ -393,12 +408,19 @@ func TestSearchFrameChoiceMatchesPlainLoops(t *testing.T) {
 		if IsStuck(b, o) != stuck || b.IsCompleted() != done {
 			t.Fatalf("IsStuck %v, IsCompleted %v; want %v, %v\n%v", IsStuck(b, o), b.IsCompleted(), stuck, done, b)
 		}
+		si, sj, sstuck, sdone := survey(b, o)
+		if sstuck != stuck || sdone != done {
+			t.Fatalf("survey: stuck %v, done %v; want %v, %v\n%v", sstuck, sdone, stuck, done, b)
+		}
 		if stuck || done {
 			return
 		}
 		wi, wj, _ := findMinTruesDirect(o)
 		if i, j, ok := FindMinTrues(o); !ok || i != wi || j != wj {
 			t.Fatalf("FindMinTrues = (%d, %d, %v), want (%d, %d)\n%v", i, j, ok, wi, wj, b)
+		}
+		if si != wi || sj != wj {
+			t.Fatalf("survey chose (%d, %d), want (%d, %d)\n%v", si, sj, wi, wj, b)
 		}
 	})
 	if states < 1000 || stucks < 20 {
@@ -419,20 +441,26 @@ func TestSearchStatesKeepNoOptionAtFilledCells(t *testing.T) {
 	})
 }
 
-// TestBoolIsOneByte pins the layout a word view of the option cube relies
-// on: a bool is one byte, 0 when false and 1 when true, however it was made.
+// TestBoolIsOneByte pins the layout the word view of the option cube
+// (Options.bytes) relies on: a bool is one byte, 0 when false and 1 when
+// true, however it was made, and the view reads each cell of the cube.
 func TestBoolIsOneByte(t *testing.T) {
 	if s := unsafe.Sizeof(true); s != 1 {
 		t.Fatalf("a bool is %d bytes", s)
 	}
 	x, y := rand.Intn(2), rand.Intn(2)
-	for _, v := range []bool{false, true, x == y, x != y, !(x == y), x < 2 && y < 2} {
+	o := NewOptions(2)
+	cube := o.cube.Data()
+	for at, v := range []bool{false, true, x == y, x != y, !(x == y), x < 2 && y < 2} {
+		cube[at] = v
+	}
+	for at, got := range o.bytes() {
 		want := byte(0)
-		if v {
+		if cube[at] {
 			want = 1
 		}
-		if got := *(*byte)(unsafe.Pointer(&v)); got != want {
-			t.Fatalf("%v is stored as %d", v, got)
+		if got != want {
+			t.Fatalf("cube[%d] = %v is stored as %d", at, cube[at], got)
 		}
 	}
 }

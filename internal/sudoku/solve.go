@@ -5,7 +5,9 @@ import "repro/internal/sched"
 // Solve is the paper's §3 sequential solver with the findMinTrues heuristic:
 // depth-first search that places one number per level, backtracking through
 // the option cube.  It returns the first solution found (solved == true) or
-// the board where the search got stuck, and writes neither argument.
+// the board where the search got stuck, and writes neither argument.  No
+// filled cell of board may keep an option in opts, as in every pair
+// ComputeOpts and AddNumber make: the search asks the empty cells only.
 func Solve(p *sched.Pool, board *Board, opts *Options) (*Board, *Options, bool) {
 	return solve(p, board, opts, false)
 }
@@ -18,16 +20,13 @@ func Solve(p *sched.Pool, board *Board, opts *Options) (*Board, *Options, bool) 
 // already and kept false by the "this cell" generator.  Every other
 // placement copies, so a branch point keeps the state it returns to.
 func solve(p *sched.Pool, board *Board, opts *Options, owned bool) (*Board, *Options, bool) {
-	if IsStuck(board, opts) || board.IsCompleted() {
-		return board, opts, board.IsCompleted()
-	}
-	i, j, ok := FindMinTrues(opts)
-	if !ok {
-		return board, opts, board.IsCompleted()
+	i, j, stuck, done := survey(board, opts)
+	if stuck || done {
+		return board, opts, done
 	}
 	N, open := board.N(), opts.Count(i, j)
 	memBoard, memOpts := board, opts
-	for k := 1; k <= N && !board.IsCompleted(); k++ {
+	for k := 1; k <= N; k++ {
 		if memOpts.Get(i, j, k) {
 			open--
 			b2, o2 := addNumber(p, memBoard, memOpts, i, j, k, owned && open == 0)
@@ -35,12 +34,12 @@ func solve(p *sched.Pool, board *Board, opts *Options, owned bool) (*Board, *Opt
 			if solved {
 				return b3, o3, true
 			}
-			// keep the paper's shape: board/opts carry the last
-			// attempt so the loop condition mirrors §3 line 8
+			// board/opts carry the last attempt (§3).  It failed, so its
+			// board is not completed: §3 line 8's !isCompleted holds.
 			board, opts = b3, o3
 		}
 	}
-	return board, opts, board.IsCompleted()
+	return board, opts, false
 }
 
 // SolveBoard is the end-to-end convenience: compute options, then solve.
@@ -66,15 +65,14 @@ func CountSolutions(p *sched.Pool, b *Board, limit int) int {
 	count := 0
 	var rec func(board *Board, opts *Options)
 	rec = func(board *Board, opts *Options) {
-		if count >= limit || IsStuck(board, opts) {
+		if count >= limit {
 			return
 		}
-		if board.IsCompleted() {
+		i, j, stuck, done := survey(board, opts)
+		if done {
 			count++
-			return
 		}
-		i, j, ok := FindMinTrues(opts)
-		if !ok {
+		if stuck || done {
 			return
 		}
 		N, open := board.N(), opts.Count(i, j)
@@ -105,23 +103,20 @@ type SolveOneLevelOutput struct {
 // the snet_out calls of Fig. 1.  Stuck boards emit nothing; a board
 // completed by a placement emits a Done record.
 func SolveOneLevel(p *sched.Pool, board *Board, opts *Options, emit func(SolveOneLevelOutput) error) error {
-	if IsStuck(board, opts) || board.IsCompleted() {
+	i, j, stuck, done := survey(board, opts)
+	if stuck || done {
 		return nil
 	}
-	i, j, ok := FindMinTrues(opts)
-	if !ok {
-		return nil
-	}
-	N := board.N()
+	N, level := board.N(), board.CountFilled()+1 // every child fills (i, j)
 	completed := false
 	for k := 1; k <= N && !completed; k++ {
 		if !opts.Get(i, j, k) {
 			continue
 		}
 		b2, o2 := AddNumber(p, board, opts, i, j, k)
-		completed = b2.IsCompleted()
+		completed = level == N*N
 		if err := emit(SolveOneLevelOutput{
-			Board: b2, Opts: o2, Done: completed, K: k, Level: b2.CountFilled(),
+			Board: b2, Opts: o2, Done: completed, K: k, Level: level,
 		}); err != nil {
 			return err
 		}
