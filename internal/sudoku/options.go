@@ -33,8 +33,8 @@ func (o *Options) Count(i, j int) int {
 	return countAt(o.bytes(), (i*N+j)*N, N)
 }
 
-// bytes views the cube as bytes, one a bool: 0 or 1 under gc, which
-// TestBoolIsOneByte pins.  It is the package's one use of unsafe.
+// bytes views the cube as bytes, 0 or 1 each under gc (TestBoolIsOneByte):
+// the module's one use of unsafe (TestUnsafeStaysInOptions).
 func (o *Options) bytes() []byte {
 	data := o.cube.Data()
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), len(data))

@@ -383,7 +383,7 @@ func searchStates(visit func(b *Board, o *Options)) {
 					}
 				}
 			}
-			if len(open) == 0 || IsStuck(b, o) {
+			if len(open) == 0 || isStuckDirect(b, o) {
 				break
 			}
 			c := open[rng.Intn(len(open))]
