@@ -1,6 +1,8 @@
 package array
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -276,5 +278,111 @@ func TestQuickFoldMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A Body may run with-loops of its own, and goroutines may run with-loops at
+// once on arrays of their own: none of them may see another's index vector.
+// Every result is held to plain loops, on a pool that runs inline and on one
+// that cuts chunks.
+func TestNestedAndConcurrentWithLoops(t *testing.T) {
+	// inner is what the outer Body computes at (i, j) with a Genarray, an
+	// owned Modarray and a Fold of its own; plainInner is the same as loops.
+	inner := func(p *sched.Pool, i, j int) int {
+		g := Genarray(p, []int{4, 5}, -1, GenHalfOpen([]int{0, 1}, []int{3, 5}, func(iv []int) int { return iv[0]*i + iv[1]*j }))
+		m := ModarrayOwned(p, g, GenClosed([]int{1, 0}, []int{3, 1}, func(iv []int) int { return 100 + iv[0] - iv[1] + i }))
+		return Fold(p, 0, func(a, b int) int { return a + b },
+			GenHalfOpen([]int{0, 0}, []int{4, 5}, func(iv []int) int { return m.At(iv[0], iv[1]) * (iv[0]*5 + iv[1] + 1) }))
+	}
+	plainInner := func(i, j int) int {
+		sum := 0
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 5; b++ {
+				v := -1
+				if a < 3 && b >= 1 {
+					v = a*i + b*j
+				}
+				if a >= 1 && b <= 1 {
+					v = 100 + a - b + i
+				}
+				sum += v * (a*5 + b + 1)
+			}
+		}
+		return sum
+	}
+
+	for _, p := range []*sched.Pool{sched.New(1), sched.NewWithGrain(4, 2)} {
+		// The outer Body checks that the inner with-loops left its index
+		// vector where it was.
+		outer := func(iv []int) int {
+			i, j := iv[0], iv[1]
+			v := inner(p, i, j)
+			if iv[0] != i || iv[1] != j {
+				panic(fmt.Sprintf("inner with-loops moved the outer index from [%d %d] to %v", i, j, iv))
+			}
+			return v
+		}
+		gen := Genarray(p, []int{6, 7}, 0, GenHalfOpen([]int{1, 0}, []int{6, 7}, outer))
+		mod := ModarrayOwned(p, New([]int{6, 7}, 5), GenClosed([]int{0, 2}, []int{4, 4}, outer))
+		fold := Fold(p, 0, func(a, b int) int { return a + b }, GenHalfOpen([]int{2, 3}, []int{5, 7}, outer))
+		wantFold := 0
+		for i := 0; i < 6; i++ {
+			for j := 0; j < 7; j++ {
+				wantGen, wantMod := 0, 5
+				if i >= 1 {
+					wantGen = plainInner(i, j)
+				}
+				if i <= 4 && j >= 2 && j <= 4 {
+					wantMod = plainInner(i, j)
+				}
+				if i >= 2 && i < 5 && j >= 3 {
+					wantFold += plainInner(i, j)
+				}
+				if gen.At(i, j) != wantGen || mod.At(i, j) != wantMod {
+					t.Fatalf("pool (%d, %d) at [%d %d]: genarray %d, want %d; modarray %d, want %d",
+						p.Width(), p.Grain(), i, j, gen.At(i, j), wantGen, mod.At(i, j), wantMod)
+				}
+			}
+		}
+		if fold != wantFold {
+			t.Fatalf("pool (%d, %d): fold %d, want %d", p.Width(), p.Grain(), fold, wantFold)
+		}
+
+		// Eight goroutines, each placing numbers into a cube of its own as
+		// the search does and building a grid of its own.
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					i, j, k0 := (w+round)%9, (w*3+round)%9, (w+2*round)%9
+					cube := ModarrayOwned(p, New([]int{9, 9, 9}, true), addNumber9(i, j, k0)...)
+					for a := 0; a < 9; a++ {
+						for b := 0; b < 9; b++ {
+							for c := 0; c < 9; c++ {
+								off := a == i && b == j || c == k0 && (a == i || b == j || a/3 == i/3 && b/3 == j/3)
+								if cube.At(a, b, c) == off {
+									errs <- fmt.Sprintf("goroutine %d, addNumber(%d, %d, %d): cube[%d %d %d] is %v", w, i, j, k0, a, b, c, !off)
+									return
+								}
+							}
+						}
+					}
+					grid := Genarray(p, []int{8, 8}, 0, GenHalfOpen([]int{0, 0}, []int{8, 8}, func(iv []int) int { return iv[0]*w + iv[1]*round }))
+					sum := Fold(p, 0, func(a, b int) int { return a + b }, GenHalfOpen([]int{0, 0}, []int{8, 8}, func(iv []int) int { return grid.At(iv[0], iv[1]) }))
+					if want := 28*8*w + 28*8*round; sum != want {
+						errs <- fmt.Sprintf("goroutine %d, round %d: grid sums to %d, want %d", w, round, sum, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Errorf("pool (%d, %d): %s", p.Width(), p.Grain(), e)
+		}
 	}
 }
