@@ -11,7 +11,8 @@ import (
 // allocate, so that the counts cannot creep back.  Each limit is the figure
 // reached; the figure in brackets is what the same call allocated when the
 // engine recomputed every index vector by division, built its bounds with
-// make and gave every array a shape vector of its own.
+// make, gave every array a shape vector of its own and made an index vector
+// for each with-loop.
 func TestArrayAllocGates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping")
@@ -42,13 +43,15 @@ func TestArrayAllocGates(t *testing.T) {
 		{"WithAt", 2, func() { keep = grid.WithAt(5, 3, 4) }},
 		// [6] the index vector handed to Body, which is a function value
 		{"Fold, one rank-2 generator", 1, func() { sink += Fold(p1, 0, add, GenHalfOpen(zero, shape, square)) }},
-		// [27, then 3 + 4] the result (Array, data) and one index vector a
-		// with-loop
-		{"Modarray, addNumber's four rank-3 generators", 2 + 1, func() { Modarray(p1, cube, addNumber...) }},
-		// what New takes, the detached generator's bounds, one closure
-		// holding generator and span, the pool's bookkeeping and one index
-		// vector a chunk (eight chunks): the count from before the inline
-		// path shared its vector, which the chunked path must not exceed
+		// [27, then 3 + 4, then 3] the result (Array, data); the index
+		// vector is the result's
+		{"Modarray, addNumber's four rank-3 generators", 2, func() { Modarray(p1, cube, addNumber...) }},
+		// [1] the array is the caller's, and so is the index vector
+		{"ModarrayOwned, addNumber's four rank-3 generators", 0, func() { ModarrayOwned(p1, cube, addNumber...) }},
+		// what New takes, a copy of the walk, one closure holding a copy of
+		// the generator, the pool's bookkeeping and one index vector a chunk
+		// (eight chunks): the count from before the inline path shared its
+		// vector, which the chunked path must not exceed
 		{"Genarray, 256x256 in chunks on a pool of two", 19, func() { keep = Genarray(wide, big, 0, row...) }},
 	}
 	for _, g := range gates {

@@ -48,6 +48,7 @@ func shapeErrf(op, format string, args ...any) *ShapeError {
 type Array[T any] struct {
 	shape []int
 	data  []T
+	iv    [fixedRank]int // what the with-loops writing this array inline hand their Body (ModarrayOwned)
 }
 
 // Size returns the number of elements described by a shape vector.  An empty

@@ -43,11 +43,12 @@ func GenClosed[T any](lower, upper []int, body func(iv []int) T) Gen[T] {
 	return Gen[T]{Lower: lower, Upper: upper, IncUpper: true, Body: body}
 }
 
-// checkGrid panics unless Step and Width fit the rank and each other.  Like
-// Offset it formats copies, so that a caller's literals need not escape.
+// checkGrid panics unless Step and Width, one of them set, fit the rank and
+// each other.  Like Offset it formats copies, so that a caller's literals
+// need not escape.
 func (g *Gen[T]) checkGrid(rank int) {
 	if g.Step == nil {
-		return
+		panic(shapeErrf("withloop", "width %v without a step", cloneInts(g.Width)))
 	}
 	if len(g.Step) != rank || (g.Width != nil && len(g.Width) != rank) {
 		panic(shapeErrf("withloop", "step/width rank mismatch (rank %d, step %v, width %v)", rank, cloneInts(g.Step), cloneInts(g.Width)))
@@ -82,31 +83,32 @@ func Modarray[T any](p *sched.Pool, src *Array[T], gens ...Gen[T]) *Array[T] {
 // ModarrayOwned is Modarray writing the generators, in order, into res itself
 // — an array nobody but its caller holds, which SaC's reference counting lets
 // a modarray reuse — and returning it.  Indices outside res's shape are
-// skipped; the generators that run inline share one index vector.
+// skipped.  The generators that run inline share the index vector res holds
+// for them, so that they allocate nothing up to rank fixedRank.
 func ModarrayOwned[T any](p *sched.Pool, res *Array[T], gens ...Gen[T]) *Array[T] {
 	rank := res.Dim()
-	var iv []int
+	var w walk
+	iv := res.iv[:min(rank, fixedRank)] // above fixedRank, made on first use
 	for i := range gens {
 		g := &gens[i]
 		if len(g.Lower) != rank {
 			panic(shapeErrf("withloop", "generator rank %d does not match result rank %d", len(g.Lower), rank))
 		}
-		s := makeSpan(g, res.shape)
 		switch {
-		case s.total == 0: // empty generator
+		case !g.layout(&w, res.shape): // empty generator
 		case rank == 0:
 			// Degenerate scalar generator covers the single element.
 			res.data[0] = g.Body(nil)
-		case runsInline(p, s.total):
-			if iv == nil {
+		case runsInline(p, w.total):
+			if len(iv) != rank {
 				iv = make([]int, rank)
 			}
-			writeRows(res, g, &s, iv, 0, s.total)
+			writeRows(res, g, &w, iv, 0, w.total)
 		default:
-			pg, ps := g.detached(), s
-			rethrow(p.For(context.Background(), s.total, func(lin0, lin1 int) {
-				g, s := pg, ps
-				writeRows(res, &g, &s, make([]int, rank), lin0, lin1)
+			cg, cw := *g, w
+			rethrow(p.For(context.Background(), w.total, func(lin0, lin1 int) {
+				g, w := cg, cw
+				writeRows(res, &g, &w, make([]int, rank), lin0, lin1)
 			}))
 		}
 	}
@@ -120,24 +122,24 @@ func ModarrayOwned[T any](p *sched.Pool, res *Array[T], gens ...Gen[T]) *Array[T
 // operators still match the sequential fold.
 func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T {
 	acc := neutral
+	var w walk
 	var iv []int // shared as in ModarrayOwned, but a fold's generators may differ in rank
 	for i := range gens {
 		g := &gens[i]
-		s := makeSpan(g, nil)
 		switch {
-		case s.total == 0: // empty generator
-		case s.rank == 0:
+		case !g.layout(&w, nil): // empty generator
+		case w.rank == 0:
 			acc = op(acc, g.Body(nil))
-		case runsInline(p, s.total):
-			if len(iv) != s.rank {
-				iv = make([]int, s.rank)
+		case runsInline(p, w.total):
+			if len(iv) != w.rank {
+				iv = make([]int, w.rank)
 			}
-			acc = op(acc, foldRows(g, &s, iv, 0, s.total, neutral, op))
+			acc = op(acc, foldRows(g, &w, iv, 0, w.total, neutral, op))
 		default:
-			pg, ps := g.detached(), s
-			part, err := sched.Reduce(p, context.Background(), s.total, neutral, func(lin0, lin1 int, a T) T {
-				g, s := pg, ps
-				return foldRows(&g, &s, make([]int, s.rank), lin0, lin1, a, op)
+			cg, cw := *g, w
+			part, err := sched.Reduce(p, context.Background(), w.total, neutral, func(lin0, lin1 int, a T) T {
+				g, w := cg, cw
+				return foldRows(&g, &w, make([]int, w.rank), lin0, lin1, a, op)
 			}, op)
 			rethrow(err)
 			acc = op(acc, part)
@@ -146,16 +148,18 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 	return acc
 }
 
-// How a with-loop runs.  A generator becomes a span: its index box as lower
-// bounds and extents, intersected with the result's index space when there
-// is one.  The span's row-major positions 0..total are what the pool cuts
-// into chunks.  A chunk turns its first position into an index vector and a
-// result offset once (start) and from there walks rows like an odometer.  A
-// row runs along the span's axis, the innermost dimension of extent above
-// one, so a column is one row: the axis index advances by one and the offset
-// by the axis's stride, and at a row's end a carry runs through the outer
-// indices and moves the offset by the stride of each dimension it touches
-// (carry).  writeRows and foldRows are the two loops over that walk.
+// How a with-loop runs.  A generator is laid out once as a walk: per
+// dimension its lower and upper bound, intersected with the result's index
+// space when there is one, and the dimension's stride in the result.  The
+// box's row-major positions 0..total are what the pool cuts into chunks.  A
+// chunk turns its first position into an index vector and a result offset
+// (its only divisions, none at the origin where every inline generator
+// starts) and from there walks rows like an odometer.  A row runs along the
+// walk's axis, the innermost dimension of extent above one, so a column is
+// one row: the axis index advances by one and the offset by the axis's
+// stride.  At a row's end the indices wrap from the axis out, each wrap
+// moving the offset by the strides it touches.  writeRows and foldRows are
+// the two loops over that walk.
 
 // runsInline reports whether the pool would run a loop of n positions as one
 // chunk on the caller's goroutine — the condition Pool.For and sched.Reduce
@@ -163,79 +167,93 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 // recover, and a Body panic simply propagates.
 func runsInline(p *sched.Pool, n int) bool { return p.Width() == 1 || n <= p.Grain() }
 
-// fixedRank is the rank up to which a span keeps its bounds inline, so that
-// a with-loop of the ranks this repository uses (boards are rank 2, option
-// cubes rank 3) builds them without allocating.  Any rank works; a higher one
-// pays one make per generator.
+// fixedRank is the rank up to which a walk keeps its bounds and strides, and
+// an Array the index vector of its inline with-loops, in fixed storage, so
+// that a with-loop of the ranks this repository uses (boards are rank 2,
+// option cubes rank 3) lays them out without allocating.  Any rank works; a
+// higher one pays one make per generator and one per inline with-loop.
 const fixedRank = 4
 
-// span is the index box one generator walks.
-type span struct {
+// walk is one generator's index box laid out for the loops.  Its dims are,
+// per dimension, the first index, the index past the last and the stride in
+// the result (0 for a fold, which has no result to address).
+type walk struct {
 	rank, total int // total is 0 for an empty box
 	axis        int // the innermost dimension whose extent is above one, else 0
-	stride      int // the axis's stride in the result; 1 for a fold
-	fixed       [2 * fixedRank]int
-	spill       []int // holds the bounds instead of fixed when rank > fixedRank
+	fixed       [3 * fixedRank]int
+	spill       []int // holds the dims instead of fixed when rank > fixedRank
 }
 
-// bounds returns the lower bounds and extents of the box.
-func (s *span) bounds() (lo, ext []int) {
-	b := s.fixed[:]
-	if s.rank > fixedRank {
-		b = s.spill
+func (w *walk) dims() (lo, hi, str []int) {
+	b, r := w.fixed[:], w.rank
+	if r > fixedRank {
+		b = w.spill
 	}
-	return b[:s.rank], b[s.rank : 2*s.rank]
+	return b[:r], b[r : 2*r], b[2*r : 3*r]
 }
 
-// makeSpan checks g and returns its index box, clamped to shape unless shape
-// is nil (a fold has no result to clamp to).
-func makeSpan[T any](g *Gen[T], shape []int) (s span) {
-	s.rank = len(g.Lower)
-	if len(g.Upper) != s.rank {
+// layout checks g and lays out its index box in w, clamped to shape unless
+// shape is nil (a fold), and reports whether the box holds an index.
+func (g *Gen[T]) layout(w *walk, shape []int) bool {
+	rank := len(g.Lower)
+	w.rank, w.total, w.axis = rank, 0, 0
+	if len(g.Upper) != rank {
 		panic(shapeErrf("withloop", "generator bounds %v and %v differ in length", cloneInts(g.Lower), cloneInts(g.Upper)))
 	}
-	g.checkGrid(s.rank)
-	if s.rank > fixedRank {
-		s.spill = make([]int, 2*s.rank)
+	if g.Step != nil || g.Width != nil {
+		g.checkGrid(rank)
 	}
-	lo, ext := s.bounds()
+	if rank > fixedRank {
+		w.spill = make([]int, 3*rank)
+	}
+	lo, hi, str := w.dims()
+	dl, dh, stride := 0, 0, 0 // what ExclLower and IncUpper add to the bounds
+	if g.ExclLower {
+		dl = 1
+	}
+	if g.IncUpper {
+		dh = 1
+	}
+	if shape != nil {
+		stride = 1
+	}
 	total := 1
-	for d := range lo {
-		l, h := g.Lower[d], g.Upper[d]
-		if g.ExclLower {
-			l++
-		}
-		if g.IncUpper {
-			h++
-		}
+	for d := rank - 1; d >= 0; d-- {
+		l, h := g.Lower[d]+dl, g.Upper[d]+dh
+		str[d] = stride
 		if shape != nil {
 			// A lower bound below zero is cut, not shifted: the grid
 			// stays anchored at the declared bound (gridHas).
 			l, h = max(l, 0), min(h, shape[d])
+			stride *= shape[d]
 		}
 		if h <= l {
-			return s
+			return false
 		}
-		lo[d], ext[d] = l, h-l
+		lo[d], hi[d] = l, h
 		total *= h - l
-	}
-	s.total, s.axis, s.stride = total, s.rank-1, 1
-	for ; s.axis > 0 && ext[s.axis] == 1; s.axis-- {
-		if shape != nil {
-			s.stride *= shape[s.axis]
+		if w.axis == 0 && h-l > 1 {
+			w.axis = d
 		}
 	}
-	return s
+	w.total = total
+	return true
 }
 
-// detached returns what a chunk needs of g in storage of its own.  The pool
-// hands the chunk closure to other goroutines, so whatever it captures
-// escapes; capturing g's own slices would put every caller's bound literals
-// on the heap even for the loops that run inline.  The closure takes the
-// copy and a copy of the span by value, so one allocation holds both — as
-// long as nobody takes their addresses: a chunk points its kernel at copies.
-func (g *Gen[T]) detached() Gen[T] {
-	return Gen[T]{Lower: cloneInts(g.Lower), Step: cloneInts(g.Step), Width: cloneInts(g.Width), Body: g.Body}
+// seek sets iv to the index at the box's position lin and returns its offset
+// in the result.  These are a chunk's only divisions, none at the origin,
+// where every inline generator starts.
+func (w *walk) seek(iv []int, lin int) (off int) {
+	lo, hi, str := w.dims()
+	for d := w.rank - 1; d >= 0; d-- {
+		iv[d] = lo[d]
+		if lin != 0 {
+			iv[d] += lin % (hi[d] - lo[d])
+			lin /= hi[d] - lo[d]
+		}
+		off += iv[d] * str[d]
+	}
+	return off
 }
 
 // gridHas reports whether iv lies on g's step/width grid, which is anchored
@@ -253,81 +271,56 @@ func (g *Gen[T]) gridHas(iv []int) bool {
 	return true
 }
 
-// start sets iv to the index of the span's position lin and returns its
-// row-major offset in an array of the given shape (nil for a fold, which has
-// no result to address).  These are a chunk's only divisions, none when it
-// starts at the span's origin as every inline generator does.
-func (s *span) start(iv []int, lin int, shape []int) (off int) {
-	lo, ext := s.bounds()
-	stride := 1
-	for d := s.rank - 1; d >= 0; d-- {
-		iv[d] = lo[d]
-		if lin != 0 {
-			iv[d] += lin % ext[d]
-			lin /= ext[d]
-		}
-		if shape != nil {
-			off += iv[d] * stride
-			stride *= shape[d]
-		}
-	}
-	return off
-}
-
-// carry moves iv, whose axis index may have run off its row's end, to the
-// span's next index and returns by how much that moves the offset in an
-// array of the given shape: a dimension that wraps goes back by its extent
-// and sends the one outside it forward by one, each in units of its stride.
-func (s *span) carry(iv, shape []int) (delta int) {
-	lo, ext := s.bounds()
-	stride := s.stride
-	for d := s.axis; d > 0 && iv[d] == lo[d]+ext[d]; d-- {
-		iv[d] = lo[d]
-		iv[d-1]++
-		if shape != nil {
-			delta -= ext[d] * stride
-			stride *= shape[d]
-			delta += stride
-		}
-	}
-	return delta
-}
-
-// writeRows stores g's values at the span's positions lin0..lin1 into res,
-// stepping iv, from which the caller reads nothing.  Along a row the offset
-// moves by the axis's stride.
-func writeRows[T any](res *Array[T], g *Gen[T], s *span, iv []int, lin0, lin1 int) {
-	lo, ext := s.bounds()
-	ax := s.axis
-	end := lo[ax] + ext[ax]
-	off := s.start(iv, lin0, res.shape)
-	for left := lin1 - lin0; left > 0; off += s.carry(iv, res.shape) {
+// writeRows stores g's values at the box's positions lin0..lin1 into res,
+// stepping iv, from which the caller reads nothing.
+func writeRows[T any](res *Array[T], g *Gen[T], w *walk, iv []int, lin0, lin1 int) {
+	off := w.seek(iv, lin0)
+	lo, hi, str := w.dims()
+	data, body, grid := res.data, g.Body, g.Step != nil
+	ax := w.axis
+	end, step := hi[ax], str[ax]
+	for left := lin1 - lin0; ; {
 		n := min(end-iv[ax], left)
-		for left -= n; n > 0; n, off = n-1, off+s.stride {
-			if g.Step == nil || g.gridHas(iv) {
-				res.data[off] = g.Body(iv)
+		for left -= n; n > 0; n, off = n-1, off+step {
+			if !grid || g.gridHas(iv) {
+				data[off] = body(iv)
 			}
 			iv[ax]++
 		}
+		if left == 0 {
+			return
+		}
+		for d := ax; d > 0 && iv[d] == hi[d]; d-- {
+			iv[d] = lo[d]
+			iv[d-1]++
+			off += str[d-1] - (hi[d]-lo[d])*str[d]
+		}
 	}
 }
 
-// foldRows folds g's values at the span's positions lin0..lin1 onto a.
-func foldRows[T any](g *Gen[T], s *span, iv []int, lin0, lin1 int, a T, op func(a, b T) T) T {
-	lo, ext := s.bounds()
-	ax := s.axis
-	end := lo[ax] + ext[ax]
-	s.start(iv, lin0, nil)
-	for left := lin1 - lin0; left > 0; s.carry(iv, nil) {
+// foldRows folds g's values at the box's positions lin0..lin1 onto a.
+func foldRows[T any](g *Gen[T], w *walk, iv []int, lin0, lin1 int, a T, op func(a, b T) T) T {
+	w.seek(iv, lin0)
+	lo, hi, _ := w.dims()
+	body, grid := g.Body, g.Step != nil
+	ax := w.axis
+	end := hi[ax]
+	for left := lin1 - lin0; ; {
 		n := min(end-iv[ax], left)
 		for left -= n; n > 0; n-- {
-			if g.Step == nil || g.gridHas(iv) {
-				a = op(a, g.Body(iv))
+			if !grid || g.gridHas(iv) {
+				a = op(a, body(iv))
 			}
 			iv[ax]++
 		}
+		if left == 0 {
+			return a
+		}
+		for d := ax; d > 0 && iv[d] == hi[d]; d-- {
+			iv[d] = lo[d]
+			iv[d-1]++
+		}
 	}
-	return a
 }
 
 // rethrow resurfaces a loop-body panic from the scheduler as a panic at the

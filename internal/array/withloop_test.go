@@ -164,6 +164,30 @@ func TestStepWidthGrid(t *testing.T) {
 	}
 }
 
+// A grid that does not fit its generator is refused, whichever pool runs it.
+func TestMisusedGridPanics(t *testing.T) {
+	rows := []struct {
+		name        string
+		step, width []int
+	}{
+		{"width without a step", nil, []int{1}},
+		{"step of the wrong rank", []int{2, 2}, nil},
+		{"width of the wrong rank", []int{2}, []int{1, 1}},
+		{"step below 1", []int{0}, nil},
+		{"width below 1", []int{3}, []int{0}},
+		{"width above the step", []int{3}, []int{4}},
+	}
+	for _, r := range rows {
+		for _, p := range pools {
+			t.Run(r.name, func(t *testing.T) {
+				defer wantShapePanic(t, "withloop")
+				Genarray(p, []int{6}, 0, Gen[int]{Lower: []int{0}, Upper: []int{6}, Step: r.step, Width: r.width,
+					Body: func(iv []int) int { return 1 }})
+			})
+		}
+	}
+}
+
 func TestRankMismatchPanics(t *testing.T) {
 	defer wantShapePanic(t, "withloop")
 	Genarray(p1, []int{3, 3}, 0, GenHalfOpen([]int{0}, []int{3}, func(iv []int) int { return 1 }))

@@ -8,7 +8,8 @@ import "testing"
 // ComputeOpts the same however many givens the board has.  Each limit is the
 // figure reached; the figure in brackets is what the call allocated while
 // array.At let its index vector escape, the with-loop engine built its bounds
-// with make and every array had a shape vector of its own.
+// with make, every array had a shape vector of its own and every with-loop
+// made an index vector and every placement its bounds.
 func TestSudokuAllocGates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector bookkeeping")
@@ -29,20 +30,22 @@ func TestSudokuAllocGates(t *testing.T) {
 		{"Options.Count", 0, func() { sink += o.Count(4, 4) }},                // [0]
 		{"FindMinTrues", 0, func() { i, _, _ := FindMinTrues(o); sink += i }}, // [0]
 		{"IsStuck", 0, func() { _ = IsStuck(b, o) }},                          // [81, one a Get]
-		// [43, then 13] board and options (a struct, an Array and its data
-		// each), the generators' bounds, the with-loop's index vector
-		{"AddNumber", 8, func() { var nb *Board; nb, keep = AddNumber(sp, b, o, 0, 2, 4); sink += nb.Get(0, 2) }},
-		// [8, as AddNumber] the bounds, the index vector
-		{"addNumber, owned", 2, func() { _, keep = addNumber(sp, ob, oo, 0, 2, 4, true) }},
+		// [43, then 13, then 8: the bounds, the index vector] board and
+		// options (a struct, an Array and its data each)
+		{"AddNumber", 6, func() { var nb *Board; nb, keep = AddNumber(sp, b, o, 0, 2, 4); sink += nb.Get(0, 2) }},
+		// [8, as AddNumber, then 2: the bounds, the index vector] nothing:
+		// the bounds live in the options, the index vector in the cube
+		{"addNumber, owned", 0, func() { _, keep = addNumber(sp, ob, oo, 0, 2, 4, true) }},
 		// [13 a given: 400 and 1 063, then 10 with a copy of the cube, then
-		// 8 with four generators a given] the unit masks, the body, the
-		// bounds (the shape as written), the cube (three: the shape as kept,
-		// the Array, the data), the index vector, the Options
-		{"ComputeOpts, 30 givens", 8, func() { keep, _ = ComputeOpts(sp, b) }},
-		{"ComputeOpts, 81 givens", 8, func() { keep, _ = ComputeOpts(sp, full) }},
-		// [418, AddNumber at each of the 51 placements] ComputeOpts, the top
-		// frame's one placement, which copies, and 50 owned ones
-		{"Solve Easy from ComputeOpts", 116, func() { oe, _ := ComputeOpts(sp, b); _, keep, _ = Solve(sp, b, oe) }},
+		// 8 with four generators a given, the bounds and an index vector]
+		// the unit masks, the body, the cube (three: the shape as kept, the
+		// Array, the data), the Options
+		{"ComputeOpts, 30 givens", 6, func() { keep, _ = ComputeOpts(sp, b) }},
+		{"ComputeOpts, 81 givens", 6, func() { keep, _ = ComputeOpts(sp, full) }},
+		// [418, AddNumber at each of the 51 placements, then 116 with 2 an
+		// owned placement] ComputeOpts and the top frame's one placement,
+		// which copies; the 50 owned ones allocate nothing
+		{"Solve Easy from ComputeOpts", 12, func() { oe, _ := ComputeOpts(sp, b); _, keep, _ = Solve(sp, b, oe) }},
 	}
 	for _, g := range gates {
 		if got := testing.AllocsPerRun(100, g.f); got > g.max {

@@ -15,6 +15,10 @@ import (
 type Options struct {
 	n    int
 	cube *array.Array[bool]
+	// bd holds the bounds of addNumber's generators, which escape with
+	// their Body (the pool may hand it to other goroutines): here a
+	// placement writes them where its options already are.
+	bd [8][3]int
 }
 
 // NewOptions returns the all-true option cube (§3: "We start out from an
@@ -86,20 +90,15 @@ func addNumber(p *sched.Pool, b *Board, o *Options, i, j, k int, owned bool) (*B
 	k0 := k - 1
 	is, js := (i/n)*n, (j/n)*n
 	falseBody := func([]int) bool { return false }
-	// A generator's bounds escape with its Body (the pool may hand the
-	// body to other goroutines), so the eight of them share one array:
-	// one allocation a call where eight literals are eight.
-	bd := [...][3]int{
-		{i, j, 0}, {i, j, N - 1},
-		{i, 0, k0}, {i, N - 1, k0},
-		{0, j, k0}, {N - 1, j, k0},
-		{is, js, k0}, {is + n - 1, js + n - 1, k0},
-	}
+	o.bd[0], o.bd[1] = [3]int{i, j, 0}, [3]int{i, j, N - 1}
+	o.bd[2], o.bd[3] = [3]int{i, 0, k0}, [3]int{i, N - 1, k0}
+	o.bd[4], o.bd[5] = [3]int{0, j, k0}, [3]int{N - 1, j, k0}
+	o.bd[6], o.bd[7] = [3]int{is, js, k0}, [3]int{is + n - 1, js + n - 1, k0}
 	array.ModarrayOwned(p, o.cube,
-		array.GenClosed(bd[0][:], bd[1][:], falseBody),
-		array.GenClosed(bd[2][:], bd[3][:], falseBody),
-		array.GenClosed(bd[4][:], bd[5][:], falseBody),
-		array.GenClosed(bd[6][:], bd[7][:], falseBody),
+		array.Gen[bool]{Lower: o.bd[0][:], Upper: o.bd[1][:], IncUpper: true, Body: falseBody},
+		array.Gen[bool]{Lower: o.bd[2][:], Upper: o.bd[3][:], IncUpper: true, Body: falseBody},
+		array.Gen[bool]{Lower: o.bd[4][:], Upper: o.bd[5][:], IncUpper: true, Body: falseBody},
+		array.Gen[bool]{Lower: o.bd[6][:], Upper: o.bd[7][:], IncUpper: true, Body: falseBody},
 	)
 	return b, o
 }
@@ -136,9 +135,10 @@ func ComputeOpts(p *sched.Pool, b *Board) (*Options, bool) {
 		i, j, k0 := iv[0], iv[1], iv[2]
 		return cells[i*N+j] == 0 && !used[i*N+k0] && !used[(N+j)*N+k0] && !used[(2*N+i/n*n+j/n)*N+k0]
 	}
-	bd := [...][3]int{{0, 0, 0}, {N, N, N}} // the bounds share one array, as in AddNumber
-	cube := array.Genarray(p, bd[1][:], false, array.GenHalfOpen(bd[0][:], bd[1][:], open))
-	return &Options{n: n, cube: cube}, b.Valid()
+	o := &Options{n: n}
+	o.bd[1] = [3]int{N, N, N} // the bounds live in the options, as in addNumber
+	o.cube = array.Genarray(p, o.bd[1][:], false, array.GenHalfOpen(o.bd[0][:], o.bd[1][:], open))
+	return o, b.Valid()
 }
 
 // IsStuck reports whether some empty cell has no options left (§3's
