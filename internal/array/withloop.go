@@ -207,17 +207,17 @@ func (g *Gen[T]) layout(w *walk, shape []int) bool {
 		w.spill = make([]int, 3*rank)
 	}
 	lo, hi, str := w.dims()
-	dl, dh, stride := 0, 0, 0 // what ExclLower and IncUpper add to the bounds
+	dl, dh := 0, 0 // what ExclLower and IncUpper add to the bounds
 	if g.ExclLower {
 		dl = 1
 	}
 	if g.IncUpper {
 		dh = 1
 	}
+	total, stride := 1, 0 // a fold's strides stay 0
 	if shape != nil {
 		stride = 1
 	}
-	total := 1
 	for d := rank - 1; d >= 0; d-- {
 		l, h := g.Lower[d]+dl, g.Upper[d]+dh
 		str[d] = stride
