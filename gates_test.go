@@ -278,7 +278,7 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"nothing but its own test called Board.FindFirst: a search frame picks its cell in one pass over the empty cells (survey)"},
 		{`\bNextIndex\b`, "", false, "",
 			"the with-loop engine walks an index space itself (walk.seek and the odometer in writeRows and foldRows); the shape walks of Rotate, Reverse and Where convert offsets (LinearToIndex)"},
-		{`\bspan\b|makeSpan|\.carry\(|\.start\(|\.bounds\(\)|\.detached\(\)`, "internal/array/", false, "",
+		{`\bspan\b|makeSpan|\.carry\(|\.start\(|\.bounds\(\)|\.detached\(\)`, "internal/array/", true, "",
 			"a generator is laid out once, by pointer, as a walk (Gen.layout): bounds, extents and result strides computed once, the odometer inline in writeRows and foldRows, a chunk's closure holding copies of the generator and the walk"},
 	}
 	res := make([]*regexp.Regexp, len(rows))

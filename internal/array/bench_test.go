@@ -25,9 +25,10 @@ func addNumber9(i, j, k0 int) []Gen[bool] {
 // BenchmarkWithLoop prices the engine on the three loop shapes the
 // repository's workloads run: long dense rows written (a 5-point clamped
 // stencil), long dense rows folded (a sum of squares), and short strided rows
-// (addNumber, into a copy and, as the search runs it, into a cube it holds).  What a with-loop costs inside a network is measured by
-// `go run ./benchmark` (array.*, stencil_boxes, sudoku_search); no document
-// quotes a number from here.
+// (addNumber, into a copy and, as the search runs it, into a cube it holds).
+// What a with-loop costs inside a network is measured by `go run ./benchmark`
+// (array.*, stencil_boxes, sudoku_search); no document quotes a number from
+// here.
 func BenchmarkWithLoop(b *testing.B) {
 	const n = 256
 	rng := rand.New(rand.NewSource(1))

@@ -201,7 +201,7 @@ var differentialPools = []*sched.Pool{
 	sched.New(1),
 	sched.NewWithGrain(3, 1), // chunks of a few elements: they begin and end mid-row
 	sched.NewWithGrain(4, 7),
-	sched.NewWithGrain(4, 1), // a chunk an element where the box allows: every boundary mid-row
+	sched.NewWithGrain(4, 1), // a chunk an element where the span allows: every boundary mid-row
 }
 
 func TestWithLoopDifferential(t *testing.T) {

@@ -15,9 +15,9 @@ import (
 type Options struct {
 	n    int
 	cube *array.Array[bool]
-	// bd holds the bounds of addNumber's generators, which escape with
-	// their Body (the pool may hand it to other goroutines): here a
-	// placement writes them where its options already are.
+	// bd holds the bounds of the generators addNumber and ComputeOpts run:
+	// they escape with their Body (the pool may hand it to other
+	// goroutines), so they live where the options already are.
 	bd [8][3]int
 }
 
