@@ -147,7 +147,7 @@ func TestSizeBudgets(t *testing.T) {
 		{"internal/analysis", 882},
 		{"internal/lang", 716},
 		{"snet/service", 1626},
-		{"internal/array", 899},
+		{"internal/array", 901},
 		{"internal/sudoku", 1130},
 		{"internal/sacvm", 2441},
 		{"internal/sched", 210},

@@ -272,24 +272,27 @@ func (g *Gen[T]) gridHas(iv []int) bool {
 }
 
 // writeRows stores g's values at the box's positions lin0..lin1 into res,
-// stepping iv, from which the caller reads nothing.
+// stepping iv, from which the caller reads nothing.  A Body call clobbers
+// every register, so a row holds only its step in a local and reads the
+// Body, the data, the grid test and the dims where it uses them: held in
+// locals across the row, each would be reloaded at every element.
 func writeRows[T any](res *Array[T], g *Gen[T], w *walk, iv []int, lin0, lin1 int) {
 	off := w.seek(iv, lin0)
-	lo, hi, str := w.dims()
-	data, body, grid := res.data, g.Body, g.Step != nil
 	ax := w.axis
-	end, step := hi[ax], str[ax]
 	for left := lin1 - lin0; ; {
-		n := min(end-iv[ax], left)
-		for left -= n; n > 0; n, off = n-1, off+step {
-			if !grid || g.gridHas(iv) {
-				data[off] = body(iv)
+		_, hi, str := w.dims()
+		n := min(hi[ax]-iv[ax], left)
+		left -= n
+		for step := str[ax]; n > 0; n, off = n-1, off+step {
+			if g.Step == nil || g.gridHas(iv) {
+				res.data[off] = g.Body(iv)
 			}
 			iv[ax]++
 		}
 		if left == 0 {
 			return
 		}
+		lo, hi, str := w.dims()
 		for d := ax; d > 0 && iv[d] == hi[d]; d-- {
 			iv[d] = lo[d]
 			iv[d-1]++
@@ -301,21 +304,20 @@ func writeRows[T any](res *Array[T], g *Gen[T], w *walk, iv []int, lin0, lin1 in
 // foldRows folds g's values at the box's positions lin0..lin1 onto a.
 func foldRows[T any](g *Gen[T], w *walk, iv []int, lin0, lin1 int, a T, op func(a, b T) T) T {
 	w.seek(iv, lin0)
-	lo, hi, _ := w.dims()
-	body, grid := g.Body, g.Step != nil
 	ax := w.axis
-	end := hi[ax]
 	for left := lin1 - lin0; ; {
-		n := min(end-iv[ax], left)
+		_, hi, _ := w.dims()
+		n := min(hi[ax]-iv[ax], left)
 		for left -= n; n > 0; n-- {
-			if !grid || g.gridHas(iv) {
-				a = op(a, body(iv))
+			if g.Step == nil || g.gridHas(iv) {
+				a = op(a, g.Body(iv))
 			}
 			iv[ax]++
 		}
 		if left == 0 {
 			return a
 		}
+		lo, hi, _ := w.dims()
 		for d := ax; d > 0 && iv[d] == hi[d]; d-- {
 			iv[d] = lo[d]
 			iv[d-1]++
