@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http/httptest"
 	"os"
@@ -333,3 +334,43 @@ func TestWireWriterMatchesEncoder(t *testing.T) {
 
 // reencoded is a registered codec: GenericCodec's, seen as any other.
 type reencoded struct{ GenericCodec }
+
+// TestCanonicalBodyAllocs pins what readBody allocates for the bodies this
+// repository's clients send: the /api/run body of the benchmark's webpipe
+// client (appendRunBody) and a /records body of three records.  Both are read
+// straight into arena records; a body that fell through to encoding/json
+// would allocate several times as much.  Each limit is the figure reached.
+func TestCanonicalBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector bookkeeping")
+	}
+	for _, c := range []struct {
+		name, body string
+		mask       int
+		v          func() any
+		max        float64
+	}{
+		{"/api/run", `{"net":"webpipe","records":[{"tags":{"id":7},"fields":{"url":"/static/app.js"}}],"wait":"30s"}`,
+			memNet | memRecords | memMax | memWait, func() any { return new(runBody) }, 12},
+		{"/records", `{"records":[{"tags":{"id":1},"fields":{"url":"/api/users"}},{"tags":{"id":2},"fields":{"url":"/index.html"}},{"tags":{"id":3},"fields":{"url":"/missing/page"}}],"close":true}`,
+			memRecords | memClose, func() any { return new(recordsBody) }, 20},
+	} {
+		body := strings.NewReader(c.body)
+		req, w := httptest.NewRequest("POST", "/", nil), httptest.NewRecorder()
+		read := func() {
+			body.Reset(c.body)
+			req.Body = io.NopCloser(body)
+			p, err := readBody(w, req, c.mask, c.v)
+			if err != nil || len(p.records) == 0 {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			releaseRecords(p.records)
+		}
+		read() // warm: the records' shapes interned, the arena stocked
+		got := testing.AllocsPerRun(100, read)
+		t.Logf("%s: %v allocations a body", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %v allocations a body, want at most %v", c.name, got, c.max)
+		}
+	}
+}
