@@ -137,15 +137,6 @@ func registerWorkloadNets(svc *service.Service, opts service.Options) {
 		}, nil).Verify())
 }
 
-// demoRegistry binds the built-in demonstration boxes.
-func demoRegistry() *lang.Registry {
-	reg := lang.NewRegistry()
-	for name, fn := range workloads.DemoBoxes() {
-		reg.RegisterFunc(name, fn)
-	}
-	return reg
-}
-
 // registerLangNets parses a textual S-Net program and registers every net
 // it defines, bound against the demo box registry, under its own name.
 // Deadlock-positive nets — those the verifier flags with sync starvation,
@@ -164,7 +155,7 @@ func registerLangNets(svc *service.Service, opts service.Options, path string, a
 	if len(prog.Nets) == 0 {
 		return fmt.Errorf("no net definitions in %s", path)
 	}
-	reg := demoRegistry()
+	reg := workloads.DemoRegistry()
 	for _, decl := range prog.Nets {
 		name := decl.Name
 		if _, err := svc.Network(name); err == nil {

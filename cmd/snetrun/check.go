@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/workloads"
 	"repro/snet/lang"
 )
 
@@ -80,7 +81,7 @@ func runCheck(files []string, netName string, caps analysis.Caps, jsonOut bool, 
 			bad++
 			continue
 		}
-		reg := demoRegistry()
+		reg := workloads.DemoRegistry()
 		stubBoxes(prog, reg)
 		for _, nd := range prog.Nets {
 			if netName != "" && nd.Name != netName {

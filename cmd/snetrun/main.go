@@ -51,15 +51,6 @@ import (
 	"repro/snet/lang"
 )
 
-// demoRegistry binds the built-in demonstration boxes.
-func demoRegistry() *lang.Registry {
-	reg := lang.NewRegistry()
-	for name, fn := range workloads.DemoBoxes() {
-		reg.RegisterFunc(name, fn)
-	}
-	return reg
-}
-
 type recordFlags []string
 
 func (r *recordFlags) String() string     { return strings.Join(*r, " ") }
@@ -128,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		name = prog.Nets[len(prog.Nets)-1].Name
 	}
-	plan, cerr := lang.CompileNet(prog, name, demoRegistry())
+	plan, cerr := lang.CompileNet(prog, name, workloads.DemoRegistry())
 	if plan == nil {
 		return cerr
 	}

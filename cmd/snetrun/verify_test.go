@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/workloads"
 	"repro/snet/lang"
 )
 
@@ -53,7 +54,7 @@ func TestVerifyDeadlockFailsWithTrace(t *testing.T) {
 	}
 	// Every finding, trace included, prints as analysis.Finding renders it.
 	prog := lang.MustParse(cyclic)
-	reg := demoRegistry()
+	reg := workloads.DemoRegistry()
 	stubBoxes(prog, reg)
 	_, rep, _ := lang.AnalyzeNetWithCaps(prog, "deadcycle", reg, analysis.DefaultCaps())
 	counterPat := regexp.MustCompile(`#\d+`)

@@ -48,11 +48,11 @@ func TestArrayAllocGates(t *testing.T) {
 		{"Modarray, addNumber's four rank-3 generators", 2, func() { Modarray(p1, cube, addNumber...) }},
 		// [1] the array is the caller's, and so is the index vector
 		{"ModarrayOwned, addNumber's four rank-3 generators", 0, func() { ModarrayOwned(p1, cube, addNumber...) }},
-		// what New takes, a copy of the walk, one closure holding a copy of
-		// the generator, the pool's bookkeeping and one index vector a chunk
-		// (eight chunks): the count from before the inline path shared its
-		// vector, which the chunked path must not exceed
-		{"Genarray, 256x256 in chunks on a pool of two", 19, func() { keep = Genarray(wide, big, 0, row...) }},
+		// [19] what New takes, one closure holding copies of the generator
+		// and the walk, the pool's bookkeeping and one index vector a chunk
+		// (eight chunks); at 144 B the walk was too large for the closure
+		// to hold, and its copy was allocated apart
+		{"Genarray, 256x256 in chunks on a pool of two", 18, func() { keep = Genarray(wide, big, 0, row...) }},
 	}
 	for _, g := range gates {
 		if got := testing.AllocsPerRun(100, g.f); got > g.max {

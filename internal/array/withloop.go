@@ -168,11 +168,11 @@ func Fold[T any](p *sched.Pool, neutral T, op func(a, b T) T, gens ...Gen[T]) T 
 func runsInline(p *sched.Pool, n int) bool { return p.Width() == 1 || n <= p.Grain() }
 
 // fixedRank is the rank up to which a walk keeps its bounds and strides, and
-// an Array the index vector of its inline with-loops, in fixed storage, so
-// that a with-loop of the ranks this repository uses (boards are rank 2,
-// option cubes rank 3) lays them out without allocating.  Any rank works; a
-// higher one pays one make per generator and one per inline with-loop.
-const fixedRank = 4
+// an Array the index vector of its inline with-loops, in fixed storage: the
+// ranks this repository uses (boards 2, option cubes 3) allocate no layout,
+// and a walk fits the 128 B a chunk's closure holds a copy of by value.  A
+// higher rank pays one make per generator and one per inline with-loop.
+const fixedRank = 3
 
 // walk is one generator's index box laid out for the loops.  Its dims are,
 // per dimension, the first index, the index past the last and the stride in

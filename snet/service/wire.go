@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,16 +13,18 @@ import (
 	"repro/snet"
 )
 
-// The wire format of the record-carrying endpoints.  The reader takes what
-// encoding/json's Decoder takes for an endpoint's body struct and reads the
-// same values: keys match under case folding, unknown members are skipped,
-// null leaves a member as it is, a repeated member decodes into what the
-// earlier one left, integers take no fraction or exponent, and what follows
-// the top-level value is ignored.  It builds records in the arena, as
-// GenericCodec.Decode does.  encoding/json words a rejection, decoding the
-// same bytes into the body struct, and unescapes a string token holding a
-// backslash or invalid UTF-8.  The writer renders a record as json.Encoder
-// renders GenericCodec's RecordJSON of it.
+// The wire format of the record-carrying endpoints.  A body in the canonical
+// form — the form this repository's clients send — is read in one pass
+// straight into arena records: a top-level object holding only the
+// endpoint's own members, each at most once, spelt exactly as its json tag
+// and none of them null, whose "records" are objects with at most one "tags"
+// (integers without fraction, exponent or leading zero) and at most one
+// "fields" (strings).  A string holds no escape, control character or
+// invalid UTF-8.  What follows the top-level object is ignored, as
+// encoding/json's Decoder ignores it.  Any other body, and the records of
+// any network with a registered codec, are encoding/json's: it decodes the
+// endpoint's body struct, or words the rejection.  The writer renders a
+// record as json.Encoder renders its codec's RecordJSON of it.
 type (
 	openBody = struct {
 		Net string `json:"net"`
@@ -49,82 +50,73 @@ const (
 	memClose
 )
 
-var (
-	memberNames          = [...][]byte{[]byte("net"), []byte("records"), []byte("max"), []byte("wait"), []byte("close")}
-	tagsName, fieldsName = []byte("tags"), []byte("fields")
-)
+var memberNames = [...]string{"net", "records", "max", "wait", "close"}
 
-// maxBody bounds a request body, maxDepth its nesting as encoding/json does.
-const maxBody, maxDepth = 4 << 20, 10000
-
-// wireRecord is a "records" element sized as a RecordJSON, so that the array
-// grows to a []RecordJSON's capacities: a repeated "records" member decodes
-// into the elements the earlier one left, those past its length included.
-type wireRecord struct {
-	rec *snet.Record
-	_   uintptr
-}
+// maxBody bounds a request body.
+const maxBody = 4 << 20
 
 // readBody reads a request body of at most maxBody bytes, taking the members
-// in mask; body returns the endpoint's body struct, to word a rejection.
+// in mask; body returns the endpoint's body struct, which encoding/json
+// decodes a body outside the canonical form into.
 func readBody(w http.ResponseWriter, r *http.Request, mask int, body func() any) (*wireReader, error) {
 	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	p := &wireReader{b: b, mask: mask}
-	c, _, ok := p.value(p.member)
-	if ok = ok && (c == '{' || c == 'n'); !ok {
-		p.recs = p.recs[:0] // every record built goes back
+	p := &wireReader{b: b}
+	if p.canonical(mask) {
+		return p, nil
 	}
-	releaseWire(p.recs[len(p.recs):cap(p.recs)])
-	if !ok {
-		if err = json.NewDecoder(bytes.NewReader(b)).Decode(body()); err == nil {
-			err = errors.New("malformed request body")
-		}
+	releaseRecords(p.records)
+	v := body()
+	if err = json.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
 		return nil, fmt.Errorf("bad request body: %w", err)
 	}
-	p.records = make([]*snet.Record, len(p.recs))
-	for i, w := range p.recs {
-		p.records[i] = w.rec
+	var wire []RecordJSON
+	*p = wireReader{b: b}
+	switch v := v.(type) {
+	case *openBody:
+		p.net = v.Net
+	case *recordsBody:
+		wire, p.close = v.Records, v.Close
+	case *runBody:
+		p.net, wire, p.max, p.wait = v.Net, v.Records, v.Max, v.Wait
+	}
+	p.records = make([]*snet.Record, len(wire))
+	for i, w := range wire {
+		p.records[i], _ = GenericCodec{}.Decode(w)
 	}
 	return p, nil
 }
 
-func releaseWire(ws []wireRecord) {
-	for _, w := range ws {
-		if w.rec != nil {
-			snet.ReleaseRecord(w.rec)
-		}
-	}
-}
-
-// inputs returns the request's records as codec decodes them.
+// inputs returns the request's records as codec decodes them.  A registered
+// codec decodes the RecordJSONs encoding/json reads from the body.
 func (p *wireReader) inputs(codec Codec) ([]*snet.Record, error) {
 	if _, ok := codec.(GenericCodec); ok {
 		return p.records, nil
 	}
-	for i, r := range p.records {
-		rec, err := codec.Decode(GenericCodec{}.Encode(r))
-		snet.ReleaseRecord(r)
+	releaseRecords(p.records)
+	var body struct {
+		Records []RecordJSON `json:"records"`
+	}
+	_ = json.NewDecoder(bytes.NewReader(p.b)).Decode(&body) // readBody took the body
+	p.records = p.records[:0]
+	for _, w := range body.Records {
+		rec, err := codec.Decode(w)
 		if err != nil {
-			releaseRecords(p.records[:i])
-			releaseRecords(p.records[i+1:])
+			releaseRecords(p.records)
 			return nil, err
 		}
-		p.records[i] = rec
+		p.records = append(p.records, rec)
 	}
 	return p.records, nil
 }
 
 // wireReader is one pass over a body and the request it read.  A method
-// reporting false has met a byte encoding/json refuses, or a value the
-// struct field cannot take.
+// reporting false has met a byte outside the canonical form.
 type wireReader struct {
-	b        []byte
-	i, depth int
-	mask     int
-	recs     []wireRecord
+	b []byte
+	i int
 
 	net, wait string
 	max       int
@@ -142,205 +134,147 @@ func (p *wireReader) next() byte {
 	return 0
 }
 
-// skip reads one of the bytes in set.
-func (p *wireReader) skip(set string) bool {
-	if p.i < len(p.b) && strings.IndexByte(set, p.b[p.i]) >= 0 {
-		p.i++
+// eat reads c, which is not 0.
+func (p *wireReader) eat(c byte) bool {
+	if p.next() != c {
+		return false
+	}
+	p.i++
+	return true
+}
+
+// list reads open, then items separated by commas, then close.
+func (p *wireReader) list(open, close byte, item func() bool) bool {
+	if !p.eat(open) {
+		return false
+	}
+	if p.eat(close) {
 		return true
+	}
+	for item() {
+		if p.eat(close) {
+			return true
+		}
+		if !p.eat(',') {
+			return false
+		}
 	}
 	return false
 }
 
-// digits reads one or more decimal digits.
-func (p *wireReader) digits() bool {
-	start := p.i
-	for p.skip("0123456789") {
-	}
-	return p.i > start
-}
-
-// value reads a value and returns its first byte and its token.  It calls fn
-// for each member of an object with the key token, for each element of an
-// array with nil; a nil fn skips them.
-func (p *wireReader) value(fn func(key []byte) bool) (c byte, tok []byte, ok bool) {
-	c, start := p.next(), p.i
-	switch c {
-	case '{', '[':
-		if p.depth++; p.depth > maxDepth {
-			return c, nil, false
-		}
-		p.i++
-		empty := p.next() == c+2 // c+2 is '}' or ']'
-		for more := !empty; more; p.i++ {
-			var key []byte
-			if c == '{' {
-				var kc byte
-				if kc, key, ok = p.value(nil); !ok || kc != '"' || p.next() != ':' {
-					return c, nil, false
-				}
-				p.i++
-			}
-			if fn == nil {
-				_, _, ok = p.value(nil)
-			} else {
-				ok = fn(key)
-			}
-			d := p.next()
-			if !ok || d != c+2 && d != ',' {
-				return c, nil, false
-			}
-			more = d == ','
-		}
-		if empty {
-			p.i++
-		}
-		p.depth--
-		ok = true
-	case '"':
-		esc := false
-		for p.i++; p.i < len(p.b) && p.b[p.i] != '"' && p.b[p.i] >= 0x20; p.i++ {
-			if p.b[p.i] == '\\' {
-				esc, p.i = true, p.i+1
-			}
-		}
-		if ok = p.i < len(p.b) && p.b[p.i] == '"'; ok {
-			p.i++
-			ok = !esc || json.Unmarshal(p.b[start:p.i], new(string)) == nil
-		}
-	case 't', 'f', 'n':
-		word := "null"
-		if c == 't' {
-			word = "true"
-		} else if c == 'f' {
-			word = "false"
-		}
-		if ok = bytes.HasPrefix(p.b[p.i:], []byte(word)); ok {
-			p.i += len(word)
-		}
-	default: // a number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-		p.skip("-")
-		if ok = p.skip("0") || p.digits(); ok && p.skip(".") {
-			ok = p.digits()
-		}
-		if ok && p.skip("eE") {
-			p.skip("+-")
-			ok = p.digits()
-		}
-	}
-	if !ok {
-		return c, nil, false
-	}
-	return c, p.b[start:p.i], true
-}
-
-// member reads a member of the top-level object.
-func (p *wireReader) member(key []byte) bool {
-	for i, name := range memberNames {
-		if key != nil && p.mask&(1<<i) != 0 && keyIs(key, name) {
-			if 1<<i == memRecords {
-				return p.readRecords()
-			}
-			return p.scalar([...]any{&p.net, nil, &p.max, &p.wait, &p.close}[i])
-		}
-	}
-	_, _, ok := p.value(nil)
-	return ok && key != nil // an array does not decode into a struct
-}
-
-// scalar reads a value into dst, a *string, *int or *bool; null leaves it.
-func (p *wireReader) scalar(dst any) bool {
-	c, tok, ok := p.value(nil)
-	if !ok || c == 'n' {
-		return ok
-	}
-	switch d := dst.(type) {
-	case *string:
-		v, ok := unquote(tok)
-		*d = string(v)
-		return ok
-	case *bool:
-		*d = c == 't'
-		return c == 't' || c == 'f'
-	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	*dst.(*int) = int(n)
-	return err == nil
-}
-
-// readRecords reads a "records" member into p.recs.
-func (p *wireReader) readRecords() bool {
-	n := 0
-	c, _, ok := p.value(func(key []byte) bool {
-		if n == cap(p.recs) {
-			p.recs = append(p.recs, wireRecord{})
-		}
-		p.recs = p.recs[:n+1] // past len: the element an earlier array left
-		w := &p.recs[n]
-		if n++; w.rec == nil {
-			w.rec = snet.AcquireRecord()
-		}
-		return key == nil && p.readRecord(w.rec)
-	})
-	if p.recs = p.recs[:n]; c == 'n' || n == 0 {
-		releaseWire(p.recs[:cap(p.recs)])
-		p.recs = nil
-	}
-	return ok && (c == '[' || c == 'n')
-}
-
-// readRecord reads a "records" element into r.
-func (p *wireReader) readRecord(r *snet.Record) bool {
-	c, _, ok := p.value(func(key []byte) bool {
-		tags := key != nil && keyIs(key, tagsName)
-		if !tags && (key == nil || !keyIs(key, fieldsName)) {
-			_, _, ok := p.value(nil)
-			return ok && key != nil
-		}
-		c, _, ok := p.value(func(key []byte) bool {
-			var n int
-			var s string
-			name, ok := unquote(key)
-			if ok && tags {
-				ok = p.scalar(&n)
-				r.SetTag(string(name), n)
-			} else if ok {
-				ok = p.scalar(&s)
-				r.SetField(string(name), s)
-			}
-			return ok
-		})
-		if c == 'n' {
-			names, del := r.FieldNames(), r.DeleteField
-			if tags {
-				names, del = r.TagNames(), r.DeleteTag
-			}
-			for _, k := range names {
-				del(k)
-			}
-		}
-		return ok && (c == '{' || c == 'n')
-	})
-	return ok && (c == '{' || c == 'n')
-}
-
-// keyIs reports whether a key token names a member, exactly or under Unicode
-// case folding.
-func keyIs(token, name []byte) bool {
-	key, ok := unquote(token)
-	return ok && bytes.EqualFold(key, name)
-}
-
-// unquote returns the value of a string token, false for any other token.
-func unquote(token []byte) ([]byte, bool) {
-	if len(token) < 2 || token[0] != '"' {
+// str reads a string and returns its bytes.
+func (p *wireReader) str() ([]byte, bool) {
+	if !p.eat('"') {
 		return nil, false
 	}
-	if raw := token[1 : len(token)-1]; bytes.IndexByte(raw, '\\') < 0 && utf8.Valid(raw) {
-		return raw, true
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] != '"' && p.b[p.i] != '\\' && p.b[p.i] >= 0x20 {
+		p.i++
 	}
-	var s string
-	err := json.Unmarshal(token, &s)
-	return []byte(s), err == nil
+	s := p.b[start:p.i]
+	if p.i == len(p.b) || p.b[p.i] != '"' || !utf8.Valid(s) {
+		return nil, false
+	}
+	p.i++
+	return s, true
+}
+
+// key reads a member's name and the colon after it.
+func (p *wireReader) key() ([]byte, bool) {
+	k, ok := p.str()
+	return k, ok && p.eat(':')
+}
+
+// bit returns 1<<i for a key that is names[i], 0 for any other.
+func bit(key []byte, names ...string) int {
+	for i, name := range names {
+		if string(key) == name {
+			return 1 << i
+		}
+	}
+	return 0
+}
+
+// integer reads an integer that fits an int.
+func (p *wireReader) integer() (int, bool) {
+	p.next()
+	start := p.i
+	if p.i < len(p.b) && p.b[p.i] == '-' {
+		p.i++
+	}
+	digits := p.i
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		p.i++
+	}
+	if p.i == digits || p.b[digits] == '0' && p.i > digits+1 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(string(p.b[start:p.i]))
+	return n, err == nil
+}
+
+// canonical reads the body's top-level object.
+func (p *wireReader) canonical(mask int) bool {
+	return p.list('{', '}', func() bool {
+		k, ok := p.key()
+		m := bit(k, memberNames[:]...)
+		if !ok || mask&m == 0 {
+			return false
+		}
+		mask &^= m // a member is read at most once
+		switch m {
+		case memNet, memWait:
+			s, ok := p.str()
+			if m == memNet {
+				p.net = string(s)
+			} else {
+				p.wait = string(s)
+			}
+			return ok
+		case memMax:
+			p.max, ok = p.integer()
+			return ok
+		case memClose:
+			word := "false"
+			if p.close = p.next() == 't'; p.close {
+				word = "true"
+			}
+			ok = bytes.HasPrefix(p.b[p.i:], []byte(word))
+			p.i += len(word)
+			return ok
+		}
+		return p.list('[', ']', p.record)
+	})
+}
+
+// record reads a "records" element into a record it appends.
+func (p *wireReader) record() bool {
+	r := snet.AcquireRecord()
+	p.records = append(p.records, r)
+	left := 3 // the bits of "tags" and "fields" not yet read
+	return p.list('{', '}', func() bool {
+		k, ok := p.key()
+		m := bit(k, "tags", "fields")
+		if !ok || left&m == 0 {
+			return false
+		}
+		left &^= m
+		tags := m == 1
+		return p.list('{', '}', func() bool {
+			name, ok := p.key()
+			if !ok {
+				return false
+			}
+			if tags {
+				n, ok := p.integer()
+				r.SetTag(string(name), n)
+				return ok
+			}
+			s, ok := p.str()
+			r.SetField(string(name), string(s))
+			return ok
+		})
+	})
 }
 
 // appendString appends s as json.Encoder writes a string: HTML-safe, with
@@ -374,8 +308,7 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendRecords appends the JSON array of the records' wire forms.  A
-// registered codec's form is rendered through the record GenericCodec
-// decodes it to.
+// registered codec's form is rendered by encoding/json.
 func appendRecords(b []byte, codec Codec, recs []*snet.Record) []byte {
 	b = append(b, '[')
 	for i, r := range recs {
@@ -385,9 +318,8 @@ func appendRecords(b []byte, codec Codec, recs []*snet.Record) []byte {
 		if _, ok := codec.(GenericCodec); ok {
 			b = appendRecord(b, r)
 		} else {
-			g, _ := GenericCodec{}.Decode(codec.Encode(r))
-			b = appendRecord(b, g)
-			snet.ReleaseRecord(g)
+			w, _ := json.Marshal(codec.Encode(r)) // maps of strings to ints and strings
+			b = append(b, w...)
 		}
 	}
 	return append(b, ']')
