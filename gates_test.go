@@ -146,7 +146,7 @@ func TestSizeBudgets(t *testing.T) {
 		{"internal/core", 6779},
 		{"internal/analysis", 882},
 		{"internal/lang", 716},
-		{"snet/service", 1558},
+		{"snet/service", 1556},
 		{"internal/array", 901},
 		{"internal/sudoku", 1130},
 		{"internal/sacvm", 2441},
@@ -252,6 +252,8 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			"a request body is read by the wire reader (readBody), a record reply written by the wire writer (writeRecords)"},
 		{`wireRecord|releaseWire|func keyIs|maxDepth|func \(p \*wireReader\) (value|member|scalar)\(|codec\.Decode\(GenericCodec|GenericCodec\{\}\.Decode\(codec\.Encode`, "snet/service/", true, "",
 			"the wire reader reads one canonical body form and leaves every other body, and every registered codec's records, to encoding/json; a registered codec's reply is rendered by encoding/json"},
+		{`\bDemoBoxes\b|func demoRegistry`, "", false, "",
+			"the demo boxes are bound in one registry, workloads.DemoRegistry, which snetd and snetrun share"},
 		{`fmt\.Sprintf\("s%d"`, "snet/service/", true, "",
 			"a session id is built without fmt"},
 		{`^\s+send\(ctx context\.Context|\) send\(ctx`, "snet/service/", true, "",

@@ -50,8 +50,6 @@ const (
 	memClose
 )
 
-var memberNames = [...]string{"net", "records", "max", "wait", "close"}
-
 // maxBody bounds a request body.
 const maxBody = 4 << 20
 
@@ -84,7 +82,7 @@ func readBody(w http.ResponseWriter, r *http.Request, mask int, body func() any)
 	}
 	p.records = make([]*snet.Record, len(wire))
 	for i, w := range wire {
-		p.records[i], _ = GenericCodec{}.Decode(w)
+		p.records[i], _ = GenericCodec{}.Decode(w) // which fails on nothing
 	}
 	return p, nil
 }
@@ -134,7 +132,7 @@ func (p *wireReader) next() byte {
 	return 0
 }
 
-// eat reads c, which is not 0.
+// eat skips white space and reads c, which is never next's 0.
 func (p *wireReader) eat(c byte) bool {
 	if p.next() != c {
 		return false
@@ -143,16 +141,16 @@ func (p *wireReader) eat(c byte) bool {
 	return true
 }
 
-// list reads open, then items separated by commas, then close.
-func (p *wireReader) list(open, close byte, item func() bool) bool {
-	if !p.eat(open) {
+// list reads start, then items separated by commas, then end.
+func (p *wireReader) list(start, end byte, item func() bool) bool {
+	if !p.eat(start) {
 		return false
 	}
-	if p.eat(close) {
+	if p.eat(end) {
 		return true
 	}
 	for item() {
-		if p.eat(close) {
+		if p.eat(end) {
 			return true
 		}
 		if !p.eat(',') {
@@ -217,7 +215,7 @@ func (p *wireReader) integer() (int, bool) {
 func (p *wireReader) canonical(mask int) bool {
 	return p.list('{', '}', func() bool {
 		k, ok := p.key()
-		m := bit(k, memberNames[:]...)
+		m := bit(k, "net", "records", "max", "wait", "close") // in the order of the bits
 		if !ok || mask&m == 0 {
 			return false
 		}
